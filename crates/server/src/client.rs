@@ -20,67 +20,21 @@
 use crate::daemon::BoundAddr;
 use crate::fault::{FaultConfig, FaultPlan, FaultStats, FaultyStream};
 use crate::http::HttpClient;
+use crate::net::Stream;
 use crate::proto::{self, Request, Response};
 use faascache_platform::sharded::{InvokeOutcome, InvokerStats};
 use faascache_trace::replay::OpenLoopSchedule;
 use faascache_util::backoff::ExpBackoff;
 use faascache_util::rng::Pcg64;
 use faascache_util::stats::LatencySummary;
-use std::io::{self, Read, Write};
-use std::net::TcpStream;
-#[cfg(unix)]
-use std::os::unix::net::UnixStream;
+use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
 use std::time::{Duration, Instant};
 
-enum Conn {
-    Tcp(TcpStream),
-    #[cfg(unix)]
-    Unix(UnixStream),
-}
-
-impl Conn {
-    fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.set_read_timeout(timeout),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.set_read_timeout(timeout),
-        }
-    }
-}
-
-impl Read for Conn {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Conn {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.flush(),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.flush(),
-        }
-    }
-}
-
 /// A blocking client over one daemon connection.
 pub struct Client {
-    stream: FaultyStream<Conn>,
+    stream: FaultyStream<Stream>,
 }
 
 impl Client {
@@ -92,17 +46,8 @@ impl Client {
     /// Connects with client-side fault injection: every read and write on
     /// the connection is subject to `plan`'s deterministic schedule.
     pub fn connect_with_faults(addr: &BoundAddr, plan: FaultPlan) -> io::Result<Client> {
-        let conn = match addr {
-            BoundAddr::Tcp(sock) => {
-                let s = TcpStream::connect(sock)?;
-                s.set_nodelay(true)?;
-                Conn::Tcp(s)
-            }
-            #[cfg(unix)]
-            BoundAddr::Unix(path) => Conn::Unix(UnixStream::connect(path)?),
-        };
         Ok(Client {
-            stream: FaultyStream::new(conn, plan),
+            stream: FaultyStream::new(Stream::connect(addr)?, plan),
         })
     }
 

@@ -1,8 +1,14 @@
 //! The `faascached` daemon: the sharded invoker behind a socket.
 //!
 //! One daemon process owns a [`ShardedInvoker`] — N container-pool shards
-//! with function-affinity routing and bounded admission — and serves the
-//! wire protocol of [`crate::proto`] over TCP or a Unix domain socket.
+//! with function-affinity routing and bounded admission — and serves it
+//! over TCP or a Unix domain socket, plus an optional HTTP gateway. This
+//! module holds what is the daemon's own: the shared state, its
+//! `Service` implementation (how each operation executes against the
+//! invoker, the registry and the journal), and the process lifecycle.
+//! Moving bytes is the drivers' job: the blocking `driver` or, with
+//! `--io-model epoll`, [`crate::reactor`].
+//!
 //! The structure mirrors what the FaasCache paper does to OpenWhisk's
 //! invoker, minus Docker: requests carry a function identity, the pool
 //! decides warm/cold/dropped, and keep-alive containers are reaped by a
@@ -10,17 +16,18 @@
 //!
 //! Shutdown is graceful by construction: a SIGTERM, a protocol
 //! [`Shutdown`](crate::proto::Request::Shutdown) frame, or a
-//! [`ShutdownHandle`] all set one flag. The accept loop stops taking new
+//! [`ShutdownHandle`] all set one flag. The driver stops taking new
 //! connections, the invoker's admission gates flip to draining (new
-//! invokes are *rejected*, visibly, not silently), handler threads finish
-//! writing the responses of everything already admitted, and `run`
-//! returns a [`DaemonReport`] whose counters account for every request
-//! that was ever read off a socket.
+//! invokes are *rejected*, visibly, not silently), the responses of
+//! everything already admitted are written, and `run` returns a
+//! [`DaemonReport`] whose counters account for every request that was
+//! ever read off a socket.
 
-use crate::fault::{FaultConfig, FaultPlan, FaultyStream};
-use crate::http::{self, HttpParser, HttpRequest};
+use crate::driver::{self, Front};
+use crate::fault::FaultConfig;
 use crate::journal::{registry_digest, Journal, JournalRecord};
-use crate::proto::{self, Poll, Request, Response};
+use crate::prom::PromText;
+use crate::service::{FnTarget, FrontCounters, Op, Reply, Service};
 use crate::signal;
 use faascache_core::function::{FunctionId, FunctionRegistry};
 use faascache_core::policy::PolicyKind;
@@ -30,10 +37,8 @@ use faascache_platform::sharded::{
 use faascache_platform::tenant::{TenantQuota, TenantQuotas};
 use faascache_util::{stats::balance_ratio, MemMb, SimDuration, SimTime};
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-#[cfg(unix)]
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::io;
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
@@ -63,9 +68,9 @@ pub enum BoundAddr {
 /// Which serving core multiplexes connections.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IoModel {
-    /// One blocking handler thread per connection (the original core,
-    /// kept as a differential reference). Simple, portable, capped at a
-    /// few hundred connections by per-thread stacks.
+    /// One blocking handler thread per connection — the driver the
+    /// router also runs, and the only one off Linux. Simple, portable,
+    /// capped at a few hundred connections by per-thread stacks.
     #[default]
     Threads,
     /// A single epoll reactor thread multiplexing every connection, with
@@ -280,100 +285,6 @@ impl WallClock {
     }
 }
 
-pub(crate) enum Listener {
-    Tcp(TcpListener),
-    #[cfg(unix)]
-    Unix(UnixListener),
-}
-
-pub(crate) enum Stream {
-    Tcp(TcpStream),
-    #[cfg(unix)]
-    Unix(UnixStream),
-}
-
-impl Read for Stream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
-            Stream::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Stream {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
-            Stream::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Stream::Tcp(s) => s.flush(),
-            #[cfg(unix)]
-            Stream::Unix(s) => s.flush(),
-        }
-    }
-}
-
-impl Listener {
-    pub(crate) fn accept(&self) -> io::Result<Stream> {
-        match self {
-            Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
-            #[cfg(unix)]
-            Listener::Unix(l) => l.accept().map(|(s, _)| Stream::Unix(s)),
-        }
-    }
-
-    fn set_nonblocking(&self, nb: bool) -> io::Result<()> {
-        match self {
-            Listener::Tcp(l) => l.set_nonblocking(nb),
-            #[cfg(unix)]
-            Listener::Unix(l) => l.set_nonblocking(nb),
-        }
-    }
-
-    /// Raw fd for readiness registration with the reactor.
-    #[cfg(unix)]
-    pub(crate) fn raw_fd(&self) -> std::os::unix::io::RawFd {
-        use std::os::unix::io::AsRawFd;
-        match self {
-            Listener::Tcp(l) => l.as_raw_fd(),
-            Listener::Unix(l) => l.as_raw_fd(),
-        }
-    }
-}
-
-impl Stream {
-    /// Raw fd for readiness registration with the reactor.
-    #[cfg(unix)]
-    pub(crate) fn raw_fd(&self) -> std::os::unix::io::RawFd {
-        use std::os::unix::io::AsRawFd;
-        match self {
-            Stream::Tcp(s) => s.as_raw_fd(),
-            Stream::Unix(s) => s.as_raw_fd(),
-        }
-    }
-
-    /// Reactor-side socket setup: nodelay (TCP) and nonblocking mode. No
-    /// read timeout — a nonblocking socket never parks a thread; frame
-    /// deadlines come from the reactor's deadline queue instead.
-    pub(crate) fn configure_nonblocking(&self) -> io::Result<()> {
-        match self {
-            Stream::Tcp(s) => {
-                s.set_nodelay(true)?;
-                s.set_nonblocking(true)
-            }
-            #[cfg(unix)]
-            Stream::Unix(s) => s.set_nonblocking(true),
-        }
-    }
-}
-
 /// State of one idempotency key in the [`IdemCache`].
 #[derive(Debug, Clone, Copy)]
 enum IdemEntry {
@@ -435,43 +346,24 @@ impl IdemCache {
 pub(crate) struct Shared {
     pub(crate) invoker: ShardedInvoker,
     /// Function registry behind a read-write lock: the invoke hot path
-    /// takes uncontended read locks; `RegisterFunction` / `PUT
-    /// /functions/<name>` take the write lock to grow it at runtime.
+    /// takes uncontended read locks; registrations take the write lock
+    /// to grow it at runtime.
     registry: RwLock<FunctionRegistry>,
     /// Durable control-plane journal; mutations are appended (and
     /// fsynced) under the registry write lock, before the wire ack.
     journal: Option<Arc<Mutex<Journal>>>,
     clock: WallClock,
     shutdown: Arc<AtomicBool>,
-    /// Requests read off a socket whose response is not yet written.
-    pub(crate) active: AtomicU64,
-    pub(crate) frames: AtomicU64,
-    /// HTTP requests served by the gateway (parallel to `frames`).
-    pub(crate) http_requests: AtomicU64,
-    pub(crate) protocol_errors: AtomicU64,
-    pub(crate) dedup_hits: AtomicU64,
+    pub(crate) front: FrontCounters,
+    dedup_hits: AtomicU64,
     idem: Mutex<IdemCache>,
     /// Wakes keyed invokes parked on a [`IdemEntry::Pending`] entry
     /// once its outcome is recorded (or its executor failed).
     idem_cv: Condvar,
     allow_remote_shutdown: bool,
-    read_timeout: Duration,
-    /// Connections accepted over the daemon's lifetime; doubles as the
-    /// accept ordinal that seeds per-stream fault plans.
-    pub(crate) conns_total: AtomicU64,
-    /// Connections currently open.
-    pub(crate) conns_current: AtomicU64,
-    /// High-water mark of `conns_current`.
-    pub(crate) conns_peak: AtomicU64,
-    /// Accept failures other than `WouldBlock`/`Interrupted`.
-    pub(crate) accept_errors: AtomicU64,
 }
 
 impl Shared {
-    pub(crate) fn shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst) || signal::requested()
-    }
-
     fn registry_read(&self) -> std::sync::RwLockReadGuard<'_, FunctionRegistry> {
         self.registry.read().unwrap_or_else(|e| e.into_inner())
     }
@@ -479,11 +371,7 @@ impl Shared {
     /// Invokes by registry index, optionally through the idempotency
     /// cache (`key`). Both front-ends route here, so a keyed HTTP retry
     /// and a keyed binary retry hit the same exactly-once accounting.
-    pub(crate) fn invoke_indexed(
-        &self,
-        function: u32,
-        key: Option<u64>,
-    ) -> Result<InvokeOutcome, String> {
+    fn invoke_indexed(&self, function: u32, key: Option<u64>) -> Result<InvokeOutcome, String> {
         if let Some(key) = key {
             // Claim the key before executing. A retry that arrives
             // while the first execution is still in flight (a hop retry
@@ -538,7 +426,7 @@ impl Shared {
     }
 
     /// Resolves a function name to its registry index.
-    pub(crate) fn lookup_function(&self, name: &str) -> Option<u32> {
+    fn lookup_function(&self, name: &str) -> Option<u32> {
         self.registry_read()
             .find(name)
             .map(|spec| spec.id().index() as u32)
@@ -550,10 +438,10 @@ impl Shared {
     /// registration owns the function), so retried registrations never
     /// fail or fork the registry. An empty tenant means the default
     /// tenant; any other tenant name must pass [`validate_tenant_name`].
-    pub(crate) fn register_function(
+    fn register_function(
         &self,
         name: &str,
-        mem_mb: u64,
+        mem_mb: u32,
         warm_us: u64,
         cold_us: u64,
         tenant: &str,
@@ -561,9 +449,6 @@ impl Shared {
         validate_tenant_name(tenant)?;
         if name.len() > u8::MAX as usize {
             return Err(format!("function name too long ({} > 255)", name.len()));
-        }
-        if mem_mb > u64::from(u32::MAX) {
-            return Err(format!("mem_mb {mem_mb} exceeds the u32 wire range"));
         }
         let mut registry = self.registry.write().unwrap_or_else(|e| e.into_inner());
         if let Some(spec) = registry.find(name) {
@@ -577,7 +462,7 @@ impl Shared {
         if let Some(journal) = &self.journal {
             let record = JournalRecord::Register {
                 name: name.to_string(),
-                mem_mb: mem_mb as u32,
+                mem_mb,
                 warm_us,
                 cold_us,
                 tenant: tenant.to_string(),
@@ -591,7 +476,7 @@ impl Shared {
         registry
             .register_in(
                 name,
-                MemMb::new(mem_mb),
+                MemMb::new(u64::from(mem_mb)),
                 SimDuration::from_micros(warm_us),
                 SimDuration::from_micros(cold_us),
                 tenant,
@@ -605,12 +490,7 @@ impl Shared {
     /// tenant table. Returns whether the tenant was already bound to a
     /// live slot (`false` means the quota is stored and will apply on
     /// the tenant's first request).
-    pub(crate) fn set_tenant_quota(
-        &self,
-        tenant: &str,
-        inflight: u64,
-        mem_mb: u64,
-    ) -> Result<bool, String> {
+    fn set_tenant_quota(&self, tenant: &str, inflight: u64, mem_mb: u64) -> Result<bool, String> {
         if tenant.is_empty() {
             return Err("tenant name must be non-empty".to_string());
         }
@@ -670,55 +550,201 @@ impl Shared {
     /// is monotonic); the digest fingerprints every spec's
     /// identity-relevant fields. Exported in `/metrics` so the router
     /// can detect a re-admitted backend whose registry diverged.
-    pub(crate) fn registry_fingerprint(&self) -> (u64, u64) {
+    fn registry_fingerprint(&self) -> (u64, u64) {
         let registry = self.registry_read();
         (registry.len() as u64, registry_digest(&registry))
     }
 
-    /// Decodes and dispatches one request frame.
-    pub(crate) fn handle(&self, payload: &[u8]) -> Response {
-        match Request::decode(payload) {
-            Ok(Request::Invoke { function }) => match self.invoke_indexed(function, None) {
-                Ok(outcome) => Response::Invoked(outcome),
-                Err(msg) => Response::Error(msg),
-            },
-            Ok(Request::InvokeKeyed { function, key }) => {
-                match self.invoke_indexed(function, Some(key)) {
-                    Ok(outcome) => Response::Invoked(outcome),
-                    Err(msg) => Response::Error(msg),
+    /// Renders the daemon's counters in Prometheus text exposition
+    /// format — the same numbers the summary line prints, plus per-shard
+    /// in-flight gauges.
+    fn render_metrics(&self) -> String {
+        let stats = self.invoker.stats();
+        let tenants = self.invoker.tenant_snapshots();
+        let mut m = PromText::new();
+        m.family(
+            "faascache_requests_total",
+            "counter",
+            "Invocation outcomes observed by the daemon.",
+        );
+        for (label, v) in [
+            ("warm", stats.warm),
+            ("cold", stats.cold),
+            ("dropped", stats.dropped),
+            ("rejected", stats.rejected),
+            ("throttled", stats.throttled),
+        ] {
+            m.sample(&[("outcome", &label)], v);
+        }
+        // Per-tenant accounting: throttle counts per tenant ride the same
+        // requests_total family (extra `tenant` label), budget occupancy
+        // gets its own gauges.
+        for t in &tenants {
+            m.sample(
+                &[("outcome", &"throttled"), ("tenant", &t.name)],
+                t.throttled,
+            );
+        }
+        m.family(
+            "faascache_tenant_warm_bytes",
+            "gauge",
+            "Resident container memory per tenant.",
+        );
+        for t in &tenants {
+            m.sample(&[("tenant", &t.name)], t.mem_mb * 1024 * 1024);
+        }
+        m.family(
+            "faascache_tenant_in_flight",
+            "gauge",
+            "Admitted-but-unfinished invocations per tenant.",
+        );
+        for t in &tenants {
+            m.sample(&[("tenant", &t.name)], t.in_flight);
+        }
+        m.family(
+            "faascache_tenant_served_total",
+            "counter",
+            "Requests served (warm or cold) per tenant.",
+        );
+        for t in &tenants {
+            m.sample(&[("tenant", &t.name)], t.served);
+        }
+        let front = &self.front;
+        for (name, help, v) in [
+            (
+                "faascache_evictions_total",
+                "Keep-alive containers evicted.",
+                stats.evictions,
+            ),
+            (
+                "faascache_migrations_total",
+                "Warm containers re-homed across shards.",
+                stats.migrations,
+            ),
+            (
+                "faascache_dedup_hits_total",
+                "Keyed invokes answered from the idempotency cache.",
+                self.dedup_hits.load(Ordering::Relaxed),
+            ),
+            (
+                "faascache_connections_total",
+                "Connections accepted over the daemon's lifetime.",
+                front.conns_total.load(Ordering::Relaxed),
+            ),
+            (
+                "faascache_http_requests_total",
+                "HTTP requests served by the gateway.",
+                front.http_requests.load(Ordering::Relaxed),
+            ),
+            (
+                "faascache_frames_total",
+                "Binary protocol request frames read.",
+                front.frames.load(Ordering::Relaxed),
+            ),
+            (
+                "faascache_protocol_errors_total",
+                "Connections torn down due to malformed input.",
+                front.protocol_errors.load(Ordering::Relaxed),
+            ),
+        ] {
+            m.single(name, "counter", help, v);
+        }
+        m.single(
+            "faascache_open_connections",
+            "gauge",
+            "Connections currently open.",
+            front.conns_current.load(Ordering::Relaxed),
+        );
+        m.family(
+            "faascache_shard_in_flight",
+            "gauge",
+            "Admitted-but-unfinished invocations per shard.",
+        );
+        for load in self.invoker.loads() {
+            m.sample(&[("shard", &load.shard)], load.in_flight);
+        }
+        // Registry replication fingerprint: the router compares these to
+        // decide whether a re-admitted backend's registry diverged, and
+        // the recovery harness compares them across a crash/restart.
+        let (epoch, digest) = self.registry_fingerprint();
+        m.single(
+            "faascache_registry_epoch",
+            "gauge",
+            "Number of registered functions (monotonic).",
+            epoch,
+        );
+        m.single(
+            "faascache_registry_digest",
+            "gauge",
+            "FNV-1a fingerprint of the function registry.",
+            digest,
+        );
+        m.single(
+            "faascache_draining",
+            "gauge",
+            "Whether the daemon is draining (1) or serving (0).",
+            u64::from(self.draining()),
+        );
+        m.finish()
+    }
+}
+
+impl Service for Shared {
+    /// The daemon executes locally; a connection carries no state.
+    type Ctx = ();
+
+    fn conn_ctx(&self, _ordinal: u64) {}
+
+    fn call(&self, _ctx: &mut (), op: Op) -> Reply {
+        match op {
+            Op::Invoke { function, key } => {
+                let resolved = match function {
+                    FnTarget::Index(idx) => Ok(idx),
+                    FnTarget::Name(name) => self
+                        .lookup_function(&name)
+                        .ok_or_else(|| format!("unknown function {name:?}")),
+                };
+                match resolved.and_then(|idx| Ok((idx, self.invoke_indexed(idx, key)?))) {
+                    Ok((function, outcome)) => Reply::Invoked { function, outcome },
+                    Err(msg) => Reply::error(404, msg),
                 }
             }
-            Ok(Request::Register {
+            Op::Register {
                 name,
                 mem_mb,
                 warm_us,
                 cold_us,
                 tenant,
-            }) => {
-                match self.register_function(&name, u64::from(mem_mb), warm_us, cold_us, &tenant) {
-                    Ok((function, created)) => Response::Registered { function, created },
-                    Err(msg) => Response::Error(msg),
-                }
-            }
-            Ok(Request::SetTenantQuota {
+            } => match self.register_function(&name, mem_mb, warm_us, cold_us, &tenant) {
+                Ok((function, created)) => Reply::Registered {
+                    function,
+                    name,
+                    created,
+                },
+                Err(msg) => Reply::error(400, msg),
+            },
+            Op::SetQuota {
                 tenant,
                 inflight,
                 mem_mb,
-            }) => match self.set_tenant_quota(&tenant, inflight, mem_mb) {
-                Ok(live) => Response::QuotaSet { live },
-                Err(msg) => Response::Error(msg),
+            } => match self.set_tenant_quota(&tenant, inflight, mem_mb) {
+                Ok(live) => Reply::QuotaSet { tenant, live },
+                Err(msg) => Reply::error(400, msg),
             },
-            Ok(Request::Stats) => Response::Stats(self.invoker.stats()),
-            Ok(Request::Shutdown) => {
-                if !self.allow_remote_shutdown {
-                    return Response::Error("remote shutdown disabled".to_string());
-                }
-                self.shutdown.store(true, Ordering::SeqCst);
-                Response::ShutdownStarted
-            }
-            Ok(Request::Ping) => Response::Pong,
-            Err(e) => Response::Error(e.to_string()),
+            Op::Stats => Reply::Stats(self.invoker.stats()),
+            Op::Ping | Op::Healthz => Reply::Alive,
+            Op::Metrics => Reply::Metrics(self.render_metrics()),
+            Op::Shutdown => Reply::shutdown(&self.shutdown, self.allow_remote_shutdown),
+            Op::Fail { status, msg } => Reply::error(status, msg),
         }
+    }
+
+    fn draining(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst) || signal::requested()
+    }
+
+    fn counters(&self) -> &FrontCounters {
+        &self.front
     }
 }
 
@@ -739,157 +765,9 @@ pub(crate) fn validate_tenant_name(tenant: &str) -> Result<(), String> {
     }
 }
 
-/// One connection's serve loop: frames in, responses out, until EOF,
-/// shutdown, or a protocol error.
-///
-/// Generic over the transport so chaos tests can slot a
-/// [`FaultyStream`] (or any scripted mock) in place of a socket.
-fn serve_connection<S: Read + Write>(shared: &Shared, mut stream: S) {
-    // Ten read-timeout grace periods to finish a frame a peer started.
-    let stall_limit = shared.read_timeout * 10;
-    loop {
-        if shared.shutting_down() {
-            break;
-        }
-        match proto::poll_frame(&mut stream, stall_limit) {
-            Ok(Poll::Idle) => continue,
-            Ok(Poll::Eof) => break,
-            Ok(Poll::Frame(payload)) => {
-                // `active` brackets admit → response-written so drain
-                // cannot declare victory while a reply is unflushed.
-                shared.active.fetch_add(1, Ordering::SeqCst);
-                shared.frames.fetch_add(1, Ordering::Relaxed);
-                let response = shared.handle(&payload);
-                let wrote = proto::write_frame(&mut stream, &response.encode());
-                shared.active.fetch_sub(1, Ordering::SeqCst);
-                if wrote.is_err() {
-                    break;
-                }
-            }
-            Err(_) => {
-                shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                break;
-            }
-        }
-    }
-}
-
-/// Which front-end protocol an accepted connection speaks, decided by
-/// the listener it arrived on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ConnKind {
-    /// The length-prefixed binary protocol of [`crate::proto`].
-    Binary,
-    /// The HTTP/1.1 gateway of [`crate::http`].
-    Http,
-}
-
-/// One HTTP connection's serve loop: requests in, responses out, until
-/// EOF, a parse error, `Connection: close`, or the drain grace window
-/// ends. The threads-model twin of the reactor's `HttpConn` path.
-///
-/// Drain semantics: when shutdown is requested the loop keeps serving
-/// for one stall-limit grace window — already-pipelined requests
-/// complete and health probes observe the 503 flip — then closes. A
-/// parse error is answered *after* every request that completed before
-/// the poison (serve-then-close, the same contract the binary decoder
-/// path keeps), with 431/413/400 + `Connection: close`.
-pub(crate) fn serve_http_connection<S: Read + Write>(shared: &Shared, mut stream: S) {
-    let stall_limit = shared.read_timeout * 10;
-    let mut parser = HttpParser::new();
-    let mut requests: VecDeque<HttpRequest> = VecDeque::new();
-    let mut chunk = [0u8; 8192];
-    let mut parse_error = None;
-    let mut drain_seen: Option<Instant> = None;
-    let mut started: Option<Instant> = None;
-    'conn: loop {
-        if shared.shutting_down() {
-            let since = drain_seen.get_or_insert_with(Instant::now);
-            if since.elapsed() > stall_limit {
-                break;
-            }
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => {
-                if let Err(e) = parser.feed(&chunk[..n], &mut requests) {
-                    // Requests completed before the poison are already
-                    // on the queue; serve them, then answer the error.
-                    shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                    parse_error = Some(e);
-                }
-            }
-            Err(ref e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock
-                        | io::ErrorKind::TimedOut
-                        | io::ErrorKind::Interrupted
-                ) =>
-            {
-                // Idle tick — unless the peer stalled mid-request, in
-                // which case the per-request deadline applies exactly
-                // like the binary path's per-frame deadline.
-                if parser.is_mid_request() && started.is_some_and(|s| s.elapsed() > stall_limit) {
-                    shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-            }
-            Err(_) => break,
-        }
-        started = if parser.is_mid_request() {
-            Some(started.unwrap_or_else(Instant::now))
-        } else {
-            None
-        };
-
-        // Serve the whole parsed queue before honoring any close flag:
-        // pipelined requests already read off the socket must complete.
-        let mut close_after = false;
-        while let Some(req) = requests.pop_front() {
-            shared.active.fetch_add(1, Ordering::SeqCst);
-            shared.http_requests.fetch_add(1, Ordering::Relaxed);
-            let op = http::route(&req);
-            let resp = http::execute(shared, op, shared.shutting_down());
-            let close = req.close || resp.close;
-            let mut buf = Vec::with_capacity(128 + resp.body.len());
-            http::write_response_with(
-                &mut buf,
-                resp.status,
-                resp.content_type,
-                resp.body.as_bytes(),
-                close,
-                resp.retry_after,
-            );
-            let wrote = stream.write_all(&buf);
-            shared.active.fetch_sub(1, Ordering::SeqCst);
-            if wrote.is_err() {
-                break 'conn;
-            }
-            close_after |= close;
-        }
-        if let Some(err) = parse_error {
-            shared.active.fetch_add(1, Ordering::SeqCst);
-            let mut buf = Vec::new();
-            http::error_response(&err, &mut buf);
-            let _ = stream.write_all(&buf);
-            shared.active.fetch_sub(1, Ordering::SeqCst);
-            break;
-        }
-        if close_after {
-            break;
-        }
-    }
-}
-
 /// A bound, not-yet-running daemon.
 pub struct Daemon {
-    listener: Listener,
-    bound: BoundAddr,
-    /// Optional HTTP/1.1 gateway listener (`--http-listen`), served
-    /// concurrently with the binary listener by both io models.
-    http_listener: Option<Listener>,
-    bound_http: Option<BoundAddr>,
+    front: Front,
     shared: Arc<Shared>,
     config: DaemonConfig,
 }
@@ -925,32 +803,7 @@ impl Daemon {
                 "--io-model epoll requires linux",
             ));
         }
-        let (listener, bound) = match endpoint {
-            Endpoint::Tcp(addr) => {
-                let l = crate::net::bind_tcp_reuseaddr(addr.as_str())?;
-                let actual = l.local_addr()?;
-                (Listener::Tcp(l), BoundAddr::Tcp(actual))
-            }
-            #[cfg(unix)]
-            Endpoint::Unix(path) => {
-                // A previous unclean exit may have left the socket file.
-                let _ = std::fs::remove_file(path);
-                let l = UnixListener::bind(path)?;
-                (Listener::Unix(l), BoundAddr::Unix(path.clone()))
-            }
-        };
-        listener.set_nonblocking(true)?;
-
-        let (http_listener, bound_http) = match http_addr {
-            Some(addr) => {
-                let l = crate::net::bind_tcp_reuseaddr(addr)?;
-                let actual = l.local_addr()?;
-                let l = Listener::Tcp(l);
-                l.set_nonblocking(true)?;
-                (Some(l), Some(BoundAddr::Tcp(actual)))
-            }
-            None => (None, None),
-        };
+        let front = Front::bind(endpoint, http_addr, config.read_timeout, config.faults)?;
 
         let mut sharded = ShardedConfig::split(config.total_mem, config.shards)
             .with_queue_bound(config.queue_bound)
@@ -968,25 +821,14 @@ impl Daemon {
             journal: config.journal.clone(),
             clock: WallClock::new(),
             shutdown: Arc::new(AtomicBool::new(false)),
-            active: AtomicU64::new(0),
-            frames: AtomicU64::new(0),
-            http_requests: AtomicU64::new(0),
-            protocol_errors: AtomicU64::new(0),
+            front: FrontCounters::default(),
             dedup_hits: AtomicU64::new(0),
             idem: Mutex::new(IdemCache::new(config.idem_capacity)),
             idem_cv: Condvar::new(),
             allow_remote_shutdown: config.allow_remote_shutdown,
-            read_timeout: config.read_timeout,
-            conns_total: AtomicU64::new(0),
-            conns_current: AtomicU64::new(0),
-            conns_peak: AtomicU64::new(0),
-            accept_errors: AtomicU64::new(0),
         });
         Ok(Daemon {
-            listener,
-            bound,
-            http_listener,
-            bound_http,
+            front,
             shared,
             config,
         })
@@ -995,12 +837,12 @@ impl Daemon {
     /// The address actually bound (the real port when TCP port 0 was
     /// requested).
     pub fn bound_addr(&self) -> BoundAddr {
-        self.bound.clone()
+        self.front.bound_addr()
     }
 
     /// The HTTP gateway's bound address, when `--http-listen` was given.
     pub fn bound_http_addr(&self) -> Option<BoundAddr> {
-        self.bound_http.clone()
+        self.front.bound_http_addr()
     }
 
     /// A handle that requests graceful shutdown from another thread.
@@ -1014,7 +856,6 @@ impl Daemon {
     /// [`ShutdownHandle`]), then drains and returns the final report.
     pub fn run(self) -> DaemonReport {
         let started = Instant::now();
-        let mut handlers = Vec::new();
 
         // One background reaper per shard: expiry is driven by wall
         // time, exactly like OpenWhisk's keep-alive TTL sweeps.
@@ -1023,7 +864,7 @@ impl Daemon {
                 let shared = Arc::clone(&self.shared);
                 let interval = self.config.reap_interval;
                 thread::spawn(move || {
-                    while !shared.shutting_down() {
+                    while !shared.draining() {
                         sleep_interruptibly(&shared, interval);
                         shared.invoker.reap_shard(shard, shared.clock.now());
                     }
@@ -1037,7 +878,7 @@ impl Daemon {
             let shared = Arc::clone(&self.shared);
             let interval = self.config.reap_interval;
             thread::spawn(move || {
-                while !shared.shutting_down() {
+                while !shared.draining() {
                     sleep_interruptibly(&shared, interval);
                     if let Some(event) = shared.invoker.rebalance_tick(shared.clock.now()) {
                         eprintln!(
@@ -1049,59 +890,30 @@ impl Daemon {
             })
         });
 
-        // Serve. The epoll core drains internally (it owns the sockets)
-        // and reports whether every admitted frame's response made it to
-        // the wire; the threads core leaves draining to the common tail.
-        let reactor_drained = match self.config.io_model {
+        let drained = match self.config.io_model {
             IoModel::Threads => {
-                // The HTTP gateway gets its own accept loop; scoped so
-                // it can borrow the listener while the main thread runs
-                // the binary accept loop. Its handlers are joined inside
-                // the scope (they linger at most one drain grace window).
-                thread::scope(|scope| {
-                    if let Some(http) = &self.http_listener {
-                        scope.spawn(|| {
-                            let mut http_handlers = Vec::new();
-                            self.accept_loop(http, ConnKind::Http, &mut http_handlers);
-                            for h in http_handlers {
-                                let _ = h.join();
-                            }
-                        });
-                    }
-                    self.serve_threads(&mut handlers);
-                });
-                None
+                let handlers = self.front.serve(&self.shared);
+                // Drain: flip every admission gate so stragglers get an
+                // explicit Rejected, then wait for in-flight responses
+                // to flush.
+                self.shared.invoker.begin_drain();
+                driver::drain(&*self.shared, handlers, self.config.drain_timeout)
             }
-            IoModel::Epoll => Some(self.serve_epoll()),
+            // The epoll core owns the sockets, so it drains internally
+            // and reports whether every admitted request's response
+            // made it to the wire.
+            IoModel::Epoll => self.serve_epoll(),
         };
-
-        // Drain: flip every admission gate so stragglers get an explicit
-        // Rejected, then wait for in-flight responses to flush.
+        // Stops the reapers even when serving ended on a reactor error
+        // rather than a shutdown request.
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.invoker.begin_drain();
-        let deadline = Instant::now() + self.config.drain_timeout;
-        let mut drained = reactor_drained.unwrap_or(true);
-        while self.shared.active.load(Ordering::SeqCst) > 0 || self.shared.invoker.in_flight() > 0 {
-            if Instant::now() >= deadline {
-                drained = false;
-                break;
-            }
-            thread::sleep(Duration::from_millis(1));
-        }
-        for h in handlers {
-            let _ = h.join();
-        }
         for r in reapers {
             let _ = r.join();
         }
         if let Some(r) = rebalancer {
             let _ = r.join();
         }
-
-        #[cfg(unix)]
-        if let BoundAddr::Unix(path) = &self.bound {
-            let _ = std::fs::remove_file(path);
-        }
+        self.front.unlink();
 
         let per_shard_served = self
             .shared
@@ -1110,15 +922,16 @@ impl Daemon {
             .iter()
             .map(|s| s.counters.warm_starts + s.counters.cold_starts)
             .collect();
+        let front = &self.shared.front;
         DaemonReport {
             stats: self.shared.invoker.stats(),
-            connections: self.shared.conns_total.load(Ordering::Relaxed),
-            open_connections: self.shared.conns_current.load(Ordering::Relaxed),
-            peak_connections: self.shared.conns_peak.load(Ordering::Relaxed),
-            accept_errors: self.shared.accept_errors.load(Ordering::Relaxed),
-            frames: self.shared.frames.load(Ordering::Relaxed),
-            http_requests: self.shared.http_requests.load(Ordering::Relaxed),
-            protocol_errors: self.shared.protocol_errors.load(Ordering::Relaxed),
+            connections: front.conns_total.load(Ordering::Relaxed),
+            open_connections: front.conns_current.load(Ordering::Relaxed),
+            peak_connections: front.conns_peak.load(Ordering::Relaxed),
+            accept_errors: front.accept_errors.load(Ordering::Relaxed),
+            frames: front.frames.load(Ordering::Relaxed),
+            http_requests: front.http_requests.load(Ordering::Relaxed),
+            protocol_errors: front.protocol_errors.load(Ordering::Relaxed),
             dedup_hits: self.shared.dedup_hits.load(Ordering::Relaxed),
             drained,
             uptime: started.elapsed(),
@@ -1126,85 +939,11 @@ impl Daemon {
         }
     }
 
-    /// Thread-per-connection serving loop: accepts until shutdown.
-    fn serve_threads(&self, handlers: &mut Vec<thread::JoinHandle<()>>) {
-        self.accept_loop(&self.listener, ConnKind::Binary, handlers);
-    }
-
-    /// Accepts connections off `listener` until shutdown, spawning one
-    /// handler thread per connection speaking `kind`. Both listeners
-    /// share the accept ordinal, so every stream's fault plan stays
-    /// unique and replayable.
-    fn accept_loop(
-        &self,
-        listener: &Listener,
-        kind: ConnKind,
-        handlers: &mut Vec<thread::JoinHandle<()>>,
-    ) {
-        while !self.shared.shutting_down() {
-            // Burst-accept until WouldBlock: under load the listen
-            // backlog holds many connections per wakeup, and pacing each
-            // accept with a sleep turns the backlog into latency.
-            let mut accepted = false;
-            loop {
-                match listener.accept() {
-                    Ok(stream) => {
-                        accepted = true;
-                        let ordinal = self.shared.conns_total.fetch_add(1, Ordering::Relaxed) + 1;
-                        let current = self.shared.conns_current.fetch_add(1, Ordering::Relaxed) + 1;
-                        self.shared.conns_peak.fetch_max(current, Ordering::Relaxed);
-                        if configure_stream(&stream, self.config.read_timeout).is_err() {
-                            // Connection dies; peer sees EOF.
-                            self.shared.conns_current.fetch_sub(1, Ordering::Relaxed);
-                            continue;
-                        }
-                        let shared = Arc::clone(&self.shared);
-                        // Stream id = accept ordinal, so a (seed, connection)
-                        // pair replays the exact same fault schedule.
-                        let faults = self
-                            .config
-                            .faults
-                            .filter(|f| f.is_active())
-                            .map(|f| f.plan(ordinal));
-                        handlers.push(thread::spawn(move || {
-                            let plan = faults.unwrap_or_else(FaultPlan::disabled);
-                            match kind {
-                                ConnKind::Binary => {
-                                    serve_connection(&shared, FaultyStream::new(stream, plan))
-                                }
-                                ConnKind::Http => {
-                                    serve_http_connection(&shared, FaultyStream::new(stream, plan))
-                                }
-                            }
-                            shared.conns_current.fetch_sub(1, Ordering::Relaxed);
-                        }));
-                    }
-                    Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(ref e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        // Fd exhaustion and kin: the listener survives;
-                        // count it and let the idle sleep pace retries.
-                        self.shared.accept_errors.fetch_add(1, Ordering::Relaxed);
-                        break;
-                    }
-                }
-            }
-            if !accepted {
-                thread::sleep(Duration::from_millis(2));
-            }
-        }
-    }
-
     /// Epoll serving loop; returns whether the reactor's internal drain
     /// flushed every admitted frame.
     #[cfg(target_os = "linux")]
     fn serve_epoll(&self) -> bool {
-        match crate::reactor::serve(
-            &self.listener,
-            self.http_listener.as_ref(),
-            &self.shared,
-            &self.config,
-        ) {
+        match crate::reactor::serve(&self.front, &self.shared, &self.config) {
             Ok(drained) => drained,
             Err(e) => {
                 eprintln!("faascached: epoll reactor failed: {e}");
@@ -1220,21 +959,10 @@ impl Daemon {
     }
 }
 
-pub(crate) fn configure_stream(stream: &Stream, read_timeout: Duration) -> io::Result<()> {
-    match stream {
-        Stream::Tcp(s) => {
-            s.set_nodelay(true)?;
-            s.set_read_timeout(Some(read_timeout))
-        }
-        #[cfg(unix)]
-        Stream::Unix(s) => s.set_read_timeout(Some(read_timeout)),
-    }
-}
-
 /// Sleeps up to `total`, waking early if shutdown is requested.
 fn sleep_interruptibly(shared: &Shared, total: Duration) {
     let deadline = Instant::now() + total;
-    while Instant::now() < deadline && !shared.shutting_down() {
+    while Instant::now() < deadline && !shared.draining() {
         thread::sleep(Duration::from_millis(20).min(total));
     }
 }

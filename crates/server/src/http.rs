@@ -18,34 +18,30 @@
 //! - [`write_response`] — the matching encoder: status line, minimal
 //!   headers, `Content-Length` framing, `Connection: close` when the
 //!   connection should end after the response.
-//! - A gateway routing layer (`route` → `execute`): `POST
-//!   /invoke/<function>` maps [`ShardedInvoker`] outcomes onto status
-//!   codes (Warm/Cold → 200 with a JSON body, Dropped → 429, Rejected →
-//!   503, draining → 503 + `Connection: close`), `GET /healthz` flips
-//!   to 503 during drain, `GET /metrics` renders the daemon's counters
-//!   in Prometheus text format, and `PUT /functions/<name>` registers
-//!   functions at runtime (idempotent on duplicates).
+//! - `route` — maps a parsed request onto the protocol-neutral
+//!   `Op` of `crate::service`: `POST /invoke/<function>`, `GET
+//!   /healthz`, `GET /metrics`, `PUT /functions/<name>` and `PUT
+//!   /tenants/<name>/quota`. Executing the op and choosing the status
+//!   code (Warm/Cold → 200, Dropped/Throttled → 429, Rejected → 503,
+//!   draining → `Connection: close`) happen once, in
+//!   `service::respond`, for the daemon and the router alike.
 //! - [`HttpClient`] — a small blocking client used by `faas-load
-//!   --proto http`, `http-bench`, and the e2e suites; it composes with
+//!   --proto http` and the e2e suites; it composes with
 //!   [`FaultyStream`] exactly like the binary client.
 //!
-//! Both io models serve the gateway: the threads model runs a
-//! per-connection handler (`daemon::serve_http_connection`), the epoll
-//! reactor runs an `HttpConn` state machine alongside the frame path.
 //! An `Idempotency-Key` request header rides the same daemon-side
 //! dedup cache as the binary `InvokeKeyed` opcode, so retrying HTTP
 //! clients keep exactly-once accounting under injected faults.
 //!
-//! [`ShardedInvoker`]: faascache_platform::sharded::ShardedInvoker
 //! [`FaultyStream`]: crate::fault::FaultyStream
 
-use crate::daemon::{BoundAddr, Shared};
+use crate::daemon::BoundAddr;
 use crate::fault::{FaultPlan, FaultyStream};
+use crate::service::{FnTarget, Op};
 use faascache_platform::sharded::InvokeOutcome;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 /// Upper bound on a request's header block (request line + headers +
@@ -421,76 +417,24 @@ fn push_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&digits[i..]);
 }
 
-/// Encodes the error response owed after a parse failure (431/413/400,
-/// always `Connection: close` — framing is unrecoverable).
-pub fn error_response(err: &HttpParseError, buf: &mut Vec<u8>) {
-    let body = format!("{{\"error\":\"{}\"}}\n", err.message());
-    write_response(buf, err.status(), "application/json", body.as_bytes(), true);
-}
-
-/// How `POST /invoke/<function>` names its target.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum FnTarget {
-    /// A registry index (`/invoke/7`).
-    Index(u32),
-    /// A registered name (`/invoke/img-resize`); looked up at execute
-    /// time so functions registered after the route parse still hit.
-    Name(String),
-}
-
-/// A routed gateway operation, decoupled from the transport so the
-/// epoll reactor can ship it to a worker thread.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum GatewayOp {
-    /// `POST /invoke/<function>` (+ optional `Idempotency-Key`).
-    Invoke {
-        function: FnTarget,
-        key: Option<u64>,
-    },
-    /// `PUT /functions/<name>?mem_mb=..&warm_us=..&cold_us=..&tenant=..`.
-    Register {
-        name: String,
-        mem_mb: u64,
-        warm_us: u64,
-        cold_us: u64,
-        /// Owning tenant; empty = default tenant.
-        tenant: String,
-    },
-    /// `PUT /tenants/<name>/quota?inflight=..&mem=..` — runtime tenant
-    /// quota update (absent parameters mean unlimited).
-    SetTenantQuota {
-        tenant: String,
-        inflight: u64,
-        mem_mb: u64,
-    },
-    /// `GET /healthz`.
-    Healthz,
-    /// `GET /metrics`.
-    Metrics,
-    /// Routing failed; answer with `status` and a JSON error body.
-    Fail { status: u16, msg: String },
-}
-
-/// One executed gateway response, transport-agnostic.
-#[derive(Debug, Clone)]
-pub(crate) struct GatewayResponse {
-    pub(crate) status: u16,
-    pub(crate) content_type: &'static str,
-    pub(crate) body: String,
-    /// The connection must close after this response (drain semantics).
-    pub(crate) close: bool,
-    /// Seconds for a `Retry-After` header (tenant throttling).
-    pub(crate) retry_after: Option<u64>,
-}
-
 /// Seconds advertised in `Retry-After` on tenant-throttle (429)
 /// responses. Budgets are resource-occupancy gates, not rate windows, so
 /// the hint is a constant short back-off rather than a computed horizon.
 pub const THROTTLE_RETRY_AFTER_SECS: u64 = 1;
 
-/// Maps a parsed request onto a gateway operation. Pure routing — no
-/// daemon state is touched, so this runs on the reactor thread.
-pub(crate) fn route(req: &HttpRequest) -> GatewayOp {
+/// A poisoned stream is owed its 431/413/400 like any routing failure.
+impl From<HttpParseError> for Op {
+    fn from(err: HttpParseError) -> Op {
+        Op::Fail {
+            status: err.status(),
+            msg: err.message().to_string(),
+        }
+    }
+}
+
+/// Maps a parsed request onto an operation. Pure routing — no server
+/// state is touched, so this runs on the reactor thread.
+pub(crate) fn route(req: &HttpRequest) -> Op {
     let (path, query) = match req.target.split_once('?') {
         Some((p, q)) => (p, q),
         None => (req.target.as_str(), ""),
@@ -502,24 +446,24 @@ pub(crate) fn route(req: &HttpRequest) -> GatewayOp {
                 Ok(idx) => FnTarget::Index(idx),
                 Err(_) => FnTarget::Name((*f).to_string()),
             };
-            GatewayOp::Invoke {
+            Op::Invoke {
                 function,
                 key: req.idem_key,
             }
         }
-        ("GET", ["healthz"]) => GatewayOp::Healthz,
-        ("GET", ["metrics"]) => GatewayOp::Metrics,
+        ("GET", ["healthz"]) => Op::Healthz,
+        ("GET", ["metrics"]) => Op::Metrics,
         ("PUT", ["functions", name]) => route_register(name, query),
         ("PUT", ["tenants", name, "quota"]) => route_set_quota(name, query),
         (_, ["invoke", _])
         | (_, ["healthz"])
         | (_, ["metrics"])
         | (_, ["functions", _])
-        | (_, ["tenants", _, "quota"]) => GatewayOp::Fail {
+        | (_, ["tenants", _, "quota"]) => Op::Fail {
             status: 405,
             msg: "method not allowed".to_string(),
         },
-        _ => GatewayOp::Fail {
+        _ => Op::Fail {
             status: 404,
             msg: "no such route".to_string(),
         },
@@ -531,13 +475,13 @@ pub(crate) fn route(req: &HttpRequest) -> GatewayOp {
 /// (milliseconds); defaults model a tiny function (1 ms warm, 100 ms
 /// cold, 128 MB). `tenant=` assigns the function's owning tenant (empty
 /// or absent = default tenant); its charset is validated at execute time.
-fn route_register(name: &str, query: &str) -> GatewayOp {
+fn route_register(name: &str, query: &str) -> Op {
     if name.is_empty()
         || !name
             .bytes()
             .all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'_' || b == b'.')
     {
-        return GatewayOp::Fail {
+        return Op::Fail {
             status: 400,
             msg: "function names are [A-Za-z0-9._-]+".to_string(),
         };
@@ -554,7 +498,7 @@ fn route_register(name: &str, query: &str) -> GatewayOp {
         }
         let parsed: Result<u64, _> = v.parse();
         let Ok(v) = parsed else {
-            return GatewayOp::Fail {
+            return Op::Fail {
                 status: 400,
                 msg: format!("bad value for query parameter {k:?}"),
             };
@@ -566,14 +510,22 @@ fn route_register(name: &str, query: &str) -> GatewayOp {
             "warm_ms" => warm_us = v.saturating_mul(1_000),
             "cold_ms" => cold_us = v.saturating_mul(1_000),
             _ => {
-                return GatewayOp::Fail {
+                return Op::Fail {
                     status: 400,
                     msg: format!("unknown query parameter {k:?}"),
                 };
             }
         }
     }
-    GatewayOp::Register {
+    // The binary protocol and the journal carry `mem_mb` as a u32; the
+    // one place a wider value can arrive refuses it here.
+    let Ok(mem_mb) = u32::try_from(mem_mb) else {
+        return Op::Fail {
+            status: 400,
+            msg: format!("mem_mb {mem_mb} exceeds the u32 wire range"),
+        };
+    };
+    Op::Register {
         name: name.to_string(),
         mem_mb,
         warm_us,
@@ -586,14 +538,14 @@ fn route_register(name: &str, query: &str) -> GatewayOp {
 /// `mem=` (MB) each default to unlimited when absent, so
 /// `PUT /tenants/acme/quota` with no query lifts both budgets. The
 /// tenant charset is validated at execute time.
-fn route_set_quota(tenant: &str, query: &str) -> GatewayOp {
+fn route_set_quota(tenant: &str, query: &str) -> Op {
     let mut inflight = u64::MAX;
     let mut mem_mb = u64::MAX;
     for pair in query.split('&').filter(|p| !p.is_empty()) {
         let (k, v) = pair.split_once('=').unwrap_or((pair, ""));
         let parsed: Result<u64, _> = v.parse();
         let Ok(v) = parsed else {
-            return GatewayOp::Fail {
+            return Op::Fail {
                 status: 400,
                 msg: format!("bad value for query parameter {k:?}"),
             };
@@ -602,306 +554,24 @@ fn route_set_quota(tenant: &str, query: &str) -> GatewayOp {
             "inflight" => inflight = v,
             "mem" | "mem_mb" => mem_mb = v,
             _ => {
-                return GatewayOp::Fail {
+                return Op::Fail {
                     status: 400,
                     msg: format!("unknown query parameter {k:?}"),
                 };
             }
         }
     }
-    GatewayOp::SetTenantQuota {
+    Op::SetQuota {
         tenant: tenant.to_string(),
         inflight,
         mem_mb,
     }
 }
 
-fn json_error(status: u16, msg: &str, close: bool) -> GatewayResponse {
-    GatewayResponse {
-        status,
-        content_type: "application/json",
-        body: format!("{{\"error\":\"{}\"}}\n", msg.replace(['"', '\\'], "'")),
-        close,
-        retry_after: None,
-    }
-}
-
-/// Executes a routed operation against the daemon's shared state. Runs
-/// on a handler thread (threads model) or a worker thread (epoll);
-/// never on the reactor thread. `draining` selects drain semantics:
-/// healthz flips to 503 and every response carries `Connection: close`.
-pub(crate) fn execute(shared: &Shared, op: GatewayOp, draining: bool) -> GatewayResponse {
-    match op {
-        GatewayOp::Healthz => {
-            if draining {
-                GatewayResponse {
-                    status: 503,
-                    content_type: "text/plain",
-                    body: "draining\n".to_string(),
-                    close: true,
-                    retry_after: None,
-                }
-            } else {
-                GatewayResponse {
-                    status: 200,
-                    content_type: "text/plain",
-                    body: "ok\n".to_string(),
-                    close: false,
-                    retry_after: None,
-                }
-            }
-        }
-        GatewayOp::Metrics => GatewayResponse {
-            status: 200,
-            content_type: "text/plain; version=0.0.4",
-            body: render_metrics(shared, draining),
-            close: draining,
-            retry_after: None,
-        },
-        GatewayOp::Invoke { function, key } => {
-            let resolved = match &function {
-                FnTarget::Index(idx) => Ok(*idx),
-                FnTarget::Name(name) => shared
-                    .lookup_function(name)
-                    .ok_or_else(|| format!("unknown function {name:?}")),
-            };
-            match resolved.and_then(|idx| {
-                shared
-                    .invoke_indexed(idx, key)
-                    .map(|outcome| (idx, outcome))
-            }) {
-                Err(msg) => json_error(404, &msg, draining),
-                Ok((idx, outcome)) => outcome_response(idx, outcome, draining),
-            }
-        }
-        GatewayOp::Register {
-            name,
-            mem_mb,
-            warm_us,
-            cold_us,
-            tenant,
-        } => {
-            if draining {
-                return json_error(503, "draining", true);
-            }
-            match shared.register_function(&name, mem_mb, warm_us, cold_us, &tenant) {
-                Ok((idx, created)) => GatewayResponse {
-                    status: 200,
-                    content_type: "application/json",
-                    body: format!(
-                        "{{\"function\":{idx},\"name\":\"{name}\",\"created\":{created}}}\n"
-                    ),
-                    close: false,
-                    retry_after: None,
-                },
-                Err(msg) => json_error(400, &msg, false),
-            }
-        }
-        GatewayOp::SetTenantQuota {
-            tenant,
-            inflight,
-            mem_mb,
-        } => {
-            if draining {
-                return json_error(503, "draining", true);
-            }
-            match shared.set_tenant_quota(&tenant, inflight, mem_mb) {
-                Ok(live) => GatewayResponse {
-                    status: 200,
-                    content_type: "application/json",
-                    body: format!("{{\"tenant\":\"{tenant}\",\"live\":{live}}}\n"),
-                    close: false,
-                    retry_after: None,
-                },
-                Err(msg) => json_error(400, &msg, false),
-            }
-        }
-        GatewayOp::Fail { status, msg } => json_error(status, &msg, draining),
-    }
-}
-
-/// Maps an invoke outcome to the wire response. Shared by the daemon's
-/// gateway and the router's HTTP front so both ends of a forwarded
-/// request speak the exact same status/label vocabulary.
-///
-/// Both Dropped and Throttled answer 429, but only a tenant throttle
-/// carries Retry-After: a drop means the *pool* is out of memory right
-/// now, a throttle means *this tenant* must back off. Clients
-/// disambiguate by the outcome label.
-pub(crate) fn outcome_response(
-    idx: u32,
-    outcome: InvokeOutcome,
-    draining: bool,
-) -> GatewayResponse {
-    let (status, label) = match outcome {
-        InvokeOutcome::Warm => (200, "warm"),
-        InvokeOutcome::Cold => (200, "cold"),
-        InvokeOutcome::Dropped => (429, "dropped"),
-        InvokeOutcome::Rejected => (503, "rejected"),
-        InvokeOutcome::Throttled => (429, "throttled"),
-    };
-    GatewayResponse {
-        status,
-        content_type: "application/json",
-        body: format!("{{\"function\":{idx},\"outcome\":\"{label}\"}}\n"),
-        close: draining,
-        retry_after: (outcome == InvokeOutcome::Throttled).then_some(THROTTLE_RETRY_AFTER_SECS),
-    }
-}
-
-/// Renders the daemon's counters in Prometheus text exposition format —
-/// the same numbers the summary line prints, plus per-shard in-flight
-/// gauges.
-pub(crate) fn render_metrics(shared: &Shared, draining: bool) -> String {
-    use std::fmt::Write as _;
-    let stats = shared.invoker.stats();
-    let mut out = String::with_capacity(2048);
-    out.push_str("# HELP faascache_requests_total Invocation outcomes observed by the daemon.\n");
-    out.push_str("# TYPE faascache_requests_total counter\n");
-    for (label, v) in [
-        ("warm", stats.warm),
-        ("cold", stats.cold),
-        ("dropped", stats.dropped),
-        ("rejected", stats.rejected),
-        ("throttled", stats.throttled),
-    ] {
-        let _ = writeln!(out, "faascache_requests_total{{outcome=\"{label}\"}} {v}");
-    }
-    // Per-tenant accounting: throttle counts per tenant ride the same
-    // requests_total family (extra `tenant` label), budget occupancy gets
-    // its own gauges.
-    let tenants = shared.invoker.tenant_snapshots();
-    for t in &tenants {
-        let _ = writeln!(
-            out,
-            "faascache_requests_total{{outcome=\"throttled\",tenant=\"{}\"}} {}",
-            t.name, t.throttled
-        );
-    }
-    out.push_str(
-        "# HELP faascache_tenant_warm_bytes Resident container memory per tenant.\n\
-         # TYPE faascache_tenant_warm_bytes gauge\n",
-    );
-    for t in &tenants {
-        let _ = writeln!(
-            out,
-            "faascache_tenant_warm_bytes{{tenant=\"{}\"}} {}",
-            t.name,
-            t.mem_mb * 1024 * 1024
-        );
-    }
-    out.push_str(
-        "# HELP faascache_tenant_in_flight Admitted-but-unfinished invocations per tenant.\n\
-         # TYPE faascache_tenant_in_flight gauge\n",
-    );
-    for t in &tenants {
-        let _ = writeln!(
-            out,
-            "faascache_tenant_in_flight{{tenant=\"{}\"}} {}",
-            t.name, t.in_flight
-        );
-    }
-    out.push_str(
-        "# HELP faascache_tenant_served_total Requests served (warm or cold) per tenant.\n\
-         # TYPE faascache_tenant_served_total counter\n",
-    );
-    for t in &tenants {
-        let _ = writeln!(
-            out,
-            "faascache_tenant_served_total{{tenant=\"{}\"}} {}",
-            t.name, t.served
-        );
-    }
-    for (name, help, v) in [
-        (
-            "faascache_evictions_total",
-            "Keep-alive containers evicted.",
-            stats.evictions,
-        ),
-        (
-            "faascache_migrations_total",
-            "Warm containers re-homed across shards.",
-            stats.migrations,
-        ),
-        (
-            "faascache_dedup_hits_total",
-            "Keyed invokes answered from the idempotency cache.",
-            shared.dedup_hits.load(Ordering::Relaxed),
-        ),
-        (
-            "faascache_connections_total",
-            "Connections accepted over the daemon's lifetime.",
-            shared.conns_total.load(Ordering::Relaxed),
-        ),
-        (
-            "faascache_http_requests_total",
-            "HTTP requests served by the gateway.",
-            shared.http_requests.load(Ordering::Relaxed),
-        ),
-        (
-            "faascache_frames_total",
-            "Binary protocol request frames read.",
-            shared.frames.load(Ordering::Relaxed),
-        ),
-        (
-            "faascache_protocol_errors_total",
-            "Connections torn down due to malformed input.",
-            shared.protocol_errors.load(Ordering::Relaxed),
-        ),
-    ] {
-        let _ = writeln!(
-            out,
-            "# HELP {name} {help}\n# TYPE {name} counter\n{name} {v}"
-        );
-    }
-    let _ = writeln!(
-        out,
-        "# HELP faascache_open_connections Connections currently open.\n\
-         # TYPE faascache_open_connections gauge\n\
-         faascache_open_connections {}",
-        shared.conns_current.load(Ordering::Relaxed)
-    );
-    out.push_str(
-        "# HELP faascache_shard_in_flight Admitted-but-unfinished invocations per shard.\n",
-    );
-    out.push_str("# TYPE faascache_shard_in_flight gauge\n");
-    for load in shared.invoker.loads() {
-        let _ = writeln!(
-            out,
-            "faascache_shard_in_flight{{shard=\"{}\"}} {}",
-            load.shard, load.in_flight
-        );
-    }
-    // Registry replication fingerprint: the router compares these to
-    // decide whether a re-admitted backend's registry diverged, and the
-    // recovery harness compares them across a crash/restart.
-    let (epoch, digest) = shared.registry_fingerprint();
-    let _ = writeln!(
-        out,
-        "# HELP faascache_registry_epoch Number of registered functions (monotonic).\n\
-         # TYPE faascache_registry_epoch gauge\n\
-         faascache_registry_epoch {epoch}"
-    );
-    let _ = writeln!(
-        out,
-        "# HELP faascache_registry_digest FNV-1a fingerprint of the function registry.\n\
-         # TYPE faascache_registry_digest gauge\n\
-         faascache_registry_digest {digest}"
-    );
-    let _ = writeln!(
-        out,
-        "# HELP faascache_draining Whether the daemon is draining (1) or serving (0).\n\
-         # TYPE faascache_draining gauge\n\
-         faascache_draining {}",
-        u8::from(draining)
-    );
-    out
-}
-
 /// A blocking HTTP/1.1 client for the gateway: one keep-alive
-/// connection, one in-flight request. Drives `faas-load --proto http`,
-/// `http-bench`, and the e2e suites; composes with [`FaultyStream`]
-/// exactly like the binary [`Client`](crate::client::Client).
+/// connection, one in-flight request. Drives `faas-load --proto http`
+/// and the e2e suites; composes with [`FaultyStream`] exactly like the
+/// binary [`Client`](crate::client::Client).
 pub struct HttpClient {
     stream: FaultyStream<TcpStream>,
     /// Bytes read past the previous response (partial next head).
@@ -1356,27 +1026,27 @@ mod tests {
         };
         assert_eq!(
             route(&req("POST", "/invoke/7", Some(9))),
-            GatewayOp::Invoke {
+            Op::Invoke {
                 function: FnTarget::Index(7),
                 key: Some(9)
             }
         );
         assert_eq!(
             route(&req("POST", "/invoke/img-resize", None)),
-            GatewayOp::Invoke {
+            Op::Invoke {
                 function: FnTarget::Name("img-resize".to_string()),
                 key: None
             }
         );
-        assert_eq!(route(&req("GET", "/healthz", None)), GatewayOp::Healthz);
-        assert_eq!(route(&req("GET", "/metrics", None)), GatewayOp::Metrics);
+        assert_eq!(route(&req("GET", "/healthz", None)), Op::Healthz);
+        assert_eq!(route(&req("GET", "/metrics", None)), Op::Metrics);
         assert_eq!(
             route(&req(
                 "PUT",
                 "/functions/f1?mem_mb=256&warm_ms=2&cold_ms=50",
                 None
             )),
-            GatewayOp::Register {
+            Op::Register {
                 name: "f1".to_string(),
                 mem_mb: 256,
                 warm_us: 2_000,
@@ -1390,7 +1060,7 @@ mod tests {
                 "/functions/f2?mem_mb=128&warm_ms=1&cold_ms=20&tenant=acme",
                 None
             )),
-            GatewayOp::Register {
+            Op::Register {
                 name: "f2".to_string(),
                 mem_mb: 128,
                 warm_us: 1_000,
@@ -1400,7 +1070,7 @@ mod tests {
         );
         assert_eq!(
             route(&req("PUT", "/tenants/acme/quota?inflight=4&mem=512", None)),
-            GatewayOp::SetTenantQuota {
+            Op::SetQuota {
                 tenant: "acme".to_string(),
                 inflight: 4,
                 mem_mb: 512,
@@ -1408,32 +1078,39 @@ mod tests {
         );
         assert_eq!(
             route(&req("PUT", "/tenants/acme/quota", None)),
-            GatewayOp::SetTenantQuota {
+            Op::SetQuota {
                 tenant: "acme".to_string(),
                 inflight: u64::MAX,
                 mem_mb: u64::MAX,
             }
         );
         match route(&req("PUT", "/tenants/acme/quota?inflight=lots", None)) {
-            GatewayOp::Fail { status: 400, .. } => {}
+            Op::Fail { status: 400, .. } => {}
             other => panic!("expected 400, got {other:?}"),
         }
         match route(&req("GET", "/tenants/acme/quota", None)) {
-            GatewayOp::Fail { status: 405, .. } => {}
+            Op::Fail { status: 405, .. } => {}
             other => panic!("expected 405, got {other:?}"),
         }
         match route(&req("DELETE", "/healthz", None)) {
-            GatewayOp::Fail { status: 405, .. } => {}
+            Op::Fail { status: 405, .. } => {}
             other => panic!("expected 405, got {other:?}"),
         }
         match route(&req("GET", "/nope", None)) {
-            GatewayOp::Fail { status: 404, .. } => {}
+            Op::Fail { status: 404, .. } => {}
             other => panic!("expected 404, got {other:?}"),
         }
         match route(&req("PUT", "/functions/bad%20name", None)) {
-            GatewayOp::Fail { status: 400, .. } => {}
+            Op::Fail { status: 400, .. } => {}
             other => panic!("expected 400, got {other:?}"),
         }
+        assert_eq!(
+            route(&req("PUT", "/functions/big?mem_mb=4294967296", None)),
+            Op::Fail {
+                status: 400,
+                msg: "mem_mb 4294967296 exceeds the u32 wire range".to_string(),
+            }
+        );
     }
 
     #[test]

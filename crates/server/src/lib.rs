@@ -7,10 +7,35 @@
 //!
 //! - [`proto`] — a length-prefixed binary wire protocol spoken over TCP
 //!   and Unix domain sockets (`std::net` only; no external deps);
+//! - [`http`] — the HTTP/1.1 gateway's codec: an incremental request
+//!   parser and response encoder (keep-alive, pipelining,
+//!   Content-Length bodies, 431/413 limits), the route table, and a
+//!   small blocking client — so wrk/hey/curl can drive the cache;
+//! - `service` — the one operation table: a frame or an HTTP request
+//!   decodes into a protocol-neutral `Op`, a `Service` executes it into
+//!   a `Reply`, and `respond` encodes the reply back into the wire
+//!   format it came in by. `Service` has exactly two implementations,
+//!   the daemon and the router;
+//! - `driver` — the blocking, thread-per-connection serving driver,
+//!   generic over `Service`: listener binding, the accept loop, one
+//!   per-connection loop per protocol, drain;
+//! - [`reactor`] (linux) — the `--io-model epoll` driver: one reactor
+//!   thread multiplexing every connection over raw `epoll` with
+//!   incremental codecs, a pooled-buffer allocator, and a worker pool
+//!   that executes through the same `respond` — C10k connections, no
+//!   new deps;
 //! - [`daemon`] — the `faascached` daemon: N pool shards with
 //!   function-affinity routing, bounded admission with explicit
-//!   backpressure, wall-clock background reapers, and graceful drain on
-//!   SIGTERM / protocol shutdown;
+//!   backpressure, an idempotency cache, a durable registry journal,
+//!   wall-clock background reapers, and graceful drain on SIGTERM /
+//!   protocol shutdown; served by either driver;
+//! - [`router`] — `faas-router`: a cluster front door forwarding to N
+//!   `faascached` backends with the same routing policies `sim::cluster`
+//!   models (random, round-robin, least-loaded, affinity), live health
+//!   checks with ejection/re-admission, pinned idempotency keys, and
+//!   per-backend `/metrics`; served by the blocking driver (a forward
+//!   is a blocking round-trip, which the reactor's worker pool would
+//!   cap);
 //! - [`client`] — the blocking protocol client (with retry/backoff and
 //!   idempotency keys) and the open-loop trace-replay load generator
 //!   behind the `faas-load` binary;
@@ -18,26 +43,15 @@
 //!   [`FaultyStream`](fault::FaultyStream) transport wrapper that tears
 //!   writes, shortens reads, flips bits, stalls, and resets connections
 //!   per a replayable [`FaultPlan`](fault::FaultPlan);
+//! - [`journal`] — the crash-safe control-plane journal behind
+//!   `--state-dir`;
 //! - [`workload`] — the deterministic workload contract: daemon and load
 //!   generator derive the identical function registry from shared
 //!   `--functions`/`--seed` parameters;
-//! - [`http`] — the HTTP/1.1 gateway: an incremental request parser and
-//!   response encoder (keep-alive, pipelining, Content-Length bodies,
-//!   431/413 limits) plus routing for `POST /invoke/<fn>`, `GET
-//!   /healthz`, `GET /metrics` (Prometheus text), and `PUT
-//!   /functions/<name>` — served by both io models via `--http-listen`,
-//!   so wrk/hey/curl can finally drive the cache;
-//! - [`router`] — `faas-router`: a cluster front door forwarding to N
-//!   `faascached` backends with the same routing policies `sim::cluster`
-//!   models (random, round-robin, least-loaded, affinity), live health
-//!   checks with ejection/re-admission, pinned idempotency keys, and
-//!   per-backend `/metrics`;
-//! - [`signal`] — SIGTERM/SIGINT wiring (an atomic flag the accept loop
-//!   polls);
-//! - [`reactor`] (linux) — the `--io-model epoll` serving core: one
-//!   reactor thread multiplexing every connection over raw `epoll` with
-//!   incremental frame codecs, a pooled-buffer allocator, and a worker
-//!   pool for invocation execution — C10k connections, no new deps.
+//! - [`net`] — socket helpers: TCP and Unix-domain sockets behind one
+//!   listener and one stream type, and the `SO_REUSEADDR` bind;
+//! - [`signal`] — SIGTERM/SIGINT wiring (an atomic flag the drivers
+//!   poll).
 //!
 //! The two binaries:
 //!
@@ -52,14 +66,17 @@
 
 pub mod client;
 pub mod daemon;
+mod driver;
 pub mod fault;
 pub mod http;
 pub mod journal;
 pub mod net;
+mod prom;
 pub mod proto;
 #[cfg(target_os = "linux")]
 pub mod reactor;
 pub mod router;
+mod service;
 pub mod signal;
 pub mod workload;
 

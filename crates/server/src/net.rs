@@ -1,4 +1,8 @@
-//! Socket helpers for the serving cores.
+//! Socket helpers for the serving cores and the clients.
+//!
+//! `Listener` and `Stream` fold TCP and Unix-domain sockets into one
+//! type each, so everything above them (the blocking driver, the epoll
+//! reactor, the protocol client) is written once for both transports.
 //!
 //! [`bind_tcp_reuseaddr`] exists for crash recovery: a daemon restarted
 //! from its `--state-dir` must rebind the *exact* listen addresses its
@@ -10,8 +14,142 @@
 //! Linux path builds the socket through the same thin FFI idiom the
 //! epoll reactor uses; other platforms fall back to a plain bind.
 
-use std::io;
-use std::net::TcpListener;
+use crate::daemon::BoundAddr;
+use std::io::{self, Read, Write};
+use std::net::{TcpListener, TcpStream};
+#[cfg(unix)]
+use std::os::unix::net::{UnixListener, UnixStream};
+use std::time::Duration;
+
+pub(crate) enum Listener {
+    Tcp(TcpListener),
+    #[cfg(unix)]
+    Unix(UnixListener),
+}
+
+pub(crate) enum Stream {
+    Tcp(TcpStream),
+    #[cfg(unix)]
+    Unix(UnixStream),
+}
+
+impl Read for Stream {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        match self {
+            Stream::Tcp(s) => s.read(buf),
+            #[cfg(unix)]
+            Stream::Unix(s) => s.read(buf),
+        }
+    }
+}
+
+impl Write for Stream {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        match self {
+            Stream::Tcp(s) => s.write(buf),
+            #[cfg(unix)]
+            Stream::Unix(s) => s.write(buf),
+        }
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        match self {
+            Stream::Tcp(s) => s.flush(),
+            #[cfg(unix)]
+            Stream::Unix(s) => s.flush(),
+        }
+    }
+}
+
+impl Listener {
+    /// Binds a nonblocking TCP listener (port 0 picks a free port) and
+    /// reports the address actually bound.
+    pub(crate) fn tcp(addr: &str) -> io::Result<(Listener, BoundAddr)> {
+        let l = bind_tcp_reuseaddr(addr)?;
+        l.set_nonblocking(true)?;
+        let actual = l.local_addr()?;
+        Ok((Listener::Tcp(l), BoundAddr::Tcp(actual)))
+    }
+
+    /// Binds a nonblocking Unix-domain listener at `path`.
+    #[cfg(unix)]
+    pub(crate) fn unix(path: &std::path::Path) -> io::Result<(Listener, BoundAddr)> {
+        // A previous unclean exit may have left the socket file.
+        let _ = std::fs::remove_file(path);
+        let l = UnixListener::bind(path)?;
+        l.set_nonblocking(true)?;
+        Ok((Listener::Unix(l), BoundAddr::Unix(path.to_path_buf())))
+    }
+
+    pub(crate) fn accept(&self) -> io::Result<Stream> {
+        match self {
+            Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
+            #[cfg(unix)]
+            Listener::Unix(l) => l.accept().map(|(s, _)| Stream::Unix(s)),
+        }
+    }
+
+    /// Raw fd for readiness registration with the reactor.
+    #[cfg(unix)]
+    pub(crate) fn raw_fd(&self) -> std::os::unix::io::RawFd {
+        use std::os::unix::io::AsRawFd;
+        match self {
+            Listener::Tcp(l) => l.as_raw_fd(),
+            Listener::Unix(l) => l.as_raw_fd(),
+        }
+    }
+}
+
+impl Stream {
+    /// Connects to `addr`, with Nagle off on TCP.
+    pub(crate) fn connect(addr: &BoundAddr) -> io::Result<Stream> {
+        let stream = match addr {
+            BoundAddr::Tcp(sock) => Stream::Tcp(TcpStream::connect(sock)?),
+            #[cfg(unix)]
+            BoundAddr::Unix(path) => Stream::Unix(UnixStream::connect(path)?),
+        };
+        stream.set_nodelay()?;
+        Ok(stream)
+    }
+
+    /// Raw fd for readiness registration with the reactor.
+    #[cfg(unix)]
+    pub(crate) fn raw_fd(&self) -> std::os::unix::io::RawFd {
+        use std::os::unix::io::AsRawFd;
+        match self {
+            Stream::Tcp(s) => s.as_raw_fd(),
+            Stream::Unix(s) => s.as_raw_fd(),
+        }
+    }
+
+    /// Turns Nagle off; nothing to do on a Unix-domain socket.
+    pub(crate) fn set_nodelay(&self) -> io::Result<()> {
+        match self {
+            Stream::Tcp(s) => s.set_nodelay(true),
+            #[cfg(unix)]
+            Stream::Unix(_) => Ok(()),
+        }
+    }
+
+    pub(crate) fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+        match self {
+            Stream::Tcp(s) => s.set_read_timeout(timeout),
+            #[cfg(unix)]
+            Stream::Unix(s) => s.set_read_timeout(timeout),
+        }
+    }
+
+    /// Nonblocking mode for the reactor: a nonblocking socket never
+    /// parks a thread, so it gets no read timeout — request deadlines
+    /// come from the reactor's deadline queue instead.
+    pub(crate) fn set_nonblocking(&self) -> io::Result<()> {
+        match self {
+            Stream::Tcp(s) => s.set_nonblocking(true),
+            #[cfg(unix)]
+            Stream::Unix(s) => s.set_nonblocking(true),
+        }
+    }
+}
 
 #[cfg(target_os = "linux")]
 #[allow(unsafe_code)]
@@ -133,8 +271,6 @@ pub fn bind_tcp_reuseaddr(addr: &str) -> io::Result<TcpListener> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{Read, Write};
-    use std::net::TcpStream;
 
     #[test]
     fn binds_and_accepts_like_a_plain_listener() {

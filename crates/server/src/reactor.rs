@@ -1,11 +1,11 @@
 //! Epoll-driven readiness serving core: C10k connections without deps.
 //!
-//! The thread-per-connection model in [`crate::daemon`] pins a kernel
-//! thread and a ~2 MiB stack per connection — every *idle* keep-alive
-//! client costs as much as an active one, capping the daemon at a few
-//! hundred connections. This module replaces the blocking serve loop
-//! with a single reactor thread multiplexing every connection over raw
-//! `epoll`, lifting the ceiling to tens of thousands:
+//! The blocking, thread-per-connection driver pins a kernel thread and a
+//! ~2 MiB stack per connection — every *idle* keep-alive client costs as
+//! much as an active one, capping the daemon at a few hundred
+//! connections. This module is the daemon's other driver: a single
+//! reactor thread multiplexing every connection over raw `epoll`,
+//! lifting the ceiling to tens of thousands:
 //!
 //! - [`Epoll`] wraps the three `epoll` syscalls behind direct
 //!   `extern "C"` declarations (`std` already links the platform C
@@ -39,16 +39,21 @@
 //!   connections that die mid-drain surrender their bracket at close.
 //!
 //! Fault injection composes unchanged: each accepted connection is
-//! wrapped in the same [`FaultyStream`](crate::fault::FaultyStream) with
-//! the same accept-ordinal stream id, so a chaos seed replays the
-//! identical schedule under either `--io-model`.
+//! wrapped in the same [`FaultyStream`] with the same accept-ordinal
+//! stream id (`driver::faulty`), so a chaos seed replays the identical
+//! schedule under either `--io-model`. Execution is shared too: workers
+//! run every request through `respond`, the same `Op -> Reply -> bytes`
+//! step the blocking driver uses.
 
 #![allow(unsafe_code)]
 
-use crate::daemon::{ConnKind, DaemonConfig, Listener, Shared, Stream};
-use crate::fault::{FaultPlan, FaultyStream};
+use crate::daemon::{DaemonConfig, Shared};
+use crate::driver::{self, Front};
+use crate::fault::{FaultConfig, FaultyStream};
 use crate::http::{self, HttpParseError, HttpParser, HttpRequest};
+use crate::net::{Listener, Stream};
 use crate::proto::{BufPool, FrameDecoder, FrameEncoder, WriteProgress};
+use crate::service::{respond, ConnKind, Op, Service};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::os::unix::io::{AsRawFd, RawFd};
@@ -368,21 +373,20 @@ const READ_ROUNDS: usize = 16;
 /// deadline sweep can get.
 const MAX_WAIT: Duration = Duration::from_millis(25);
 
-/// One admitted request handed to the worker pool: a binary frame
-/// payload, or an already-routed HTTP gateway operation (routing is
-/// pure, so it runs on the reactor thread; execution does not).
-enum JobPayload {
-    Frame(Vec<u8>),
-    Http {
-        op: http::GatewayOp,
-        /// The request asked to close the connection after its response.
-        close: bool,
-    },
+/// One admitted request, decoded but not yet executed. Decoding and
+/// routing are pure, so they run on the reactor thread; execution does
+/// not.
+struct Pending {
+    op: Op,
+    /// The request asked to close the connection after its response.
+    close: bool,
 }
 
+/// A [`Pending`] request handed to the worker pool.
 struct Job {
     token: u64,
-    payload: JobPayload,
+    kind: ConnKind,
+    request: Pending,
 }
 
 struct Completion {
@@ -407,7 +411,7 @@ struct Conn {
     gen: u32,
     proto: ConnProto,
     /// Decoded requests not yet dispatched to a worker.
-    pending: VecDeque<JobPayload>,
+    pending: VecDeque<Pending>,
     /// A dispatched job is executing (or queued) on the worker pool.
     busy: bool,
     out: FrameEncoder,
@@ -438,8 +442,15 @@ impl Conn {
         }
     }
 
+    fn kind(&self) -> ConnKind {
+        match self.proto {
+            ConnProto::Binary(_) => ConnKind::Binary,
+            ConnProto::Http(_) => ConnKind::Http,
+        }
+    }
+
     fn is_http(&self) -> bool {
-        matches!(self.proto, ConnProto::Http(_))
+        self.kind() == ConnKind::Http
     }
 }
 
@@ -514,11 +525,12 @@ impl Slab {
 /// whether every admitted frame's response reached the wire within the
 /// drain window.
 pub(crate) fn serve(
-    listener: &Listener,
-    http_listener: Option<&Listener>,
+    front: &Front,
     shared: &Arc<Shared>,
     config: &DaemonConfig,
 ) -> io::Result<bool> {
+    let listener = &front.binary;
+    let http_listener = front.http.as_ref();
     let epoll = Epoll::new()?;
     epoll.add(listener.raw_fd(), TOKEN_LISTENER, Interest::readable())?;
     if let Some(http) = http_listener {
@@ -555,31 +567,9 @@ pub(crate) fn serve(
                         Err(_) => break,
                     };
                     let Ok(job) = job else { break };
-                    let (frame, close_after) = match job.payload {
-                        JobPayload::Frame(payload) => {
-                            let response = shared.handle(&payload);
-                            pool.put(payload);
-                            let encoded = response.encode();
-                            let mut frame = pool.get(4 + encoded.len());
-                            frame.extend_from_slice(&(encoded.len() as u32).to_le_bytes());
-                            frame.extend_from_slice(&encoded);
-                            (frame, false)
-                        }
-                        JobPayload::Http { op, close } => {
-                            let resp = http::execute(&shared, op, shared.shutting_down());
-                            let close = close || resp.close;
-                            let mut frame = pool.get(128 + resp.body.len());
-                            http::write_response_with(
-                                &mut frame,
-                                resp.status,
-                                resp.content_type,
-                                resp.body.as_bytes(),
-                                close,
-                                resp.retry_after,
-                            );
-                            (frame, close)
-                        }
-                    };
+                    let Pending { op, close } = job.request;
+                    let mut frame = pool.get(128);
+                    let close_after = respond(&*shared, &mut (), job.kind, op, close, &mut frame);
                     if let Ok(mut queue) = completions.lock() {
                         queue.push_back(Completion {
                             token: job.token,
@@ -595,7 +585,6 @@ pub(crate) fn serve(
         })
         .collect();
 
-    let stall_limit = config.read_timeout * 10;
     let mut reactor = Reactor {
         epoll,
         slab: Slab::new(),
@@ -604,8 +593,8 @@ pub(crate) fn serve(
         pool,
         tx: Some(tx),
         shared: Arc::clone(shared),
-        config: config.clone(),
-        stall_limit,
+        faults: front.faults,
+        stall_limit: front.stall_limit(),
         scratch: vec![0u8; 16 * 1024],
         frames_scratch: VecDeque::new(),
         http_scratch: VecDeque::new(),
@@ -641,7 +630,7 @@ pub(crate) fn serve(
         reactor.retry_backlog();
         reactor.expire_deadlines(Instant::now());
 
-        if !reactor.draining && shared.shutting_down() {
+        if !reactor.draining && shared.draining() {
             reactor.begin_drain(listener, http_listener);
             drain_deadline = Some(Instant::now() + config.drain_timeout);
         }
@@ -649,7 +638,7 @@ pub(crate) fn serve(
             // HTTP connections get one grace window after drain starts:
             // already-connected clients finish their pipelines and
             // health probes observe the 503 flip (threads-model parity).
-            if shared.active.load(Ordering::SeqCst) == 0
+            if shared.front.active.load(Ordering::SeqCst) == 0
                 && reactor.backlog.is_empty()
                 && !reactor.http_grace_holds()
             {
@@ -699,7 +688,7 @@ struct Reactor {
     pool: BufPool,
     tx: Option<mpsc::SyncSender<Job>>,
     shared: Arc<Shared>,
-    config: DaemonConfig,
+    faults: Option<FaultConfig>,
     stall_limit: Duration,
     scratch: Vec<u8>,
     frames_scratch: VecDeque<Vec<u8>>,
@@ -739,22 +728,15 @@ impl Reactor {
         for _ in 0..1024 {
             match listener.accept() {
                 Ok(stream) => {
-                    let ordinal = self.shared.conns_total.fetch_add(1, Ordering::Relaxed) + 1;
-                    let current = self.shared.conns_current.fetch_add(1, Ordering::Relaxed) + 1;
-                    self.shared.conns_peak.fetch_max(current, Ordering::Relaxed);
-                    if stream.configure_nonblocking().is_err() {
-                        self.shared.conns_current.fetch_sub(1, Ordering::Relaxed);
+                    let ordinal = self.shared.front.connection_opened();
+                    let configured = stream.set_nodelay().and_then(|()| stream.set_nonblocking());
+                    if configured.is_err() {
+                        self.shared.front.connection_closed();
                         continue; // connection dies; peer sees EOF
                     }
                     let fd = stream.raw_fd();
-                    // Stream id = accept ordinal: the identical fault
-                    // schedule as the threads model for a given seed.
-                    let plan = match self.config.faults.filter(|f| f.is_active()) {
-                        Some(cfg) => cfg.plan(ordinal),
-                        None => FaultPlan::disabled(),
-                    };
                     let conn = Conn {
-                        stream: FaultyStream::new(stream, plan),
+                        stream: driver::faulty(stream, self.faults, ordinal),
                         fd,
                         gen: 0,
                         proto: match kind {
@@ -772,7 +754,10 @@ impl Reactor {
                     };
                     let token = self.slab.insert(conn);
                     if self.epoll.add(fd, token, Interest::readable()).is_err() {
-                        self.shared.accept_errors.fetch_add(1, Ordering::Relaxed);
+                        self.shared
+                            .front
+                            .accept_errors
+                            .fetch_add(1, Ordering::Relaxed);
                         self.drop_conn_accounting(token);
                     }
                 }
@@ -781,7 +766,10 @@ impl Reactor {
                 Err(_) => {
                     // EMFILE and friends: count it and yield; the
                     // level-triggered listener retries next round.
-                    self.shared.accept_errors.fetch_add(1, Ordering::Relaxed);
+                    self.shared
+                        .front
+                        .accept_errors
+                        .fetch_add(1, Ordering::Relaxed);
                     break;
                 }
             }
@@ -792,7 +780,7 @@ impl Reactor {
     /// admitted, so only the connection counters roll back.
     fn drop_conn_accounting(&mut self, token: u64) {
         if self.slab.remove(token).is_some() {
-            self.shared.conns_current.fetch_sub(1, Ordering::Relaxed);
+            self.shared.front.connection_closed();
         }
     }
 
@@ -860,11 +848,15 @@ impl Reactor {
                             // *its* token.
                             while let Some(frame) = self.frames_scratch.pop_front() {
                                 // `active` brackets read → response
-                                // written, exactly like the threads
-                                // model's serve_connection.
-                                self.shared.active.fetch_add(1, Ordering::SeqCst);
-                                self.shared.frames.fetch_add(1, Ordering::Relaxed);
-                                conn.pending.push_back(JobPayload::Frame(frame));
+                                // written, exactly like the blocking
+                                // driver's `answer`.
+                                self.shared.front.active.fetch_add(1, Ordering::SeqCst);
+                                self.shared.front.frames.fetch_add(1, Ordering::Relaxed);
+                                conn.pending.push_back(Pending {
+                                    op: Op::from_frame(&frame),
+                                    close: false,
+                                });
+                                self.pool.put(frame);
                                 new_jobs += 1;
                             }
                             overflowing = conn.pending.len() >= PENDING_CAP;
@@ -877,9 +869,12 @@ impl Reactor {
                             // scratch queue and must be served under this
                             // connection's token.
                             while let Some(req) = self.http_scratch.pop_front() {
-                                self.shared.active.fetch_add(1, Ordering::SeqCst);
-                                self.shared.http_requests.fetch_add(1, Ordering::Relaxed);
-                                conn.pending.push_back(JobPayload::Http {
+                                self.shared.front.active.fetch_add(1, Ordering::SeqCst);
+                                self.shared
+                                    .front
+                                    .http_requests
+                                    .fetch_add(1, Ordering::Relaxed);
+                                conn.pending.push_back(Pending {
                                     op: http::route(&req),
                                     close: req.close,
                                 });
@@ -933,7 +928,10 @@ impl Reactor {
 
         match close_reason {
             Some(CloseReason::Protocol(http_err)) => {
-                self.shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                self.shared
+                    .front
+                    .protocol_errors
+                    .fetch_add(1, Ordering::Relaxed);
                 // The threads model serves each request before reading
                 // the next, so requests completed ahead of the error
                 // still get their responses there. Match it: stop
@@ -948,12 +946,9 @@ impl Reactor {
                     // own `active` bracket like every pending job — so
                     // it is written *after* the pipelined requests that
                     // completed ahead of the poison.
-                    self.shared.active.fetch_add(1, Ordering::SeqCst);
-                    conn.pending.push_back(JobPayload::Http {
-                        op: http::GatewayOp::Fail {
-                            status: err.status(),
-                            msg: err.message().to_string(),
-                        },
+                    self.shared.front.active.fetch_add(1, Ordering::SeqCst);
+                    conn.pending.push_back(Pending {
+                        op: err.into(),
                         close: true,
                     });
                     new_jobs += 1;
@@ -981,23 +976,25 @@ impl Reactor {
         if conn.busy {
             return;
         }
-        let Some(payload) = conn.pending.pop_front() else {
+        let Some(request) = conn.pending.pop_front() else {
             return;
         };
-        match tx.try_send(Job { token, payload }) {
+        let kind = conn.kind();
+        match tx.try_send(Job {
+            token,
+            kind,
+            request,
+        }) {
             Ok(()) => conn.busy = true,
             Err(TrySendError::Full(job)) => {
                 // Bounded handoff is full: requeue and retry after this
                 // round's completions free worker capacity.
-                conn.pending.push_front(job.payload);
+                conn.pending.push_front(job.request);
                 self.backlog.push_back(token);
             }
-            Err(TrySendError::Disconnected(job)) => {
+            Err(TrySendError::Disconnected(_)) => {
                 // Workers only exit at teardown; surrender the bracket.
-                if let JobPayload::Frame(buf) = job.payload {
-                    self.pool.put(buf);
-                }
-                self.shared.active.fetch_sub(1, Ordering::SeqCst);
+                self.shared.front.active.fetch_sub(1, Ordering::SeqCst);
             }
         }
     }
@@ -1029,7 +1026,7 @@ impl Reactor {
                 None => {
                     // The connection died while its job executed: the
                     // response is undeliverable, surrender its bracket.
-                    self.shared.active.fetch_sub(1, Ordering::SeqCst);
+                    self.shared.front.active.fetch_sub(1, Ordering::SeqCst);
                     self.pool.put(done.frame);
                 }
             }
@@ -1046,6 +1043,7 @@ impl Reactor {
             .write_to(&mut conn.stream, &mut |buf| pool.put(buf));
         if completed > 0 {
             self.shared
+                .front
                 .active
                 .fetch_sub(completed as u64, Ordering::SeqCst);
         }
@@ -1099,7 +1097,10 @@ impl Reactor {
         for token in victims {
             // Same contract as poll_frame's stall handling: a started
             // frame that outlives read_timeout × 10 is a protocol error.
-            self.shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
+            self.shared
+                .front
+                .protocol_errors
+                .fetch_add(1, Ordering::Relaxed);
             self.close(token);
         }
     }
@@ -1135,19 +1136,17 @@ impl Reactor {
         // never dispatched and responses never written surrender theirs
         // here; a frame executing on a worker surrenders in
         // drain_completions when the stale-token completion lands.
-        let mut orphaned = conn.pending.len() as u64;
         let pool = self.pool.clone();
-        for job in conn.pending.drain(..) {
-            if let JobPayload::Frame(buf) = job {
-                pool.put(buf);
-            }
-        }
-        orphaned += conn.out.abandon(&mut |buf| pool.put(buf)) as u64;
+        let orphaned =
+            conn.pending.len() as u64 + conn.out.abandon(&mut |buf| pool.put(buf)) as u64;
         if orphaned > 0 {
-            self.shared.active.fetch_sub(orphaned, Ordering::SeqCst);
+            self.shared
+                .front
+                .active
+                .fetch_sub(orphaned, Ordering::SeqCst);
         }
         let _ = self.epoll.delete(conn.fd);
-        self.shared.conns_current.fetch_sub(1, Ordering::Relaxed);
+        self.shared.front.connection_closed();
         // Dropping `conn` closes the socket.
     }
 }

@@ -47,17 +47,18 @@
 //! backend or admission refused", never "the hop broke".
 
 use crate::client::Client;
-use crate::daemon::{configure_stream, BoundAddr, ConnKind, Endpoint, Listener, ShutdownHandle};
+use crate::daemon::{BoundAddr, Endpoint, ShutdownHandle};
+use crate::driver::{self, Front};
 use crate::fault::{FaultConfig, FaultPlan};
-use crate::http::{self, GatewayOp, GatewayResponse, HttpParser, HttpRequest};
-use crate::proto::{self, Poll, Request, Response};
+use crate::prom::PromText;
+use crate::service::{FnTarget, FrontCounters, Op, Reply, Service};
 use crate::signal;
 use faascache_platform::sharded::{InvokeOutcome, InvokerStats};
 use faascache_util::backoff::ExpBackoff;
 use faascache_util::rng::Pcg64;
 use faascache_util::route::{self, BalancerState, LoadBalancer};
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, Read, Write};
+use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -309,12 +310,7 @@ struct RouterShared {
     balancer: Mutex<BalancerState>,
     pins: Mutex<PinCache>,
     shutdown: Arc<AtomicBool>,
-    /// Requests read off a front socket whose response is not yet
-    /// written — drain waits for this to hit zero.
-    active: AtomicU64,
-    frames: AtomicU64,
-    http_requests: AtomicU64,
-    protocol_errors: AtomicU64,
+    front: FrontCounters,
     /// Outcome tallies over successfully forwarded invokes.
     warm: AtomicU64,
     cold: AtomicU64,
@@ -324,10 +320,6 @@ struct RouterShared {
     /// Invokes refused locally because no backend was healthy (a subset
     /// of `rejected`).
     local_rejects: AtomicU64,
-    conns_total: AtomicU64,
-    conns_current: AtomicU64,
-    conns_peak: AtomicU64,
-    accept_errors: AtomicU64,
     /// Ordinal for backend data connections; seeds per-stream fault
     /// plans exactly like the daemon's accept ordinal.
     backend_conn_seq: AtomicU64,
@@ -339,8 +331,23 @@ struct RouterShared {
 }
 
 impl RouterShared {
-    fn shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst) || signal::requested()
+    fn new(backends: Vec<BackendSpec>, config: RouterConfig) -> Self {
+        RouterShared {
+            backends: backends.into_iter().map(Backend::new).collect(),
+            balancer: Mutex::new(BalancerState::new(config.seed)),
+            pins: Mutex::new(PinCache::new(config.pin_capacity)),
+            config,
+            shutdown: Arc::new(AtomicBool::new(false)),
+            front: FrontCounters::default(),
+            warm: AtomicU64::new(0),
+            cold: AtomicU64::new(0),
+            dropped: AtomicU64::new(0),
+            rejected: AtomicU64::new(0),
+            throttled: AtomicU64::new(0),
+            local_rejects: AtomicU64::new(0),
+            backend_conn_seq: AtomicU64::new(0),
+            mutations: Mutex::new(Vec::new()),
+        }
     }
 
     fn tally(&self, outcome: InvokeOutcome) {
@@ -455,7 +462,14 @@ impl RouterShared {
     }
 }
 
-/// Per-handler-thread cache of backend connections: one lazily-opened
+/// What one front connection keeps between its requests: its backend
+/// connections and the jitter source of its hop-retry backoff.
+struct HopCtx {
+    cache: ConnCache,
+    rng: Pcg64,
+}
+
+/// Per-front-connection cache of backend connections: one lazily-opened
 /// binary client per backend, dropped and reopened after any IO error.
 struct ConnCache {
     conns: Vec<Option<Client>>,
@@ -510,11 +524,11 @@ enum Forwarded {
 /// outcomes and per-backend counters.
 fn forward_invoke(
     shared: &RouterShared,
-    cache: &mut ConnCache,
-    rng: &mut Pcg64,
+    ctx: &mut HopCtx,
     function: u32,
     key: Option<u64>,
 ) -> Forwarded {
+    let HopCtx { cache, rng } = ctx;
     let backoff = ExpBackoff::new(shared.config.hop_backoff, shared.config.hop_backoff * 64);
     // Keyed requests may retry the hop (dedup makes it safe); unkeyed
     // get exactly one send attempt but may re-pick if the *connect*
@@ -587,21 +601,19 @@ fn forward_invoke(
     }
 }
 
-/// Broadcasts a `Register` to every backend over clean control-plane
-/// connections, so all backends agree on the name → index mapping.
-/// Succeeds if every *healthy* backend accepted; an ejected backend is
-/// skipped — the acknowledged mutation lands in the router's mutation
-/// log and is replayed into the backend during re-admission
-/// reconciliation, so it still converges.
-fn broadcast_register(
+/// Sends one control-plane mutation (`what`, for the error message) to
+/// every healthy backend over clean connections, folding the answers
+/// with `merge`. Succeeds if every *healthy* backend accepted; an
+/// ejected backend is skipped — the caller records the acknowledged
+/// mutation in the router's log, which is replayed into the backend
+/// during re-admission reconciliation, so it still converges.
+fn broadcast<T>(
     shared: &RouterShared,
-    name: &str,
-    mem_mb: u32,
-    warm_us: u64,
-    cold_us: u64,
-    tenant: &str,
-) -> Result<(u32, bool), String> {
-    let mut result: Option<(u32, bool)> = None;
+    what: &str,
+    send: impl Fn(&mut Client) -> io::Result<T>,
+    merge: impl Fn(T, T) -> T,
+) -> Result<T, String> {
+    let mut result: Option<T> = None;
     let mut failures = Vec::new();
     for (i, backend) in shared.backends.iter().enumerate() {
         if !backend.healthy.load(Ordering::SeqCst) {
@@ -609,20 +621,22 @@ fn broadcast_register(
         }
         let attempt = Client::connect(&backend.spec.addr).and_then(|mut c| {
             c.set_read_timeout(Some(shared.config.backend_read_timeout))?;
-            c.register_in(name, mem_mb, warm_us, cold_us, tenant)
+            send(&mut c)
         });
         match attempt {
-            Ok(r) => result = Some(result.unwrap_or(r)),
+            Ok(r) => {
+                result = Some(match result {
+                    Some(prev) => merge(prev, r),
+                    None => r,
+                })
+            }
             Err(e) => failures.push(format!("backend {i}: {e}")),
         }
     }
-    match (result, failures.is_empty()) {
-        (Some(r), true) => {
-            shared.record_register(name, mem_mb, warm_us, cold_us, tenant);
-            Ok(r)
-        }
-        (Some(_), false) | (None, _) => Err(format!(
-            "register did not reach every healthy backend: {}",
+    match result {
+        Some(r) if failures.is_empty() => Ok(r),
+        _ => Err(format!(
+            "{what} did not reach every healthy backend: {}",
             if failures.is_empty() {
                 "no healthy backends".to_string()
             } else {
@@ -632,443 +646,220 @@ fn broadcast_register(
     }
 }
 
-/// Broadcasts a tenant-quota update to every healthy backend — the
-/// quota twin of [`broadcast_register`], with the same mutation-log
-/// recording so ejected backends converge on re-admission. Returns
-/// whether any backend applied the quota to a live tenant slot.
-fn broadcast_set_quota(
-    shared: &RouterShared,
-    tenant: &str,
-    inflight: u64,
-    mem_mb: u64,
-) -> Result<bool, String> {
-    let mut result: Option<bool> = None;
-    let mut failures = Vec::new();
-    for (i, backend) in shared.backends.iter().enumerate() {
-        if !backend.healthy.load(Ordering::SeqCst) {
-            continue;
-        }
-        let attempt = Client::connect(&backend.spec.addr).and_then(|mut c| {
-            c.set_read_timeout(Some(shared.config.backend_read_timeout))?;
-            c.set_tenant_quota(tenant, inflight, mem_mb)
-        });
-        match attempt {
-            Ok(live) => result = Some(result.unwrap_or(false) | live),
-            Err(e) => failures.push(format!("backend {i}: {e}")),
+impl Service for RouterShared {
+    type Ctx = HopCtx;
+
+    /// Every connection draws its backoff jitter from its own split of
+    /// the seed (the way `fault.rs` derives per-stream plans), so
+    /// connections retrying a failed hop do not sleep in lock-step.
+    fn conn_ctx(&self, ordinal: u64) -> HopCtx {
+        let mut parent = Pcg64::seed_from_u64(self.config.seed ^ 0x6F72_7574_6572_0001);
+        HopCtx {
+            cache: ConnCache::new(self.backends.len()),
+            rng: parent.split(ordinal),
         }
     }
-    match (result, failures.is_empty()) {
-        (Some(live), true) => {
-            shared.record_set_quota(tenant, inflight, mem_mb);
-            Ok(live)
-        }
-        (Some(_), false) | (None, _) => Err(format!(
-            "quota update did not reach every healthy backend: {}",
-            if failures.is_empty() {
-                "no healthy backends".to_string()
-            } else {
-                failures.join("; ")
+
+    fn call(&self, ctx: &mut HopCtx, op: Op) -> Reply {
+        match op {
+            Op::Invoke {
+                function: FnTarget::Index(function),
+                key,
+            } => {
+                // Refused locally once the *router's* drain begins,
+                // before any backend drains. Counted into `rejected` so
+                // conservation holds: a local reject is an explicit
+                // outcome, not a lost request.
+                let forwarded = if self.draining() {
+                    Forwarded::NoBackend
+                } else {
+                    forward_invoke(self, ctx, function, key)
+                };
+                match forwarded {
+                    Forwarded::Outcome(outcome) => Reply::Invoked { function, outcome },
+                    Forwarded::NoBackend => {
+                        self.rejected.fetch_add(1, Ordering::Relaxed);
+                        self.local_rejects.fetch_add(1, Ordering::Relaxed);
+                        Reply::Invoked {
+                            function,
+                            outcome: InvokeOutcome::Rejected,
+                        }
+                    }
+                    // 502, not 503: a hop failure must read as an error
+                    // at the client, never as a backend Rejected outcome
+                    // — otherwise chaos on the interconnect would
+                    // corrupt conservation tallies.
+                    Forwarded::HopFailed(e) => Reply::Error {
+                        status: 502,
+                        msg: format!("forward failed: {e}"),
+                        close: true,
+                    },
+                }
             }
-        )),
+            // The binary forward protocol addresses functions by index
+            // only; resolve names client-side (register returns the
+            // index).
+            Op::Invoke {
+                function: FnTarget::Name(name),
+                ..
+            } => Reply::error(
+                404,
+                format!("the router forwards by index; register {name:?} to learn its index"),
+            ),
+            Op::Register {
+                name,
+                mem_mb,
+                warm_us,
+                cold_us,
+                tenant,
+            } => {
+                // Every backend must agree on the name → index mapping;
+                // the first answer speaks for all.
+                let sent = broadcast(
+                    self,
+                    "register",
+                    |c| c.register_in(&name, mem_mb, warm_us, cold_us, &tenant),
+                    |first, _| first,
+                );
+                match sent {
+                    Ok((function, created)) => {
+                        self.record_register(&name, mem_mb, warm_us, cold_us, &tenant);
+                        Reply::Registered {
+                            function,
+                            name,
+                            created,
+                        }
+                    }
+                    Err(msg) => Reply::error(502, msg),
+                }
+            }
+            Op::SetQuota {
+                tenant,
+                inflight,
+                mem_mb,
+            } => {
+                // Live if any backend applied it to a bound tenant slot.
+                let sent = broadcast(
+                    self,
+                    "quota update",
+                    |c| c.set_tenant_quota(&tenant, inflight, mem_mb),
+                    |a, b| a | b,
+                );
+                match sent {
+                    Ok(live) => {
+                        self.record_set_quota(&tenant, inflight, mem_mb);
+                        Reply::QuotaSet { tenant, live }
+                    }
+                    Err(msg) => Reply::error(502, msg),
+                }
+            }
+            Op::Stats => Reply::Stats(self.stats()),
+            Op::Ping | Op::Healthz => Reply::Alive,
+            Op::Metrics => Reply::Metrics(self.render_metrics()),
+            Op::Shutdown => Reply::shutdown(&self.shutdown, self.config.allow_remote_shutdown),
+            Op::Fail { status, msg } => Reply::error(status, msg),
+        }
+    }
+
+    fn draining(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst) || signal::requested()
+    }
+
+    fn counters(&self) -> &FrontCounters {
+        &self.front
     }
 }
 
-/// One binary front connection's serve loop — the router twin of the
-/// daemon's `serve_connection`.
-fn serve_router_connection<S: Read + Write>(shared: &RouterShared, mut stream: S) {
-    let stall_limit = shared.config.read_timeout * 10;
-    let mut cache = ConnCache::new(shared.backends.len());
-    let mut rng = Pcg64::seed_from_u64(shared.config.seed ^ 0x6F72_7574_6572_0001);
-    loop {
-        if shared.shutting_down() {
-            break;
-        }
-        match proto::poll_frame(&mut stream, stall_limit) {
-            Ok(Poll::Idle) => continue,
-            Ok(Poll::Eof) => break,
-            Ok(Poll::Frame(payload)) => {
-                shared.active.fetch_add(1, Ordering::SeqCst);
-                shared.frames.fetch_add(1, Ordering::Relaxed);
-                let response = handle_frame(shared, &mut cache, &mut rng, &payload);
-                let wrote = proto::write_frame(&mut stream, &response.encode());
-                shared.active.fetch_sub(1, Ordering::SeqCst);
-                if wrote.is_err() {
-                    break;
-                }
-            }
-            Err(_) => {
-                shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                break;
-            }
-        }
-    }
-}
-
-fn handle_frame(
-    shared: &RouterShared,
-    cache: &mut ConnCache,
-    rng: &mut Pcg64,
-    payload: &[u8],
-) -> Response {
-    let request = match Request::decode(payload) {
-        Ok(r) => r,
-        Err(e) => return Response::Error(format!("bad request: {e}")),
-    };
-    match request {
-        Request::Ping => Response::Pong,
-        Request::Stats => Response::Stats(shared.stats()),
-        Request::Shutdown => {
-            if shared.config.allow_remote_shutdown {
-                shared.shutdown.store(true, Ordering::SeqCst);
-                Response::ShutdownStarted
-            } else {
-                Response::Error("remote shutdown disabled".to_string())
-            }
-        }
-        Request::Invoke { function } => invoke_response(shared, cache, rng, function, None),
-        Request::InvokeKeyed { function, key } => {
-            invoke_response(shared, cache, rng, function, Some(key))
-        }
-        Request::Register {
-            name,
-            mem_mb,
-            warm_us,
-            cold_us,
-            tenant,
-        } => match broadcast_register(shared, &name, mem_mb, warm_us, cold_us, &tenant) {
-            Ok((function, created)) => Response::Registered { function, created },
-            Err(msg) => Response::Error(msg),
-        },
-        Request::SetTenantQuota {
-            tenant,
-            inflight,
-            mem_mb,
-        } => match broadcast_set_quota(shared, &tenant, inflight, mem_mb) {
-            Ok(live) => Response::QuotaSet { live },
-            Err(msg) => Response::Error(msg),
-        },
-    }
-}
-
-fn invoke_response(
-    shared: &RouterShared,
-    cache: &mut ConnCache,
-    rng: &mut Pcg64,
-    function: u32,
-    key: Option<u64>,
-) -> Response {
-    if shared.shutting_down() {
-        shared.rejected.fetch_add(1, Ordering::Relaxed);
-        shared.local_rejects.fetch_add(1, Ordering::Relaxed);
-        return Response::Invoked(InvokeOutcome::Rejected);
-    }
-    match forward_invoke(shared, cache, rng, function, key) {
-        Forwarded::Outcome(outcome) => Response::Invoked(outcome),
-        Forwarded::NoBackend => {
-            // Counted into `rejected` so conservation holds: a local
-            // reject is an explicit outcome, not a lost request.
-            shared.rejected.fetch_add(1, Ordering::Relaxed);
-            shared.local_rejects.fetch_add(1, Ordering::Relaxed);
-            Response::Invoked(InvokeOutcome::Rejected)
-        }
-        Forwarded::HopFailed(e) => Response::Error(format!("forward failed: {e}")),
-    }
-}
-
-/// One HTTP front connection's serve loop — the router twin of the
-/// daemon's `serve_http_connection`, with forwarding in place of local
-/// invocation. Drain and parse-error semantics are identical.
-fn serve_router_http_connection<S: Read + Write>(shared: &RouterShared, mut stream: S) {
-    let stall_limit = shared.config.read_timeout * 10;
-    let mut cache = ConnCache::new(shared.backends.len());
-    let mut rng = Pcg64::seed_from_u64(shared.config.seed ^ 0x6F72_7574_6572_0002);
-    let mut parser = HttpParser::new();
-    let mut requests: VecDeque<HttpRequest> = VecDeque::new();
-    let mut chunk = [0u8; 8192];
-    let mut parse_error = None;
-    let mut drain_seen: Option<Instant> = None;
-    let mut started: Option<Instant> = None;
-    'conn: loop {
-        if shared.shutting_down() {
-            let since = drain_seen.get_or_insert_with(Instant::now);
-            if since.elapsed() > stall_limit {
-                break;
-            }
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => {
-                if let Err(e) = parser.feed(&chunk[..n], &mut requests) {
-                    shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                    parse_error = Some(e);
-                }
-            }
-            Err(ref e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock
-                        | io::ErrorKind::TimedOut
-                        | io::ErrorKind::Interrupted
-                ) =>
-            {
-                if parser.is_mid_request() && started.is_some_and(|s| s.elapsed() > stall_limit) {
-                    shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-            }
-            Err(_) => break,
-        }
-        started = if parser.is_mid_request() {
-            Some(started.unwrap_or_else(Instant::now))
-        } else {
-            None
-        };
-
-        let mut close_after = false;
-        while let Some(req) = requests.pop_front() {
-            shared.active.fetch_add(1, Ordering::SeqCst);
-            shared.http_requests.fetch_add(1, Ordering::Relaxed);
-            let op = http::route(&req);
-            let resp = execute_http(shared, &mut cache, &mut rng, op, shared.shutting_down());
-            let close = req.close || resp.close;
-            let mut buf = Vec::with_capacity(128 + resp.body.len());
-            http::write_response_with(
-                &mut buf,
-                resp.status,
-                resp.content_type,
-                resp.body.as_bytes(),
-                close,
-                resp.retry_after,
-            );
-            let wrote = stream.write_all(&buf);
-            shared.active.fetch_sub(1, Ordering::SeqCst);
-            if wrote.is_err() {
-                break 'conn;
-            }
-            close_after |= close;
-        }
-        if let Some(err) = parse_error {
-            shared.active.fetch_add(1, Ordering::SeqCst);
-            let mut buf = Vec::new();
-            http::error_response(&err, &mut buf);
-            let _ = stream.write_all(&buf);
-            shared.active.fetch_sub(1, Ordering::SeqCst);
-            break;
-        }
-        if close_after {
-            break;
-        }
-    }
-}
-
-/// Executes a routed gateway op against the router. `draining` flips
-/// `/healthz` to 503 — this happens the moment the *router's* drain
-/// begins, before any backend drains, so operator health checks fail
-/// over first.
-fn execute_http(
-    shared: &RouterShared,
-    cache: &mut ConnCache,
-    rng: &mut Pcg64,
-    op: GatewayOp,
-    draining: bool,
-) -> GatewayResponse {
-    match op {
-        GatewayOp::Healthz => {
-            if draining {
-                GatewayResponse {
-                    status: 503,
-                    content_type: "text/plain",
-                    body: "draining\n".to_string(),
-                    close: true,
-                    retry_after: None,
-                }
-            } else {
-                GatewayResponse {
-                    status: 200,
-                    content_type: "text/plain",
-                    body: "ok\n".to_string(),
-                    close: false,
-                    retry_after: None,
-                }
-            }
-        }
-        GatewayOp::Metrics => GatewayResponse {
-            status: 200,
-            content_type: "text/plain; version=0.0.4",
-            body: render_router_metrics(shared, draining),
-            close: draining,
-            retry_after: None,
-        },
-        GatewayOp::Invoke { function, key } => {
-            let idx = match function {
-                http::FnTarget::Index(idx) => idx,
-                // The binary forward protocol addresses functions by
-                // index only; resolve names client-side (register
-                // returns the index) or invoke by index through the
-                // router.
-                http::FnTarget::Name(name) => {
-                    return http_error(
-                        404,
-                        &format!(
-                            "the router forwards by index; register {name:?} to learn its index"
-                        ),
-                        draining,
-                    );
-                }
-            };
-            if draining {
-                shared.rejected.fetch_add(1, Ordering::Relaxed);
-                shared.local_rejects.fetch_add(1, Ordering::Relaxed);
-                return http::outcome_response(idx, InvokeOutcome::Rejected, draining);
-            }
-            match forward_invoke(shared, cache, rng, idx, key) {
-                Forwarded::Outcome(outcome) => http::outcome_response(idx, outcome, draining),
-                Forwarded::NoBackend => {
-                    shared.rejected.fetch_add(1, Ordering::Relaxed);
-                    shared.local_rejects.fetch_add(1, Ordering::Relaxed);
-                    http::outcome_response(idx, InvokeOutcome::Rejected, draining)
-                }
-                // 502, not 503: a hop failure must read as an error at
-                // the client, never as a backend Rejected outcome —
-                // otherwise chaos on the interconnect would corrupt
-                // conservation tallies.
-                Forwarded::HopFailed(e) => http_error(502, &format!("forward failed: {e}"), true),
-            }
-        }
-        GatewayOp::Register {
-            name,
-            mem_mb,
-            warm_us,
-            cold_us,
-            tenant,
-        } => {
-            if draining {
-                return http_error(503, "draining", true);
-            }
-            let mem = u32::try_from(mem_mb).unwrap_or(u32::MAX);
-            match broadcast_register(shared, &name, mem, warm_us, cold_us, &tenant) {
-                Ok((idx, created)) => GatewayResponse {
-                    status: 200,
-                    content_type: "application/json",
-                    body: format!(
-                        "{{\"function\":{idx},\"name\":\"{name}\",\"created\":{created}}}\n"
-                    ),
-                    close: false,
-                    retry_after: None,
-                },
-                Err(msg) => http_error(502, &msg, false),
-            }
-        }
-        GatewayOp::SetTenantQuota {
-            tenant,
-            inflight,
-            mem_mb,
-        } => {
-            if draining {
-                return http_error(503, "draining", true);
-            }
-            match broadcast_set_quota(shared, &tenant, inflight, mem_mb) {
-                Ok(live) => GatewayResponse {
-                    status: 200,
-                    content_type: "application/json",
-                    body: format!("{{\"tenant\":\"{tenant}\",\"live\":{live}}}\n"),
-                    close: false,
-                    retry_after: None,
-                },
-                Err(msg) => http_error(502, &msg, false),
-            }
-        }
-        GatewayOp::Fail { status, msg } => http_error(status, &msg, draining),
-    }
-}
-
-fn http_error(status: u16, msg: &str, close: bool) -> GatewayResponse {
-    GatewayResponse {
-        status,
-        content_type: "application/json",
-        body: format!("{{\"error\":\"{}\"}}\n", msg.replace(['"', '\\'], "'")),
-        close,
-        retry_after: None,
-    }
-}
-
-/// Renders the router's counters in Prometheus text exposition format:
-/// cluster-wide outcome tallies plus per-backend routed / forward-error
-/// / health / in-flight / ejection series.
-fn render_router_metrics(shared: &RouterShared, draining: bool) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(2048);
-    out.push_str("# HELP faasrouter_requests_total Invocation outcomes forwarded by the router.\n");
-    out.push_str("# TYPE faasrouter_requests_total counter\n");
-    for (label, v) in [
-        ("warm", shared.warm.load(Ordering::Relaxed)),
-        ("cold", shared.cold.load(Ordering::Relaxed)),
-        ("dropped", shared.dropped.load(Ordering::Relaxed)),
-        ("rejected", shared.rejected.load(Ordering::Relaxed)),
-        ("throttled", shared.throttled.load(Ordering::Relaxed)),
-    ] {
-        let _ = writeln!(out, "faasrouter_requests_total{{outcome=\"{label}\"}} {v}");
-    }
-    let _ = writeln!(
-        out,
-        "faasrouter_local_rejects_total {}",
-        shared.local_rejects.load(Ordering::Relaxed)
-    );
-    out.push_str("# TYPE faasrouter_backend_healthy gauge\n");
-    for (i, b) in shared.backends.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "faasrouter_backend_healthy{{backend=\"{i}\"}} {}",
-            u64::from(b.healthy.load(Ordering::SeqCst))
+impl RouterShared {
+    /// Renders the router's counters in Prometheus text exposition
+    /// format: cluster-wide outcome tallies plus per-backend routed /
+    /// forward-error / health / in-flight / ejection series.
+    fn render_metrics(&self) -> String {
+        let mut m = PromText::new();
+        m.family(
+            "faasrouter_requests_total",
+            "counter",
+            "Invocation outcomes forwarded by the router.",
         );
-    }
-    out.push_str("# TYPE faasrouter_backend_routed_total counter\n");
-    for (i, b) in shared.backends.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "faasrouter_backend_routed_total{{backend=\"{i}\"}} {}",
-            b.routed.load(Ordering::Relaxed)
+        for (label, counter) in [
+            ("warm", &self.warm),
+            ("cold", &self.cold),
+            ("dropped", &self.dropped),
+            ("rejected", &self.rejected),
+            ("throttled", &self.throttled),
+        ] {
+            m.sample(&[("outcome", &label)], counter.load(Ordering::Relaxed));
+        }
+        m.single(
+            "faasrouter_local_rejects_total",
+            "counter",
+            "Invokes refused locally: draining, or no healthy backend.",
+            self.local_rejects.load(Ordering::Relaxed),
         );
-    }
-    out.push_str("# TYPE faasrouter_backend_forward_errors_total counter\n");
-    for (i, b) in shared.backends.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "faasrouter_backend_forward_errors_total{{backend=\"{i}\"}} {}",
-            b.forward_errors.load(Ordering::Relaxed)
+        type Series = (
+            &'static str,
+            &'static str,
+            &'static str,
+            fn(&Backend) -> u64,
         );
-    }
-    out.push_str("# TYPE faasrouter_backend_ejections_total counter\n");
-    for (i, b) in shared.backends.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "faasrouter_backend_ejections_total{{backend=\"{i}\"}} {}",
-            b.ejections.load(Ordering::Relaxed)
+        let per_backend: [Series; 6] = [
+            (
+                "faasrouter_backend_healthy",
+                "gauge",
+                "Whether the backend is in the routing set.",
+                |b| u64::from(b.healthy.load(Ordering::SeqCst)),
+            ),
+            (
+                "faasrouter_backend_routed_total",
+                "counter",
+                "Forwards that reached a backend outcome.",
+                |b| b.routed.load(Ordering::Relaxed),
+            ),
+            (
+                "faasrouter_backend_forward_errors_total",
+                "counter",
+                "Forwards that died on the hop, after any retries.",
+                |b| b.forward_errors.load(Ordering::Relaxed),
+            ),
+            (
+                "faasrouter_backend_ejections_total",
+                "counter",
+                "Times the backend was ejected from the routing set.",
+                |b| b.ejections.load(Ordering::Relaxed),
+            ),
+            (
+                "faasrouter_backend_reconciled_total",
+                "counter",
+                "Mutations replayed into the backend at re-admission.",
+                |b| b.reconciled.load(Ordering::Relaxed),
+            ),
+            (
+                "faasrouter_backend_in_flight",
+                "gauge",
+                "Requests outstanding on the backend: the router's plus its own gauge.",
+                Backend::load,
+            ),
+        ];
+        for (name, kind, help, read) in per_backend {
+            m.family(name, kind, help);
+            for (i, b) in self.backends.iter().enumerate() {
+                m.sample(&[("backend", &i)], read(b));
+            }
+        }
+        m.single(
+            "faasrouter_connections_total",
+            "counter",
+            "Front connections accepted over the router's lifetime.",
+            self.front.conns_total.load(Ordering::Relaxed),
         );
-    }
-    out.push_str("# TYPE faasrouter_backend_reconciled_total counter\n");
-    for (i, b) in shared.backends.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "faasrouter_backend_reconciled_total{{backend=\"{i}\"}} {}",
-            b.reconciled.load(Ordering::Relaxed)
+        m.single(
+            "faasrouter_draining",
+            "gauge",
+            "Whether the router is draining (1) or serving (0).",
+            u64::from(self.draining()),
         );
+        m.finish()
     }
-    out.push_str("# TYPE faasrouter_backend_in_flight gauge\n");
-    for (i, b) in shared.backends.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "faasrouter_backend_in_flight{{backend=\"{i}\"}} {}",
-            b.load()
-        );
-    }
-    let _ = writeln!(
-        out,
-        "faasrouter_connections_total {}",
-        shared.conns_total.load(Ordering::Relaxed)
-    );
-    let _ = writeln!(out, "faasrouter_draining {}", u64::from(draining));
-    out
 }
 
 /// The health prober: one thread sweeping every backend on
@@ -1096,7 +887,7 @@ fn probe_loop(shared: &RouterShared) {
             readmit_attempt: 0,
         })
         .collect();
-    while !shared.shutting_down() {
+    while !shared.draining() {
         let now = Instant::now();
         for (i, backend) in shared.backends.iter().enumerate() {
             let state = &mut states[i];
@@ -1356,10 +1147,7 @@ impl RouterReport {
 
 /// A bound, not-yet-running router.
 pub struct Router {
-    listener: Listener,
-    bound: BoundAddr,
-    http_listener: Option<Listener>,
-    bound_http: Option<BoundAddr>,
+    front: Front,
     shared: Arc<RouterShared>,
 }
 
@@ -1378,72 +1166,24 @@ impl Router {
                 "faas-router needs at least one --backend",
             ));
         }
-        let (listener, bound) = match endpoint {
-            Endpoint::Tcp(addr) => {
-                let l = crate::net::bind_tcp_reuseaddr(addr.as_str())?;
-                let actual = l.local_addr()?;
-                (Listener::Tcp(l), BoundAddr::Tcp(actual))
-            }
-            #[cfg(unix)]
-            Endpoint::Unix(path) => {
-                let _ = std::fs::remove_file(path);
-                let l = std::os::unix::net::UnixListener::bind(path)?;
-                (Listener::Unix(l), BoundAddr::Unix(path.clone()))
-            }
-        };
-        set_listener_nonblocking(&listener)?;
-        let (http_listener, bound_http) = match http_addr {
-            Some(addr) => {
-                let l = crate::net::bind_tcp_reuseaddr(addr)?;
-                let actual = l.local_addr()?;
-                let l = Listener::Tcp(l);
-                set_listener_nonblocking(&l)?;
-                (Some(l), Some(BoundAddr::Tcp(actual)))
-            }
-            None => (None, None),
-        };
-        let seed = config.seed;
-        let pin_capacity = config.pin_capacity;
-        let shared = Arc::new(RouterShared {
-            backends: backends.into_iter().map(Backend::new).collect(),
-            config,
-            balancer: Mutex::new(BalancerState::new(seed)),
-            pins: Mutex::new(PinCache::new(pin_capacity)),
-            shutdown: Arc::new(AtomicBool::new(false)),
-            active: AtomicU64::new(0),
-            frames: AtomicU64::new(0),
-            http_requests: AtomicU64::new(0),
-            protocol_errors: AtomicU64::new(0),
-            warm: AtomicU64::new(0),
-            cold: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            throttled: AtomicU64::new(0),
-            local_rejects: AtomicU64::new(0),
-            conns_total: AtomicU64::new(0),
-            conns_current: AtomicU64::new(0),
-            conns_peak: AtomicU64::new(0),
-            accept_errors: AtomicU64::new(0),
-            backend_conn_seq: AtomicU64::new(0),
-            mutations: Mutex::new(Vec::new()),
-        });
+        // Front connections are always clean; fault injection applies to
+        // the router→backend hop (`backend_faults`), where the chaos
+        // conformance suite aims it.
+        let front = Front::bind(endpoint, http_addr, config.read_timeout, None)?;
         Ok(Router {
-            listener,
-            bound,
-            http_listener,
-            bound_http,
-            shared,
+            front,
+            shared: Arc::new(RouterShared::new(backends, config)),
         })
     }
 
     /// The binary front address actually bound.
     pub fn bound_addr(&self) -> BoundAddr {
-        self.bound.clone()
+        self.front.bound_addr()
     }
 
     /// The HTTP front's bound address, when one was requested.
     pub fn bound_http_addr(&self) -> Option<BoundAddr> {
-        self.bound_http.clone()
+        self.front.bound_http_addr()
     }
 
     /// A handle that requests graceful shutdown from another thread.
@@ -1454,56 +1194,21 @@ impl Router {
     }
 
     /// Serves until shutdown is requested, then drains and returns the
-    /// final report. Thread-per-connection only: a router's connection
-    /// count is operator-facing (one per load generator / upstream LB),
-    /// not C10k fan-in, so the epoll core would buy nothing here.
+    /// final report. The router runs on the blocking driver only: every
+    /// request is a blocking round-trip to a backend, which the epoll
+    /// reactor's fixed worker pool would cap; putting the router on
+    /// epoll needs non-blocking backend I/O first.
     pub fn run(self) -> RouterReport {
         let started = Instant::now();
-        let mut handlers: Vec<thread::JoinHandle<()>> = Vec::new();
-
-        thread::scope(|scope| {
-            let shared = &self.shared;
-            scope.spawn(move || probe_loop(shared));
-            if let Some(http) = &self.http_listener {
-                scope.spawn(|| {
-                    let mut http_handlers = Vec::new();
-                    accept_loop(&self.shared, http, ConnKind::Http, &mut http_handlers);
-                    for h in http_handlers {
-                        let _ = h.join();
-                    }
-                });
-            }
-            accept_loop(
-                &self.shared,
-                &self.listener,
-                ConnKind::Binary,
-                &mut handlers,
-            );
+        let shared = &self.shared;
+        let handlers = thread::scope(|scope| {
+            scope.spawn(|| probe_loop(shared));
+            self.front.serve(shared)
         });
+        let drained = driver::drain(&**shared, handlers, shared.config.drain_timeout);
+        self.front.unlink();
 
-        // Drain: stop accepting (done — the loops exited), wait for
-        // in-flight responses to flush, then join handlers.
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        let deadline = Instant::now() + self.shared.config.drain_timeout;
-        let mut drained = true;
-        while self.shared.active.load(Ordering::SeqCst) > 0 {
-            if Instant::now() >= deadline {
-                drained = false;
-                break;
-            }
-            thread::sleep(Duration::from_millis(1));
-        }
-        for h in handlers {
-            let _ = h.join();
-        }
-
-        #[cfg(unix)]
-        if let BoundAddr::Unix(path) = &self.bound {
-            let _ = std::fs::remove_file(path);
-        }
-
-        let per_backend = self
-            .shared
+        let per_backend = shared
             .backends
             .iter()
             .map(|b| BackendReport {
@@ -1515,71 +1220,16 @@ impl Router {
             })
             .collect();
         RouterReport {
-            balancer: self.shared.config.balancer.label().to_string(),
-            stats: self.shared.stats(),
-            local_rejects: self.shared.local_rejects.load(Ordering::Relaxed),
+            balancer: shared.config.balancer.label().to_string(),
+            stats: shared.stats(),
+            local_rejects: shared.local_rejects.load(Ordering::Relaxed),
             per_backend,
-            connections: self.shared.conns_total.load(Ordering::Relaxed),
-            frames: self.shared.frames.load(Ordering::Relaxed),
-            http_requests: self.shared.http_requests.load(Ordering::Relaxed),
-            protocol_errors: self.shared.protocol_errors.load(Ordering::Relaxed),
+            connections: shared.front.conns_total.load(Ordering::Relaxed),
+            frames: shared.front.frames.load(Ordering::Relaxed),
+            http_requests: shared.front.http_requests.load(Ordering::Relaxed),
+            protocol_errors: shared.front.protocol_errors.load(Ordering::Relaxed),
             drained,
             uptime: started.elapsed(),
-        }
-    }
-}
-
-fn set_listener_nonblocking(listener: &Listener) -> io::Result<()> {
-    match listener {
-        Listener::Tcp(l) => l.set_nonblocking(true),
-        #[cfg(unix)]
-        Listener::Unix(l) => l.set_nonblocking(true),
-    }
-}
-
-/// Accepts front connections until shutdown — the router twin of the
-/// daemon's accept loop (burst accept, 2ms idle pacing). Front
-/// connections are always clean; fault injection applies to the
-/// router→backend hop (`backend_faults`), where the chaos conformance
-/// suite aims it.
-fn accept_loop(
-    shared: &Arc<RouterShared>,
-    listener: &Listener,
-    kind: ConnKind,
-    handlers: &mut Vec<thread::JoinHandle<()>>,
-) {
-    while !shared.shutting_down() {
-        let mut accepted = false;
-        loop {
-            match listener.accept() {
-                Ok(stream) => {
-                    accepted = true;
-                    shared.conns_total.fetch_add(1, Ordering::Relaxed);
-                    let current = shared.conns_current.fetch_add(1, Ordering::Relaxed) + 1;
-                    shared.conns_peak.fetch_max(current, Ordering::Relaxed);
-                    if configure_stream(&stream, shared.config.read_timeout).is_err() {
-                        shared.conns_current.fetch_sub(1, Ordering::Relaxed);
-                        continue;
-                    }
-                    let shared = Arc::clone(shared);
-                    handlers.push(thread::spawn(move || {
-                        match kind {
-                            ConnKind::Binary => serve_router_connection(&shared, stream),
-                            ConnKind::Http => serve_router_http_connection(&shared, stream),
-                        }
-                        shared.conns_current.fetch_sub(1, Ordering::Relaxed);
-                    }));
-                }
-                Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(ref e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    shared.accept_errors.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-            }
-        }
-        if !accepted {
-            thread::sleep(Duration::from_millis(2));
         }
     }
 }
@@ -1720,39 +1370,19 @@ mod tests {
     }
 
     fn test_shared(backends: usize, balancer: LoadBalancer) -> RouterShared {
-        RouterShared {
-            backends: (0..backends)
-                .map(|i| {
-                    Backend::new(BackendSpec {
-                        addr: BoundAddr::Tcp(format!("127.0.0.1:{}", 1000 + i).parse().unwrap()),
-                        http: None,
-                    })
-                })
-                .collect(),
-            config: RouterConfig {
-                balancer,
-                ..RouterConfig::default()
-            },
-            balancer: Mutex::new(BalancerState::new(7)),
-            pins: Mutex::new(PinCache::new(8)),
-            shutdown: Arc::new(AtomicBool::new(false)),
-            active: AtomicU64::new(0),
-            frames: AtomicU64::new(0),
-            http_requests: AtomicU64::new(0),
-            protocol_errors: AtomicU64::new(0),
-            warm: AtomicU64::new(0),
-            cold: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            throttled: AtomicU64::new(0),
-            local_rejects: AtomicU64::new(0),
-            conns_total: AtomicU64::new(0),
-            conns_current: AtomicU64::new(0),
-            conns_peak: AtomicU64::new(0),
-            accept_errors: AtomicU64::new(0),
-            backend_conn_seq: AtomicU64::new(0),
-            mutations: Mutex::new(Vec::new()),
-        }
+        let specs = (0..backends)
+            .map(|i| BackendSpec {
+                addr: BoundAddr::Tcp(format!("127.0.0.1:{}", 1000 + i).parse().unwrap()),
+                http: None,
+            })
+            .collect();
+        let config = RouterConfig {
+            balancer,
+            seed: 7,
+            pin_capacity: 8,
+            ..RouterConfig::default()
+        };
+        RouterShared::new(specs, config)
     }
 
     #[test]
@@ -1791,14 +1421,57 @@ mod tests {
         shared.warm.fetch_add(3, Ordering::Relaxed);
         shared.backends[0].routed.fetch_add(2, Ordering::Relaxed);
         shared.backends[1].eject();
-        let body = render_router_metrics(&shared, false);
+        let body = shared.render_metrics();
         assert!(body.contains("faasrouter_requests_total{outcome=\"warm\"} 3"));
         assert!(body.contains("faasrouter_backend_routed_total{backend=\"0\"} 2"));
         assert!(body.contains("faasrouter_backend_healthy{backend=\"1\"} 0"));
         assert!(body.contains("faasrouter_backend_ejections_total{backend=\"1\"} 1"));
         assert!(body.contains("faasrouter_draining 0"));
-        let draining = render_router_metrics(&shared, true);
-        assert!(draining.contains("faasrouter_draining 1"));
+        shared.shutdown.store(true, Ordering::SeqCst);
+        assert!(shared.render_metrics().contains("faasrouter_draining 1"));
+    }
+
+    #[test]
+    fn connections_draw_their_own_backoff_jitter() {
+        let shared = test_shared(1, LoadBalancer::Random);
+        let backoff = ExpBackoff::new(Duration::from_millis(1), Duration::from_millis(64));
+        let delays = |ordinal| {
+            let mut ctx = shared.conn_ctx(ordinal);
+            (1..=6)
+                .map(|attempt| backoff.delay(attempt, &mut ctx.rng))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(delays(1), delays(1), "a connection's schedule replays");
+        assert_ne!(delays(1), delays(2), "connections retry in lock-step");
+    }
+
+    #[test]
+    fn oversized_mem_mb_is_refused_before_any_broadcast() {
+        use crate::service::{respond, ConnKind};
+        // The backends are unreachable, so a broadcast attempt would
+        // answer 502; 400 means the request never got that far.
+        let shared = test_shared(2, LoadBalancer::RoundRobin);
+        let req = crate::http::HttpRequest {
+            method: "PUT".to_string(),
+            target: format!("/functions/big?mem_mb={}", u64::from(u32::MAX) + 1),
+            close: false,
+            idem_key: None,
+            body: Vec::new(),
+        };
+        let mut out = Vec::new();
+        let op = crate::http::route(&req);
+        respond(
+            &shared,
+            &mut shared.conn_ctx(1),
+            ConnKind::Http,
+            op,
+            false,
+            &mut out,
+        );
+        let text = String::from_utf8(out).unwrap();
+        assert!(text.starts_with("HTTP/1.1 400 "), "{text}");
+        assert!(text.contains("exceeds the u32 wire range"), "{text}");
+        assert!(shared.mutations.lock().unwrap().is_empty());
     }
 
     #[test]

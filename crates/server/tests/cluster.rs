@@ -313,7 +313,7 @@ fn e2e_case(io: IoModel, balancer: LoadBalancer) {
         health_interval: Duration::from_millis(25),
         ..RouterConfig::default()
     };
-    let (addr, _http, handle, join) = boot_router(specs, config);
+    let (addr, http, handle, join) = boot_router(specs, config);
 
     // No retries and a generous timeout: every request gets exactly one
     // attempt, so the three tallies below must agree *exactly*.
@@ -380,6 +380,27 @@ fn e2e_case(io: IoModel, balancer: LoadBalancer) {
         summed,
         outcome_tuple(&stats),
         "{tag}: summed backend /metrics diverge from router tallies"
+    );
+
+    // A `mem_mb` beyond the u32 wire range is refused at the router's
+    // HTTP front exactly as a backend's gateway refuses it — 400 — and
+    // never clamped into a broadcast.
+    let digests = |bs: &[ChildBackend]| -> Vec<u64> {
+        bs.iter().map(ChildBackend::registry_digest).collect()
+    };
+    let before = digests(&backends);
+    let refused = faascache_server::HttpClient::connect(&http)
+        .expect("connect router http")
+        .register("too-big", u64::from(u32::MAX) + 1, 1_000, 10_000)
+        .expect_err("router accepted an out-of-range mem_mb");
+    assert!(
+        refused.to_string().contains("register returned 400"),
+        "{tag}: {refused}"
+    );
+    assert_eq!(
+        digests(&backends),
+        before,
+        "{tag}: a refused register reached a backend"
     );
 
     let rreport = drain_router(&handle, join);
