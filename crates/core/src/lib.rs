@@ -48,6 +48,7 @@
 
 pub mod container;
 pub mod error;
+mod fn_table;
 pub mod function;
 pub mod policy;
 pub mod pool;

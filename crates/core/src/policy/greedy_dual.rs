@@ -18,47 +18,75 @@
 //!   [`crate::size::SizeMode`]).
 
 use crate::container::{Container, ContainerId};
+use crate::fn_table::FnTable;
 use crate::function::FunctionId;
 use crate::policy::index::{TotalF64, VictimHeap};
 use crate::policy::{take_until_freed, KeepAlivePolicy, TenantWeights};
 use crate::size::SizeMode;
+use faascache_util::idmap::IdMap;
 use faascache_util::{MemMb, SimTime};
-use std::collections::HashMap;
 use std::sync::Arc;
 
-#[derive(Debug, Clone, Copy, Default)]
-struct FnStats {
-    /// Invocations since the function last had zero resident containers.
-    freq: u64,
-}
-
-/// Per-container inputs of the priority formula, cached when the container
-/// enters the idle set so pops can recompute the priority without a
-/// `&Container`.
+/// What the policy keeps per resident container — its only table keyed by
+/// [`ContainerId`].
 ///
-/// Cost and size are cached as the *same* `f64` values `priority()` derives
-/// from the container, and the recomputation evaluates the identical
-/// expression `snapshot + freq * cost / size` — so heap keys are
-/// bit-identical to the priorities the naive sort compares.
+/// Cost and size are the *same* `f64` values `priority()` derives from the
+/// container, cached at creation (both are fixed for a container's life)
+/// so a heap pop can recompute the priority without a `&Container`; both
+/// paths evaluate [`GdEntry::priority`], so heap keys are bit-identical to
+/// the priorities the naive sort compares.
 #[derive(Debug, Clone, Copy)]
-struct GdMeta {
+struct GdEntry {
+    /// Clock value captured at the container's last use.
+    snapshot: f64,
     function: FunctionId,
     cost: f64,
     size: f64,
     tenant: u32,
+    /// While the container sits idle in the victim heap: the generation of
+    /// its authoritative heap entry and the `last_used` it is ordered by.
+    queued: Option<(u64, SimTime)>,
 }
 
-/// Incremental eviction order for GreedyDual.
-///
-/// A lazy heap is required because an idle container's priority can grow
-/// while it sits idle: a sibling container's warm start raises the
-/// function's frequency. The snapshot term is fixed while idle and
-/// frequency only grows while the function has resident containers, so
-/// priorities never decrease while idle — the [`VictimHeap`] invariant.
-#[derive(Debug, Default)]
-struct GdIndex {
-    heap: VictimHeap<TotalF64>,
-    meta: HashMap<ContainerId, GdMeta>,
+impl GdEntry {
+    /// A record for `c` touched at `clock`, not queued.
+    fn new(c: &Container, clock: f64, size_mode: SizeMode) -> Self {
+        GdEntry {
+            snapshot: clock,
+            function: c.function(),
+            cost: c.init_overhead().as_secs_f64(),
+            size: size_mode.scalar_size(c.mem().as_mb() as f64, c.resources()),
+            tenant: c.tenant(),
+            queued: None,
+        }
+    }
+
+    /// The record of `c` in `entries`, created at `clock` if missing.
+    fn of<'a>(
+        entries: &'a mut IdMap<ContainerId, GdEntry>,
+        c: &Container,
+        clock: f64,
+        size_mode: SizeMode,
+    ) -> &'a mut GdEntry {
+        entries
+            .entry(c.id())
+            .or_insert_with(|| GdEntry::new(c, clock, size_mode))
+    }
+
+    /// Whether heap entry `generation` is this container's authoritative
+    /// one.
+    fn is_queued_as(&self, generation: u64) -> bool {
+        self.queued.is_some_and(|(g, _)| g == generation)
+    }
+
+    /// `Priority = Clock + Freq × Cost / Size`, the value term divided by
+    /// the tenant weight. The one place the expression is written: the
+    /// naive sort and the heap must agree on every bit of it.
+    fn priority(&self, freq: &FnTable<u64>, weights: Option<&TenantWeights>) -> f64 {
+        let freq = freq.value(self.function) as f64;
+        let weight = weights.map_or(1.0, |w| w.get(self.tenant));
+        self.snapshot + freq * self.cost / self.size / weight
+    }
 }
 
 /// Greedy-Dual-Size-Frequency keep-alive (the paper's `GD` policy).
@@ -75,10 +103,18 @@ struct GdIndex {
 pub struct GreedyDual {
     clock: f64,
     size_mode: SizeMode,
-    funcs: HashMap<FunctionId, FnStats>,
-    /// Clock value captured at each container's last use.
-    snapshots: HashMap<ContainerId, f64>,
-    index: Option<GdIndex>,
+    /// Invocations of each function since it last had zero resident
+    /// containers (0 ≡ never seen or fully evicted).
+    freq: FnTable<u64>,
+    entries: IdMap<ContainerId, GdEntry>,
+    /// Incremental eviction order; `None` selects the naive sort.
+    ///
+    /// A lazy heap is required because an idle container's priority can
+    /// grow while it sits idle: a sibling container's warm start raises the
+    /// function's frequency. The snapshot term is fixed while idle and
+    /// frequency only grows while the function has resident containers, so
+    /// priorities never decrease while idle — the [`VictimHeap`] invariant.
+    heap: Option<VictimHeap<TotalF64>>,
     /// Per-tenant eviction weights; `None` (and any unset slot) weighs 1.0.
     ///
     /// An over-budget tenant's weight `w > 1` divides the value term:
@@ -103,9 +139,9 @@ impl GreedyDual {
         GreedyDual {
             clock: 0.0,
             size_mode,
-            funcs: HashMap::new(),
-            snapshots: HashMap::new(),
-            index: Some(GdIndex::default()),
+            freq: FnTable::default(),
+            entries: IdMap::default(),
+            heap: Some(VictimHeap::new()),
             weights: None,
             weights_gen: 0,
         }
@@ -114,7 +150,7 @@ impl GreedyDual {
     /// Creates the policy with the naive sort-based eviction path.
     pub fn naive() -> Self {
         GreedyDual {
-            index: None,
+            heap: None,
             ..Self::new()
         }
     }
@@ -126,51 +162,41 @@ impl GreedyDual {
 
     /// Current frequency of a function (0 if never seen or fully evicted).
     pub fn frequency(&self, function: FunctionId) -> u64 {
-        self.funcs.get(&function).map_or(0, |s| s.freq)
+        self.freq.value(function)
     }
 
-    fn weight_of(&self, tenant: u32) -> f64 {
-        self.weights.as_ref().map_or(1.0, |w| w.get(tenant))
-    }
-
+    /// The priority of a container the policy may or may not have a
+    /// record of (an unknown container counts as touched just now).
     fn priority(&self, c: &Container) -> f64 {
-        let snapshot = self.snapshots.get(&c.id()).copied().unwrap_or(self.clock);
-        let freq = self.frequency(c.function()) as f64;
-        let cost = c.init_overhead().as_secs_f64();
-        let size = self
-            .size_mode
-            .scalar_size(c.mem().as_mb() as f64, c.resources());
-        snapshot + freq * cost / size / self.weight_of(c.tenant())
-    }
-
-    fn touch(&mut self, c: &Container) {
-        self.funcs.entry(c.function()).or_default().freq += 1;
-        self.snapshots.insert(c.id(), self.clock);
-    }
-
-    fn index_insert(&mut self, c: &Container) {
-        if self.index.is_none() {
-            return;
-        }
-        let key = TotalF64(self.priority(c));
-        let meta = GdMeta {
-            function: c.function(),
-            cost: c.init_overhead().as_secs_f64(),
-            size: self
-                .size_mode
-                .scalar_size(c.mem().as_mb() as f64, c.resources()),
-            tenant: c.tenant(),
+        let entry = match self.entries.get(&c.id()) {
+            Some(e) => *e,
+            None => GdEntry::new(c, self.clock, self.size_mode),
         };
-        let index = self.index.as_mut().expect("checked above");
-        index.meta.insert(c.id(), meta);
-        index.heap.insert(c.id(), key, c.last_used());
+        entry.priority(&self.freq, self.weights.as_deref())
     }
 
-    fn index_remove(&mut self, id: ContainerId) {
-        if let Some(index) = self.index.as_mut() {
-            index.heap.remove(id);
-            index.meta.remove(&id);
-        }
+    /// Counts a use: frequency credit and a fresh clock snapshot. The
+    /// container is running afterwards, so its heap entry (if any) is
+    /// retired.
+    fn touch(&mut self, c: &Container) {
+        *self.freq.slot(c.function()) += 1;
+        let entry = GdEntry::of(&mut self.entries, c, self.clock, self.size_mode);
+        entry.snapshot = self.clock;
+        entry.queued = None;
+    }
+
+    /// Files an idle container in the victim heap at its current priority.
+    fn enqueue(&mut self, c: &Container) {
+        let Some(heap) = self.heap.as_mut() else {
+            return;
+        };
+        let entries = &mut self.entries;
+        heap.shed_stale_with(entries.len(), |id, gen| {
+            entries.get(&id).is_some_and(|e| e.is_queued_as(gen))
+        });
+        let entry = GdEntry::of(entries, c, self.clock, self.size_mode);
+        let key = TotalF64(entry.priority(&self.freq, self.weights.as_deref()));
+        entry.queued = Some((heap.push(c.id(), key, c.last_used()), c.last_used()));
     }
 
     /// Re-keys the whole victim heap when the shared tenant weights have
@@ -185,17 +211,39 @@ impl GreedyDual {
             return;
         }
         self.weights_gen = current;
-        let (clock, funcs, snapshots, weights) =
-            (self.clock, &self.funcs, &self.snapshots, &self.weights);
-        if let Some(GdIndex { heap, meta }) = self.index.as_mut() {
-            heap.rekey_all_with(|id| {
-                let m = meta.get(&id).expect("indexed containers have metadata");
-                let snapshot = snapshots.get(&id).copied().unwrap_or(clock);
-                let freq = funcs.get(&m.function).map_or(0, |s| s.freq) as f64;
-                let w = weights.as_ref().map_or(1.0, |t| t.get(m.tenant));
-                TotalF64(snapshot + freq * m.cost / m.size / w)
-            });
+        let Some(heap) = self.heap.as_mut() else {
+            return;
+        };
+        // Generations only break ties between entries of one container, so
+        // the map's iteration order cannot reach the eviction order.
+        heap.clear();
+        for (&id, e) in self.entries.iter_mut() {
+            if let Some((_, last_used)) = e.queued {
+                let key = TotalF64(e.priority(&self.freq, self.weights.as_deref()));
+                e.queued = Some((heap.push(id, key, last_used), last_used));
+            }
         }
+    }
+
+    /// The heap's minimum under live keys, popped or only peeked.
+    fn next_victim(&mut self, pop: bool) -> Option<ContainerId> {
+        self.rekey_if_weights_changed();
+        let (freq, weights) = (&self.freq, self.weights.as_deref());
+        let entries = &mut self.entries;
+        let heap = self.heap.as_mut()?;
+        let live_key = |id: ContainerId, gen: u64| {
+            let e = entries.get(&id)?;
+            e.is_queued_as(gen)
+                .then(|| TotalF64(e.priority(freq, weights)))
+        };
+        if !pop {
+            return heap.peek_min_with(live_key);
+        }
+        let id = heap.pop_min_with(live_key)?;
+        // The snapshot outlives the pop: the pool reports the eviction
+        // next, and `on_evicted` prices the victim from it.
+        entries.get_mut(&id).expect("popped a live member").queued = None;
+        Some(id)
     }
 }
 
@@ -212,22 +260,21 @@ impl KeepAlivePolicy for GreedyDual {
 
     fn on_warm_start(&mut self, container: &Container, _now: SimTime) {
         self.touch(container);
-        self.index_remove(container.id());
     }
 
     fn on_container_created(&mut self, container: &Container, _now: SimTime, prewarm: bool) {
         if prewarm {
             // Speculative containers get the current clock but no frequency
             // credit until an actual invocation lands on them.
-            self.snapshots.insert(container.id(), self.clock);
-            self.index_insert(container);
+            GdEntry::of(&mut self.entries, container, self.clock, self.size_mode);
+            self.enqueue(container);
         } else {
             self.touch(container);
         }
     }
 
     fn on_finish(&mut self, container: &Container, _now: SimTime) {
-        self.index_insert(container);
+        self.enqueue(container);
     }
 
     fn select_victims(&mut self, idle: &[&Container], needed: MemMb) -> Vec<ContainerId> {
@@ -242,52 +289,35 @@ impl KeepAlivePolicy for GreedyDual {
     }
 
     fn on_evicted(&mut self, container: &Container, remaining_of_function: usize, _now: SimTime) {
+        // Forgetting the record also retires its heap entry, if any.
+        let entry = match self.entries.remove(&container.id()) {
+            Some(e) => e,
+            None => GdEntry::new(container, self.clock, self.size_mode),
+        };
         // Clock = max over the evicted set of the victims' priorities; the
         // pool reports evictions one at a time, and taking a running max is
         // equivalent.
-        let p = self.priority(container);
+        let p = entry.priority(&self.freq, self.weights.as_deref());
         if p > self.clock {
             self.clock = p;
         }
-        self.snapshots.remove(&container.id());
         if remaining_of_function == 0 {
-            self.funcs.remove(&container.function());
+            if let Some(freq) = self.freq.get_mut(container.function()) {
+                *freq = 0;
+            }
         }
-        self.index_remove(container.id());
     }
 
     fn supports_incremental(&self) -> bool {
-        self.index.is_some()
+        self.heap.is_some()
     }
 
     fn peek_victim(&mut self) -> Option<ContainerId> {
-        self.rekey_if_weights_changed();
-        let (clock, funcs, snapshots, weights) =
-            (self.clock, &self.funcs, &self.snapshots, &self.weights);
-        let GdIndex { heap, meta } = self.index.as_mut()?;
-        heap.peek_min_with(|id| {
-            let m = meta.get(&id).expect("indexed containers have metadata");
-            let snapshot = snapshots.get(&id).copied().unwrap_or(clock);
-            let freq = funcs.get(&m.function).map_or(0, |s| s.freq) as f64;
-            let w = weights.as_ref().map_or(1.0, |t| t.get(m.tenant));
-            TotalF64(snapshot + freq * m.cost / m.size / w)
-        })
+        self.next_victim(false)
     }
 
     fn pop_victim(&mut self) -> Option<ContainerId> {
-        self.rekey_if_weights_changed();
-        let (clock, funcs, snapshots, weights) =
-            (self.clock, &self.funcs, &self.snapshots, &self.weights);
-        let GdIndex { heap, meta } = self.index.as_mut()?;
-        let id = heap.pop_min_with(|id| {
-            let m = meta.get(&id).expect("indexed containers have metadata");
-            let snapshot = snapshots.get(&id).copied().unwrap_or(clock);
-            let freq = funcs.get(&m.function).map_or(0, |s| s.freq) as f64;
-            let w = weights.as_ref().map_or(1.0, |t| t.get(m.tenant));
-            TotalF64(snapshot + freq * m.cost / m.size / w)
-        })?;
-        meta.remove(&id);
-        Some(id)
+        self.next_victim(true)
     }
 
     fn priority_of(&self, container: &Container) -> Option<f64> {
@@ -466,6 +496,28 @@ mod tests {
         gd.on_finish(&a, SimTime::from_secs(1));
         // f0 freq = 22 → priority 0.022 > f1's 0.01.
         assert_eq!(gd.pop_victim(), Some(ContainerId::from_raw(3)));
+    }
+
+    #[test]
+    fn warm_cycles_without_evictions_do_not_grow_the_heap() {
+        let mut gd = GreedyDual::new();
+        let cs: Vec<Container> = (0..8).map(|i| container(i, i as u32, 100, 1000)).collect();
+        for c in &cs {
+            gd.on_container_created(c, SimTime::ZERO, false);
+            gd.on_finish(c, SimTime::ZERO);
+        }
+        for round in 1..=5_000u64 {
+            for c in &cs {
+                gd.on_warm_start(c, SimTime::from_secs(round));
+                gd.on_finish(c, SimTime::from_secs(round));
+            }
+        }
+        let held = gd.heap.as_ref().unwrap().len();
+        assert!(held <= 2 * cs.len() + 65, "heap holds {held} entries");
+        // Every container is still evictable, exactly once.
+        let mut popped: Vec<ContainerId> = std::iter::from_fn(|| gd.pop_victim()).collect();
+        popped.sort();
+        assert_eq!(popped, cs.iter().map(|c| c.id()).collect::<Vec<_>>());
     }
 
     #[test]

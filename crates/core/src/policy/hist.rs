@@ -17,13 +17,14 @@
 //! bucket and push the function toward the unpredictable/generic-TTL path.
 
 use crate::container::{Container, ContainerId};
+use crate::fn_table::FnTable;
 use crate::function::{FunctionId, FunctionSpec};
-use crate::policy::index::OrderedIdleSet;
 use crate::policy::{take_until_freed, KeepAlivePolicy};
+use faascache_util::idmap::IdMap;
 use faascache_util::stats::{Histogram, Welford};
 use faascache_util::{MemMb, SimDuration, SimTime};
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// Tunables of the HIST policy, with the defaults from Shahrad et al. as
 /// reproduced by the FaasCache paper.
@@ -62,23 +63,106 @@ impl Default for HistConfig {
     }
 }
 
+/// Per-function IAT statistics, plus what the keys of the function's idle
+/// containers are derived from. The derived fields change only where the
+/// histogram does — in `on_request` — so they are computed there once
+/// instead of per idle container per request.
 #[derive(Debug)]
 struct FnHist {
     hist: Histogram,
     welford: Welford,
     last_invocation: Option<SimTime>,
     pending_prewarm: Option<SimTime>,
+    /// Enough samples, CoV at or below the threshold, and less than half
+    /// of the IATs beyond the histogram's range.
+    predictable: bool,
+    /// Tail-percentile IAT (keep-alive horizon); read only if predictable.
+    tail_window: SimDuration,
+    /// Mean IAT (predicted gap to the next use); read only if predictable.
+    mean_iat: SimDuration,
 }
 
 impl FnHist {
     fn new(cfg: &HistConfig) -> Self {
-        FnHist {
+        let mut f = FnHist {
             hist: Histogram::new(cfg.bucket_width.as_mins_f64(), cfg.num_buckets),
             welford: Welford::new(),
             last_invocation: None,
             pending_prewarm: None,
+            predictable: false,
+            tail_window: SimDuration::ZERO,
+            mean_iat: SimDuration::ZERO,
+        };
+        f.refresh_derived(cfg);
+        f
+    }
+
+    /// Recomputes the derived fields after the histogram changed.
+    fn refresh_derived(&mut self, cfg: &HistConfig) {
+        self.predictable = self.welford.count() >= cfg.min_samples
+            && self.welford.coefficient_of_variation() <= cfg.cov_threshold
+            && self.hist.overflow_fraction() < 0.5;
+        if self.predictable {
+            self.tail_window = self.window(cfg.tail_quantile);
+            self.mean_iat = SimDuration::from_secs_f64(self.welford.mean() * 60.0);
         }
     }
+
+    /// The IAT at percentile `q` of the histogram.
+    fn window(&self, q: f64) -> SimDuration {
+        let bucket = self.hist.percentile_bucket(q);
+        SimDuration::from_secs_f64(self.hist.bucket_value(bucket) * 60.0)
+    }
+
+    /// When a container of this function last used at `last_used` should
+    /// be expired.
+    fn deadline_at(&self, cfg: &HistConfig, last_used: SimTime) -> SimTime {
+        let last = self.last_invocation.unwrap_or(last_used);
+        if !self.predictable {
+            return last.max(last_used) + cfg.generic_ttl;
+        }
+        // If a pre-warm is scheduled, the container can be released right
+        // away ("the function's historical/customized preload and TTL time
+        // are used"): it will be re-created just in time for the predicted
+        // invocation.
+        if self.pending_prewarm.is_some() && last_used <= last {
+            return last + cfg.margin;
+        }
+        last + self.tail_window + cfg.margin
+    }
+
+    /// Predicted next invocation time for a container last used at
+    /// `last_used`, used to rank eviction victims.
+    fn predicted_next_at(&self, cfg: &HistConfig, last_used: SimTime) -> SimTime {
+        if self.predictable {
+            self.last_invocation.unwrap_or(last_used) + self.mean_iat
+        } else {
+            last_used + cfg.generic_ttl
+        }
+    }
+}
+
+/// `(predicted next use, expiry deadline)` of a container last used at
+/// `last_used`, given its function's statistics (`None`: never requested
+/// here, e.g. a container adopted from another pool).
+fn keys_at(cfg: &HistConfig, stats: Option<&FnHist>, last_used: SimTime) -> (SimTime, SimTime) {
+    match stats {
+        Some(f) => (
+            f.predicted_next_at(cfg, last_used),
+            f.deadline_at(cfg, last_used),
+        ),
+        None => (last_used + cfg.generic_ttl, last_used + cfg.generic_ttl),
+    }
+}
+
+/// What the index keeps per idle container — the policy's only table keyed
+/// by [`ContainerId`]: where the container is filed in the two orders.
+#[derive(Debug, Clone, Copy)]
+struct IdleKeys {
+    function: FunctionId,
+    last_used: SimTime,
+    predicted: SimTime,
+    deadline: SimTime,
 }
 
 /// Incremental eviction and expiry order for HIST.
@@ -93,15 +177,50 @@ impl FnHist {
 struct HistIndex {
     /// Eviction order: predicted next use descending (farthest first),
     /// then `last_used` ascending, then id ascending.
-    victims: OrderedIdleSet<Reverse<SimTime>>,
-    /// Expiry order: deadline ascending.
-    expiry: OrderedIdleSet<SimTime>,
-    /// Function and `last_used` of each idle member.
-    entries: HashMap<ContainerId, (FunctionId, SimTime)>,
-    /// Idle members per function, for re-keying after histogram updates.
-    by_fn: HashMap<FunctionId, BTreeSet<ContainerId>>,
+    victims: BTreeSet<(Reverse<SimTime>, SimTime, ContainerId)>,
+    /// Expiry order: deadline ascending, then `last_used`, then id.
+    expiry: BTreeSet<(SimTime, SimTime, ContainerId)>,
+    /// The keys each idle member is filed under in the two orders.
+    keys: IdMap<ContainerId, IdleKeys>,
+    /// Idle members per function (unordered), for re-keying after
+    /// histogram updates.
+    by_fn: FnTable<Vec<ContainerId>>,
     /// Pending pre-warms ordered by fire time.
     prewarms: BTreeSet<(SimTime, FunctionId)>,
+}
+
+impl HistIndex {
+    /// Files `id` under `new`, replacing whatever it was filed under.
+    fn file(&mut self, id: ContainerId, new: IdleKeys) {
+        match self.keys.insert(id, new) {
+            Some(old) => self.unfile_orders(id, &old),
+            None => self.by_fn.slot(new.function).push(id),
+        }
+        self.victims
+            .insert((Reverse(new.predicted), new.last_used, id));
+        self.expiry.insert((new.deadline, new.last_used, id));
+    }
+
+    fn unfile_orders(&mut self, id: ContainerId, old: &IdleKeys) {
+        self.victims
+            .remove(&(Reverse(old.predicted), old.last_used, id));
+        self.expiry.remove(&(old.deadline, old.last_used, id));
+    }
+
+    /// Forgets `id`; a no-op when it is not indexed.
+    fn remove(&mut self, id: ContainerId) {
+        let Some(old) = self.keys.remove(&id) else {
+            return;
+        };
+        self.unfile_orders(id, &old);
+        let members = self
+            .by_fn
+            .get_mut(old.function)
+            .expect("indexed members are listed under their function");
+        if let Some(pos) = members.iter().position(|&m| m == id) {
+            members.swap_remove(pos);
+        }
+    }
 }
 
 /// The HIST histogram/prefetching keep-alive policy.
@@ -116,7 +235,10 @@ struct HistIndex {
 #[derive(Debug)]
 pub struct Hist {
     cfg: HistConfig,
-    funcs: HashMap<FunctionId, FnHist>,
+    /// Statistics per function. The slot is a pointer and the ~2 KB
+    /// histogram behind it is allocated on the function's first request,
+    /// so a table grown to a high function id stays small.
+    funcs: FnTable<Option<Box<FnHist>>>,
     index: Option<HistIndex>,
 }
 
@@ -126,7 +248,7 @@ impl Hist {
     pub fn new(cfg: HistConfig) -> Self {
         Hist {
             cfg,
-            funcs: HashMap::new(),
+            funcs: FnTable::default(),
             index: Some(HistIndex::default()),
         }
     }
@@ -135,109 +257,49 @@ impl Hist {
     pub fn naive(cfg: HistConfig) -> Self {
         Hist {
             cfg,
-            funcs: HashMap::new(),
+            funcs: FnTable::default(),
             index: None,
         }
+    }
+
+    fn stats(&self, function: FunctionId) -> Option<&FnHist> {
+        self.funcs.get(function)?.as_deref()
     }
 
     /// Whether a function's IAT pattern is currently considered
     /// predictable (enough samples and CoV at or below the threshold).
     pub fn is_predictable(&self, function: FunctionId) -> bool {
-        self.funcs.get(&function).is_some_and(|f| {
-            f.welford.count() >= self.cfg.min_samples
-                && f.welford.coefficient_of_variation() <= self.cfg.cov_threshold
-                && f.hist.overflow_fraction() < 0.5
-        })
+        self.stats(function).is_some_and(|f| f.predictable)
     }
 
-    /// The head-percentile IAT (pre-warm point) for a predictable function.
-    fn head_window(&self, f: &FnHist) -> SimDuration {
-        let bucket = f.hist.percentile_bucket(self.cfg.head_quantile);
-        SimDuration::from_secs_f64(f.hist.bucket_value(bucket) * 60.0)
-    }
-
-    /// The tail-percentile IAT (keep-alive horizon) for a predictable
-    /// function.
-    fn tail_window(&self, f: &FnHist) -> SimDuration {
-        let bucket = f.hist.percentile_bucket(self.cfg.tail_quantile);
-        SimDuration::from_secs_f64(f.hist.bucket_value(bucket) * 60.0)
-    }
-
-    /// When containers of `function` should be expired, given the current
-    /// histogram state, for a container last used at `last_used`.
-    fn deadline_at(&self, function: FunctionId, last_used: SimTime) -> SimTime {
-        match self.funcs.get(&function) {
-            Some(f) if self.is_predictable(function) => {
-                let last = f.last_invocation.unwrap_or(last_used);
-                // If a pre-warm is scheduled, the container can be released
-                // right away ("the function's historical/customized preload
-                // and TTL time are used"): it will be re-created just in
-                // time for the predicted invocation.
-                if f.pending_prewarm.is_some() && last_used <= last {
-                    return last + self.cfg.margin;
-                }
-                last + self.tail_window(f) + self.cfg.margin
-            }
-            Some(f) => {
-                let last = f.last_invocation.unwrap_or(last_used);
-                last.max(last_used) + self.cfg.generic_ttl
-            }
-            None => last_used + self.cfg.generic_ttl,
-        }
-    }
-
-    /// When containers of `function` should be expired, given the current
-    /// histogram state.
-    fn deadline(&self, function: FunctionId, container: &Container) -> SimTime {
-        self.deadline_at(function, container.last_used())
-    }
-
-    /// Predicted next invocation time for a container last used at
-    /// `last_used`, used to rank eviction victims.
-    fn predicted_next_at(&self, function: FunctionId, last_used: SimTime) -> SimTime {
-        match self.funcs.get(&function) {
-            Some(f) if self.is_predictable(function) => {
-                let last = f.last_invocation.unwrap_or(last_used);
-                last + SimDuration::from_secs_f64(f.welford.mean() * 60.0)
-            }
-            _ => last_used + self.cfg.generic_ttl,
-        }
-    }
-
-    /// Predicted next invocation time, used to rank eviction victims.
-    fn predicted_next(&self, function: FunctionId, container: &Container) -> SimTime {
-        self.predicted_next_at(function, container.last_used())
+    /// `(predicted next use, expiry deadline)` of `container` under the
+    /// current histogram state of its function.
+    fn keys_of(&self, container: &Container) -> (SimTime, SimTime) {
+        keys_at(
+            &self.cfg,
+            self.stats(container.function()),
+            container.last_used(),
+        )
     }
 
     fn index_insert(&mut self, container: &Container) {
-        if self.index.is_none() {
-            return;
+        let (predicted, deadline) = self.keys_of(container);
+        if let Some(index) = self.index.as_mut() {
+            index.file(
+                container.id(),
+                IdleKeys {
+                    function: container.function(),
+                    last_used: container.last_used(),
+                    predicted,
+                    deadline,
+                },
+            );
         }
-        let fid = container.function();
-        let last_used = container.last_used();
-        let predicted = self.predicted_next_at(fid, last_used);
-        let deadline = self.deadline_at(fid, last_used);
-        let index = self.index.as_mut().expect("checked above");
-        index.entries.insert(container.id(), (fid, last_used));
-        index.by_fn.entry(fid).or_default().insert(container.id());
-        index
-            .victims
-            .insert(container.id(), Reverse(predicted), last_used);
-        index.expiry.insert(container.id(), deadline, last_used);
     }
 
     fn index_remove(&mut self, id: ContainerId) {
         if let Some(index) = self.index.as_mut() {
-            if let Some((fid, _)) = index.entries.remove(&id) {
-                if let Some(set) = index.by_fn.get_mut(&fid) {
-                    set.remove(&id);
-                    if set.is_empty() {
-                        index.by_fn.remove(&fid);
-                    }
-                }
-            }
-            index.victims.remove(id);
-            index.expiry.remove(id);
+            index.remove(id);
         }
     }
 
@@ -245,28 +307,30 @@ impl Hist {
     /// after the two events that can change the function's histogram state
     /// (a request, or a pre-warm firing).
     fn rekey_function(&mut self, function: FunctionId) {
-        let members: Vec<(ContainerId, SimTime)> = match self.index.as_ref() {
-            Some(index) => match index.by_fn.get(&function) {
-                Some(set) => set.iter().map(|&id| (id, index.entries[&id].1)).collect(),
-                None => return,
-            },
-            None => return,
+        let Some(index) = self.index.as_mut() else {
+            return;
         };
-        let keys: Vec<(ContainerId, SimTime, SimTime, SimTime)> = members
-            .into_iter()
-            .map(|(id, last_used)| {
-                (
-                    id,
-                    last_used,
-                    self.predicted_next_at(function, last_used),
-                    self.deadline_at(function, last_used),
-                )
-            })
-            .collect();
-        let index = self.index.as_mut().expect("checked above");
-        for (id, last_used, predicted, deadline) in keys {
-            index.victims.insert(id, Reverse(predicted), last_used);
-            index.expiry.insert(id, deadline, last_used);
+        let stats = self.funcs.get(function).and_then(|slot| slot.as_deref());
+        let HistIndex {
+            victims,
+            expiry,
+            keys,
+            by_fn,
+            ..
+        } = index;
+        for &id in by_fn.get(function).map_or(&[][..], Vec::as_slice) {
+            let filed = keys.get_mut(&id).expect("members have keys");
+            let (predicted, deadline) = keys_at(&self.cfg, stats, filed.last_used);
+            if predicted != filed.predicted {
+                victims.remove(&(Reverse(filed.predicted), filed.last_used, id));
+                victims.insert((Reverse(predicted), filed.last_used, id));
+                filed.predicted = predicted;
+            }
+            if deadline != filed.deadline {
+                expiry.remove(&(filed.deadline, filed.last_used, id));
+                expiry.insert((deadline, filed.last_used, id));
+                filed.deadline = deadline;
+            }
         }
     }
 }
@@ -277,35 +341,30 @@ impl KeepAlivePolicy for Hist {
     }
 
     fn on_request(&mut self, spec: &FunctionSpec, now: SimTime) {
-        let old_pending = self.funcs.get(&spec.id()).and_then(|f| f.pending_prewarm);
-        let cfg_margin = self.cfg.margin;
-        let entry = self
+        let cfg = &self.cfg;
+        let f = self
             .funcs
-            .entry(spec.id())
-            .or_insert_with(|| FnHist::new(&self.cfg));
-        if let Some(last) = entry.last_invocation {
+            .slot(spec.id())
+            .get_or_insert_with(|| Box::new(FnHist::new(cfg)));
+        let old_pending = f.pending_prewarm;
+        if let Some(last) = f.last_invocation {
             let iat_mins = now.since(last).as_mins_f64();
-            entry.hist.record(iat_mins);
-            entry.welford.push(iat_mins);
+            f.hist.record(iat_mins);
+            f.welford.push(iat_mins);
+            f.refresh_derived(cfg);
         }
-        entry.last_invocation = Some(now);
-        entry.pending_prewarm = None;
+        f.last_invocation = Some(now);
+        f.pending_prewarm = None;
         // Schedule the next pre-warm if the head of the IAT distribution is
         // far enough out that releasing and re-warming pays off.
-        if self.is_predictable(spec.id()) {
-            let f = self.funcs.get(&spec.id()).expect("just inserted");
-            let head = self.head_window(f);
-            if head > cfg_margin + cfg_margin {
-                let at = now + head.saturating_sub(cfg_margin);
-                self.funcs
-                    .get_mut(&spec.id())
-                    .expect("just inserted")
-                    .pending_prewarm = Some(at);
+        if f.predictable {
+            let head = f.window(cfg.head_quantile);
+            if head > cfg.margin + cfg.margin {
+                f.pending_prewarm = Some(now + head.saturating_sub(cfg.margin));
             }
         }
-        if self.index.is_some() {
-            let new_pending = self.funcs.get(&spec.id()).and_then(|f| f.pending_prewarm);
-            let index = self.index.as_mut().expect("checked above");
+        let new_pending = f.pending_prewarm;
+        if let Some(index) = self.index.as_mut() {
             if let Some(at) = old_pending {
                 index.prewarms.remove(&(at, spec.id()));
             }
@@ -339,8 +398,9 @@ impl KeepAlivePolicy for Hist {
         // an invocation in the near future").
         let mut ranked: Vec<&Container> = idle.to_vec();
         ranked.sort_by(|a, b| {
-            self.predicted_next(b.function(), b)
-                .cmp(&self.predicted_next(a.function(), a))
+            self.keys_of(b)
+                .0
+                .cmp(&self.keys_of(a).0)
                 .then(a.last_used().cmp(&b.last_used()))
         });
         take_until_freed(&ranked, needed)
@@ -352,7 +412,7 @@ impl KeepAlivePolicy for Hist {
 
     fn expired(&mut self, idle: &[&Container], now: SimTime) -> Vec<ContainerId> {
         idle.iter()
-            .filter(|c| now >= self.deadline(c.function(), c))
+            .filter(|c| now >= self.keys_of(c).1)
             .map(|c| c.id())
             .collect()
     }
@@ -368,7 +428,7 @@ impl KeepAlivePolicy for Hist {
                 due.push(fid);
             }
             for &fid in &due {
-                if let Some(f) = self.funcs.get_mut(&fid) {
+                if let Some(Some(f)) = self.funcs.get_mut(fid) {
                     f.pending_prewarm = None;
                 }
             }
@@ -382,16 +442,15 @@ impl KeepAlivePolicy for Hist {
             }
             return due;
         }
+        // The table iterates in ascending function-id order.
         let mut due = Vec::new();
-        for (&fid, f) in self.funcs.iter_mut() {
-            if let Some(at) = f.pending_prewarm {
-                if at <= now {
-                    f.pending_prewarm = None;
-                    due.push(fid);
-                }
+        for (fid, slot) in self.funcs.iter_mut() {
+            let Some(f) = slot else { continue };
+            if f.pending_prewarm.is_some_and(|at| at <= now) {
+                f.pending_prewarm = None;
+                due.push(fid);
             }
         }
-        due.sort();
         due
     }
 
@@ -400,19 +459,21 @@ impl KeepAlivePolicy for Hist {
     }
 
     fn peek_victim(&mut self) -> Option<ContainerId> {
-        self.index.as_ref()?.victims.first().map(|(_, _, id)| id)
+        self.index.as_ref()?.victims.first().map(|&(_, _, id)| id)
     }
 
     fn pop_victim(&mut self) -> Option<ContainerId> {
-        let (_, _, id) = self.index.as_ref()?.victims.first()?;
-        self.index_remove(id);
+        let index = self.index.as_mut()?;
+        let &(_, _, id) = index.victims.first()?;
+        index.remove(id);
         Some(id)
     }
 
     fn pop_expired(&mut self, now: SimTime) -> Option<ContainerId> {
-        let (deadline, _, id) = self.index.as_ref()?.expiry.first()?;
+        let index = self.index.as_mut()?;
+        let &(deadline, _, id) = index.expiry.first()?;
         if now >= deadline {
-            self.index_remove(id);
+            index.remove(id);
             Some(id)
         } else {
             None
@@ -421,11 +482,7 @@ impl KeepAlivePolicy for Hist {
 
     fn priority_of(&self, container: &Container) -> Option<f64> {
         // Sooner predicted reuse ⇒ higher keep-alive priority.
-        Some(
-            -self
-                .predicted_next(container.function(), container)
-                .as_secs_f64(),
-        )
+        Some(-self.keys_of(container).0.as_secs_f64())
     }
 }
 

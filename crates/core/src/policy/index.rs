@@ -6,23 +6,32 @@
 //! that evicting k victims out of n idle containers costs O(k log n):
 //!
 //! - [`OrderedIdleSet`] — a `BTreeSet` keyed by an immutable-while-idle
-//!   priority key, for policies whose key is fixed between the moment a
-//!   container becomes idle and the moment it leaves the idle set (LRU,
-//!   TTL, SIZE, Landlord-with-offsets, HIST-with-rekeying).
+//!   priority key plus the id → key map needed to take a container out
+//!   again, for policies that keep no other per-container state (LRU, TTL,
+//!   SIZE). Landlord and HIST, which do, hold bare `BTreeSet`s and file
+//!   the key in their own per-container record instead.
 //! - [`VictimHeap`] — a lazy-deletion binary min-heap with stale-entry
 //!   versioning, for policies whose key can *grow* while the container sits
 //!   idle (GreedyDual and LFU: another container of the same function can
 //!   warm-start and raise the function frequency). Entries are validated
 //!   against the live key on pop and re-pushed when outdated, which is
 //!   sound exactly because keys never decrease while a container is idle.
+//!   The heap keeps no membership table of its own: the policy's
+//!   per-container record remembers the generation of its authoritative
+//!   entry, and the heap asks the policy on pop.
 //! - [`TotalF64`] — a totally ordered `f64` wrapper (via `total_cmp`) so
 //!   finite priorities can be used as ordered keys. For finite values the
 //!   order coincides with the `partial_cmp` the naive sort used.
+//!
+//! Every policy therefore owns **at most one** table keyed by
+//! [`ContainerId`], and it is an [`IdMap`] (one multiplication per lookup;
+//! container ids are the pool's own counter, never wire input).
 
 use crate::container::ContainerId;
+use faascache_util::idmap::IdMap;
 use faascache_util::SimTime;
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, HashMap};
+use std::collections::{BTreeSet, BinaryHeap};
 
 /// An `f64` ordered by [`f64::total_cmp`].
 ///
@@ -62,7 +71,7 @@ impl Ord for TotalF64 {
 #[derive(Debug, Clone, Default)]
 pub struct OrderedIdleSet<K: Ord + Copy> {
     set: BTreeSet<(K, SimTime, ContainerId)>,
-    keys: HashMap<ContainerId, (K, SimTime)>,
+    keys: IdMap<ContainerId, (K, SimTime)>,
 }
 
 impl<K: Ord + Copy> OrderedIdleSet<K> {
@@ -70,7 +79,7 @@ impl<K: Ord + Copy> OrderedIdleSet<K> {
     pub fn new() -> Self {
         OrderedIdleSet {
             set: BTreeSet::new(),
-            keys: HashMap::new(),
+            keys: IdMap::default(),
         }
     }
 
@@ -87,11 +96,6 @@ impl<K: Ord + Copy> OrderedIdleSet<K> {
     /// Whether `id` is indexed.
     pub fn contains(&self, id: ContainerId) -> bool {
         self.keys.contains_key(&id)
-    }
-
-    /// The key `id` was inserted with, if indexed.
-    pub fn key_of(&self, id: ContainerId) -> Option<K> {
-        self.keys.get(&id).map(|&(k, _)| k)
     }
 
     /// Inserts (or re-keys) a container.
@@ -127,19 +131,21 @@ type HeapEntry<K> = Reverse<(K, SimTime, ContainerId, u64)>;
 /// A lazy-deletion min-heap over idle containers, for policies whose key
 /// may *increase* while a container is idle.
 ///
-/// Each insert (and each re-push) gets a fresh generation number; removal
-/// just drops the membership record, and superseded or removed heap entries
-/// are discarded when they surface. On pop, a live entry's stored key is
+/// The heap holds no membership table. [`Self::push`] returns a fresh
+/// generation number that the policy files in its own per-container
+/// record; that record names the container's one *authoritative* entry.
+/// Removing a container, or pushing it again, is just the policy
+/// forgetting or overwriting that generation — the superseded heap entry
+/// is discarded when it surfaces. On pop, a live entry's stored key is
 /// compared against the policy's current key: if the key has grown since
-/// the entry was pushed, the entry is re-pushed at the current key. This
-/// settles in at most one re-push per live entry per call *provided keys
-/// never decrease while idle* — the invariant GreedyDual and LFU satisfy
+/// the entry was pushed, the entry is re-pushed at the current key (same
+/// generation: the outdated copy has just left the heap). This settles in
+/// at most one re-push per live entry per call *provided keys never
+/// decrease while idle* — the invariant GreedyDual and LFU satisfy
 /// (frequency only grows while a function has resident containers).
 #[derive(Debug, Clone, Default)]
 pub struct VictimHeap<K: Ord + Copy> {
     heap: BinaryHeap<HeapEntry<K>>,
-    /// id → (generation of the authoritative heap entry, last_used key).
-    members: HashMap<ContainerId, (u64, SimTime)>,
     next_gen: u64,
 }
 
@@ -148,122 +154,101 @@ impl<K: Ord + Copy> VictimHeap<K> {
     pub fn new() -> Self {
         VictimHeap {
             heap: BinaryHeap::new(),
-            members: HashMap::new(),
             next_gen: 0,
         }
     }
 
-    /// Number of live (member) containers.
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Whether no live containers are indexed.
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
-    /// Whether `id` is a live member.
-    pub fn contains(&self, id: ContainerId) -> bool {
-        self.members.contains_key(&id)
-    }
-
-    fn fresh_gen(&mut self) -> u64 {
+    /// Pushes an entry for `id` at `key` and returns its generation. The
+    /// caller records it as the authoritative one for `id`, which
+    /// supersedes any earlier entry of the same container.
+    pub fn push(&mut self, id: ContainerId, key: K, last_used: SimTime) -> u64 {
         let gen = self.next_gen;
         self.next_gen += 1;
+        self.heap.push(Reverse((key, last_used, id, gen)));
         gen
     }
 
-    /// Inserts (or re-keys) a container at `key`.
-    pub fn insert(&mut self, id: ContainerId, key: K, last_used: SimTime) {
-        let gen = self.fresh_gen();
-        self.members.insert(id, (gen, last_used));
-        self.heap.push(Reverse((key, last_used, id, gen)));
+    /// Number of heap entries, authoritative and stale alike.
+    pub fn len(&self) -> usize {
+        self.heap.len()
     }
 
-    /// Removes a container lazily; a no-op when it is not a member.
-    pub fn remove(&mut self, id: ContainerId) {
-        self.members.remove(&id);
+    /// Whether the heap holds no entry at all.
+    pub fn is_empty(&self) -> bool {
+        self.heap.is_empty()
     }
 
-    /// Removes and returns the container with the minimal
-    /// `(current_key(id), last_used, id)`, or `None` when empty.
+    /// Sheds the stale entries once they outnumber the `live`
+    /// authoritative ones; call before a push.
     ///
-    /// `current_key` must return the policy's *live* key for a member id,
-    /// and that key must be `>=` the key the member was inserted with.
-    pub fn pop_min_with<F>(&mut self, mut current_key: F) -> Option<ContainerId>
+    /// Every warm cycle leaves one superseded entry behind and only an
+    /// eviction ever pops them, so without this a pool under no memory
+    /// pressure would grow the heap by one entry per request forever. The
+    /// sweep runs at most once per `live` pushes: amortized O(1).
+    /// `is_live(id, generation)` says whether that entry is still
+    /// authoritative; which stale entries exist never changes what a pop
+    /// returns.
+    pub fn shed_stale_with<F>(&mut self, live: usize, mut is_live: F)
     where
-        F: FnMut(ContainerId) -> K,
+        F: FnMut(ContainerId, u64) -> bool,
     {
-        while let Some(Reverse((key, last_used, id, gen))) = self.heap.pop() {
-            match self.members.get(&id) {
-                Some(&(live_gen, _)) if live_gen == gen => {
-                    let live_key = current_key(id);
-                    if live_key == key {
-                        self.members.remove(&id);
-                        return Some(id);
-                    }
-                    // Outdated: re-push at the live key. The next time this
-                    // entry surfaces (policy state unchanged within one
-                    // call) the keys match and it pops for real.
-                    let new_gen = self.fresh_gen();
-                    self.members.insert(id, (new_gen, last_used));
-                    self.heap.push(Reverse((live_key, last_used, id, new_gen)));
-                }
-                _ => {} // removed or superseded: discard
-            }
+        const SLACK: usize = 64;
+        if self.heap.len() > 2 * live + SLACK {
+            self.heap
+                .retain(|&Reverse((_, _, id, gen))| is_live(id, gen));
         }
-        None
     }
 
-    /// Re-keys every live member at its current key.
+    /// Drops every entry (the caller re-pushes its live members).
     ///
     /// Lazy re-pushing only corrects keys that have *grown*: an entry whose
     /// live key has shrunk below its stored key stays buried until the
     /// stale (too-high) key surfaces. When an external input to the key
     /// function changes in a way that may decrease keys — e.g. a tenant
-    /// eviction weight is raised — callers use this to restore heap order
-    /// in one O(n log n) sweep. Old entries are superseded by generation
-    /// and discarded when they surface.
-    pub fn rekey_all_with<F>(&mut self, mut current_key: F)
-    where
-        F: FnMut(ContainerId) -> K,
-    {
-        let live: Vec<(ContainerId, SimTime)> = self
-            .members
-            .iter()
-            .map(|(&id, &(_, last_used))| (id, last_used))
-            .collect();
-        for (id, last_used) in live {
-            let key = current_key(id);
-            self.insert(id, key, last_used);
-        }
+    /// eviction weight is raised — callers clear and rebuild.
+    pub fn clear(&mut self) {
+        self.heap.clear();
     }
 
-    /// The container that [`Self::pop_min_with`] would return, without
-    /// removing it. Settles stale heap entries as a side effect.
-    pub fn peek_min_with<F>(&mut self, mut current_key: F) -> Option<ContainerId>
+    /// The container with the minimal `(current key, last_used, id)`,
+    /// without removing it; `None` when no live entry remains. Settles
+    /// stale heap entries as a side effect.
+    ///
+    /// `live_key(id, generation)` must return `None` when `generation` is
+    /// not `id`'s authoritative entry (removed or superseded), and
+    /// otherwise the policy's *live* key for `id`, which must be `>=` the
+    /// key the entry was pushed with.
+    pub fn peek_min_with<F>(&mut self, mut live_key: F) -> Option<ContainerId>
     where
-        F: FnMut(ContainerId) -> K,
+        F: FnMut(ContainerId, u64) -> Option<K>,
     {
         loop {
             let Reverse((key, last_used, id, gen)) = *self.heap.peek()?;
-            match self.members.get(&id) {
-                Some(&(live_gen, _)) if live_gen == gen => {
-                    let live_key = current_key(id);
-                    if live_key == key {
-                        return Some(id);
-                    }
+            match live_key(id, gen) {
+                Some(live) if live == key => return Some(id),
+                Some(live) => {
+                    // Outdated: re-push at the live key. The next time this
+                    // entry surfaces (policy state unchanged within one
+                    // call) the keys match.
                     self.heap.pop();
-                    let new_gen = self.fresh_gen();
-                    self.members.insert(id, (new_gen, last_used));
-                    self.heap.push(Reverse((live_key, last_used, id, new_gen)));
+                    self.heap.push(Reverse((live, last_used, id, gen)));
                 }
-                _ => {
+                None => {
                     self.heap.pop();
                 }
             }
         }
+    }
+
+    /// Removes and returns what [`Self::peek_min_with`] would return. The
+    /// caller must then forget the popped container's generation.
+    pub fn pop_min_with<F>(&mut self, live_key: F) -> Option<ContainerId>
+    where
+        F: FnMut(ContainerId, u64) -> Option<K>,
+    {
+        let id = self.peek_min_with(live_key)?;
+        self.heap.pop();
+        Some(id)
     }
 }
 
@@ -315,48 +300,100 @@ mod tests {
         assert!(set.is_empty());
     }
 
+    /// The membership record a policy keeps next to the heap: the
+    /// authoritative generation of each member.
+    type Members = std::collections::BTreeMap<ContainerId, u64>;
+
+    fn push(heap: &mut VictimHeap<u64>, m: &mut Members, id: ContainerId, key: u64, at: SimTime) {
+        m.insert(id, heap.push(id, key, at));
+    }
+
+    /// Pops against `m` with every live member at the key `key_of` says.
+    fn pop(
+        heap: &mut VictimHeap<u64>,
+        m: &mut Members,
+        key_of: impl Fn(ContainerId) -> u64,
+    ) -> Option<ContainerId> {
+        let id = heap.pop_min_with(|id, gen| (m.get(&id) == Some(&gen)).then(|| key_of(id)))?;
+        m.remove(&id);
+        Some(id)
+    }
+
     #[test]
     fn victim_heap_lazy_removal_discards_stale_entries() {
-        let mut heap = VictimHeap::new();
-        heap.insert(id(1), 1u64, t(0));
-        heap.insert(id(2), 2, t(0));
-        heap.remove(id(1));
-        assert_eq!(heap.len(), 1);
-        assert_eq!(heap.pop_min_with(|_| 2), Some(id(2)));
-        assert_eq!(heap.pop_min_with(|_| 0), None);
+        let (mut heap, mut m) = (VictimHeap::new(), Members::new());
+        push(&mut heap, &mut m, id(1), 1, t(0));
+        push(&mut heap, &mut m, id(2), 2, t(0));
+        m.remove(&id(1));
+        assert_eq!(pop(&mut heap, &mut m, |_| 2), Some(id(2)));
+        assert_eq!(pop(&mut heap, &mut m, |_| 0), None);
     }
 
     #[test]
     fn victim_heap_repushes_outdated_keys() {
-        let mut heap = VictimHeap::new();
+        let (mut heap, mut m) = (VictimHeap::new(), Members::new());
         // id 1 inserted with a low key that has since grown past id 2's.
-        heap.insert(id(1), 1u64, t(0));
-        heap.insert(id(2), 3, t(0));
+        push(&mut heap, &mut m, id(1), 1, t(0));
+        push(&mut heap, &mut m, id(2), 3, t(0));
         let live = |i: ContainerId| if i == id(1) { 5u64 } else { 3 };
-        assert_eq!(heap.peek_min_with(live), Some(id(2)));
-        assert_eq!(heap.pop_min_with(live), Some(id(2)));
-        assert_eq!(heap.pop_min_with(live), Some(id(1)));
-        assert!(heap.is_empty());
+        assert_eq!(
+            heap.peek_min_with(|i, gen| (m.get(&i) == Some(&gen)).then(|| live(i))),
+            Some(id(2))
+        );
+        assert_eq!(pop(&mut heap, &mut m, live), Some(id(2)));
+        assert_eq!(pop(&mut heap, &mut m, live), Some(id(1)));
+        assert_eq!(pop(&mut heap, &mut m, live), None);
     }
 
     #[test]
     fn victim_heap_ties_break_by_last_used_then_id() {
-        let mut heap = VictimHeap::new();
-        heap.insert(id(7), 1u64, t(3));
-        heap.insert(id(4), 1, t(3));
-        heap.insert(id(9), 1, t(1));
-        assert_eq!(heap.pop_min_with(|_| 1), Some(id(9)));
-        assert_eq!(heap.pop_min_with(|_| 1), Some(id(4)));
-        assert_eq!(heap.pop_min_with(|_| 1), Some(id(7)));
+        let (mut heap, mut m) = (VictimHeap::new(), Members::new());
+        push(&mut heap, &mut m, id(7), 1, t(3));
+        push(&mut heap, &mut m, id(4), 1, t(3));
+        push(&mut heap, &mut m, id(9), 1, t(1));
+        assert_eq!(pop(&mut heap, &mut m, |_| 1), Some(id(9)));
+        assert_eq!(pop(&mut heap, &mut m, |_| 1), Some(id(4)));
+        assert_eq!(pop(&mut heap, &mut m, |_| 1), Some(id(7)));
     }
 
     #[test]
     fn victim_heap_reinsert_supersedes_old_entry() {
-        let mut heap = VictimHeap::new();
-        heap.insert(id(1), 10u64, t(0));
-        heap.insert(id(1), 2, t(5)); // became idle again with a new key
-        assert_eq!(heap.len(), 1);
-        assert_eq!(heap.pop_min_with(|_| 2), Some(id(1)));
-        assert!(heap.pop_min_with(|_| 2).is_none());
+        let (mut heap, mut m) = (VictimHeap::new(), Members::new());
+        push(&mut heap, &mut m, id(1), 10, t(0));
+        push(&mut heap, &mut m, id(1), 2, t(5)); // became idle again with a new key
+        assert_eq!(m.len(), 1);
+        assert_eq!(pop(&mut heap, &mut m, |_| 2), Some(id(1)));
+        assert!(pop(&mut heap, &mut m, |_| 2).is_none());
+    }
+
+    #[test]
+    fn victim_heap_sheds_stale_entries_once_they_outnumber_the_live() {
+        let (mut heap, mut m) = (VictimHeap::new(), Members::new());
+        // Ten members re-queued a thousand times each, never popped: the
+        // pattern of a pool that serves warm hits and never evicts.
+        for round in 0..1_000u64 {
+            for i in 0..10 {
+                heap.shed_stale_with(m.len(), |id, gen| m.get(&id) == Some(&gen));
+                push(&mut heap, &mut m, id(i), round, t(round));
+            }
+        }
+        assert!(heap.len() <= 2 * 10 + 64 + 1, "heap holds {}", heap.len());
+        // Shedding changed nothing a pop can see.
+        for i in 0..10 {
+            assert_eq!(pop(&mut heap, &mut m, |_| 999), Some(id(i)));
+        }
+        assert_eq!(pop(&mut heap, &mut m, |_| 999), None);
+        assert!(heap.is_empty());
+    }
+
+    #[test]
+    fn victim_heap_clear_forgets_every_entry() {
+        let (mut heap, mut m) = (VictimHeap::new(), Members::new());
+        push(&mut heap, &mut m, id(1), 10, t(0));
+        heap.clear();
+        assert!(pop(&mut heap, &mut m, |_| 10).is_none(), "entry is gone");
+        // Rebuilt at a *lower* key than before: pops at that key.
+        push(&mut heap, &mut m, id(1), 4, t(0));
+        assert_eq!(pop(&mut heap, &mut m, |_| 4), Some(id(1)));
     }
 }

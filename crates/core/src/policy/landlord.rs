@@ -13,10 +13,11 @@
 //! the state of all the cached containers, and not independently applied."
 
 use crate::container::{Container, ContainerId};
-use crate::policy::index::{OrderedIdleSet, TotalF64};
+use crate::policy::index::TotalF64;
 use crate::policy::KeepAlivePolicy;
+use faascache_util::idmap::IdMap;
 use faascache_util::{MemMb, SimTime};
-use std::collections::HashMap;
+use std::collections::BTreeSet;
 
 /// Incremental eviction order for Landlord, using the classic *offset*
 /// formulation of the algorithm (often written `L` in analyses of
@@ -43,12 +44,44 @@ use std::collections::HashMap;
 #[derive(Debug, Default)]
 struct LandlordIndex {
     /// Idle containers ordered by `(key, last_used, id)` — matching the
-    /// naive path's `(used, id)` order within a zero-credit group.
-    set: OrderedIdleSet<TotalF64>,
-    /// Size (MB, ≥ 1) of each idle member, for effective-credit recovery.
-    sizes: HashMap<ContainerId, f64>,
+    /// naive path's `(used, id)` order within a zero-credit group. The key
+    /// an entry is filed under lives in its [`Tenancy`].
+    order: BTreeSet<(TotalF64, SimTime, ContainerId)>,
     /// Cumulative rent charged per MB so far.
     offset: f64,
+}
+
+impl LandlordIndex {
+    /// Takes the container out of the eviction order if it is filed there.
+    fn unfile(&mut self, id: ContainerId, tenancy: &mut Tenancy) {
+        if let Some((key, last_used)) = tenancy.filed.take() {
+            self.order.remove(&(key, last_used, id));
+        }
+    }
+}
+
+/// What the policy keeps per resident container — its only table keyed by
+/// [`ContainerId`].
+#[derive(Debug, Clone, Copy)]
+struct Tenancy {
+    /// Credit as of the last use or the last committed naive rent round.
+    credit: f64,
+    /// Size (MB, ≥ 1), for effective-credit recovery.
+    size: f64,
+    /// `(key, last_used)` the container is filed under in
+    /// [`LandlordIndex::order`] while it sits idle there.
+    filed: Option<(TotalF64, SimTime)>,
+}
+
+impl Tenancy {
+    /// A tenancy at full credit (the cost), not filed.
+    fn new(container: &Container) -> Self {
+        Tenancy {
+            credit: Landlord::cost(container),
+            size: Landlord::size_of(container),
+            filed: None,
+        }
+    }
 }
 
 /// The Landlord keep-alive policy (`LND` in the paper's figures).
@@ -61,7 +94,7 @@ struct LandlordIndex {
 /// ```
 #[derive(Debug)]
 pub struct Landlord {
-    credits: HashMap<ContainerId, f64>,
+    tenancies: IdMap<ContainerId, Tenancy>,
     index: Option<LandlordIndex>,
 }
 
@@ -69,7 +102,7 @@ impl Landlord {
     /// Creates the policy (incremental eviction index).
     pub fn new() -> Self {
         Landlord {
-            credits: HashMap::new(),
+            tenancies: IdMap::default(),
             index: Some(LandlordIndex::default()),
         }
     }
@@ -77,7 +110,7 @@ impl Landlord {
     /// Creates the policy with the naive rent-round eviction path.
     pub fn naive() -> Self {
         Landlord {
-            credits: HashMap::new(),
+            tenancies: IdMap::default(),
             index: None,
         }
     }
@@ -88,13 +121,11 @@ impl Landlord {
     /// *effective* credit `(key - offset) * size`, which already accounts
     /// for all rent charged since the container went idle.
     pub fn credit(&self, id: ContainerId) -> Option<f64> {
-        if let Some(index) = self.index.as_ref() {
-            if let Some(key) = index.set.key_of(id) {
-                let size = index.sizes.get(&id).copied().unwrap_or(1.0);
-                return Some(((key.0 - index.offset) * size).max(0.0));
-            }
+        let tenancy = self.tenancies.get(&id)?;
+        match (self.index.as_ref(), tenancy.filed) {
+            (Some(index), Some((key, _))) => Some(((key.0 - index.offset) * tenancy.size).max(0.0)),
+            _ => Some(tenancy.credit),
         }
-        self.credits.get(&id).copied()
     }
 
     fn cost(container: &Container) -> f64 {
@@ -108,24 +139,18 @@ impl Landlord {
     }
 
     fn index_insert(&mut self, container: &Container) {
-        let credit = self
-            .credits
-            .get(&container.id())
-            .copied()
-            .unwrap_or_else(|| Self::cost(container));
-        let size = Self::size_of(container);
-        if let Some(index) = self.index.as_mut() {
-            let key = TotalF64(index.offset + credit / size);
-            index.sizes.insert(container.id(), size);
-            index.set.insert(container.id(), key, container.last_used());
-        }
-    }
-
-    fn index_remove(&mut self, id: ContainerId) {
-        if let Some(index) = self.index.as_mut() {
-            index.set.remove(id);
-            index.sizes.remove(&id);
-        }
+        let Some(index) = self.index.as_mut() else {
+            return;
+        };
+        let id = container.id();
+        let tenancy = self
+            .tenancies
+            .entry(id)
+            .or_insert_with(|| Tenancy::new(container));
+        index.unfile(id, tenancy);
+        let key = TotalF64(index.offset + tenancy.credit / tenancy.size);
+        index.order.insert((key, container.last_used(), id));
+        tenancy.filed = Some((key, container.last_used()));
     }
 }
 
@@ -143,12 +168,19 @@ impl KeepAlivePolicy for Landlord {
     fn on_warm_start(&mut self, container: &Container, _now: SimTime) {
         // Credit refresh: Landlord permits any value in [current, cost];
         // taking the maximum (the cost) is the standard instantiation.
-        self.index_remove(container.id());
-        self.credits.insert(container.id(), Self::cost(container));
+        let tenancy = self
+            .tenancies
+            .entry(container.id())
+            .or_insert_with(|| Tenancy::new(container));
+        if let Some(index) = self.index.as_mut() {
+            index.unfile(container.id(), tenancy);
+        }
+        tenancy.credit = Self::cost(container);
     }
 
     fn on_container_created(&mut self, container: &Container, _now: SimTime, prewarm: bool) {
-        self.credits.insert(container.id(), Self::cost(container));
+        self.tenancies
+            .insert(container.id(), Tenancy::new(container));
         if prewarm {
             self.index_insert(container);
         }
@@ -167,10 +199,9 @@ impl KeepAlivePolicy for Landlord {
             .iter()
             .map(|c| {
                 let credit = self
-                    .credits
+                    .tenancies
                     .get(&c.id())
-                    .copied()
-                    .unwrap_or_else(|| Self::cost(c));
+                    .map_or_else(|| Self::cost(c), |t| t.credit);
                 (c, credit)
             })
             .collect();
@@ -210,15 +241,21 @@ impl KeepAlivePolicy for Landlord {
         // Commit the surviving candidates' reduced credits.
         for (c, credit) in local {
             if !victims.contains(&c.id()) {
-                self.credits.insert(c.id(), credit);
+                self.tenancies
+                    .entry(c.id())
+                    .or_insert_with(|| Tenancy::new(c))
+                    .credit = credit;
             }
         }
         victims
     }
 
     fn on_evicted(&mut self, container: &Container, _remaining: usize, _now: SimTime) {
-        self.credits.remove(&container.id());
-        self.index_remove(container.id());
+        if let (Some(mut tenancy), Some(index)) =
+            (self.tenancies.remove(&container.id()), self.index.as_mut())
+        {
+            index.unfile(container.id(), &mut tenancy);
+        }
     }
 
     fn supports_incremental(&self) -> bool {
@@ -226,19 +263,21 @@ impl KeepAlivePolicy for Landlord {
     }
 
     fn peek_victim(&mut self) -> Option<ContainerId> {
-        self.index.as_ref()?.set.first().map(|(_, _, id)| id)
+        self.index.as_ref()?.order.first().map(|&(_, _, id)| id)
     }
 
     fn pop_victim(&mut self) -> Option<ContainerId> {
         let index = self.index.as_mut()?;
-        let (key, _, id) = index.set.pop_first()?;
+        let (key, _, id) = index.order.pop_first()?;
         // Advancing the offset to the popped key implicitly charges every
         // surviving idle container the rent that drove this victim's
         // credit to zero.
         if key.0 > index.offset {
             index.offset = key.0;
         }
-        index.sizes.remove(&id);
+        if let Some(tenancy) = self.tenancies.get_mut(&id) {
+            tenancy.filed = None;
+        }
         Some(id)
     }
 

@@ -5,11 +5,12 @@
 //! container is terminated.
 
 use crate::container::{Container, ContainerId};
+use crate::fn_table::FnTable;
 use crate::function::FunctionId;
 use crate::policy::index::VictimHeap;
 use crate::policy::{take_until_freed, KeepAlivePolicy};
+use faascache_util::idmap::IdMap;
 use faascache_util::{MemMb, SimTime};
-use std::collections::HashMap;
 
 /// Incremental eviction order for LFU.
 ///
@@ -21,8 +22,9 @@ use std::collections::HashMap;
 #[derive(Debug, Default)]
 struct LfuIndex {
     heap: VictimHeap<u64>,
-    /// Function of each idle member, for key recomputation on pop.
-    function_of: HashMap<ContainerId, FunctionId>,
+    /// Each idle member's function (for key recomputation on pop) and the
+    /// generation of its authoritative heap entry.
+    members: IdMap<ContainerId, (FunctionId, u64)>,
 }
 
 /// Least-frequently-used keep-alive policy.
@@ -35,7 +37,8 @@ struct LfuIndex {
 /// ```
 #[derive(Debug)]
 pub struct Lfu {
-    freq: HashMap<FunctionId, u64>,
+    /// Invocations per function (0 ≡ never seen or fully evicted).
+    freq: FnTable<u64>,
     index: Option<LfuIndex>,
 }
 
@@ -43,7 +46,7 @@ impl Lfu {
     /// Creates the policy (incremental eviction index).
     pub fn new() -> Self {
         Lfu {
-            freq: HashMap::new(),
+            freq: FnTable::default(),
             index: Some(LfuIndex::default()),
         }
     }
@@ -51,30 +54,52 @@ impl Lfu {
     /// Creates the policy with the naive sort-based eviction path.
     pub fn naive() -> Self {
         Lfu {
-            freq: HashMap::new(),
+            freq: FnTable::default(),
             index: None,
         }
     }
 
     /// Current frequency of a function.
     pub fn frequency(&self, function: FunctionId) -> u64 {
-        self.freq.get(&function).copied().unwrap_or(0)
+        self.freq.value(function)
     }
 
     fn bump(&mut self, function: FunctionId) {
-        *self.freq.entry(function).or_insert(0) += 1;
+        *self.freq.slot(function) += 1;
     }
 
     fn index_insert(&mut self, container: &Container) {
         let key = self.frequency(container.function());
-        if let Some(index) = self.index.as_mut() {
-            index
-                .function_of
-                .insert(container.id(), container.function());
-            index
-                .heap
-                .insert(container.id(), key, container.last_used());
+        if let Some(LfuIndex { heap, members }) = self.index.as_mut() {
+            heap.shed_stale_with(members.len(), |id, gen| {
+                members.get(&id).is_some_and(|&(_, live)| live == gen)
+            });
+            let gen = heap.push(container.id(), key, container.last_used());
+            members.insert(container.id(), (container.function(), gen));
         }
+    }
+
+    fn index_remove(&mut self, id: ContainerId) {
+        if let Some(index) = self.index.as_mut() {
+            // The heap entry goes stale and is discarded when it surfaces.
+            index.members.remove(&id);
+        }
+    }
+
+    /// The heap's minimum under live frequencies, popped or only peeked.
+    fn next_victim(&mut self, pop: bool) -> Option<ContainerId> {
+        let freq = &self.freq;
+        let LfuIndex { heap, members } = self.index.as_mut()?;
+        let live_key = |id: ContainerId, gen: u64| match members.get(&id) {
+            Some(&(function, live)) if live == gen => Some(freq.value(function)),
+            _ => None,
+        };
+        if !pop {
+            return heap.peek_min_with(live_key);
+        }
+        let id = heap.pop_min_with(live_key)?;
+        members.remove(&id);
+        Some(id)
     }
 }
 
@@ -91,10 +116,7 @@ impl KeepAlivePolicy for Lfu {
 
     fn on_warm_start(&mut self, container: &Container, _now: SimTime) {
         self.bump(container.function());
-        if let Some(index) = self.index.as_mut() {
-            index.heap.remove(container.id());
-            index.function_of.remove(&container.id());
-        }
+        self.index_remove(container.id());
     }
 
     fn on_container_created(&mut self, container: &Container, _now: SimTime, prewarm: bool) {
@@ -121,12 +143,11 @@ impl KeepAlivePolicy for Lfu {
 
     fn on_evicted(&mut self, container: &Container, remaining_of_function: usize, _now: SimTime) {
         if remaining_of_function == 0 {
-            self.freq.remove(&container.function());
+            if let Some(freq) = self.freq.get_mut(container.function()) {
+                *freq = 0;
+            }
         }
-        if let Some(index) = self.index.as_mut() {
-            index.heap.remove(container.id());
-            index.function_of.remove(&container.id());
-        }
+        self.index_remove(container.id());
     }
 
     fn supports_incremental(&self) -> bool {
@@ -134,29 +155,11 @@ impl KeepAlivePolicy for Lfu {
     }
 
     fn peek_victim(&mut self) -> Option<ContainerId> {
-        let freq = &self.freq;
-        let LfuIndex { heap, function_of } = self.index.as_mut()?;
-        heap.peek_min_with(|id| {
-            function_of
-                .get(&id)
-                .and_then(|f| freq.get(f))
-                .copied()
-                .unwrap_or(0)
-        })
+        self.next_victim(false)
     }
 
     fn pop_victim(&mut self) -> Option<ContainerId> {
-        let freq = &self.freq;
-        let LfuIndex { heap, function_of } = self.index.as_mut()?;
-        let id = heap.pop_min_with(|id| {
-            function_of
-                .get(&id)
-                .and_then(|f| freq.get(f))
-                .copied()
-                .unwrap_or(0)
-        })?;
-        function_of.remove(&id);
-        Some(id)
+        self.next_victim(true)
     }
 
     fn priority_of(&self, container: &Container) -> Option<f64> {

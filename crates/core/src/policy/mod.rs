@@ -15,6 +15,7 @@
 
 use crate::container::{Container, ContainerId};
 use crate::function::{FunctionId, FunctionSpec};
+use faascache_util::idmap::IdMap;
 use faascache_util::{MemMb, SimDuration, SimTime};
 use std::fmt;
 use std::str::FromStr;
@@ -89,7 +90,7 @@ pub trait KeepAlivePolicy: fmt::Debug + Send {
     /// popped ids outside `idle` are discarded. Non-incremental policies
     /// must override this method.
     fn select_victims(&mut self, idle: &[&Container], needed: MemMb) -> Vec<ContainerId> {
-        let mut candidates: std::collections::HashMap<ContainerId, MemMb> =
+        let mut candidates: IdMap<ContainerId, MemMb> =
             idle.iter().map(|c| (c.id(), c.mem())).collect();
         let mut victims = Vec::new();
         let mut freed = MemMb::ZERO;

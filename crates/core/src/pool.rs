@@ -10,11 +10,24 @@
 //!
 //! # Indexed hot path
 //!
-//! The pool maintains a persistent idle-set index: per-function idle
-//! containers ordered by recency (warm-path pick is a `BTreeSet::last`),
-//! a pool-wide idle registry in id order, and a running idle-memory
-//! counter. `warm_mem`/`warm_count`/`warm_count_of`/`running_count` are
-//! O(1), and when the policy supports incremental victim selection
+//! Both key types the pool looks things up by are dense integers it (or
+//! the registry) mints itself, so nothing on the invocation path hashes
+//! with `std`'s SipHash:
+//!
+//! - `containers` is an [`IdMap`] (one multiplication per lookup) and each
+//!   of `acquire`, `release` and an eviction looks its container up once;
+//! - per-function state lives in dense tables (`Vec`s, grown on demand,
+//!   empty slot ≡ absent) indexed by [`FunctionId::index`]: the resident count, and the function's idle
+//!   containers as a `Vec` sorted by `(last_used, id)` that keeps its
+//!   capacity (most functions hold one to three), so the warm-path pick is
+//!   `last()` and a warm cycle allocates nothing;
+//! - running idle-count and idle-memory counters make
+//!   `warm_mem`/`warm_count`/`warm_count_of`/`running_count` O(1). No
+//!   id-ordered registry of idle containers is kept up to date: the naive
+//!   reference path, which ranks the whole idle set on every round anyway,
+//!   collects and sorts its own snapshot.
+//!
+//! When the policy supports incremental victim selection
 //! ([`KeepAlivePolicy::supports_incremental`]) evictions, expiry sweeps,
 //! and resizes pop victims one at a time — O(log n) each — instead of
 //! materializing and sorting a `Vec<&Container>` snapshot of the idle set.
@@ -30,10 +43,12 @@
 //! every index key.
 
 use crate::container::{Container, ContainerId};
+use crate::fn_table::FnTable;
 use crate::function::{FunctionId, FunctionSpec};
 use crate::policy::KeepAlivePolicy;
+use faascache_util::idmap::IdMap;
 use faascache_util::{MemMb, SimTime};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 /// Observer of per-tenant resident-memory changes.
@@ -173,16 +188,10 @@ pub struct PoolCounters {
 pub struct ContainerPool {
     config: PoolConfig,
     policy: Box<dyn KeepAlivePolicy>,
-    containers: HashMap<ContainerId, Container>,
-    by_function: HashMap<FunctionId, Vec<ContainerId>>,
-    /// Idle containers per function, ordered by `(last_used, id)`; the
-    /// warm-path pick is the set's maximum.
-    idle_by_fn: HashMap<FunctionId, BTreeSet<(SimTime, ContainerId)>>,
-    /// Every idle container, in the canonical (ascending id) order policy
-    /// snapshots are handed out in.
-    idle_ids: BTreeSet<ContainerId>,
-    /// Memory held by idle containers, maintained incrementally.
-    idle_mem: MemMb,
+    containers: IdMap<ContainerId, Container>,
+    /// Resident (warm + running) containers per function.
+    resident_of: FnTable<u32>,
+    idle: IdleIndex,
     used: MemMb,
     next_id: u64,
     counters: PoolCounters,
@@ -210,11 +219,9 @@ impl ContainerPool {
         ContainerPool {
             config,
             policy,
-            containers: HashMap::new(),
-            by_function: HashMap::new(),
-            idle_by_fn: HashMap::new(),
-            idle_ids: BTreeSet::new(),
-            idle_mem: MemMb::ZERO,
+            containers: IdMap::default(),
+            resident_of: FnTable::default(),
+            idle: IdleIndex::default(),
             used: MemMb::ZERO,
             next_id: 0,
             counters: PoolCounters::default(),
@@ -242,7 +249,7 @@ impl ContainerPool {
 
     /// Memory held by idle (warm) containers only. O(1).
     pub fn warm_mem(&self) -> MemMb {
-        self.idle_mem
+        self.idle.mem
     }
 
     /// Number of resident containers.
@@ -257,22 +264,23 @@ impl ContainerPool {
 
     /// Number of containers currently running an invocation. O(1).
     pub fn running_count(&self) -> usize {
-        self.containers.len() - self.idle_ids.len()
+        self.containers.len() - self.idle.count
     }
 
     /// Number of idle (warm) containers across all functions. O(1).
     pub fn warm_count(&self) -> usize {
-        self.idle_ids.len()
+        self.idle.count
     }
 
     /// Number of idle (warm) containers of `function`. O(1).
     pub fn warm_count_of(&self, function: FunctionId) -> usize {
-        self.idle_by_fn.get(&function).map_or(0, |set| set.len())
+        self.idle.of(function).len()
     }
 
-    /// Iterates over idle container ids in ascending order.
+    /// Iterates over idle container ids in ascending order (collected and
+    /// sorted per call: a diagnostic view, not an invocation-path one).
     pub fn idle_ids(&self) -> impl Iterator<Item = ContainerId> + '_ {
-        self.idle_ids.iter().copied()
+        idle_refs(&self.containers).into_iter().map(|c| c.id())
     }
 
     /// Looks up a resident container.
@@ -315,14 +323,15 @@ impl ContainerPool {
         self.policy.on_request(spec, now);
 
         // Warm path: most recently used idle container of this function.
-        if let Some(id) = self.pick_warm(spec.id()) {
+        if let Some(id) = self.idle.most_recent_of(spec.id()) {
+            let c = self
+                .containers
+                .get_mut(&id)
+                .expect("indexed idle container");
             // Leave the idle index before `begin_invocation` changes the
             // `last_used` the index entry is keyed under.
-            self.unmark_idle(id);
-            let until = now + spec.warm_time();
-            let c = self.containers.get_mut(&id).expect("picked resident");
-            c.begin_invocation(now, until);
-            let c = &self.containers[&id];
+            self.idle.unmark(c);
+            c.begin_invocation(now, now + spec.warm_time());
             self.policy.on_warm_start(c, now);
             bump(&mut self.counters.warm_starts);
             return Acquire::Warm { container: id };
@@ -338,10 +347,7 @@ impl ContainerPool {
             bump(&mut self.counters.drops);
             return Acquire::NoCapacity;
         }
-        let id = self.insert_container(spec, now, false);
-        let until = now + spec.cold_time();
-        let c = self.containers.get_mut(&id).expect("just inserted");
-        c.begin_invocation(now, until);
+        let id = self.insert_container(spec, now, Some(now + spec.cold_time()));
         bump(&mut self.counters.cold_starts);
         Acquire::Cold {
             container: id,
@@ -359,9 +365,11 @@ impl ContainerPool {
             .containers
             .get_mut(&id)
             .expect("releasing a non-resident container");
+        // A second release would re-run `on_finish` on an idle container
+        // and re-key it in the policy's index.
+        assert!(!c.is_idle(), "releasing a container that is not running");
         c.finish_invocation();
-        self.mark_idle(id);
-        let c = &self.containers[&id];
+        self.idle.mark(c);
         self.policy.on_finish(c, now);
     }
 
@@ -378,13 +386,11 @@ impl ContainerPool {
             }
             expired.sort_unstable();
             for &id in &expired {
-                if self.containers.get(&id).is_some_and(|c| c.is_idle()) {
-                    self.evict(id, now);
-                }
+                self.evict(id, now);
             }
             return expired;
         }
-        let idle = idle_refs(&self.containers, &self.idle_ids);
+        let idle = idle_refs(&self.containers);
         let expired = self.policy.expired(&idle, now);
         drop(idle);
         for &id in &expired {
@@ -407,7 +413,7 @@ impl ContainerPool {
         if self.warm_count_of(spec.id()) > 0 || self.free_mem() < spec.mem() {
             return None;
         }
-        let id = self.insert_container(spec, now, true);
+        let id = self.insert_container(spec, now, None);
         bump(&mut self.counters.prewarms);
         Some(id)
     }
@@ -422,31 +428,10 @@ impl ContainerPool {
     /// warm set, it does not destroy it, and the conservation invariants
     /// callers check must not see phantom evictions.
     pub fn extract_idle_of(&mut self, function: FunctionId, now: SimTime) -> Vec<Container> {
-        let ids: Vec<ContainerId> = self
-            .idle_by_fn
-            .get(&function)
-            .map(|set| set.iter().map(|&(_, id)| id).collect())
-            .unwrap_or_default();
+        let ids: Vec<ContainerId> = self.idle.of(function).iter().map(|&(_, id)| id).collect();
         let mut out = Vec::with_capacity(ids.len());
         for id in ids {
-            self.unmark_idle(id);
-            let container = self.containers.remove(&id).expect("indexed idle container");
-            debug_assert!(container.is_idle());
-            self.used -= container.mem();
-            self.ledger
-                .container_removed(container.tenant(), container.mem());
-            let remaining = {
-                let ids = self
-                    .by_function
-                    .get_mut(&container.function())
-                    .expect("function index entry exists");
-                ids.retain(|&x| x != id);
-                let remaining = ids.len();
-                if remaining == 0 {
-                    self.by_function.remove(&container.function());
-                }
-                remaining
-            };
+            let (container, remaining) = self.remove_idle(id).expect("indexed idle container");
             self.policy.on_evicted(&container, remaining, now);
             out.push(container);
         }
@@ -480,12 +465,9 @@ impl ContainerPool {
         // The prewarm flag makes policies index the container as
         // born-idle (no frequency credit until an invocation lands).
         self.policy.on_container_created(&container, now, true);
-        self.by_function
-            .entry(container.function())
-            .or_default()
-            .push(id);
+        *self.resident_of.slot(container.function()) += 1;
+        self.idle.mark(&container);
         self.containers.insert(id, container);
-        self.mark_idle(id);
         Ok(id)
     }
 
@@ -501,9 +483,7 @@ impl ContainerPool {
                 let Some(id) = self.policy.pop_victim() else {
                     break;
                 };
-                // Guard against stale or running ids.
-                if self.containers.get(&id).is_some_and(|c| c.is_idle()) {
-                    self.evict(id, now);
+                if self.evict(id, now) {
                     all_evicted.push(id);
                 }
             }
@@ -511,7 +491,7 @@ impl ContainerPool {
         }
         while self.used > self.config.capacity {
             let overshoot = self.used - self.config.capacity;
-            let idle = idle_refs(&self.containers, &self.idle_ids);
+            let idle = idle_refs(&self.containers);
             if idle.is_empty() {
                 break;
             }
@@ -522,9 +502,7 @@ impl ContainerPool {
             }
             let mut progressed = false;
             for id in victims {
-                // Guard against policies returning stale or running ids.
-                if self.containers.get(&id).is_some_and(|c| c.is_idle()) {
-                    self.evict(id, now);
+                if self.evict(id, now) {
                     all_evicted.push(id);
                     progressed = true;
                 }
@@ -534,51 +512,6 @@ impl ContainerPool {
             }
         }
         all_evicted
-    }
-
-    /// Most recently used idle container of `function`: the maximum of its
-    /// `(last_used, id)`-ordered idle set. O(log n).
-    fn pick_warm(&self, function: FunctionId) -> Option<ContainerId> {
-        self.idle_by_fn
-            .get(&function)
-            .and_then(|set| set.last())
-            .map(|&(_, id)| id)
-    }
-
-    /// Registers a container as idle. Must be called while the container's
-    /// `last_used` is the value it will keep for the idle period.
-    fn mark_idle(&mut self, id: ContainerId) {
-        let (mem, function, last_used) = {
-            let c = &self.containers[&id];
-            debug_assert!(c.is_idle(), "marking a running container idle");
-            (c.mem(), c.function(), c.last_used())
-        };
-        if self.idle_ids.insert(id) {
-            self.idle_mem += mem;
-            self.idle_by_fn
-                .entry(function)
-                .or_default()
-                .insert((last_used, id));
-        }
-    }
-
-    /// Removes a container from the idle index. Must be called *before*
-    /// `begin_invocation` mutates `last_used` (the per-function key) and
-    /// before the container is dropped from the pool.
-    fn unmark_idle(&mut self, id: ContainerId) {
-        if self.idle_ids.remove(&id) {
-            let (mem, function, last_used) = {
-                let c = &self.containers[&id];
-                (c.mem(), c.function(), c.last_used())
-            };
-            self.idle_mem -= mem;
-            if let Some(set) = self.idle_by_fn.get_mut(&function) {
-                set.remove(&(last_used, id));
-                if set.is_empty() {
-                    self.idle_by_fn.remove(&function);
-                }
-            }
-        }
     }
 
     /// Evicts idle containers (policy order) until at least `needed` memory
@@ -601,9 +534,7 @@ impl ContainerPool {
                 let Some(id) = self.policy.pop_victim() else {
                     break;
                 };
-                // Guard against stale or running ids.
-                if self.containers.get(&id).is_some_and(|c| c.is_idle()) {
-                    self.evict(id, now);
+                if self.evict(id, now) {
                     evicted.push(id);
                 }
             }
@@ -615,7 +546,7 @@ impl ContainerPool {
                 break;
             }
             let shortfall = target.saturating_sub(free);
-            let idle = idle_refs(&self.containers, &self.idle_ids);
+            let idle = idle_refs(&self.containers);
             if idle.is_empty() {
                 break;
             }
@@ -626,9 +557,7 @@ impl ContainerPool {
             }
             let mut progressed = false;
             for id in victims {
-                // Guard against policies returning stale or running ids.
-                if self.containers.get(&id).is_some_and(|c| c.is_idle()) {
-                    self.evict(id, now);
+                if self.evict(id, now) {
                     evicted.push(id);
                     progressed = true;
                 }
@@ -641,15 +570,18 @@ impl ContainerPool {
         evicted
     }
 
+    /// Creates a container for `spec`: running until `busy_until` (a cold
+    /// start, which begins its invocation at once and enters the idle
+    /// index on release) or, with `None`, born idle (a prewarm).
     fn insert_container(
         &mut self,
         spec: &FunctionSpec,
         now: SimTime,
-        prewarm: bool,
+        busy_until: Option<SimTime>,
     ) -> ContainerId {
         let id = ContainerId::from_raw(self.next_id);
         self.next_id += 1;
-        let container = Container::new(
+        let mut container = Container::new(
             id,
             spec.id(),
             spec.mem(),
@@ -662,60 +594,129 @@ impl ContainerPool {
         self.used += container.mem();
         self.ledger
             .container_added(container.tenant(), container.mem());
-        self.policy.on_container_created(&container, now, prewarm);
-        self.by_function.entry(spec.id()).or_default().push(id);
-        self.containers.insert(id, container);
-        if prewarm {
-            // Cold-start containers begin an invocation immediately and
-            // enter the idle index on release; prewarmed ones are born idle.
-            self.mark_idle(id);
+        self.policy
+            .on_container_created(&container, now, busy_until.is_none());
+        *self.resident_of.slot(spec.id()) += 1;
+        match busy_until {
+            Some(until) => container.begin_invocation(now, until),
+            None => self.idle.mark(&container),
         }
+        self.containers.insert(id, container);
         id
     }
 
-    fn evict(&mut self, id: ContainerId, now: SimTime) {
-        if !self.containers.contains_key(&id) {
-            return;
+    /// Takes an idle container out of the pool's own structures and
+    /// returns it with the number of its function's containers still
+    /// resident. `None`, and nothing changes, when `id` is not resident or
+    /// is running — policies may hand back stale ids, and running
+    /// containers are never killed.
+    fn remove_idle(&mut self, id: ContainerId) -> Option<(Container, usize)> {
+        let Entry::Occupied(entry) = self.containers.entry(id) else {
+            return None;
+        };
+        if !entry.get().is_idle() {
+            return None;
         }
-        self.unmark_idle(id);
-        let container = self.containers.remove(&id).expect("checked above");
-        debug_assert!(
-            container.is_idle(),
-            "attempted to evict a running container"
-        );
+        let container = entry.remove();
+        self.idle.unmark(&container);
         self.used -= container.mem();
         self.ledger
             .container_removed(container.tenant(), container.mem());
-        let remaining = {
-            let ids = self
-                .by_function
-                .get_mut(&container.function())
-                .expect("function index entry exists");
-            ids.retain(|&x| x != id);
-            let remaining = ids.len();
-            if remaining == 0 {
-                self.by_function.remove(&container.function());
-            }
-            remaining
+        let resident = self
+            .resident_of
+            .get_mut(container.function())
+            .expect("resident containers are counted");
+        *resident -= 1;
+        let remaining = *resident as usize;
+        Some((container, remaining))
+    }
+
+    /// Terminates an idle container; `false` when [`Self::remove_idle`]
+    /// declined.
+    fn evict(&mut self, id: ContainerId, now: SimTime) -> bool {
+        let Some((container, remaining)) = self.remove_idle(id) else {
+            return false;
         };
         bump(&mut self.counters.evictions);
         self.policy.on_evicted(&container, remaining, now);
+        true
     }
 }
 
-/// Idle (warm) containers of a pool, collected for a naive-path policy
-/// call.
+/// Sorted `(last_used, id)` keys of one function's idle containers.
+type IdleOrder = Vec<(SimTime, ContainerId)>;
+
+/// Which containers are idle: the pool's persistent idle-set index.
+#[derive(Debug, Default)]
+struct IdleIndex {
+    /// Idle containers per function in ascending `(last_used, id)` order;
+    /// the warm-path pick is the last element. An emptied `Vec` keeps its
+    /// capacity, so the next warm cycle of the function allocates nothing.
+    by_fn: FnTable<IdleOrder>,
+    /// Number of idle containers across all functions.
+    count: usize,
+    /// Memory held by idle containers, maintained incrementally.
+    mem: MemMb,
+}
+
+impl IdleIndex {
+    /// The idle containers of `function`, least recently used first.
+    fn of(&self, function: FunctionId) -> &[(SimTime, ContainerId)] {
+        self.by_fn.get(function).map_or(&[], Vec::as_slice)
+    }
+
+    /// Most recently used idle container of `function` (the higher id
+    /// among equally recent ones).
+    fn most_recent_of(&self, function: FunctionId) -> Option<ContainerId> {
+        self.of(function).last().map(|&(_, id)| id)
+    }
+
+    /// Registers a container as idle; a no-op if it already is. Must be
+    /// called while the container's `last_used` is the value it will keep
+    /// for the idle period.
+    fn mark(&mut self, c: &Container) {
+        debug_assert!(c.is_idle(), "marking a running container idle");
+        let order = self.by_fn.slot(c.function());
+        let key = (c.last_used(), c.id());
+        // Usually the most recent, i.e. an append.
+        let at = order.partition_point(|&k| k < key);
+        if order.get(at) != Some(&key) {
+            order.insert(at, key);
+            self.count += 1;
+            self.mem += c.mem();
+        }
+    }
+
+    /// Removes a container from the idle index; a no-op if it is not in
+    /// it. Must be called *before* `begin_invocation` mutates `last_used`
+    /// (the per-function key).
+    fn unmark(&mut self, c: &Container) {
+        let Some(order) = self.by_fn.get_mut(c.function()) else {
+            return;
+        };
+        let key = (c.last_used(), c.id());
+        // Usually the warm pick, i.e. the last element.
+        let at = order.partition_point(|&k| k < key);
+        if order.get(at) == Some(&key) {
+            order.remove(at);
+            self.count -= 1;
+            self.mem -= c.mem();
+        }
+    }
+}
+
+/// Idle (warm) containers of a pool in canonical (ascending id) order,
+/// collected for a naive-path policy call.
 ///
-/// Canonical (ascending id) order comes straight from the pool's idle-id
-/// registry — no scan over the full container map and no sort. The order
-/// matters: `HashMap` iteration order is per-instance random, and letting
-/// it leak into policy tie-breaking would make simulations
-/// non-reproducible.
-fn idle_refs<'a>(
-    containers: &'a HashMap<ContainerId, Container>,
-    idle_ids: &BTreeSet<ContainerId>,
-) -> Vec<&'a Container> {
-    idle_ids.iter().map(|id| &containers[id]).collect()
+/// The order matters: a hash map's iteration order is an accident of its
+/// insertion history, and letting it leak into policy tie-breaking would
+/// make decisions depend on it. The scan and sort are paid here, by the
+/// reference path that ranks the whole idle set anyway, so that the
+/// invocation path keeps no id-ordered registry up to date.
+fn idle_refs(containers: &IdMap<ContainerId, Container>) -> Vec<&Container> {
+    let mut idle: Vec<&Container> = containers.values().filter(|c| c.is_idle()).collect();
+    idle.sort_unstable_by_key(|c| c.id());
+    idle
 }
 
 #[cfg(test)]
@@ -1230,6 +1231,202 @@ mod tests {
         // Releasing the still-running container must work afterwards.
         pool.release(c0, SimTime::from_secs(3));
         assert_eq!(pool.warm_count_of(ids[0]), 1);
+    }
+
+    fn cold(pool: &mut ContainerPool, spec: &FunctionSpec, at: SimTime) -> ContainerId {
+        match pool.acquire(spec, at) {
+            Acquire::Cold { container, .. } => container,
+            other => panic!("expected a cold start, got {other:?}"),
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not running")]
+    fn double_release_panics() {
+        let (reg, ids) = registry();
+        let mut pool = ContainerPool::new(MemMb::new(1000), Box::new(Lru::new()));
+        let c = cold(&mut pool, reg.spec(ids[0]), SimTime::ZERO);
+        pool.release(c, SimTime::from_secs(1));
+        pool.release(c, SimTime::from_secs(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "non-resident")]
+    fn releasing_an_evicted_container_panics() {
+        let (reg, ids) = registry();
+        let mut pool = ContainerPool::new(MemMb::new(300), Box::new(Lru::new()));
+        let c = cold(&mut pool, reg.spec(ids[0]), SimTime::ZERO);
+        pool.release(c, SimTime::from_secs(1));
+        // c (300 MB) needs the whole pool: `a`'s container is evicted.
+        match pool.acquire(reg.spec(ids[2]), SimTime::from_secs(2)) {
+            Acquire::Cold { evicted, .. } => assert_eq!(evicted, vec![c]),
+            other => panic!("unexpected {other:?}"),
+        }
+        pool.release(c, SimTime::from_secs(3));
+    }
+
+    #[test]
+    fn sparse_function_ids_are_served_and_unseen_ones_count_zero() {
+        let mut reg = FunctionRegistry::new();
+        let ids: Vec<FunctionId> = (0..=5_000)
+            .map(|i| {
+                reg.register(
+                    format!("f{i}"),
+                    MemMb::new(64),
+                    SimDuration::from_millis(10),
+                    SimDuration::from_millis(100),
+                )
+                .unwrap()
+            })
+            .collect();
+        let (lo, hi) = (ids[0], ids[5_000]);
+        assert_eq!((lo.index(), hi.index()), (0, 5_000));
+        for kind in crate::policy::PolicyKind::ALL {
+            let mut pool = ContainerPool::new(MemMb::new(128), kind.build());
+            assert_eq!(pool.warm_count_of(hi), 0, "{kind}: nothing seen yet");
+            let c_hi = cold(&mut pool, reg.spec(hi), SimTime::ZERO);
+            let c_lo = cold(&mut pool, reg.spec(lo), SimTime::ZERO);
+            pool.release(c_hi, SimTime::from_secs(1));
+            pool.release(c_lo, SimTime::from_secs(1));
+            assert_eq!(pool.warm_count_of(hi), 1, "{kind}");
+            assert_eq!(pool.warm_count_of(lo), 1, "{kind}");
+            assert_eq!(pool.warm_count_of(ids[2_500]), 0, "{kind}: between the two");
+            assert_eq!(
+                pool.warm_count_of(FunctionId::from_index(9_999)),
+                0,
+                "{kind}: beyond anything seen"
+            );
+            assert_eq!(
+                pool.acquire(reg.spec(hi), SimTime::from_secs(2)),
+                Acquire::Warm { container: c_hi },
+                "{kind}"
+            );
+            // A third function forces an eviction through the policy.
+            assert!(pool
+                .acquire(reg.spec(ids[2_500]), SimTime::from_secs(3))
+                .is_cold());
+            assert_eq!(pool.warm_count_of(lo), 0, "{kind}: evicted");
+            assert_eq!(pool.counters().evictions, 1, "{kind}");
+        }
+    }
+
+    #[test]
+    fn warm_pick_among_equally_recent_takes_the_higher_id() {
+        let (reg, ids) = registry();
+        let mut pool = ContainerPool::new(MemMb::new(1000), Box::new(Lru::new()));
+        // Three containers of `a` begin at the same instant: equal
+        // `last_used`, so the id decides.
+        let t0 = SimTime::ZERO;
+        let cs: Vec<ContainerId> = (0..3)
+            .map(|_| cold(&mut pool, reg.spec(ids[0]), t0))
+            .collect();
+        // Release out of id order; the index orders by key, not arrival.
+        for &i in &[1usize, 2, 0] {
+            pool.release(cs[i], SimTime::from_secs(1));
+        }
+        for &expected in cs.iter().rev() {
+            assert_eq!(
+                pool.acquire(reg.spec(ids[0]), SimTime::from_secs(2)),
+                Acquire::Warm {
+                    container: expected
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn extract_adopt_round_trip_keeps_per_function_order() {
+        let (reg, ids) = registry();
+        let mut src = ContainerPool::new(MemMb::new(1000), Box::new(Lru::new()));
+        let mut dst = ContainerPool::new(MemMb::new(1000), Box::new(Lru::new()));
+        // Four idle containers of `a` with last_used 0, 1, 2, 3 s.
+        let cs: Vec<ContainerId> = (0..4)
+            .map(|t| cold(&mut src, reg.spec(ids[0]), SimTime::from_secs(t)))
+            .collect();
+        for &c in cs.iter().rev() {
+            src.release(c, SimTime::from_secs(10));
+        }
+        let moved = src.extract_idle_of(ids[0], SimTime::from_secs(20));
+        let used: Vec<SimTime> = moved.iter().map(|c| c.last_used()).collect();
+        assert_eq!(
+            used,
+            (0..4).map(SimTime::from_secs).collect::<Vec<_>>(),
+            "extracted least recently used first"
+        );
+        // Adopt in reverse: the destination re-sorts by (last_used, id).
+        for c in moved.into_iter().rev() {
+            dst.adopt(c, SimTime::from_secs(21)).unwrap();
+        }
+        assert_eq!(dst.warm_count_of(ids[0]), 4);
+        let again = dst.extract_idle_of(ids[0], SimTime::from_secs(22));
+        let used: Vec<SimTime> = again.iter().map(|c| c.last_used()).collect();
+        assert_eq!(used, (0..4).map(SimTime::from_secs).collect::<Vec<_>>());
+        assert_eq!(dst.warm_count(), 0);
+        assert_eq!(dst.warm_mem(), MemMb::ZERO);
+        // And the warm pick on a pool that adopted them is the most recent.
+        for c in again {
+            src.adopt(c, SimTime::from_secs(23)).unwrap();
+        }
+        let picked = match src.acquire(reg.spec(ids[0]), SimTime::from_secs(24)) {
+            Acquire::Warm { container } => container,
+            other => panic!("unexpected {other:?}"),
+        };
+        assert_eq!(src.container(picked).unwrap().uses(), 2, "served twice");
+        assert_eq!(src.warm_count_of(ids[0]), 3);
+    }
+
+    #[test]
+    fn idle_index_keeps_each_function_sorted_and_its_capacity() {
+        let f = FunctionId::from_index(3);
+        let idle_container = |id: u64, used: u64| {
+            Container::new(
+                ContainerId::from_raw(id),
+                f,
+                MemMb::new(10),
+                SimDuration::ZERO,
+                SimDuration::ZERO,
+                None,
+                SimTime::from_secs(used),
+            )
+        };
+        let mut idle = IdleIndex::default();
+        assert!(idle.of(f).is_empty());
+        assert_eq!(idle.most_recent_of(f), None);
+        let cs = [
+            idle_container(7, 5),
+            idle_container(2, 9),
+            idle_container(4, 5),
+            idle_container(9, 1),
+        ];
+        for c in &cs {
+            idle.mark(c);
+            idle.mark(c); // idempotent
+        }
+        let keys: Vec<(u64, u64)> = idle
+            .of(f)
+            .iter()
+            .map(|&(t, id)| (t.as_micros() / 1_000_000, id.as_raw()))
+            .collect();
+        assert_eq!(keys, vec![(1, 9), (5, 4), (5, 7), (9, 2)]);
+        assert_eq!(idle.most_recent_of(f), Some(ContainerId::from_raw(2)));
+        assert_eq!(idle.mem, MemMb::new(40));
+        // Remove from the middle, the front and the back.
+        idle.unmark(&cs[2]);
+        idle.unmark(&cs[3]);
+        idle.unmark(&cs[1]);
+        idle.unmark(&cs[1]); // idempotent
+        assert_eq!(
+            idle.of(f),
+            &[(SimTime::from_secs(5), ContainerId::from_raw(7))]
+        );
+        idle.unmark(&cs[0]);
+        assert!(idle.of(f).is_empty());
+        assert_eq!(idle.count, 0);
+        assert_eq!(idle.mem, MemMb::ZERO);
+        // Empty ≡ absent, but the slot's allocation is kept for the next
+        // warm cycle.
+        assert!(idle.by_fn.get(f).unwrap().capacity() >= 4);
+        assert_eq!(idle.most_recent_of(FunctionId::from_index(0)), None);
     }
 
     #[test]

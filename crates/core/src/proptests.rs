@@ -34,6 +34,16 @@ fn script_strategy() -> impl Strategy<Value = PoolScript> {
 }
 
 fn run_script(pool: &mut ContainerPool, script: &PoolScript) -> (u64, u64, u64) {
+    run_script_checked(pool, script, |_, _| {})
+}
+
+/// [`run_script`], calling `after_op(pool, function ids)` after every
+/// release and every acquire.
+fn run_script_checked(
+    pool: &mut ContainerPool,
+    script: &PoolScript,
+    mut after_op: impl FnMut(&ContainerPool, &[crate::function::FunctionId]),
+) -> (u64, u64, u64) {
     let mut reg = FunctionRegistry::new();
     let ids: Vec<_> = script
         .sizes
@@ -57,6 +67,7 @@ fn run_script(pool: &mut ContainerPool, script: &PoolScript) -> (u64, u64, u64) 
         running.retain(|&(until, id)| {
             if until <= now {
                 pool.release(id, until);
+                after_op(pool, &ids);
                 false
             } else {
                 true
@@ -73,6 +84,7 @@ fn run_script(pool: &mut ContainerPool, script: &PoolScript) -> (u64, u64, u64) 
             }
             Acquire::NoCapacity => dropped += 1,
         }
+        after_op(pool, &ids);
     }
     (warm, cold, dropped)
 }
@@ -100,6 +112,38 @@ proptest! {
         prop_assert_eq!(counters.warm_starts, warm);
         prop_assert_eq!(counters.cold_starts, cold);
         prop_assert_eq!(counters.drops, dropped);
+    }
+
+    /// The idle index agrees with the containers themselves after every
+    /// operation, for every policy: the per-function warm counts add up to
+    /// the pool-wide one and each equals the idle containers of that
+    /// function, and `warm_mem` is the memory of the idle containers.
+    #[test]
+    fn idle_index_matches_containers_after_every_op(
+        script in script_strategy(),
+        policy_idx in 0usize..PolicyKind::ALL.len(),
+        capacity_mb in 64u64..8192,
+    ) {
+        let kind = PolicyKind::ALL[policy_idx];
+        let mut pool = ContainerPool::new(MemMb::new(capacity_mb), kind.build());
+        run_script_checked(&mut pool, &script, |pool, ids| {
+            let per_fn: usize = ids.iter().map(|&f| pool.warm_count_of(f)).sum();
+            assert_eq!(per_fn, pool.warm_count(), "{kind}");
+            for &f in ids {
+                let idle_of_f = pool
+                    .containers()
+                    .filter(|c| c.is_idle() && c.function() == f)
+                    .count();
+                assert_eq!(pool.warm_count_of(f), idle_of_f, "{kind} {f}");
+            }
+            let idle_mem: MemMb = pool
+                .containers()
+                .filter(|c| c.is_idle())
+                .map(|c| c.mem())
+                .sum();
+            assert_eq!(pool.warm_mem(), idle_mem, "{kind}");
+            assert_eq!(pool.idle_ids().count(), pool.warm_count(), "{kind}");
+        });
     }
 
     /// The GD logical clock never decreases, and the priority of any

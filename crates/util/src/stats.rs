@@ -276,17 +276,28 @@ pub fn percentile(samples: &[f64], q: f64) -> Option<f64> {
     if samples.is_empty() {
         return None;
     }
+    Some(percentile_of_sorted(&sorted_copy(samples), q))
+}
+
+/// The samples in ascending order (stable, so equal values such as `-0.0`
+/// and `0.0` keep their input order and every caller sees one order).
+fn sorted_copy(samples: &[f64]) -> Vec<f64> {
     let mut sorted: Vec<f64> = samples.to_vec();
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in percentile input"));
+    sorted
+}
+
+/// [`percentile`] of a non-empty, already ascending slice.
+fn percentile_of_sorted(sorted: &[f64], q: f64) -> f64 {
     let q = q.clamp(0.0, 1.0);
     let pos = q * (sorted.len() - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;
     if lo == hi {
-        Some(sorted[lo])
+        sorted[lo]
     } else {
         let frac = pos - lo as f64;
-        Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
+        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
     }
 }
 
@@ -331,12 +342,15 @@ impl LatencySummary {
         if samples.is_empty() {
             return LatencySummary::default();
         }
+        // One sort serves all three quantiles (the simulator summarizes
+        // thousands of delays per grid cell).
+        let sorted = sorted_copy(samples);
         LatencySummary {
             count: samples.len() as u64,
             mean_ms: mean(samples),
-            p50_ms: percentile(samples, 0.50).unwrap_or(0.0),
-            p95_ms: percentile(samples, 0.95).unwrap_or(0.0),
-            p99_ms: percentile(samples, 0.99).unwrap_or(0.0),
+            p50_ms: percentile_of_sorted(&sorted, 0.50),
+            p95_ms: percentile_of_sorted(&sorted, 0.95),
+            p99_ms: percentile_of_sorted(&sorted, 0.99),
             max_ms: samples.iter().copied().fold(f64::NEG_INFINITY, f64::max),
         }
     }
@@ -497,6 +511,35 @@ mod tests {
         assert!((s.p95_ms - 95.05).abs() < 1e-9);
         assert!((s.p99_ms - 99.01).abs() < 1e-9);
         assert_eq!(s.max_ms, 100.0);
+    }
+
+    /// The one-sort summary reads exactly what three independent
+    /// `percentile` calls read, bit for bit.
+    #[test]
+    fn latency_summary_equals_three_percentile_calls() {
+        let mut rng = crate::rng::Pcg64::seed_from_u64(0x5EED);
+        let mut inputs: Vec<Vec<f64>> = vec![vec![7.25], vec![3.5; 17], vec![0.0, -0.0, 0.0]];
+        for len in [2usize, 3, 10, 101, 8_000] {
+            inputs.push(
+                (0..len)
+                    .map(|_| {
+                        // Mostly-zero with a heavy tail, like startup delays.
+                        if rng.next_below(4) == 0 {
+                            rng.next_f64() * 5_000.0
+                        } else {
+                            0.0
+                        }
+                    })
+                    .collect(),
+            );
+        }
+        for samples in &inputs {
+            let s = LatencySummary::from_samples_ms(samples);
+            for (got, q) in [(s.p50_ms, 0.50), (s.p95_ms, 0.95), (s.p99_ms, 0.99)] {
+                let want = percentile(samples, q).unwrap();
+                assert_eq!(got.to_bits(), want.to_bits(), "q={q} n={}", samples.len());
+            }
+        }
     }
 
     #[test]
