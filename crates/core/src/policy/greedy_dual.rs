@@ -335,6 +335,13 @@ mod tests {
     use crate::container::Container;
     use faascache_util::SimDuration;
 
+    impl GreedyDual {
+        /// Heap entries held, stale ones included.
+        pub(crate) fn heap_len(&self) -> usize {
+            self.heap.as_ref().map_or(0, VictimHeap::len)
+        }
+    }
+
     fn container(id: u64, fid: u32, mem: u64, init_ms: u64) -> Container {
         Container::new(
             ContainerId::from_raw(id),
@@ -512,7 +519,7 @@ mod tests {
                 gd.on_finish(c, SimTime::from_secs(round));
             }
         }
-        let held = gd.heap.as_ref().unwrap().len();
+        let held = gd.heap_len();
         assert!(held <= 2 * cs.len() + 65, "heap holds {held} entries");
         // Every container is still evictable, exactly once.
         let mut popped: Vec<ContainerId> = std::iter::from_fn(|| gd.pop_victim()).collect();

@@ -19,6 +19,7 @@
 use crate::container::{Container, ContainerId};
 use crate::fn_table::FnTable;
 use crate::function::{FunctionId, FunctionSpec};
+use crate::policy::index::VictimHeap;
 use crate::policy::{take_until_freed, KeepAlivePolicy};
 use faascache_util::idmap::IdMap;
 use faascache_util::stats::{Histogram, Welford};
@@ -156,13 +157,15 @@ fn keys_at(cfg: &HistConfig, stats: Option<&FnHist>, last_used: SimTime) -> (Sim
 }
 
 /// What the index keeps per idle container — the policy's only table keyed
-/// by [`ContainerId`]: where the container is filed in the two orders.
+/// by [`ContainerId`]: the keys the container is filed under in the two
+/// orders and the generation of its authoritative entry in each.
 #[derive(Debug, Clone, Copy)]
 struct IdleKeys {
     function: FunctionId,
-    last_used: SimTime,
     predicted: SimTime,
+    victim_gen: u64,
     deadline: SimTime,
+    expiry_gen: u64,
 }
 
 /// Incremental eviction and expiry order for HIST.
@@ -170,54 +173,77 @@ struct IdleKeys {
 /// Keys (predicted next invocation and expiry deadline) are derived from
 /// per-function histogram state, which changes at exactly two points: a
 /// request to the function (`on_request`) and the consumption of a pending
-/// pre-warm (`prewarm_due`). Both events re-key that function's idle
-/// containers eagerly, so reads always see fresh keys and ordered sets
-/// suffice — no lazy heap is needed.
+/// pre-warm (`prewarm_due`). Both can move a key *down* (the release-early
+/// deadline once a pre-warm is scheduled), which a lazy heap cannot see on
+/// its own, so both re-key that function's idle containers eagerly: a
+/// fresh push that supersedes the old generation. The authoritative entry
+/// of a member therefore always carries its current key.
 #[derive(Debug, Default)]
 struct HistIndex {
     /// Eviction order: predicted next use descending (farthest first),
     /// then `last_used` ascending, then id ascending.
-    victims: BTreeSet<(Reverse<SimTime>, SimTime, ContainerId)>,
+    victims: VictimHeap<Reverse<SimTime>>,
     /// Expiry order: deadline ascending, then `last_used`, then id.
-    expiry: BTreeSet<(SimTime, SimTime, ContainerId)>,
+    expiry: VictimHeap<SimTime>,
     /// The keys each idle member is filed under in the two orders.
     keys: IdMap<ContainerId, IdleKeys>,
-    /// Idle members per function (unordered), for re-keying after
-    /// histogram updates.
-    by_fn: FnTable<Vec<ContainerId>>,
+    /// Idle members per function with their `last_used` (unordered), for
+    /// re-keying after histogram updates.
+    by_fn: FnTable<Vec<(SimTime, ContainerId)>>,
     /// Pending pre-warms ordered by fire time.
     prewarms: BTreeSet<(SimTime, FunctionId)>,
 }
 
+/// Sheds `heap`'s superseded entries (see [`VictimHeap::shed_stale_with`]);
+/// `gen_of` picks the generation `heap` is authoritative for.
+fn shed<K: Ord + Copy>(
+    heap: &mut VictimHeap<K>,
+    keys: &IdMap<ContainerId, IdleKeys>,
+    gen_of: fn(&IdleKeys) -> u64,
+) {
+    heap.shed_stale_with(keys.len(), |id, gen| {
+        keys.get(&id).is_some_and(|k| gen_of(k) == gen)
+    });
+}
+
 impl HistIndex {
-    /// Files `id` under `new`, replacing whatever it was filed under.
-    fn file(&mut self, id: ContainerId, new: IdleKeys) {
-        match self.keys.insert(id, new) {
-            Some(old) => self.unfile_orders(id, &old),
-            None => self.by_fn.slot(new.function).push(id),
+    /// Files a container going idle at the given keys, replacing whatever
+    /// it was filed under.
+    fn file(
+        &mut self,
+        id: ContainerId,
+        function: FunctionId,
+        last_used: SimTime,
+        (predicted, deadline): (SimTime, SimTime),
+    ) {
+        shed(&mut self.victims, &self.keys, |k| k.victim_gen);
+        shed(&mut self.expiry, &self.keys, |k| k.expiry_gen);
+        let new = IdleKeys {
+            function,
+            predicted,
+            victim_gen: self.victims.push(id, Reverse(predicted), last_used),
+            deadline,
+            expiry_gen: self.expiry.push(id, deadline, last_used),
+        };
+        let members = self.by_fn.slot(function);
+        if self.keys.insert(id, new).is_some() {
+            // Re-filed while idle: listed already, under its old `last_used`.
+            members.retain(|&(_, m)| m != id);
         }
-        self.victims
-            .insert((Reverse(new.predicted), new.last_used, id));
-        self.expiry.insert((new.deadline, new.last_used, id));
+        members.push((last_used, id));
     }
 
-    fn unfile_orders(&mut self, id: ContainerId, old: &IdleKeys) {
-        self.victims
-            .remove(&(Reverse(old.predicted), old.last_used, id));
-        self.expiry.remove(&(old.deadline, old.last_used, id));
-    }
-
-    /// Forgets `id`; a no-op when it is not indexed.
+    /// Forgets `id`; a no-op when it is not indexed. Its heap entries go
+    /// stale and are discarded when they surface.
     fn remove(&mut self, id: ContainerId) {
         let Some(old) = self.keys.remove(&id) else {
             return;
         };
-        self.unfile_orders(id, &old);
         let members = self
             .by_fn
             .get_mut(old.function)
             .expect("indexed members are listed under their function");
-        if let Some(pos) = members.iter().position(|&m| m == id) {
+        if let Some(pos) = members.iter().position(|&(_, m)| m == id) {
             members.swap_remove(pos);
         }
     }
@@ -283,16 +309,13 @@ impl Hist {
     }
 
     fn index_insert(&mut self, container: &Container) {
-        let (predicted, deadline) = self.keys_of(container);
+        let keys = self.keys_of(container);
         if let Some(index) = self.index.as_mut() {
             index.file(
                 container.id(),
-                IdleKeys {
-                    function: container.function(),
-                    last_used: container.last_used(),
-                    predicted,
-                    deadline,
-                },
+                container.function(),
+                container.last_used(),
+                keys,
             );
         }
     }
@@ -303,10 +326,13 @@ impl Hist {
         }
     }
 
-    /// Recomputes the keys of every idle container of `function`. Called
-    /// after the two events that can change the function's histogram state
-    /// (a request, or a pre-warm firing).
-    fn rekey_function(&mut self, function: FunctionId) {
+    /// Recomputes the keys of the idle containers of `function`, pushing a
+    /// superseding entry for every key that moved. Called after the two
+    /// events that can change the function's histogram state (a request,
+    /// or a pre-warm firing). With `skip_warm_pick`, all but the member
+    /// with the greatest `(last_used, id)`: the one the pool takes next
+    /// (see [`KeepAlivePolicy::on_request`]).
+    fn rekey_function(&mut self, function: FunctionId, skip_warm_pick: bool) {
         let Some(index) = self.index.as_mut() else {
             return;
         };
@@ -318,19 +344,32 @@ impl Hist {
             by_fn,
             ..
         } = index;
-        for &id in by_fn.get(function).map_or(&[][..], Vec::as_slice) {
-            let filed = keys.get_mut(&id).expect("members have keys");
-            let (predicted, deadline) = keys_at(&self.cfg, stats, filed.last_used);
+        let members = by_fn.get(function).map_or(&[][..], Vec::as_slice);
+        let skip = if skip_warm_pick {
+            members.iter().max().map(|&(_, id)| id)
+        } else {
+            None
+        };
+        for &(last_used, id) in members {
+            if Some(id) == skip {
+                continue;
+            }
+            let mut filed = *keys.get(&id).expect("members have keys");
+            let (predicted, deadline) = keys_at(&self.cfg, stats, last_used);
+            if (predicted, deadline) == (filed.predicted, filed.deadline) {
+                continue;
+            }
             if predicted != filed.predicted {
-                victims.remove(&(Reverse(filed.predicted), filed.last_used, id));
-                victims.insert((Reverse(predicted), filed.last_used, id));
+                shed(victims, keys, |k| k.victim_gen);
                 filed.predicted = predicted;
+                filed.victim_gen = victims.push(id, Reverse(predicted), last_used);
             }
             if deadline != filed.deadline {
-                expiry.remove(&(filed.deadline, filed.last_used, id));
-                expiry.insert((deadline, filed.last_used, id));
+                shed(expiry, keys, |k| k.expiry_gen);
                 filed.deadline = deadline;
+                filed.expiry_gen = expiry.push(id, deadline, last_used);
             }
+            keys.insert(id, filed);
         }
     }
 }
@@ -373,8 +412,9 @@ impl KeepAlivePolicy for Hist {
             }
             // The request changed this function's histogram state (and
             // possibly its predictability), so its idle containers' keys
-            // are stale: recompute them now.
-            self.rekey_function(spec.id());
+            // are stale: recompute them now — except the warm pick's, which
+            // `on_warm_start` is about to throw away.
+            self.rekey_function(spec.id(), true);
         }
     }
 
@@ -438,7 +478,7 @@ impl KeepAlivePolicy for Hist {
             // Consuming a pre-warm changes the release-early deadline of
             // the function's idle containers.
             for &fid in &due {
-                self.rekey_function(fid);
+                self.rekey_function(fid, false);
             }
             return due;
         }
@@ -459,20 +499,28 @@ impl KeepAlivePolicy for Hist {
     }
 
     fn peek_victim(&mut self) -> Option<ContainerId> {
-        self.index.as_ref()?.victims.first().map(|&(_, _, id)| id)
+        let HistIndex { victims, keys, .. } = self.index.as_mut()?;
+        victims.peek_min_with(|id, gen| {
+            let k = keys.get(&id)?;
+            (k.victim_gen == gen).then_some(Reverse(k.predicted))
+        })
     }
 
     fn pop_victim(&mut self) -> Option<ContainerId> {
-        let index = self.index.as_mut()?;
-        let &(_, _, id) = index.victims.first()?;
-        index.remove(id);
+        let id = self.peek_victim()?;
+        // Forgetting the member retires both of its heap entries.
+        self.index_remove(id);
         Some(id)
     }
 
     fn pop_expired(&mut self, now: SimTime) -> Option<ContainerId> {
         let index = self.index.as_mut()?;
-        let &(deadline, _, id) = index.expiry.first()?;
-        if now >= deadline {
+        let HistIndex { expiry, keys, .. } = &mut *index;
+        let id = expiry.peek_min_with(|id, gen| {
+            let k = keys.get(&id)?;
+            (k.expiry_gen == gen).then_some(k.deadline)
+        })?;
+        if now >= keys.get(&id).expect("peeked a live member").deadline {
             index.remove(id);
             Some(id)
         } else {
@@ -490,6 +538,15 @@ impl KeepAlivePolicy for Hist {
 mod tests {
     use super::*;
     use crate::function::FunctionRegistry;
+
+    impl Hist {
+        /// Entries held by the larger of the two heaps, stale ones included.
+        pub(crate) fn heap_len(&self) -> usize {
+            self.index
+                .as_ref()
+                .map_or(0, |index| index.victims.len().max(index.expiry.len()))
+        }
+    }
 
     fn spec(reg: &mut FunctionRegistry, name: &str) -> FunctionSpec {
         let id = reg

@@ -1,37 +1,57 @@
-//! Incremental eviction-order indexes shared by the keep-alive policies.
+//! The one eviction-order structure shared by the keep-alive policies.
 //!
-//! The seed implementation re-derived the eviction order on every pool loop
-//! iteration: collect all idle containers, sort them by policy priority,
-//! take a prefix. These structures maintain the same order persistently so
-//! that evicting k victims out of n idle containers costs O(k log n):
+//! The pool is "ranked only when an eviction is needed" (paper §6), so no
+//! policy keeps its idle containers sorted. Every policy files them in a
+//! [`VictimHeap`] — a lazy-deletion binary min-heap over
+//! `(key, last_used, id)` with stale-entry versioning:
 //!
-//! - [`OrderedIdleSet`] — a `BTreeSet` keyed by an immutable-while-idle
-//!   priority key plus the id → key map needed to take a container out
-//!   again, for policies that keep no other per-container state (LRU, TTL,
-//!   SIZE). Landlord and HIST, which do, hold bare `BTreeSet`s and file
-//!   the key in their own per-container record instead.
-//! - [`VictimHeap`] — a lazy-deletion binary min-heap with stale-entry
-//!   versioning, for policies whose key can *grow* while the container sits
-//!   idle (GreedyDual and LFU: another container of the same function can
-//!   warm-start and raise the function frequency). Entries are validated
-//!   against the live key on pop and re-pushed when outdated, which is
-//!   sound exactly because keys never decrease while a container is idle.
-//!   The heap keeps no membership table of its own: the policy's
-//!   per-container record remembers the generation of its authoritative
-//!   entry, and the heap asks the policy on pop.
-//! - [`TotalF64`] — a totally ordered `f64` wrapper (via `total_cmp`) so
-//!   finite priorities can be used as ordered keys. For finite values the
-//!   order coincides with the `partial_cmp` the naive sort used.
+//! - going idle, or being re-keyed, is one O(1)-amortized
+//!   [`VictimHeap::push`] whose generation the policy records in its one
+//!   per-container table; that record names the container's single
+//!   *authoritative* entry;
+//! - a warm start, an eviction or a migration just forgets (or overwrites)
+//!   that generation — the superseded entry is discarded when it surfaces
+//!   in [`VictimHeap::peek_min_with`]/[`VictimHeap::pop_min_with`], or by
+//!   the [`VictimHeap::shed_stale_with`] sweep every push path runs first;
+//! - the order is only materialized by a pop: O(log n) per victim.
 //!
-//! Every policy therefore owns **at most one** table keyed by
-//! [`ContainerId`], and it is an [`IdMap`] (one multiplication per lookup;
-//! container ids are the pool's own counter, never wire input).
+//! # Re-push eagerly, or rely on re-push-on-pop?
+//!
+//! On pop the heap compares an authoritative entry's stored key against
+//! the policy's live key and re-pushes it when they differ. That repairs a
+//! key that has **grown** since the push (the entry surfaces early, is
+//! found outdated, and sinks to its place) and nothing else:
+//!
+//! - a key that is **fixed** while idle (LRU, TTL, SIZE: `last_used` or the
+//!   size; Landlord: the constant `offset_at_insert + credit / size`) is
+//!   trivially exact — stored and live keys never differ;
+//! - a key that **only grows** while idle (GreedyDual, FREQ: a sibling's
+//!   warm start raises the function's frequency) may rely on
+//!   re-push-on-pop;
+//! - a key that can **decrease** while idle (HIST: the release-early
+//!   deadline once a pre-warm is scheduled; GreedyDual when a tenant
+//!   weight is raised) stays buried under its too-high stored key, so the
+//!   policy must re-push eagerly at the moment the key moves — a fresh
+//!   `push` superseding the old generation — or [`VictimHeap::clear`] and
+//!   rebuild.
+//!
+//! [`OrderedIdleSet`] is the thin id → `(key, last_used, generation)`
+//! table over a `VictimHeap` for the policies that keep no other
+//! per-container state (LRU, TTL, SIZE); Landlord, HIST, GreedyDual and
+//! FREQ file the generation in their own per-container record. Every
+//! policy therefore owns **at most one** table keyed by [`ContainerId`],
+//! and it is an [`IdMap`] (one multiplication per lookup; container ids
+//! are the pool's own counter, never wire input).
+//!
+//! [`TotalF64`] is a totally ordered `f64` wrapper (via `total_cmp`) so
+//! finite priorities can be used as heap keys. For finite values the order
+//! coincides with the `partial_cmp` the naive sort uses.
 
 use crate::container::ContainerId;
 use faascache_util::idmap::IdMap;
 use faascache_util::SimTime;
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
 
 /// An `f64` ordered by [`f64::total_cmp`].
 ///
@@ -61,75 +81,81 @@ impl Ord for TotalF64 {
     }
 }
 
-/// An ordered index over idle containers whose sort key does not change
-/// while the container is idle.
+/// The idle containers of a policy whose sort key does not change while
+/// the container is idle, and that keeps nothing else per container: an
+/// id → `(key, last_used, generation)` table over a [`VictimHeap`].
 ///
-/// Iteration (and [`Self::pop_first`]) yields containers in ascending
+/// [`Self::first`] and [`Self::pop_first`] yield containers in ascending
 /// `(key, last_used, id)` order — the victim order every ordering-based
 /// policy uses, with the container id as the final tie-break (see the
 /// pool's tie-break contract).
 #[derive(Debug, Clone, Default)]
 pub struct OrderedIdleSet<K: Ord + Copy> {
-    set: BTreeSet<(K, SimTime, ContainerId)>,
-    keys: IdMap<ContainerId, (K, SimTime)>,
+    heap: VictimHeap<K>,
+    /// What each member is filed under, and the generation of its
+    /// authoritative heap entry.
+    filed: IdMap<ContainerId, (K, SimTime, u64)>,
 }
 
 impl<K: Ord + Copy> OrderedIdleSet<K> {
     /// Creates an empty index.
     pub fn new() -> Self {
         OrderedIdleSet {
-            set: BTreeSet::new(),
-            keys: IdMap::default(),
+            heap: VictimHeap::new(),
+            filed: IdMap::default(),
         }
-    }
-
-    /// Number of indexed containers.
-    pub fn len(&self) -> usize {
-        self.set.len()
-    }
-
-    /// Whether the index is empty.
-    pub fn is_empty(&self) -> bool {
-        self.set.is_empty()
-    }
-
-    /// Whether `id` is indexed.
-    pub fn contains(&self, id: ContainerId) -> bool {
-        self.keys.contains_key(&id)
     }
 
     /// Inserts (or re-keys) a container.
     pub fn insert(&mut self, id: ContainerId, key: K, last_used: SimTime) {
-        if let Some((old_key, old_used)) = self.keys.insert(id, (key, last_used)) {
-            self.set.remove(&(old_key, old_used, id));
-        }
-        self.set.insert((key, last_used, id));
+        let filed = &self.filed;
+        self.heap.shed_stale_with(filed.len(), |id, gen| {
+            filed.get(&id).is_some_and(|&(_, _, live)| live == gen)
+        });
+        let gen = self.heap.push(id, key, last_used);
+        self.filed.insert(id, (key, last_used, gen));
     }
 
-    /// Removes a container; a no-op when it is not indexed.
+    /// Removes a container; a no-op when it is not indexed. Its heap entry
+    /// goes stale and is discarded when it surfaces.
     pub fn remove(&mut self, id: ContainerId) {
-        if let Some((key, last_used)) = self.keys.remove(&id) {
-            self.set.remove(&(key, last_used, id));
-        }
+        self.filed.remove(&id);
     }
 
     /// The smallest entry without removing it.
-    pub fn first(&self) -> Option<(K, SimTime, ContainerId)> {
-        self.set.first().copied()
+    pub fn first(&mut self) -> Option<(K, SimTime, ContainerId)> {
+        let id = self.head(false)?;
+        let &(key, last_used, _) = self.filed.get(&id).expect("peeked a live member");
+        Some((key, last_used, id))
     }
 
     /// Removes and returns the smallest entry.
     pub fn pop_first(&mut self) -> Option<(K, SimTime, ContainerId)> {
-        let entry = self.set.pop_first()?;
-        self.keys.remove(&entry.2);
-        Some(entry)
+        let id = self.head(true)?;
+        let (key, last_used, _) = self.filed.remove(&id).expect("popped a live member");
+        Some((key, last_used, id))
+    }
+
+    /// The heap's minimum among the filed members, popped or only peeked.
+    fn head(&mut self, pop: bool) -> Option<ContainerId> {
+        let filed = &self.filed;
+        let live_key = |id: ContainerId, gen: u64| match filed.get(&id) {
+            Some(&(key, _, live)) if live == gen => Some(key),
+            _ => None,
+        };
+        if pop {
+            self.heap.pop_min_with(live_key)
+        } else {
+            self.heap.peek_min_with(live_key)
+        }
     }
 }
 
 type HeapEntry<K> = Reverse<(K, SimTime, ContainerId, u64)>;
 
-/// A lazy-deletion min-heap over idle containers, for policies whose key
-/// may *increase* while a container is idle.
+/// A lazy-deletion min-heap over idle containers: the eviction (and
+/// expiry) order of every policy. See the module docs for which keys need
+/// an eager re-push.
 ///
 /// The heap holds no membership table. [`Self::push`] returns a fresh
 /// generation number that the policy files in its own per-container
@@ -140,9 +166,11 @@ type HeapEntry<K> = Reverse<(K, SimTime, ContainerId, u64)>;
 /// compared against the policy's current key: if the key has grown since
 /// the entry was pushed, the entry is re-pushed at the current key (same
 /// generation: the outdated copy has just left the heap). This settles in
-/// at most one re-push per live entry per call *provided keys never
-/// decrease while idle* — the invariant GreedyDual and LFU satisfy
-/// (frequency only grows while a function has resident containers).
+/// at most one re-push per live entry per call *provided the live key of
+/// an authoritative entry is never below its stored key* — true of fixed
+/// keys, of keys that only grow while idle (GreedyDual and LFU: frequency
+/// only grows while a function has resident containers), and of any key
+/// the policy re-pushes whenever it moves (HIST).
 #[derive(Debug, Clone, Default)]
 pub struct VictimHeap<K: Ord + Copy> {
     heap: BinaryHeap<HeapEntry<K>>,
@@ -255,6 +283,15 @@ impl<K: Ord + Copy> VictimHeap<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    impl<K: Ord + Copy> OrderedIdleSet<K> {
+        /// Heap entries held, stale ones included.
+        pub(crate) fn heap_len(&self) -> usize {
+            self.heap.len()
+        }
+    }
 
     fn id(n: u64) -> ContainerId {
         ContainerId::from_raw(n)
@@ -291,18 +328,20 @@ mod tests {
         let mut set = OrderedIdleSet::new();
         set.insert(id(1), 5u64, t(0));
         set.insert(id(2), 1, t(0));
-        set.insert(id(2), 9, t(0)); // re-key
-        assert_eq!(set.len(), 2);
-        assert_eq!(set.first().unwrap().2, id(1));
+        set.insert(id(2), 9, t(0)); // re-key upwards
+        assert_eq!(set.first(), Some((5, t(0), id(1))));
+        set.insert(id(2), 3, t(0)); // and back down, below id 1
+        assert_eq!(set.first(), Some((3, t(0), id(2))));
+        set.insert(id(2), 9, t(0));
         set.remove(id(1));
         set.remove(id(1)); // idempotent
-        assert_eq!(set.pop_first().unwrap().2, id(2));
-        assert!(set.is_empty());
+        assert_eq!(set.pop_first(), Some((9, t(0), id(2))), "one entry per id");
+        assert_eq!(set.pop_first(), None);
     }
 
     /// The membership record a policy keeps next to the heap: the
     /// authoritative generation of each member.
-    type Members = std::collections::BTreeMap<ContainerId, u64>;
+    type Members = BTreeMap<ContainerId, u64>;
 
     fn push(heap: &mut VictimHeap<u64>, m: &mut Members, id: ContainerId, key: u64, at: SimTime) {
         m.insert(id, heap.push(id, key, at));
@@ -395,5 +434,101 @@ mod tests {
         // Rebuilt at a *lower* key than before: pops at that key.
         push(&mut heap, &mut m, id(1), 4, t(0));
         assert_eq!(pop(&mut heap, &mut m, |_| 4), Some(id(1)));
+    }
+
+    /// One step of the model test below.
+    #[derive(Debug, Clone, Copy)]
+    enum HeapOp {
+        /// (Re-)file the container at this key and `last_used`, the way a
+        /// policy does when a container goes idle or its key moves — below,
+        /// at or above the key it is filed under.
+        File(u64, u64, u64),
+        /// Raise the live key without telling the heap (a sibling's warm
+        /// start under GreedyDual/FREQ): only re-push-on-pop repairs it.
+        Grow(u64, u64),
+        /// Warm start / eviction by someone else: forget the generation.
+        Forget(u64),
+        Peek,
+        Pop,
+    }
+
+    /// What a policy's per-container table holds for the model test: id →
+    /// (live key, `last_used`, authoritative generation).
+    type Filed = BTreeMap<ContainerId, (u64, SimTime, u64)>;
+
+    fn live_key(filed: &Filed, id: ContainerId, gen: u64) -> Option<u64> {
+        let &(key, _, live) = filed.get(&id)?;
+        (live == gen).then_some(key)
+    }
+
+    fn heap_op_strategy() -> impl Strategy<Value = HeapOp> {
+        // Few distinct keys and times, so equal-key ties (broken by
+        // `last_used`, then id) and equal-key re-files are common.
+        (0u8..8, 0u64..32, 0u64..6, 0u64..4).prop_map(|(op, id, key, at)| match op {
+            0..=2 => HeapOp::File(id, key, at),
+            3 => HeapOp::Grow(id, 1 + key % 3),
+            4 => HeapOp::Forget(id),
+            5 => HeapOp::Peek,
+            _ => HeapOp::Pop,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The lazy heap against the eagerly sorted tree it replaced: a
+        /// `BTreeSet<(key, last_used, id)>` holding exactly the live
+        /// members at their live keys. Every peek and pop agrees.
+        #[test]
+        fn victim_heap_matches_a_tree_oracle(ops in prop::collection::vec(heap_op_strategy(), 1..400)) {
+            let mut heap = VictimHeap::new();
+            let mut members = Filed::new();
+            let mut model: BTreeSet<(u64, SimTime, ContainerId)> = BTreeSet::new();
+            for op in ops {
+                match op {
+                    HeapOp::File(i, key, at) => {
+                        let (i, at) = (id(i), t(at));
+                        if let Some((old_key, old_at, _)) = members.remove(&i) {
+                            model.remove(&(old_key, old_at, i));
+                        }
+                        heap.shed_stale_with(members.len(), |i, gen| live_key(&members, i, gen).is_some());
+                        members.insert(i, (key, at, heap.push(i, key, at)));
+                        model.insert((key, at, i));
+                        // Shedding before every push bounds the stale entries.
+                        prop_assert!(heap.len() <= 2 * members.len() + 64 + 1, "heap holds {}", heap.len());
+                    }
+                    HeapOp::Grow(i, by) => {
+                        if let Some((key, at, _)) = members.get_mut(&id(i)) {
+                            model.remove(&(*key, *at, id(i)));
+                            *key += by;
+                            model.insert((*key, *at, id(i)));
+                        }
+                    }
+                    HeapOp::Forget(i) => {
+                        if let Some((key, at, _)) = members.remove(&id(i)) {
+                            model.remove(&(key, at, id(i)));
+                        }
+                    }
+                    HeapOp::Peek => {
+                        let got = heap.peek_min_with(|i, gen| live_key(&members, i, gen));
+                        prop_assert_eq!(got, model.first().map(|&(_, _, i)| i));
+                    }
+                    HeapOp::Pop => {
+                        let got = heap.pop_min_with(|i, gen| live_key(&members, i, gen));
+                        prop_assert_eq!(got, model.pop_first().map(|(_, _, i)| i));
+                        if let Some(i) = got {
+                            members.remove(&i);
+                        }
+                    }
+                }
+            }
+            // Drains in exactly the tree's order.
+            while let Some((_, _, want)) = model.pop_first() {
+                let got = heap.pop_min_with(|i, gen| live_key(&members, i, gen));
+                prop_assert_eq!(got, Some(want));
+                members.remove(&want);
+            }
+            prop_assert_eq!(heap.pop_min_with(|i, gen| live_key(&members, i, gen)), None);
+        }
     }
 }

@@ -13,11 +13,10 @@
 //! the state of all the cached containers, and not independently applied."
 
 use crate::container::{Container, ContainerId};
-use crate::policy::index::TotalF64;
+use crate::policy::index::{TotalF64, VictimHeap};
 use crate::policy::KeepAlivePolicy;
 use faascache_util::idmap::IdMap;
 use faascache_util::{MemMb, SimTime};
-use std::collections::BTreeSet;
 
 /// Incremental eviction order for Landlord, using the classic *offset*
 /// formulation of the algorithm (often written `L` in analyses of
@@ -43,21 +42,13 @@ use std::collections::BTreeSet;
 /// of machine epsilon.
 #[derive(Debug, Default)]
 struct LandlordIndex {
-    /// Idle containers ordered by `(key, last_used, id)` — matching the
-    /// naive path's `(used, id)` order within a zero-credit group. The key
-    /// an entry is filed under lives in its [`Tenancy`].
-    order: BTreeSet<(TotalF64, SimTime, ContainerId)>,
+    /// Idle containers by `(key, last_used, id)` — matching the naive
+    /// path's `(used, id)` order within a zero-credit group. The key is
+    /// fixed while the container is idle; which entry is authoritative is
+    /// recorded in its [`Tenancy`].
+    order: VictimHeap<TotalF64>,
     /// Cumulative rent charged per MB so far.
     offset: f64,
-}
-
-impl LandlordIndex {
-    /// Takes the container out of the eviction order if it is filed there.
-    fn unfile(&mut self, id: ContainerId, tenancy: &mut Tenancy) {
-        if let Some((key, last_used)) = tenancy.filed.take() {
-            self.order.remove(&(key, last_used, id));
-        }
-    }
 }
 
 /// What the policy keeps per resident container — its only table keyed by
@@ -68,9 +59,10 @@ struct Tenancy {
     credit: f64,
     /// Size (MB, ≥ 1), for effective-credit recovery.
     size: f64,
-    /// `(key, last_used)` the container is filed under in
-    /// [`LandlordIndex::order`] while it sits idle there.
-    filed: Option<(TotalF64, SimTime)>,
+    /// The key the container is filed under in [`LandlordIndex::order`]
+    /// while it sits idle there, and the generation of that heap entry.
+    /// Clearing it takes the container out of the eviction order.
+    filed: Option<(TotalF64, u64)>,
 }
 
 impl Tenancy {
@@ -81,6 +73,13 @@ impl Tenancy {
             size: Landlord::size_of(container),
             filed: None,
         }
+    }
+
+    /// The key heap entry `gen` is filed under, if it is this tenancy's
+    /// authoritative one.
+    fn key_filed_as(&self, gen: u64) -> Option<TotalF64> {
+        self.filed
+            .and_then(|(key, live)| (live == gen).then_some(key))
     }
 }
 
@@ -142,15 +141,39 @@ impl Landlord {
         let Some(index) = self.index.as_mut() else {
             return;
         };
+        let tenancies = &mut self.tenancies;
+        index.order.shed_stale_with(tenancies.len(), |id, gen| {
+            tenancies
+                .get(&id)
+                .is_some_and(|t| t.key_filed_as(gen).is_some())
+        });
         let id = container.id();
-        let tenancy = self
-            .tenancies
+        let tenancy = tenancies
             .entry(id)
             .or_insert_with(|| Tenancy::new(container));
-        index.unfile(id, tenancy);
         let key = TotalF64(index.offset + tenancy.credit / tenancy.size);
-        index.order.insert((key, container.last_used(), id));
-        tenancy.filed = Some((key, container.last_used()));
+        let gen = index.order.push(id, key, container.last_used());
+        tenancy.filed = Some((key, gen));
+    }
+
+    /// The heap's minimum among the filed tenancies, popped or only peeked.
+    fn next_victim(&mut self, pop: bool) -> Option<ContainerId> {
+        let index = self.index.as_mut()?;
+        let tenancies = &mut self.tenancies;
+        let live_key = |id: ContainerId, gen: u64| tenancies.get(&id)?.key_filed_as(gen);
+        if !pop {
+            return index.order.peek_min_with(live_key);
+        }
+        let id = index.order.pop_min_with(live_key)?;
+        let tenancy = tenancies.get_mut(&id).expect("popped a live member");
+        let (key, _) = tenancy.filed.take().expect("popped a filed tenancy");
+        // Advancing the offset to the popped key implicitly charges every
+        // surviving idle container the rent that drove this victim's
+        // credit to zero.
+        if key.0 > index.offset {
+            index.offset = key.0;
+        }
+        Some(id)
     }
 }
 
@@ -172,9 +195,8 @@ impl KeepAlivePolicy for Landlord {
             .tenancies
             .entry(container.id())
             .or_insert_with(|| Tenancy::new(container));
-        if let Some(index) = self.index.as_mut() {
-            index.unfile(container.id(), tenancy);
-        }
+        // Running again: out of the eviction order.
+        tenancy.filed = None;
         tenancy.credit = Self::cost(container);
     }
 
@@ -251,11 +273,8 @@ impl KeepAlivePolicy for Landlord {
     }
 
     fn on_evicted(&mut self, container: &Container, _remaining: usize, _now: SimTime) {
-        if let (Some(mut tenancy), Some(index)) =
-            (self.tenancies.remove(&container.id()), self.index.as_mut())
-        {
-            index.unfile(container.id(), &mut tenancy);
-        }
+        // Forgetting the tenancy also retires its heap entry, if any.
+        self.tenancies.remove(&container.id());
     }
 
     fn supports_incremental(&self) -> bool {
@@ -263,22 +282,11 @@ impl KeepAlivePolicy for Landlord {
     }
 
     fn peek_victim(&mut self) -> Option<ContainerId> {
-        self.index.as_ref()?.order.first().map(|&(_, _, id)| id)
+        self.next_victim(false)
     }
 
     fn pop_victim(&mut self) -> Option<ContainerId> {
-        let index = self.index.as_mut()?;
-        let (key, _, id) = index.order.pop_first()?;
-        // Advancing the offset to the popped key implicitly charges every
-        // surviving idle container the rent that drove this victim's
-        // credit to zero.
-        if key.0 > index.offset {
-            index.offset = key.0;
-        }
-        if let Some(tenancy) = self.tenancies.get_mut(&id) {
-            tenancy.filed = None;
-        }
-        Some(id)
+        self.next_victim(true)
     }
 
     fn priority_of(&self, container: &Container) -> Option<f64> {
@@ -291,6 +299,13 @@ mod tests {
     use super::*;
     use crate::function::FunctionId;
     use faascache_util::SimDuration;
+
+    impl Landlord {
+        /// Heap entries held, stale ones included.
+        pub(crate) fn heap_len(&self) -> usize {
+            self.index.as_ref().map_or(0, |index| index.order.len())
+        }
+    }
 
     fn container(id: u64, mem: u64, init_secs: u64) -> Container {
         Container::new(

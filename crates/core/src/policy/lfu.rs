@@ -172,6 +172,13 @@ mod tests {
     use super::*;
     use faascache_util::SimDuration;
 
+    impl Lfu {
+        /// Heap entries held, stale ones included.
+        pub(crate) fn heap_len(&self) -> usize {
+            self.index.as_ref().map_or(0, |index| index.heap.len())
+        }
+    }
+
     fn container(id: u64, fid: u32) -> Container {
         Container::new(
             ContainerId::from_raw(id),

@@ -90,7 +90,7 @@ impl KeepAlivePolicy for Lru {
     }
 
     fn peek_victim(&mut self) -> Option<ContainerId> {
-        self.index.as_ref()?.first().map(|(_, _, id)| id)
+        self.index.as_mut()?.first().map(|(_, _, id)| id)
     }
 
     fn pop_victim(&mut self) -> Option<ContainerId> {
@@ -107,6 +107,13 @@ mod tests {
     use super::*;
     use crate::function::FunctionId;
     use faascache_util::SimDuration;
+
+    impl Lru {
+        /// Heap entries held, stale ones included.
+        pub(crate) fn heap_len(&self) -> usize {
+            self.index.as_ref().map_or(0, OrderedIdleSet::heap_len)
+        }
+    }
 
     fn container_used_at(id: u64, used: u64) -> Container {
         let mut c = Container::new(

@@ -51,6 +51,12 @@ pub trait KeepAlivePolicy: fmt::Debug + Send {
     fn name(&self) -> &'static str;
 
     /// A request for `spec` arrived, before hit/miss resolution.
+    ///
+    /// Sequencing contract: if the function has an idle container, the
+    /// pool calls [`Self::on_warm_start`] on its most recently used one
+    /// (greatest `(last_used, id)`) immediately after, before any other
+    /// hook or query. A policy that refreshes per-container state here may
+    /// therefore skip that container.
     fn on_request(&mut self, spec: &FunctionSpec, now: SimTime) {
         let _ = (spec, now);
     }
@@ -385,7 +391,10 @@ impl FromStr for PolicyKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::function::FunctionRegistry;
+    use crate::pool::{Acquire, ContainerPool};
     use faascache_util::SimDuration;
+    use std::sync::{Mutex, MutexGuard};
 
     fn container(id: u64, mem: u64) -> Container {
         Container::new(
@@ -515,5 +524,137 @@ mod tests {
         );
         assert_eq!(policy.pop_victim(), Some(ContainerId::from_raw(1)));
         assert_eq!(policy.pop_victim(), None);
+    }
+
+    /// A policy the test can still look into after the pool has boxed it.
+    #[derive(Debug)]
+    struct Shared<P>(Arc<Mutex<P>>);
+
+    impl<P> Shared<P> {
+        fn inner(&self) -> MutexGuard<'_, P> {
+            self.0
+                .lock()
+                .expect("no test thread panics holding the policy")
+        }
+    }
+
+    impl<P: KeepAlivePolicy> KeepAlivePolicy for Shared<P> {
+        fn name(&self) -> &'static str {
+            self.inner().name()
+        }
+        fn on_request(&mut self, spec: &FunctionSpec, now: SimTime) {
+            self.inner().on_request(spec, now)
+        }
+        fn on_warm_start(&mut self, c: &Container, now: SimTime) {
+            self.inner().on_warm_start(c, now)
+        }
+        fn on_container_created(&mut self, c: &Container, now: SimTime, prewarm: bool) {
+            self.inner().on_container_created(c, now, prewarm)
+        }
+        fn on_finish(&mut self, c: &Container, now: SimTime) {
+            self.inner().on_finish(c, now)
+        }
+        fn select_victims(&mut self, idle: &[&Container], needed: MemMb) -> Vec<ContainerId> {
+            self.inner().select_victims(idle, needed)
+        }
+        fn supports_incremental(&self) -> bool {
+            self.inner().supports_incremental()
+        }
+        fn peek_victim(&mut self) -> Option<ContainerId> {
+            self.inner().peek_victim()
+        }
+        fn pop_victim(&mut self) -> Option<ContainerId> {
+            self.inner().pop_victim()
+        }
+        fn pop_expired(&mut self, now: SimTime) -> Option<ContainerId> {
+            self.inner().pop_expired(now)
+        }
+        fn on_evicted(&mut self, c: &Container, remaining: usize, now: SimTime) {
+            self.inner().on_evicted(c, remaining, now)
+        }
+        fn expired(&mut self, idle: &[&Container], now: SimTime) -> Vec<ContainerId> {
+            self.inner().expired(idle, now)
+        }
+        fn prewarm_due(&mut self, now: SimTime) -> Vec<FunctionId> {
+            self.inner().prewarm_due(now)
+        }
+    }
+
+    /// Serves 100,000 warm cycles over 50 functions from a pool that never
+    /// runs out of memory, so nothing but [`VictimHeap::shed_stale_with`]
+    /// ever removes a superseded heap entry, and checks the heap stayed
+    /// within the shedding bound of the most containers ever resident.
+    ///
+    /// Every function is invoked every five minutes like clockwork, half
+    /// of them by two concurrent requests: under HIST they turn
+    /// predictable, release early, pre-warm, and each request re-keys an
+    /// idle sibling.
+    fn heap_stays_bounded<P: KeepAlivePolicy + 'static>(policy: P, heap_len: fn(&P) -> usize) {
+        let policy = Arc::new(Mutex::new(policy));
+        let mut pool =
+            ContainerPool::new(MemMb::new(1 << 30), Box::new(Shared(Arc::clone(&policy))));
+        let mut reg = FunctionRegistry::new();
+        let specs: Vec<FunctionSpec> = (0..50)
+            .map(|i| {
+                let id = reg
+                    .register(
+                        format!("f{i}"),
+                        MemMb::new(128),
+                        SimDuration::from_millis(100),
+                        SimDuration::from_millis(600),
+                    )
+                    .unwrap();
+                reg.spec(id).clone()
+            })
+            .collect();
+        let name = pool.policy().name();
+        let mut peak_resident = 0;
+        let mut cycles = 0u64;
+        let mut tick = 0u64;
+        while cycles < 100_000 {
+            let spec = &specs[(tick % 50) as usize];
+            // One arrival slot every 6 s; maintenance every 15 s.
+            let now = SimTime::from_secs(tick * 6);
+            if tick.is_multiple_of(5) {
+                pool.reap(now);
+                for f in pool.prewarm_due(now) {
+                    pool.prewarm(reg.spec(f), now);
+                }
+            }
+            let concurrent = 1 + (tick % 50) % 2;
+            let serving: Vec<ContainerId> = (0..concurrent)
+                .map(|_| match pool.acquire(spec, now) {
+                    Acquire::Warm { container } | Acquire::Cold { container, .. } => container,
+                    Acquire::NoCapacity => panic!("{name}: the pool is large enough"),
+                })
+                .collect();
+            peak_resident = peak_resident.max(pool.containers().count());
+            for id in serving {
+                pool.release(id, now + SimDuration::from_secs(1));
+                cycles += 1;
+            }
+            tick += 1;
+        }
+        let held = heap_len(&policy.lock().unwrap());
+        // One more than the bound: the sweep runs before the push.
+        assert!(
+            held <= 2 * peak_resident + 64 + 1,
+            "{name}: heap holds {held} entries for at most {peak_resident} containers"
+        );
+        // Shedding lost nobody: every idle container is still evictable.
+        let idle = pool.warm_count();
+        let end = SimTime::from_secs(tick * 6);
+        assert_eq!(pool.resize(MemMb::ZERO, end).len(), idle, "{name}");
+    }
+
+    #[test]
+    fn warm_cycles_under_no_pressure_keep_every_policy_heap_bounded() {
+        heap_stays_bounded(GreedyDual::new(), GreedyDual::heap_len);
+        heap_stays_bounded(Ttl::open_whisk_default(), Ttl::heap_len);
+        heap_stays_bounded(Lru::new(), Lru::heap_len);
+        heap_stays_bounded(Lfu::new(), Lfu::heap_len);
+        heap_stays_bounded(SizeAware::new(), SizeAware::heap_len);
+        heap_stays_bounded(Landlord::new(), Landlord::heap_len);
+        heap_stays_bounded(Hist::new(HistConfig::default()), Hist::heap_len);
     }
 }

@@ -101,7 +101,7 @@ impl KeepAlivePolicy for SizeAware {
     }
 
     fn peek_victim(&mut self) -> Option<ContainerId> {
-        self.index.as_ref()?.first().map(|(_, _, id)| id)
+        self.index.as_mut()?.first().map(|(_, _, id)| id)
     }
 
     fn pop_victim(&mut self) -> Option<ContainerId> {
@@ -118,6 +118,13 @@ mod tests {
     use super::*;
     use crate::function::FunctionId;
     use faascache_util::SimDuration;
+
+    impl SizeAware {
+        /// Heap entries held, stale ones included.
+        pub(crate) fn heap_len(&self) -> usize {
+            self.index.as_ref().map_or(0, OrderedIdleSet::heap_len)
+        }
+    }
 
     fn container(id: u64, mem: u64) -> Container {
         Container::new(

@@ -107,7 +107,7 @@ impl KeepAlivePolicy for Ttl {
     }
 
     fn peek_victim(&mut self) -> Option<ContainerId> {
-        self.index.as_ref()?.first().map(|(_, _, id)| id)
+        self.index.as_mut()?.first().map(|(_, _, id)| id)
     }
 
     fn pop_victim(&mut self) -> Option<ContainerId> {
@@ -134,6 +134,13 @@ impl KeepAlivePolicy for Ttl {
 mod tests {
     use super::*;
     use crate::function::FunctionId;
+
+    impl Ttl {
+        /// Heap entries held, stale ones included.
+        pub(crate) fn heap_len(&self) -> usize {
+            self.index.as_ref().map_or(0, OrderedIdleSet::heap_len)
+        }
+    }
 
     fn container_used_at(id: u64, used_secs: u64) -> Container {
         let mut c = Container::new(

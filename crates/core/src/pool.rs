@@ -540,12 +540,11 @@ impl ContainerPool {
             }
             return evicted;
         }
-        loop {
-            let free = self.free_mem();
-            if free >= needed {
-                break;
-            }
-            let shortfall = target.saturating_sub(free);
+        while self.free_mem() < needed {
+            // Not `target - free_mem()`: after a downward `resize` the pool
+            // can be overcommitted (`used > capacity`), and the saturated
+            // zero of `free_mem` would hide that part of the deficit.
+            let shortfall = (self.used + target).saturating_sub(self.config.capacity);
             let idle = idle_refs(&self.containers);
             if idle.is_empty() {
                 break;

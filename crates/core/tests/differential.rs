@@ -163,8 +163,94 @@ fn assert_modes_agree(kind: PolicyKind, w: &Workload) {
     prop_assert_eq!(fast.warm_count(), slow.warm_count(), "{:?}", kind);
 }
 
+/// Case 3350 of the property below at 4,096 cases, which failed under GD
+/// (step 47: incremental evicted `[2, 5]`, naive `[2]`): the shrink to
+/// 807 MB leaves running containers holding more than the new capacity,
+/// and the naive `make_room` took its shortfall from the saturated-zero
+/// `free_mem()`, so it stopped short of the batch target the incremental
+/// loop (and paper §6) frees to.
+#[test]
+fn overcommitted_pool_still_frees_to_the_batch_target() {
+    let w = Workload {
+        functions: vec![(256, 500), (512, 1000)],
+        arrivals: vec![
+            (0, 2773, 1501),
+            (1, 298, 1013),
+            (1, 636, 264),
+            (1, 2239, 605),
+            (1, 898, 528),
+            (0, 852, 405),
+            (1, 2679, 327),
+            (1, 973, 423),
+            (1, 2396, 175),
+            (1, 1150, 287),
+            (1, 2448, 879),
+            (0, 294, 1909),
+            (0, 2567, 1246),
+            (1, 124, 541),
+            (1, 564, 1594),
+            (0, 2996, 1765),
+            (1, 2132, 1181),
+            (0, 506, 1004),
+            (0, 2499, 1004),
+            (1, 799, 674),
+            (1, 914, 1032),
+            (0, 2360, 736),
+            (1, 1324, 1620),
+            (1, 1272, 1794),
+            (0, 1433, 1947),
+            (0, 383, 1554),
+            (1, 238, 1592),
+            (0, 1655, 769),
+            (0, 1406, 257),
+            (1, 290, 384),
+            (1, 1778, 511),
+            (0, 348, 1638),
+            (1, 2753, 1040),
+            (0, 2486, 1233),
+            (0, 2305, 347),
+            (0, 1917, 97),
+            (1, 772, 1164),
+            (0, 2653, 997),
+            (0, 2286, 505),
+            (0, 780, 230),
+            (1, 1655, 198),
+            (0, 473, 420),
+            (1, 1998, 707),
+            (1, 42, 1171),
+            (1, 281, 429),
+            (1, 1841, 1800),
+            (1, 2494, 18),
+            (0, 752, 1118),
+            (1, 1150, 1750),
+            (1, 1560, 966),
+            (1, 2453, 1287),
+            (1, 2237, 410),
+            (0, 786, 1328),
+            (0, 1402, 1277),
+            (1, 1695, 709),
+            (1, 1913, 709),
+            (1, 561, 1693),
+            (1, 6, 713),
+            (1, 2868, 635),
+            (0, 1991, 254),
+            (0, 299, 1902),
+            (1, 522, 177),
+            (1, 2881, 785),
+            (1, 1371, 696),
+        ],
+        capacity_mb: 1024,
+        batch_mb: 256,
+        maintenance_every: 15,
+        resize_to_mb: 807,
+    };
+    for kind in PolicyKind::ALL {
+        assert_modes_agree(kind, &w);
+    }
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(ProptestConfig::with_cases(4096))]
 
     /// The incremental indexes pick byte-identical victim sequences to
     /// the naive scan-and-sort reference — for every policy, across the
