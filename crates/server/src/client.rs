@@ -64,8 +64,15 @@ impl Client {
         self.stream.stats()
     }
 
-    fn call(&mut self, request: Request) -> io::Result<Response> {
-        proto::write_frame(&mut self.stream, &request.encode())?;
+    /// Writes one request frame without waiting for its reply, so a
+    /// caller holding several connections can put the same request on
+    /// all of them before collecting any answer.
+    pub(crate) fn send(&mut self, request: &Request) -> io::Result<()> {
+        proto::write_frame(&mut self.stream, &request.encode())
+    }
+
+    /// Reads the reply to the oldest unanswered [`Self::send`].
+    pub(crate) fn recv(&mut self) -> io::Result<Response> {
         match proto::read_frame(&mut self.stream)? {
             Some(payload) => Response::decode(&payload),
             None => Err(io::Error::new(
@@ -73,6 +80,11 @@ impl Client {
                 "daemon closed the connection",
             )),
         }
+    }
+
+    fn call(&mut self, request: Request) -> io::Result<Response> {
+        self.send(&request)?;
+        self.recv()
     }
 
     /// Liveness probe.
@@ -149,10 +161,7 @@ impl Client {
             cold_us,
             tenant: tenant.to_string(),
         };
-        match self.call(request)? {
-            Response::Registered { function, created } => Ok((function, created)),
-            other => Err(unexpected(other)),
-        }
+        registered(self.call(request)?)
     }
 
     /// Updates a tenant's admission budget at runtime (`u64::MAX` =
@@ -170,10 +179,23 @@ impl Client {
             inflight,
             mem_mb,
         };
-        match self.call(request)? {
-            Response::QuotaSet { live } => Ok(live),
-            other => Err(unexpected(other)),
-        }
+        quota_set(self.call(request)?)
+    }
+}
+
+/// The `(index, created)` a `Register` is answered with.
+pub(crate) fn registered(response: Response) -> io::Result<(u32, bool)> {
+    match response {
+        Response::Registered { function, created } => Ok((function, created)),
+        other => Err(unexpected(other)),
+    }
+}
+
+/// The `live` flag a `SetTenantQuota` is answered with.
+pub(crate) fn quota_set(response: Response) -> io::Result<bool> {
+    match response {
+        Response::QuotaSet { live } => Ok(live),
+        other => Err(unexpected(other)),
     }
 }
 

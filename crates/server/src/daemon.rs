@@ -26,9 +26,9 @@
 use crate::driver::{self, Front};
 use crate::fault::FaultConfig;
 use crate::journal::{registry_digest, Journal, JournalRecord};
+use crate::net::DrainLatch;
 use crate::prom::PromText;
 use crate::service::{FnTarget, FrontCounters, Op, Reply, Service};
-use crate::signal;
 use faascache_core::function::{FunctionId, FunctionRegistry};
 use faascache_core::policy::PolicyKind;
 use faascache_platform::sharded::{
@@ -40,7 +40,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -195,6 +195,10 @@ pub struct DaemonReport {
     /// Accept-loop failures other than `WouldBlock` (fd exhaustion and
     /// kin). The listener survives these; the connection does not.
     pub accept_errors: u64,
+    /// Times a threads-model accept loop woke from its park in the
+    /// kernel (0 under epoll): per burst of connections, per read
+    /// timeout while idle, and for the drain.
+    pub accept_wakeups: u64,
     /// Request frames read off sockets over the daemon's lifetime.
     pub frames: u64,
     /// HTTP requests served by the gateway (counted separately from
@@ -252,18 +256,18 @@ impl DaemonReport {
 /// A clonable handle that asks a running daemon to drain and exit.
 #[derive(Debug, Clone)]
 pub struct ShutdownHandle {
-    pub(crate) flag: Arc<AtomicBool>,
+    pub(crate) latch: Arc<DrainLatch>,
 }
 
 impl ShutdownHandle {
     /// Requests a graceful shutdown; idempotent.
     pub fn request(&self) {
-        self.flag.store(true, Ordering::SeqCst);
+        self.latch.request();
     }
 
     /// Whether shutdown has been requested.
     pub fn is_requested(&self) -> bool {
-        self.flag.load(Ordering::SeqCst)
+        self.latch.is_requested()
     }
 }
 
@@ -353,7 +357,7 @@ pub(crate) struct Shared {
     /// fsynced) under the registry write lock, before the wire ack.
     journal: Option<Arc<Mutex<Journal>>>,
     clock: WallClock,
-    shutdown: Arc<AtomicBool>,
+    shutdown: Arc<DrainLatch>,
     pub(crate) front: FrontCounters,
     dedup_hits: AtomicU64,
     idem: Mutex<IdemCache>,
@@ -739,8 +743,8 @@ impl Service for Shared {
         }
     }
 
-    fn draining(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst) || signal::requested()
+    fn drain_latch(&self) -> &DrainLatch {
+        &self.shutdown
     }
 
     fn counters(&self) -> &FrontCounters {
@@ -820,7 +824,7 @@ impl Daemon {
             registry: RwLock::new(registry),
             journal: config.journal.clone(),
             clock: WallClock::new(),
-            shutdown: Arc::new(AtomicBool::new(false)),
+            shutdown: Arc::default(),
             front: FrontCounters::default(),
             dedup_hits: AtomicU64::new(0),
             idem: Mutex::new(IdemCache::new(config.idem_capacity)),
@@ -848,7 +852,7 @@ impl Daemon {
     /// A handle that requests graceful shutdown from another thread.
     pub fn shutdown_handle(&self) -> ShutdownHandle {
         ShutdownHandle {
-            flag: Arc::clone(&self.shared.shutdown),
+            latch: Arc::clone(&self.shared.shutdown),
         }
     }
 
@@ -906,7 +910,7 @@ impl Daemon {
         };
         // Stops the reapers even when serving ended on a reactor error
         // rather than a shutdown request.
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.shutdown.request();
         for r in reapers {
             let _ = r.join();
         }
@@ -929,6 +933,7 @@ impl Daemon {
             open_connections: front.conns_current.load(Ordering::Relaxed),
             peak_connections: front.conns_peak.load(Ordering::Relaxed),
             accept_errors: front.accept_errors.load(Ordering::Relaxed),
+            accept_wakeups: front.accept_wakeups.load(Ordering::Relaxed),
             frames: front.frames.load(Ordering::Relaxed),
             http_requests: front.http_requests.load(Ordering::Relaxed),
             protocol_errors: front.protocol_errors.load(Ordering::Relaxed),

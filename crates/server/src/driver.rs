@@ -131,6 +131,11 @@ impl Front {
     /// Accepts connections off `listener` until drain begins, spawning
     /// one handler thread per connection speaking `kind`. Returns the
     /// handlers not yet seen to finish.
+    ///
+    /// Between bursts the loop parks in the kernel on the listener and
+    /// the drain latch, so a connection is accepted when it is queued,
+    /// not on the next tick of a sleep; the park's timeout is the read
+    /// timeout, the same bound a handler has for noticing a signal.
     fn accept_loop<S: Service>(
         &self,
         svc: &Arc<S>,
@@ -141,54 +146,53 @@ impl Front {
         let stall_limit = self.stall_limit();
         let mut handlers: Vec<JoinHandle<()>> = Vec::new();
         while !svc.draining() {
-            // Burst-accept until WouldBlock: under load the listen
-            // backlog holds many connections per wakeup, and pacing each
-            // accept with a sleep turns the backlog into latency.
-            let mut accepted = false;
-            loop {
-                match listener.accept() {
-                    Ok(stream) => {
-                        accepted = true;
-                        let ordinal = counters.connection_opened();
-                        // The read timeout bounds how long a handler
-                        // takes to notice drain.
-                        let configured = stream
-                            .set_nodelay()
-                            .and_then(|()| stream.set_read_timeout(Some(self.read_timeout)));
-                        if configured.is_err() {
-                            // Connection dies; peer sees EOF.
-                            counters.connection_closed();
-                            continue;
-                        }
-                        let stream = faulty(stream, self.faults, ordinal);
-                        let svc = Arc::clone(svc);
-                        handlers.push(thread::spawn(move || {
-                            let mut ctx = svc.conn_ctx(ordinal);
-                            match kind {
-                                ConnKind::Binary => {
-                                    serve_binary(&*svc, &mut ctx, stream, stall_limit);
-                                }
-                                ConnKind::Http => serve_http(&*svc, &mut ctx, stream, stall_limit),
+            let err = match listener.accept() {
+                Ok(stream) => {
+                    let ordinal = counters.connection_opened();
+                    // The read timeout bounds how long a handler
+                    // takes to notice drain.
+                    let configured = stream
+                        .set_nodelay()
+                        .and_then(|()| stream.set_read_timeout(Some(self.read_timeout)));
+                    if configured.is_err() {
+                        // Connection dies; peer sees EOF.
+                        counters.connection_closed();
+                        continue;
+                    }
+                    let stream = faulty(stream, self.faults, ordinal);
+                    let svc = Arc::clone(svc);
+                    handlers.push(thread::spawn(move || {
+                        let mut ctx = svc.conn_ctx(ordinal);
+                        match kind {
+                            ConnKind::Binary => {
+                                serve_binary(&*svc, &mut ctx, stream, stall_limit);
                             }
-                            svc.counters().connection_closed();
-                        }));
-                    }
-                    Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(ref e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        // Fd exhaustion and kin: the listener survives;
-                        // count it and let the idle sleep pace retries.
-                        counters.accept_errors.fetch_add(1, Ordering::Relaxed);
-                        break;
-                    }
+                            ConnKind::Http => serve_http(&*svc, &mut ctx, stream, stall_limit),
+                        }
+                        svc.counters().connection_closed();
+                    }));
+                    continue;
                 }
-            }
-            if !accepted {
-                // Forget handlers that already returned, so connection
-                // churn over a long uptime cannot grow the list.
-                handlers.retain(|h| !h.is_finished());
-                thread::sleep(Duration::from_millis(2));
-            }
+                Err(e) => e,
+            };
+            // The backlog is empty (or unusable). Forget handlers that
+            // already returned, so connection churn over a long uptime
+            // cannot grow the list, then park.
+            handlers.retain(|h| !h.is_finished());
+            let wake_on = match err.kind() {
+                io::ErrorKind::WouldBlock => Some(listener),
+                io::ErrorKind::Interrupted => continue,
+                _ => {
+                    // Fd exhaustion and kin: the listener survives.
+                    // Count it and sit out one read timeout off the
+                    // listener (its pending connection would end the
+                    // park at once) while handlers close and free fds.
+                    counters.accept_errors.fetch_add(1, Ordering::Relaxed);
+                    None
+                }
+            };
+            svc.drain_latch().park(wake_on, self.read_timeout);
+            counters.accept_wakeups.fetch_add(1, Ordering::Relaxed);
         }
         handlers
     }
@@ -260,8 +264,13 @@ fn serve_binary<S: Service, T: Read + Write>(
                     break;
                 }
             }
-            Err(_) => {
-                counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
+            // Malformed or stalled input (an oversized prefix, EOF or a
+            // stall inside a frame) is a protocol error; a reset or any
+            // other transport failure is not — the reactor's split.
+            Err(e) => {
+                if e.kind() == io::ErrorKind::InvalidData {
+                    counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                }
                 break;
             }
         }
@@ -300,7 +309,14 @@ fn serve_http<S: Service, T: Read + Write>(
             }
         }
         match stream.read(&mut chunk) {
-            Ok(0) => return,
+            Ok(0) => {
+                // EOF inside a request is malformed input, as on the
+                // binary path; at a request boundary it is a clean close.
+                if parser.is_mid_request() {
+                    counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                }
+                return;
+            }
             Ok(n) => {
                 if let Err(e) = parser.feed(&chunk[..n], &mut requests) {
                     // Requests completed before the poison are already
@@ -373,16 +389,16 @@ fn serve_http<S: Service, T: Read + Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::net::DrainLatch;
     use crate::proto::{Request, Response};
     use crate::service::{FnTarget, FrontCounters, Reply};
     use faascache_platform::sharded::InvokeOutcome;
-    use std::sync::atomic::AtomicBool;
 
     /// Answers every invoke warm; drains when told to.
     #[derive(Default)]
     struct Toy {
         counters: FrontCounters,
-        draining: AtomicBool,
+        latch: DrainLatch,
     }
 
     impl Service for Toy {
@@ -404,8 +420,8 @@ mod tests {
             }
         }
 
-        fn draining(&self) -> bool {
-            self.draining.load(Ordering::SeqCst)
+        fn drain_latch(&self) -> &DrainLatch {
+            &self.latch
         }
 
         fn counters(&self) -> &FrontCounters {
@@ -474,7 +490,7 @@ mod tests {
                 }
                 Some(step) => {
                     match step {
-                        Step::BeginDrain => self.toy.draining.store(true, Ordering::SeqCst),
+                        Step::BeginDrain => self.toy.latch.request(),
                         Step::Stall => self.steps.push_front(Step::Stall),
                         _ => {}
                     }
@@ -673,7 +689,7 @@ mod tests {
                     .expect("a frame");
                 assert_eq!(Response::decode(&reply).expect("decode"), Response::Pong);
             }
-            toy.draining.store(true, Ordering::SeqCst);
+            toy.latch.request();
             accepting.join().expect("accept loop")
         });
         assert_eq!(

@@ -13,12 +13,19 @@
 //! interval. The std listener offers no pre-bind socket options, so the
 //! Linux path builds the socket through the same thin FFI idiom the
 //! epoll reactor uses; other platforms fall back to a plain bind.
+//!
+//! [`DrainLatch`] is the other FFI resident: the blocking driver's
+//! accept loops park in `poll(2)` on their listener instead of pacing a
+//! non-blocking `accept` with a sleep, so a fresh connection is picked
+//! up when the kernel queues it, and the latch's socketpair pulls them
+//! out of the park the moment a drain is requested.
 
 use crate::daemon::BoundAddr;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 pub(crate) enum Listener {
@@ -148,6 +155,117 @@ impl Stream {
             #[cfg(unix)]
             Stream::Unix(s) => s.set_nonblocking(true),
         }
+    }
+}
+
+/// One server's drain flag, and what wakes the accept loops parked on
+/// it. A wire `Shutdown`, a [`ShutdownHandle`](crate::daemon::ShutdownHandle)
+/// and the end of `run` all go through [`DrainLatch::request`]; a signal
+/// only sets [`crate::signal`]'s flag, which a parked loop notices when
+/// its park times out.
+#[derive(Debug)]
+pub(crate) struct DrainLatch {
+    flag: AtomicBool,
+    /// `(polled end, written end)`. One byte is written per request and
+    /// never read, so once drain is requested every park returns at
+    /// once. `None` if the pair could not be made: parks then end on
+    /// their timeout alone.
+    #[cfg(target_os = "linux")]
+    wake: Option<(UnixStream, UnixStream)>,
+}
+
+impl Default for DrainLatch {
+    fn default() -> Self {
+        DrainLatch {
+            flag: AtomicBool::new(false),
+            #[cfg(target_os = "linux")]
+            wake: UnixStream::pair()
+                .and_then(|(rx, tx)| tx.set_nonblocking(true).map(|()| (rx, tx)))
+                .ok(),
+        }
+    }
+}
+
+impl DrainLatch {
+    /// Requests the drain and wakes every parked accept loop; idempotent.
+    pub(crate) fn request(&self) {
+        self.flag.store(true, Ordering::SeqCst);
+        #[cfg(target_os = "linux")]
+        if let Some((_, tx)) = &self.wake {
+            // A full pipe already holds a pending wake-up.
+            let _ = (&*tx).write(&[1u8]);
+        }
+    }
+
+    pub(crate) fn is_requested(&self) -> bool {
+        self.flag.load(Ordering::SeqCst)
+    }
+
+    /// Parks the calling accept loop in the kernel until `listener`
+    /// (when given) has a connection pending, drain is requested, or
+    /// `timeout` passes — whichever is first. Errors end the park early;
+    /// the caller re-checks its conditions either way.
+    #[cfg(target_os = "linux")]
+    pub(crate) fn park(&self, listener: Option<&Listener>, timeout: Duration) {
+        use std::os::unix::io::AsRawFd;
+        park::until_readable(
+            [
+                listener.map(Listener::raw_fd),
+                self.wake.as_ref().map(|(rx, _)| rx.as_raw_fd()),
+            ],
+            timeout,
+        );
+    }
+
+    /// Without `poll(2)`: the old 2 ms pacing of a non-blocking accept.
+    #[cfg(not(target_os = "linux"))]
+    pub(crate) fn park(&self, _listener: Option<&Listener>, timeout: Duration) {
+        std::thread::sleep(timeout.min(Duration::from_millis(2)));
+    }
+}
+
+#[cfg(target_os = "linux")]
+#[allow(unsafe_code)]
+mod park {
+    use std::os::fd::RawFd;
+    use std::os::raw::c_ulong;
+    use std::time::Duration;
+
+    mod ffi {
+        use std::os::raw::{c_int, c_short, c_ulong};
+
+        pub const POLLIN: c_short = 0x001;
+
+        /// `struct pollfd`.
+        #[repr(C)]
+        pub struct PollFd {
+            pub fd: c_int,
+            pub events: c_short,
+            pub revents: c_short,
+        }
+
+        extern "C" {
+            pub fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
+        }
+    }
+
+    /// `poll(2)` for readability on the fds given. The timeout rounds up
+    /// to whole milliseconds, never down to a busy spin.
+    pub fn until_readable(fds: [Option<RawFd>; 2], timeout: Duration) {
+        // poll(2) skips an entry whose fd is negative.
+        let mut set = fds.map(|fd| ffi::PollFd {
+            fd: fd.unwrap_or(-1),
+            events: ffi::POLLIN,
+            revents: 0,
+        });
+        let ms = timeout
+            .as_micros()
+            .div_ceil(1000)
+            .clamp(1, i32::MAX as u128) as i32;
+        // SAFETY: `set` is a valid array of `set.len()` pollfd entries.
+        // The result is not needed: readiness, timeout and EINTR all
+        // send the caller back to its own checks.
+        let _ = unsafe { ffi::poll(set.as_mut_ptr(), set.len() as c_ulong, ms) };
     }
 }
 
@@ -288,6 +406,44 @@ mod tests {
         conn.read_exact(&mut echo).expect("echo");
         assert_eq!(echo, [0x5A]);
         join.join().expect("server thread");
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_park_ends_on_a_connection_a_drain_request_or_its_timeout() {
+        use std::time::Instant;
+        const LONG: Duration = Duration::from_secs(30);
+        let latch = DrainLatch::default();
+        let (listener, addr) = Listener::tcp("127.0.0.1:0").expect("bind");
+
+        // Nothing pending: the timeout, and not before it.
+        let parked = Instant::now();
+        latch.park(Some(&listener), Duration::from_millis(20));
+        assert!(parked.elapsed() >= Duration::from_millis(20));
+        assert!(matches!(
+            listener.accept(),
+            Err(ref e) if e.kind() == io::ErrorKind::WouldBlock
+        ));
+
+        // A connection queued by the kernel ends the park; it stays
+        // pending (level-triggered) until accepted.
+        let _conn = Stream::connect(&addr).expect("connect");
+        let parked = Instant::now();
+        latch.park(Some(&listener), LONG);
+        latch.park(Some(&listener), LONG);
+        listener.accept().expect("the pending connection");
+
+        // A drain request ends a park in progress, and every later one.
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                std::thread::sleep(Duration::from_millis(20));
+                latch.request();
+            });
+            latch.park(Some(&listener), LONG);
+        });
+        assert!(latch.is_requested());
+        latch.park(None, LONG);
+        assert!(parked.elapsed() < LONG, "a park sat out its timeout");
     }
 
     #[test]

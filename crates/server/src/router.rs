@@ -36,6 +36,12 @@
 //!   at-least-once-on-failover caveat every replicated-cache fronting
 //!   proxy has. Tenant tags ride `Register` frames untouched, so quota
 //!   accounting stays per-backend exact.
+//! - **Control plane** — `Register` and quota updates are broadcast to
+//!   every healthy backend under one lock ([`Control`]): written to all
+//!   of them over standing clean connections first, answers collected
+//!   second, so the backends' fsyncs overlap and every backend sees
+//!   mutations in one order. Re-admission replays the acknowledged log
+//!   and flips `healthy` under the same lock.
 //! - **Drain** — the router's `/healthz` flips to 503 the instant drain
 //!   begins, *before* any backend starts draining, so a cluster
 //!   operator's LB health checks fail over while the backends are still
@@ -46,13 +52,14 @@
 //! outcomes: a 503/`Rejected` from this router always means "no healthy
 //! backend or admission refused", never "the hop broke".
 
-use crate::client::Client;
+use crate::client::{self, Client};
 use crate::daemon::{BoundAddr, Endpoint, ShutdownHandle};
 use crate::driver::{self, Front};
 use crate::fault::{FaultConfig, FaultPlan};
+use crate::net::DrainLatch;
 use crate::prom::PromText;
+use crate::proto::{Request, Response};
 use crate::service::{FnTarget, FrontCounters, Op, Reply, Service};
-use crate::signal;
 use faascache_platform::sharded::{InvokeOutcome, InvokerStats};
 use faascache_util::backoff::ExpBackoff;
 use faascache_util::rng::Pcg64;
@@ -61,7 +68,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -195,34 +202,11 @@ impl Default for RouterConfig {
     }
 }
 
-/// One control-plane mutation the router has acknowledged. The router
-/// keeps the full ordered log and replays it to a backend being
-/// re-admitted after ejection, so a backend that crashed and restarted
-/// (possibly from a `--state-dir` missing the newest mutations) rejoins
-/// with a converged registry. Replay is idempotent on the backend side
-/// (duplicate registers answer `created = false`, quota sets are
-/// last-wins), so replaying the whole log is always safe.
-#[derive(Debug, Clone)]
-enum Mutation {
-    Register {
-        name: String,
-        mem_mb: u32,
-        warm_us: u64,
-        cold_us: u64,
-        tenant: String,
-    },
-    SetQuota {
-        tenant: String,
-        inflight: u64,
-        mem_mb: u64,
-    },
-}
-
 /// Live state of one backend.
 struct Backend {
     spec: BackendSpec,
-    /// In the routing set. Starts true; flipped by the prober and by
-    /// connect-refused on the forward path.
+    /// In the routing set. Starts true; cleared by the prober and by
+    /// connect-refused on the forward path, set again by [`readmit`].
     healthy: AtomicBool,
     /// Requests this router currently has outstanding on the backend.
     in_flight: AtomicU64,
@@ -309,7 +293,7 @@ struct RouterShared {
     config: RouterConfig,
     balancer: Mutex<BalancerState>,
     pins: Mutex<PinCache>,
-    shutdown: Arc<AtomicBool>,
+    shutdown: Arc<DrainLatch>,
     front: FrontCounters,
     /// Outcome tallies over successfully forwarded invokes.
     warm: AtomicU64,
@@ -323,21 +307,96 @@ struct RouterShared {
     /// Ordinal for backend data connections; seeds per-stream fault
     /// plans exactly like the daemon's accept ordinal.
     backend_conn_seq: AtomicU64,
-    /// Ordered log of acknowledged control-plane mutations, replayed to
-    /// re-admitted backends (see [`Mutation`]). Registrations are
-    /// deduplicated by name and quota sets are last-wins per tenant, so
-    /// the log is bounded by the number of distinct functions + tenants.
-    mutations: Mutex<Vec<Mutation>>,
+    control: Mutex<Control>,
+}
+
+/// The control plane's state, under the one lock that orders it. A
+/// broadcast holds the lock from its first write to its log entry, and a
+/// re-admission from its log snapshot to the `healthy` flip, so every
+/// backend receives mutations in one order (indices are minted in
+/// arrival order and the first answer speaks for all) and no mutation
+/// can be acknowledged between a replay and the flip that follows it.
+/// Backends serialise mutations on their registry lock across the fsync
+/// anyway, so the lock costs no throughput.
+struct Control {
+    /// Every acknowledged mutation (`Register` and `SetTenantQuota`
+    /// requests, as broadcast), in order. Replayed to a backend being
+    /// re-admitted after ejection, so one that crashed and restarted
+    /// (possibly from a `--state-dir` missing the newest mutations)
+    /// rejoins with a converged registry; replay is idempotent on the
+    /// backend (duplicate registers answer `created = false`, quota
+    /// sets are last-wins). Registrations are deduplicated by name and
+    /// quota sets are last-wins per tenant, so the log is bounded by the
+    /// number of distinct functions + tenants.
+    log: Vec<Request>,
+    /// One standing connection per backend, dialed on first use. Always
+    /// clean: `backend_faults` aims at the data hop only.
+    conns: Vec<Option<Client>>,
+}
+
+impl Control {
+    /// Records an acknowledged mutation: a `Register` once per function
+    /// name (re-registrations carry no new state), a quota update in
+    /// place of the tenant's earlier one (last wins, and replay order
+    /// relative to registrations is preserved).
+    fn record(&mut self, request: Request) {
+        let same_subject = |logged: &Request| match (logged, &request) {
+            (Request::Register { name: a, .. }, Request::Register { name: b, .. }) => a == b,
+            (
+                Request::SetTenantQuota { tenant: a, .. },
+                Request::SetTenantQuota { tenant: b, .. },
+            ) => a == b,
+            _ => false,
+        };
+        match self.log.iter_mut().find(|logged| same_subject(logged)) {
+            Some(Request::Register { .. }) => {}
+            Some(quota) => *quota = request,
+            None => self.log.push(request),
+        }
+    }
+
+    /// Writes `request` to backend `b`: on its standing connection, or
+    /// on a fresh one if there is none or the standing one will not take
+    /// the write. Returns whether the standing connection carried it.
+    fn send(&mut self, shared: &RouterShared, b: usize, request: &Request) -> io::Result<bool> {
+        if let Some(standing) = &mut self.conns[b] {
+            if standing.send(request).is_ok() {
+                return Ok(true);
+            }
+        }
+        self.conns[b] = None;
+        let mut fresh = shared.dial_control(b)?;
+        fresh.send(request)?;
+        self.conns[b] = Some(fresh);
+        Ok(false)
+    }
+
+    /// Reads backend `b`'s reply to the last [`Self::send`]. A
+    /// connection that fails to deliver one is dropped.
+    fn recv(&mut self, b: usize) -> io::Result<Response> {
+        let reply = match &mut self.conns[b] {
+            Some(conn) => conn.recv(),
+            None => Err(io::ErrorKind::NotConnected.into()),
+        };
+        if reply.is_err() {
+            self.conns[b] = None;
+        }
+        reply
+    }
 }
 
 impl RouterShared {
     fn new(backends: Vec<BackendSpec>, config: RouterConfig) -> Self {
         RouterShared {
+            control: Mutex::new(Control {
+                log: Vec::new(),
+                conns: backends.iter().map(|_| None).collect(),
+            }),
             backends: backends.into_iter().map(Backend::new).collect(),
             balancer: Mutex::new(BalancerState::new(config.seed)),
             pins: Mutex::new(PinCache::new(config.pin_capacity)),
             config,
-            shutdown: Arc::new(AtomicBool::new(false)),
+            shutdown: Arc::default(),
             front: FrontCounters::default(),
             warm: AtomicU64::new(0),
             cold: AtomicU64::new(0),
@@ -346,7 +405,6 @@ impl RouterShared {
             throttled: AtomicU64::new(0),
             local_rejects: AtomicU64::new(0),
             backend_conn_seq: AtomicU64::new(0),
-            mutations: Mutex::new(Vec::new()),
         }
     }
 
@@ -407,48 +465,17 @@ impl RouterShared {
         Some(b)
     }
 
-    /// Records an acknowledged `Register` in the mutation log (deduped
-    /// by function name — re-registrations carry no new state).
-    fn record_register(&self, name: &str, mem_mb: u32, warm_us: u64, cold_us: u64, tenant: &str) {
-        let mut log = self.mutations.lock().unwrap_or_else(|e| e.into_inner());
-        if log
-            .iter()
-            .any(|m| matches!(m, Mutation::Register { name: n, .. } if n == name))
-        {
-            return;
-        }
-        log.push(Mutation::Register {
-            name: name.to_string(),
-            mem_mb,
-            warm_us,
-            cold_us,
-            tenant: tenant.to_string(),
-        });
+    fn control(&self) -> MutexGuard<'_, Control> {
+        self.control.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Records an acknowledged quota update in the mutation log
-    /// (last-wins per tenant, replacing any earlier entry in place so
-    /// replay order relative to registrations is preserved).
-    fn record_set_quota(&self, tenant: &str, inflight: u64, mem_mb: u64) {
-        let mut log = self.mutations.lock().unwrap_or_else(|e| e.into_inner());
-        let existing = log
-            .iter_mut()
-            .find(|m| matches!(m, Mutation::SetQuota { tenant: t, .. } if t == tenant));
-        match existing {
-            Some(Mutation::SetQuota {
-                inflight: i,
-                mem_mb: m,
-                ..
-            }) => {
-                *i = inflight;
-                *m = mem_mb;
-            }
-            _ => log.push(Mutation::SetQuota {
-                tenant: tenant.to_string(),
-                inflight,
-                mem_mb,
-            }),
-        }
+    /// Dials backend `b` for the control plane (mutations, replays,
+    /// `Ping` probes): never fault-planned, and with the backend read
+    /// timeout so a lost reply errors instead of hanging.
+    fn dial_control(&self, b: usize) -> io::Result<Client> {
+        let client = Client::connect(&self.backends[b].spec.addr)?;
+        client.set_read_timeout(Some(self.config.backend_read_timeout))?;
+        Ok(client)
     }
 
     /// A fault plan for the next backend data connection.
@@ -602,35 +629,57 @@ fn forward_invoke(
 }
 
 /// Sends one control-plane mutation (`what`, for the error message) to
-/// every healthy backend over clean connections, folding the answers
-/// with `merge`. Succeeds if every *healthy* backend accepted; an
-/// ejected backend is skipped — the caller records the acknowledged
-/// mutation in the router's log, which is replayed into the backend
-/// during re-admission reconciliation, so it still converges.
+/// every healthy backend and folds their answers with `merge`: written
+/// to all of them first, answers collected second, so the backends'
+/// fsyncs overlap instead of queueing behind each other. Succeeds if
+/// every *healthy* backend accepted; an ejected backend is skipped (and
+/// its standing connection dropped) — the caller records the
+/// acknowledged mutation in the log, which [`readmit`] replays, so it
+/// still converges.
+///
+/// A standing connection may have died since its last use (the backend
+/// restarted, or cut it while draining), which only shows when it is
+/// used. So a failure on a *reused* connection redials once and resends:
+/// safe because mutations are idempotent on the backend, at the price
+/// that a `Register` applied just before the old connection died is
+/// answered `created = false` the second time. A failure on a fresh
+/// connection is the backend's answer and is reported.
 fn broadcast<T>(
     shared: &RouterShared,
+    control: &mut Control,
     what: &str,
-    send: impl Fn(&mut Client) -> io::Result<T>,
+    request: &Request,
+    decode: impl Fn(Response) -> io::Result<T>,
     merge: impl Fn(T, T) -> T,
 ) -> Result<T, String> {
-    let mut result: Option<T> = None;
     let mut failures = Vec::new();
-    for (i, backend) in shared.backends.iter().enumerate() {
+    let mut sent = Vec::new();
+    for (b, backend) in shared.backends.iter().enumerate() {
         if !backend.healthy.load(Ordering::SeqCst) {
+            control.conns[b] = None;
             continue;
         }
-        let attempt = Client::connect(&backend.spec.addr).and_then(|mut c| {
-            c.set_read_timeout(Some(shared.config.backend_read_timeout))?;
-            send(&mut c)
-        });
-        match attempt {
+        match control.send(shared, b, request) {
+            Ok(reused) => sent.push((b, reused)),
+            Err(e) => failures.push(format!("backend {b}: {e}")),
+        }
+    }
+    let mut result: Option<T> = None;
+    for (b, reused) in sent {
+        let mut reply = control.recv(b);
+        if reply.is_err() && reused {
+            reply = control
+                .send(shared, b, request)
+                .and_then(|_| control.recv(b));
+        }
+        match reply.and_then(&decode) {
             Ok(r) => {
                 result = Some(match result {
                     Some(prev) => merge(prev, r),
                     None => r,
                 })
             }
-            Err(e) => failures.push(format!("backend {i}: {e}")),
+            Err(e) => failures.push(format!("backend {b}: {e}")),
         }
     }
     match result {
@@ -713,17 +762,27 @@ impl Service for RouterShared {
                 cold_us,
                 tenant,
             } => {
+                let request = Request::Register {
+                    name: name.clone(),
+                    mem_mb,
+                    warm_us,
+                    cold_us,
+                    tenant,
+                };
                 // Every backend must agree on the name → index mapping;
                 // the first answer speaks for all.
+                let mut control = self.control();
                 let sent = broadcast(
                     self,
+                    &mut control,
                     "register",
-                    |c| c.register_in(&name, mem_mb, warm_us, cold_us, &tenant),
+                    &request,
+                    client::registered,
                     |first, _| first,
                 );
                 match sent {
                     Ok((function, created)) => {
-                        self.record_register(&name, mem_mb, warm_us, cold_us, &tenant);
+                        control.record(request);
                         Reply::Registered {
                             function,
                             name,
@@ -738,16 +797,24 @@ impl Service for RouterShared {
                 inflight,
                 mem_mb,
             } => {
+                let request = Request::SetTenantQuota {
+                    tenant: tenant.clone(),
+                    inflight,
+                    mem_mb,
+                };
                 // Live if any backend applied it to a bound tenant slot.
+                let mut control = self.control();
                 let sent = broadcast(
                     self,
+                    &mut control,
                     "quota update",
-                    |c| c.set_tenant_quota(&tenant, inflight, mem_mb),
+                    &request,
+                    client::quota_set,
                     |a, b| a | b,
                 );
                 match sent {
                     Ok(live) => {
-                        self.record_set_quota(&tenant, inflight, mem_mb);
+                        control.record(request);
                         Reply::QuotaSet { tenant, live }
                     }
                     Err(msg) => Reply::error(502, msg),
@@ -761,8 +828,8 @@ impl Service for RouterShared {
         }
     }
 
-    fn draining(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst) || signal::requested()
+    fn drain_latch(&self) -> &DrainLatch {
+        &self.shutdown
     }
 
     fn counters(&self) -> &FrontCounters {
@@ -894,11 +961,11 @@ fn probe_loop(shared: &RouterShared) {
             if now < state.next {
                 continue;
             }
-            let ok = probe_backend(shared, backend);
+            let ok = probe_backend(shared, i);
             let healthy = backend.healthy.load(Ordering::SeqCst);
             if ok {
                 state.consecutive_fails = 0;
-                if !healthy && !reconcile_backend(shared, backend) {
+                if !healthy && !readmit(shared, i) {
                     // The backend answers probes but could not absorb
                     // the mutation-log replay; keep it out of routing
                     // and retry reconciliation on the readmit backoff.
@@ -907,9 +974,6 @@ fn probe_loop(shared: &RouterShared) {
                     continue;
                 }
                 state.readmit_attempt = 0;
-                if !healthy {
-                    backend.healthy.store(true, Ordering::SeqCst);
-                }
                 state.next = now + shared.config.health_interval;
             } else {
                 state.consecutive_fails += 1;
@@ -931,8 +995,10 @@ fn probe_loop(shared: &RouterShared) {
 }
 
 /// One probe: HTTP `/healthz` + `/metrics` gauge scrape when the spec
-/// has a gateway address, else binary `Ping`.
-fn probe_backend(shared: &RouterShared, backend: &Backend) -> bool {
+/// has a gateway address, else binary `Ping`. Dials per probe, never a
+/// standing connection: connect-refused is the liveness signal.
+fn probe_backend(shared: &RouterShared, b: usize) -> bool {
+    let backend = &shared.backends[b];
     let timeout = shared.config.backend_read_timeout;
     match backend.spec.http {
         Some(http_addr) => {
@@ -950,14 +1016,7 @@ fn probe_backend(shared: &RouterShared, backend: &Backend) -> bool {
             };
             probe().unwrap_or(false)
         }
-        None => {
-            let probe = || -> io::Result<()> {
-                let mut client = Client::connect(&backend.spec.addr)?;
-                client.set_read_timeout(Some(timeout))?;
-                client.ping()
-            };
-            probe().is_ok()
-        }
+        None => shared.dial_control(b).and_then(|mut c| c.ping()).is_ok(),
     }
 }
 
@@ -1000,10 +1059,13 @@ fn backend_registry_digest(backend: &Backend, timeout: Duration) -> Option<u64> 
     scrape_registry_digest(&scrape().ok()?)
 }
 
-/// Re-admission reconciliation: before an ejected backend rejoins the
-/// routing set, replay the router's acknowledged mutation log into it
-/// so a backend that crashed and restarted (from an empty or stale
-/// `--state-dir`) converges with the cluster's registry and quotas.
+/// Re-admission: before ejected backend `b` rejoins the routing set,
+/// replay the router's acknowledged mutation log into it so a backend
+/// that crashed and restarted (from an empty or stale `--state-dir`)
+/// converges with the cluster's registry and quotas, then flip it
+/// healthy. All under the control lock, so a mutation is either in the
+/// log this replays or broadcast to `b` as a healthy backend; none is
+/// acknowledged in between.
 ///
 /// Digest fast path: when the rejoining backend already reports the
 /// same `faascache_registry_digest` as a healthy peer and no quota
@@ -1011,57 +1073,46 @@ fn backend_registry_digest(backend: &Backend, timeout: Duration) -> Option<u64> 
 /// log is replayed — idempotent on the backend, so over-replaying is
 /// always safe. Returns `false` (keep ejected, retry on backoff) if any
 /// replayed mutation failed.
-fn reconcile_backend(shared: &RouterShared, backend: &Backend) -> bool {
-    let mutations: Vec<Mutation> = {
-        let log = shared.mutations.lock().unwrap_or_else(|e| e.into_inner());
-        log.clone()
-    };
-    if mutations.is_empty() {
-        return true;
-    }
+fn readmit(shared: &RouterShared, b: usize) -> bool {
+    let backend = &shared.backends[b];
+    let mut control = shared.control();
+    // Whatever stood before the ejection is stale.
+    control.conns[b] = None;
     let timeout = shared.config.backend_read_timeout;
-    let registrations_converged = match backend_registry_digest(backend, timeout) {
-        Some(digest) => shared
-            .backends
-            .iter()
-            .filter(|peer| !std::ptr::eq(*peer, backend))
-            .filter(|peer| peer.healthy.load(Ordering::SeqCst))
-            .any(|peer| backend_registry_digest(peer, timeout) == Some(digest)),
-        None => false,
-    };
-    let replay = || -> io::Result<u64> {
-        let mut client = Client::connect(&backend.spec.addr)?;
-        client.set_read_timeout(Some(timeout))?;
+    let registrations_converged = !control.log.is_empty()
+        && match backend_registry_digest(backend, timeout) {
+            Some(digest) => shared
+                .backends
+                .iter()
+                .filter(|peer| !std::ptr::eq(*peer, backend))
+                .filter(|peer| peer.healthy.load(Ordering::SeqCst))
+                .any(|peer| backend_registry_digest(peer, timeout) == Some(digest)),
+            None => false,
+        };
+    let replay = || -> io::Result<(Client, u64)> {
+        let mut client = shared.dial_control(b)?;
         let mut replayed = 0u64;
-        for mutation in &mutations {
-            match mutation {
-                Mutation::Register {
-                    name,
-                    mem_mb,
-                    warm_us,
-                    cold_us,
-                    tenant,
-                } => {
-                    if registrations_converged {
-                        continue;
-                    }
-                    client.register_in(name, *mem_mb, *warm_us, *cold_us, tenant)?;
-                }
-                Mutation::SetQuota {
-                    tenant,
-                    inflight,
-                    mem_mb,
-                } => {
-                    client.set_tenant_quota(tenant, *inflight, *mem_mb)?;
-                }
+        for request in &control.log {
+            let is_register = matches!(request, Request::Register { .. });
+            if is_register && registrations_converged {
+                continue;
+            }
+            client.send(request)?;
+            let reply = client.recv()?;
+            if is_register {
+                client::registered(reply)?;
+            } else {
+                client::quota_set(reply)?;
             }
             replayed += 1;
         }
-        Ok(replayed)
+        Ok((client, replayed))
     };
     match replay() {
-        Ok(replayed) => {
+        Ok((client, replayed)) => {
             backend.reconciled.fetch_add(replayed, Ordering::Relaxed);
+            control.conns[b] = Some(client);
+            backend.healthy.store(true, Ordering::SeqCst);
             true
         }
         Err(_) => false,
@@ -1102,6 +1153,9 @@ pub struct RouterReport {
     pub http_requests: u64,
     /// Front connections torn down due to malformed input.
     pub protocol_errors: u64,
+    /// Times a front accept loop woke from its park in the kernel: per
+    /// burst of connections, per read timeout while idle, for the drain.
+    pub accept_wakeups: u64,
     /// Whether every admitted request completed within the drain window.
     pub drained: bool,
     /// Wall-clock lifetime.
@@ -1189,7 +1243,7 @@ impl Router {
     /// A handle that requests graceful shutdown from another thread.
     pub fn shutdown_handle(&self) -> ShutdownHandle {
         ShutdownHandle {
-            flag: Arc::clone(&self.shared.shutdown),
+            latch: Arc::clone(&self.shared.shutdown),
         }
     }
 
@@ -1228,6 +1282,7 @@ impl Router {
             frames: shared.front.frames.load(Ordering::Relaxed),
             http_requests: shared.front.http_requests.load(Ordering::Relaxed),
             protocol_errors: shared.front.protocol_errors.load(Ordering::Relaxed),
+            accept_wakeups: shared.front.accept_wakeups.load(Ordering::Relaxed),
             drained,
             uptime: started.elapsed(),
         }
@@ -1341,23 +1396,36 @@ mod tests {
     #[test]
     fn mutation_log_dedupes_registers_and_last_wins_quotas() {
         let shared = test_shared(2, LoadBalancer::RoundRobin);
-        shared.record_register("f1", 128, 1_000, 25_000, "");
-        shared.record_register("f1", 256, 9, 9, "other");
-        shared.record_register("f2", 64, 1, 2, "acme");
-        shared.record_set_quota("acme", 8, 1024);
-        shared.record_set_quota("acme", 4, 512);
-        shared.record_set_quota("beta", 2, u64::MAX);
-        let log = shared.mutations.lock().unwrap();
+        let register = |name: &str, mem_mb, warm_us, cold_us, tenant: &str| Request::Register {
+            name: name.to_string(),
+            mem_mb,
+            warm_us,
+            cold_us,
+            tenant: tenant.to_string(),
+        };
+        let quota = |tenant: &str, inflight, mem_mb| Request::SetTenantQuota {
+            tenant: tenant.to_string(),
+            inflight,
+            mem_mb,
+        };
+        let mut control = shared.control();
+        control.record(register("f1", 128, 1_000, 25_000, ""));
+        control.record(register("f1", 256, 9, 9, "other"));
+        control.record(register("f2", 64, 1, 2, "acme"));
+        control.record(quota("acme", 8, 1024));
+        control.record(quota("acme", 4, 512));
+        control.record(quota("beta", 2, u64::MAX));
+        let log = &control.log;
         assert_eq!(log.len(), 4, "f1 deduped, acme quota replaced in place");
         match &log[0] {
-            Mutation::Register { name, mem_mb, .. } => {
+            Request::Register { name, mem_mb, .. } => {
                 assert_eq!(name, "f1");
                 assert_eq!(*mem_mb, 128, "first registration owns the function");
             }
             other => panic!("expected register, got {other:?}"),
         }
         match &log[2] {
-            Mutation::SetQuota {
+            Request::SetTenantQuota {
                 tenant,
                 inflight,
                 mem_mb,
@@ -1427,7 +1495,7 @@ mod tests {
         assert!(body.contains("faasrouter_backend_healthy{backend=\"1\"} 0"));
         assert!(body.contains("faasrouter_backend_ejections_total{backend=\"1\"} 1"));
         assert!(body.contains("faasrouter_draining 0"));
-        shared.shutdown.store(true, Ordering::SeqCst);
+        shared.shutdown.request();
         assert!(shared.render_metrics().contains("faasrouter_draining 1"));
     }
 
@@ -1471,7 +1539,7 @@ mod tests {
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 400 "), "{text}");
         assert!(text.contains("exceeds the u32 wire range"), "{text}");
-        assert!(shared.mutations.lock().unwrap().is_empty());
+        assert!(shared.control().log.is_empty());
     }
 
     #[test]

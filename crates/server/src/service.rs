@@ -15,9 +15,11 @@
 //! (forwards to backends).
 
 use crate::http;
+use crate::net::DrainLatch;
 use crate::proto::{Request, Response};
+use crate::signal;
 use faascache_platform::sharded::{InvokeOutcome, InvokerStats};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Which front-end protocol an accepted connection speaks, decided by
 /// the listener it arrived on.
@@ -172,13 +174,13 @@ impl Reply {
         }
     }
 
-    /// Answers [`Op::Shutdown`]: sets `flag` when remote shutdown is
+    /// Answers [`Op::Shutdown`]: trips `latch` when remote shutdown is
     /// `allowed`, refuses otherwise.
-    pub(crate) fn shutdown(flag: &AtomicBool, allowed: bool) -> Reply {
+    pub(crate) fn shutdown(latch: &DrainLatch, allowed: bool) -> Reply {
         if !allowed {
             return Reply::error(400, "remote shutdown disabled");
         }
-        flag.store(true, Ordering::SeqCst);
+        latch.request();
         Reply::ShutdownStarted
     }
 
@@ -296,6 +298,10 @@ pub(crate) struct FrontCounters {
     pub(crate) conns_peak: AtomicU64,
     /// Accept failures other than `WouldBlock`/`Interrupted`.
     pub(crate) accept_errors: AtomicU64,
+    /// Times a blocking-driver accept loop came back from its park in
+    /// the kernel: once per burst of connections, once per read timeout
+    /// while idle, once for the drain.
+    pub(crate) accept_wakeups: AtomicU64,
 }
 
 impl FrontCounters {
@@ -327,8 +333,13 @@ pub(crate) trait Service: Send + Sync + 'static {
     /// Executes one operation.
     fn call(&self, ctx: &mut Self::Ctx, op: Op) -> Reply;
 
+    /// The latch a wire shutdown, a handle or the end of `run` trips.
+    fn drain_latch(&self) -> &DrainLatch;
+
     /// Whether drain has begun (signal, wire shutdown, or handle).
-    fn draining(&self) -> bool;
+    fn draining(&self) -> bool {
+        self.drain_latch().is_requested() || signal::requested()
+    }
 
     /// The front's connection and request counters.
     fn counters(&self) -> &FrontCounters;

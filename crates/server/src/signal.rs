@@ -4,7 +4,9 @@
 //! no `libc` crate, so on Unix this module declares the two C symbols it
 //! needs directly — `std` already links the platform C library. The
 //! handler only sets an [`AtomicBool`]; an atomic store is async-signal
-//! safe, and the daemon's accept loop polls the flag.
+//! safe, and every serving loop reads the flag when it next wakes: a
+//! handler or a parked accept loop within one read timeout, sooner if
+//! the signal interrupts its wait.
 //!
 //! [`AtomicBool`]: std::sync::atomic::AtomicBool
 

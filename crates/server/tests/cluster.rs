@@ -727,6 +727,412 @@ fn killed_backend_restarted_from_state_dir_rejoins_converged() {
 }
 
 // ---------------------------------------------------------------------
+// Control plane: one order of mutations, none lost to a replay, and a
+// front door that accepts as connections arrive.
+// ---------------------------------------------------------------------
+
+type RunningDaemon = (ShutdownHandle, thread::JoinHandle<DaemonReport>);
+
+/// Boots an in-process threads-model backend with an empty registry and
+/// an HTTP gateway (for the digest scrape).
+fn boot_empty_backend() -> (BackendSpec, RunningDaemon) {
+    let config = DaemonConfig {
+        shards: 1,
+        read_timeout: Duration::from_millis(10),
+        drain_timeout: Duration::from_secs(5),
+        ..DaemonConfig::default()
+    };
+    let daemon = Daemon::bind_with_http(
+        &Endpoint::Tcp("127.0.0.1:0".to_string()),
+        Some("127.0.0.1:0"),
+        config,
+        faascache_core::function::FunctionRegistry::new(),
+    )
+    .expect("bind backend");
+    let addr = daemon.bound_addr();
+    let Some(BoundAddr::Tcp(http)) = daemon.bound_http_addr() else {
+        unreachable!("gateway is tcp")
+    };
+    let handle = daemon.shutdown_handle();
+    let join = thread::spawn(move || daemon.run());
+    client::await_ready(&addr, READY_TIMEOUT).expect("backend ready");
+    let spec = BackendSpec {
+        addr,
+        http: Some(http),
+    };
+    (spec, (handle, join))
+}
+
+fn drain_daemon((handle, join): RunningDaemon) -> DaemonReport {
+    handle.request();
+    let report = join.join().expect("daemon panicked");
+    assert!(report.drained, "daemon reported drained=false");
+    report
+}
+
+fn scrape_registry_digest(spec: &BackendSpec) -> u64 {
+    let http = BoundAddr::Tcp(spec.http.expect("backend has a gateway"));
+    let body = faascache_server::HttpClient::connect(&http)
+        .expect("connect gateway")
+        .metrics()
+        .expect("scrape metrics");
+    body.lines()
+        .find_map(|l| l.strip_prefix("faascache_registry_digest "))
+        .unwrap_or_else(|| panic!("metrics missing registry digest:\n{body}"))
+        .trim()
+        .parse()
+        .expect("digest parses")
+}
+
+/// Regression: broadcasts used to take no lock, so two front connections
+/// registering different names at once could reach backend 0 as (f, g)
+/// and backend 1 as (g, f). Indices are minted in arrival order and the
+/// first answer speaks for all, so the router then routed g's index to a
+/// backend where it meant f.
+#[test]
+fn concurrent_registrations_mint_one_index_per_name_everywhere() {
+    const THREADS: usize = 8;
+    const NAMES_EACH: usize = 16;
+
+    let (spec0, daemon0) = boot_empty_backend();
+    let (spec1, daemon1) = boot_empty_backend();
+    let specs = vec![spec0, spec1];
+    let (addr, _http, handle, join) = boot_router(specs.clone(), RouterConfig::default());
+
+    let minted: Vec<(String, u32)> = thread::scope(|scope| {
+        let registering: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let addr = &addr;
+                scope.spawn(move || {
+                    let mut conn = Client::connect(addr).expect("connect router");
+                    (0..NAMES_EACH)
+                        .map(|i| {
+                            let name = format!("fn-{t}-{i}");
+                            let (index, created) = conn
+                                .register(&name, 128, 1_000, 10_000)
+                                .expect("broadcast register");
+                            assert!(created, "{name} registered twice");
+                            (name, index)
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        registering
+            .into_iter()
+            .flat_map(|t| t.join().expect("registering thread"))
+            .collect()
+    });
+    assert_eq!(minted.len(), THREADS * NAMES_EACH);
+
+    for spec in &specs {
+        let mut direct = Client::connect(&spec.addr).expect("connect backend");
+        for (name, index) in &minted {
+            let (on_backend, created) = direct
+                .register(name, 128, 1_000, 10_000)
+                .expect("look the name up");
+            assert!(!created, "{name} never reached backend {spec}");
+            assert_eq!(
+                on_backend, *index,
+                "{name}: the router answered index {index}, backend {spec} holds {on_backend}"
+            );
+        }
+    }
+    assert_eq!(
+        scrape_registry_digest(&specs[0]),
+        scrape_registry_digest(&specs[1]),
+        "registry digests diverge"
+    );
+
+    drain_router(&handle, join);
+    drain_daemon(daemon0);
+    drain_daemon(daemon1);
+}
+
+/// A stand-in backend that speaks just enough of the binary protocol to
+/// be probed, ejected and re-admitted, and that can hold its reply to
+/// the first `Register` of a replay for as long as the test likes.
+#[cfg(unix)]
+mod fake {
+    use super::*;
+    use faascache_server::proto::{self, Request, Response};
+    use std::net::{TcpListener, TcpStream};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::mpsc::{self, Receiver, Sender};
+    use std::sync::{Arc, Mutex};
+
+    #[derive(Default)]
+    pub struct State {
+        /// Whether `Ping` is answered (else the connection is dropped).
+        pub alive: AtomicBool,
+        /// Whether the next `Register` is held until the gate opens.
+        pub hold_next_register: AtomicBool,
+        /// Whether a connection is closed after each `Register` reply,
+        /// as a restarted or draining backend closes a standing one.
+        pub hang_up_after_reply: AtomicBool,
+        /// Whether a `Register` is answered by closing the connection.
+        pub refuse_registers: AtomicBool,
+        /// Names registered so far, in arrival order.
+        pub names: Mutex<Vec<String>>,
+    }
+
+    pub struct FakeBackend {
+        pub addr: BoundAddr,
+        pub state: Arc<State>,
+        /// Fires when a `Register` is being held.
+        pub held: Receiver<()>,
+        /// Opens the gate for the held `Register`.
+        pub release: Sender<()>,
+    }
+
+    /// Binds the fake and serves it from detached threads: they end with
+    /// the test process.
+    pub fn spawn() -> FakeBackend {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake backend");
+        let addr = BoundAddr::Tcp(listener.local_addr().expect("local addr"));
+        let state = Arc::new(State::default());
+        let (held_tx, held) = mpsc::channel();
+        let (release, gate) = mpsc::channel();
+        let gate = Arc::new(Mutex::new(gate));
+        let serving = Arc::clone(&state);
+        thread::spawn(move || {
+            for conn in listener.incoming().flatten() {
+                let (state, held_tx, gate) =
+                    (Arc::clone(&serving), held_tx.clone(), Arc::clone(&gate));
+                thread::spawn(move || serve(conn, &state, &held_tx, &gate));
+            }
+        });
+        FakeBackend {
+            addr,
+            state,
+            held,
+            release,
+        }
+    }
+
+    fn serve(mut conn: TcpStream, state: &State, held_tx: &Sender<()>, gate: &Mutex<Receiver<()>>) {
+        while let Ok(Some(payload)) = proto::read_frame(&mut conn) {
+            let response = match Request::decode(&payload) {
+                Ok(Request::Ping) if state.alive.load(Ordering::SeqCst) => Response::Pong,
+                Ok(Request::Ping) => return,
+                Ok(Request::Register { .. }) if state.refuse_registers.load(Ordering::SeqCst) => {
+                    return
+                }
+                Ok(Request::Register { name, .. }) => {
+                    if state.hold_next_register.swap(false, Ordering::SeqCst) {
+                        // Detached thread: a test that has gone away
+                        // ends the connection, not the process.
+                        let released = held_tx.send(()).is_ok()
+                            && gate.lock().is_ok_and(|gate| gate.recv().is_ok());
+                        if !released {
+                            return;
+                        }
+                    }
+                    let mut names = state.names.lock().unwrap();
+                    let known = names.iter().position(|n| *n == name);
+                    if known.is_none() {
+                        names.push(name);
+                    }
+                    Response::Registered {
+                        function: known.unwrap_or(names.len() - 1) as u32,
+                        created: known.is_none(),
+                    }
+                }
+                Ok(Request::SetTenantQuota { .. }) => Response::QuotaSet { live: false },
+                other => Response::Error(format!("the fake does not serve {other:?}")),
+            };
+            if proto::write_frame(&mut conn, &response.encode()).is_err() {
+                return;
+            }
+            let registered = matches!(response, Response::Registered { .. });
+            if registered && state.hang_up_after_reply.load(Ordering::SeqCst) {
+                return;
+            }
+        }
+    }
+}
+
+/// Regression: re-admission used to snapshot the mutation log, replay it
+/// and only then have the prober flip `healthy`, all without a lock. A
+/// `Register` acknowledged in between skipped the (still unhealthy)
+/// backend *and* missed the snapshot, so the backend rejoined one
+/// mutation short until its next ejection.
+#[cfg(unix)]
+#[test]
+fn a_register_acknowledged_during_a_replay_reaches_the_rejoining_backend() {
+    use std::sync::atomic::Ordering;
+
+    let (survivor, daemon) = boot_empty_backend();
+    let rejoining = fake::spawn();
+    let specs = vec![
+        survivor,
+        BackendSpec {
+            addr: rejoining.addr.clone(),
+            http: None,
+        },
+    ];
+    let config = RouterConfig {
+        health_interval: Duration::from_millis(10),
+        eject_after: 1,
+        readmit_backoff: Duration::from_millis(10),
+        readmit_cap: Duration::from_millis(20),
+        ..RouterConfig::default()
+    };
+    let (addr, http, handle, join) = boot_router(specs, config);
+
+    // The fake drops its probes: ejected. A registration meanwhile is
+    // acknowledged by the survivor alone and logged for the replay.
+    await_router_series(&http, "faasrouter_backend_healthy{backend=\"1\"}", 0);
+    let mut conn = Client::connect(&addr).expect("connect router");
+    let (before, created) = conn
+        .register("before-replay", 128, 1_000, 10_000)
+        .expect("register while ejected");
+    assert!(created);
+    assert!(rejoining.state.names.lock().unwrap().is_empty());
+
+    // The fake comes back and holds the replay's first reply: the
+    // backend is now *in* reconciliation, not yet healthy.
+    rejoining
+        .state
+        .hold_next_register
+        .store(true, Ordering::SeqCst);
+    rejoining.state.alive.store(true, Ordering::SeqCst);
+    rejoining
+        .held
+        .recv_timeout(READY_TIMEOUT)
+        .expect("the replay never reached the rejoining backend");
+
+    // A second registration arrives while the replay is held, and gets a
+    // good while to slip through before the gate opens.
+    let during = thread::scope(|scope| {
+        let registering = scope.spawn(|| {
+            conn.register("during-replay", 128, 1_000, 10_000)
+                .expect("register during the replay")
+        });
+        thread::sleep(Duration::from_millis(100));
+        rejoining.release.send(()).expect("open the gate");
+        registering.join().expect("registering thread")
+    });
+    assert!(during.1, "during-replay registered twice");
+    assert_ne!(during.0, before);
+
+    await_router_series(&http, "faasrouter_backend_healthy{backend=\"1\"}", 1);
+    assert_eq!(
+        *rejoining.state.names.lock().unwrap(),
+        ["before-replay", "during-replay"],
+        "the backend rejoined without a mutation acknowledged during its replay"
+    );
+
+    drop(conn);
+    drain_router(&handle, join);
+    drain_daemon(daemon);
+}
+
+/// The redial-once rule of the control plane's standing connections: one
+/// that died since its last use (here the backend hangs up after every
+/// reply) costs the mutation a redial, not an error; a failure on the
+/// fresh connection is the backend's answer and reaches the client.
+#[cfg(unix)]
+#[test]
+fn a_dead_standing_connection_is_redialed_once() {
+    use std::sync::atomic::Ordering;
+
+    let backend = fake::spawn();
+    backend.state.alive.store(true, Ordering::SeqCst);
+    backend
+        .state
+        .hang_up_after_reply
+        .store(true, Ordering::SeqCst);
+    let spec = BackendSpec {
+        addr: backend.addr.clone(),
+        http: None,
+    };
+    let (addr, _http, handle, join) = boot_router(vec![spec], RouterConfig::default());
+
+    let mut conn = Client::connect(&addr).expect("connect router");
+    for (i, name) in ["first", "second", "third"].into_iter().enumerate() {
+        let (index, created) = conn
+            .register(name, 128, 1_000, 10_000)
+            .unwrap_or_else(|e| panic!("{name} over a hung-up standing connection: {e}"));
+        assert_eq!((index, created), (i as u32, true), "{name}");
+    }
+    assert_eq!(
+        *backend.state.names.lock().unwrap(),
+        ["first", "second", "third"]
+    );
+
+    // The standing connection is dead again, and now so is every fresh
+    // one: the redial's failure is reported, and nothing is logged.
+    backend.state.refuse_registers.store(true, Ordering::SeqCst);
+    let refused = conn
+        .register("fourth", 128, 1_000, 10_000)
+        .expect_err("a refused register was acknowledged");
+    assert!(
+        refused
+            .to_string()
+            .contains("register did not reach every healthy backend"),
+        "{refused}"
+    );
+    assert_eq!(backend.state.names.lock().unwrap().len(), 3);
+
+    drop(conn);
+    drain_router(&handle, join);
+}
+
+/// Guard for the router's accept path (the daemon's is in `daemon.rs`):
+/// a fresh front connection is served when the kernel queues it, and an
+/// idle front wakes once per read timeout, not 500 times a second.
+#[test]
+fn the_router_accepts_as_connections_arrive_and_idles_in_the_kernel() {
+    const BUDGET: Duration = Duration::from_micros(500);
+
+    let (spec, daemon) = boot_empty_backend();
+    let config = RouterConfig::default();
+    let read_timeout = config.read_timeout;
+    let (addr, _http, handle, join) = boot_router(vec![spec], config);
+
+    // Lowest of up to five medians over 200 dial + Ping + close round
+    // trips: load on the host only lengthens one, and a sleep-paced
+    // accept loop cannot get under its tick in any.
+    let mut median = Duration::MAX;
+    for _ in 0..5 {
+        let mut took: Vec<Duration> = (0..200)
+            .map(|_| {
+                let t = Instant::now();
+                Client::connect(&addr)
+                    .expect("connect router")
+                    .ping()
+                    .expect("ping");
+                t.elapsed()
+            })
+            .collect();
+        took.sort();
+        median = median.min(took[took.len() / 2]);
+        if median < BUDGET {
+            break;
+        }
+    }
+    assert!(
+        median < BUDGET,
+        "dial + Ping + close took a median {median:?}"
+    );
+
+    thread::sleep(Duration::from_secs(1));
+    let report = drain_router(&handle, join);
+    // Per listener: one wake-up per read timeout of uptime, one for the
+    // drain, one of slack; and one per connection accepted.
+    let timeouts = report.uptime.as_millis() / read_timeout.as_millis();
+    let bound = 2 * (timeouts as u64 + 2) + report.connections;
+    assert!(
+        (1..=bound).contains(&report.accept_wakeups),
+        "{} accept-loop wake-ups in {:?}, bound {bound}",
+        report.accept_wakeups,
+        report.uptime
+    );
+    drain_daemon(daemon);
+}
+
+// ---------------------------------------------------------------------
 // Differential vs sim::cluster.
 // ---------------------------------------------------------------------
 

@@ -1068,6 +1068,121 @@ fn shutdown_gate_blocks_wire_shutdown_epoll() {
     shutdown_gate(IoModel::Epoll);
 }
 
+/// One meaning of `protocol_errors` under both drivers (ROADMAP 4(f)):
+/// malformed or stalled input. A connection reset is weather on the
+/// transport, whichever side of a frame it strikes, and is not counted —
+/// here under a 5 % injected-reset regime that the client's retries must
+/// visibly have worked through.
+fn resets_are_not_protocol_errors(io: IoModel) {
+    let (_, schedule) = shared_schedule();
+    for seed in chaos_seeds() {
+        let resets_only = FaultConfig {
+            seed,
+            reset: 0.05,
+            ..FaultConfig::disabled()
+        };
+        let (addr, handle, join) = boot(chaos_daemon_config(io, Some(resets_only)));
+        let report = client::run_load_with(&addr, schedule, retrying_load(200, 12, None));
+        assert!(report.retried > 0, "seed {seed}: no reset ever struck");
+        let daemon_report = drain_bounded(&handle, join, seed);
+        assert_eq!(
+            daemon_report.protocol_errors,
+            0,
+            "seed {seed} ({io}): resets counted as protocol errors: {}",
+            daemon_report.summary_line()
+        );
+    }
+}
+
+#[test]
+fn resets_are_not_counted_as_protocol_errors() {
+    resets_are_not_protocol_errors(IoModel::Threads);
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn resets_are_not_counted_as_protocol_errors_epoll() {
+    resets_are_not_protocol_errors(IoModel::Epoll);
+}
+
+/// The same meaning on a clean daemon, with a real RST from a real peer:
+/// the reset is not a protocol error, a frame cut short by EOF is one,
+/// and so is an HTTP request cut short by EOF — under both drivers.
+#[cfg(target_os = "linux")]
+fn only_malformed_input_is_a_protocol_error(io: IoModel) {
+    use faascache_server::proto::{self, Request};
+    use std::io::Write;
+    use std::net::TcpStream;
+
+    let (addr, http_addr, handle, join) = boot_http(chaos_daemon_config(io, None));
+    let (BoundAddr::Tcp(sock), BoundAddr::Tcp(http_sock)) = (&addr, &http_addr) else {
+        unreachable!("tcp endpoints")
+    };
+    let mut scraper = faascache_server::HttpClient::connect(&http_addr).expect("connect gateway");
+    let mut gauge = |name: &str| -> u64 {
+        let body = scraper.metrics().expect("scrape metrics");
+        body.lines()
+            .find_map(|l| l.strip_prefix(name)?.trim().parse().ok())
+            .unwrap_or_else(|| panic!("metrics missing {name}:\n{body}"))
+    };
+    // Waits until the daemon has accepted `more` connections since the
+    // scraper's and reaped every one of them, then reads the
+    // protocol-error count.
+    let accepted_before = gauge("faascache_connections_total ");
+    let mut errors_once_reaped = |more: u64| -> u64 {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while gauge("faascache_connections_total ") != accepted_before + more
+            || gauge("faascache_open_connections ") != 1
+        {
+            assert!(Instant::now() < deadline, "connection {more} never reaped");
+            thread::sleep(Duration::from_millis(5));
+        }
+        gauge("faascache_protocol_errors_total ")
+    };
+
+    // A real reset: closing a socket with an unread reply in its
+    // receive buffer makes the kernel send RST instead of FIN.
+    let mut ping = Vec::new();
+    proto::write_frame(&mut ping, &Request::Ping.encode()).expect("Vec write");
+    let mut resetting = TcpStream::connect(sock).expect("connect");
+    resetting.write_all(&ping).expect("send ping");
+    thread::sleep(Duration::from_millis(50)); // the Pong lands unread
+    drop(resetting);
+    assert_eq!(errors_once_reaped(1), 0, "{io}: a reset was counted");
+
+    // A frame cut short, then EOF.
+    let mut truncated = TcpStream::connect(sock).expect("connect");
+    truncated
+        .write_all(&ping[..ping.len() - 1])
+        .expect("send a frame short of its last byte");
+    drop(truncated);
+    assert_eq!(errors_once_reaped(2), 1, "{io}: EOF inside a frame");
+
+    // Half an HTTP request, then EOF.
+    let mut truncated = TcpStream::connect(http_sock).expect("connect gateway");
+    truncated
+        .write_all(b"POST /invoke/1 HT")
+        .expect("send half a request");
+    drop(truncated);
+    assert_eq!(errors_once_reaped(3), 2, "{io}: EOF inside an HTTP request");
+
+    drop(scraper);
+    let report = drain_bounded(&handle, join, 0);
+    assert_eq!(report.protocol_errors, 2, "{io}: {}", report.summary_line());
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn only_malformed_input_counts_as_a_protocol_error() {
+    only_malformed_input_is_a_protocol_error(IoModel::Threads);
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn only_malformed_input_counts_as_a_protocol_error_epoll() {
+    only_malformed_input_is_a_protocol_error(IoModel::Epoll);
+}
+
 /// Real SIGTERM against the real binary while server-side faults are
 /// active: the process must drain and exit zero, reporting drained=true
 /// on its summary line. Runs the daemon as a child process so the global
