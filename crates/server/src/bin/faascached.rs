@@ -5,7 +5,7 @@
 //!            [--io-model threads|epoll]
 //!            [--shards N] [--mem-mb MB] [--queue-bound N] [--policy GD]
 //!            [--functions N] [--seed S] [--skew zipf:S] [--reap-ms MS]
-//!            [--workers N] [--p2c [WATERMARK]] [--rebalance]
+//!            [--p2c [WATERMARK]] [--rebalance]
 //!            [--rebalance-factor F] [--rebalance-ticks K]
 //!            [--tenants A,B,...] [--tenant-quota NAME:SPEC]
 //!            [--default-tenant-quota SPEC] [--state-dir DIR]
@@ -21,7 +21,7 @@
 //! `GET /healthz`, `GET /metrics` (Prometheus text exposition).
 //!
 //! `--io-model epoll` (Linux) serves every connection from one reactor
-//! thread over raw epoll with `--workers` invocation threads behind it —
+//! thread over raw epoll, each request on the thread that read it —
 //! thousands of mostly-idle keep-alive connections instead of a thread
 //! per socket. The default `threads` model is the original blocking core,
 //! kept as a differential reference.
@@ -76,7 +76,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: faascached [--tcp ADDR | --unix PATH] [--http-listen ADDR]\n\
          \x20                 [--shards N] [--mem-mb MB]\n\
-         \x20                 [--io-model threads|epoll] [--workers N]\n\
+         \x20                 [--io-model threads|epoll]\n\
          \x20                 [--queue-bound N] [--policy GD|TTL|LRU|FREQ|SIZE|LND|HIST]\n\
          \x20                 [--functions N] [--seed S] [--skew zipf:S] [--reap-ms MS]\n\
          \x20                 [--p2c WATERMARK] [--rebalance]\n\
@@ -138,7 +138,6 @@ fn main() -> ExitCode {
             "--http-listen" => http_listen = Some(parse("--http-listen", args.next())),
             "--shards" => config.shards = parse("--shards", args.next()),
             "--io-model" => config.io_model = parse("--io-model", args.next()),
-            "--workers" => config.workers = parse("--workers", args.next()),
             "--mem-mb" => config.total_mem = MemMb::new(parse("--mem-mb", args.next())),
             "--queue-bound" => config.queue_bound = parse("--queue-bound", args.next()),
             "--policy" => config.policy = parse("--policy", args.next()),

@@ -208,10 +208,20 @@ fn unexpected(response: Response) -> io::Error {
 
 /// Wait for a daemon to accept connections (it binds before `run`, but a
 /// test may race the spawn). Retries for up to `timeout`.
+///
+/// Each probe waits a bounded time for its pong: against a
+/// fault-injecting daemon the reply can arrive with a corrupted length
+/// prefix, and a probe that waited for the rest of that frame would wait
+/// for ever.
 pub fn await_ready(addr: &BoundAddr, timeout: Duration) -> io::Result<()> {
+    const PROBE_TIMEOUT: Duration = Duration::from_millis(250);
     let deadline = Instant::now() + timeout;
     loop {
-        match Client::connect(addr).and_then(|mut c| c.ping()) {
+        let probe = Client::connect(addr).and_then(|mut c| {
+            c.set_read_timeout(Some(PROBE_TIMEOUT))?;
+            c.ping()
+        });
+        match probe {
             Ok(()) => return Ok(()),
             Err(e) if Instant::now() >= deadline => return Err(e),
             Err(_) => thread::sleep(Duration::from_millis(10)),

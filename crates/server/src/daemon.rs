@@ -73,8 +73,8 @@ pub enum IoModel {
     /// capped at a few hundred connections by per-thread stacks.
     #[default]
     Threads,
-    /// A single epoll reactor thread multiplexing every connection, with
-    /// invocation execution on a small worker pool — see
+    /// A single epoll reactor thread that multiplexes every connection
+    /// and serves each request where it read it — see
     /// [`crate::reactor`]. Linux only; lifts the connection ceiling to
     /// tens of thousands.
     Epoll,
@@ -142,9 +142,6 @@ pub struct DaemonConfig {
     pub rebalance: Option<RebalanceConfig>,
     /// Which serving core multiplexes connections.
     pub io_model: IoModel,
-    /// Invocation worker threads feeding the epoll reactor (ignored by
-    /// the threads model, which executes on handler threads).
-    pub workers: usize,
     /// Per-tenant isolation budgets (`--tenant-quota`); unlimited by
     /// default, which disables throttling entirely.
     pub tenant_quotas: TenantQuotas,
@@ -172,7 +169,6 @@ impl Default for DaemonConfig {
             p2c: None,
             rebalance: None,
             io_model: IoModel::Threads,
-            workers: 4,
             tenant_quotas: TenantQuotas::unlimited(),
             journal: None,
         }
@@ -196,9 +192,20 @@ pub struct DaemonReport {
     /// kin). The listener survives these; the connection does not.
     pub accept_errors: u64,
     /// Times a threads-model accept loop woke from its park in the
-    /// kernel (0 under epoll): per burst of connections, per read
-    /// timeout while idle, and for the drain.
+    /// kernel (per burst of connections, per read timeout while idle,
+    /// and for the drain), or the epoll reactor from `epoll_wait` (per
+    /// batch of ready sockets, and per read timeout while idle).
     pub accept_wakeups: u64,
+    /// `read` calls made on accepted connections.
+    pub reads: u64,
+    /// `write` calls made on accepted connections.
+    pub writes: u64,
+    /// Ops the epoll reactor handed to its blocking-op thread (journaled
+    /// mutations); 0 under the threads model.
+    pub handoffs: u64,
+    /// Most reply bytes the epoll reactor ever held for one connection;
+    /// 0 under the threads model, which blocks in `write` instead.
+    pub peak_out_bytes: u64,
     /// Request frames read off sockets over the daemon's lifetime.
     pub frames: u64,
     /// HTTP requests served by the gateway (counted separately from
@@ -228,9 +235,10 @@ impl DaemonReport {
     pub fn summary_line(&self) -> String {
         format!(
             "faascached: uptime={:.1}s conns={} connections={}/{} \
-             accept_errors={} frames={} http_requests={} warm={} cold={} \
-             dropped={} rejected={} throttled={} evictions={} migrations={} \
-             proto_errors={} dedup_hits={} balance={:.2} drained={}",
+             accept_errors={} frames={} http_requests={} reads={} writes={} \
+             handoffs={} warm={} cold={} dropped={} rejected={} throttled={} \
+             evictions={} migrations={} proto_errors={} dedup_hits={} \
+             balance={:.2} drained={}",
             self.uptime.as_secs_f64(),
             self.connections,
             self.open_connections,
@@ -238,6 +246,9 @@ impl DaemonReport {
             self.accept_errors,
             self.frames,
             self.http_requests,
+            self.reads,
+            self.writes,
+            self.handoffs,
             self.stats.warm,
             self.stats.cold,
             self.stats.dropped,
@@ -346,7 +357,7 @@ impl IdemCache {
 }
 
 /// State shared between the accept loop, handler threads (or the
-/// reactor and its workers), and reapers.
+/// reactor and its blocking-op thread), and reapers.
 pub(crate) struct Shared {
     pub(crate) invoker: ShardedInvoker,
     /// Function registry behind a read-write lock: the invoke hot path
@@ -354,7 +365,7 @@ pub(crate) struct Shared {
     /// to grow it at runtime.
     registry: RwLock<FunctionRegistry>,
     /// Durable control-plane journal; mutations are appended (and
-    /// fsynced) under the registry write lock, before the wire ack.
+    /// fsynced) under its mutex, before they are applied and acked.
     journal: Option<Arc<Mutex<Journal>>>,
     clock: WallClock,
     shutdown: Arc<DrainLatch>,
@@ -370,6 +381,19 @@ pub(crate) struct Shared {
 impl Shared {
     fn registry_read(&self) -> std::sync::RwLockReadGuard<'_, FunctionRegistry> {
         self.registry.read().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn journal_lock(&self) -> Option<std::sync::MutexGuard<'_, Journal>> {
+        self.journal
+            .as_ref()
+            .map(|journal| journal.lock().unwrap_or_else(|e| e.into_inner()))
+    }
+
+    /// Whether executing `op` waits for the disk: a control-plane
+    /// mutation on a journaled daemon is fsynced before it is answered.
+    /// Nothing else an [`Op`] does sleeps.
+    pub(crate) fn blocks_on(&self, op: &Op) -> bool {
+        self.journal.is_some() && op.is_mutation()
     }
 
     /// Invokes by registry index, optionally through the idempotency
@@ -390,6 +414,10 @@ impl Shared {
                         return Ok(prev);
                     }
                     Some(IdemEntry::Pending) => {
+                        // Threads model only. The epoll reactor runs
+                        // every invoke on its one thread, from claim to
+                        // `Done`, so it can never find a claim pending
+                        // and never sleeps here.
                         cache = self.idem_cv.wait(cache).unwrap_or_else(|e| e.into_inner());
                         // Re-check: the executor recorded Done, failed
                         // (entry removed — we take over), or the entry
@@ -454,16 +482,21 @@ impl Shared {
         if name.len() > u8::MAX as usize {
             return Err(format!("function name too long ({} > 255)", name.len()));
         }
-        let mut registry = self.registry.write().unwrap_or_else(|e| e.into_inner());
-        if let Some(spec) = registry.find(name) {
+        // Journaled mutations are serialised by the journal mutex, taken
+        // before any registry lock, so records reach the disk in the
+        // order they are applied — and the fsync is waited for with no
+        // registry lock held: invokes (the epoll reactor thread runs
+        // them inline) never queue behind the disk.
+        let mut journal = self.journal_lock();
+        if let Some(spec) = self.registry_read().find(name) {
             return Ok((spec.id().index() as u32, false));
         }
-        // Journal-first, under the registry write lock: an acked
-        // `created = true` implies the record is fsynced. A crash after
-        // the append but before the in-memory apply merely replays an
-        // un-acked registration on restart, which is harmless; a record
-        // whose apply below fails validation is skipped on replay.
-        if let Some(journal) = &self.journal {
+        // Journal-first: an acked `created = true` implies the record is
+        // fsynced. A crash after the append but before the in-memory
+        // apply merely replays an un-acked registration on restart,
+        // which is harmless; a record whose apply below fails validation
+        // is skipped on replay.
+        if let Some(journal) = &mut journal {
             let record = JournalRecord::Register {
                 name: name.to_string(),
                 mem_mb,
@@ -471,13 +504,17 @@ impl Shared {
                 cold_us,
                 tenant: tenant.to_string(),
             };
-            let mut journal = journal.lock().unwrap_or_else(|e| e.into_inner());
             journal
                 .append(&record)
                 .map_err(|e| format!("journal append failed: {e}"))?;
-            self.compact_if_needed(&mut journal, &registry);
         }
-        registry
+        let mut registry = self.registry.write().unwrap_or_else(|e| e.into_inner());
+        // Without a journal nothing above excludes a concurrent
+        // registration of the same name.
+        if let Some(spec) = registry.find(name) {
+            return Ok((spec.id().index() as u32, false));
+        }
+        let registered = registry
             .register_in(
                 name,
                 MemMb::new(u64::from(mem_mb)),
@@ -486,7 +523,11 @@ impl Shared {
                 tenant,
             )
             .map(|id| (id.index() as u32, true))
-            .map_err(|e| e.to_string())
+            .map_err(|e| e.to_string());
+        if let Some(journal) = &mut journal {
+            self.compact_if_needed(journal, &registry);
+        }
+        registered
     }
 
     /// Updates a tenant's isolation budget at runtime: journaled (when a
@@ -500,28 +541,32 @@ impl Shared {
         }
         validate_tenant_name(tenant)?;
         // Same journal-first, ack-after-fsync ordering as
-        // `register_function`; the registry lock serializes journal
-        // appends against registrations.
-        if let Some(journal) = &self.journal {
-            let registry = self.registry_read();
+        // `register_function`, applied under the journal mutex so two
+        // updates of one tenant land in the order they were journaled.
+        let mut journal = self.journal_lock();
+        if let Some(journal) = &mut journal {
             let record = JournalRecord::SetQuota {
                 tenant: tenant.to_string(),
                 inflight,
                 mem_mb,
             };
-            let mut journal = journal.lock().unwrap_or_else(|e| e.into_inner());
             journal
                 .append(&record)
                 .map_err(|e| format!("journal append failed: {e}"))?;
-            self.compact_if_needed(&mut journal, &registry);
         }
-        Ok(self
+        let live = self
             .invoker
-            .set_tenant_quota(tenant, TenantQuota { inflight, mem_mb }))
+            .set_tenant_quota(tenant, TenantQuota { inflight, mem_mb });
+        if let Some(journal) = &mut journal {
+            self.compact_if_needed(journal, &self.registry_read());
+        }
+        Ok(live)
     }
 
-    /// Folds the full control-plane state into the snapshot when the
-    /// journal tail has grown past its thresholds. Compaction failure is
+    /// Folds the full control-plane state — which must already hold the
+    /// mutation just journaled, since the tail that recorded it is
+    /// truncated — into the snapshot when the journal tail has grown
+    /// past its thresholds. Compaction failure is
     /// non-fatal (the tail keeps growing and stays authoritative).
     fn compact_if_needed(&self, journal: &mut Journal, registry: &FunctionRegistry) {
         if !journal.should_compact() {
@@ -649,6 +694,21 @@ impl Shared {
                 "faascache_protocol_errors_total",
                 "Connections torn down due to malformed input.",
                 front.protocol_errors.load(Ordering::Relaxed),
+            ),
+            (
+                "faascache_front_reads_total",
+                "read calls made on accepted connections.",
+                front.reads.load(Ordering::Relaxed),
+            ),
+            (
+                "faascache_front_writes_total",
+                "write calls made on accepted connections.",
+                front.writes.load(Ordering::Relaxed),
+            ),
+            (
+                "faascache_front_handoffs_total",
+                "Ops the epoll reactor handed to its blocking-op thread.",
+                front.handoffs.load(Ordering::Relaxed),
             ),
         ] {
             m.single(name, "counter", help, v);
@@ -934,6 +994,10 @@ impl Daemon {
             peak_connections: front.conns_peak.load(Ordering::Relaxed),
             accept_errors: front.accept_errors.load(Ordering::Relaxed),
             accept_wakeups: front.accept_wakeups.load(Ordering::Relaxed),
+            reads: front.reads.load(Ordering::Relaxed),
+            writes: front.writes.load(Ordering::Relaxed),
+            handoffs: front.handoffs.load(Ordering::Relaxed),
+            peak_out_bytes: front.peak_out_bytes.load(Ordering::Relaxed),
             frames: front.frames.load(Ordering::Relaxed),
             http_requests: front.http_requests.load(Ordering::Relaxed),
             protocol_errors: front.protocol_errors.load(Ordering::Relaxed),

@@ -163,6 +163,7 @@ impl Front {
                     let svc = Arc::clone(svc);
                     handlers.push(thread::spawn(move || {
                         let mut ctx = svc.conn_ctx(ordinal);
+                        let stream = svc.counters().counted(stream);
                         match kind {
                             ConnKind::Binary => {
                                 serve_binary(&*svc, &mut ctx, stream, stall_limit);

@@ -21,9 +21,9 @@
 //!   per-connection loop per protocol, drain;
 //! - [`reactor`] (linux) — the `--io-model epoll` driver: one reactor
 //!   thread multiplexing every connection over raw `epoll` with
-//!   incremental codecs, a pooled-buffer allocator, and a worker pool
-//!   that executes through the same `respond` — C10k connections, no
-//!   new deps;
+//!   incremental codecs, executing each request through the same
+//!   `respond` on the thread that read it — C10k connections, no new
+//!   deps;
 //! - [`daemon`] — the `faascached` daemon: N pool shards with
 //!   function-affinity routing, bounded admission with explicit
 //!   backpressure, an idempotency cache, a durable registry journal,
@@ -34,8 +34,7 @@
 //!   models (random, round-robin, least-loaded, affinity), live health
 //!   checks with ejection/re-admission, pinned idempotency keys, and
 //!   per-backend `/metrics`; served by the blocking driver (a forward
-//!   is a blocking round-trip, which the reactor's worker pool would
-//!   cap);
+//!   is a blocking round-trip, which would stall the reactor);
 //! - [`client`] — the blocking protocol client (with retry/backoff and
 //!   idempotency keys) and the open-loop trace-replay load generator
 //!   behind the `faas-load` binary;

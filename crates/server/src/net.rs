@@ -18,7 +18,8 @@
 //! accept loops park in `poll(2)` on their listener instead of pacing a
 //! non-blocking `accept` with a sleep, so a fresh connection is picked
 //! up when the kernel queues it, and the latch's socketpair pulls them
-//! out of the park the moment a drain is requested.
+//! (and the epoll reactor, which registers the same fd) out of the
+//! kernel the moment a drain is requested.
 
 use crate::daemon::BoundAddr;
 use std::io::{self, Read, Write};
@@ -158,8 +159,8 @@ impl Stream {
     }
 }
 
-/// One server's drain flag, and what wakes the accept loops parked on
-/// it. A wire `Shutdown`, a [`ShutdownHandle`](crate::daemon::ShutdownHandle)
+/// One server's drain flag, and what wakes the loops parked on it. A
+/// wire `Shutdown`, a [`ShutdownHandle`](crate::daemon::ShutdownHandle)
 /// and the end of `run` all go through [`DrainLatch::request`]; a signal
 /// only sets [`crate::signal`]'s flag, which a parked loop notices when
 /// its park times out.
@@ -207,14 +208,15 @@ impl DrainLatch {
     /// the caller re-checks its conditions either way.
     #[cfg(target_os = "linux")]
     pub(crate) fn park(&self, listener: Option<&Listener>, timeout: Duration) {
+        park::until_readable([listener.map(Listener::raw_fd), self.wake_fd()], timeout);
+    }
+
+    /// The fd that turns readable, and stays so, once drain is requested:
+    /// what a loop that sleeps in the kernel watches to be woken by it.
+    #[cfg(target_os = "linux")]
+    pub(crate) fn wake_fd(&self) -> Option<std::os::unix::io::RawFd> {
         use std::os::unix::io::AsRawFd;
-        park::until_readable(
-            [
-                listener.map(Listener::raw_fd),
-                self.wake.as_ref().map(|(rx, _)| rx.as_raw_fd()),
-            ],
-            timeout,
-        );
+        self.wake.as_ref().map(|(rx, _)| rx.as_raw_fd())
     }
 
     /// Without `poll(2)`: the old 2 ms pacing of a non-blocking accept.

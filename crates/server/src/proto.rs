@@ -549,10 +549,9 @@ fn read_patiently(
 /// The readiness-driven serving core decodes and encodes one frame per
 /// request on connections that number in the thousands; allocating a
 /// fresh `Vec` per frame would make the allocator the hot path. The pool
-/// recycles payload and wire buffers across frames and across
+/// recycles frame payload buffers across frames and across
 /// connections. It is deliberately simple — a mutexed free list — because
-/// the reactor is single-threaded and the worker pool is small, so the
-/// lock is uncontended in practice.
+/// only the reactor thread takes from it, so the lock is uncontended.
 #[derive(Debug, Clone)]
 pub struct BufPool {
     free: Arc<Mutex<Vec<Vec<u8>>>>,
@@ -725,89 +724,77 @@ pub enum WriteProgress {
     Closed(io::Error),
 }
 
-/// Incremental frame writer for nonblocking transports.
+/// Incremental reply writer for nonblocking transports.
 ///
-/// Queues length-prefixed wire frames and writes as much as the socket
-/// accepts, tracking a byte offset into the front frame so a partial
-/// write resumes exactly where it stopped. [`FrameEncoder::write_to`]
-/// reports how many *whole frames* finished in the call — the unit the
-/// daemon's drain accounting brackets (`active` counts frames whose
-/// response is not yet fully on the wire).
+/// Replies are appended to one contiguous buffer, each remembered by the
+/// offset it ends at, and [`FrameEncoder::write_to`] offers the transport
+/// everything not yet written in one `write`: the replies of a pipelined
+/// burst leave in one syscall, and a partial write resumes exactly where
+/// it stopped. It reports how many *whole frames* finished in the call —
+/// the unit the daemon's drain accounting brackets (`active` counts
+/// frames whose response is not yet fully on the wire).
 #[derive(Debug, Default)]
 pub struct FrameEncoder {
-    queue: VecDeque<Vec<u8>>,
-    offset: usize,
+    buf: Vec<u8>,
+    /// Bytes at the front of `buf` the transport already took.
+    written: usize,
+    /// Offset in `buf` at which each queued frame ends, oldest first.
+    ends: VecDeque<usize>,
 }
 
 impl FrameEncoder {
+    /// Capacity an idle encoder keeps; a burst's larger buffer is given
+    /// back once it is flushed.
+    const RETAIN_CAP: usize = 4096;
+
     /// An empty write queue.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Queues `payload` as a length-prefixed wire frame, buffering into
-    /// `buf` (typically from a [`BufPool`]).
-    pub fn push_payload_into(&mut self, payload: &[u8], mut buf: Vec<u8>) {
-        debug_assert!(payload.len() <= MAX_FRAME);
-        buf.clear();
-        buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        buf.extend_from_slice(payload);
-        self.queue.push_back(buf);
-    }
-
-    /// Queues an already length-prefixed wire frame.
-    pub fn push_wire_frame(&mut self, frame: Vec<u8>) {
-        self.queue.push_back(frame);
+    /// Queues the bytes `fill` appends as one frame (a length-prefixed
+    /// binary frame or a whole HTTP response) and passes its result on.
+    pub fn push_with<R>(&mut self, fill: impl FnOnce(&mut Vec<u8>) -> R) -> R {
+        let result = fill(&mut self.buf);
+        self.ends.push_back(self.buf.len());
+        result
     }
 
     /// Whether no frames (not even a partial one) remain queued.
     pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
+        self.ends.is_empty()
     }
 
-    /// Frames queued, counting a partially written front frame.
-    pub fn pending_frames(&self) -> usize {
-        self.queue.len()
+    /// Bytes queued and not yet written.
+    pub fn pending_bytes(&self) -> usize {
+        self.buf.len() - self.written
     }
 
-    /// Drops all queued frames into `reclaim`, returning how many frames
-    /// (complete or partial) were discarded — the connection-close path's
-    /// drain accounting.
-    pub fn abandon(&mut self, reclaim: &mut dyn FnMut(Vec<u8>)) -> usize {
-        let n = self.queue.len();
-        for buf in self.queue.drain(..) {
-            reclaim(buf);
-        }
-        self.offset = 0;
-        n
+    /// Drops everything queued, returning how many frames (complete or
+    /// partial) were discarded — the connection-close path's drain
+    /// accounting.
+    pub fn abandon(&mut self) -> usize {
+        self.buf.clear();
+        self.written = 0;
+        let frames = self.ends.len();
+        self.ends.clear();
+        frames
     }
 
-    /// Writes queued frames until the queue empties or the transport
-    /// blocks. Returns `(frames_completed, progress)`; completed frame
-    /// buffers are handed to `reclaim` for pooling.
-    pub fn write_to(
-        &mut self,
-        w: &mut impl Write,
-        reclaim: &mut dyn FnMut(Vec<u8>),
-    ) -> (usize, WriteProgress) {
+    /// Writes queued bytes until none are left or the transport blocks.
+    /// Returns `(frames_completed, progress)`.
+    pub fn write_to(&mut self, w: &mut impl Write) -> (usize, WriteProgress) {
         let mut completed = 0;
-        while let Some(front) = self.queue.front() {
-            match w.write(&front[self.offset..]) {
-                Ok(0) => {
-                    return (
-                        completed,
-                        WriteProgress::Closed(io::Error::new(
-                            io::ErrorKind::WriteZero,
-                            "transport accepted zero bytes",
-                        )),
-                    );
-                }
+        let progress = loop {
+            if self.written == self.buf.len() {
+                break WriteProgress::Flushed;
+            }
+            match w.write(&self.buf[self.written..]) {
+                Ok(0) => break WriteProgress::Closed(io::ErrorKind::WriteZero.into()),
                 Ok(n) => {
-                    self.offset += n;
-                    if self.offset == front.len() {
-                        let done = self.queue.pop_front().expect("front exists");
-                        reclaim(done);
-                        self.offset = 0;
+                    self.written += n;
+                    while self.ends.front().is_some_and(|&end| end <= self.written) {
+                        self.ends.pop_front();
                         completed += 1;
                     }
                 }
@@ -819,12 +806,26 @@ impl FrameEncoder {
                     if e.kind() == io::ErrorKind::WouldBlock
                         || e.kind() == io::ErrorKind::TimedOut =>
                 {
-                    return (completed, WriteProgress::Blocked);
+                    break WriteProgress::Blocked;
                 }
-                Err(e) => return (completed, WriteProgress::Closed(e)),
+                Err(e) => break WriteProgress::Closed(e),
             }
+        };
+        if self.written == self.buf.len() {
+            self.buf.clear();
+            self.buf.shrink_to(Self::RETAIN_CAP);
+            self.written = 0;
+        } else if self.written >= self.buf.len() - self.written {
+            // A peer that reads slowly but steadily never empties the
+            // buffer; drop the written prefix once it is at least as
+            // long as what is left, so the copy is amortised.
+            self.buf.drain(..self.written);
+            for end in &mut self.ends {
+                *end -= self.written;
+            }
+            self.written = 0;
         }
-        (completed, WriteProgress::Flushed)
+        (completed, progress)
     }
 }
 
@@ -1153,6 +1154,11 @@ mod tests {
         assert!(pool.available() >= 1, "buffers must round-trip the pool");
     }
 
+    /// Queues `payload` as one length-prefixed frame.
+    fn push(enc: &mut FrameEncoder, payload: &[u8]) {
+        enc.push_with(|buf| write_frame(buf, payload)).unwrap();
+    }
+
     /// A writer that accepts at most `cap` bytes per call, then blocks.
     struct Throttled {
         out: Vec<u8>,
@@ -1179,40 +1185,110 @@ mod tests {
     #[test]
     fn encoder_resumes_partial_writes_and_counts_whole_frames() {
         let mut enc = FrameEncoder::new();
-        enc.push_payload_into(&[1, 2, 3], Vec::new());
-        enc.push_payload_into(&[4, 5], Vec::new());
+        push(&mut enc, &[1, 2, 3]);
+        push(&mut enc, &[4, 5]);
         let mut expected = Vec::new();
         write_frame(&mut expected, &[1, 2, 3]).unwrap();
         write_frame(&mut expected, &[4, 5]).unwrap();
+        assert_eq!(enc.pending_bytes(), expected.len());
 
         let mut w = Throttled {
             out: Vec::new(),
             cap: 3,
             budget: 5,
         };
-        let mut reclaimed = 0usize;
-        let (done, progress) = enc.write_to(&mut w, &mut |_| reclaimed += 1);
+        let (done, progress) = enc.write_to(&mut w);
         assert_eq!(done, 0, "first frame is 7 wire bytes, only 5 accepted");
         assert!(matches!(progress, WriteProgress::Blocked));
-        assert_eq!(enc.pending_frames(), 2);
+        assert!(!enc.is_empty());
+        assert_eq!(enc.pending_bytes(), expected.len() - 5);
+
+        // A frame queued behind a partly written one keeps its place.
+        push(&mut enc, &[6]);
+        write_frame(&mut expected, &[6]).unwrap();
 
         w.budget = usize::MAX;
-        let (done, progress) = enc.write_to(&mut w, &mut |_| reclaimed += 1);
-        assert_eq!(done, 2);
+        let (done, progress) = enc.write_to(&mut w);
+        assert_eq!(done, 3);
         assert!(matches!(progress, WriteProgress::Flushed));
         assert!(enc.is_empty());
-        assert_eq!(reclaimed, 2);
+        assert_eq!(enc.pending_bytes(), 0);
         assert_eq!(w.out, expected, "partial writes resume without gaps");
+    }
+
+    #[test]
+    fn encoder_offers_a_burst_in_one_write_and_forgets_written_bytes() {
+        /// Takes `quota` bytes per call and counts the calls.
+        struct Counting {
+            out: Vec<u8>,
+            quota: usize,
+            calls: usize,
+        }
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.calls += 1;
+                if self.calls.is_multiple_of(2) {
+                    return Err(io::Error::new(io::ErrorKind::WouldBlock, "full"));
+                }
+                let n = buf.len().min(self.quota);
+                self.out.extend_from_slice(&buf[..n]);
+                Ok(n)
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+
+        let mut enc = FrameEncoder::new();
+        let mut expected = Vec::new();
+        for i in 0..64u8 {
+            push(&mut enc, &[i; 9]);
+            write_frame(&mut expected, &[i; 9]).unwrap();
+        }
+        let mut w = Counting {
+            out: Vec::new(),
+            quota: usize::MAX,
+            calls: 0,
+        };
+        let (done, progress) = enc.write_to(&mut w);
+        assert_eq!((done, w.calls), (64, 1), "64 replies, one write");
+        assert!(matches!(progress, WriteProgress::Flushed));
+        assert_eq!(w.out, expected);
+
+        // A peer that takes one reply's worth per wake-up while another
+        // is queued never sees the buffer empty; it must not grow.
+        let mut w = Counting {
+            out: Vec::new(),
+            quota: 13,
+            calls: 0,
+        };
+        let mut expected = Vec::new();
+        push(&mut enc, &[0xEE; 9]);
+        write_frame(&mut expected, &[0xEE; 9]).unwrap();
+        for i in 0..10_000u32 {
+            let payload = [i.to_le_bytes().as_slice(), &[7; 5]].concat();
+            push(&mut enc, &payload);
+            write_frame(&mut expected, &payload).unwrap();
+            let (done, progress) = enc.write_to(&mut w);
+            assert_eq!(done, 1);
+            assert!(matches!(progress, WriteProgress::Blocked));
+            assert_eq!(enc.pending_bytes(), 13);
+            assert!(enc.buf.len() <= 3 * 13, "buffer holds {}", enc.buf.len());
+        }
+        w.quota = usize::MAX;
+        while !enc.is_empty() {
+            enc.write_to(&mut w);
+        }
+        assert_eq!(w.out, expected, "compaction loses and repeats nothing");
     }
 
     #[test]
     fn encoder_abandon_reports_unwritten_frames() {
         let mut enc = FrameEncoder::new();
-        enc.push_payload_into(&[1], Vec::new());
-        enc.push_payload_into(&[2], Vec::new());
-        let mut reclaimed = 0usize;
-        assert_eq!(enc.abandon(&mut |_| reclaimed += 1), 2);
+        push(&mut enc, &[1]);
+        push(&mut enc, &[2]);
+        assert_eq!(enc.abandon(), 2);
         assert!(enc.is_empty());
-        assert_eq!(reclaimed, 2);
+        assert_eq!(enc.pending_bytes(), 0);
     }
 }

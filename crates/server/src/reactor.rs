@@ -17,19 +17,56 @@
 //! - Per-connection **state machines** own an incremental
 //!   [`FrameDecoder`] and [`FrameEncoder`](crate::proto::FrameEncoder):
 //!   reads consume whatever bytes are ready and resume mid-frame; writes
-//!   resume mid-response on the next writability event. Buffers come
-//!   from a shared [`BufPool`] so steady-state serving does not allocate
-//!   per request.
-//! - Invocation execution stays on a small **worker pool** fed by a
-//!   bounded MPSC handoff: the reactor never blocks on a shard lock, and
-//!   workers never touch a socket. Completed responses come back through
-//!   a completion queue plus a self-wake socketpair, and are written on
-//!   the connection's next writability.
+//!   resume mid-response on the next writability event. Decoded payload
+//!   buffers come from a [`BufPool`] so steady-state serving does not
+//!   allocate per request.
+//! - **A request is served on the thread that read it.** One wake-up for
+//!   a connection is one `read` (a read that does not fill the scratch
+//!   buffer took all the socket had; level-triggered epoll re-fires if
+//!   more arrives), a decode of every frame in it, one call of `respond`
+//!   per frame — the same `Op -> Reply -> bytes` step the blocking
+//!   driver runs — appending to the connection's one output buffer, and
+//!   one `write` of whatever that produced: the replies of a pipelined
+//!   burst leave together. Nothing is handed to another thread, so a
+//!   request costs no futex and no context switch beyond the reactor's
+//!   own sleep. A connection gets at most `PENDING_CAP` frames served per
+//!   turn; what is left stays on its `pending` queue and it takes
+//!   another turn before the reactor sleeps, so a deep pipeline cannot
+//!   hold the loop.
+//! - **Only an op that waits for the disk leaves the thread**: a
+//!   `Register` or `SetQuota` on a daemon with a `--state-dir` is fsynced
+//!   into the journal before it is answered (`Shared::blocks_on`). It
+//!   goes to the single *blocking-op thread*; its connection is marked
+//!   `busy` and the frames behind it wait in `pending`, so replies stay
+//!   in request order, while every other connection is served as usual.
+//!   The reply comes back over a channel plus a self-wake socketpair.
+//!   The registry lock and the journal mutex serialise such mutations
+//!   anyway, so one thread loses nothing. Everything else an `Op` does —
+//!   invokes, stats, metrics, pings, unjournaled mutations — takes
+//!   short uncontended locks and returns.
+//! - **The reactor never waits on a condvar.** The one in the serving
+//!   path, the idempotency cache's wait for a key whose first execution
+//!   is still in flight, cannot be reached here: every invoke runs on
+//!   this one thread from claim to recorded outcome, so no invoke can
+//!   ever observe another's claim pending.
+//! - **A peer that does not read its replies is not read from.** Above
+//!   `OUT_HIGH_WATER` queued reply bytes a connection loses read
+//!   interest and is served nothing more until a flush brings it back
+//!   under, so what the daemon holds for it is bounded by that mark plus
+//!   one turn's replies; the kernel socket buffers, then the peer's own
+//!   blocked `write`, absorb the rest — the threads model's behaviour,
+//!   which blocks in `write`.
 //! - A **deadline queue** bounds every started frame: a peer that
 //!   trickles or stalls mid-frame is cut off after the same
 //!   `read_timeout × 10` budget the blocking path enforces, without
 //!   parking a thread per peer. (All deadlines share one duration, so a
 //!   FIFO is a degenerate — and exact — timer wheel.)
+//! - The reactor **sleeps in `epoll_wait`** until a socket is ready, the
+//!   next deadline, or one read timeout, the same bound the blocking
+//!   driver's accept loops have for noticing a signal; the drain latch's
+//!   pollable end is registered too, so a drain requested from another
+//!   thread wakes it at once. An idle daemon wakes `1 s / read_timeout`
+//!   times a second.
 //! - **Drain** keeps PR 2's semantics: on shutdown the listener is
 //!   deregistered, read interest is dropped everywhere, admission gates
 //!   flip so stragglers get an explicit `Rejected`, and the reactor
@@ -41,9 +78,7 @@
 //! Fault injection composes unchanged: each accepted connection is
 //! wrapped in the same [`FaultyStream`] with the same accept-ordinal
 //! stream id (`driver::faulty`), so a chaos seed replays the identical
-//! schedule under either `--io-model`. Execution is shared too: workers
-//! run every request through `respond`, the same `Op -> Reply -> bytes`
-//! step the blocking driver uses.
+//! schedule under either `--io-model`.
 
 #![allow(unsafe_code)]
 
@@ -59,8 +94,8 @@ use std::io::{self, Read, Write};
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{self, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc;
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -361,38 +396,40 @@ impl DeadlineQueue {
 const TOKEN_LISTENER: u64 = u64::MAX;
 const TOKEN_WAKE: u64 = u64::MAX - 1;
 const TOKEN_HTTP_LISTENER: u64 = u64::MAX - 2;
-/// Decoded-but-undispatched frames a single connection may pipeline
-/// before the reactor stops reading from it (explicit backpressure).
+const TOKEN_DRAIN: u64 = u64::MAX - 3;
+/// Frames one connection gets served per visit, so a deep pipeline
+/// cannot hold the loop; also the number of decoded-but-unserved frames
+/// at which the reactor stops reading from a connection.
 const PENDING_CAP: usize = 32;
-/// Bound of the reactor → worker handoff channel.
-const DISPATCH_BOUND: usize = 1024;
-/// Reads per connection per readiness round; level-triggered
-/// registration re-fires if more bytes remain.
+/// Reply bytes a connection may have queued for a peer that is not
+/// reading them. Above this the connection is neither read nor served
+/// until a flush brings it back under: what the threads model gets from
+/// blocking in `write`.
+const OUT_HIGH_WATER: usize = 64 * 1024;
+/// Reads per connection per readiness round, when each one fills the
+/// scratch buffer; level-triggered registration re-fires if more bytes
+/// remain.
 const READ_ROUNDS: usize = 16;
-/// Longest epoll sleep: bounds how stale the shutdown-flag check and the
-/// deadline sweep can get.
-const MAX_WAIT: Duration = Duration::from_millis(25);
 
-/// One admitted request, decoded but not yet executed. Decoding and
-/// routing are pure, so they run on the reactor thread; execution does
-/// not.
+/// One admitted request, decoded but not yet executed.
 struct Pending {
     op: Op,
     /// The request asked to close the connection after its response.
     close: bool,
 }
 
-/// A [`Pending`] request handed to the worker pool.
+/// A [`Pending`] request on its way to the blocking-op thread.
 struct Job {
     token: u64,
     kind: ConnKind,
     request: Pending,
 }
 
+/// What the blocking-op thread hands back.
 struct Completion {
     token: u64,
-    /// Wire bytes ready to queue on the encoder: a length-prefixed
-    /// binary frame, or a complete HTTP response.
+    /// Wire bytes of the reply: a length-prefixed binary frame, or a
+    /// complete HTTP response.
     frame: Vec<u8>,
     /// Close the connection once every owed response is flushed.
     close_after: bool,
@@ -410,10 +447,14 @@ struct Conn {
     fd: RawFd,
     gen: u32,
     proto: ConnProto,
-    /// Decoded requests not yet dispatched to a worker.
+    /// Decoded requests not yet served, in arrival order.
     pending: VecDeque<Pending>,
-    /// A dispatched job is executing (or queued) on the worker pool.
+    /// The request at the head of the line is on the blocking-op thread;
+    /// nothing behind it is served until its reply is queued, so replies
+    /// stay in request order.
     busy: bool,
+    /// On the reactor's revisit list.
+    queued: bool,
     out: FrameEncoder,
     /// Hard deadline for the frame currently being read, if mid-frame.
     deadline: Option<Instant>,
@@ -431,6 +472,12 @@ impl Conn {
 
     fn quiesced(&self) -> bool {
         !self.busy && self.pending.is_empty() && self.out.is_empty()
+    }
+
+    /// Whether the next pending request may be served now: none is at
+    /// the disk, and the peer is taking its replies.
+    fn servable(&self) -> bool {
+        !self.busy && self.out.pending_bytes() <= OUT_HIGH_WATER
     }
 
     /// Whether any byte of an unfinished request has been consumed —
@@ -536,62 +583,57 @@ pub(crate) fn serve(
     if let Some(http) = http_listener {
         epoll.add(http.raw_fd(), TOKEN_HTTP_LISTENER, Interest::readable())?;
     }
+    // A drain requested from another thread (or by a wire `Shutdown`)
+    // ends the sleep in `epoll_wait` at once; a signal interrupts it or
+    // is noticed when it times out.
+    if let Some(fd) = shared.drain_latch().wake_fd() {
+        epoll.add(fd, TOKEN_DRAIN, Interest::readable())?;
+    }
 
-    // Self-wake channel: workers nudge the reactor out of epoll_wait
-    // when a completion lands. A socketpair needs no extra FFI.
+    // Self-wake channel: the blocking-op thread nudges the reactor out
+    // of epoll_wait when a reply is ready. A socketpair needs no extra
+    // FFI.
     let (wake_rx, wake_tx) = UnixStream::pair()?;
     wake_rx.set_nonblocking(true)?;
     wake_tx.set_nonblocking(true)?;
     epoll.add(wake_rx.as_raw_fd(), TOKEN_WAKE, Interest::readable())?;
 
-    let pool = BufPool::serving_default();
-    let completions: Arc<Mutex<VecDeque<Completion>>> = Arc::new(Mutex::new(VecDeque::new()));
-    let (tx, rx) = mpsc::sync_channel::<Job>(DISPATCH_BOUND);
-    let rx = Arc::new(Mutex::new(rx));
-    let wake_tx = Arc::new(wake_tx);
-
-    // The worker pool: invocation execution (shard locks, the invoker)
-    // never runs on the reactor thread.
-    let workers: Vec<_> = (0..config.workers.max(1))
-        .map(|w| {
-            let shared = Arc::clone(shared);
-            let rx = Arc::clone(&rx);
-            let completions = Arc::clone(&completions);
-            let wake = Arc::clone(&wake_tx);
-            let pool = pool.clone();
-            thread::Builder::new()
-                .name(format!("faascached-worker-{w}"))
-                .spawn(move || loop {
-                    let job = match rx.lock() {
-                        Ok(rx) => rx.recv(),
-                        Err(_) => break,
-                    };
-                    let Ok(job) = job else { break };
+    // The one thread that may sleep on behalf of a request. A connection
+    // has at most one job out, so neither channel can hold more entries
+    // than there are connections.
+    let (jobs, job_rx) = mpsc::channel::<Job>();
+    let (done_tx, done_rx) = mpsc::channel::<Completion>();
+    let blocking = {
+        let shared = Arc::clone(shared);
+        thread::Builder::new()
+            .name("faascached-blocking-ops".to_string())
+            .spawn(move || {
+                for job in job_rx {
                     let Pending { op, close } = job.request;
-                    let mut frame = pool.get(128);
+                    let mut frame = Vec::new();
                     let close_after = respond(&*shared, &mut (), job.kind, op, close, &mut frame);
-                    if let Ok(mut queue) = completions.lock() {
-                        queue.push_back(Completion {
-                            token: job.token,
-                            frame,
-                            close_after,
-                        });
+                    let done = Completion {
+                        token: job.token,
+                        frame,
+                        close_after,
+                    };
+                    if done_tx.send(done).is_err() {
+                        break;
                     }
                     // A full wake pipe already guarantees a pending
                     // wakeup; WouldBlock is success here.
-                    let _ = (&*wake).write(&[1u8]);
-                })
-                .expect("spawn worker thread")
-        })
-        .collect();
+                    let _ = (&wake_tx).write(&[1u8]);
+                }
+            })?
+    };
 
     let mut reactor = Reactor {
         epoll,
         slab: Slab::new(),
         deadlines: DeadlineQueue::default(),
-        backlog: VecDeque::new(),
-        pool,
-        tx: Some(tx),
+        ready: VecDeque::new(),
+        pool: BufPool::serving_default(),
+        jobs,
         shared: Arc::clone(shared),
         faults: front.faults,
         stall_limit: front.stall_limit(),
@@ -600,18 +642,23 @@ pub(crate) fn serve(
         http_scratch: VecDeque::new(),
         draining: false,
         drain_grace_until: None,
-        accepting: true,
     };
 
     let mut events: Vec<Event> = Vec::new();
     let mut drain_deadline: Option<Instant> = None;
     let drained = loop {
-        let now = Instant::now();
-        let mut timeout = MAX_WAIT;
+        // Sleep until a socket is ready, the next frame deadline, or one
+        // read timeout (the bound on noticing a signal, as in the
+        // blocking driver) — unless connections are waiting their turn.
+        let mut timeout = config.read_timeout;
         if let Some(next) = reactor.deadlines.next_deadline() {
-            timeout = timeout.min(next.saturating_duration_since(now));
+            timeout = timeout.min(next.saturating_duration_since(Instant::now()));
+        }
+        if !reactor.ready.is_empty() {
+            timeout = Duration::ZERO;
         }
         reactor.epoll.wait(&mut events, Some(timeout))?;
+        shared.front.accept_wakeups.fetch_add(1, Ordering::Relaxed);
 
         for ev in &events {
             match ev.token {
@@ -622,12 +669,13 @@ pub(crate) fn serve(
                     }
                 }
                 TOKEN_WAKE => drain_wake(&wake_rx),
+                TOKEN_DRAIN => {} // begin_drain below stops watching it
                 token => reactor.handle_conn_event(*ev, token),
             }
         }
 
-        reactor.drain_completions(&completions);
-        reactor.retry_backlog();
+        reactor.finish_blocking(&done_rx);
+        reactor.revisit();
         reactor.expire_deadlines(Instant::now());
 
         if !reactor.draining && shared.draining() {
@@ -638,10 +686,7 @@ pub(crate) fn serve(
             // HTTP connections get one grace window after drain starts:
             // already-connected clients finish their pipelines and
             // health probes observe the 503 flip (threads-model parity).
-            if shared.front.active.load(Ordering::SeqCst) == 0
-                && reactor.backlog.is_empty()
-                && !reactor.http_grace_holds()
-            {
+            if shared.front.active.load(Ordering::SeqCst) == 0 && !reactor.http_grace_holds() {
                 break true;
             }
             if drain_deadline.is_some_and(|d| Instant::now() >= d) {
@@ -650,20 +695,20 @@ pub(crate) fn serve(
         }
     };
 
-    // Stop the workers (channel close) and reclaim every connection; any
-    // frame still bracketed surrenders its `active` count at close so
-    // the caller's final accounting cannot hang.
-    reactor.tx = None;
+    // Reclaim every connection (any frame still bracketed surrenders its
+    // `active` count at close), then hang up on the blocking-op thread
+    // and wait for it: a job it was still running belongs to a
+    // connection that is gone, so its bracket is surrendered here.
     for token in reactor.slab.tokens() {
         reactor.close(token);
     }
-    // Join before the final completion drain: a worker finishing its job
-    // after the drain would strand that completion's `active` bracket,
-    // stalling the caller's common drain tail for a full drain_timeout.
-    for worker in workers {
-        let _ = worker.join();
+    drop(reactor);
+    let joined = blocking.join();
+    let stranded = done_rx.try_iter().count() as u64;
+    shared.front.active.fetch_sub(stranded, Ordering::SeqCst);
+    if joined.is_err() {
+        return Err(io::Error::other("blocking-op thread panicked"));
     }
-    reactor.drain_completions(&completions);
     Ok(drained)
 }
 
@@ -683,10 +728,12 @@ struct Reactor {
     epoll: Epoll,
     slab: Slab,
     deadlines: DeadlineQueue,
-    /// Connections whose next dispatch bounced off a full worker queue.
-    backlog: VecDeque<u64>,
+    /// Connections with requests still pending after their turn; they
+    /// are revisited before the reactor sleeps again.
+    ready: VecDeque<u64>,
+    /// Recycles the decoders' frame payload buffers.
     pool: BufPool,
-    tx: Option<mpsc::SyncSender<Job>>,
+    jobs: mpsc::Sender<Job>,
     shared: Arc<Shared>,
     faults: Option<FaultConfig>,
     stall_limit: Duration,
@@ -697,7 +744,6 @@ struct Reactor {
     /// End of the HTTP drain grace window (armed by `begin_drain` when
     /// any HTTP connection could still owe responses).
     drain_grace_until: Option<Instant>,
-    accepting: bool,
 }
 
 impl Reactor {
@@ -720,8 +766,8 @@ impl Reactor {
     }
 
     fn accept_burst(&mut self, listener: &Listener, kind: ConnKind) {
-        if !self.accepting {
-            return;
+        if self.draining {
+            return; // an event from before the listeners were dropped
         }
         // Burst-accept until WouldBlock: under load the backlog holds
         // more than one pending connection per readiness event.
@@ -747,6 +793,7 @@ impl Reactor {
                         },
                         pending: VecDeque::new(),
                         busy: false,
+                        queued: false,
                         out: FrameEncoder::new(),
                         deadline: None,
                         closing: false,
@@ -754,11 +801,12 @@ impl Reactor {
                     };
                     let token = self.slab.insert(conn);
                     if self.epoll.add(fd, token, Interest::readable()).is_err() {
-                        self.shared
-                            .front
-                            .accept_errors
-                            .fetch_add(1, Ordering::Relaxed);
-                        self.drop_conn_accounting(token);
+                        // Nothing was admitted yet, so only the
+                        // connection counters roll back.
+                        let front = &self.shared.front;
+                        front.accept_errors.fetch_add(1, Ordering::Relaxed);
+                        self.slab.remove(token);
+                        front.connection_closed();
                     }
                 }
                 Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => break,
@@ -776,14 +824,6 @@ impl Reactor {
         }
     }
 
-    /// Close immediately after a failed registration: nothing was ever
-    /// admitted, so only the connection counters roll back.
-    fn drop_conn_accounting(&mut self, token: u64) {
-        if self.slab.remove(token).is_some() {
-            self.shared.front.connection_closed();
-        }
-    }
-
     fn handle_conn_event(&mut self, ev: Event, token: u64) {
         let Some(conn) = self.slab.get_mut(token) else {
             return; // already closed this round
@@ -796,20 +836,21 @@ impl Reactor {
             // still accepts (usually nothing), then close — close()
             // surrenders any brackets the peer will never collect.
             self.flush(token);
-            if self.slab.get_mut(token).is_some() {
-                self.close(token);
-            }
+            self.close(token);
             return;
+        }
+        if ev.writable {
+            // Room for replies that were held back; making it first may
+            // bring the connection back under its high-water mark.
+            self.flush(token);
         }
         if ev.readable || ev.error {
             self.readable(token);
         }
-        if self.slab.get_mut(token).is_some() && ev.writable {
-            self.flush(token);
-        }
-        self.after_io(token);
+        self.pump(token);
     }
 
+    /// Reads what the socket has and decodes it onto `pending`.
     fn readable(&mut self, token: u64) {
         let draining = self.draining;
         let grace = self.http_grace_active();
@@ -821,10 +862,10 @@ impl Reactor {
         if conn.closing || (draining && !(grace && conn.is_http())) {
             return;
         }
-        let mut new_jobs = 0usize;
+        let front = &self.shared.front;
         let mut close_reason: Option<CloseReason> = None;
         for _ in 0..READ_ROUNDS {
-            match conn.stream.read(&mut self.scratch) {
+            match front.counted(&mut conn.stream).read(&mut self.scratch) {
                 Ok(0) => {
                     if conn.mid_input() {
                         close_reason = Some(CloseReason::Protocol(None));
@@ -836,7 +877,6 @@ impl Reactor {
                     break;
                 }
                 Ok(n) => {
-                    let overflowing;
                     let fed = match &mut conn.proto {
                         ConnProto::Binary(decoder) => {
                             let fed = decoder.feed(&self.scratch[..n], &mut self.frames_scratch);
@@ -850,16 +890,14 @@ impl Reactor {
                                 // `active` brackets read → response
                                 // written, exactly like the blocking
                                 // driver's `answer`.
-                                self.shared.front.active.fetch_add(1, Ordering::SeqCst);
-                                self.shared.front.frames.fetch_add(1, Ordering::Relaxed);
+                                front.active.fetch_add(1, Ordering::SeqCst);
+                                front.frames.fetch_add(1, Ordering::Relaxed);
                                 conn.pending.push_back(Pending {
                                     op: Op::from_frame(&frame),
                                     close: false,
                                 });
                                 self.pool.put(frame);
-                                new_jobs += 1;
                             }
-                            overflowing = conn.pending.len() >= PENDING_CAP;
                             fed.map(|_| ()).map_err(|_| None)
                         }
                         ConnProto::Http(parser) => {
@@ -869,31 +907,27 @@ impl Reactor {
                             // scratch queue and must be served under this
                             // connection's token.
                             while let Some(req) = self.http_scratch.pop_front() {
-                                self.shared.front.active.fetch_add(1, Ordering::SeqCst);
-                                self.shared
-                                    .front
-                                    .http_requests
-                                    .fetch_add(1, Ordering::Relaxed);
+                                front.active.fetch_add(1, Ordering::SeqCst);
+                                front.http_requests.fetch_add(1, Ordering::Relaxed);
                                 conn.pending.push_back(Pending {
                                     op: http::route(&req),
                                     close: req.close,
                                 });
-                                new_jobs += 1;
                             }
-                            overflowing = conn.pending.len() >= PENDING_CAP;
                             fed.map_err(Some)
                         }
                     };
-                    match fed {
-                        Ok(()) => {
-                            if overflowing {
-                                break; // backpressure: stop reading
-                            }
-                        }
-                        Err(http_err) => {
-                            close_reason = Some(CloseReason::Protocol(http_err));
-                            break;
-                        }
+                    if let Err(http_err) = fed {
+                        close_reason = Some(CloseReason::Protocol(http_err));
+                        break;
+                    }
+                    // A read that did not fill the buffer took all the
+                    // socket had: level-triggered registration re-fires
+                    // if more arrives, so asking again only to be told
+                    // EAGAIN is a wasted syscall. A full pipeline is
+                    // backpressure: stop reading.
+                    if n < self.scratch.len() || conn.pending.len() >= PENDING_CAP {
+                        break;
                     }
                 }
                 Err(ref e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -928,10 +962,7 @@ impl Reactor {
 
         match close_reason {
             Some(CloseReason::Protocol(http_err)) => {
-                self.shared
-                    .front
-                    .protocol_errors
-                    .fetch_add(1, Ordering::Relaxed);
+                front.protocol_errors.fetch_add(1, Ordering::Relaxed);
                 // The threads model serves each request before reading
                 // the next, so requests completed ahead of the error
                 // still get their responses there. Match it: stop
@@ -943,118 +974,135 @@ impl Reactor {
                 if let Some(err) = http_err {
                     // HTTP owes a 431/413/400 before closing. It rides
                     // the pending queue as a routed Fail op — with its
-                    // own `active` bracket like every pending job — so
-                    // it is written *after* the pipelined requests that
-                    // completed ahead of the poison.
-                    self.shared.front.active.fetch_add(1, Ordering::SeqCst);
+                    // own `active` bracket like every pending request —
+                    // so it is written *after* the pipelined requests
+                    // that completed ahead of the poison.
+                    front.active.fetch_add(1, Ordering::SeqCst);
                     conn.pending.push_back(Pending {
                         op: err.into(),
                         close: true,
                     });
-                    new_jobs += 1;
-                }
-                if new_jobs > 0 {
-                    self.try_dispatch(token);
                 }
             }
-            Some(CloseReason::Transport) => {
-                self.close(token);
-            }
-            None => {
-                if new_jobs > 0 {
-                    self.try_dispatch(token);
-                }
-            }
+            Some(CloseReason::Transport) => self.close(token),
+            None => {}
         }
     }
 
-    fn try_dispatch(&mut self, token: u64) {
-        let Some(tx) = self.tx.clone() else { return };
+    /// Gives the connection its turn: serves what is pending, writes
+    /// what that produced, and settles its epoll interest.
+    fn pump(&mut self, token: u64) {
+        self.serve_pending(token);
+        self.flush(token);
+        self.after_io(token);
+    }
+
+    /// Executes up to [`PENDING_CAP`] pending requests, in order, on this
+    /// thread, appending each reply to the connection's output. A
+    /// request that would wait for the disk goes to the blocking-op
+    /// thread instead, and the ones behind it wait for its reply.
+    fn serve_pending(&mut self, token: u64) {
         let Some(conn) = self.slab.get_mut(token) else {
             return;
         };
-        if conn.busy {
-            return;
-        }
-        let Some(request) = conn.pending.pop_front() else {
-            return;
-        };
+        let front = &self.shared.front;
         let kind = conn.kind();
-        match tx.try_send(Job {
-            token,
-            kind,
-            request,
-        }) {
-            Ok(()) => conn.busy = true,
-            Err(TrySendError::Full(job)) => {
-                // Bounded handoff is full: requeue and retry after this
-                // round's completions free worker capacity.
-                conn.pending.push_front(job.request);
-                self.backlog.push_back(token);
+        for _ in 0..PENDING_CAP {
+            if !conn.servable() {
+                break;
             }
-            Err(TrySendError::Disconnected(_)) => {
-                // Workers only exit at teardown; surrender the bracket.
-                self.shared.front.active.fetch_sub(1, Ordering::SeqCst);
+            let Some(request) = conn.pending.pop_front() else {
+                break;
+            };
+            if self.shared.blocks_on(&request.op) {
+                front.handoffs.fetch_add(1, Ordering::Relaxed);
+                let job = Job {
+                    token,
+                    kind,
+                    request,
+                };
+                conn.busy = self.jobs.send(job).is_ok();
+                if !conn.busy {
+                    // The thread is gone (it panicked), the request can
+                    // never be answered: surrender its bracket and hang
+                    // up once the replies ahead of it are out.
+                    front.active.fetch_sub(1, Ordering::SeqCst);
+                    conn.closing = true;
+                }
+                break;
             }
+            let Pending { op, close } = request;
+            let close_after = conn
+                .out
+                .push_with(|out| respond(&*self.shared, &mut (), kind, op, close, out));
+            if close_after {
+                // Stop reading, but keep serving: requests already
+                // pipelined must still complete before the quiesced
+                // close.
+                conn.closing = true;
+            }
+        }
+        // Only this thread writes the gauge, so load-then-store is exact
+        // and the common case (no new peak) costs a plain load.
+        let queued = conn.out.pending_bytes() as u64;
+        if queued > front.peak_out_bytes.load(Ordering::Relaxed) {
+            front.peak_out_bytes.store(queued, Ordering::Relaxed);
         }
     }
 
-    fn retry_backlog(&mut self) {
-        for _ in 0..self.backlog.len() {
-            if let Some(token) = self.backlog.pop_front() {
-                self.try_dispatch(token);
-            }
-        }
-    }
-
-    fn drain_completions(&mut self, completions: &Arc<Mutex<VecDeque<Completion>>>) {
-        while let Some(done) = completions.lock().ok().and_then(|mut q| q.pop_front()) {
+    /// Takes the blocking-op thread's replies and resumes the
+    /// connections that were waiting for them.
+    fn finish_blocking(&mut self, done: &mpsc::Receiver<Completion>) {
+        for done in done.try_iter() {
             match self.slab.get_mut(done.token) {
                 Some(conn) => {
-                    conn.out.push_wire_frame(done.frame);
+                    conn.out.push_with(|out| out.extend_from_slice(&done.frame));
                     conn.busy = false;
-                    if done.close_after {
-                        // Stop reading, but keep dispatching: requests
-                        // already pipelined must still complete before
-                        // the quiesced close.
-                        conn.closing = true;
-                    }
-                    self.try_dispatch(done.token);
-                    self.flush(done.token);
-                    self.after_io(done.token);
+                    conn.closing |= done.close_after;
+                    self.pump(done.token);
                 }
+                // The connection died while its job executed: the
+                // response is undeliverable, surrender its bracket.
                 None => {
-                    // The connection died while its job executed: the
-                    // response is undeliverable, surrender its bracket.
                     self.shared.front.active.fetch_sub(1, Ordering::SeqCst);
-                    self.pool.put(done.frame);
                 }
+            }
+        }
+    }
+
+    /// Gives every connection that had requests left over another turn.
+    fn revisit(&mut self) {
+        for _ in 0..self.ready.len() {
+            let Some(token) = self.ready.pop_front() else {
+                break;
+            };
+            if let Some(conn) = self.slab.get_mut(token) {
+                conn.queued = false;
+                self.pump(token);
             }
         }
     }
 
     fn flush(&mut self, token: u64) {
-        let pool = self.pool.clone();
         let Some(conn) = self.slab.get_mut(token) else {
             return;
         };
-        let (completed, progress) = conn
-            .out
-            .write_to(&mut conn.stream, &mut |buf| pool.put(buf));
+        if conn.out.is_empty() {
+            return;
+        }
+        let front = &self.shared.front;
+        let (completed, progress) = conn.out.write_to(&mut front.counted(&mut conn.stream));
         if completed > 0 {
-            self.shared
-                .front
-                .active
-                .fetch_sub(completed as u64, Ordering::SeqCst);
+            front.active.fetch_sub(completed as u64, Ordering::SeqCst);
         }
         if let WriteProgress::Closed(_) = progress {
             self.close(token);
         }
     }
 
-    /// Reconciles epoll interest with the connection's state and closes
-    /// quiesced EOF'd connections. Call after any read/write/dispatch
-    /// activity on the connection.
+    /// Reconciles epoll interest with the connection's state, books it
+    /// another turn if requests are left over, and closes quiesced EOF'd
+    /// connections. Call after any activity on the connection.
     fn after_io(&mut self, token: u64) {
         let draining = self.draining;
         let grace = self.http_grace_active();
@@ -1065,10 +1113,15 @@ impl Reactor {
             self.close(token);
             return;
         }
+        if !conn.pending.is_empty() && conn.servable() && !conn.queued {
+            conn.queued = true;
+            self.ready.push_back(token);
+        }
         let want = Interest {
             readable: (!draining || (grace && conn.is_http()))
                 && !conn.closing
-                && conn.pending.len() < PENDING_CAP,
+                && conn.pending.len() < PENDING_CAP
+                && conn.out.pending_bytes() <= OUT_HIGH_WATER,
             writable: !conn.out.is_empty(),
             edge: false,
         };
@@ -1082,35 +1135,50 @@ impl Reactor {
     }
 
     fn expire_deadlines(&mut self, now: Instant) {
-        let mut victims = Vec::new();
-        let slab = &mut self.slab;
-        self.deadlines.expire(now, |token, when| {
-            if let Some(conn) = slab.get_mut(token) {
-                // Lazy validation: only the entry matching the armed
-                // deadline kills; stale entries (frame completed, maybe
-                // a newer frame armed a later deadline) are no-ops.
-                if conn.deadline == Some(when) {
-                    victims.push(token);
-                }
+        let mut due = Vec::new();
+        self.deadlines
+            .expire(now, |token, when| due.push((token, when)));
+        for (token, when) in due {
+            // Lazy validation: only the entry matching the armed
+            // deadline counts; stale entries (frame completed, maybe a
+            // newer frame armed a later deadline) are no-ops.
+            let Some(conn) = self.slab.get_mut(token) else {
+                continue;
+            };
+            if conn.deadline != Some(when) {
+                continue;
             }
-        });
-        for token in victims {
-            // Same contract as poll_frame's stall handling: a started
-            // frame that outlives read_timeout × 10 is a protocol error.
-            self.shared
-                .front
-                .protocol_errors
-                .fetch_add(1, Ordering::Relaxed);
-            self.close(token);
+            if conn.registered.readable {
+                // Same contract as poll_frame's stall handling: a started
+                // frame that outlives read_timeout × 10 is a protocol
+                // error.
+                self.shared
+                    .front
+                    .protocol_errors
+                    .fetch_add(1, Ordering::Relaxed);
+                self.close(token);
+            } else {
+                // The rest of the frame may be sitting in the socket
+                // buffer: it is the reactor that is not reading
+                // (backpressure, drain). The blocking driver's clock
+                // does not run while it is blocked in `write` either, so
+                // start the peer's over.
+                let again = now + self.stall_limit;
+                conn.deadline = Some(again);
+                self.deadlines.push(again, token);
+            }
         }
     }
 
     fn begin_drain(&mut self, listener: &Listener, http_listener: Option<&Listener>) {
         self.draining = true;
-        self.accepting = false;
         let _ = self.epoll.delete(listener.raw_fd());
         if let Some(http) = http_listener {
             let _ = self.epoll.delete(http.raw_fd());
+        }
+        // The latch stays readable for good; it has done its job.
+        if let Some(fd) = self.shared.drain_latch().wake_fd() {
+            let _ = self.epoll.delete(fd);
         }
         // HTTP connections get one stall-limit grace window to finish
         // pipelines and observe healthz's 503 flip (the threads model's
@@ -1119,9 +1187,9 @@ impl Reactor {
         if self.slab.slots.iter().flatten().any(|c| c.is_http()) {
             self.drain_grace_until = Some(Instant::now() + self.stall_limit);
         }
-        // Flip admission now so any frame still flowing through the
-        // worker pool gets an explicit Rejected, mirroring the threads
-        // model's post-accept-loop begin_drain.
+        // Flip admission now so any frame still waiting its turn gets an
+        // explicit Rejected, mirroring the threads model's
+        // post-accept-loop begin_drain.
         self.shared.invoker.begin_drain();
         for token in self.slab.tokens() {
             self.after_io(token);
@@ -1133,12 +1201,10 @@ impl Reactor {
             return;
         };
         // Every admitted frame ends its bracket exactly once: frames
-        // never dispatched and responses never written surrender theirs
-        // here; a frame executing on a worker surrenders in
-        // drain_completions when the stale-token completion lands.
-        let pool = self.pool.clone();
-        let orphaned =
-            conn.pending.len() as u64 + conn.out.abandon(&mut |buf| pool.put(buf)) as u64;
+        // never served and responses never written surrender theirs
+        // here; a frame on the blocking-op thread surrenders when its
+        // stale-token completion lands.
+        let orphaned = (conn.pending.len() + conn.out.abandon()) as u64;
         if orphaned > 0 {
             self.shared
                 .front

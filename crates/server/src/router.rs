@@ -1249,9 +1249,9 @@ impl Router {
 
     /// Serves until shutdown is requested, then drains and returns the
     /// final report. The router runs on the blocking driver only: every
-    /// request is a blocking round-trip to a backend, which the epoll
-    /// reactor's fixed worker pool would cap; putting the router on
-    /// epoll needs non-blocking backend I/O first.
+    /// request is a blocking round-trip to a backend, which on the epoll
+    /// reactor would stall every other connection; putting the router
+    /// on epoll needs non-blocking backend I/O first.
     pub fn run(self) -> RouterReport {
         let started = Instant::now();
         let shared = &self.shared;

@@ -6,7 +6,7 @@
 //! [`Service`] into a [`Reply`], and the reply is encoded back into the
 //! wire format it came in by. [`respond`] is that whole
 //! `Op -> Reply -> bytes` step, and it is the only one: the blocking
-//! driver ([`crate::driver`]) and the epoll reactor's workers
+//! driver ([`crate::driver`]) and the epoll reactor
 //! ([`crate::reactor`]) both call it, so a status code, an outcome
 //! label or a drain rule is written exactly once.
 //!
@@ -19,6 +19,7 @@ use crate::net::DrainLatch;
 use crate::proto::{Request, Response};
 use crate::signal;
 use faascache_platform::sharded::{InvokeOutcome, InvokerStats};
+use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Which front-end protocol an accepted connection speaks, decided by
@@ -125,8 +126,9 @@ impl Op {
     }
 
     /// Whether the op changes control-plane state. The HTTP front
-    /// refuses these with 503 once drain has begun.
-    fn is_mutation(&self) -> bool {
+    /// refuses these with 503 once drain has begun, and on a journaled
+    /// daemon they are the ops that wait for an fsync.
+    pub(crate) fn is_mutation(&self) -> bool {
         matches!(self, Op::Register { .. } | Op::SetQuota { .. })
     }
 }
@@ -299,9 +301,18 @@ pub(crate) struct FrontCounters {
     /// Accept failures other than `WouldBlock`/`Interrupted`.
     pub(crate) accept_errors: AtomicU64,
     /// Times a blocking-driver accept loop came back from its park in
-    /// the kernel: once per burst of connections, once per read timeout
-    /// while idle, once for the drain.
+    /// the kernel (once per burst of connections, once per read timeout
+    /// while idle, once for the drain), or the epoll reactor from
+    /// `epoll_wait`.
     pub(crate) accept_wakeups: AtomicU64,
+    /// `read` calls made on accepted connections (see [`Counted`]).
+    pub(crate) reads: AtomicU64,
+    /// `write` calls made on accepted connections.
+    pub(crate) writes: AtomicU64,
+    /// Ops the epoll reactor sent to its blocking-op thread.
+    pub(crate) handoffs: AtomicU64,
+    /// Most reply bytes any one epoll connection ever had queued.
+    pub(crate) peak_out_bytes: AtomicU64,
 }
 
 impl FrontCounters {
@@ -319,6 +330,41 @@ impl FrontCounters {
     /// Counts one connection closed.
     pub(crate) fn connection_closed(&self) {
         self.conns_current.fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// Wraps an accepted connection so that every `read` and `write`
+    /// made on it is counted.
+    pub(crate) fn counted<T>(&self, stream: T) -> Counted<'_, T> {
+        Counted {
+            stream,
+            counters: self,
+        }
+    }
+}
+
+/// A connection whose `read` and `write` calls are counted in
+/// [`FrontCounters`]: both drivers do their socket I/O through one, so
+/// syscalls per request is a count either of them can be held to.
+pub(crate) struct Counted<'a, T> {
+    stream: T,
+    counters: &'a FrontCounters,
+}
+
+impl<T: Read> Read for Counted<'_, T> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.counters.reads.fetch_add(1, Ordering::Relaxed);
+        self.stream.read(buf)
+    }
+}
+
+impl<T: Write> Write for Counted<'_, T> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.counters.writes.fetch_add(1, Ordering::Relaxed);
+        self.stream.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.stream.flush()
     }
 }
 

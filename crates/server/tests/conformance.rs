@@ -1183,6 +1183,160 @@ fn only_malformed_input_counts_as_a_protocol_error_epoll() {
     only_malformed_input_is_a_protocol_error(IoModel::Epoll);
 }
 
+/// Serving on the reading thread must not let one peer hold the loop.
+/// Three hostile peers at once — one stalled mid-frame, one that floods
+/// requests and never reads a reply, one that trickles its frames a byte
+/// at a time — and a fourth, well-behaved connection still gets its
+/// sequential pings answered in a normal round-trip time, while the
+/// stalled peer is cut at the stall limit, not before and not never.
+#[cfg(target_os = "linux")]
+#[test]
+fn stalled_peers_cannot_hold_the_loop_epoll() {
+    use faascache_server::proto::{self, Request};
+    use std::io::{Read, Write};
+    use std::net::{Shutdown, TcpStream};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    const READ_TIMEOUT: Duration = Duration::from_millis(50);
+    const STALL_LIMIT: Duration = Duration::from_millis(500);
+    const PING_BUDGET: Duration = Duration::from_micros(200);
+
+    let config = DaemonConfig {
+        read_timeout: READ_TIMEOUT,
+        ..chaos_daemon_config(IoModel::Epoll, None)
+    };
+    let (addr, handle, join) = boot(config);
+    let BoundAddr::Tcp(sock) = &addr else {
+        unreachable!("tcp endpoint")
+    };
+    let mut ping = Vec::new();
+    proto::write_frame(&mut ping, &Request::Ping.encode()).expect("Vec write");
+
+    // Floods pings and never reads: writes until the daemon stops taking
+    // them (and then blocks) or the test hangs up on it.
+    let flood = TcpStream::connect(sock).expect("connect flood");
+    let mut flooding = flood.try_clone().expect("clone");
+    let burst = ping.repeat(8 * 1024);
+    let bursts = Arc::new(AtomicU64::new(0));
+    let flooder = {
+        let bursts = Arc::clone(&bursts);
+        thread::spawn(move || {
+            while flooding.write_all(&burst).is_ok() {
+                bursts.fetch_add(1, Ordering::SeqCst);
+            }
+        })
+    };
+    // Both kernel buffers and the daemon's share fill up, then the
+    // flooder's `write` blocks: wait until it has stopped getting on.
+    let mut seen = u64::MAX;
+    while seen != bursts.load(Ordering::SeqCst) {
+        seen = bursts.load(Ordering::SeqCst);
+        thread::sleep(Duration::from_millis(100));
+    }
+
+    // Trickles whole pings one byte per write.
+    let stop = Arc::new(AtomicBool::new(false));
+    let trickled = Arc::new(AtomicU64::new(0));
+    let mut trickle = TcpStream::connect(sock).expect("connect trickle");
+    trickle.set_nodelay(true).expect("nodelay");
+    trickle
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    let trickler = {
+        let (stop, trickled, ping) = (Arc::clone(&stop), Arc::clone(&trickled), ping.clone());
+        thread::spawn(move || {
+            while !stop.load(Ordering::SeqCst) {
+                for byte in &ping {
+                    trickle
+                        .write_all(std::slice::from_ref(byte))
+                        .expect("trickle");
+                    thread::sleep(Duration::from_micros(100));
+                }
+                proto::read_frame(&mut trickle)
+                    .expect("trickled ping answered")
+                    .expect("a pong, not eof");
+                trickled.fetch_add(1, Ordering::SeqCst);
+            }
+        })
+    };
+
+    // Starts a frame and goes quiet.
+    let mut stalled = TcpStream::connect(sock).expect("connect stalled");
+    stalled
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    stalled.write_all(&ping[..3]).expect("send half a frame");
+    let stalled_at = Instant::now();
+
+    // The fourth connection. The lowest of up to five medians: a loaded
+    // host can only lengthen one.
+    let mut c = Client::connect(&addr).expect("connect");
+    let mut best = Duration::MAX;
+    for _ in 0..5 {
+        let mut took: Vec<Duration> = (0..1_000)
+            .map(|_| {
+                let t = Instant::now();
+                c.ping().expect("ping beside hostile peers");
+                t.elapsed()
+            })
+            .collect();
+        took.sort();
+        best = best.min(took[took.len() / 2]);
+        if best < PING_BUDGET {
+            break;
+        }
+    }
+    assert!(
+        best < PING_BUDGET,
+        "median ping beside three hostile peers took {best:?}"
+    );
+
+    // The stalled peer is hung up on at the stall limit.
+    let mut rest = Vec::new();
+    let _ = stalled.read_to_end(&mut rest);
+    let cut_after = stalled_at.elapsed();
+    assert!(rest.is_empty(), "half a frame was answered: {rest:?}");
+    assert!(
+        cut_after >= STALL_LIMIT && cut_after < STALL_LIMIT + Duration::from_secs(3),
+        "stalled peer cut after {cut_after:?}, stall limit {STALL_LIMIT:?}"
+    );
+
+    stop.store(true, Ordering::SeqCst);
+    trickler.join().expect("trickler");
+    assert!(
+        trickled.load(Ordering::SeqCst) > 0,
+        "no trickled ping made it"
+    );
+    // Unblock the flooder's `write`, then close the socket for real: a
+    // peer that stays connected without reading would hold its replies'
+    // place in the drain until the drain window closes, by design.
+    flood.shutdown(Shutdown::Both).expect("hang up the flood");
+    flooder.join().expect("flooder");
+    drop(flood);
+    drop(c);
+
+    let report = drain_bounded(&handle, join, 0);
+    eprintln!(
+        "hostile peers: median ping {best:?}, stalled peer cut after {cut_after:?}, \
+         {} trickled pings, daemon[{}]",
+        trickled.load(Ordering::SeqCst),
+        report.summary_line()
+    );
+    assert_eq!(
+        report.protocol_errors,
+        1,
+        "only the stalled peer is a protocol error: {}",
+        report.summary_line()
+    );
+    assert_eq!(report.handoffs, 0);
+    assert!(
+        (1..128 * 1024).contains(&report.peak_out_bytes),
+        "the daemon held {} reply bytes for the flooding peer",
+        report.peak_out_bytes
+    );
+}
+
 /// Real SIGTERM against the real binary while server-side faults are
 /// active: the process must drain and exit zero, reporting drained=true
 /// on its summary line. Runs the daemon as a child process so the global

@@ -40,11 +40,18 @@ fn boot(endpoint: Endpoint) -> (BoundAddr, thread::JoinHandle<DaemonReport>) {
 }
 
 fn boot_model(endpoint: Endpoint, io: IoModel) -> (BoundAddr, thread::JoinHandle<DaemonReport>) {
-    let trace = small_workload().build();
     let config = DaemonConfig {
         io_model: io,
         ..test_config()
     };
+    boot_config(endpoint, config)
+}
+
+fn boot_config(
+    endpoint: Endpoint,
+    config: DaemonConfig,
+) -> (BoundAddr, thread::JoinHandle<DaemonReport>) {
+    let trace = small_workload().build();
     let daemon = Daemon::bind(&endpoint, config, trace.registry().clone()).expect("bind daemon");
     let addr = daemon.bound_addr();
     let join = thread::spawn(move || daemon.run());
@@ -617,12 +624,11 @@ fn fresh_connections_are_accepted_as_they_arrive() {
 }
 
 /// The other half of the guard, with no clock in the verdict: an idle
-/// accept loop wakes once per read timeout (to look at the signal flag),
-/// not 500 times a second, and a drain after the idle stretch does not
-/// wait for the next of those.
-#[test]
-fn an_idle_listener_wakes_once_per_read_timeout() {
-    let (_, _, handle, join) = boot_http_model(IoModel::Threads);
+/// accept loop (or the idle epoll reactor) wakes once per read timeout
+/// (to look at the signal flag), not 500 or 40 times a second, and a
+/// drain after the idle stretch does not wait for the next of those.
+fn an_idle_daemon_wakes_once_per_read_timeout(io: IoModel) {
+    let (_, _, handle, join) = boot_http_model(io);
     thread::sleep(Duration::from_secs(1));
     let asked = Instant::now();
     handle.request();
@@ -634,15 +640,410 @@ fn an_idle_listener_wakes_once_per_read_timeout() {
         "draining an idle daemon took {took:?}"
     );
 
-    // Per listener: one wake-up per read timeout of uptime, one for the
-    // drain, one of slack; and one per connection (the readiness ping).
+    // Per sleeping loop: one wake-up per read timeout of uptime, one for
+    // the drain, one of slack. The threads model has a loop per listener
+    // and wakes once per connection (the readiness ping); the reactor is
+    // one loop and wakes for the connection's accept, request, and close.
     let timeouts = report.uptime.as_millis() / test_config().read_timeout.as_millis();
-    let bound = 2 * (timeouts as u64 + 2) + report.connections;
+    let bound = match io {
+        IoModel::Threads => 2 * (timeouts as u64 + 2) + report.connections,
+        IoModel::Epoll => timeouts as u64 + 2 + 4 * report.connections,
+    };
     assert!(
         (1..=bound).contains(&report.accept_wakeups),
-        "{} accept-loop wake-ups in {:?}, bound {bound}",
+        "{} wake-ups in {:?}, bound {bound}",
         report.accept_wakeups,
         report.uptime
+    );
+}
+
+#[test]
+fn an_idle_listener_wakes_once_per_read_timeout() {
+    an_idle_daemon_wakes_once_per_read_timeout(IoModel::Threads);
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn an_idle_reactor_wakes_once_per_read_timeout_epoll() {
+    an_idle_daemon_wakes_once_per_read_timeout(IoModel::Epoll);
+}
+
+/// The reactor sleeps for the whole read timeout when nothing is due, and
+/// a drain requested from another thread ends that sleep at once: with a
+/// read timeout longer than the test, only the latch can have woken it.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_drain_request_wakes_the_sleeping_reactor_at_once_epoll() {
+    let config = DaemonConfig {
+        io_model: IoModel::Epoll,
+        read_timeout: Duration::from_secs(30),
+        ..test_config()
+    };
+    let trace = small_workload().build();
+    let daemon =
+        Daemon::bind(&unix_endpoint(), config, trace.registry().clone()).expect("bind daemon");
+    let addr = daemon.bound_addr();
+    let handle = daemon.shutdown_handle();
+    let join = thread::spawn(move || daemon.run());
+    client::await_ready(&addr, Duration::from_secs(5)).expect("daemon ready");
+
+    thread::sleep(Duration::from_millis(300));
+    let asked = Instant::now();
+    handle.request();
+    let report = join.join().expect("daemon thread");
+    let took = asked.elapsed();
+    assert!(report.drained);
+    assert!(
+        took < Duration::from_secs(5),
+        "the reactor slept {took:?} through a drain request"
+    );
+    // The readiness ping's accept, request and close, and the drain.
+    assert!(
+        (1..=6).contains(&report.accept_wakeups),
+        "{} wake-ups for one connection and one drain",
+        report.accept_wakeups
+    );
+}
+
+/// Connects to a unix-socket daemon without the protocol client, for
+/// tests that choose how their bytes are cut into segments.
+#[cfg(target_os = "linux")]
+fn raw_unix(addr: &BoundAddr) -> std::os::unix::net::UnixStream {
+    let BoundAddr::Unix(path) = addr else {
+        unreachable!("unix endpoint")
+    };
+    let conn = std::os::unix::net::UnixStream::connect(path).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    conn
+}
+
+#[cfg(target_os = "linux")]
+fn wire(requests: impl IntoIterator<Item = faascache_server::proto::Request>) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    for request in requests {
+        faascache_server::proto::write_frame(&mut bytes, &request.encode()).expect("Vec write");
+    }
+    bytes
+}
+
+#[cfg(target_os = "linux")]
+fn read_response(conn: &mut impl std::io::Read) -> faascache_server::proto::Response {
+    let payload = faascache_server::proto::read_frame(conn)
+        .expect("read a reply")
+        .expect("a reply, not eof");
+    faascache_server::proto::Response::decode(&payload).expect("a well-formed reply")
+}
+
+/// What the reactor does per request, as counts: a sequential round trip
+/// is one `read` and one `write`, and nothing is handed to another
+/// thread. The slack covers the readiness probe, its EOF, and the
+/// `Shutdown` frame.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_round_trip_costs_one_read_and_one_write_epoll() {
+    let (addr, join) = boot_model(unix_endpoint(), IoModel::Epoll);
+    let mut c = Client::connect(&addr).expect("connect");
+    for _ in 0..1_000 {
+        c.ping().expect("ping");
+    }
+    c.shutdown().expect("shutdown");
+    let report = join.join().expect("daemon thread");
+    assert!(report.drained);
+    assert!(
+        (1_000..=1_008).contains(&report.reads),
+        "{} reads for 1,000 sequential pings",
+        report.reads
+    );
+    assert!(
+        (1_000..=1_008).contains(&report.writes),
+        "{} writes for 1,000 sequential pings",
+        report.writes
+    );
+    assert_eq!(report.handoffs, 0, "a ping was handed to another thread");
+}
+
+/// The same counters under the threads model, which reads a frame's
+/// length prefix and its payload separately: both drivers count at the
+/// same place, so the two models can be compared.
+#[test]
+fn the_blocking_driver_counts_its_reads_and_writes() {
+    let (addr, join) = boot(tcp_endpoint());
+    let mut c = Client::connect(&addr).expect("connect");
+    for _ in 0..100 {
+        c.ping().expect("ping");
+    }
+    c.shutdown().expect("shutdown");
+    let report = join.join().expect("daemon thread");
+    assert!(report.reads >= 200, "{} reads", report.reads);
+    assert!(
+        (100..=110).contains(&report.writes),
+        "{} writes for 100 sequential pings",
+        report.writes
+    );
+    assert_eq!(report.handoffs, 0);
+    assert_eq!(report.peak_out_bytes, 0);
+}
+
+/// A pipelined burst is answered in order and its replies leave
+/// together: 64 invokes in one segment take two turns of 32 (the
+/// fairness bound), so two writes, where the worker pool wrote 64 times.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_pipelined_burst_is_answered_in_order_with_coalesced_writes_epoll() {
+    use faascache_server::proto::{Request, Response};
+    use std::io::Write;
+
+    let (addr, join) = boot_model(unix_endpoint(), IoModel::Epoll);
+    let mut conn = raw_unix(&addr);
+    // Odd positions name a function that does not exist; the error says
+    // which, so a reply out of place cannot go unnoticed.
+    let burst = wire((0..64u32).map(|i| Request::Invoke {
+        function: if i % 2 == 0 { i % 8 } else { 1_000 + i },
+    }));
+    conn.write_all(&burst).expect("send the burst");
+    for i in 0..64u32 {
+        match read_response(&mut conn) {
+            Response::Invoked(outcome) if i % 2 == 0 => assert!(outcome.is_served()),
+            Response::Error(msg) if i % 2 == 1 => assert!(
+                msg.contains(&format!("index {} ", 1_000 + i)),
+                "reply {i} is {msg:?}"
+            ),
+            other => panic!("reply {i} is {other:?}"),
+        }
+    }
+    drop(conn);
+
+    let mut c = Client::connect(&addr).expect("connect");
+    c.shutdown().expect("shutdown");
+    let report = join.join().expect("daemon thread");
+    assert!(report.drained);
+    // The burst, plus the readiness ping's reply and the shutdown's.
+    assert!(
+        report.writes <= 4 + 2,
+        "{} writes for a 64-deep burst",
+        report.writes
+    );
+    assert_eq!(report.handoffs, 0);
+}
+
+/// A fresh state dir, its journal (shared with the test), and a config
+/// whose daemon journals into it.
+fn journaled_config(
+    io: IoModel,
+) -> (
+    std::path::PathBuf,
+    std::sync::Arc<std::sync::Mutex<faascache_server::journal::Journal>>,
+    DaemonConfig,
+) {
+    let dir = std::env::temp_dir().join(format!(
+        "faascached-test-journal-{}-{}",
+        std::process::id(),
+        SOCKET_SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (journal, _) = faascache_server::journal::Journal::open(&dir).expect("open journal");
+    let journal = std::sync::Arc::new(std::sync::Mutex::new(journal));
+    let config = DaemonConfig {
+        io_model: io,
+        journal: Some(std::sync::Arc::clone(&journal)),
+        ..test_config()
+    };
+    (dir, journal, config)
+}
+
+/// Regression: the mutation whose append takes the journal tail over its
+/// compaction threshold used to be snapshotted *before* it was applied,
+/// so the snapshot lacked it and the truncated tail no longer had it: an
+/// acknowledged registration that a restart forgot.
+#[test]
+fn the_mutation_that_triggers_a_compaction_survives_it() {
+    use faascache_server::journal::{Journal, JournalRecord, COMPACT_RECORDS};
+
+    let (dir, journal, config) = journaled_config(IoModel::Threads);
+    let (addr, join) = boot_config(tcp_endpoint(), config);
+    let mut c = Client::connect(&addr).expect("connect");
+    let total = COMPACT_RECORDS + 3;
+    for i in 0..total {
+        let (_, created) = c
+            .register(&format!("late-fn-{i}"), 64, 1_000, 50_000)
+            .expect("register");
+        assert!(created, "late-fn-{i}");
+    }
+    c.shutdown().expect("shutdown");
+    assert!(join.join().expect("daemon thread").drained);
+    drop(journal);
+
+    let (_, recovered) = Journal::open(&dir).expect("reopen the state dir");
+    assert!(recovered.snapshot_records > 0, "no compaction ran");
+    let names: std::collections::HashSet<&str> = recovered
+        .records
+        .iter()
+        .filter_map(|record| match record {
+            JournalRecord::Register { name, .. } => Some(name.as_str()),
+            _ => None,
+        })
+        .collect();
+    for i in 0..total {
+        assert!(
+            names.contains(format!("late-fn-{i}").as_str()),
+            "acknowledged registration late-fn-{i} is not on disk"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The one op that leaves the reactor thread: a mutation on a journaled
+/// daemon waits for its fsync on the blocking-op thread. The test holds
+/// the journal, so the `Register` is "at the disk" for as long as it
+/// likes: meanwhile the frames behind it on its connection wait their
+/// turn (the third one invokes the function being registered, so it
+/// cannot have run early), and other connections are served, invokes
+/// included, which no registry lock held across the fsync would allow.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_journaled_mutation_waits_off_the_reactor_and_keeps_its_place_epoll() {
+    use faascache_server::proto::{Request, Response};
+    use std::io::Write;
+
+    let (dir, journal, config) = journaled_config(IoModel::Epoll);
+    let (addr, join) = boot_config(unix_endpoint(), config);
+    let functions = small_workload().functions as u32;
+
+    let at_the_disk = journal.lock().expect("journal mutex");
+    let mut a = raw_unix(&addr);
+    a.write_all(&wire([
+        Request::Invoke { function: 0 },
+        Request::Register {
+            name: "late-fn".to_string(),
+            mem_mb: 64,
+            warm_us: 1_000,
+            cold_us: 50_000,
+            tenant: String::new(),
+        },
+        Request::Invoke {
+            function: functions,
+        },
+    ]))
+    .expect("send one segment");
+    assert!(matches!(read_response(&mut a), Response::Invoked(o) if o.is_served()));
+
+    let mut b = Client::connect(&addr).expect("connect b");
+    b.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    for i in 0..100u32 {
+        assert!(b.invoke(i % 8).expect("b's invoke").is_served());
+    }
+    let err = b.invoke(functions).expect_err("not registered yet");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+
+    drop(at_the_disk);
+    assert_eq!(
+        read_response(&mut a),
+        Response::Registered {
+            function: functions,
+            created: true
+        }
+    );
+    assert!(matches!(read_response(&mut a), Response::Invoked(o) if o.is_served()));
+
+    b.shutdown().expect("shutdown");
+    let report = join.join().expect("daemon thread");
+    assert!(report.drained);
+    assert_eq!(report.handoffs, 1, "only the Register leaves the thread");
+    assert_eq!(report.protocol_errors, 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Regression: a peer that pipelines requests and never reads the replies
+/// used to grow the epoll daemon without bound (1M pings: 200 MB of
+/// queued pongs), because only the depth of the request queue, never the
+/// size of the reply queue, took read interest away. Now the replies the
+/// daemon holds for one connection stop at a high-water mark, the peer's
+/// own `write` blocks as it does against the threads model, everyone
+/// else is served meanwhile, and when the peer does read it gets every
+/// reply, in order.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_peer_that_never_reads_cannot_grow_the_daemon_epoll() {
+    use faascache_server::proto::{Request, Response};
+    use std::io::Write;
+
+    const FRAMES: u32 = 1_000_000;
+    /// Every `MARK`th request is an invoke of a function that does not
+    /// exist, whose error reply names it: the order check.
+    const MARK: u32 = 1_000;
+
+    let (addr, join) = boot_model(unix_endpoint(), IoModel::Epoll);
+    let mut slow = raw_unix(&addr);
+    let mut sender = slow.try_clone().expect("clone the socket");
+    let sent = std::sync::Arc::new(AtomicU64::new(0));
+    let progress = std::sync::Arc::clone(&sent);
+    let writer = thread::spawn(move || {
+        for chunk in 0..FRAMES / MARK {
+            let bytes = wire((0..MARK).map(|i| match i {
+                0 => Request::Invoke {
+                    function: FRAMES + chunk,
+                },
+                _ => Request::Ping,
+            }));
+            sender.write_all(&bytes).expect("send a chunk");
+            progress.fetch_add(1, Ordering::SeqCst);
+        }
+    });
+
+    // The writer runs until both socket buffers and the daemon's share
+    // are full, then blocks: wait until it has stopped making progress.
+    let mut seen = u64::MAX;
+    loop {
+        thread::sleep(Duration::from_millis(100));
+        let now = sent.load(Ordering::SeqCst);
+        if now == seen {
+            break;
+        }
+        seen = now;
+    }
+    assert!(
+        seen < u64::from(FRAMES / MARK),
+        "the daemon swallowed every request of a peer that read nothing"
+    );
+
+    // Another connection is served as if the slow one were not there.
+    let mut other = Client::connect(&addr).expect("connect");
+    other
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    for i in 0..100u32 {
+        other.ping().expect("ping beside a stuck peer");
+        assert!(other.invoke(i % 8).expect("invoke").is_served());
+    }
+
+    // The slow peer reads at last: every reply, in order.
+    for i in 0..FRAMES {
+        let reply = read_response(&mut slow);
+        if i % MARK == 0 {
+            let expected = format!("index {} ", FRAMES + i / MARK);
+            assert!(
+                matches!(&reply, Response::Error(msg) if msg.contains(&expected)),
+                "reply {i} is {reply:?}"
+            );
+        } else {
+            assert_eq!(reply, Response::Pong, "reply {i}");
+        }
+    }
+    writer.join().expect("writer thread");
+    drop(slow);
+
+    other.shutdown().expect("shutdown");
+    let report = join.join().expect("daemon thread");
+    assert!(report.drained);
+    assert_eq!(report.protocol_errors, 0);
+    assert_eq!(report.frames, u64::from(FRAMES) + 200 + 2);
+    // The high-water mark is 64 KiB, plus one turn's replies.
+    assert!(
+        (1..128 * 1024).contains(&report.peak_out_bytes),
+        "the daemon held {} reply bytes for one connection",
+        report.peak_out_bytes
     );
 }
 
