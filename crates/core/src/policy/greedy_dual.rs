@@ -20,7 +20,7 @@
 use crate::container::{Container, ContainerId};
 use crate::fn_table::FnTable;
 use crate::function::FunctionId;
-use crate::policy::index::{TotalF64, VictimHeap};
+use crate::policy::index::{Probe, Seat, TotalF64, VictimHeap};
 use crate::policy::{take_until_freed, KeepAlivePolicy, TenantWeights};
 use crate::size::SizeMode;
 use faascache_util::idmap::IdMap;
@@ -43,13 +43,15 @@ struct GdEntry {
     cost: f64,
     size: f64,
     tenant: u32,
-    /// While the container sits idle in the victim heap: the generation of
-    /// its authoritative heap entry and the `last_used` it is ordered by.
-    queued: Option<(u64, SimTime)>,
+    /// The `last_used` the container was last released at; read only while
+    /// it is idle.
+    last_used: SimTime,
+    /// Its standing in the victim heap.
+    seat: Seat,
 }
 
 impl GdEntry {
-    /// A record for `c` touched at `clock`, not queued.
+    /// A record for `c` touched at `clock`, running and not filed.
     fn new(c: &Container, clock: f64, size_mode: SizeMode) -> Self {
         GdEntry {
             snapshot: clock,
@@ -57,7 +59,8 @@ impl GdEntry {
             cost: c.init_overhead().as_secs_f64(),
             size: size_mode.scalar_size(c.mem().as_mb() as f64, c.resources()),
             tenant: c.tenant(),
-            queued: None,
+            last_used: c.last_used(),
+            seat: Seat::running(),
         }
     }
 
@@ -71,12 +74,6 @@ impl GdEntry {
         entries
             .entry(c.id())
             .or_insert_with(|| GdEntry::new(c, clock, size_mode))
-    }
-
-    /// Whether heap entry `generation` is this container's authoritative
-    /// one.
-    fn is_queued_as(&self, generation: u64) -> bool {
-        self.queued.is_some_and(|(g, _)| g == generation)
     }
 
     /// `Priority = Clock + Freq × Cost / Size`, the value term divided by
@@ -109,11 +106,12 @@ pub struct GreedyDual {
     entries: IdMap<ContainerId, GdEntry>,
     /// Incremental eviction order; `None` selects the naive sort.
     ///
-    /// A lazy heap is required because an idle container's priority can
-    /// grow while it sits idle: a sibling container's warm start raises the
-    /// function's frequency. The snapshot term is fixed while idle and
-    /// frequency only grows while the function has resident containers, so
-    /// priorities never decrease while idle — the [`VictimHeap`] invariant.
+    /// A container's priority only grows while it is resident: the clock
+    /// its snapshot is taken from is monotone, and frequency only grows
+    /// while the function has resident containers (a sibling's warm start
+    /// raises it for the idle ones too). So the heap entry of a resident
+    /// container stays a lower bound across warm cycles — the
+    /// [`VictimHeap`] invariant — unless a tenant weight is raised.
     heap: Option<VictimHeap<TotalF64>>,
     /// Per-tenant eviction weights; `None` (and any unset slot) weighs 1.0.
     ///
@@ -176,13 +174,12 @@ impl GreedyDual {
     }
 
     /// Counts a use: frequency credit and a fresh clock snapshot. The
-    /// container is running afterwards, so its heap entry (if any) is
-    /// retired.
+    /// container is running afterwards; the heap is not told.
     fn touch(&mut self, c: &Container) {
         *self.freq.slot(c.function()) += 1;
         let entry = GdEntry::of(&mut self.entries, c, self.clock, self.size_mode);
         entry.snapshot = self.clock;
-        entry.queued = None;
+        entry.seat.mark_busy();
     }
 
     /// Files an idle container in the victim heap at its current priority.
@@ -191,12 +188,18 @@ impl GreedyDual {
             return;
         };
         let entries = &mut self.entries;
-        heap.shed_stale_with(entries.len(), |id, gen| {
-            entries.get(&id).is_some_and(|e| e.is_queued_as(gen))
-        });
         let entry = GdEntry::of(entries, c, self.clock, self.size_mode);
-        let key = TotalF64(entry.priority(&self.freq, self.weights.as_deref()));
-        entry.queued = Some((heap.push(c.id(), key, c.last_used()), c.last_used()));
+        // The priority has not decreased since the container was filed
+        // (`rekey_if_weights_changed` sees to a raised weight).
+        let moved_down = c.last_used() < entry.last_used;
+        entry.last_used = c.last_used();
+        if entry.seat.file(moved_down) {
+            let key = TotalF64(entry.priority(&self.freq, self.weights.as_deref()));
+            entry.seat.entered(heap.push(c.id(), key, entry.last_used));
+            heap.shed_stale_with(entries.len(), |id, gen| {
+                entries.get(&id).is_some_and(|e| e.seat.holds(gen))
+            });
+        }
     }
 
     /// Re-keys the whole victim heap when the shared tenant weights have
@@ -218,9 +221,10 @@ impl GreedyDual {
         // the map's iteration order cannot reach the eviction order.
         heap.clear();
         for (&id, e) in self.entries.iter_mut() {
-            if let Some((_, last_used)) = e.queued {
+            e.seat.take();
+            if !e.seat.is_busy() {
                 let key = TotalF64(e.priority(&self.freq, self.weights.as_deref()));
-                e.queued = Some((heap.push(id, key, last_used), last_used));
+                e.seat.entered(heap.push(id, key, e.last_used));
             }
         }
     }
@@ -231,18 +235,21 @@ impl GreedyDual {
         let (freq, weights) = (&self.freq, self.weights.as_deref());
         let entries = &mut self.entries;
         let heap = self.heap.as_mut()?;
-        let live_key = |id: ContainerId, gen: u64| {
-            let e = entries.get(&id)?;
-            e.is_queued_as(gen)
-                .then(|| TotalF64(e.priority(freq, weights)))
+        let probe = |id: ContainerId, gen: u64| match entries.get_mut(&id) {
+            Some(e) => {
+                let key = TotalF64(e.priority(freq, weights));
+                e.seat.probe(gen, key, e.last_used)
+            }
+            None => Probe::Gone,
         };
         if !pop {
-            return heap.peek_min_with(live_key);
+            return heap.peek_min_with(probe);
         }
-        let id = heap.pop_min_with(live_key)?;
+        let id = heap.pop_min_with(probe)?;
         // The snapshot outlives the pop: the pool reports the eviction
         // next, and `on_evicted` prices the victim from it.
-        entries.get_mut(&id).expect("popped a live member").queued = None;
+        let entry = entries.get_mut(&id).expect("popped a live member");
+        entry.seat.take();
         Some(id)
     }
 }
@@ -519,12 +526,45 @@ mod tests {
                 gd.on_finish(c, SimTime::from_secs(round));
             }
         }
-        let held = gd.heap_len();
-        assert!(held <= 2 * cs.len() + 65, "heap holds {held} entries");
+        assert_eq!(gd.heap_len(), cs.len(), "one entry per container");
         // Every container is still evictable, exactly once.
         let mut popped: Vec<ContainerId> = std::iter::from_fn(|| gd.pop_victim()).collect();
         popped.sort();
         assert_eq!(popped, cs.iter().map(|c| c.id()).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn running_container_keeps_the_priority_of_its_last_use() {
+        let mut gd = GreedyDual::new();
+        let a = container(1, 0, 100, 1000);
+        let b = container(2, 1, 100, 2000);
+        let c = container(3, 2, 100, 9000);
+        for x in [&a, &b, &c] {
+            gd.on_container_created(x, SimTime::ZERO, false);
+            gd.on_finish(x, SimTime::ZERO);
+        }
+        // `a` runs again: snapshot at clock 0, frequency 2. Its heap entry
+        // stays where its first release put it.
+        gd.on_warm_start(&a, SimTime::from_secs(1));
+        assert_eq!(gd.heap_len(), 3);
+        let running = gd.priority_of(&a).unwrap();
+        assert_eq!(running.to_bits(), (2.0 * 1.0 / 100.0f64).to_bits());
+        // An eviction elsewhere advances the clock — past `a`'s stale
+        // entry, which surfaces first and is dropped, not evicted.
+        assert_eq!(gd.pop_victim(), Some(b.id()));
+        gd.on_evicted(&b, 0, SimTime::from_secs(2));
+        assert_eq!(gd.heap_len(), 1, "only `c` is left in the order");
+        assert!(gd.clock() > 0.0);
+        assert_eq!(gd.priority_of(&a).unwrap().to_bits(), running.to_bits());
+        // Released, it is filed at that same priority (below `c`'s
+        // 0 + 1 × 9 / 100) and is evictable again.
+        gd.on_finish(&a, SimTime::from_secs(3));
+        assert_eq!(gd.priority_of(&a).unwrap().to_bits(), running.to_bits());
+        assert_eq!(gd.pop_victim(), Some(a.id()));
+        assert_eq!(gd.pop_victim(), Some(c.id()));
+        // The next use snapshots the advanced clock.
+        gd.on_warm_start(&a, SimTime::from_secs(4));
+        assert!(gd.priority_of(&a).unwrap() > gd.clock());
     }
 
     #[test]

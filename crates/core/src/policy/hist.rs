@@ -19,7 +19,7 @@
 use crate::container::{Container, ContainerId};
 use crate::fn_table::FnTable;
 use crate::function::{FunctionId, FunctionSpec};
-use crate::policy::index::VictimHeap;
+use crate::policy::index::{Probe, Seat, VictimHeap};
 use crate::policy::{take_until_freed, KeepAlivePolicy};
 use faascache_util::idmap::IdMap;
 use faascache_util::stats::{Histogram, Welford};
@@ -77,6 +77,8 @@ struct FnHist {
     /// Enough samples, CoV at or below the threshold, and less than half
     /// of the IATs beyond the histogram's range.
     predictable: bool,
+    /// Head-percentile IAT (pre-warm point); read only if predictable.
+    head_window: SimDuration,
     /// Tail-percentile IAT (keep-alive horizon); read only if predictable.
     tail_window: SimDuration,
     /// Mean IAT (predicted gap to the next use); read only if predictable.
@@ -91,6 +93,7 @@ impl FnHist {
             last_invocation: None,
             pending_prewarm: None,
             predictable: false,
+            head_window: SimDuration::ZERO,
             tail_window: SimDuration::ZERO,
             mean_iat: SimDuration::ZERO,
         };
@@ -98,20 +101,26 @@ impl FnHist {
         f
     }
 
-    /// Recomputes the derived fields after the histogram changed.
+    /// Recomputes the derived fields after the histogram changed. The
+    /// windows cost a scan of the histogram, so an unpredictable function
+    /// (nobody reads them) skips it, and a predictable one reads head and
+    /// tail off the same scan.
     fn refresh_derived(&mut self, cfg: &HistConfig) {
         self.predictable = self.welford.count() >= cfg.min_samples
             && self.welford.coefficient_of_variation() <= cfg.cov_threshold
             && self.hist.overflow_fraction() < 0.5;
         if self.predictable {
-            self.tail_window = self.window(cfg.tail_quantile);
+            let (head, tail) = self
+                .hist
+                .percentile_bucket_pair(cfg.head_quantile, cfg.tail_quantile);
+            self.head_window = self.window_of(head);
+            self.tail_window = self.window_of(tail);
             self.mean_iat = SimDuration::from_secs_f64(self.welford.mean() * 60.0);
         }
     }
 
-    /// The IAT at percentile `q` of the histogram.
-    fn window(&self, q: f64) -> SimDuration {
-        let bucket = self.hist.percentile_bucket(q);
+    /// The IAT a histogram bucket stands for.
+    fn window_of(&self, bucket: usize) -> SimDuration {
         SimDuration::from_secs_f64(self.hist.bucket_value(bucket) * 60.0)
     }
 
@@ -156,37 +165,43 @@ fn keys_at(cfg: &HistConfig, stats: Option<&FnHist>, last_used: SimTime) -> (Sim
     }
 }
 
-/// What the index keeps per idle container — the policy's only table keyed
-/// by [`ContainerId`]: the keys the container is filed under in the two
-/// orders and the generation of its authoritative entry in each.
+/// What the index keeps per container that has been idle at least once —
+/// the policy's only table keyed by [`ContainerId`]: the live keys of the
+/// two orders (as of the last release or re-key) and its seat in each.
 #[derive(Debug, Clone, Copy)]
-struct IdleKeys {
+struct Filed {
     function: FunctionId,
+    last_used: SimTime,
     predicted: SimTime,
-    victim_gen: u64,
     deadline: SimTime,
-    expiry_gen: u64,
+    victim: Seat,
+    expiry: Seat,
 }
+
+type Victims = VictimHeap<Reverse<SimTime>>;
+type Expiry = VictimHeap<SimTime>;
 
 /// Incremental eviction and expiry order for HIST.
 ///
 /// Keys (predicted next invocation and expiry deadline) are derived from
 /// per-function histogram state, which changes at exactly two points: a
 /// request to the function (`on_request`) and the consumption of a pending
-/// pre-warm (`prewarm_due`). Both can move a key *down* (the release-early
-/// deadline once a pre-warm is scheduled), which a lazy heap cannot see on
-/// its own, so both re-key that function's idle containers eagerly: a
-/// fresh push that supersedes the old generation. The authoritative entry
-/// of a member therefore always carries its current key.
+/// pre-warm (`prewarm_due`). Both re-key that function's idle containers
+/// on the spot, and a release re-keys the released one; each re-key goes
+/// through [`Seat::file`], which asks for a superseding entry only for a
+/// key that moved *down* (see [`crate::policy::index`]). The victim key —
+/// predicted next use, descending — moves down with every hit, so a
+/// release pushes there; the deadline moves up with a hit, and down only
+/// when a pre-warm is scheduled (release early).
 #[derive(Debug, Default)]
 struct HistIndex {
     /// Eviction order: predicted next use descending (farthest first),
     /// then `last_used` ascending, then id ascending.
-    victims: VictimHeap<Reverse<SimTime>>,
+    victims: Victims,
     /// Expiry order: deadline ascending, then `last_used`, then id.
-    expiry: VictimHeap<SimTime>,
-    /// The keys each idle member is filed under in the two orders.
-    keys: IdMap<ContainerId, IdleKeys>,
+    expiry: Expiry,
+    /// The keys each member is filed under in the two orders.
+    keys: IdMap<ContainerId, Filed>,
     /// Idle members per function with their `last_used` (unordered), for
     /// re-keying after histogram updates.
     by_fn: FnTable<Vec<(SimTime, ContainerId)>>,
@@ -194,15 +209,40 @@ struct HistIndex {
     prewarms: BTreeSet<(SimTime, FunctionId)>,
 }
 
-/// Sheds `heap`'s superseded entries (see [`VictimHeap::shed_stale_with`]);
-/// `gen_of` picks the generation `heap` is authoritative for.
-fn shed<K: Ord + Copy>(
-    heap: &mut VictimHeap<K>,
-    keys: &IdMap<ContainerId, IdleKeys>,
-    gen_of: fn(&IdleKeys) -> u64,
-) {
-    heap.shed_stale_with(keys.len(), |id, gen| {
-        keys.get(&id).is_some_and(|k| gen_of(k) == gen)
+impl Filed {
+    /// The member (container `id`) is idle at these keys now: records
+    /// them and files it in the two orders. Follow with [`shed`].
+    fn file(
+        &mut self,
+        victims: &mut Victims,
+        expiry: &mut Expiry,
+        id: ContainerId,
+        last_used: SimTime,
+        (predicted, deadline): (SimTime, SimTime),
+    ) {
+        // The victim order is by predicted next use *descending*.
+        let victim_down =
+            (Reverse(predicted), last_used) < (Reverse(self.predicted), self.last_used);
+        let expiry_down = (deadline, last_used) < (self.deadline, self.last_used);
+        (self.last_used, self.predicted, self.deadline) = (last_used, predicted, deadline);
+        if self.victim.file(victim_down) {
+            self.victim
+                .entered(victims.push(id, Reverse(predicted), last_used));
+        }
+        if self.expiry.file(expiry_down) {
+            self.expiry.entered(expiry.push(id, deadline, last_used));
+        }
+    }
+}
+
+/// Sheds either heap once superseding pushes have left it mostly stale
+/// (see [`VictimHeap::shed_stale_with`]).
+fn shed(victims: &mut Victims, expiry: &mut Expiry, keys: &IdMap<ContainerId, Filed>) {
+    victims.shed_stale_with(keys.len(), |id, gen| {
+        keys.get(&id).is_some_and(|k| k.victim.holds(gen))
+    });
+    expiry.shed_stale_with(keys.len(), |id, gen| {
+        keys.get(&id).is_some_and(|k| k.expiry.holds(gen))
     });
 }
 
@@ -216,35 +256,59 @@ impl HistIndex {
         last_used: SimTime,
         (predicted, deadline): (SimTime, SimTime),
     ) {
-        shed(&mut self.victims, &self.keys, |k| k.victim_gen);
-        shed(&mut self.expiry, &self.keys, |k| k.expiry_gen);
-        let new = IdleKeys {
+        let filed = self.keys.entry(id).or_insert(Filed {
             function,
+            last_used,
             predicted,
-            victim_gen: self.victims.push(id, Reverse(predicted), last_used),
             deadline,
-            expiry_gen: self.expiry.push(id, deadline, last_used),
-        };
+            victim: Seat::running(),
+            expiry: Seat::running(),
+        });
         let members = self.by_fn.slot(function);
-        if self.keys.insert(id, new).is_some() {
+        if !filed.victim.is_busy() {
             // Re-filed while idle: listed already, under its old `last_used`.
             members.retain(|&(_, m)| m != id);
         }
         members.push((last_used, id));
+        filed.file(
+            &mut self.victims,
+            &mut self.expiry,
+            id,
+            last_used,
+            (predicted, deadline),
+        );
+        shed(&mut self.victims, &mut self.expiry, &self.keys);
     }
 
-    /// Forgets `id`; a no-op when it is not indexed. Its heap entries go
-    /// stale and are discarded when they surface.
-    fn remove(&mut self, id: ContainerId) {
-        let Some(old) = self.keys.remove(&id) else {
-            return;
-        };
+    /// The idle member `id` of `function` leaves the re-keying list.
+    fn unlist(&mut self, function: FunctionId, id: ContainerId) {
         let members = self
             .by_fn
-            .get_mut(old.function)
+            .get_mut(function)
             .expect("indexed members are listed under their function");
         if let Some(pos) = members.iter().position(|&(_, m)| m == id) {
             members.swap_remove(pos);
+        }
+    }
+
+    /// `id` started an invocation: out of both orders until it is filed
+    /// again, without either heap hearing of it. A no-op when it is not
+    /// indexed.
+    fn mark_busy(&mut self, id: ContainerId) {
+        let Some(filed) = self.keys.get_mut(&id) else {
+            return;
+        };
+        filed.victim.mark_busy();
+        filed.expiry.mark_busy();
+        let function = filed.function;
+        self.unlist(function, id);
+    }
+
+    /// Forgets `id`; a no-op when it is not indexed. Its heap entries are
+    /// discarded when they surface.
+    fn remove(&mut self, id: ContainerId) {
+        if let Some(old) = self.keys.remove(&id) {
+            self.unlist(old.function, id);
         }
     }
 }
@@ -327,7 +391,7 @@ impl Hist {
     }
 
     /// Recomputes the keys of the idle containers of `function`, pushing a
-    /// superseding entry for every key that moved. Called after the two
+    /// superseding entry for every key that moved down. Called after the two
     /// events that can change the function's histogram state (a request,
     /// or a pre-warm firing). With `skip_warm_pick`, all but the member
     /// with the greatest `(last_used, id)`: the one the pool takes next
@@ -354,23 +418,13 @@ impl Hist {
             if Some(id) == skip {
                 continue;
             }
-            let mut filed = *keys.get(&id).expect("members have keys");
-            let (predicted, deadline) = keys_at(&self.cfg, stats, last_used);
-            if (predicted, deadline) == (filed.predicted, filed.deadline) {
-                continue;
+            let filed = keys.get_mut(&id).expect("members have keys");
+            let moved = keys_at(&self.cfg, stats, last_used);
+            if moved != (filed.predicted, filed.deadline) {
+                filed.file(victims, expiry, id, last_used, moved);
             }
-            if predicted != filed.predicted {
-                shed(victims, keys, |k| k.victim_gen);
-                filed.predicted = predicted;
-                filed.victim_gen = victims.push(id, Reverse(predicted), last_used);
-            }
-            if deadline != filed.deadline {
-                shed(expiry, keys, |k| k.expiry_gen);
-                filed.deadline = deadline;
-                filed.expiry_gen = expiry.push(id, deadline, last_used);
-            }
-            keys.insert(id, filed);
         }
+        shed(victims, expiry, keys);
     }
 }
 
@@ -396,30 +450,31 @@ impl KeepAlivePolicy for Hist {
         f.pending_prewarm = None;
         // Schedule the next pre-warm if the head of the IAT distribution is
         // far enough out that releasing and re-warming pays off.
-        if f.predictable {
-            let head = f.window(cfg.head_quantile);
-            if head > cfg.margin + cfg.margin {
-                f.pending_prewarm = Some(now + head.saturating_sub(cfg.margin));
-            }
+        if f.predictable && f.head_window > cfg.margin + cfg.margin {
+            f.pending_prewarm = Some(now + f.head_window.saturating_sub(cfg.margin));
         }
         let new_pending = f.pending_prewarm;
         if let Some(index) = self.index.as_mut() {
-            if let Some(at) = old_pending {
-                index.prewarms.remove(&(at, spec.id()));
-            }
-            if let Some(at) = new_pending {
-                index.prewarms.insert((at, spec.id()));
+            if old_pending != new_pending {
+                if let Some(at) = old_pending {
+                    index.prewarms.remove(&(at, spec.id()));
+                }
+                if let Some(at) = new_pending {
+                    index.prewarms.insert((at, spec.id()));
+                }
             }
             // The request changed this function's histogram state (and
             // possibly its predictability), so its idle containers' keys
             // are stale: recompute them now — except the warm pick's, which
-            // `on_warm_start` is about to throw away.
+            // its release will recompute before anyone reads them.
             self.rekey_function(spec.id(), true);
         }
     }
 
     fn on_warm_start(&mut self, container: &Container, _now: SimTime) {
-        self.index_remove(container.id());
+        if let Some(index) = self.index.as_mut() {
+            index.mark_busy(container.id());
+        }
     }
 
     fn on_container_created(&mut self, container: &Container, _now: SimTime, prewarm: bool) {
@@ -500,9 +555,9 @@ impl KeepAlivePolicy for Hist {
 
     fn peek_victim(&mut self) -> Option<ContainerId> {
         let HistIndex { victims, keys, .. } = self.index.as_mut()?;
-        victims.peek_min_with(|id, gen| {
-            let k = keys.get(&id)?;
-            (k.victim_gen == gen).then_some(Reverse(k.predicted))
+        victims.peek_min_with(|id, gen| match keys.get_mut(&id) {
+            Some(k) => k.victim.probe(gen, Reverse(k.predicted), k.last_used),
+            None => Probe::Gone,
         })
     }
 
@@ -516,9 +571,9 @@ impl KeepAlivePolicy for Hist {
     fn pop_expired(&mut self, now: SimTime) -> Option<ContainerId> {
         let index = self.index.as_mut()?;
         let HistIndex { expiry, keys, .. } = &mut *index;
-        let id = expiry.peek_min_with(|id, gen| {
-            let k = keys.get(&id)?;
-            (k.expiry_gen == gen).then_some(k.deadline)
+        let id = expiry.peek_min_with(|id, gen| match keys.get_mut(&id) {
+            Some(k) => k.expiry.probe(gen, k.deadline, k.last_used),
+            None => Probe::Gone,
         })?;
         if now >= keys.get(&id).expect("peeked a live member").deadline {
             index.remove(id);

@@ -1,47 +1,59 @@
 //! The one eviction-order structure shared by the keep-alive policies.
 //!
 //! The pool is "ranked only when an eviction is needed" (paper §6), so no
-//! policy keeps its idle containers sorted. Every policy files them in a
-//! [`VictimHeap`] — a lazy-deletion binary min-heap over
-//! `(key, last_used, id)` with stale-entry versioning:
+//! policy keeps its idle containers sorted, and a warm start — a cache
+//! *hit* — does not touch the order at all. Every policy files its
+//! containers in a [`VictimHeap`], a binary min-heap over
+//! `(key, last_used, id)` whose entries are **lower bounds**:
 //!
-//! - going idle, or being re-keyed, is one O(1)-amortized
-//!   [`VictimHeap::push`] whose generation the policy records in its one
-//!   per-container table; that record names the container's single
-//!   *authoritative* entry;
-//! - a warm start, an eviction or a migration just forgets (or overwrites)
-//!   that generation — the superseded entry is discarded when it surfaces
-//!   in [`VictimHeap::peek_min_with`]/[`VictimHeap::pop_min_with`], or by
-//!   the [`VictimHeap::shed_stale_with`] sweep every push path runs first;
-//! - the order is only materialized by a pop: O(log n) per victim.
+//! - each resident container has at most one *authoritative* entry (the
+//!   generation its [`Seat`] records), stored under a `(key, last_used)`
+//!   pair that is `<=` the container's live pair, which the policy keeps
+//!   in (or computes from) its own per-container record;
+//! - a warm start only marks the seat busy; the release that follows
+//!   overwrites the live pair in the record and leaves the heap alone,
+//!   because the pair has not moved down;
+//! - the order is materialized by an eviction (or an expiry sweep) only:
+//!   [`VictimHeap::peek_min_with`] asks the policy about the entry on top
+//!   ([`Probe`]) and drops it when the container is gone or busy, sinks it
+//!   to its live pair when that has grown, and returns it when stored and
+//!   live pair are equal. That one is the minimum of
+//!   `(live key, last_used, id)` over the idle containers, since every
+//!   other idle container's live pair is `>=` its stored pair `>=` the
+//!   top's.
 //!
-//! # Re-push eagerly, or rely on re-push-on-pop?
+//! # When does filing a container push?
 //!
-//! On pop the heap compares an authoritative entry's stored key against
-//! the policy's live key and re-pushes it when they differ. That repairs a
-//! key that has **grown** since the push (the entry surfaces early, is
-//! found outdated, and sinks to its place) and nothing else:
+//! One rule, applied through [`Seat::file`] whenever a container goes idle
+//! or an idle container's key moves: push a superseding entry **iff** the
+//! container has no entry in the heap or its live pair *moved down*. A
+//! pair that only ever moves up between pushes stays `>=` the pair of the
+//! last push, which is the bound. What that means for a key depends only
+//! on which way it can move between two filings:
 //!
-//! - a key that is **fixed** while idle (LRU, TTL, SIZE: `last_used` or the
-//!   size; Landlord: the constant `offset_at_insert + credit / size`) is
-//!   trivially exact — stored and live keys never differ;
-//! - a key that **only grows** while idle (GreedyDual, FREQ: a sibling's
-//!   warm start raises the function's frequency) may rely on
-//!   re-push-on-pop;
-//! - a key that can **decrease** while idle (HIST: the release-early
-//!   deadline once a pre-warm is scheduled; GreedyDual when a tenant
-//!   weight is raised) stays buried under its too-high stored key, so the
-//!   policy must re-push eagerly at the moment the key moves — a fresh
-//!   `push` superseding the old generation — or [`VictimHeap::clear`] and
-//!   rebuild.
+//! | the pair … | examples | on release / re-key |
+//! |---|---|---|
+//! | is **fixed** | SIZE's size | bound holds: no heap operation |
+//! | only **grows** | `last_used` itself (LRU, TTL, every tie-break); FREQ's frequency while resident; Landlord's `offset + cost / size` (offset monotone); GreedyDual's `clock + freq × cost / size` (clock and frequency monotone); HIST's expiry deadline on a hit | bound holds: no heap operation |
+//! | can **decrease** | HIST's victim key (predicted next use, *descending*, so a hit moves it down) and its release-early deadline once a pre-warm is scheduled; GreedyDual when a tenant weight is raised | superseding push (GreedyDual instead [`VictimHeap::clear`]s and refiles everything: a weight moves every key of a tenant at once) |
 //!
-//! [`OrderedIdleSet`] is the thin id → `(key, last_used, generation)`
-//! table over a `VictimHeap` for the policies that keep no other
-//! per-container state (LRU, TTL, SIZE); Landlord, HIST, GreedyDual and
-//! FREQ file the generation in their own per-container record. Every
-//! policy therefore owns **at most one** table keyed by [`ContainerId`],
-//! and it is an [`IdMap`] (one multiplication per lookup; container ids
-//! are the pool's own counter, never wire input).
+//! So under LRU, TTL, SIZE, FREQ, Landlord and GreedyDual a warm cycle
+//! performs no heap operation, and the heap holds at most one entry per
+//! resident container; under HIST a release pushes once, for the victim
+//! order. FREQ and GreedyDual do not even compute their key on a release:
+//! it only grows, so comparing `last_used` settles `moved_down`. Entries
+//! left behind by a superseding push, or by a container that was evicted
+//! or migrated by id rather than popped, are dropped when they surface, or
+//! by the [`VictimHeap::shed_stale_with`] sweep once they outnumber the
+//! live ones.
+//!
+//! [`OrderedIdleSet`] is the thin id → `(key, last_used, seat)` table over
+//! a `VictimHeap` for the policies that keep no other per-container state
+//! (LRU, TTL, SIZE); Landlord, HIST, GreedyDual and FREQ keep the seat in
+//! their own per-container record. Every policy therefore owns **at most
+//! one** table keyed by [`ContainerId`], and it is an [`IdMap`] (one
+//! multiplication per lookup; container ids are the pool's own counter,
+//! never wire input).
 //!
 //! [`TotalF64`] is a totally ordered `f64` wrapper (via `total_cmp`) so
 //! finite priorities can be used as heap keys. For finite values the order
@@ -51,7 +63,9 @@ use crate::container::ContainerId;
 use faascache_util::idmap::IdMap;
 use faascache_util::SimTime;
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
+use std::num::NonZeroU64;
 
 /// An `f64` ordered by [`f64::total_cmp`].
 ///
@@ -81,20 +95,125 @@ impl Ord for TotalF64 {
     }
 }
 
-/// The idle containers of a policy whose sort key does not change while
-/// the container is idle, and that keeps nothing else per container: an
-/// id → `(key, last_used, generation)` table over a [`VictimHeap`].
+/// What a policy answers when [`VictimHeap::peek_min_with`] asks about the
+/// container behind the heap entry `(id, generation)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Probe<K> {
+    /// Evicted or migrated away, or the entry was superseded by a later
+    /// push: the entry is dropped.
+    Gone,
+    /// Running an invocation: the entry is dropped, and the container's
+    /// [`Seat`] has noted that it holds none, so its release pushes.
+    Busy,
+    /// Idle at this live `(key, last_used)`.
+    Idle(K, SimTime),
+}
+
+/// A container's standing in one [`VictimHeap`], kept in the policy's
+/// per-container record — next to the live `(key, last_used)` pair, or
+/// what the policy computes it from — for as long as the container is
+/// resident.
 ///
-/// [`Self::first`] and [`Self::pop_first`] yield containers in ascending
+/// The policy funnels every event through it: [`Self::mark_busy`] on a
+/// warm start, [`Self::file`] (and [`Self::entered`] if that says to
+/// push) on a release or a re-key, [`Self::probe`] from the closure it
+/// hands to the heap, [`Self::take`] for the popped victim. Dropping the
+/// record with the container is all an eviction by id needs.
+#[derive(Debug, Clone, Copy)]
+pub struct Seat {
+    /// One more than the generation of the container's authoritative heap
+    /// entry, while that entry is still in the heap.
+    entry: Option<NonZeroU64>,
+    /// Running an invocation: not a victim, whatever the heap holds.
+    busy: bool,
+}
+
+impl Seat {
+    /// The seat of a running container that has never been filed.
+    pub fn running() -> Self {
+        Seat {
+            entry: None,
+            busy: true,
+        }
+    }
+
+    /// Whether the container is running an invocation.
+    pub fn is_busy(&self) -> bool {
+        self.busy
+    }
+
+    /// A warm start: the container leaves the eviction order without the
+    /// heap hearing of it.
+    pub fn mark_busy(&mut self) {
+        self.busy = true;
+    }
+
+    /// The container is idle — went idle just now, or was re-keyed while
+    /// idle — at a live pair that `moved_down` since it was last filed, or
+    /// did not. Returns whether it needs a fresh heap entry, which is only
+    /// if it has none or the pair moved down: the caller then pushes one
+    /// at the live pair, hands its generation to [`Self::entered`] and
+    /// runs its [`VictimHeap::shed_stale_with`]. Otherwise the entry it
+    /// has is still a lower bound and the heap is left alone.
+    #[must_use = "true means: push an entry and call `entered`"]
+    pub fn file(&mut self, moved_down: bool) -> bool {
+        self.busy = false;
+        moved_down || self.entry.is_none()
+    }
+
+    /// `generation` is the container's authoritative heap entry from now
+    /// on (superseding the one it had, if any).
+    pub fn entered(&mut self, generation: u64) {
+        self.entry = NonZeroU64::new(generation + 1);
+    }
+
+    /// Whether heap entry `generation` is this seat's authoritative one.
+    pub fn holds(&self, generation: u64) -> bool {
+        self.entry == NonZeroU64::new(generation + 1)
+    }
+
+    /// The answer to the heap's question about entry `generation`, for a
+    /// container whose live pair is `(key, last_used)`. The heap drops a
+    /// busy container's entry, and the seat notes it.
+    pub fn probe<K>(&mut self, generation: u64, key: K, last_used: SimTime) -> Probe<K> {
+        if !self.holds(generation) {
+            Probe::Gone
+        } else if self.busy {
+            self.entry = None;
+            Probe::Busy
+        } else {
+            Probe::Idle(key, last_used)
+        }
+    }
+
+    /// The container's entry has left the heap: it was popped as the
+    /// victim, or the heap was cleared.
+    pub fn take(&mut self) {
+        self.entry = None;
+    }
+}
+
+/// What [`OrderedIdleSet`] keeps per member.
+#[derive(Debug, Clone, Copy)]
+struct Member<K> {
+    /// The live pair the member is ordered by.
+    key: K,
+    last_used: SimTime,
+    seat: Seat,
+}
+
+/// The containers of a policy that orders them by a key it hands over on
+/// every release, and that keeps nothing else per container: an
+/// id → `(key, last_used, seat)` table over a [`VictimHeap`].
+///
+/// [`Self::first`] and [`Self::pop_first`] yield idle members in ascending
 /// `(key, last_used, id)` order — the victim order every ordering-based
 /// policy uses, with the container id as the final tie-break (see the
 /// pool's tie-break contract).
 #[derive(Debug, Clone, Default)]
 pub struct OrderedIdleSet<K: Ord + Copy> {
     heap: VictimHeap<K>,
-    /// What each member is filed under, and the generation of its
-    /// authoritative heap entry.
-    filed: IdMap<ContainerId, (K, SimTime, u64)>,
+    filed: IdMap<ContainerId, Member<K>>,
 }
 
 impl<K: Ord + Copy> OrderedIdleSet<K> {
@@ -106,71 +225,87 @@ impl<K: Ord + Copy> OrderedIdleSet<K> {
         }
     }
 
-    /// Inserts (or re-keys) a container.
+    /// The container is idle at `(key, last_used)`: a new member, a busy
+    /// one released, or an idle one re-keyed.
     pub fn insert(&mut self, id: ContainerId, key: K, last_used: SimTime) {
-        let filed = &self.filed;
-        self.heap.shed_stale_with(filed.len(), |id, gen| {
-            filed.get(&id).is_some_and(|&(_, _, live)| live == gen)
+        let member = self.filed.entry(id).or_insert(Member {
+            key,
+            last_used,
+            seat: Seat::running(),
         });
-        let gen = self.heap.push(id, key, last_used);
-        self.filed.insert(id, (key, last_used, gen));
+        let moved_down = (key, last_used) < (member.key, member.last_used);
+        (member.key, member.last_used) = (key, last_used);
+        if member.seat.file(moved_down) {
+            member.seat.entered(self.heap.push(id, key, last_used));
+            let filed = &self.filed;
+            self.heap.shed_stale_with(filed.len(), |id, gen| {
+                filed.get(&id).is_some_and(|m| m.seat.holds(gen))
+            });
+        }
+    }
+
+    /// The member started an invocation: it stays filed but is not
+    /// yielded until it is inserted again. A no-op for a non-member.
+    pub fn mark_busy(&mut self, id: ContainerId) {
+        if let Some(member) = self.filed.get_mut(&id) {
+            member.seat.mark_busy();
+        }
     }
 
     /// Removes a container; a no-op when it is not indexed. Its heap entry
-    /// goes stale and is discarded when it surfaces.
+    /// is discarded when it surfaces.
     pub fn remove(&mut self, id: ContainerId) {
         self.filed.remove(&id);
     }
 
-    /// The smallest entry without removing it.
+    /// The smallest idle entry without removing it.
     pub fn first(&mut self) -> Option<(K, SimTime, ContainerId)> {
         let id = self.head(false)?;
-        let &(key, last_used, _) = self.filed.get(&id).expect("peeked a live member");
-        Some((key, last_used, id))
+        let member = self.filed.get(&id).expect("peeked a live member");
+        Some((member.key, member.last_used, id))
     }
 
-    /// Removes and returns the smallest entry.
+    /// Removes and returns the smallest idle entry.
     pub fn pop_first(&mut self) -> Option<(K, SimTime, ContainerId)> {
         let id = self.head(true)?;
-        let (key, last_used, _) = self.filed.remove(&id).expect("popped a live member");
-        Some((key, last_used, id))
+        let member = self.filed.remove(&id).expect("popped a live member");
+        Some((member.key, member.last_used, id))
     }
 
-    /// The heap's minimum among the filed members, popped or only peeked.
+    /// The heap's minimum among the idle members, popped or only peeked.
     fn head(&mut self, pop: bool) -> Option<ContainerId> {
-        let filed = &self.filed;
-        let live_key = |id: ContainerId, gen: u64| match filed.get(&id) {
-            Some(&(key, _, live)) if live == gen => Some(key),
-            _ => None,
+        let filed = &mut self.filed;
+        let probe = |id: ContainerId, gen: u64| match filed.get_mut(&id) {
+            Some(m) => m.seat.probe(gen, m.key, m.last_used),
+            None => Probe::Gone,
         };
         if pop {
-            self.heap.pop_min_with(live_key)
+            self.heap.pop_min_with(probe)
         } else {
-            self.heap.peek_min_with(live_key)
+            self.heap.peek_min_with(probe)
         }
     }
 }
 
 type HeapEntry<K> = Reverse<(K, SimTime, ContainerId, u64)>;
 
-/// A lazy-deletion min-heap over idle containers: the eviction (and
-/// expiry) order of every policy. See the module docs for which keys need
-/// an eager re-push.
+/// A min-heap of lower bounds over a policy's containers: the eviction
+/// (and expiry) order of every policy. See the module docs for the one
+/// rule that keeps it sound.
 ///
 /// The heap holds no membership table. [`Self::push`] returns a fresh
-/// generation number that the policy files in its own per-container
-/// record; that record names the container's one *authoritative* entry.
-/// Removing a container, or pushing it again, is just the policy
-/// forgetting or overwriting that generation — the superseded heap entry
-/// is discarded when it surfaces. On pop, a live entry's stored key is
-/// compared against the policy's current key: if the key has grown since
-/// the entry was pushed, the entry is re-pushed at the current key (same
-/// generation: the outdated copy has just left the heap). This settles in
-/// at most one re-push per live entry per call *provided the live key of
-/// an authoritative entry is never below its stored key* — true of fixed
-/// keys, of keys that only grow while idle (GreedyDual and LFU: frequency
-/// only grows while a function has resident containers), and of any key
-/// the policy re-pushes whenever it moves (HIST).
+/// generation number that the policy files in the container's [`Seat`];
+/// that names the container's one *authoritative* entry. Evicting a
+/// container by id, or pushing it again, is just the policy dropping or
+/// overwriting that generation — the superseded heap entry is discarded
+/// when it surfaces. A pop asks the policy about the top entry
+/// ([`Probe`]) and settles it: dropped when gone or busy, moved to its
+/// live pair (same generation: the outdated copy has just left the heap)
+/// when that has grown, returned when stored and live pair agree. This
+/// settles in at most one move per authoritative entry per call *provided
+/// the live pair of an authoritative entry is never below its stored
+/// pair*, which holds as long as every downward move of a live pair goes
+/// through [`Seat::file`] and the push it asks for.
 #[derive(Debug, Clone, Default)]
 pub struct VictimHeap<K: Ord + Copy> {
     heap: BinaryHeap<HeapEntry<K>>,
@@ -186,9 +321,9 @@ impl<K: Ord + Copy> VictimHeap<K> {
         }
     }
 
-    /// Pushes an entry for `id` at `key` and returns its generation. The
-    /// caller records it as the authoritative one for `id`, which
-    /// supersedes any earlier entry of the same container.
+    /// Pushes an entry for `id` at `(key, last_used)` and returns its
+    /// generation. The caller records it as the authoritative one for
+    /// `id`, which supersedes any earlier entry of the same container.
     pub fn push(&mut self, id: ContainerId, key: K, last_used: SimTime) -> u64 {
         let gen = self.next_gen;
         self.next_gen += 1;
@@ -206,14 +341,15 @@ impl<K: Ord + Copy> VictimHeap<K> {
         self.heap.is_empty()
     }
 
-    /// Sheds the stale entries once they outnumber the `live`
-    /// authoritative ones; call before a push.
+    /// Sheds the stale entries once they outnumber the `live` resident
+    /// containers; call after a push.
     ///
-    /// Every warm cycle leaves one superseded entry behind and only an
-    /// eviction ever pops them, so without this a pool under no memory
-    /// pressure would grow the heap by one entry per request forever. The
-    /// sweep runs at most once per `live` pushes: amortized O(1).
-    /// `is_live(id, generation)` says whether that entry is still
+    /// A superseding push, and a container evicted or migrated by id,
+    /// leave an entry behind that only an eviction would ever pop, so
+    /// without this a pool under no memory pressure whose warm set is
+    /// re-homed, or whose keys move down (HIST), would grow the heap
+    /// forever. The sweep runs at most once per `live` pushes: amortized
+    /// O(1). `is_live(id, generation)` says whether that entry is still
     /// authoritative; which stale entries exist never changes what a pop
     /// returns.
     pub fn shed_stale_with<F>(&mut self, live: usize, mut is_live: F)
@@ -227,54 +363,54 @@ impl<K: Ord + Copy> VictimHeap<K> {
         }
     }
 
-    /// Drops every entry (the caller re-pushes its live members).
+    /// Drops every entry (the caller refiles its idle members and tells
+    /// every [`Seat`] that its entry is gone).
     ///
-    /// Lazy re-pushing only corrects keys that have *grown*: an entry whose
-    /// live key has shrunk below its stored key stays buried until the
-    /// stale (too-high) key surfaces. When an external input to the key
-    /// function changes in a way that may decrease keys — e.g. a tenant
-    /// eviction weight is raised — callers clear and rebuild.
+    /// When an external input to the key function changes in a way that
+    /// may decrease many keys at once — a tenant eviction weight is
+    /// raised — callers clear and refile instead of pushing one
+    /// superseding entry per container.
     pub fn clear(&mut self) {
         self.heap.clear();
     }
 
-    /// The container with the minimal `(current key, last_used, id)`,
-    /// without removing it; `None` when no live entry remains. Settles
-    /// stale heap entries as a side effect.
+    /// The idle container with the minimal `(live key, last_used, id)`,
+    /// without removing it; `None` when no idle container has an entry.
+    /// Settles the entries above it as a side effect.
     ///
-    /// `live_key(id, generation)` must return `None` when `generation` is
-    /// not `id`'s authoritative entry (removed or superseded), and
-    /// otherwise the policy's *live* key for `id`, which must be `>=` the
-    /// key the entry was pushed with.
-    pub fn peek_min_with<F>(&mut self, mut live_key: F) -> Option<ContainerId>
+    /// `probe(id, generation)` is normally [`Seat::probe`] of the
+    /// container's record, or [`Probe::Gone`] when there is none. A live
+    /// pair it reports must be `>=` the pair the entry is stored under.
+    pub fn peek_min_with<F>(&mut self, mut probe: F) -> Option<ContainerId>
     where
-        F: FnMut(ContainerId, u64) -> Option<K>,
+        F: FnMut(ContainerId, u64) -> Probe<K>,
     {
         loop {
-            let Reverse((key, last_used, id, gen)) = *self.heap.peek()?;
-            match live_key(id, gen) {
-                Some(live) if live == key => return Some(id),
-                Some(live) => {
-                    // Outdated: re-push at the live key. The next time this
-                    // entry surfaces (policy state unchanged within one
-                    // call) the keys match.
-                    self.heap.pop();
-                    self.heap.push(Reverse((live, last_used, id, gen)));
+            let mut top = self.heap.peek_mut()?;
+            let Reverse((key, last_used, id, gen)) = *top;
+            match probe(id, gen) {
+                Probe::Idle(live, at) if (live, at) == (key, last_used) => return Some(id),
+                Probe::Idle(live, at) => {
+                    // Outdated: sinks to its live pair as `top` drops. The
+                    // next time it surfaces (policy state unchanged within
+                    // one call) the pairs match.
+                    *top = Reverse((live, at, id, gen));
                 }
-                None => {
-                    self.heap.pop();
+                Probe::Gone | Probe::Busy => {
+                    PeekMut::pop(top);
                 }
             }
         }
     }
 
     /// Removes and returns what [`Self::peek_min_with`] would return. The
-    /// caller must then forget the popped container's generation.
-    pub fn pop_min_with<F>(&mut self, live_key: F) -> Option<ContainerId>
+    /// caller must then [`Seat::take`] the popped container's entry (or
+    /// drop its record).
+    pub fn pop_min_with<F>(&mut self, probe: F) -> Option<ContainerId>
     where
-        F: FnMut(ContainerId, u64) -> Option<K>,
+        F: FnMut(ContainerId, u64) -> Probe<K>,
     {
-        let id = self.peek_min_with(live_key)?;
+        let id = self.peek_min_with(probe)?;
         self.heap.pop();
         Some(id)
     }
@@ -283,6 +419,7 @@ impl<K: Ord + Copy> VictimHeap<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use faascache_util::SimDuration;
     use proptest::prelude::*;
     use std::collections::{BTreeMap, BTreeSet};
 
@@ -329,6 +466,7 @@ mod tests {
         set.insert(id(1), 5u64, t(0));
         set.insert(id(2), 1, t(0));
         set.insert(id(2), 9, t(0)); // re-key upwards
+        assert_eq!(set.heap_len(), 2, "a key that grows keeps its entry");
         assert_eq!(set.first(), Some((5, t(0), id(1))));
         set.insert(id(2), 3, t(0)); // and back down, below id 1
         assert_eq!(set.first(), Some((3, t(0), id(2))));
@@ -339,21 +477,67 @@ mod tests {
         assert_eq!(set.pop_first(), None);
     }
 
-    /// The membership record a policy keeps next to the heap: the
-    /// authoritative generation of each member.
-    type Members = BTreeMap<ContainerId, u64>;
-
-    fn push(heap: &mut VictimHeap<u64>, m: &mut Members, id: ContainerId, key: u64, at: SimTime) {
-        m.insert(id, heap.push(id, key, at));
+    #[test]
+    fn ordered_set_warm_cycles_leave_the_heap_alone() {
+        let mut set = OrderedIdleSet::new();
+        for i in 0..4 {
+            set.insert(id(i), t(i), t(i));
+        }
+        // A thousand LRU-style warm cycles: `last_used` is the key.
+        for round in 1..=1_000u64 {
+            for i in 0..4 {
+                set.mark_busy(id(i));
+                set.insert(id(i), t(10 * round + i), t(10 * round + i));
+            }
+            assert_eq!(set.heap_len(), 4, "zero pushes after each member's first");
+        }
+        // A busy member is not yielded; its release makes it the newest.
+        set.mark_busy(id(0));
+        assert_eq!(set.first(), Some((t(10_001), t(10_001), id(1))));
+        assert_eq!(
+            set.heap_len(),
+            3,
+            "the busy member's entry surfaced and left"
+        );
+        set.insert(id(0), t(20_000), t(20_000));
+        assert_eq!(set.heap_len(), 4, "so its release pushed");
+        let order: Vec<u64> = std::iter::from_fn(|| set.pop_first())
+            .map(|(_, _, id)| id.as_raw())
+            .collect();
+        assert_eq!(order, vec![1, 2, 3, 0]);
     }
 
-    /// Pops against `m` with every live member at the key `key_of` says.
-    fn pop(
-        heap: &mut VictimHeap<u64>,
-        m: &mut Members,
-        key_of: impl Fn(ContainerId) -> u64,
-    ) -> Option<ContainerId> {
-        let id = heap.pop_min_with(|id, gen| (m.get(&id) == Some(&gen)).then(|| key_of(id)))?;
+    /// The record a policy keeps next to the heap: id → live `(key,
+    /// last_used)` and the seat.
+    type Members = BTreeMap<ContainerId, (u64, SimTime, Seat)>;
+
+    /// A release or a re-key: the container is idle at `(key, at)`.
+    fn file(heap: &mut VictimHeap<u64>, m: &mut Members, id: ContainerId, key: u64, at: SimTime) {
+        let rec = m.entry(id).or_insert((key, at, Seat::running()));
+        let moved_down = (key, at) < (rec.0, rec.1);
+        (rec.0, rec.1) = (key, at);
+        if rec.2.file(moved_down) {
+            rec.2.entered(heap.push(id, key, at));
+            heap.shed_stale_with(m.len(), |id, gen| {
+                m.get(&id).is_some_and(|rec| rec.2.holds(gen))
+            });
+        }
+    }
+
+    fn probe(m: &mut Members, id: ContainerId, gen: u64) -> Probe<u64> {
+        match m.get_mut(&id) {
+            Some((key, at, seat)) => seat.probe(gen, *key, *at),
+            None => Probe::Gone,
+        }
+    }
+
+    fn peek(heap: &mut VictimHeap<u64>, m: &mut Members) -> Option<ContainerId> {
+        heap.peek_min_with(|id, gen| probe(m, id, gen))
+    }
+
+    /// Pops the way a policy does: the victim's record goes with it.
+    fn pop(heap: &mut VictimHeap<u64>, m: &mut Members) -> Option<ContainerId> {
+        let id = heap.pop_min_with(|id, gen| probe(m, id, gen))?;
         m.remove(&id);
         Some(id)
     }
@@ -361,114 +545,147 @@ mod tests {
     #[test]
     fn victim_heap_lazy_removal_discards_stale_entries() {
         let (mut heap, mut m) = (VictimHeap::new(), Members::new());
-        push(&mut heap, &mut m, id(1), 1, t(0));
-        push(&mut heap, &mut m, id(2), 2, t(0));
-        m.remove(&id(1));
-        assert_eq!(pop(&mut heap, &mut m, |_| 2), Some(id(2)));
-        assert_eq!(pop(&mut heap, &mut m, |_| 0), None);
+        file(&mut heap, &mut m, id(1), 1, t(0));
+        file(&mut heap, &mut m, id(2), 2, t(0));
+        m.remove(&id(1)); // evicted by id
+        assert_eq!(pop(&mut heap, &mut m), Some(id(2)));
+        assert_eq!(pop(&mut heap, &mut m), None);
+        assert!(heap.is_empty());
     }
 
     #[test]
     fn victim_heap_repushes_outdated_keys() {
         let (mut heap, mut m) = (VictimHeap::new(), Members::new());
-        // id 1 inserted with a low key that has since grown past id 2's.
-        push(&mut heap, &mut m, id(1), 1, t(0));
-        push(&mut heap, &mut m, id(2), 3, t(0));
-        let live = |i: ContainerId| if i == id(1) { 5u64 } else { 3 };
-        assert_eq!(
-            heap.peek_min_with(|i, gen| (m.get(&i) == Some(&gen)).then(|| live(i))),
-            Some(id(2))
-        );
-        assert_eq!(pop(&mut heap, &mut m, live), Some(id(2)));
-        assert_eq!(pop(&mut heap, &mut m, live), Some(id(1)));
-        assert_eq!(pop(&mut heap, &mut m, live), None);
+        file(&mut heap, &mut m, id(1), 1, t(0));
+        file(&mut heap, &mut m, id(2), 3, t(0));
+        // id 1's key has since grown past id 2's without the heap hearing
+        // of it (a sibling's warm start under GreedyDual/FREQ).
+        m.get_mut(&id(1)).unwrap().0 = 5;
+        assert_eq!(peek(&mut heap, &mut m), Some(id(2)));
+        assert_eq!(heap.len(), 2, "sunk in place, not duplicated");
+        assert_eq!(pop(&mut heap, &mut m), Some(id(2)));
+        assert_eq!(pop(&mut heap, &mut m), Some(id(1)));
+        assert_eq!(pop(&mut heap, &mut m), None);
     }
 
     #[test]
     fn victim_heap_ties_break_by_last_used_then_id() {
         let (mut heap, mut m) = (VictimHeap::new(), Members::new());
-        push(&mut heap, &mut m, id(7), 1, t(3));
-        push(&mut heap, &mut m, id(4), 1, t(3));
-        push(&mut heap, &mut m, id(9), 1, t(1));
-        assert_eq!(pop(&mut heap, &mut m, |_| 1), Some(id(9)));
-        assert_eq!(pop(&mut heap, &mut m, |_| 1), Some(id(4)));
-        assert_eq!(pop(&mut heap, &mut m, |_| 1), Some(id(7)));
+        file(&mut heap, &mut m, id(7), 1, t(3));
+        file(&mut heap, &mut m, id(4), 1, t(3));
+        file(&mut heap, &mut m, id(9), 1, t(1));
+        assert_eq!(pop(&mut heap, &mut m), Some(id(9)));
+        assert_eq!(pop(&mut heap, &mut m), Some(id(4)));
+        assert_eq!(pop(&mut heap, &mut m), Some(id(7)));
     }
 
     #[test]
     fn victim_heap_reinsert_supersedes_old_entry() {
         let (mut heap, mut m) = (VictimHeap::new(), Members::new());
-        push(&mut heap, &mut m, id(1), 10, t(0));
-        push(&mut heap, &mut m, id(1), 2, t(5)); // became idle again with a new key
-        assert_eq!(m.len(), 1);
-        assert_eq!(pop(&mut heap, &mut m, |_| 2), Some(id(1)));
-        assert!(pop(&mut heap, &mut m, |_| 2).is_none());
+        file(&mut heap, &mut m, id(1), 10, t(0));
+        file(&mut heap, &mut m, id(1), 2, t(5)); // re-keyed downwards
+        assert_eq!((m.len(), heap.len()), (1, 2));
+        assert_eq!(pop(&mut heap, &mut m), Some(id(1)));
+        assert!(pop(&mut heap, &mut m).is_none(), "the old entry is gone");
+    }
+
+    #[test]
+    fn seat_pushes_only_on_a_downward_move_or_without_an_entry() {
+        let (mut heap, mut m) = (VictimHeap::new(), Members::new());
+        file(&mut heap, &mut m, id(1), 10, t(0));
+        file(&mut heap, &mut m, id(2), 20, t(0));
+        // Warm cycle at a grown pair: the heap is not touched.
+        m.get_mut(&id(1)).unwrap().2.mark_busy();
+        assert!(m[&id(1)].2.is_busy());
+        file(&mut heap, &mut m, id(1), 10, t(5));
+        assert_eq!(heap.len(), 2);
+        // Equal key, older `last_used`: a downward move, superseding push.
+        file(&mut heap, &mut m, id(1), 10, t(4));
+        assert_eq!(heap.len(), 3);
+        // A smaller key: likewise.
+        file(&mut heap, &mut m, id(1), 2, t(9));
+        assert_eq!(heap.len(), 4);
+        assert_eq!(peek(&mut heap, &mut m), Some(id(1)));
+        // Busy when its entry surfaces: the entry is consumed ...
+        m.get_mut(&id(1)).unwrap().2.mark_busy();
+        assert_eq!(peek(&mut heap, &mut m), Some(id(2)));
+        assert_eq!(
+            heap.len(),
+            1,
+            "two superseded entries and the busy one left"
+        );
+        // ... so the release pushes even at a grown pair.
+        file(&mut heap, &mut m, id(1), 30, t(9));
+        assert_eq!(heap.len(), 2);
+        assert_eq!(pop(&mut heap, &mut m), Some(id(2)));
+        assert_eq!(pop(&mut heap, &mut m), Some(id(1)));
+        assert_eq!(pop(&mut heap, &mut m), None);
     }
 
     #[test]
     fn victim_heap_sheds_stale_entries_once_they_outnumber_the_live() {
         let (mut heap, mut m) = (VictimHeap::new(), Members::new());
-        // Ten members re-queued a thousand times each, never popped: the
-        // pattern of a pool that serves warm hits and never evicts.
+        // Ten members re-keyed *downwards* a thousand times each, never
+        // popped: the pattern of HIST's victim order under warm hits in a
+        // pool that never evicts.
         for round in 0..1_000u64 {
             for i in 0..10 {
-                heap.shed_stale_with(m.len(), |id, gen| m.get(&id) == Some(&gen));
-                push(&mut heap, &mut m, id(i), round, t(round));
+                file(&mut heap, &mut m, id(i), 1_000 - round, t(0));
             }
         }
-        assert!(heap.len() <= 2 * 10 + 64 + 1, "heap holds {}", heap.len());
+        assert!(heap.len() <= 2 * 10 + 64, "heap holds {}", heap.len());
         // Shedding changed nothing a pop can see.
         for i in 0..10 {
-            assert_eq!(pop(&mut heap, &mut m, |_| 999), Some(id(i)));
+            assert_eq!(pop(&mut heap, &mut m), Some(id(i)));
         }
-        assert_eq!(pop(&mut heap, &mut m, |_| 999), None);
+        assert_eq!(pop(&mut heap, &mut m), None);
         assert!(heap.is_empty());
     }
 
     #[test]
     fn victim_heap_clear_forgets_every_entry() {
         let (mut heap, mut m) = (VictimHeap::new(), Members::new());
-        push(&mut heap, &mut m, id(1), 10, t(0));
+        file(&mut heap, &mut m, id(1), 10, t(0));
         heap.clear();
-        assert!(pop(&mut heap, &mut m, |_| 10).is_none(), "entry is gone");
-        // Rebuilt at a *lower* key than before: pops at that key.
-        push(&mut heap, &mut m, id(1), 4, t(0));
-        assert_eq!(pop(&mut heap, &mut m, |_| 4), Some(id(1)));
+        m.get_mut(&id(1)).unwrap().2.take();
+        assert!(peek(&mut heap, &mut m).is_none(), "entry is gone");
+        // Refiled at a *lower* key than before: pops at that key.
+        file(&mut heap, &mut m, id(1), 4, t(0));
+        assert_eq!(pop(&mut heap, &mut m), Some(id(1)));
     }
 
     /// One step of the model test below.
     #[derive(Debug, Clone, Copy)]
     enum HeapOp {
-        /// (Re-)file the container at this key and `last_used`, the way a
-        /// policy does when a container goes idle or its key moves — below,
-        /// at or above the key it is filed under.
+        /// The container is idle at this key and `last_used`: a first
+        /// filing, a release (after `Start`, whether or not its entry
+        /// surfaced meanwhile) or a re-key while idle — below, at or above
+        /// the pair it was at.
         File(u64, u64, u64),
-        /// Raise the live key without telling the heap (a sibling's warm
-        /// start under GreedyDual/FREQ): only re-push-on-pop repairs it.
+        /// A release the way the six monotone policies see it: idle again
+        /// at a pair grown by this much.
+        Finish(u64, u64),
+        /// Raise an idle container's live key without telling the heap (a
+        /// sibling's warm start under GreedyDual/FREQ).
         Grow(u64, u64),
-        /// Warm start / eviction by someone else: forget the generation.
+        /// Warm start: busy, without telling the heap.
+        Start(u64),
+        /// Evicted or extracted by id, idle or running: the record goes.
         Forget(u64),
         Peek,
         Pop,
     }
 
-    /// What a policy's per-container table holds for the model test: id →
-    /// (live key, `last_used`, authoritative generation).
-    type Filed = BTreeMap<ContainerId, (u64, SimTime, u64)>;
-
-    fn live_key(filed: &Filed, id: ContainerId, gen: u64) -> Option<u64> {
-        let &(key, _, live) = filed.get(&id)?;
-        (live == gen).then_some(key)
-    }
-
     fn heap_op_strategy() -> impl Strategy<Value = HeapOp> {
         // Few distinct keys and times, so equal-key ties (broken by
         // `last_used`, then id) and equal-key re-files are common.
-        (0u8..8, 0u64..32, 0u64..6, 0u64..4).prop_map(|(op, id, key, at)| match op {
+        (0u8..12, 0u64..32, 0u64..6, 0u64..4).prop_map(|(op, id, key, at)| match op {
             0..=2 => HeapOp::File(id, key, at),
-            3 => HeapOp::Grow(id, 1 + key % 3),
-            4 => HeapOp::Forget(id),
-            5 => HeapOp::Peek,
+            3 | 4 => HeapOp::Finish(id, key % 3),
+            5 => HeapOp::Grow(id, 1 + key % 3),
+            6 | 7 => HeapOp::Start(id),
+            8 => HeapOp::Forget(id),
+            9 => HeapOp::Peek,
             _ => HeapOp::Pop,
         })
     }
@@ -476,59 +693,78 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The lazy heap against the eagerly sorted tree it replaced: a
-        /// `BTreeSet<(key, last_used, id)>` holding exactly the live
-        /// members at their live keys. Every peek and pop agrees.
+        /// The heap of lower bounds against the eagerly sorted tree it
+        /// replaced: a `BTreeSet` of the live `(key, last_used, id)`
+        /// triples of exactly the idle members. Every peek and pop agrees.
         #[test]
         fn victim_heap_matches_a_tree_oracle(ops in prop::collection::vec(heap_op_strategy(), 1..400)) {
             let mut heap = VictimHeap::new();
-            let mut members = Filed::new();
+            let mut members = Members::new();
             let mut model: BTreeSet<(u64, SimTime, ContainerId)> = BTreeSet::new();
+            // Leaves the model: running, evicted, or about to be refiled.
+            let unlist = |model: &mut BTreeSet<_>, members: &Members, i: ContainerId| {
+                if let Some(&(key, at, _)) = members.get(&i) {
+                    model.remove(&(key, at, i));
+                }
+            };
             for op in ops {
                 match op {
                     HeapOp::File(i, key, at) => {
                         let (i, at) = (id(i), t(at));
-                        if let Some((old_key, old_at, _)) = members.remove(&i) {
-                            model.remove(&(old_key, old_at, i));
-                        }
-                        heap.shed_stale_with(members.len(), |i, gen| live_key(&members, i, gen).is_some());
-                        members.insert(i, (key, at, heap.push(i, key, at)));
+                        unlist(&mut model, &members, i);
+                        file(&mut heap, &mut members, i, key, at);
                         model.insert((key, at, i));
-                        // Shedding before every push bounds the stale entries.
-                        prop_assert!(heap.len() <= 2 * members.len() + 64 + 1, "heap holds {}", heap.len());
+                        // Shedding after every push bounds the stale entries.
+                        prop_assert!(heap.len() <= 2 * members.len() + 64, "heap holds {}", heap.len());
+                    }
+                    HeapOp::Finish(i, by) => {
+                        let i = id(i);
+                        if let Some(&(key, at, seat)) = members.get(&i) {
+                            let held = heap.len();
+                            let had_entry = seat.entry.is_some();
+                            unlist(&mut model, &members, i);
+                            let (key, at) = (key + by, at + SimDuration::from_secs(by));
+                            file(&mut heap, &mut members, i, key, at);
+                            model.insert((key, at, i));
+                            // The mechanism: a pair that did not move down
+                            // never pushes over an entry still in the heap.
+                            prop_assert_eq!(heap.len(), held + usize::from(!had_entry));
+                        }
                     }
                     HeapOp::Grow(i, by) => {
-                        if let Some((key, at, _)) = members.get_mut(&id(i)) {
-                            model.remove(&(*key, *at, id(i)));
-                            *key += by;
-                            model.insert((*key, *at, id(i)));
+                        if let Some((key, at, seat)) = members.get_mut(&id(i)) {
+                            if !seat.is_busy() {
+                                model.remove(&(*key, *at, id(i)));
+                                *key += by;
+                                model.insert((*key, *at, id(i)));
+                            }
+                        }
+                    }
+                    HeapOp::Start(i) => {
+                        unlist(&mut model, &members, id(i));
+                        if let Some((_, _, seat)) = members.get_mut(&id(i)) {
+                            seat.mark_busy();
                         }
                     }
                     HeapOp::Forget(i) => {
-                        if let Some((key, at, _)) = members.remove(&id(i)) {
-                            model.remove(&(key, at, id(i)));
-                        }
+                        unlist(&mut model, &members, id(i));
+                        members.remove(&id(i));
                     }
                     HeapOp::Peek => {
-                        let got = heap.peek_min_with(|i, gen| live_key(&members, i, gen));
+                        let got = peek(&mut heap, &mut members);
                         prop_assert_eq!(got, model.first().map(|&(_, _, i)| i));
                     }
                     HeapOp::Pop => {
-                        let got = heap.pop_min_with(|i, gen| live_key(&members, i, gen));
+                        let got = pop(&mut heap, &mut members);
                         prop_assert_eq!(got, model.pop_first().map(|(_, _, i)| i));
-                        if let Some(i) = got {
-                            members.remove(&i);
-                        }
                     }
                 }
             }
             // Drains in exactly the tree's order.
             while let Some((_, _, want)) = model.pop_first() {
-                let got = heap.pop_min_with(|i, gen| live_key(&members, i, gen));
-                prop_assert_eq!(got, Some(want));
-                members.remove(&want);
+                prop_assert_eq!(pop(&mut heap, &mut members), Some(want));
             }
-            prop_assert_eq!(heap.pop_min_with(|i, gen| live_key(&members, i, gen)), None);
+            prop_assert_eq!(pop(&mut heap, &mut members), None);
         }
     }
 }

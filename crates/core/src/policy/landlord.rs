@@ -13,7 +13,7 @@
 //! the state of all the cached containers, and not independently applied."
 
 use crate::container::{Container, ContainerId};
-use crate::policy::index::{TotalF64, VictimHeap};
+use crate::policy::index::{Probe, Seat, TotalF64, VictimHeap};
 use crate::policy::KeepAlivePolicy;
 use faascache_util::idmap::IdMap;
 use faascache_util::{MemMb, SimTime};
@@ -25,7 +25,7 @@ use faascache_util::{MemMb, SimTime};
 /// advanced and each idle container stores the constant key
 ///
 /// ```text
-/// key = offset_at_insert + credit / size
+/// key = offset_at_release + credit / size
 /// ```
 ///
 /// The container with the smallest key is the next to run out of credit.
@@ -42,10 +42,11 @@ use faascache_util::{MemMb, SimTime};
 /// of machine epsilon.
 #[derive(Debug, Default)]
 struct LandlordIndex {
-    /// Idle containers by `(key, last_used, id)` — matching the naive
-    /// path's `(used, id)` order within a zero-credit group. The key is
-    /// fixed while the container is idle; which entry is authoritative is
-    /// recorded in its [`Tenancy`].
+    /// Containers by `(key, last_used, id)` — matching the naive path's
+    /// `(used, id)` order within a zero-credit group. A warm start
+    /// restores the credit to the cost and the offset only advances, so
+    /// the key a container is released at is never below the one its heap
+    /// entry is stored under (see [`crate::policy::index`]).
     order: VictimHeap<TotalF64>,
     /// Cumulative rent charged per MB so far.
     offset: f64,
@@ -59,27 +60,24 @@ struct Tenancy {
     credit: f64,
     /// Size (MB, ≥ 1), for effective-credit recovery.
     size: f64,
-    /// The key the container is filed under in [`LandlordIndex::order`]
-    /// while it sits idle there, and the generation of that heap entry.
-    /// Clearing it takes the container out of the eviction order.
-    filed: Option<(TotalF64, u64)>,
+    /// The key and `last_used` the container was last released at; read
+    /// only while it is idle under the incremental index.
+    key: TotalF64,
+    last_used: SimTime,
+    /// Its standing in [`LandlordIndex::order`].
+    seat: Seat,
 }
 
 impl Tenancy {
-    /// A tenancy at full credit (the cost), not filed.
+    /// A running tenancy at full credit (the cost), not filed.
     fn new(container: &Container) -> Self {
         Tenancy {
             credit: Landlord::cost(container),
             size: Landlord::size_of(container),
-            filed: None,
+            key: TotalF64(0.0),
+            last_used: container.last_used(),
+            seat: Seat::running(),
         }
-    }
-
-    /// The key heap entry `gen` is filed under, if it is this tenancy's
-    /// authoritative one.
-    fn key_filed_as(&self, gen: u64) -> Option<TotalF64> {
-        self.filed
-            .and_then(|(key, live)| (live == gen).then_some(key))
     }
 }
 
@@ -119,10 +117,15 @@ impl Landlord {
     /// For an idle container under the incremental index this is the
     /// *effective* credit `(key - offset) * size`, which already accounts
     /// for all rent charged since the container went idle.
+    ///
+    /// A *running* container reports the credit its warm start restored:
+    /// no rent is charged to it, whatever its heap entry is stored under.
     pub fn credit(&self, id: ContainerId) -> Option<f64> {
         let tenancy = self.tenancies.get(&id)?;
-        match (self.index.as_ref(), tenancy.filed) {
-            (Some(index), Some((key, _))) => Some(((key.0 - index.offset) * tenancy.size).max(0.0)),
+        match self.index.as_ref() {
+            Some(index) if !tenancy.seat.is_busy() => {
+                Some(((tenancy.key.0 - index.offset) * tenancy.size).max(0.0))
+            }
             _ => Some(tenancy.credit),
         }
     }
@@ -142,31 +145,37 @@ impl Landlord {
             return;
         };
         let tenancies = &mut self.tenancies;
-        index.order.shed_stale_with(tenancies.len(), |id, gen| {
-            tenancies
-                .get(&id)
-                .is_some_and(|t| t.key_filed_as(gen).is_some())
-        });
         let id = container.id();
         let tenancy = tenancies
             .entry(id)
             .or_insert_with(|| Tenancy::new(container));
         let key = TotalF64(index.offset + tenancy.credit / tenancy.size);
-        let gen = index.order.push(id, key, container.last_used());
-        tenancy.filed = Some((key, gen));
+        let last_used = container.last_used();
+        let moved_down = (key, last_used) < (tenancy.key, tenancy.last_used);
+        (tenancy.key, tenancy.last_used) = (key, last_used);
+        if tenancy.seat.file(moved_down) {
+            tenancy.seat.entered(index.order.push(id, key, last_used));
+            index.order.shed_stale_with(tenancies.len(), |id, gen| {
+                tenancies.get(&id).is_some_and(|t| t.seat.holds(gen))
+            });
+        }
     }
 
-    /// The heap's minimum among the filed tenancies, popped or only peeked.
+    /// The heap's minimum among the idle tenancies, popped or only peeked.
     fn next_victim(&mut self, pop: bool) -> Option<ContainerId> {
         let index = self.index.as_mut()?;
         let tenancies = &mut self.tenancies;
-        let live_key = |id: ContainerId, gen: u64| tenancies.get(&id)?.key_filed_as(gen);
+        let probe = |id: ContainerId, gen: u64| match tenancies.get_mut(&id) {
+            Some(t) => t.seat.probe(gen, t.key, t.last_used),
+            None => Probe::Gone,
+        };
         if !pop {
-            return index.order.peek_min_with(live_key);
+            return index.order.peek_min_with(probe);
         }
-        let id = index.order.pop_min_with(live_key)?;
+        let id = index.order.pop_min_with(probe)?;
         let tenancy = tenancies.get_mut(&id).expect("popped a live member");
-        let (key, _) = tenancy.filed.take().expect("popped a filed tenancy");
+        tenancy.seat.take();
+        let key = tenancy.key;
         // Advancing the offset to the popped key implicitly charges every
         // surviving idle container the rent that drove this victim's
         // credit to zero.
@@ -196,7 +205,7 @@ impl KeepAlivePolicy for Landlord {
             .entry(container.id())
             .or_insert_with(|| Tenancy::new(container));
         // Running again: out of the eviction order.
-        tenancy.filed = None;
+        tenancy.seat.mark_busy();
         tenancy.credit = Self::cost(container);
     }
 
@@ -427,9 +436,43 @@ mod tests {
         lnd.on_finish(&a, SimTime::ZERO);
         lnd.on_finish(&b, SimTime::ZERO);
         lnd.on_warm_start(&a, SimTime::from_secs(1));
-        // `a` is busy again: only `b` is poppable.
+        // `a` is busy again: only `b` is poppable, although both have an
+        // entry in the heap.
         assert_eq!(lnd.pop_victim(), Some(b.id()));
         assert_eq!(lnd.pop_victim(), None);
+    }
+
+    #[test]
+    fn running_tenancy_reports_its_refreshed_credit() {
+        let mut lnd = Landlord::new();
+        let a = container(1, 100, 5);
+        let cheap = container(2, 100, 1);
+        let dear = container(3, 100, 10);
+        for x in [&a, &cheap, &dear] {
+            lnd.on_container_created(x, SimTime::ZERO, false);
+            lnd.on_finish(x, SimTime::ZERO);
+        }
+        // Idle, `a` pays the rent that evicts `cheap`: 5 - (1/100)*100.
+        assert_eq!(lnd.pop_victim(), Some(cheap.id()));
+        lnd.on_evicted(&cheap, 0, SimTime::ZERO);
+        assert!((lnd.credit(a.id()).unwrap() - 4.0).abs() < 1e-9);
+        // A warm start restores the credit. The heap entry stays, stored
+        // under the old key, and must not be what the credit is read from.
+        lnd.on_warm_start(&a, SimTime::from_secs(1));
+        assert_eq!(lnd.heap_len(), 2);
+        assert_eq!(lnd.credit(a.id()), Some(5.0));
+        assert_eq!(lnd.priority_of(&a), Some(5.0));
+        // An eviction elsewhere advances the offset past that key (the
+        // stale entry surfaces and is dropped); a running container pays
+        // no rent.
+        assert_eq!(lnd.pop_victim(), Some(dear.id()));
+        lnd.on_evicted(&dear, 0, SimTime::from_secs(2));
+        assert_eq!(lnd.heap_len(), 0);
+        assert_eq!(lnd.credit(a.id()), Some(5.0));
+        // Released at full credit over the advanced offset.
+        lnd.on_finish(&a, SimTime::from_secs(3));
+        assert!((lnd.credit(a.id()).unwrap() - 5.0).abs() < 1e-9);
+        assert_eq!(lnd.pop_victim(), Some(a.id()));
     }
 
     #[test]

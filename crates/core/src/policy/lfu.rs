@@ -7,24 +7,32 @@
 use crate::container::{Container, ContainerId};
 use crate::fn_table::FnTable;
 use crate::function::FunctionId;
-use crate::policy::index::VictimHeap;
+use crate::policy::index::{Probe, Seat, VictimHeap};
 use crate::policy::{take_until_freed, KeepAlivePolicy};
 use faascache_util::idmap::IdMap;
 use faascache_util::{MemMb, SimTime};
 
 /// Incremental eviction order for LFU.
 ///
-/// A lazy heap is required (not a plain ordered set) because an idle
-/// container's key — its function's frequency — grows when a *sibling*
-/// container of the same function serves a warm start. Frequencies never
-/// decrease while a function has resident containers, which is exactly the
-/// monotonicity [`VictimHeap`] needs.
+/// A container's key — its function's frequency — grows when *any*
+/// container of the function serves a warm start, and never decreases
+/// while the function has resident containers, so the heap entry of a
+/// resident container stays a lower bound across warm cycles (see
+/// [`crate::policy::index`]).
 #[derive(Debug, Default)]
 struct LfuIndex {
     heap: VictimHeap<u64>,
-    /// Each idle member's function (for key recomputation on pop) and the
-    /// generation of its authoritative heap entry.
-    members: IdMap<ContainerId, (FunctionId, u64)>,
+    /// Every container that has been idle at least once.
+    members: IdMap<ContainerId, Member>,
+}
+
+/// What the index keeps per member.
+#[derive(Debug, Clone, Copy)]
+struct Member {
+    /// For key recomputation on pop.
+    function: FunctionId,
+    last_used: SimTime,
+    seat: Seat,
 }
 
 /// Least-frequently-used keep-alive policy.
@@ -68,21 +76,26 @@ impl Lfu {
         *self.freq.slot(function) += 1;
     }
 
+    /// The container is idle: files it at its function's frequency.
     fn index_insert(&mut self, container: &Container) {
-        let key = self.frequency(container.function());
-        if let Some(LfuIndex { heap, members }) = self.index.as_mut() {
+        let Some(LfuIndex { heap, members }) = self.index.as_mut() else {
+            return;
+        };
+        let (id, last_used) = (container.id(), container.last_used());
+        let member = members.entry(id).or_insert(Member {
+            function: container.function(),
+            last_used,
+            seat: Seat::running(),
+        });
+        // The frequency has not decreased since the container was filed.
+        let moved_down = last_used < member.last_used;
+        member.last_used = last_used;
+        if member.seat.file(moved_down) {
+            let key = self.freq.value(container.function());
+            member.seat.entered(heap.push(id, key, last_used));
             heap.shed_stale_with(members.len(), |id, gen| {
-                members.get(&id).is_some_and(|&(_, live)| live == gen)
+                members.get(&id).is_some_and(|m| m.seat.holds(gen))
             });
-            let gen = heap.push(container.id(), key, container.last_used());
-            members.insert(container.id(), (container.function(), gen));
-        }
-    }
-
-    fn index_remove(&mut self, id: ContainerId) {
-        if let Some(index) = self.index.as_mut() {
-            // The heap entry goes stale and is discarded when it surfaces.
-            index.members.remove(&id);
         }
     }
 
@@ -90,14 +103,15 @@ impl Lfu {
     fn next_victim(&mut self, pop: bool) -> Option<ContainerId> {
         let freq = &self.freq;
         let LfuIndex { heap, members } = self.index.as_mut()?;
-        let live_key = |id: ContainerId, gen: u64| match members.get(&id) {
-            Some(&(function, live)) if live == gen => Some(freq.value(function)),
-            _ => None,
+        let probe = |id: ContainerId, gen: u64| match members.get_mut(&id) {
+            Some(m) => m.seat.probe(gen, freq.value(m.function), m.last_used),
+            None => Probe::Gone,
         };
         if !pop {
-            return heap.peek_min_with(live_key);
+            return heap.peek_min_with(probe);
         }
-        let id = heap.pop_min_with(live_key)?;
+        let id = heap.pop_min_with(probe)?;
+        // The pool reports the eviction next; nothing else reads the record.
         members.remove(&id);
         Some(id)
     }
@@ -116,7 +130,13 @@ impl KeepAlivePolicy for Lfu {
 
     fn on_warm_start(&mut self, container: &Container, _now: SimTime) {
         self.bump(container.function());
-        self.index_remove(container.id());
+        if let Some(member) = self
+            .index
+            .as_mut()
+            .and_then(|index| index.members.get_mut(&container.id()))
+        {
+            member.seat.mark_busy();
+        }
     }
 
     fn on_container_created(&mut self, container: &Container, _now: SimTime, prewarm: bool) {
@@ -147,7 +167,10 @@ impl KeepAlivePolicy for Lfu {
                 *freq = 0;
             }
         }
-        self.index_remove(container.id());
+        if let Some(index) = self.index.as_mut() {
+            // The heap entry is discarded when it surfaces.
+            index.members.remove(&container.id());
+        }
     }
 
     fn supports_incremental(&self) -> bool {

@@ -53,7 +53,7 @@ impl KeepAlivePolicy for Lru {
 
     fn on_warm_start(&mut self, container: &Container, _now: SimTime) {
         if let Some(index) = self.index.as_mut() {
-            index.remove(container.id());
+            index.mark_busy(container.id());
         }
     }
 
@@ -179,7 +179,7 @@ mod tests {
         }
         assert_eq!(lru.peek_victim(), Some(ContainerId::from_raw(2)));
         assert_eq!(lru.pop_victim(), Some(ContainerId::from_raw(2)));
-        // A warm start removes the container from the eviction order.
+        // A running container is not a victim.
         lru.on_warm_start(&c, SimTime::from_secs(40));
         assert_eq!(lru.pop_victim(), Some(ContainerId::from_raw(1)));
         assert_eq!(lru.pop_victim(), None);

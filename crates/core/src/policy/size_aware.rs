@@ -54,7 +54,7 @@ impl KeepAlivePolicy for SizeAware {
 
     fn on_warm_start(&mut self, container: &Container, _now: SimTime) {
         if let Some(index) = self.index.as_mut() {
-            index.remove(container.id());
+            index.mark_busy(container.id());
         }
     }
 

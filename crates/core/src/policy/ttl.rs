@@ -65,7 +65,7 @@ impl KeepAlivePolicy for Ttl {
 
     fn on_warm_start(&mut self, container: &Container, _now: SimTime) {
         if let Some(index) = self.index.as_mut() {
-            index.remove(container.id());
+            index.mark_busy(container.id());
         }
     }
 

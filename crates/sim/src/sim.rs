@@ -110,8 +110,12 @@ impl Simulation {
         let mut completions: BinaryHeap<Reverse<(SimTime, ContainerId)>> = BinaryHeap::new();
         let mut next_tick = SimTime::ZERO + config.tick_interval;
         // Startup delay (cold-start initialization; the plain simulator has
-        // no admission queue, so queue wait is zero) per served invocation.
-        let mut delays_ms: Vec<f64> = Vec::with_capacity(trace.len());
+        // no admission queue, so queue wait is zero) of a served invocation
+        // is zero when warm and the function's initialization overhead when
+        // cold, so the digest needs no per-invocation sample: the counts
+        // `result` keeps anyway, and this sum, taken in arrival order (a
+        // warm start's `+ 0.0` changes no bit of it).
+        let mut delay_sum_ms = 0.0;
 
         let drain = |pool: &mut ContainerPool,
                      completions: &mut BinaryHeap<Reverse<(SimTime, ContainerId)>>,
@@ -157,7 +161,6 @@ impl Simulation {
                     let f = &mut result.per_function[inv.function.index()];
                     f.warm += 1;
                     f.record_delay(SimDuration::ZERO);
-                    delays_ms.push(0.0);
                     result.total_warm_exec += spec.warm_time();
                     completions.push(Reverse((now + spec.warm_time(), container)));
                 }
@@ -166,7 +169,7 @@ impl Simulation {
                     let f = &mut result.per_function[inv.function.index()];
                     f.cold += 1;
                     f.record_delay(spec.init_overhead());
-                    delays_ms.push(spec.init_overhead().as_millis_f64());
+                    delay_sum_ms += spec.init_overhead().as_millis_f64();
                     result.total_warm_exec += spec.warm_time();
                     result.wasted_init += spec.init_overhead();
                     result.cold_per_minute[now.minute_index() as usize] += 1;
@@ -181,7 +184,15 @@ impl Simulation {
 
         // Drain the remaining completions so final pool state is settled.
         drain(&mut pool, &mut completions, SimTime::MAX);
-        result.latency = LatencySummary::from_samples_ms(&delays_ms);
+        let mut delay_runs = vec![(0.0, result.warm)];
+        delay_runs.extend(
+            registry
+                .iter()
+                .zip(&result.per_function)
+                .filter(|(_, outcome)| outcome.cold > 0)
+                .map(|(spec, outcome)| (spec.init_overhead().as_millis_f64(), outcome.cold)),
+        );
+        result.latency = LatencySummary::from_runs_ms(&mut delay_runs, delay_sum_ms);
         let counters = pool.counters();
         result.evictions = counters.evictions;
         result.prewarms = counters.prewarms;

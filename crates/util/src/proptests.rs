@@ -107,6 +107,35 @@ proptest! {
         }
     }
 
+    /// The one-scan pair against the plain definition, one quantile at a
+    /// time: the first bucket at which the cumulative in-range count
+    /// reaches `ceil(q × in-range)`, at least 1.
+    #[test]
+    fn histogram_percentile_pair_matches_the_definition(
+        values in prop::collection::vec(0.0f64..160.0, 0..100),
+        a in 0.0f64..1.0,
+        b in 0.0f64..1.0,
+    ) {
+        let mut h = Histogram::new(1.0, 128);
+        for &v in &values {
+            h.record(v);
+        }
+        let by_definition = |q: f64| {
+            let in_range = h.count() - h.overflow_count();
+            let target = (q * in_range as f64).ceil().max(1.0) as u64;
+            let mut cum = 0;
+            h.counts()
+                .iter()
+                .position(|&c| {
+                    cum += c;
+                    in_range > 0 && cum >= target
+                })
+                .unwrap_or(h.counts().len() - 1)
+        };
+        prop_assert_eq!(h.percentile_bucket_pair(a, b), (by_definition(a), by_definition(b)));
+        prop_assert_eq!(h.percentile_bucket(a), by_definition(a));
+    }
+
     #[test]
     fn simtime_add_sub_round_trip(base in 0u64..u64::MAX / 4, delta in 0u64..u64::MAX / 4) {
         let t = SimTime::from_micros(base);

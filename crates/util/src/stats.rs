@@ -233,19 +233,35 @@ impl Histogram {
     ///
     /// Returns the last bucket if the histogram is empty in range.
     pub fn percentile_bucket(&self, q: f64) -> usize {
+        self.percentile_bucket_pair(q, q).0
+    }
+
+    /// [`Self::percentile_bucket`] of `a` and of `b` off one scan, which
+    /// ends at the bucket that holds the larger of the two: the HIST
+    /// policy reads a head and a tail percentile per request.
+    pub fn percentile_bucket_pair(&self, a: f64, b: f64) -> (usize, usize) {
+        let last = self.counts.len() - 1;
         let in_range = self.total - self.overflow;
         if in_range == 0 {
-            return self.counts.len() - 1;
+            return (last, last);
         }
-        let target = (q.clamp(0.0, 1.0) * in_range as f64).ceil().max(1.0) as u64;
+        let target = |q: f64| (q.clamp(0.0, 1.0) * in_range as f64).ceil().max(1.0) as u64;
+        let (a_target, b_target) = (target(a), target(b));
+        let (mut a_bucket, mut b_bucket) = (None, None);
         let mut cum = 0;
         for (i, &c) in self.counts.iter().enumerate() {
             cum += c;
-            if cum >= target {
-                return i;
+            if a_bucket.is_none() && cum >= a_target {
+                a_bucket = Some(i);
+            }
+            if b_bucket.is_none() && cum >= b_target {
+                b_bucket = Some(i);
+            }
+            if a_bucket.is_some() && b_bucket.is_some() {
+                break;
             }
         }
-        self.counts.len() - 1
+        (a_bucket.unwrap_or(last), b_bucket.unwrap_or(last))
     }
 
     /// Representative (midpoint) value of a bucket.
@@ -289,15 +305,21 @@ fn sorted_copy(samples: &[f64]) -> Vec<f64> {
 
 /// [`percentile`] of a non-empty, already ascending slice.
 fn percentile_of_sorted(sorted: &[f64], q: f64) -> f64 {
+    percentile_by_rank(sorted.len(), q, |rank| sorted[rank])
+}
+
+/// [`percentile`] of `len > 0` samples of which `at(rank)` is the
+/// `rank`-th smallest: the one place the interpolation is written.
+fn percentile_by_rank(len: usize, q: f64, at: impl Fn(usize) -> f64) -> f64 {
     let q = q.clamp(0.0, 1.0);
-    let pos = q * (sorted.len() - 1) as f64;
+    let pos = q * (len - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;
     if lo == hi {
-        sorted[lo]
+        at(lo)
     } else {
         let frac = pos - lo as f64;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+        at(lo) * (1.0 - frac) + at(hi) * frac
     }
 }
 
@@ -352,6 +374,42 @@ impl LatencySummary {
             p95_ms: percentile_of_sorted(&sorted, 0.95),
             p99_ms: percentile_of_sorted(&sorted, 0.99),
             max_ms: samples.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+        }
+    }
+
+    /// Summarizes samples given as `(value, how many)` runs, in any order,
+    /// and `sum_ms`, their sum added up in sample order: what
+    /// [`Self::from_samples_ms`] returns for the expanded samples, bit for
+    /// bit, without expanding or sorting them. The simulator's startup
+    /// delays are such samples: zero for every warm start and one value
+    /// per function for its cold starts.
+    ///
+    /// `-0.0` must not occur next to `0.0`: the two compare equal, so runs
+    /// cannot say in which order a stable sort would have left them.
+    pub fn from_runs_ms(runs: &mut [(f64, u64)], sum_ms: f64) -> Self {
+        runs.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("NaN in percentile input"));
+        let count: u64 = runs.iter().map(|&(_, n)| n).sum();
+        if count == 0 {
+            return LatencySummary::default();
+        }
+        let at = |rank: usize| {
+            let mut below = 0;
+            for &(value, n) in runs.iter() {
+                below += n;
+                if (rank as u64) < below {
+                    return value;
+                }
+            }
+            unreachable!("rank {rank} of {count} samples")
+        };
+        let len = count as usize;
+        LatencySummary {
+            count,
+            mean_ms: sum_ms / count as f64,
+            p50_ms: percentile_by_rank(len, 0.50, at),
+            p95_ms: percentile_by_rank(len, 0.95, at),
+            p99_ms: percentile_by_rank(len, 0.99, at),
+            max_ms: at(len - 1),
         }
     }
 }
@@ -538,6 +596,54 @@ mod tests {
             for (got, q) in [(s.p50_ms, 0.50), (s.p95_ms, 0.95), (s.p99_ms, 0.99)] {
                 let want = percentile(samples, q).unwrap();
                 assert_eq!(got.to_bits(), want.to_bits(), "q={q} n={}", samples.len());
+            }
+        }
+    }
+
+    /// The run-length digest is the per-sample one, bit for bit.
+    #[test]
+    fn latency_summary_from_runs_equals_from_samples() {
+        let mut rng = crate::rng::Pcg64::seed_from_u64(0xD16E57);
+        for case in 0..200 {
+            // A few distinct delays (some shared by two "functions"), most
+            // samples zero, in random order.
+            let values: Vec<f64> = (0..1 + rng.next_below(6))
+                .map(|_| (rng.next_below(40) as f64) * 12.5)
+                .collect();
+            let len = if case % 10 == 0 {
+                0
+            } else {
+                rng.next_below(500)
+            };
+            let samples: Vec<f64> = (0..len)
+                .map(|_| {
+                    if rng.next_below(3) == 0 {
+                        values[rng.next_below(values.len() as u64) as usize]
+                    } else {
+                        0.0
+                    }
+                })
+                .collect();
+            // Run-length encoded in order of first appearance.
+            let mut runs: Vec<(f64, u64)> = Vec::new();
+            for &s in &samples {
+                match runs.iter_mut().find(|run| run.0 == s) {
+                    Some(run) => run.1 += 1,
+                    None => runs.push((s, 1)),
+                }
+            }
+            let sum = samples.iter().fold(0.0, |acc, &s| acc + s);
+            let got = LatencySummary::from_runs_ms(&mut runs, sum);
+            let want = LatencySummary::from_samples_ms(&samples);
+            assert_eq!(got.count, want.count);
+            for (g, w) in [
+                (got.mean_ms, want.mean_ms),
+                (got.p50_ms, want.p50_ms),
+                (got.p95_ms, want.p95_ms),
+                (got.p99_ms, want.p99_ms),
+                (got.max_ms, want.max_ms),
+            ] {
+                assert_eq!(g.to_bits(), w.to_bits(), "case {case}: {got:?} vs {want:?}");
             }
         }
     }
