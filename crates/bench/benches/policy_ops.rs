@@ -87,49 +87,38 @@ fn bench_eviction_path(c: &mut Criterion) {
     group.finish();
 }
 
-/// Eviction at scale: 10k idle containers, naive scan-and-sort vs the
-/// incremental index. Each iteration is one miss that evicts to make
-/// room, so per-iteration time ~= per-eviction time. The naive mode
-/// re-sorts the whole idle set per round (O(n log n)); the indexed mode
-/// pops from a persistent queue (O(log n)).
+/// Eviction at scale: 10k idle containers. Each iteration is one miss
+/// that evicts to make room, so per-iteration time ~= per-eviction time:
+/// a pop from the policy's heap, O(log n).
 fn bench_bulk_eviction(c: &mut Criterion) {
     const IDLE: usize = 10_000;
     let mut group = c.benchmark_group("bulk_eviction_10k");
     let reg = registry(IDLE + 2_000);
     let capacity: MemMb = reg.iter().take(IDLE).map(|spec| spec.mem()).sum();
     for kind in [PolicyKind::GreedyDual, PolicyKind::Lru] {
-        for (mode, naive) in [("indexed", false), ("naive", true)] {
-            let id = BenchmarkId::new(kind.label(), mode);
-            group.bench_function(id, |b| {
-                let policy = if naive {
-                    kind.build_naive()
-                } else {
-                    kind.build()
-                };
-                let mut pool = ContainerPool::new(capacity, policy);
-                let mut t = SimTime::ZERO;
-                for spec in reg.iter().take(IDLE) {
-                    t += SimDuration::from_millis(1);
-                    match pool.acquire(spec, t) {
-                        Acquire::Cold { container, .. } => pool.release(container, t),
-                        other => panic!("fill should cold-start, got {other:?}"),
-                    }
+        group.bench_function(BenchmarkId::from_parameter(kind.label()), |b| {
+            let mut pool = ContainerPool::new(capacity, kind.build());
+            let mut t = SimTime::ZERO;
+            for spec in reg.iter().take(IDLE) {
+                t += SimDuration::from_millis(1);
+                match pool.acquire(spec, t) {
+                    Acquire::Cold { container, .. } => pool.release(container, t),
+                    other => panic!("fill should cold-start, got {other:?}"),
                 }
-                let mut i = 0usize;
-                b.iter(|| {
-                    let spec =
-                        reg.spec(FunctionId::from_index(((IDLE + i) % (IDLE + 2_000)) as u32));
-                    t += SimDuration::from_millis(1);
-                    match pool.acquire(black_box(spec), t) {
-                        Acquire::Warm { container } | Acquire::Cold { container, .. } => {
-                            pool.release(container, t);
-                        }
-                        Acquire::NoCapacity => {}
+            }
+            let mut i = 0usize;
+            b.iter(|| {
+                let spec = reg.spec(FunctionId::from_index(((IDLE + i) % (IDLE + 2_000)) as u32));
+                t += SimDuration::from_millis(1);
+                match pool.acquire(black_box(spec), t) {
+                    Acquire::Warm { container } | Acquire::Cold { container, .. } => {
+                        pool.release(container, t);
                     }
-                    i += 1;
-                });
+                    Acquire::NoCapacity => {}
+                }
+                i += 1;
             });
-        }
+        });
     }
     group.finish();
 }

@@ -3,9 +3,6 @@
 //! The paper's artifact pipes simulator pickles into matplotlib; this
 //! module renders sweep grids and elastic-scaling samples as plain CSV so
 //! any plotting tool can regenerate the figures from the harness output.
-//! It also renders the eviction-hot-path microbenchmark (naive
-//! scan-and-sort vs incremental index) as the `BENCH_1.json` document
-//! written by the `eviction_bench` binary.
 
 use faascache::core::policy::PolicyKind;
 use faascache::sim::elastic::ElasticResult;
@@ -49,50 +46,6 @@ pub fn elastic_to_csv(result: &ElasticResult) -> String {
     out
 }
 
-/// One measured eviction-bench case: a policy at a given idle-set scale,
-/// timed on both eviction paths.
-#[derive(Debug, Clone)]
-pub struct EvictionBenchRow {
-    /// Policy label (e.g. `GD`).
-    pub policy: String,
-    /// Idle containers resident while evicting.
-    pub idle_containers: usize,
-    /// Nanoseconds per eviction on the naive scan-and-sort path.
-    pub naive_ns_per_eviction: f64,
-    /// Nanoseconds per eviction on the incremental index path.
-    pub indexed_ns_per_eviction: f64,
-}
-
-impl EvictionBenchRow {
-    /// Naive time over indexed time.
-    pub fn speedup(&self) -> f64 {
-        self.naive_ns_per_eviction / self.indexed_ns_per_eviction
-    }
-}
-
-/// Renders eviction-bench rows as the `BENCH_1.json` document.
-///
-/// The JSON is hand-rolled (the workspace carries no JSON serializer);
-/// all values are plain numbers and ASCII policy labels.
-pub fn eviction_bench_to_json(rows: &[EvictionBenchRow]) -> String {
-    let mut out = String::from(
-        "{\n  \"benchmark\": \"eviction_hot_path\",\n  \"unit\": \"ns_per_eviction\",\n  \"rows\": [\n",
-    );
-    for (i, row) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"policy\": \"{}\", \"idle_containers\": {}, \"naive_ns\": {:.1}, \"indexed_ns\": {:.1}, \"speedup\": {:.2}}}{}\n",
-            row.policy,
-            row.idle_containers,
-            row.naive_ns_per_eviction,
-            row.indexed_ns_per_eviction,
-            row.speedup(),
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,33 +66,6 @@ mod tests {
         assert_eq!(lines[1].split(',').count(), 1 + PolicyKind::ALL.len());
         assert!(lines[1].starts_with('1'));
         assert!(lines[2].starts_with('2'));
-    }
-
-    #[test]
-    fn eviction_bench_json_shape() {
-        let rows = vec![
-            EvictionBenchRow {
-                policy: "GD".into(),
-                idle_containers: 10_000,
-                naive_ns_per_eviction: 1000.0,
-                indexed_ns_per_eviction: 100.0,
-            },
-            EvictionBenchRow {
-                policy: "LRU".into(),
-                idle_containers: 10_000,
-                naive_ns_per_eviction: 800.0,
-                indexed_ns_per_eviction: 50.0,
-            },
-        ];
-        let json = eviction_bench_to_json(&rows);
-        assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        assert!(json.contains("\"policy\": \"GD\""));
-        assert!(json.contains("\"speedup\": 10.00"));
-        assert!(
-            json.contains("\"speedup\": 16.00}\n"),
-            "no trailing comma on last row"
-        );
-        assert_eq!(json.matches("\"idle_containers\": 10000").count(), 2);
     }
 
     #[test]

@@ -20,38 +20,29 @@
 use crate::container::{Container, ContainerId};
 use crate::fn_table::FnTable;
 use crate::function::FunctionId;
-use crate::policy::index::{Probe, Seat, TotalF64, VictimHeap};
-use crate::policy::{take_until_freed, KeepAlivePolicy, TenantWeights};
+use crate::policy::index::{grows, Resident, TotalF64};
+use crate::policy::{KeepAlivePolicy, TenantWeights};
 use crate::size::SizeMode;
-use faascache_util::idmap::IdMap;
-use faascache_util::{MemMb, SimTime};
+use faascache_util::SimTime;
 use std::sync::Arc;
 
-/// What the policy keeps per resident container — its only table keyed by
-/// [`ContainerId`].
+/// What the policy keeps per resident container.
 ///
-/// Cost and size are the *same* `f64` values `priority()` derives from the
+/// Cost and size are the *same* `f64` values the formula derives from the
 /// container, cached at creation (both are fixed for a container's life)
-/// so a heap pop can recompute the priority without a `&Container`; both
-/// paths evaluate [`GdEntry::priority`], so heap keys are bit-identical to
-/// the priorities the naive sort compares.
+/// so a heap pop can recompute the priority without a `&Container`.
 #[derive(Debug, Clone, Copy)]
-struct GdEntry {
+pub(super) struct GdEntry {
     /// Clock value captured at the container's last use.
     snapshot: f64,
     function: FunctionId,
     cost: f64,
     size: f64,
     tenant: u32,
-    /// The `last_used` the container was last released at; read only while
-    /// it is idle.
-    last_used: SimTime,
-    /// Its standing in the victim heap.
-    seat: Seat,
 }
 
 impl GdEntry {
-    /// A record for `c` touched at `clock`, running and not filed.
+    /// A record for `c` touched at `clock`.
     fn new(c: &Container, clock: f64, size_mode: SizeMode) -> Self {
         GdEntry {
             snapshot: clock,
@@ -59,26 +50,13 @@ impl GdEntry {
             cost: c.init_overhead().as_secs_f64(),
             size: size_mode.scalar_size(c.mem().as_mb() as f64, c.resources()),
             tenant: c.tenant(),
-            last_used: c.last_used(),
-            seat: Seat::running(),
         }
-    }
-
-    /// The record of `c` in `entries`, created at `clock` if missing.
-    fn of<'a>(
-        entries: &'a mut IdMap<ContainerId, GdEntry>,
-        c: &Container,
-        clock: f64,
-        size_mode: SizeMode,
-    ) -> &'a mut GdEntry {
-        entries
-            .entry(c.id())
-            .or_insert_with(|| GdEntry::new(c, clock, size_mode))
     }
 
     /// `Priority = Clock + Freq × Cost / Size`, the value term divided by
     /// the tenant weight. The one place the expression is written: the
-    /// naive sort and the heap must agree on every bit of it.
+    /// heap key, [`KeepAlivePolicy::priority_of`] and the clock an
+    /// eviction advances to must agree on every bit of it.
     fn priority(&self, freq: &FnTable<u64>, weights: Option<&TenantWeights>) -> f64 {
         let freq = freq.value(self.function) as f64;
         let weight = weights.map_or(1.0, |w| w.get(self.tenant));
@@ -103,24 +81,24 @@ pub struct GreedyDual {
     /// Invocations of each function since it last had zero resident
     /// containers (0 ≡ never seen or fully evicted).
     freq: FnTable<u64>,
-    entries: IdMap<ContainerId, GdEntry>,
-    /// Incremental eviction order; `None` selects the naive sort.
+    /// Every resident container, ordered by priority.
     ///
     /// A container's priority only grows while it is resident: the clock
     /// its snapshot is taken from is monotone, and frequency only grows
     /// while the function has resident containers (a sibling's warm start
     /// raises it for the idle ones too). So the heap entry of a resident
-    /// container stays a lower bound across warm cycles — the
-    /// [`VictimHeap`] invariant — unless a tenant weight is raised.
-    heap: Option<VictimHeap<TotalF64>>,
+    /// container stays a lower bound across warm cycles (see
+    /// [`crate::policy::index`]) — unless a tenant weight is raised.
+    pub(super) resident: Resident<GdEntry, TotalF64>,
     /// Per-tenant eviction weights; `None` (and any unset slot) weighs 1.0.
     ///
     /// An over-budget tenant's weight `w > 1` divides the value term:
     /// `Priority = Clock + (Freq × Cost / Size) / w`, so its containers
     /// sort earlier in eviction order. A weight raised *while a container
-    /// sits idle* lowers its already-cached heap key — which a lazy heap
-    /// cannot observe — so pops compare [`TenantWeights::generation`]
-    /// against `weights_gen` and re-key the whole heap when weights moved.
+    /// sits idle* lowers the key its heap entry is stored under — which a
+    /// lazy heap cannot observe — so pops compare
+    /// [`TenantWeights::generation`] against `weights_gen` and re-key the
+    /// whole heap when weights moved.
     weights: Option<Arc<TenantWeights>>,
     /// [`TenantWeights::generation`] the heap keys were last computed at.
     weights_gen: u64,
@@ -138,18 +116,9 @@ impl GreedyDual {
             clock: 0.0,
             size_mode,
             freq: FnTable::default(),
-            entries: IdMap::default(),
-            heap: Some(VictimHeap::new()),
+            resident: Resident::new(),
             weights: None,
             weights_gen: 0,
-        }
-    }
-
-    /// Creates the policy with the naive sort-based eviction path.
-    pub fn naive() -> Self {
-        GreedyDual {
-            heap: None,
-            ..Self::new()
         }
     }
 
@@ -166,7 +135,7 @@ impl GreedyDual {
     /// The priority of a container the policy may or may not have a
     /// record of (an unknown container counts as touched just now).
     fn priority(&self, c: &Container) -> f64 {
-        let entry = match self.entries.get(&c.id()) {
+        let entry = match self.resident.get(c.id()) {
             Some(e) => *e,
             None => GdEntry::new(c, self.clock, self.size_mode),
         };
@@ -177,80 +146,41 @@ impl GreedyDual {
     /// container is running afterwards; the heap is not told.
     fn touch(&mut self, c: &Container) {
         *self.freq.slot(c.function()) += 1;
-        let entry = GdEntry::of(&mut self.entries, c, self.clock, self.size_mode);
-        entry.snapshot = self.clock;
-        entry.seat.mark_busy();
+        let (clock, size_mode) = (self.clock, self.size_mode);
+        self.resident
+            .running(c.id(), || GdEntry::new(c, clock, size_mode))
+            .snapshot = clock;
     }
 
-    /// Files an idle container in the victim heap at its current priority.
+    /// Files an idle container at its current priority, which has not
+    /// decreased since it was last filed (`rekey_if_weights_changed` sees
+    /// to a raised weight).
     fn enqueue(&mut self, c: &Container) {
-        let Some(heap) = self.heap.as_mut() else {
-            return;
-        };
-        let entries = &mut self.entries;
-        let entry = GdEntry::of(entries, c, self.clock, self.size_mode);
-        // The priority has not decreased since the container was filed
-        // (`rekey_if_weights_changed` sees to a raised weight).
-        let moved_down = c.last_used() < entry.last_used;
-        entry.last_used = c.last_used();
-        if entry.seat.file(moved_down) {
-            let key = TotalF64(entry.priority(&self.freq, self.weights.as_deref()));
-            entry.seat.entered(heap.push(c.id(), key, entry.last_used));
-            heap.shed_stale_with(entries.len(), |id, gen| {
-                entries.get(&id).is_some_and(|e| e.seat.holds(gen))
-            });
-        }
+        let (clock, size_mode) = (self.clock, self.size_mode);
+        let (freq, weights) = (&self.freq, self.weights.as_deref());
+        self.resident.file(
+            c.id(),
+            c.last_used(),
+            || GdEntry::new(c, clock, size_mode),
+            grows,
+            |e| TotalF64(e.priority(freq, weights)),
+        );
     }
 
     /// Re-keys the whole victim heap when the shared tenant weights have
     /// changed since it was last keyed (a raised weight *lowers* keys,
     /// which the lazy heap cannot observe entry-by-entry).
     fn rekey_if_weights_changed(&mut self) {
-        let current = match self.weights.as_ref() {
-            Some(w) => w.generation(),
-            None => return,
-        };
-        if current == self.weights_gen {
-            return;
-        }
-        self.weights_gen = current;
-        let Some(heap) = self.heap.as_mut() else {
+        let Some(weights) = self.weights.as_deref() else {
             return;
         };
-        // Generations only break ties between entries of one container, so
-        // the map's iteration order cannot reach the eviction order.
-        heap.clear();
-        for (&id, e) in self.entries.iter_mut() {
-            e.seat.take();
-            if !e.seat.is_busy() {
-                let key = TotalF64(e.priority(&self.freq, self.weights.as_deref()));
-                e.seat.entered(heap.push(id, key, e.last_used));
-            }
+        let current = weights.generation();
+        if current != self.weights_gen {
+            self.weights_gen = current;
+            let freq = &self.freq;
+            self.resident
+                .refile_all(|e| TotalF64(e.priority(freq, Some(weights))));
         }
-    }
-
-    /// The heap's minimum under live keys, popped or only peeked.
-    fn next_victim(&mut self, pop: bool) -> Option<ContainerId> {
-        self.rekey_if_weights_changed();
-        let (freq, weights) = (&self.freq, self.weights.as_deref());
-        let entries = &mut self.entries;
-        let heap = self.heap.as_mut()?;
-        let probe = |id: ContainerId, gen: u64| match entries.get_mut(&id) {
-            Some(e) => {
-                let key = TotalF64(e.priority(freq, weights));
-                e.seat.probe(gen, key, e.last_used)
-            }
-            None => Probe::Gone,
-        };
-        if !pop {
-            return heap.peek_min_with(probe);
-        }
-        let id = heap.pop_min_with(probe)?;
-        // The snapshot outlives the pop: the pool reports the eviction
-        // next, and `on_evicted` prices the victim from it.
-        let entry = entries.get_mut(&id).expect("popped a live member");
-        entry.seat.take();
-        Some(id)
     }
 }
 
@@ -273,7 +203,6 @@ impl KeepAlivePolicy for GreedyDual {
         if prewarm {
             // Speculative containers get the current clock but no frequency
             // credit until an actual invocation lands on them.
-            GdEntry::of(&mut self.entries, container, self.clock, self.size_mode);
             self.enqueue(container);
         } else {
             self.touch(container);
@@ -284,20 +213,9 @@ impl KeepAlivePolicy for GreedyDual {
         self.enqueue(container);
     }
 
-    fn select_victims(&mut self, idle: &[&Container], needed: MemMb) -> Vec<ContainerId> {
-        let mut ranked: Vec<&Container> = idle.to_vec();
-        ranked.sort_by(|a, b| {
-            self.priority(a)
-                .partial_cmp(&self.priority(b))
-                .expect("priorities are finite")
-                .then(a.last_used().cmp(&b.last_used()))
-        });
-        take_until_freed(&ranked, needed)
-    }
-
     fn on_evicted(&mut self, container: &Container, remaining_of_function: usize, _now: SimTime) {
         // Forgetting the record also retires its heap entry, if any.
-        let entry = match self.entries.remove(&container.id()) {
+        let entry = match self.resident.forget(container.id()) {
             Some(e) => e,
             None => GdEntry::new(container, self.clock, self.size_mode),
         };
@@ -315,16 +233,12 @@ impl KeepAlivePolicy for GreedyDual {
         }
     }
 
-    fn supports_incremental(&self) -> bool {
-        self.heap.is_some()
-    }
-
-    fn peek_victim(&mut self) -> Option<ContainerId> {
-        self.next_victim(false)
-    }
-
     fn pop_victim(&mut self) -> Option<ContainerId> {
-        self.next_victim(true)
+        self.rekey_if_weights_changed();
+        let (freq, weights) = (&self.freq, self.weights.as_deref());
+        // The record outlives the pop: the pool reports the eviction next,
+        // and `on_evicted` prices the victim from its snapshot.
+        self.resident.pop(|e| TotalF64(e.priority(freq, weights)))
     }
 
     fn priority_of(&self, container: &Container) -> Option<f64> {
@@ -339,15 +253,7 @@ impl KeepAlivePolicy for GreedyDual {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::container::Container;
-    use faascache_util::SimDuration;
-
-    impl GreedyDual {
-        /// Heap entries held, stale ones included.
-        pub(crate) fn heap_len(&self) -> usize {
-            self.heap.as_ref().map_or(0, VictimHeap::len)
-        }
-    }
+    use faascache_util::{MemMb, SimDuration};
 
     fn container(id: u64, fid: u32, mem: u64, init_ms: u64) -> Container {
         Container::new(
@@ -439,8 +345,9 @@ mod tests {
         for _ in 0..5 {
             gd.on_warm_start(&keep, SimTime::from_secs(1));
         }
-        let victims = gd.select_victims(&[&keep, &evict], MemMb::new(512));
-        assert_eq!(victims, vec![ContainerId::from_raw(2)]);
+        gd.on_finish(&keep, SimTime::from_secs(2));
+        gd.on_finish(&evict, SimTime::from_secs(2));
+        assert_eq!(gd.pop_victim(), Some(ContainerId::from_raw(2)));
     }
 
     #[test]
@@ -452,8 +359,11 @@ mod tests {
         for x in [&a, &b, &c] {
             gd.on_container_created(x, SimTime::ZERO, false);
         }
-        let victims = gd.select_victims(&[&a, &b, &c], MemMb::new(150));
-        assert_eq!(victims.len(), 2);
+        for x in [&a, &b, &c] {
+            gd.on_finish(x, SimTime::from_secs(1));
+        }
+        // Two 100 MB victims cover a 150 MB need.
+        let victims = [gd.pop_victim().unwrap(), gd.pop_victim().unwrap()];
         assert!(
             !victims.contains(&ContainerId::from_raw(3)),
             "highest priority survives"
@@ -482,7 +392,6 @@ mod tests {
         }
         gd.on_finish(&keep, SimTime::from_secs(1));
         gd.on_finish(&evict, SimTime::from_secs(1));
-        assert_eq!(gd.peek_victim(), Some(ContainerId::from_raw(2)));
         assert_eq!(gd.pop_victim(), Some(ContainerId::from_raw(2)));
         assert_eq!(gd.pop_victim(), Some(ContainerId::from_raw(1)));
         assert_eq!(gd.pop_victim(), None);
@@ -526,7 +435,7 @@ mod tests {
                 gd.on_finish(c, SimTime::from_secs(round));
             }
         }
-        assert_eq!(gd.heap_len(), cs.len(), "one entry per container");
+        assert_eq!(gd.resident.heap_len(), cs.len(), "one entry per container");
         // Every container is still evictable, exactly once.
         let mut popped: Vec<ContainerId> = std::iter::from_fn(|| gd.pop_victim()).collect();
         popped.sort();
@@ -546,14 +455,14 @@ mod tests {
         // `a` runs again: snapshot at clock 0, frequency 2. Its heap entry
         // stays where its first release put it.
         gd.on_warm_start(&a, SimTime::from_secs(1));
-        assert_eq!(gd.heap_len(), 3);
+        assert_eq!(gd.resident.heap_len(), 3);
         let running = gd.priority_of(&a).unwrap();
         assert_eq!(running.to_bits(), (2.0 * 1.0 / 100.0f64).to_bits());
         // An eviction elsewhere advances the clock — past `a`'s stale
         // entry, which surfaces first and is dropped, not evicted.
         assert_eq!(gd.pop_victim(), Some(b.id()));
         gd.on_evicted(&b, 0, SimTime::from_secs(2));
-        assert_eq!(gd.heap_len(), 1, "only `c` is left in the order");
+        assert_eq!(gd.resident.heap_len(), 1, "only `c` is left in the order");
         assert!(gd.clock() > 0.0);
         assert_eq!(gd.priority_of(&a).unwrap().to_bits(), running.to_bits());
         // Released, it is filed at that same priority (below `c`'s
@@ -571,42 +480,32 @@ mod tests {
     fn tenant_weight_prefers_over_budget_victims() {
         // Without weights the small+costly+frequent container of tenant 1
         // outranks tenant 0's big+cheap one; a large enough weight on
-        // tenant 1 divides its value term until it sorts first — in both
-        // the naive sort and the incremental heap path.
-        for naive in [false, true] {
-            let mut gd = if naive {
-                GreedyDual::naive()
-            } else {
-                GreedyDual::new()
-            };
-            let weights = Arc::new(TenantWeights::new(4));
-            gd.set_tenant_weights(Arc::clone(&weights));
-            let cheap = container(1, 0, 1024, 100);
-            let hot = container(2, 1, 64, 4000).with_tenant(1);
-            gd.on_container_created(&cheap, SimTime::ZERO, false);
-            gd.on_container_created(&hot, SimTime::ZERO, false);
-            for _ in 0..5 {
-                gd.on_warm_start(&hot, SimTime::from_secs(1));
-            }
-            gd.on_finish(&cheap, SimTime::from_secs(1));
-            gd.on_finish(&hot, SimTime::from_secs(1));
-            assert_eq!(
-                gd.select_victims(&[&cheap, &hot], MemMb::new(1)),
-                vec![ContainerId::from_raw(1)],
-                "unweighted: cheap container evicts first (naive={naive})"
-            );
-            weights.set(1, 10_000.0);
-            let first = if naive {
-                gd.select_victims(&[&cheap, &hot], MemMb::new(1))[0]
-            } else {
-                gd.pop_victim().unwrap()
-            };
-            assert_eq!(
-                first,
-                ContainerId::from_raw(2),
-                "over-budget tenant's container evicts first (naive={naive})"
-            );
+        // tenant 1 divides its value term until it sorts first.
+        let mut gd = GreedyDual::new();
+        let weights = Arc::new(TenantWeights::new(4));
+        gd.set_tenant_weights(Arc::clone(&weights));
+        let cheap = container(1, 0, 1024, 100);
+        let hot = container(2, 1, 64, 4000).with_tenant(1);
+        gd.on_container_created(&cheap, SimTime::ZERO, false);
+        gd.on_container_created(&hot, SimTime::ZERO, false);
+        for _ in 0..5 {
+            gd.on_warm_start(&hot, SimTime::from_secs(1));
         }
+        gd.on_finish(&cheap, SimTime::from_secs(1));
+        gd.on_finish(&hot, SimTime::from_secs(1));
+        assert_eq!(
+            gd.pop_victim(),
+            Some(ContainerId::from_raw(1)),
+            "unweighted: cheap container evicts first"
+        );
+        // Not evicted after all: back in the order, still in front.
+        gd.on_finish(&cheap, SimTime::from_secs(1));
+        weights.set(1, 10_000.0);
+        assert_eq!(
+            gd.pop_victim(),
+            Some(ContainerId::from_raw(2)),
+            "over-budget tenant's container evicts first"
+        );
     }
 
     #[test]
@@ -622,7 +521,8 @@ mod tests {
         c2.begin_invocation(SimTime::from_secs(5), SimTime::from_secs(6));
         c2.finish_invocation();
         // Both snapshots equal, so the older last_used (c1) goes first.
-        let victims = gd.select_victims(&[&c2, &c1], MemMb::new(100));
-        assert_eq!(victims, vec![ContainerId::from_raw(1)]);
+        gd.on_finish(&c2, SimTime::from_secs(6));
+        gd.on_finish(&c1, SimTime::from_secs(2));
+        assert_eq!(gd.pop_victim(), Some(ContainerId::from_raw(1)));
     }
 }

@@ -19,11 +19,10 @@
 use crate::container::{Container, ContainerId};
 use crate::fn_table::FnTable;
 use crate::function::{FunctionId, FunctionSpec};
-use crate::policy::index::{Probe, Seat, VictimHeap};
-use crate::policy::{take_until_freed, KeepAlivePolicy};
-use faascache_util::idmap::IdMap;
+use crate::policy::index::Resident;
+use crate::policy::KeepAlivePolicy;
 use faascache_util::stats::{Histogram, Welford};
-use faascache_util::{MemMb, SimDuration, SimTime};
+use faascache_util::{SimDuration, SimTime};
 use std::cmp::Reverse;
 use std::collections::BTreeSet;
 
@@ -165,155 +164,68 @@ fn keys_at(cfg: &HistConfig, stats: Option<&FnHist>, last_used: SimTime) -> (Sim
     }
 }
 
-/// What the index keeps per container that has been idle at least once —
-/// the policy's only table keyed by [`ContainerId`]: the live keys of the
-/// two orders (as of the last release or re-key) and its seat in each.
+/// What the victim order keeps per container that has been idle at least
+/// once.
 #[derive(Debug, Clone, Copy)]
-struct Filed {
+pub(super) struct Member {
+    function: FunctionId,
+    /// Predicted next use as of the last release or re-key.
+    predicted: Reverse<SimTime>,
+}
+
+/// Stores the key an idle container is at now and says whether it is below
+/// the one it was at: the `key_fell` of [`Resident::file`].
+fn lowered<K: Ord>(stored: &mut K, now: K) -> bool {
+    let fell = now < *stored;
+    *stored = now;
+    fell
+}
+
+type Victims = Resident<Member, Reverse<SimTime>>;
+type Expiry = Resident<SimTime, SimTime>;
+
+/// Container `id` of `function` is idle at these keys now: files it in the
+/// two orders.
+fn file(
+    victims: &mut Victims,
+    expiry: &mut Expiry,
+    id: ContainerId,
     function: FunctionId,
     last_used: SimTime,
-    predicted: SimTime,
-    deadline: SimTime,
-    victim: Seat,
-    expiry: Seat,
-}
-
-type Victims = VictimHeap<Reverse<SimTime>>;
-type Expiry = VictimHeap<SimTime>;
-
-/// Incremental eviction and expiry order for HIST.
-///
-/// Keys (predicted next invocation and expiry deadline) are derived from
-/// per-function histogram state, which changes at exactly two points: a
-/// request to the function (`on_request`) and the consumption of a pending
-/// pre-warm (`prewarm_due`). Both re-key that function's idle containers
-/// on the spot, and a release re-keys the released one; each re-key goes
-/// through [`Seat::file`], which asks for a superseding entry only for a
-/// key that moved *down* (see [`crate::policy::index`]). The victim key —
-/// predicted next use, descending — moves down with every hit, so a
-/// release pushes there; the deadline moves up with a hit, and down only
-/// when a pre-warm is scheduled (release early).
-#[derive(Debug, Default)]
-struct HistIndex {
-    /// Eviction order: predicted next use descending (farthest first),
-    /// then `last_used` ascending, then id ascending.
-    victims: Victims,
-    /// Expiry order: deadline ascending, then `last_used`, then id.
-    expiry: Expiry,
-    /// The keys each member is filed under in the two orders.
-    keys: IdMap<ContainerId, Filed>,
-    /// Idle members per function with their `last_used` (unordered), for
-    /// re-keying after histogram updates.
-    by_fn: FnTable<Vec<(SimTime, ContainerId)>>,
-    /// Pending pre-warms ordered by fire time.
-    prewarms: BTreeSet<(SimTime, FunctionId)>,
-}
-
-impl Filed {
-    /// The member (container `id`) is idle at these keys now: records
-    /// them and files it in the two orders. Follow with [`shed`].
-    fn file(
-        &mut self,
-        victims: &mut Victims,
-        expiry: &mut Expiry,
-        id: ContainerId,
-        last_used: SimTime,
-        (predicted, deadline): (SimTime, SimTime),
-    ) {
-        // The victim order is by predicted next use *descending*.
-        let victim_down =
-            (Reverse(predicted), last_used) < (Reverse(self.predicted), self.last_used);
-        let expiry_down = (deadline, last_used) < (self.deadline, self.last_used);
-        (self.last_used, self.predicted, self.deadline) = (last_used, predicted, deadline);
-        if self.victim.file(victim_down) {
-            self.victim
-                .entered(victims.push(id, Reverse(predicted), last_used));
-        }
-        if self.expiry.file(expiry_down) {
-            self.expiry.entered(expiry.push(id, deadline, last_used));
-        }
-    }
-}
-
-/// Sheds either heap once superseding pushes have left it mostly stale
-/// (see [`VictimHeap::shed_stale_with`]).
-fn shed(victims: &mut Victims, expiry: &mut Expiry, keys: &IdMap<ContainerId, Filed>) {
-    victims.shed_stale_with(keys.len(), |id, gen| {
-        keys.get(&id).is_some_and(|k| k.victim.holds(gen))
-    });
-    expiry.shed_stale_with(keys.len(), |id, gen| {
-        keys.get(&id).is_some_and(|k| k.expiry.holds(gen))
-    });
-}
-
-impl HistIndex {
-    /// Files a container going idle at the given keys, replacing whatever
-    /// it was filed under.
-    fn file(
-        &mut self,
-        id: ContainerId,
-        function: FunctionId,
-        last_used: SimTime,
-        (predicted, deadline): (SimTime, SimTime),
-    ) {
-        let filed = self.keys.entry(id).or_insert(Filed {
+    (predicted, deadline): (SimTime, SimTime),
+) {
+    let predicted = Reverse(predicted);
+    victims.file(
+        id,
+        last_used,
+        || Member {
             function,
-            last_used,
             predicted,
-            deadline,
-            victim: Seat::running(),
-            expiry: Seat::running(),
-        });
-        let members = self.by_fn.slot(function);
-        if !filed.victim.is_busy() {
-            // Re-filed while idle: listed already, under its old `last_used`.
-            members.retain(|&(_, m)| m != id);
-        }
-        members.push((last_used, id));
-        filed.file(
-            &mut self.victims,
-            &mut self.expiry,
-            id,
-            last_used,
-            (predicted, deadline),
-        );
-        shed(&mut self.victims, &mut self.expiry, &self.keys);
-    }
-
-    /// The idle member `id` of `function` leaves the re-keying list.
-    fn unlist(&mut self, function: FunctionId, id: ContainerId) {
-        let members = self
-            .by_fn
-            .get_mut(function)
-            .expect("indexed members are listed under their function");
-        if let Some(pos) = members.iter().position(|&(_, m)| m == id) {
-            members.swap_remove(pos);
-        }
-    }
-
-    /// `id` started an invocation: out of both orders until it is filed
-    /// again, without either heap hearing of it. A no-op when it is not
-    /// indexed.
-    fn mark_busy(&mut self, id: ContainerId) {
-        let Some(filed) = self.keys.get_mut(&id) else {
-            return;
-        };
-        filed.victim.mark_busy();
-        filed.expiry.mark_busy();
-        let function = filed.function;
-        self.unlist(function, id);
-    }
-
-    /// Forgets `id`; a no-op when it is not indexed. Its heap entries are
-    /// discarded when they surface.
-    fn remove(&mut self, id: ContainerId) {
-        if let Some(old) = self.keys.remove(&id) {
-            self.unlist(old.function, id);
-        }
-    }
+        },
+        |member| lowered(&mut member.predicted, predicted),
+        |member| member.predicted,
+    );
+    expiry.file(
+        id,
+        last_used,
+        || deadline,
+        |stored| lowered(stored, deadline),
+        |&stored| stored,
+    );
 }
 
 /// The HIST histogram/prefetching keep-alive policy.
+///
+/// Its two keys — predicted next invocation and expiry deadline — are
+/// derived from per-function histogram state, which changes at exactly two
+/// points: a request to the function (`on_request`) and the consumption of
+/// a pending pre-warm (`prewarm_due`). Both re-key that function's idle
+/// containers on the spot, and a release re-keys the released one; each
+/// re-key is a [`Resident::file`], which pushes a superseding entry only
+/// for a key that moved *down* (see [`crate::policy::index`]). The victim
+/// key — predicted next use, descending — moves down with every hit, so a
+/// release pushes there; the deadline moves up with a hit, and down only
+/// when a pre-warm is scheduled (release early).
 ///
 /// # Examples
 ///
@@ -329,26 +241,30 @@ pub struct Hist {
     /// histogram behind it is allocated on the function's first request,
     /// so a table grown to a high function id stays small.
     funcs: FnTable<Option<Box<FnHist>>>,
-    index: Option<HistIndex>,
+    /// Eviction order: predicted next use descending (farthest first),
+    /// then `last_used` ascending, then id ascending.
+    pub(super) victims: Victims,
+    /// Expiry order: deadline ascending, then `last_used`, then id. The
+    /// record is the deadline; every container filed here is filed in
+    /// `victims` too.
+    pub(super) expiry: Expiry,
+    /// Idle containers per function with their `last_used` (unordered),
+    /// for re-keying after histogram updates.
+    idle_of: FnTable<Vec<(SimTime, ContainerId)>>,
+    /// Pending pre-warms ordered by fire time.
+    prewarms: BTreeSet<(SimTime, FunctionId)>,
 }
 
 impl Hist {
-    /// Creates the policy with the given configuration (incremental
-    /// eviction/expiry indexes).
+    /// Creates the policy with the given configuration.
     pub fn new(cfg: HistConfig) -> Self {
         Hist {
             cfg,
             funcs: FnTable::default(),
-            index: Some(HistIndex::default()),
-        }
-    }
-
-    /// Creates the policy with the naive scan-based eviction/expiry path.
-    pub fn naive(cfg: HistConfig) -> Self {
-        Hist {
-            cfg,
-            funcs: FnTable::default(),
-            index: None,
+            victims: Resident::new(),
+            expiry: Resident::new(),
+            idle_of: FnTable::default(),
+            prewarms: BTreeSet::new(),
         }
     }
 
@@ -363,8 +279,10 @@ impl Hist {
     }
 
     /// `(predicted next use, expiry deadline)` of `container` under the
-    /// current histogram state of its function.
-    fn keys_of(&self, container: &Container) -> (SimTime, SimTime) {
+    /// current histogram state of its function: what the differential
+    /// suite's brute-force reference ranks and expires by.
+    #[doc(hidden)]
+    pub fn keys_of(&self, container: &Container) -> (SimTime, SimTime) {
         keys_at(
             &self.cfg,
             self.stats(container.function()),
@@ -372,59 +290,73 @@ impl Hist {
         )
     }
 
+    /// The container went idle: lists it under its function and files it.
     fn index_insert(&mut self, container: &Container) {
+        let (id, last_used) = (container.id(), container.last_used());
+        let idle = self.idle_of.slot(container.function());
+        // Filed again while idle, it is listed already, under its old
+        // `last_used`.
+        idle.retain(|&(_, listed)| listed != id);
+        idle.push((last_used, id));
         let keys = self.keys_of(container);
-        if let Some(index) = self.index.as_mut() {
-            index.file(
-                container.id(),
-                container.function(),
-                container.last_used(),
-                keys,
-            );
+        let function = container.function();
+        file(
+            &mut self.victims,
+            &mut self.expiry,
+            id,
+            function,
+            last_used,
+            keys,
+        );
+    }
+
+    /// The idle container `id` of `function` leaves the re-keying list.
+    fn unlist(&mut self, function: FunctionId, id: ContainerId) {
+        let idle = self
+            .idle_of
+            .get_mut(function)
+            .expect("indexed containers are listed under their function");
+        if let Some(pos) = idle.iter().position(|&(_, listed)| listed == id) {
+            idle.swap_remove(pos);
         }
     }
 
+    /// Forgets `id`; a no-op when it is not indexed. Its heap entries are
+    /// discarded when they surface.
     fn index_remove(&mut self, id: ContainerId) {
-        if let Some(index) = self.index.as_mut() {
-            index.remove(id);
+        if let Some(member) = self.victims.forget(id) {
+            self.expiry.forget(id);
+            self.unlist(member.function, id);
         }
     }
 
     /// Recomputes the keys of the idle containers of `function`, pushing a
     /// superseding entry for every key that moved down. Called after the two
     /// events that can change the function's histogram state (a request,
-    /// or a pre-warm firing). With `skip_warm_pick`, all but the member
+    /// or a pre-warm firing). With `skip_warm_pick`, all but the container
     /// with the greatest `(last_used, id)`: the one the pool takes next
     /// (see [`KeepAlivePolicy::on_request`]).
     fn rekey_function(&mut self, function: FunctionId, skip_warm_pick: bool) {
-        let Some(index) = self.index.as_mut() else {
-            return;
-        };
         let stats = self.funcs.get(function).and_then(|slot| slot.as_deref());
-        let HistIndex {
-            victims,
-            expiry,
-            keys,
-            by_fn,
-            ..
-        } = index;
-        let members = by_fn.get(function).map_or(&[][..], Vec::as_slice);
+        let idle = self.idle_of.get(function).map_or(&[][..], Vec::as_slice);
         let skip = if skip_warm_pick {
-            members.iter().max().map(|&(_, id)| id)
+            idle.iter().max().map(|&(_, id)| id)
         } else {
             None
         };
-        for &(last_used, id) in members {
-            if Some(id) == skip {
-                continue;
-            }
-            let filed = keys.get_mut(&id).expect("members have keys");
-            let moved = keys_at(&self.cfg, stats, last_used);
-            if moved != (filed.predicted, filed.deadline) {
-                filed.file(victims, expiry, id, last_used, moved);
+        for &(last_used, id) in idle {
+            if Some(id) != skip {
+                let keys = keys_at(&self.cfg, stats, last_used);
+                file(
+                    &mut self.victims,
+                    &mut self.expiry,
+                    id,
+                    function,
+                    last_used,
+                    keys,
+                );
             }
         }
-        shed(victims, expiry, keys);
     }
 }
 
@@ -454,26 +386,28 @@ impl KeepAlivePolicy for Hist {
             f.pending_prewarm = Some(now + f.head_window.saturating_sub(cfg.margin));
         }
         let new_pending = f.pending_prewarm;
-        if let Some(index) = self.index.as_mut() {
-            if old_pending != new_pending {
-                if let Some(at) = old_pending {
-                    index.prewarms.remove(&(at, spec.id()));
-                }
-                if let Some(at) = new_pending {
-                    index.prewarms.insert((at, spec.id()));
-                }
+        if old_pending != new_pending {
+            if let Some(at) = old_pending {
+                self.prewarms.remove(&(at, spec.id()));
             }
-            // The request changed this function's histogram state (and
-            // possibly its predictability), so its idle containers' keys
-            // are stale: recompute them now — except the warm pick's, which
-            // its release will recompute before anyone reads them.
-            self.rekey_function(spec.id(), true);
+            if let Some(at) = new_pending {
+                self.prewarms.insert((at, spec.id()));
+            }
         }
+        // The request changed this function's histogram state (and
+        // possibly its predictability), so its idle containers' keys
+        // are stale: recompute them now — except the warm pick's, which
+        // its release will recompute before anyone reads them.
+        self.rekey_function(spec.id(), true);
     }
 
     fn on_warm_start(&mut self, container: &Container, _now: SimTime) {
-        if let Some(index) = self.index.as_mut() {
-            index.mark_busy(container.id());
+        // Out of both orders until it is filed again, without either heap
+        // hearing of it. A no-op when it is not indexed.
+        if let Some(member) = self.victims.mark_busy(container.id()) {
+            let function = member.function;
+            self.expiry.mark_busy(container.id());
+            self.unlist(function, container.id());
         }
     }
 
@@ -487,100 +421,51 @@ impl KeepAlivePolicy for Hist {
         self.index_insert(container);
     }
 
-    fn select_victims(&mut self, idle: &[&Container], needed: MemMb) -> Vec<ContainerId> {
-        // Evict the container whose next invocation is predicted farthest
-        // in the future ("evicted when the policy predicts it will not have
-        // an invocation in the near future").
-        let mut ranked: Vec<&Container> = idle.to_vec();
-        ranked.sort_by(|a, b| {
-            self.keys_of(b)
-                .0
-                .cmp(&self.keys_of(a).0)
-                .then(a.last_used().cmp(&b.last_used()))
-        });
-        take_until_freed(&ranked, needed)
-    }
-
     fn on_evicted(&mut self, container: &Container, _remaining: usize, _now: SimTime) {
         self.index_remove(container.id());
     }
 
-    fn expired(&mut self, idle: &[&Container], now: SimTime) -> Vec<ContainerId> {
-        idle.iter()
-            .filter(|c| now >= self.keys_of(c).1)
-            .map(|c| c.id())
-            .collect()
-    }
-
     fn prewarm_due(&mut self, now: SimTime) -> Vec<FunctionId> {
-        if let Some(index) = self.index.as_mut() {
-            let mut due = Vec::new();
-            while let Some(&(at, fid)) = index.prewarms.first() {
-                if at > now {
-                    break;
-                }
-                index.prewarms.pop_first();
-                due.push(fid);
-            }
-            for &fid in &due {
-                if let Some(Some(f)) = self.funcs.get_mut(fid) {
-                    f.pending_prewarm = None;
-                }
-            }
-            // Match the naive path's function-id order (it affects the
-            // order downstream container ids are assigned in).
-            due.sort();
-            // Consuming a pre-warm changes the release-early deadline of
-            // the function's idle containers.
-            for &fid in &due {
-                self.rekey_function(fid, false);
-            }
-            return due;
-        }
-        // The table iterates in ascending function-id order.
         let mut due = Vec::new();
-        for (fid, slot) in self.funcs.iter_mut() {
-            let Some(f) = slot else { continue };
-            if f.pending_prewarm.is_some_and(|at| at <= now) {
-                f.pending_prewarm = None;
-                due.push(fid);
+        while let Some(&(at, fid)) = self.prewarms.first() {
+            if at > now {
+                break;
             }
+            self.prewarms.pop_first();
+            due.push(fid);
+        }
+        for &fid in &due {
+            if let Some(Some(f)) = self.funcs.get_mut(fid) {
+                f.pending_prewarm = None;
+            }
+        }
+        // Ascending function-id order, whatever order they fell due in
+        // (it is the order downstream container ids are assigned in).
+        due.sort();
+        // Consuming a pre-warm changes the release-early deadline of
+        // the function's idle containers.
+        for &fid in &due {
+            self.rekey_function(fid, false);
         }
         due
     }
 
-    fn supports_incremental(&self) -> bool {
-        self.index.is_some()
-    }
-
-    fn peek_victim(&mut self) -> Option<ContainerId> {
-        let HistIndex { victims, keys, .. } = self.index.as_mut()?;
-        victims.peek_min_with(|id, gen| match keys.get_mut(&id) {
-            Some(k) => k.victim.probe(gen, Reverse(k.predicted), k.last_used),
-            None => Probe::Gone,
-        })
-    }
-
     fn pop_victim(&mut self) -> Option<ContainerId> {
-        let id = self.peek_victim()?;
-        // Forgetting the member retires both of its heap entries.
+        // Evict the container whose next invocation is predicted farthest
+        // in the future ("evicted when the policy predicts it will not have
+        // an invocation in the near future").
+        let id = self.victims.pop(|member| member.predicted)?;
+        // Forgetting the container retires its entry in the other order.
         self.index_remove(id);
         Some(id)
     }
 
     fn pop_expired(&mut self, now: SimTime) -> Option<ContainerId> {
-        let index = self.index.as_mut()?;
-        let HistIndex { expiry, keys, .. } = &mut *index;
-        let id = expiry.peek_min_with(|id, gen| match keys.get_mut(&id) {
-            Some(k) => k.expiry.probe(gen, k.deadline, k.last_used),
-            None => Probe::Gone,
-        })?;
-        if now >= keys.get(&id).expect("peeked a live member").deadline {
-            index.remove(id);
-            Some(id)
-        } else {
-            None
-        }
+        let id = self
+            .expiry
+            .pop_if(|&deadline| deadline, |&deadline, _| now >= deadline)?;
+        self.index_remove(id);
+        Some(id)
     }
 
     fn priority_of(&self, container: &Container) -> Option<f64> {
@@ -593,15 +478,7 @@ impl KeepAlivePolicy for Hist {
 mod tests {
     use super::*;
     use crate::function::FunctionRegistry;
-
-    impl Hist {
-        /// Entries held by the larger of the two heaps, stale ones included.
-        pub(crate) fn heap_len(&self) -> usize {
-            self.index
-                .as_ref()
-                .map_or(0, |index| index.victims.len().max(index.expiry.len()))
-        }
-    }
+    use faascache_util::MemMb;
 
     fn spec(reg: &mut FunctionRegistry, name: &str) -> FunctionSpec {
         let id = reg
@@ -698,9 +575,11 @@ mod tests {
         let s = spec(&mut reg, "once");
         let mut hist = Hist::new(HistConfig::default());
         hist.on_request(&s, SimTime::ZERO);
+        // Prewarmed or released, an idle container is kept two hours.
         let c = container_of(&s, 1, SimTime::ZERO);
-        assert!(hist.expired(&[&c], SimTime::from_mins(119)).is_empty());
-        assert_eq!(hist.expired(&[&c], SimTime::from_mins(121)).len(), 1);
+        hist.on_container_created(&c, SimTime::ZERO, true);
+        assert!(hist.pop_expired(SimTime::from_mins(119)).is_none());
+        assert_eq!(hist.pop_expired(SimTime::from_mins(121)), Some(c.id()));
     }
 
     #[test]
@@ -715,18 +594,18 @@ mod tests {
         // Phase 1: a pre-warm is pending, so the old container is released
         // after the 1-minute margin rather than held for the whole gap.
         let old = container_of(&s, 1, last);
-        assert!(hist
-            .expired(&[&old], SimTime::from_secs(45 * 60 + 30))
-            .is_empty());
-        assert_eq!(hist.expired(&[&old], SimTime::from_mins(46)).len(), 1);
+        hist.on_finish(&old, last);
+        assert!(hist.pop_expired(SimTime::from_secs(45 * 60 + 30)).is_none());
+        assert_eq!(hist.pop_expired(SimTime::from_mins(46)), Some(old.id()));
         // Phase 2: the pre-warm fires (head ≈ 5.5 min − margin before the
         // predicted invocation); the fresh container survives until
         // last + tail (≈5.5) + margin (1).
         let due = hist.prewarm_due(SimTime::from_secs((45 * 60) + 270));
         assert_eq!(due, vec![s.id()]);
         let fresh = container_of(&s, 2, SimTime::from_secs((45 * 60) + 270));
-        assert!(hist.expired(&[&fresh], SimTime::from_mins(50)).is_empty());
-        assert_eq!(hist.expired(&[&fresh], SimTime::from_mins(52)).len(), 1);
+        hist.on_container_created(&fresh, fresh.last_used(), true);
+        assert!(hist.pop_expired(SimTime::from_mins(50)).is_none());
+        assert_eq!(hist.pop_expired(SimTime::from_mins(52)), Some(fresh.id()));
     }
 
     #[test]
@@ -743,7 +622,6 @@ mod tests {
         let c_late = container_of(&late, 2, SimTime::from_mins(540));
         hist.on_finish(&c_soon, SimTime::from_mins(18));
         hist.on_finish(&c_late, SimTime::from_mins(540));
-        assert_eq!(hist.peek_victim(), Some(ContainerId::from_raw(2)));
         assert_eq!(hist.pop_victim(), Some(ContainerId::from_raw(2)));
         assert_eq!(hist.pop_victim(), Some(ContainerId::from_raw(1)));
         assert_eq!(hist.pop_victim(), None);
@@ -796,7 +674,9 @@ mod tests {
         }
         let c_soon = container_of(&soon, 1, SimTime::from_mins(18));
         let c_late = container_of(&late, 2, SimTime::from_mins(540));
-        let victims = hist.select_victims(&[&c_soon, &c_late], MemMb::new(128));
-        assert_eq!(victims, vec![ContainerId::from_raw(2)]);
+        // Prewarmed rather than released: ranked the same way.
+        hist.on_container_created(&c_soon, SimTime::from_mins(18), true);
+        hist.on_container_created(&c_late, SimTime::from_mins(540), true);
+        assert_eq!(hist.pop_victim(), Some(ContainerId::from_raw(2)));
     }
 }

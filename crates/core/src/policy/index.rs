@@ -1,30 +1,32 @@
-//! The one eviction-order structure shared by the keep-alive policies.
+//! The one resident table and eviction order shared by the keep-alive
+//! policies.
 //!
 //! The pool is "ranked only when an eviction is needed" (paper §6), so no
 //! policy keeps its idle containers sorted, and a warm start — a cache
-//! *hit* — does not touch the order at all. Every policy files its
-//! containers in a [`VictimHeap`], a binary min-heap over
+//! *hit* — does not touch the order at all. A policy is a per-container
+//! record, a key function over it and whatever side state the key reads
+//! (frequencies, a clock, an offset); [`Resident`] is everything else: the
+//! table of records by [`ContainerId`] and, over it, a binary min-heap of
 //! `(key, last_used, id)` whose entries are **lower bounds**:
 //!
 //! - each resident container has at most one *authoritative* entry (the
-//!   generation its [`Seat`] records), stored under a `(key, last_used)`
-//!   pair that is `<=` the container's live pair, which the policy keeps
-//!   in (or computes from) its own per-container record;
-//! - a warm start only marks the seat busy; the release that follows
-//!   overwrites the live pair in the record and leaves the heap alone,
-//!   because the pair has not moved down;
+//!   generation its table slot records), stored under a `(key, last_used)`
+//!   pair that is `<=` the container's live pair: the `last_used` in its
+//!   slot, and the key the policy's key function computes from its record;
+//! - a warm start only marks the slot busy; the release that follows
+//!   overwrites the live pair and leaves the heap alone, because the pair
+//!   has not moved down;
 //! - the order is materialized by an eviction (or an expiry sweep) only:
-//!   [`VictimHeap::peek_min_with`] asks the policy about the entry on top
-//!   ([`Probe`]) and drops it when the container is gone or busy, sinks it
-//!   to its live pair when that has grown, and returns it when stored and
-//!   live pair are equal. That one is the minimum of
-//!   `(live key, last_used, id)` over the idle containers, since every
-//!   other idle container's live pair is `>=` its stored pair `>=` the
-//!   top's.
+//!   [`Resident::pop`] looks up the entry on top and drops it when the
+//!   container is gone or busy, sinks it to its live pair when that has
+//!   grown, and returns it when stored and live pair are equal. That one
+//!   is the minimum of `(live key, last_used, id)` over the idle
+//!   containers, since every other idle container's live pair is `>=` its
+//!   stored pair `>=` the top's.
 //!
 //! # When does filing a container push?
 //!
-//! One rule, applied through [`Seat::file`] whenever a container goes idle
+//! One rule, applied by [`Resident::file`] whenever a container goes idle
 //! or an idle container's key moves: push a superseding entry **iff** the
 //! container has no entry in the heap or its live pair *moved down*. A
 //! pair that only ever moves up between pushes stays `>=` the pair of the
@@ -35,29 +37,29 @@
 //! |---|---|---|
 //! | is **fixed** | SIZE's size | bound holds: no heap operation |
 //! | only **grows** | `last_used` itself (LRU, TTL, every tie-break); FREQ's frequency while resident; Landlord's `offset + cost / size` (offset monotone); GreedyDual's `clock + freq × cost / size` (clock and frequency monotone); HIST's expiry deadline on a hit | bound holds: no heap operation |
-//! | can **decrease** | HIST's victim key (predicted next use, *descending*, so a hit moves it down) and its release-early deadline once a pre-warm is scheduled; GreedyDual when a tenant weight is raised | superseding push (GreedyDual instead [`VictimHeap::clear`]s and refiles everything: a weight moves every key of a tenant at once) |
+//! | can **decrease** | HIST's victim key (predicted next use, *descending*, so a hit moves it down) and its release-early deadline once a pre-warm is scheduled; GreedyDual when a tenant weight is raised | superseding push (GreedyDual instead [`Resident::refile_all`]s: a weight moves every key of a tenant at once) |
 //!
 //! So under LRU, TTL, SIZE, FREQ, Landlord and GreedyDual a warm cycle
 //! performs no heap operation, and the heap holds at most one entry per
 //! resident container; under HIST a release pushes once, for the victim
 //! order. FREQ and GreedyDual do not even compute their key on a release:
-//! it only grows, so comparing `last_used` settles `moved_down`. Entries
-//! left behind by a superseding push, or by a container that was evicted
-//! or migrated by id rather than popped, are dropped when they surface, or
-//! by the [`VictimHeap::shed_stale_with`] sweep once they outnumber the
-//! live ones.
+//! it only grows ([`grows`]), so comparing `last_used` settles whether the
+//! pair moved down. Entries left behind by a superseding push, or by a
+//! container that was evicted or migrated by id rather than popped, are
+//! dropped when they surface, or swept once they outnumber the live ones.
 //!
-//! [`OrderedIdleSet`] is the thin id → `(key, last_used, seat)` table over
-//! a `VictimHeap` for the policies that keep no other per-container state
-//! (LRU, TTL, SIZE); Landlord, HIST, GreedyDual and FREQ keep the seat in
-//! their own per-container record. Every policy therefore owns **at most
-//! one** table keyed by [`ContainerId`], and it is an [`IdMap`] (one
-//! multiplication per lookup; container ids are the pool's own counter,
-//! never wire input).
+//! Every policy owns one `Resident` and no other table keyed by
+//! [`ContainerId`] (HIST, which ranks its containers two ways, owns one
+//! per order); the table is an [`IdMap`] (one multiplication per lookup;
+//! container ids are the pool's own counter, never wire input).
+//!
+//! The brute-force reference this structure is differentially tested
+//! against — scan the idle set for the minimum `(key, last_used, id)` —
+//! is test code: `crates/core/tests/differential.rs`.
 //!
 //! [`TotalF64`] is a totally ordered `f64` wrapper (via `total_cmp`) so
 //! finite priorities can be used as heap keys. For finite values the order
-//! coincides with the `partial_cmp` the naive sort uses.
+//! coincides with `partial_cmp`.
 
 use crate::container::ContainerId;
 use faascache_util::idmap::IdMap;
@@ -70,8 +72,8 @@ use std::num::NonZeroU64;
 /// An `f64` ordered by [`f64::total_cmp`].
 ///
 /// Policy priorities are always finite, and over finite values `total_cmp`
-/// agrees with `partial_cmp` — so replacing the naive sort's comparator
-/// with this key preserves the exact victim order.
+/// agrees with `partial_cmp` — so a reference that sorts priorities with
+/// `partial_cmp` and a heap keyed by this type rank victims identically.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TotalF64(pub f64);
 
@@ -95,323 +97,264 @@ impl Ord for TotalF64 {
     }
 }
 
-/// What a policy answers when [`VictimHeap::peek_min_with`] asks about the
-/// container behind the heap entry `(id, generation)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Probe<K> {
-    /// Evicted or migrated away, or the entry was superseded by a later
-    /// push: the entry is dropped.
-    Gone,
-    /// Running an invocation: the entry is dropped, and the container's
-    /// [`Seat`] has noted that it holds none, so its release pushes.
-    Busy,
-    /// Idle at this live `(key, last_used)`.
-    Idle(K, SimTime),
+/// The `key_fell` argument of [`Resident::file`] for a key that is fixed
+/// or only grows while its container is resident: it never fell, and the
+/// record needs no update.
+pub fn grows<R>(_record: &mut R) -> bool {
+    false
 }
 
-/// A container's standing in one [`VictimHeap`], kept in the policy's
-/// per-container record — next to the live `(key, last_used)` pair, or
-/// what the policy computes it from — for as long as the container is
-/// resident.
-///
-/// The policy funnels every event through it: [`Self::mark_busy`] on a
-/// warm start, [`Self::file`] (and [`Self::entered`] if that says to
-/// push) on a release or a re-key, [`Self::probe`] from the closure it
-/// hands to the heap, [`Self::take`] for the popped victim. Dropping the
-/// record with the container is all an eviction by id needs.
-#[derive(Debug, Clone, Copy)]
-pub struct Seat {
-    /// One more than the generation of the container's authoritative heap
-    /// entry, while that entry is still in the heap.
+/// What [`Resident`] keeps per container, for as long as it is resident.
+#[derive(Debug, Clone)]
+struct Slot<R> {
+    record: R,
+    /// The `last_used` the container was last filed at: with the key the
+    /// policy computes from `record`, its live pair.
+    last_used: SimTime,
+    /// The generation of the container's authoritative heap entry, while
+    /// that entry is still in the heap.
     entry: Option<NonZeroU64>,
     /// Running an invocation: not a victim, whatever the heap holds.
     busy: bool,
 }
 
-impl Seat {
-    /// The seat of a running container that has never been filed.
-    pub fn running() -> Self {
-        Seat {
+impl<R> Slot<R> {
+    /// The slot of a running container that has never been filed.
+    fn running(record: R) -> Self {
+        Slot {
+            record,
+            last_used: SimTime::ZERO,
             entry: None,
             busy: true,
-        }
-    }
-
-    /// Whether the container is running an invocation.
-    pub fn is_busy(&self) -> bool {
-        self.busy
-    }
-
-    /// A warm start: the container leaves the eviction order without the
-    /// heap hearing of it.
-    pub fn mark_busy(&mut self) {
-        self.busy = true;
-    }
-
-    /// The container is idle — went idle just now, or was re-keyed while
-    /// idle — at a live pair that `moved_down` since it was last filed, or
-    /// did not. Returns whether it needs a fresh heap entry, which is only
-    /// if it has none or the pair moved down: the caller then pushes one
-    /// at the live pair, hands its generation to [`Self::entered`] and
-    /// runs its [`VictimHeap::shed_stale_with`]. Otherwise the entry it
-    /// has is still a lower bound and the heap is left alone.
-    #[must_use = "true means: push an entry and call `entered`"]
-    pub fn file(&mut self, moved_down: bool) -> bool {
-        self.busy = false;
-        moved_down || self.entry.is_none()
-    }
-
-    /// `generation` is the container's authoritative heap entry from now
-    /// on (superseding the one it had, if any).
-    pub fn entered(&mut self, generation: u64) {
-        self.entry = NonZeroU64::new(generation + 1);
-    }
-
-    /// Whether heap entry `generation` is this seat's authoritative one.
-    pub fn holds(&self, generation: u64) -> bool {
-        self.entry == NonZeroU64::new(generation + 1)
-    }
-
-    /// The answer to the heap's question about entry `generation`, for a
-    /// container whose live pair is `(key, last_used)`. The heap drops a
-    /// busy container's entry, and the seat notes it.
-    pub fn probe<K>(&mut self, generation: u64, key: K, last_used: SimTime) -> Probe<K> {
-        if !self.holds(generation) {
-            Probe::Gone
-        } else if self.busy {
-            self.entry = None;
-            Probe::Busy
-        } else {
-            Probe::Idle(key, last_used)
-        }
-    }
-
-    /// The container's entry has left the heap: it was popped as the
-    /// victim, or the heap was cleared.
-    pub fn take(&mut self) {
-        self.entry = None;
-    }
-}
-
-/// What [`OrderedIdleSet`] keeps per member.
-#[derive(Debug, Clone, Copy)]
-struct Member<K> {
-    /// The live pair the member is ordered by.
-    key: K,
-    last_used: SimTime,
-    seat: Seat,
-}
-
-/// The containers of a policy that orders them by a key it hands over on
-/// every release, and that keeps nothing else per container: an
-/// id → `(key, last_used, seat)` table over a [`VictimHeap`].
-///
-/// [`Self::first`] and [`Self::pop_first`] yield idle members in ascending
-/// `(key, last_used, id)` order — the victim order every ordering-based
-/// policy uses, with the container id as the final tie-break (see the
-/// pool's tie-break contract).
-#[derive(Debug, Clone, Default)]
-pub struct OrderedIdleSet<K: Ord + Copy> {
-    heap: VictimHeap<K>,
-    filed: IdMap<ContainerId, Member<K>>,
-}
-
-impl<K: Ord + Copy> OrderedIdleSet<K> {
-    /// Creates an empty index.
-    pub fn new() -> Self {
-        OrderedIdleSet {
-            heap: VictimHeap::new(),
-            filed: IdMap::default(),
-        }
-    }
-
-    /// The container is idle at `(key, last_used)`: a new member, a busy
-    /// one released, or an idle one re-keyed.
-    pub fn insert(&mut self, id: ContainerId, key: K, last_used: SimTime) {
-        let member = self.filed.entry(id).or_insert(Member {
-            key,
-            last_used,
-            seat: Seat::running(),
-        });
-        let moved_down = (key, last_used) < (member.key, member.last_used);
-        (member.key, member.last_used) = (key, last_used);
-        if member.seat.file(moved_down) {
-            member.seat.entered(self.heap.push(id, key, last_used));
-            let filed = &self.filed;
-            self.heap.shed_stale_with(filed.len(), |id, gen| {
-                filed.get(&id).is_some_and(|m| m.seat.holds(gen))
-            });
-        }
-    }
-
-    /// The member started an invocation: it stays filed but is not
-    /// yielded until it is inserted again. A no-op for a non-member.
-    pub fn mark_busy(&mut self, id: ContainerId) {
-        if let Some(member) = self.filed.get_mut(&id) {
-            member.seat.mark_busy();
-        }
-    }
-
-    /// Removes a container; a no-op when it is not indexed. Its heap entry
-    /// is discarded when it surfaces.
-    pub fn remove(&mut self, id: ContainerId) {
-        self.filed.remove(&id);
-    }
-
-    /// The smallest idle entry without removing it.
-    pub fn first(&mut self) -> Option<(K, SimTime, ContainerId)> {
-        let id = self.head(false)?;
-        let member = self.filed.get(&id).expect("peeked a live member");
-        Some((member.key, member.last_used, id))
-    }
-
-    /// Removes and returns the smallest idle entry.
-    pub fn pop_first(&mut self) -> Option<(K, SimTime, ContainerId)> {
-        let id = self.head(true)?;
-        let member = self.filed.remove(&id).expect("popped a live member");
-        Some((member.key, member.last_used, id))
-    }
-
-    /// The heap's minimum among the idle members, popped or only peeked.
-    fn head(&mut self, pop: bool) -> Option<ContainerId> {
-        let filed = &mut self.filed;
-        let probe = |id: ContainerId, gen: u64| match filed.get_mut(&id) {
-            Some(m) => m.seat.probe(gen, m.key, m.last_used),
-            None => Probe::Gone,
-        };
-        if pop {
-            self.heap.pop_min_with(probe)
-        } else {
-            self.heap.peek_min_with(probe)
         }
     }
 }
 
 type HeapEntry<K> = Reverse<(K, SimTime, ContainerId, u64)>;
 
-/// A min-heap of lower bounds over a policy's containers: the eviction
-/// (and expiry) order of every policy. See the module docs for the one
-/// rule that keeps it sound.
+/// A policy's resident containers — one record `R` each — and their
+/// eviction (or expiry) order by ascending `(key, last_used, id)`: the
+/// victim order every policy uses, with the container id as the final
+/// tie-break (see the pool's tie-break contract). See the module docs for
+/// the one rule that keeps the order sound.
 ///
-/// The heap holds no membership table. [`Self::push`] returns a fresh
-/// generation number that the policy files in the container's [`Seat`];
-/// that names the container's one *authoritative* entry. Evicting a
-/// container by id, or pushing it again, is just the policy dropping or
-/// overwriting that generation — the superseded heap entry is discarded
-/// when it surfaces. A pop asks the policy about the top entry
-/// ([`Probe`]) and settles it: dropped when gone or busy, moved to its
-/// live pair (same generation: the outdated copy has just left the heap)
-/// when that has grown, returned when stored and live pair agree. This
-/// settles in at most one move per authoritative entry per call *provided
-/// the live pair of an authoritative entry is never below its stored
-/// pair*, which holds as long as every downward move of a live pair goes
-/// through [`Seat::file`] and the push it asks for.
-#[derive(Debug, Clone, Default)]
-pub struct VictimHeap<K: Ord + Copy> {
+/// The policy funnels every event through the table: [`Self::running`] or
+/// [`Self::mark_busy`] on a warm start, [`Self::file`] on a release or a
+/// re-key, [`Self::pop`] for the next victim, [`Self::forget`] when the
+/// pool reports the container gone. The key is not stored: `pop` takes
+/// the policy's key function and computes it from the record, so a key
+/// that depends on side state (a sibling's frequency, a tenant weight) is
+/// always read live.
+#[derive(Debug, Clone)]
+pub struct Resident<R, K: Ord + Copy> {
+    table: IdMap<ContainerId, Slot<R>>,
+    /// Lower bounds on the live pairs. An entry is authoritative while its
+    /// generation is the one its container's slot records; evicting a
+    /// container by id, or pushing it again, just drops or overwrites that
+    /// generation, and the superseded entry is discarded when it surfaces.
     heap: BinaryHeap<HeapEntry<K>>,
-    next_gen: u64,
+    /// The generation of the last push (the first is 1).
+    last_gen: u64,
 }
 
-impl<K: Ord + Copy> VictimHeap<K> {
-    /// Creates an empty heap.
-    pub fn new() -> Self {
-        VictimHeap {
+impl<R, K: Ord + Copy> Default for Resident<R, K> {
+    fn default() -> Self {
+        Resident {
+            table: IdMap::default(),
             heap: BinaryHeap::new(),
-            next_gen: 0,
+            last_gen: 0,
         }
     }
+}
 
-    /// Pushes an entry for `id` at `(key, last_used)` and returns its
-    /// generation. The caller records it as the authoritative one for
-    /// `id`, which supersedes any earlier entry of the same container.
-    pub fn push(&mut self, id: ContainerId, key: K, last_used: SimTime) -> u64 {
-        let gen = self.next_gen;
-        self.next_gen += 1;
-        self.heap.push(Reverse((key, last_used, id, gen)));
-        gen
+impl<R, K: Ord + Copy> Resident<R, K> {
+    /// Creates an empty table.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The record of `id`, if it has one.
+    pub fn get(&self, id: ContainerId) -> Option<&R> {
+        self.table.get(&id).map(|slot| &slot.record)
+    }
+
+    /// Whether `id` has a record and is not running an invocation.
+    pub fn is_idle(&self, id: ContainerId) -> bool {
+        self.table.get(&id).is_some_and(|slot| !slot.busy)
     }
 
     /// Number of heap entries, authoritative and stale alike.
-    pub fn len(&self) -> usize {
+    pub fn heap_len(&self) -> usize {
         self.heap.len()
     }
 
-    /// Whether the heap holds no entry at all.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+    /// `id` is running an invocation — a cold or a warm start: it leaves
+    /// the eviction order without the heap hearing of it. Returns its
+    /// record, made by `admit` if the table has not seen the container.
+    pub fn running(&mut self, id: ContainerId, admit: impl FnOnce() -> R) -> &mut R {
+        let slot = self
+            .table
+            .entry(id)
+            .or_insert_with(|| Slot::running(admit()));
+        slot.busy = true;
+        &mut slot.record
     }
 
-    /// Sheds the stale entries once they outnumber the `live` resident
-    /// containers; call after a push.
+    /// [`Self::running`] for a policy that keeps nothing about a container
+    /// before its first release: `None`, and nothing changes, when the
+    /// table has not seen `id`.
+    pub fn mark_busy(&mut self, id: ContainerId) -> Option<&mut R> {
+        let slot = self.table.get_mut(&id)?;
+        slot.busy = true;
+        Some(&mut slot.record)
+    }
+
+    /// `id` is idle at `last_used`: it went idle just now, or was re-keyed
+    /// while idle. `admit` makes the record of a container the table has
+    /// not seen; `key_fell` brings the record up to date and says whether
+    /// the live key is now below what it was when the container was last
+    /// filed ([`grows`] for a key that cannot be).
+    ///
+    /// Pushes a fresh entry at the live pair only if the container has
+    /// none in the heap or the pair moved down — the key fell, or
+    /// `last_used` did — and only then calls `key_of`. Otherwise the entry
+    /// it has is still a lower bound and the heap is left alone.
+    pub fn file(
+        &mut self,
+        id: ContainerId,
+        last_used: SimTime,
+        admit: impl FnOnce() -> R,
+        key_fell: impl FnOnce(&mut R) -> bool,
+        key_of: impl FnOnce(&R) -> K,
+    ) {
+        let slot = self
+            .table
+            .entry(id)
+            .or_insert_with(|| Slot::running(admit()));
+        let moved_down = key_fell(&mut slot.record) || last_used < slot.last_used;
+        slot.last_used = last_used;
+        slot.busy = false;
+        if moved_down || slot.entry.is_none() {
+            self.last_gen += 1;
+            slot.entry = NonZeroU64::new(self.last_gen);
+            let key = key_of(&slot.record);
+            self.heap.push(Reverse((key, last_used, id, self.last_gen)));
+            self.shed_stale();
+        }
+    }
+
+    /// Sheds the stale entries once they outnumber the resident
+    /// containers; called after a push.
     ///
     /// A superseding push, and a container evicted or migrated by id,
     /// leave an entry behind that only an eviction would ever pop, so
     /// without this a pool under no memory pressure whose warm set is
     /// re-homed, or whose keys move down (HIST), would grow the heap
-    /// forever. The sweep runs at most once per `live` pushes: amortized
-    /// O(1). `is_live(id, generation)` says whether that entry is still
-    /// authoritative; which stale entries exist never changes what a pop
+    /// forever. The sweep runs at most once per `table.len()` pushes:
+    /// amortized O(1). Which stale entries exist never changes what a pop
     /// returns.
-    pub fn shed_stale_with<F>(&mut self, live: usize, mut is_live: F)
-    where
-        F: FnMut(ContainerId, u64) -> bool,
-    {
+    fn shed_stale(&mut self) {
         const SLACK: usize = 64;
-        if self.heap.len() > 2 * live + SLACK {
-            self.heap
-                .retain(|&Reverse((_, _, id, gen))| is_live(id, gen));
+        if self.heap.len() > 2 * self.table.len() + SLACK {
+            let table = &self.table;
+            self.heap.retain(|&Reverse((_, _, id, gen))| {
+                table
+                    .get(&id)
+                    .is_some_and(|slot| slot.entry == NonZeroU64::new(gen))
+            });
         }
     }
 
-    /// Drops every entry (the caller refiles its idle members and tells
-    /// every [`Seat`] that its entry is gone).
+    /// Drops the record of `id` and returns it; `None` when there is
+    /// none. Its heap entry is discarded when it surfaces.
+    pub fn forget(&mut self, id: ContainerId) -> Option<R> {
+        self.table.remove(&id).map(|slot| slot.record)
+    }
+
+    /// Drops every heap entry and files every idle container afresh at the
+    /// key `key_of` computes now.
     ///
-    /// When an external input to the key function changes in a way that
-    /// may decrease many keys at once — a tenant eviction weight is
-    /// raised — callers clear and refile instead of pushing one
-    /// superseding entry per container.
-    pub fn clear(&mut self) {
+    /// For when an external input to the key function changes in a way
+    /// that may decrease many keys at once — a tenant eviction weight is
+    /// raised — instead of one superseding push per container.
+    pub fn refile_all(&mut self, key_of: impl Fn(&R) -> K) {
+        // Generations only break ties between entries of one container, so
+        // the table's iteration order cannot reach the eviction order.
         self.heap.clear();
+        for (&id, slot) in self.table.iter_mut() {
+            slot.entry = None;
+            if !slot.busy {
+                self.last_gen += 1;
+                slot.entry = NonZeroU64::new(self.last_gen);
+                let key = key_of(&slot.record);
+                self.heap
+                    .push(Reverse((key, slot.last_used, id, self.last_gen)));
+            }
+        }
     }
 
     /// The idle container with the minimal `(live key, last_used, id)`,
     /// without removing it; `None` when no idle container has an entry.
     /// Settles the entries above it as a side effect.
     ///
-    /// `probe(id, generation)` is normally [`Seat::probe`] of the
-    /// container's record, or [`Probe::Gone`] when there is none. A live
-    /// pair it reports must be `>=` the pair the entry is stored under.
-    pub fn peek_min_with<F>(&mut self, mut probe: F) -> Option<ContainerId>
-    where
-        F: FnMut(ContainerId, u64) -> Probe<K>,
-    {
+    /// This settles in at most one move per authoritative entry per call
+    /// *provided the live pair of an authoritative entry is never below
+    /// its stored pair*, which holds as long as `key_of` is the function
+    /// every [`Self::file`] of this table was given and every downward
+    /// move of its value is reported there as `key_fell`.
+    fn peek(&mut self, key_of: impl Fn(&R) -> K) -> Option<ContainerId> {
         loop {
             let mut top = self.heap.peek_mut()?;
             let Reverse((key, last_used, id, gen)) = *top;
-            match probe(id, gen) {
-                Probe::Idle(live, at) if (live, at) == (key, last_used) => return Some(id),
-                Probe::Idle(live, at) => {
-                    // Outdated: sinks to its live pair as `top` drops. The
-                    // next time it surfaces (policy state unchanged within
-                    // one call) the pairs match.
-                    *top = Reverse((live, at, id, gen));
+            match self.table.get_mut(&id) {
+                Some(slot) if slot.entry == NonZeroU64::new(gen) => {
+                    if slot.busy {
+                        // Its release finds no entry and pushes.
+                        slot.entry = None;
+                        PeekMut::pop(top);
+                        continue;
+                    }
+                    let live = (key_of(&slot.record), slot.last_used);
+                    if live == (key, last_used) {
+                        return Some(id);
+                    }
+                    // Outdated: sinks to its live pair as `top` drops (same
+                    // generation: the outdated copy has just left the
+                    // heap). The next time it surfaces (policy state
+                    // unchanged within one call) the pairs match.
+                    *top = Reverse((live.0, live.1, id, gen));
                 }
-                Probe::Gone | Probe::Busy => {
+                // Evicted or migrated away, or superseded by a later push.
+                _ => {
                     PeekMut::pop(top);
                 }
             }
         }
     }
 
-    /// Removes and returns what [`Self::peek_min_with`] would return. The
-    /// caller must then [`Seat::take`] the popped container's entry (or
-    /// drop its record).
-    pub fn pop_min_with<F>(&mut self, probe: F) -> Option<ContainerId>
-    where
-        F: FnMut(ContainerId, u64) -> Probe<K>,
-    {
-        let id = self.peek_min_with(probe)?;
+    /// Removes the idle container with the minimal `(live key, last_used,
+    /// id)` from the order and returns it; `None` when there is none. Its
+    /// record stays — the pool reports the eviction next, and a policy may
+    /// price the victim from it — until [`Self::forget`].
+    pub fn pop(&mut self, key_of: impl Fn(&R) -> K) -> Option<ContainerId> {
+        self.pop_if(key_of, |_, _| true)
+    }
+
+    /// [`Self::pop`], but only if `due` says so of that container's record
+    /// and `last_used`: an expiry order pops its head once its lease has
+    /// lapsed.
+    pub fn pop_if(
+        &mut self,
+        key_of: impl Fn(&R) -> K,
+        due: impl FnOnce(&R, SimTime) -> bool,
+    ) -> Option<ContainerId> {
+        let id = self.peek(key_of)?;
+        let slot = self.table.get_mut(&id).expect("peeked a resident");
+        if !due(&slot.record, slot.last_used) {
+            return None;
+        }
         self.heap.pop();
+        slot.entry = None;
         Some(id)
     }
 }
@@ -421,14 +364,11 @@ mod tests {
     use super::*;
     use faascache_util::SimDuration;
     use proptest::prelude::*;
-    use std::collections::{BTreeMap, BTreeSet};
+    use std::collections::BTreeSet;
 
-    impl<K: Ord + Copy> OrderedIdleSet<K> {
-        /// Heap entries held, stale ones included.
-        pub(crate) fn heap_len(&self) -> usize {
-            self.heap.len()
-        }
-    }
+    /// A table whose record is the live key itself: the shape of a policy
+    /// that is handed its key on every release.
+    type Keyed = Resident<u64, u64>;
 
     fn id(n: u64) -> ContainerId {
         ContainerId::from_raw(n)
@@ -436,6 +376,56 @@ mod tests {
 
     fn t(secs: u64) -> SimTime {
         SimTime::from_secs(secs)
+    }
+
+    /// A release or a re-key: the container is idle at `(key, at)`.
+    fn file(set: &mut Keyed, id: ContainerId, key: u64, at: SimTime) {
+        set.file(
+            id,
+            at,
+            || key,
+            |live| {
+                let fell = key < *live;
+                *live = key;
+                fell
+            },
+            |&live| live,
+        );
+    }
+
+    /// Raises an idle container's live key without telling the heap (a
+    /// sibling's warm start under GreedyDual/FREQ).
+    fn grow(set: &mut Keyed, id: ContainerId, by: u64) {
+        set.table.get_mut(&id).unwrap().record += by;
+    }
+
+    fn has_entry(set: &Keyed, id: ContainerId) -> bool {
+        set.table[&id].entry.is_some()
+    }
+
+    /// The live triple of an idle container.
+    fn live(set: &Keyed, id: ContainerId) -> Option<(u64, SimTime, ContainerId)> {
+        let slot = set.table.get(&id).filter(|slot| !slot.busy)?;
+        Some((slot.record, slot.last_used, id))
+    }
+
+    /// The smallest idle container's live triple, without removing it.
+    fn first(set: &mut Keyed) -> Option<(u64, SimTime, ContainerId)> {
+        let id = set.peek(|&live| live)?;
+        live(set, id)
+    }
+
+    /// Pops the way the pool does: the eviction is reported next, and the
+    /// victim's record goes with it.
+    fn pop_first(set: &mut Keyed) -> Option<(u64, SimTime, ContainerId)> {
+        let id = set.pop(|&live| live)?;
+        let triple = live(set, id);
+        set.forget(id);
+        triple
+    }
+
+    fn pop(set: &mut Keyed) -> Option<ContainerId> {
+        pop_first(set).map(|(_, _, id)| id)
     }
 
     #[test]
@@ -448,215 +438,199 @@ mod tests {
 
     #[test]
     fn ordered_set_pops_in_key_then_recency_then_id_order() {
-        let mut set = OrderedIdleSet::new();
-        set.insert(id(3), 1u64, t(5));
-        set.insert(id(1), 1, t(5));
-        set.insert(id(2), 0, t(9));
-        set.insert(id(4), 1, t(2));
-        assert_eq!(set.pop_first().unwrap().2, id(2), "lowest key first");
-        assert_eq!(set.pop_first().unwrap().2, id(4), "older last_used next");
-        assert_eq!(set.pop_first().unwrap().2, id(1), "id breaks exact ties");
-        assert_eq!(set.pop_first().unwrap().2, id(3));
-        assert!(set.pop_first().is_none());
+        let mut set = Keyed::new();
+        file(&mut set, id(3), 1, t(5));
+        file(&mut set, id(1), 1, t(5));
+        file(&mut set, id(2), 0, t(9));
+        file(&mut set, id(4), 1, t(2));
+        assert_eq!(pop(&mut set), Some(id(2)), "lowest key first");
+        assert_eq!(pop(&mut set), Some(id(4)), "older last_used next");
+        assert_eq!(pop(&mut set), Some(id(1)), "id breaks exact ties");
+        assert_eq!(pop(&mut set), Some(id(3)));
+        assert!(pop(&mut set).is_none());
     }
 
     #[test]
     fn ordered_set_rekey_and_remove() {
-        let mut set = OrderedIdleSet::new();
-        set.insert(id(1), 5u64, t(0));
-        set.insert(id(2), 1, t(0));
-        set.insert(id(2), 9, t(0)); // re-key upwards
+        let mut set = Keyed::new();
+        file(&mut set, id(1), 5, t(0));
+        file(&mut set, id(2), 1, t(0));
+        file(&mut set, id(2), 9, t(0)); // re-key upwards
         assert_eq!(set.heap_len(), 2, "a key that grows keeps its entry");
-        assert_eq!(set.first(), Some((5, t(0), id(1))));
-        set.insert(id(2), 3, t(0)); // and back down, below id 1
-        assert_eq!(set.first(), Some((3, t(0), id(2))));
-        set.insert(id(2), 9, t(0));
-        set.remove(id(1));
-        set.remove(id(1)); // idempotent
-        assert_eq!(set.pop_first(), Some((9, t(0), id(2))), "one entry per id");
-        assert_eq!(set.pop_first(), None);
+        assert_eq!(first(&mut set), Some((5, t(0), id(1))));
+        file(&mut set, id(2), 3, t(0)); // and back down, below id 1
+        assert_eq!(first(&mut set), Some((3, t(0), id(2))));
+        file(&mut set, id(2), 9, t(0));
+        assert_eq!(set.forget(id(1)), Some(5));
+        assert_eq!(set.forget(id(1)), None, "idempotent");
+        assert_eq!(
+            pop_first(&mut set),
+            Some((9, t(0), id(2))),
+            "one entry per id"
+        );
+        assert_eq!(pop_first(&mut set), None);
     }
 
     #[test]
     fn ordered_set_warm_cycles_leave_the_heap_alone() {
-        let mut set = OrderedIdleSet::new();
+        let mut set = Keyed::new();
         for i in 0..4 {
-            set.insert(id(i), t(i), t(i));
+            file(&mut set, id(i), i, t(i));
         }
-        // A thousand LRU-style warm cycles: `last_used` is the key.
+        // A thousand LRU-style warm cycles: the key moves with `last_used`.
         for round in 1..=1_000u64 {
             for i in 0..4 {
-                set.mark_busy(id(i));
-                set.insert(id(i), t(10 * round + i), t(10 * round + i));
+                assert!(set.mark_busy(id(i)).is_some());
+                file(&mut set, id(i), 10 * round + i, t(10 * round + i));
             }
             assert_eq!(set.heap_len(), 4, "zero pushes after each member's first");
         }
+        assert!(set.mark_busy(id(9)).is_none(), "a no-op for a non-member");
         // A busy member is not yielded; its release makes it the newest.
         set.mark_busy(id(0));
-        assert_eq!(set.first(), Some((t(10_001), t(10_001), id(1))));
+        assert_eq!(first(&mut set), Some((10_001, t(10_001), id(1))));
         assert_eq!(
             set.heap_len(),
             3,
             "the busy member's entry surfaced and left"
         );
-        set.insert(id(0), t(20_000), t(20_000));
+        file(&mut set, id(0), 20_000, t(20_000));
         assert_eq!(set.heap_len(), 4, "so its release pushed");
-        let order: Vec<u64> = std::iter::from_fn(|| set.pop_first())
-            .map(|(_, _, id)| id.as_raw())
+        let order: Vec<u64> = std::iter::from_fn(|| pop(&mut set))
+            .map(ContainerId::as_raw)
             .collect();
         assert_eq!(order, vec![1, 2, 3, 0]);
     }
 
-    /// The record a policy keeps next to the heap: id → live `(key,
-    /// last_used)` and the seat.
-    type Members = BTreeMap<ContainerId, (u64, SimTime, Seat)>;
-
-    /// A release or a re-key: the container is idle at `(key, at)`.
-    fn file(heap: &mut VictimHeap<u64>, m: &mut Members, id: ContainerId, key: u64, at: SimTime) {
-        let rec = m.entry(id).or_insert((key, at, Seat::running()));
-        let moved_down = (key, at) < (rec.0, rec.1);
-        (rec.0, rec.1) = (key, at);
-        if rec.2.file(moved_down) {
-            rec.2.entered(heap.push(id, key, at));
-            heap.shed_stale_with(m.len(), |id, gen| {
-                m.get(&id).is_some_and(|rec| rec.2.holds(gen))
-            });
-        }
-    }
-
-    fn probe(m: &mut Members, id: ContainerId, gen: u64) -> Probe<u64> {
-        match m.get_mut(&id) {
-            Some((key, at, seat)) => seat.probe(gen, *key, *at),
-            None => Probe::Gone,
-        }
-    }
-
-    fn peek(heap: &mut VictimHeap<u64>, m: &mut Members) -> Option<ContainerId> {
-        heap.peek_min_with(|id, gen| probe(m, id, gen))
-    }
-
-    /// Pops the way a policy does: the victim's record goes with it.
-    fn pop(heap: &mut VictimHeap<u64>, m: &mut Members) -> Option<ContainerId> {
-        let id = heap.pop_min_with(|id, gen| probe(m, id, gen))?;
-        m.remove(&id);
-        Some(id)
-    }
-
     #[test]
     fn victim_heap_lazy_removal_discards_stale_entries() {
-        let (mut heap, mut m) = (VictimHeap::new(), Members::new());
-        file(&mut heap, &mut m, id(1), 1, t(0));
-        file(&mut heap, &mut m, id(2), 2, t(0));
-        m.remove(&id(1)); // evicted by id
-        assert_eq!(pop(&mut heap, &mut m), Some(id(2)));
-        assert_eq!(pop(&mut heap, &mut m), None);
-        assert!(heap.is_empty());
+        let mut set = Keyed::new();
+        file(&mut set, id(1), 1, t(0));
+        file(&mut set, id(2), 2, t(0));
+        set.forget(id(1)); // evicted by id
+        assert_eq!(pop(&mut set), Some(id(2)));
+        assert_eq!(pop(&mut set), None);
+        assert_eq!(set.heap_len(), 0);
     }
 
     #[test]
     fn victim_heap_repushes_outdated_keys() {
-        let (mut heap, mut m) = (VictimHeap::new(), Members::new());
-        file(&mut heap, &mut m, id(1), 1, t(0));
-        file(&mut heap, &mut m, id(2), 3, t(0));
+        let mut set = Keyed::new();
+        file(&mut set, id(1), 1, t(0));
+        file(&mut set, id(2), 3, t(0));
         // id 1's key has since grown past id 2's without the heap hearing
-        // of it (a sibling's warm start under GreedyDual/FREQ).
-        m.get_mut(&id(1)).unwrap().0 = 5;
-        assert_eq!(peek(&mut heap, &mut m), Some(id(2)));
-        assert_eq!(heap.len(), 2, "sunk in place, not duplicated");
-        assert_eq!(pop(&mut heap, &mut m), Some(id(2)));
-        assert_eq!(pop(&mut heap, &mut m), Some(id(1)));
-        assert_eq!(pop(&mut heap, &mut m), None);
+        // of it.
+        grow(&mut set, id(1), 4);
+        assert_eq!(first(&mut set), Some((3, t(0), id(2))));
+        assert_eq!(set.heap_len(), 2, "sunk in place, not duplicated");
+        assert_eq!(pop(&mut set), Some(id(2)));
+        assert_eq!(pop(&mut set), Some(id(1)));
+        assert_eq!(pop(&mut set), None);
     }
 
     #[test]
     fn victim_heap_ties_break_by_last_used_then_id() {
-        let (mut heap, mut m) = (VictimHeap::new(), Members::new());
-        file(&mut heap, &mut m, id(7), 1, t(3));
-        file(&mut heap, &mut m, id(4), 1, t(3));
-        file(&mut heap, &mut m, id(9), 1, t(1));
-        assert_eq!(pop(&mut heap, &mut m), Some(id(9)));
-        assert_eq!(pop(&mut heap, &mut m), Some(id(4)));
-        assert_eq!(pop(&mut heap, &mut m), Some(id(7)));
+        let mut set = Keyed::new();
+        file(&mut set, id(7), 1, t(3));
+        file(&mut set, id(4), 1, t(3));
+        file(&mut set, id(9), 1, t(1));
+        assert_eq!(pop(&mut set), Some(id(9)));
+        assert_eq!(pop(&mut set), Some(id(4)));
+        assert_eq!(pop(&mut set), Some(id(7)));
     }
 
     #[test]
     fn victim_heap_reinsert_supersedes_old_entry() {
-        let (mut heap, mut m) = (VictimHeap::new(), Members::new());
-        file(&mut heap, &mut m, id(1), 10, t(0));
-        file(&mut heap, &mut m, id(1), 2, t(5)); // re-keyed downwards
-        assert_eq!((m.len(), heap.len()), (1, 2));
-        assert_eq!(pop(&mut heap, &mut m), Some(id(1)));
-        assert!(pop(&mut heap, &mut m).is_none(), "the old entry is gone");
+        let mut set = Keyed::new();
+        file(&mut set, id(1), 10, t(0));
+        file(&mut set, id(1), 2, t(5)); // re-keyed downwards
+        assert_eq!((set.table.len(), set.heap_len()), (1, 2));
+        assert_eq!(pop(&mut set), Some(id(1)));
+        assert!(pop(&mut set).is_none(), "the old entry is gone");
     }
 
     #[test]
     fn seat_pushes_only_on_a_downward_move_or_without_an_entry() {
-        let (mut heap, mut m) = (VictimHeap::new(), Members::new());
-        file(&mut heap, &mut m, id(1), 10, t(0));
-        file(&mut heap, &mut m, id(2), 20, t(0));
+        let mut set = Keyed::new();
+        file(&mut set, id(1), 10, t(0));
+        file(&mut set, id(2), 20, t(0));
         // Warm cycle at a grown pair: the heap is not touched.
-        m.get_mut(&id(1)).unwrap().2.mark_busy();
-        assert!(m[&id(1)].2.is_busy());
-        file(&mut heap, &mut m, id(1), 10, t(5));
-        assert_eq!(heap.len(), 2);
+        set.mark_busy(id(1));
+        assert!(!set.is_idle(id(1)));
+        file(&mut set, id(1), 10, t(5));
+        assert!(set.is_idle(id(1)));
+        assert_eq!(set.heap_len(), 2);
         // Equal key, older `last_used`: a downward move, superseding push.
-        file(&mut heap, &mut m, id(1), 10, t(4));
-        assert_eq!(heap.len(), 3);
+        file(&mut set, id(1), 10, t(4));
+        assert_eq!(set.heap_len(), 3);
         // A smaller key: likewise.
-        file(&mut heap, &mut m, id(1), 2, t(9));
-        assert_eq!(heap.len(), 4);
-        assert_eq!(peek(&mut heap, &mut m), Some(id(1)));
+        file(&mut set, id(1), 2, t(9));
+        assert_eq!(set.heap_len(), 4);
+        assert_eq!(first(&mut set), Some((2, t(9), id(1))));
         // Busy when its entry surfaces: the entry is consumed ...
-        m.get_mut(&id(1)).unwrap().2.mark_busy();
-        assert_eq!(peek(&mut heap, &mut m), Some(id(2)));
+        set.mark_busy(id(1));
+        assert_eq!(first(&mut set), Some((20, t(0), id(2))));
         assert_eq!(
-            heap.len(),
+            set.heap_len(),
             1,
             "two superseded entries and the busy one left"
         );
         // ... so the release pushes even at a grown pair.
-        file(&mut heap, &mut m, id(1), 30, t(9));
-        assert_eq!(heap.len(), 2);
-        assert_eq!(pop(&mut heap, &mut m), Some(id(2)));
-        assert_eq!(pop(&mut heap, &mut m), Some(id(1)));
-        assert_eq!(pop(&mut heap, &mut m), None);
+        file(&mut set, id(1), 30, t(9));
+        assert_eq!(set.heap_len(), 2);
+        assert_eq!(pop(&mut set), Some(id(2)));
+        assert_eq!(pop(&mut set), Some(id(1)));
+        assert_eq!(pop(&mut set), None);
     }
 
     #[test]
     fn victim_heap_sheds_stale_entries_once_they_outnumber_the_live() {
-        let (mut heap, mut m) = (VictimHeap::new(), Members::new());
+        let mut set = Keyed::new();
         // Ten members re-keyed *downwards* a thousand times each, never
         // popped: the pattern of HIST's victim order under warm hits in a
         // pool that never evicts.
         for round in 0..1_000u64 {
             for i in 0..10 {
-                file(&mut heap, &mut m, id(i), 1_000 - round, t(0));
+                file(&mut set, id(i), 1_000 - round, t(0));
             }
         }
-        assert!(heap.len() <= 2 * 10 + 64, "heap holds {}", heap.len());
+        assert!(
+            set.heap_len() <= 2 * 10 + 64,
+            "heap holds {}",
+            set.heap_len()
+        );
         // Shedding changed nothing a pop can see.
         for i in 0..10 {
-            assert_eq!(pop(&mut heap, &mut m), Some(id(i)));
+            assert_eq!(pop(&mut set), Some(id(i)));
         }
-        assert_eq!(pop(&mut heap, &mut m), None);
-        assert!(heap.is_empty());
+        assert_eq!(pop(&mut set), None);
+        assert_eq!(set.heap_len(), 0);
     }
 
     #[test]
     fn victim_heap_clear_forgets_every_entry() {
-        let (mut heap, mut m) = (VictimHeap::new(), Members::new());
-        file(&mut heap, &mut m, id(1), 10, t(0));
-        heap.clear();
-        m.get_mut(&id(1)).unwrap().2.take();
-        assert!(peek(&mut heap, &mut m).is_none(), "entry is gone");
-        // Refiled at a *lower* key than before: pops at that key.
-        file(&mut heap, &mut m, id(1), 4, t(0));
-        assert_eq!(pop(&mut heap, &mut m), Some(id(1)));
+        let mut set = Keyed::new();
+        file(&mut set, id(1), 10, t(0));
+        file(&mut set, id(2), 7, t(0));
+        file(&mut set, id(3), 1, t(0));
+        set.mark_busy(id(3));
+        // An input of the key function moved id 1's key *down* behind the
+        // heap's back (a raised tenant weight under GreedyDual).
+        set.table.get_mut(&id(1)).unwrap().record = 4;
+        set.refile_all(|&live| live);
+        assert_eq!(set.heap_len(), 2, "old entries gone, the idle refiled");
+        assert!(!has_entry(&set, id(3)), "a running container is not");
+        assert_eq!(pop(&mut set), Some(id(1)), "pops at the lowered key");
+        assert_eq!(pop(&mut set), Some(id(2)));
+        assert_eq!(pop(&mut set), None);
+        // The running one's release files it as ever.
+        file(&mut set, id(3), 1, t(1));
+        assert_eq!(pop(&mut set), Some(id(3)));
     }
 
     /// One step of the model test below.
     #[derive(Debug, Clone, Copy)]
-    enum HeapOp {
+    enum Op {
         /// The container is idle at this key and `last_used`: a first
         /// filing, a release (after `Start`, whether or not its entry
         /// surfaced meanwhile) or a re-key while idle — below, at or above
@@ -676,17 +650,17 @@ mod tests {
         Pop,
     }
 
-    fn heap_op_strategy() -> impl Strategy<Value = HeapOp> {
+    fn op_strategy() -> impl Strategy<Value = Op> {
         // Few distinct keys and times, so equal-key ties (broken by
         // `last_used`, then id) and equal-key re-files are common.
         (0u8..12, 0u64..32, 0u64..6, 0u64..4).prop_map(|(op, id, key, at)| match op {
-            0..=2 => HeapOp::File(id, key, at),
-            3 | 4 => HeapOp::Finish(id, key % 3),
-            5 => HeapOp::Grow(id, 1 + key % 3),
-            6 | 7 => HeapOp::Start(id),
-            8 => HeapOp::Forget(id),
-            9 => HeapOp::Peek,
-            _ => HeapOp::Pop,
+            0..=2 => Op::File(id, key, at),
+            3 | 4 => Op::Finish(id, key % 3),
+            5 => Op::Grow(id, 1 + key % 3),
+            6 | 7 => Op::Start(id),
+            8 => Op::Forget(id),
+            9 => Op::Peek,
+            _ => Op::Pop,
         })
     }
 
@@ -697,74 +671,69 @@ mod tests {
         /// replaced: a `BTreeSet` of the live `(key, last_used, id)`
         /// triples of exactly the idle members. Every peek and pop agrees.
         #[test]
-        fn victim_heap_matches_a_tree_oracle(ops in prop::collection::vec(heap_op_strategy(), 1..400)) {
-            let mut heap = VictimHeap::new();
-            let mut members = Members::new();
+        fn victim_heap_matches_a_tree_oracle(ops in prop::collection::vec(op_strategy(), 1..400)) {
+            let mut set = Keyed::new();
             let mut model: BTreeSet<(u64, SimTime, ContainerId)> = BTreeSet::new();
             // Leaves the model: running, evicted, or about to be refiled.
-            let unlist = |model: &mut BTreeSet<_>, members: &Members, i: ContainerId| {
-                if let Some(&(key, at, _)) = members.get(&i) {
-                    model.remove(&(key, at, i));
+            let unlist = |model: &mut BTreeSet<_>, set: &Keyed, i: ContainerId| {
+                if let Some(triple) = live(set, i) {
+                    model.remove(&triple);
                 }
             };
             for op in ops {
                 match op {
-                    HeapOp::File(i, key, at) => {
+                    Op::File(i, key, at) => {
                         let (i, at) = (id(i), t(at));
-                        unlist(&mut model, &members, i);
-                        file(&mut heap, &mut members, i, key, at);
+                        unlist(&mut model, &set, i);
+                        file(&mut set, i, key, at);
                         model.insert((key, at, i));
                         // Shedding after every push bounds the stale entries.
-                        prop_assert!(heap.len() <= 2 * members.len() + 64, "heap holds {}", heap.len());
+                        prop_assert!(set.heap_len() <= 2 * set.table.len() + 64, "heap holds {}", set.heap_len());
                     }
-                    HeapOp::Finish(i, by) => {
+                    Op::Finish(i, by) => {
                         let i = id(i);
-                        if let Some(&(key, at, seat)) = members.get(&i) {
-                            let held = heap.len();
-                            let had_entry = seat.entry.is_some();
-                            unlist(&mut model, &members, i);
-                            let (key, at) = (key + by, at + SimDuration::from_secs(by));
-                            file(&mut heap, &mut members, i, key, at);
+                        if let Some(slot) = set.table.get(&i) {
+                            let held = set.heap_len();
+                            let had_entry = slot.entry.is_some();
+                            let (key, at) = (slot.record + by, slot.last_used + SimDuration::from_secs(by));
+                            unlist(&mut model, &set, i);
+                            file(&mut set, i, key, at);
                             model.insert((key, at, i));
                             // The mechanism: a pair that did not move down
                             // never pushes over an entry still in the heap.
-                            prop_assert_eq!(heap.len(), held + usize::from(!had_entry));
+                            prop_assert_eq!(set.heap_len(), held + usize::from(!had_entry));
                         }
                     }
-                    HeapOp::Grow(i, by) => {
-                        if let Some((key, at, seat)) = members.get_mut(&id(i)) {
-                            if !seat.is_busy() {
-                                model.remove(&(*key, *at, id(i)));
-                                *key += by;
-                                model.insert((*key, *at, id(i)));
-                            }
+                    Op::Grow(i, by) => {
+                        if let Some(triple) = live(&set, id(i)) {
+                            model.remove(&triple);
+                            grow(&mut set, id(i), by);
+                            model.insert((triple.0 + by, triple.1, triple.2));
                         }
                     }
-                    HeapOp::Start(i) => {
-                        unlist(&mut model, &members, id(i));
-                        if let Some((_, _, seat)) = members.get_mut(&id(i)) {
-                            seat.mark_busy();
-                        }
+                    Op::Start(i) => {
+                        unlist(&mut model, &set, id(i));
+                        set.mark_busy(id(i));
                     }
-                    HeapOp::Forget(i) => {
-                        unlist(&mut model, &members, id(i));
-                        members.remove(&id(i));
+                    Op::Forget(i) => {
+                        unlist(&mut model, &set, id(i));
+                        set.forget(id(i));
                     }
-                    HeapOp::Peek => {
-                        let got = peek(&mut heap, &mut members);
-                        prop_assert_eq!(got, model.first().map(|&(_, _, i)| i));
+                    Op::Peek => {
+                        let got = first(&mut set);
+                        prop_assert_eq!(got, model.first().copied());
                     }
-                    HeapOp::Pop => {
-                        let got = pop(&mut heap, &mut members);
-                        prop_assert_eq!(got, model.pop_first().map(|(_, _, i)| i));
+                    Op::Pop => {
+                        let got = pop_first(&mut set);
+                        prop_assert_eq!(got, model.pop_first());
                     }
                 }
             }
             // Drains in exactly the tree's order.
-            while let Some((_, _, want)) = model.pop_first() {
-                prop_assert_eq!(pop(&mut heap, &mut members), Some(want));
+            while let Some(want) = model.pop_first() {
+                prop_assert_eq!(pop_first(&mut set), Some(want));
             }
-            prop_assert_eq!(pop(&mut heap, &mut members), None);
+            prop_assert_eq!(pop_first(&mut set), None);
         }
     }
 }

@@ -13,16 +13,40 @@
 //! the state of all the cached containers, and not independently applied."
 
 use crate::container::{Container, ContainerId};
-use crate::policy::index::{Probe, Seat, TotalF64, VictimHeap};
+use crate::policy::index::{Resident, TotalF64};
 use crate::policy::KeepAlivePolicy;
-use faascache_util::idmap::IdMap;
-use faascache_util::{MemMb, SimTime};
+use faascache_util::SimTime;
 
-/// Incremental eviction order for Landlord, using the classic *offset*
-/// formulation of the algorithm (often written `L` in analyses of
-/// Landlord/GreedyDual): instead of decrementing every idle container's
-/// credit on each rent round, a global cumulative rent-per-MB `offset` is
-/// advanced and each idle container stores the constant key
+/// What the policy keeps per resident container.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct Tenancy {
+    /// Credit as of the last use.
+    credit: f64,
+    /// Size (MB, ≥ 1), for effective-credit recovery.
+    size: f64,
+    /// The key the container was last released at; read only while it is
+    /// idle.
+    key: TotalF64,
+}
+
+impl Tenancy {
+    /// A tenancy at full credit (the cost), never released.
+    fn new(container: &Container) -> Self {
+        Tenancy {
+            credit: Landlord::cost(container),
+            size: Landlord::size_of(container),
+            key: TotalF64(0.0),
+        }
+    }
+}
+
+/// The Landlord keep-alive policy (`LND` in the paper's figures).
+///
+/// Uses the classic *offset* formulation of the algorithm (often written
+/// `L` in analyses of Landlord/GreedyDual): instead of decrementing every
+/// idle container's credit on each rent round, a global cumulative
+/// rent-per-MB `offset` is advanced and each idle container stores the
+/// constant key
 ///
 /// ```text
 /// key = offset_at_release + credit / size
@@ -37,51 +61,9 @@ use faascache_util::{MemMb, SimTime};
 /// `delta` from each *ratio* `credit / size`; the ordering of ratios is
 /// therefore invariant under rent, which is what makes the constant-key
 /// encoding exact. Exact floating-point equality with the iterative rounds
-/// holds when `cost / size` is exactly representable (e.g. power-of-two
-/// sizes); otherwise the two accumulate rounding differently on the order
-/// of machine epsilon.
-#[derive(Debug, Default)]
-struct LandlordIndex {
-    /// Containers by `(key, last_used, id)` — matching the naive path's
-    /// `(used, id)` order within a zero-credit group. A warm start
-    /// restores the credit to the cost and the offset only advances, so
-    /// the key a container is released at is never below the one its heap
-    /// entry is stored under (see [`crate::policy::index`]).
-    order: VictimHeap<TotalF64>,
-    /// Cumulative rent charged per MB so far.
-    offset: f64,
-}
-
-/// What the policy keeps per resident container — its only table keyed by
-/// [`ContainerId`].
-#[derive(Debug, Clone, Copy)]
-struct Tenancy {
-    /// Credit as of the last use or the last committed naive rent round.
-    credit: f64,
-    /// Size (MB, ≥ 1), for effective-credit recovery.
-    size: f64,
-    /// The key and `last_used` the container was last released at; read
-    /// only while it is idle under the incremental index.
-    key: TotalF64,
-    last_used: SimTime,
-    /// Its standing in [`LandlordIndex::order`].
-    seat: Seat,
-}
-
-impl Tenancy {
-    /// A running tenancy at full credit (the cost), not filed.
-    fn new(container: &Container) -> Self {
-        Tenancy {
-            credit: Landlord::cost(container),
-            size: Landlord::size_of(container),
-            key: TotalF64(0.0),
-            last_used: container.last_used(),
-            seat: Seat::running(),
-        }
-    }
-}
-
-/// The Landlord keep-alive policy (`LND` in the paper's figures).
+/// (the differential suite's reference) holds when `cost / size` is exactly
+/// representable (e.g. power-of-two sizes); otherwise the two accumulate
+/// rounding differently on the order of machine epsilon.
 ///
 /// # Examples
 ///
@@ -89,45 +71,40 @@ impl Tenancy {
 /// use faascache_core::policy::{KeepAlivePolicy, Landlord};
 /// assert_eq!(Landlord::new().name(), "LND");
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Landlord {
-    tenancies: IdMap<ContainerId, Tenancy>,
-    index: Option<LandlordIndex>,
+    /// Every resident container, ordered by `(key, last_used, id)` —
+    /// matching the rent rounds' `(used, id)` order within a zero-credit
+    /// group. A warm start restores the credit to the cost and the offset
+    /// only advances, so the key a container is released at is never below
+    /// the one its heap entry is stored under (see
+    /// [`crate::policy::index`]).
+    pub(super) tenancies: Resident<Tenancy, TotalF64>,
+    /// Cumulative rent charged per MB so far.
+    offset: f64,
 }
 
 impl Landlord {
-    /// Creates the policy (incremental eviction index).
+    /// Creates the policy.
     pub fn new() -> Self {
-        Landlord {
-            tenancies: IdMap::default(),
-            index: Some(LandlordIndex::default()),
-        }
-    }
-
-    /// Creates the policy with the naive rent-round eviction path.
-    pub fn naive() -> Self {
-        Landlord {
-            tenancies: IdMap::default(),
-            index: None,
-        }
+        Self::default()
     }
 
     /// Current credit of a container (None if unknown).
     ///
-    /// For an idle container under the incremental index this is the
-    /// *effective* credit `(key - offset) * size`, which already accounts
-    /// for all rent charged since the container went idle.
+    /// For an idle container this is the *effective* credit
+    /// `(key - offset) * size`, which already accounts for all rent
+    /// charged since the container went idle.
     ///
     /// A *running* container reports the credit its warm start restored:
     /// no rent is charged to it, whatever its heap entry is stored under.
     pub fn credit(&self, id: ContainerId) -> Option<f64> {
-        let tenancy = self.tenancies.get(&id)?;
-        match self.index.as_ref() {
-            Some(index) if !tenancy.seat.is_busy() => {
-                Some(((tenancy.key.0 - index.offset) * tenancy.size).max(0.0))
-            }
-            _ => Some(tenancy.credit),
-        }
+        let tenancy = self.tenancies.get(id)?;
+        Some(if self.tenancies.is_idle(id) {
+            ((tenancy.key.0 - self.offset) * tenancy.size).max(0.0)
+        } else {
+            tenancy.credit
+        })
     }
 
     fn cost(container: &Container) -> f64 {
@@ -140,55 +117,22 @@ impl Landlord {
         container.mem().as_mb().max(1) as f64
     }
 
-    fn index_insert(&mut self, container: &Container) {
-        let Some(index) = self.index.as_mut() else {
-            return;
-        };
-        let tenancies = &mut self.tenancies;
-        let id = container.id();
-        let tenancy = tenancies
-            .entry(id)
-            .or_insert_with(|| Tenancy::new(container));
-        let key = TotalF64(index.offset + tenancy.credit / tenancy.size);
-        let last_used = container.last_used();
-        let moved_down = (key, last_used) < (tenancy.key, tenancy.last_used);
-        (tenancy.key, tenancy.last_used) = (key, last_used);
-        if tenancy.seat.file(moved_down) {
-            tenancy.seat.entered(index.order.push(id, key, last_used));
-            index.order.shed_stale_with(tenancies.len(), |id, gen| {
-                tenancies.get(&id).is_some_and(|t| t.seat.holds(gen))
-            });
-        }
-    }
-
-    /// The heap's minimum among the idle tenancies, popped or only peeked.
-    fn next_victim(&mut self, pop: bool) -> Option<ContainerId> {
-        let index = self.index.as_mut()?;
-        let tenancies = &mut self.tenancies;
-        let probe = |id: ContainerId, gen: u64| match tenancies.get_mut(&id) {
-            Some(t) => t.seat.probe(gen, t.key, t.last_used),
-            None => Probe::Gone,
-        };
-        if !pop {
-            return index.order.peek_min_with(probe);
-        }
-        let id = index.order.pop_min_with(probe)?;
-        let tenancy = tenancies.get_mut(&id).expect("popped a live member");
-        tenancy.seat.take();
-        let key = tenancy.key;
-        // Advancing the offset to the popped key implicitly charges every
-        // surviving idle container the rent that drove this victim's
-        // credit to zero.
-        if key.0 > index.offset {
-            index.offset = key.0;
-        }
-        Some(id)
-    }
-}
-
-impl Default for Landlord {
-    fn default() -> Self {
-        Self::new()
+    /// The container is idle: files it at its credit over the rent charged
+    /// so far.
+    fn file(&mut self, container: &Container) {
+        let offset = self.offset;
+        self.tenancies.file(
+            container.id(),
+            container.last_used(),
+            || Tenancy::new(container),
+            |tenancy| {
+                let key = TotalF64(offset + tenancy.credit / tenancy.size);
+                let fell = key < tenancy.key;
+                tenancy.key = key;
+                fell
+            },
+            |tenancy| tenancy.key,
+        );
     }
 }
 
@@ -200,102 +144,40 @@ impl KeepAlivePolicy for Landlord {
     fn on_warm_start(&mut self, container: &Container, _now: SimTime) {
         // Credit refresh: Landlord permits any value in [current, cost];
         // taking the maximum (the cost) is the standard instantiation.
-        let tenancy = self
-            .tenancies
-            .entry(container.id())
-            .or_insert_with(|| Tenancy::new(container));
-        // Running again: out of the eviction order.
-        tenancy.seat.mark_busy();
-        tenancy.credit = Self::cost(container);
+        // Running again, the container is out of the eviction order.
+        self.tenancies
+            .running(container.id(), || Tenancy::new(container))
+            .credit = Self::cost(container);
     }
 
     fn on_container_created(&mut self, container: &Container, _now: SimTime, prewarm: bool) {
-        self.tenancies
-            .insert(container.id(), Tenancy::new(container));
         if prewarm {
-            self.index_insert(container);
+            self.file(container);
+        } else {
+            self.tenancies
+                .running(container.id(), || Tenancy::new(container));
         }
     }
 
     fn on_finish(&mut self, container: &Container, _now: SimTime) {
-        self.index_insert(container);
-    }
-
-    fn select_victims(&mut self, idle: &[&Container], needed: MemMb) -> Vec<ContainerId> {
-        let mut victims = Vec::new();
-        let mut freed = MemMb::ZERO;
-        // Work on a local copy of the credits of the candidates; commit the
-        // rent charges at the end so repeated calls are consistent.
-        let mut local: Vec<(&&Container, f64)> = idle
-            .iter()
-            .map(|c| {
-                let credit = self
-                    .tenancies
-                    .get(&c.id())
-                    .map_or_else(|| Self::cost(c), |t| t.credit);
-                (c, credit)
-            })
-            .collect();
-        while freed < needed && victims.len() < local.len() {
-            // Rent rate: the smallest credit/size among surviving candidates.
-            let delta = local
-                .iter()
-                .filter(|(c, _)| !victims.contains(&c.id()))
-                .map(|(c, credit)| credit / c.mem().as_mb().max(1) as f64)
-                .fold(f64::INFINITY, f64::min);
-            if !delta.is_finite() {
-                break;
-            }
-            // Charge rent to every candidate; evict those that hit zero,
-            // lowest first, until enough is freed.
-            let mut newly_zero: Vec<(ContainerId, MemMb, SimTime)> = Vec::new();
-            for (c, credit) in local.iter_mut() {
-                if victims.contains(&c.id()) {
-                    continue;
-                }
-                *credit -= delta * c.mem().as_mb().max(1) as f64;
-                if *credit <= 1e-12 {
-                    *credit = 0.0;
-                    newly_zero.push((c.id(), c.mem(), c.last_used()));
-                }
-            }
-            // Deterministic order: oldest last-use first.
-            newly_zero.sort_by_key(|&(id, _, used)| (used, id));
-            for (id, mem, _) in newly_zero {
-                if freed >= needed {
-                    break;
-                }
-                victims.push(id);
-                freed += mem;
-            }
-        }
-        // Commit the surviving candidates' reduced credits.
-        for (c, credit) in local {
-            if !victims.contains(&c.id()) {
-                self.tenancies
-                    .entry(c.id())
-                    .or_insert_with(|| Tenancy::new(c))
-                    .credit = credit;
-            }
-        }
-        victims
+        self.file(container);
     }
 
     fn on_evicted(&mut self, container: &Container, _remaining: usize, _now: SimTime) {
         // Forgetting the tenancy also retires its heap entry, if any.
-        self.tenancies.remove(&container.id());
-    }
-
-    fn supports_incremental(&self) -> bool {
-        self.index.is_some()
-    }
-
-    fn peek_victim(&mut self) -> Option<ContainerId> {
-        self.next_victim(false)
+        self.tenancies.forget(container.id());
     }
 
     fn pop_victim(&mut self) -> Option<ContainerId> {
-        self.next_victim(true)
+        let id = self.tenancies.pop(|tenancy| tenancy.key)?;
+        let key = self.tenancies.get(id).expect("popped a resident").key;
+        // Advancing the offset to the popped key implicitly charges every
+        // surviving idle container the rent that drove this victim's
+        // credit to zero.
+        if key.0 > self.offset {
+            self.offset = key.0;
+        }
+        Some(id)
     }
 
     fn priority_of(&self, container: &Container) -> Option<f64> {
@@ -307,14 +189,7 @@ impl KeepAlivePolicy for Landlord {
 mod tests {
     use super::*;
     use crate::function::FunctionId;
-    use faascache_util::SimDuration;
-
-    impl Landlord {
-        /// Heap entries held, stale ones included.
-        pub(crate) fn heap_len(&self) -> usize {
-            self.index.as_ref().map_or(0, |index| index.order.len())
-        }
-    }
+    use faascache_util::{MemMb, SimDuration};
 
     fn container(id: u64, mem: u64, init_secs: u64) -> Container {
         Container::new(
@@ -343,10 +218,12 @@ mod tests {
         let b = container(2, 100, 5);
         lnd.on_container_created(&a, SimTime::ZERO, false);
         lnd.on_container_created(&b, SimTime::ZERO, false);
+        lnd.on_finish(&a, SimTime::ZERO);
+        lnd.on_finish(&b, SimTime::ZERO);
         // Charge rent by evicting someone else's worth of memory.
-        let victims = lnd.select_victims(&[&a, &b], MemMb::new(100));
-        assert_eq!(victims.len(), 1);
-        let survivor = if victims[0] == a.id() { &b } else { &a };
+        let victim = lnd.pop_victim().unwrap();
+        let (victim, survivor) = if victim == a.id() { (&a, &b) } else { (&b, &a) };
+        lnd.on_evicted(victim, 0, SimTime::ZERO);
         let drained = lnd.credit(survivor.id()).unwrap();
         assert!(drained < 5.0);
         lnd.on_warm_start(survivor, SimTime::from_secs(1));
@@ -361,8 +238,10 @@ mod tests {
         let dear = container(2, 100, 10);
         lnd.on_container_created(&cheap, SimTime::ZERO, false);
         lnd.on_container_created(&dear, SimTime::ZERO, false);
-        let victims = lnd.select_victims(&[&cheap, &dear], MemMb::new(100));
-        assert_eq!(victims, vec![ContainerId::from_raw(1)]);
+        lnd.on_finish(&dear, SimTime::ZERO);
+        lnd.on_finish(&cheap, SimTime::ZERO);
+        assert_eq!(lnd.pop_victim(), Some(ContainerId::from_raw(1)));
+        lnd.on_evicted(&cheap, 0, SimTime::ZERO);
         // Survivor paid rent: 10 - (1/100)*100 = 9.
         assert!((lnd.credit(dear.id()).unwrap() - 9.0).abs() < 1e-9);
     }
@@ -375,8 +254,9 @@ mod tests {
         lnd.on_container_created(&small, SimTime::ZERO, false);
         lnd.on_container_created(&big, SimTime::ZERO, false);
         // Rent rate = min(4/64, 4/1024) = 4/1024; big hits zero first.
-        let victims = lnd.select_victims(&[&small, &big], MemMb::new(512));
-        assert_eq!(victims, vec![ContainerId::from_raw(2)]);
+        lnd.on_finish(&small, SimTime::ZERO);
+        lnd.on_finish(&big, SimTime::ZERO);
+        assert_eq!(lnd.pop_victim(), Some(ContainerId::from_raw(2)));
     }
 
     #[test]
@@ -388,9 +268,15 @@ mod tests {
         for x in [&a, &b, &c] {
             lnd.on_container_created(x, SimTime::ZERO, false);
         }
-        let victims = lnd.select_victims(&[&a, &b, &c], MemMb::new(200));
-        assert_eq!(victims.len(), 2);
-        assert!(!victims.contains(&ContainerId::from_raw(3)));
+        for x in [&a, &b, &c] {
+            lnd.on_finish(x, SimTime::ZERO);
+        }
+        // Freeing 200 MB takes two rounds of rent: 1/100, then 1/100 more.
+        for x in [&a, &b] {
+            assert_eq!(lnd.pop_victim(), Some(x.id()));
+            lnd.on_evicted(x, 0, SimTime::ZERO);
+        }
+        assert!((lnd.credit(c.id()).unwrap() - 28.0).abs() < 1e-9);
     }
 
     #[test]
@@ -402,10 +288,9 @@ mod tests {
         lnd.on_container_created(&dear, SimTime::ZERO, false);
         lnd.on_finish(&cheap, SimTime::ZERO);
         lnd.on_finish(&dear, SimTime::ZERO);
-        assert_eq!(lnd.peek_victim(), Some(cheap.id()));
         assert_eq!(lnd.pop_victim(), Some(cheap.id()));
         // Survivor's effective credit: 10 - (1/100)*100 = 9, exactly as
-        // the naive rent round computes.
+        // an iterative rent round computes.
         assert!((lnd.credit(dear.id()).unwrap() - 9.0).abs() < 1e-9);
         assert_eq!(lnd.pop_victim(), Some(dear.id()));
         assert_eq!(lnd.pop_victim(), None);
@@ -459,7 +344,7 @@ mod tests {
         // A warm start restores the credit. The heap entry stays, stored
         // under the old key, and must not be what the credit is read from.
         lnd.on_warm_start(&a, SimTime::from_secs(1));
-        assert_eq!(lnd.heap_len(), 2);
+        assert_eq!(lnd.tenancies.heap_len(), 2);
         assert_eq!(lnd.credit(a.id()), Some(5.0));
         assert_eq!(lnd.priority_of(&a), Some(5.0));
         // An eviction elsewhere advances the offset past that key (the
@@ -467,7 +352,7 @@ mod tests {
         // no rent.
         assert_eq!(lnd.pop_victim(), Some(dear.id()));
         lnd.on_evicted(&dear, 0, SimTime::from_secs(2));
-        assert_eq!(lnd.heap_len(), 0);
+        assert_eq!(lnd.tenancies.heap_len(), 0);
         assert_eq!(lnd.credit(a.id()), Some(5.0));
         // Released at full credit over the advanced offset.
         lnd.on_finish(&a, SimTime::from_secs(3));

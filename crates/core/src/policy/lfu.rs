@@ -7,33 +7,9 @@
 use crate::container::{Container, ContainerId};
 use crate::fn_table::FnTable;
 use crate::function::FunctionId;
-use crate::policy::index::{Probe, Seat, VictimHeap};
-use crate::policy::{take_until_freed, KeepAlivePolicy};
-use faascache_util::idmap::IdMap;
-use faascache_util::{MemMb, SimTime};
-
-/// Incremental eviction order for LFU.
-///
-/// A container's key — its function's frequency — grows when *any*
-/// container of the function serves a warm start, and never decreases
-/// while the function has resident containers, so the heap entry of a
-/// resident container stays a lower bound across warm cycles (see
-/// [`crate::policy::index`]).
-#[derive(Debug, Default)]
-struct LfuIndex {
-    heap: VictimHeap<u64>,
-    /// Every container that has been idle at least once.
-    members: IdMap<ContainerId, Member>,
-}
-
-/// What the index keeps per member.
-#[derive(Debug, Clone, Copy)]
-struct Member {
-    /// For key recomputation on pop.
-    function: FunctionId,
-    last_used: SimTime,
-    seat: Seat,
-}
+use crate::policy::index::{grows, Resident};
+use crate::policy::KeepAlivePolicy;
+use faascache_util::SimTime;
 
 /// Least-frequently-used keep-alive policy.
 ///
@@ -43,28 +19,24 @@ struct Member {
 /// use faascache_core::policy::{KeepAlivePolicy, Lfu};
 /// assert_eq!(Lfu::new().name(), "FREQ");
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Lfu {
     /// Invocations per function (0 ≡ never seen or fully evicted).
     freq: FnTable<u64>,
-    index: Option<LfuIndex>,
+    /// Every container that has been idle at least once, recorded by its
+    /// function and ordered by that function's frequency.
+    ///
+    /// The key grows when *any* container of the function serves a warm
+    /// start, and never decreases while the function has resident
+    /// containers, so the heap entry of a resident container stays a lower
+    /// bound across warm cycles (see [`crate::policy::index`]).
+    pub(super) order: Resident<FunctionId, u64>,
 }
 
 impl Lfu {
-    /// Creates the policy (incremental eviction index).
+    /// Creates the policy.
     pub fn new() -> Self {
-        Lfu {
-            freq: FnTable::default(),
-            index: Some(LfuIndex::default()),
-        }
-    }
-
-    /// Creates the policy with the naive sort-based eviction path.
-    pub fn naive() -> Self {
-        Lfu {
-            freq: FnTable::default(),
-            index: None,
-        }
+        Self::default()
     }
 
     /// Current frequency of a function.
@@ -77,49 +49,15 @@ impl Lfu {
     }
 
     /// The container is idle: files it at its function's frequency.
-    fn index_insert(&mut self, container: &Container) {
-        let Some(LfuIndex { heap, members }) = self.index.as_mut() else {
-            return;
-        };
-        let (id, last_used) = (container.id(), container.last_used());
-        let member = members.entry(id).or_insert(Member {
-            function: container.function(),
-            last_used,
-            seat: Seat::running(),
-        });
-        // The frequency has not decreased since the container was filed.
-        let moved_down = last_used < member.last_used;
-        member.last_used = last_used;
-        if member.seat.file(moved_down) {
-            let key = self.freq.value(container.function());
-            member.seat.entered(heap.push(id, key, last_used));
-            heap.shed_stale_with(members.len(), |id, gen| {
-                members.get(&id).is_some_and(|m| m.seat.holds(gen))
-            });
-        }
-    }
-
-    /// The heap's minimum under live frequencies, popped or only peeked.
-    fn next_victim(&mut self, pop: bool) -> Option<ContainerId> {
+    fn file(&mut self, container: &Container) {
         let freq = &self.freq;
-        let LfuIndex { heap, members } = self.index.as_mut()?;
-        let probe = |id: ContainerId, gen: u64| match members.get_mut(&id) {
-            Some(m) => m.seat.probe(gen, freq.value(m.function), m.last_used),
-            None => Probe::Gone,
-        };
-        if !pop {
-            return heap.peek_min_with(probe);
-        }
-        let id = heap.pop_min_with(probe)?;
-        // The pool reports the eviction next; nothing else reads the record.
-        members.remove(&id);
-        Some(id)
-    }
-}
-
-impl Default for Lfu {
-    fn default() -> Self {
-        Self::new()
+        self.order.file(
+            container.id(),
+            container.last_used(),
+            || container.function(),
+            grows,
+            |&function| freq.value(function),
+        );
     }
 }
 
@@ -130,35 +68,19 @@ impl KeepAlivePolicy for Lfu {
 
     fn on_warm_start(&mut self, container: &Container, _now: SimTime) {
         self.bump(container.function());
-        if let Some(member) = self
-            .index
-            .as_mut()
-            .and_then(|index| index.members.get_mut(&container.id()))
-        {
-            member.seat.mark_busy();
-        }
+        self.order.mark_busy(container.id());
     }
 
     fn on_container_created(&mut self, container: &Container, _now: SimTime, prewarm: bool) {
         if !prewarm {
             self.bump(container.function());
         } else {
-            self.index_insert(container);
+            self.file(container);
         }
     }
 
     fn on_finish(&mut self, container: &Container, _now: SimTime) {
-        self.index_insert(container);
-    }
-
-    fn select_victims(&mut self, idle: &[&Container], needed: MemMb) -> Vec<ContainerId> {
-        let mut ranked: Vec<&Container> = idle.to_vec();
-        ranked.sort_by(|a, b| {
-            self.frequency(a.function())
-                .cmp(&self.frequency(b.function()))
-                .then(a.last_used().cmp(&b.last_used()))
-        });
-        take_until_freed(&ranked, needed)
+        self.file(container);
     }
 
     fn on_evicted(&mut self, container: &Container, remaining_of_function: usize, _now: SimTime) {
@@ -167,22 +89,12 @@ impl KeepAlivePolicy for Lfu {
                 *freq = 0;
             }
         }
-        if let Some(index) = self.index.as_mut() {
-            // The heap entry is discarded when it surfaces.
-            index.members.remove(&container.id());
-        }
-    }
-
-    fn supports_incremental(&self) -> bool {
-        self.index.is_some()
-    }
-
-    fn peek_victim(&mut self) -> Option<ContainerId> {
-        self.next_victim(false)
+        self.order.forget(container.id());
     }
 
     fn pop_victim(&mut self) -> Option<ContainerId> {
-        self.next_victim(true)
+        let freq = &self.freq;
+        self.order.pop(|&function| freq.value(function))
     }
 
     fn priority_of(&self, container: &Container) -> Option<f64> {
@@ -193,14 +105,7 @@ impl KeepAlivePolicy for Lfu {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faascache_util::SimDuration;
-
-    impl Lfu {
-        /// Heap entries held, stale ones included.
-        pub(crate) fn heap_len(&self) -> usize {
-            self.index.as_ref().map_or(0, |index| index.heap.len())
-        }
-    }
+    use faascache_util::{MemMb, SimDuration};
 
     fn container(id: u64, fid: u32) -> Container {
         Container::new(
@@ -226,8 +131,9 @@ mod tests {
         }
         assert_eq!(lfu.frequency(hot.function()), 10);
         assert_eq!(lfu.frequency(cold.function()), 1);
-        let victims = lfu.select_victims(&[&hot, &cold], MemMb::new(100));
-        assert_eq!(victims, vec![ContainerId::from_raw(2)]);
+        lfu.on_finish(&hot, SimTime::from_secs(2));
+        lfu.on_finish(&cold, SimTime::from_secs(2));
+        assert_eq!(lfu.pop_victim(), Some(ContainerId::from_raw(2)));
     }
 
     #[test]
@@ -254,8 +160,9 @@ mod tests {
         b.finish_invocation();
         // Frequencies: a=1 (created) ... begin_invocation on the container does
         // not bump policy frequency by itself; both are tied at 1 → older b first.
-        let victims = lfu.select_victims(&[&a, &b], MemMb::new(100));
-        assert_eq!(victims, vec![ContainerId::from_raw(2)]);
+        lfu.on_finish(&a, SimTime::from_secs(11));
+        lfu.on_finish(&b, SimTime::from_secs(6));
+        assert_eq!(lfu.pop_victim(), Some(ContainerId::from_raw(2)));
     }
 
     #[test]
@@ -283,7 +190,6 @@ mod tests {
         // A warm start on `a` bumps function 0 to 3 *after* `b` was
         // indexed at freq 2: the heap must re-rank `b` behind `c`.
         lfu.on_warm_start(&a, SimTime::from_secs(1));
-        assert_eq!(lfu.peek_victim(), Some(ContainerId::from_raw(3)));
         assert_eq!(lfu.pop_victim(), Some(ContainerId::from_raw(3)));
         assert_eq!(lfu.pop_victim(), Some(ContainerId::from_raw(2)));
         assert_eq!(lfu.pop_victim(), None);

@@ -5,15 +5,11 @@
 //! resource-conserving — containers never expire while memory is free.
 
 use crate::container::{Container, ContainerId};
-use crate::policy::index::OrderedIdleSet;
-use crate::policy::{take_until_freed, KeepAlivePolicy};
-use faascache_util::{MemMb, SimTime};
+use crate::policy::index::{grows, Resident};
+use crate::policy::KeepAlivePolicy;
+use faascache_util::SimTime;
 
 /// Least-recently-used keep-alive policy.
-///
-/// By default the eviction order is held in an incremental index keyed by
-/// `last_used` (O(log n) per victim); [`Lru::naive`] retains the seed
-/// scan-and-sort path as a differential-testing reference.
 ///
 /// # Examples
 ///
@@ -21,28 +17,22 @@ use faascache_util::{MemMb, SimTime};
 /// use faascache_core::policy::{KeepAlivePolicy, Lru};
 /// assert_eq!(Lru::new().name(), "LRU");
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Lru {
-    index: Option<OrderedIdleSet<SimTime>>,
+    /// Idle containers by `last_used`, which every order ends in: there
+    /// is no key to put in front of it, and nothing to record.
+    pub(super) order: Resident<(), ()>,
 }
 
 impl Lru {
-    /// Creates the policy (incremental eviction index).
+    /// Creates the policy.
     pub fn new() -> Self {
-        Lru {
-            index: Some(OrderedIdleSet::new()),
-        }
+        Self::default()
     }
 
-    /// Creates the policy with the naive sort-based eviction path.
-    pub fn naive() -> Self {
-        Lru { index: None }
-    }
-}
-
-impl Default for Lru {
-    fn default() -> Self {
-        Self::new()
+    fn file(&mut self, container: &Container) {
+        self.order
+            .file(container.id(), container.last_used(), || (), grows, |_| ());
     }
 }
 
@@ -52,49 +42,27 @@ impl KeepAlivePolicy for Lru {
     }
 
     fn on_warm_start(&mut self, container: &Container, _now: SimTime) {
-        if let Some(index) = self.index.as_mut() {
-            index.mark_busy(container.id());
-        }
+        self.order.mark_busy(container.id());
     }
 
     fn on_container_created(&mut self, container: &Container, _now: SimTime, prewarm: bool) {
         // Only prewarmed containers are born idle; cold-start containers
         // enter the idle set through `on_finish`.
         if prewarm {
-            if let Some(index) = self.index.as_mut() {
-                index.insert(container.id(), container.last_used(), container.last_used());
-            }
+            self.file(container);
         }
     }
 
     fn on_finish(&mut self, container: &Container, _now: SimTime) {
-        if let Some(index) = self.index.as_mut() {
-            index.insert(container.id(), container.last_used(), container.last_used());
-        }
-    }
-
-    fn select_victims(&mut self, idle: &[&Container], needed: MemMb) -> Vec<ContainerId> {
-        let mut ranked: Vec<&Container> = idle.to_vec();
-        ranked.sort_by_key(|c| c.last_used());
-        take_until_freed(&ranked, needed)
+        self.file(container);
     }
 
     fn on_evicted(&mut self, container: &Container, _remaining: usize, _now: SimTime) {
-        if let Some(index) = self.index.as_mut() {
-            index.remove(container.id());
-        }
-    }
-
-    fn supports_incremental(&self) -> bool {
-        self.index.is_some()
-    }
-
-    fn peek_victim(&mut self) -> Option<ContainerId> {
-        self.index.as_mut()?.first().map(|(_, _, id)| id)
+        self.order.forget(container.id());
     }
 
     fn pop_victim(&mut self) -> Option<ContainerId> {
-        self.index.as_mut()?.pop_first().map(|(_, _, id)| id)
+        self.order.pop(|_| ())
     }
 
     fn priority_of(&self, container: &Container) -> Option<f64> {
@@ -105,15 +73,9 @@ impl KeepAlivePolicy for Lru {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::function::FunctionId;
-    use faascache_util::SimDuration;
-
-    impl Lru {
-        /// Heap entries held, stale ones included.
-        pub(crate) fn heap_len(&self) -> usize {
-            self.index.as_ref().map_or(0, OrderedIdleSet::heap_len)
-        }
-    }
+    use crate::function::{FunctionId, FunctionRegistry};
+    use crate::pool::{Acquire, ContainerPool};
+    use faascache_util::{MemMb, SimDuration};
 
     fn container_used_at(id: u64, used: u64) -> Container {
         let mut c = Container::new(
@@ -135,28 +97,46 @@ mod tests {
         let mut lru = Lru::new();
         let old = container_used_at(1, 10);
         let newer = container_used_at(2, 100);
-        let victims = lru.select_victims(&[&newer, &old], MemMb::new(100));
-        assert_eq!(victims, vec![ContainerId::from_raw(1)]);
+        lru.on_finish(&newer, newer.last_used());
+        lru.on_finish(&old, old.last_used());
+        assert_eq!(lru.pop_victim(), Some(ContainerId::from_raw(1)));
     }
 
     #[test]
     fn takes_enough_to_cover_need() {
-        let mut lru = Lru::new();
-        let a = container_used_at(1, 1);
-        let b = container_used_at(2, 2);
-        let c = container_used_at(3, 3);
-        let victims = lru.select_victims(&[&c, &a, &b], MemMb::new(150));
-        assert_eq!(
-            victims,
-            vec![ContainerId::from_raw(1), ContainerId::from_raw(2)]
-        );
+        let mut reg = FunctionRegistry::new();
+        let mut register = |name: &str, mem| {
+            let ms = SimDuration::from_millis;
+            reg.register(name, MemMb::new(mem), ms(10), ms(20)).unwrap()
+        };
+        let small = [register("a", 100), register("b", 100), register("c", 100)];
+        let big = register("big", 150);
+        let mut pool = ContainerPool::new(MemMb::new(300), Box::new(Lru::new()));
+        let mut ids = Vec::new();
+        // Last used at 3, 1 and 2 s.
+        for (f, used) in [(small[2], 3), (small[0], 1), (small[1], 2)] {
+            let at = SimTime::from_secs(used);
+            let Acquire::Cold { container, .. } = pool.acquire(reg.spec(f), at) else {
+                panic!("the pool starts empty");
+            };
+            pool.release(container, at);
+            ids.push(container);
+        }
+        // 150 MB are needed: the two least recently used go, the third stays.
+        match pool.acquire(reg.spec(big), SimTime::from_secs(9)) {
+            Acquire::Cold { evicted, .. } => assert_eq!(evicted, vec![ids[1], ids[2]]),
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(pool.warm_count(), 1);
     }
 
     #[test]
     fn never_expires() {
         let mut lru = Lru::new();
         let c = container_used_at(1, 0);
-        assert!(lru.expired(&[&c], SimTime::from_mins(10_000)).is_empty());
+        lru.on_finish(&c, c.last_used());
+        assert!(lru.pop_expired(SimTime::from_mins(10_000)).is_none());
+        assert_eq!(lru.pop_victim(), Some(c.id()), "still there to evict");
     }
 
     #[test]
@@ -169,15 +149,12 @@ mod tests {
     #[test]
     fn incremental_pop_follows_lru_order() {
         let mut lru = Lru::new();
-        assert!(lru.supports_incremental());
-        assert!(!Lru::naive().supports_incremental());
         let a = container_used_at(1, 30);
         let b = container_used_at(2, 10);
         let c = container_used_at(3, 20);
         for x in [&a, &b, &c] {
             lru.on_finish(x, x.last_used());
         }
-        assert_eq!(lru.peek_victim(), Some(ContainerId::from_raw(2)));
         assert_eq!(lru.pop_victim(), Some(ContainerId::from_raw(2)));
         // A running container is not a victim.
         lru.on_warm_start(&c, SimTime::from_secs(40));

@@ -4,19 +4,22 @@
 //! A policy observes the life of every container (creation, warm hits,
 //! completion, eviction) and answers three questions for the pool:
 //!
-//! 1. **Eviction** — [`KeepAlivePolicy::select_victims`]: which idle
-//!    containers to terminate when a new container needs memory.
-//! 2. **Expiry** — [`KeepAlivePolicy::expired`]: which idle containers have
-//!    outlived their keep-alive lease. Resource-conserving policies (the
-//!    Greedy-Dual family) never expire containers; TTL-style policies
+//! 1. **Eviction** — [`KeepAlivePolicy::pop_victim`]: which idle container
+//!    to terminate next when a new container needs memory.
+//! 2. **Expiry** — [`KeepAlivePolicy::pop_expired`]: which idle containers
+//!    have outlived their keep-alive lease. Resource-conserving policies
+//!    (the Greedy-Dual family) never expire containers; TTL-style policies
 //!    (OpenWhisk default, HIST) do.
 //! 3. **Prefetch** — [`KeepAlivePolicy::prewarm_due`]: which functions to
 //!    warm up ahead of a predicted invocation (only HIST).
+//!
+//! Each of the seven policies is a per-container record, a key function
+//! and its side state over one [`index::Resident`] table, which owns the
+//! eviction order.
 
 use crate::container::{Container, ContainerId};
 use crate::function::{FunctionId, FunctionSpec};
-use faascache_util::idmap::IdMap;
-use faascache_util::{MemMb, SimDuration, SimTime};
+use faascache_util::SimTime;
 use std::fmt;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -33,7 +36,7 @@ mod ttl;
 
 pub use greedy_dual::GreedyDual;
 pub use hist::{Hist, HistConfig};
-pub use index::{OrderedIdleSet, TotalF64, VictimHeap};
+pub use index::{Resident, TotalF64};
 pub use landlord::Landlord;
 pub use lfu::Lfu;
 pub use lru::Lru;
@@ -73,71 +76,28 @@ pub trait KeepAlivePolicy: fmt::Debug + Send {
         let _ = (container, now);
     }
 
-    /// Chooses idle containers to evict so that at least `needed` memory is
-    /// freed. `idle` holds every evictable (warm) container.
-    ///
-    /// The pool calls this in a loop: a policy may return fewer victims
-    /// than needed and be asked again with the reduced candidate set.
-    /// Returning an empty vector means the policy declines to free more.
+    /// Removes and returns the next eviction victim — `None` when no idle
+    /// container remains or the policy declines to free more. The pool
+    /// calls this until enough memory is free, and reports each victim it
+    /// terminates through [`Self::on_evicted`] before asking again.
     ///
     /// # Victim tie-break contract
     ///
-    /// Victims must be ordered by ascending policy priority, breaking ties
-    /// by ascending `last_used` and finally by ascending [`ContainerId`]
-    /// (equal priority and recency ⇒ the lower id is evicted first). The
-    /// pool hands `idle` sorted by id, so a stable sort on
-    /// `(priority, last_used)` satisfies the contract. Simulations are only
-    /// reproducible — and the incremental index paths only equivalent —
-    /// when every implementation honours this order.
+    /// Victims come in ascending policy priority, ties broken by ascending
+    /// `last_used` and finally by ascending [`ContainerId`] (equal priority
+    /// and recency ⇒ the lower id is evicted first). Simulations are only
+    /// reproducible when every implementation honours this order.
     ///
-    /// The default implementation adapts the incremental interface: it
-    /// drains [`Self::pop_victim`] until enough candidate memory is freed.
-    /// It assumes `idle` is the complete idle set (as the pool provides);
-    /// popped ids outside `idle` are discarded. Non-incremental policies
-    /// must override this method.
-    fn select_victims(&mut self, idle: &[&Container], needed: MemMb) -> Vec<ContainerId> {
-        let mut candidates: IdMap<ContainerId, MemMb> =
-            idle.iter().map(|c| (c.id(), c.mem())).collect();
-        let mut victims = Vec::new();
-        let mut freed = MemMb::ZERO;
-        while freed < needed {
-            let Some(id) = self.pop_victim() else {
-                break;
-            };
-            if let Some(mem) = candidates.remove(&id) {
-                freed += mem;
-                victims.push(id);
-            }
-        }
-        victims
-    }
-
-    /// Whether this policy maintains an incremental eviction-order index,
-    /// i.e. whether [`Self::pop_victim`]/[`Self::pop_expired`] are live.
-    ///
-    /// When true, the pool evicts via `pop_victim`/`pop_expired` — O(log n)
-    /// per victim — instead of materializing and ranking the full idle set
-    /// through [`Self::select_victims`]/[`Self::expired`].
-    fn supports_incremental(&self) -> bool {
-        false
-    }
-
-    /// The container [`Self::pop_victim`] would return, without removing it.
-    fn peek_victim(&mut self) -> Option<ContainerId> {
-        None
-    }
-
-    /// Removes and returns the next eviction victim in policy order (the
-    /// same `(priority, last_used, id)` order [`Self::select_victims`]
-    /// produces). `None` when no idle container remains or the policy is
-    /// not incremental.
+    /// The default is a policy that never evicts.
     fn pop_victim(&mut self) -> Option<ContainerId> {
         None
     }
 
     /// Removes and returns one idle container whose keep-alive lease has
-    /// lapsed at `now` (incremental counterpart of [`Self::expired`]; the
-    /// pool drains it and evicts the result set in ascending-id order).
+    /// lapsed at `now`, in any order: the pool drains this and terminates
+    /// the result set in ascending-id order.
+    ///
+    /// The default (resource-conserving policies) never expires anything.
     fn pop_expired(&mut self, now: SimTime) -> Option<ContainerId> {
         let _ = now;
         None
@@ -147,14 +107,6 @@ pub trait KeepAlivePolicy: fmt::Debug + Send {
     /// containers of the same function are still resident (the Greedy-Dual
     /// family resets a function's frequency when it reaches zero).
     fn on_evicted(&mut self, container: &Container, remaining_of_function: usize, now: SimTime);
-
-    /// Idle containers whose keep-alive lease has lapsed at `now`.
-    ///
-    /// The default (resource-conserving policies) never expires anything.
-    fn expired(&mut self, idle: &[&Container], now: SimTime) -> Vec<ContainerId> {
-        let _ = (idle, now);
-        Vec::new()
-    }
 
     /// Functions that should be prewarmed at `now` (prefetching policies).
     fn prewarm_due(&mut self, now: SimTime) -> Vec<FunctionId> {
@@ -245,23 +197,6 @@ impl TenantWeights {
     }
 }
 
-/// Greedily takes containers from `candidates` (already sorted in eviction
-/// order, soonest victim first) until their memory sums to `needed`.
-///
-/// Helper shared by the ordering-based policies.
-pub(crate) fn take_until_freed(candidates: &[&Container], needed: MemMb) -> Vec<ContainerId> {
-    let mut freed = MemMb::ZERO;
-    let mut victims = Vec::new();
-    for c in candidates {
-        if freed >= needed {
-            break;
-        }
-        victims.push(c.id());
-        freed += c.mem();
-    }
-    victims
-}
-
 /// The policies evaluated in the paper, with their figure labels.
 ///
 /// # Examples
@@ -328,21 +263,6 @@ impl PolicyKind {
             PolicyKind::Hist => Box::new(Hist::new(HistConfig::default())),
         }
     }
-
-    /// Instantiates the policy with paper-default parameters but the naive
-    /// scan-and-sort eviction path — the reference implementation the
-    /// incremental indexes are differentially tested against.
-    pub fn build_naive(self) -> Box<dyn KeepAlivePolicy> {
-        match self {
-            PolicyKind::GreedyDual => Box::new(GreedyDual::naive()),
-            PolicyKind::Ttl => Box::new(Ttl::naive(SimDuration::from_mins(10))),
-            PolicyKind::Lru => Box::new(Lru::naive()),
-            PolicyKind::Lfu => Box::new(Lfu::naive()),
-            PolicyKind::SizeAware => Box::new(SizeAware::naive()),
-            PolicyKind::Landlord => Box::new(Landlord::naive()),
-            PolicyKind::Hist => Box::new(Hist::naive(HistConfig::default())),
-        }
-    }
 }
 
 impl fmt::Display for PolicyKind {
@@ -393,7 +313,7 @@ mod tests {
     use super::*;
     use crate::function::FunctionRegistry;
     use crate::pool::{Acquire, ContainerPool};
-    use faascache_util::SimDuration;
+    use faascache_util::{MemMb, SimDuration};
     use std::sync::{Mutex, MutexGuard};
 
     fn container(id: u64, mem: u64) -> Container {
@@ -406,22 +326,6 @@ mod tests {
             None,
             SimTime::ZERO,
         )
-    }
-
-    #[test]
-    fn take_until_freed_takes_minimum_prefix() {
-        let a = container(1, 100);
-        let b = container(2, 200);
-        let c = container(3, 400);
-        let cands = [&a, &b, &c];
-        let victims = take_until_freed(&cands, MemMb::new(250));
-        assert_eq!(
-            victims,
-            vec![ContainerId::from_raw(1), ContainerId::from_raw(2)]
-        );
-        assert!(take_until_freed(&cands, MemMb::ZERO).is_empty());
-        let all = take_until_freed(&cands, MemMb::new(10_000));
-        assert_eq!(all.len(), 3);
     }
 
     #[test]
@@ -455,21 +359,12 @@ mod tests {
         }
     }
 
-    #[test]
-    fn build_variants_agree_on_incremental_support() {
-        for kind in PolicyKind::ALL {
-            assert!(kind.build().supports_incremental(), "{kind} default build");
-            let naive = kind.build_naive();
-            assert!(!naive.supports_incremental(), "{kind} naive build");
-            assert_eq!(naive.name(), kind.label());
-        }
-    }
-
-    /// A minimal incremental policy relying on the trait's default
-    /// `select_victims` adapter over `pop_victim`.
-    #[derive(Debug)]
+    /// The whole of a policy: a record per container (none here), a key
+    /// function (none: `last_used` alone, i.e. LRU) and the hooks that tell
+    /// the [`Resident`] table what happened.
+    #[derive(Debug, Default)]
     struct PopOnly {
-        order: OrderedIdleSet<SimTime>,
+        order: Resident<(), ()>,
     }
 
     impl KeepAlivePolicy for PopOnly {
@@ -481,31 +376,27 @@ mod tests {
         }
         fn on_container_created(&mut self, c: &Container, _now: SimTime, prewarm: bool) {
             if prewarm {
-                self.order.insert(c.id(), c.last_used(), c.last_used());
+                self.on_finish(c, c.last_used());
             }
         }
         fn on_finish(&mut self, c: &Container, _now: SimTime) {
-            self.order.insert(c.id(), c.last_used(), c.last_used());
+            self.order
+                .file(c.id(), c.last_used(), || (), index::grows, |_| ());
         }
         fn on_evicted(&mut self, c: &Container, _remaining: usize, _now: SimTime) {
-            self.order.remove(c.id());
-        }
-        fn supports_incremental(&self) -> bool {
-            true
-        }
-        fn peek_victim(&mut self) -> Option<ContainerId> {
-            self.order.first().map(|(_, _, id)| id)
+            self.order.forget(c.id());
         }
         fn pop_victim(&mut self) -> Option<ContainerId> {
-            self.order.pop_first().map(|(_, _, id)| id)
+            self.order.pop(|_| ())
         }
     }
 
+    /// A policy that implements `pop_victim` and nothing else of the
+    /// eviction interface is complete (`lru::tests::takes_enough_to_cover_need`
+    /// drives the same shape through the pool's loop).
     #[test]
-    fn default_select_victims_adapts_pop_victim() {
-        let mut policy = PopOnly {
-            order: OrderedIdleSet::new(),
-        };
+    fn a_policy_is_complete_with_pop_victim_alone() {
+        let mut policy = PopOnly::default();
         let mut containers = Vec::new();
         for (id, used) in [(1u64, 30u64), (2, 10), (3, 20)] {
             let mut c = container(id, 100);
@@ -514,14 +405,9 @@ mod tests {
             policy.on_finish(&c, SimTime::from_secs(used + 1));
             containers.push(c);
         }
-        let refs: Vec<&Container> = containers.iter().collect();
-        assert_eq!(policy.peek_victim(), Some(ContainerId::from_raw(2)));
-        let victims = policy.select_victims(&refs, MemMb::new(150));
-        assert_eq!(
-            victims,
-            vec![ContainerId::from_raw(2), ContainerId::from_raw(3)],
-            "LRU order, minimal prefix covering the need"
-        );
+        assert!(policy.pop_expired(SimTime::from_mins(10_000)).is_none());
+        assert_eq!(policy.pop_victim(), Some(ContainerId::from_raw(2)));
+        assert_eq!(policy.pop_victim(), Some(ContainerId::from_raw(3)));
         assert_eq!(policy.pop_victim(), Some(ContainerId::from_raw(1)));
         assert_eq!(policy.pop_victim(), None);
     }
@@ -554,15 +440,6 @@ mod tests {
         fn on_finish(&mut self, c: &Container, now: SimTime) {
             self.inner().on_finish(c, now)
         }
-        fn select_victims(&mut self, idle: &[&Container], needed: MemMb) -> Vec<ContainerId> {
-            self.inner().select_victims(idle, needed)
-        }
-        fn supports_incremental(&self) -> bool {
-            self.inner().supports_incremental()
-        }
-        fn peek_victim(&mut self) -> Option<ContainerId> {
-            self.inner().peek_victim()
-        }
         fn pop_victim(&mut self) -> Option<ContainerId> {
             self.inner().pop_victim()
         }
@@ -571,9 +448,6 @@ mod tests {
         }
         fn on_evicted(&mut self, c: &Container, remaining: usize, now: SimTime) {
             self.inner().on_evicted(c, remaining, now)
-        }
-        fn expired(&mut self, idle: &[&Container], now: SimTime) -> Vec<ContainerId> {
-            self.inner().expired(idle, now)
         }
         fn prewarm_due(&mut self, now: SimTime) -> Vec<FunctionId> {
             self.inner().prewarm_due(now)
@@ -656,17 +530,17 @@ mod tests {
         // A warm cycle leaves the heap alone: one entry per container, the
         // one its first release pushed.
         let one_each = |resident, _peak| resident;
-        heap_stays_bounded(GreedyDual::new(), GreedyDual::heap_len, one_each);
-        heap_stays_bounded(Ttl::open_whisk_default(), Ttl::heap_len, one_each);
-        heap_stays_bounded(Lru::new(), Lru::heap_len, one_each);
-        heap_stays_bounded(Lfu::new(), Lfu::heap_len, one_each);
-        heap_stays_bounded(SizeAware::new(), SizeAware::heap_len, one_each);
-        heap_stays_bounded(Landlord::new(), Landlord::heap_len, one_each);
+        heap_stays_bounded(GreedyDual::new(), |p| p.resident.heap_len(), one_each);
+        heap_stays_bounded(Ttl::open_whisk_default(), |p| p.order.heap_len(), one_each);
+        heap_stays_bounded(Lru::new(), |p| p.order.heap_len(), one_each);
+        heap_stays_bounded(Lfu::new(), |p| p.order.heap_len(), one_each);
+        heap_stays_bounded(SizeAware::new(), |p| p.order.heap_len(), one_each);
+        heap_stays_bounded(Landlord::new(), |p| p.tenancies.heap_len(), one_each);
         // HIST's victim key moves down with every hit, so every release
-        // supersedes an entry; `VictimHeap::shed_stale_with` bounds those.
+        // supersedes an entry; the table's stale-entry sweep bounds those.
         heap_stays_bounded(
             Hist::new(HistConfig::default()),
-            Hist::heap_len,
+            |p| p.victims.heap_len().max(p.expiry.heap_len()),
             |_resident, peak| 2 * peak + 64 + 1,
         );
     }

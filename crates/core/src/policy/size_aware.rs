@@ -5,16 +5,12 @@
 //! at a premium". Ties break by recency.
 
 use crate::container::{Container, ContainerId};
-use crate::policy::index::OrderedIdleSet;
-use crate::policy::{take_until_freed, KeepAlivePolicy};
+use crate::policy::index::{grows, Resident};
+use crate::policy::KeepAlivePolicy;
 use faascache_util::{MemMb, SimTime};
 use std::cmp::Reverse;
 
 /// Largest-first, size-aware keep-alive policy.
-///
-/// The incremental index orders idle containers by descending memory
-/// footprint (then ascending recency); [`SizeAware::naive`] retains the
-/// seed sort-based path as a reference.
 ///
 /// # Examples
 ///
@@ -22,28 +18,27 @@ use std::cmp::Reverse;
 /// use faascache_core::policy::{KeepAlivePolicy, SizeAware};
 /// assert_eq!(SizeAware::new().name(), "SIZE");
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SizeAware {
-    index: Option<OrderedIdleSet<Reverse<MemMb>>>,
+    /// Idle containers by descending memory footprint (then ascending
+    /// recency). The record is the key: a container's size is fixed.
+    pub(super) order: Resident<Reverse<MemMb>, Reverse<MemMb>>,
 }
 
 impl SizeAware {
-    /// Creates the policy (incremental eviction index).
+    /// Creates the policy.
     pub fn new() -> Self {
-        SizeAware {
-            index: Some(OrderedIdleSet::new()),
-        }
+        Self::default()
     }
 
-    /// Creates the policy with the naive sort-based eviction path.
-    pub fn naive() -> Self {
-        SizeAware { index: None }
-    }
-}
-
-impl Default for SizeAware {
-    fn default() -> Self {
-        Self::new()
+    fn file(&mut self, container: &Container) {
+        self.order.file(
+            container.id(),
+            container.last_used(),
+            || Reverse(container.mem()),
+            grows,
+            |&size| size,
+        );
     }
 }
 
@@ -53,59 +48,25 @@ impl KeepAlivePolicy for SizeAware {
     }
 
     fn on_warm_start(&mut self, container: &Container, _now: SimTime) {
-        if let Some(index) = self.index.as_mut() {
-            index.mark_busy(container.id());
-        }
+        self.order.mark_busy(container.id());
     }
 
     fn on_container_created(&mut self, container: &Container, _now: SimTime, prewarm: bool) {
         if prewarm {
-            if let Some(index) = self.index.as_mut() {
-                index.insert(
-                    container.id(),
-                    Reverse(container.mem()),
-                    container.last_used(),
-                );
-            }
+            self.file(container);
         }
     }
 
     fn on_finish(&mut self, container: &Container, _now: SimTime) {
-        if let Some(index) = self.index.as_mut() {
-            index.insert(
-                container.id(),
-                Reverse(container.mem()),
-                container.last_used(),
-            );
-        }
-    }
-
-    fn select_victims(&mut self, idle: &[&Container], needed: MemMb) -> Vec<ContainerId> {
-        let mut ranked: Vec<&Container> = idle.to_vec();
-        ranked.sort_by(|a, b| {
-            b.mem()
-                .cmp(&a.mem())
-                .then(a.last_used().cmp(&b.last_used()))
-        });
-        take_until_freed(&ranked, needed)
+        self.file(container);
     }
 
     fn on_evicted(&mut self, container: &Container, _remaining: usize, _now: SimTime) {
-        if let Some(index) = self.index.as_mut() {
-            index.remove(container.id());
-        }
-    }
-
-    fn supports_incremental(&self) -> bool {
-        self.index.is_some()
-    }
-
-    fn peek_victim(&mut self) -> Option<ContainerId> {
-        self.index.as_mut()?.first().map(|(_, _, id)| id)
+        self.order.forget(container.id());
     }
 
     fn pop_victim(&mut self) -> Option<ContainerId> {
-        self.index.as_mut()?.pop_first().map(|(_, _, id)| id)
+        self.order.pop(|&size| size)
     }
 
     fn priority_of(&self, container: &Container) -> Option<f64> {
@@ -118,13 +79,6 @@ mod tests {
     use super::*;
     use crate::function::FunctionId;
     use faascache_util::SimDuration;
-
-    impl SizeAware {
-        /// Heap entries held, stale ones included.
-        pub(crate) fn heap_len(&self) -> usize {
-            self.index.as_ref().map_or(0, OrderedIdleSet::heap_len)
-        }
-    }
 
     fn container(id: u64, mem: u64) -> Container {
         Container::new(
@@ -143,8 +97,9 @@ mod tests {
         let mut policy = SizeAware::new();
         let small = container(1, 64);
         let big = container(2, 2048);
-        let victims = policy.select_victims(&[&small, &big], MemMb::new(100));
-        assert_eq!(victims, vec![ContainerId::from_raw(2)]);
+        policy.on_finish(&small, SimTime::ZERO);
+        policy.on_finish(&big, SimTime::ZERO);
+        assert_eq!(policy.pop_victim(), Some(ContainerId::from_raw(2)));
     }
 
     #[test]
@@ -164,8 +119,9 @@ mod tests {
         a.finish_invocation();
         b.begin_invocation(SimTime::from_secs(10), SimTime::from_secs(11));
         b.finish_invocation();
-        let victims = policy.select_victims(&[&a, &b], MemMb::new(128));
-        assert_eq!(victims, vec![ContainerId::from_raw(2)]);
+        policy.on_finish(&a, SimTime::from_secs(51));
+        policy.on_finish(&b, SimTime::from_secs(11));
+        assert_eq!(policy.pop_victim(), Some(ContainerId::from_raw(2)));
     }
 
     #[test]

@@ -8,15 +8,11 @@
 //! this TTL policy evicts containers in an LRU order").
 
 use crate::container::{Container, ContainerId};
-use crate::policy::index::OrderedIdleSet;
-use crate::policy::{take_until_freed, KeepAlivePolicy};
-use faascache_util::{MemMb, SimDuration, SimTime};
+use crate::policy::index::{grows, Resident};
+use crate::policy::KeepAlivePolicy;
+use faascache_util::{SimDuration, SimTime};
 
 /// Fixed-TTL keep-alive policy with LRU eviction under memory pressure.
-///
-/// One incremental index keyed by `last_used` serves both duties: its head
-/// is the LRU eviction victim *and* the first container to expire.
-/// [`Ttl::naive`] retains the seed scan-based path as a reference.
 ///
 /// # Examples
 ///
@@ -30,21 +26,19 @@ use faascache_util::{MemMb, SimDuration, SimTime};
 #[derive(Debug)]
 pub struct Ttl {
     ttl: SimDuration,
-    index: Option<OrderedIdleSet<SimTime>>,
+    /// Idle containers by `last_used`. One order serves both duties: its
+    /// head is the LRU eviction victim *and* the first container to
+    /// expire.
+    pub(super) order: Resident<(), ()>,
 }
 
 impl Ttl {
-    /// Creates a policy with the given time-to-live (incremental index).
+    /// Creates a policy with the given time-to-live.
     pub fn new(ttl: SimDuration) -> Self {
         Ttl {
             ttl,
-            index: Some(OrderedIdleSet::new()),
+            order: Resident::new(),
         }
-    }
-
-    /// Creates a policy with the naive scan-based eviction/expiry path.
-    pub fn naive(ttl: SimDuration) -> Self {
-        Ttl { ttl, index: None }
     }
 
     /// The 10-minute default used by OpenWhisk.
@@ -56,6 +50,11 @@ impl Ttl {
     pub fn ttl(&self) -> SimDuration {
         self.ttl
     }
+
+    fn file(&mut self, container: &Container) {
+        self.order
+            .file(container.id(), container.last_used(), || (), grows, |_| ());
+    }
 }
 
 impl KeepAlivePolicy for Ttl {
@@ -64,65 +63,31 @@ impl KeepAlivePolicy for Ttl {
     }
 
     fn on_warm_start(&mut self, container: &Container, _now: SimTime) {
-        if let Some(index) = self.index.as_mut() {
-            index.mark_busy(container.id());
-        }
+        self.order.mark_busy(container.id());
     }
 
     fn on_container_created(&mut self, container: &Container, _now: SimTime, prewarm: bool) {
         if prewarm {
-            if let Some(index) = self.index.as_mut() {
-                index.insert(container.id(), container.last_used(), container.last_used());
-            }
+            self.file(container);
         }
     }
 
     fn on_finish(&mut self, container: &Container, _now: SimTime) {
-        if let Some(index) = self.index.as_mut() {
-            index.insert(container.id(), container.last_used(), container.last_used());
-        }
-    }
-
-    fn select_victims(&mut self, idle: &[&Container], needed: MemMb) -> Vec<ContainerId> {
-        let mut ranked: Vec<&Container> = idle.to_vec();
-        ranked.sort_by_key(|c| c.last_used());
-        take_until_freed(&ranked, needed)
+        self.file(container);
     }
 
     fn on_evicted(&mut self, container: &Container, _remaining: usize, _now: SimTime) {
-        if let Some(index) = self.index.as_mut() {
-            index.remove(container.id());
-        }
-    }
-
-    fn expired(&mut self, idle: &[&Container], now: SimTime) -> Vec<ContainerId> {
-        idle.iter()
-            .filter(|c| now.since(c.last_used()) >= self.ttl)
-            .map(|c| c.id())
-            .collect()
-    }
-
-    fn supports_incremental(&self) -> bool {
-        self.index.is_some()
-    }
-
-    fn peek_victim(&mut self) -> Option<ContainerId> {
-        self.index.as_mut()?.first().map(|(_, _, id)| id)
+        self.order.forget(container.id());
     }
 
     fn pop_victim(&mut self) -> Option<ContainerId> {
-        self.index.as_mut()?.pop_first().map(|(_, _, id)| id)
+        self.order.pop(|_| ())
     }
 
     fn pop_expired(&mut self, now: SimTime) -> Option<ContainerId> {
-        let index = self.index.as_mut()?;
-        let (last_used, _, id) = index.first()?;
-        if now.since(last_used) >= self.ttl {
-            index.pop_first();
-            Some(id)
-        } else {
-            None
-        }
+        let ttl = self.ttl;
+        self.order
+            .pop_if(|_| (), |_, last_used| now.since(last_used) >= ttl)
     }
 
     fn priority_of(&self, container: &Container) -> Option<f64> {
@@ -134,13 +99,7 @@ impl KeepAlivePolicy for Ttl {
 mod tests {
     use super::*;
     use crate::function::FunctionId;
-
-    impl Ttl {
-        /// Heap entries held, stale ones included.
-        pub(crate) fn heap_len(&self) -> usize {
-            self.index.as_ref().map_or(0, OrderedIdleSet::heap_len)
-        }
-    }
+    use faascache_util::MemMb;
 
     fn container_used_at(id: u64, used_secs: u64) -> Container {
         let mut c = Container::new(
@@ -160,21 +119,33 @@ mod tests {
         c
     }
 
+    /// Everything the policy reports lapsed at `now`, in ascending id order
+    /// (the order the pool terminates it in).
+    fn lapsed_at(ttl: &mut Ttl, now: SimTime) -> Vec<ContainerId> {
+        let mut lapsed: Vec<ContainerId> = std::iter::from_fn(|| ttl.pop_expired(now)).collect();
+        lapsed.sort();
+        lapsed
+    }
+
     #[test]
     fn expires_after_ttl() {
         let mut ttl = Ttl::open_whisk_default();
         let c = container_used_at(1, 0);
-        assert!(ttl.expired(&[&c], SimTime::from_mins(9)).is_empty());
-        let expired = ttl.expired(&[&c], SimTime::from_mins(10));
-        assert_eq!(expired, vec![ContainerId::from_raw(1)]);
+        ttl.on_finish(&c, c.last_used());
+        assert!(lapsed_at(&mut ttl, SimTime::from_mins(9)).is_empty());
+        assert_eq!(
+            lapsed_at(&mut ttl, SimTime::from_mins(10)),
+            vec![ContainerId::from_raw(1)]
+        );
     }
 
     #[test]
     fn expiry_measured_from_last_use() {
         let mut ttl = Ttl::new(SimDuration::from_mins(5));
         let c = container_used_at(1, 600); // last used at t=10min
-        assert!(ttl.expired(&[&c], SimTime::from_mins(14)).is_empty());
-        assert_eq!(ttl.expired(&[&c], SimTime::from_mins(15)).len(), 1);
+        ttl.on_finish(&c, c.last_used());
+        assert!(lapsed_at(&mut ttl, SimTime::from_mins(14)).is_empty());
+        assert_eq!(lapsed_at(&mut ttl, SimTime::from_mins(15)).len(), 1);
     }
 
     #[test]
@@ -182,8 +153,9 @@ mod tests {
         let mut ttl = Ttl::open_whisk_default();
         let old = container_used_at(1, 5);
         let newer = container_used_at(2, 500);
-        let victims = ttl.select_victims(&[&newer, &old], MemMb::new(100));
-        assert_eq!(victims, vec![ContainerId::from_raw(1)]);
+        ttl.on_finish(&newer, newer.last_used());
+        ttl.on_finish(&old, old.last_used());
+        assert_eq!(ttl.pop_victim(), Some(ContainerId::from_raw(1)));
     }
 
     #[test]
@@ -192,10 +164,11 @@ mod tests {
         let a = container_used_at(1, 0);
         let b = container_used_at(2, 10);
         let c = container_used_at(3, 1000);
-        let mut expired = ttl.expired(&[&a, &b, &c], SimTime::from_secs(120));
-        expired.sort();
+        for x in [&c, &b, &a] {
+            ttl.on_finish(x, x.last_used());
+        }
         assert_eq!(
-            expired,
+            lapsed_at(&mut ttl, SimTime::from_secs(120)),
             vec![ContainerId::from_raw(1), ContainerId::from_raw(2)]
         );
     }

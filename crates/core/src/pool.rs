@@ -23,24 +23,23 @@
 //!   `last()` and a warm cycle allocates nothing;
 //! - running idle-count and idle-memory counters make
 //!   `warm_mem`/`warm_count`/`warm_count_of`/`running_count` O(1). No
-//!   id-ordered registry of idle containers is kept up to date: the naive
-//!   reference path, which ranks the whole idle set on every round anyway,
-//!   collects and sorts its own snapshot.
+//!   id-ordered registry of idle containers is kept up to date; the one
+//!   diagnostic view that wants one ([`ContainerPool::idle_ids`]) collects
+//!   and sorts its own.
 //!
-//! When the policy supports incremental victim selection
-//! ([`KeepAlivePolicy::supports_incremental`]) evictions, expiry sweeps,
-//! and resizes pop victims one at a time — O(log n) each — instead of
-//! materializing and sorting a `Vec<&Container>` snapshot of the idle set.
+//! Evictions, expiry sweeps and resizes pop victims from the policy one at
+//! a time ([`KeepAlivePolicy::pop_victim`] / [`KeepAlivePolicy::pop_expired`]),
+//! O(log n) each: nothing ever materializes or sorts the idle set.
 //!
 //! # Victim tie-break contract
 //!
-//! Whichever path is taken, victims leave the pool in the order
-//! `(policy priority ascending, last_used ascending, ContainerId
-//! ascending)` — in particular, among equally ranked idle containers the
-//! one with the **lowest id** is evicted first. The naive path guarantees
-//! this by handing policies the idle snapshot sorted by id and relying on
-//! stable sorts; the incremental path by including `(last_used, id)` in
-//! every index key.
+//! Victims leave the pool in the order `(policy priority ascending,
+//! last_used ascending, ContainerId ascending)` — in particular, among
+//! equally ranked idle containers the one with the **lowest id** is
+//! evicted first. Every policy guarantees this by ordering its containers
+//! on `(key, last_used, id)` (see [`crate::policy::index`]); the
+//! differential suite (`tests/differential.rs`) holds each of them to a
+//! brute-force scan for that minimum.
 
 use crate::container::{Container, ContainerId};
 use crate::fn_table::FnTable;
@@ -280,7 +279,14 @@ impl ContainerPool {
     /// Iterates over idle container ids in ascending order (collected and
     /// sorted per call: a diagnostic view, not an invocation-path one).
     pub fn idle_ids(&self) -> impl Iterator<Item = ContainerId> + '_ {
-        idle_refs(&self.containers).into_iter().map(|c| c.id())
+        let mut idle: Vec<ContainerId> = self
+            .containers
+            .values()
+            .filter(|c| c.is_idle())
+            .map(|c| c.id())
+            .collect();
+        idle.sort_unstable();
+        idle.into_iter()
     }
 
     /// Looks up a resident container.
@@ -376,26 +382,18 @@ impl ContainerPool {
     /// Applies TTL-style expiry: asks the policy which idle containers have
     /// lapsed and terminates them. Returns the terminated ids.
     pub fn reap(&mut self, now: SimTime) -> Vec<ContainerId> {
-        if self.policy.supports_incremental() {
-            // Drain the policy's expiry index, then terminate in ascending
-            // id order — the order the naive path reports (its snapshot is
-            // id-sorted and `expired` filters it in place).
-            let mut expired = Vec::new();
-            while let Some(id) = self.policy.pop_expired(now) {
-                expired.push(id);
-            }
-            expired.sort_unstable();
-            for &id in &expired {
-                self.evict(id, now);
-            }
-            return expired;
+        // Drain the policy's expiry order, then terminate in ascending id
+        // order, whatever order the policy found them in. The pops are
+        // bounded like `evict_until`'s.
+        let mut expired = Vec::new();
+        for _ in 0..self.idle.count {
+            let Some(id) = self.policy.pop_expired(now) else {
+                break;
+            };
+            expired.push(id);
         }
-        let idle = idle_refs(&self.containers);
-        let expired = self.policy.expired(&idle, now);
-        drop(idle);
-        for &id in &expired {
-            self.evict(id, now);
-        }
+        expired.sort_unstable();
+        expired.retain(|&id| self.evict(id, now));
         expired
     }
 
@@ -477,93 +475,39 @@ impl ContainerPool {
     /// the new capacity. Returns the evicted containers.
     pub fn resize(&mut self, new_capacity: MemMb, now: SimTime) -> Vec<ContainerId> {
         self.config.capacity = new_capacity;
-        let mut all_evicted = Vec::new();
-        if self.policy.supports_incremental() {
-            while self.used > self.config.capacity {
-                let Some(id) = self.policy.pop_victim() else {
-                    break;
-                };
-                if self.evict(id, now) {
-                    all_evicted.push(id);
-                }
-            }
-            return all_evicted;
-        }
-        while self.used > self.config.capacity {
-            let overshoot = self.used - self.config.capacity;
-            let idle = idle_refs(&self.containers);
-            if idle.is_empty() {
-                break;
-            }
-            let victims = self.policy.select_victims(&idle, overshoot);
-            drop(idle);
-            if victims.is_empty() {
-                break;
-            }
-            let mut progressed = false;
-            for id in victims {
-                if self.evict(id, now) {
-                    all_evicted.push(id);
-                    progressed = true;
-                }
-            }
-            if !progressed {
-                break;
-            }
-        }
-        all_evicted
+        self.evict_until(now, |pool| pool.used <= pool.config.capacity)
     }
 
     /// Evicts idle containers (policy order) until at least `needed` memory
     /// is free, possibly over-freeing by the configured batch. Returns the
     /// evicted ids.
     fn make_room(&mut self, needed: MemMb, now: SimTime) -> Vec<ContainerId> {
-        let mut evicted = Vec::new();
         if self.free_mem() >= needed {
-            return evicted;
+            return Vec::new();
         }
         // Batching: once we must evict at all, free up to the batch
         // threshold beyond the immediate need (paper §6).
         let target = needed + self.config.eviction_batch;
-        if self.policy.supports_incremental() {
-            // The naive rounds below always either reach the batch target
-            // or exhaust the idle set, so popping straight to the target is
-            // equivalent — at O(log n) per victim instead of a full
-            // snapshot, sort, and rank per round.
-            while self.free_mem() < target {
-                let Some(id) = self.policy.pop_victim() else {
-                    break;
-                };
-                if self.evict(id, now) {
-                    evicted.push(id);
-                }
-            }
-            return evicted;
-        }
-        while self.free_mem() < needed {
-            // Not `target - free_mem()`: after a downward `resize` the pool
-            // can be overcommitted (`used > capacity`), and the saturated
-            // zero of `free_mem` would hide that part of the deficit.
-            let shortfall = (self.used + target).saturating_sub(self.config.capacity);
-            let idle = idle_refs(&self.containers);
-            if idle.is_empty() {
+        self.evict_until(now, |pool| pool.free_mem() >= target)
+    }
+
+    /// Terminates the policy's next victims until `done` or the policy has
+    /// no more to give. Returns the evicted ids.
+    fn evict_until(&mut self, now: SimTime, done: impl Fn(&Self) -> bool) -> Vec<ContainerId> {
+        let mut evicted = Vec::new();
+        // One pop per container idle at entry is all a conforming policy
+        // can answer. A pop that evicts nothing — a stale, running, unknown
+        // or repeated id — spends one of them too, so a policy that breaks
+        // the contract cannot hold the pool (and its caller's lock) here.
+        for _ in 0..self.idle.count {
+            if done(self) {
                 break;
             }
-            let victims = self.policy.select_victims(&idle, shortfall);
-            drop(idle);
-            if victims.is_empty() {
+            let Some(id) = self.policy.pop_victim() else {
                 break;
-            }
-            let mut progressed = false;
-            for id in victims {
-                if self.evict(id, now) {
-                    evicted.push(id);
-                    progressed = true;
-                }
-            }
-            // A policy that returns only bogus ids must not loop forever.
-            if !progressed {
-                break;
+            };
+            if self.evict(id, now) {
+                evicted.push(id);
             }
         }
         evicted
@@ -702,20 +646,6 @@ impl IdleIndex {
             self.mem -= c.mem();
         }
     }
-}
-
-/// Idle (warm) containers of a pool in canonical (ascending id) order,
-/// collected for a naive-path policy call.
-///
-/// The order matters: a hash map's iteration order is an accident of its
-/// insertion history, and letting it leak into policy tie-breaking would
-/// make decisions depend on it. The scan and sort are paid here, by the
-/// reference path that ranks the whole idle set anyway, so that the
-/// invocation path keeps no id-ordered registry up to date.
-fn idle_refs(containers: &IdMap<ContainerId, Container>) -> Vec<&Container> {
-    let mut idle: Vec<&Container> = containers.values().filter(|c| c.is_idle()).collect();
-    idle.sort_unstable_by_key(|c| c.id());
-    idle
 }
 
 #[cfg(test)]
@@ -1006,86 +936,29 @@ mod tests {
         }
     }
 
-    /// Satellite contract test: among equally ranked idle containers the
-    /// pool evicts the one with the lowest `ContainerId` first — in both
-    /// the incremental and the naive eviction path.
+    /// Contract test: among equally ranked idle containers the pool evicts
+    /// the one with the lowest `ContainerId` first. (The name is from when
+    /// a second, scan-and-sort eviction mode honoured the same contract;
+    /// that mode is now the differential suite's test-side reference.)
     #[test]
     fn victim_tiebreak_prefers_lower_id_in_both_modes() {
-        for naive in [false, true] {
-            let (reg, ids) = registry();
-            let policy: Box<dyn KeepAlivePolicy> = if naive {
-                Box::new(Lru::naive())
-            } else {
-                Box::new(Lru::new())
-            };
-            let mut pool = ContainerPool::new(MemMb::new(300), policy);
-            // Two concurrent containers of the same 100 MB function start
-            // at the same instant: identical priority and last_used.
-            let t0 = SimTime::ZERO;
-            let c0 = match pool.acquire(reg.spec(ids[0]), t0) {
-                Acquire::Cold { container, .. } => container,
-                other => panic!("unexpected {other:?}"),
-            };
-            let c1 = match pool.acquire(reg.spec(ids[0]), t0) {
-                Acquire::Cold { container, .. } => container,
-                other => panic!("unexpected {other:?}"),
-            };
-            assert!(c0 < c1);
-            pool.release(c0, SimTime::from_secs(1));
-            pool.release(c1, SimTime::from_secs(1));
-            // b (200 MB) needs 100 MB freed: exactly one victim, and the
-            // tie must break toward the lower id.
-            match pool.acquire(reg.spec(ids[1]), SimTime::from_secs(2)) {
-                Acquire::Cold { evicted, .. } => {
-                    assert_eq!(evicted, vec![c0], "naive={naive}");
-                }
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn incremental_matches_naive_on_scripted_workload() {
         let (reg, ids) = registry();
-        let mut fast = ContainerPool::with_config(
-            PoolConfig::new(MemMb::new(500)).with_eviction_batch(MemMb::new(100)),
-            Box::new(GreedyDual::new()),
-        );
-        let mut slow = ContainerPool::with_config(
-            PoolConfig::new(MemMb::new(500)).with_eviction_batch(MemMb::new(100)),
-            Box::new(GreedyDual::naive()),
-        );
-        assert!(fast.policy().supports_incremental());
-        assert!(!slow.policy().supports_incremental());
-        let script: Vec<(usize, u64)> = vec![
-            (0, 0),
-            (1, 1),
-            (0, 2),
-            (2, 3),
-            (1, 4),
-            (0, 5),
-            (2, 6),
-            (2, 7),
-            (1, 8),
-            (0, 9),
-        ];
-        for &(f, t) in &script {
-            let now = SimTime::from_secs(t);
-            let a = fast.acquire(reg.spec(ids[f]), now);
-            let b = slow.acquire(reg.spec(ids[f]), now);
-            assert_eq!(a, b, "acquire diverged at t={t}");
-            let release_at = now + SimDuration::from_millis(900);
-            for (pool, out) in [(&mut fast, &a), (&mut slow, &b)] {
-                match out {
-                    Acquire::Warm { container } | Acquire::Cold { container, .. } => {
-                        pool.release(*container, release_at);
-                    }
-                    Acquire::NoCapacity => {}
-                }
-            }
+        let mut pool = ContainerPool::new(MemMb::new(300), Box::new(Lru::new()));
+        // Two concurrent containers of the same 100 MB function start
+        // at the same instant: identical priority and last_used.
+        let t0 = SimTime::ZERO;
+        let c0 = cold(&mut pool, reg.spec(ids[0]), t0);
+        let c1 = cold(&mut pool, reg.spec(ids[0]), t0);
+        assert!(c0 < c1);
+        // Released out of id order: arrival order must not decide.
+        pool.release(c1, SimTime::from_secs(1));
+        pool.release(c0, SimTime::from_secs(1));
+        // b (200 MB) needs 100 MB freed: exactly one victim, and the
+        // tie must break toward the lower id.
+        match pool.acquire(reg.spec(ids[1]), SimTime::from_secs(2)) {
+            Acquire::Cold { evicted, .. } => assert_eq!(evicted, vec![c0]),
+            other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(fast.counters(), slow.counters());
-        assert_eq!(fast.used_mem(), slow.used_mem());
     }
 
     #[test]

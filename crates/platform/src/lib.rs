@@ -14,13 +14,13 @@
 //! - [`emulator`] — the invoker loop: a keep-alive [`ContainerPool`]
 //!   (TTL for vanilla OpenWhisk, Greedy-Dual for FaasCache) fed from the
 //!   buffer, with per-function latency accounting;
-//! - [`shared`] — a thread-safe invoker façade (the pool behind a
-//!   [`parking_lot::Mutex`]) exercised by concurrent load-generator
-//!   threads, mirroring the artifact's LookBusy load tests;
-//! - [`sharded`] — the scalable successor to [`shared`]: N pool shards
-//!   behind N locks with function-affinity routing, bounded admission
-//!   queues (explicit backpressure), and drain support — the in-process
-//!   engine of the `faascached` serving daemon.
+//! - [`sharded`] — a thread-safe invoker exercised by concurrent
+//!   load-generator threads (as the artifact's LookBusy load tests
+//!   exercise the modified OpenWhisk): N pool shards behind N locks —
+//!   one, for a single pool behind a single lock — with
+//!   function-affinity routing, bounded admission queues (explicit
+//!   backpressure), and drain support — the in-process engine of the
+//!   `faascached` serving daemon.
 //!
 //! [`ContainerPool`]: faascache_core::ContainerPool
 
@@ -31,7 +31,6 @@ pub mod emulator;
 pub mod lifecycle;
 pub mod queue;
 pub mod sharded;
-pub mod shared;
 pub mod tenant;
 
 pub use emulator::{Emulator, PlatformConfig, PlatformResult};

@@ -1,8 +1,8 @@
 //! A sharded, concurrency-safe invoker: N pools behind N locks.
 //!
-//! The single-mutex [`SharedInvoker`](crate::shared::SharedInvoker) caps
-//! throughput at one lock; this module scales the invoker the way the
-//! paper's §9 cluster discussion suggests scaling keep-alive servers:
+//! One pool behind one mutex caps throughput at that lock; this module
+//! scales the invoker the way the paper's §9 cluster discussion suggests
+//! scaling keep-alive servers:
 //! partition the memory into `N` independent [`ContainerPool`] shards and
 //! route every function to a fixed home shard with the stable affinity
 //! hash ([`faascache_util::route`]). Affinity routing preserves the
@@ -975,6 +975,12 @@ mod tests {
         assert_eq!(stats.warm, 16);
         assert_eq!(stats.cold, 16);
         assert_eq!(stats.rejected, 0);
+        // The virtual clock is monotone: an "earlier" invocation from a
+        // racing thread cannot rewind it.
+        let spec = reg.iter().next().unwrap();
+        inv.invoke(spec, SimTime::from_secs(100));
+        inv.invoke(spec, SimTime::from_secs(2));
+        assert!(inv.now() >= SimTime::from_secs(100));
     }
 
     #[test]
@@ -1142,7 +1148,7 @@ mod tests {
 
     #[test]
     fn aborted_handler_releases_its_admission_slot() {
-        use faascache_core::container::{Container, ContainerId};
+        use faascache_core::container::Container;
 
         /// A policy that aborts the invocation mid-handling.
         #[derive(Debug)]
@@ -1157,10 +1163,6 @@ mod tests {
 
             fn on_container_created(&mut self, _c: &Container, _now: SimTime, _prewarm: bool) {
                 panic!("injected policy abort");
-            }
-
-            fn select_victims(&mut self, _idle: &[&Container], _needed: MemMb) -> Vec<ContainerId> {
-                Vec::new()
             }
 
             fn on_evicted(&mut self, _c: &Container, _remaining: usize, _now: SimTime) {}

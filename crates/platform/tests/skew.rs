@@ -120,16 +120,16 @@ impl KeepAlivePolicy for GatedTtl {
         self.inner.on_finish(c, now);
     }
 
-    fn select_victims(&mut self, idle: &[&Container], needed: MemMb) -> Vec<ContainerId> {
-        self.inner.select_victims(idle, needed)
+    fn pop_victim(&mut self) -> Option<ContainerId> {
+        self.inner.pop_victim()
     }
 
     fn on_evicted(&mut self, c: &Container, remaining: usize, now: SimTime) {
         self.inner.on_evicted(c, remaining, now);
     }
 
-    fn expired(&mut self, idle: &[&Container], now: SimTime) -> Vec<ContainerId> {
-        self.inner.expired(idle, now)
+    fn pop_expired(&mut self, now: SimTime) -> Option<ContainerId> {
+        self.inner.pop_expired(now)
     }
 }
 
@@ -239,16 +239,16 @@ impl KeepAlivePolicy for SpinTtl {
         self.inner.on_finish(c, now);
     }
 
-    fn select_victims(&mut self, idle: &[&Container], needed: MemMb) -> Vec<ContainerId> {
-        self.inner.select_victims(idle, needed)
+    fn pop_victim(&mut self) -> Option<ContainerId> {
+        self.inner.pop_victim()
     }
 
     fn on_evicted(&mut self, c: &Container, remaining: usize, now: SimTime) {
         self.inner.on_evicted(c, remaining, now);
     }
 
-    fn expired(&mut self, idle: &[&Container], now: SimTime) -> Vec<ContainerId> {
-        self.inner.expired(idle, now)
+    fn pop_expired(&mut self, now: SimTime) -> Option<ContainerId> {
+        self.inner.pop_expired(now)
     }
 }
 

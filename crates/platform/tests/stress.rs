@@ -1,6 +1,6 @@
 //! Concurrency stress tests for the invoker path (satellite of the
-//! `faascached` serving-layer PR): hammer the sharded and legacy shared
-//! invokers from many threads and prove that
+//! `faascached` serving-layer PR): hammer the sharded invoker, at four
+//! shards and at one, from many threads and prove that
 //!
 //! 1. every submitted invocation receives exactly one outcome
 //!    (`warm + cold + dropped + rejected == submitted`),
@@ -10,7 +10,6 @@
 use faascache_core::function::FunctionRegistry;
 use faascache_core::policy::{KeepAlivePolicy, PolicyKind, Ttl};
 use faascache_platform::sharded::{InvokeOutcome, ShardedConfig, ShardedInvoker};
-use faascache_platform::shared::SharedInvoker;
 use faascache_util::{MemMb, SimDuration, SimTime};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -116,9 +115,10 @@ fn sharded_invoker_conserves_every_request() {
 #[test]
 fn legacy_shared_invoker_conserves_every_request() {
     let reg = registry();
-    let inv = SharedInvoker::new(
-        MemMb::new(1024),
-        Box::new(faascache_core::policy::GreedyDual::new()),
+    // One pool behind one lock, nothing bounded: the legacy configuration.
+    let inv = ShardedInvoker::new(
+        ShardedConfig::split(MemMb::new(1024), 1),
+        vec![Box::new(faascache_core::policy::GreedyDual::new())],
     );
     let tally = Tally::default();
     hammer(&tally, |f, at| {
@@ -128,9 +128,9 @@ fn legacy_shared_invoker_conserves_every_request() {
 
     let submitted = THREADS * PER_THREAD;
     assert_eq!(tally.total(), submitted);
-    // The legacy façade has an unbounded queue: nothing is ever rejected.
+    // The admission queue is unbounded: nothing is ever rejected.
     assert_eq!(tally.rejected.load(Ordering::Relaxed), 0);
-    let counters = inv.counters();
+    let counters = inv.pool_counters();
     assert_eq!(
         counters.warm_starts + counters.cold_starts + counters.drops,
         submitted

@@ -107,18 +107,6 @@ impl KeepAlivePolicy for ServiceCost {
         self.inner.on_finish(c, now);
     }
 
-    fn select_victims(&mut self, idle: &[&Container], needed: MemMb) -> Vec<ContainerId> {
-        self.inner.select_victims(idle, needed)
-    }
-
-    fn supports_incremental(&self) -> bool {
-        self.inner.supports_incremental()
-    }
-
-    fn peek_victim(&mut self) -> Option<ContainerId> {
-        self.inner.peek_victim()
-    }
-
     fn pop_victim(&mut self) -> Option<ContainerId> {
         self.inner.pop_victim()
     }
@@ -129,10 +117,6 @@ impl KeepAlivePolicy for ServiceCost {
 
     fn on_evicted(&mut self, c: &Container, remaining: usize, now: SimTime) {
         self.inner.on_evicted(c, remaining, now);
-    }
-
-    fn expired(&mut self, idle: &[&Container], now: SimTime) -> Vec<ContainerId> {
-        self.inner.expired(idle, now)
     }
 
     fn prewarm_due(&mut self, now: SimTime) -> Vec<FunctionId> {

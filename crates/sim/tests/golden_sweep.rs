@@ -1,8 +1,8 @@
 //! Golden sweep fingerprint: the decisions of every policy on two fixed
 //! traces, pinned as constants.
 //!
-//! `crates/core/tests/differential.rs` drives the naive and the
-//! incremental form of a policy through the *same* pool, so a mistake in
+//! `crates/core/tests/differential.rs` drives a policy and its
+//! brute-force reference through the *same* pool, so a mistake in
 //! the pool's own tables (the per-function idle order, the warm pick, the
 //! resident counts) hits both sides alike and passes. This test pins the
 //! absolute outcome instead: seven policies × three memory sizes on two
