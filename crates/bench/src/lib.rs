@@ -5,13 +5,11 @@
 //! `fig5_exec_increase`, `fig6_cold_starts`, `fig7_skew`,
 //! `fig8_breakdown`, `fig9_elastic`). This library holds the fixed-seed
 //! workload construction they share, so that all experiments run against
-//! the *same* synthetic Azure-like day, and the Criterion benches and
-//! integration tests can reuse the setup.
+//! the *same* synthetic Azure-like day, and integration tests can reuse
+//! the setup.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod export;
 
 use faascache::core::policy::PolicyKind;
 use faascache::prelude::*;

@@ -6,12 +6,11 @@
 //!           [--rps R] [--functions N] [--seed S] [--skew zipf:S] [--shutdown]
 //!           [--tenant-mod K:R]
 //!           [--retries N] [--backoff-ms MS] [--backoff-cap-ms MS]
-//!           [--read-timeout-ms MS] [--faults SPEC] [--fault-KNOB V ...]
-//! faas-load --bench OUT.json [--requests N] [--threads T] [--rps R]
+//!           [--read-timeout-ms MS] [--faults SPEC]
 //! ```
 //!
-//! The first form replays the shared synthetic trace against a running
-//! daemon and prints throughput, outcome counts, and latency percentiles.
+//! Replays the shared synthetic trace against a running daemon and prints
+//! throughput, outcome counts, and latency percentiles.
 //! `--retries` turns on per-request retry with full-jitter exponential
 //! backoff and idempotency keys (so the daemon deduplicates replays of a
 //! request whose response was lost); `--faults` injects deterministic
@@ -24,10 +23,6 @@
 //! with `--tenants` and K tenant names assigns to tenant number R. Two
 //! faas-load processes with complementary slices reproduce the full
 //! arrival process while the daemon accounts them to different tenants.
-//! `--bench` runs the full serving benchmark without needing a daemon:
-//! an in-process 1-shard vs N-shard scaling comparison plus a daemon
-//! section over a private Unix socket (TCP loopback off Unix), written as
-//! a `BENCH_2.json` document.
 //!
 //! Cluster mode: point `--tcp`/`--unix` at a `faas-router` front instead
 //! of a daemon — the wire protocol is identical, idempotency keys and
@@ -37,16 +32,13 @@
 //! backend must share the load generator's `--functions/--seed/--skew`
 //! workload contract as usual.
 
-use faascache_platform::sharded::{ShardedConfig, ShardedInvoker};
-use faascache_server::client::{self, LoadOptions, LoadProto, LoadReport, RetryPolicy};
-use faascache_server::daemon::{BoundAddr, Daemon, DaemonConfig, Endpoint};
+use faascache_server::client::{self, LoadOptions, LoadProto, RetryPolicy};
+use faascache_server::daemon::BoundAddr;
 use faascache_server::fault::FaultConfig;
 use faascache_server::WorkloadConfig;
-use faascache_trace::record::Trace;
 use faascache_trace::replay::OpenLoopSchedule;
-use faascache_util::SimTime;
 use std::process::ExitCode;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 fn usage() -> ! {
     eprintln!(
@@ -55,11 +47,7 @@ fn usage() -> ! {
          \x20                [--rps R] [--functions N] [--seed S] [--skew zipf:S]\n\
          \x20                [--connections N] [--shutdown] [--tenant-mod K:R]\n\
          \x20                [--retries N] [--backoff-ms MS] [--backoff-cap-ms MS]\n\
-         \x20                [--read-timeout-ms MS] [--faults SPEC]\n\
-         \x20                [--fault-seed S] [--fault-reset P] [--fault-torn P]\n\
-         \x20                [--fault-short-read P] [--fault-timeout P]\n\
-         \x20                [--fault-corrupt P] [--fault-stall P] [--fault-stall-ms MS]\n\
-         \x20      faas-load --bench OUT.json [--requests N] [--threads T] [--rps R]"
+         \x20                [--read-timeout-ms MS] [--faults SPEC]"
     );
     std::process::exit(2);
 }
@@ -82,7 +70,6 @@ struct Options {
     rps: f64,
     workload: WorkloadConfig,
     shutdown: bool,
-    bench_out: Option<String>,
     retries: u32,
     backoff_ms: u64,
     backoff_cap_ms: u64,
@@ -90,13 +77,6 @@ struct Options {
     faults: FaultConfig,
     proto: LoadProto,
     tenant_mod: Option<(u64, u64)>,
-}
-
-fn fault_knob(faults: &mut FaultConfig, key: &str, value: String) {
-    if let Err(e) = faults.set(key, &value) {
-        eprintln!("faas-load: {e}");
-        usage()
-    }
 }
 
 fn main() -> ExitCode {
@@ -108,7 +88,6 @@ fn main() -> ExitCode {
         rps: 20_000.0,
         workload: WorkloadConfig::default(),
         shutdown: false,
-        bench_out: None,
         retries: 0,
         backoff_ms: 5,
         backoff_cap_ms: 250,
@@ -170,7 +149,6 @@ fn main() -> ExitCode {
                     }
                 }
             }
-            "--bench" => opts.bench_out = Some(parse("--bench", args.next())),
             "--retries" => opts.retries = parse("--retries", args.next()),
             "--backoff-ms" => opts.backoff_ms = parse("--backoff-ms", args.next()),
             "--backoff-cap-ms" => opts.backoff_cap_ms = parse("--backoff-cap-ms", args.next()),
@@ -187,42 +165,6 @@ fn main() -> ExitCode {
                     }
                 }
             }
-            "--fault-seed" => {
-                fault_knob(&mut opts.faults, "seed", parse("--fault-seed", args.next()))
-            }
-            "--fault-reset" => fault_knob(
-                &mut opts.faults,
-                "reset",
-                parse("--fault-reset", args.next()),
-            ),
-            "--fault-torn" => {
-                fault_knob(&mut opts.faults, "torn", parse("--fault-torn", args.next()))
-            }
-            "--fault-short-read" => fault_knob(
-                &mut opts.faults,
-                "short-read",
-                parse("--fault-short-read", args.next()),
-            ),
-            "--fault-timeout" => fault_knob(
-                &mut opts.faults,
-                "timeout",
-                parse("--fault-timeout", args.next()),
-            ),
-            "--fault-corrupt" => fault_knob(
-                &mut opts.faults,
-                "corrupt",
-                parse("--fault-corrupt", args.next()),
-            ),
-            "--fault-stall" => fault_knob(
-                &mut opts.faults,
-                "stall",
-                parse("--fault-stall", args.next()),
-            ),
-            "--fault-stall-ms" => fault_knob(
-                &mut opts.faults,
-                "stall-ms",
-                parse("--fault-stall-ms", args.next()),
-            ),
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("faas-load: unknown flag {other}");
@@ -235,12 +177,8 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    if let Some(out) = opts.bench_out.clone() {
-        return run_bench(&opts, &out);
-    }
-
     let Some(addr) = opts.target.clone() else {
-        eprintln!("faas-load: need --tcp or --unix (or --bench)");
+        eprintln!("faas-load: need --tcp or --unix");
         usage()
     };
     let trace = opts.workload.build();
@@ -328,220 +266,4 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
-}
-
-/// One row of the in-process API scaling comparison.
-struct ScalingRow {
-    shards: usize,
-    throughput_rps: f64,
-    warm: u64,
-    cold: u64,
-    dropped: u64,
-    rejected: u64,
-}
-
-/// Closed-loop hammer: `threads` threads invoke as fast as possible.
-///
-/// Total memory is deliberately tight (2 GB for a Zipf workload that
-/// wants several GB of warm containers): under memory pressure every
-/// miss evicts inside the shard lock, which is exactly the serial
-/// section sharding splits — and the regime the paper's keep-alive
-/// policies are designed for.
-fn measure_api_scaling(trace: &Trace, shards: usize, threads: usize, requests: u64) -> ScalingRow {
-    let config =
-        ShardedConfig::split(faascache_util::MemMb::new(2048), shards).with_queue_bound(usize::MAX);
-    let invoker = ShardedInvoker::with_kind(config, faascache_core::policy::PolicyKind::GreedyDual);
-    let registry = trace.registry();
-    let functions: Vec<u32> = trace
-        .invocations()
-        .iter()
-        .map(|inv| inv.function.index() as u32)
-        .collect();
-    let started = Instant::now();
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            let invoker = &invoker;
-            let functions = &functions;
-            scope.spawn(move || {
-                let per_thread = requests / threads as u64;
-                for i in 0..per_thread {
-                    let idx = (t as u64 * 7919 + i) as usize % functions.len();
-                    let spec = registry.spec(faascache_core::function::FunctionId::from_index(
-                        functions[idx],
-                    ));
-                    let at = SimTime::from_micros(started.elapsed().as_micros() as u64);
-                    invoker.invoke(spec, at);
-                }
-            });
-        }
-    });
-    let elapsed = started.elapsed().as_secs_f64();
-    let stats = invoker.stats();
-    ScalingRow {
-        shards,
-        // Conservative metric: only requests actually served count, so a
-        // shard split that drops more (smaller per-shard capacity) cannot
-        // buy throughput by shedding work.
-        throughput_rps: stats.served() as f64 / elapsed,
-        warm: stats.warm,
-        cold: stats.cold,
-        dropped: stats.dropped,
-        rejected: stats.rejected,
-    }
-}
-
-fn latency_json(report: &LoadReport) -> String {
-    format!(
-        "{{\"mean_ms\": {:.4}, \"p50_ms\": {:.4}, \"p95_ms\": {:.4}, \
-         \"p99_ms\": {:.4}, \"max_ms\": {:.4}}}",
-        report.latency.mean_ms,
-        report.latency.p50_ms,
-        report.latency.p95_ms,
-        report.latency.p99_ms,
-        report.latency.max_ms,
-    )
-}
-
-fn run_bench(opts: &Options, out_path: &str) -> ExitCode {
-    let trace = opts.workload.build();
-    // Eight shards to match the eight hammer threads: the win comes from
-    // splitting the serial section, so it shows even on few cores.
-    let wide = 8usize;
-
-    // Part 1: in-process scaling. The single mutex is the bottleneck the
-    // sharded invoker removes, so measure it without socket overhead.
-    eprintln!("faas-load: api scaling, {wide}-way vs 1 shard, 8 threads");
-    let scale_requests = 400_000u64;
-    let rows = [
-        measure_api_scaling(&trace, 1, 8, scale_requests),
-        measure_api_scaling(&trace, wide, 8, scale_requests),
-    ];
-    for row in &rows {
-        eprintln!(
-            "faas-load:   shards={} throughput={:.0} rps",
-            row.shards, row.throughput_rps
-        );
-    }
-
-    // Part 2: the daemon section over a socket, with full accounting.
-    let endpoint = bench_endpoint();
-    let config = DaemonConfig {
-        shards: wide,
-        ..DaemonConfig::default()
-    };
-    let daemon = match Daemon::bind(&endpoint, config, trace.registry().clone()) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("faas-load: bench daemon bind failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let addr = daemon.bound_addr();
-    let handle = daemon.shutdown_handle();
-    let server = std::thread::spawn(move || daemon.run());
-    if let Err(e) = client::await_ready(&addr, Duration::from_secs(5)) {
-        eprintln!("faas-load: bench daemon never became ready: {e}");
-        handle.request();
-        let _ = server.join();
-        return ExitCode::FAILURE;
-    }
-    eprintln!(
-        "faas-load: daemon section, {} requests / {} threads at {} rps over {:?}",
-        opts.requests, opts.threads, opts.rps, addr
-    );
-    let schedule = OpenLoopSchedule::from_trace(&trace, opts.rps);
-    let report = client::run_load(&addr, &schedule, opts.rps, opts.requests, opts.threads);
-    println!("{}", report.summary_line());
-    handle.request();
-    let daemon_report = match server.join() {
-        Ok(r) => r,
-        Err(_) => {
-            eprintln!("faas-load: bench daemon panicked");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!("{}", daemon_report.summary_line());
-
-    // The whole point: nothing lost, and shards beat the single lock.
-    if report.lost() > 0 || report.errors > 0 || daemon_report.protocol_errors > 0 {
-        eprintln!("faas-load: bench failed accounting (lost/errors nonzero)");
-        return ExitCode::FAILURE;
-    }
-
-    let mut json = String::from("{\n  \"benchmark\": \"faascached_serving\",\n");
-    json.push_str("  \"api_scaling\": {\n    \"threads\": 8,\n");
-    json.push_str(&format!("    \"requests_per_row\": {scale_requests},\n"));
-    json.push_str("    \"rows\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "      {{\"shards\": {}, \"throughput_rps\": {:.0}, \"warm\": {}, \
-             \"cold\": {}, \"dropped\": {}, \"rejected\": {}}}{}\n",
-            row.shards,
-            row.throughput_rps,
-            row.warm,
-            row.cold,
-            row.dropped,
-            row.rejected,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("    ],\n");
-    json.push_str(&format!(
-        "    \"speedup\": {:.3}\n  }},\n",
-        rows[1].throughput_rps / rows[0].throughput_rps
-    ));
-    json.push_str(&format!(
-        "  \"daemon\": {{\n    \"transport\": \"{}\",\n    \"shards\": {},\n\
-         \x20   \"threads\": {},\n    \"requests\": {},\n    \"target_rps\": {:.0},\n\
-         \x20   \"attained_rps\": {:.0},\n    \"warm\": {},\n    \"cold\": {},\n\
-         \x20   \"dropped\": {},\n    \"rejected\": {},\n    \"throttled\": {},\n\
-         \x20   \"errors\": {},\n\
-         \x20   \"lost\": {},\n    \"protocol_errors\": {},\n    \"drained\": {},\n\
-         \x20   \"latency\": {}\n  }}\n}}\n",
-        match &addr {
-            BoundAddr::Tcp(_) => "tcp",
-            #[cfg(unix)]
-            BoundAddr::Unix(_) => "unix",
-        },
-        wide,
-        opts.threads,
-        report.requests,
-        report.target_rps,
-        report.attained_rps,
-        report.warm,
-        report.cold,
-        report.dropped,
-        report.rejected,
-        report.throttled,
-        report.errors,
-        report.lost(),
-        daemon_report.protocol_errors,
-        daemon_report.drained,
-        latency_json(&report),
-    ));
-
-    if let Err(e) = std::fs::write(out_path, &json) {
-        eprintln!("faas-load: cannot write {out_path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("faas-load: wrote {out_path}");
-    if rows[1].throughput_rps <= rows[0].throughput_rps {
-        eprintln!(
-            "faas-load: WARNING: {}-shard throughput did not beat 1 shard on this host",
-            rows[1].shards
-        );
-    }
-    ExitCode::SUCCESS
-}
-
-#[cfg(unix)]
-fn bench_endpoint() -> Endpoint {
-    Endpoint::Unix(
-        std::env::temp_dir().join(format!("faascached-bench-{}.sock", std::process::id())),
-    )
-}
-
-#[cfg(not(unix))]
-fn bench_endpoint() -> Endpoint {
-    Endpoint::Tcp("127.0.0.1:0".to_string())
 }

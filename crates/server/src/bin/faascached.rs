@@ -9,7 +9,7 @@
 //!            [--rebalance-factor F] [--rebalance-ticks K]
 //!            [--tenants A,B,...] [--tenant-quota NAME:SPEC]
 //!            [--default-tenant-quota SPEC] [--state-dir DIR]
-//!            [--faults SPEC] [--fault-KNOB V ...] [--no-remote-shutdown]
+//!            [--faults SPEC] [--no-remote-shutdown]
 //! ```
 //!
 //! Serves the wire protocol until SIGTERM/SIGINT or a protocol Shutdown
@@ -36,12 +36,10 @@
 //! contract and must match the load generator's flag.
 //!
 //! Fault injection (chaos testing): `--faults` takes a compact spec like
-//! `seed=42,reset=0.01,corrupt=0.005`; individual `--fault-reset 0.01`
-//! style flags override single knobs. The `FAASCACHED_FAULTS` environment
-//! variable supplies a base spec that flags further override. Knobs:
-//! `seed`, `reset`, `torn`, `short-read`, `timeout`, `corrupt`, `stall`,
-//! `stall-ms`. Every accepted connection gets a deterministic per-stream
-//! schedule derived from the seed and the accept ordinal.
+//! `seed=42,reset=0.01,corrupt=0.005`. Knobs: `seed`, `reset`, `torn`,
+//! `short-read`, `timeout`, `corrupt`, `stall`, `stall-ms`. Every accepted
+//! connection gets a deterministic per-stream schedule derived from the
+//! seed and the accept ordinal.
 //!
 //! Tenant isolation: `--tenants A,B,...` assigns the generated workload's
 //! functions round-robin to the named tenants (function `i` goes to
@@ -84,10 +82,7 @@ fn usage() -> ! {
          \x20                 [--tenants A,B,...] [--tenant-quota NAME:inflight=K,mem=MB]\n\
          \x20                 [--default-tenant-quota inflight=K,mem=MB]\n\
          \x20                 [--state-dir DIR]\n\
-         \x20                 [--faults SPEC] [--fault-seed S] [--fault-reset P]\n\
-         \x20                 [--fault-torn P] [--fault-short-read P] [--fault-timeout P]\n\
-         \x20                 [--fault-corrupt P] [--fault-stall P] [--fault-stall-ms MS]\n\
-         \x20                 [--no-remote-shutdown]"
+         \x20                 [--faults SPEC] [--no-remote-shutdown]"
     );
     std::process::exit(2);
 }
@@ -102,13 +97,6 @@ fn parse<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T {
     }
 }
 
-fn fault_knob(faults: &mut FaultConfig, key: &str, value: String) {
-    if let Err(e) = faults.set(key, &value) {
-        eprintln!("faascached: {e}");
-        usage()
-    }
-}
-
 fn main() -> ExitCode {
     let mut endpoint = Endpoint::Tcp("127.0.0.1:7077".to_string());
     let mut http_listen: Option<String> = None;
@@ -116,18 +104,7 @@ fn main() -> ExitCode {
     let mut workload = WorkloadConfig::default();
     let mut tenants: Vec<String> = Vec::new();
     let mut state_dir: Option<std::path::PathBuf> = None;
-
-    // Environment supplies the base fault spec; flags override knobs.
-    let mut faults = match std::env::var("FAASCACHED_FAULTS") {
-        Ok(spec) => match FaultConfig::parse_spec(&spec) {
-            Ok(cfg) => cfg,
-            Err(e) => {
-                eprintln!("faascached: FAASCACHED_FAULTS: {e}");
-                return ExitCode::from(2);
-            }
-        },
-        Err(_) => FaultConfig::disabled(),
-    };
+    let mut faults = FaultConfig::disabled();
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -215,34 +192,6 @@ fn main() -> ExitCode {
                     }
                 }
             }
-            "--fault-seed" => fault_knob(&mut faults, "seed", parse("--fault-seed", args.next())),
-            "--fault-reset" => {
-                fault_knob(&mut faults, "reset", parse("--fault-reset", args.next()))
-            }
-            "--fault-torn" => fault_knob(&mut faults, "torn", parse("--fault-torn", args.next())),
-            "--fault-short-read" => fault_knob(
-                &mut faults,
-                "short-read",
-                parse("--fault-short-read", args.next()),
-            ),
-            "--fault-timeout" => fault_knob(
-                &mut faults,
-                "timeout",
-                parse("--fault-timeout", args.next()),
-            ),
-            "--fault-corrupt" => fault_knob(
-                &mut faults,
-                "corrupt",
-                parse("--fault-corrupt", args.next()),
-            ),
-            "--fault-stall" => {
-                fault_knob(&mut faults, "stall", parse("--fault-stall", args.next()))
-            }
-            "--fault-stall-ms" => fault_knob(
-                &mut faults,
-                "stall-ms",
-                parse("--fault-stall-ms", args.next()),
-            ),
             "--state-dir" => state_dir = Some(parse::<String>("--state-dir", args.next()).into()),
             "--no-remote-shutdown" => config.allow_remote_shutdown = false,
             "--help" | "-h" => usage(),

@@ -28,7 +28,7 @@ use crate::fault::FaultConfig;
 use crate::journal::{registry_digest, Journal, JournalRecord};
 use crate::net::DrainLatch;
 use crate::prom::PromText;
-use crate::service::{FnTarget, FrontCounters, Op, Reply, Service};
+use crate::service::{FnTarget, FrontCounters, KeyCache, Op, Reply, Service};
 use faascache_core::function::{FunctionId, FunctionRegistry};
 use faascache_core::policy::PolicyKind;
 use faascache_platform::sharded::{
@@ -36,7 +36,6 @@ use faascache_platform::sharded::{
 };
 use faascache_platform::tenant::{TenantQuota, TenantQuotas};
 use faascache_util::{stats::balance_ratio, MemMb, SimDuration, SimTime};
-use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -300,7 +299,14 @@ impl WallClock {
     }
 }
 
-/// State of one idempotency key in the [`IdemCache`].
+/// State of one idempotency key in the daemon's dedup cache.
+///
+/// A key is claimed (`Pending`) *before* its invocation executes and
+/// completed (`Done`) before the response frame is written, so a retry
+/// of the same key — whether it arrives after the response was lost to
+/// a reset, or concurrently while the first execution is still in
+/// flight — observes exactly one recorded outcome instead of
+/// re-executing the invocation. Exactly-once accounting on both sides.
 #[derive(Debug, Clone, Copy)]
 enum IdemEntry {
     /// The key's first invocation is still executing; a concurrent
@@ -309,51 +315,6 @@ enum IdemEntry {
     Pending,
     /// The recorded outcome; retries answer from here.
     Done(InvokeOutcome),
-}
-
-/// Bounded FIFO cache of idempotency key → recorded outcome.
-///
-/// A key is claimed (`Pending`) *before* its invocation executes and
-/// completed (`Done`) before the response frame is written, so a retry
-/// of the same key — whether it arrives after the response was lost to
-/// a reset, or concurrently while the first execution is still in
-/// flight — observes exactly one recorded outcome instead of
-/// re-executing the invocation. Exactly-once accounting on both sides.
-struct IdemCache {
-    cap: usize,
-    map: HashMap<u64, IdemEntry>,
-    order: VecDeque<u64>,
-}
-
-impl IdemCache {
-    fn new(cap: usize) -> Self {
-        IdemCache {
-            cap: cap.max(1),
-            map: HashMap::new(),
-            order: VecDeque::new(),
-        }
-    }
-
-    fn get(&self, key: u64) -> Option<IdemEntry> {
-        self.map.get(&key).copied()
-    }
-
-    fn insert(&mut self, key: u64, entry: IdemEntry) {
-        if self.map.insert(key, entry).is_none() {
-            self.order.push_back(key);
-            if self.order.len() > self.cap {
-                if let Some(oldest) = self.order.pop_front() {
-                    self.map.remove(&oldest);
-                }
-            }
-        }
-    }
-
-    fn remove(&mut self, key: u64) {
-        // The FIFO order entry is left in place; eviction tolerates
-        // keys that are already gone from the map.
-        self.map.remove(&key);
-    }
 }
 
 /// State shared between the accept loop, handler threads (or the
@@ -371,7 +332,7 @@ pub(crate) struct Shared {
     shutdown: Arc<DrainLatch>,
     pub(crate) front: FrontCounters,
     dedup_hits: AtomicU64,
-    idem: Mutex<IdemCache>,
+    idem: Mutex<KeyCache<IdemEntry>>,
     /// Wakes keyed invokes parked on a [`IdemEntry::Pending`] entry
     /// once its outcome is recorded (or its executor failed).
     idem_cv: Condvar,
@@ -400,6 +361,14 @@ impl Shared {
     /// cache (`key`). Both front-ends route here, so a keyed HTTP retry
     /// and a keyed binary retry hit the same exactly-once accounting.
     fn invoke_indexed(&self, function: u32, key: Option<u64>) -> Result<InvokeOutcome, String> {
+        // Checked before the key is claimed, so a claim is always
+        // completed. Indices only grow: in range now is in range below.
+        let registered = self.registry_read().len();
+        if (function as usize) >= registered {
+            return Err(format!(
+                "function index {function} out of range (registry has {registered})"
+            ));
+        }
         if let Some(key) = key {
             // Claim the key before executing. A retry that arrives
             // while the first execution is still in flight (a hop retry
@@ -419,9 +388,9 @@ impl Shared {
                         // `Done`, so it can never find a claim pending
                         // and never sleeps here.
                         cache = self.idem_cv.wait(cache).unwrap_or_else(|e| e.into_inner());
-                        // Re-check: the executor recorded Done, failed
-                        // (entry removed — we take over), or the entry
-                        // was evicted under cache pressure.
+                        // Re-check: the executor recorded Done, or the
+                        // entry was evicted under cache pressure (we
+                        // take over).
                     }
                     None => {
                         cache.insert(key, IdemEntry::Pending);
@@ -432,19 +401,6 @@ impl Shared {
         }
         let outcome = {
             let registry = self.registry_read();
-            if (function as usize) >= registry.len() {
-                if let Some(key) = key {
-                    // Release the claim so parked retries don't hang on
-                    // an outcome that will never arrive.
-                    let mut cache = self.idem.lock().unwrap_or_else(|e| e.into_inner());
-                    cache.remove(key);
-                    self.idem_cv.notify_all();
-                }
-                return Err(format!(
-                    "function index {function} out of range (registry has {})",
-                    registry.len()
-                ));
-            }
             let spec = registry.spec(FunctionId::from_index(function));
             self.invoker.invoke(spec, self.clock.now())
         };
@@ -887,7 +843,7 @@ impl Daemon {
             shutdown: Arc::default(),
             front: FrontCounters::default(),
             dedup_hits: AtomicU64::new(0),
-            idem: Mutex::new(IdemCache::new(config.idem_capacity)),
+            idem: Mutex::new(KeyCache::new(config.idem_capacity)),
             idem_cv: Condvar::new(),
             allow_remote_shutdown: config.allow_remote_shutdown,
         });

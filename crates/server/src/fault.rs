@@ -10,10 +10,10 @@
 //! machine: a failing chaos seed is a bug report, not a flake.
 //!
 //! The wrapper is transport-agnostic and direction-symmetric. The daemon
-//! wraps accepted connections (`faascached --fault-*` flags or the
-//! `FAASCACHED_FAULTS` environment knob); the client wraps its outbound
-//! connection ([`crate::client::Client::connect_with_faults`]). Both
-//! sides of a connection can be faulty at once.
+//! wraps accepted connections (`faascached --faults SPEC`); the client
+//! wraps its outbound connection
+//! ([`crate::client::Client::connect_with_faults`]). Both sides of a
+//! connection can be faulty at once.
 //!
 //! Fault semantics, chosen to compose with the frame layer in
 //! [`crate::proto`]:
@@ -108,10 +108,9 @@ impl FaultConfig {
             || self.stall > 0.0
     }
 
-    /// Sets one knob by name — the shared backend of the `--fault-*`
-    /// flags and the `FAASCACHED_FAULTS` environment spec. Recognized
-    /// keys: `seed`, `reset`, `torn`, `short-read`, `timeout`, `corrupt`,
-    /// `stall`, `stall-ms`.
+    /// Sets one knob by name (one `key=value` of a `--faults` spec).
+    /// Recognized keys: `seed`, `reset`, `torn`, `short-read`, `timeout`,
+    /// `corrupt`, `stall`, `stall-ms`.
     pub fn set(&mut self, key: &str, value: &str) -> Result<(), String> {
         fn prob(key: &str, value: &str) -> Result<f64, String> {
             let p: f64 = value

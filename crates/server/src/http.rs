@@ -303,9 +303,7 @@ fn parse_head(head: &[u8]) -> Result<(HttpRequest, u64), HttpParseError> {
         }
         let value = value.trim();
         if name.eq_ignore_ascii_case("content-length") {
-            let n: u64 = value
-                .parse()
-                .map_err(|_| HttpParseError::Malformed("bad content-length"))?;
+            let n = decimal(value).ok_or(HttpParseError::Malformed("bad content-length"))?;
             if content_length.is_some_and(|prev| prev != n) {
                 return Err(HttpParseError::Malformed("conflicting content-length"));
             }
@@ -319,11 +317,8 @@ fn parse_head(head: &[u8]) -> Result<(HttpRequest, u64), HttpParseError> {
         } else if name.eq_ignore_ascii_case("transfer-encoding") {
             return Err(HttpParseError::Malformed("transfer-encoding not supported"));
         } else if name.eq_ignore_ascii_case("idempotency-key") {
-            idem_key = Some(
-                value
-                    .parse()
-                    .map_err(|_| HttpParseError::Malformed("bad idempotency-key"))?,
-            );
+            idem_key =
+                Some(decimal(value).ok_or(HttpParseError::Malformed("bad idempotency-key"))?);
         }
     }
 
@@ -337,6 +332,17 @@ fn parse_head(head: &[u8]) -> Result<(HttpRequest, u64), HttpParseError> {
         },
         content_length.unwrap_or(0),
     ))
+}
+
+/// A header value that is `1*DIGIT` (RFC 9110) and fits a `u64`.
+/// `str::parse` alone also takes a leading `+`, which a front proxy may
+/// reject or reframe — and then disagree with us about where the body
+/// ends.
+fn decimal(value: &str) -> Option<u64> {
+    if !value.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    value.parse().ok()
 }
 
 /// Canonical reason phrase for the status codes the gateway emits.
@@ -968,6 +974,8 @@ mod tests {
             &b"BOGUS\r\n\r\n"[..],
             b"GET / HTTP/2.0\r\n\r\n",
             b"GET / HTTP/1.1\r\nContent-Length: nope\r\n\r\n",
+            b"POST /invoke/1 HTTP/1.1\r\nContent-Length: +5\r\n\r\nhello",
+            b"POST /invoke/1 HTTP/1.1\r\nIdempotency-Key: +42\r\n\r\n",
             b"GET / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
             b"GET / HTTP/1.1\r\nBad Header Line\r\n\r\n",
             b"GET nothing HTTP/1.1\r\n\r\n",

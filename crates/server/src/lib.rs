@@ -39,9 +39,9 @@
 //!   idempotency keys) and the open-loop trace-replay load generator
 //!   behind the `faas-load` binary;
 //! - [`fault`] — seeded deterministic fault injection: a
-//!   [`FaultyStream`](fault::FaultyStream) transport wrapper that tears
+//!   [`FaultyStream`] transport wrapper that tears
 //!   writes, shortens reads, flips bits, stalls, and resets connections
-//!   per a replayable [`FaultPlan`](fault::FaultPlan);
+//!   per a replayable [`FaultPlan`];
 //! - [`journal`] — the crash-safe control-plane journal behind
 //!   `--state-dir`;
 //! - [`workload`] — the deterministic workload contract: daemon and load

@@ -14,7 +14,7 @@
 //! Linux path builds the socket through the same thin FFI idiom the
 //! epoll reactor uses; other platforms fall back to a plain bind.
 //!
-//! [`DrainLatch`] is the other FFI resident: the blocking driver's
+//! `DrainLatch` is the other FFI resident: the blocking driver's
 //! accept loops park in `poll(2)` on their listener instead of pacing a
 //! non-blocking `accept` with a sleep, so a fresh connection is picked
 //! up when the kernel queues it, and the latch's socketpair pulls them

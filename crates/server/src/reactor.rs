@@ -15,7 +15,7 @@
 //!   backpressure (dropping read interest when a connection's pipeline
 //!   fills) can never lose a wakeup.
 //! - Per-connection **state machines** own an incremental
-//!   [`FrameDecoder`] and [`FrameEncoder`](crate::proto::FrameEncoder):
+//!   [`FrameDecoder`] and [`FrameEncoder`]:
 //!   reads consume whatever bytes are ready and resume mid-frame; writes
 //!   resume mid-response on the next writability event. Decoded payload
 //!   buffers come from a [`BufPool`] so steady-state serving does not

@@ -37,7 +37,7 @@
 //!   proxy has. Tenant tags ride `Register` frames untouched, so quota
 //!   accounting stays per-backend exact.
 //! - **Control plane** — `Register` and quota updates are broadcast to
-//!   every healthy backend under one lock ([`Control`]): written to all
+//!   every healthy backend under one lock (`Control`): written to all
 //!   of them over standing clean connections first, answers collected
 //!   second, so the backends' fsyncs overlap and every backend sees
 //!   mutations in one order. Re-admission replays the acknowledged log
@@ -59,12 +59,11 @@ use crate::fault::{FaultConfig, FaultPlan};
 use crate::net::DrainLatch;
 use crate::prom::PromText;
 use crate::proto::{Request, Response};
-use crate::service::{FnTarget, FrontCounters, Op, Reply, Service};
+use crate::service::{FnTarget, FrontCounters, KeyCache, Op, Reply, Service};
 use faascache_platform::sharded::{InvokeOutcome, InvokerStats};
 use faascache_util::backoff::ExpBackoff;
 use faascache_util::rng::Pcg64;
 use faascache_util::route::{self, BalancerState, LoadBalancer};
-use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -249,50 +248,15 @@ impl Backend {
     }
 }
 
-/// Bounded FIFO cache of idempotency key → backend index, so keyed
-/// retries (hop-level and client-level) land on the same backend's
-/// dedup cache.
-struct PinCache {
-    cap: usize,
-    map: HashMap<u64, usize>,
-    order: VecDeque<u64>,
-}
-
-impl PinCache {
-    fn new(cap: usize) -> Self {
-        PinCache {
-            cap: cap.max(1),
-            map: HashMap::new(),
-            order: VecDeque::new(),
-        }
-    }
-
-    fn get(&self, key: u64) -> Option<usize> {
-        self.map.get(&key).copied()
-    }
-
-    fn pin(&mut self, key: u64, backend: usize) {
-        match self.map.insert(key, backend) {
-            Some(_) => {}
-            None => {
-                self.order.push_back(key);
-                if self.order.len() > self.cap {
-                    if let Some(oldest) = self.order.pop_front() {
-                        self.map.remove(&oldest);
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// State shared between the accept loops, handler threads, and the
 /// health prober.
 struct RouterShared {
     backends: Vec<Backend>,
     config: RouterConfig,
     balancer: Mutex<BalancerState>,
-    pins: Mutex<PinCache>,
+    /// Idempotency key → backend index, so keyed retries (hop-level and
+    /// client-level) land on the same backend's dedup cache.
+    pins: Mutex<KeyCache<usize>>,
     shutdown: Arc<DrainLatch>,
     front: FrontCounters,
     /// Outcome tallies over successfully forwarded invokes.
@@ -394,7 +358,7 @@ impl RouterShared {
             }),
             backends: backends.into_iter().map(Backend::new).collect(),
             balancer: Mutex::new(BalancerState::new(config.seed)),
-            pins: Mutex::new(PinCache::new(config.pin_capacity)),
+            pins: Mutex::new(KeyCache::new(config.pin_capacity)),
             config,
             shutdown: Arc::default(),
             front: FrontCounters::default(),
@@ -461,7 +425,7 @@ impl RouterShared {
         }
         let b = self.pick_backend(function)?;
         let mut pins = self.pins.lock().unwrap_or_else(|e| e.into_inner());
-        pins.pin(key, b);
+        pins.insert(key, b);
         Some(b)
     }
 
@@ -1323,16 +1287,17 @@ mod tests {
 
     #[test]
     fn pin_cache_is_bounded_fifo() {
-        let mut pins = PinCache::new(2);
-        pins.pin(1, 0);
-        pins.pin(2, 1);
+        // `KeyCache` is also the daemon's dedup cache; this is its test.
+        let mut pins = KeyCache::new(2);
+        pins.insert(1, 0);
+        pins.insert(2, 1);
         assert_eq!(pins.get(1), Some(0));
-        pins.pin(3, 2);
+        pins.insert(3, 2);
         assert_eq!(pins.get(1), None, "oldest pin evicted");
         assert_eq!(pins.get(2), Some(1));
         assert_eq!(pins.get(3), Some(2));
         // Re-pinning an existing key moves the backend, not the order.
-        pins.pin(2, 0);
+        pins.insert(2, 0);
         assert_eq!(pins.get(2), Some(0));
     }
 

@@ -19,6 +19,7 @@ use crate::net::DrainLatch;
 use crate::proto::{Request, Response};
 use crate::signal;
 use faascache_platform::sharded::{InvokeOutcome, InvokerStats};
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -275,6 +276,42 @@ impl Reply {
 
 fn error_json(msg: &str) -> String {
     format!("{{\"error\":\"{}\"}}\n", msg.replace(['"', '\\'], "'"))
+}
+
+/// Bounded FIFO map keyed by idempotency key: the daemon's dedup cache
+/// (key → recorded outcome) and the router's pin cache (key → backend).
+/// Overwriting a key keeps its place in the queue; inserting a new one
+/// past the capacity evicts the oldest. There is no removal, so the
+/// queue and the map always hold the same keys, each once.
+pub(crate) struct KeyCache<V> {
+    cap: usize,
+    map: HashMap<u64, V>,
+    order: VecDeque<u64>,
+}
+
+impl<V: Copy> KeyCache<V> {
+    pub(crate) fn new(cap: usize) -> Self {
+        KeyCache {
+            cap: cap.max(1),
+            map: HashMap::new(),
+            order: VecDeque::new(),
+        }
+    }
+
+    pub(crate) fn get(&self, key: u64) -> Option<V> {
+        self.map.get(&key).copied()
+    }
+
+    pub(crate) fn insert(&mut self, key: u64, value: V) {
+        if self.map.insert(key, value).is_none() {
+            self.order.push_back(key);
+            if self.order.len() > self.cap {
+                if let Some(oldest) = self.order.pop_front() {
+                    self.map.remove(&oldest);
+                }
+            }
+        }
+    }
 }
 
 /// The connection and request counters every front keeps, whichever

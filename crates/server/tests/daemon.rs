@@ -166,6 +166,32 @@ fn bad_function_index_is_an_error_reply_not_a_crash() {
     );
 }
 
+/// Regression: a keyed invoke of an index not registered yet claimed its
+/// key, failed, and left the key queued in the dedup cache's eviction
+/// order. The same key's later execution queued it a second time, so the
+/// cache evicted the recorded outcome one key early and a retry executed
+/// again.
+#[test]
+fn a_failed_keyed_invoke_does_not_shorten_its_keys_dedup_life() {
+    let config = DaemonConfig {
+        idem_capacity: 2,
+        ..test_config()
+    };
+    let (addr, join) = boot_config(unix_endpoint(), config);
+    let mut c = Client::connect(&addr).expect("connect");
+    let next = small_workload().functions as u32;
+    c.invoke_keyed(next, 100).expect_err("not registered yet");
+    assert_eq!(c.register("late", 128, 1_000, 5_000).unwrap(), (next, true));
+    assert!(c.invoke_keyed(next, 100).expect("executes").is_served());
+    assert!(c.invoke_keyed(0, 200).expect("second key").is_served());
+    // Two keys in a cache of two: the retry is answered from the cache.
+    assert!(c.invoke_keyed(next, 100).expect("retry").is_served());
+    c.shutdown().expect("shutdown");
+    let report = join.join().expect("daemon thread");
+    assert_eq!(report.dedup_hits, 1);
+    assert_eq!(report.stats.served(), 2, "the retry must not execute");
+}
+
 #[test]
 fn concurrent_clients_lose_nothing() {
     let (addr, join) = boot(tcp_endpoint());

@@ -1,6 +1,6 @@
 //! Tenant-fairness regression tests.
 //!
-//! Two suites, both asserting the same contract from different layers:
+//! Three suites, all asserting the same contract from different layers:
 //!
 //! 1. **Daemon hammer** — a real daemon (both io models) serves two
 //!    tenants concurrently over real sockets: an *aggressor* whose
@@ -15,6 +15,11 @@
 //!    enforcement must not depend on the interleaving: every ordering
 //!    ends with bit-identical per-tenant snapshots, and replaying one
 //!    ordering twice yields the identical outcome sequence.
+//!
+//! 3. **Isolation under memory pressure** — one fixed interleaved
+//!    sequence replayed solo, shared and shared-with-budget in virtual
+//!    time: the budget must bring the victim's cold-start rate back to
+//!    its solo value.
 
 use faascache_core::function::{FunctionId, FunctionRegistry};
 use faascache_core::policy::{KeepAlivePolicy, PolicyKind};
@@ -363,4 +368,107 @@ fn seeded_fairness_replay_is_deterministic() {
             "seed {seed:#x}: replay diverged in final tenant state"
         );
     }
+}
+
+// ---------------------------------------------------------------------
+// Suite 3: the victim's cold-start rate under memory pressure
+// ---------------------------------------------------------------------
+
+/// Per-tenant `(warm, cold, throttled)` and the invoker's lost count for
+/// one replay of the isolation sequence.
+struct Isolation {
+    victim: (u64, u64, u64),
+    aggressor: (u64, u64, u64),
+    lost: u64,
+}
+
+/// Replays one fixed interleaved sequence under memory pressure: every
+/// fourth request is the victim's (round-robin over four 128 MB
+/// functions, a 512 MB warm set), the rest cycle the aggressor's sixteen
+/// 256 MB functions (4 GB, twice the 2,048 MB machine) with a coprime
+/// stride. Virtual time follows the request index. Without the aggressor
+/// the victim's requests keep their positions, so the solo baseline is
+/// the same victim workload.
+fn run_isolation(requests: u64, quotas: TenantQuotas, include_aggressor: bool) -> Isolation {
+    let mut reg = FunctionRegistry::new();
+    let mut register = |prefix: &str, count: usize, mem_mb: u64, tenant: &str| {
+        (0..count)
+            .map(|i| {
+                reg.register_in(
+                    format!("{prefix}{i}"),
+                    MemMb::new(mem_mb),
+                    SimDuration::from_micros(2),
+                    SimDuration::from_micros(100),
+                    tenant,
+                )
+                .expect("register fn")
+            })
+            .collect::<Vec<FunctionId>>()
+    };
+    let victims = register("v", 4, 128, "victim");
+    let aggressors = register("a", 16, 256, "aggressor");
+
+    let config = ShardedConfig::split(MemMb::new(2048), 4).with_tenant_quotas(quotas);
+    let invoker = ShardedInvoker::with_kind(config, PolicyKind::GreedyDual);
+    let mut tallies = [(0u64, 0u64, 0u64); 2];
+    let mut answered = 0u64;
+    for i in 0..requests {
+        let is_victim = i % 4 == 0;
+        if !is_victim && !include_aggressor {
+            continue;
+        }
+        let f = if is_victim {
+            victims[(i / 4) as usize % victims.len()]
+        } else {
+            aggressors[i.wrapping_mul(7) as usize % aggressors.len()]
+        };
+        let tally = &mut tallies[usize::from(!is_victim)];
+        match invoker.invoke(reg.spec(f), SimTime::from_micros(i * 500)) {
+            InvokeOutcome::Warm => tally.0 += 1,
+            InvokeOutcome::Cold => tally.1 += 1,
+            InvokeOutcome::Throttled => tally.2 += 1,
+            other => panic!("request {i}: unexpected {other:?} with unbounded queues"),
+        }
+        answered += 1;
+    }
+    Isolation {
+        victim: tallies[0],
+        aggressor: tallies[1],
+        lost: answered.abs_diff(invoker.stats().accounted()),
+    }
+}
+
+/// The isolation property itself: under memory pressure an unbudgeted
+/// aggressor's cold-start churn evicts the victim's warm containers over
+/// and over, and a memory budget on the aggressor (admission throttles it
+/// at the line, tenant-weighted eviction prefers its containers) puts
+/// the victim's cold-start rate back within 1.25x of running alone.
+#[test]
+fn a_budgeted_aggressor_leaves_the_victims_cold_rate_at_solo() {
+    let requests = 120_000;
+    let mut budget = TenantQuotas::unlimited();
+    budget.set(
+        "aggressor",
+        TenantQuota {
+            inflight: u64::MAX,
+            mem_mb: 768,
+        },
+    );
+    let solo = run_isolation(requests, TenantQuotas::unlimited(), false);
+    let shared = run_isolation(requests, TenantQuotas::unlimited(), true);
+    let quota = run_isolation(requests, budget, true);
+
+    // Virtual time makes the counts the same on every host.
+    assert_eq!(solo.victim, (29_996, 4, 0), "one cold start per function");
+    assert_eq!(shared.victim, (21_905, 8_095, 0), "the neighbor must hurt");
+    assert_eq!(shared.aggressor, (0, 90_000, 0));
+    assert_eq!(quota.victim, (29_996, 4, 0));
+    assert_eq!(quota.aggressor, (0, 3, 89_997), "three 256 MB containers");
+    assert_eq!(solo.lost + shared.lost + quota.lost, 0);
+
+    // The verdicts the counts stand for, should a pinned count ever move.
+    let cold_rate = |(warm, cold, _): (u64, u64, u64)| cold as f64 / (warm + cold) as f64;
+    assert!(cold_rate(shared.victim) > 100.0 * cold_rate(solo.victim));
+    assert!(quota.aggressor.2 > 0, "the budget never throttled");
+    assert!(cold_rate(quota.victim) <= 1.25 * cold_rate(solo.victim));
 }

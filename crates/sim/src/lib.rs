@@ -9,7 +9,7 @@
 //!   memory-constrained server whose [`faascache_core::ContainerPool`] is
 //!   driven by any keep-alive policy, producing cold/warm/dropped counts,
 //!   the execution-time increase, per-function breakdowns, and timelines;
-//! - [`sweep`] runs policy × memory-size grids in parallel (each cell is
+//! - [`mod@sweep`] runs policy × memory-size grids in parallel (each cell is
 //!   an independent simulation — "embarrassingly parallel" per the
 //!   artifact appendix);
 //! - [`elastic`] puts the provisioning controller in the loop, resizing

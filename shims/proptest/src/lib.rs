@@ -1,9 +1,10 @@
 //! Offline stand-in for the `proptest` crate.
 //!
 //! Implements the subset the workspace's property tests use: the
-//! [`Strategy`] trait with `prop_map`/`prop_flat_map`, range / tuple /
-//! `any` / `collection::vec` strategies, [`ProptestConfig`], the
-//! `proptest!` macro, and `prop_assert!`/`prop_assert_eq!`.
+//! [`Strategy`](strategy::Strategy) trait with `prop_map`/`prop_flat_map`,
+//! range / tuple / `any` / `collection::vec` strategies,
+//! [`ProptestConfig`](test_runner::ProptestConfig), the `proptest!`
+//! macro, and `prop_assert!`/`prop_assert_eq!`.
 //!
 //! Differences from real proptest, by design:
 //! - No shrinking. On failure the offending input is re-generated from its
@@ -302,7 +303,7 @@ pub mod collection {
     use crate::test_runner::TestRng;
     use std::ops::{Range, RangeInclusive};
 
-    /// Accepted length specifications for [`vec`]: an exact `usize`, a
+    /// Accepted length specifications for [`vec()`]: an exact `usize`, a
     /// `Range<usize>`, or a `RangeInclusive<usize>`.
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
@@ -339,7 +340,7 @@ pub mod collection {
         }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,
