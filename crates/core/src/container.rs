@@ -4,6 +4,25 @@
 //! waiting for the next one (paper §3: "At any instant of time, each
 //! container is either running a function, or is being kept alive/warm").
 //! Only warm containers are eviction candidates.
+//!
+//! # What a [`ContainerId`] is made of
+//!
+//! One ordered `u64`, `sequence << SLOT_BITS | slot`:
+//!
+//! - the **sequence** (high bits) is the pool's mint counter, unique per
+//!   pool and never reused, so ids compare in the order they were minted
+//!   whatever their slots are: every `(key, last_used, id)` tie-break and
+//!   every ascending-id order reads exactly as if the id were the counter;
+//! - the **slot** (low [`SLOT_BITS`] bits) is a dense index the pool hands
+//!   back to a free list when the container leaves and lets again to a
+//!   later one. Every table keyed by container id — the pool's and each
+//!   policy's — is a `SlotTable` indexed by it: a lookup is an index and
+//!   one id comparison, never a hash.
+//!
+//! Both widths are limits the pool handles rather than assumes: with every
+//! slot let it refuses a cold start as `NoCapacity`, and running out of
+//! sequence numbers (2^40 mints: a million cold starts a second for twelve
+//! days) is a stated panic, never a silently repeated id.
 
 use crate::function::FunctionId;
 use crate::size::ResourceVector;
@@ -11,7 +30,17 @@ use faascache_util::{MemMb, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Unique identifier of a container instance within one pool.
+/// Width of the slot half of a [`ContainerId`]. Unit tests of this crate
+/// build with a narrow slot so that a full slab is a few thousand
+/// containers away.
+pub(crate) const SLOT_BITS: u32 = if cfg!(test) { 12 } else { 24 };
+
+/// The most containers one pool can hold at once.
+pub(crate) const MAX_SLOTS: usize = 1 << SLOT_BITS;
+
+/// Unique identifier of a container instance within one pool. Opaque and
+/// ordered: ids minted by one pool compare in mint order (see the module
+/// docs for what the two halves mean).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct ContainerId(u64);
 
@@ -24,6 +53,25 @@ impl ContainerId {
     /// The raw value.
     pub const fn as_raw(self) -> u64 {
         self.0
+    }
+
+    /// The id of the `sequence`-th container a pool mints, living in
+    /// `slot` (below [`MAX_SLOTS`]: the pool checks before it mints).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `sequence` does not fit the bits the slot leaves it.
+    pub(crate) fn mint(sequence: u64, slot: usize) -> Self {
+        debug_assert!(slot < MAX_SLOTS, "slot {slot} beyond the slab");
+        let high = sequence
+            .checked_mul(1 << SLOT_BITS)
+            .expect("the pool ran out of container sequence numbers");
+        ContainerId(high | slot as u64)
+    }
+
+    /// The slab cell this id names.
+    pub(crate) fn slot(self) -> usize {
+        (self.0 & (MAX_SLOTS as u64 - 1)) as usize
     }
 }
 
@@ -241,6 +289,27 @@ mod tests {
         c.finish_invocation();
         assert!(c.is_idle());
         assert_eq!(c.uses(), 1);
+    }
+
+    #[test]
+    fn ids_compare_in_mint_order_across_slot_reuse() {
+        // A later container in a lower, reused slot is still the greater id.
+        let early = ContainerId::mint(5, MAX_SLOTS - 1);
+        let late = ContainerId::mint(6, 0);
+        assert!(early < late);
+        assert_eq!((early.slot(), late.slot()), (MAX_SLOTS - 1, 0));
+        // Within one sequence number (never minted twice) the slot orders.
+        assert!(ContainerId::mint(6, 0) < ContainerId::mint(6, 1));
+        // The counter alone is the id of slot 0, shifted.
+        assert_eq!(ContainerId::mint(0, 7), ContainerId::from_raw(7));
+        let last = (1u64 << (u64::BITS - SLOT_BITS)) - 1;
+        assert_eq!(ContainerId::mint(last, MAX_SLOTS - 1).as_raw(), u64::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "ran out of container sequence numbers")]
+    fn minting_past_the_last_sequence_number_panics() {
+        ContainerId::mint(1 << (u64::BITS - SLOT_BITS), 0);
     }
 
     #[test]

@@ -55,6 +55,7 @@ pub mod pool;
 #[cfg(test)]
 mod proptests;
 pub mod size;
+mod slot_table;
 
 pub use container::{Container, ContainerId, ContainerState};
 pub use error::CoreError;

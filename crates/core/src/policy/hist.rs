@@ -63,6 +63,47 @@ impl Default for HistConfig {
     }
 }
 
+/// A percentile bucket of one function's histogram, carried from request
+/// to request instead of found by a scan from bucket 0 each time.
+///
+/// `below` is kept exact by [`Self::recorded`] on every observation; the
+/// bucket itself is moved only when somebody reads it ([`Self::settle`]),
+/// so an unpredictable function — nobody reads its windows — pays one
+/// comparison per request. One observation moves the percentile's rank by
+/// at most one, so settling is a step or two unless the rank crosses a
+/// run of empty buckets, and never more than the scan it replaces.
+#[derive(Debug, Clone, Copy, Default)]
+struct Cursor {
+    bucket: usize,
+    /// Observations counted in the buckets below `bucket`.
+    below: u64,
+}
+
+impl Cursor {
+    /// An observation was counted in `bucket`.
+    fn recorded(&mut self, bucket: usize) {
+        if bucket < self.bucket {
+            self.below += 1;
+        }
+    }
+
+    /// Moves to the first bucket at which the cumulative count reaches
+    /// `rank` (the last bucket when none does) and returns it. With the
+    /// [`Histogram::percentile_rank`] of a quantile for `rank`, that is
+    /// the quantile's [`Histogram::percentile_bucket`].
+    fn settle(&mut self, counts: &[u64], rank: u64) -> usize {
+        while self.below >= rank {
+            self.bucket -= 1;
+            self.below -= counts[self.bucket];
+        }
+        while self.below + counts[self.bucket] < rank && self.bucket + 1 < counts.len() {
+            self.below += counts[self.bucket];
+            self.bucket += 1;
+        }
+        self.bucket
+    }
+}
+
 /// Per-function IAT statistics, plus what the keys of the function's idle
 /// containers are derived from. The derived fields change only where the
 /// histogram does — in `on_request` — so they are computed there once
@@ -70,6 +111,9 @@ impl Default for HistConfig {
 #[derive(Debug)]
 struct FnHist {
     hist: Histogram,
+    /// Where the head and tail percentiles of `hist` stood when last read.
+    head: Cursor,
+    tail: Cursor,
     welford: Welford,
     last_invocation: Option<SimTime>,
     pending_prewarm: Option<SimTime>,
@@ -85,9 +129,11 @@ struct FnHist {
 }
 
 impl FnHist {
-    fn new(cfg: &HistConfig) -> Self {
+    fn new(cfg: &HistConfig, windows: &[SimDuration]) -> Self {
         let mut f = FnHist {
             hist: Histogram::new(cfg.bucket_width.as_mins_f64(), cfg.num_buckets),
+            head: Cursor::default(),
+            tail: Cursor::default(),
             welford: Welford::new(),
             last_invocation: None,
             pending_prewarm: None,
@@ -96,31 +142,38 @@ impl FnHist {
             tail_window: SimDuration::ZERO,
             mean_iat: SimDuration::ZERO,
         };
-        f.refresh_derived(cfg);
+        f.refresh_derived(cfg, windows);
         f
     }
 
-    /// Recomputes the derived fields after the histogram changed. The
-    /// windows cost a scan of the histogram, so an unpredictable function
-    /// (nobody reads them) skips it, and a predictable one reads head and
-    /// tail off the same scan.
-    fn refresh_derived(&mut self, cfg: &HistConfig) {
+    /// Counts one inter-arrival time, in minutes.
+    fn record(&mut self, iat_mins: f64) {
+        if let Some(bucket) = self.hist.record(iat_mins) {
+            self.head.recorded(bucket);
+            self.tail.recorded(bucket);
+        }
+        self.welford.push(iat_mins);
+    }
+
+    /// Recomputes the derived fields after the histogram changed. Nobody
+    /// reads the windows of an unpredictable function, so its percentile
+    /// cursors stay where they are. `windows[b]` is the IAT bucket `b`
+    /// stands for ([`Hist::new`] builds it).
+    fn refresh_derived(&mut self, cfg: &HistConfig, windows: &[SimDuration]) {
         self.predictable = self.welford.count() >= cfg.min_samples
             && self.welford.coefficient_of_variation() <= cfg.cov_threshold
             && self.hist.overflow_fraction() < 0.5;
         if self.predictable {
-            let (head, tail) = self
-                .hist
-                .percentile_bucket_pair(cfg.head_quantile, cfg.tail_quantile);
-            self.head_window = self.window_of(head);
-            self.tail_window = self.window_of(tail);
+            let hist = &self.hist;
+            let settle = |cursor: &mut Cursor, q: f64| {
+                let bucket = cursor.settle(hist.counts(), hist.percentile_rank(q));
+                debug_assert_eq!(bucket, hist.percentile_bucket(q));
+                windows[bucket]
+            };
+            self.head_window = settle(&mut self.head, cfg.head_quantile);
+            self.tail_window = settle(&mut self.tail, cfg.tail_quantile);
             self.mean_iat = SimDuration::from_secs_f64(self.welford.mean() * 60.0);
         }
-    }
-
-    /// The IAT a histogram bucket stands for.
-    fn window_of(&self, bucket: usize) -> SimDuration {
-        SimDuration::from_secs_f64(self.hist.bucket_value(bucket) * 60.0)
     }
 
     /// When a container of this function last used at `last_used` should
@@ -253,13 +306,20 @@ pub struct Hist {
     idle_of: FnTable<Vec<(SimTime, ContainerId)>>,
     /// Pending pre-warms ordered by fire time.
     prewarms: BTreeSet<(SimTime, FunctionId)>,
+    /// The IAT each histogram bucket stands for (its midpoint), by bucket.
+    windows: Vec<SimDuration>,
 }
 
 impl Hist {
     /// Creates the policy with the given configuration.
     pub fn new(cfg: HistConfig) -> Self {
+        let scale = Histogram::new(cfg.bucket_width.as_mins_f64(), cfg.num_buckets);
+        let windows = (0..cfg.num_buckets)
+            .map(|bucket| SimDuration::from_secs_f64(scale.bucket_value(bucket) * 60.0))
+            .collect();
         Hist {
             cfg,
+            windows,
             funcs: FnTable::default(),
             victims: Resident::new(),
             expiry: Resident::new(),
@@ -366,17 +426,15 @@ impl KeepAlivePolicy for Hist {
     }
 
     fn on_request(&mut self, spec: &FunctionSpec, now: SimTime) {
-        let cfg = &self.cfg;
+        let (cfg, windows) = (&self.cfg, &self.windows[..]);
         let f = self
             .funcs
             .slot(spec.id())
-            .get_or_insert_with(|| Box::new(FnHist::new(cfg)));
+            .get_or_insert_with(|| Box::new(FnHist::new(cfg, windows)));
         let old_pending = f.pending_prewarm;
         if let Some(last) = f.last_invocation {
-            let iat_mins = now.since(last).as_mins_f64();
-            f.hist.record(iat_mins);
-            f.welford.push(iat_mins);
-            f.refresh_derived(cfg);
+            f.record(now.since(last).as_mins_f64());
+            f.refresh_derived(cfg, windows);
         }
         f.last_invocation = Some(now);
         f.pending_prewarm = None;
@@ -502,6 +560,45 @@ mod tests {
             None,
             now,
         )
+    }
+
+    /// The carried cursors against the scan, settled after every record
+    /// and only now and then (an unpredictable stretch), over clustered
+    /// IATs with empty runs between them and an overflow share.
+    #[test]
+    fn cursors_settle_where_the_scan_lands() {
+        let mut rng = faascache_util::Pcg64::seed_from_u64(23);
+        for round in 0..50u64 {
+            let mut hist = Histogram::new(1.0, 240);
+            let quantiles = [0.0, 0.05, 0.5, 0.99, 1.0];
+            let mut cursors = [Cursor::default(); 5];
+            // Nothing in range yet: the last bucket, as the scan says.
+            for (cursor, q) in cursors.iter_mut().zip(quantiles) {
+                let rank = hist.percentile_rank(q);
+                assert_eq!(cursor.settle(hist.counts(), rank), 239);
+            }
+            for step in 0..400 {
+                let iat = match rng.next_below(4) {
+                    0 => rng.range_f64(0.0, 3.0),
+                    1 => rng.range_f64(100.0, 104.0),
+                    2 => rng.range_f64(0.0, 240.0),
+                    _ => rng.range_f64(230.0, 300.0),
+                };
+                if let Some(bucket) = hist.record(iat) {
+                    cursors.iter_mut().for_each(|c| c.recorded(bucket));
+                }
+                if round % 2 == 0 || step % 37 == 0 {
+                    for (cursor, q) in cursors.iter_mut().zip(quantiles) {
+                        let rank = hist.percentile_rank(q);
+                        assert_eq!(
+                            cursor.settle(hist.counts(), rank),
+                            hist.percentile_bucket(q),
+                            "round {round} step {step} q {q}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

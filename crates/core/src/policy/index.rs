@@ -10,10 +10,10 @@
 //! `(key, last_used, id)` whose entries are **lower bounds**:
 //!
 //! - each resident container has at most one *authoritative* entry (the
-//!   generation its table slot records), stored under a `(key, last_used)`
+//!   generation its table seat records), stored under a `(key, last_used)`
 //!   pair that is `<=` the container's live pair: the `last_used` in its
-//!   slot, and the key the policy's key function computes from its record;
-//! - a warm start only marks the slot busy; the release that follows
+//!   seat, and the key the policy's key function computes from its record;
+//! - a warm start only marks the seat busy; the release that follows
 //!   overwrites the live pair and leaves the heap alone, because the pair
 //!   has not moved down;
 //! - the order is materialized by an eviction (or an expiry sweep) only:
@@ -50,8 +50,10 @@
 //!
 //! Every policy owns one `Resident` and no other table keyed by
 //! [`ContainerId`] (HIST, which ranks its containers two ways, owns one
-//! per order); the table is an [`IdMap`] (one multiplication per lookup;
-//! container ids are the pool's own counter, never wire input).
+//! per order); the table is a `SlotTable`, indexed by the slot the id
+//! carries: a lookup is an index and one id comparison, and the table
+//! holds one cell per container resident at once, re-let as the pool
+//! re-lets the slot.
 //!
 //! The brute-force reference this structure is differentially tested
 //! against — scan the idle set for the minimum `(key, last_used, id)` —
@@ -62,7 +64,7 @@
 //! coincides with `partial_cmp`.
 
 use crate::container::ContainerId;
-use faascache_util::idmap::IdMap;
+use crate::slot_table::SlotTable;
 use faascache_util::SimTime;
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
@@ -106,7 +108,7 @@ pub fn grows<R>(_record: &mut R) -> bool {
 
 /// What [`Resident`] keeps per container, for as long as it is resident.
 #[derive(Debug, Clone)]
-struct Slot<R> {
+struct Seat<R> {
     record: R,
     /// The `last_used` the container was last filed at: with the key the
     /// policy computes from `record`, its live pair.
@@ -118,10 +120,10 @@ struct Slot<R> {
     busy: bool,
 }
 
-impl<R> Slot<R> {
-    /// The slot of a running container that has never been filed.
+impl<R> Seat<R> {
+    /// The seat of a running container that has never been filed.
     fn running(record: R) -> Self {
-        Slot {
+        Seat {
             record,
             last_used: SimTime::ZERO,
             entry: None,
@@ -147,9 +149,9 @@ type HeapEntry<K> = Reverse<(K, SimTime, ContainerId, u64)>;
 /// always read live.
 #[derive(Debug, Clone)]
 pub struct Resident<R, K: Ord + Copy> {
-    table: IdMap<ContainerId, Slot<R>>,
+    table: SlotTable<Seat<R>>,
     /// Lower bounds on the live pairs. An entry is authoritative while its
-    /// generation is the one its container's slot records; evicting a
+    /// generation is the one its container's seat records; evicting a
     /// container by id, or pushing it again, just drops or overwrites that
     /// generation, and the superseded entry is discarded when it surfaces.
     heap: BinaryHeap<HeapEntry<K>>,
@@ -160,7 +162,7 @@ pub struct Resident<R, K: Ord + Copy> {
 impl<R, K: Ord + Copy> Default for Resident<R, K> {
     fn default() -> Self {
         Resident {
-            table: IdMap::default(),
+            table: SlotTable::default(),
             heap: BinaryHeap::new(),
             last_gen: 0,
         }
@@ -175,12 +177,18 @@ impl<R, K: Ord + Copy> Resident<R, K> {
 
     /// The record of `id`, if it has one.
     pub fn get(&self, id: ContainerId) -> Option<&R> {
-        self.table.get(&id).map(|slot| &slot.record)
+        self.table.get(id).map(|seat| &seat.record)
     }
 
     /// Whether `id` has a record and is not running an invocation.
     pub fn is_idle(&self, id: ContainerId) -> bool {
-        self.table.get(&id).is_some_and(|slot| !slot.busy)
+        self.table.get(id).is_some_and(|seat| !seat.busy)
+    }
+
+    /// Cells in the table's slab, occupied or vacant.
+    #[cfg(test)]
+    pub(crate) fn cells(&self) -> usize {
+        self.table.cells()
     }
 
     /// Number of heap entries, authoritative and stale alike.
@@ -192,21 +200,18 @@ impl<R, K: Ord + Copy> Resident<R, K> {
     /// the eviction order without the heap hearing of it. Returns its
     /// record, made by `admit` if the table has not seen the container.
     pub fn running(&mut self, id: ContainerId, admit: impl FnOnce() -> R) -> &mut R {
-        let slot = self
-            .table
-            .entry(id)
-            .or_insert_with(|| Slot::running(admit()));
-        slot.busy = true;
-        &mut slot.record
+        let seat = self.table.get_or_insert_with(id, || Seat::running(admit()));
+        seat.busy = true;
+        &mut seat.record
     }
 
     /// [`Self::running`] for a policy that keeps nothing about a container
     /// before its first release: `None`, and nothing changes, when the
     /// table has not seen `id`.
     pub fn mark_busy(&mut self, id: ContainerId) -> Option<&mut R> {
-        let slot = self.table.get_mut(&id)?;
-        slot.busy = true;
-        Some(&mut slot.record)
+        let seat = self.table.get_mut(id)?;
+        seat.busy = true;
+        Some(&mut seat.record)
     }
 
     /// `id` is idle at `last_used`: it went idle just now, or was re-keyed
@@ -227,17 +232,14 @@ impl<R, K: Ord + Copy> Resident<R, K> {
         key_fell: impl FnOnce(&mut R) -> bool,
         key_of: impl FnOnce(&R) -> K,
     ) {
-        let slot = self
-            .table
-            .entry(id)
-            .or_insert_with(|| Slot::running(admit()));
-        let moved_down = key_fell(&mut slot.record) || last_used < slot.last_used;
-        slot.last_used = last_used;
-        slot.busy = false;
-        if moved_down || slot.entry.is_none() {
+        let seat = self.table.get_or_insert_with(id, || Seat::running(admit()));
+        let moved_down = key_fell(&mut seat.record) || last_used < seat.last_used;
+        seat.last_used = last_used;
+        seat.busy = false;
+        if moved_down || seat.entry.is_none() {
             self.last_gen += 1;
-            slot.entry = NonZeroU64::new(self.last_gen);
-            let key = key_of(&slot.record);
+            seat.entry = NonZeroU64::new(self.last_gen);
+            let key = key_of(&seat.record);
             self.heap.push(Reverse((key, last_used, id, self.last_gen)));
             self.shed_stale();
         }
@@ -259,8 +261,8 @@ impl<R, K: Ord + Copy> Resident<R, K> {
             let table = &self.table;
             self.heap.retain(|&Reverse((_, _, id, gen))| {
                 table
-                    .get(&id)
-                    .is_some_and(|slot| slot.entry == NonZeroU64::new(gen))
+                    .get(id)
+                    .is_some_and(|seat| seat.entry == NonZeroU64::new(gen))
             });
         }
     }
@@ -268,7 +270,7 @@ impl<R, K: Ord + Copy> Resident<R, K> {
     /// Drops the record of `id` and returns it; `None` when there is
     /// none. Its heap entry is discarded when it surfaces.
     pub fn forget(&mut self, id: ContainerId) -> Option<R> {
-        self.table.remove(&id).map(|slot| slot.record)
+        self.table.remove(id).map(|seat| seat.record)
     }
 
     /// Drops every heap entry and files every idle container afresh at the
@@ -281,14 +283,14 @@ impl<R, K: Ord + Copy> Resident<R, K> {
         // Generations only break ties between entries of one container, so
         // the table's iteration order cannot reach the eviction order.
         self.heap.clear();
-        for (&id, slot) in self.table.iter_mut() {
-            slot.entry = None;
-            if !slot.busy {
+        for (id, seat) in self.table.iter_mut() {
+            seat.entry = None;
+            if !seat.busy {
                 self.last_gen += 1;
-                slot.entry = NonZeroU64::new(self.last_gen);
-                let key = key_of(&slot.record);
+                seat.entry = NonZeroU64::new(self.last_gen);
+                let key = key_of(&seat.record);
                 self.heap
-                    .push(Reverse((key, slot.last_used, id, self.last_gen)));
+                    .push(Reverse((key, seat.last_used, id, self.last_gen)));
             }
         }
     }
@@ -306,15 +308,15 @@ impl<R, K: Ord + Copy> Resident<R, K> {
         loop {
             let mut top = self.heap.peek_mut()?;
             let Reverse((key, last_used, id, gen)) = *top;
-            match self.table.get_mut(&id) {
-                Some(slot) if slot.entry == NonZeroU64::new(gen) => {
-                    if slot.busy {
+            match self.table.get_mut(id) {
+                Some(seat) if seat.entry == NonZeroU64::new(gen) => {
+                    if seat.busy {
                         // Its release finds no entry and pushes.
-                        slot.entry = None;
+                        seat.entry = None;
                         PeekMut::pop(top);
                         continue;
                     }
-                    let live = (key_of(&slot.record), slot.last_used);
+                    let live = (key_of(&seat.record), seat.last_used);
                     if live == (key, last_used) {
                         return Some(id);
                     }
@@ -349,12 +351,12 @@ impl<R, K: Ord + Copy> Resident<R, K> {
         due: impl FnOnce(&R, SimTime) -> bool,
     ) -> Option<ContainerId> {
         let id = self.peek(key_of)?;
-        let slot = self.table.get_mut(&id).expect("peeked a resident");
-        if !due(&slot.record, slot.last_used) {
+        let seat = self.table.get_mut(id).expect("peeked a resident");
+        if !due(&seat.record, seat.last_used) {
             return None;
         }
         self.heap.pop();
-        slot.entry = None;
+        seat.entry = None;
         Some(id)
     }
 }
@@ -396,17 +398,17 @@ mod tests {
     /// Raises an idle container's live key without telling the heap (a
     /// sibling's warm start under GreedyDual/FREQ).
     fn grow(set: &mut Keyed, id: ContainerId, by: u64) {
-        set.table.get_mut(&id).unwrap().record += by;
+        set.table.get_mut(id).unwrap().record += by;
     }
 
     fn has_entry(set: &Keyed, id: ContainerId) -> bool {
-        set.table[&id].entry.is_some()
+        set.table.get(id).unwrap().entry.is_some()
     }
 
     /// The live triple of an idle container.
     fn live(set: &Keyed, id: ContainerId) -> Option<(u64, SimTime, ContainerId)> {
-        let slot = set.table.get(&id).filter(|slot| !slot.busy)?;
-        Some((slot.record, slot.last_used, id))
+        let seat = set.table.get(id).filter(|seat| !seat.busy)?;
+        Some((seat.record, seat.last_used, id))
     }
 
     /// The smallest idle container's live triple, without removing it.
@@ -616,7 +618,7 @@ mod tests {
         set.mark_busy(id(3));
         // An input of the key function moved id 1's key *down* behind the
         // heap's back (a raised tenant weight under GreedyDual).
-        set.table.get_mut(&id(1)).unwrap().record = 4;
+        set.table.get_mut(id(1)).unwrap().record = 4;
         set.refile_all(|&live| live);
         assert_eq!(set.heap_len(), 2, "old entries gone, the idle refiled");
         assert!(!has_entry(&set, id(3)), "a running container is not");
@@ -692,10 +694,10 @@ mod tests {
                     }
                     Op::Finish(i, by) => {
                         let i = id(i);
-                        if let Some(slot) = set.table.get(&i) {
+                        if let Some(seat) = set.table.get(i) {
                             let held = set.heap_len();
-                            let had_entry = slot.entry.is_some();
-                            let (key, at) = (slot.record + by, slot.last_used + SimDuration::from_secs(by));
+                            let had_entry = seat.entry.is_some();
+                            let (key, at) = (seat.record + by, seat.last_used + SimDuration::from_secs(by));
                             unlist(&mut model, &set, i);
                             file(&mut set, i, key, at);
                             model.insert((key, at, i));

@@ -454,6 +454,52 @@ mod tests {
         }
     }
 
+    /// 100,000 cold start → evict cycles through a pool that holds at most
+    /// eight containers: the pool's slab and the policy's table hold the
+    /// cells of the containers resident at once, not one per id minted
+    /// (the test a table indexed by the raw mint counter fails).
+    #[test]
+    fn churn_reuses_slots_in_the_pool_and_the_policy_table() {
+        let policy = Arc::new(Mutex::new(Lru::new()));
+        let mut pool = ContainerPool::new(MemMb::new(8), Box::new(Shared(Arc::clone(&policy))));
+        let mut reg = FunctionRegistry::new();
+        let specs: Vec<FunctionSpec> = (0..16)
+            .map(|i| {
+                let id = reg
+                    .register(
+                        format!("f{i}"),
+                        MemMb::new(1),
+                        SimDuration::from_millis(100),
+                        SimDuration::from_millis(600),
+                    )
+                    .unwrap();
+                reg.spec(id).clone()
+            })
+            .collect();
+        let mut last = None;
+        for cycle in 0..100_000u64 {
+            // Sixteen functions round-robin over eight megabytes: the one
+            // asked for is never among the eight resident.
+            let now = SimTime::from_secs(cycle);
+            let Acquire::Cold { container, .. } = pool.acquire(&specs[(cycle % 16) as usize], now)
+            else {
+                panic!("cycle {cycle}: every request is a cold start");
+            };
+            assert!(last < Some(container), "ids keep rising over reused slots");
+            last = Some(container);
+            pool.release(container, now + SimDuration::from_millis(600));
+            assert!(pool.len() <= 8);
+        }
+        assert_eq!(pool.counters().cold_starts, 100_000);
+        assert_eq!(pool.counters().evictions, 100_000 - 8);
+        let policy_cells = policy.lock().unwrap().order.cells();
+        assert!(
+            pool.slab_cells() <= 9 && policy_cells <= 9,
+            "{} and {policy_cells} cells for 8 resident containers",
+            pool.slab_cells()
+        );
+    }
+
     /// Serves 100,000 warm cycles over 50 functions from a pool that never
     /// runs out of memory, so no eviction ever pops the heap, and checks
     /// the heap holds at most `bound(resident now, most ever resident)`

@@ -11,11 +11,18 @@
 //! # Indexed hot path
 //!
 //! Both key types the pool looks things up by are dense integers it (or
-//! the registry) mints itself, so nothing on the invocation path hashes
-//! with `std`'s SipHash:
+//! the registry) mints itself, so nothing on the invocation path hashes:
 //!
-//! - `containers` is an [`IdMap`] (one multiplication per lookup) and each
-//!   of `acquire`, `release` and an eviction looks its container up once;
+//! - `containers` is a `SlotTable`, a slab indexed by the slot half of
+//!   the [`ContainerId`] (see [`crate::container`]): a lookup is an index
+//!   and one id comparison, and each of `acquire`, `release` and an
+//!   eviction looks its container up once. The pool mints an id from its
+//!   sequence counter and a slot off its free list (the slot of the
+//!   container that left most recently, else a fresh cell), so the slab —
+//!   and every policy's table, indexed the same way — holds as many cells
+//!   as containers were ever resident at once. With every slot let, a cold
+//!   start is refused as [`Acquire::NoCapacity`], a prewarm or an adoption
+//!   declined, like any other resource the server has run out of;
 //! - per-function state lives in dense tables (`Vec`s, grown on demand,
 //!   empty slot ≡ absent) indexed by [`FunctionId::index`]: the resident count, and the function's idle
 //!   containers as a `Vec` sorted by `(last_used, id)` that keeps its
@@ -41,13 +48,12 @@
 //! differential suite (`tests/differential.rs`) holds each of them to a
 //! brute-force scan for that minimum.
 
-use crate::container::{Container, ContainerId};
+use crate::container::{Container, ContainerId, MAX_SLOTS};
 use crate::fn_table::FnTable;
 use crate::function::{FunctionId, FunctionSpec};
 use crate::policy::KeepAlivePolicy;
-use faascache_util::idmap::IdMap;
+use crate::slot_table::SlotTable;
 use faascache_util::{MemMb, SimTime};
-use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 /// Observer of per-tenant resident-memory changes.
@@ -91,7 +97,8 @@ pub enum Acquire {
         evicted: Vec<ContainerId>,
     },
     /// The server had insufficient memory even after evicting every idle
-    /// container: the request is dropped (or queued by the caller).
+    /// container (or, with memory to spare, no container slot left): the
+    /// request is dropped (or queued by the caller).
     NoCapacity,
 }
 
@@ -187,12 +194,15 @@ pub struct PoolCounters {
 pub struct ContainerPool {
     config: PoolConfig,
     policy: Box<dyn KeepAlivePolicy>,
-    containers: IdMap<ContainerId, Container>,
+    containers: SlotTable<Container>,
+    /// Slots of `containers` whose container left, most recent last.
+    free_slots: Vec<usize>,
     /// Resident (warm + running) containers per function.
     resident_of: FnTable<u32>,
     idle: IdleIndex,
     used: MemMb,
-    next_id: u64,
+    /// Ids minted so far: the sequence half of the next one.
+    minted: u64,
     counters: PoolCounters,
     ledger: Arc<dyn TenantLedger>,
 }
@@ -218,11 +228,12 @@ impl ContainerPool {
         ContainerPool {
             config,
             policy,
-            containers: IdMap::default(),
+            containers: SlotTable::default(),
+            free_slots: Vec::new(),
             resident_of: FnTable::default(),
             idle: IdleIndex::default(),
             used: MemMb::ZERO,
-            next_id: 0,
+            minted: 0,
             counters: PoolCounters::default(),
             ledger,
         }
@@ -291,7 +302,7 @@ impl ContainerPool {
 
     /// Looks up a resident container.
     pub fn container(&self, id: ContainerId) -> Option<&Container> {
-        self.containers.get(&id)
+        self.containers.get(id)
     }
 
     /// Iterates over resident containers in unspecified order.
@@ -330,10 +341,7 @@ impl ContainerPool {
 
         // Warm path: most recently used idle container of this function.
         if let Some(id) = self.idle.most_recent_of(spec.id()) {
-            let c = self
-                .containers
-                .get_mut(&id)
-                .expect("indexed idle container");
+            let c = self.containers.get_mut(id).expect("indexed idle container");
             // Leave the idle index before `begin_invocation` changes the
             // `last_used` the index entry is keyed under.
             self.idle.unmark(c);
@@ -349,11 +357,10 @@ impl ContainerPool {
             return Acquire::NoCapacity;
         }
         let evicted = self.make_room(spec.mem(), now);
-        if self.free_mem() < spec.mem() {
+        let Some(id) = self.insert_container(spec, now, Some(now + spec.cold_time())) else {
             bump(&mut self.counters.drops);
             return Acquire::NoCapacity;
-        }
-        let id = self.insert_container(spec, now, Some(now + spec.cold_time()));
+        };
         bump(&mut self.counters.cold_starts);
         Acquire::Cold {
             container: id,
@@ -369,7 +376,7 @@ impl ContainerPool {
     pub fn release(&mut self, id: ContainerId, now: SimTime) {
         let c = self
             .containers
-            .get_mut(&id)
+            .get_mut(id)
             .expect("releasing a non-resident container");
         // A second release would re-run `on_finish` on an idle container
         // and re-key it in the policy's index.
@@ -408,10 +415,10 @@ impl ContainerPool {
     /// has an idle container or memory is insufficient; prefetching never
     /// steals memory from demand traffic.
     pub fn prewarm(&mut self, spec: &FunctionSpec, now: SimTime) -> Option<ContainerId> {
-        if self.warm_count_of(spec.id()) > 0 || self.free_mem() < spec.mem() {
+        if self.warm_count_of(spec.id()) > 0 {
             return None;
         }
-        let id = self.insert_container(spec, now, None);
+        let id = self.insert_container(spec, now, None)?;
         bump(&mut self.counters.prewarms);
         Some(id)
     }
@@ -451,11 +458,9 @@ impl ContainerPool {
     /// Panics if the container is not idle.
     pub fn adopt(&mut self, container: Container, now: SimTime) -> Result<ContainerId, Container> {
         assert!(container.is_idle(), "only idle containers migrate");
-        if self.free_mem() < container.mem() {
+        let Some(id) = self.mint(container.mem()) else {
             return Err(container);
-        }
-        let id = ContainerId::from_raw(self.next_id);
-        self.next_id += 1;
+        };
         let container = container.with_id(id);
         self.used += container.mem();
         self.ledger
@@ -513,17 +518,35 @@ impl ContainerPool {
         evicted
     }
 
+    /// The id of a new container of `mem`: the next sequence number in the
+    /// slot freed most recently, or in a fresh one. `None`, and nothing
+    /// changes, when the container does not fit in free memory or every
+    /// slot is let.
+    fn mint(&mut self, mem: MemMb) -> Option<ContainerId> {
+        if self.free_mem() < mem {
+            return None;
+        }
+        let slot = match self.free_slots.pop() {
+            Some(slot) => slot,
+            None if self.containers.cells() < MAX_SLOTS => self.containers.cells(),
+            None => return None,
+        };
+        let id = ContainerId::mint(self.minted, slot);
+        self.minted += 1;
+        Some(id)
+    }
+
     /// Creates a container for `spec`: running until `busy_until` (a cold
     /// start, which begins its invocation at once and enters the idle
-    /// index on release) or, with `None`, born idle (a prewarm).
+    /// index on release) or, with `None`, born idle (a prewarm). `None`,
+    /// and nothing changes, when [`Self::mint`] declines.
     fn insert_container(
         &mut self,
         spec: &FunctionSpec,
         now: SimTime,
         busy_until: Option<SimTime>,
-    ) -> ContainerId {
-        let id = ContainerId::from_raw(self.next_id);
-        self.next_id += 1;
+    ) -> Option<ContainerId> {
+        let id = self.mint(spec.mem())?;
         let mut container = Container::new(
             id,
             spec.id(),
@@ -545,7 +568,7 @@ impl ContainerPool {
             None => self.idle.mark(&container),
         }
         self.containers.insert(id, container);
-        id
+        Some(id)
     }
 
     /// Takes an idle container out of the pool's own structures and
@@ -554,13 +577,15 @@ impl ContainerPool {
     /// is running — policies may hand back stale ids, and running
     /// containers are never killed.
     fn remove_idle(&mut self, id: ContainerId) -> Option<(Container, usize)> {
-        let Entry::Occupied(entry) = self.containers.entry(id) else {
-            return None;
-        };
-        if !entry.get().is_idle() {
+        let container = self.containers.remove(id)?;
+        if !container.is_idle() {
+            // One lookup for the victim that is there to take; a running
+            // container (only a policy breaking the contract names one)
+            // goes back where it was.
+            self.containers.insert(id, container);
             return None;
         }
-        let container = entry.remove();
+        self.free_slots.push(id.slot());
         self.idle.unmark(&container);
         self.used -= container.mem();
         self.ledger
@@ -572,6 +597,12 @@ impl ContainerPool {
         *resident -= 1;
         let remaining = *resident as usize;
         Some((container, remaining))
+    }
+
+    /// Cells in the container slab, occupied or vacant.
+    #[cfg(test)]
+    pub(crate) fn slab_cells(&self) -> usize {
+        self.containers.cells()
     }
 
     /// Terminates an idle container; `false` when [`Self::remove_idle`]
@@ -1299,6 +1330,62 @@ mod tests {
         // warm cycle.
         assert!(idle.by_fn.get(f).unwrap().capacity() >= 4);
         assert_eq!(idle.most_recent_of(FunctionId::from_index(0)), None);
+    }
+
+    #[test]
+    fn a_full_slab_refuses_new_containers_until_a_slot_is_freed() {
+        let mut reg = FunctionRegistry::new();
+        let small = reg
+            .register(
+                "small",
+                MemMb::new(1),
+                SimDuration::from_millis(1),
+                SimDuration::from_millis(10),
+            )
+            .unwrap();
+        let other = reg
+            .register(
+                "other",
+                MemMb::new(1),
+                SimDuration::from_millis(1),
+                SimDuration::from_millis(10),
+            )
+            .unwrap();
+        // Memory for twice the slab: only the slots can run out.
+        let mut pool = ContainerPool::new(MemMb::new(2 * MAX_SLOTS as u64), Box::new(Lru::new()));
+        let t0 = SimTime::ZERO;
+        let running: Vec<ContainerId> = (0..MAX_SLOTS)
+            .map(|_| cold(&mut pool, reg.spec(small), t0))
+            .collect();
+        assert_eq!((pool.len(), pool.slab_cells()), (MAX_SLOTS, MAX_SLOTS));
+        assert!(pool.free_mem() >= MemMb::new(MAX_SLOTS as u64));
+        // Every slot let and running: a cold start, a prewarm and an
+        // adoption are all declined, and nothing is evicted for them.
+        assert_eq!(pool.acquire(reg.spec(small), t0), Acquire::NoCapacity);
+        assert_eq!(pool.counters().drops, 1);
+        assert_eq!(pool.prewarm(reg.spec(other), t0), None);
+        let migrant = Container::new(
+            ContainerId::from_raw(0),
+            other,
+            MemMb::new(1),
+            SimDuration::ZERO,
+            SimDuration::ZERO,
+            None,
+            t0,
+        );
+        let migrant = pool.adopt(migrant, t0).expect_err("no slot to adopt into");
+        assert_eq!((pool.len(), pool.counters().evictions), (MAX_SLOTS, 0));
+        // One container leaves: its slot is let to the next one, under a
+        // later id.
+        let t1 = SimTime::from_secs(1);
+        pool.release(running[7], t1);
+        assert_eq!(pool.extract_idle_of(small, t1).len(), 1);
+        let adopted = pool.adopt(migrant, t1).expect("a slot is free again");
+        assert_eq!(adopted.slot(), running[7].slot());
+        assert!(adopted > *running.last().unwrap());
+        assert!(pool.container(running[7]).is_none(), "the old id is stale");
+        assert_eq!((pool.len(), pool.slab_cells()), (MAX_SLOTS, MAX_SLOTS));
+        assert_eq!(pool.acquire(reg.spec(small), t1), Acquire::NoCapacity);
     }
 
     #[test]

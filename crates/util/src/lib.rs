@@ -12,8 +12,6 @@
 //! - [`time`]: microsecond-resolution virtual time ([`SimTime`],
 //!   [`SimDuration`]) used throughout the simulator and platform emulator,
 //! - [`mem`]: strongly-typed memory quantities ([`MemMb`]),
-//! - [`idmap`]: a `HashMap` alias with a one-multiplication hasher for
-//!   keys that are integers the program mints itself (container ids),
 //! - [`route`]: the stable function-affinity hash shared by the cluster
 //!   simulator and the live sharded invoker,
 //! - [`backoff`]: deterministic exponential backoff with full jitter,
@@ -36,7 +34,6 @@
 
 pub mod backoff;
 pub mod dist;
-pub mod idmap;
 pub mod mem;
 #[cfg(test)]
 mod proptests;

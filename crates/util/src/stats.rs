@@ -194,18 +194,24 @@ impl Histogram {
     }
 
     /// Records an observation; negative values clamp to bucket 0, values
-    /// beyond the last bucket go to the overflow bucket.
-    pub fn record(&mut self, x: f64) {
+    /// beyond the last bucket go to the overflow bucket. Returns the bucket
+    /// it was counted in, `None` for the overflow bucket.
+    pub fn record(&mut self, x: f64) -> Option<usize> {
         self.total += 1;
-        if x < 0.0 {
-            self.counts[0] += 1;
-            return;
-        }
-        let idx = (x / self.width) as usize;
-        if idx < self.counts.len() {
-            self.counts[idx] += 1;
+        let idx = if x < 0.0 {
+            0
         } else {
-            self.overflow += 1;
+            (x / self.width) as usize
+        };
+        match self.counts.get_mut(idx) {
+            Some(count) => {
+                *count += 1;
+                Some(idx)
+            }
+            None => {
+                self.overflow += 1;
+                None
+            }
         }
     }
 
@@ -228,40 +234,28 @@ impl Histogram {
         }
     }
 
-    /// Index of the first bucket at which the cumulative in-range mass
-    /// reaches `q` (0 ≤ q ≤ 1) of the in-range observations.
+    /// How many in-range observations, counted from the lowest bucket, the
+    /// bucket of the `q`-th percentile (0 ≤ q ≤ 1) must reach: `q` of
+    /// them, rounded up, and at least one.
+    pub fn percentile_rank(&self, q: f64) -> u64 {
+        let in_range = self.total - self.overflow;
+        (q.clamp(0.0, 1.0) * in_range as f64).ceil().max(1.0) as u64
+    }
+
+    /// Index of the first bucket at which the cumulative in-range count
+    /// reaches [`Self::percentile_rank`] of `q`.
     ///
     /// Returns the last bucket if the histogram is empty in range.
     pub fn percentile_bucket(&self, q: f64) -> usize {
-        self.percentile_bucket_pair(q, q).0
-    }
-
-    /// [`Self::percentile_bucket`] of `a` and of `b` off one scan, which
-    /// ends at the bucket that holds the larger of the two: the HIST
-    /// policy reads a head and a tail percentile per request.
-    pub fn percentile_bucket_pair(&self, a: f64, b: f64) -> (usize, usize) {
-        let last = self.counts.len() - 1;
-        let in_range = self.total - self.overflow;
-        if in_range == 0 {
-            return (last, last);
-        }
-        let target = |q: f64| (q.clamp(0.0, 1.0) * in_range as f64).ceil().max(1.0) as u64;
-        let (a_target, b_target) = (target(a), target(b));
-        let (mut a_bucket, mut b_bucket) = (None, None);
+        let rank = self.percentile_rank(q);
         let mut cum = 0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            cum += c;
-            if a_bucket.is_none() && cum >= a_target {
-                a_bucket = Some(i);
-            }
-            if b_bucket.is_none() && cum >= b_target {
-                b_bucket = Some(i);
-            }
-            if a_bucket.is_some() && b_bucket.is_some() {
-                break;
-            }
-        }
-        (a_bucket.unwrap_or(last), b_bucket.unwrap_or(last))
+        self.counts
+            .iter()
+            .position(|&c| {
+                cum += c;
+                cum >= rank
+            })
+            .unwrap_or(self.counts.len() - 1)
     }
 
     /// Representative (midpoint) value of a bucket.
