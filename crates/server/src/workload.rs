@@ -11,7 +11,6 @@
 use faascache_trace::adapt::{adapt, AdaptOptions};
 use faascache_trace::record::Trace;
 use faascache_trace::synth::{self, SynthConfig};
-use faascache_util::SimTime;
 
 /// Parameters pinning down the shared workload.
 ///
@@ -23,8 +22,9 @@ pub struct WorkloadConfig {
     pub functions: usize,
     /// RNG seed; both sides must use the same value.
     pub seed: u64,
-    /// Horizon the synthetic day is truncated to, in virtual minutes.
-    /// Bounds trace-construction time; the replay schedule cycles when
+    /// Horizon the synthetic day is truncated to, in virtual minutes:
+    /// only these minutes are expanded into invocations, which bounds
+    /// trace-construction time. The replay schedule cycles when
     /// more requests than trace events are needed.
     pub horizon_mins: u64,
     /// Zipf exponent of the per-function rate skew (`--skew zipf:<s>`):
@@ -56,7 +56,13 @@ impl WorkloadConfig {
             ..SynthConfig::default()
         };
         let dataset = synth::generate(&synth);
-        adapt(&dataset, &AdaptOptions::default()).truncated(SimTime::from_mins(self.horizon_mins))
+        adapt(
+            &dataset,
+            &AdaptOptions {
+                horizon_mins: Some(self.horizon_mins),
+                ..AdaptOptions::default()
+            },
+        )
     }
 }
 

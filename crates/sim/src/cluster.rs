@@ -229,7 +229,13 @@ mod tests {
             seed: 5150,
             ..SynthConfig::default()
         });
-        adapt(&d, &AdaptOptions::default()).truncated(SimTime::from_mins(240))
+        adapt(
+            &d,
+            &AdaptOptions {
+                horizon_mins: Some(240),
+                ..AdaptOptions::default()
+            },
+        )
     }
 
     fn config(balancer: LoadBalancer) -> ClusterConfig {

@@ -15,7 +15,7 @@ use faascache_util::rng::Pcg64;
 /// invocation count (ties broken by key for determinism).
 fn keys_by_frequency(dataset: &AzureDataset) -> Vec<&AzureFunctionKey> {
     let mut keys: Vec<&AzureFunctionKey> = dataset.functions.keys().collect();
-    keys.sort_by_key(|k| (dataset.functions[*k].total_invocations(), (*k).clone()));
+    keys.sort_by_cached_key(|&k| (dataset.functions[k].total_invocations(), k));
     keys
 }
 

@@ -19,7 +19,13 @@ fn pipeline_trace(seed: u64, functions: usize, sample_n: usize) -> Trace {
     });
     let mut rng = Pcg64::seed_from_u64(seed ^ 0xF00D);
     let sampled = sample::representative(&dataset, sample_n, &mut rng);
-    adapt::adapt(&sampled, &adapt::AdaptOptions::default()).truncated(SimTime::from_mins(360))
+    adapt::adapt(
+        &sampled,
+        &adapt::AdaptOptions {
+            horizon_mins: Some(360),
+            ..adapt::AdaptOptions::default()
+        },
+    )
 }
 
 #[test]
