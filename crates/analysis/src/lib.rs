@@ -14,8 +14,6 @@
 //! - [`shards`] implements **SHARDS**-style spatially hashed sampling so
 //!   the curve can be estimated from a fraction of the trace (the paper
 //!   cites SHARDS as the practical way to avoid the `O(N·M)` full scan).
-//! - [`che`] implements **Che's approximation**, an analytical hit-ratio
-//!   model the paper cites for TTL-style caches.
 //! - [`online`] implements epoch-based **online curve estimation** with a
 //!   drift signal — the "online adjustments" the paper leaves as future
 //!   work (§5.2).
@@ -23,7 +21,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod che;
 pub mod hitratio;
 pub mod online;
 pub mod reuse;

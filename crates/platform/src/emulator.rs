@@ -11,13 +11,13 @@
 use crate::lifecycle::PhaseModel;
 use crate::queue::RequestQueue;
 use faascache_core::container::ContainerId;
+use faascache_core::function::{FunctionId, FunctionRegistry};
 use faascache_core::policy::PolicyKind;
 use faascache_core::pool::{Acquire, ContainerPool, PoolConfig};
+use faascache_sim::engine::{self, Completions, Node};
 use faascache_trace::record::Trace;
 use faascache_util::{MemMb, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Emulated platform configuration.
 #[derive(Debug, Clone, Copy)]
@@ -34,9 +34,8 @@ pub struct PlatformConfig {
     pub queue_capacity: usize,
     /// How long a buffered request waits before being dropped.
     pub patience: SimDuration,
-    /// Housekeeping tick (queue expiry, TTL reaping, pre-warming). Ticks
-    /// pop only expired/due entries from the pool's incremental indexes
-    /// rather than scanning the idle set, so short intervals are cheap.
+    /// Housekeeping tick (queue expiry, TTL reaping, pre-warming); ticks
+    /// pop only due entries, so short intervals are cheap.
     pub tick_interval: SimDuration,
     /// Cold-start phase model (adds the pool-check latency to every
     /// request).
@@ -80,27 +79,10 @@ impl FunctionPlatformStats {
     pub fn served(&self) -> u64 {
         self.warm + self.cold
     }
-
-    /// Mean end-to-end latency over served invocations.
-    pub fn mean_latency(&self) -> SimDuration {
-        self.latency_sum_us
-            .checked_div(self.served())
-            .map_or(SimDuration::ZERO, SimDuration::from_micros)
-    }
-
-    /// Warm-start ratio among served invocations.
-    pub fn hit_ratio(&self) -> f64 {
-        let n = self.served();
-        if n == 0 {
-            0.0
-        } else {
-            self.warm as f64 / n as f64
-        }
-    }
 }
 
 /// Result of a platform emulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct PlatformResult {
     /// The policy label.
     pub policy: String,
@@ -156,168 +138,119 @@ impl PlatformResult {
 pub struct Emulator;
 
 impl Emulator {
-    /// Replays `trace` against the emulated platform.
+    /// Replays `trace` against the emulated platform; after the trace, the
+    /// buffer is ticked until every queued request was served or expired.
+    /// Panics if `config.tick_interval` is zero.
     pub fn run(trace: &Trace, config: &PlatformConfig) -> PlatformResult {
         let pool_config = PoolConfig::new(config.memory).with_eviction_batch(config.eviction_batch);
-        let mut pool = ContainerPool::with_config(pool_config, config.policy.build());
+        let pool = ContainerPool::with_config(pool_config, config.policy.build());
         let registry = trace.registry();
-        let mut queue = RequestQueue::new(config.queue_capacity, config.patience);
-
-        let mut result = PlatformResult {
-            policy: pool.policy().name().to_string(),
-            warm: 0,
-            cold: 0,
-            dropped: 0,
-            per_function: registry
-                .iter()
-                .map(|s| FunctionPlatformStats {
-                    name: s.name().to_string(),
-                    ..FunctionPlatformStats::default()
-                })
-                .collect(),
+        let mut invoker = Invoker {
+            result: PlatformResult {
+                policy: pool.policy().name().to_string(),
+                per_function: registry
+                    .iter()
+                    .map(|s| FunctionPlatformStats {
+                        name: s.name().to_string(),
+                        ..FunctionPlatformStats::default()
+                    })
+                    .collect(),
+                ..PlatformResult::default()
+            },
+            pool,
+            registry,
+            queue: RequestQueue::new(config.queue_capacity, config.patience),
+            config,
         };
+        engine::run(&mut invoker, trace, config.tick_interval, None);
+        invoker.result
+    }
+}
 
-        let mut completions: BinaryHeap<Reverse<(SimTime, ContainerId)>> = BinaryHeap::new();
-        let mut running = 0usize;
-        let mut next_tick = SimTime::ZERO + config.tick_interval;
-        let pool_check = config.phases.pool_check;
+/// A pool fed from the request buffer, and the latency tally.
+struct Invoker<'a> {
+    pool: ContainerPool,
+    registry: &'a FunctionRegistry,
+    queue: RequestQueue,
+    config: &'a PlatformConfig,
+    result: PlatformResult,
+}
 
-        // Attempts to serve a request that arrived at `arrived` for
-        // function `fid` at time `now`. Returns false when the platform is
-        // saturated (caller queues or drops).
-        let try_serve = |pool: &mut ContainerPool,
-                         completions: &mut BinaryHeap<Reverse<(SimTime, ContainerId)>>,
-                         running: &mut usize,
-                         result: &mut PlatformResult,
-                         fid: faascache_core::FunctionId,
-                         arrived: SimTime,
-                         now: SimTime|
-         -> bool {
-            if config.max_concurrency > 0 && *running >= config.max_concurrency {
-                return false;
-            }
-            let spec = registry.spec(fid);
-            match pool.acquire(spec, now) {
-                Acquire::Warm { container } => {
-                    let finish = now + spec.warm_time();
-                    completions.push(Reverse((finish, container)));
-                    *running += 1;
-                    result.warm += 1;
-                    let stats = &mut result.per_function[fid.index()];
-                    stats.warm += 1;
-                    stats.latency_sum_us += (finish + pool_check).since(arrived).as_micros();
-                    true
-                }
-                Acquire::Cold { container, .. } => {
-                    let finish = now + spec.cold_time();
-                    completions.push(Reverse((finish, container)));
-                    *running += 1;
-                    result.cold += 1;
-                    let stats = &mut result.per_function[fid.index()];
-                    stats.cold += 1;
-                    stats.latency_sum_us += (finish + pool_check).since(arrived).as_micros();
-                    true
-                }
-                Acquire::NoCapacity => false,
-            }
+impl Invoker<'_> {
+    /// Starts a request for `function` that arrived at `arrived`, at `now`;
+    /// false when the platform is saturated (the caller queues or drops).
+    fn try_serve(
+        &mut self,
+        function: FunctionId,
+        arrived: SimTime,
+        now: SimTime,
+        done: &mut Completions<ContainerId>,
+    ) -> bool {
+        let cap = self.config.max_concurrency;
+        if cap > 0 && self.pool.running_count() >= cap {
+            return false;
+        }
+        let spec = self.registry.spec(function);
+        let (container, finish, warm) = match self.pool.acquire(spec, now) {
+            Acquire::Warm { container } => (container, now + spec.warm_time(), true),
+            Acquire::Cold { container, .. } => (container, now + spec.cold_time(), false),
+            Acquire::NoCapacity => return false,
         };
-
-        // Serves queued requests in FIFO order for as long as they admit.
-        macro_rules! drain_queue {
-            ($now:expr) => {
-                while let Some(front) = queue.front().copied() {
-                    if try_serve(
-                        &mut pool,
-                        &mut completions,
-                        &mut running,
-                        &mut result,
-                        front.function,
-                        front.arrived,
-                        $now,
-                    ) {
-                        queue.pop();
-                    } else {
-                        break;
-                    }
-                }
-            };
+        done.push(finish, container);
+        let stats = &mut self.result.per_function[function.index()];
+        if warm {
+            self.result.warm += 1;
+            stats.warm += 1;
+        } else {
+            self.result.cold += 1;
+            stats.cold += 1;
         }
+        let pool_check = self.config.phases.pool_check;
+        stats.latency_sum_us += (finish + pool_check).since(arrived).as_micros();
+        true
+    }
 
-        macro_rules! drain_completions {
-            ($upto:expr) => {
-                while let Some(&Reverse((t, id))) = completions.peek() {
-                    if t > $upto {
-                        break;
-                    }
-                    completions.pop();
-                    pool.release(id, t);
-                    running -= 1;
-                    drain_queue!(t);
-                }
-            };
-        }
-
-        macro_rules! housekeeping {
-            ($now:expr) => {
-                for req in queue.expire($now) {
-                    result.dropped += 1;
-                    result.per_function[req.function.index()].dropped += 1;
-                }
-                pool.reap($now);
-                for fid in pool.prewarm_due($now) {
-                    pool.prewarm(registry.spec(fid), $now);
-                }
-                drain_queue!($now);
-            };
-        }
-
-        for inv in trace.invocations() {
-            let now = inv.time;
-            while next_tick <= now {
-                drain_completions!(next_tick);
-                housekeeping!(next_tick);
-                next_tick += config.tick_interval;
+    /// Serves queued requests in FIFO order for as long as they admit.
+    fn serve_queued(&mut self, now: SimTime, done: &mut Completions<ContainerId>) {
+        while let Some(front) = self.queue.front().copied() {
+            if !self.try_serve(front.function, front.arrived, now, done) {
+                break;
             }
-            drain_completions!(now);
-
-            // A new arrival goes behind any already-queued requests.
-            if queue.is_empty()
-                && try_serve(
-                    &mut pool,
-                    &mut completions,
-                    &mut running,
-                    &mut result,
-                    inv.function,
-                    now,
-                    now,
-                )
-            {
-                continue;
-            }
-            if !queue.push(inv.function, now) {
-                result.dropped += 1;
-                result.per_function[inv.function.index()].dropped += 1;
-            }
+            self.queue.pop();
         }
+    }
+}
 
-        // Let the system settle: keep processing completions and queue
-        // expiry until both are empty.
-        while !completions.is_empty() || !queue.is_empty() {
-            if let Some(&Reverse((t, _))) = completions.peek() {
-                let boundary = t.min(next_tick);
-                drain_completions!(boundary);
-                if next_tick <= boundary {
-                    housekeeping!(next_tick);
-                    next_tick += config.tick_interval;
-                }
-            } else {
-                // Only queued requests remain; ticks will expire them.
-                housekeeping!(next_tick);
-                next_tick += config.tick_interval;
-            }
+impl Node for Invoker<'_> {
+    type Token = ContainerId;
+
+    fn arrive(&mut self, function: FunctionId, now: SimTime, done: &mut Completions<ContainerId>) {
+        // A new arrival goes behind any already-queued requests.
+        if self.queue.is_empty() && self.try_serve(function, now, now, done) {
+            return;
         }
+        if !self.queue.push(function, now) {
+            self.result.dropped += 1;
+            self.result.per_function[function.index()].dropped += 1;
+        }
+    }
 
-        result
+    fn complete(&mut self, id: ContainerId, at: SimTime, done: &mut Completions<ContainerId>) {
+        self.pool.release(id, at);
+        self.serve_queued(at, done);
+    }
+
+    fn tick(&mut self, now: SimTime, done: &mut Completions<ContainerId>) {
+        for req in self.queue.expire(now) {
+            self.result.dropped += 1;
+            self.result.per_function[req.function.index()].dropped += 1;
+        }
+        engine::housekeep(&mut self.pool, self.registry, now);
+        self.serve_queued(now, done);
+    }
+
+    fn has_waiting(&self) -> bool {
+        !self.queue.is_empty()
     }
 }
 
@@ -395,6 +328,15 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "zero tick interval")]
+    fn zero_tick_interval_is_refused() {
+        let trace = workloads::skewed_frequency(SimDuration::from_mins(1)).unwrap();
+        let mut cfg = PlatformConfig::new(MemMb::from_gb(4), PolicyKind::GreedyDual);
+        cfg.tick_interval = SimDuration::ZERO;
+        Emulator::run(&trace, &cfg);
+    }
+
+    #[test]
     fn deterministic() {
         let a = run(PolicyKind::Ttl, 2);
         let b = run(PolicyKind::Ttl, 2);
@@ -404,11 +346,8 @@ mod tests {
     #[test]
     fn mean_latency_zero_when_nothing_served() {
         let r = PlatformResult {
-            policy: "GD".into(),
-            warm: 0,
-            cold: 0,
             dropped: 5,
-            per_function: vec![],
+            ..PlatformResult::default()
         };
         assert_eq!(r.mean_latency(), SimDuration::ZERO);
     }

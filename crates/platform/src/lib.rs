@@ -11,9 +11,9 @@
 //!   execution);
 //! - [`queue`] — OpenWhisk's request buffering: requests wait bounded time
 //!   in a bounded buffer and are *dropped* under sustained overload;
-//! - [`emulator`] — the invoker loop: a keep-alive [`ContainerPool`]
-//!   (TTL for vanilla OpenWhisk, Greedy-Dual for FaasCache) fed from the
-//!   buffer, with per-function latency accounting;
+//! - [`emulator`] — the invoker, a node of the simulator's event engine: a
+//!   keep-alive [`ContainerPool`] (TTL for vanilla OpenWhisk, Greedy-Dual
+//!   for FaasCache) fed from the buffer, with per-function latency;
 //! - [`sharded`] — a thread-safe invoker exercised by concurrent
 //!   load-generator threads (as the artifact's LookBusy load tests
 //!   exercise the modified OpenWhisk): N pool shards behind N locks —

@@ -81,11 +81,6 @@ impl Default for PhaseModel {
 }
 
 impl PhaseModel {
-    /// Total platform overhead before any function-specific work.
-    pub fn platform_overhead(&self) -> SimDuration {
-        self.pool_check + self.container_launch + self.runtime_init
-    }
-
     /// Builds the cold-start timeline for a function.
     ///
     /// The function's initialization overhead (`cold − warm`) covers

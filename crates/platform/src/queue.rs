@@ -38,8 +38,6 @@ pub struct RequestQueue {
     queue: VecDeque<QueuedRequest>,
     max_len: usize,
     patience: SimDuration,
-    timed_out: u64,
-    rejected: u64,
 }
 
 impl RequestQueue {
@@ -50,8 +48,6 @@ impl RequestQueue {
             queue: VecDeque::new(),
             max_len,
             patience,
-            timed_out: 0,
-            rejected: 0,
         }
     }
 
@@ -65,24 +61,10 @@ impl RequestQueue {
         self.queue.is_empty()
     }
 
-    /// Requests dropped because they waited longer than the patience.
-    pub fn timed_out(&self) -> u64 {
-        self.timed_out
-    }
-
-    /// Requests rejected because the buffer was full.
-    pub fn rejected(&self) -> u64 {
-        self.rejected
-    }
-
-    /// Enqueues a request; returns `false` (and counts a rejection) when
-    /// the buffer is full.
+    /// Enqueues a request; returns `false` when the buffer is full (the
+    /// caller counts the drop).
     pub fn push(&mut self, function: FunctionId, now: SimTime) -> bool {
         if self.queue.len() >= self.max_len {
-            // Saturating: a lifetime rejection counter must not wrap under
-            // sustained overload (see the core pool's counter contract).
-            debug_assert!(self.rejected < u64::MAX, "rejection counter overflow");
-            self.rejected = self.rejected.saturating_add(1);
             return false;
         }
         self.queue.push_back(QueuedRequest {
@@ -104,11 +86,6 @@ impl RequestQueue {
                 break;
             }
         }
-        debug_assert!(
-            u64::MAX - self.timed_out >= dropped.len() as u64,
-            "timeout counter overflow"
-        );
-        self.timed_out = self.timed_out.saturating_add(dropped.len() as u64);
         dropped
     }
 
@@ -146,7 +123,6 @@ mod tests {
         let mut q = RequestQueue::new(1, SimDuration::from_secs(60));
         assert!(q.push(f(1), SimTime::ZERO));
         assert!(!q.push(f(2), SimTime::ZERO));
-        assert_eq!(q.rejected(), 1);
         assert_eq!(q.len(), 1);
     }
 
@@ -158,7 +134,6 @@ mod tests {
         let dropped = q.expire(SimTime::from_secs(31));
         assert_eq!(dropped.len(), 1);
         assert_eq!(dropped[0].function, f(1));
-        assert_eq!(q.timed_out(), 1);
         assert_eq!(q.len(), 1);
         // Second request survives until t=50.
         assert!(q.expire(SimTime::from_secs(50)).is_empty());

@@ -8,15 +8,11 @@
 //!   miss speed (cold starts per second), and resizes the keep-alive cache
 //!   by inverting the hit-ratio curve (Eq. 3), with a large error deadband
 //!   (30 %) so only coarse diurnal shifts trigger changes.
-//! - [`deflation`] — a model of **VM resource deflation** (Sharma et al.,
-//!   EuroSys '19): cascade reclamation through container-pool shrinking,
-//!   guest memory hot-unplug, and hypervisor page swapping.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod controller;
-pub mod deflation;
 pub mod static_prov;
 
 pub use controller::{Controller, ControllerConfig, WindowStats};

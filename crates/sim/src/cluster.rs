@@ -18,16 +18,16 @@
 //! [`faascache_util::route`] and are shared verbatim with the live
 //! `faas-router` process, so the simulator and the router cannot drift.
 
+use crate::engine::{self, Completions, Node};
 use crate::metrics::SimResult;
 use crate::sim::{SimConfig, Simulation};
 use faascache_core::container::ContainerId;
+use faascache_core::function::{FunctionId, FunctionRegistry};
 use faascache_core::pool::{Acquire, ContainerPool, PoolConfig};
 use faascache_trace::record::Trace;
 use faascache_util::route::{self, BalancerState};
 use faascache_util::SimTime;
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 pub use faascache_util::route::LoadBalancer;
 
@@ -103,78 +103,24 @@ impl ClusterResult {
 ///
 /// # Panics
 ///
-/// Panics if `config.servers == 0`.
+/// Panics if `config.servers == 0` or the tick interval is zero.
 pub fn run_cluster(trace: &Trace, config: &ClusterConfig) -> ClusterResult {
     assert!(config.servers > 0, "need at least one server");
-    let registry = trace.registry();
     let pool_config = PoolConfig::new(config.per_server.memory)
         .with_eviction_batch(config.per_server.eviction_batch);
-    let mut pools: Vec<ContainerPool> = (0..config.servers)
-        .map(|_| ContainerPool::with_config(pool_config, config.per_server.policy.build()))
-        .collect();
-    let mut completions: BinaryHeap<Reverse<(SimTime, usize, ContainerId)>> = BinaryHeap::new();
-    let mut bstate = BalancerState::new(config.seed);
-    let mut next_tick = SimTime::ZERO + config.per_server.tick_interval;
+    let mut cluster = Cluster {
+        pools: (0..config.servers)
+            .map(|_| ContainerPool::with_config(pool_config, config.per_server.policy.build()))
+            .collect(),
+        registry: trace.registry(),
+        balancer: config.balancer,
+        state: BalancerState::new(config.seed),
+    };
+    engine::run(&mut cluster, trace, config.per_server.tick_interval, None);
 
-    for inv in trace.invocations() {
-        let now = inv.time;
-        while next_tick <= now {
-            while let Some(&Reverse((t, s, id))) = completions.peek() {
-                if t > next_tick {
-                    break;
-                }
-                completions.pop();
-                pools[s].release(id, t);
-            }
-            for pool in pools.iter_mut() {
-                pool.reap(next_tick);
-                let due = pool.prewarm_due(next_tick);
-                for fid in due {
-                    let spec = registry.spec(fid);
-                    pool.prewarm(spec, next_tick);
-                }
-            }
-            next_tick += config.per_server.tick_interval;
-        }
-        while let Some(&Reverse((t, s, id))) = completions.peek() {
-            if t > now {
-                break;
-            }
-            completions.pop();
-            pools[s].release(id, t);
-        }
-
-        // The simulator treats every server as healthy and never spills,
-        // so `route::pick` reduces to the historical per-policy choice.
-        let server = route::pick(
-            config.balancer,
-            &mut bstate,
-            config.servers,
-            inv.function.index() as u64,
-            |i| pools[i].running_count() as u64,
-            |_| true,
-            None,
-        )
-        .expect("at least one healthy server");
-
-        let spec = registry.spec(inv.function);
-        match pools[server].acquire(spec, now) {
-            Acquire::Warm { container } => {
-                completions.push(Reverse((now + spec.warm_time(), server, container)));
-            }
-            Acquire::Cold { container, .. } => {
-                completions.push(Reverse((now + spec.cold_time(), server, container)));
-            }
-            Acquire::NoCapacity => {}
-        }
-    }
-
-    let per_server: Vec<(u64, u64, u64)> = pools
-        .iter()
-        .map(|p| {
-            let c = p.counters();
-            (c.warm_starts, c.cold_starts, c.drops)
-        })
+    let counters = cluster.pools.iter().map(ContainerPool::counters);
+    let per_server: Vec<_> = counters
+        .map(|c| (c.warm_starts, c.cold_starts, c.drops))
         .collect();
     ClusterResult {
         balancer: config.balancer.label().to_string(),
@@ -182,6 +128,51 @@ pub fn run_cluster(trace: &Trace, config: &ClusterConfig) -> ClusterResult {
         cold: per_server.iter().map(|s| s.1).sum(),
         dropped: per_server.iter().map(|s| s.2).sum(),
         per_server,
+    }
+}
+
+/// N pools behind [`route::pick`]; the pools' own counters are the tally.
+struct Cluster<'a> {
+    pools: Vec<ContainerPool>,
+    registry: &'a FunctionRegistry,
+    balancer: LoadBalancer,
+    state: BalancerState,
+}
+
+impl Node for Cluster<'_> {
+    type Token = (usize, ContainerId);
+
+    fn arrive(&mut self, function: FunctionId, now: SimTime, done: &mut Completions<Self::Token>) {
+        // The simulator treats every server as healthy and never spills,
+        // so `route::pick` reduces to the historical per-policy choice.
+        let pools = &self.pools;
+        let server = route::pick(
+            self.balancer,
+            &mut self.state,
+            pools.len(),
+            function.index() as u64,
+            |i| pools[i].running_count() as u64,
+            |_| true,
+            None,
+        )
+        .expect("at least one healthy server");
+        let spec = self.registry.spec(function);
+        let (container, time) = match self.pools[server].acquire(spec, now) {
+            Acquire::Warm { container } => (container, spec.warm_time()),
+            Acquire::Cold { container, .. } => (container, spec.cold_time()),
+            Acquire::NoCapacity => return,
+        };
+        done.push(now + time, (server, container));
+    }
+
+    fn complete(&mut self, token: Self::Token, at: SimTime, _: &mut Completions<Self::Token>) {
+        self.pools[token.0].release(token.1, at);
+    }
+
+    fn tick(&mut self, now: SimTime, _: &mut Completions<Self::Token>) {
+        for pool in &mut self.pools {
+            engine::housekeep(pool, self.registry, now);
+        }
     }
 }
 
@@ -219,7 +210,7 @@ mod tests {
     use faascache_core::policy::PolicyKind;
     use faascache_trace::adapt::{adapt, AdaptOptions};
     use faascache_trace::synth::{generate, SynthConfig};
-    use faascache_util::MemMb;
+    use faascache_util::{MemMb, SimDuration};
 
     fn trace() -> Trace {
         let d = generate(&SynthConfig {
@@ -353,6 +344,15 @@ mod tests {
         assert_eq!(totals(&rrr), want_rr);
         let aff = run_cluster(&t, &config(LoadBalancer::FunctionAffinity));
         assert_eq!(totals(&aff), want_aff);
+    }
+
+    #[test]
+    #[should_panic(expected = "zero tick interval")]
+    fn zero_tick_interval_is_refused() {
+        let t = faascache_trace::workloads::skewed_frequency(SimDuration::from_mins(1)).unwrap();
+        let mut cfg = config(LoadBalancer::RoundRobin);
+        cfg.per_server.tick_interval = SimDuration::ZERO;
+        run_cluster(&t, &cfg);
     }
 
     #[test]

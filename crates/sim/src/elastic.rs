@@ -7,15 +7,15 @@
 //! and the average capacity (the paper reports a ~30 % reduction vs the
 //! conservative static size).
 
+use crate::engine::{self, Completions, Node};
+use crate::sim::{Server, SimConfig};
 use faascache_core::container::ContainerId;
+use faascache_core::function::FunctionId;
 use faascache_core::policy::PolicyKind;
-use faascache_core::pool::{Acquire, ContainerPool, PoolConfig};
 use faascache_provision::controller::{Controller, WindowStats};
 use faascache_trace::record::Trace;
 use faascache_util::{MemMb, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Configuration of an elastic-scaling run.
 #[derive(Debug, Clone)]
@@ -86,119 +86,94 @@ impl ElasticResult {
 /// Runs the controller-in-the-loop simulation.
 ///
 /// The caller provides the controller (already configured with the
-/// hit-ratio curve, target miss speed, and capacity bounds).
-pub fn run_elastic(
-    trace: &Trace,
-    config: &ElasticConfig,
-    mut controller: Controller,
-) -> ElasticResult {
-    let pool_config =
-        PoolConfig::new(config.initial_capacity).with_eviction_batch(MemMb::new(1000));
-    let mut pool = ContainerPool::with_config(pool_config, config.policy.build());
-    let registry = trace.registry();
-
-    let mut completions: BinaryHeap<Reverse<(SimTime, ContainerId)>> = BinaryHeap::new();
-    let mut next_tick = SimTime::ZERO + config.tick_interval;
-    let mut next_control = SimTime::ZERO + config.control_period;
-
-    let mut window_arrivals = 0u64;
-    let mut window_cold = 0u64;
-    let mut samples = Vec::new();
-    let mut warm = 0u64;
-    let mut cold = 0u64;
-    let mut dropped = 0u64;
-    // Time-weighted capacity average.
-    let mut weighted_capacity = 0.0f64;
-    let mut last_capacity_change = SimTime::ZERO;
-    let end_time = trace.end_time();
-
-    let drain = |pool: &mut ContainerPool,
-                 completions: &mut BinaryHeap<Reverse<(SimTime, ContainerId)>>,
-                 upto: SimTime| {
-        while let Some(&Reverse((t, id))) = completions.peek() {
-            if t > upto {
-                break;
-            }
-            completions.pop();
-            pool.release(id, t);
-        }
+/// hit-ratio curve, target miss speed, and capacity bounds). Panics if
+/// `config.tick_interval` or `config.control_period` is zero.
+pub fn run_elastic(trace: &Trace, config: &ElasticConfig, controller: Controller) -> ElasticResult {
+    let sim = SimConfig::new(config.initial_capacity, config.policy);
+    let mut node = Elastic {
+        server: Server::new(trace, &sim, config.policy.build()),
+        controller,
+        window_start: (SimTime::ZERO, 0, 0),
+        samples: Vec::new(),
+        weighted_capacity: 0.0,
+        last_capacity_change: SimTime::ZERO,
     };
+    let epoch = Some(config.control_period);
+    engine::run(&mut node, trace, config.tick_interval, epoch);
 
-    for inv in trace.invocations() {
-        let now = inv.time;
-        // Control decisions and ticks before this arrival.
-        loop {
-            let next_event = next_tick.min(next_control);
-            if next_event > now {
-                break;
-            }
-            drain(&mut pool, &mut completions, next_event);
-            if next_control <= next_tick {
-                let stats = WindowStats {
-                    arrivals: window_arrivals,
-                    cold_starts: window_cold,
-                    window: config.control_period,
-                };
-                let decision = controller.observe(stats);
-                if let Some(new_capacity) = decision {
-                    if new_capacity != pool.capacity() {
-                        weighted_capacity += pool.capacity().as_mb() as f64
-                            * next_control.since(last_capacity_change).as_secs_f64();
-                        last_capacity_change = next_control;
-                        pool.resize(new_capacity, next_control);
-                    }
-                }
-                samples.push(ElasticSample {
-                    time_secs: next_control.as_secs_f64(),
-                    capacity_mb: pool.capacity().as_mb(),
-                    miss_speed: stats.miss_speed(),
-                    arrival_rate: stats.arrival_rate(),
-                    resized: decision.is_some(),
-                });
-                window_arrivals = 0;
-                window_cold = 0;
-                next_control += config.control_period;
-            } else {
-                pool.reap(next_tick);
-                for fid in pool.prewarm_due(next_tick) {
-                    pool.prewarm(registry.spec(fid), next_tick);
-                }
-                next_tick += config.tick_interval;
-            }
-        }
-        drain(&mut pool, &mut completions, now);
+    let end_time = trace.end_time();
+    let capacity = node.server.pool.capacity().as_mb() as f64;
+    let avg_capacity_mb = if end_time > SimTime::ZERO {
+        (node.weighted_capacity
+            + capacity * end_time.since(node.last_capacity_change).as_secs_f64())
+            / end_time.as_secs_f64()
+    } else {
+        capacity
+    };
+    let r = &node.server.result;
+    ElasticResult {
+        samples: node.samples,
+        avg_capacity_mb,
+        cold: r.cold,
+        warm: r.warm,
+        dropped: r.dropped,
+    }
+}
 
-        let spec = registry.spec(inv.function);
-        window_arrivals += 1;
-        match pool.acquire(spec, now) {
-            Acquire::Warm { container } => {
-                warm += 1;
-                completions.push(Reverse((now + spec.warm_time(), container)));
-            }
-            Acquire::Cold { container, .. } => {
-                cold += 1;
-                window_cold += 1;
-                completions.push(Reverse((now + spec.cold_time(), container)));
-            }
-            Acquire::NoCapacity => dropped += 1,
-        }
+/// The single-server simulation with the controller resizing its pool at
+/// every control epoch.
+struct Elastic<'a> {
+    server: Server<'a>,
+    controller: Controller,
+    /// When the current window opened, and the arrivals and cold starts
+    /// before it.
+    window_start: (SimTime, u64, u64),
+    samples: Vec<ElasticSample>,
+    /// Capacity × time up to `last_capacity_change`, for the average.
+    weighted_capacity: f64,
+    last_capacity_change: SimTime,
+}
+
+impl Node for Elastic<'_> {
+    type Token = ContainerId;
+
+    fn arrive(&mut self, function: FunctionId, now: SimTime, done: &mut Completions<ContainerId>) {
+        self.server.arrive(function, now, done);
     }
 
-    drain(&mut pool, &mut completions, SimTime::MAX);
-    weighted_capacity +=
-        pool.capacity().as_mb() as f64 * end_time.since(last_capacity_change).as_secs_f64();
-    let avg_capacity_mb = if end_time > SimTime::ZERO {
-        weighted_capacity / end_time.as_secs_f64()
-    } else {
-        pool.capacity().as_mb() as f64
-    };
+    fn complete(&mut self, id: ContainerId, at: SimTime, done: &mut Completions<ContainerId>) {
+        self.server.complete(id, at, done);
+    }
 
-    ElasticResult {
-        samples,
-        avg_capacity_mb,
-        cold,
-        warm,
-        dropped,
+    fn tick(&mut self, now: SimTime, done: &mut Completions<ContainerId>) {
+        self.server.tick(now, done);
+    }
+
+    fn epoch(&mut self, now: SimTime) {
+        let (arrivals, cold) = (self.server.result.invocations, self.server.result.cold);
+        let stats = WindowStats {
+            arrivals: arrivals - self.window_start.1,
+            cold_starts: cold - self.window_start.2,
+            window: now.since(self.window_start.0),
+        };
+        self.window_start = (now, arrivals, cold);
+        let pool = &mut self.server.pool;
+        let decision = self.controller.observe(stats);
+        if let Some(new_capacity) = decision {
+            if new_capacity != pool.capacity() {
+                self.weighted_capacity += pool.capacity().as_mb() as f64
+                    * now.since(self.last_capacity_change).as_secs_f64();
+                self.last_capacity_change = now;
+                pool.resize(new_capacity, now);
+            }
+        }
+        self.samples.push(ElasticSample {
+            time_secs: now.as_secs_f64(),
+            capacity_mb: pool.capacity().as_mb(),
+            miss_speed: stats.miss_speed(),
+            arrival_rate: stats.arrival_rate(),
+            resized: decision.is_some(),
+        });
     }
 }
 
@@ -283,13 +258,29 @@ mod tests {
     #[test]
     fn empty_trace() {
         let trace = Trace::new(faascache_core::function::FunctionRegistry::new(), vec![]);
+        let result = run_with(&trace, ElasticConfig::new(MemMb::from_gb(1)));
+        assert!(result.samples.is_empty());
+        assert_eq!(result.cold, 0);
+    }
+
+    /// Runs with a controller sized for a 1 GB server.
+    fn run_with(trace: &Trace, config: ElasticConfig) -> ElasticResult {
         let curve = HitRatioCurve::from_distances(&[100], 0);
         let controller = Controller::new(
             curve,
             ControllerConfig::new(0.1, MemMb::new(100), MemMb::from_gb(1)),
         );
-        let result = run_elastic(&trace, &ElasticConfig::new(MemMb::from_gb(1)), controller);
-        assert!(result.samples.is_empty());
-        assert_eq!(result.cold, 0);
+        run_elastic(trace, &config, controller)
+    }
+
+    #[test]
+    #[should_panic(expected = "zero control period")]
+    fn zero_control_period_is_refused() {
+        let trace = faascache_trace::workloads::skewed_frequency(SimDuration::from_mins(1));
+        let config = ElasticConfig {
+            control_period: SimDuration::ZERO,
+            ..ElasticConfig::new(MemMb::from_gb(1))
+        };
+        run_with(&trace.unwrap(), config);
     }
 }

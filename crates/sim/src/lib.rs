@@ -5,6 +5,8 @@
 //! (`LambdaScheduler`) over Azure trace samples to produce Figures 3, 5,
 //! 6 and 9. This crate is that simulator in Rust:
 //!
+//! - [`engine`] is the one virtual-time event loop; the three simulations
+//!   below and the platform emulator are its [`engine::Node`]s;
 //! - [`sim`] replays a [`faascache_trace::Trace`] against a single
 //!   memory-constrained server whose [`faascache_core::ContainerPool`] is
 //!   driven by any keep-alive policy, producing cold/warm/dropped counts,
@@ -23,6 +25,7 @@
 
 pub mod cluster;
 pub mod elastic;
+pub mod engine;
 pub mod metrics;
 pub mod sim;
 pub mod sweep;

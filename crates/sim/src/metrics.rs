@@ -54,7 +54,7 @@ impl FunctionOutcome {
 }
 
 /// The outcome of one simulation run: one point of Figures 5/6.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SimResult {
     /// The policy label (`GD`, `TTL`, …).
     pub policy: String,

@@ -1,26 +1,20 @@
-//! The discrete-event simulation loop.
-//!
-//! Each invocation in the trace is an arrival event; container completions
-//! are tracked in a min-heap; periodic *ticks* drive TTL expiry
+//! The single-server simulation: one pool and the [`SimResult`] tally,
+//! driven by [`crate::engine`] in virtual time, so a full day of a
+//! server's traffic simulates in seconds. Ticks drive TTL expiry
 //! (`cleanup_finished` in the artifact) and HIST pre-warming
-//! (`PreWarmContainers`). Everything runs in virtual time, so a full day
-//! of a server's traffic simulates in seconds.
-//!
-//! Ticks ride the pool's incremental indexes: `ContainerPool::reap` and
-//! `prewarm_due` pop only the expired/due entries from ordered sets
-//! (O(k log n) for k expirations among n idle containers) instead of
-//! snapshotting and scanning the whole idle set each tick, so frequent
+//! (`PreWarmContainers`); they pop only the due entries from the pool's
+//! ordered indexes (O(k log n) for k of n idle containers), so frequent
 //! ticks stay cheap even on large pools.
 
+use crate::engine::{self, Completions, Node};
 use crate::metrics::{FunctionOutcome, SimResult};
 use faascache_core::container::ContainerId;
+use faascache_core::function::{FunctionId, FunctionRegistry};
 use faascache_core::policy::{KeepAlivePolicy, PolicyKind};
 use faascache_core::pool::{Acquire, ContainerPool, PoolConfig};
 use faascache_trace::record::Trace;
 use faascache_util::stats::LatencySummary;
 use faascache_util::{MemMb, SimDuration, SimTime};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Simulation configuration.
 #[derive(Debug, Clone, Copy)]
@@ -78,127 +72,114 @@ impl Simulation {
     }
 
     /// Replays `trace` with an explicitly constructed policy (for custom
-    /// parameters, e.g. a non-default TTL or size mode).
+    /// parameters, e.g. a non-default TTL or size mode). Panics if
+    /// `config.tick_interval` is zero.
     pub fn run_with_policy(
         trace: &Trace,
         config: &SimConfig,
         policy: Box<dyn KeepAlivePolicy>,
     ) -> SimResult {
-        let pool_config = PoolConfig::new(config.memory).with_eviction_batch(config.eviction_batch);
-        let mut pool = ContainerPool::with_config(pool_config, policy);
-        let registry = trace.registry();
+        let mut server = Server::new(trace, config, policy);
+        engine::run(&mut server, trace, config.tick_interval, None);
 
-        let minutes = trace.end_time().minute_index() as usize + 1;
-        let mut result = SimResult {
-            policy: pool.policy().name().to_string(),
-            memory: config.memory,
-            invocations: 0,
-            warm: 0,
-            cold: 0,
-            dropped: 0,
-            evictions: 0,
-            prewarms: 0,
-            wasted_init: SimDuration::ZERO,
-            total_warm_exec: SimDuration::ZERO,
-            latency: LatencySummary::default(),
-            per_function: vec![FunctionOutcome::default(); registry.len()],
-            cold_per_minute: vec![0; if trace.is_empty() { 0 } else { minutes }],
-            mem_timeline: Vec::new(),
-        };
-
-        // Completion events: (finish time, container).
-        let mut completions: BinaryHeap<Reverse<(SimTime, ContainerId)>> = BinaryHeap::new();
-        let mut next_tick = SimTime::ZERO + config.tick_interval;
-        // Startup delay (cold-start initialization; the plain simulator has
-        // no admission queue, so queue wait is zero) of a served invocation
-        // is zero when warm and the function's initialization overhead when
-        // cold, so the digest needs no per-invocation sample: the counts
-        // `result` keeps anyway, and this sum, taken in arrival order (a
-        // warm start's `+ 0.0` changes no bit of it).
-        let mut delay_sum_ms = 0.0;
-
-        let drain = |pool: &mut ContainerPool,
-                     completions: &mut BinaryHeap<Reverse<(SimTime, ContainerId)>>,
-                     upto: SimTime| {
-            while let Some(&Reverse((t, id))) = completions.peek() {
-                if t > upto {
-                    break;
-                }
-                completions.pop();
-                pool.release(id, t);
-            }
-        };
-
-        let housekeeping =
-            |pool: &mut ContainerPool, result: &mut SimResult, now: SimTime, cfg: &SimConfig| {
-                pool.reap(now);
-                for fid in pool.prewarm_due(now) {
-                    let spec = registry.spec(fid);
-                    pool.prewarm(spec, now);
-                }
-                if cfg.record_memory_timeline {
-                    result
-                        .mem_timeline
-                        .push((now.as_secs_f64(), pool.used_mem().as_mb()));
-                }
-            };
-
-        for inv in trace.invocations() {
-            let now = inv.time;
-            // Process ticks and completions that precede this arrival.
-            while next_tick <= now {
-                drain(&mut pool, &mut completions, next_tick);
-                housekeeping(&mut pool, &mut result, next_tick, config);
-                next_tick += config.tick_interval;
-            }
-            drain(&mut pool, &mut completions, now);
-
-            let spec = registry.spec(inv.function);
-            result.invocations += 1;
-            match pool.acquire(spec, now) {
-                Acquire::Warm { container } => {
-                    result.warm += 1;
-                    let f = &mut result.per_function[inv.function.index()];
-                    f.warm += 1;
-                    f.record_delay(SimDuration::ZERO);
-                    result.total_warm_exec += spec.warm_time();
-                    completions.push(Reverse((now + spec.warm_time(), container)));
-                }
-                Acquire::Cold { container, .. } => {
-                    result.cold += 1;
-                    let f = &mut result.per_function[inv.function.index()];
-                    f.cold += 1;
-                    f.record_delay(spec.init_overhead());
-                    delay_sum_ms += spec.init_overhead().as_millis_f64();
-                    result.total_warm_exec += spec.warm_time();
-                    result.wasted_init += spec.init_overhead();
-                    result.cold_per_minute[now.minute_index() as usize] += 1;
-                    completions.push(Reverse((now + spec.cold_time(), container)));
-                }
-                Acquire::NoCapacity => {
-                    result.dropped += 1;
-                    result.per_function[inv.function.index()].dropped += 1;
-                }
-            }
-        }
-
-        // Drain the remaining completions so final pool state is settled.
-        drain(&mut pool, &mut completions, SimTime::MAX);
+        let mut result = server.result;
         let mut delay_runs = vec![(0.0, result.warm)];
         delay_runs.extend(
-            registry
+            server
+                .registry
                 .iter()
                 .zip(&result.per_function)
                 .filter(|(_, outcome)| outcome.cold > 0)
                 .map(|(spec, outcome)| (spec.init_overhead().as_millis_f64(), outcome.cold)),
         );
-        result.latency = LatencySummary::from_runs_ms(&mut delay_runs, delay_sum_ms);
-        let counters = pool.counters();
+        result.latency = LatencySummary::from_runs_ms(&mut delay_runs, server.delay_sum_ms);
+        let counters = server.pool.counters();
         result.evictions = counters.evictions;
         result.prewarms = counters.prewarms;
         debug_assert_eq!(counters.warm_starts, result.warm);
         debug_assert_eq!(counters.cold_starts, result.cold);
         result
+    }
+}
+
+/// One pool and its tally; [`crate::elastic`] adds a controller to it.
+pub(crate) struct Server<'a> {
+    pub(crate) pool: ContainerPool,
+    registry: &'a FunctionRegistry,
+    pub(crate) result: SimResult,
+    /// The delay digest's sum, in arrival order: a served invocation's
+    /// delay is its cold-start initialization (the plain simulator has no
+    /// queue), so with the counts this is all the digest needs.
+    delay_sum_ms: f64,
+    record_memory_timeline: bool,
+}
+
+impl<'a> Server<'a> {
+    pub fn new(trace: &'a Trace, config: &SimConfig, policy: Box<dyn KeepAlivePolicy>) -> Self {
+        let pool_config = PoolConfig::new(config.memory).with_eviction_batch(config.eviction_batch);
+        let pool = ContainerPool::with_config(pool_config, policy);
+        let registry = trace.registry();
+        let minutes = trace.end_time().minute_index() as usize + 1;
+        Server {
+            result: SimResult {
+                policy: pool.policy().name().to_string(),
+                memory: config.memory,
+                per_function: vec![FunctionOutcome::default(); registry.len()],
+                cold_per_minute: vec![0; if trace.is_empty() { 0 } else { minutes }],
+                ..SimResult::default()
+            },
+            pool,
+            registry,
+            delay_sum_ms: 0.0,
+            record_memory_timeline: config.record_memory_timeline,
+        }
+    }
+}
+
+impl Node for Server<'_> {
+    type Token = ContainerId;
+
+    #[inline(always)]
+    fn arrive(&mut self, function: FunctionId, now: SimTime, done: &mut Completions<ContainerId>) {
+        let spec = self.registry.spec(function);
+        let result = &mut self.result;
+        result.invocations += 1;
+        let f = &mut result.per_function[function.index()];
+        match self.pool.acquire(spec, now) {
+            Acquire::Warm { container } => {
+                result.warm += 1;
+                f.warm += 1;
+                f.record_delay(SimDuration::ZERO);
+                result.total_warm_exec += spec.warm_time();
+                done.push(now + spec.warm_time(), container);
+            }
+            Acquire::Cold { container, .. } => {
+                result.cold += 1;
+                f.cold += 1;
+                f.record_delay(spec.init_overhead());
+                self.delay_sum_ms += spec.init_overhead().as_millis_f64();
+                result.total_warm_exec += spec.warm_time();
+                result.wasted_init += spec.init_overhead();
+                result.cold_per_minute[now.minute_index() as usize] += 1;
+                done.push(now + spec.cold_time(), container);
+            }
+            Acquire::NoCapacity => {
+                result.dropped += 1;
+                f.dropped += 1;
+            }
+        }
+    }
+
+    fn complete(&mut self, container: ContainerId, at: SimTime, _: &mut Completions<ContainerId>) {
+        self.pool.release(container, at);
+    }
+
+    fn tick(&mut self, now: SimTime, _: &mut Completions<ContainerId>) {
+        engine::housekeep(&mut self.pool, self.registry, now);
+        if self.record_memory_timeline {
+            let used = self.pool.used_mem().as_mb();
+            self.result.mem_timeline.push((now.as_secs_f64(), used));
+        }
     }
 }
 
@@ -350,6 +331,14 @@ mod tests {
         let f = &r.per_function[0];
         assert_eq!(f.delay_max_us, 450_000);
         assert!((f.mean_delay_ms() - 45.0).abs() < 1e-9);
+    }
+
+    #[test]
+    #[should_panic(expected = "zero tick interval")]
+    fn zero_tick_interval_is_refused() {
+        let mut cfg = SimConfig::new(MemMb::from_gb(1), PolicyKind::GreedyDual);
+        cfg.tick_interval = SimDuration::ZERO;
+        Simulation::run(&tiny_trace(SimDuration::from_secs(10), 3), &cfg);
     }
 
     #[test]

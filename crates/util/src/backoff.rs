@@ -9,7 +9,6 @@
 //! conformance suite depends on.
 
 use crate::rng::Pcg64;
-use crate::time::SimDuration;
 use std::time::Duration;
 
 /// Exponential backoff policy: attempt `k` (0-based) waits a uniform
@@ -56,11 +55,6 @@ impl ExpBackoff {
             return Duration::ZERO;
         }
         Duration::from_micros(rng.range_inclusive(0, micros))
-    }
-
-    /// [`Self::delay`] on the virtual-time axis, for simulated retries.
-    pub fn sim_delay(&self, attempt: u32, rng: &mut Pcg64) -> SimDuration {
-        SimDuration::from_micros(self.delay(attempt, rng).as_micros() as u64)
     }
 }
 

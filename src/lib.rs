@@ -11,7 +11,7 @@
 //! |---|---|
 //! | [`core`] | keep-alive container pool + the Greedy-Dual-Size-Frequency, Landlord, LRU, LFU, SIZE, TTL and HIST policies |
 //! | [`trace`] | Azure-Functions-schema datasets, synthetic generation, samplers, replay |
-//! | [`analysis`] | size-weighted reuse distances, hit-ratio curves, SHARDS sampling, Che's approximation |
+//! | [`analysis`] | size-weighted reuse distances, hit-ratio curves, SHARDS sampling, online curve estimation |
 //! | [`sim`] | trace-driven discrete-event simulator + parallel sweeps + elastic scaling |
 //! | [`provision`] | static sizing and the proportional vertical-scaling controller |
 //! | [`platform`] | virtual-time OpenWhisk-like platform emulator + the sharded invoker |

@@ -1,8 +1,9 @@
 //! Property-based tests over the whole stack (proptest).
 
 use faascache::analysis::reuse::{reuse_distances, reuse_distances_naive};
-use faascache::core::policy::PolicyKind;
+use faascache::core::container::ContainerId;
 use faascache::prelude::*;
+use faascache::sim::engine::{self, Completions, Node};
 use faascache::trace::codec;
 use proptest::prelude::*;
 
@@ -69,6 +70,42 @@ fn workload_strategy(max_fns: usize, max_arrivals: usize) -> impl Strategy<Value
     })
 }
 
+/// One pool under the engine that checks its capacity after every event.
+struct CapacityCheck<'a> {
+    pool: ContainerPool,
+    registry: &'a FunctionRegistry,
+}
+
+impl Node for CapacityCheck<'_> {
+    type Token = ContainerId;
+
+    fn arrive(&mut self, function: FunctionId, now: SimTime, done: &mut Completions<ContainerId>) {
+        let spec = self.registry.spec(function);
+        match self.pool.acquire(spec, now) {
+            Acquire::Warm { container } => done.push(now + spec.warm_time(), container),
+            Acquire::Cold { container, .. } => done.push(now + spec.cold_time(), container),
+            Acquire::NoCapacity => {}
+        }
+        assert!(
+            self.pool.used_mem() <= self.pool.capacity(),
+            "after an arrival"
+        );
+    }
+
+    fn complete(&mut self, id: ContainerId, at: SimTime, _: &mut Completions<ContainerId>) {
+        self.pool.release(id, at);
+        assert!(
+            self.pool.used_mem() <= self.pool.capacity(),
+            "after a completion"
+        );
+    }
+
+    fn tick(&mut self, now: SimTime, _: &mut Completions<ContainerId>) {
+        engine::housekeep(&mut self.pool, self.registry, now);
+        assert!(self.pool.used_mem() <= self.pool.capacity(), "after a tick");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -91,43 +128,19 @@ proptest! {
         prop_assert_eq!(cold_sum, r.cold);
     }
 
-    /// The pool never admits containers beyond its capacity, under any
-    /// interleaving of acquires and releases.
+    /// The pool never holds more than its capacity after any arrival,
+    /// completion or tick of an engine run.
     #[test]
     fn pool_never_exceeds_capacity(
         w in workload_strategy(8, 200),
         mem_mb in 128u64..8192,
     ) {
-        use faascache::core::pool::{Acquire, ContainerPool};
         let trace = w.to_trace();
-        let capacity = MemMb::new(mem_mb);
-        let mut pool = ContainerPool::new(capacity, PolicyKind::GreedyDual.build());
-        let mut running: Vec<(SimTime, faascache::core::container::ContainerId)> = Vec::new();
-        for inv in trace.invocations() {
-            // Release everything that finished.
-            running.retain(|&(until, id)| {
-                if until <= inv.time {
-                    pool.release(id, until);
-                    false
-                } else {
-                    true
-                }
-            });
-            let spec = trace.registry().spec(inv.function);
-            match pool.acquire(spec, inv.time) {
-                Acquire::Warm { container } => {
-                    running.push((inv.time + spec.warm_time(), container));
-                }
-                Acquire::Cold { container, .. } => {
-                    running.push((inv.time + spec.cold_time(), container));
-                }
-                Acquire::NoCapacity => {}
-            }
-            prop_assert!(
-                pool.used_mem() <= capacity,
-                "pool used {} of {}", pool.used_mem(), capacity
-            );
-        }
+        let mut node = CapacityCheck {
+            pool: ContainerPool::new(MemMb::new(mem_mb), PolicyKind::GreedyDual.build()),
+            registry: trace.registry(),
+        };
+        engine::run(&mut node, &trace, SimDuration::from_secs(15), None);
     }
 
     /// The Fenwick reuse-distance algorithm agrees with the paper's naive
