@@ -12,7 +12,6 @@
 
 use crate::reuse::ReuseDistances;
 use faascache_util::MemMb;
-use serde::{Deserialize, Serialize};
 
 /// An empirical hit-ratio curve: the CDF of size-weighted reuse distances.
 ///
@@ -29,7 +28,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(curve.hit_ratio(faascache_util::MemMb::new(299)), 0.75);
 /// assert_eq!(curve.hit_ratio(faascache_util::MemMb::new(300)), 1.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HitRatioCurve {
     /// Sorted distinct reuse distances (MB) with cumulative hit counts.
     points: Vec<(u64, u64)>,
@@ -82,11 +81,6 @@ impl HitRatioCurve {
         } else {
             self.points[idx - 1].1 as f64 / self.total as f64
         }
-    }
-
-    /// Expected miss ratio at cache size `cache`.
-    pub fn miss_ratio(&self, cache: MemMb) -> f64 {
-        1.0 - self.hit_ratio(cache)
     }
 
     /// The maximum achievable hit ratio (cache of unbounded size);
@@ -147,12 +141,6 @@ impl HitRatioCurve {
         }
         Some(MemMb::new(best.1))
     }
-
-    /// Samples the curve at the given cache sizes, returning
-    /// `(size, hit_ratio)` pairs — convenient for plotting Figure 3.
-    pub fn sample_at(&self, sizes: impl IntoIterator<Item = MemMb>) -> Vec<(MemMb, f64)> {
-        sizes.into_iter().map(|s| (s, self.hit_ratio(s))).collect()
-    }
 }
 
 #[cfg(test)]
@@ -166,7 +154,6 @@ mod tests {
         assert_eq!(c.hit_ratio(MemMb::new(99)), 0.25);
         assert_eq!(c.hit_ratio(MemMb::new(100)), 0.75);
         assert_eq!(c.hit_ratio(MemMb::new(1_000_000)), 1.0);
-        assert_eq!(c.miss_ratio(MemMb::new(100)), 0.25);
     }
 
     #[test]
@@ -252,9 +239,7 @@ mod tests {
     #[test]
     fn sampling_for_plots() {
         let c = HitRatioCurve::from_distances(&[100, 200, 300], 1);
-        let pts = c.sample_at((0..=3).map(|g| MemMb::new(g * 100)));
-        assert_eq!(pts.len(), 4);
-        assert_eq!(pts[0].1, 0.0);
-        assert_eq!(pts[3].1, 0.75);
+        let pts: Vec<f64> = (0..=3).map(|g| c.hit_ratio(MemMb::new(g * 100))).collect();
+        assert_eq!(pts, [0.0, 0.25, 0.5, 0.75]);
     }
 }

@@ -13,13 +13,12 @@
 //!   the practical choice for million-invocation traces.
 
 use faascache_trace::record::Trace;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Reuse distances of a trace, one entry per invocation in trace order.
 ///
 /// `None` marks a compulsory (first-ever) access with no prior invocation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReuseDistances {
     distances: Vec<Option<u64>>,
 }

@@ -25,9 +25,7 @@
 //! days) is a stated panic, never a silently repeated id.
 
 use crate::function::FunctionId;
-use crate::size::ResourceVector;
 use faascache_util::{MemMb, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Width of the slot half of a [`ContainerId`]. Unit tests of this crate
@@ -41,7 +39,7 @@ pub(crate) const MAX_SLOTS: usize = 1 << SLOT_BITS;
 /// Unique identifier of a container instance within one pool. Opaque and
 /// ordered: ids minted by one pool compare in mint order (see the module
 /// docs for what the two halves mean).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ContainerId(u64);
 
 impl ContainerId {
@@ -82,7 +80,7 @@ impl fmt::Display for ContainerId {
 }
 
 /// The lifecycle state of a container.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ContainerState {
     /// Idle and initialized, ready to serve a warm start.
     Warm,
@@ -104,33 +102,29 @@ impl ContainerState {
 ///
 /// Carries a snapshot of its function's static characteristics so policies
 /// can compute priorities without a registry lookup.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Container {
     id: ContainerId,
     function: FunctionId,
     mem: MemMb,
     warm_time: SimDuration,
     cold_time: SimDuration,
-    resources: Option<ResourceVector>,
     state: ContainerState,
     created_at: SimTime,
     last_used: SimTime,
     uses: u64,
-    #[serde(default)]
     tenant: u32,
 }
 
 impl Container {
     /// Creates a container (used by the pool; exposed for tests and for
     /// alternate pool implementations).
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         id: ContainerId,
         function: FunctionId,
         mem: MemMb,
         warm_time: SimDuration,
         cold_time: SimDuration,
-        resources: Option<ResourceVector>,
         now: SimTime,
     ) -> Self {
         Container {
@@ -139,7 +133,6 @@ impl Container {
             mem,
             warm_time,
             cold_time,
-            resources,
             state: ContainerState::Warm,
             created_at: now,
             last_used: now,
@@ -149,7 +142,7 @@ impl Container {
     }
 
     /// Tags the container with its function's tenant (builder-style, so the
-    /// 7-argument constructor and its many test call sites stay unchanged).
+    /// constructor's many tenant-free call sites stay unchanged).
     pub fn with_tenant(mut self, tenant: u32) -> Self {
         self.tenant = tenant;
         self
@@ -188,11 +181,6 @@ impl Container {
     /// Initialization overhead (`cold − warm`) — the Greedy-Dual `Cost`.
     pub fn init_overhead(&self) -> SimDuration {
         self.cold_time - self.warm_time
-    }
-
-    /// Optional multi-dimensional demand vector.
-    pub fn resources(&self) -> Option<&ResourceVector> {
-        self.resources.as_ref()
     }
 
     /// Current lifecycle state.
@@ -261,7 +249,6 @@ mod tests {
             MemMb::new(128),
             SimDuration::from_millis(300),
             SimDuration::from_millis(2000),
-            None,
             SimTime::from_secs(10),
         )
     }

@@ -5,14 +5,12 @@
 //! cold and warm is the *initialization overhead* that keep-alive avoids.
 
 use crate::error::CoreError;
-use crate::size::ResourceVector;
 use faascache_util::{MemMb, SimDuration};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// A dense, copyable function identifier assigned by [`FunctionRegistry`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FunctionId(u32);
 
 impl FunctionId {
@@ -38,9 +36,7 @@ impl fmt::Display for FunctionId {
 /// Tenant 0 is always the shared default tenant (named `"default"`):
 /// functions registered without an explicit tenant land there, so
 /// single-tenant deployments pay nothing for the tenant dimension.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TenantId(u32);
 
 impl TenantId {
@@ -67,17 +63,6 @@ impl fmt::Display for TenantId {
 /// Name of the shared default tenant.
 pub const DEFAULT_TENANT: &str = "default";
 
-fn default_tenant_names() -> Vec<String> {
-    vec![DEFAULT_TENANT.to_string()]
-}
-
-// Referenced by a `#[serde(default = ...)]` attribute, which the offline
-// serde shim erases along with the derive.
-#[allow(dead_code)]
-fn default_tenant_name() -> String {
-    DEFAULT_TENANT.to_string()
-}
-
 /// Static characteristics of a function.
 ///
 /// # Examples
@@ -96,17 +81,14 @@ fn default_tenant_name() -> String {
 /// assert_eq!(reg.spec(id).init_overhead(), SimDuration::from_secs(3));
 /// # Ok::<(), faascache_core::CoreError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FunctionSpec {
     id: FunctionId,
     name: String,
     mem: MemMb,
     warm_time: SimDuration,
     cold_time: SimDuration,
-    resources: Option<ResourceVector>,
-    #[serde(default)]
     tenant: TenantId,
-    #[serde(default = "default_tenant_name")]
     tenant_name: String,
 }
 
@@ -141,18 +123,6 @@ impl FunctionSpec {
         self.cold_time - self.warm_time
     }
 
-    /// Optional multi-dimensional resource demand (CPU share, memory, I/O),
-    /// used by the §4.1 size-representation ablations.
-    pub fn resources(&self) -> Option<&ResourceVector> {
-        self.resources.as_ref()
-    }
-
-    /// Attaches a multi-dimensional resource demand.
-    pub fn with_resources(mut self, resources: ResourceVector) -> Self {
-        self.resources = Some(resources);
-        self
-    }
-
     /// The tenant this function belongs to.
     pub fn tenant(&self) -> TenantId {
         self.tenant
@@ -169,11 +139,10 @@ impl FunctionSpec {
 /// Tenants are interned alongside functions: slot 0 is always the shared
 /// [`DEFAULT_TENANT`], and [`register_in`](Self::register_in) interns new
 /// tenant names on first use.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FunctionRegistry {
     specs: Vec<FunctionSpec>,
     by_name: HashMap<String, FunctionId>,
-    #[serde(default = "default_tenant_names")]
     tenants: Vec<String>,
 }
 
@@ -182,7 +151,7 @@ impl Default for FunctionRegistry {
         FunctionRegistry {
             specs: Vec::new(),
             by_name: HashMap::new(),
-            tenants: default_tenant_names(),
+            tenants: vec![DEFAULT_TENANT.to_string()],
         }
     }
 }
@@ -242,7 +211,6 @@ impl FunctionRegistry {
             mem,
             warm_time,
             cold_time,
-            resources: None,
             tenant,
             tenant_name: self.tenants[tenant.index()].clone(),
         });
@@ -284,11 +252,6 @@ impl FunctionRegistry {
         self.tenants.get(tenant.index()).map(String::as_str)
     }
 
-    /// All interned tenant names in id order (slot 0 is the default tenant).
-    pub fn tenant_names(&self) -> &[String] {
-        &self.tenants
-    }
-
     /// The spec for `id`.
     ///
     /// # Panics
@@ -321,16 +284,6 @@ impl FunctionRegistry {
     /// Total memory if one container of every function were resident.
     pub fn total_mem(&self) -> MemMb {
         self.specs.iter().map(|s| s.mem()).sum()
-    }
-
-    /// Replaces the resource vector on a registered function (builder-style
-    /// registration convenience for the size-representation ablations).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` was not produced by this registry.
-    pub fn set_resources(&mut self, id: FunctionId, resources: ResourceVector) {
-        self.specs[id.index()].resources = Some(resources);
     }
 }
 
@@ -451,7 +404,6 @@ mod tests {
         assert_eq!(r.spec(b).tenant(), TenantId::from_index(1));
         assert_eq!(r.spec(c).tenant(), r.spec(b).tenant());
         assert_eq!(r.tenant_name(TenantId::from_index(1)), Some("acme"));
-        assert_eq!(r.tenant_names(), ["default", "acme"]);
         // Empty tenant means the shared default.
         let d = r
             .register_in("d", MemMb::new(1), SimDuration::ZERO, SimDuration::ZERO, "")
@@ -461,16 +413,5 @@ mod tests {
         r.set_tenant(a, "beta");
         assert_eq!(r.spec(a).tenant(), TenantId::from_index(2));
         assert_eq!(r.spec(a).tenant_name(), "beta");
-    }
-
-    #[test]
-    fn resources_attach() {
-        let mut r = reg();
-        let id = r
-            .register("v", MemMb::new(100), SimDuration::ZERO, SimDuration::ZERO)
-            .unwrap();
-        assert!(r.spec(id).resources().is_none());
-        r.set_resources(id, ResourceVector::new(0.5, 100.0, 0.1));
-        assert!(r.spec(id).resources().is_some());
     }
 }

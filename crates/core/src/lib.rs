@@ -54,7 +54,6 @@ pub mod policy;
 pub mod pool;
 #[cfg(test)]
 mod proptests;
-pub mod size;
 mod slot_table;
 
 pub use container::{Container, ContainerId, ContainerState};

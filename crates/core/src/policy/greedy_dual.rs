@@ -13,16 +13,15 @@
 //!   reset to zero when the function's last container is terminated.
 //! - **Cost** — the termination cost: the function's initialization
 //!   overhead (cold − warm) in seconds.
-//! - **Size** — the container's memory footprint (MB) by default, or a
-//!   scalarized multi-dimensional resource vector (see
-//!   [`crate::size::SizeMode`]).
+//! - **Size** — the container's memory footprint (MB): "for ease of
+//!   exposition and practicality, we consider only the container memory
+//!   use".
 
 use crate::container::{Container, ContainerId};
 use crate::fn_table::FnTable;
 use crate::function::FunctionId;
 use crate::policy::index::{grows, Resident, TotalF64};
 use crate::policy::{KeepAlivePolicy, TenantWeights};
-use crate::size::SizeMode;
 use faascache_util::SimTime;
 use std::sync::Arc;
 
@@ -43,12 +42,13 @@ pub(super) struct GdEntry {
 
 impl GdEntry {
     /// A record for `c` touched at `clock`.
-    fn new(c: &Container, clock: f64, size_mode: SizeMode) -> Self {
+    fn new(c: &Container, clock: f64) -> Self {
         GdEntry {
             snapshot: clock,
             function: c.function(),
             cost: c.init_overhead().as_secs_f64(),
-            size: size_mode.scalar_size(c.mem().as_mb() as f64, c.resources()),
+            // Strictly positive, so priorities stay finite.
+            size: (c.mem().as_mb() as f64).max(f64::MIN_POSITIVE),
             tenant: c.tenant(),
         }
     }
@@ -77,7 +77,6 @@ impl GdEntry {
 #[derive(Debug)]
 pub struct GreedyDual {
     clock: f64,
-    size_mode: SizeMode,
     /// Invocations of each function since it last had zero resident
     /// containers (0 ≡ never seen or fully evicted).
     freq: FnTable<u64>,
@@ -105,16 +104,10 @@ pub struct GreedyDual {
 }
 
 impl GreedyDual {
-    /// Creates the policy with the paper's default memory-only size.
+    /// Creates the policy.
     pub fn new() -> Self {
-        Self::with_size_mode(SizeMode::MemoryOnly)
-    }
-
-    /// Creates the policy with an alternative size scalarization.
-    pub fn with_size_mode(size_mode: SizeMode) -> Self {
         GreedyDual {
             clock: 0.0,
-            size_mode,
             freq: FnTable::default(),
             resident: Resident::new(),
             weights: None,
@@ -137,7 +130,7 @@ impl GreedyDual {
     fn priority(&self, c: &Container) -> f64 {
         let entry = match self.resident.get(c.id()) {
             Some(e) => *e,
-            None => GdEntry::new(c, self.clock, self.size_mode),
+            None => GdEntry::new(c, self.clock),
         };
         entry.priority(&self.freq, self.weights.as_deref())
     }
@@ -146,9 +139,9 @@ impl GreedyDual {
     /// container is running afterwards; the heap is not told.
     fn touch(&mut self, c: &Container) {
         *self.freq.slot(c.function()) += 1;
-        let (clock, size_mode) = (self.clock, self.size_mode);
+        let clock = self.clock;
         self.resident
-            .running(c.id(), || GdEntry::new(c, clock, size_mode))
+            .running(c.id(), || GdEntry::new(c, clock))
             .snapshot = clock;
     }
 
@@ -156,12 +149,12 @@ impl GreedyDual {
     /// decreased since it was last filed (`rekey_if_weights_changed` sees
     /// to a raised weight).
     fn enqueue(&mut self, c: &Container) {
-        let (clock, size_mode) = (self.clock, self.size_mode);
+        let clock = self.clock;
         let (freq, weights) = (&self.freq, self.weights.as_deref());
         self.resident.file(
             c.id(),
             c.last_used(),
-            || GdEntry::new(c, clock, size_mode),
+            || GdEntry::new(c, clock),
             grows,
             |e| TotalF64(e.priority(freq, weights)),
         );
@@ -217,7 +210,7 @@ impl KeepAlivePolicy for GreedyDual {
         // Forgetting the record also retires its heap entry, if any.
         let entry = match self.resident.forget(container.id()) {
             Some(e) => e,
-            None => GdEntry::new(container, self.clock, self.size_mode),
+            None => GdEntry::new(container, self.clock),
         };
         // Clock = max over the evicted set of the victims' priorities; the
         // pool reports evictions one at a time, and taking a running max is
@@ -262,7 +255,6 @@ mod tests {
             MemMb::new(mem),
             SimDuration::ZERO,
             SimDuration::from_millis(init_ms),
-            None,
             SimTime::ZERO,
         )
     }

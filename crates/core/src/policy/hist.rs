@@ -557,7 +557,6 @@ mod tests {
             spec.mem(),
             spec.warm_time(),
             spec.cold_time(),
-            None,
             now,
         )
     }

@@ -198,7 +198,6 @@ mod tests {
             MemMb::new(mem),
             SimDuration::ZERO,
             SimDuration::from_secs(init_secs),
-            None,
             SimTime::ZERO,
         )
     }

@@ -84,7 +84,6 @@ mod tests {
             MemMb::new(100),
             SimDuration::from_millis(10),
             SimDuration::from_millis(20),
-            None,
             SimTime::ZERO,
         );
         c.begin_invocation(SimTime::from_secs(used), SimTime::from_secs(used + 1));

@@ -323,7 +323,6 @@ mod tests {
             MemMb::new(mem),
             SimDuration::from_millis(100),
             SimDuration::from_millis(500),
-            None,
             SimTime::ZERO,
         )
     }

@@ -87,7 +87,6 @@ mod tests {
             MemMb::new(mem),
             SimDuration::from_millis(10),
             SimDuration::from_millis(20),
-            None,
             SimTime::ZERO,
         )
     }

@@ -112,11 +112,6 @@ impl Acquire {
     pub fn is_cold(&self) -> bool {
         matches!(self, Acquire::Cold { .. })
     }
-
-    /// Whether the request could not be served.
-    pub fn is_dropped(&self) -> bool {
-        matches!(self, Acquire::NoCapacity)
-    }
 }
 
 /// Pool configuration.
@@ -553,7 +548,6 @@ impl ContainerPool {
             spec.mem(),
             spec.warm_time(),
             spec.cold_time(),
-            spec.resources().copied(),
             now,
         )
         .with_tenant(spec.tenant().index() as u32);
@@ -1288,7 +1282,6 @@ mod tests {
                 MemMb::new(10),
                 SimDuration::ZERO,
                 SimDuration::ZERO,
-                None,
                 SimTime::from_secs(used),
             )
         };
@@ -1370,7 +1363,6 @@ mod tests {
             MemMb::new(1),
             SimDuration::ZERO,
             SimDuration::ZERO,
-            None,
             t0,
         );
         let migrant = pool.adopt(migrant, t0).expect_err("no slot to adopt into");

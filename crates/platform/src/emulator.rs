@@ -17,7 +17,6 @@ use faascache_core::pool::{Acquire, ContainerPool, PoolConfig};
 use faascache_sim::engine::{self, Completions, Node};
 use faascache_trace::record::Trace;
 use faascache_util::{MemMb, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Emulated platform configuration.
 #[derive(Debug, Clone, Copy)]
@@ -60,7 +59,7 @@ impl PlatformConfig {
 }
 
 /// Per-function platform statistics.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FunctionPlatformStats {
     /// Function name.
     pub name: String,
@@ -82,7 +81,7 @@ impl FunctionPlatformStats {
 }
 
 /// Result of a platform emulation run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PlatformResult {
     /// The policy label.
     pub policy: String,

@@ -13,11 +13,10 @@
 
 use faascache_core::function::FunctionSpec;
 use faascache_util::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A cold-start phase, in execution order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Checking the warm container pool for a hit.
     PoolCheck,
@@ -60,7 +59,7 @@ impl fmt::Display for Phase {
 }
 
 /// Platform-fixed phase durations, calibrated to Figure 1.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhaseModel {
     /// Pool lookup latency.
     pub pool_check: SimDuration,
@@ -115,7 +114,7 @@ impl PhaseModel {
 }
 
 /// A per-phase breakdown of one cold invocation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ColdStartTimeline {
     phases: Vec<(Phase, SimDuration)>,
 }

@@ -47,10 +47,9 @@ use faascache_core::function::{FunctionId, FunctionSpec};
 use faascache_core::policy::{KeepAlivePolicy, PolicyKind};
 use faascache_core::pool::{Acquire, ContainerPool, PoolConfig, PoolCounters};
 use faascache_util::{route, MemMb, SimTime};
-use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::{Duration, Instant};
 
 /// Outcome of an invocation through a concurrency-safe invoker.
@@ -443,7 +442,12 @@ impl ShardedInvoker {
     /// The function's published route override, if the rebalancer has
     /// re-homed its warm set off the hash home.
     pub fn route_override(&self, function: FunctionId) -> Option<usize> {
-        self.inner.overrides.read().get(&function).copied()
+        self.inner
+            .overrides
+            .read()
+            .unwrap_or_else(|e| e.into_inner())
+            .get(&function)
+            .copied()
     }
 
     /// The shard an invocation of `function` is admitted to *right now*.
@@ -521,7 +525,7 @@ impl ShardedInvoker {
                 .record_served(spec.tenant().index() as u32);
             shard.window_served.fetch_add(1, Ordering::AcqRel);
             if self.inner.rebalance.is_some() {
-                *shard.recent.lock().entry(spec.id()).or_insert(0) += 1;
+                *lock(&shard.recent).entry(spec.id()).or_insert(0) += 1;
             }
         }
         outcome
@@ -548,7 +552,7 @@ impl ShardedInvoker {
 
     fn serve(shard: &Shard, spec: &FunctionSpec, at: SimTime) -> InvokeOutcome {
         let now = shard.advance(at);
-        let mut pool = shard.pool.lock();
+        let mut pool = lock(&shard.pool);
         let served = match pool.acquire(spec, now) {
             Acquire::Warm { container } => {
                 let finish = now + spec.warm_time();
@@ -586,7 +590,7 @@ impl ShardedInvoker {
     pub fn reap_shard(&self, shard: usize, at: SimTime) -> usize {
         let s = &self.inner.shards[shard];
         let now = s.advance(at);
-        let mut pool = s.pool.lock();
+        let mut pool = lock(&s.pool);
         let reaped = pool.reap(now).len();
         s.warm_mem_mb
             .store(pool.warm_mem().as_mb(), Ordering::Release);
@@ -647,7 +651,7 @@ impl ShardedInvoker {
     pub fn pool_counters(&self) -> PoolCounters {
         let mut total = PoolCounters::default();
         for s in &self.inner.shards {
-            let c = s.pool.lock().counters();
+            let c = lock(&s.pool).counters();
             total.warm_starts += c.warm_starts;
             total.cold_starts += c.cold_starts;
             total.drops += c.drops;
@@ -754,7 +758,7 @@ impl ShardedInvoker {
             return None;
         }
         // Serializes concurrent ticks; nothing else takes this lock.
-        let mut state = self.inner.rebalancer.lock();
+        let mut state = lock(&self.inner.rebalancer);
         let served: Vec<u64> = self
             .inner
             .shards
@@ -765,7 +769,7 @@ impl ShardedInvoker {
             .inner
             .shards
             .iter()
-            .map(|s| std::mem::take(&mut *s.recent.lock()))
+            .map(|s| std::mem::take(&mut *lock(&s.recent)))
             .collect();
         let total: u64 = served.iter().sum();
         if total == 0 {
@@ -808,8 +812,8 @@ impl ShardedInvoker {
         let now = self.inner.shards[hot].advance(at);
         let now = self.inner.shards[cold].advance(now);
         let (lo, hi) = (hot.min(cold), hot.max(cold));
-        let mut guard_lo = self.inner.shards[lo].pool.lock();
-        let mut guard_hi = self.inner.shards[hi].pool.lock();
+        let mut guard_lo = lock(&self.inner.shards[lo].pool);
+        let mut guard_hi = lock(&self.inner.shards[hi].pool);
         let (src, dst) = if hot == lo {
             (&mut *guard_lo, &mut *guard_hi)
         } else {
@@ -850,7 +854,11 @@ impl ShardedInvoker {
             return None;
         }
         {
-            let mut overrides = self.inner.overrides.write();
+            let mut overrides = self
+                .inner
+                .overrides
+                .write()
+                .unwrap_or_else(|e| e.into_inner());
             if cold == self.shard_of(function) {
                 // Moved back to its hash home: the override retires.
                 overrides.remove(&function);
@@ -874,7 +882,7 @@ impl ShardedInvoker {
     /// for tests and tooling that need to check warm-set placement and
     /// history (e.g. that migration preserved both), not just counts.
     pub fn warm_set(&self, shard: usize) -> Vec<(FunctionId, SimTime)> {
-        let pool = self.inner.shards[shard].pool.lock();
+        let pool = lock(&self.inner.shards[shard].pool);
         let mut set: Vec<(FunctionId, SimTime)> = pool
             .idle_ids()
             .map(|id| {
@@ -893,7 +901,7 @@ impl ShardedInvoker {
             .iter()
             .enumerate()
             .map(|(i, s)| {
-                let pool = s.pool.lock();
+                let pool = lock(&s.pool);
                 ShardStats {
                     shard: i,
                     counters: pool.counters(),
@@ -911,7 +919,7 @@ impl ShardedInvoker {
         self.inner
             .shards
             .iter()
-            .map(|s| s.pool.lock().used_mem())
+            .map(|s| lock(&s.pool).used_mem())
             .sum()
     }
 
@@ -920,7 +928,7 @@ impl ShardedInvoker {
         self.inner
             .shards
             .iter()
-            .map(|s| s.pool.lock().capacity())
+            .map(|s| lock(&s.pool).capacity())
             .sum()
     }
 
@@ -936,6 +944,13 @@ impl ShardedInvoker {
                 .unwrap_or(0),
         )
     }
+}
+
+/// Locks `m`, recovering the guard if a holder panicked, as the tenant
+/// table and the router do: one aborted invocation must not wedge its
+/// shard for every later one.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 #[cfg(test)]
@@ -1038,6 +1053,60 @@ mod tests {
         let victim = snaps.iter().find(|s| s.name == "victim").unwrap();
         assert_eq!(victim.throttled, 0);
         assert_eq!(victim.mem_mb, 64);
+    }
+
+    #[test]
+    fn a_runtime_quota_cut_alone_makes_the_tenant_the_victim() {
+        // The one sequence where only the eviction weight protects the
+        // other tenant: the admission memory check never fires, because
+        // the tenant that cold-starts is under budget and the one that
+        // fills the pool was under budget while it filled it.
+        use crate::tenant::TenantQuota;
+        let mut reg = FunctionRegistry::new();
+        let mut register = |name: String, cold_ms: u64, tenant: &str| {
+            reg.register_in(
+                name,
+                MemMb::new(64),
+                SimDuration::from_millis(5),
+                SimDuration::from_millis(cold_ms),
+                tenant,
+            )
+            .unwrap()
+        };
+        // Unweighted, an `a` container (0.195 s / 64 MB) outranks `b`'s
+        // (0.045 s / 64 MB); at weight 8 it ranks below.
+        let a: Vec<_> = (0..7)
+            .map(|i| register(format!("a{i}"), 200, "a"))
+            .collect();
+        let b_old = register("b-old".into(), 50, "b");
+        let b_new = register("b-new".into(), 50, "b");
+        let inv = ShardedInvoker::with_kind(
+            ShardedConfig::split(MemMb::new(512), 1),
+            PolicyKind::GreedyDual,
+        );
+        let mut t = 0;
+        let mut at = || {
+            t += 1;
+            SimTime::from_secs(t)
+        };
+        assert_eq!(inv.invoke(reg.spec(b_old), at()), InvokeOutcome::Cold);
+        for &f in &a {
+            assert_eq!(inv.invoke(reg.spec(f), at()), InvokeOutcome::Cold);
+        }
+        assert_eq!(inv.stats().evictions, 0, "exactly full");
+
+        // `a` holds 448 MB; its new budget is 256 MB.
+        assert!(inv.set_tenant_quota("a", TenantQuota::parse("mem=256").unwrap()));
+        assert_eq!(inv.invoke(reg.spec(b_new), at()), InvokeOutcome::Cold);
+        assert_eq!(inv.stats().evictions, 1);
+        let mem_of = |name: &str| {
+            let snaps = inv.tenant_snapshots();
+            snaps.iter().find(|s| s.name == name).unwrap().mem_mb
+        };
+        assert_eq!(mem_of("a"), 384, "the over-budget tenant paid");
+        assert_eq!(mem_of("b"), 128);
+        assert_eq!(inv.invoke(reg.spec(b_old), at()), InvokeOutcome::Warm);
+        assert_eq!(inv.stats().throttled, 0);
     }
 
     #[test]

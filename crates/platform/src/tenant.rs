@@ -61,11 +61,6 @@ impl TenantQuota {
         mem_mb: u64::MAX,
     };
 
-    /// Whether either budget is actually bounded.
-    pub fn is_limited(&self) -> bool {
-        self.inflight != u64::MAX || self.mem_mb != u64::MAX
-    }
-
     /// Parses a budget spec of the form `inflight=K,mem=MB` (both keys
     /// optional, omitted keys stay unlimited).
     ///
@@ -130,11 +125,6 @@ impl TenantQuotas {
             .find(|(n, _)| n == name)
             .map(|&(_, q)| q)
             .unwrap_or(self.default)
-    }
-
-    /// Whether any budget (default or named) is actually bounded.
-    pub fn any_limited(&self) -> bool {
-        self.default.is_limited() || self.named.iter().any(|(_, q)| q.is_limited())
     }
 }
 
@@ -430,8 +420,6 @@ mod tests {
         assert_eq!(quotas.quota_for("acme").mem_mb, 256);
         assert_eq!(quotas.quota_for("acme").inflight, u64::MAX);
         assert_eq!(quotas.quota_for("never-seen").inflight, 8);
-        assert!(quotas.any_limited());
-        assert!(!TenantQuotas::unlimited().any_limited());
     }
 
     #[test]

@@ -17,10 +17,9 @@
 use faascache_analysis::hitratio::HitRatioCurve;
 use faascache_util::stats::Ewma;
 use faascache_util::{MemMb, SimDuration};
-use serde::{Deserialize, Serialize};
 
 /// What the controller observed over one control window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WindowStats {
     /// Requests that arrived during the window.
     pub arrivals: u64,
@@ -53,7 +52,7 @@ impl WindowStats {
 }
 
 /// Controller configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControllerConfig {
     /// Target miss speed in cold starts per second.
     pub target_miss_speed: f64,

@@ -7,10 +7,9 @@
 
 use faascache_analysis::hitratio::HitRatioCurve;
 use faascache_util::MemMb;
-use serde::{Deserialize, Serialize};
 
 /// A static provisioning recommendation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProvisionPlan {
     /// Recommended server memory.
     pub size: MemMb,
@@ -31,7 +30,7 @@ pub struct ProvisionPlan {
 /// let plan = prov.by_target_hit_ratio(0.75).unwrap();
 /// assert_eq!(plan.size.as_mb(), 200);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StaticProvisioner {
     curve: HitRatioCurve,
 }

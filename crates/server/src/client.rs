@@ -18,7 +18,7 @@
 //! retries are counted separately and never double-book a request.
 
 use crate::daemon::BoundAddr;
-use crate::fault::{FaultConfig, FaultPlan, FaultStats, FaultyStream};
+use crate::fault::{FaultConfig, FaultPlan, FaultyStream};
 use crate::http::HttpClient;
 use crate::net::Stream;
 use crate::proto::{self, Request, Response};
@@ -56,12 +56,6 @@ impl Client {
     /// the retrying load generator always sets one.
     pub fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
         self.stream.get_ref().set_read_timeout(timeout)
-    }
-
-    /// Faults injected into this connection so far (all zero on a clean
-    /// transport).
-    pub fn fault_stats(&self) -> FaultStats {
-        self.stream.stats()
     }
 
     /// Writes one request frame without waiting for its reply, so a

@@ -797,7 +797,8 @@ impl Daemon {
     /// to start serving.
     ///
     /// The `registry` must be the same one the load generator derives —
-    /// see [`crate::workload`].
+    /// see [`crate::workload`]. A zero `reap_interval` or `read_timeout`
+    /// is refused as `InvalidInput`.
     pub fn bind(
         endpoint: &Endpoint,
         config: DaemonConfig,
@@ -823,6 +824,10 @@ impl Daemon {
                 "--io-model epoll requires linux",
             ));
         }
+        driver::require_nonzero(&[
+            ("reap_interval", config.reap_interval),
+            ("read_timeout", config.read_timeout),
+        ])?;
         let front = Front::bind(endpoint, http_addr, config.read_timeout, config.faults)?;
 
         let mut sharded = ShardedConfig::split(config.total_mem, config.shards)

@@ -42,6 +42,19 @@ pub(crate) fn faulty(
     FaultyStream::new(stream, plan)
 }
 
+/// Refuses the first zero among `durations`, each named as its config
+/// field: a zero interval makes its loop spin, and a zero socket timeout
+/// fails every read with `InvalidInput`.
+pub(crate) fn require_nonzero(durations: &[(&str, Duration)]) -> io::Result<()> {
+    match durations.iter().find(|(_, d)| d.is_zero()) {
+        Some((name, _)) => Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("{name} must be above zero"),
+        )),
+        None => Ok(()),
+    }
+}
+
 /// The bound front door of a server: its listeners and the per-socket
 /// settings every accepted connection gets.
 pub(crate) struct Front {

@@ -1171,7 +1171,8 @@ pub struct Router {
 
 impl Router {
     /// Binds the front endpoints; call [`Router::run`] to start serving.
-    /// `backends` must be non-empty.
+    /// `backends` must be non-empty, and the read timeouts and the health
+    /// interval above zero.
     pub fn bind(
         endpoint: &Endpoint,
         http_addr: Option<&str>,
@@ -1184,6 +1185,11 @@ impl Router {
                 "faas-router needs at least one --backend",
             ));
         }
+        driver::require_nonzero(&[
+            ("read_timeout", config.read_timeout),
+            ("backend_read_timeout", config.backend_read_timeout),
+            ("health_interval", config.health_interval),
+        ])?;
         // Front connections are always clean; fault injection applies to
         // the router→backend hop (`backend_faults`), where the chaos
         // conformance suite aims it.
@@ -1283,6 +1289,43 @@ mod tests {
 
         assert!("not-an-addr".parse::<BackendSpec>().is_err());
         assert!("127.0.0.1:1+http=nope".parse::<BackendSpec>().is_err());
+    }
+
+    /// Binds a router on a free port in front of one backend that is
+    /// never dialled: binding alone must judge `config`.
+    fn bind_with(config: RouterConfig) -> io::Result<Router> {
+        let backend = "127.0.0.1:1".parse().unwrap();
+        let endpoint = Endpoint::Tcp("127.0.0.1:0".into());
+        Router::bind(&endpoint, None, config, vec![backend])
+    }
+
+    fn assert_refused(config: RouterConfig) {
+        let err = bind_with(config).err().expect("a zero duration binds");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+    }
+
+    #[test]
+    fn zero_read_timeout_is_refused() {
+        assert_refused(RouterConfig {
+            read_timeout: Duration::ZERO,
+            ..RouterConfig::default()
+        });
+    }
+
+    #[test]
+    fn zero_backend_read_timeout_is_refused() {
+        assert_refused(RouterConfig {
+            backend_read_timeout: Duration::ZERO,
+            ..RouterConfig::default()
+        });
+    }
+
+    #[test]
+    fn zero_health_interval_is_refused() {
+        assert_refused(RouterConfig {
+            health_interval: Duration::ZERO,
+            ..RouterConfig::default()
+        });
     }
 
     #[test]

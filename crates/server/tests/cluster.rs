@@ -362,6 +362,21 @@ fn e2e_case(io: IoModel, balancer: LoadBalancer) {
         "{tag}: router tallies diverge from client: {}",
         report.summary_line()
     );
+    // ... as must its own `/metrics` front.
+    assert_eq!(
+        router_series(&http, "faasrouter_requests_total{outcome=\"warm\"}"),
+        stats.warm,
+        "{tag}: router /metrics diverge from its stats"
+    );
+    let routed: u64 = (0..backends.len())
+        .map(|i| {
+            router_series(
+                &http,
+                &format!("faasrouter_backend_routed_total{{backend=\"{i}\"}}"),
+            )
+        })
+        .sum();
+    assert_eq!(routed, requests, "{tag}: routed series miss forwards");
 
     // ... and the *sum* of the backends' own /metrics counters must
     // equal the router's — every forward executed on exactly one backend.

@@ -1,6 +1,7 @@
 //! End-to-end tests: a real `faascached` daemon on a real socket, driven
 //! by real protocol clients, with conservation checked on both sides.
 
+use faascache_core::function::FunctionRegistry;
 use faascache_server::client::{self, Client, LoadOptions, LoadProto, RetryPolicy};
 use faascache_server::daemon::{
     BoundAddr, Daemon, DaemonConfig, DaemonReport, Endpoint, IoModel, ShutdownHandle,
@@ -9,6 +10,7 @@ use faascache_server::http::HttpClient;
 use faascache_server::WorkloadConfig;
 use faascache_trace::replay::OpenLoopSchedule;
 use faascache_util::MemMb;
+use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -422,6 +424,10 @@ fn exercise_http(
         "per-shard gauges must cover all 4 shards:\n{metrics}"
     );
     assert_eq!(sample("faascache_draining"), 0);
+    assert!(
+        sample("faascache_http_requests_total") >= served,
+        "the scrape must count the {served} gateway invokes"
+    );
 
     drop(c);
     handle.request();
@@ -1085,4 +1091,30 @@ fn shutdown_handle_drains_from_outside() {
     let report = join.join().expect("daemon thread");
     assert!(report.drained);
     assert_eq!(report.stats.cold, 1);
+}
+
+/// Binding with `config` fails as `InvalidInput`.
+fn assert_refused(config: DaemonConfig) {
+    let err = Daemon::bind(&tcp_endpoint(), config, FunctionRegistry::new())
+        .err()
+        .expect("a zero duration binds");
+    assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+}
+
+#[test]
+fn zero_reap_interval_is_refused() {
+    // It would run every shard's reaper in a tight loop under its lock.
+    assert_refused(DaemonConfig {
+        reap_interval: Duration::ZERO,
+        ..test_config()
+    });
+}
+
+#[test]
+fn zero_read_timeout_is_refused() {
+    // A zero socket timeout fails every read on the accept path.
+    assert_refused(DaemonConfig {
+        read_timeout: Duration::ZERO,
+        ..test_config()
+    });
 }

@@ -27,10 +27,11 @@ use faascache_server::journal::{self, Journal, JournalRecord};
 #[cfg(unix)]
 mod crash {
     use faascache_platform::sharded::InvokeOutcome;
-    use faascache_server::client::{self, Client};
+    use faascache_server::client::{self, Client, LoadOptions};
     use faascache_server::daemon::BoundAddr;
-    use faascache_server::HttpClient;
-    use std::io::BufRead;
+    use faascache_server::{HttpClient, WorkloadConfig};
+    use faascache_trace::replay::OpenLoopSchedule;
+    use std::io::{BufRead, Read};
     use std::net::SocketAddr;
     use std::path::{Path, PathBuf};
     use std::process::{Child, Command, Stdio};
@@ -100,7 +101,7 @@ mod crash {
                     "--seed",
                     "11",
                 ])
-                .stdout(Stdio::null())
+                .stdout(Stdio::piped())
                 .stderr(Stdio::piped())
                 .spawn()
                 .expect("spawn faascached");
@@ -176,7 +177,8 @@ mod crash {
             let _ = std::fs::remove_file(&self.sock);
         }
 
-        /// Graceful teardown via the protocol Shutdown frame.
+        /// Graceful teardown via the protocol Shutdown frame: the child
+        /// exits 0 and its summary line reports a completed drain.
         fn shutdown_clean(mut self) {
             Client::connect(&self.addr())
                 .expect("connect for shutdown")
@@ -184,6 +186,14 @@ mod crash {
                 .expect("shutdown frame");
             let status = self.child.wait().expect("wait for child");
             assert!(status.success(), "faascached exited with {status}");
+            let mut summary = String::new();
+            self.child
+                .stdout
+                .take()
+                .expect("stdout piped")
+                .read_to_string(&mut summary)
+                .expect("read child stdout");
+            assert!(summary.contains("drained=true"), "{summary}");
             if let Some(drain) = self.stderr_drain.take() {
                 let _ = drain.join();
             }
@@ -260,6 +270,21 @@ mod crash {
         assert!(
             matches!(outcome, InvokeOutcome::Warm | InvokeOutcome::Cold),
             "recovered function failed to serve: {outcome:?}"
+        );
+        // So does a replay of the boot workload, without loss.
+        let workload = WorkloadConfig {
+            functions: 8,
+            seed: 11,
+            ..WorkloadConfig::default()
+        };
+        let schedule = OpenLoopSchedule::from_trace(&workload.build(), 5_000.0);
+        let opts = LoadOptions::new(5_000.0, 500, 2);
+        let report = client::run_load_with(&second.addr(), &schedule, opts);
+        assert_eq!(
+            (report.errors, report.lost()),
+            (0, 0),
+            "{}",
+            report.summary_line()
         );
         second.shutdown_clean();
     }

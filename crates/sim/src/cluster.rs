@@ -27,7 +27,6 @@ use faascache_core::pool::{Acquire, ContainerPool, PoolConfig};
 use faascache_trace::record::Trace;
 use faascache_util::route::{self, BalancerState};
 use faascache_util::SimTime;
-use serde::{Deserialize, Serialize};
 
 pub use faascache_util::route::LoadBalancer;
 
@@ -46,7 +45,7 @@ pub struct ClusterConfig {
 }
 
 /// Aggregated outcome of a cluster run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterResult {
     /// The routing policy used.
     pub balancer: String,

@@ -15,7 +15,6 @@ use faascache_core::policy::PolicyKind;
 use faascache_provision::controller::{Controller, WindowStats};
 use faascache_trace::record::Trace;
 use faascache_util::{MemMb, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of an elastic-scaling run.
 #[derive(Debug, Clone)]
@@ -43,7 +42,7 @@ impl ElasticConfig {
 }
 
 /// One controller observation point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ElasticSample {
     /// Time of the control decision (seconds).
     pub time_secs: f64,
@@ -58,7 +57,7 @@ pub struct ElasticSample {
 }
 
 /// Outcome of an elastic-scaling run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ElasticResult {
     /// Per-window samples.
     pub samples: Vec<ElasticSample>,

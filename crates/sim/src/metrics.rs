@@ -2,10 +2,9 @@
 
 use faascache_util::stats::LatencySummary;
 use faascache_util::{MemMb, SimDuration};
-use serde::{Deserialize, Serialize};
 
 /// Per-function invocation outcomes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FunctionOutcome {
     /// Invocations served warm.
     pub warm: u64,
@@ -54,7 +53,7 @@ impl FunctionOutcome {
 }
 
 /// The outcome of one simulation run: one point of Figures 5/6.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimResult {
     /// The policy label (`GD`, `TTL`, …).
     pub policy: String,

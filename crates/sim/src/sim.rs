@@ -72,7 +72,7 @@ impl Simulation {
     }
 
     /// Replays `trace` with an explicitly constructed policy (for custom
-    /// parameters, e.g. a non-default TTL or size mode). Panics if
+    /// parameters, e.g. a non-default TTL). Panics if
     /// `config.tick_interval` is zero.
     pub fn run_with_policy(
         trace: &Trace,

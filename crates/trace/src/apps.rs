@@ -16,10 +16,9 @@
 use faascache_core::function::{FunctionId, FunctionRegistry};
 use faascache_core::CoreError;
 use faascache_util::{MemMb, SimDuration};
-use serde::{Deserialize, Serialize};
 
 /// A benchmark application profile (one row of Table 1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppProfile {
     /// Application name.
     pub name: &'static str,

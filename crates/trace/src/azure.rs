@@ -12,7 +12,6 @@
 //! schema needs); [`AzureDataset::to_csv`] writes the same format, so the
 //! synthetic generator's output is interchangeable with the real data.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -20,7 +19,7 @@ use std::fmt;
 pub const MINUTES_PER_DAY: usize = 1440;
 
 /// Identifies a function within an application.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AzureFunctionKey {
     /// Application hash (functions of one app share memory accounting).
     pub app: String,
@@ -35,7 +34,7 @@ impl fmt::Display for AzureFunctionKey {
 }
 
 /// Per-function day of data.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AzureFunction {
     /// Invocation counts per minute-wide bucket (length 1440).
     pub per_minute: Vec<u32>,
@@ -55,7 +54,7 @@ impl AzureFunction {
 }
 
 /// One day of the dataset.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AzureDataset {
     /// Per-function data, deterministically ordered by key.
     pub functions: BTreeMap<AzureFunctionKey, AzureFunction>,

@@ -28,7 +28,6 @@
 pub mod adapt;
 pub mod apps;
 pub mod azure;
-pub mod codec;
 pub mod record;
 pub mod replay;
 pub mod sample;

@@ -2,10 +2,9 @@
 
 use faascache_core::function::{FunctionId, FunctionRegistry};
 use faascache_util::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// One function invocation request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Invocation {
     /// Arrival time.
     pub time: SimTime,
@@ -33,7 +32,7 @@ pub struct Invocation {
 /// assert_eq!(trace.len(), 2);
 /// # Ok::<(), faascache_core::CoreError>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Trace {
     registry: FunctionRegistry,
     invocations: Vec<Invocation>,

@@ -1,10 +1,9 @@
 //! Trace-level statistics (Table 2 of the paper).
 
 use crate::record::Trace;
-use serde::{Deserialize, Serialize};
 
 /// Size and inter-arrival statistics of a trace, as reported in Table 2.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceStats {
     /// Number of invocations.
     pub num_invocations: u64,

@@ -118,19 +118,6 @@ pub fn cyclic(
     Ok(Trace::new(registry, invocations))
 }
 
-/// The default cyclic workload over all six Table-1 apps.
-///
-/// # Errors
-///
-/// Propagates registry errors.
-pub fn cyclic_default(duration: SimDuration) -> Result<Trace, CoreError> {
-    cyclic(
-        &apps::table1_apps(),
-        SimDuration::from_millis(500),
-        duration,
-    )
-}
-
 /// Scales a fixed-IAT workload out to `clones` copies of each app (like
 /// the artifact's LookBusy litmus tests, which deploy many actions built
 /// from the same images). Clone `i` of an app runs at a slightly longer
@@ -296,7 +283,12 @@ mod tests {
 
     #[test]
     fn cyclic_strict_rotation() {
-        let t = cyclic_default(SimDuration::from_secs(30)).unwrap();
+        let t = cyclic(
+            &apps::table1_apps(),
+            SimDuration::from_millis(500),
+            SimDuration::from_secs(30),
+        )
+        .unwrap();
         let n = t.registry().len();
         let seq: Vec<usize> = t.invocations().iter().map(|i| i.function.index()).collect();
         for (i, &f) in seq.iter().enumerate() {
@@ -319,7 +311,7 @@ mod tests {
         let d = SimDuration::from_secs(60);
         for t in [
             skewed_frequency(d).unwrap(),
-            cyclic_default(d).unwrap(),
+            cyclic(&apps::table1_apps(), SimDuration::from_millis(500), d).unwrap(),
             skewed_size(d).unwrap(),
         ] {
             assert!(!t.is_empty());

@@ -6,7 +6,6 @@
 //! newtype over whole megabytes that prevents mixing memory up with times,
 //! counts, or priorities.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Sub, SubAssign};
@@ -21,9 +20,7 @@ use std::ops::{Add, AddAssign, Sub, SubAssign};
 /// let container = MemMb::new(512);
 /// assert_eq!((server - container).as_mb(), 48 * 1024 - 512);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct MemMb(u64);
 
 impl MemMb {

@@ -25,7 +25,6 @@
 //! historical behavior.
 
 use crate::rng::Pcg64;
-use serde::{Deserialize, Serialize};
 
 /// Stable 64-bit avalanche hash (SplitMix64 finalizer).
 ///
@@ -121,7 +120,7 @@ pub fn shard_candidates(function_index: u64, shards: usize) -> (usize, usize) {
 /// load-balancing policy which runs a function on the same subset of
 /// servers" (better locality, hence better keep-alive effectiveness).
 /// One enum drives both the cluster simulator and the live router.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoadBalancer {
     /// Uniform random server per invocation.
     Random,

@@ -10,8 +10,6 @@
 //!   queries, used for IAT histograms (minute buckets up to four hours).
 //! - [`percentile`] computes percentiles of unsorted samples.
 
-use serde::{Deserialize, Serialize};
-
 /// Welford's online algorithm for mean and variance.
 ///
 /// # Examples
@@ -25,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((w.mean() - 5.0).abs() < 1e-12);
 /// assert!((w.population_variance() - 4.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Welford {
     count: u64,
     mean: f64,
@@ -66,15 +64,6 @@ impl Welford {
         }
     }
 
-    /// Sample variance with Bessel's correction (0 if fewer than 2).
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
     /// Population standard deviation.
     pub fn std_dev(&self) -> f64 {
         self.population_variance().sqrt()
@@ -111,7 +100,7 @@ impl Welford {
 /// e.observe(20.0);
 /// assert!((e.value() - 15.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Ewma {
     alpha: f64,
     value: Option<f64>,
@@ -143,11 +132,6 @@ impl Ewma {
     pub fn value(&self) -> f64 {
         self.value.unwrap_or(0.0)
     }
-
-    /// Whether any observation has been made.
-    pub fn is_initialized(&self) -> bool {
-        self.value.is_some()
-    }
 }
 
 /// A fixed-bucket-width histogram over `[0, width × buckets)` with an
@@ -168,7 +152,7 @@ impl Ewma {
 /// assert_eq!(h.count(), 3);
 /// assert_eq!(h.bucket_value(h.percentile_bucket(0.5)), 5.5);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     width: f64,
     counts: Vec<u64>,
@@ -336,7 +320,7 @@ fn percentile_by_rank(len: usize, q: f64, at: impl Fn(usize) -> f64) -> f64 {
 /// assert_eq!(s.p50_ms, 2.5);
 /// assert_eq!(s.max_ms, 4.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LatencySummary {
     /// Number of samples summarized.
     pub count: u64,
@@ -465,7 +449,6 @@ mod tests {
         assert_eq!(w.count(), 8);
         assert!((w.mean() - 5.0).abs() < 1e-12);
         assert!((w.population_variance() - 4.0).abs() < 1e-12);
-        assert!((w.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
         assert!((w.std_dev() - 2.0).abs() < 1e-12);
         assert!((w.coefficient_of_variation() - 0.4).abs() < 1e-12);
     }
@@ -491,7 +474,6 @@ mod tests {
     #[test]
     fn ewma_blends() {
         let mut e = Ewma::new(0.25);
-        assert!(!e.is_initialized());
         e.observe(100.0);
         assert_eq!(e.value(), 100.0);
         e.observe(0.0);

@@ -6,7 +6,7 @@ use faascache::core::policy::PolicyKind;
 use faascache::prelude::*;
 use faascache::sim::sweep::sweep;
 use faascache::trace::stats::TraceStats;
-use faascache::trace::{adapt, codec, sample, synth};
+use faascache::trace::{adapt, sample, synth};
 
 fn pipeline_trace(seed: u64, functions: usize, sample_n: usize) -> Trace {
     let dataset = synth::generate(&synth::SynthConfig {
@@ -108,20 +108,6 @@ fn whole_pipeline_is_deterministic() {
     let ra = Simulation::run(&a, &SimConfig::new(MemMb::from_gb(8), PolicyKind::Landlord));
     let rb = Simulation::run(&b, &SimConfig::new(MemMb::from_gb(8), PolicyKind::Landlord));
     assert_eq!(ra, rb);
-}
-
-#[test]
-fn codec_round_trip_preserves_simulation_results() {
-    let trace = pipeline_trace(55, 120, 50);
-    let decoded = codec::decode(codec::encode(&trace)).expect("round trip");
-    for kind in [PolicyKind::GreedyDual, PolicyKind::Hist] {
-        let config = SimConfig::new(MemMb::from_gb(6), kind);
-        assert_eq!(
-            Simulation::run(&trace, &config),
-            Simulation::run(&decoded, &config),
-            "{kind} diverged after codec round trip"
-        );
-    }
 }
 
 #[test]

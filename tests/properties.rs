@@ -4,7 +4,6 @@ use faascache::analysis::reuse::{reuse_distances, reuse_distances_naive};
 use faascache::core::container::ContainerId;
 use faascache::prelude::*;
 use faascache::sim::engine::{self, Completions, Node};
-use faascache::trace::codec;
 use proptest::prelude::*;
 
 /// A compact description of a random workload.
@@ -149,15 +148,6 @@ proptest! {
     fn reuse_distance_implementations_agree(w in workload_strategy(10, 250)) {
         let trace = w.to_trace();
         prop_assert_eq!(reuse_distances(&trace), reuse_distances_naive(&trace));
-    }
-
-    /// Binary encoding round-trips arbitrary traces exactly.
-    #[test]
-    fn codec_round_trips(w in workload_strategy(10, 200)) {
-        let trace = w.to_trace();
-        let decoded = codec::decode(codec::encode(&trace)).expect("decodable");
-        prop_assert_eq!(decoded.invocations(), trace.invocations());
-        prop_assert_eq!(decoded.num_functions(), trace.num_functions());
     }
 
     /// Hit-ratio curves are monotone, bounded, and consistent with their
