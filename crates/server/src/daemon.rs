@@ -763,6 +763,12 @@ impl Service for Shared {
         &self.shutdown
     }
 
+    /// Flips every admission gate, so a request answered from here on
+    /// gets an explicit `Rejected`.
+    fn on_drain(&self) {
+        self.invoker.begin_drain();
+    }
+
     fn counters(&self) -> &FrontCounters {
         &self.front
     }
@@ -918,10 +924,6 @@ impl Daemon {
         let drained = match self.config.io_model {
             IoModel::Threads => {
                 let handlers = self.front.serve(&self.shared);
-                // Drain: flip every admission gate so stragglers get an
-                // explicit Rejected, then wait for in-flight responses
-                // to flush.
-                self.shared.invoker.begin_drain();
                 driver::drain(&*self.shared, handlers, self.config.drain_timeout)
             }
             // The epoll core owns the sockets, so it drains internally

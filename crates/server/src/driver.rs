@@ -5,22 +5,20 @@
 //! optional HTTP gateway). [`Front::serve`] runs one accept loop per
 //! listener and one handler thread per connection until the service
 //! starts draining; [`drain`] then waits for every admitted request's
-//! response to reach the wire. Keep-alive, pipelining, serve-then-close
-//! on poisoned input, the per-request stall deadline, the HTTP drain
-//! grace window and the `active` bracket are written here once, for the
-//! daemon and the router alike.
+//! response to reach the wire. A handler is one short loop over the
+//! connection core of [`crate::conn`] — read a chunk, decode, answer,
+//! flush — for the daemon and the router alike.
 //!
 //! The daemon's `--io-model epoll` swaps this driver for
-//! [`crate::reactor`], which serves the same listeners and executes
-//! requests through the same [`respond`].
+//! [`crate::reactor`], which serves the same listeners and drives the
+//! same core from readiness events.
 
+use crate::conn::{Conn, Scratch};
 use crate::daemon::{BoundAddr, Endpoint};
 use crate::fault::{FaultConfig, FaultPlan, FaultyStream};
-use crate::http::{self, HttpParser};
 use crate::net::{Listener, Stream};
-use crate::proto::{self, Poll};
-use crate::service::{respond, ConnKind, Op, Service};
-use std::collections::VecDeque;
+use crate::proto::WriteProgress;
+use crate::service::{ConnKind, Service};
 use std::io::{self, Read, Write};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -142,8 +140,8 @@ impl Front {
     }
 
     /// Accepts connections off `listener` until drain begins, spawning
-    /// one handler thread per connection speaking `kind`. Returns the
-    /// handlers not yet seen to finish.
+    /// one handler thread per connection speaking `kind`, then calls the
+    /// drain hook. Returns the handlers not yet seen to finish.
     ///
     /// Between bursts the loop parks in the kernel on the listener and
     /// the drain latch, so a connection is accepted when it is queued,
@@ -177,12 +175,7 @@ impl Front {
                     handlers.push(thread::spawn(move || {
                         let mut ctx = svc.conn_ctx(ordinal);
                         let stream = svc.counters().counted(stream);
-                        match kind {
-                            ConnKind::Binary => {
-                                serve_binary(&*svc, &mut ctx, stream, stall_limit);
-                            }
-                            ConnKind::Http => serve_http(&*svc, &mut ctx, stream, stall_limit),
-                        }
+                        serve_connection(&*svc, &mut ctx, kind, stream, stall_limit);
                         svc.counters().connection_closed();
                     }));
                     continue;
@@ -208,6 +201,7 @@ impl Front {
             svc.drain_latch().park(wake_on, self.read_timeout);
             counters.accept_wakeups.fetch_add(1, Ordering::Relaxed);
         }
+        svc.on_drain();
         handlers
     }
 }
@@ -231,217 +225,76 @@ pub(crate) fn drain<S: Service>(svc: &S, handlers: Vec<JoinHandle<()>>, timeout:
     drained
 }
 
-/// Executes one op and writes its reply, inside the `active` bracket:
-/// admit → response written, so drain cannot declare victory while a
-/// reply is unflushed. Returns whether the connection closes after it.
-fn answer<S: Service, T: Write>(
-    svc: &S,
-    ctx: &mut S::Ctx,
-    stream: &mut T,
-    kind: ConnKind,
-    op: Op,
-    req_close: bool,
-    out: &mut Vec<u8>,
-) -> io::Result<bool> {
-    let active = &svc.counters().active;
-    active.fetch_add(1, Ordering::SeqCst);
-    out.clear();
-    let close = respond(svc, ctx, kind, op, req_close, out);
-    let wrote = stream.write_all(out);
-    active.fetch_sub(1, Ordering::SeqCst);
-    wrote.map(|()| close)
-}
-
-/// One binary connection's serve loop: frames in, responses out, until
-/// EOF, drain, or a protocol error. Frames pipelined ahead of a poisoned
-/// length prefix are answered before the close, because each frame is
-/// answered before the next is read.
+/// Serves one connection on the calling thread until it closes: read a
+/// chunk, decode it, answer every request it completed, flush, repeat.
+/// The socket's read timeout paces the loop while the peer is quiet, so
+/// drain and the stall deadline are looked at at least once per timeout.
+/// A stall clock that runs out while this thread answers or writes (a
+/// slow call, a peer not reading its replies) starts over: this side was
+/// not reading.
 ///
 /// Generic over the transport so tests can slot a scripted stream in
 /// place of a socket.
-fn serve_binary<S: Service, T: Read + Write>(
+fn serve_connection<S: Service, T: Read + Write>(
     svc: &S,
     ctx: &mut S::Ctx,
+    kind: ConnKind,
     mut stream: T,
     stall_limit: Duration,
 ) {
     let counters = svc.counters();
-    let mut out = Vec::new();
-    while !svc.draining() {
-        match proto::poll_frame(&mut stream, stall_limit) {
-            Ok(Poll::Idle) => {}
-            Ok(Poll::Eof) => break,
-            Ok(Poll::Frame(payload)) => {
-                counters.frames.fetch_add(1, Ordering::Relaxed);
-                let op = Op::from_frame(&payload);
-                if answer(svc, ctx, &mut stream, ConnKind::Binary, op, false, &mut out).is_err() {
-                    break;
-                }
-            }
-            // Malformed or stalled input (an oversized prefix, EOF or a
-            // stall inside a frame) is a protocol error; a reset or any
-            // other transport failure is not — the reactor's split.
-            Err(e) => {
-                if e.kind() == io::ErrorKind::InvalidData {
-                    counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                }
-                break;
-            }
+    let mut scratch = Scratch::default();
+    let mut conn = Conn::new(kind, &scratch);
+    let mut drain_began = None;
+    // Drain is looked for before the requests just read are answered, so
+    // they meet its admission rules, and before the next read, so a
+    // connection that asked for it is not read again.
+    let notice_drain = |began: &mut Option<Instant>| {
+        if began.is_none() && svc.draining() {
+            svc.on_drain();
+            *began = Some(Instant::now());
         }
-    }
-}
-
-/// One HTTP connection's serve loop: requests in, responses out, until
-/// EOF, a parse error, `Connection: close`, or the drain grace window
-/// ends. The blocking twin of the reactor's HTTP path.
-///
-/// Drain semantics: once drain begins the loop keeps serving for one
-/// stall-limit grace window — already-pipelined requests complete and
-/// health probes observe the 503 flip — then closes. A parse error is
-/// answered *after* every request that completed before the poison
-/// (serve-then-close, the same contract the binary path keeps), with
-/// 431/413/400 + `Connection: close`.
-fn serve_http<S: Service, T: Read + Write>(
-    svc: &S,
-    ctx: &mut S::Ctx,
-    mut stream: T,
-    stall_limit: Duration,
-) {
-    let counters = svc.counters();
-    let mut parser = HttpParser::new();
-    let mut requests = VecDeque::new();
-    let mut chunk = [0u8; 8192];
-    let mut out = Vec::new();
-    let mut parse_error = None;
-    let mut drain_seen: Option<Instant> = None;
-    let mut started: Option<Instant> = None;
+    };
     loop {
-        if svc.draining() {
-            let since = drain_seen.get_or_insert_with(Instant::now);
-            if since.elapsed() > stall_limit {
-                return;
-            }
+        if conn.read_from(&mut stream, &mut scratch, counters).is_err() {
+            break;
         }
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                // EOF inside a request is malformed input, as on the
-                // binary path; at a request boundary it is a clean close.
-                if parser.is_mid_request() {
-                    counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                }
-                return;
-            }
-            Ok(n) => {
-                if let Err(e) = parser.feed(&chunk[..n], &mut requests) {
-                    // Requests completed before the poison are already
-                    // on the queue; serve them, then answer the error.
-                    counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                    parse_error = Some(e);
-                }
-            }
-            Err(ref e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock
-                        | io::ErrorKind::TimedOut
-                        | io::ErrorKind::Interrupted
-                ) =>
-            {
-                // Idle tick — unless the peer stalled mid-request, in
-                // which case the per-request deadline applies exactly
-                // like the binary path's per-frame deadline.
-                if parser.is_mid_request() && started.is_some_and(|s| s.elapsed() > stall_limit) {
-                    counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-            }
-            Err(_) => return,
+        notice_drain(&mut drain_began);
+        conn.arm_deadline(stall_limit);
+        let stalled = conn.deadline.is_some_and(|d| Instant::now() >= d);
+        while let Some(request) = conn.pending.pop_front() {
+            conn.answer(svc, ctx, request);
         }
-        started = if parser.is_mid_request() {
-            Some(started.unwrap_or_else(Instant::now))
-        } else {
-            None
+        let flushed = loop {
+            match conn.flush(&mut stream, counters) {
+                WriteProgress::Flushed => break true,
+                // Only an injected `TimedOut` blocks a blocking socket.
+                WriteProgress::Blocked => {}
+                WriteProgress::Closed(_) => break false,
+            }
         };
-
-        // Serve the whole parsed queue before honoring any close flag:
-        // pipelined requests already read off the socket must complete.
-        let mut close_after = false;
-        while let Some(req) = requests.pop_front() {
-            counters.http_requests.fetch_add(1, Ordering::Relaxed);
-            let op = http::route(&req);
-            match answer(
-                svc,
-                ctx,
-                &mut stream,
-                ConnKind::Http,
-                op,
-                req.close,
-                &mut out,
-            ) {
-                Ok(close) => close_after |= close,
-                Err(_) => return,
-            }
+        if stalled {
+            counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
         }
-        if let Some(err) = parse_error {
-            let _ = answer(
-                svc,
-                ctx,
-                &mut stream,
-                ConnKind::Http,
-                err.into(),
-                true,
-                &mut out,
-            );
-            return;
+        notice_drain(&mut drain_began);
+        if stalled || !flushed || !conn.reads(drain_began, stall_limit) {
+            break;
         }
-        if close_after {
-            return;
+        if conn.deadline.is_some_and(|d| Instant::now() >= d) {
+            conn.deadline = Some(Instant::now() + stall_limit);
         }
     }
+    conn.close(counters);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::net::DrainLatch;
-    use crate::proto::{Request, Response};
-    use crate::service::{FnTarget, FrontCounters, Reply};
+    use crate::conn::tests::Toy;
+    use crate::http;
+    use crate::proto::{self, Request, Response};
     use faascache_platform::sharded::InvokeOutcome;
-
-    /// Answers every invoke warm; drains when told to.
-    #[derive(Default)]
-    struct Toy {
-        counters: FrontCounters,
-        latch: DrainLatch,
-    }
-
-    impl Service for Toy {
-        type Ctx = ();
-
-        fn conn_ctx(&self, _ordinal: u64) {}
-
-        fn call(&self, _ctx: &mut (), op: Op) -> Reply {
-            match op {
-                Op::Invoke {
-                    function: FnTarget::Index(function),
-                    ..
-                } => Reply::Invoked {
-                    function,
-                    outcome: InvokeOutcome::Warm,
-                },
-                Op::Fail { status, msg } => Reply::error(status, msg),
-                _ => Reply::Alive,
-            }
-        }
-
-        fn drain_latch(&self) -> &DrainLatch {
-            &self.latch
-        }
-
-        fn counters(&self) -> &FrontCounters {
-            &self.counters
-        }
-    }
+    use std::collections::VecDeque;
 
     enum Step {
         /// The peer sends these bytes.
@@ -452,6 +305,8 @@ mod tests {
         BeginDrain,
         /// The peer goes silent: every further read times out.
         Stall,
+        /// The peer sends these bytes one per read, each after a pause.
+        Trickle(Vec<u8>, Duration),
     }
 
     /// A scripted peer: reads follow `steps` (then EOF), writes are kept.
@@ -501,6 +356,14 @@ mod tests {
                         self.steps.push_front(Step::Bytes(bytes.split_off(n)));
                     }
                     Ok(n)
+                }
+                Some(Step::Trickle(mut bytes, pause)) => {
+                    thread::sleep(pause);
+                    buf[0] = bytes.remove(0);
+                    if !bytes.is_empty() {
+                        self.steps.push_front(Step::Trickle(bytes, pause));
+                    }
+                    Ok(1)
                 }
                 Some(step) => {
                     match step {
@@ -554,7 +417,7 @@ mod tests {
         wire.extend(u32::MAX.to_le_bytes()); // length prefix over MAX_FRAME
         wire.extend(frame(Request::Ping)); // never reached
         let mut peer = Script::new(&toy, vec![Step::Bytes(wire)]);
-        serve_binary(&toy, &mut (), &mut peer, STALL_LIMIT);
+        serve_connection(&toy, &mut (), ConnKind::Binary, &mut peer, STALL_LIMIT);
         assert_eq!(peer.responses(), vec![WARM, WARM]);
         assert_eq!(toy.counters.frames.load(Ordering::Relaxed), 2);
         assert_eq!(toy.counters.protocol_errors.load(Ordering::Relaxed), 1);
@@ -582,7 +445,7 @@ mod tests {
             wire.extend(poison.as_bytes());
             wire.extend(invoke_http(4)); // never reached
             let mut peer = Script::new(&toy, vec![Step::Bytes(wire)]);
-            serve_http(&toy, &mut (), &mut peer, STALL_LIMIT);
+            serve_connection(&toy, &mut (), ConnKind::Http, &mut peer, STALL_LIMIT);
             assert_eq!(peer.statuses(), vec![200, 200, status]);
             let text = String::from_utf8_lossy(&peer.written);
             let last = text.rsplit("HTTP/1.1 ").next().expect("a last response");
@@ -604,10 +467,7 @@ mod tests {
             let toy = Toy::default();
             let mut peer = Script::new(&toy, vec![Step::Bytes(partial), Step::Stall]);
             let started = Instant::now();
-            match kind {
-                ConnKind::Binary => serve_binary(&toy, &mut (), &mut peer, STALL_LIMIT),
-                ConnKind::Http => serve_http(&toy, &mut (), &mut peer, STALL_LIMIT),
-            }
+            serve_connection(&toy, &mut (), kind, &mut peer, STALL_LIMIT);
             assert!(started.elapsed() >= STALL_LIMIT, "{kind:?} cut early");
             assert!(peer.written.is_empty(), "{kind:?} answered half a request");
             assert_eq!(
@@ -615,6 +475,63 @@ mod tests {
                 1,
                 "{kind:?}"
             );
+        }
+    }
+
+    /// A 226-byte frame and a 234-byte head: each takes over a hundred
+    /// milliseconds to arrive at 0.5 ms per byte.
+    fn long_requests() -> [(ConnKind, Vec<u8>); 2] {
+        let mut payload = Request::Ping.encode();
+        payload.resize(222, 0);
+        let mut frame = Vec::new();
+        proto::write_frame(&mut frame, &payload).expect("Vec write");
+        let head = format!(
+            "GET /healthz HTTP/1.1\r\nX-Pad: {}\r\n\r\n",
+            "p".repeat(200)
+        );
+        [
+            (ConnKind::Binary, frame),
+            (ConnKind::Http, head.into_bytes()),
+        ]
+    }
+
+    #[test]
+    fn a_trickling_peer_is_cut_at_the_stall_limit() {
+        // Every read makes progress, and the request is still cut: the
+        // deadline runs from its first byte.
+        for (kind, request) in long_requests() {
+            let toy = Toy::default();
+            let pause = Duration::from_micros(500);
+            let mut peer = Script::new(&toy, vec![Step::Trickle(request, pause)]);
+            let started = Instant::now();
+            serve_connection(&toy, &mut (), kind, &mut peer, STALL_LIMIT);
+            let took = started.elapsed();
+            assert!(
+                peer.written.is_empty(),
+                "{kind:?} served a trickled request"
+            );
+            assert!(took < 5 * STALL_LIMIT, "{kind:?} cut after {took:?}");
+            assert_eq!(
+                toy.counters.protocol_errors.load(Ordering::Relaxed),
+                1,
+                "{kind:?}"
+            );
+            assert_eq!(toy.counters.active.load(Ordering::SeqCst), 0);
+        }
+    }
+
+    #[test]
+    fn a_trickle_that_completes_inside_the_limit_is_served() {
+        for (kind, request) in long_requests() {
+            let toy = Toy::default();
+            let pause = Duration::from_micros(100);
+            let mut peer = Script::new(&toy, vec![Step::Trickle(request, pause)]);
+            serve_connection(&toy, &mut (), kind, &mut peer, Duration::from_secs(5));
+            match kind {
+                ConnKind::Binary => assert_eq!(peer.responses(), vec![Response::Pong]),
+                ConnKind::Http => assert_eq!(peer.statuses(), vec![200]),
+            }
+            assert_eq!(toy.counters.protocol_errors.load(Ordering::Relaxed), 0);
         }
     }
 
@@ -626,13 +543,13 @@ mod tests {
         let mut steps: Vec<Step> = idle().collect();
         steps.push(Step::Bytes(frame(Request::Ping)));
         let mut peer = Script::new(&toy, steps);
-        serve_binary(&toy, &mut (), &mut peer, STALL_LIMIT);
+        serve_connection(&toy, &mut (), ConnKind::Binary, &mut peer, STALL_LIMIT);
         assert_eq!(peer.responses(), vec![Response::Pong]);
 
         let mut steps: Vec<Step> = idle().collect();
         steps.push(Step::Bytes(HEALTHZ.to_vec()));
         let mut peer = Script::new(&toy, steps);
-        serve_http(&toy, &mut (), &mut peer, STALL_LIMIT);
+        serve_connection(&toy, &mut (), ConnKind::Http, &mut peer, STALL_LIMIT);
         assert_eq!(peer.statuses(), vec![200]);
         assert_eq!(toy.counters.protocol_errors.load(Ordering::Relaxed), 0);
     }
@@ -649,7 +566,7 @@ mod tests {
                 Step::Bytes(frame(Request::Invoke { function: 2 })),
             ],
         );
-        serve_binary(&toy, &mut (), &mut peer, STALL_LIMIT);
+        serve_connection(&toy, &mut (), ConnKind::Binary, &mut peer, STALL_LIMIT);
         assert_eq!(peer.responses(), vec![WARM]);
 
         // HTTP: idle ticks inside the grace window keep the connection;
@@ -667,7 +584,7 @@ mod tests {
                 Step::Bytes(HEALTHZ.to_vec()),
             ],
         );
-        serve_http(&toy, &mut (), &mut peer, STALL_LIMIT);
+        serve_connection(&toy, &mut (), ConnKind::Http, &mut peer, STALL_LIMIT);
         assert_eq!(peer.statuses(), vec![200, 503]);
         let text = String::from_utf8_lossy(&peer.written);
         let (first, second) = text.split_at(text.rfind("HTTP/1.1 ").expect("two responses"));
@@ -679,7 +596,7 @@ mod tests {
         let toy = Toy::default();
         let mut peer = Script::new(&toy, vec![Step::BeginDrain, Step::Stall]);
         let started = Instant::now();
-        serve_http(&toy, &mut (), &mut peer, STALL_LIMIT);
+        serve_connection(&toy, &mut (), ConnKind::Http, &mut peer, STALL_LIMIT);
         assert!(started.elapsed() >= STALL_LIMIT);
         assert!(peer.written.is_empty());
         assert_eq!(toy.counters.protocol_errors.load(Ordering::Relaxed), 0);

@@ -28,9 +28,10 @@
 //!   count is returned.
 //! - **Short read**: at most one byte is read.
 //! - **Timeout**: the operation fails with `TimedOut` without touching
-//!   the transport — indistinguishable from a socket read timeout, which
-//!   is precisely what [`crate::proto::poll_frame`]'s stall handling must
-//!   survive.
+//!   the transport — indistinguishable from a socket read timeout. The
+//!   serving side treats it as a read or write that took nothing and
+//!   tries again; only the stall deadline ends a connection that keeps
+//!   timing out mid-request.
 //! - **Corrupt**: the operation proceeds but one bit of the transferred
 //!   bytes is flipped.
 //! - **Stall**: the thread sleeps `stall_ms` before the operation

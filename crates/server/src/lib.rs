@@ -16,14 +16,17 @@
 //!   a `Reply`, and `respond` encodes the reply back into the wire
 //!   format it came in by. `Service` has exactly two implementations,
 //!   the daemon and the router;
+//! - `conn` — one connection's protocol core, shared by both drivers:
+//!   the decoder, the pending queue and its `active` bracket,
+//!   serve-then-close, the stall deadline, the drain grace, and the
+//!   reply queue;
 //! - `driver` — the blocking, thread-per-connection serving driver,
 //!   generic over `Service`: listener binding, the accept loop, one
-//!   per-connection loop per protocol, drain;
+//!   read-answer-flush loop per connection, drain;
 //! - [`reactor`] (linux) — the `--io-model epoll` driver: one reactor
-//!   thread multiplexing every connection over raw `epoll` with
-//!   incremental codecs, executing each request through the same
-//!   `respond` on the thread that read it — C10k connections, no new
-//!   deps;
+//!   thread multiplexing every connection over raw `epoll`, each
+//!   request served on the thread that read it — C10k connections, no
+//!   new deps;
 //! - [`daemon`] — the `faascached` daemon: N pool shards with
 //!   function-affinity routing, bounded admission with explicit
 //!   backpressure, an idempotency cache, a durable registry journal,
@@ -64,6 +67,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
+mod conn;
 pub mod daemon;
 mod driver;
 pub mod fault;

@@ -34,7 +34,6 @@ use faascache_platform::sharded::{InvokeOutcome, InvokerStats};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
 
 /// Upper bound on a frame payload; anything larger is a protocol error.
 /// Legitimate frames are under 100 bytes — the guard exists so a
@@ -429,65 +428,9 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     }
 }
 
-/// What [`poll_frame`] observed on a stream with a read timeout.
-#[derive(Debug)]
-pub enum Poll {
-    /// A complete frame payload arrived.
-    Frame(Vec<u8>),
-    /// The peer closed the stream at a frame boundary.
-    Eof,
-    /// The read timed out before any byte of a new frame arrived.
-    Idle,
-}
-
-/// Reads one frame from a stream configured with a read timeout.
-///
-/// A timeout before the first byte of the frame yields [`Poll::Idle`] so
-/// the caller can check a shutdown flag and poll again. Once any byte of
-/// a frame has been read the function keeps retrying timeouts until the
-/// frame completes or `stall_limit` elapses — a frame, once started, is
-/// never silently torn in half by the polling loop.
-///
-/// `stall_limit` is a *hard per-frame deadline*: a peer that trickles
-/// one byte per grace period makes progress on every read but still gets
-/// cut off once the frame as a whole has taken longer than the limit.
-/// Without the hard deadline a 64 KiB frame fed at 1 byte per timeout
-/// would hold a handler thread hostage for the better part of an hour.
-pub fn poll_frame(r: &mut impl Read, stall_limit: Duration) -> io::Result<Poll> {
-    let mut header = [0u8; 4];
-    match read_patiently(r, &mut header, stall_limit, true)? {
-        PatientRead::Eof => return Ok(Poll::Eof),
-        PatientRead::Idle => return Ok(Poll::Idle),
-        PatientRead::Complete => {}
-    }
-    let len = u32::from_le_bytes(header) as usize;
-    if len > MAX_FRAME {
-        return Err(protocol_error(format!("frame length {len} exceeds cap")));
-    }
-    let mut payload = vec![0u8; len];
-    match read_patiently(r, &mut payload, stall_limit, false)? {
-        PatientRead::Eof => Err(protocol_error("eof inside frame payload")),
-        PatientRead::Idle => unreachable!("idle is only reported before the first byte"),
-        PatientRead::Complete => Ok(Poll::Frame(payload)),
-    }
-}
-
 enum FrameRead {
     Complete,
     Eof,
-}
-
-enum PatientRead {
-    Complete,
-    Eof,
-    Idle,
-}
-
-fn is_timeout(err: &io::Error) -> bool {
-    matches!(
-        err.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
-    )
 }
 
 /// `read_exact` that distinguishes clean EOF before the first byte.
@@ -505,53 +448,14 @@ fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> io::Result<FrameRead>
     Ok(FrameRead::Complete)
 }
 
-/// `read_exact` over a timeout-configured stream: a timeout with zero
-/// bytes read reports [`PatientRead::Idle`] (when `allow_idle`); once any
-/// byte has been read, `stall_limit` is a hard deadline for the whole
-/// buffer — timeouts *and* trickled partial reads both count against it.
-fn read_patiently(
-    r: &mut impl Read,
-    buf: &mut [u8],
-    stall_limit: Duration,
-    allow_idle: bool,
-) -> io::Result<PatientRead> {
-    let mut filled = 0;
-    let start = Instant::now();
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) if filled == 0 => return Ok(PatientRead::Eof),
-            Ok(0) => return Err(protocol_error("eof inside frame")),
-            Ok(n) => {
-                filled += n;
-                // Progress alone does not reprieve a stalling peer: a
-                // trickle of 1 byte per grace period must still hit the
-                // per-frame deadline.
-                if filled < buf.len() && start.elapsed() > stall_limit {
-                    return Err(protocol_error("peer exceeded per-frame deadline"));
-                }
-            }
-            Err(ref e) if is_timeout(e) => {
-                if filled == 0 && allow_idle {
-                    return Ok(PatientRead::Idle);
-                }
-                if start.elapsed() > stall_limit {
-                    return Err(protocol_error("peer stalled mid-frame"));
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(PatientRead::Complete)
-}
-
 /// A shared pool of reusable byte buffers.
 ///
-/// The readiness-driven serving core decodes and encodes one frame per
-/// request on connections that number in the thousands; allocating a
-/// fresh `Vec` per frame would make the allocator the hot path. The pool
-/// recycles frame payload buffers across frames and across
-/// connections. It is deliberately simple — a mutexed free list — because
-/// only the reactor thread takes from it, so the lock is uncontended.
+/// The serving core decodes one frame per request on connections that
+/// number in the thousands; allocating a fresh `Vec` per frame would make
+/// the allocator the hot path. The pool recycles frame payload buffers
+/// across frames and across the connections one thread reads. It is
+/// deliberately simple — a mutexed free list — because only that thread
+/// takes from it, so the lock is uncontended.
 #[derive(Debug, Clone)]
 pub struct BufPool {
     free: Arc<Mutex<Vec<Vec<u8>>>>,
@@ -610,13 +514,13 @@ impl BufPool {
     }
 }
 
-/// Incremental, resumable frame decoder for nonblocking transports.
+/// Incremental, resumable frame decoder: the serving side's reader.
 ///
-/// The blocking reader ([`read_frame`] / [`poll_frame`]) parks a thread
-/// until a frame completes; a readiness-driven connection cannot do that.
-/// `FrameDecoder` instead consumes whatever bytes the socket had —
-/// possibly one — and buffers partial state across calls, yielding every
-/// frame that completed. Feeding the same byte stream one byte at a time
+/// [`read_frame`] parks a thread until a frame completes; a server must
+/// keep reading whole chunks and notice drain and stall deadlines
+/// between them. `FrameDecoder` instead consumes whatever bytes a read
+/// returned — possibly one — and buffers partial state across calls,
+/// yielding every frame that completed. Feeding the same byte stream one byte at a time
 /// or in arbitrary chunks produces the identical frame sequence (see the
 /// `proto_fuzz` property tests).
 ///
@@ -718,13 +622,14 @@ pub enum WriteProgress {
     /// Every queued frame was written.
     Flushed,
     /// The transport would block (or spuriously timed out) with frames
-    /// still queued; retry when the socket reports writability.
+    /// still queued; retry when the socket reports writability, or at
+    /// once on a blocking socket.
     Blocked,
     /// The transport failed; the connection is dead.
     Closed(io::Error),
 }
 
-/// Incremental reply writer for nonblocking transports.
+/// Incremental reply writer: the serving side's writer.
 ///
 /// Replies are appended to one contiguous buffer, each remembered by the
 /// offset it ends at, and [`FrameEncoder::write_to`] offers the transport
@@ -1006,83 +911,6 @@ mod tests {
     fn truncated_invoke_is_an_error() {
         assert!(Request::decode(&[OP_INVOKE, 1, 2]).is_err());
         assert!(Request::decode(&[OP_INVOKE_KEYED, 1, 2, 3, 4, 5]).is_err());
-    }
-
-    /// A peer that trickles `data` one byte per read, sleeping `delay`
-    /// before each byte, then times out forever.
-    struct Trickle {
-        data: Vec<u8>,
-        pos: usize,
-        delay: Duration,
-    }
-
-    impl Read for Trickle {
-        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            if self.pos < self.data.len() && !buf.is_empty() {
-                std::thread::sleep(self.delay);
-                buf[0] = self.data[self.pos];
-                self.pos += 1;
-                Ok(1)
-            } else {
-                Err(io::Error::new(io::ErrorKind::TimedOut, "idle"))
-            }
-        }
-    }
-
-    /// Regression: a peer trickling 1 byte per grace period used to be
-    /// treated as live forever; `stall_limit` must be a hard per-frame
-    /// deadline.
-    #[test]
-    fn trickling_peer_hits_the_per_frame_deadline() {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &[0u8; 64]).unwrap();
-        let mut peer = Trickle {
-            data: wire,
-            pos: 0,
-            delay: Duration::from_millis(5),
-        };
-        let started = Instant::now();
-        let err = poll_frame(&mut peer, Duration::from_millis(50)).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        // 68 wire bytes at 5 ms/byte would be ~340 ms if the deadline
-        // did not fire; the hard limit cuts each sub-read off at ~50 ms.
-        assert!(
-            started.elapsed() < Duration::from_millis(250),
-            "deadline fired too late: {:?}",
-            started.elapsed()
-        );
-    }
-
-    /// A slow-but-finishing peer inside the deadline still completes.
-    #[test]
-    fn slow_frame_within_deadline_completes() {
-        let payload = Request::Ping.encode();
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &payload).unwrap();
-        let mut peer = Trickle {
-            data: wire,
-            pos: 0,
-            delay: Duration::from_millis(1),
-        };
-        match poll_frame(&mut peer, Duration::from_millis(500)).unwrap() {
-            Poll::Frame(got) => assert_eq!(got, payload),
-            other => panic!("expected frame, got {other:?}"),
-        }
-    }
-
-    /// An idle connection (timeout before any byte) still reports Idle,
-    /// not a deadline error.
-    #[test]
-    fn idle_connection_reports_idle() {
-        let mut peer = Trickle {
-            data: Vec::new(),
-            pos: 0,
-            delay: Duration::ZERO,
-        };
-        assert!(matches!(
-            poll_frame(&mut peer, Duration::from_millis(10)).unwrap(),
-            Poll::Idle
-        ));
     }
 
     #[test]

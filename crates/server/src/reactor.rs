@@ -1,11 +1,10 @@
 //! Epoll-driven readiness serving core: C10k connections without deps.
 //!
-//! The blocking, thread-per-connection driver pins a kernel thread and a
-//! ~2 MiB stack per connection — every *idle* keep-alive client costs as
-//! much as an active one, capping the daemon at a few hundred
-//! connections. This module is the daemon's other driver: a single
-//! reactor thread multiplexing every connection over raw `epoll`,
-//! lifting the ceiling to tens of thousands:
+//! A thread per connection pins a kernel thread and a ~2 MiB stack per
+//! socket, so every *idle* keep-alive client costs as much as an active
+//! one and the daemon tops out at a few hundred connections. This driver
+//! is one reactor thread multiplexing every connection over raw `epoll`,
+//! which lifts the ceiling to tens of thousands:
 //!
 //! - [`Epoll`] wraps the three `epoll` syscalls behind direct
 //!   `extern "C"` declarations (`std` already links the platform C
@@ -14,36 +13,34 @@
 //!   edge-triggered interest; the daemon uses level-triggered so
 //!   backpressure (dropping read interest when a connection's pipeline
 //!   fills) can never lose a wakeup.
-//! - Per-connection **state machines** own an incremental
-//!   [`FrameDecoder`] and [`FrameEncoder`]:
-//!   reads consume whatever bytes are ready and resume mid-frame; writes
-//!   resume mid-response on the next writability event. Decoded payload
-//!   buffers come from a [`BufPool`] so steady-state serving does not
-//!   allocate per request.
+//! - A connection's protocol state is the `conn::Conn` core both drivers
+//!   share (decoder, pending queue and `active` bracket,
+//!   serve-then-close, stall deadline, drain grace, reply queue). What
+//!   this module adds is epoll's: the slab, the interest set, the
+//!   deadline queue, the revisit list, the blocking-op thread and
+//!   backpressure.
 //! - **A request is served on the thread that read it.** One wake-up for
-//!   a connection is one `read` (a read that does not fill the scratch
-//!   buffer took all the socket had; level-triggered epoll re-fires if
-//!   more arrives), a decode of every frame in it, one call of `respond`
-//!   per frame — the same `Op -> Reply -> bytes` step the blocking
-//!   driver runs — appending to the connection's one output buffer, and
-//!   one `write` of whatever that produced: the replies of a pipelined
-//!   burst leave together. Nothing is handed to another thread, so a
-//!   request costs no futex and no context switch beyond the reactor's
-//!   own sleep. A connection gets at most `PENDING_CAP` frames served per
-//!   turn; what is left stays on its `pending` queue and it takes
-//!   another turn before the reactor sleeps, so a deep pipeline cannot
-//!   hold the loop.
+//!   a connection is one `read` (a read that does not fill the chunk
+//!   took all the socket had; level-triggered epoll re-fires if more
+//!   arrives), a decode of every request in it, an answer for each
+//!   appended to the connection's one output buffer, and one `write` of
+//!   whatever that produced: the replies of a pipelined burst leave
+//!   together. Nothing is handed to another thread, so a request costs
+//!   no futex and no context switch beyond the reactor's own sleep. A
+//!   connection gets at most `PENDING_CAP` requests answered per turn;
+//!   what is left stays on its `pending` queue and it takes another turn
+//!   before the reactor sleeps, so a deep pipeline cannot hold the loop.
 //! - **Only an op that waits for the disk leaves the thread**: a
 //!   `Register` or `SetQuota` on a daemon with a `--state-dir` is fsynced
 //!   into the journal before it is answered (`Shared::blocks_on`). It
 //!   goes to the single *blocking-op thread*; its connection is marked
-//!   `busy` and the frames behind it wait in `pending`, so replies stay
-//!   in request order, while every other connection is served as usual.
-//!   The reply comes back over a channel plus a self-wake socketpair.
-//!   The registry lock and the journal mutex serialise such mutations
-//!   anyway, so one thread loses nothing. Everything else an `Op` does —
-//!   invokes, stats, metrics, pings, unjournaled mutations — takes
-//!   short uncontended locks and returns.
+//!   `busy` and the requests behind it wait in `pending`, so replies
+//!   stay in request order, while every other connection is served as
+//!   usual. The reply comes back over a channel plus a self-wake
+//!   socketpair. The registry lock and the journal mutex serialise such
+//!   mutations anyway, so one thread loses nothing. Everything else an
+//!   `Op` does — invokes, stats, metrics, pings, unjournaled mutations —
+//!   takes short uncontended locks and returns.
 //! - **The reactor never waits on a condvar.** The one in the serving
 //!   path, the idempotency cache's wait for a key whose first execution
 //!   is still in flight, cannot be reached here: every invoke runs on
@@ -54,26 +51,19 @@
 //!   interest and is served nothing more until a flush brings it back
 //!   under, so what the daemon holds for it is bounded by that mark plus
 //!   one turn's replies; the kernel socket buffers, then the peer's own
-//!   blocked `write`, absorb the rest — the threads model's behaviour,
-//!   which blocks in `write`.
-//! - A **deadline queue** bounds every started frame: a peer that
-//!   trickles or stalls mid-frame is cut off after the same
-//!   `read_timeout × 10` budget the blocking path enforces, without
-//!   parking a thread per peer. (All deadlines share one duration, so a
-//!   FIFO is a degenerate — and exact — timer wheel.)
+//!   blocked `write`, absorb the rest.
+//! - A **deadline queue** holds every armed stall deadline without a
+//!   thread per peer. All deadlines share one duration, so a FIFO is a
+//!   degenerate — and exact — timer wheel.
 //! - The reactor **sleeps in `epoll_wait`** until a socket is ready, the
-//!   next deadline, or one read timeout, the same bound the blocking
-//!   driver's accept loops have for noticing a signal; the drain latch's
-//!   pollable end is registered too, so a drain requested from another
-//!   thread wakes it at once. An idle daemon wakes `1 s / read_timeout`
-//!   times a second.
-//! - **Drain** keeps PR 2's semantics: on shutdown the listener is
-//!   deregistered, read interest is dropped everywhere, admission gates
-//!   flip so stragglers get an explicit `Rejected`, and the reactor
-//!   keeps flushing until every admitted frame's response is on the wire
-//!   (or the drain window closes). The `active` counter brackets
-//!   frame-read → response-written exactly as in the threads model, and
-//!   connections that die mid-drain surrender their bracket at close.
+//!   next deadline, or one read timeout (its bound for noticing a
+//!   signal); the drain latch's pollable end is registered too, so a
+//!   drain requested from another thread wakes it at once. An idle
+//!   daemon wakes `1 s / read_timeout` times a second.
+//! - **Drain** deregisters the listeners, calls the service's drain
+//!   hook, stops reading every connection outside the HTTP grace window,
+//!   and keeps flushing until every admitted request's response is on
+//!   the wire (or the drain window closes).
 //!
 //! Fault injection composes unchanged: each accepted connection is
 //! wrapped in the same [`FaultyStream`] with the same accept-ordinal
@@ -82,13 +72,13 @@
 
 #![allow(unsafe_code)]
 
+use crate::conn::{self, Conn, Pending, Scratch};
 use crate::daemon::{DaemonConfig, Shared};
 use crate::driver::{self, Front};
 use crate::fault::{FaultConfig, FaultyStream};
-use crate::http::{self, HttpParseError, HttpParser, HttpRequest};
 use crate::net::{Listener, Stream};
-use crate::proto::{BufPool, FrameDecoder, FrameEncoder, WriteProgress};
-use crate::service::{respond, ConnKind, Op, Service};
+use crate::proto::WriteProgress;
+use crate::service::{respond, ConnKind, Service};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::os::unix::io::{AsRawFd, RawFd};
@@ -361,11 +351,11 @@ impl Drop for Epoll {
     }
 }
 
-/// Per-frame deadlines for the reactor. Every deadline is `now +
+/// Per-request stall deadlines for the reactor. Every deadline is `now +
 /// stall_limit` with one shared `stall_limit`, so insertion order is
 /// deadline order and a FIFO is an exact timer wheel. Entries are
 /// validated lazily against the connection's current deadline on expiry,
-/// so completed frames cost nothing to cancel.
+/// so completed requests cost nothing to cancel.
 #[derive(Debug, Default)]
 struct DeadlineQueue {
     queue: VecDeque<(Instant, u64)>,
@@ -397,26 +387,17 @@ const TOKEN_LISTENER: u64 = u64::MAX;
 const TOKEN_WAKE: u64 = u64::MAX - 1;
 const TOKEN_HTTP_LISTENER: u64 = u64::MAX - 2;
 const TOKEN_DRAIN: u64 = u64::MAX - 3;
-/// Frames one connection gets served per visit, so a deep pipeline
-/// cannot hold the loop; also the number of decoded-but-unserved frames
-/// at which the reactor stops reading from a connection.
+/// Requests one connection gets answered per visit, so a deep pipeline
+/// cannot hold the loop; also the number of decoded-but-unanswered
+/// requests at which the reactor stops reading from a connection.
 const PENDING_CAP: usize = 32;
 /// Reply bytes a connection may have queued for a peer that is not
 /// reading them. Above this the connection is neither read nor served
-/// until a flush brings it back under: what the threads model gets from
-/// blocking in `write`.
+/// until a flush brings it back under.
 const OUT_HIGH_WATER: usize = 64 * 1024;
 /// Reads per connection per readiness round, when each one fills the
-/// scratch buffer; level-triggered registration re-fires if more bytes
-/// remain.
+/// chunk; level-triggered registration re-fires if more bytes remain.
 const READ_ROUNDS: usize = 16;
-
-/// One admitted request, decoded but not yet executed.
-struct Pending {
-    op: Op,
-    /// The request asked to close the connection after its response.
-    close: bool,
-}
 
 /// A [`Pending`] request on its way to the blocking-op thread.
 struct Job {
@@ -435,69 +416,36 @@ struct Completion {
     close_after: bool,
 }
 
-/// Which protocol state machine decodes a connection's bytes.
-enum ConnProto {
-    Binary(FrameDecoder),
-    Http(HttpParser),
-}
-
-/// One connection's readiness state machine.
-struct Conn {
+/// One connection: its socket, its protocol core, and its standing with
+/// epoll and the blocking-op thread.
+struct Socket {
     stream: FaultyStream<Stream>,
     fd: RawFd,
     gen: u32,
-    proto: ConnProto,
-    /// Decoded requests not yet served, in arrival order.
-    pending: VecDeque<Pending>,
+    conn: Conn,
     /// The request at the head of the line is on the blocking-op thread;
     /// nothing behind it is served until its reply is queued, so replies
     /// stay in request order.
     busy: bool,
     /// On the reactor's revisit list.
     queued: bool,
-    out: FrameEncoder,
-    /// Hard deadline for the frame currently being read, if mid-frame.
-    deadline: Option<Instant>,
-    /// Peer sent EOF at a frame boundary (or a response demanded
-    /// close); close once quiesced.
-    closing: bool,
     /// Interest currently registered with epoll.
     registered: Interest,
 }
 
-impl Conn {
+impl Socket {
     fn token(&self, idx: usize) -> u64 {
         ((self.gen as u64) << 32) | idx as u64
     }
 
     fn quiesced(&self) -> bool {
-        !self.busy && self.pending.is_empty() && self.out.is_empty()
+        !self.busy && self.conn.pending.is_empty() && self.conn.out.is_empty()
     }
 
     /// Whether the next pending request may be served now: none is at
     /// the disk, and the peer is taking its replies.
     fn servable(&self) -> bool {
-        !self.busy && self.out.pending_bytes() <= OUT_HIGH_WATER
-    }
-
-    /// Whether any byte of an unfinished request has been consumed —
-    /// the deadline-arming condition for both protocols.
-    fn mid_input(&self) -> bool {
-        match &self.proto {
-            ConnProto::Binary(decoder) => decoder.is_mid_frame(),
-            ConnProto::Http(parser) => parser.is_mid_request(),
-        }
-    }
-
-    fn kind(&self) -> ConnKind {
-        match self.proto {
-            ConnProto::Binary(_) => ConnKind::Binary,
-            ConnProto::Http(_) => ConnKind::Http,
-        }
-    }
-
-    fn is_http(&self) -> bool {
-        self.kind() == ConnKind::Http
+        !self.busy && self.conn.out.pending_bytes() <= OUT_HIGH_WATER
     }
 }
 
@@ -509,7 +457,7 @@ fn split_token(token: u64) -> (usize, u32) {
 /// for a closed connection can never be delivered to its slot's next
 /// tenant.
 struct Slab {
-    slots: Vec<Option<Conn>>,
+    slots: Vec<Option<Socket>>,
     gens: Vec<u32>,
     free: Vec<usize>,
 }
@@ -523,7 +471,7 @@ impl Slab {
         }
     }
 
-    fn insert(&mut self, mut conn: Conn) -> u64 {
+    fn insert(&mut self, mut sock: Socket) -> u64 {
         let idx = match self.free.pop() {
             Some(idx) => idx,
             None => {
@@ -532,28 +480,28 @@ impl Slab {
                 self.slots.len() - 1
             }
         };
-        conn.gen = self.gens[idx];
-        let token = conn.token(idx);
-        self.slots[idx] = Some(conn);
+        sock.gen = self.gens[idx];
+        let token = sock.token(idx);
+        self.slots[idx] = Some(sock);
         token
     }
 
-    fn get_mut(&mut self, token: u64) -> Option<&mut Conn> {
+    fn get_mut(&mut self, token: u64) -> Option<&mut Socket> {
         let (idx, gen) = split_token(token);
         match self.slots.get_mut(idx) {
-            Some(Some(conn)) if conn.gen == gen => Some(conn),
+            Some(Some(sock)) if sock.gen == gen => Some(sock),
             _ => None,
         }
     }
 
-    fn remove(&mut self, token: u64) -> Option<Conn> {
+    fn remove(&mut self, token: u64) -> Option<Socket> {
         let (idx, gen) = split_token(token);
         match self.slots.get_mut(idx) {
-            Some(slot @ Some(_)) if slot.as_ref().is_some_and(|c| c.gen == gen) => {
-                let conn = slot.take();
+            Some(slot @ Some(_)) if slot.as_ref().is_some_and(|s| s.gen == gen) => {
+                let sock = slot.take();
                 self.gens[idx] = self.gens[idx].wrapping_add(1);
                 self.free.push(idx);
-                conn
+                sock
             }
             _ => None,
         }
@@ -563,7 +511,7 @@ impl Slab {
         self.slots
             .iter()
             .enumerate()
-            .filter_map(|(idx, slot)| slot.as_ref().map(|c| c.token(idx)))
+            .filter_map(|(idx, slot)| slot.as_ref().map(|s| s.token(idx)))
             .collect()
     }
 }
@@ -632,24 +580,19 @@ pub(crate) fn serve(
         slab: Slab::new(),
         deadlines: DeadlineQueue::default(),
         ready: VecDeque::new(),
-        pool: BufPool::serving_default(),
         jobs,
         shared: Arc::clone(shared),
         faults: front.faults,
         stall_limit: front.stall_limit(),
-        scratch: vec![0u8; 16 * 1024],
-        frames_scratch: VecDeque::new(),
-        http_scratch: VecDeque::new(),
-        draining: false,
-        drain_grace_until: None,
+        scratch: Scratch::default(),
+        drain_began: None,
     };
 
     let mut events: Vec<Event> = Vec::new();
-    let mut drain_deadline: Option<Instant> = None;
     let drained = loop {
-        // Sleep until a socket is ready, the next frame deadline, or one
-        // read timeout (the bound on noticing a signal, as in the
-        // blocking driver) — unless connections are waiting their turn.
+        // Sleep until a socket is ready, the next stall deadline, or one
+        // read timeout (the bound on noticing a signal) — unless
+        // connections are waiting their turn.
         let mut timeout = config.read_timeout;
         if let Some(next) = reactor.deadlines.next_deadline() {
             timeout = timeout.min(next.saturating_duration_since(Instant::now()));
@@ -678,26 +621,22 @@ pub(crate) fn serve(
         reactor.revisit();
         reactor.expire_deadlines(Instant::now());
 
-        if !reactor.draining && shared.draining() {
+        if reactor.drain_began.is_none() && shared.draining() {
             reactor.begin_drain(listener, http_listener);
-            drain_deadline = Some(Instant::now() + config.drain_timeout);
         }
-        if reactor.draining {
-            // HTTP connections get one grace window after drain starts:
-            // already-connected clients finish their pipelines and
-            // health probes observe the 503 flip (threads-model parity).
-            if shared.front.active.load(Ordering::SeqCst) == 0 && !reactor.http_grace_holds() {
+        if let Some(began) = reactor.drain_began {
+            if shared.front.active.load(Ordering::SeqCst) == 0 && !reactor.any_reading() {
                 break true;
             }
-            if drain_deadline.is_some_and(|d| Instant::now() >= d) {
+            if began.elapsed() >= config.drain_timeout {
                 break false;
             }
         }
     };
 
-    // Reclaim every connection (any frame still bracketed surrenders its
-    // `active` count at close), then hang up on the blocking-op thread
-    // and wait for it: a job it was still running belongs to a
+    // Reclaim every connection (any request still bracketed surrenders
+    // its `active` count at close), then hang up on the blocking-op
+    // thread and wait for it: a job it was still running belongs to a
     // connection that is gone, so its bracket is surrendered here.
     for token in reactor.slab.tokens() {
         reactor.close(token);
@@ -731,42 +670,28 @@ struct Reactor {
     /// Connections with requests still pending after their turn; they
     /// are revisited before the reactor sleeps again.
     ready: VecDeque<u64>,
-    /// Recycles the decoders' frame payload buffers.
-    pool: BufPool,
     jobs: mpsc::Sender<Job>,
     shared: Arc<Shared>,
     faults: Option<FaultConfig>,
     stall_limit: Duration,
-    scratch: Vec<u8>,
-    frames_scratch: VecDeque<Vec<u8>>,
-    http_scratch: VecDeque<HttpRequest>,
-    draining: bool,
-    /// End of the HTTP drain grace window (armed by `begin_drain` when
-    /// any HTTP connection could still owe responses).
-    drain_grace_until: Option<Instant>,
+    /// The read chunk and decode queues every connection's reads share.
+    scratch: Scratch,
+    drain_began: Option<Instant>,
 }
 
 impl Reactor {
-    /// Whether the HTTP drain grace window is still open.
-    fn http_grace_active(&self) -> bool {
-        self.drain_grace_until
-            .is_some_and(|until| Instant::now() < until)
-    }
-
-    /// Whether the drain loop must stay alive for HTTP connections that
-    /// may still submit requests inside the grace window.
-    fn http_grace_holds(&self) -> bool {
-        self.http_grace_active()
-            && self
-                .slab
-                .slots
-                .iter()
-                .flatten()
-                .any(|conn| conn.is_http() && !conn.closing)
+    /// Whether any connection still takes input: during a drain, an HTTP
+    /// connection inside its grace window, which may yet bring a request.
+    fn any_reading(&self) -> bool {
+        self.slab
+            .slots
+            .iter()
+            .flatten()
+            .any(|sock| sock.conn.reads(self.drain_began, self.stall_limit))
     }
 
     fn accept_burst(&mut self, listener: &Listener, kind: ConnKind) {
-        if self.draining {
+        if self.drain_began.is_some() {
             return; // an event from before the listeners were dropped
         }
         // Burst-accept until WouldBlock: under load the backlog holds
@@ -781,25 +706,16 @@ impl Reactor {
                         continue; // connection dies; peer sees EOF
                     }
                     let fd = stream.raw_fd();
-                    let conn = Conn {
+                    let sock = Socket {
                         stream: driver::faulty(stream, self.faults, ordinal),
                         fd,
                         gen: 0,
-                        proto: match kind {
-                            ConnKind::Binary => {
-                                ConnProto::Binary(FrameDecoder::with_pool(self.pool.clone()))
-                            }
-                            ConnKind::Http => ConnProto::Http(HttpParser::new()),
-                        },
-                        pending: VecDeque::new(),
+                        conn: Conn::new(kind, &self.scratch),
                         busy: false,
                         queued: false,
-                        out: FrameEncoder::new(),
-                        deadline: None,
-                        closing: false,
                         registered: Interest::readable(),
                     };
-                    let token = self.slab.insert(conn);
+                    let token = self.slab.insert(sock);
                     if self.epoll.add(fd, token, Interest::readable()).is_err() {
                         // Nothing was admitted yet, so only the
                         // connection counters roll back.
@@ -825,10 +741,10 @@ impl Reactor {
     }
 
     fn handle_conn_event(&mut self, ev: Event, token: u64) {
-        let Some(conn) = self.slab.get_mut(token) else {
+        let Some(sock) = self.slab.get_mut(token) else {
             return; // already closed this round
         };
-        if ev.error && (self.draining || conn.closing) {
+        if ev.error && (self.drain_began.is_some() || sock.conn.closing) {
             // EPOLLERR/EPOLLHUP fire regardless of the interest mask,
             // level-triggered on every wait. With reads parked we will
             // never consume the condition, so reap the connection
@@ -852,140 +768,33 @@ impl Reactor {
 
     /// Reads what the socket has and decodes it onto `pending`.
     fn readable(&mut self, token: u64) {
-        let draining = self.draining;
-        let grace = self.http_grace_active();
-        let Some(conn) = self.slab.get_mut(token) else {
+        let Some(sock) = self.slab.get_mut(token) else {
             return;
         };
-        // Draining parks reads — except HTTP connections inside the
-        // grace window, which may still submit their final requests.
-        if conn.closing || (draining && !(grace && conn.is_http())) {
+        if !sock.conn.reads(self.drain_began, self.stall_limit) {
             return;
         }
         let front = &self.shared.front;
-        let mut close_reason: Option<CloseReason> = None;
         for _ in 0..READ_ROUNDS {
-            match front.counted(&mut conn.stream).read(&mut self.scratch) {
-                Ok(0) => {
-                    if conn.mid_input() {
-                        close_reason = Some(CloseReason::Protocol(None));
-                    } else {
-                        // Clean EOF: finish writing what we owe, then
-                        // close.
-                        conn.closing = true;
-                    }
-                    break;
-                }
-                Ok(n) => {
-                    let fed = match &mut conn.proto {
-                        ConnProto::Binary(decoder) => {
-                            let fed = decoder.feed(&self.scratch[..n], &mut self.frames_scratch);
-                            // Drain the scratch queue even when feed()
-                            // errored: a bad length prefix can follow a
-                            // completed frame in the same chunk, and
-                            // frames left here would be popped by the
-                            // next connection's read and served under
-                            // *its* token.
-                            while let Some(frame) = self.frames_scratch.pop_front() {
-                                // `active` brackets read → response
-                                // written, exactly like the blocking
-                                // driver's `answer`.
-                                front.active.fetch_add(1, Ordering::SeqCst);
-                                front.frames.fetch_add(1, Ordering::Relaxed);
-                                conn.pending.push_back(Pending {
-                                    op: Op::from_frame(&frame),
-                                    close: false,
-                                });
-                                self.pool.put(frame);
-                            }
-                            fed.map(|_| ()).map_err(|_| None)
-                        }
-                        ConnProto::Http(parser) => {
-                            let fed = parser.feed(&self.scratch[..n], &mut self.http_scratch);
-                            // Same serve-then-close contract: requests
-                            // completed ahead of a parse error are on the
-                            // scratch queue and must be served under this
-                            // connection's token.
-                            while let Some(req) = self.http_scratch.pop_front() {
-                                front.active.fetch_add(1, Ordering::SeqCst);
-                                front.http_requests.fetch_add(1, Ordering::Relaxed);
-                                conn.pending.push_back(Pending {
-                                    op: http::route(&req),
-                                    close: req.close,
-                                });
-                            }
-                            fed.map_err(Some)
-                        }
-                    };
-                    if let Err(http_err) = fed {
-                        close_reason = Some(CloseReason::Protocol(http_err));
-                        break;
-                    }
-                    // A read that did not fill the buffer took all the
-                    // socket had: level-triggered registration re-fires
-                    // if more arrives, so asking again only to be told
-                    // EAGAIN is a wasted syscall. A full pipeline is
-                    // backpressure: stop reading.
-                    if n < self.scratch.len() || conn.pending.len() >= PENDING_CAP {
-                        break;
-                    }
-                }
-                Err(ref e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(ref e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    // WouldBlock: drained the socket. TimedOut: an
-                    // injected spurious timeout — level-triggered
-                    // registration re-fires if bytes remain.
-                    break;
-                }
+            let stream = &mut front.counted(&mut sock.stream);
+            match sock.conn.read_from(stream, &mut self.scratch, front) {
+                // A read that did not fill the chunk took all the socket
+                // had: level-triggered registration re-fires if more
+                // arrives, so asking again only to be told EAGAIN is a
+                // wasted syscall. A full pipeline is backpressure.
+                Ok(n)
+                    if n == conn::CHUNK
+                        && !sock.conn.closing
+                        && sock.conn.pending.len() < PENDING_CAP => {}
+                Ok(_) => break,
                 Err(_) => {
-                    close_reason = Some(CloseReason::Transport);
-                    break;
+                    self.close(token);
+                    return;
                 }
             }
         }
-
-        // Per-request deadline: arm when a frame/request starts, clear
-        // when the read position is back at a boundary. A poisoned or
-        // EOF'd parser's mid-input state is meaningless — don't arm.
-        if close_reason.is_none() && conn.mid_input() {
-            if conn.deadline.is_none() {
-                let when = Instant::now() + self.stall_limit;
-                conn.deadline = Some(when);
-                self.deadlines.push(when, token);
-            }
-        } else {
-            conn.deadline = None;
-        }
-
-        match close_reason {
-            Some(CloseReason::Protocol(http_err)) => {
-                front.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                // The threads model serves each request before reading
-                // the next, so requests completed ahead of the error
-                // still get their responses there. Match it: stop
-                // reading (closing connections are never fed again) and
-                // close once the owed responses are flushed; after_io
-                // reaps when quiesced, and close() surrenders any
-                // bracket the peer never collects.
-                conn.closing = true;
-                if let Some(err) = http_err {
-                    // HTTP owes a 431/413/400 before closing. It rides
-                    // the pending queue as a routed Fail op — with its
-                    // own `active` bracket like every pending request —
-                    // so it is written *after* the pipelined requests
-                    // that completed ahead of the poison.
-                    front.active.fetch_add(1, Ordering::SeqCst);
-                    conn.pending.push_back(Pending {
-                        op: err.into(),
-                        close: true,
-                    });
-                }
-            }
-            Some(CloseReason::Transport) => self.close(token),
-            None => {}
+        if let Some(when) = sock.conn.arm_deadline(self.stall_limit) {
+            self.deadlines.push(when, token);
         }
     }
 
@@ -1002,49 +811,42 @@ impl Reactor {
     /// request that would wait for the disk goes to the blocking-op
     /// thread instead, and the ones behind it wait for its reply.
     fn serve_pending(&mut self, token: u64) {
-        let Some(conn) = self.slab.get_mut(token) else {
+        let Some(sock) = self.slab.get_mut(token) else {
             return;
         };
         let front = &self.shared.front;
-        let kind = conn.kind();
         for _ in 0..PENDING_CAP {
-            if !conn.servable() {
+            if !sock.servable() {
                 break;
             }
-            let Some(request) = conn.pending.pop_front() else {
+            let Some(request) = sock.conn.pending.pop_front() else {
                 break;
             };
             if self.shared.blocks_on(&request.op) {
                 front.handoffs.fetch_add(1, Ordering::Relaxed);
-                let job = Job {
-                    token,
-                    kind,
-                    request,
-                };
-                conn.busy = self.jobs.send(job).is_ok();
-                if !conn.busy {
+                let kind = sock.conn.kind();
+                sock.busy = self
+                    .jobs
+                    .send(Job {
+                        token,
+                        kind,
+                        request,
+                    })
+                    .is_ok();
+                if !sock.busy {
                     // The thread is gone (it panicked), the request can
                     // never be answered: surrender its bracket and hang
                     // up once the replies ahead of it are out.
                     front.active.fetch_sub(1, Ordering::SeqCst);
-                    conn.closing = true;
+                    sock.conn.closing = true;
                 }
                 break;
             }
-            let Pending { op, close } = request;
-            let close_after = conn
-                .out
-                .push_with(|out| respond(&*self.shared, &mut (), kind, op, close, out));
-            if close_after {
-                // Stop reading, but keep serving: requests already
-                // pipelined must still complete before the quiesced
-                // close.
-                conn.closing = true;
-            }
+            sock.conn.answer(&*self.shared, &mut (), request);
         }
         // Only this thread writes the gauge, so load-then-store is exact
         // and the common case (no new peak) costs a plain load.
-        let queued = conn.out.pending_bytes() as u64;
+        let queued = sock.conn.out.pending_bytes() as u64;
         if queued > front.peak_out_bytes.load(Ordering::Relaxed) {
             front.peak_out_bytes.store(queued, Ordering::Relaxed);
         }
@@ -1055,10 +857,12 @@ impl Reactor {
     fn finish_blocking(&mut self, done: &mpsc::Receiver<Completion>) {
         for done in done.try_iter() {
             match self.slab.get_mut(done.token) {
-                Some(conn) => {
-                    conn.out.push_with(|out| out.extend_from_slice(&done.frame));
-                    conn.busy = false;
-                    conn.closing |= done.close_after;
+                Some(sock) => {
+                    sock.conn
+                        .out
+                        .push_with(|out| out.extend_from_slice(&done.frame));
+                    sock.conn.closing |= done.close_after;
+                    sock.busy = false;
                     self.pump(done.token);
                 }
                 // The connection died while its job executed: the
@@ -1076,59 +880,49 @@ impl Reactor {
             let Some(token) = self.ready.pop_front() else {
                 break;
             };
-            if let Some(conn) = self.slab.get_mut(token) {
-                conn.queued = false;
+            if let Some(sock) = self.slab.get_mut(token) {
+                sock.queued = false;
                 self.pump(token);
             }
         }
     }
 
     fn flush(&mut self, token: u64) {
-        let Some(conn) = self.slab.get_mut(token) else {
+        let Some(sock) = self.slab.get_mut(token) else {
             return;
         };
-        if conn.out.is_empty() {
-            return;
-        }
         let front = &self.shared.front;
-        let (completed, progress) = conn.out.write_to(&mut front.counted(&mut conn.stream));
-        if completed > 0 {
-            front.active.fetch_sub(completed as u64, Ordering::SeqCst);
-        }
-        if let WriteProgress::Closed(_) = progress {
+        let stream = &mut front.counted(&mut sock.stream);
+        if let WriteProgress::Closed(_) = sock.conn.flush(stream, front) {
             self.close(token);
         }
     }
 
     /// Reconciles epoll interest with the connection's state, books it
-    /// another turn if requests are left over, and closes quiesced EOF'd
-    /// connections. Call after any activity on the connection.
+    /// another turn if requests are left over, and closes quiesced
+    /// closing connections. Call after any activity on the connection.
     fn after_io(&mut self, token: u64) {
-        let draining = self.draining;
-        let grace = self.http_grace_active();
-        let Some(conn) = self.slab.get_mut(token) else {
+        let Some(sock) = self.slab.get_mut(token) else {
             return;
         };
-        if conn.closing && conn.quiesced() {
+        if sock.conn.closing && sock.quiesced() {
             self.close(token);
             return;
         }
-        if !conn.pending.is_empty() && conn.servable() && !conn.queued {
-            conn.queued = true;
+        if !sock.conn.pending.is_empty() && sock.servable() && !sock.queued {
+            sock.queued = true;
             self.ready.push_back(token);
         }
         let want = Interest {
-            readable: (!draining || (grace && conn.is_http()))
-                && !conn.closing
-                && conn.pending.len() < PENDING_CAP
-                && conn.out.pending_bytes() <= OUT_HIGH_WATER,
-            writable: !conn.out.is_empty(),
+            readable: sock.conn.reads(self.drain_began, self.stall_limit)
+                && sock.conn.pending.len() < PENDING_CAP
+                && sock.conn.out.pending_bytes() <= OUT_HIGH_WATER,
+            writable: !sock.conn.out.is_empty(),
             edge: false,
         };
-        if want != conn.registered {
-            let fd = conn.fd;
-            conn.registered = want;
-            if self.epoll.modify(fd, token, want).is_err() {
+        if want != sock.registered {
+            sock.registered = want;
+            if self.epoll.modify(sock.fd, token, want).is_err() {
                 self.close(token);
             }
         }
@@ -1140,38 +934,33 @@ impl Reactor {
             .expire(now, |token, when| due.push((token, when)));
         for (token, when) in due {
             // Lazy validation: only the entry matching the armed
-            // deadline counts; stale entries (frame completed, maybe a
-            // newer frame armed a later deadline) are no-ops.
-            let Some(conn) = self.slab.get_mut(token) else {
+            // deadline counts; stale entries (request completed, maybe a
+            // newer one armed a later deadline) are no-ops.
+            let Some(sock) = self.slab.get_mut(token) else {
                 continue;
             };
-            if conn.deadline != Some(when) {
+            if sock.conn.deadline != Some(when) {
                 continue;
             }
-            if conn.registered.readable {
-                // Same contract as poll_frame's stall handling: a started
-                // frame that outlives read_timeout × 10 is a protocol
-                // error.
+            if sock.registered.readable {
                 self.shared
                     .front
                     .protocol_errors
                     .fetch_add(1, Ordering::Relaxed);
                 self.close(token);
             } else {
-                // The rest of the frame may be sitting in the socket
+                // The rest of the request may be sitting in the socket
                 // buffer: it is the reactor that is not reading
-                // (backpressure, drain). The blocking driver's clock
-                // does not run while it is blocked in `write` either, so
-                // start the peer's over.
+                // (backpressure, drain), so the peer's clock starts over.
                 let again = now + self.stall_limit;
-                conn.deadline = Some(again);
+                sock.conn.deadline = Some(again);
                 self.deadlines.push(again, token);
             }
         }
     }
 
     fn begin_drain(&mut self, listener: &Listener, http_listener: Option<&Listener>) {
-        self.draining = true;
+        self.drain_began = Some(Instant::now());
         let _ = self.epoll.delete(listener.raw_fd());
         if let Some(http) = http_listener {
             let _ = self.epoll.delete(http.raw_fd());
@@ -1180,50 +969,23 @@ impl Reactor {
         if let Some(fd) = self.shared.drain_latch().wake_fd() {
             let _ = self.epoll.delete(fd);
         }
-        // HTTP connections get one stall-limit grace window to finish
-        // pipelines and observe healthz's 503 flip (the threads model's
-        // handlers linger the same way). Armed only when HTTP
-        // connections exist: binary-only deployments drain instantly.
-        if self.slab.slots.iter().flatten().any(|c| c.is_http()) {
-            self.drain_grace_until = Some(Instant::now() + self.stall_limit);
-        }
-        // Flip admission now so any frame still waiting its turn gets an
-        // explicit Rejected, mirroring the threads model's
-        // post-accept-loop begin_drain.
-        self.shared.invoker.begin_drain();
+        self.shared.on_drain();
         for token in self.slab.tokens() {
             self.after_io(token);
         }
     }
 
     fn close(&mut self, token: u64) {
-        let Some(mut conn) = self.slab.remove(token) else {
+        let Some(sock) = self.slab.remove(token) else {
             return;
         };
-        // Every admitted frame ends its bracket exactly once: frames
-        // never served and responses never written surrender theirs
-        // here; a frame on the blocking-op thread surrenders when its
-        // stale-token completion lands.
-        let orphaned = (conn.pending.len() + conn.out.abandon()) as u64;
-        if orphaned > 0 {
-            self.shared
-                .front
-                .active
-                .fetch_sub(orphaned, Ordering::SeqCst);
-        }
-        let _ = self.epoll.delete(conn.fd);
+        // A request on the blocking-op thread surrenders its bracket
+        // when its stale-token completion lands.
+        sock.conn.close(&self.shared.front);
+        let _ = self.epoll.delete(sock.fd);
         self.shared.front.connection_closed();
-        // Dropping `conn` closes the socket.
+        // Dropping `sock` closes the socket.
     }
-}
-
-enum CloseReason {
-    /// Malformed input, oversized prefix/header, mid-request EOF, or a
-    /// stalled request. HTTP parse errors carry the error so the owed
-    /// 431/413/400 response can be queued before the close.
-    Protocol(Option<HttpParseError>),
-    /// Reset or other transport failure — not a protocol error.
-    Transport,
 }
 
 #[cfg(test)]

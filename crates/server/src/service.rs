@@ -5,10 +5,10 @@
 //! [`Request::decode`], or [`crate::http::route`]), executed by a
 //! [`Service`] into a [`Reply`], and the reply is encoded back into the
 //! wire format it came in by. [`respond`] is that whole
-//! `Op -> Reply -> bytes` step, and it is the only one: the blocking
-//! driver ([`crate::driver`]) and the epoll reactor
-//! ([`crate::reactor`]) both call it, so a status code, an outcome
-//! label or a drain rule is written exactly once.
+//! `Op -> Reply -> bytes` step, and it is the only one: the connection
+//! core ([`crate::conn`]) that both drivers run calls it (and so does the
+//! reactor's blocking-op thread), so a status code, an outcome label or
+//! a drain rule is written exactly once.
 //!
 //! [`Service`] has two implementations: the daemon's `Shared` (executes
 //! against the local sharded invoker) and the router's `RouterShared`
@@ -423,6 +423,10 @@ pub(crate) trait Service: Send + Sync + 'static {
     fn draining(&self) -> bool {
         self.drain_latch().is_requested() || signal::requested()
     }
+
+    /// Called by a driver the moment it notices drain, before it answers
+    /// another request; it may be called more than once.
+    fn on_drain(&self) {}
 
     /// The front's connection and request counters.
     fn counters(&self) -> &FrontCounters;

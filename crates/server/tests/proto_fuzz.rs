@@ -2,7 +2,7 @@
 //!
 //! The framing and codec layers are the daemon's attack surface: every
 //! byte that arrives off a socket flows through `read_frame` /
-//! `poll_frame` and then `Request::decode` (and the client's
+//! `FrameDecoder` and then `Request::decode` (and the client's
 //! `Response::decode`). These properties prove the layer's two safety
 //! contracts over thousands of adversarial inputs:
 //!
@@ -17,11 +17,10 @@
 
 use faascache_platform::sharded::{InvokeOutcome, InvokerStats};
 use faascache_server::http::{HttpParseError, HttpParser, MAX_BODY_BYTES, MAX_HEADER_BYTES};
-use faascache_server::proto::{self, FrameDecoder, Poll, Request, Response, MAX_FRAME};
+use faascache_server::proto::{self, FrameDecoder, Request, Response, MAX_FRAME};
 use proptest::prelude::*;
 use std::collections::VecDeque;
 use std::io::{self, Read};
-use std::time::Duration;
 
 /// A reader that hands out its bytes in caller-chosen chunk sizes, then
 /// reports EOF — models a peer whose TCP segments fragment arbitrarily.
@@ -181,20 +180,6 @@ proptest! {
             match proto::read_frame(&mut stream) {
                 Ok(Some(_)) => continue,
                 Ok(None) | Err(_) => break,
-            }
-        }
-    }
-
-    #[test]
-    fn poll_frame_never_panics_on_arbitrary_streams(
-        bytes in collection::vec(any::<u8>(), 0..256),
-        cuts in collection::vec(1usize..16, 0..8),
-    ) {
-        let mut stream = Chunked::new(bytes, cuts);
-        for _ in 0..64 {
-            match proto::poll_frame(&mut stream, Duration::from_millis(50)) {
-                Ok(Poll::Frame(_)) => continue,
-                Ok(Poll::Eof) | Ok(Poll::Idle) | Err(_) => break,
             }
         }
     }
