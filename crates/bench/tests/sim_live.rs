@@ -1,5 +1,5 @@
 //! Sim ≡ live: a one-shard `ShardedInvoker` (the daemon's invoker, with no
-//! reaper thread) as an engine node, against `Simulation::run`.
+//! housekeeping thread) as an engine node, against `Simulation::run`.
 //!
 //! Both replay the first four hours of the representative sample (22,920
 //! invocations) under all seven policies at the smallest, the middle and

@@ -20,27 +20,22 @@
 //! away — the mechanism behind the `faascached` daemon's graceful
 //! shutdown.
 //!
-//! # Load-aware routing
+//! # Warm-set re-homing
 //!
 //! A static affinity hash is only as good as its worst shard: one hot
-//! function saturates its home shard while the rest idle. Two optional
-//! mechanisms spread such skew without giving up warm locality:
+//! function saturates its home shard while the rest idle. Optional
+//! re-homing ([`ShardedConfig::with_rebalance`],
+//! [`ShardedInvoker::rebalance_tick`]) spreads such skew without giving
+//! up warm locality: when a shard's served-per-tick load exceeds the
+//! fleet mean by a configurable factor for K consecutive ticks, the
+//! hottest function's *idle* warm containers migrate to the coldest shard
+//! and a route override is published, so subsequent invocations follow
+//! their warm set — moved, not destroyed. Routing stays one rule: a
+//! function goes to its override if it has one, else to its affinity
+//! home.
 //!
-//! - **Power-of-two-choices admission** ([`ShardedConfig::with_p2c`]):
-//!   every function has a seeded *alternate* candidate shard
-//!   ([`faascache_util::route::alt_shard_for`]); when the preferred
-//!   shard's in-flight count is above the configured watermark, the
-//!   request is admitted to the less-loaded of the two candidates.
-//! - **Warm-set re-homing** ([`ShardedConfig::with_rebalance`],
-//!   [`ShardedInvoker::rebalance_tick`]): when a shard's served-per-tick
-//!   load exceeds the fleet mean by a configurable factor for K
-//!   consecutive ticks, the hottest function's *idle* warm containers
-//!   migrate to the coldest shard and a route override is published, so
-//!   subsequent invocations follow their warm set — moved, not destroyed.
-//!
-//! Per-shard load (in-flight, admission-queue depth, committed warm
-//! memory, served window) is exposed lock-free via
-//! [`ShardedInvoker::load`]/[`ShardedInvoker::loads`].
+//! Per-shard load (in-flight, committed warm memory, served window) is
+//! exposed lock-free via [`ShardedInvoker::load`]/[`ShardedInvoker::loads`].
 
 use crate::tenant::{TenantQuotas, TenantSnapshot, TenantTable};
 use faascache_core::function::{FunctionId, FunctionSpec};
@@ -111,14 +106,6 @@ pub struct ShardedConfig {
     /// Maximum admitted-but-unfinished requests per shard before
     /// backpressure kicks in. `usize::MAX` disables the bound.
     pub queue_bound: usize,
-    /// Power-of-two-choices admission: consider the seeded alternate
-    /// candidate shard when the preferred shard is above the watermark.
-    pub p2c: bool,
-    /// In-flight count above which the preferred shard counts as loaded
-    /// and the alternate candidate is consulted. Only meaningful with
-    /// [`Self::p2c`]; a watermark ≥ 1 keeps purely sequential callers on
-    /// their home shard (their observed in-flight is always 0).
-    pub p2c_watermark: u64,
     /// Background warm-set re-homing; `None` disables it.
     pub rebalance: Option<RebalanceConfig>,
     /// Per-tenant isolation budgets enforced at admission (see
@@ -129,8 +116,8 @@ pub struct ShardedConfig {
 
 impl ShardedConfig {
     /// A configuration splitting `total_mem` evenly across `shards`
-    /// shards with an unbounded admission queue and load-aware routing
-    /// disabled (pure affinity).
+    /// shards with an unbounded admission queue and re-homing disabled
+    /// (pure affinity).
     ///
     /// # Panics
     ///
@@ -141,8 +128,6 @@ impl ShardedConfig {
             shards,
             per_shard: PoolConfig::new(MemMb::new(total_mem.as_mb() / shards as u64)),
             queue_bound: usize::MAX,
-            p2c: false,
-            p2c_watermark: 2,
             rebalance: None,
             tenant_quotas: TenantQuotas::unlimited(),
         }
@@ -157,14 +142,6 @@ impl ShardedConfig {
     /// Sets the per-shard eviction batch threshold.
     pub fn with_eviction_batch(mut self, batch: MemMb) -> Self {
         self.per_shard = self.per_shard.with_eviction_batch(batch);
-        self
-    }
-
-    /// Enables power-of-two-choices admission with the given in-flight
-    /// watermark.
-    pub fn with_p2c(mut self, watermark: u64) -> Self {
-        self.p2c = true;
-        self.p2c_watermark = watermark;
         self
     }
 
@@ -207,11 +184,6 @@ pub struct ShardLoad {
     pub shard: usize,
     /// Admitted-but-unfinished requests.
     pub in_flight: u64,
-    /// Admission-queue occupancy. Service is synchronous, so every
-    /// admitted request is being served and the queue depth equals
-    /// [`Self::in_flight`]; kept as its own field so an asynchronous
-    /// executor can diverge without an API change.
-    pub queue_depth: u64,
     /// Memory committed to idle (warm) containers, in MB. Refreshed on
     /// every pool operation, so transiently stale by at most one request.
     pub warm_mem_mb: u64,
@@ -313,8 +285,6 @@ struct Inner {
     shards: Vec<Shard>,
     queue_bound: u64,
     draining: AtomicBool,
-    p2c: bool,
-    p2c_watermark: u64,
     rebalance: Option<RebalanceConfig>,
     /// Published route overrides: functions whose warm set was re-homed
     /// off their hash home. Read on every routed invocation, written only
@@ -411,8 +381,6 @@ impl ShardedInvoker {
                 shards,
                 queue_bound: config.queue_bound as u64,
                 draining: AtomicBool::new(false),
-                p2c: config.p2c,
-                p2c_watermark: config.p2c_watermark,
                 rebalance: config.rebalance,
                 overrides: RwLock::new(HashMap::new()),
                 migrations: AtomicU64::new(0),
@@ -450,42 +418,15 @@ impl ShardedInvoker {
             .copied()
     }
 
-    /// The shard an invocation of `function` is admitted to *right now*.
-    ///
-    /// The preferred shard is the published override (the warm set lives
-    /// there) or else the hash home. With power-of-two-choices enabled,
-    /// when the preferred shard's in-flight count is above the watermark
-    /// the request spills to the less-loaded of the two candidates; ties
-    /// keep it on the preferred shard, preserving warm affinity.
+    /// The shard an invocation of `function` is admitted to: the
+    /// published override (the warm set lives there) or else the hash
+    /// home.
     pub fn route_of(&self, function: FunctionId) -> usize {
-        let n = self.inner.shards.len();
-        if n == 1 {
+        if self.inner.shards.len() == 1 {
             return 0;
         }
-        let idx = function.index() as u64;
-        let home = route::shard_for(idx, n);
-        let pinned = self.route_override(function).unwrap_or(home);
-        if !self.inner.p2c {
-            return pinned;
-        }
-        // The second candidate: the seeded alternate — or, once an
-        // override moved the function away from its hash home, the home
-        // itself (stragglers of the warm set may still live there).
-        let alt = if pinned == home {
-            route::alt_shard_for(idx, n)
-        } else {
-            home
-        };
-        let pinned_load = self.inner.shards[pinned].in_flight.load(Ordering::Acquire);
-        if pinned_load <= self.inner.p2c_watermark {
-            return pinned;
-        }
-        let alt_load = self.inner.shards[alt].in_flight.load(Ordering::Acquire);
-        if alt_load < pinned_load {
-            alt
-        } else {
-            pinned
-        }
+        self.route_override(function)
+            .unwrap_or_else(|| self.shard_of(function))
     }
 
     /// Invokes `spec` at virtual time `at` on its routed shard and
@@ -584,9 +525,9 @@ impl ShardedInvoker {
     /// Applies TTL-style expiry on one shard at virtual time `at`;
     /// returns the number of containers reaped.
     ///
-    /// The daemon runs one wall-clock reaper thread per shard, each
-    /// calling this for its own shard so reaping never serializes the
-    /// whole invoker.
+    /// The daemon's one housekeeping thread runs it for each shard in
+    /// turn (through [`Self::reap`]), so a reap holds one shard's lock at
+    /// a time and never serializes the whole invoker.
     pub fn reap_shard(&self, shard: usize, at: SimTime) -> usize {
         let s = &self.inner.shards[shard];
         let now = s.advance(at);
@@ -712,11 +653,9 @@ impl ShardedInvoker {
     /// Lock-free load snapshot of one shard.
     pub fn load(&self, shard: usize) -> ShardLoad {
         let s = &self.inner.shards[shard];
-        let in_flight = s.in_flight.load(Ordering::Acquire);
         ShardLoad {
             shard,
-            in_flight,
-            queue_depth: in_flight,
+            in_flight: s.in_flight.load(Ordering::Acquire),
             warm_mem_mb: s.warm_mem_mb.load(Ordering::Acquire),
             window_served: s.window_served.load(Ordering::Acquire),
         }
@@ -728,7 +667,7 @@ impl ShardedInvoker {
     }
 
     /// One step of background warm-set re-homing, meant to run on the
-    /// reaper cadence. Returns the migration performed, if any.
+    /// reap cadence. Returns the migration performed, if any.
     ///
     /// Each call closes one observation window: per-shard served counts
     /// since the previous tick. A shard whose window exceeds the fleet
@@ -806,7 +745,7 @@ impl ShardedInvoker {
         let pinned_here: Vec<FunctionId> = by_fn
             .iter()
             .map(|&(f, _)| f)
-            .filter(|&f| self.route_override(f).unwrap_or_else(|| self.shard_of(f)) == hot)
+            .filter(|&f| self.route_of(f) == hot)
             .collect();
         // Advance both shard clocks to a common migration time.
         let now = self.inner.shards[hot].advance(at);
@@ -1252,30 +1191,6 @@ mod tests {
     }
 
     #[test]
-    fn p2c_is_a_no_op_for_sequential_callers() {
-        // A sequential caller observes in_flight == 0 at routing time, so
-        // with any watermark ≥ 0 the preferred shard always wins and p2c
-        // changes nothing: same outcomes, same placement as affinity.
-        let reg = registry(64);
-        let affinity = ShardedInvoker::with_kind(
-            ShardedConfig::split(MemMb::from_gb(4), 8),
-            PolicyKind::GreedyDual,
-        );
-        let p2c = ShardedInvoker::with_kind(
-            ShardedConfig::split(MemMb::from_gb(4), 8).with_p2c(2),
-            PolicyKind::GreedyDual,
-        );
-        for spec in reg.iter() {
-            assert_eq!(p2c.route_of(spec.id()), p2c.shard_of(spec.id()));
-            assert_eq!(
-                affinity.invoke(spec, SimTime::ZERO),
-                p2c.invoke(spec, SimTime::ZERO)
-            );
-        }
-        assert_eq!(affinity.stats(), p2c.stats());
-    }
-
-    #[test]
     fn load_snapshot_tracks_warm_memory_and_window() {
         let reg = registry(8);
         let inv = ShardedInvoker::with_kind(
@@ -1293,7 +1208,6 @@ mod tests {
         assert_eq!(window_total, 8);
         for l in &loads {
             assert_eq!(l.in_flight, 0);
-            assert_eq!(l.queue_depth, 0);
         }
     }
 

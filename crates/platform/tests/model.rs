@@ -216,10 +216,7 @@ impl Model {
             .sum()
     }
 
-    /// The shard a sequential invocation of `f` lands on: override or
-    /// home. Power-of-two-choices is deliberately absent — a sequential
-    /// caller always observes zero in-flight, so p2c must be a no-op; the
-    /// real invoker runs with p2c *enabled* and equality proves it.
+    /// The shard an invocation of `f` lands on: override or home.
     fn route(&self, f: usize) -> usize {
         self.overrides
             .get(&f)
@@ -455,11 +452,7 @@ impl Harness {
         let policies = (0..s.shards)
             .map(|_| Box::new(Ttl::new(ttl)) as Box<dyn KeepAlivePolicy>)
             .collect();
-        // p2c is ON with watermark 0 — the most aggressive setting — yet
-        // the p2c-blind model must still match exactly: a sequential
-        // caller always routes to its pinned shard.
         let config = ShardedConfig::split(MemMb::new(s.per_shard_mb * s.shards as u64), s.shards)
-            .with_p2c(0)
             .with_rebalance(RebalanceConfig {
                 factor: s.factor,
                 ticks: s.ticks,
@@ -680,9 +673,8 @@ fn model_cases() -> u32 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(model_cases()))]
 
-    /// The flagship property: the real sharded invoker — p2c enabled at
-    /// the most aggressive watermark, rebalancing enabled — is
-    /// indistinguishable from the single-threaded reference model on any
+    /// The flagship property: the real sharded invoker — rebalancing
+    /// enabled — is indistinguishable from the single-threaded reference model on any
     /// seeded op sequence, after every single operation.
     #[test]
     fn sharded_invoker_matches_reference_model(scenario in scenario_strategy()) {

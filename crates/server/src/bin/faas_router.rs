@@ -5,7 +5,7 @@
 //!             --backends SPEC[,SPEC...] [--balancer POLICY] [--seed S]
 //!             [--health-ms MS] [--eject-after N] [--readmit-ms MS]
 //!             [--hop-retries N] [--hop-backoff-ms MS]
-//!             [--backend-timeout-ms MS] [--spill-watermark N]
+//!             [--backend-timeout-ms MS]
 //!             [--backend-faults SPEC] [--no-remote-shutdown]
 //! ```
 //!
@@ -18,9 +18,9 @@
 //! `--balancer` selects the routing policy — `random`, `round-robin`,
 //! `least-loaded`, or `affinity` (default) — the *same* implementations
 //! `sim::cluster` runs in virtual time, so measured locality can be
-//! compared against the simulator directly. `--spill-watermark N` adds
-//! power-of-two-choices spill to affinity, mirroring the daemon's
-//! internal `--p2c`.
+//! compared against the simulator directly. Affinity sends a function to
+//! its hash home, and to a second candidate only while the home is
+//! ejected.
 //!
 //! `--backend-faults SPEC` injects deterministic faults on router→backend
 //! *data* connections only (probe and register traffic stays clean) —
@@ -46,7 +46,7 @@ fn usage() -> ! {
          \x20                  [--balancer random|round-robin|least-loaded|affinity]\n\
          \x20                  [--seed S] [--health-ms MS] [--eject-after N]\n\
          \x20                  [--readmit-ms MS] [--hop-retries N] [--hop-backoff-ms MS]\n\
-         \x20                  [--backend-timeout-ms MS] [--spill-watermark N]\n\
+         \x20                  [--backend-timeout-ms MS]\n\
          \x20                  [--backend-faults SPEC] [--no-remote-shutdown]\n\
          \n\
          backend SPEC: HOST:PORT | unix:PATH, optionally +http=HOST:PORT"
@@ -105,9 +105,6 @@ fn main() -> ExitCode {
             "--backend-timeout-ms" => {
                 config.backend_read_timeout =
                     Duration::from_millis(parse("--backend-timeout-ms", args.next()))
-            }
-            "--spill-watermark" => {
-                config.spill_watermark = Some(parse("--spill-watermark", args.next()))
             }
             "--backend-faults" => {
                 let spec: String = parse("--backend-faults", args.next());

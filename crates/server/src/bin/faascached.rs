@@ -5,8 +5,7 @@
 //!            [--io-model threads|epoll]
 //!            [--shards N] [--mem-mb MB] [--queue-bound N] [--policy GD]
 //!            [--functions N] [--seed S] [--skew zipf:S] [--reap-ms MS]
-//!            [--p2c [WATERMARK]] [--rebalance]
-//!            [--rebalance-factor F] [--rebalance-ticks K]
+//!            [--rebalance]
 //!            [--tenants A,B,...] [--tenant-quota NAME:SPEC]
 //!            [--default-tenant-quota SPEC] [--state-dir DIR]
 //!            [--faults SPEC] [--no-remote-shutdown]
@@ -26,14 +25,15 @@
 //! per socket. The default `threads` model is the original blocking core,
 //! kept as a differential reference.
 //!
-//! Load-aware routing: `--p2c N` enables power-of-two-choices admission
-//! with in-flight watermark `N` (default 2); `--rebalance` enables
-//! background warm-set re-homing on the reaper cadence, tunable with
-//! `--rebalance-factor` (overload threshold as a multiple of the fleet
-//! mean, default 1.5) and `--rebalance-ticks` (consecutive overloaded
-//! ticks before migrating, default 2). `--skew zipf:<s>` steepens the
-//! workload's per-function rate skew — it is part of the workload
-//! contract and must match the load generator's flag.
+//! Housekeeping: one background thread reaps every shard each
+//! `--reap-ms` (default 500). `--rebalance` adds warm-set re-homing to
+//! that pass: a shard that serves more than 1.5× the fleet mean for two
+//! passes running hands its hottest function's idle warm containers to
+//! the coldest shard, and the function's requests follow them.
+//!
+//! `--skew zipf:<s>` steepens the workload's per-function rate skew — it
+//! is part of the workload contract and must match the load generator's
+//! flag.
 //!
 //! Fault injection (chaos testing): `--faults` takes a compact spec like
 //! `seed=42,reset=0.01,corrupt=0.005`. Knobs: `seed`, `reset`, `torn`,
@@ -77,8 +77,7 @@ fn usage() -> ! {
          \x20                 [--io-model threads|epoll]\n\
          \x20                 [--queue-bound N] [--policy GD|TTL|LRU|FREQ|SIZE|LND|HIST]\n\
          \x20                 [--functions N] [--seed S] [--skew zipf:S] [--reap-ms MS]\n\
-         \x20                 [--p2c WATERMARK] [--rebalance]\n\
-         \x20                 [--rebalance-factor F] [--rebalance-ticks K]\n\
+         \x20                 [--rebalance]\n\
          \x20                 [--tenants A,B,...] [--tenant-quota NAME:inflight=K,mem=MB]\n\
          \x20                 [--default-tenant-quota inflight=K,mem=MB]\n\
          \x20                 [--state-dir DIR]\n\
@@ -130,7 +129,6 @@ fn main() -> ExitCode {
                     }
                 }
             }
-            "--p2c" => config.p2c = Some(parse("--p2c", args.next())),
             "--tenants" => {
                 let list: String = parse("--tenants", args.next());
                 tenants = list
@@ -168,17 +166,7 @@ fn main() -> ExitCode {
                     }
                 }
             }
-            "--rebalance" => {
-                config.rebalance.get_or_insert_with(Default::default);
-            }
-            "--rebalance-factor" => {
-                let r = config.rebalance.get_or_insert_with(Default::default);
-                r.factor = parse("--rebalance-factor", args.next());
-            }
-            "--rebalance-ticks" => {
-                let r = config.rebalance.get_or_insert_with(Default::default);
-                r.ticks = parse("--rebalance-ticks", args.next());
-            }
+            "--rebalance" => config.rebalance = Some(Default::default()),
             "--reap-ms" => {
                 config.reap_interval = Duration::from_millis(parse("--reap-ms", args.next()))
             }
@@ -200,10 +188,6 @@ fn main() -> ExitCode {
                 usage()
             }
         }
-    }
-    if config.shards == 0 {
-        eprintln!("faascached: --shards must be at least 1");
-        return ExitCode::from(2);
     }
     if faults.is_active() {
         eprintln!(

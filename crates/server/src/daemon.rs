@@ -11,8 +11,8 @@
 //!
 //! The structure mirrors what the FaasCache paper does to OpenWhisk's
 //! invoker, minus Docker: requests carry a function identity, the pool
-//! decides warm/cold/dropped, and keep-alive containers are reaped by a
-//! background thread per shard on a wall-clock interval.
+//! decides warm/cold/dropped, and keep-alive containers are reaped by one
+//! background housekeeping thread on a wall-clock interval.
 //!
 //! Shutdown is graceful by construction: a SIGTERM, a protocol
 //! [`Shutdown`](crate::proto::Request::Shutdown) frame, or a
@@ -103,7 +103,7 @@ impl std::fmt::Display for IoModel {
 /// Tuning knobs of a daemon instance.
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
-    /// Number of invoker shards.
+    /// Number of invoker shards (at least 1).
     pub shards: usize,
     /// Total keep-alive memory, split evenly across shards.
     pub total_mem: MemMb,
@@ -111,7 +111,8 @@ pub struct DaemonConfig {
     pub queue_bound: usize,
     /// Keep-alive policy instantiated on every shard.
     pub policy: PolicyKind,
-    /// Wall-clock interval between background reaps of each shard.
+    /// Wall-clock interval between housekeeping passes: each reaps every
+    /// shard, then runs one re-homing tick when that is enabled.
     pub reap_interval: Duration,
     /// Socket read timeout; bounds how long a handler takes to notice
     /// the shutdown flag.
@@ -133,11 +134,7 @@ pub struct DaemonConfig {
     /// [`InvokeKeyed`](crate::proto::Request::InvokeKeyed). Oldest keys
     /// are evicted first.
     pub idem_capacity: usize,
-    /// Power-of-two-choices admission: `Some(watermark)` spills requests
-    /// to a function's alternate candidate shard when the preferred
-    /// shard has more than `watermark` requests in flight.
-    pub p2c: Option<u64>,
-    /// Background warm-set re-homing, run on the reaper cadence.
+    /// Background warm-set re-homing, run on the reap cadence.
     pub rebalance: Option<RebalanceConfig>,
     /// Which serving core multiplexes connections.
     pub io_model: IoModel,
@@ -165,7 +162,6 @@ impl Default for DaemonConfig {
             faults: None,
             allow_remote_shutdown: true,
             idem_capacity: 65_536,
-            p2c: None,
             rebalance: None,
             io_model: IoModel::Threads,
             tenant_quotas: TenantQuotas::unlimited(),
@@ -318,7 +314,7 @@ enum IdemEntry {
 }
 
 /// State shared between the accept loop, handler threads (or the
-/// reactor and its blocking-op thread), and reapers.
+/// reactor and its blocking-op thread), and the housekeeping thread.
 pub(crate) struct Shared {
     pub(crate) invoker: ShardedInvoker,
     /// Function registry behind a read-write lock: the invoke hot path
@@ -803,8 +799,8 @@ impl Daemon {
     /// to start serving.
     ///
     /// The `registry` must be the same one the load generator derives —
-    /// see [`crate::workload`]. A zero `reap_interval` or `read_timeout`
-    /// is refused as `InvalidInput`.
+    /// see [`crate::workload`]. A zero `shards`, `reap_interval` or
+    /// `read_timeout` is refused as `InvalidInput`.
     pub fn bind(
         endpoint: &Endpoint,
         config: DaemonConfig,
@@ -830,6 +826,12 @@ impl Daemon {
                 "--io-model epoll requires linux",
             ));
         }
+        if config.shards == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "shards must be above zero",
+            ));
+        }
         driver::require_nonzero(&[
             ("reap_interval", config.reap_interval),
             ("read_timeout", config.read_timeout),
@@ -839,9 +841,6 @@ impl Daemon {
         let mut sharded = ShardedConfig::split(config.total_mem, config.shards)
             .with_queue_bound(config.queue_bound)
             .with_tenant_quotas(config.tenant_quotas.clone());
-        if let Some(watermark) = config.p2c {
-            sharded = sharded.with_p2c(watermark);
-        }
         if let Some(rebalance) = config.rebalance {
             sharded = sharded.with_rebalance(rebalance);
         }
@@ -888,38 +887,11 @@ impl Daemon {
     pub fn run(self) -> DaemonReport {
         let started = Instant::now();
 
-        // One background reaper per shard: expiry is driven by wall
-        // time, exactly like OpenWhisk's keep-alive TTL sweeps.
-        let reapers: Vec<_> = (0..self.shared.invoker.num_shards())
-            .map(|shard| {
-                let shared = Arc::clone(&self.shared);
-                let interval = self.config.reap_interval;
-                thread::spawn(move || {
-                    while !shared.draining() {
-                        sleep_interruptibly(&shared, interval);
-                        shared.invoker.reap_shard(shard, shared.clock.now());
-                    }
-                })
-            })
-            .collect();
-
-        // The rebalancer shares the reaper cadence: each wakeup closes
-        // one observation window and may re-home one hot warm set.
-        let rebalancer = self.config.rebalance.map(|_| {
+        let housekeeper = {
             let shared = Arc::clone(&self.shared);
             let interval = self.config.reap_interval;
-            thread::spawn(move || {
-                while !shared.draining() {
-                    sleep_interruptibly(&shared, interval);
-                    if let Some(event) = shared.invoker.rebalance_tick(shared.clock.now()) {
-                        eprintln!(
-                            "faascached: re-homed {} shard {} -> {} ({} warm moved, {} left)",
-                            event.function, event.from, event.to, event.moved, event.left_behind
-                        );
-                    }
-                }
-            })
-        });
+            thread::spawn(move || housekeep(&shared, interval))
+        };
 
         let drained = match self.config.io_model {
             IoModel::Threads => {
@@ -931,15 +903,10 @@ impl Daemon {
             // made it to the wire.
             IoModel::Epoll => self.serve_epoll(),
         };
-        // Stops the reapers even when serving ended on a reactor error
-        // rather than a shutdown request.
+        // Stops the housekeeper even when serving ended on a reactor
+        // error rather than a shutdown request.
         self.shared.shutdown.request();
-        for r in reapers {
-            let _ = r.join();
-        }
-        if let Some(r) = rebalancer {
-            let _ = r.join();
-        }
+        let _ = housekeeper.join();
         self.front.unlink();
 
         let per_shard_served = self
@@ -991,10 +958,27 @@ impl Daemon {
     }
 }
 
-/// Sleeps up to `total`, waking early if shutdown is requested.
-fn sleep_interruptibly(shared: &Shared, total: Duration) {
-    let deadline = Instant::now() + total;
-    while Instant::now() < deadline && !shared.draining() {
-        thread::sleep(Duration::from_millis(20).min(total));
+/// The daemon's one background thread, until drain: every `interval` it
+/// reaps each shard in turn (expiry on wall time, like OpenWhisk's
+/// keep-alive sweeps), then closes one re-homing window, which may move
+/// one hot warm set (a no-op unless re-homing is on). Between passes it
+/// parks on the drain latch, so a drain request ends it at once.
+fn housekeep(shared: &Shared, interval: Duration) {
+    let mut due = Instant::now() + interval;
+    while !shared.draining() {
+        let now = Instant::now();
+        if now < due {
+            shared.shutdown.park(None, due - now);
+            continue;
+        }
+        due = now + interval;
+        let at = shared.clock.now();
+        shared.invoker.reap(at);
+        if let Some(event) = shared.invoker.rebalance_tick(at) {
+            eprintln!(
+                "faascached: re-homed {} shard {} -> {} ({} warm moved, {} left)",
+                event.function, event.from, event.to, event.moved, event.left_behind
+            );
+        }
     }
 }

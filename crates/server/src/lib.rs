@@ -30,7 +30,7 @@
 //! - [`daemon`] — the `faascached` daemon: N pool shards with
 //!   function-affinity routing, bounded admission with explicit
 //!   backpressure, an idempotency cache, a durable registry journal,
-//!   wall-clock background reapers, and graceful drain on SIGTERM /
+//!   one wall-clock housekeeping thread, and graceful drain on SIGTERM /
 //!   protocol shutdown; served by either driver;
 //! - [`router`] — `faas-router`: a cluster front door forwarding to N
 //!   `faascached` backends with the same routing policies `sim::cluster`

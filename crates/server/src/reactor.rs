@@ -9,8 +9,7 @@
 //! - [`Epoll`] wraps the three `epoll` syscalls behind direct
 //!   `extern "C"` declarations (`std` already links the platform C
 //!   library — the same trick [`crate::signal`] uses; no `libc` crate,
-//!   no new dependencies). Registration supports level- and
-//!   edge-triggered interest; the daemon uses level-triggered so
+//!   no new dependencies). Registration is level-triggered, so
 //!   backpressure (dropping read interest when a connection's pipeline
 //!   fills) can never lose a wakeup.
 //! - A connection's protocol state is the `conn::Conn` core both drivers
@@ -105,7 +104,6 @@ mod ffi {
     pub const EPOLLERR: u32 = 0x008;
     pub const EPOLLHUP: u32 = 0x010;
     pub const EPOLLRDHUP: u32 = 0x2000;
-    pub const EPOLLET: u32 = 1 << 31;
 
     /// `struct epoll_event`. The kernel ABI packs it on x86_64 (glibc's
     /// `__EPOLL_PACKED`); other architectures use natural alignment.
@@ -185,36 +183,21 @@ pub fn raise_nofile_limit() -> io::Result<u64> {
     ))
 }
 
-/// What a registration wants to be notified about.
+/// What a level-triggered registration wants to be notified about.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Interest {
     /// Wake when the fd is readable (or the peer hung up).
     pub readable: bool,
     /// Wake when the fd is writable.
     pub writable: bool,
-    /// Edge-triggered delivery (`EPOLLET`): one wakeup per readiness
-    /// transition. The daemon's serving path uses level-triggered
-    /// registration, which tolerates partial consumption; edge mode is
-    /// exposed for callers that always drain to `WouldBlock`.
-    pub edge: bool,
 }
 
 impl Interest {
-    /// Level-triggered read interest.
+    /// Read interest.
     pub fn readable() -> Self {
         Interest {
             readable: true,
             writable: false,
-            edge: false,
-        }
-    }
-
-    /// Level-triggered read + write interest.
-    pub fn both() -> Self {
-        Interest {
-            readable: true,
-            writable: true,
-            edge: false,
         }
     }
 
@@ -223,7 +206,6 @@ impl Interest {
         Interest {
             readable: false,
             writable: false,
-            edge: false,
         }
     }
 
@@ -238,9 +220,6 @@ impl Interest {
         }
         if self.writable {
             bits |= ffi::EPOLLOUT;
-        }
-        if self.edge {
-            bits |= ffi::EPOLLET;
         }
         bits
     }
@@ -918,7 +897,6 @@ impl Reactor {
                 && sock.conn.pending.len() < PENDING_CAP
                 && sock.conn.out.pending_bytes() <= OUT_HIGH_WATER,
             writable: !sock.conn.out.is_empty(),
-            edge: false,
         };
         if want != sock.registered {
             sock.registered = want;
@@ -1032,7 +1010,6 @@ mod tests {
                 Interest {
                     readable: false,
                     writable: true,
-                    edge: false,
                 },
             )
             .unwrap();
@@ -1047,40 +1024,6 @@ mod tests {
             .wait(&mut events, Some(Duration::from_millis(5)))
             .unwrap();
         assert_eq!(n, 0, "deleted fd must not report");
-    }
-
-    #[test]
-    fn edge_triggered_registration_fires_once_per_transition() {
-        let epoll = Epoll::new().unwrap();
-        let (a, b) = UnixStream::pair().unwrap();
-        a.set_nonblocking(true).unwrap();
-        epoll
-            .add(
-                a.as_raw_fd(),
-                1,
-                Interest {
-                    readable: true,
-                    writable: false,
-                    edge: true,
-                },
-            )
-            .unwrap();
-        (&b).write_all(&[1]).unwrap();
-        let mut events = Vec::new();
-        assert_eq!(
-            epoll
-                .wait(&mut events, Some(Duration::from_millis(500)))
-                .unwrap(),
-            1
-        );
-        // Without consuming the byte, an edge registration stays silent.
-        assert_eq!(
-            epoll
-                .wait(&mut events, Some(Duration::from_millis(20)))
-                .unwrap(),
-            0,
-            "edge mode must not re-report an unconsumed buffer"
-        );
     }
 
     #[test]

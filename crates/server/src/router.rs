@@ -16,9 +16,10 @@
 //!   least-loaded signal is `in_flight` (requests this router currently
 //!   has outstanding against the backend) plus `polled_in_flight` (the
 //!   backend's own shard gauges, scraped from `/metrics` by the health
-//!   prober when the backend exposes a gateway). Affinity uses the same
-//!   [`route::shard_candidates`] hash-home + power-of-two spill as the
-//!   daemon's internal shard router.
+//!   prober when the backend exposes a gateway). Affinity sends each
+//!   function to its [`route::shard_for`] hash home, the hash the
+//!   daemon's shards use, and to its alternate candidate only while the
+//!   home is ejected.
 //! - **Health** — a prober thread pings every backend on a short
 //!   cadence (binary `Ping`, or `GET /healthz` + `/metrics` when an
 //!   HTTP address is configured). After `eject_after` consecutive
@@ -166,11 +167,6 @@ pub struct RouterConfig {
     /// connections (chaos testing the interconnect). Probe and register
     /// connections stay clean — control plane.
     pub backend_faults: Option<FaultConfig>,
-    /// Affinity spill watermark: `Some(w)` spills a function to its
-    /// alternate candidate when the home backend has more than `w`
-    /// requests in flight (power-of-two-choices, mirroring the daemon's
-    /// `--p2c`). `None` pins strictly to the home backend.
-    pub spill_watermark: Option<u64>,
     /// Capacity of the keyed-request pin cache.
     pub pin_capacity: usize,
     /// How long `run` waits for in-flight forwards during drain.
@@ -193,7 +189,6 @@ impl Default for RouterConfig {
             hop_retries: 0,
             hop_backoff: Duration::from_millis(1),
             backend_faults: None,
-            spill_watermark: None,
             pin_capacity: 65_536,
             drain_timeout: Duration::from_secs(10),
             allow_remote_shutdown: true,
@@ -407,7 +402,7 @@ impl RouterShared {
             function as u64,
             |i| self.backends[i].load(),
             |i| self.backends[i].healthy.load(Ordering::SeqCst),
-            self.config.spill_watermark,
+            None,
         )
     }
 

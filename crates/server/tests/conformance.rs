@@ -613,13 +613,11 @@ fn skewed_schedule() -> &'static (WorkloadConfig, OpenLoopSchedule) {
     })
 }
 
-/// The chaos daemon config with load-aware routing fully enabled: p2c
-/// admission plus warm-set re-homing on an aggressive tick cadence, so
-/// migrations actually race the faulted serving path during these short
-/// runs.
+/// The chaos daemon config with warm-set re-homing on an aggressive tick
+/// cadence, so migrations actually race the faulted serving path during
+/// these short runs.
 fn rebalancing_daemon_config(io: IoModel, faults: Option<FaultConfig>) -> DaemonConfig {
     DaemonConfig {
-        p2c: Some(1),
         rebalance: Some(RebalanceConfig {
             factor: 1.2,
             ticks: 1,
@@ -629,7 +627,7 @@ fn rebalancing_daemon_config(io: IoModel, faults: Option<FaultConfig>) -> Daemon
     }
 }
 
-/// The full chaos sweep re-run with p2c + re-homing enabled on a skewed
+/// The full chaos sweep re-run with re-homing enabled on a skewed
 /// workload: every safety contract of the affinity-only sweep must
 /// survive warm sets migrating between shards mid-fault — conservation,
 /// zero losses, bounded drain.

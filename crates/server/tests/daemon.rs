@@ -267,12 +267,12 @@ fn concurrent_clients_lose_nothing_epoll() {
     assert_eq!(daemon_report.accept_errors, 0);
 }
 
-/// A rebalancing daemon under a Zipf-skewed load: 4 shards, p2c
-/// watermark 4 and warm-set re-homing on a 25 ms reap cadence, fed 2,000
-/// requests over 24 functions at Zipf 1.2 and 2,000 rps with 8 retries.
-/// Nothing is lost, the drain is clean, and the served balance ratio
-/// (max/min across shards) stays within 3.0; this configuration lands
-/// near 1.3.
+/// A rebalancing daemon under a Zipf-skewed load: 4 shards and warm-set
+/// re-homing on a 25 ms reap cadence, fed 2,000 requests over 24
+/// functions at Zipf 1.2 and 2,000 rps with 8 retries. Nothing is lost,
+/// the drain is clean, the housekeeping thread's tick re-homes at least
+/// one warm set, and the served balance ratio (max/min across shards)
+/// stays within 3.0.
 #[cfg(unix)]
 #[test]
 fn a_rebalancing_daemon_keeps_a_zipf_load_balanced() {
@@ -286,7 +286,6 @@ fn a_rebalancing_daemon_keeps_a_zipf_load_balanced() {
     };
     let config = DaemonConfig {
         shards: 4,
-        p2c: Some(4),
         rebalance: Some(RebalanceConfig::default()),
         reap_interval: Duration::from_millis(25),
         ..DaemonConfig::default()
@@ -322,6 +321,11 @@ fn a_rebalancing_daemon_keeps_a_zipf_load_balanced() {
         .expect("shutdown");
     let daemon_report = join.join().expect("daemon thread");
     assert!(daemon_report.drained);
+    assert!(
+        daemon_report.stats.migrations >= 1,
+        "no warm set re-homed: {}",
+        daemon_report.summary_line()
+    );
     let balance = daemon_report.balance_ratio();
     assert!(
         balance <= 3.0,
@@ -1172,15 +1176,23 @@ fn shutdown_handle_drains_from_outside() {
 fn assert_refused(config: DaemonConfig) {
     let err = Daemon::bind(&tcp_endpoint(), config, FunctionRegistry::new())
         .err()
-        .expect("a zero duration binds");
+        .expect("a zero setting binds");
     assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
 }
 
 #[test]
 fn zero_reap_interval_is_refused() {
-    // It would run every shard's reaper in a tight loop under its lock.
+    // It would run the housekeeping pass in a tight loop under the shard locks.
     assert_refused(DaemonConfig {
         reap_interval: Duration::ZERO,
+        ..test_config()
+    });
+}
+
+#[test]
+fn zero_shards_is_refused() {
+    assert_refused(DaemonConfig {
+        shards: 0,
         ..test_config()
     });
 }

@@ -18,11 +18,12 @@
 //! shared by the offline cluster simulator (`faascache-sim`'s
 //! `sim::cluster`) and the live `faas-router` process
 //! (`faascache-server`'s `router` module), so the simulated and served
-//! policies cannot drift apart. The live router adds two concerns the
-//! simulator never has — unhealthy servers and power-of-two spill — both
-//! expressed as optional inputs that, when absent (every server healthy,
-//! no spill watermark), reduce [`pick`] bit-for-bit to the simulator's
-//! historical behavior.
+//! policies cannot drift apart. The live router adds one concern the
+//! simulator never has, unhealthy servers, expressed as an input that,
+//! when every server is healthy, reduces [`pick`] bit-for-bit to the
+//! simulator's historical behavior. [`pick`]'s power-of-two `spill`
+//! input is exercised only by its own unit test: every caller passes
+//! `None`.
 
 use crate::rng::Pcg64;
 
@@ -66,17 +67,16 @@ pub fn shard_for(function_index: u64, shards: usize) -> usize {
 }
 
 /// Salt deriving the *alternate* candidate shard from the same function
-/// index: the second choice of power-of-two-choices admission. Any change
-/// to this constant re-homes every function's alternate — the golden
-/// tests below pin it.
+/// index: where [`pick`]'s affinity fails over when the home is
+/// unhealthy. Any change to this constant re-homes every function's
+/// alternate — the golden tests below pin it.
 const ALT_SALT: u64 = 0xA076_1D64_78BD_642F;
 
 /// The alternate candidate shard of a function: a second, independently
 /// seeded choice guaranteed distinct from [`shard_for`] whenever
 /// `shards > 1` (with one shard both candidates are 0).
 ///
-/// Load-aware admission (power-of-two-choices) spills an invocation here
-/// when the home shard is above its load watermark.
+/// [`pick`]'s affinity routes here when the home server is unhealthy.
 ///
 /// # Panics
 ///
@@ -129,8 +129,8 @@ pub enum LoadBalancer {
     /// The server with the smallest current load (ties to lowest index).
     LeastLoaded,
     /// Hash each function to a fixed home server (maximum locality),
-    /// optionally spilling to the alternate candidate under load
-    /// (power-of-two-choices — see [`pick`]'s `spill`).
+    /// failing over to the alternate candidate while the home is
+    /// unhealthy.
     FunctionAffinity,
 }
 
@@ -201,13 +201,12 @@ impl BalancerState {
 ///
 /// `load` reports a server's current load (running containers in the
 /// simulator, in-flight forwards in the router) and is consulted by
-/// [`LoadBalancer::LeastLoaded`] and by affinity spill; `healthy` gates
-/// every policy's choice (the simulator passes `|_| true`). `spill`
-/// enables power-of-two-choices on [`LoadBalancer::FunctionAffinity`]:
-/// `Some(watermark)` diverts to the alternate candidate when the home
-/// server is above the watermark and the alternate is strictly less
-/// loaded — the same discipline `faascache-platform`'s p2c admission
-/// applies across shards, lifted to whole servers.
+/// [`LoadBalancer::LeastLoaded`]; `healthy` gates every policy's choice
+/// (the simulator passes `|_| true`). `spill: Some(watermark)` would
+/// divert [`LoadBalancer::FunctionAffinity`] to the alternate candidate
+/// when the home server is above the watermark and the alternate is
+/// strictly less loaded; no caller but this module's test passes
+/// anything but `None`.
 ///
 /// With every server healthy and `spill: None`, each policy's choice is
 /// exactly the historical `sim::cluster` behavior: one RNG draw for
@@ -597,8 +596,8 @@ mod tests {
 
     #[test]
     fn alternate_spreads_across_shards() {
-        // The second choice must itself be balanced, or p2c would
-        // concentrate spill on few shards.
+        // The second choice must itself be balanced, or failing over
+        // from ejected homes would concentrate load on few servers.
         let shards = 8;
         let mut counts = vec![0usize; shards];
         for f in 0..10_000u64 {
