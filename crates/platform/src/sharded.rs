@@ -33,9 +33,6 @@
 //! their warm set — moved, not destroyed. Routing stays one rule: a
 //! function goes to its override if it has one, else to its affinity
 //! home.
-//!
-//! Per-shard load (in-flight, committed warm memory, served window) is
-//! exposed lock-free via [`ShardedInvoker::load`]/[`ShardedInvoker::loads`].
 
 use crate::tenant::{TenantQuotas, TenantSnapshot, TenantTable};
 use faascache_core::function::{FunctionId, FunctionSpec};
@@ -175,22 +172,6 @@ pub struct ShardStats {
     pub warm_containers: usize,
 }
 
-/// A lock-free point-in-time load snapshot of one shard: everything the
-/// router and the rebalancer read is an atomic, so snapshotting never
-/// contends with request service.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardLoad {
-    /// Shard index.
-    pub shard: usize,
-    /// Admitted-but-unfinished requests.
-    pub in_flight: u64,
-    /// Memory committed to idle (warm) containers, in MB. Refreshed on
-    /// every pool operation, so transiently stale by at most one request.
-    pub warm_mem_mb: u64,
-    /// Requests served since the last rebalance tick reset the window.
-    pub window_served: u64,
-}
-
 /// One warm-set migration performed by [`ShardedInvoker::rebalance_tick`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RebalanceEvent {
@@ -242,9 +223,11 @@ impl InvokerStats {
     }
 }
 
+/// A shard: its pool behind one mutex, plus the three atomics the
+/// invocation path touches outside that lock.
 #[derive(Debug)]
 struct Shard {
-    pool: Mutex<ContainerPool>,
+    locked: Mutex<Locked>,
     /// Monotone virtual clock in microseconds.
     clock_us: AtomicU64,
     /// Admitted-but-unfinished requests (the admission "queue" occupancy:
@@ -252,15 +235,16 @@ struct Shard {
     in_flight: AtomicU64,
     /// Requests turned away at the admission gate.
     rejected: AtomicU64,
-    /// Idle (warm) memory in MB, mirrored out of the pool after every
-    /// locked operation so load snapshots never take the pool lock.
-    warm_mem_mb: AtomicU64,
-    /// Requests served since the last rebalance tick (the tick window).
-    window_served: AtomicU64,
+}
+
+/// What a shard's mutex guards.
+#[derive(Debug)]
+struct Locked {
+    pool: ContainerPool,
     /// Per-function served counts for the current tick window — the
     /// rebalancer's hotness signal. Only maintained when re-homing is
     /// enabled.
-    recent: Mutex<HashMap<FunctionId, u64>>,
+    recent: HashMap<FunctionId, u64>,
 }
 
 impl Shard {
@@ -274,10 +258,14 @@ impl Shard {
     }
 }
 
-/// Per-shard overload streak lengths, updated once per rebalance tick.
+/// What the rebalancer carries from one tick to the next.
 #[derive(Debug)]
 struct RebalanceState {
+    /// Per-shard overload streak lengths.
     streaks: Vec<u32>,
+    /// Per-shard `warm_starts + cold_starts` at the last tick: a tick's
+    /// window is the change since then.
+    served_before: Vec<u64>,
 }
 
 #[derive(Debug)]
@@ -287,8 +275,8 @@ struct Inner {
     draining: AtomicBool,
     rebalance: Option<RebalanceConfig>,
     /// Published route overrides: functions whose warm set was re-homed
-    /// off their hash home. Read on every routed invocation, written only
-    /// by the (serialized) rebalancer.
+    /// off their hash home. Read on every routed invocation when
+    /// re-homing is on, written only by the (serialized) rebalancer.
     overrides: RwLock<HashMap<FunctionId, usize>>,
     /// Warm-set migrations performed.
     migrations: AtomicU64,
@@ -361,21 +349,21 @@ impl ShardedInvoker {
                 // tenant accounting is exact across migrations.
                 policy.set_tenant_weights(tenants.weights());
                 Shard {
-                    pool: Mutex::new(ContainerPool::with_config_and_ledger(
-                        config.per_shard,
-                        policy,
-                        tenants.clone(),
-                    )),
+                    locked: Mutex::new(Locked {
+                        pool: ContainerPool::with_config_and_ledger(
+                            config.per_shard,
+                            policy,
+                            tenants.clone(),
+                        ),
+                        recent: HashMap::new(),
+                    }),
                     clock_us: AtomicU64::new(0),
                     in_flight: AtomicU64::new(0),
                     rejected: AtomicU64::new(0),
-                    warm_mem_mb: AtomicU64::new(0),
-                    window_served: AtomicU64::new(0),
-                    recent: Mutex::new(HashMap::new()),
                 }
             })
             .collect();
-        let streaks = vec![0; shards.len()];
+        let n = shards.len();
         ShardedInvoker {
             inner: Arc::new(Inner {
                 shards,
@@ -384,7 +372,10 @@ impl ShardedInvoker {
                 rebalance: config.rebalance,
                 overrides: RwLock::new(HashMap::new()),
                 migrations: AtomicU64::new(0),
-                rebalancer: Mutex::new(RebalanceState { streaks }),
+                rebalancer: Mutex::new(RebalanceState {
+                    streaks: vec![0; n],
+                    served_before: vec![0; n],
+                }),
                 tenants,
             }),
         }
@@ -396,14 +387,13 @@ impl ShardedInvoker {
         Self::new(config, policies)
     }
 
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
+    fn num_shards(&self) -> usize {
         self.inner.shards.len()
     }
 
     /// The home shard of a function (stable affinity routing), ignoring
-    /// route overrides and load.
-    pub fn shard_of(&self, function: FunctionId) -> usize {
+    /// route overrides.
+    fn shard_of(&self, function: FunctionId) -> usize {
         route::shard_for(function.index() as u64, self.inner.shards.len())
     }
 
@@ -420,13 +410,17 @@ impl ShardedInvoker {
 
     /// The shard an invocation of `function` is admitted to: the
     /// published override (the warm set lives there) or else the hash
-    /// home.
-    pub fn route_of(&self, function: FunctionId) -> usize {
+    /// home. Only re-homing publishes overrides, so without it the table
+    /// is never read.
+    fn route_of(&self, function: FunctionId) -> usize {
         if self.inner.shards.len() == 1 {
             return 0;
         }
-        self.route_override(function)
-            .unwrap_or_else(|| self.shard_of(function))
+        let home = self.shard_of(function);
+        if self.inner.rebalance.is_none() {
+            return home;
+        }
+        self.route_override(function).unwrap_or(home)
     }
 
     /// Invokes `spec` at virtual time `at` on its routed shard and
@@ -459,15 +453,11 @@ impl ShardedInvoker {
             return InvokeOutcome::Rejected;
         }
         let _slot = AdmissionSlot(&shard.in_flight);
-        let outcome = Self::serve(shard, spec, at);
+        let outcome = Self::serve(shard, spec, at, self.inner.rebalance.is_some());
         if outcome.is_served() {
             self.inner
                 .tenants
                 .record_served(spec.tenant().index() as u32);
-            shard.window_served.fetch_add(1, Ordering::AcqRel);
-            if self.inner.rebalance.is_some() {
-                *lock(&shard.recent).entry(spec.id()).or_insert(0) += 1;
-            }
         }
         outcome
     }
@@ -491,51 +481,34 @@ impl ShardedInvoker {
         }
     }
 
-    fn serve(shard: &Shard, spec: &FunctionSpec, at: SimTime) -> InvokeOutcome {
+    /// Serves one admitted invocation under the shard's one lock, counting
+    /// it in the re-homing window when `track` is set.
+    fn serve(shard: &Shard, spec: &FunctionSpec, at: SimTime, track: bool) -> InvokeOutcome {
         let now = shard.advance(at);
-        let mut pool = lock(&shard.pool);
-        let served = match pool.acquire(spec, now) {
-            Acquire::Warm { container } => {
-                let finish = now + spec.warm_time();
-                pool.release(container, finish);
-                Some((finish, InvokeOutcome::Warm))
-            }
-            Acquire::Cold { container, .. } => {
-                let finish = now + spec.cold_time();
-                pool.release(container, finish);
-                Some((finish, InvokeOutcome::Cold))
-            }
-            // Evictions may have happened even on the drop path, so the
-            // warm-memory mirror is refreshed on every branch.
-            Acquire::NoCapacity => None,
+        let mut locked = lock(&shard.locked);
+        let (container, run, outcome) = match locked.pool.acquire(spec, now) {
+            Acquire::Warm { container } => (container, spec.warm_time(), InvokeOutcome::Warm),
+            Acquire::Cold { container, .. } => (container, spec.cold_time(), InvokeOutcome::Cold),
+            Acquire::NoCapacity => return InvokeOutcome::Dropped,
         };
-        shard
-            .warm_mem_mb
-            .store(pool.warm_mem().as_mb(), Ordering::Release);
-        drop(pool);
-        match served {
-            Some((finish, outcome)) => {
-                shard.advance(finish);
-                outcome
-            }
-            None => InvokeOutcome::Dropped,
+        let finish = now + run;
+        locked.pool.release(container, finish);
+        if track {
+            *locked.recent.entry(spec.id()).or_insert(0) += 1;
         }
+        drop(locked);
+        shard.advance(finish);
+        outcome
     }
 
     /// Applies TTL-style expiry on one shard at virtual time `at`;
-    /// returns the number of containers reaped.
-    ///
-    /// The daemon's one housekeeping thread runs it for each shard in
-    /// turn (through [`Self::reap`]), so a reap holds one shard's lock at
-    /// a time and never serializes the whole invoker.
-    pub fn reap_shard(&self, shard: usize, at: SimTime) -> usize {
+    /// returns the number of containers reaped. [`Self::reap`] runs it
+    /// for each shard in turn, so a reap holds one shard's lock at a time
+    /// and never serializes the whole invoker.
+    fn reap_shard(&self, shard: usize, at: SimTime) -> usize {
         let s = &self.inner.shards[shard];
         let now = s.advance(at);
-        let mut pool = lock(&s.pool);
-        let reaped = pool.reap(now).len();
-        s.warm_mem_mb
-            .store(pool.warm_mem().as_mb(), Ordering::Release);
-        reaped
+        lock(&s.locked).pool.reap(now).len()
     }
 
     /// Applies TTL-style expiry on every shard; returns the total reaped.
@@ -592,7 +565,7 @@ impl ShardedInvoker {
     pub fn pool_counters(&self) -> PoolCounters {
         let mut total = PoolCounters::default();
         for s in &self.inner.shards {
-            let c = lock(&s.pool).counters();
+            let c = lock(&s.locked).pool.counters();
             total.warm_starts += c.warm_starts;
             total.cold_starts += c.cold_starts;
             total.drops += c.drops;
@@ -650,22 +623,6 @@ impl ShardedInvoker {
         self.inner.migrations.load(Ordering::Acquire)
     }
 
-    /// Lock-free load snapshot of one shard.
-    pub fn load(&self, shard: usize) -> ShardLoad {
-        let s = &self.inner.shards[shard];
-        ShardLoad {
-            shard,
-            in_flight: s.in_flight.load(Ordering::Acquire),
-            warm_mem_mb: s.warm_mem_mb.load(Ordering::Acquire),
-            window_served: s.window_served.load(Ordering::Acquire),
-        }
-    }
-
-    /// Lock-free load snapshots of every shard, in shard order.
-    pub fn loads(&self) -> Vec<ShardLoad> {
-        (0..self.num_shards()).map(|i| self.load(i)).collect()
-    }
-
     /// One step of background warm-set re-homing, meant to run on the
     /// reap cadence. Returns the migration performed, if any.
     ///
@@ -698,18 +655,20 @@ impl ShardedInvoker {
         }
         // Serializes concurrent ticks; nothing else takes this lock.
         let mut state = lock(&self.inner.rebalancer);
-        let served: Vec<u64> = self
-            .inner
-            .shards
-            .iter()
-            .map(|s| s.window_served.swap(0, Ordering::AcqRel))
-            .collect();
-        let recent: Vec<HashMap<FunctionId, u64>> = self
-            .inner
-            .shards
-            .iter()
-            .map(|s| std::mem::take(&mut *lock(&s.recent)))
-            .collect();
+        // Each shard is read under its one lock: the served window (the
+        // pool's warm + cold starts since the last tick), its warm memory,
+        // and its per-function counts.
+        let mut served = Vec::with_capacity(n);
+        let mut warm_mem = Vec::with_capacity(n);
+        let mut recent = Vec::with_capacity(n);
+        for (s, before) in self.inner.shards.iter().zip(&mut state.served_before) {
+            let mut locked = lock(&s.locked);
+            let c = locked.pool.counters();
+            let now_served = c.warm_starts + c.cold_starts;
+            served.push(now_served - std::mem::replace(before, now_served));
+            warm_mem.push(locked.pool.warm_mem());
+            recent.push(std::mem::take(&mut locked.recent));
+        }
         let total: u64 = served.iter().sum();
         if total == 0 {
             state.streaks.iter_mut().for_each(|s| *s = 0);
@@ -728,13 +687,7 @@ impl ShardedInvoker {
             .max_by_key(|&i| (served[i], std::cmp::Reverse(i)))?;
         let cold = (0..n)
             .filter(|&i| i != hot)
-            .min_by_key(|&i| {
-                (
-                    served[i],
-                    self.inner.shards[i].warm_mem_mb.load(Ordering::Acquire),
-                    i,
-                )
-            })
+            .min_by_key(|&i| (served[i], warm_mem[i], i))
             .expect("n >= 2");
         // Candidate functions by window count (desc), ties toward the
         // lowest id. Only functions still pinned to the hot shard are
@@ -751,12 +704,12 @@ impl ShardedInvoker {
         let now = self.inner.shards[hot].advance(at);
         let now = self.inner.shards[cold].advance(now);
         let (lo, hi) = (hot.min(cold), hot.max(cold));
-        let mut guard_lo = lock(&self.inner.shards[lo].pool);
-        let mut guard_hi = lock(&self.inner.shards[hi].pool);
+        let mut guard_lo = lock(&self.inner.shards[lo].locked);
+        let mut guard_hi = lock(&self.inner.shards[hi].locked);
         let (src, dst) = if hot == lo {
-            (&mut *guard_lo, &mut *guard_hi)
+            (&mut guard_lo.pool, &mut guard_hi.pool)
         } else {
-            (&mut *guard_hi, &mut *guard_lo)
+            (&mut guard_hi.pool, &mut guard_lo.pool)
         };
         let Some(function) = pinned_here.into_iter().find(|&f| src.warm_count_of(f) > 0) else {
             // Nothing migratable this window (hot traffic may be running,
@@ -778,12 +731,6 @@ impl ShardedInvoker {
                 }
             }
         }
-        self.inner.shards[hot]
-            .warm_mem_mb
-            .store(src.warm_mem().as_mb(), Ordering::Release);
-        self.inner.shards[cold]
-            .warm_mem_mb
-            .store(dst.warm_mem().as_mb(), Ordering::Release);
         drop(guard_hi);
         drop(guard_lo);
         if moved == 0 {
@@ -821,7 +768,8 @@ impl ShardedInvoker {
     /// for tests and tooling that need to check warm-set placement and
     /// history (e.g. that migration preserved both), not just counts.
     pub fn warm_set(&self, shard: usize) -> Vec<(FunctionId, SimTime)> {
-        let pool = lock(&self.inner.shards[shard].pool);
+        let locked = lock(&self.inner.shards[shard].locked);
+        let pool = &locked.pool;
         let mut set: Vec<(FunctionId, SimTime)> = pool
             .idle_ids()
             .map(|id| {
@@ -833,14 +781,16 @@ impl ShardedInvoker {
         set
     }
 
-    /// Per-shard snapshots, in shard order.
+    /// Per-shard snapshots, in shard order, each read under its shard's
+    /// lock.
     pub fn per_shard(&self) -> Vec<ShardStats> {
         self.inner
             .shards
             .iter()
             .enumerate()
             .map(|(i, s)| {
-                let pool = lock(&s.pool);
+                let locked = lock(&s.locked);
+                let pool = &locked.pool;
                 ShardStats {
                     shard: i,
                     counters: pool.counters(),
@@ -858,7 +808,7 @@ impl ShardedInvoker {
         self.inner
             .shards
             .iter()
-            .map(|s| lock(&s.pool).used_mem())
+            .map(|s| lock(&s.locked).pool.used_mem())
             .sum()
     }
 
@@ -867,7 +817,7 @@ impl ShardedInvoker {
         self.inner
             .shards
             .iter()
-            .map(|s| lock(&s.pool).capacity())
+            .map(|s| lock(&s.locked).pool.capacity())
             .sum()
     }
 
@@ -1188,27 +1138,6 @@ mod tests {
         // drain-time quiescence cannot wedge on a leaked slot.
         assert_eq!(inv.in_flight(), 0, "aborted handler leaked its slot");
         assert!(inv.await_quiesce(Duration::from_millis(10)));
-    }
-
-    #[test]
-    fn load_snapshot_tracks_warm_memory_and_window() {
-        let reg = registry(8);
-        let inv = ShardedInvoker::with_kind(
-            ShardedConfig::split(MemMb::from_gb(1), 2),
-            PolicyKind::GreedyDual,
-        );
-        for spec in reg.iter() {
-            inv.invoke(spec, SimTime::ZERO);
-        }
-        let loads = inv.loads();
-        assert_eq!(loads.len(), 2);
-        let warm_total: u64 = loads.iter().map(|l| l.warm_mem_mb).sum();
-        assert_eq!(warm_total, 8 * 64, "8 idle 64 MB containers");
-        let window_total: u64 = loads.iter().map(|l| l.window_served).sum();
-        assert_eq!(window_total, 8);
-        for l in &loads {
-            assert_eq!(l.in_flight, 0);
-        }
     }
 
     /// Drives a skewed sequential workload until the rebalancer migrates

@@ -676,8 +676,8 @@ impl Shared {
             "gauge",
             "Admitted-but-unfinished invocations per shard.",
         );
-        for load in self.invoker.loads() {
-            m.sample(&[("shard", &load.shard)], load.in_flight);
+        for shard in self.invoker.per_shard() {
+            m.sample(&[("shard", &shard.shard)], shard.in_flight);
         }
         // Registry replication fingerprint: the router compares these to
         // decide whether a re-admitted backend's registry diverged, and

@@ -22,11 +22,14 @@
 //! - **fsync policy** — every append is `write_all` + `sync_data` before
 //!   the daemon acknowledges the mutation on the wire: an acked
 //!   `Register`/quota update is durable. Control-plane mutations are
-//!   rare, so the fsync sits nowhere near the invoke hot path.
+//!   rare, so the fsync sits nowhere near the invoke hot path. Creating
+//!   `journal.log` (or the state dir) syncs the directory that holds the
+//!   new entry. An unreadable snapshot or journal fails the open.
 //! - **Compaction** — when the journal tail grows past
 //!   [`COMPACT_BYTES`]/[`COMPACT_RECORDS`], the caller serializes its
 //!   full state into `snapshot.tmp`, fsyncs, renames over
-//!   `snapshot.log`, then truncates the journal. A crash between the
+//!   `snapshot.log`, syncs the directory so the rename is durable, then
+//!   truncates the journal. A crash between the
 //!   rename and the truncate leaves snapshot *and* journal describing the
 //!   same mutations — harmless, because replay is idempotent (duplicate
 //!   registers are skipped, duplicate quota sets are last-wins with equal
@@ -318,32 +321,30 @@ impl Journal {
     ///
     /// Never panics on corrupt bytes: arbitrary truncation or bit flips
     /// degrade to a shorter recovered prefix.
+    ///
+    /// An unreadable snapshot or journal (anything but a missing file)
+    /// fails the open: booting from a partial registry would let the next
+    /// compaction write that partial state over the snapshot.
     pub fn open(dir: &Path) -> io::Result<(Journal, RecoveredState)> {
+        let made_dir = !dir.is_dir();
         fs::create_dir_all(dir)?;
         // A leftover snapshot.tmp is a compaction that never committed;
         // the durable snapshot.log + journal.log pair is authoritative.
         let _ = fs::remove_file(dir.join(SNAPSHOT_TMP));
 
-        let mut recovered = RecoveredState::default();
-
-        let snapshot_path = dir.join(SNAPSHOT_FILE);
-        if let Ok(bytes) = fs::read(&snapshot_path) {
-            let (records, valid) = scan_records(&bytes);
-            recovered.truncated_bytes += (bytes.len() - valid) as u64;
-            recovered.snapshot_records = records.len();
-            recovered.records = records;
-        }
+        let bytes = read_or_empty(&dir.join(SNAPSHOT_FILE))?;
+        let (records, valid) = scan_records(&bytes);
+        let mut recovered = RecoveredState {
+            snapshot_records: records.len(),
+            records,
+            truncated_bytes: (bytes.len() - valid) as u64,
+        };
 
         let journal_path = dir.join(JOURNAL_FILE);
-        let bytes = match fs::read(&journal_path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(e),
-        };
+        let made_file = !journal_path.exists();
+        let bytes = read_or_empty(&journal_path)?;
         let (records, valid) = scan_records(&bytes);
-        if valid < bytes.len() {
-            recovered.truncated_bytes += (bytes.len() - valid) as u64;
-        }
+        recovered.truncated_bytes += (bytes.len() - valid) as u64;
         let journal_records = records.len();
         recovered.records.extend(records);
 
@@ -357,6 +358,14 @@ impl Journal {
         // valid record.
         file.set_len(valid as u64)?;
         file.sync_data()?;
+        // A new file (or directory) survives a power loss only once the
+        // directory holding its entry is synced.
+        if made_file {
+            sync_dir(dir)?;
+        }
+        if made_dir {
+            sync_dir(parent_of(dir))?;
+        }
         let mut journal = Journal {
             dir: dir.to_path_buf(),
             file,
@@ -399,6 +408,10 @@ impl Journal {
         tmp.sync_data()?;
         drop(tmp);
         fs::rename(&tmp_path, self.dir.join(SNAPSHOT_FILE))?;
+        // Nothing orders the rename before the truncation's fsync of
+        // another file: without this sync a power loss could keep the
+        // truncation and lose the rename, and the tail with it.
+        sync_dir(&self.dir)?;
         self.file.set_len(0)?;
         use std::io::Seek;
         self.file.seek(io::SeekFrom::Start(0))?;
@@ -421,6 +434,29 @@ impl Journal {
     /// The state directory this journal lives in.
     pub fn dir(&self) -> &Path {
         &self.dir
+    }
+}
+
+/// Reads a state file; a missing file reads as empty, and every other
+/// error is returned.
+fn read_or_empty(path: &Path) -> io::Result<Vec<u8>> {
+    match fs::read(path) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Vec::new()),
+        read => read,
+    }
+}
+
+/// Makes the entries of `dir` durable (the files created in it and
+/// renamed within it).
+fn sync_dir(dir: &Path) -> io::Result<()> {
+    File::open(dir)?.sync_all()
+}
+
+/// The directory holding `path`'s entry (`.` for a bare relative name).
+fn parent_of(path: &Path) -> &Path {
+    match path.parent() {
+        Some(p) if !p.as_os_str().is_empty() => p,
+        _ => Path::new("."),
     }
 }
 
@@ -583,6 +619,20 @@ mod tests {
         let (_, recovered) = Journal::open(&dir).unwrap();
         assert_eq!(recovered.records, sample_records()[..1].to_vec());
         assert!(!dir.join(SNAPSHOT_TMP).exists(), "tmp removed on open");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_unreadable_snapshot_fails_the_open() {
+        // Treating the snapshot as absent would boot with only the tail's
+        // one record, and the next compaction would write that partial
+        // registry over the snapshot.
+        let dir = tmp_dir("unreadable");
+        let (mut journal, _) = Journal::open(&dir).unwrap();
+        journal.append(&sample_records()[0]).unwrap();
+        drop(journal);
+        fs::create_dir(dir.join(SNAPSHOT_FILE)).unwrap();
+        assert!(Journal::open(&dir).is_err());
         let _ = fs::remove_dir_all(&dir);
     }
 

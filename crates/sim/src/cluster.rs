@@ -253,6 +253,33 @@ mod tests {
     }
 
     #[test]
+    fn one_server_cluster_is_the_simulation() {
+        // Every balancer has one choice, so a one-server cluster is the
+        // single-server simulation decision for decision.
+        let t = trace();
+        for balancer in LoadBalancer::ALL {
+            for policy in PolicyKind::ALL {
+                for gb in [1, 2, 4, 8] {
+                    let per_server = SimConfig::new(MemMb::from_gb(gb), policy);
+                    let cluster = ClusterConfig {
+                        servers: 1,
+                        per_server,
+                        balancer,
+                        seed: 1,
+                    };
+                    let r = run_cluster(&t, &cluster);
+                    let s = Simulation::run(&t, &per_server);
+                    assert_eq!(
+                        (r.warm, r.cold, r.dropped),
+                        (s.warm, s.cold, s.dropped),
+                        "{balancer:?} {policy} {gb} GB"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn affinity_beats_random_on_locality() {
         // The paper's §9 claim: stateful routing → better temporal
         // locality → higher keep-alive hit ratio.

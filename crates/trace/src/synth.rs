@@ -30,7 +30,9 @@ pub struct SynthConfig {
     pub num_functions: usize,
     /// Number of applications the functions are grouped into.
     pub num_apps: usize,
-    /// Zipf exponent of the popularity distribution.
+    /// Zipf exponent of the popularity distribution: the rank-`k`
+    /// function's mean rate is `max_rate_per_min / k^s`, so a larger
+    /// exponent concentrates the workload onto fewer functions.
     pub zipf_exponent: f64,
     /// Mean arrival rate (per minute) of the most popular function.
     pub max_rate_per_min: f64,
@@ -86,31 +88,6 @@ impl Default for SynthConfig {
             diurnal_amplitude: 1.0,
             seed: 0xFAA5_CACE,
         }
-    }
-}
-
-impl SynthConfig {
-    /// Sets the Zipf exponent of the popularity skew (builder style).
-    ///
-    /// This is the knob the serving binaries' `--skew zipf:<s>` flag
-    /// drives: the rank-`k` function's mean rate is `max_rate / k^s`,
-    /// so a larger exponent concentrates the workload onto fewer
-    /// functions (and therefore fewer shards under affinity routing).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use faascache_trace::synth::SynthConfig;
-    /// let cfg = SynthConfig::default().with_skew(1.2);
-    /// assert_eq!(cfg.zipf_exponent, 1.2);
-    /// ```
-    pub fn with_skew(mut self, zipf_exponent: f64) -> Self {
-        assert!(
-            zipf_exponent.is_finite() && zipf_exponent >= 0.0,
-            "zipf exponent must be finite and non-negative"
-        );
-        self.zipf_exponent = zipf_exponent;
-        self
     }
 }
 
@@ -288,7 +265,10 @@ mod tests {
             (counts[0], counts.iter().sum())
         };
         let base = small_config();
-        let skewed = small_config().with_skew(1.8);
+        let skewed = SynthConfig {
+            zipf_exponent: 1.8,
+            ..small_config()
+        };
         let (top_a, sum_a) = total(&base);
         let (top_b, sum_b) = total(&skewed);
         let share_a = top_a as f64 / sum_a.max(1) as f64;
