@@ -10,16 +10,10 @@
 //! Run with: `cargo run --release -p faascache-bench --bin fig7_skew`
 
 use faascache::core::policy::PolicyKind;
-use faascache::platform::emulator::{Emulator, PlatformConfig};
+use faascache::platform::emulator::Emulator;
 use faascache::prelude::*;
 use faascache::trace::workloads;
-
-fn config(policy: PolicyKind) -> PlatformConfig {
-    let mut cfg = PlatformConfig::new(MemMb::new(6000), policy);
-    cfg.max_concurrency = 6;
-    cfg.patience = SimDuration::from_secs(15);
-    cfg
-}
+use faascache_bench::overload_config;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let duration = SimDuration::from_mins(30);
@@ -52,8 +46,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             workloads::skewed_size_clones(duration, clones)?,
         ),
     ] {
-        let ow = Emulator::run(&trace, &config(PolicyKind::Ttl));
-        let fc = Emulator::run(&trace, &config(PolicyKind::GreedyDual));
+        let ow = Emulator::run(&trace, &overload_config(PolicyKind::Ttl));
+        let fc = Emulator::run(&trace, &overload_config(PolicyKind::GreedyDual));
         println!(
             "{:<16} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>9.2}x {:>10.2}x",
             name,

@@ -7,19 +7,13 @@
 //! Run with: `cargo run --release -p faascache-bench --bin fig8_breakdown`
 
 use faascache::core::policy::PolicyKind;
-use faascache::platform::emulator::{Emulator, PlatformConfig, PlatformResult};
+use faascache::platform::emulator::{Emulator, PlatformResult};
 use faascache::prelude::*;
 use faascache::trace::workloads;
+use faascache_bench::overload_config;
 use std::collections::BTreeMap;
 
 const CLONES: usize = 8;
-
-fn config(policy: PolicyKind) -> PlatformConfig {
-    let mut cfg = PlatformConfig::new(MemMb::new(6000), policy);
-    cfg.max_concurrency = 6;
-    cfg.patience = SimDuration::from_secs(15);
-    cfg
-}
 
 /// Aggregates clone statistics back to their app family.
 fn by_family(r: &PlatformResult) -> BTreeMap<String, (u64, u64, u64, u64)> {
@@ -75,8 +69,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         trace.len()
     );
 
-    let ow = Emulator::run(&trace, &config(PolicyKind::Ttl));
-    let fc = Emulator::run(&trace, &config(PolicyKind::GreedyDual));
+    let ow = Emulator::run(&trace, &overload_config(PolicyKind::Ttl));
+    let fc = Emulator::run(&trace, &overload_config(PolicyKind::GreedyDual));
     print_breakdown("OpenWhisk", &ow);
     print_breakdown("FaasCache", &fc);
 

@@ -35,17 +35,6 @@ pub fn base_dataset() -> AzureDataset {
     })
 }
 
-/// A smaller dataset for quick runs and tests.
-pub fn small_dataset() -> AzureDataset {
-    synth::generate(&synth::SynthConfig {
-        num_functions: 300,
-        num_apps: 100,
-        max_rate_per_min: 40.0,
-        seed: EXPERIMENT_SEED,
-        ..synth::SynthConfig::default()
-    })
-}
-
 fn to_trace(dataset: &AzureDataset) -> Trace {
     adapt::adapt(dataset, &adapt::AdaptOptions::default())
 }
@@ -87,6 +76,15 @@ pub fn small_size_axis() -> Vec<MemMb> {
         .collect()
 }
 
+/// The emulated server of Figures 7 and 8: a 6000 MB pool, 6 CPU slots,
+/// and 15 s of patience in the request buffer.
+pub fn overload_config(policy: PolicyKind) -> PlatformConfig {
+    let mut cfg = PlatformConfig::new(MemMb::new(6000), policy);
+    cfg.max_concurrency = 6;
+    cfg.patience = SimDuration::from_secs(15);
+    cfg
+}
+
 /// Runs the Figure-5/6 sweep (all seven policies over the size axis).
 pub fn policy_sweep(trace: &Trace, sizes: &[MemMb]) -> Vec<SweepPoint> {
     let base = SimConfig::new(sizes[0], PolicyKind::GreedyDual);
@@ -112,62 +110,5 @@ pub fn print_grid(
             print!("{:>9.3}", metric(&point.result));
         }
         println!();
-    }
-}
-
-/// Extracts the column of one policy from a sweep grid, in size order.
-pub fn policy_column<'a>(
-    grid: &'a [SweepPoint],
-    sizes: &[MemMb],
-    policy: PolicyKind,
-) -> Vec<&'a SweepPoint> {
-    let j = PolicyKind::ALL
-        .iter()
-        .position(|&p| p == policy)
-        .expect("policy is in ALL");
-    (0..sizes.len())
-        .map(|i| &grid[j * sizes.len() + i])
-        .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use faascache::trace::stats::TraceStats;
-
-    #[test]
-    fn samples_have_paper_like_shapes() {
-        // Use the small dataset for test speed; same code path.
-        let d = small_dataset();
-        let mut rng = Pcg64::seed_from_u64(1);
-        let rep = to_trace(&sample::representative(&d, 40, &mut rng));
-        let rare = to_trace(&sample::rare(&d, 75, &mut rng));
-        let rnd = to_trace(&sample::random(&d, 20, &mut rng));
-        let rep_stats = TraceStats::compute(&rep);
-        let rare_stats = TraceStats::compute(&rare);
-        assert!(rep_stats.num_invocations > 0);
-        // Rare functions arrive much less often than representative ones.
-        assert!(
-            rare_stats.reqs_per_sec < rep_stats.reqs_per_sec,
-            "rare {} vs representative {}",
-            rare_stats.reqs_per_sec,
-            rep_stats.reqs_per_sec
-        );
-        assert!(rnd.num_functions() <= 20);
-    }
-
-    #[test]
-    fn grid_helpers_are_consistent() {
-        let d = small_dataset();
-        let mut rng = Pcg64::seed_from_u64(2);
-        let trace = to_trace(&sample::random(&d, 15, &mut rng)).truncated(SimTime::from_mins(60));
-        let sizes = vec![MemMb::from_gb(1), MemMb::from_gb(4)];
-        let grid = policy_sweep(&trace, &sizes);
-        assert_eq!(grid.len(), PolicyKind::ALL.len() * sizes.len());
-        let gd = policy_column(&grid, &sizes, PolicyKind::GreedyDual);
-        assert_eq!(gd.len(), 2);
-        assert_eq!(gd[0].memory, MemMb::from_gb(1));
-        assert_eq!(gd[1].memory, MemMb::from_gb(4));
-        assert!(gd.iter().all(|p| p.policy == PolicyKind::GreedyDual));
     }
 }

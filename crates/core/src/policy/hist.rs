@@ -332,12 +332,6 @@ impl Hist {
         self.funcs.get(function)?.as_deref()
     }
 
-    /// Whether a function's IAT pattern is currently considered
-    /// predictable (enough samples and CoV at or below the threshold).
-    pub fn is_predictable(&self, function: FunctionId) -> bool {
-        self.stats(function).is_some_and(|f| f.predictable)
-    }
-
     /// `(predicted next use, expiry deadline)` of `container` under the
     /// current histogram state of its function: what the differential
     /// suite's brute-force reference ranks and expires by.
@@ -605,12 +599,12 @@ mod tests {
         let mut reg = FunctionRegistry::new();
         let s = spec(&mut reg, "regular");
         let mut hist = Hist::new(HistConfig::default());
-        assert!(!hist.is_predictable(s.id()));
+        assert!(!hist.stats(s.id()).is_some_and(|f| f.predictable));
         // Invocations every 10 minutes, like clockwork.
         for i in 0..10u64 {
             hist.on_request(&s, SimTime::from_mins(i * 10));
         }
-        assert!(hist.is_predictable(s.id()));
+        assert!(hist.stats(s.id()).is_some_and(|f| f.predictable));
     }
 
     #[test]
@@ -631,7 +625,7 @@ mod tests {
             hist.on_request(&s2, SimTime::from_mins(t));
         }
         // IATs: 1,1,1,1,1,225 → mean≈38.3, sd≈83.5 → CoV≈2.2 > 2.
-        assert!(!hist.is_predictable(s2.id()));
+        assert!(!hist.stats(s2.id()).is_some_and(|f| f.predictable));
     }
 
     #[test]
@@ -659,7 +653,7 @@ mod tests {
         for i in 0..20u64 {
             hist.on_request(&s, SimTime::from_secs(i * 10));
         }
-        assert!(hist.is_predictable(s.id()));
+        assert!(hist.stats(s.id()).is_some_and(|f| f.predictable));
         // Head bucket is 0 (< 1 min): the container never gets released, so
         // there is nothing to pre-warm.
         assert!(hist.prewarm_due(SimTime::from_mins(60)).is_empty());

@@ -2,11 +2,11 @@
 //! hang — even when a keep-alive policy misbehaves (hands back running
 //! containers, stale or never-minted ids, duplicates, or nothing at all).
 
-use faascache::core::container::{Container, ContainerId};
-use faascache::core::policy::KeepAlivePolicy;
-use faascache::core::pool::{Acquire, ContainerPool};
-use faascache::prelude::*;
-use faascache::util::{MemMb, SimDuration, SimTime};
+use faascache_core::container::{Container, ContainerId};
+use faascache_core::function::{FunctionId, FunctionRegistry};
+use faascache_core::policy::KeepAlivePolicy;
+use faascache_core::pool::{Acquire, ContainerPool};
+use faascache_util::{MemMb, SimDuration, SimTime};
 
 /// A policy that violates the eviction contract in configurable ways. It
 /// follows the hooks honestly, so it knows which ids would be right.

@@ -4,7 +4,7 @@
 //! vanilla OpenWhisk on a real server with FunctionBench applications.
 //! Docker and a 48-core testbed are out of scope for a library, so this
 //! crate emulates the parts of the platform that produce Figures 1, 7 and
-//! 8 (see DESIGN.md for the substitution argument):
+//! 8 (see DESIGN.md §1, *Substitutions*, for the argument):
 //!
 //! - [`lifecycle`] — the cold-start phase breakdown of Figure 1 (container
 //!   pool check → Docker/Akka startup → runtime init → explicit init →

@@ -1,11 +1,13 @@
 //! Platform-emulator end-to-end tests: the Figure-7/8 comparisons of
 //! FaasCache (GD) against vanilla OpenWhisk (TTL).
 
-use faascache::core::policy::PolicyKind;
-use faascache::platform::emulator::{Emulator, PlatformConfig, PlatformResult};
-use faascache::platform::lifecycle::PhaseModel;
-use faascache::prelude::*;
-use faascache::trace::{apps, workloads};
+use faascache_core::function::FunctionRegistry;
+use faascache_core::policy::PolicyKind;
+use faascache_platform::emulator::{Emulator, PlatformConfig, PlatformResult};
+use faascache_platform::lifecycle::PhaseModel;
+use faascache_trace::record::Trace;
+use faascache_trace::{apps, workloads};
+use faascache_util::{MemMb, SimDuration};
 
 fn run(trace: &Trace, policy: PolicyKind, mem: MemMb) -> PlatformResult {
     Emulator::run(trace, &PlatformConfig::new(mem, policy))

@@ -7,7 +7,7 @@
 //! 2. the server-side counters agree with the client-side tallies, and
 //! 3. pool memory accounting balances once the invoker quiesces.
 
-use faascache_core::function::FunctionRegistry;
+use faascache_core::function::{FunctionId, FunctionRegistry};
 use faascache_core::policy::{KeepAlivePolicy, PolicyKind, Ttl};
 use faascache_platform::sharded::{InvokeOutcome, ShardedConfig, ShardedInvoker};
 use faascache_util::{MemMb, SimDuration, SimTime};
@@ -63,18 +63,21 @@ impl Tally {
     }
 }
 
-fn hammer(tally: &Tally, invoke: impl Fn(u32, SimTime) -> InvokeOutcome + Sync) {
+/// Invokes from `THREADS` threads at once and tallies the outcomes.
+fn hammer(reg: &FunctionRegistry, inv: &ShardedInvoker) -> Tally {
+    let tally = Tally::default();
     std::thread::scope(|scope| {
         for t in 0..THREADS {
-            let invoke = &invoke;
+            let tally = &tally;
             scope.spawn(move || {
                 for i in 0..PER_THREAD {
-                    let f = ((t * 31 + i) % FUNCTIONS as u64) as u32;
-                    tally.record(invoke(f, SimTime::from_millis(i)));
+                    let f = FunctionId::from_index(((t * 31 + i) % FUNCTIONS as u64) as u32);
+                    tally.record(inv.invoke(reg.spec(f), SimTime::from_millis(i)));
                 }
             });
         }
     });
+    tally
 }
 
 #[test]
@@ -86,11 +89,7 @@ fn sharded_invoker_conserves_every_request() {
         ShardedConfig::split(MemMb::new(2048), 4).with_queue_bound(4),
         PolicyKind::GreedyDual,
     );
-    let tally = Tally::default();
-    hammer(&tally, |f, at| {
-        let spec = reg.spec(faascache_core::function::FunctionId::from_index(f));
-        inv.invoke(spec, at)
-    });
+    let tally = hammer(&reg, &inv);
 
     let submitted = THREADS * PER_THREAD;
     assert_eq!(tally.total(), submitted, "an invocation vanished");
@@ -120,11 +119,7 @@ fn legacy_shared_invoker_conserves_every_request() {
         ShardedConfig::split(MemMb::new(1024), 1),
         vec![Box::new(faascache_core::policy::GreedyDual::new())],
     );
-    let tally = Tally::default();
-    hammer(&tally, |f, at| {
-        let spec = reg.spec(faascache_core::function::FunctionId::from_index(f));
-        inv.invoke(spec, at)
-    });
+    let tally = hammer(&reg, &inv);
 
     let submitted = THREADS * PER_THREAD;
     assert_eq!(tally.total(), submitted);
@@ -146,11 +141,7 @@ fn sharded_memory_balances_to_zero_after_ttl_reap() {
         .map(|_| Box::new(Ttl::new(SimDuration::from_mins(10))) as Box<dyn KeepAlivePolicy>)
         .collect();
     let inv = ShardedInvoker::new(config, policies);
-    let tally = Tally::default();
-    hammer(&tally, |f, at| {
-        let spec = reg.spec(faascache_core::function::FunctionId::from_index(f));
-        inv.invoke(spec, at)
-    });
+    let tally = hammer(&reg, &inv);
     assert_eq!(tally.total(), THREADS * PER_THREAD);
     assert!(inv.drain(Duration::from_secs(5)));
 

@@ -258,11 +258,6 @@ impl<S> FaultyStream<S> {
         self.stats
     }
 
-    /// Whether an injected reset has permanently broken the stream.
-    pub fn is_broken(&self) -> bool {
-        self.broken
-    }
-
     /// The wrapped transport.
     pub fn get_ref(&self) -> &S {
         &self.inner
@@ -498,7 +493,7 @@ mod tests {
             let err = s.read(&mut buf).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::ConnectionReset);
         }
-        assert!(s.is_broken());
+        assert!(s.broken);
         assert_eq!(s.stats().resets, 1, "only the first reset counts");
         assert_eq!(
             s.write(&[1]).unwrap_err().kind(),

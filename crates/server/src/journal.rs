@@ -23,8 +23,9 @@
 //!   the daemon acknowledges the mutation on the wire: an acked
 //!   `Register`/quota update is durable. Control-plane mutations are
 //!   rare, so the fsync sits nowhere near the invoke hot path. Creating
-//!   `journal.log` (or the state dir) syncs the directory that holds the
-//!   new entry. An unreadable snapshot or journal fails the open.
+//!   `journal.log`, the state dir, or any missing ancestor of it syncs
+//!   the directory that holds the new entry. An unreadable snapshot or
+//!   journal fails the open.
 //! - **Compaction** — when the journal tail grows past
 //!   [`COMPACT_BYTES`]/[`COMPACT_RECORDS`], the caller serializes its
 //!   full state into `snapshot.tmp`, fsyncs, renames over
@@ -326,8 +327,7 @@ impl Journal {
     /// fails the open: booting from a partial registry would let the next
     /// compaction write that partial state over the snapshot.
     pub fn open(dir: &Path) -> io::Result<(Journal, RecoveredState)> {
-        let made_dir = !dir.is_dir();
-        fs::create_dir_all(dir)?;
+        let made_dirs = create_dirs(dir)?;
         // A leftover snapshot.tmp is a compaction that never committed;
         // the durable snapshot.log + journal.log pair is authoritative.
         let _ = fs::remove_file(dir.join(SNAPSHOT_TMP));
@@ -363,8 +363,8 @@ impl Journal {
         if made_file {
             sync_dir(dir)?;
         }
-        if made_dir {
-            sync_dir(parent_of(dir))?;
+        for made in &made_dirs {
+            sync_dir(parent_of(made))?;
         }
         let mut journal = Journal {
             dir: dir.to_path_buf(),
@@ -446,6 +446,18 @@ fn read_or_empty(path: &Path) -> io::Result<Vec<u8>> {
     }
 }
 
+/// Creates `dir` and every missing ancestor of it, and returns the
+/// directories it created, deepest first.
+fn create_dirs(dir: &Path) -> io::Result<Vec<PathBuf>> {
+    let missing = dir
+        .ancestors()
+        .take_while(|p| !p.as_os_str().is_empty() && !p.is_dir())
+        .map(Path::to_path_buf)
+        .collect();
+    fs::create_dir_all(dir)?;
+    Ok(missing)
+}
+
 /// Makes the entries of `dir` durable (the files created in it and
 /// renamed within it).
 fn sync_dir(dir: &Path) -> io::Result<()> {
@@ -458,12 +470,6 @@ fn parent_of(path: &Path) -> &Path {
         Some(p) if !p.as_os_str().is_empty() => p,
         _ => Path::new("."),
     }
-}
-
-/// Reads the raw journal tail bytes of a state dir (testing aid for
-/// corruption harnesses).
-pub fn read_journal_bytes(dir: &Path) -> io::Result<Vec<u8>> {
-    fs::read(dir.join(JOURNAL_FILE))
 }
 
 /// Overwrites the raw journal tail bytes of a state dir (testing aid for
@@ -531,7 +537,9 @@ mod tests {
 
     #[test]
     fn append_then_reopen_recovers_everything() {
-        let dir = tmp_dir("reopen");
+        // Two levels below a directory that does not exist either.
+        let root = tmp_dir("reopen");
+        let dir = root.join("node").join("state");
         let (mut journal, recovered) = Journal::open(&dir).unwrap();
         assert!(recovered.records.is_empty());
         for record in sample_records() {
@@ -541,7 +549,19 @@ mod tests {
         let (_, recovered) = Journal::open(&dir).unwrap();
         assert_eq!(recovered.records, sample_records());
         assert_eq!(recovered.truncated_bytes, 0);
-        let _ = fs::remove_dir_all(&dir);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn open_creates_every_missing_ancestor_of_the_state_dir() {
+        // Open syncs the entry of each directory created here into its
+        // parent; the second time nothing is missing.
+        let root = tmp_dir("ancestors");
+        let dir = root.join("node").join("state");
+        let created = [dir.clone(), root.join("node"), root.clone()];
+        assert_eq!(create_dirs(&dir).unwrap(), created);
+        assert!(create_dirs(&dir).unwrap().is_empty());
+        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
@@ -553,7 +573,7 @@ mod tests {
         }
         drop(journal);
         // Tear the last record mid-payload.
-        let bytes = read_journal_bytes(&dir).unwrap();
+        let bytes = fs::read(dir.join(JOURNAL_FILE)).unwrap();
         write_journal_bytes(&dir, &bytes[..bytes.len() - 3]).unwrap();
         let (mut journal, recovered) = Journal::open(&dir).unwrap();
         assert_eq!(recovered.records, sample_records()[..2].to_vec());
@@ -574,7 +594,7 @@ mod tests {
             journal.append(&record).unwrap();
         }
         drop(journal);
-        let mut bytes = read_journal_bytes(&dir).unwrap();
+        let mut bytes = fs::read(dir.join(JOURNAL_FILE)).unwrap();
         // Flip a bit inside the *second* record's payload.
         let first_len = sample_records()[0].encode_framed().len();
         bytes[first_len + 9] ^= 0x40;

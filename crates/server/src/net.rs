@@ -251,8 +251,7 @@ mod park {
         }
     }
 
-    /// `poll(2)` for readability on the fds given. The timeout rounds up
-    /// to whole milliseconds, never down to a busy spin.
+    /// `poll(2)` for readability on the fds given.
     pub fn until_readable(fds: [Option<RawFd>; 2], timeout: Duration) {
         // poll(2) skips an entry whose fd is negative.
         let mut set = fds.map(|fd| ffi::PollFd {
@@ -260,15 +259,20 @@ mod park {
             events: ffi::POLLIN,
             revents: 0,
         });
-        let ms = timeout
-            .as_micros()
-            .div_ceil(1000)
-            .clamp(1, i32::MAX as u128) as i32;
+        let ms = super::timeout_ms(timeout);
         // SAFETY: `set` is a valid array of `set.len()` pollfd entries.
         // The result is not needed: readiness, timeout and EINTR all
         // send the caller back to its own checks.
         let _ = unsafe { ffi::poll(set.as_mut_ptr(), set.len() as c_ulong, ms) };
     }
+}
+
+/// A `poll(2)` or `epoll_wait` timeout argument. Zero stays zero, a look
+/// that does not sleep; anything else rounds up to whole milliseconds,
+/// so a deadline less than one away is slept through, not spun on.
+#[cfg(target_os = "linux")]
+pub(crate) fn timeout_ms(timeout: Duration) -> i32 {
+    timeout.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as i32
 }
 
 #[cfg(target_os = "linux")]

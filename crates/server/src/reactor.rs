@@ -286,16 +286,13 @@ impl Epoll {
         self.ctl(ffi::EPOLL_CTL_DEL, fd, 0, Interest::none())
     }
 
-    /// Waits up to `timeout` for readiness, appending into `out` (which
-    /// is cleared first). Returns the number of events. `None` blocks
-    /// indefinitely.
+    /// Waits up to `timeout`, rounded up to whole milliseconds, for
+    /// readiness, appending into `out` (which is cleared first). Returns
+    /// the number of events. `None` blocks indefinitely.
     pub fn wait(&self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<usize> {
         const MAX_EVENTS: usize = 1024;
         let mut raw = [ffi::EpollEvent { events: 0, data: 0 }; MAX_EVENTS];
-        let timeout_ms: i32 = match timeout {
-            None => -1,
-            Some(d) => d.as_millis().min(i32::MAX as u128) as i32,
-        };
+        let timeout_ms = timeout.map_or(-1, crate::net::timeout_ms);
         // SAFETY: `raw` is a valid out-buffer of MAX_EVENTS entries.
         let n =
             unsafe { ffi::epoll_wait(self.fd, raw.as_mut_ptr(), MAX_EVENTS as i32, timeout_ms) };

@@ -2,16 +2,19 @@
 //! by real protocol clients, with conservation checked on both sides.
 
 use faascache_core::function::FunctionRegistry;
-use faascache_server::client::{self, Client, LoadOptions, LoadProto, RetryPolicy};
+use faascache_server::client::{self, Client, LoadOptions, LoadProto, LoadReport, RetryPolicy};
 use faascache_server::daemon::{
     BoundAddr, Daemon, DaemonConfig, DaemonReport, Endpoint, IoModel, ShutdownHandle,
 };
 use faascache_server::http::HttpClient;
+use faascache_server::journal::Journal;
 use faascache_server::WorkloadConfig;
 use faascache_trace::replay::OpenLoopSchedule;
 use faascache_util::MemMb;
 use std::io;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -55,10 +58,17 @@ fn boot_config(
 ) -> (BoundAddr, thread::JoinHandle<DaemonReport>) {
     let trace = small_workload().build();
     let daemon = Daemon::bind(&endpoint, config, trace.registry().clone()).expect("bind daemon");
+    let (addr, _, join) = start(daemon);
+    (addr, join)
+}
+
+/// Runs `daemon` on a thread of its own and waits until it answers.
+fn start(daemon: Daemon) -> (BoundAddr, ShutdownHandle, thread::JoinHandle<DaemonReport>) {
     let addr = daemon.bound_addr();
+    let handle = daemon.shutdown_handle();
     let join = thread::spawn(move || daemon.run());
     client::await_ready(&addr, Duration::from_secs(5)).expect("daemon ready");
-    (addr, join)
+    (addr, handle, join)
 }
 
 /// Boots a daemon with BOTH listeners (binary + `--http-listen`) under
@@ -84,11 +94,8 @@ fn boot_http_model(
         trace.registry().clone(),
     )
     .expect("bind daemon with http");
-    let addr = daemon.bound_addr();
     let http_addr = daemon.bound_http_addr().expect("http listener bound");
-    let handle = daemon.shutdown_handle();
-    let join = thread::spawn(move || daemon.run());
-    client::await_ready(&addr, Duration::from_secs(5)).expect("daemon ready");
+    let (addr, handle, join) = start(daemon);
     (addr, http_addr, handle, join)
 }
 
@@ -136,14 +143,19 @@ fn exercise_protocol(addr: &BoundAddr, join: thread::JoinHandle<DaemonReport>) {
 }
 
 #[cfg(unix)]
-#[test]
-fn protocol_session_over_unix_socket() {
+fn unix_session(io: IoModel) {
     let endpoint = unix_endpoint();
-    let (addr, join) = boot(endpoint.clone());
+    let (addr, join) = boot_model(endpoint.clone(), io);
     exercise_protocol(&addr, join);
     if let Endpoint::Unix(path) = endpoint {
         assert!(!path.exists(), "socket file must be unlinked on exit");
     }
+}
+
+#[cfg(unix)]
+#[test]
+fn protocol_session_over_unix_socket() {
+    unix_session(IoModel::Threads);
 }
 
 #[test]
@@ -194,42 +206,49 @@ fn a_failed_keyed_invoke_does_not_shorten_its_keys_dedup_life() {
     assert_eq!(report.stats.served(), 2, "the retry must not execute");
 }
 
-#[test]
-fn concurrent_clients_lose_nothing() {
-    let (addr, join) = boot(tcp_endpoint());
-    let trace = small_workload().build();
-    let schedule = OpenLoopSchedule::from_trace(&trace, 50_000.0);
-    let requests = 20_000u64;
-    let report = client::run_load(&addr, &schedule, 50_000.0, requests, 4);
-
+/// A sole client's load lost nothing, and the daemon's counters equal
+/// the client's tallies.
+fn assert_sole_client_tallies(addr: &BoundAddr, report: &LoadReport, requests: u64) {
     assert_eq!(report.requests, requests);
     assert_eq!(report.errors, 0, "no transport errors expected");
     assert_eq!(report.lost(), 0, "every request must be accounted");
-
-    // Sole client: daemon-side stats must match the client tallies.
-    let mut c = Client::connect(&addr).expect("connect");
-    let stats = c.stats().expect("stats");
+    let stats = Client::connect(addr)
+        .and_then(|mut c| c.stats())
+        .expect("stats");
     assert_eq!(stats.warm, report.warm);
     assert_eq!(stats.cold, report.cold);
     assert_eq!(stats.dropped, report.dropped);
     assert_eq!(stats.rejected, report.rejected);
     assert_eq!(stats.accounted(), requests);
+}
 
-    c.shutdown().expect("shutdown");
+/// The binary load generator against a daemon on `io`.
+fn concurrent_load_loses_nothing(io: IoModel) {
+    let (addr, join) = boot_model(tcp_endpoint(), io);
+    let trace = small_workload().build();
+    let schedule = OpenLoopSchedule::from_trace(&trace, 50_000.0);
+    let requests = 20_000u64;
+    let report = client::run_load(&addr, &schedule, 50_000.0, requests, 4);
+    assert_sole_client_tallies(&addr, &report, requests);
+
+    Client::connect(&addr)
+        .and_then(|mut c| c.shutdown())
+        .expect("shutdown");
     let daemon_report = join.join().expect("daemon thread");
     assert!(daemon_report.drained);
     assert_eq!(daemon_report.protocol_errors, 0);
+    assert_eq!(daemon_report.accept_errors, 0);
+}
+
+#[test]
+fn concurrent_clients_lose_nothing() {
+    concurrent_load_loses_nothing(IoModel::Threads);
 }
 
 #[cfg(target_os = "linux")]
 #[test]
 fn protocol_session_over_unix_socket_epoll() {
-    let endpoint = unix_endpoint();
-    let (addr, join) = boot_model(endpoint.clone(), IoModel::Epoll);
-    exercise_protocol(&addr, join);
-    if let Endpoint::Unix(path) = endpoint {
-        assert!(!path.exists(), "socket file must be unlinked on exit");
-    }
+    unix_session(IoModel::Epoll);
 }
 
 #[cfg(target_os = "linux")]
@@ -242,29 +261,7 @@ fn protocol_session_over_tcp_epoll() {
 #[cfg(target_os = "linux")]
 #[test]
 fn concurrent_clients_lose_nothing_epoll() {
-    let (addr, join) = boot_model(tcp_endpoint(), IoModel::Epoll);
-    let trace = small_workload().build();
-    let schedule = OpenLoopSchedule::from_trace(&trace, 50_000.0);
-    let requests = 20_000u64;
-    let report = client::run_load(&addr, &schedule, 50_000.0, requests, 4);
-
-    assert_eq!(report.requests, requests);
-    assert_eq!(report.errors, 0, "no transport errors expected");
-    assert_eq!(report.lost(), 0, "every request must be accounted");
-
-    let mut c = Client::connect(&addr).expect("connect");
-    let stats = c.stats().expect("stats");
-    assert_eq!(stats.warm, report.warm);
-    assert_eq!(stats.cold, report.cold);
-    assert_eq!(stats.dropped, report.dropped);
-    assert_eq!(stats.rejected, report.rejected);
-    assert_eq!(stats.accounted(), requests);
-
-    c.shutdown().expect("shutdown");
-    let daemon_report = join.join().expect("daemon thread");
-    assert!(daemon_report.drained);
-    assert_eq!(daemon_report.protocol_errors, 0);
-    assert_eq!(daemon_report.accept_errors, 0);
+    concurrent_load_loses_nothing(IoModel::Epoll);
 }
 
 /// A rebalancing daemon under a Zipf-skewed load: 4 shards and warm-set
@@ -293,9 +290,7 @@ fn a_rebalancing_daemon_keeps_a_zipf_load_balanced() {
     let trace = workload.build();
     let daemon =
         Daemon::bind(&unix_endpoint(), config, trace.registry().clone()).expect("bind daemon");
-    let addr = daemon.bound_addr();
-    let join = thread::spawn(move || daemon.run());
-    client::await_ready(&addr, Duration::from_secs(5)).expect("daemon ready");
+    let (addr, _, join) = start(daemon);
 
     let schedule = OpenLoopSchedule::from_trace(&trace, 2_000.0);
     let retry = RetryPolicy::retries(8, Duration::from_millis(5), Duration::from_millis(250));
@@ -541,19 +536,7 @@ fn http_load_loses_nothing(io: IoModel) {
             ..LoadOptions::new(50_000.0, requests, 4)
         },
     );
-
-    assert_eq!(report.requests, requests);
-    assert_eq!(report.errors, 0, "no transport errors expected");
-    assert_eq!(report.lost(), 0, "every request must be accounted");
-
-    let mut c = Client::connect(&addr).expect("connect");
-    let stats = c.stats().expect("stats");
-    assert_eq!(stats.warm, report.warm);
-    assert_eq!(stats.cold, report.cold);
-    assert_eq!(stats.dropped, report.dropped);
-    assert_eq!(stats.rejected, report.rejected);
-    assert_eq!(stats.accounted(), requests);
-    drop(c);
+    assert_sole_client_tallies(&addr, &report, requests);
 
     handle.request();
     let daemon_report = join.join().expect("daemon thread");
@@ -779,10 +762,7 @@ fn a_drain_request_wakes_the_sleeping_reactor_at_once_epoll() {
     let trace = small_workload().build();
     let daemon =
         Daemon::bind(&unix_endpoint(), config, trace.registry().clone()).expect("bind daemon");
-    let addr = daemon.bound_addr();
-    let handle = daemon.shutdown_handle();
-    let join = thread::spawn(move || daemon.run());
-    client::await_ready(&addr, Duration::from_secs(5)).expect("daemon ready");
+    let (_, handle, join) = start(daemon);
 
     thread::sleep(Duration::from_millis(300));
     let asked = Instant::now();
@@ -799,6 +779,47 @@ fn a_drain_request_wakes_the_sleeping_reactor_at_once_epoll() {
         (1..=6).contains(&report.accept_wakeups),
         "{} wake-ups for one connection and one drain",
         report.accept_wakeups
+    );
+}
+
+/// A request that arrives in two reads arms a stall deadline, and once
+/// it is answered that deadline stays in the reactor's FIFO until it
+/// comes due. Sleeping until an entry less than a millisecond away must
+/// cost one wake-up, not a busy loop of zero-timeout `epoll_wait`s.
+#[cfg(target_os = "linux")]
+#[test]
+fn outlived_stall_deadlines_cost_no_busy_wait_epoll() {
+    use faascache_server::proto::{Request, Response};
+    use std::io::Write;
+
+    const PINGS: u64 = 50;
+    let (addr, join) = boot_model(unix_endpoint(), IoModel::Epoll);
+    let mut conn = raw_unix(&addr);
+    let ping = wire([Request::Ping]);
+    for _ in 0..PINGS {
+        conn.write_all(&ping[..2]).expect("first half");
+        thread::sleep(Duration::from_millis(1));
+        conn.write_all(&ping[2..]).expect("second half");
+        assert!(matches!(read_response(&mut conn), Response::Pong));
+    }
+    // Quiet past the stall limit (ten read timeouts): every deadline the
+    // pings armed comes due while nothing else wakes the reactor.
+    thread::sleep(test_config().read_timeout * 15);
+    conn.write_all(&wire([Request::Shutdown]))
+        .expect("shutdown");
+    let report = join.join().expect("daemon thread");
+    assert!(report.drained);
+
+    // One wake-up per read timeout of uptime; per ping its two halves,
+    // its deadline and one of slack; per connection its accept, request
+    // and close; and the drain.
+    let timeouts = report.uptime.as_millis() / test_config().read_timeout.as_millis();
+    let bound = timeouts as u64 + 4 * PINGS + 4 * report.connections + 2;
+    assert!(
+        report.accept_wakeups <= bound,
+        "{} wake-ups for {PINGS} split pings in {:?}, bound {bound}",
+        report.accept_wakeups,
+        report.uptime
     );
 }
 
@@ -940,24 +961,18 @@ fn a_pipelined_burst_is_answered_in_order_with_coalesced_writes_epoll() {
 
 /// A fresh state dir, its journal (shared with the test), and a config
 /// whose daemon journals into it.
-fn journaled_config(
-    io: IoModel,
-) -> (
-    std::path::PathBuf,
-    std::sync::Arc<std::sync::Mutex<faascache_server::journal::Journal>>,
-    DaemonConfig,
-) {
+fn journaled_config(io: IoModel) -> (PathBuf, Arc<Mutex<Journal>>, DaemonConfig) {
     let dir = std::env::temp_dir().join(format!(
         "faascached-test-journal-{}-{}",
         std::process::id(),
         SOCKET_SEQ.fetch_add(1, Ordering::Relaxed)
     ));
     let _ = std::fs::remove_dir_all(&dir);
-    let (journal, _) = faascache_server::journal::Journal::open(&dir).expect("open journal");
-    let journal = std::sync::Arc::new(std::sync::Mutex::new(journal));
+    let (journal, _) = Journal::open(&dir).expect("open journal");
+    let journal = Arc::new(Mutex::new(journal));
     let config = DaemonConfig {
         io_model: io,
-        journal: Some(std::sync::Arc::clone(&journal)),
+        journal: Some(Arc::clone(&journal)),
         ..test_config()
     };
     (dir, journal, config)
@@ -969,7 +984,7 @@ fn journaled_config(
 /// acknowledged registration that a restart forgot.
 #[test]
 fn the_mutation_that_triggers_a_compaction_survives_it() {
-    use faascache_server::journal::{Journal, JournalRecord, COMPACT_RECORDS};
+    use faascache_server::journal::{JournalRecord, COMPACT_RECORDS};
 
     let (dir, journal, config) = journaled_config(IoModel::Threads);
     let (addr, join) = boot_config(tcp_endpoint(), config);
@@ -1088,8 +1103,8 @@ fn a_peer_that_never_reads_cannot_grow_the_daemon_epoll() {
     let (addr, join) = boot_model(unix_endpoint(), IoModel::Epoll);
     let mut slow = raw_unix(&addr);
     let mut sender = slow.try_clone().expect("clone the socket");
-    let sent = std::sync::Arc::new(AtomicU64::new(0));
-    let progress = std::sync::Arc::clone(&sent);
+    let sent = Arc::new(AtomicU64::new(0));
+    let progress = Arc::clone(&sent);
     let writer = thread::spawn(move || {
         for chunk in 0..FRAMES / MARK {
             let bytes = wire((0..MARK).map(|i| match i {

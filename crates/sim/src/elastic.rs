@@ -229,8 +229,8 @@ mod tests {
         let initial = MemMb::from_gb(10);
         let result = run_elastic(&trace, &ElasticConfig::new(initial), controller);
         assert!(
-            result.avg_capacity_mb < initial.as_mb() as f64,
-            "avg {} should be below the static {}",
+            result.avg_capacity_mb < 0.9 * initial.as_mb() as f64,
+            "avg {} should undercut the static {} by more than 10%",
             result.avg_capacity_mb,
             initial.as_mb()
         );

@@ -271,23 +271,6 @@ mod tests {
     }
 
     #[test]
-    fn all_policies_conserve_invocations() {
-        let trace = workloads::skewed_frequency(SimDuration::from_mins(3)).unwrap();
-        for kind in PolicyKind::ALL {
-            let cfg = SimConfig::new(MemMb::from_gb(1), kind);
-            let r = Simulation::run(&trace, &cfg);
-            assert_eq!(
-                r.warm + r.cold + r.dropped,
-                r.invocations,
-                "{kind} lost invocations"
-            );
-            assert_eq!(r.invocations as usize, trace.len());
-            let per_fn: u64 = r.per_function.iter().map(|f| f.total()).sum();
-            assert_eq!(per_fn, r.invocations, "{kind} per-function mismatch");
-        }
-    }
-
-    #[test]
     fn memory_timeline_recorded_when_asked() {
         let trace = tiny_trace(SimDuration::from_secs(30), 10);
         let mut cfg = SimConfig::new(MemMb::from_gb(1), PolicyKind::GreedyDual);

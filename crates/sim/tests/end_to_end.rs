@@ -2,11 +2,11 @@
 //! simulation, asserting the paper's headline *shapes* hold on this
 //! reproduction.
 
-use faascache::core::policy::PolicyKind;
-use faascache::prelude::*;
-use faascache::sim::sweep::sweep;
-use faascache::trace::stats::TraceStats;
-use faascache::trace::{adapt, sample, synth};
+use faascache_core::policy::PolicyKind;
+use faascache_sim::sim::{SimConfig, Simulation};
+use faascache_trace::record::Trace;
+use faascache_trace::{adapt, sample, synth};
+use faascache_util::Pcg64;
 
 fn pipeline_trace(seed: u64, functions: usize, sample_n: usize) -> Trace {
     let dataset = synth::generate(&synth::SynthConfig {
@@ -81,55 +81,4 @@ fn caching_policies_beat_ttl_on_rare_workload() {
         "rare trace under TTL should be mostly cold, got {:.1}%",
         ttl.pct_cold()
     );
-}
-
-#[test]
-fn cold_starts_shrink_as_memory_grows() {
-    let trace = pipeline_trace(31, 200, 80);
-    let total = trace.registry().total_mem();
-    let sizes: Vec<MemMb> = [0.15, 0.3, 0.6, 1.0]
-        .iter()
-        .map(|f| total.mul_f64(*f))
-        .collect();
-    let base = SimConfig::new(sizes[0], PolicyKind::GreedyDual);
-    let grid = sweep(&trace, &[PolicyKind::GreedyDual], &sizes, &base);
-    for pair in grid.windows(2) {
-        let a = pair[0].result.pct_cold() + pair[0].result.pct_dropped();
-        let b = pair[1].result.pct_cold() + pair[1].result.pct_dropped();
-        assert!(b <= a + 1e-9, "non-warm% rose with memory: {a:.2} → {b:.2}");
-    }
-}
-
-#[test]
-fn whole_pipeline_is_deterministic() {
-    let a = pipeline_trace(77, 150, 60);
-    let b = pipeline_trace(77, 150, 60);
-    assert_eq!(a.invocations(), b.invocations());
-    let ra = Simulation::run(&a, &SimConfig::new(MemMb::from_gb(8), PolicyKind::Landlord));
-    let rb = Simulation::run(&b, &SimConfig::new(MemMb::from_gb(8), PolicyKind::Landlord));
-    assert_eq!(ra, rb);
-}
-
-#[test]
-fn trace_stats_reflect_sampling() {
-    let dataset = synth::generate(&synth::SynthConfig {
-        num_functions: 300,
-        num_apps: 100,
-        zipf_exponent: 1.3,
-        seed: 13,
-        ..synth::SynthConfig::default()
-    });
-    let mut rng = Pcg64::seed_from_u64(13);
-    let rep = adapt::adapt(
-        &sample::representative(&dataset, 60, &mut rng),
-        &adapt::AdaptOptions::default(),
-    );
-    let rare = adapt::adapt(
-        &sample::rare(&dataset, 60, &mut rng),
-        &adapt::AdaptOptions::default(),
-    );
-    let rep_stats = TraceStats::compute(&rep);
-    let rare_stats = TraceStats::compute(&rare);
-    assert!(rep_stats.reqs_per_sec > rare_stats.reqs_per_sec);
-    assert!(rare_stats.avg_iat_ms > rep_stats.avg_iat_ms);
 }

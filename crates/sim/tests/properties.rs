@@ -1,9 +1,13 @@
-//! Property-based tests over the whole stack (proptest).
+//! Property-based tests of the simulator and its engine (proptest).
 
-use faascache::analysis::reuse::{reuse_distances, reuse_distances_naive};
-use faascache::core::container::ContainerId;
-use faascache::prelude::*;
-use faascache::sim::engine::{self, Completions, Node};
+use faascache_core::container::ContainerId;
+use faascache_core::function::{FunctionId, FunctionRegistry};
+use faascache_core::policy::PolicyKind;
+use faascache_core::pool::{Acquire, ContainerPool};
+use faascache_sim::engine::{self, Completions, Node};
+use faascache_sim::sim::{SimConfig, Simulation};
+use faascache_trace::record::{Invocation, Trace};
+use faascache_util::{MemMb, SimDuration, SimTime};
 use proptest::prelude::*;
 
 /// A compact description of a random workload.
@@ -140,34 +144,6 @@ proptest! {
             registry: trace.registry(),
         };
         engine::run(&mut node, &trace, SimDuration::from_secs(15), None);
-    }
-
-    /// The Fenwick reuse-distance algorithm agrees with the paper's naive
-    /// scan on arbitrary traces.
-    #[test]
-    fn reuse_distance_implementations_agree(w in workload_strategy(10, 250)) {
-        let trace = w.to_trace();
-        prop_assert_eq!(reuse_distances(&trace), reuse_distances_naive(&trace));
-    }
-
-    /// Hit-ratio curves are monotone, bounded, and consistent with their
-    /// inverse.
-    #[test]
-    fn hit_ratio_curve_invariants(w in workload_strategy(10, 250), target in 0.0f64..1.0) {
-        let trace = w.to_trace();
-        let curve = HitRatioCurve::from_reuse(&reuse_distances(&trace));
-        let mut prev = 0.0;
-        for gb in 0..20u64 {
-            let h = curve.hit_ratio(MemMb::from_gb(gb));
-            prop_assert!((0.0..=1.0).contains(&h));
-            prop_assert!(h + 1e-12 >= prev, "curve decreased");
-            prev = h;
-        }
-        if let Some(size) = curve.size_for_hit_ratio(target) {
-            prop_assert!(curve.hit_ratio(size) + 1e-12 >= target.min(curve.max_hit_ratio()));
-        } else {
-            prop_assert!(target > curve.max_hit_ratio());
-        }
     }
 
     /// With zero initialization cost, Greedy-Dual degenerates to LRU

@@ -2,12 +2,17 @@
 //! simulator behavior, static sizing, SHARDS accuracy, and the elastic
 //! controller loop.
 
-use faascache::analysis::shards;
-use faascache::core::policy::PolicyKind;
-use faascache::prelude::*;
-use faascache::provision::static_prov::StaticProvisioner;
-use faascache::sim::elastic::{run_elastic, ElasticConfig};
-use faascache::trace::{adapt, sample, synth};
+use faascache_analysis::hitratio::HitRatioCurve;
+use faascache_analysis::reuse::reuse_distances;
+use faascache_analysis::shards;
+use faascache_core::policy::PolicyKind;
+use faascache_provision::controller::{Controller, ControllerConfig};
+use faascache_provision::static_prov::StaticProvisioner;
+use faascache_sim::elastic::{run_elastic, ElasticConfig};
+use faascache_sim::sim::{SimConfig, Simulation};
+use faascache_trace::record::Trace;
+use faascache_trace::{adapt, sample, synth};
+use faascache_util::{MemMb, Pcg64};
 
 fn trace(seed: u64) -> Trace {
     let dataset = synth::generate(&synth::SynthConfig {
@@ -81,30 +86,6 @@ fn shards_estimate_tracks_exact_curve_on_pipeline_trace() {
     let sizes = (1..=30).map(MemMb::from_gb);
     let err = shards::curve_error(&exact, &est, sizes);
     assert!(err < 0.15, "SHARDS error {err:.3} too large at rate 0.3");
-}
-
-#[test]
-fn elastic_controller_cuts_average_capacity() {
-    let t = trace(5);
-    let curve = HitRatioCurve::from_reuse(&reuse_distances(&t));
-    let static_size = MemMb::from_gb(12);
-    // Target: tolerate a miss ratio of ~25% at the mean arrival rate, so
-    // the controller has room to shrink during quiet periods.
-    let mean_rate = t.len() as f64 / t.duration().as_secs_f64();
-    let target = 0.25 * mean_rate;
-    let controller = Controller::new(
-        curve,
-        ControllerConfig::new(target, MemMb::from_gb(1), static_size),
-    );
-    let result = run_elastic(&t, &ElasticConfig::new(static_size), controller);
-    assert!(
-        result.avg_capacity_mb < 0.9 * static_size.as_mb() as f64,
-        "elastic average {:.0}MB should undercut static {}MB by >10%",
-        result.avg_capacity_mb,
-        static_size.as_mb()
-    );
-    assert_eq!(result.warm + result.cold + result.dropped, t.len() as u64);
-    assert!(!result.samples.is_empty());
 }
 
 #[test]

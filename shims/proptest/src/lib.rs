@@ -376,7 +376,7 @@ pub mod prelude {
     pub use crate::prop;
     pub use crate::strategy::{any, Just, Strategy};
     pub use crate::test_runner::ProptestConfig;
-    pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, proptest};
+    pub use crate::{prop_assert, prop_assert_eq, proptest};
 }
 
 /// Asserts a condition inside a property, failing the current case.
@@ -391,13 +391,6 @@ macro_rules! prop_assert {
 macro_rules! prop_assert_eq {
     ($left:expr, $right:expr) => { assert_eq!($left, $right) };
     ($left:expr, $right:expr, $($fmt:tt)+) => { assert_eq!($left, $right, $($fmt)+) };
-}
-
-/// Asserts inequality inside a property, failing the current case.
-#[macro_export]
-macro_rules! prop_assert_ne {
-    ($left:expr, $right:expr) => { assert_ne!($left, $right) };
-    ($left:expr, $right:expr, $($fmt:tt)+) => { assert_ne!($left, $right, $($fmt)+) };
 }
 
 /// Declares property tests. Each `fn name(pat in strategy, ...) { body }`
