@@ -51,21 +51,26 @@
 //! code 4) rather than rejected, and their warm containers become
 //! preferred eviction victims until they are back under budget.
 //!
+//! Tenant names follow the rule every runtime mutation follows
+//! (`JournalRecord::validate`: 1 to 32 bytes of `[A-Za-z0-9._-]`); a
+//! flag naming any other tenant exits 2.
+//!
 //! Durability: `--state-dir DIR` opens a CRC-framed append-only journal
 //! in `DIR` (creating it if needed), replays every recorded registration
-//! and tenant-quota update into the boot registry before the first
-//! accept, and journals each later runtime mutation *before* it is
-//! acknowledged on the wire. A SIGKILLed daemon restarted with the same
-//! `--state-dir` (and the same workload flags) therefore serves the
-//! registry it last acknowledged; torn journal tails from a mid-write
-//! crash are truncated to the longest valid prefix on open.
+//! and tenant-quota update through the daemon's own apply step after
+//! bind and before the first request is served, and journals each later
+//! runtime mutation *before* it is acknowledged on the wire. A SIGKILLed
+//! daemon restarted with the same `--state-dir` (and the same workload
+//! flags) therefore serves the registry it last acknowledged; torn
+//! journal tails from a mid-write crash are truncated to the longest
+//! valid prefix on open.
 
 use faascache_platform::tenant::TenantQuota;
 use faascache_server::daemon::{Daemon, DaemonConfig, Endpoint};
 use faascache_server::fault::FaultConfig;
 use faascache_server::journal::{Journal, JournalRecord};
 use faascache_server::{signal, WorkloadConfig};
-use faascache_util::{MemMb, SimDuration};
+use faascache_util::MemMb;
 use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -93,6 +98,20 @@ fn parse<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T {
             eprintln!("faascached: bad or missing value for {flag}");
             usage()
         }
+    }
+}
+
+/// Holds a tenant named on the command line to the rule a runtime
+/// quota update for it is held to.
+fn check_tenant(flag: &str, tenant: &str) {
+    let record = JournalRecord::SetQuota {
+        tenant: tenant.to_string(),
+        inflight: u64::MAX,
+        mem_mb: u64::MAX,
+    };
+    if let Err(e) = record.validate() {
+        eprintln!("faascached: {flag}: {e}");
+        usage()
     }
 }
 
@@ -141,6 +160,9 @@ fn main() -> ExitCode {
                     eprintln!("faascached: --tenants needs at least one name");
                     usage()
                 }
+                for tenant in &tenants {
+                    check_tenant("--tenants", tenant);
+                }
             }
             "--tenant-quota" => {
                 let spec: String = parse("--tenant-quota", args.next());
@@ -149,7 +171,10 @@ fn main() -> ExitCode {
                     usage()
                 };
                 match TenantQuota::parse(quota_spec) {
-                    Ok(q) => config.tenant_quotas.set(name, q),
+                    Ok(q) => {
+                        check_tenant("--tenant-quota", name);
+                        config.tenant_quotas.set(name, q)
+                    }
                     Err(e) => {
                         eprintln!("faascached: --tenant-quota: {e}");
                         usage()
@@ -238,74 +263,20 @@ fn main() -> ExitCode {
         registry.len()
     );
 
-    // Durable state: open the journal, replay recovered mutations into
-    // the boot registry and quota table, and hand the journal to the
-    // daemon so later runtime mutations are fsynced before their acks.
-    if let Some(dir) = &state_dir {
-        let (journal, recovered) = match Journal::open(dir) {
-            Ok(pair) => pair,
-            Err(e) => {
-                eprintln!("faascached: --state-dir {}: {e}", dir.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let mut replayed = 0usize;
-        let mut skipped = 0usize;
-        for record in &recovered.records {
-            let applied = match record {
-                JournalRecord::Register {
-                    name,
-                    mem_mb,
-                    warm_us,
-                    cold_us,
-                    tenant,
-                } => {
-                    // Same idempotent semantics as the runtime RPC: an
-                    // existing name (from the workload contract, the
-                    // snapshot, or an earlier record) is a no-op.
-                    registry.find(name).is_some()
-                        || registry
-                            .register_in(
-                                name,
-                                MemMb::new(u64::from(*mem_mb)),
-                                SimDuration::from_micros(*warm_us),
-                                SimDuration::from_micros(*cold_us),
-                                tenant,
-                            )
-                            .is_ok()
-                }
-                JournalRecord::SetQuota {
-                    tenant,
-                    inflight,
-                    mem_mb,
-                } => {
-                    config.tenant_quotas.set(
-                        tenant,
-                        TenantQuota {
-                            inflight: *inflight,
-                            mem_mb: *mem_mb,
-                        },
-                    );
-                    true
-                }
-            };
-            if applied {
-                replayed += 1;
-            } else {
-                skipped += 1;
-            }
+    // Durable state: the journal goes to the daemon, so runtime
+    // mutations are fsynced before their acks; what it recovered is
+    // replayed once the daemon is bound.
+    let recovered = match state_dir.as_deref().map(Journal::open).transpose() {
+        Ok(opened) => opened.map(|(journal, recovered)| {
+            config.journal = Some(Arc::new(Mutex::new(journal)));
+            recovered
+        }),
+        Err(e) => {
+            let dir = state_dir.unwrap_or_default();
+            eprintln!("faascached: --state-dir {}: {e}", dir.display());
+            return ExitCode::FAILURE;
         }
-        eprintln!(
-            "faascached: state dir {}: replayed {replayed} mutations \
-             ({} from snapshot), skipped {skipped}, truncated {} torn bytes \
-             (registry: {} functions)",
-            dir.display(),
-            recovered.snapshot_records,
-            recovered.truncated_bytes,
-            registry.len()
-        );
-        config.journal = Some(Arc::new(Mutex::new(journal)));
-    }
+    };
 
     let daemon =
         match Daemon::bind_with_http(&endpoint, http_listen.as_deref(), config.clone(), registry) {
@@ -325,6 +296,17 @@ fn main() -> ExitCode {
     );
     if let Some(http) = daemon.bound_http_addr() {
         eprintln!("faascached: http gateway on {http:?}");
+    }
+    if let (Some(dir), Some(recovered)) = (&state_dir, recovered) {
+        let skipped = daemon.replay(&recovered.records);
+        eprintln!(
+            "faascached: state dir {}: replayed {} mutations ({} from snapshot), \
+             skipped {skipped}, truncated {} torn bytes",
+            dir.display(),
+            recovered.records.len() - skipped,
+            recovered.snapshot_records,
+            recovered.truncated_bytes,
+        );
     }
 
     let report = daemon.run();

@@ -20,6 +20,7 @@
 use crate::daemon::BoundAddr;
 use crate::fault::{FaultConfig, FaultPlan, FaultyStream};
 use crate::http::HttpClient;
+use crate::journal::JournalRecord;
 use crate::net::Stream;
 use crate::proto::{self, Request, Response};
 use faascache_platform::sharded::{InvokeOutcome, InvokerStats};
@@ -148,14 +149,17 @@ impl Client {
         cold_us: u64,
         tenant: &str,
     ) -> io::Result<(u32, bool)> {
-        let request = Request::Register {
+        let record = JournalRecord::Register {
             name: name.to_string(),
             mem_mb,
             warm_us,
             cold_us,
             tenant: tenant.to_string(),
         };
-        registered(self.call(request)?)
+        match self.mutate(&record)? {
+            Response::Registered { function, created } => Ok((function, created)),
+            other => Err(unexpected(other)),
+        }
     }
 
     /// Updates a tenant's admission budget at runtime (`u64::MAX` =
@@ -168,32 +172,29 @@ impl Client {
         inflight: u64,
         mem_mb: u64,
     ) -> io::Result<bool> {
-        let request = Request::SetTenantQuota {
+        let record = JournalRecord::SetQuota {
             tenant: tenant.to_string(),
             inflight,
             mem_mb,
         };
-        quota_set(self.call(request)?)
+        match self.mutate(&record)? {
+            Response::QuotaSet { live } => Ok(live),
+            other => Err(unexpected(other)),
+        }
+    }
+
+    /// Sends one mutation and returns the daemon's answer. A record that
+    /// fails [`JournalRecord::validate`] is `InvalidInput`, and nothing
+    /// is sent.
+    fn mutate(&mut self, record: &JournalRecord) -> io::Result<Response> {
+        record
+            .validate()
+            .map_err(|msg| io::Error::new(io::ErrorKind::InvalidInput, msg))?;
+        self.call(record.to_request())
     }
 }
 
-/// The `(index, created)` a `Register` is answered with.
-pub(crate) fn registered(response: Response) -> io::Result<(u32, bool)> {
-    match response {
-        Response::Registered { function, created } => Ok((function, created)),
-        other => Err(unexpected(other)),
-    }
-}
-
-/// The `live` flag a `SetTenantQuota` is answered with.
-pub(crate) fn quota_set(response: Response) -> io::Result<bool> {
-    match response {
-        Response::QuotaSet { live } => Ok(live),
-        other => Err(unexpected(other)),
-    }
-}
-
-fn unexpected(response: Response) -> io::Error {
+pub(crate) fn unexpected(response: Response) -> io::Error {
     io::Error::new(
         io::ErrorKind::InvalidData,
         format!("unexpected response {response:?}"),

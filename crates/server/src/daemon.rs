@@ -28,6 +28,7 @@ use crate::fault::FaultConfig;
 use crate::journal::{registry_digest, Journal, JournalRecord};
 use crate::net::DrainLatch;
 use crate::prom::PromText;
+use crate::proto::Response;
 use crate::service::{FnTarget, FrontCounters, KeyCache, Op, Reply, Service};
 use faascache_core::function::{FunctionId, FunctionRegistry};
 use faascache_core::policy::PolicyKind;
@@ -416,103 +417,89 @@ impl Shared {
             .map(|spec| spec.id().index() as u32)
     }
 
-    /// Registers a function at runtime, idempotently: re-registering an
-    /// existing name answers with its index and `created = false`
-    /// regardless of the parameters (including the tenant — the first
-    /// registration owns the function), so retried registrations never
-    /// fail or fork the registry. An empty tenant means the default
-    /// tenant; any other tenant name must pass [`validate_tenant_name`].
-    fn register_function(
-        &self,
-        name: &str,
-        mem_mb: u32,
-        warm_us: u64,
-        cold_us: u64,
-        tenant: &str,
-    ) -> Result<(u32, bool), String> {
-        validate_tenant_name(tenant)?;
-        if name.len() > u8::MAX as usize {
-            return Err(format!("function name too long ({} > 255)", name.len()));
-        }
-        // Journaled mutations are serialised by the journal mutex, taken
-        // before any registry lock, so records reach the disk in the
-        // order they are applied — and the fsync is waited for with no
-        // registry lock held: invokes (the epoll reactor thread runs
-        // them inline) never queue behind the disk.
+    /// Executes one mutation: journaled (when a state dir is configured)
+    /// and fsynced, then applied, then acknowledged. Journaled mutations
+    /// are serialised by the journal mutex, taken before any registry
+    /// lock, so records reach the disk in the order they are applied —
+    /// and the fsync is waited for with no registry lock held: invokes
+    /// (the epoll reactor thread runs them inline) never queue behind the
+    /// disk. A `Register` of a name that exists answers without a record.
+    fn mutate(&self, record: &JournalRecord) -> Result<Response, String> {
         let mut journal = self.journal_lock();
-        if let Some(spec) = self.registry_read().find(name) {
-            return Ok((spec.id().index() as u32, false));
+        if let JournalRecord::Register { name, .. } = record {
+            if let Some(spec) = self.registry_read().find(name) {
+                return Ok(registered(spec.id(), false));
+            }
         }
-        // Journal-first: an acked `created = true` implies the record is
-        // fsynced. A crash after the append but before the in-memory
-        // apply merely replays an un-acked registration on restart,
-        // which is harmless; a record whose apply below fails validation
-        // is skipped on replay.
+        // Journal-first: an ack implies the record is fsynced. A crash
+        // after the append but before the apply merely replays an
+        // un-acked mutation on restart, which is harmless; a record
+        // whose apply fails is skipped on replay.
         if let Some(journal) = &mut journal {
-            let record = JournalRecord::Register {
-                name: name.to_string(),
-                mem_mb,
-                warm_us,
-                cold_us,
-                tenant: tenant.to_string(),
-            };
             journal
-                .append(&record)
+                .append(record)
                 .map_err(|e| format!("journal append failed: {e}"))?;
         }
-        let mut registry = self.registry.write().unwrap_or_else(|e| e.into_inner());
-        // Without a journal nothing above excludes a concurrent
-        // registration of the same name.
-        if let Some(spec) = registry.find(name) {
-            return Ok((spec.id().index() as u32, false));
-        }
-        let registered = registry
-            .register_in(
-                name,
-                MemMb::new(u64::from(mem_mb)),
-                SimDuration::from_micros(warm_us),
-                SimDuration::from_micros(cold_us),
-                tenant,
-            )
-            .map(|id| (id.index() as u32, true))
-            .map_err(|e| e.to_string());
-        if let Some(journal) = &mut journal {
-            self.compact_if_needed(journal, &registry);
-        }
-        registered
-    }
-
-    /// Updates a tenant's isolation budget at runtime: journaled (when a
-    /// state dir is configured), then applied live through the invoker's
-    /// tenant table. Returns whether the tenant was already bound to a
-    /// live slot (`false` means the quota is stored and will apply on
-    /// the tenant's first request).
-    fn set_tenant_quota(&self, tenant: &str, inflight: u64, mem_mb: u64) -> Result<bool, String> {
-        if tenant.is_empty() {
-            return Err("tenant name must be non-empty".to_string());
-        }
-        validate_tenant_name(tenant)?;
-        // Same journal-first, ack-after-fsync ordering as
-        // `register_function`, applied under the journal mutex so two
-        // updates of one tenant land in the order they were journaled.
-        let mut journal = self.journal_lock();
-        if let Some(journal) = &mut journal {
-            let record = JournalRecord::SetQuota {
-                tenant: tenant.to_string(),
-                inflight,
-                mem_mb,
-            };
-            journal
-                .append(&record)
-                .map_err(|e| format!("journal append failed: {e}"))?;
-        }
-        let live = self
-            .invoker
-            .set_tenant_quota(tenant, TenantQuota { inflight, mem_mb });
+        let ack = self.apply(
+            &mut self.registry.write().unwrap_or_else(|e| e.into_inner()),
+            record,
+        );
+        // The journal mutex keeps other mutations out until the snapshot
+        // is taken, so a read lock suffices and invokes keep running.
         if let Some(journal) = &mut journal {
             self.compact_if_needed(journal, &self.registry_read());
         }
-        Ok(live)
+        ack
+    }
+
+    /// Applies one mutation to the registry or the tenant table: the one
+    /// apply step runtime mutations and boot replay share. Registering
+    /// is idempotent: a name that exists answers with its index and
+    /// `created = false` whatever the parameters (the first registration
+    /// owns the function, tenant included), so retries and replays never
+    /// fail or fork the registry. A quota answers whether the tenant was
+    /// already bound to a live slot (`false` means it is stored and
+    /// applies on the tenant's first request).
+    fn apply(
+        &self,
+        registry: &mut FunctionRegistry,
+        record: &JournalRecord,
+    ) -> Result<Response, String> {
+        match record {
+            JournalRecord::Register {
+                name,
+                mem_mb,
+                warm_us,
+                cold_us,
+                tenant,
+            } => {
+                if let Some(spec) = registry.find(name) {
+                    return Ok(registered(spec.id(), false));
+                }
+                registry
+                    .register_in(
+                        name,
+                        MemMb::new(u64::from(*mem_mb)),
+                        SimDuration::from_micros(*warm_us),
+                        SimDuration::from_micros(*cold_us),
+                        tenant,
+                    )
+                    .map(|id| registered(id, true))
+                    .map_err(|e| e.to_string())
+            }
+            JournalRecord::SetQuota {
+                tenant,
+                inflight,
+                mem_mb,
+            } => {
+                let quota = TenantQuota {
+                    inflight: *inflight,
+                    mem_mb: *mem_mb,
+                };
+                let live = self.invoker.set_tenant_quota(tenant, quota);
+                Ok(Response::QuotaSet { live })
+            }
+        }
     }
 
     /// Folds the full control-plane state — which must already hold the
@@ -725,26 +712,8 @@ impl Service for Shared {
                     Err(msg) => Reply::error(404, msg),
                 }
             }
-            Op::Register {
-                name,
-                mem_mb,
-                warm_us,
-                cold_us,
-                tenant,
-            } => match self.register_function(&name, mem_mb, warm_us, cold_us, &tenant) {
-                Ok((function, created)) => Reply::Registered {
-                    function,
-                    name,
-                    created,
-                },
-                Err(msg) => Reply::error(400, msg),
-            },
-            Op::SetQuota {
-                tenant,
-                inflight,
-                mem_mb,
-            } => match self.set_tenant_quota(&tenant, inflight, mem_mb) {
-                Ok(live) => Reply::QuotaSet { tenant, live },
+            Op::Mutate(record) => match self.mutate(&record) {
+                Ok(ack) => Reply::Acked(record, ack),
                 Err(msg) => Reply::error(400, msg),
             },
             Op::Stats => Reply::Stats(self.invoker.stats()),
@@ -770,20 +739,11 @@ impl Service for Shared {
     }
 }
 
-/// Validates a tenant name from the wire: empty (= default tenant) or up
-/// to 32 characters of `[A-Za-z0-9._-]`. The charset keeps tenant names
-/// safe to embed verbatim in metrics labels and summary lines.
-pub(crate) fn validate_tenant_name(tenant: &str) -> Result<(), String> {
-    if tenant.len() > 32 {
-        return Err(format!("tenant name too long ({} > 32)", tenant.len()));
-    }
-    if tenant
-        .chars()
-        .all(|c| c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-'))
-    {
-        Ok(())
-    } else {
-        Err("tenant name has characters outside [A-Za-z0-9._-]".to_string())
+/// The answer to a `Register` of the function `id`.
+fn registered(id: FunctionId, created: bool) -> Response {
+    Response::Registered {
+        function: id.index() as u32,
+        created,
     }
 }
 
@@ -880,6 +840,20 @@ impl Daemon {
         ShutdownHandle {
             latch: Arc::clone(&self.shared.shutdown),
         }
+    }
+
+    /// Applies mutations recovered from a state dir (`--state-dir`),
+    /// before [`Daemon::run`] serves the first request, through the
+    /// apply step runtime mutations take: a `Register` of a name that
+    /// exists is a no-op, a quota is last-wins. Nothing is journaled.
+    /// Returns how many records failed to apply and were skipped.
+    pub fn replay(&self, records: &[JournalRecord]) -> usize {
+        let shared = &self.shared;
+        let mut registry = shared.registry.write().unwrap_or_else(|e| e.into_inner());
+        records
+            .iter()
+            .filter(|record| shared.apply(&mut registry, record).is_err())
+            .count()
     }
 
     /// Serves until shutdown is requested (signal, protocol frame, or

@@ -37,6 +37,7 @@
 
 use crate::daemon::BoundAddr;
 use crate::fault::{FaultPlan, FaultyStream};
+use crate::journal::JournalRecord;
 use crate::service::{FnTarget, Op};
 use faascache_platform::sharded::InvokeOutcome;
 use std::collections::VecDeque;
@@ -480,18 +481,8 @@ pub(crate) fn route(req: &HttpRequest) -> Op {
 /// `warm_us`/`cold_us` (microseconds) or `warm_ms`/`cold_ms`
 /// (milliseconds); defaults model a tiny function (1 ms warm, 100 ms
 /// cold, 128 MB). `tenant=` assigns the function's owning tenant (empty
-/// or absent = default tenant); its charset is validated at execute time.
+/// or absent = default tenant). Names are checked by [`Op::mutation`].
 fn route_register(name: &str, query: &str) -> Op {
-    if name.is_empty()
-        || !name
-            .bytes()
-            .all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'_' || b == b'.')
-    {
-        return Op::Fail {
-            status: 400,
-            msg: "function names are [A-Za-z0-9._-]+".to_string(),
-        };
-    }
     let mut mem_mb: u64 = 128;
     let mut warm_us: u64 = 1_000;
     let mut cold_us: u64 = 100_000;
@@ -531,19 +522,19 @@ fn route_register(name: &str, query: &str) -> Op {
             msg: format!("mem_mb {mem_mb} exceeds the u32 wire range"),
         };
     };
-    Op::Register {
+    Op::mutation(JournalRecord::Register {
         name: name.to_string(),
         mem_mb,
         warm_us,
         cold_us,
         tenant,
-    }
+    })
 }
 
 /// Parses `PUT /tenants/<name>/quota` query parameters. `inflight=` and
 /// `mem=` (MB) each default to unlimited when absent, so
 /// `PUT /tenants/acme/quota` with no query lifts both budgets. The
-/// tenant charset is validated at execute time.
+/// tenant is checked by [`Op::mutation`].
 fn route_set_quota(tenant: &str, query: &str) -> Op {
     let mut inflight = u64::MAX;
     let mut mem_mb = u64::MAX;
@@ -567,11 +558,11 @@ fn route_set_quota(tenant: &str, query: &str) -> Op {
             }
         }
     }
-    Op::SetQuota {
+    Op::mutation(JournalRecord::SetQuota {
         tenant: tenant.to_string(),
         inflight,
         mem_mb,
-    }
+    })
 }
 
 /// A blocking HTTP/1.1 client for the gateway: one keep-alive
@@ -1054,13 +1045,13 @@ mod tests {
                 "/functions/f1?mem_mb=256&warm_ms=2&cold_ms=50",
                 None
             )),
-            Op::Register {
+            Op::Mutate(JournalRecord::Register {
                 name: "f1".to_string(),
                 mem_mb: 256,
                 warm_us: 2_000,
                 cold_us: 50_000,
                 tenant: String::new(),
-            }
+            })
         );
         assert_eq!(
             route(&req(
@@ -1068,29 +1059,29 @@ mod tests {
                 "/functions/f2?mem_mb=128&warm_ms=1&cold_ms=20&tenant=acme",
                 None
             )),
-            Op::Register {
+            Op::Mutate(JournalRecord::Register {
                 name: "f2".to_string(),
                 mem_mb: 128,
                 warm_us: 1_000,
                 cold_us: 20_000,
                 tenant: "acme".to_string(),
-            }
+            })
         );
         assert_eq!(
             route(&req("PUT", "/tenants/acme/quota?inflight=4&mem=512", None)),
-            Op::SetQuota {
+            Op::Mutate(JournalRecord::SetQuota {
                 tenant: "acme".to_string(),
                 inflight: 4,
                 mem_mb: 512,
-            }
+            })
         );
         assert_eq!(
             route(&req("PUT", "/tenants/acme/quota", None)),
-            Op::SetQuota {
+            Op::Mutate(JournalRecord::SetQuota {
                 tenant: "acme".to_string(),
                 inflight: u64::MAX,
                 mem_mb: u64::MAX,
-            }
+            })
         );
         match route(&req("PUT", "/tenants/acme/quota?inflight=lots", None)) {
             Op::Fail { status: 400, .. } => {}

@@ -35,11 +35,18 @@
 //!   same mutations — harmless, because replay is idempotent (duplicate
 //!   registers are skipped, duplicate quota sets are last-wins with equal
 //!   values).
-//! - **Idempotent replay** — records are applied through the same paths
-//!   runtime RPCs use: a replayed `Register` whose name already exists
-//!   (e.g. from the boot workload contract) is a no-op, so a state dir
-//!   composes with `--functions/--seed` and with later runtime traffic.
+//! - **Idempotent replay** — records are applied through the same apply
+//!   step runtime mutations take (`Daemon::replay`): a replayed
+//!   `Register` whose name already exists (e.g. from the boot workload
+//!   contract) is a no-op, so a state dir composes with
+//!   `--functions/--seed` and with later runtime traffic.
+//!
+//! [`JournalRecord`] is also the one in-memory form of a mutation: the
+//! wire's `Register` and `SetTenantQuota` decode into it, the daemon
+//! journals and applies it, the router broadcasts and logs it, and
+//! [`JournalRecord::validate`] holds every rule it must pass.
 
+use crate::proto::Request;
 use faascache_core::function::FunctionRegistry;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
@@ -65,7 +72,14 @@ const SNAPSHOT_TMP: &str = "snapshot.tmp";
 const TAG_REGISTER: u8 = 0x01;
 const TAG_SET_QUOTA: u8 = 0x02;
 
-/// One durable control-plane mutation.
+/// Longest function name: the wire and the journal carry its length in
+/// one byte.
+const MAX_NAME_LEN: usize = u8::MAX as usize;
+
+/// Longest tenant name.
+const MAX_TENANT_LEN: usize = 32;
+
+/// One control-plane mutation, from the wire to the journal.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JournalRecord {
     /// A function registration (the durable twin of wire opcode 0x06).
@@ -93,6 +107,56 @@ pub enum JournalRecord {
 }
 
 impl JournalRecord {
+    /// Checks every rule a mutation must pass on top of the registry's
+    /// own (`FunctionRegistry::register_in`), wherever it enters a
+    /// process: decode, routing, and the client before it sends. A
+    /// function name is 1 to 255 bytes of `[A-Za-z0-9._-]`; a tenant is
+    /// empty (the default tenant, `Register` only) or 1 to 32 bytes of
+    /// the same. The charset keeps names safe verbatim in metrics
+    /// labels, URL paths and summary lines.
+    pub fn validate(&self) -> Result<(), String> {
+        match self {
+            JournalRecord::Register { name, tenant, .. } => {
+                check_name("function name", name, MAX_NAME_LEN)?;
+                if tenant.is_empty() {
+                    return Ok(());
+                }
+                check_name("tenant name", tenant, MAX_TENANT_LEN)
+            }
+            JournalRecord::SetQuota { tenant, .. } => {
+                check_name("tenant name", tenant, MAX_TENANT_LEN)
+            }
+        }
+    }
+
+    /// The wire request that carries this mutation.
+    pub(crate) fn to_request(&self) -> Request {
+        match self.clone() {
+            JournalRecord::Register {
+                name,
+                mem_mb,
+                warm_us,
+                cold_us,
+                tenant,
+            } => Request::Register {
+                name,
+                mem_mb,
+                warm_us,
+                cold_us,
+                tenant,
+            },
+            JournalRecord::SetQuota {
+                tenant,
+                inflight,
+                mem_mb,
+            } => Request::SetTenantQuota {
+                tenant,
+                inflight,
+                mem_mb,
+            },
+        }
+    }
+
     /// Serializes the record payload (without framing).
     fn encode_payload(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64);
@@ -173,6 +237,24 @@ impl JournalRecord {
         out.extend_from_slice(&crc32(&payload).to_le_bytes());
         out.extend_from_slice(&payload);
         out
+    }
+}
+
+/// `name` is 1 to `max` bytes of `[A-Za-z0-9._-]`.
+fn check_name(what: &str, name: &str, max: usize) -> Result<(), String> {
+    if name.is_empty() {
+        return Err(format!("{what} must be non-empty"));
+    }
+    if name.len() > max {
+        return Err(format!("{what} too long ({} > {max})", name.len()));
+    }
+    if name
+        .bytes()
+        .all(|b| b.is_ascii_alphanumeric() || matches!(b, b'.' | b'_' | b'-'))
+    {
+        Ok(())
+    } else {
+        Err(format!("{what} has characters outside [A-Za-z0-9._-]"))
     }
 }
 
@@ -425,16 +507,6 @@ impl Journal {
     pub fn journal_bytes(&self) -> u64 {
         self.journal_bytes
     }
-
-    /// Records currently in the journal tail (excluding the snapshot).
-    pub fn journal_records(&self) -> usize {
-        self.journal_records
-    }
-
-    /// The state directory this journal lives in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
 }
 
 /// Reads a state file; a missing file reads as empty, and every other
@@ -523,6 +595,40 @@ mod tests {
         // The IEEE CRC-32 of "123456789" is the classic check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn validate_holds_every_name_to_one_rule() {
+        let register = |name: &str, tenant: &str| JournalRecord::Register {
+            name: name.into(),
+            mem_mb: 128,
+            warm_us: 1_000,
+            cold_us: 25_000,
+            tenant: tenant.into(),
+        };
+        let quota = |tenant: &str| JournalRecord::SetQuota {
+            tenant: tenant.into(),
+            inflight: 1,
+            mem_mb: 64,
+        };
+        let (long_name, long_tenant) = ("n".repeat(255), "t".repeat(32));
+        for ok in [register("fn-1.a_B", ""), register(&long_name, &long_tenant)] {
+            assert_eq!(ok.validate(), Ok(()), "{ok:?}");
+        }
+        let (longer_name, longer_tenant) = (long_name + "n", long_tenant + "t");
+        for (name, tenant) in [
+            ("", ""),
+            (&longer_name, ""),
+            ("a b", ""),
+            ("f", &longer_tenant),
+        ] {
+            assert!(
+                register(name, tenant).validate().is_err(),
+                "{name:?} {tenant:?}"
+            );
+        }
+        assert_eq!(quota("acme").validate(), Ok(()));
+        assert!(quota("").validate().is_err() && quota("x\"y").validate().is_err());
     }
 
     #[test]

@@ -14,8 +14,10 @@
 //! - `service` — the one operation table: a frame or an HTTP request
 //!   decodes into a protocol-neutral `Op`, a `Service` executes it into
 //!   a `Reply`, and `respond` encodes the reply back into the wire
-//!   format it came in by. `Service` has exactly two implementations,
-//!   the daemon and the router;
+//!   format it came in by. A `Register` or quota update becomes
+//!   `Op::Mutate` only once it passes [`JournalRecord::validate`].
+//!   `Service` has exactly two implementations, the daemon and the
+//!   router;
 //! - `conn` — one connection's protocol core, shared by both drivers:
 //!   the decoder, the pending queue and its `active` bracket,
 //!   serve-then-close, the stall deadline, the drain grace, and the
@@ -46,12 +48,14 @@
 //!   writes, shortens reads, flips bits, stalls, and resets connections
 //!   per a replayable [`FaultPlan`];
 //! - [`journal`] — the crash-safe control-plane journal behind
-//!   `--state-dir`;
+//!   `--state-dir`, and [`JournalRecord`], the one control-plane
+//!   mutation type from the wire to the journal and the router's log,
+//!   with the one check every mutation passes;
 //! - [`workload`] — the deterministic workload contract: daemon and load
 //!   generator derive the identical function registry from shared
 //!   `--functions`/`--seed` parameters;
 //! - [`net`] — socket helpers: TCP and Unix-domain sockets behind one
-//!   listener and one stream type, and the `SO_REUSEADDR` bind;
+//!   listener and one stream type, and the drain latch;
 //! - [`signal`] — SIGTERM/SIGINT wiring (an atomic flag the drivers
 //!   poll).
 //!

@@ -4,22 +4,21 @@
 //! type each, so everything above them (the blocking driver, the epoll
 //! reactor, the protocol client) is written once for both transports.
 //!
-//! [`bind_tcp_reuseaddr`] exists for crash recovery: a daemon restarted
-//! from its `--state-dir` must rebind the *exact* listen addresses its
-//! dead predecessor served, or the router's health prober never finds it
-//! again. Without `SO_REUSEADDR`, connections the kernel closed on the
-//! old process's behalf linger in TIME_WAIT and block the rebind with
-//! `EADDRINUSE` for a minute — an eternity against a 25 ms probe
-//! interval. The std listener offers no pre-bind socket options, so the
-//! Linux path builds the socket through the same thin FFI idiom the
-//! epoll reactor uses; other platforms fall back to a plain bind.
+//! A daemon restarted from its `--state-dir` must rebind the *exact*
+//! listen addresses its dead predecessor served, or the router's health
+//! prober never finds it again; connections the kernel closed on the old
+//! process's behalf linger in TIME_WAIT. std's `TcpListener::bind` sets
+//! `SO_REUSEADDR` before it binds on every Unix target, so the rebind
+//! succeeds at once (`rebinding_a_just_closed_port_succeeds`). Its
+//! listen backlog is only 128, so the Linux path calls `listen(2)` once
+//! more to raise it to `BACKLOG` (1024).
 //!
-//! `DrainLatch` is the other FFI resident: the blocking driver's
-//! accept loops park in `poll(2)` on their listener instead of pacing a
-//! non-blocking `accept` with a sleep, so a fresh connection is picked
-//! up when the kernel queues it, and the latch's socketpair pulls them
-//! (and the epoll reactor, which registers the same fd) out of the
-//! kernel the moment a drain is requested.
+//! `DrainLatch` is the other FFI user: the blocking driver's accept loops
+//! park in `poll(2)` on their listener instead of pacing a non-blocking
+//! `accept` with a sleep, so a fresh connection is picked up when the
+//! kernel queues it, and the latch's socketpair pulls them (and the
+//! epoll reactor, which registers the same fd) out of the kernel the
+//! moment a drain is requested.
 
 use crate::daemon::BoundAddr;
 use std::io::{self, Read, Write};
@@ -73,7 +72,7 @@ impl Listener {
     /// Binds a nonblocking TCP listener (port 0 picks a free port) and
     /// reports the address actually bound.
     pub(crate) fn tcp(addr: &str) -> io::Result<(Listener, BoundAddr)> {
-        let l = bind_tcp_reuseaddr(addr)?;
+        let l = bind_tcp(addr)?;
         l.set_nonblocking(true)?;
         let actual = l.local_addr()?;
         Ok((Listener::Tcp(l), BoundAddr::Tcp(actual)))
@@ -208,7 +207,7 @@ impl DrainLatch {
     /// the caller re-checks its conditions either way.
     #[cfg(target_os = "linux")]
     pub(crate) fn park(&self, listener: Option<&Listener>, timeout: Duration) {
-        park::until_readable([listener.map(Listener::raw_fd), self.wake_fd()], timeout);
+        sys::until_readable([listener.map(Listener::raw_fd), self.wake_fd()], timeout);
     }
 
     /// The fd that turns readable, and stays so, once drain is requested:
@@ -226,9 +225,15 @@ impl DrainLatch {
     }
 }
 
+/// Connections the kernel queues on a TCP listener before they are
+/// accepted.
+#[cfg(target_os = "linux")]
+const BACKLOG: i32 = 1024;
+
 #[cfg(target_os = "linux")]
 #[allow(unsafe_code)]
-mod park {
+mod sys {
+    use std::io;
     use std::os::fd::RawFd;
     use std::os::raw::c_ulong;
     use std::time::Duration;
@@ -248,6 +253,7 @@ mod park {
 
         extern "C" {
             pub fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
+            pub fn listen(fd: c_int, backlog: c_int) -> c_int;
         }
     }
 
@@ -265,6 +271,17 @@ mod park {
         // send the caller back to its own checks.
         let _ = unsafe { ffi::poll(set.as_mut_ptr(), set.len() as c_ulong, ms) };
     }
+
+    /// `listen(2)` again on a listening socket, which resizes its
+    /// accept queue.
+    pub fn listen(fd: RawFd, backlog: i32) -> io::Result<()> {
+        // SAFETY: plain syscall on an fd the caller owns.
+        if unsafe { ffi::listen(fd, backlog) } == 0 {
+            Ok(())
+        } else {
+            Err(io::Error::last_os_error())
+        }
+    }
 }
 
 /// A `poll(2)` or `epoll_wait` timeout argument. Zero stays zero, a look
@@ -275,144 +292,22 @@ pub(crate) fn timeout_ms(timeout: Duration) -> i32 {
     timeout.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as i32
 }
 
-#[cfg(target_os = "linux")]
-#[allow(unsafe_code)]
-mod imp {
-    use std::io;
-    use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
-    use std::os::fd::{FromRawFd, RawFd};
-
-    mod ffi {
-        use std::ffi::c_void;
-
-        pub const AF_INET: i32 = 2;
-        pub const SOCK_STREAM: i32 = 1;
-        pub const SOCK_CLOEXEC: i32 = 0o2000000;
-        pub const SOL_SOCKET: i32 = 1;
-        pub const SO_REUSEADDR: i32 = 2;
-
-        /// `struct sockaddr_in`; `sin_port` and `sin_addr` are stored in
-        /// network byte order.
-        #[repr(C)]
-        pub struct SockaddrIn {
-            pub sin_family: u16,
-            pub sin_port: u16,
-            pub sin_addr: u32,
-            pub sin_zero: [u8; 8],
-        }
-
-        extern "C" {
-            pub fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
-            pub fn setsockopt(
-                fd: i32,
-                level: i32,
-                optname: i32,
-                optval: *const c_void,
-                optlen: u32,
-            ) -> i32;
-            pub fn bind(fd: i32, addr: *const SockaddrIn, len: u32) -> i32;
-            pub fn listen(fd: i32, backlog: i32) -> i32;
-            pub fn close(fd: i32) -> i32;
-        }
+/// Binds a TCP listener with a `BACKLOG`-deep accept queue. std sets
+/// `SO_REUSEADDR` before the bind, so a restarted daemon reclaims its
+/// predecessor's addresses through TIME_WAIT.
+fn bind_tcp(addr: &str) -> io::Result<TcpListener> {
+    let listener = TcpListener::bind(addr)?;
+    #[cfg(target_os = "linux")]
+    {
+        use std::os::unix::io::AsRawFd;
+        sys::listen(listener.as_raw_fd(), BACKLOG)?;
     }
-
-    /// Closes the fd on drop so every error path below cleans up.
-    struct Fd(RawFd);
-
-    impl Drop for Fd {
-        fn drop(&mut self) {
-            unsafe {
-                let _ = ffi::close(self.0);
-            }
-        }
-    }
-
-    pub fn bind(addr: &str) -> io::Result<TcpListener> {
-        // Only IPv4 needs (or gets) the raw-socket path; v6-only
-        // addresses fall back to a plain std bind.
-        let v4 = addr.to_socket_addrs()?.find_map(|a| match a {
-            SocketAddr::V4(v) => Some(v),
-            SocketAddr::V6(_) => None,
-        });
-        let Some(v4) = v4 else {
-            return TcpListener::bind(addr);
-        };
-
-        let fd = unsafe { ffi::socket(ffi::AF_INET, ffi::SOCK_STREAM | ffi::SOCK_CLOEXEC, 0) };
-        if fd < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        let fd = Fd(fd);
-        let one: i32 = 1;
-        let rc = unsafe {
-            ffi::setsockopt(
-                fd.0,
-                ffi::SOL_SOCKET,
-                ffi::SO_REUSEADDR,
-                (&one as *const i32).cast(),
-                std::mem::size_of::<i32>() as u32,
-            )
-        };
-        if rc != 0 {
-            return Err(io::Error::last_os_error());
-        }
-        let sa = ffi::SockaddrIn {
-            sin_family: ffi::AF_INET as u16,
-            sin_port: v4.port().to_be(),
-            // `octets()` is already network byte order; store verbatim.
-            sin_addr: u32::from_ne_bytes(v4.ip().octets()),
-            sin_zero: [0; 8],
-        };
-        let rc = unsafe { ffi::bind(fd.0, &sa, std::mem::size_of::<ffi::SockaddrIn>() as u32) };
-        if rc != 0 {
-            return Err(io::Error::last_os_error());
-        }
-        if unsafe { ffi::listen(fd.0, 1024) } != 0 {
-            return Err(io::Error::last_os_error());
-        }
-        let fd = std::mem::ManuallyDrop::new(fd);
-        Ok(unsafe { TcpListener::from_raw_fd(fd.0) })
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-mod imp {
-    use std::io;
-    use std::net::TcpListener;
-
-    pub fn bind(addr: &str) -> io::Result<TcpListener> {
-        TcpListener::bind(addr)
-    }
-}
-
-/// Binds a TCP listener with `SO_REUSEADDR` set before the bind, so a
-/// restarted daemon can reclaim its predecessor's addresses immediately
-/// instead of waiting out TIME_WAIT.
-pub fn bind_tcp_reuseaddr(addr: &str) -> io::Result<TcpListener> {
-    imp::bind(addr)
+    Ok(listener)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn binds_and_accepts_like_a_plain_listener() {
-        let listener = bind_tcp_reuseaddr("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("local addr");
-        let join = std::thread::spawn(move || {
-            let (mut conn, _) = listener.accept().expect("accept");
-            let mut byte = [0u8; 1];
-            conn.read_exact(&mut byte).expect("read");
-            conn.write_all(&byte).expect("write");
-        });
-        let mut conn = TcpStream::connect(addr).expect("connect");
-        conn.write_all(&[0x5A]).expect("send");
-        let mut echo = [0u8; 1];
-        conn.read_exact(&mut echo).expect("echo");
-        assert_eq!(echo, [0x5A]);
-        join.join().expect("server thread");
-    }
 
     #[cfg(target_os = "linux")]
     #[test]
@@ -457,7 +352,7 @@ mod tests {
         // The crash-restart scenario in miniature: bind, take traffic
         // whose active close lands on the listener's side, drop the
         // listener, and immediately rebind the same port.
-        let listener = bind_tcp_reuseaddr("127.0.0.1:0").expect("bind");
+        let listener = bind_tcp("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("local addr");
         let join = std::thread::spawn(move || {
             let (conn, _) = listener.accept().expect("accept");
@@ -472,7 +367,7 @@ mod tests {
         let listener = join.join().expect("server thread");
         drop(listener);
 
-        let rebound = bind_tcp_reuseaddr(&addr.to_string()).expect("rebind same port");
+        let rebound = bind_tcp(&addr.to_string()).expect("rebind same port");
         assert_eq!(
             rebound.local_addr().expect("local addr").port(),
             addr.port()

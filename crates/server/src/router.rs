@@ -57,6 +57,7 @@ use crate::client::{self, Client};
 use crate::daemon::{BoundAddr, Endpoint, ShutdownHandle};
 use crate::driver::{self, Front};
 use crate::fault::{FaultConfig, FaultPlan};
+use crate::journal::JournalRecord;
 use crate::net::DrainLatch;
 use crate::prom::PromText;
 use crate::proto::{Request, Response};
@@ -278,16 +279,16 @@ struct RouterShared {
 /// Backends serialise mutations on their registry lock across the fsync
 /// anyway, so the lock costs no throughput.
 struct Control {
-    /// Every acknowledged mutation (`Register` and `SetTenantQuota`
-    /// requests, as broadcast), in order. Replayed to a backend being
-    /// re-admitted after ejection, so one that crashed and restarted
+    /// Every acknowledged mutation, as broadcast, in order. Replayed to
+    /// a backend being re-admitted after ejection, so one that crashed
+    /// and restarted
     /// (possibly from a `--state-dir` missing the newest mutations)
     /// rejoins with a converged registry; replay is idempotent on the
     /// backend (duplicate registers answer `created = false`, quota
     /// sets are last-wins). Registrations are deduplicated by name and
     /// quota sets are last-wins per tenant, so the log is bounded by the
     /// number of distinct functions + tenants.
-    log: Vec<Request>,
+    log: Vec<JournalRecord>,
     /// One standing connection per backend, dialed on first use. Always
     /// clean: `backend_faults` aims at the data hop only.
     conns: Vec<Option<Client>>,
@@ -298,19 +299,20 @@ impl Control {
     /// name (re-registrations carry no new state), a quota update in
     /// place of the tenant's earlier one (last wins, and replay order
     /// relative to registrations is preserved).
-    fn record(&mut self, request: Request) {
-        let same_subject = |logged: &Request| match (logged, &request) {
-            (Request::Register { name: a, .. }, Request::Register { name: b, .. }) => a == b,
-            (
-                Request::SetTenantQuota { tenant: a, .. },
-                Request::SetTenantQuota { tenant: b, .. },
-            ) => a == b,
-            _ => false,
-        };
-        match self.log.iter_mut().find(|logged| same_subject(logged)) {
-            Some(Request::Register { .. }) => {}
-            Some(quota) => *quota = request,
-            None => self.log.push(request),
+    fn record(&mut self, record: JournalRecord) {
+        use JournalRecord::{Register, SetQuota};
+        let logged = self
+            .log
+            .iter_mut()
+            .find(|logged| match (&**logged, &record) {
+                (Register { name: a, .. }, Register { name: b, .. }) => a == b,
+                (SetQuota { tenant: a, .. }, SetQuota { tenant: b, .. }) => a == b,
+                _ => false,
+            });
+        match logged {
+            Some(Register { .. }) => {}
+            Some(quota) => *quota = record,
+            None => self.log.push(record),
         }
     }
 
@@ -587,14 +589,33 @@ fn forward_invoke(
     }
 }
 
-/// Sends one control-plane mutation (`what`, for the error message) to
-/// every healthy backend and folds their answers with `merge`: written
-/// to all of them first, answers collected second, so the backends'
-/// fsyncs overlap instead of queueing behind each other. Succeeds if
-/// every *healthy* backend accepted; an ejected backend is skipped (and
-/// its standing connection dropped) — the caller records the
-/// acknowledged mutation in the log, which [`readmit`] replays, so it
-/// still converges.
+/// Checks that `reply` acknowledges `record` in kind and folds it into
+/// `acc`, the answers of the backends before it: the first `Registered`
+/// speaks for all (every backend mints the same index), and
+/// `QuotaSet.live` is ORed (live if any backend had the tenant bound).
+fn fold_ack(
+    record: &JournalRecord,
+    acc: Option<Response>,
+    reply: Response,
+) -> io::Result<Response> {
+    match (record, reply) {
+        (JournalRecord::Register { .. }, reply @ Response::Registered { .. }) => {
+            Ok(acc.unwrap_or(reply))
+        }
+        (JournalRecord::SetQuota { .. }, Response::QuotaSet { live }) => Ok(Response::QuotaSet {
+            live: live || matches!(acc, Some(Response::QuotaSet { live: true })),
+        }),
+        (_, other) => Err(client::unexpected(other)),
+    }
+}
+
+/// Sends one control-plane mutation to every healthy backend and folds
+/// their answers with [`fold_ack`]: written to all of them first,
+/// answers collected second, so the backends' fsyncs overlap instead of
+/// queueing behind each other. Succeeds if every *healthy* backend
+/// accepted; an ejected backend is skipped (and its standing connection
+/// dropped) — the caller records the acknowledged mutation in the log,
+/// which [`readmit`] replays, so it still converges.
 ///
 /// A standing connection may have died since its last use (the backend
 /// restarted, or cut it while draining), which only shows when it is
@@ -603,14 +624,12 @@ fn forward_invoke(
 /// that a `Register` applied just before the old connection died is
 /// answered `created = false` the second time. A failure on a fresh
 /// connection is the backend's answer and is reported.
-fn broadcast<T>(
+fn broadcast(
     shared: &RouterShared,
     control: &mut Control,
-    what: &str,
-    request: &Request,
-    decode: impl Fn(Response) -> io::Result<T>,
-    merge: impl Fn(T, T) -> T,
-) -> Result<T, String> {
+    record: &JournalRecord,
+) -> Result<Response, String> {
+    let request = record.to_request();
     let mut failures = Vec::new();
     let mut sent = Vec::new();
     for (b, backend) in shared.backends.iter().enumerate() {
@@ -618,31 +637,30 @@ fn broadcast<T>(
             control.conns[b] = None;
             continue;
         }
-        match control.send(shared, b, request) {
+        match control.send(shared, b, &request) {
             Ok(reused) => sent.push((b, reused)),
             Err(e) => failures.push(format!("backend {b}: {e}")),
         }
     }
-    let mut result: Option<T> = None;
+    let mut acc: Option<Response> = None;
     for (b, reused) in sent {
         let mut reply = control.recv(b);
         if reply.is_err() && reused {
             reply = control
-                .send(shared, b, request)
+                .send(shared, b, &request)
                 .and_then(|_| control.recv(b));
         }
-        match reply.and_then(&decode) {
-            Ok(r) => {
-                result = Some(match result {
-                    Some(prev) => merge(prev, r),
-                    None => r,
-                })
-            }
+        match reply.and_then(|r| fold_ack(record, acc.clone(), r)) {
+            Ok(folded) => acc = Some(folded),
             Err(e) => failures.push(format!("backend {b}: {e}")),
         }
     }
-    match result {
-        Some(r) if failures.is_empty() => Ok(r),
+    let what = match record {
+        JournalRecord::Register { .. } => "register",
+        JournalRecord::SetQuota { .. } => "quota update",
+    };
+    match acc {
+        Some(ack) if failures.is_empty() => Ok(ack),
         _ => Err(format!(
             "{what} did not reach every healthy backend: {}",
             if failures.is_empty() {
@@ -714,67 +732,14 @@ impl Service for RouterShared {
                 404,
                 format!("the router forwards by index; register {name:?} to learn its index"),
             ),
-            Op::Register {
-                name,
-                mem_mb,
-                warm_us,
-                cold_us,
-                tenant,
-            } => {
-                let request = Request::Register {
-                    name: name.clone(),
-                    mem_mb,
-                    warm_us,
-                    cold_us,
-                    tenant,
-                };
-                // Every backend must agree on the name → index mapping;
-                // the first answer speaks for all.
+            // Every backend applies the mutation, or the client gets
+            // 502 and nothing is logged.
+            Op::Mutate(record) => {
                 let mut control = self.control();
-                let sent = broadcast(
-                    self,
-                    &mut control,
-                    "register",
-                    &request,
-                    client::registered,
-                    |first, _| first,
-                );
-                match sent {
-                    Ok((function, created)) => {
-                        control.record(request);
-                        Reply::Registered {
-                            function,
-                            name,
-                            created,
-                        }
-                    }
-                    Err(msg) => Reply::error(502, msg),
-                }
-            }
-            Op::SetQuota {
-                tenant,
-                inflight,
-                mem_mb,
-            } => {
-                let request = Request::SetTenantQuota {
-                    tenant: tenant.clone(),
-                    inflight,
-                    mem_mb,
-                };
-                // Live if any backend applied it to a bound tenant slot.
-                let mut control = self.control();
-                let sent = broadcast(
-                    self,
-                    &mut control,
-                    "quota update",
-                    &request,
-                    client::quota_set,
-                    |a, b| a | b,
-                );
-                match sent {
-                    Ok(live) => {
-                        control.record(request);
-                        Reply::QuotaSet { tenant, live }
+                match broadcast(self, &mut control, &record) {
+                    Ok(ack) => {
+                        control.record(record.clone());
+                        Reply::Acked(record, ack)
                     }
                     Err(msg) => Reply::error(502, msg),
                 }
@@ -891,6 +856,8 @@ impl RouterShared {
 /// The health prober: one thread sweeping every backend on
 /// `health_interval`, ejecting after `eject_after` consecutive failures
 /// and re-admitting ejected backends on a backed-off probe cadence.
+/// Between probes it parks on the drain latch until the next one is due,
+/// so a drain request ends it at once.
 ///
 /// Probes ride *clean* connections (control plane): chaos on the data
 /// hop must not flap routing membership, or fault injection would turn
@@ -915,6 +882,10 @@ fn probe_loop(shared: &RouterShared) {
         .collect();
     while !shared.draining() {
         let now = Instant::now();
+        if let Some(due) = states.iter().map(|s| s.next).min().filter(|&due| now < due) {
+            shared.shutdown.park(None, due - now);
+            continue;
+        }
         for (i, backend) in shared.backends.iter().enumerate() {
             let state = &mut states[i];
             if now < state.next {
@@ -947,9 +918,6 @@ fn probe_loop(shared: &RouterShared) {
                 }
             }
         }
-        // Short fixed tick so shutdown is noticed promptly even with a
-        // long health interval.
-        thread::sleep(Duration::from_millis(5).min(shared.config.health_interval));
     }
 }
 
@@ -1051,18 +1019,12 @@ fn readmit(shared: &RouterShared, b: usize) -> bool {
     let replay = || -> io::Result<(Client, u64)> {
         let mut client = shared.dial_control(b)?;
         let mut replayed = 0u64;
-        for request in &control.log {
-            let is_register = matches!(request, Request::Register { .. });
-            if is_register && registrations_converged {
+        for record in &control.log {
+            if registrations_converged && matches!(record, JournalRecord::Register { .. }) {
                 continue;
             }
-            client.send(request)?;
-            let reply = client.recv()?;
-            if is_register {
-                client::registered(reply)?;
-            } else {
-                client::quota_set(reply)?;
-            }
+            client.send(&record.to_request())?;
+            fold_ack(record, None, client.recv()?)?;
             replayed += 1;
         }
         Ok((client, replayed))
@@ -1222,7 +1184,11 @@ impl Router {
         let shared = &self.shared;
         let handlers = thread::scope(|scope| {
             scope.spawn(|| probe_loop(shared));
-            self.front.serve(shared)
+            let handlers = self.front.serve(shared);
+            // A drain begun by a signal does not trip the latch; this
+            // wakes the parked prober so the scope can end.
+            shared.shutdown.request();
+            handlers
         });
         let drained = driver::drain(&**shared, handlers, shared.config.drain_timeout);
         self.front.unlink();
@@ -1399,14 +1365,15 @@ mod tests {
     #[test]
     fn mutation_log_dedupes_registers_and_last_wins_quotas() {
         let shared = test_shared(2, LoadBalancer::RoundRobin);
-        let register = |name: &str, mem_mb, warm_us, cold_us, tenant: &str| Request::Register {
-            name: name.to_string(),
-            mem_mb,
-            warm_us,
-            cold_us,
-            tenant: tenant.to_string(),
-        };
-        let quota = |tenant: &str, inflight, mem_mb| Request::SetTenantQuota {
+        let register =
+            |name: &str, mem_mb, warm_us, cold_us, tenant: &str| JournalRecord::Register {
+                name: name.to_string(),
+                mem_mb,
+                warm_us,
+                cold_us,
+                tenant: tenant.to_string(),
+            };
+        let quota = |tenant: &str, inflight, mem_mb| JournalRecord::SetQuota {
             tenant: tenant.to_string(),
             inflight,
             mem_mb,
@@ -1421,14 +1388,14 @@ mod tests {
         let log = &control.log;
         assert_eq!(log.len(), 4, "f1 deduped, acme quota replaced in place");
         match &log[0] {
-            Request::Register { name, mem_mb, .. } => {
+            JournalRecord::Register { name, mem_mb, .. } => {
                 assert_eq!(name, "f1");
                 assert_eq!(*mem_mb, 128, "first registration owns the function");
             }
             other => panic!("expected register, got {other:?}"),
         }
         match &log[2] {
-            Request::SetTenantQuota {
+            JournalRecord::SetQuota {
                 tenant,
                 inflight,
                 mem_mb,
@@ -1522,27 +1489,46 @@ mod tests {
         // The backends are unreachable, so a broadcast attempt would
         // answer 502; 400 means the request never got that far.
         let shared = test_shared(2, LoadBalancer::RoundRobin);
-        let req = crate::http::HttpRequest {
-            method: "PUT".to_string(),
-            target: format!("/functions/big?mem_mb={}", u64::from(u32::MAX) + 1),
-            close: false,
-            idem_key: None,
-            body: Vec::new(),
+        let put = |target: &str| {
+            crate::http::route(&crate::http::HttpRequest {
+                method: "PUT".to_string(),
+                target: target.to_string(),
+                close: false,
+                idem_key: None,
+                body: Vec::new(),
+            })
         };
-        let mut out = Vec::new();
-        let op = crate::http::route(&req);
-        respond(
-            &shared,
-            &mut shared.conn_ctx(1),
-            ConnKind::Http,
-            op,
-            false,
-            &mut out,
-        );
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.starts_with("HTTP/1.1 400 "), "{text}");
-        assert!(text.contains("exceeds the u32 wire range"), "{text}");
-        assert!(shared.control().log.is_empty());
+        let slash = Request::Register {
+            name: "a/b".to_string(),
+            mem_mb: 128,
+            warm_us: 1_000,
+            cold_us: 10_000,
+            tenant: String::new(),
+        };
+        let cases = [
+            put(&format!(
+                "/functions/big?mem_mb={}",
+                u64::from(u32::MAX) + 1
+            )),
+            put(&format!("/functions/{}", "n".repeat(256))),
+            put(&format!("/functions/f?tenant={}", "t".repeat(33))),
+            put("/functions/f?tenant=x\"y"),
+            Op::from_frame(&slash.encode()),
+        ];
+        for op in cases {
+            let mut out = Vec::new();
+            respond(
+                &shared,
+                &mut shared.conn_ctx(1),
+                ConnKind::Http,
+                op,
+                false,
+                &mut out,
+            );
+            let text = String::from_utf8(out).unwrap();
+            assert!(text.starts_with("HTTP/1.1 400 "), "{text}");
+            assert!(shared.control().log.is_empty());
+        }
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //! (forwards to backends).
 
 use crate::http;
+use crate::journal::JournalRecord;
 use crate::net::DrainLatch;
 use crate::proto::{Request, Response};
 use crate::signal;
@@ -51,22 +52,10 @@ pub(crate) enum Op {
         function: FnTarget,
         key: Option<u64>,
     },
-    /// Register a function at runtime. `mem_mb` is already range-checked
-    /// to the `u32` the binary protocol and the journal carry.
-    Register {
-        name: String,
-        mem_mb: u32,
-        warm_us: u64,
-        cold_us: u64,
-        /// Owning tenant; empty = default tenant.
-        tenant: String,
-    },
-    /// Update a tenant's budgets (`u64::MAX` = unlimited).
-    SetQuota {
-        tenant: String,
-        inflight: u64,
-        mem_mb: u64,
-    },
+    /// Register a function or set a tenant's budgets. Built only by
+    /// [`Op::mutation`], so the record has passed
+    /// [`JournalRecord::validate`].
+    Mutate(JournalRecord),
     /// Aggregate outcome statistics (binary `Stats`).
     Stats,
     /// `GET /healthz`.
@@ -100,22 +89,22 @@ impl Op {
                 warm_us,
                 cold_us,
                 tenant,
-            }) => Op::Register {
+            }) => Op::mutation(JournalRecord::Register {
                 name,
                 mem_mb,
                 warm_us,
                 cold_us,
                 tenant,
-            },
+            }),
             Ok(Request::SetTenantQuota {
                 tenant,
                 inflight,
                 mem_mb,
-            }) => Op::SetQuota {
+            }) => Op::mutation(JournalRecord::SetQuota {
                 tenant,
                 inflight,
                 mem_mb,
-            },
+            }),
             Ok(Request::Stats) => Op::Stats,
             Ok(Request::Shutdown) => Op::Shutdown,
             Ok(Request::Ping) => Op::Ping,
@@ -126,11 +115,23 @@ impl Op {
         }
     }
 
+    /// The op a decoded mutation becomes: [`Op::Mutate`] if `record`
+    /// passes [`JournalRecord::validate`], else a 400. Both front doors
+    /// build their mutations here, so a daemon and a router refuse the
+    /// same input with the same answer, before anything is journaled or
+    /// broadcast.
+    pub(crate) fn mutation(record: JournalRecord) -> Op {
+        match record.validate() {
+            Ok(()) => Op::Mutate(record),
+            Err(msg) => Op::Fail { status: 400, msg },
+        }
+    }
+
     /// Whether the op changes control-plane state. The HTTP front
     /// refuses these with 503 once drain has begun, and on a journaled
     /// daemon they are the ops that wait for an fsync.
     pub(crate) fn is_mutation(&self) -> bool {
-        matches!(self, Op::Register { .. } | Op::SetQuota { .. })
+        matches!(self, Op::Mutate(_))
     }
 }
 
@@ -141,15 +142,9 @@ pub(crate) enum Reply {
         function: u32,
         outcome: InvokeOutcome,
     },
-    Registered {
-        function: u32,
-        name: String,
-        created: bool,
-    },
-    QuotaSet {
-        tenant: String,
-        live: bool,
-    },
+    /// An applied mutation and the binary protocol's answer to it
+    /// (`Registered` or `QuotaSet`).
+    Acked(JournalRecord, Response),
     Stats(InvokerStats),
     /// Liveness: `Pong` on the binary protocol; on HTTP 200 `ok`, or
     /// 503 `draining` once drain has begun.
@@ -190,10 +185,7 @@ impl Reply {
     fn into_response(self) -> Response {
         match self {
             Reply::Invoked { outcome, .. } => Response::Invoked(outcome),
-            Reply::Registered {
-                function, created, ..
-            } => Response::Registered { function, created },
-            Reply::QuotaSet { live, .. } => Response::QuotaSet { live },
+            Reply::Acked(_, ack) => ack,
             Reply::Stats(stats) => Response::Stats(stats),
             Reply::Alive => Response::Pong,
             Reply::ShutdownStarted => Response::ShutdownStarted,
@@ -231,20 +223,27 @@ impl Reply {
                 let body = format!("{{\"function\":{function},\"outcome\":\"{label}\"}}\n");
                 (status, JSON, body)
             }
-            Reply::Registered {
-                function,
-                name,
-                created,
-            } => {
-                let body = format!(
-                    "{{\"function\":{function},\"name\":\"{name}\",\"created\":{created}}}\n"
-                );
-                (200, JSON, body)
-            }
-            Reply::QuotaSet { tenant, live } => {
-                let body = format!("{{\"tenant\":\"{tenant}\",\"live\":{live}}}\n");
-                (200, JSON, body)
-            }
+            Reply::Acked(record, ack) => match (record, ack) {
+                (
+                    JournalRecord::Register { name, .. },
+                    Response::Registered { function, created },
+                ) => {
+                    let body = format!(
+                        "{{\"function\":{function},\"name\":\"{name}\",\"created\":{created}}}\n"
+                    );
+                    (200, JSON, body)
+                }
+                (JournalRecord::SetQuota { tenant, .. }, Response::QuotaSet { live }) => {
+                    let body = format!("{{\"tenant\":\"{tenant}\",\"live\":{live}}}\n");
+                    (200, JSON, body)
+                }
+                // The daemon and the router build an ack in kind.
+                (_, ack) => (
+                    502,
+                    JSON,
+                    error_json(&format!("unexpected response {ack:?}")),
+                ),
+            },
             Reply::Alive if draining => (503, "text/plain", "draining\n".to_string()),
             Reply::Alive => (200, "text/plain", "ok\n".to_string()),
             Reply::Metrics(body) => (200, "text/plain; version=0.0.4", body),

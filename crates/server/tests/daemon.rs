@@ -8,6 +8,7 @@ use faascache_server::daemon::{
 };
 use faascache_server::http::HttpClient;
 use faascache_server::journal::Journal;
+use faascache_server::proto::{self, Request, Response};
 use faascache_server::WorkloadConfig;
 use faascache_trace::replay::OpenLoopSchedule;
 use faascache_util::MemMb;
@@ -170,7 +171,30 @@ fn bad_function_index_is_an_error_reply_not_a_crash() {
     let mut c = Client::connect(&addr).expect("connect");
     let err = c.invoke(u32::MAX).expect_err("out-of-range index");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    // The connection and the daemon both survive the bad request.
+    // A name outside `[A-Za-z0-9._-]`, sent as a raw frame past the
+    // client's own check, is refused on the binary front as on HTTP.
+    let BoundAddr::Tcp(sock) = &addr else {
+        unreachable!("tcp endpoint")
+    };
+    let mut raw = std::net::TcpStream::connect(sock).expect("connect");
+    let register = Request::Register {
+        name: "a b".to_string(),
+        mem_mb: 128,
+        warm_us: 1_000,
+        cold_us: 5_000,
+        tenant: String::new(),
+    };
+    proto::write_frame(&mut raw, &register.encode()).expect("send");
+    let reply = proto::read_frame(&mut raw).expect("read").expect("a reply");
+    let reply = Response::decode(&reply).expect("a well-formed reply");
+    assert!(matches!(reply, Response::Error(_)), "{reply:?}");
+    // The client refuses what the daemon would, and sends nothing: a
+    // 256-byte name would wrap the frame's one-byte name length.
+    let err = c.register(&"n".repeat(256), 128, 1_000, 5_000);
+    assert_eq!(err.unwrap_err().kind(), io::ErrorKind::InvalidInput);
+    let err = c.set_tenant_quota("x\"y", 1, 64);
+    assert_eq!(err.unwrap_err().kind(), io::ErrorKind::InvalidInput);
+    // The connection and the daemon both survive the bad requests.
     c.ping().expect("daemon still alive");
     c.shutdown().expect("shutdown");
     let report = join.join().expect("daemon thread");
@@ -178,6 +202,27 @@ fn bad_function_index_is_an_error_reply_not_a_crash() {
         report.protocol_errors, 0,
         "an Error reply is not a protocol error"
     );
+    // Readiness ping, invoke, raw register, ping, shutdown.
+    assert_eq!(report.frames, 5);
+}
+
+/// A tenant named on the command line is held to the rule a runtime one
+/// is: `x"y` would break the `/metrics` exposition, so `faascached`
+/// exits 2 on its flags. `--reap-ms 0` makes a daemon that gets past
+/// them fail at bind instead (exit 1), so none is left serving.
+#[test]
+fn a_tenant_flag_outside_the_charset_exits_2() {
+    for flag in [["--tenants", "x\"y"], ["--tenant-quota", "x\"y:inflight=1"]] {
+        let started = Instant::now();
+        let status = std::process::Command::new(env!("CARGO_BIN_EXE_faascached"))
+            .args(["--tcp", "127.0.0.1:0", "--functions", "4", "--reap-ms", "0"])
+            .args(flag)
+            .stderr(std::process::Stdio::null())
+            .status()
+            .expect("run faascached");
+        assert_eq!(status.code(), Some(2), "{flag:?}");
+        assert!(started.elapsed() < Duration::from_secs(1), "{flag:?}");
+    }
 }
 
 /// Regression: a keyed invoke of an index not registered yet claimed its
