@@ -1,13 +1,9 @@
 //! `faas-load` — open-loop trace-replay load generator for `faascached`.
 //!
-//! ```text
-//! faas-load [--tcp ADDR | --unix PATH] [--proto binary|http]
-//!           [--requests N] [--threads T]
-//!           [--rps R] [--functions N] [--seed S] [--skew zipf:S] [--shutdown]
-//!           [--tenant-mod K:R]
-//!           [--retries N] [--backoff-ms MS] [--backoff-cap-ms MS]
-//!           [--read-timeout-ms MS] [--faults SPEC]
-//! ```
+//! `faas-load --help` prints the synopsis. `faascache_server::cli` parses
+//! the command line: `--requests`, `--threads` and `--functions` are
+//! counts above zero, `--rps` is finite and positive, `--read-timeout-ms`
+//! is 1 to `u32::MAX`, and any other value exits 2, naming the flag.
 //!
 //! Replays the shared synthetic trace against a running daemon and prints
 //! throughput, outcome counts, and latency percentiles.
@@ -32,158 +28,20 @@
 //! backend must share the load generator's `--functions/--seed/--skew`
 //! workload contract as usual.
 
-use faascache_server::client::{self, LoadOptions, LoadProto, RetryPolicy};
-use faascache_server::daemon::BoundAddr;
-use faascache_server::fault::FaultConfig;
-use faascache_server::WorkloadConfig;
+use faascache_server::cli;
+use faascache_server::client::{self, LoadProto};
 use faascache_trace::replay::OpenLoopSchedule;
 use std::process::ExitCode;
-use std::time::Duration;
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: faas-load [--tcp ADDR | --unix PATH] [--proto binary|http]\n\
-         \x20                [--requests N] [--threads T]\n\
-         \x20                [--rps R] [--functions N] [--seed S] [--skew zipf:S]\n\
-         \x20                [--connections N] [--shutdown] [--tenant-mod K:R]\n\
-         \x20                [--retries N] [--backoff-ms MS] [--backoff-cap-ms MS]\n\
-         \x20                [--read-timeout-ms MS] [--faults SPEC]"
-    );
-    std::process::exit(2);
-}
-
-fn parse<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T {
-    match value.and_then(|v| v.parse().ok()) {
-        Some(v) => v,
-        None => {
-            eprintln!("faas-load: bad or missing value for {flag}");
-            usage()
-        }
-    }
-}
-
-struct Options {
-    target: Option<BoundAddr>,
-    requests: u64,
-    threads: usize,
-    connections: usize,
-    rps: f64,
-    workload: WorkloadConfig,
-    shutdown: bool,
-    retries: u32,
-    backoff_ms: u64,
-    backoff_cap_ms: u64,
-    read_timeout_ms: Option<u64>,
-    faults: FaultConfig,
-    proto: LoadProto,
-    tenant_mod: Option<(u64, u64)>,
-}
 
 fn main() -> ExitCode {
-    let mut opts = Options {
-        target: None,
-        requests: 100_000,
-        threads: 4,
-        connections: 0,
-        rps: 20_000.0,
-        workload: WorkloadConfig::default(),
-        shutdown: false,
-        retries: 0,
-        backoff_ms: 5,
-        backoff_cap_ms: 250,
-        read_timeout_ms: None,
-        faults: FaultConfig::disabled(),
-        proto: LoadProto::Binary,
-        tenant_mod: None,
+    let args = match cli::faas_load(std::env::args().skip(1)) {
+        Ok(args) => args,
+        Err(usage) => return usage.exit(),
     };
-
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--tcp" => {
-                let addr: String = parse("--tcp", args.next());
-                match addr.parse() {
-                    Ok(sock) => opts.target = Some(BoundAddr::Tcp(sock)),
-                    Err(_) => {
-                        eprintln!("faas-load: bad tcp address {addr}");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            #[cfg(unix)]
-            "--unix" => {
-                opts.target = Some(BoundAddr::Unix(
-                    parse::<String>("--unix", args.next()).into(),
-                ))
-            }
-            "--proto" => opts.proto = parse("--proto", args.next()),
-            "--requests" => opts.requests = parse("--requests", args.next()),
-            "--threads" => opts.threads = parse("--threads", args.next()),
-            "--connections" => opts.connections = parse("--connections", args.next()),
-            "--rps" => opts.rps = parse("--rps", args.next()),
-            "--functions" => opts.workload.functions = parse("--functions", args.next()),
-            "--seed" => opts.workload.seed = parse("--seed", args.next()),
-            "--skew" => {
-                let spec: String = parse("--skew", args.next());
-                match faascache_server::workload::parse_skew(&spec) {
-                    Ok(s) => opts.workload.zipf_exponent = s,
-                    Err(e) => {
-                        eprintln!("faas-load: {e}");
-                        usage()
-                    }
-                }
-            }
-            "--shutdown" => opts.shutdown = true,
-            "--tenant-mod" => {
-                let spec: String = parse("--tenant-mod", args.next());
-                let parsed = spec.split_once(':').and_then(|(k, r)| {
-                    let k: u64 = k.parse().ok()?;
-                    let r: u64 = r.parse().ok()?;
-                    (k > 0 && r < k).then_some((k, r))
-                });
-                match parsed {
-                    Some(km) => opts.tenant_mod = Some(km),
-                    None => {
-                        eprintln!("faas-load: --tenant-mod wants K:R with R < K, got {spec}");
-                        usage()
-                    }
-                }
-            }
-            "--retries" => opts.retries = parse("--retries", args.next()),
-            "--backoff-ms" => opts.backoff_ms = parse("--backoff-ms", args.next()),
-            "--backoff-cap-ms" => opts.backoff_cap_ms = parse("--backoff-cap-ms", args.next()),
-            "--read-timeout-ms" => {
-                opts.read_timeout_ms = Some(parse("--read-timeout-ms", args.next()))
-            }
-            "--faults" => {
-                let spec: String = parse("--faults", args.next());
-                match FaultConfig::parse_spec(&spec) {
-                    Ok(cfg) => opts.faults = cfg,
-                    Err(e) => {
-                        eprintln!("faas-load: --faults: {e}");
-                        usage()
-                    }
-                }
-            }
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("faas-load: unknown flag {other}");
-                usage()
-            }
-        }
-    }
-    if opts.threads == 0 || opts.requests == 0 || !opts.rps.is_finite() || opts.rps <= 0.0 {
-        eprintln!("faas-load: --threads, --requests and --rps must be positive");
-        return ExitCode::from(2);
-    }
-
-    let Some(addr) = opts.target.clone() else {
-        eprintln!("faas-load: need --tcp or --unix");
-        usage()
-    };
-    let trace = opts.workload.build();
-    let mut schedule = OpenLoopSchedule::from_trace(&trace, opts.rps);
-    if let Some((k, r)) = opts.tenant_mod {
+    let (opts, addr) = (args.options, &args.target);
+    let trace = args.workload.build();
+    let mut schedule = OpenLoopSchedule::from_trace(&trace, opts.target_rps);
+    if let Some((k, r)) = args.tenant_mod {
         schedule = schedule.filtered(|f| f.index() as u64 % k == r);
         if schedule.is_empty() {
             eprintln!("faas-load: --tenant-mod {k}:{r} leaves no functions to invoke");
@@ -195,58 +53,25 @@ fn main() -> ExitCode {
             trace.len()
         );
     }
-    let retry = if opts.retries > 0 {
-        RetryPolicy::retries(
-            opts.retries,
-            Duration::from_millis(opts.backoff_ms),
-            Duration::from_millis(opts.backoff_cap_ms.max(opts.backoff_ms)),
-        )
-    } else {
-        RetryPolicy::none()
+    let across = match opts.connections {
+        0 => String::new(),
+        n => format!(" across {n} connections"),
     };
-    // Faults and retries both demand a read timeout: a response lost to a
-    // reset must become a retryable error, not a hang.
-    let read_timeout_ms = opts
-        .read_timeout_ms
-        .or_else(|| (opts.retries > 0 || opts.faults.is_active()).then_some(500));
-    let load = LoadOptions {
-        target_rps: opts.rps,
-        requests: opts.requests,
-        threads: opts.threads,
-        connections: opts.connections,
-        retry,
-        faults: opts.faults.is_active().then_some(opts.faults),
-        read_timeout: read_timeout_ms.map(Duration::from_millis),
-        seed: opts.workload.seed,
-        proto: opts.proto,
+    let retries = match opts.retry.max_attempts - 1 {
+        0 => String::new(),
+        n => format!(" (retries={n} keyed)"),
     };
+    let faulted = opts
+        .faults
+        .map_or("", |_| " [client-side fault injection on]");
     eprintln!(
-        "faas-load: replaying {} requests over {} threads at {} rps ({}){}\
-         {}{}",
-        opts.requests,
-        opts.threads,
-        opts.rps,
-        opts.proto,
-        if opts.connections > 0 {
-            format!(" across {} connections", opts.connections)
-        } else {
-            String::new()
-        },
-        if retry.is_enabled() {
-            format!(" (retries={} keyed)", opts.retries)
-        } else {
-            String::new()
-        },
-        if opts.faults.is_active() {
-            " [client-side fault injection on]".to_string()
-        } else {
-            String::new()
-        },
+        "faas-load: replaying {} requests over {} threads at {} rps ({}){across}{retries}{faulted}",
+        opts.requests, opts.threads, opts.target_rps, opts.proto
     );
-    let report = client::run_load_with(&addr, &schedule, load);
+    let report = client::run_load_with(addr, &schedule, opts);
     println!("{}", report.summary_line());
 
-    if opts.shutdown {
+    if args.shutdown {
         // Shutdown is a binary-protocol verb; the HTTP gateway address is
         // a different listener, so over --proto http the caller must aim
         // --shutdown traffic at the binary endpoint (or SIGTERM).
@@ -256,7 +81,7 @@ fn main() -> ExitCode {
                  signal the daemon or use the binary endpoint"
             );
         } else {
-            match client::Client::connect(&addr).and_then(|mut c| c.shutdown()) {
+            match client::Client::connect(addr).and_then(|mut c| c.shutdown()) {
                 Ok(()) => eprintln!("faas-load: daemon shutdown requested"),
                 Err(e) => eprintln!("faas-load: shutdown request failed: {e}"),
             }

@@ -17,6 +17,7 @@
 //! exactly, even when injected resets kill connections mid-frame —
 //! retries are counted separately and never double-book a request.
 
+use crate::cli::Period;
 use crate::daemon::BoundAddr;
 use crate::fault::{FaultConfig, FaultPlan, FaultyStream};
 use crate::http::HttpClient;
@@ -340,7 +341,7 @@ pub struct LoadOptions {
     /// Socket read timeout. Required in practice whenever faults or
     /// retries are on: a response lost to a server-side reset must turn
     /// into a retryable error, not a hang.
-    pub read_timeout: Option<Duration>,
+    pub read_timeout: Option<Period>,
     /// Seed for backoff jitter (split per thread).
     pub seed: u64,
     /// Wire protocol to speak (`faas-load --proto`). [`LoadProto::Http`]
@@ -528,12 +529,12 @@ pub fn run_load_with(
                     let conn = match opts.proto {
                         LoadProto::Binary => {
                             let client = Client::connect_with_faults(addr, plan)?;
-                            client.set_read_timeout(opts.read_timeout)?;
+                            client.set_read_timeout(opts.read_timeout.map(Period::get))?;
                             LoadConn::Bin(client)
                         }
                         LoadProto::Http => {
                             let client = HttpClient::connect_with_faults(addr, plan)?;
-                            client.set_read_timeout(opts.read_timeout)?;
+                            client.set_read_timeout(opts.read_timeout.map(Period::get))?;
                             LoadConn::Http(client)
                         }
                     };

@@ -23,6 +23,7 @@
 //! [`DaemonReport`] whose counters account for every request that was
 //! ever read off a socket.
 
+use crate::cli::Period;
 use crate::driver::{self, Front};
 use crate::fault::FaultConfig;
 use crate::journal::{registry_digest, Journal, JournalRecord};
@@ -39,6 +40,7 @@ use faascache_platform::tenant::{TenantQuota, TenantQuotas};
 use faascache_util::{stats::balance_ratio, MemMb, SimDuration, SimTime};
 use std::io;
 use std::net::SocketAddr;
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
@@ -104,20 +106,20 @@ impl std::fmt::Display for IoModel {
 /// Tuning knobs of a daemon instance.
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
-    /// Number of invoker shards (at least 1).
-    pub shards: usize,
+    /// Number of invoker shards.
+    pub shards: NonZeroUsize,
     /// Total keep-alive memory, split evenly across shards.
     pub total_mem: MemMb,
     /// Per-shard bound on admitted-but-unfinished invocations.
-    pub queue_bound: usize,
+    pub queue_bound: NonZeroUsize,
     /// Keep-alive policy instantiated on every shard.
     pub policy: PolicyKind,
     /// Wall-clock interval between housekeeping passes: each reaps every
     /// shard, then runs one re-homing tick when that is enabled.
-    pub reap_interval: Duration,
+    pub reap_interval: Period,
     /// Socket read timeout; bounds how long a handler takes to notice
     /// the shutdown flag.
-    pub read_timeout: Duration,
+    pub read_timeout: Period,
     /// How long `run` waits for in-flight requests during drain before
     /// giving up and reporting `drained: false`.
     pub drain_timeout: Duration,
@@ -153,12 +155,14 @@ pub struct DaemonConfig {
 impl Default for DaemonConfig {
     fn default() -> Self {
         DaemonConfig {
-            shards: thread::available_parallelism().map_or(4, |n| n.get().min(16)),
+            shards: thread::available_parallelism()
+                .unwrap_or(const { NonZeroUsize::new(4).unwrap() })
+                .min(const { NonZeroUsize::new(16).unwrap() }),
             total_mem: MemMb::new(8192),
-            queue_bound: 1024,
+            queue_bound: const { NonZeroUsize::new(1024).unwrap() },
             policy: PolicyKind::GreedyDual,
-            reap_interval: Duration::from_millis(500),
-            read_timeout: Duration::from_millis(50),
+            reap_interval: Period::ms(500),
+            read_timeout: Period::ms(50),
             drain_timeout: Duration::from_secs(10),
             faults: None,
             allow_remote_shutdown: true,
@@ -755,25 +759,12 @@ pub struct Daemon {
 }
 
 impl Daemon {
-    /// Binds the endpoint and builds the invoker; call [`Daemon::run`]
-    /// to start serving.
-    ///
-    /// The `registry` must be the same one the load generator derives —
-    /// see [`crate::workload`]. A zero `shards`, `reap_interval` or
-    /// `read_timeout` is refused as `InvalidInput`.
+    /// Binds the endpoint and, when given, an HTTP/1.1 gateway listener
+    /// (`--http-listen`, TCP only, served on the config's io model next
+    /// to the binary endpoint), and builds the invoker; call
+    /// [`Daemon::run`] to start serving. The `registry` must be the same
+    /// one the load generator derives — see [`crate::workload`].
     pub fn bind(
-        endpoint: &Endpoint,
-        config: DaemonConfig,
-        registry: FunctionRegistry,
-    ) -> io::Result<Daemon> {
-        Self::bind_with_http(endpoint, None, config, registry)
-    }
-
-    /// [`Daemon::bind`] plus an optional HTTP/1.1 gateway listener
-    /// (`--http-listen`). The gateway is TCP-only and serves
-    /// concurrently with the binary endpoint on whichever io model the
-    /// config selects.
-    pub fn bind_with_http(
         endpoint: &Endpoint,
         http_addr: Option<&str>,
         config: DaemonConfig,
@@ -786,20 +777,15 @@ impl Daemon {
                 "--io-model epoll requires linux",
             ));
         }
-        if config.shards == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "shards must be above zero",
-            ));
-        }
-        driver::require_nonzero(&[
-            ("reap_interval", config.reap_interval),
-            ("read_timeout", config.read_timeout),
-        ])?;
-        let front = Front::bind(endpoint, http_addr, config.read_timeout, config.faults)?;
+        let front = Front::bind(
+            endpoint,
+            http_addr,
+            config.read_timeout.get(),
+            config.faults,
+        )?;
 
-        let mut sharded = ShardedConfig::split(config.total_mem, config.shards)
-            .with_queue_bound(config.queue_bound)
+        let mut sharded = ShardedConfig::split(config.total_mem, config.shards.get())
+            .with_queue_bound(config.queue_bound.get())
             .with_tenant_quotas(config.tenant_quotas.clone());
         if let Some(rebalance) = config.rebalance {
             sharded = sharded.with_rebalance(rebalance);
@@ -863,7 +849,7 @@ impl Daemon {
 
         let housekeeper = {
             let shared = Arc::clone(&self.shared);
-            let interval = self.config.reap_interval;
+            let interval = self.config.reap_interval.get();
             thread::spawn(move || housekeep(&shared, interval))
         };
 

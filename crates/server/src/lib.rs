@@ -51,6 +51,8 @@
 //!   `--state-dir`, and [`JournalRecord`], the one control-plane
 //!   mutation type from the wire to the journal and the router's log,
 //!   with the one check every mutation passes;
+//! - [`cli`] — the three binaries' command lines, parsed once into
+//!   configs whose types hold each flag's rule (e.g. [`Period`]);
 //! - [`workload`] — the deterministic workload contract: daemon and load
 //!   generator derive the identical function registry from shared
 //!   `--functions`/`--seed` parameters;
@@ -70,6 +72,7 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod client;
 mod conn;
 pub mod daemon;
@@ -87,6 +90,7 @@ mod service;
 pub mod signal;
 pub mod workload;
 
+pub use cli::Period;
 pub use client::{
     run_load, run_load_with, Client, LoadOptions, LoadProto, LoadReport, RetryPolicy,
 };

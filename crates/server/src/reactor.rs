@@ -569,7 +569,7 @@ pub(crate) fn serve(
         // Sleep until a socket is ready, the next stall deadline, or one
         // read timeout (the bound on noticing a signal) — unless
         // connections are waiting their turn.
-        let mut timeout = config.read_timeout;
+        let mut timeout = config.read_timeout.get();
         if let Some(next) = reactor.deadlines.next_deadline() {
             timeout = timeout.min(next.saturating_duration_since(Instant::now()));
         }

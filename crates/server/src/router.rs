@@ -53,6 +53,7 @@
 //! outcomes: a 503/`Rejected` from this router always means "no healthy
 //! backend or admission refused", never "the hop broke".
 
+use crate::cli::Period;
 use crate::client::{self, Client};
 use crate::daemon::{BoundAddr, Endpoint, ShutdownHandle};
 use crate::driver::{self, Front};
@@ -145,17 +146,17 @@ pub struct RouterConfig {
     pub seed: u64,
     /// Front-socket read timeout; bounds how long a handler takes to
     /// notice the shutdown flag (same contract as the daemon's).
-    pub read_timeout: Duration,
+    pub read_timeout: Period,
     /// Read timeout on backend connections, so a lost backend response
     /// errors instead of hanging a front request forever.
-    pub backend_read_timeout: Duration,
+    pub backend_read_timeout: Period,
     /// Cadence of health probes against each backend.
-    pub health_interval: Duration,
+    pub health_interval: Period,
     /// Consecutive probe failures before a backend is ejected.
     pub eject_after: u32,
-    /// Base/cap of the re-admission probe backoff for ejected backends.
-    pub readmit_backoff: Duration,
-    /// Cap for [`RouterConfig::readmit_backoff`].
+    /// Base of the re-admission probe backoff for ejected backends.
+    pub readmit_backoff: Period,
+    /// Cap for [`RouterConfig::readmit_backoff`] (at least the base).
     pub readmit_cap: Duration,
     /// Hop retries for *keyed* forwards (safe: the backend's
     /// idempotency cache deduplicates). Unkeyed forwards are never
@@ -181,11 +182,11 @@ impl Default for RouterConfig {
         RouterConfig {
             balancer: LoadBalancer::FunctionAffinity,
             seed: 1,
-            read_timeout: Duration::from_millis(50),
-            backend_read_timeout: Duration::from_millis(500),
-            health_interval: Duration::from_millis(100),
+            read_timeout: Period::ms(50),
+            backend_read_timeout: Period::ms(500),
+            health_interval: Period::ms(100),
             eject_after: 3,
-            readmit_backoff: Duration::from_millis(50),
+            readmit_backoff: Period::ms(50),
             readmit_cap: Duration::from_secs(1),
             hop_retries: 0,
             hop_backoff: Duration::from_millis(1),
@@ -435,7 +436,7 @@ impl RouterShared {
     /// timeout so a lost reply errors instead of hanging.
     fn dial_control(&self, b: usize) -> io::Result<Client> {
         let client = Client::connect(&self.backends[b].spec.addr)?;
-        client.set_read_timeout(Some(self.config.backend_read_timeout))?;
+        client.set_read_timeout(Some(self.config.backend_read_timeout.get()))?;
         Ok(client)
     }
 
@@ -476,7 +477,7 @@ impl ConnCache {
                 &shared.backends[b].spec.addr,
                 shared.next_backend_plan(),
             )?;
-            client.set_read_timeout(Some(shared.config.backend_read_timeout))?;
+            client.set_read_timeout(Some(shared.config.backend_read_timeout.get()))?;
             self.conns[b] = Some(client);
         }
         Ok(self.conns[b].as_mut().expect("just inserted"))
@@ -522,7 +523,7 @@ fn forward_invoke(
     // get exactly one send attempt but may re-pick if the *connect*
     // fails (nothing was sent, so re-picking cannot double-execute).
     let max_attempts = if key.is_some() {
-        1 + shared.config.hop_retries
+        shared.config.hop_retries.saturating_add(1)
     } else {
         1
     };
@@ -870,7 +871,8 @@ fn probe_loop(shared: &RouterShared) {
         readmit_attempt: u32,
     }
     let mut rng = Pcg64::seed_from_u64(shared.config.seed ^ 0x6865_616C_7468_0003);
-    let backoff = ExpBackoff::new(shared.config.readmit_backoff, shared.config.readmit_cap);
+    let base = shared.config.readmit_backoff.get();
+    let backoff = ExpBackoff::new(base, shared.config.readmit_cap.max(base));
     let mut states: Vec<ProbeState> = shared
         .backends
         .iter()
@@ -904,14 +906,14 @@ fn probe_loop(shared: &RouterShared) {
                     continue;
                 }
                 state.readmit_attempt = 0;
-                state.next = now + shared.config.health_interval;
+                state.next = now + shared.config.health_interval.get();
             } else {
                 state.consecutive_fails += 1;
                 if healthy && state.consecutive_fails >= shared.config.eject_after {
                     backend.eject();
                 }
                 if backend.healthy.load(Ordering::SeqCst) {
-                    state.next = now + shared.config.health_interval;
+                    state.next = now + shared.config.health_interval.get();
                 } else {
                     state.readmit_attempt = state.readmit_attempt.saturating_add(1);
                     state.next = now + backoff.delay(state.readmit_attempt, &mut rng);
@@ -926,7 +928,7 @@ fn probe_loop(shared: &RouterShared) {
 /// standing connection: connect-refused is the liveness signal.
 fn probe_backend(shared: &RouterShared, b: usize) -> bool {
     let backend = &shared.backends[b];
-    let timeout = shared.config.backend_read_timeout;
+    let timeout = shared.config.backend_read_timeout.get();
     match backend.spec.http {
         Some(http_addr) => {
             let probe = || -> io::Result<bool> {
@@ -1005,7 +1007,7 @@ fn readmit(shared: &RouterShared, b: usize) -> bool {
     let mut control = shared.control();
     // Whatever stood before the ejection is stale.
     control.conns[b] = None;
-    let timeout = shared.config.backend_read_timeout;
+    let timeout = shared.config.backend_read_timeout.get();
     let registrations_converged = !control.log.is_empty()
         && match backend_registry_digest(backend, timeout) {
             Some(digest) => shared
@@ -1128,8 +1130,7 @@ pub struct Router {
 
 impl Router {
     /// Binds the front endpoints; call [`Router::run`] to start serving.
-    /// `backends` must be non-empty, and the read timeouts and the health
-    /// interval above zero.
+    /// `backends` must be non-empty.
     pub fn bind(
         endpoint: &Endpoint,
         http_addr: Option<&str>,
@@ -1142,15 +1143,10 @@ impl Router {
                 "faas-router needs at least one --backend",
             ));
         }
-        driver::require_nonzero(&[
-            ("read_timeout", config.read_timeout),
-            ("backend_read_timeout", config.backend_read_timeout),
-            ("health_interval", config.health_interval),
-        ])?;
         // Front connections are always clean; fault injection applies to
         // the router→backend hop (`backend_faults`), where the chaos
         // conformance suite aims it.
-        let front = Front::bind(endpoint, http_addr, config.read_timeout, None)?;
+        let front = Front::bind(endpoint, http_addr, config.read_timeout.get(), None)?;
         Ok(Router {
             front,
             shared: Arc::new(RouterShared::new(backends, config)),
@@ -1225,6 +1221,40 @@ mod tests {
     use super::*;
 
     #[test]
+    fn zero_read_timeout_is_refused() {
+        // The front read timeout has no flag; its type, `Period`, holds
+        // whole milliseconds from 1 to `u32::MAX` and parses nothing else.
+        assert_eq!(
+            "20".parse::<Period>().map(Period::get),
+            Ok(Duration::from_millis(20))
+        );
+        for bad in ["0", "-1", "", "4294967296", "1.5", "nan"] {
+            assert!(bad.parse::<Period>().is_err(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn zero_backend_read_timeout_is_refused() {
+        // It failed every forward and probe with `InvalidInput`.
+        let argv = ["--backends", "127.0.0.1:1", "--backend-timeout-ms", "0"];
+        let err = crate::cli::faas_router(argv.map(String::from)).unwrap_err();
+        let reason = err.reason.as_deref();
+        assert_eq!(
+            reason,
+            Some("bad or missing value for --backend-timeout-ms")
+        );
+    }
+
+    #[test]
+    fn zero_health_interval_is_refused() {
+        // It probed every backend in a tight loop.
+        let argv = ["--backends", "127.0.0.1:1", "--health-ms", "0"];
+        let err = crate::cli::faas_router(argv.map(String::from)).unwrap_err();
+        let reason = err.reason.as_deref();
+        assert_eq!(reason, Some("bad or missing value for --health-ms"));
+    }
+
+    #[test]
     fn backend_spec_parses_and_round_trips() {
         let spec: BackendSpec = "127.0.0.1:7077".parse().unwrap();
         assert_eq!(spec.addr, BoundAddr::Tcp("127.0.0.1:7077".parse().unwrap()));
@@ -1250,43 +1280,6 @@ mod tests {
 
         assert!("not-an-addr".parse::<BackendSpec>().is_err());
         assert!("127.0.0.1:1+http=nope".parse::<BackendSpec>().is_err());
-    }
-
-    /// Binds a router on a free port in front of one backend that is
-    /// never dialled: binding alone must judge `config`.
-    fn bind_with(config: RouterConfig) -> io::Result<Router> {
-        let backend = "127.0.0.1:1".parse().unwrap();
-        let endpoint = Endpoint::Tcp("127.0.0.1:0".into());
-        Router::bind(&endpoint, None, config, vec![backend])
-    }
-
-    fn assert_refused(config: RouterConfig) {
-        let err = bind_with(config).err().expect("a zero duration binds");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
-    }
-
-    #[test]
-    fn zero_read_timeout_is_refused() {
-        assert_refused(RouterConfig {
-            read_timeout: Duration::ZERO,
-            ..RouterConfig::default()
-        });
-    }
-
-    #[test]
-    fn zero_backend_read_timeout_is_refused() {
-        assert_refused(RouterConfig {
-            backend_read_timeout: Duration::ZERO,
-            ..RouterConfig::default()
-        });
-    }
-
-    #[test]
-    fn zero_health_interval_is_refused() {
-        assert_refused(RouterConfig {
-            health_interval: Duration::ZERO,
-            ..RouterConfig::default()
-        });
     }
 
     #[test]

@@ -11,6 +11,7 @@
 use faascache_trace::adapt::{adapt, AdaptOptions};
 use faascache_trace::record::Trace;
 use faascache_trace::synth::{self, SynthConfig};
+use std::num::NonZeroUsize;
 
 /// Parameters pinning down the shared workload.
 ///
@@ -19,7 +20,7 @@ use faascache_trace::synth::{self, SynthConfig};
 pub struct WorkloadConfig {
     /// Number of functions to synthesize (before the adaptation step
     /// drops single-shot functions).
-    pub functions: usize,
+    pub functions: NonZeroUsize,
     /// RNG seed; both sides must use the same value.
     pub seed: u64,
     /// Horizon the synthetic day is truncated to, in virtual minutes:
@@ -36,7 +37,7 @@ pub struct WorkloadConfig {
 impl Default for WorkloadConfig {
     fn default() -> Self {
         WorkloadConfig {
-            functions: 256,
+            functions: const { NonZeroUsize::new(256).unwrap() },
             seed: 0xFAA5_CACE,
             horizon_mins: 60,
             zipf_exponent: 1.0,
@@ -49,8 +50,8 @@ impl WorkloadConfig {
     /// byte-identical traces on both ends of the connection.
     pub fn build(&self) -> Trace {
         let synth = SynthConfig {
-            num_functions: self.functions,
-            num_apps: (self.functions / 3).max(1),
+            num_functions: self.functions.get(),
+            num_apps: (self.functions.get() / 3).max(1),
             seed: self.seed,
             zipf_exponent: self.zipf_exponent,
             ..SynthConfig::default()
@@ -74,12 +75,12 @@ impl WorkloadConfig {
 pub fn parse_skew(value: &str) -> Result<f64, String> {
     let exponent = value
         .strip_prefix("zipf:")
-        .ok_or_else(|| format!("bad --skew {value:?}: expected zipf:<exponent>"))?;
+        .ok_or_else(|| format!("expected zipf:<exponent>, got {value:?}"))?;
     let s: f64 = exponent
         .parse()
-        .map_err(|_| format!("bad --skew exponent {exponent:?}"))?;
+        .map_err(|_| format!("bad exponent {exponent:?}"))?;
     if !s.is_finite() || s < 0.0 {
-        return Err(format!("--skew exponent must be finite and >= 0, got {s}"));
+        return Err(format!("exponent must be finite and >= 0, got {s}"));
     }
     Ok(s)
 }
@@ -91,7 +92,7 @@ mod tests {
     #[test]
     fn same_config_builds_identical_traces() {
         let config = WorkloadConfig {
-            functions: 64,
+            functions: NonZeroUsize::new(64).unwrap(),
             seed: 42,
             horizon_mins: 30,
             ..WorkloadConfig::default()
@@ -130,7 +131,7 @@ mod tests {
     #[test]
     fn higher_zipf_exponent_concentrates_load() {
         let base = WorkloadConfig {
-            functions: 64,
+            functions: NonZeroUsize::new(64).unwrap(),
             seed: 7,
             horizon_mins: 30,
             zipf_exponent: 1.0,

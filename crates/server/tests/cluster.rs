@@ -34,13 +34,14 @@ use faascache_server::daemon::{
     BoundAddr, Daemon, DaemonConfig, DaemonReport, Endpoint, IoModel, ShutdownHandle,
 };
 use faascache_server::router::{BackendSpec, Router, RouterConfig, RouterReport};
-use faascache_server::WorkloadConfig;
+use faascache_server::{Period, WorkloadConfig};
 use faascache_sim::cluster::{run_cluster, ClusterConfig};
 use faascache_sim::SimConfig;
 use faascache_trace::record::Trace;
 use faascache_trace::replay::OpenLoopSchedule;
 use faascache_util::route::LoadBalancer;
 use faascache_util::MemMb;
+use std::num::NonZeroUsize;
 use std::sync::OnceLock;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -49,7 +50,7 @@ const READY_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// The same workload contract the conformance suite uses; children are
 /// spawned with matching `--functions`/`--seed` flags.
-const WORKLOAD_FUNCTIONS: usize = 32;
+const WORKLOAD_FUNCTIONS: NonZeroUsize = NonZeroUsize::new(32).unwrap();
 const WORKLOAD_SEED: u64 = 11;
 
 fn shared_schedule() -> &'static (WorkloadConfig, OpenLoopSchedule) {
@@ -310,7 +311,7 @@ fn e2e_case(io: IoModel, balancer: LoadBalancer) {
     let specs = backends.iter().map(|b| b.spec()).collect();
     let config = RouterConfig {
         balancer,
-        health_interval: Duration::from_millis(25),
+        health_interval: Period::ms(25),
         ..RouterConfig::default()
     };
     let (addr, http, handle, join) = boot_router(specs, config);
@@ -325,7 +326,7 @@ fn e2e_case(io: IoModel, balancer: LoadBalancer) {
         connections: 0,
         retry: RetryPolicy::none(),
         faults: None,
-        read_timeout: Some(Duration::from_secs(5)),
+        read_timeout: Some(Period::ms(5000)),
         seed: 0xC0FFEE,
         proto: LoadProto::Binary,
     };
@@ -473,7 +474,7 @@ fn killing_a_backend_mid_run_loses_nothing() {
     let specs = backends.iter().map(|b| b.spec()).collect();
     let config = RouterConfig {
         balancer: LoadBalancer::FunctionAffinity,
-        health_interval: Duration::from_millis(25),
+        health_interval: Period::ms(25),
         eject_after: 2,
         hop_retries: 6,
         ..RouterConfig::default()
@@ -490,7 +491,7 @@ fn killing_a_backend_mid_run_loses_nothing() {
         connections: 0,
         retry: RetryPolicy::retries(12, Duration::from_millis(1), Duration::from_millis(16)),
         faults: None,
-        read_timeout: Some(Duration::from_millis(500)),
+        read_timeout: Some(Period::ms(500)),
         seed: 0xC0FFEE,
         proto: LoadProto::Binary,
     };
@@ -629,7 +630,7 @@ fn killed_backend_restarted_from_state_dir_rejoins_converged() {
     let specs = vec![survivor.spec(), victim.spec()];
     let config = RouterConfig {
         balancer: LoadBalancer::FunctionAffinity,
-        health_interval: Duration::from_millis(25),
+        health_interval: Period::ms(25),
         eject_after: 2,
         hop_retries: 6,
         ..RouterConfig::default()
@@ -707,7 +708,7 @@ fn killed_backend_restarted_from_state_dir_rejoins_converged() {
         connections: 0,
         retry: RetryPolicy::retries(12, Duration::from_millis(1), Duration::from_millis(16)),
         faults: None,
-        read_timeout: Some(Duration::from_millis(500)),
+        read_timeout: Some(Period::ms(500)),
         seed: 0xC0FFEE,
         proto: LoadProto::Binary,
     };
@@ -752,12 +753,12 @@ type RunningDaemon = (ShutdownHandle, thread::JoinHandle<DaemonReport>);
 /// an HTTP gateway (for the digest scrape).
 fn boot_empty_backend() -> (BackendSpec, RunningDaemon) {
     let config = DaemonConfig {
-        shards: 1,
-        read_timeout: Duration::from_millis(10),
+        shards: NonZeroUsize::new(1).unwrap(),
+        read_timeout: Period::ms(10),
         drain_timeout: Duration::from_secs(5),
         ..DaemonConfig::default()
     };
-    let daemon = Daemon::bind_with_http(
+    let daemon = Daemon::bind(
         &Endpoint::Tcp("127.0.0.1:0".to_string()),
         Some("127.0.0.1:0"),
         config,
@@ -987,9 +988,9 @@ fn a_register_acknowledged_during_a_replay_reaches_the_rejoining_backend() {
         },
     ];
     let config = RouterConfig {
-        health_interval: Duration::from_millis(10),
+        health_interval: Period::ms(10),
         eject_after: 1,
-        readmit_backoff: Duration::from_millis(10),
+        readmit_backoff: Period::ms(10),
         readmit_cap: Duration::from_millis(20),
         ..RouterConfig::default()
     };
@@ -1136,7 +1137,7 @@ fn the_router_accepts_as_connections_arrive_and_idles_in_the_kernel() {
     let report = drain_router(&handle, join);
     // Per listener: one wake-up per read timeout of uptime, one for the
     // drain, one of slack; and one per connection accepted.
-    let timeouts = report.uptime.as_millis() / read_timeout.as_millis();
+    let timeouts = report.uptime.as_millis() / read_timeout.get().as_millis();
     let bound = 2 * (timeouts as u64 + 2) + report.connections;
     assert!(
         (1..=bound).contains(&report.accept_wakeups),
@@ -1162,7 +1163,7 @@ fn diff_requests() -> usize {
 /// so affinity visibly beats random in both worlds.
 fn diff_trace() -> Trace {
     let workload = WorkloadConfig {
-        functions: 32,
+        functions: NonZeroUsize::new(32).unwrap(),
         seed: 11,
         horizon_mins: 10,
         zipf_exponent: 1.5,
@@ -1185,10 +1186,10 @@ const DIFF_SEED: u64 = 1;
 /// per-backend routed counts and the client-observed (warm, cold) tally.
 fn live_cluster_run(trace: &Trace, balancer: LoadBalancer) -> (Vec<u64>, (u64, u64)) {
     let dconfig = DaemonConfig {
-        shards: 1,
+        shards: NonZeroUsize::new(1).unwrap(),
         total_mem: DIFF_MEM,
-        queue_bound: 1024,
-        read_timeout: Duration::from_millis(10),
+        queue_bound: NonZeroUsize::new(1024).unwrap(),
+        read_timeout: Period::ms(10),
         drain_timeout: Duration::from_secs(5),
         allow_remote_shutdown: false,
         io_model: IoModel::Threads,
@@ -1198,7 +1199,7 @@ fn live_cluster_run(trace: &Trace, balancer: LoadBalancer) -> (Vec<u64>, (u64, u
     let mut specs = Vec::new();
     for _ in 0..DIFF_SERVERS {
         let endpoint = Endpoint::Tcp("127.0.0.1:0".to_string());
-        let daemon = Daemon::bind(&endpoint, dconfig.clone(), trace.registry().clone())
+        let daemon = Daemon::bind(&endpoint, None, dconfig.clone(), trace.registry().clone())
             .expect("bind daemon");
         let addr = daemon.bound_addr();
         let handle = daemon.shutdown_handle();

@@ -34,9 +34,10 @@ use faascache_server::daemon::{
     BoundAddr, Daemon, DaemonConfig, DaemonReport, Endpoint, IoModel, ShutdownHandle,
 };
 use faascache_server::fault::FaultConfig;
-use faascache_server::WorkloadConfig;
+use faascache_server::{Period, WorkloadConfig};
 use faascache_trace::replay::OpenLoopSchedule;
 use faascache_util::MemMb;
+use std::num::NonZeroUsize;
 use std::sync::OnceLock;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -61,7 +62,7 @@ fn shared_schedule() -> &'static (WorkloadConfig, OpenLoopSchedule) {
     static SCHED: OnceLock<(WorkloadConfig, OpenLoopSchedule)> = OnceLock::new();
     SCHED.get_or_init(|| {
         let workload = WorkloadConfig {
-            functions: 32,
+            functions: NonZeroUsize::new(32).unwrap(),
             seed: 11,
             horizon_mins: 10,
             ..WorkloadConfig::default()
@@ -73,10 +74,10 @@ fn shared_schedule() -> &'static (WorkloadConfig, OpenLoopSchedule) {
 
 fn chaos_daemon_config(io: IoModel, faults: Option<FaultConfig>) -> DaemonConfig {
     DaemonConfig {
-        shards: 2,
+        shards: NonZeroUsize::new(2).unwrap(),
         total_mem: MemMb::new(2048),
-        queue_bound: 256,
-        read_timeout: Duration::from_millis(10),
+        queue_bound: NonZeroUsize::new(256).unwrap(),
+        read_timeout: Period::ms(10),
         drain_timeout: DRAIN_TIMEOUT,
         faults,
         // A corrupted opcode must not be able to decode into Shutdown
@@ -98,7 +99,8 @@ fn boot_with(
 ) -> (BoundAddr, ShutdownHandle, thread::JoinHandle<DaemonReport>) {
     let trace = workload.build();
     let endpoint = Endpoint::Tcp("127.0.0.1:0".to_string());
-    let daemon = Daemon::bind(&endpoint, config, trace.registry().clone()).expect("bind daemon");
+    let daemon =
+        Daemon::bind(&endpoint, None, config, trace.registry().clone()).expect("bind daemon");
     let addr = daemon.bound_addr();
     let handle = daemon.shutdown_handle();
     let join = thread::spawn(move || daemon.run());
@@ -114,7 +116,7 @@ fn retrying_load(requests: u64, retries: u32, faults: Option<FaultConfig>) -> Lo
         connections: 0,
         retry: RetryPolicy::retries(retries, Duration::from_millis(1), Duration::from_millis(16)),
         faults,
-        read_timeout: Some(Duration::from_millis(250)),
+        read_timeout: Some(Period::ms(250)),
         seed: 0xC0FFEE,
         proto: LoadProto::Binary,
     }
@@ -134,7 +136,7 @@ fn boot_http(
     let (workload, _) = shared_schedule();
     let trace = workload.build();
     let endpoint = Endpoint::Tcp("127.0.0.1:0".to_string());
-    let daemon = Daemon::bind_with_http(
+    let daemon = Daemon::bind(
         &endpoint,
         Some("127.0.0.1:0"),
         config,
@@ -603,7 +605,7 @@ fn skewed_schedule() -> &'static (WorkloadConfig, OpenLoopSchedule) {
     static SCHED: OnceLock<(WorkloadConfig, OpenLoopSchedule)> = OnceLock::new();
     SCHED.get_or_init(|| {
         let workload = WorkloadConfig {
-            functions: 32,
+            functions: NonZeroUsize::new(32).unwrap(),
             seed: 11,
             horizon_mins: 10,
             zipf_exponent: 1.5,
@@ -622,7 +624,7 @@ fn rebalancing_daemon_config(io: IoModel, faults: Option<FaultConfig>) -> Daemon
             factor: 1.2,
             ticks: 1,
         }),
-        reap_interval: Duration::from_millis(2),
+        reap_interval: Period::ms(2),
         ..chaos_daemon_config(io, faults)
     }
 }
@@ -776,7 +778,7 @@ fn boot_tenants(
         ..chaos_daemon_config(io, faults)
     };
     let endpoint = Endpoint::Tcp("127.0.0.1:0".to_string());
-    let daemon = Daemon::bind(&endpoint, config, registry).expect("bind tenant daemon");
+    let daemon = Daemon::bind(&endpoint, None, config, registry).expect("bind tenant daemon");
     let addr = daemon.bound_addr();
     let handle = daemon.shutdown_handle();
     let join = thread::spawn(move || daemon.run());
@@ -1196,7 +1198,7 @@ fn stalled_peers_cannot_hold_the_loop_epoll() {
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::Arc;
 
-    const READ_TIMEOUT: Duration = Duration::from_millis(50);
+    const READ_TIMEOUT: Period = Period::ms(50);
     const STALL_LIMIT: Duration = Duration::from_millis(500);
     const PING_BUDGET: Duration = Duration::from_micros(200);
 
@@ -1454,6 +1456,7 @@ fn boot_cluster(
         let endpoint = Endpoint::Tcp("127.0.0.1:0".to_string());
         let daemon = Daemon::bind(
             &endpoint,
+            None,
             chaos_daemon_config(io, None),
             trace.registry().clone(),
         )
@@ -1471,8 +1474,8 @@ fn boot_cluster(
     let config = RouterConfig {
         backend_faults: hop_faults,
         hop_retries: 8,
-        backend_read_timeout: Duration::from_millis(250),
-        health_interval: Duration::from_millis(50),
+        backend_read_timeout: Period::ms(250),
+        health_interval: Period::ms(50),
         drain_timeout: DRAIN_TIMEOUT,
         ..RouterConfig::default()
     };

@@ -1,7 +1,6 @@
 //! End-to-end tests: a real `faascached` daemon on a real socket, driven
 //! by real protocol clients, with conservation checked on both sides.
 
-use faascache_core::function::FunctionRegistry;
 use faascache_server::client::{self, Client, LoadOptions, LoadProto, LoadReport, RetryPolicy};
 use faascache_server::daemon::{
     BoundAddr, Daemon, DaemonConfig, DaemonReport, Endpoint, IoModel, ShutdownHandle,
@@ -9,10 +8,11 @@ use faascache_server::daemon::{
 use faascache_server::http::HttpClient;
 use faascache_server::journal::Journal;
 use faascache_server::proto::{self, Request, Response};
-use faascache_server::WorkloadConfig;
+use faascache_server::{Period, WorkloadConfig};
 use faascache_trace::replay::OpenLoopSchedule;
 use faascache_util::MemMb;
 use std::io;
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 
 fn small_workload() -> WorkloadConfig {
     WorkloadConfig {
-        functions: 48,
+        functions: NonZeroUsize::new(48).unwrap(),
         seed: 7,
         horizon_mins: 20,
         ..WorkloadConfig::default()
@@ -30,10 +30,10 @@ fn small_workload() -> WorkloadConfig {
 
 fn test_config() -> DaemonConfig {
     DaemonConfig {
-        shards: 4,
+        shards: NonZeroUsize::new(4).unwrap(),
         total_mem: MemMb::new(4096),
-        queue_bound: 512,
-        read_timeout: Duration::from_millis(20),
+        queue_bound: NonZeroUsize::new(512).unwrap(),
+        read_timeout: Period::ms(20),
         drain_timeout: Duration::from_secs(5),
         ..DaemonConfig::default()
     }
@@ -58,7 +58,8 @@ fn boot_config(
     config: DaemonConfig,
 ) -> (BoundAddr, thread::JoinHandle<DaemonReport>) {
     let trace = small_workload().build();
-    let daemon = Daemon::bind(&endpoint, config, trace.registry().clone()).expect("bind daemon");
+    let daemon =
+        Daemon::bind(&endpoint, None, config, trace.registry().clone()).expect("bind daemon");
     let (addr, _, join) = start(daemon);
     (addr, join)
 }
@@ -88,7 +89,7 @@ fn boot_http_model(
         io_model: io,
         ..test_config()
     };
-    let daemon = Daemon::bind_with_http(
+    let daemon = Daemon::bind(
         &tcp_endpoint(),
         Some("127.0.0.1:0"),
         config,
@@ -208,21 +209,58 @@ fn bad_function_index_is_an_error_reply_not_a_crash() {
 
 /// A tenant named on the command line is held to the rule a runtime one
 /// is: `x"y` would break the `/metrics` exposition, so `faascached`
-/// exits 2 on its flags. `--reap-ms 0` makes a daemon that gets past
-/// them fail at bind instead (exit 1), so none is left serving.
+/// exits 2 on its flags, saying why. The `--reap-ms 0` after them is a
+/// sentinel: a daemon that gets past the tenant flag exits 2 on it
+/// instead, naming `--reap-ms`, so none is left serving.
 #[test]
 fn a_tenant_flag_outside_the_charset_exits_2() {
     for flag in [["--tenants", "x\"y"], ["--tenant-quota", "x\"y:inflight=1"]] {
         let started = Instant::now();
-        let status = std::process::Command::new(env!("CARGO_BIN_EXE_faascached"))
-            .args(["--tcp", "127.0.0.1:0", "--functions", "4", "--reap-ms", "0"])
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_faascached"))
+            .args(["--tcp", "127.0.0.1:0", "--functions", "4"])
             .args(flag)
-            .stderr(std::process::Stdio::null())
-            .status()
+            .args(["--reap-ms", "0"])
+            .output()
             .expect("run faascached");
-        assert_eq!(status.code(), Some(2), "{flag:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag:?}: {stderr}");
+        let rule = format!(
+            "faascached: {}: tenant name has characters outside",
+            flag[0]
+        );
+        assert!(stderr.starts_with(&rule), "{flag:?}: {stderr}");
         assert!(started.elapsed() < Duration::from_secs(1), "{flag:?}");
     }
+}
+
+/// A zero reap interval ran the housekeeping pass in a tight loop under
+/// the shard locks. `--reap-ms 0` is refused at parse, naming the flag.
+#[test]
+fn zero_reap_interval_is_refused() {
+    let argv = ["--tcp", "127.0.0.1:0", "--reap-ms", "0"];
+    let err = faascache_server::cli::faascached(argv.map(String::from)).unwrap_err();
+    let reason = err.reason.as_deref();
+    assert_eq!(reason, Some("bad or missing value for --reap-ms"));
+}
+
+/// A daemon of no shards had nowhere to place a function. `--shards 0` is
+/// refused at parse, naming the flag.
+#[test]
+fn zero_shards_is_refused() {
+    let argv = ["--tcp", "127.0.0.1:0", "--shards", "0"];
+    let err = faascache_server::cli::faascached(argv.map(String::from)).unwrap_err();
+    let reason = err.reason.as_deref();
+    assert_eq!(reason, Some("bad or missing value for --shards"));
+}
+
+/// A zero socket timeout failed every read on the accept path. The
+/// daemon's read timeout has no flag, and its type holds no zero: a zero
+/// [`Period`] does not construct.
+#[test]
+fn zero_read_timeout_is_refused() {
+    let zero = std::panic::catch_unwind(|| Period::ms(0));
+    assert!(zero.is_err());
+    assert_eq!(test_config().read_timeout.get(), Duration::from_millis(20));
 }
 
 /// Regression: a keyed invoke of an index not registered yet claimed its
@@ -238,7 +276,7 @@ fn a_failed_keyed_invoke_does_not_shorten_its_keys_dedup_life() {
     };
     let (addr, join) = boot_config(unix_endpoint(), config);
     let mut c = Client::connect(&addr).expect("connect");
-    let next = small_workload().functions as u32;
+    let next = small_workload().functions.get() as u32;
     c.invoke_keyed(next, 100).expect_err("not registered yet");
     assert_eq!(c.register("late", 128, 1_000, 5_000).unwrap(), (next, true));
     assert!(c.invoke_keyed(next, 100).expect("executes").is_served());
@@ -321,20 +359,20 @@ fn a_rebalancing_daemon_keeps_a_zipf_load_balanced() {
     use faascache_platform::sharded::RebalanceConfig;
 
     let workload = WorkloadConfig {
-        functions: 24,
+        functions: NonZeroUsize::new(24).unwrap(),
         seed: 7,
         zipf_exponent: 1.2,
         ..WorkloadConfig::default()
     };
     let config = DaemonConfig {
-        shards: 4,
+        shards: NonZeroUsize::new(4).unwrap(),
         rebalance: Some(RebalanceConfig::default()),
-        reap_interval: Duration::from_millis(25),
+        reap_interval: Period::ms(25),
         ..DaemonConfig::default()
     };
     let trace = workload.build();
-    let daemon =
-        Daemon::bind(&unix_endpoint(), config, trace.registry().clone()).expect("bind daemon");
+    let daemon = Daemon::bind(&unix_endpoint(), None, config, trace.registry().clone())
+        .expect("bind daemon");
     let (addr, _, join) = start(daemon);
 
     let schedule = OpenLoopSchedule::from_trace(&trace, 2_000.0);
@@ -344,7 +382,7 @@ fn a_rebalancing_daemon_keeps_a_zipf_load_balanced() {
         &schedule,
         LoadOptions {
             retry,
-            read_timeout: Some(Duration::from_millis(500)),
+            read_timeout: Some(Period::ms(500)),
             seed: workload.seed,
             ..LoadOptions::new(2_000.0, 2_000, 2)
         },
@@ -769,7 +807,7 @@ fn an_idle_daemon_wakes_once_per_read_timeout(io: IoModel) {
     // the drain, one of slack. The threads model has a loop per listener
     // and wakes once per connection (the readiness ping); the reactor is
     // one loop and wakes for the connection's accept, request, and close.
-    let timeouts = report.uptime.as_millis() / test_config().read_timeout.as_millis();
+    let timeouts = report.uptime.as_millis() / test_config().read_timeout.get().as_millis();
     let bound = match io {
         IoModel::Threads => 2 * (timeouts as u64 + 2) + report.connections,
         IoModel::Epoll => timeouts as u64 + 2 + 4 * report.connections,
@@ -801,12 +839,12 @@ fn an_idle_reactor_wakes_once_per_read_timeout_epoll() {
 fn a_drain_request_wakes_the_sleeping_reactor_at_once_epoll() {
     let config = DaemonConfig {
         io_model: IoModel::Epoll,
-        read_timeout: Duration::from_secs(30),
+        read_timeout: Period::ms(30_000),
         ..test_config()
     };
     let trace = small_workload().build();
-    let daemon =
-        Daemon::bind(&unix_endpoint(), config, trace.registry().clone()).expect("bind daemon");
+    let daemon = Daemon::bind(&unix_endpoint(), None, config, trace.registry().clone())
+        .expect("bind daemon");
     let (_, handle, join) = start(daemon);
 
     thread::sleep(Duration::from_millis(300));
@@ -849,7 +887,7 @@ fn outlived_stall_deadlines_cost_no_busy_wait_epoll() {
     }
     // Quiet past the stall limit (ten read timeouts): every deadline the
     // pings armed comes due while nothing else wakes the reactor.
-    thread::sleep(test_config().read_timeout * 15);
+    thread::sleep(test_config().read_timeout.get() * 15);
     conn.write_all(&wire([Request::Shutdown]))
         .expect("shutdown");
     let report = join.join().expect("daemon thread");
@@ -858,7 +896,7 @@ fn outlived_stall_deadlines_cost_no_busy_wait_epoll() {
     // One wake-up per read timeout of uptime; per ping its two halves,
     // its deadline and one of slack; per connection its accept, request
     // and close; and the drain.
-    let timeouts = report.uptime.as_millis() / test_config().read_timeout.as_millis();
+    let timeouts = report.uptime.as_millis() / test_config().read_timeout.get().as_millis();
     let bound = timeouts as u64 + 4 * PINGS + 4 * report.connections + 2;
     assert!(
         report.accept_wakeups <= bound,
@@ -1079,7 +1117,7 @@ fn a_journaled_mutation_waits_off_the_reactor_and_keeps_its_place_epoll() {
 
     let (dir, journal, config) = journaled_config(IoModel::Epoll);
     let (addr, join) = boot_config(unix_endpoint(), config);
-    let functions = small_workload().functions as u32;
+    let functions = small_workload().functions.get() as u32;
 
     let at_the_disk = journal.lock().expect("journal mutex");
     let mut a = raw_unix(&addr);
@@ -1230,38 +1268,4 @@ fn shutdown_handle_drains_from_outside() {
     let report = join.join().expect("daemon thread");
     assert!(report.drained);
     assert_eq!(report.stats.cold, 1);
-}
-
-/// Binding with `config` fails as `InvalidInput`.
-fn assert_refused(config: DaemonConfig) {
-    let err = Daemon::bind(&tcp_endpoint(), config, FunctionRegistry::new())
-        .err()
-        .expect("a zero setting binds");
-    assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
-}
-
-#[test]
-fn zero_reap_interval_is_refused() {
-    // It would run the housekeeping pass in a tight loop under the shard locks.
-    assert_refused(DaemonConfig {
-        reap_interval: Duration::ZERO,
-        ..test_config()
-    });
-}
-
-#[test]
-fn zero_shards_is_refused() {
-    assert_refused(DaemonConfig {
-        shards: 0,
-        ..test_config()
-    });
-}
-
-#[test]
-fn zero_read_timeout_is_refused() {
-    // A zero socket timeout fails every read on the accept path.
-    assert_refused(DaemonConfig {
-        read_timeout: Duration::ZERO,
-        ..test_config()
-    });
 }

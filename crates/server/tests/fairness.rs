@@ -29,9 +29,10 @@ use faascache_server::client::{self, LoadOptions, LoadProto, RetryPolicy};
 use faascache_server::daemon::{
     BoundAddr, Daemon, DaemonConfig, DaemonReport, Endpoint, IoModel, ShutdownHandle,
 };
-use faascache_server::WorkloadConfig;
+use faascache_server::{Period, WorkloadConfig};
 use faascache_trace::replay::OpenLoopSchedule;
 use faascache_util::{MemMb, SimDuration, SimTime};
+use std::num::NonZeroUsize;
 use std::thread;
 use std::time::Duration;
 
@@ -64,16 +65,16 @@ fn boot_fairness_daemon(
         },
     );
     let config = DaemonConfig {
-        shards: 2,
+        shards: NonZeroUsize::new(2).unwrap(),
         total_mem: MemMb::new(2048),
-        queue_bound: 256,
+        queue_bound: NonZeroUsize::new(256).unwrap(),
         drain_timeout: Duration::from_secs(5),
         tenant_quotas: quotas,
         io_model: io,
         ..DaemonConfig::default()
     };
     let endpoint = Endpoint::Tcp("127.0.0.1:0".to_string());
-    let daemon = Daemon::bind(&endpoint, config, registry).expect("bind fairness daemon");
+    let daemon = Daemon::bind(&endpoint, None, config, registry).expect("bind fairness daemon");
     let addr = daemon.bound_addr();
     let handle = daemon.shutdown_handle();
     let join = thread::spawn(move || daemon.run());
@@ -89,7 +90,7 @@ fn clean_load(requests: u64, seed: u64) -> LoadOptions {
         connections: 0,
         retry: RetryPolicy::none(),
         faults: None,
-        read_timeout: Some(Duration::from_millis(250)),
+        read_timeout: Some(Period::ms(250)),
         seed,
         proto: LoadProto::Binary,
     }
@@ -105,7 +106,7 @@ fn clean_load(requests: u64, seed: u64) -> LoadOptions {
 /// - the daemon's own throttle counter equals the aggressor's tally.
 fn two_tenant_hammer(io: IoModel) {
     let workload = WorkloadConfig {
-        functions: 32,
+        functions: NonZeroUsize::new(32).unwrap(),
         seed: 17,
         horizon_mins: 10,
         ..WorkloadConfig::default()

@@ -33,6 +33,7 @@ mod crash {
     use faascache_trace::replay::OpenLoopSchedule;
     use std::io::{BufRead, Read};
     use std::net::SocketAddr;
+    use std::num::NonZeroUsize;
     use std::path::{Path, PathBuf};
     use std::process::{Child, Command, Stdio};
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -273,7 +274,7 @@ mod crash {
         );
         // So does a replay of the boot workload, without loss.
         let workload = WorkloadConfig {
-            functions: 8,
+            functions: NonZeroUsize::new(8).unwrap(),
             seed: 11,
             ..WorkloadConfig::default()
         };
