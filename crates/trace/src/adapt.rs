@@ -11,17 +11,45 @@
 //!    spaced throughout the minute.
 //!
 //! **Layout.** The day is written in time order, not sorted afterwards.
-//! One pass over the kept functions counts each minute's invocations, and
-//! prefix sums give every minute its slice of one exactly-sized vector.
-//! A second pass copies each function's minutes into those slices,
-//! function by function, and each slice (a few hundred invocations) is
-//! then stably sorted by time. A minute's invocations never leave it (see
-//! the cap below), so the slices in minute order are the day in time
-//! order and [`Trace::new`]'s own sort finds one sorted run.
+//! One pass over the kept functions counts each minute's invocations,
+//! which sizes one exactly-sized vector. A second pass walks the minutes
+//! in order and, within a minute, the kept functions in registration
+//! order. Rule 4 puts each non-empty (function, minute) bucket's first
+//! invocation at the minute's start, so those firsts, in that order, are
+//! the minute's *head* and are written straight in place. Only a
+//! bucket's later invocations go to the minute's *tail*: they are
+//! collected as packed `(offset_us << 32) | id` keys (an offset is below
+//! 2^26 µs and an id fits in 32 bits), ordered with `sort_unstable` and
+//! decoded behind the head. A minute's invocations never leave it (see
+//! the cap below), so the minutes in order are the day in time order and
+//! the trace is built without [`Trace::new`]'s sort. In a
+//! `sim_sweep`-shaped day, 164k of the 207k non-empty buckets hold one
+//! invocation, so 130k of its 337k invocations are sorted, about 90 at a
+//! time. Walking minutes rather than functions keeps the counts a minute
+//! reads in cache for the next fifteen minutes and writes only forwards;
+//! and since which buckets are empty cannot be predicted, every function
+//! writes a head and only a non-empty one moves past it (the next head,
+//! or the tail, overwrites the rest).
+//!
+//! **Split.** The minutes are cut into contiguous ranges of about equal
+//! invocation counts, one per available core, and each range is written
+//! by its own scoped thread into its `split_at_mut` share of the day,
+//! with room for its largest minute's tail, both allocated on the
+//! calling thread: a worker allocates nothing. A day too small to repay
+//! a thread ([`MIN_PART`] invocations) is written on the calling thread.
+//! A range writes the same values whichever thread writes it, so the
+//! output does not depend on the core count.
 //!
 //! **Ties.** Invocations at the same instant come out in the order their
 //! functions were registered (the dataset's key order): the order a
-//! stable sort of the whole day, pushed function by function, gives.
+//! stable sort of the whole day, pushed function by function, gives. At
+//! a minute's start that is the head's order; later in the minute a key
+//! ties only with other functions' keys, since one bucket's offsets are
+//! distinct, and the id in its low bits orders those. A bucket whose
+//! step is 0 has all its invocations at the minute's start, so they all
+//! join the head right behind its first and the tail never holds an
+//! offset of 0. That takes over [`MINUTE_US`] = 60,000,000 invocations in
+//! one minute, where the cap below, `(60 s − 1 µs) / (k − 1)`, reaches 0.
 //!
 //! **Horizon.** [`AdaptOptions::horizon_mins`] expands only the minutes
 //! before it. Which functions are kept and how each app's memory is split
@@ -38,9 +66,18 @@ use crate::azure::AzureDataset;
 use crate::record::{Invocation, Trace};
 use faascache_core::function::{FunctionId, FunctionRegistry};
 use faascache_util::{MemMb, SimDuration, SimTime};
+use std::num::NonZeroUsize;
+use std::ops::Range;
 
 /// Microseconds in one minute bucket.
 const MINUTE_US: u64 = 60_000_000;
+
+/// Counts up to this read their step from a table built once per call;
+/// a larger bucket computes its own, once for that many writes.
+const STEP_TABLE: u32 = 256;
+
+/// Fewest invocations worth a thread of their own.
+const MIN_PART: usize = 1 << 16;
 
 /// Options controlling the dataset → trace adaptation.
 #[derive(Debug, Clone)]
@@ -87,79 +124,185 @@ fn spacing_us(k: u32) -> u64 {
 /// assert!(trace.is_empty());
 /// ```
 pub fn adapt(dataset: &AzureDataset, options: &AdaptOptions) -> Trace {
-    let app_sizes = dataset.app_sizes();
-    let horizon = options
-        .horizon_mins
-        .map_or(usize::MAX, |h| usize::try_from(h).unwrap_or(usize::MAX));
-    let mut registry = FunctionRegistry::new();
-    // Each kept function with the minutes it expands.
-    let mut kept: Vec<(FunctionId, &[u32])> = Vec::new();
-    // Invocations per minute; after the prefix sum, where the minute's
-    // next invocation goes.
-    let mut cursor: Vec<usize> = Vec::new();
+    let day = Counted::new(dataset, options);
+    let cores = std::thread::available_parallelism().map_or(4, NonZeroUsize::get);
+    let parts = cores.min(day.total / MIN_PART).max(1);
+    day.write(parts)
+}
 
-    for (key, func) in &dataset.functions {
-        if func.total_invocations() < options.min_invocations {
-            continue;
-        }
-        let app_mb = dataset.app_memory_mb.get(&key.app).copied().unwrap_or(0.0);
-        let n_in_app = app_sizes.get(key.app.as_str()).copied().unwrap_or(1).max(1);
-        let mem = MemMb::new(((app_mb / n_in_app as f64).round() as u64).max(options.min_mem_mb));
-        let warm = SimDuration::from_secs_f64(func.avg_duration_ms / 1e3);
-        let cold = SimDuration::from_secs_f64(func.max_duration_ms.max(func.avg_duration_ms) / 1e3);
-        let id = registry
-            .register(key.to_string(), mem, warm, cold)
-            .expect("dataset keys are unique and memory is positive");
+/// [`adapt`] with the day cut into at most `parts` ranges (a range ends
+/// at a minute), however small it is.
+#[cfg(test)]
+pub(crate) fn adapt_in_parts(
+    dataset: &AzureDataset,
+    options: &AdaptOptions,
+    parts: usize,
+) -> Trace {
+    Counted::new(dataset, options).write(parts)
+}
 
-        let minutes = &func.per_minute[..func.per_minute.len().min(horizon)];
-        if cursor.len() < minutes.len() {
-            cursor.resize(minutes.len(), 0);
-        }
-        for (n, &count) in cursor.iter_mut().zip(minutes) {
-            *n += count as usize;
-        }
-        kept.push((id, minutes));
-    }
+/// The first pass: the kept functions, registered, and how many
+/// invocations each minute holds.
+struct Counted<'a> {
+    registry: FunctionRegistry,
+    /// Each kept function with the minutes it expands.
+    kept: Vec<(FunctionId, &'a [u32])>,
+    per_minute: Vec<usize>,
+    total: usize,
+}
 
-    let mut total = 0;
-    for next in &mut cursor {
-        let count = *next;
-        *next = total;
-        total += count;
-    }
-    // Every slot is overwritten below.
-    let blank = Invocation {
-        time: SimTime::ZERO,
-        function: FunctionId::from_index(0),
-    };
-    let mut invocations = vec![blank; total];
-    for &(function, minutes) in &kept {
-        for ((minute, &count), next) in minutes.iter().enumerate().zip(&mut cursor) {
-            if count == 0 {
+impl<'a> Counted<'a> {
+    fn new(dataset: &'a AzureDataset, options: &AdaptOptions) -> Self {
+        let app_sizes = dataset.app_sizes();
+        let horizon = options
+            .horizon_mins
+            .map_or(usize::MAX, |h| usize::try_from(h).unwrap_or(usize::MAX));
+        let mut registry = FunctionRegistry::new();
+        let mut kept = Vec::new();
+        let mut per_minute: Vec<usize> = Vec::new();
+
+        for (key, func) in &dataset.functions {
+            if func.total_invocations() < options.min_invocations {
                 continue;
             }
-            let start = minute as u64 * MINUTE_US;
-            let step = spacing_us(count);
-            let slice = &mut invocations[*next..*next + count as usize];
-            // `step * i` stays below one minute, far below 2^53, so it is
-            // exactly what `SimDuration::mul_f64(i)` gave before the cap.
-            for (i, slot) in slice.iter_mut().enumerate() {
-                *slot = Invocation {
-                    time: SimTime::from_micros(start + step * i as u64),
-                    function,
-                };
+            let app_mb = dataset.app_memory_mb.get(&key.app).copied().unwrap_or(0.0);
+            let n_in_app = app_sizes.get(key.app.as_str()).copied().unwrap_or(1).max(1);
+            let mem =
+                MemMb::new(((app_mb / n_in_app as f64).round() as u64).max(options.min_mem_mb));
+            let warm = SimDuration::from_secs_f64(func.avg_duration_ms / 1e3);
+            let cold =
+                SimDuration::from_secs_f64(func.max_duration_ms.max(func.avg_duration_ms) / 1e3);
+            let id = registry
+                .register(key.to_string(), mem, warm, cold)
+                .expect("dataset keys are unique and memory is positive");
+
+            let minutes = &func.per_minute[..func.per_minute.len().min(horizon)];
+            if per_minute.len() < minutes.len() {
+                per_minute.resize(minutes.len(), 0);
             }
-            *next += count as usize;
+            for (n, &count) in per_minute.iter_mut().zip(minutes) {
+                *n += count as usize;
+            }
+            kept.push((id, minutes));
+        }
+        let total = per_minute.iter().sum();
+        Counted {
+            registry,
+            kept,
+            per_minute,
+            total,
         }
     }
-    // Each minute's slice ends where its cursor stopped.
-    let mut from = 0;
-    for &end in &cursor {
-        invocations[from..end].sort_by_key(|inv| inv.time);
-        from = end;
-    }
 
-    Trace::new(registry, invocations)
+    /// The second pass, split into `parts ≥ 1` ranges of minutes.
+    fn write(self, parts: usize) -> Trace {
+        assert!(parts > 0, "a day is written in at least one part");
+        let steps: Vec<u64> = (1..=STEP_TABLE).map(spacing_us).collect();
+
+        // Part `p` ends at the first minute that starts at or after `p /
+        // parts` of the day's invocations.
+        let mut work = Vec::with_capacity(parts);
+        let (mut from, mut at, mut part_len, mut widest) = (0, 0, 0, 0);
+        for (minute, &n) in self.per_minute.iter().enumerate() {
+            if at >= self.total * (work.len() + 1) / parts && work.len() + 1 < parts {
+                work.push((from..minute, part_len, widest));
+                (from, part_len, widest) = (minute, 0, 0);
+            }
+            at += n;
+            part_len += n;
+            widest = widest.max(n);
+        }
+        work.push((from..self.per_minute.len(), part_len, widest));
+
+        // Every slot is overwritten by its part.
+        let blank = Invocation {
+            time: SimTime::ZERO,
+            function: FunctionId::from_index(0),
+        };
+        let mut invocations = vec![blank; self.total];
+        let mut keys = vec![0; work.iter().map(|&(_, _, widest)| widest).sum()];
+        let (mut out_left, mut keys_left) = (&mut invocations[..], &mut keys[..]);
+        let mut parts = Vec::with_capacity(work.len());
+        for (minutes, len, widest) in work {
+            let (out, out_rest) = out_left.split_at_mut(len);
+            let (keys, keys_rest) = keys_left.split_at_mut(widest);
+            parts.push(Part { minutes, out, keys });
+            (out_left, keys_left) = (out_rest, keys_rest);
+        }
+
+        let (kept, steps) = (&self.kept[..], &steps[..]);
+        let mut parts = parts.into_iter();
+        let here = parts.next().expect("at least one part");
+        std::thread::scope(|scope| {
+            for part in parts {
+                scope.spawn(move || part.write(kept, steps));
+            }
+            here.write(kept, steps);
+        });
+
+        Trace::from_sorted(self.registry, invocations)
+    }
+}
+
+/// One range of minutes, its share of the day and room for the tail of
+/// its largest minute.
+struct Part<'a> {
+    minutes: Range<usize>,
+    out: &'a mut [Invocation],
+    keys: &'a mut [u64],
+}
+
+impl Part<'_> {
+    fn write(self, kept: &[(FunctionId, &[u32])], steps: &[u64]) {
+        let Part { minutes, out, keys } = self;
+        let mut at = 0;
+        for minute in minutes {
+            let start = minute as u64 * MINUTE_US;
+            let time = SimTime::from_micros(start);
+            let mut tail = 0;
+            for &(function, counts) in kept {
+                let count = counts.get(minute).copied().unwrap_or(0);
+                // Most (function, minute) buckets are empty and which are
+                // is unpredictable, so every function writes a head and
+                // only a non-empty one moves past it; the next write to
+                // that slot overwrites an empty one's.
+                if let Some(slot) = out.get_mut(at) {
+                    *slot = Invocation { time, function };
+                }
+                at += usize::from(count != 0);
+                if count < 2 {
+                    continue;
+                }
+                let later = count as usize - 1;
+                let step = match steps.get(later) {
+                    Some(&step) => step,
+                    None => spacing_us(count),
+                };
+                if step == 0 {
+                    out[at..at + later].fill(Invocation { time, function });
+                    at += later;
+                    continue;
+                }
+                // `step * i` stays below one minute, far below 2^53, so it
+                // is exactly what `SimDuration::mul_f64(i)` gave before the
+                // cap.
+                let id = function.index() as u64;
+                for (key, i) in keys[tail..tail + later].iter_mut().zip(1u64..) {
+                    *key = ((step * i) << 32) | id;
+                }
+                tail += later;
+            }
+            let keys = &mut keys[..tail];
+            keys.sort_unstable();
+            for (slot, &key) in out[at..at + tail].iter_mut().zip(keys.iter()) {
+                *slot = Invocation {
+                    time: SimTime::from_micros(start + (key >> 32)),
+                    function: FunctionId::from_index(key as u32),
+                };
+            }
+            at += tail;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -191,8 +334,9 @@ mod tests {
         d
     }
 
-    /// The parent's algorithm, verbatim: push every function's whole day,
-    /// then let `Trace::new` stable-sort it.
+    /// The algorithm before the per-minute layout: push every function's
+    /// whole day, then let `Trace::new` stable-sort it. The cap, which
+    /// came later, is written out as the module docs state it.
     fn reference(dataset: &AzureDataset, options: &AdaptOptions) -> Trace {
         let app_sizes = dataset.app_sizes();
         let mut registry = FunctionRegistry::new();
@@ -223,7 +367,8 @@ mod tests {
                     }),
                     k => {
                         // k invocations equally spaced throughout the minute.
-                        let step = SimDuration::from_secs_f64(60.0 / k as f64);
+                        let step = SimDuration::from_secs_f64(60.0 / k as f64)
+                            .min(SimDuration::from_micros((MINUTE_US - 1) / u64::from(k - 1)));
                         for i in 0..k {
                             invocations.push(Invocation {
                                 time: minute_start + step.mul_f64(i as f64),
@@ -244,7 +389,16 @@ mod tests {
     }
 
     fn assert_same(a: &Trace, b: &Trace) {
-        assert_eq!(a.invocations(), b.invocations());
+        let (x, y) = (a.invocations(), b.invocations());
+        if let Some(i) = (0..x.len().max(y.len())).find(|&i| x.get(i) != y.get(i)) {
+            panic!(
+                "{} vs {} invocations, first apart at {i}: {:?} vs {:?}",
+                x.len(),
+                y.len(),
+                x.get(i),
+                y.get(i)
+            );
+        }
         let specs = |t: &Trace| t.registry().iter().cloned().collect::<Vec<_>>();
         assert_eq!(specs(a), specs(b));
     }
@@ -282,25 +436,53 @@ mod tests {
         assert_eq!(digest(&t), 0xec41_abe9_baee_af8b);
     }
 
-    /// What one function's minute may carry.
-    const COUNTS: [u32; 5] = [0, 1, 2, 7, 1000];
-    const LENGTHS: [usize; 4] = [0, 3, MINUTES_PER_DAY, 2000];
+    /// The `sim_sweep` harness's first day: 400 functions in 130 apps,
+    /// Zipf 0.8, 20/min at the head and a diurnal amplitude of 0.3, so
+    /// most buckets hold one invocation. Captured like the default day.
+    #[test]
+    fn sweep_day_is_pinned() {
+        let config = SynthConfig {
+            num_functions: 400,
+            num_apps: 130,
+            max_rate_per_min: 20.0,
+            zipf_exponent: 0.8,
+            diurnal_amplitude: 0.3,
+            seed: 0xFAA5_0001,
+            ..SynthConfig::default()
+        };
+        let t = adapt(&generate(&config), &AdaptOptions::default());
+        assert_eq!(t.len(), 336_567);
+        assert_eq!(t.num_functions(), 400);
+        assert_eq!(digest(&t), 0x9b3b_bb33_2995_b128);
+    }
+
+    /// What one function's minute may carry: nothing, counts inside and
+    /// past the step table, and the first count the cap binds.
+    const COUNTS: [u32; 6] = [0, 1, 2, 7, 1000, 10_988];
+    const LENGTHS: [usize; 5] = [0, 1, 3, MINUTES_PER_DAY, 2000];
     const MIN_INVOCATIONS: [u64; 6] = [0, 1, 2, 3, 50, u64::MAX];
 
     /// A day of `len` minutes with `density` in 1..=4: most minutes are
-    /// empty, a few carry 1, 2 or 7, fewer still 1000.
+    /// empty, a few carry 1, 2 or 7, one in 400 carries 1000 or, one in
+    /// 4000, 10,988.
     fn minutes(seed: u64, len: usize, density: u64) -> Vec<u32> {
         let mut rng = faascache_util::rng::Pcg64::seed_from_u64(seed);
         (0..len)
-            .map(|_| match rng.next_below(400) {
-                0 => COUNTS[4],
-                r if r < 1 + 20 * density => COUNTS[1 + (r % 3) as usize],
+            .map(|_| match rng.next_below(4000) {
+                0 => COUNTS[5],
+                r if r < 10 => COUNTS[4],
+                r if r < 10 + 200 * density => COUNTS[1 + (r % 3) as usize],
                 _ => COUNTS[0],
             })
             .collect()
     }
 
-    fn random_dataset(functions: &[(u64, usize, u64, usize)], apps: usize) -> AzureDataset {
+    /// A dataset whose functions span at most `LENGTHS[day]` minutes.
+    fn random_dataset(
+        functions: &[(u64, usize, u64, usize)],
+        apps: usize,
+        day: usize,
+    ) -> AzureDataset {
         let mut d = AzureDataset::new();
         for (n, &(seed, len, density, app)) in functions.iter().enumerate() {
             let app = format!("app{}", app % apps);
@@ -311,7 +493,7 @@ mod tests {
                     func: format!("f{n}"),
                 },
                 AzureFunction {
-                    per_minute: minutes(seed, LENGTHS[len], density),
+                    per_minute: minutes(seed, LENGTHS[len.min(day)], density),
                     avg_duration_ms: 10.0 * (1 + n) as f64,
                     min_duration_ms: 1.0,
                     max_duration_ms: 25.0 * (1 + n) as f64,
@@ -321,27 +503,42 @@ mod tests {
         d
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
+    /// Cases of the reference property: `FAASCACHE_ADAPT_CASES`, or 48.
+    fn adapt_cases() -> u32 {
+        match std::env::var("FAASCACHE_ADAPT_CASES") {
+            Ok(v) => v
+                .parse()
+                .expect("FAASCACHE_ADAPT_CASES must be a case count"),
+            Err(_) => 48,
+        }
+    }
 
-        /// The per-minute layout against the parent's push-then-sort, on
-        /// datasets with empty and filtered-out functions, days of 0, 3,
-        /// 1440 and 2000 minutes and many functions invoked at one
-        /// instant; with and without a horizon.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(adapt_cases()))]
+
+        /// The head/tail layout against the push-then-sort reference, on
+        /// datasets with empty and filtered-out functions, days of 0, 1,
+        /// 3, 1440 and 2000 minutes and many functions invoked at one
+        /// instant; with and without a horizon; and written in every part
+        /// count from 1 to 8.
         #[test]
         fn matches_the_push_then_sort_reference(
-            functions in prop::collection::vec((any::<u64>(), 0usize..4, 1u64..=4, 0usize..4), 0..7),
+            functions in prop::collection::vec((any::<u64>(), 0usize..5, 1u64..=4, 0usize..4), 0..7),
             apps in 1usize..4,
+            day in 0usize..5,
             min in 0usize..6,
             horizon in 0u64..2100,
         ) {
-            let d = random_dataset(&functions, apps);
+            let d = random_dataset(&functions, apps, day);
             let options = AdaptOptions {
                 min_invocations: MIN_INVOCATIONS[min],
                 ..AdaptOptions::default()
             };
             let full = reference(&d, &options);
             assert_same(&adapt(&d, &options), &full);
+            for parts in 1..=8 {
+                assert_same(&adapt_in_parts(&d, &options, parts), &full);
+            }
             let cut = AdaptOptions { horizon_mins: Some(horizon), ..options };
             assert_same(&adapt(&d, &cut), &full.truncated(SimTime::from_mins(horizon)));
         }
@@ -455,6 +652,14 @@ mod tests {
             let spilled = parent_step_us(k) * u64::from(k.saturating_sub(1)) >= MINUTE_US;
             assert_eq!(spacing_us(k) != parent_step_us(k), spilled, "k = {k}");
         }
+    }
+
+    /// A bucket joins its minute's head whole only past this count.
+    #[test]
+    fn the_step_is_0_only_past_60_million_in_a_minute() {
+        assert_eq!(spacing_us(60_000_000), 1);
+        assert_eq!(spacing_us(60_000_001), 0);
+        assert_eq!(spacing_us(u32::MAX), 0);
     }
 
     #[test]

@@ -49,6 +49,19 @@ impl Trace {
         }
     }
 
+    /// Builds a trace from invocations already in time order, without
+    /// [`Trace::new`]'s sort.
+    pub(crate) fn from_sorted(registry: FunctionRegistry, invocations: Vec<Invocation>) -> Self {
+        debug_assert!(
+            invocations.windows(2).all(|w| w[0].time <= w[1].time),
+            "invocations are in time order"
+        );
+        Trace {
+            registry,
+            invocations,
+        }
+    }
+
     /// The function registry.
     pub fn registry(&self) -> &FunctionRegistry {
         &self.registry

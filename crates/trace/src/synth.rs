@@ -20,7 +20,7 @@
 //! simulation) is identical whichever source is used.
 
 use crate::azure::{AzureDataset, AzureFunction, AzureFunctionKey, MINUTES_PER_DAY};
-use faascache_util::dist::{LogNormal, Poisson, Zipf};
+use faascache_util::dist::{LogNormal, Poisson};
 use faascache_util::rng::Pcg64;
 
 /// Configuration of the synthetic dataset generator.
@@ -118,10 +118,12 @@ pub fn generate(config: &SynthConfig) -> AzureDataset {
     let cold_dist =
         LogNormal::from_median_sigma(config.cold_factor_median, config.cold_factor_sigma)
             .expect("valid cold-factor log-normal");
-    // Zipf used only for rate shaping; rates assigned by rank directly so
-    // ranks are exact rather than sampled.
-    let _ = Zipf::new(config.num_functions as u64, config.zipf_exponent)
-        .expect("valid zipf parameters");
+    // Rates are assigned by Zipf rank directly, so ranks are exact rather
+    // than sampled; only the exponent needs checking.
+    assert!(
+        config.zipf_exponent.is_finite() && config.zipf_exponent >= 0.0,
+        "valid zipf parameters: zipf exponent must be finite and non-negative"
+    );
 
     // App memory.
     for a in 0..config.num_apps {
@@ -170,11 +172,15 @@ pub fn generate(config: &SynthConfig) -> AzureDataset {
                 m += period_mins as i64;
             }
         } else {
-            // Poisson arrivals with diurnal modulation.
-            for (slot, diurnal) in per_minute.iter_mut().zip(&diurnal) {
-                let lambda = rate * diurnal;
-                let p = Poisson::new(lambda).expect("non-negative rate");
-                *slot = p.sample(&mut rng).min(u32::MAX as u64) as u32;
+            // Poisson arrivals with diurnal modulation: minute m's mean is
+            // rate × diurnal[m]. `sample_scaled` computes all 1,440 limits
+            // before its first draw; that pass draws nothing, so the draws
+            // are those of one `Poisson::new(rate × diurnal[m])` a minute.
+            let draws = Poisson::new(rate)
+                .expect("non-negative rate")
+                .sample_scaled(&diurnal, &mut rng);
+            for (slot, n) in per_minute.iter_mut().zip(draws) {
+                *slot = n.min(u32::MAX as u64) as u32;
             }
         }
 
@@ -365,6 +371,31 @@ mod tests {
     fn default_dataset_is_pinned() {
         let d = generate(&SynthConfig::default());
         assert_eq!(digest(&d), 0x394d_d542_bd95_a847);
+    }
+
+    /// The `sim_sweep` harness's first dataset (see
+    /// `adapt::tests::sweep_day_is_pinned`), captured like the default.
+    #[test]
+    fn sweep_dataset_is_pinned() {
+        let d = generate(&SynthConfig {
+            num_functions: 400,
+            num_apps: 130,
+            max_rate_per_min: 20.0,
+            zipf_exponent: 0.8,
+            diurnal_amplitude: 0.3,
+            seed: 0xFAA5_0001,
+            ..SynthConfig::default()
+        });
+        assert_eq!(digest(&d), 0xbbe4_25a1_007c_cf36);
+    }
+
+    #[test]
+    #[should_panic(expected = "valid zipf parameters")]
+    fn negative_zipf_exponent_panics() {
+        let _ = generate(&SynthConfig {
+            zipf_exponent: -0.5,
+            ..SynthConfig::default()
+        });
     }
 
     #[test]
