@@ -9,8 +9,9 @@
 //! table's notion of "absent": there is no per-entry insert or remove, so
 //! a function whose last container leaves resets its slot instead of
 //! freeing it and the next warm cycle allocates nothing. Keep `T` small (a
-//! counter, a `Vec` header, an `Option<Box<_>>`): the table holds one slot
-//! for every id up to the largest it has been asked to write.
+//! counter, a `Vec` header, HIST's ~150-byte record of one function): the
+//! table holds one slot for every id up to the largest it has been asked
+//! to write.
 
 use crate::function::FunctionId;
 
@@ -34,6 +35,11 @@ impl<T: Default> FnTable<T> {
         T: Copy,
     {
         self.get(function).copied().unwrap_or_default()
+    }
+
+    /// Every slot written so far, by function index.
+    pub(crate) fn as_slice(&self) -> &[T] {
+        &self.slots
     }
 
     /// Mutable access without growing; `None` as for [`Self::get`].

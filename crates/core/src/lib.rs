@@ -59,4 +59,4 @@ mod slot_table;
 pub use container::{Container, ContainerId, ContainerState};
 pub use error::CoreError;
 pub use function::{FunctionId, FunctionRegistry, FunctionSpec, TenantId, DEFAULT_TENANT};
-pub use pool::{Acquire, ContainerPool, PoolConfig, TenantLedger};
+pub use pool::{Acquire, ContainerPool, IdleView, PoolConfig, TenantLedger};

@@ -19,6 +19,7 @@
 
 use crate::container::{Container, ContainerId};
 use crate::function::{FunctionId, FunctionSpec};
+use crate::pool::IdleView;
 use faascache_util::SimTime;
 use std::fmt;
 use std::str::FromStr;
@@ -35,6 +36,8 @@ mod size_aware;
 mod ttl;
 
 pub use greedy_dual::GreedyDual;
+#[cfg(test)]
+pub(crate) use hist::IatHistogram;
 pub use hist::{Hist, HistConfig};
 pub use index::{Resident, TotalF64};
 pub use landlord::Landlord;
@@ -53,15 +56,18 @@ pub trait KeepAlivePolicy: fmt::Debug + Send {
     /// Short, stable policy name (e.g. `"GD"`, `"TTL"`).
     fn name(&self) -> &'static str;
 
-    /// A request for `spec` arrived, before hit/miss resolution.
+    /// A request for `spec` arrived, before hit/miss resolution. `idle`
+    /// is the pool's idle containers as they stand, for a policy that
+    /// re-keys the function's containers when its request changes them.
     ///
     /// Sequencing contract: if the function has an idle container, the
     /// pool calls [`Self::on_warm_start`] on its most recently used one
-    /// (greatest `(last_used, id)`) immediately after, before any other
-    /// hook or query. A policy that refreshes per-container state here may
-    /// therefore skip that container.
-    fn on_request(&mut self, spec: &FunctionSpec, now: SimTime) {
-        let _ = (spec, now);
+    /// (greatest `(last_used, id)`: the last of `idle.of(spec.id())`)
+    /// immediately after, before any other hook or query. A policy that
+    /// refreshes per-container state here may therefore skip that
+    /// container.
+    fn on_request(&mut self, spec: &FunctionSpec, now: SimTime, idle: IdleView<'_>) {
+        let _ = (spec, now, idle);
     }
 
     /// The invocation was served warm by `container`.
@@ -109,8 +115,10 @@ pub trait KeepAlivePolicy: fmt::Debug + Send {
     fn on_evicted(&mut self, container: &Container, remaining_of_function: usize, now: SimTime);
 
     /// Functions that should be prewarmed at `now` (prefetching policies).
-    fn prewarm_due(&mut self, now: SimTime) -> Vec<FunctionId> {
-        let _ = now;
+    /// `idle` is the pool's idle containers as they stand, for a policy
+    /// whose keys move when it hands out a pre-warm.
+    fn prewarm_due(&mut self, now: SimTime, idle: IdleView<'_>) -> Vec<FunctionId> {
+        let _ = (now, idle);
         Vec::new()
     }
 
@@ -427,8 +435,8 @@ mod tests {
         fn name(&self) -> &'static str {
             self.inner().name()
         }
-        fn on_request(&mut self, spec: &FunctionSpec, now: SimTime) {
-            self.inner().on_request(spec, now)
+        fn on_request(&mut self, spec: &FunctionSpec, now: SimTime, idle: IdleView<'_>) {
+            self.inner().on_request(spec, now, idle)
         }
         fn on_warm_start(&mut self, c: &Container, now: SimTime) {
             self.inner().on_warm_start(c, now)
@@ -448,8 +456,8 @@ mod tests {
         fn on_evicted(&mut self, c: &Container, remaining: usize, now: SimTime) {
             self.inner().on_evicted(c, remaining, now)
         }
-        fn prewarm_due(&mut self, now: SimTime) -> Vec<FunctionId> {
-            self.inner().prewarm_due(now)
+        fn prewarm_due(&mut self, now: SimTime, idle: IdleView<'_>) -> Vec<FunctionId> {
+            self.inner().prewarm_due(now, idle)
         }
     }
 

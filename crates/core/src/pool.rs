@@ -332,7 +332,7 @@ impl ContainerPool {
     /// [`crate::function::FunctionRegistry`]: function identity is the
     /// dense [`FunctionId`], and ids from different registries collide.
     pub fn acquire(&mut self, spec: &FunctionSpec, now: SimTime) -> Acquire {
-        self.policy.on_request(spec, now);
+        self.policy.on_request(spec, now, self.idle.view());
 
         // Warm path: most recently used idle container of this function.
         if let Some(id) = self.idle.most_recent_of(spec.id()) {
@@ -401,7 +401,7 @@ impl ContainerPool {
 
     /// Functions the policy wants prewarmed at `now`.
     pub fn prewarm_due(&mut self, now: SimTime) -> Vec<FunctionId> {
-        self.policy.prewarm_due(now)
+        self.policy.prewarm_due(now, self.idle.view())
     }
 
     /// Creates a warm container for `spec` speculatively (prefetch).
@@ -614,6 +614,31 @@ impl ContainerPool {
 /// Sorted `(last_used, id)` keys of one function's idle containers.
 type IdleOrder = Vec<(SimTime, ContainerId)>;
 
+/// A read-only view of the pool's idle containers, per function, each in
+/// ascending `(last_used, id)` order: the warm pick, the container
+/// [`ContainerPool::acquire`] takes next, is the last. The pool hands it
+/// to [`KeepAlivePolicy::on_request`] and [`KeepAlivePolicy::prewarm_due`],
+/// so a policy that re-keys a function's idle containers there keeps no
+/// list of them itself.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IdleView<'a> {
+    by_fn: &'a [IdleOrder],
+}
+
+impl<'a> IdleView<'a> {
+    /// A view of `by_fn`: the idle keys of function index `i` at `i`,
+    /// each ascending.
+    #[cfg(test)]
+    pub(crate) fn new(by_fn: &'a [IdleOrder]) -> Self {
+        IdleView { by_fn }
+    }
+
+    /// The idle containers of `function`, least recently used first.
+    pub fn of(&self, function: FunctionId) -> &'a [(SimTime, ContainerId)] {
+        self.by_fn.get(function.index()).map_or(&[], Vec::as_slice)
+    }
+}
+
 /// Which containers are idle: the pool's persistent idle-set index.
 #[derive(Debug, Default)]
 struct IdleIndex {
@@ -628,9 +653,15 @@ struct IdleIndex {
 }
 
 impl IdleIndex {
+    fn view(&self) -> IdleView<'_> {
+        IdleView {
+            by_fn: self.by_fn.as_slice(),
+        }
+    }
+
     /// The idle containers of `function`, least recently used first.
     fn of(&self, function: FunctionId) -> &[(SimTime, ContainerId)] {
-        self.by_fn.get(function).map_or(&[], Vec::as_slice)
+        self.view().of(function)
     }
 
     /// Most recently used idle container of `function` (the higher id

@@ -3,7 +3,7 @@
 #![cfg(test)]
 
 use crate::function::FunctionRegistry;
-use crate::policy::{GreedyDual, Landlord, PolicyKind};
+use crate::policy::{GreedyDual, HistConfig, IatHistogram, Landlord, PolicyKind};
 use crate::pool::{Acquire, ContainerPool};
 use faascache_util::{MemMb, SimDuration, SimTime};
 use proptest::prelude::*;
@@ -177,6 +177,62 @@ proptest! {
                 );
             }
         }
+    }
+
+    /// HIST's percentile bucket never decreases as the quantile grows.
+    #[test]
+    fn histogram_percentile_monotone_in_q(
+        values in prop::collection::vec(0.0f64..100.0, 1..100),
+    ) {
+        let mut h = IatHistogram::new(HistConfig {
+            bucket_width: SimDuration::from_mins(1),
+            num_buckets: 128,
+            ..HistConfig::default()
+        });
+        for &v in &values {
+            h.record(v);
+        }
+        let mut prev = 0usize;
+        for step in 0..=10 {
+            let b = h.percentile_bucket(step as f64 / 10.0);
+            prop_assert!(b >= prev, "percentile bucket decreased");
+            prev = b;
+        }
+    }
+
+    /// HIST's percentile bucket against the plain definition, for a pair
+    /// of quantiles: the first bucket at which the cumulative in-range
+    /// count reaches `ceil(q × in-range)`, at least 1; the last bucket
+    /// when none does.
+    #[test]
+    fn histogram_percentile_pair_matches_the_definition(
+        values in prop::collection::vec(0.0f64..160.0, 0..100),
+        a in 0.0f64..1.0,
+        b in 0.0f64..1.0,
+    ) {
+        let num_buckets = 128;
+        let mut h = IatHistogram::new(HistConfig {
+            bucket_width: SimDuration::from_mins(1),
+            num_buckets,
+            ..HistConfig::default()
+        });
+        for &v in &values {
+            h.record(v);
+        }
+        let by_definition = |q: f64| {
+            let in_range = h.count() - h.overflow_count();
+            let target = (q * in_range as f64).ceil().max(1.0) as u64;
+            let mut cum = 0;
+            h.counts()
+                .iter()
+                .position(|&c| {
+                    cum += c;
+                    in_range > 0 && cum >= target
+                })
+                .unwrap_or(num_buckets - 1)
+        };
+        prop_assert_eq!(h.percentile_bucket(a), by_definition(a));
+        prop_assert_eq!(h.percentile_bucket(b), by_definition(b));
     }
 
     /// Registry validation holds under arbitrary inputs.

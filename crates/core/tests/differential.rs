@@ -27,7 +27,7 @@ use faascache_core::function::{FunctionId, FunctionRegistry, FunctionSpec};
 use faascache_core::policy::{
     GreedyDual, Hist, HistConfig, KeepAlivePolicy, Lfu, Lru, PolicyKind, SizeAware, TotalF64, Ttl,
 };
-use faascache_core::pool::{Acquire, ContainerPool, PoolConfig};
+use faascache_core::pool::{Acquire, ContainerPool, IdleView, PoolConfig};
 use faascache_util::{MemMb, SimDuration, SimTime};
 use proptest::prelude::*;
 use std::cmp::Reverse;
@@ -65,8 +65,8 @@ impl<P: KeepAlivePolicy, K: Ord + std::fmt::Debug> KeepAlivePolicy for Scan<P, K
     fn name(&self) -> &'static str {
         self.inner.name()
     }
-    fn on_request(&mut self, spec: &FunctionSpec, now: SimTime) {
-        self.inner.on_request(spec, now);
+    fn on_request(&mut self, spec: &FunctionSpec, now: SimTime, idle: IdleView<'_>) {
+        self.inner.on_request(spec, now, idle);
     }
     fn on_warm_start(&mut self, c: &Container, now: SimTime) {
         self.idle.remove(&c.id());
@@ -104,8 +104,8 @@ impl<P: KeepAlivePolicy, K: Ord + std::fmt::Debug> KeepAlivePolicy for Scan<P, K
         self.idle.remove(&c.id());
         self.inner.on_evicted(c, remaining, now);
     }
-    fn prewarm_due(&mut self, now: SimTime) -> Vec<FunctionId> {
-        self.inner.prewarm_due(now)
+    fn prewarm_due(&mut self, now: SimTime, idle: IdleView<'_>) -> Vec<FunctionId> {
+        self.inner.prewarm_due(now, idle)
     }
 }
 

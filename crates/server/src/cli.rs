@@ -59,6 +59,7 @@ impl FromStr for Period {
 
 /// The most `--shards` or `--functions` a command line may ask for: each
 /// is an allocation (~0.5 KB, ~6 KB), and `u32::MAX` asks for terabytes.
+/// [`Daemon::bind`] holds a library caller's shard count to it too.
 pub const MAX_COUNT: usize = 1 << 16;
 
 /// A command line that does not parse, or asked for `--help`: printed,

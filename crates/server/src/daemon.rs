@@ -23,7 +23,7 @@
 //! [`DaemonReport`] whose counters account for every request that was
 //! ever read off a socket.
 
-use crate::cli::Period;
+use crate::cli::{Period, MAX_COUNT};
 use crate::driver::{self, Front};
 use crate::fault::FaultConfig;
 use crate::journal::{registry_digest, Journal, JournalRecord};
@@ -106,7 +106,8 @@ impl std::fmt::Display for IoModel {
 /// Tuning knobs of a daemon instance.
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
-    /// Number of invoker shards.
+    /// Number of invoker shards, at most [`MAX_COUNT`]: [`Daemon::bind`]
+    /// refuses more.
     pub shards: NonZeroUsize,
     /// Total keep-alive memory, split evenly across shards.
     pub total_mem: MemMb,
@@ -764,12 +765,27 @@ impl Daemon {
     /// to the binary endpoint), and builds the invoker; call
     /// [`Daemon::run`] to start serving. The `registry` must be the same
     /// one the load generator derives — see [`crate::workload`].
+    ///
+    /// # Errors
+    ///
+    /// `InvalidInput`, before anything is bound or built, when
+    /// `config.shards` is above [`MAX_COUNT`]; otherwise what binding the
+    /// listeners returns.
     pub fn bind(
         endpoint: &Endpoint,
         http_addr: Option<&str>,
         config: DaemonConfig,
         registry: FunctionRegistry,
     ) -> io::Result<Daemon> {
+        if config.shards.get() > MAX_COUNT {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "DaemonConfig.shards is {}, at most {MAX_COUNT}",
+                    config.shards
+                ),
+            ));
+        }
         #[cfg(not(target_os = "linux"))]
         if config.io_model == IoModel::Epoll {
             return Err(io::Error::new(

@@ -253,6 +253,32 @@ fn zero_shards_is_refused() {
     assert_eq!(reason, Some("bad or missing value for --shards"));
 }
 
+/// The command line's cap on `--shards` holds for a library caller too:
+/// a config of `1 << 20` shards is refused at bind, at once and naming
+/// the field, instead of building a million shards.
+#[test]
+fn a_shard_count_past_the_cap_is_refused_at_bind() {
+    let config = DaemonConfig {
+        shards: NonZeroUsize::new(1 << 20).unwrap(),
+        ..test_config()
+    };
+    let registry = small_workload().build().registry().clone();
+    let started = Instant::now();
+    let Err(err) = Daemon::bind(&unix_endpoint(), None, config, registry) else {
+        panic!("bound a daemon of 1 << 20 shards");
+    };
+    assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+    assert_eq!(
+        err.to_string(),
+        "DaemonConfig.shards is 1048576, at most 65536"
+    );
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "{:?}",
+        started.elapsed()
+    );
+}
+
 /// A zero socket timeout failed every read on the accept path. The
 /// daemon's read timeout has no flag, and its type holds no zero: a zero
 /// [`Period`] does not construct.

@@ -8,6 +8,7 @@
 use faascache_core::container::{Container, ContainerId};
 use faascache_core::function::{FunctionId, FunctionRegistry, FunctionSpec};
 use faascache_core::policy::{KeepAlivePolicy, PolicyKind, TenantWeights};
+use faascache_core::pool::IdleView;
 use faascache_sim::sim::{SimConfig, Simulation};
 use faascache_trace::record::{Invocation, Trace};
 use faascache_util::stats::LatencySummary;
@@ -29,8 +30,8 @@ impl KeepAlivePolicy for Recording {
     fn name(&self) -> &'static str {
         self.inner.name()
     }
-    fn on_request(&mut self, spec: &FunctionSpec, now: SimTime) {
-        self.inner.on_request(spec, now)
+    fn on_request(&mut self, spec: &FunctionSpec, now: SimTime, idle: IdleView<'_>) {
+        self.inner.on_request(spec, now, idle)
     }
     fn on_warm_start(&mut self, c: &Container, now: SimTime) {
         self.delays_ms.lock().unwrap().push(0.0);
@@ -55,8 +56,8 @@ impl KeepAlivePolicy for Recording {
     fn on_evicted(&mut self, c: &Container, remaining: usize, now: SimTime) {
         self.inner.on_evicted(c, remaining, now)
     }
-    fn prewarm_due(&mut self, now: SimTime) -> Vec<FunctionId> {
-        self.inner.prewarm_due(now)
+    fn prewarm_due(&mut self, now: SimTime, idle: IdleView<'_>) -> Vec<FunctionId> {
+        self.inner.prewarm_due(now, idle)
     }
     fn priority_of(&self, c: &Container) -> Option<f64> {
         self.inner.priority_of(c)

@@ -7,7 +7,7 @@
 //!   generator so that every experiment is reproducible bit-for-bit,
 //! - [`dist`]: the statistical distributions used to synthesize
 //!   Azure-Functions-like workloads (Zipf, log-normal, exponential, Poisson),
-//! - [`stats`]: online statistics (Welford mean/variance, EWMA, histograms,
+//! - [`stats`]: online statistics (Welford mean/variance, EWMA,
 //!   percentiles) used by keep-alive policies and the elastic controller,
 //! - [`time`]: microsecond-resolution virtual time ([`SimTime`],
 //!   [`SimDuration`]) used throughout the simulator and platform emulator,

@@ -4,7 +4,7 @@
 
 use crate::dist::{Exponential, LogNormal, Poisson, Zipf};
 use crate::rng::Pcg64;
-use crate::stats::{percentile, Histogram, Welford};
+use crate::stats::{percentile, Welford};
 use crate::{MemMb, SimDuration, SimTime};
 use proptest::prelude::*;
 
@@ -106,51 +106,6 @@ proptest! {
         let min = values.iter().cloned().fold(f64::MAX, f64::min);
         let max = values.iter().cloned().fold(f64::MIN, f64::max);
         prop_assert!(p >= min && p <= max);
-    }
-
-    #[test]
-    fn histogram_percentile_monotone_in_q(
-        values in prop::collection::vec(0.0f64..100.0, 1..100),
-    ) {
-        let mut h = Histogram::new(1.0, 128);
-        for &v in &values {
-            h.record(v);
-        }
-        let mut prev = 0usize;
-        for step in 0..=10 {
-            let b = h.percentile_bucket(step as f64 / 10.0);
-            prop_assert!(b >= prev, "percentile bucket decreased");
-            prev = b;
-        }
-    }
-
-    /// The percentile bucket against the plain definition, for a pair of
-    /// quantiles: the first bucket at which the cumulative in-range count
-    /// reaches `ceil(q × in-range)`, at least 1.
-    #[test]
-    fn histogram_percentile_pair_matches_the_definition(
-        values in prop::collection::vec(0.0f64..160.0, 0..100),
-        a in 0.0f64..1.0,
-        b in 0.0f64..1.0,
-    ) {
-        let mut h = Histogram::new(1.0, 128);
-        for &v in &values {
-            h.record(v);
-        }
-        let by_definition = |q: f64| {
-            let in_range = h.count() - h.overflow_count();
-            let target = (q * in_range as f64).ceil().max(1.0) as u64;
-            let mut cum = 0;
-            h.counts()
-                .iter()
-                .position(|&c| {
-                    cum += c;
-                    in_range > 0 && cum >= target
-                })
-                .unwrap_or(h.counts().len() - 1)
-        };
-        prop_assert_eq!(h.percentile_bucket(a), by_definition(a));
-        prop_assert_eq!(h.percentile_bucket(b), by_definition(b));
     }
 
     #[test]

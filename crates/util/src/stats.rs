@@ -6,8 +6,6 @@
 //!   Welford 1962).
 //! - [`Ewma`] is the exponentially weighted moving average the proportional
 //!   controller uses to smooth the arrival rate (§5.2).
-//! - [`Histogram`] is a fixed-width bucket histogram with percentile
-//!   queries, used for IAT histograms (minute buckets up to four hours).
 //! - [`percentile`] computes percentiles of unsorted samples.
 
 /// Welford's online algorithm for mean and variance.
@@ -131,125 +129,6 @@ impl Ewma {
     /// Current smoothed value (0 if nothing observed yet).
     pub fn value(&self) -> f64 {
         self.value.unwrap_or(0.0)
-    }
-}
-
-/// A fixed-bucket-width histogram over `[0, width × buckets)` with an
-/// overflow bucket, supporting percentile ("head"/"tail") queries.
-///
-/// The HIST keep-alive policy records function inter-arrival times in
-/// minute-wide buckets up to four hours, then picks its pre-warm window from
-/// the head percentile and its keep-alive TTL from the tail percentile.
-///
-/// # Examples
-///
-/// ```
-/// use faascache_util::stats::Histogram;
-/// let mut h = Histogram::new(1.0, 240);
-/// h.record(5.2);
-/// h.record(5.7);
-/// h.record(100.0);
-/// assert_eq!(h.count(), 3);
-/// assert_eq!(h.bucket_value(h.percentile_bucket(0.5)), 5.5);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    width: f64,
-    counts: Vec<u64>,
-    overflow: u64,
-    total: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `buckets` buckets of width `width`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` is not positive/finite or `buckets == 0`.
-    pub fn new(width: f64, buckets: usize) -> Self {
-        assert!(width.is_finite() && width > 0.0, "width must be positive");
-        assert!(buckets > 0, "need at least one bucket");
-        Histogram {
-            width,
-            counts: vec![0; buckets],
-            overflow: 0,
-            total: 0,
-        }
-    }
-
-    /// Records an observation; negative values clamp to bucket 0, values
-    /// beyond the last bucket go to the overflow bucket. Returns the bucket
-    /// it was counted in, `None` for the overflow bucket.
-    pub fn record(&mut self, x: f64) -> Option<usize> {
-        self.total += 1;
-        let idx = if x < 0.0 {
-            0
-        } else {
-            (x / self.width) as usize
-        };
-        match self.counts.get_mut(idx) {
-            Some(count) => {
-                *count += 1;
-                Some(idx)
-            }
-            None => {
-                self.overflow += 1;
-                None
-            }
-        }
-    }
-
-    /// Total number of observations (including overflow).
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Number of observations that exceeded the histogram range.
-    pub fn overflow_count(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Fraction of observations that exceeded the histogram range.
-    pub fn overflow_fraction(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.overflow as f64 / self.total as f64
-        }
-    }
-
-    /// How many in-range observations, counted from the lowest bucket, the
-    /// bucket of the `q`-th percentile (0 ≤ q ≤ 1) must reach: `q` of
-    /// them, rounded up, and at least one.
-    pub fn percentile_rank(&self, q: f64) -> u64 {
-        let in_range = self.total - self.overflow;
-        (q.clamp(0.0, 1.0) * in_range as f64).ceil().max(1.0) as u64
-    }
-
-    /// Index of the first bucket at which the cumulative in-range count
-    /// reaches [`Self::percentile_rank`] of `q`.
-    ///
-    /// Returns the last bucket if the histogram is empty in range.
-    pub fn percentile_bucket(&self, q: f64) -> usize {
-        let rank = self.percentile_rank(q);
-        let mut cum = 0;
-        self.counts
-            .iter()
-            .position(|&c| {
-                cum += c;
-                cum >= rank
-            })
-            .unwrap_or(self.counts.len() - 1)
-    }
-
-    /// Representative (midpoint) value of a bucket.
-    pub fn bucket_value(&self, idx: usize) -> f64 {
-        (idx as f64 + 0.5) * self.width
-    }
-
-    /// Raw bucket counts (excludes overflow).
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
     }
 }
 
@@ -484,44 +363,6 @@ mod tests {
     #[should_panic(expected = "alpha must be in")]
     fn ewma_rejects_bad_alpha() {
         let _ = Ewma::new(0.0);
-    }
-
-    #[test]
-    fn histogram_percentiles() {
-        let mut h = Histogram::new(1.0, 10);
-        // 10 observations in bucket 2, 10 in bucket 7.
-        for _ in 0..10 {
-            h.record(2.5);
-            h.record(7.5);
-        }
-        assert_eq!(h.percentile_bucket(0.05), 2);
-        assert_eq!(h.percentile_bucket(0.5), 2);
-        assert_eq!(h.percentile_bucket(0.51), 7);
-        assert_eq!(h.percentile_bucket(0.99), 7);
-    }
-
-    #[test]
-    fn histogram_overflow_tracked() {
-        let mut h = Histogram::new(1.0, 4);
-        h.record(100.0);
-        h.record(1.0);
-        assert_eq!(h.overflow_count(), 1);
-        assert!((h.overflow_fraction() - 0.5).abs() < 1e-12);
-        assert_eq!(h.percentile_bucket(1.0), 1);
-    }
-
-    #[test]
-    fn histogram_negative_clamps_to_zero_bucket() {
-        let mut h = Histogram::new(1.0, 4);
-        h.record(-3.0);
-        assert_eq!(h.counts()[0], 1);
-    }
-
-    #[test]
-    fn histogram_empty_percentile_is_last_bucket() {
-        let h = Histogram::new(2.0, 5);
-        assert_eq!(h.percentile_bucket(0.5), 4);
-        assert_eq!(h.bucket_value(4), 9.0);
     }
 
     #[test]
