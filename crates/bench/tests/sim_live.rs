@@ -4,23 +4,21 @@
 //! Both replay the first four hours of the representative sample (22,920
 //! invocations) under all seven policies at the smallest, the middle and
 //! the largest Figure-6 size, with one eviction batch and one tick period
-//! (the live node's tick is `ShardedInvoker::reap`). Their per-function
-//! warm/cold/dropped counts differ for two reasons, and only these two:
-//!
-//! - `ShardedInvoker::invoke` completes each invocation inside the call
-//!   and advances the shard clock to its finish (`Shard::advance(finish)`),
-//!   so overlapping executions are serialised: an arrival during another
-//!   execution is served later, warm, by the container that execution just
-//!   released, where the simulator starts a second container cold.
-//! - The invoker never pre-warms (nothing calls `prewarm_due`), so HIST
-//!   diverges.
+//! (the live node's tick is `ShardedInvoker::housekeep`, which runs the
+//! simulator's own `engine::housekeep`). Their per-function
+//! warm/cold/dropped counts differ for one reason only:
+//! `ShardedInvoker::invoke` completes each invocation inside the call and
+//! advances the shard clock to its finish (`Shard::advance(finish)`), so
+//! overlapping executions are serialised: an arrival during another
+//! execution is served later, warm, by the container that execution just
+//! released, where the simulator starts a second container cold.
 //!
 //! `representative_differences_are_pinned` pins, per policy and size, how
 //! many of the 400 functions differ and the live warm total minus the
 //! simulator's (either sign: changed starts change later evictions).
-//! `sequential_trace_agrees_except_hist` removes the first cause: with no
-//! overlapping execution (6,568 invocations, still evicting at 10 GB),
-//! every policy but HIST decides identically.
+//! `sequential_trace_agrees` removes that cause: with no overlapping
+//! execution (6,568 invocations, still evicting at 10 GB), every policy
+//! decides identically.
 
 use faascache::prelude::*;
 use faascache::sim::engine::{self, Completions, Node};
@@ -53,7 +51,7 @@ impl Node for Live<'_> {
     fn complete(&mut self, _: (), _: SimTime, _: &mut Completions<()>) {}
 
     fn tick(&mut self, now: SimTime, _: &mut Completions<()>) {
-        self.invoker.reap(now);
+        self.invoker.housekeep(self.registry, now);
     }
 }
 
@@ -100,7 +98,7 @@ fn representative_differences_are_pinned() {
         ("GD", 10, 259, 1833), ("GD", 40, 120, 348), ("GD", 80, 32, 11),
         ("TTL", 10, 235, -84), ("TTL", 40, 57, 76), ("TTL", 80, 90, 143),
         ("LRU", 10, 235, -84), ("LRU", 40, 57, 76), ("LRU", 80, 35, 11),
-        ("HIST", 10, 238, 1914), ("HIST", 40, 199, -193), ("HIST", 80, 265, -850),
+        ("HIST", 10, 239, 1927), ("HIST", 40, 190, 300), ("HIST", 80, 200, 118),
         ("SIZE", 10, 327, 69), ("SIZE", 40, 199, -1438), ("SIZE", 80, 48, -469),
         ("LND", 10, 270, 921), ("LND", 40, 167, 33), ("LND", 80, 44, 17),
         ("FREQ", 10, 230, 1151), ("FREQ", 40, 112, 106), ("FREQ", 80, 35, 12),
@@ -109,7 +107,7 @@ fn representative_differences_are_pinned() {
 }
 
 #[test]
-fn sequential_trace_agrees_except_hist() {
+fn sequential_trace_agrees() {
     // Keep an invocation only once the previous kept one ran, even cold.
     let full = trace();
     let registry = full.registry();
@@ -125,11 +123,7 @@ fn sequential_trace_agrees_except_hist() {
     for policy in PolicyKind::ALL {
         for memory in sizes() {
             let (sim, live) = sim_and_live(&trace, policy, memory);
-            assert_eq!(
-                sim == live,
-                policy != PolicyKind::Hist,
-                "{policy} at {memory}"
-            );
+            assert_eq!(sim, live, "{policy} at {memory}");
         }
     }
     let smallest = SimConfig::new(sizes()[0], PolicyKind::GreedyDual);

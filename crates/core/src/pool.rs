@@ -62,23 +62,30 @@ use std::sync::Arc;
 /// sites — container insertion and adoption (`+mem`), idle extraction and
 /// eviction (`−mem`) — and each notifies the ledger with the container's
 /// tenant tag. A quota-accounting layer implements this to maintain exact
-/// per-tenant warm-memory totals without mirroring any pool state; the
-/// default ledger does nothing.
+/// per-tenant warm-memory totals without mirroring any pool state, and
+/// answers whether a tenant may grow by a pre-warm; the default ledger
+/// does nothing and always says yes.
 pub trait TenantLedger: std::fmt::Debug + Send + Sync {
     /// A container of raw tenant index `tenant` became resident with `mem`.
     fn container_added(&self, tenant: u32, mem: MemMb);
     /// A container of raw tenant index `tenant` left the pool, freeing
     /// `mem`.
     fn container_removed(&self, tenant: u32, mem: MemMb);
+    /// Whether raw tenant index `tenant` is below its memory budget.
+    /// [`ContainerPool::prewarm`] skips a tenant that is not.
+    fn under_budget(&self, tenant: u32) -> bool;
 }
 
-/// The default ledger: ignores every notification.
+/// The default ledger: ignores every notification, knows no budget.
 #[derive(Debug)]
 struct NoopLedger;
 
 impl TenantLedger for NoopLedger {
     fn container_added(&self, _tenant: u32, _mem: MemMb) {}
     fn container_removed(&self, _tenant: u32, _mem: MemMb) {}
+    fn under_budget(&self, _tenant: u32) -> bool {
+        true
+    }
 }
 
 /// Outcome of asking the pool to serve an invocation.
@@ -407,10 +414,13 @@ impl ContainerPool {
     /// Creates a warm container for `spec` speculatively (prefetch).
     ///
     /// Returns `None` — without evicting anything — if the function already
-    /// has an idle container or memory is insufficient; prefetching never
-    /// steals memory from demand traffic.
+    /// has an idle container, its tenant is at its memory budget (see
+    /// [`TenantLedger::under_budget`]) or memory is insufficient;
+    /// prefetching never steals memory from demand traffic.
     pub fn prewarm(&mut self, spec: &FunctionSpec, now: SimTime) -> Option<ContainerId> {
-        if self.warm_count_of(spec.id()) > 0 {
+        if self.warm_count_of(spec.id()) > 0
+            || !self.ledger.under_budget(spec.tenant().index() as u32)
+        {
             return None;
         }
         let id = self.insert_container(spec, now, None)?;

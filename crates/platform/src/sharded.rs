@@ -35,9 +35,10 @@
 //! home.
 
 use crate::tenant::{TenantQuotas, TenantSnapshot, TenantTable};
-use faascache_core::function::{FunctionId, FunctionSpec};
+use faascache_core::function::{FunctionId, FunctionRegistry, FunctionSpec};
 use faascache_core::policy::{KeepAlivePolicy, PolicyKind};
 use faascache_core::pool::{Acquire, ContainerPool, PoolConfig, PoolCounters};
+use faascache_sim::engine;
 use faascache_util::{route, MemMb, SimTime};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -387,10 +388,6 @@ impl ShardedInvoker {
         Self::new(config, policies)
     }
 
-    fn num_shards(&self) -> usize {
-        self.inner.shards.len()
-    }
-
     /// The home shard of a function (stable affinity routing), ignoring
     /// route overrides.
     fn shard_of(&self, function: FunctionId) -> usize {
@@ -501,19 +498,20 @@ impl ShardedInvoker {
         outcome
     }
 
-    /// Applies TTL-style expiry on one shard at virtual time `at`;
-    /// returns the number of containers reaped. [`Self::reap`] runs it
-    /// for each shard in turn, so a reap holds one shard's lock at a time
-    /// and never serializes the whole invoker.
-    fn reap_shard(&self, shard: usize, at: SimTime) -> usize {
-        let s = &self.inner.shards[shard];
-        let now = s.advance(at);
-        lock(&s.locked).pool.reap(now).len()
-    }
-
-    /// Applies TTL-style expiry on every shard; returns the total reaped.
-    pub fn reap(&self, at: SimTime) -> usize {
-        (0..self.num_shards()).map(|i| self.reap_shard(i, at)).sum()
+    /// One housekeeping tick on every shard in turn, at that shard's clock
+    /// advanced to `at`: [`engine::housekeep`], the tick every simulated
+    /// pool runs (TTL reaping, then the pre-warms the policy asks for,
+    /// specs from `registry`). Holds one shard's lock at a time, so it
+    /// never serializes the whole invoker. Returns the total reaped.
+    pub fn housekeep(&self, registry: &FunctionRegistry, at: SimTime) -> usize {
+        self.inner
+            .shards
+            .iter()
+            .map(|s| {
+                let now = s.advance(at);
+                engine::housekeep(&mut lock(&s.locked).pool, registry, now)
+            })
+            .sum()
     }
 
     /// Starts draining: every subsequent invocation is rejected while
@@ -624,7 +622,7 @@ impl ShardedInvoker {
     }
 
     /// One step of background warm-set re-homing, meant to run on the
-    /// reap cadence. Returns the migration performed, if any.
+    /// housekeeping cadence. Returns the migration performed, if any.
     ///
     /// Each call closes one observation window: per-shard served counts
     /// since the previous tick. A shard whose window exceeds the fleet
@@ -1099,9 +1097,59 @@ mod tests {
         for spec in reg.iter() {
             inv.invoke(spec, SimTime::ZERO);
         }
-        assert_eq!(inv.reap(SimTime::from_secs(30)), 0);
-        assert_eq!(inv.reap(SimTime::from_mins(5)), 8);
+        assert_eq!(inv.housekeep(&reg, SimTime::from_secs(30)), 0);
+        assert_eq!(inv.housekeep(&reg, SimTime::from_mins(5)), 8);
         assert_eq!(inv.used_mem(), MemMb::ZERO);
+    }
+
+    /// HIST pre-warms on a live shard, since `housekeep` is the tick the
+    /// simulator runs: a function invoked every 30 minutes is warm again
+    /// at its next arrival — unless its tenant is at its memory budget.
+    #[test]
+    fn housekeep_prewarms_for_hist_unless_the_tenant_is_at_budget() {
+        use crate::tenant::TenantQuota;
+        let mut reg = FunctionRegistry::new();
+        let mut register = |name: &str| {
+            reg.register_in(
+                name,
+                MemMb::new(64),
+                SimDuration::from_millis(5),
+                SimDuration::from_millis(50),
+                "t",
+            )
+            .unwrap()
+        };
+        let periodic = register("periodic");
+        let other = register("other");
+        let run = |capped: bool| {
+            let inv = ShardedInvoker::with_kind(
+                ShardedConfig::split(MemMb::from_gb(1), 1),
+                PolicyKind::Hist,
+            );
+            for mins in [0, 30, 60] {
+                let at = SimTime::from_mins(mins);
+                assert!(inv.invoke(reg.spec(periodic), at).is_served());
+            }
+            // Resident at the pre-warm point: one invocation keeps it
+            // HIST's generic two hours.
+            let at = SimTime::from_mins(70);
+            assert_eq!(inv.invoke(reg.spec(other), at), InvokeOutcome::Cold);
+            if capped {
+                let quota = TenantQuota {
+                    mem_mb: 64,
+                    ..TenantQuota::UNLIMITED
+                };
+                assert!(inv.set_tenant_quota("t", quota));
+            }
+            // Due at 89.5 min: the last arrival, plus the 30.5-minute
+            // head window, less the 1-minute margin. The periodic
+            // function's container left at 61 min, released early.
+            inv.housekeep(&reg, SimTime::from_secs(89 * 60 + 45));
+            let next = inv.invoke(reg.spec(periodic), SimTime::from_mins(90));
+            (inv.pool_counters().prewarms, next)
+        };
+        assert_eq!(run(false), (1, InvokeOutcome::Warm));
+        assert_eq!(run(true), (0, InvokeOutcome::Throttled));
     }
 
     #[test]
@@ -1256,7 +1304,7 @@ mod tests {
             PolicyKind::GreedyDual,
         );
         assert_eq!(inv.capacity(), MemMb::from_gb(4));
-        assert_eq!(inv.num_shards(), 4);
+        assert_eq!(inv.per_shard().len(), 4);
         assert_eq!(inv.used_mem(), MemMb::ZERO);
     }
 }

@@ -11,9 +11,10 @@
 //!   requests per tenant; excess arrivals are throttled.
 //! - **Memory budget** — while a tenant's resident container memory is at
 //!   or above `mem_mb`, new arrivals (which could only grow it) are
-//!   throttled, and the tenant's eviction weight is raised (see
-//!   [`TenantWeights`]) so the greedy-dual policy prefers its containers
-//!   as victims until it is back under budget.
+//!   throttled, pre-warms of its functions are skipped (the table is
+//!   each pool's [`TenantLedger`]), and the tenant's eviction weight is
+//!   raised (see [`TenantWeights`]) so the greedy-dual policy prefers its
+//!   containers as victims until it is back under budget.
 //!
 //! A throttled request gets [`InvokeOutcome::Throttled`] — distinct from
 //! pool-pressure `Dropped` and backpressure `Rejected`, because the right
@@ -161,6 +162,12 @@ impl TenantSlot {
             throttled: AtomicU64::new(0),
         }
     }
+
+    /// Whether resident memory is below the memory budget: what an
+    /// admission checks first, and what a pre-warm needs.
+    fn under_budget(&self) -> bool {
+        self.mem_mb.load(Ordering::Acquire) < self.mem_limit.load(Ordering::Acquire)
+    }
 }
 
 /// A point-in-time snapshot of one tenant's accounting slot.
@@ -295,7 +302,7 @@ impl TenantTable {
     pub fn try_admit(&self, tenant: u32, name: &str) -> Option<TenantAdmission<'_>> {
         let slot = self.slot(tenant);
         self.bind(slot, name);
-        if slot.mem_mb.load(Ordering::Acquire) >= slot.mem_limit.load(Ordering::Acquire) {
+        if !slot.under_budget() {
             slot.throttled.fetch_add(1, Ordering::Relaxed);
             return None;
         }
@@ -391,6 +398,10 @@ impl TenantLedger for TenantTable {
             .fetch_sub(mem.as_mb(), Ordering::AcqRel);
         debug_assert!(before >= mem.as_mb(), "tenant memory underflow");
         self.reweigh(index, before, before.saturating_sub(mem.as_mb()));
+    }
+
+    fn under_budget(&self, tenant: u32) -> bool {
+        self.slot(tenant).under_budget()
     }
 }
 

@@ -481,7 +481,9 @@ impl Harness {
             }
             Op::Reap { gap } => {
                 self.now += gap;
-                let got = self.real.reap(SimTime::from_micros(self.now));
+                let got = self
+                    .real
+                    .housekeep(&self.reg, SimTime::from_micros(self.now));
                 let want = self.model.reap(self.now);
                 assert_eq!(got, want, "reap count diverged at t={}", self.now);
             }

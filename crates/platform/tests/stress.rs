@@ -147,7 +147,7 @@ fn sharded_memory_balances_to_zero_after_ttl_reap() {
 
     // Every container is idle after quiesce; a far-future reap must return
     // the pool to exactly zero bytes — the accounting balances.
-    let reaped = inv.reap(SimTime::from_mins(10_000));
+    let reaped = inv.housekeep(&reg, SimTime::from_mins(10_000));
     assert!(reaped > 0);
     assert_eq!(inv.used_mem(), MemMb::ZERO);
     for shard in inv.per_shard() {

@@ -20,11 +20,12 @@
 //! per socket. The default `threads` model is the original blocking core,
 //! kept as a differential reference.
 //!
-//! Housekeeping: one background thread reaps every shard each
-//! `--reap-ms` (default 500). `--rebalance` adds warm-set re-homing to
-//! that pass: a shard that serves more than 1.5× the fleet mean for two
-//! passes running hands its hottest function's idle warm containers to
-//! the coldest shard, and the function's requests follow them.
+//! Housekeeping: each `--reap-ms` (default 500) one background thread
+//! reaps every shard and makes the pre-warms its policy asks for (HIST's).
+//! `--rebalance` adds warm-set re-homing to that pass: a shard that
+//! serves more than 1.5× the fleet mean for two passes running hands its
+//! hottest function's idle warm containers to the coldest shard, and the
+//! function's requests follow them.
 //!
 //! `--skew zipf:<s>` steepens the workload's per-function rate skew — it
 //! is part of the workload contract and must match the load generator's

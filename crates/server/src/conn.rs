@@ -29,7 +29,7 @@
 //! interest, backpressure, a deadline queue and the blocking-op hand-off.
 
 use crate::http::{self, HttpParser, HttpRequest};
-use crate::proto::{BufPool, FrameDecoder, FrameEncoder, WriteProgress};
+use crate::proto::{FrameDecoder, FrameEncoder, WriteProgress};
 use crate::service::{respond, ConnKind, FrontCounters, Op, Service};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -47,13 +47,11 @@ pub(crate) struct Pending {
 }
 
 /// Buffers a reader reuses across the connections it feeds: the read
-/// chunk, the decoders' output queues, and the pool binary payload
-/// buffers are drawn from and returned to.
+/// chunk and the decoders' output queues.
 pub(crate) struct Scratch {
     chunk: Vec<u8>,
     frames: VecDeque<Vec<u8>>,
     requests: VecDeque<HttpRequest>,
-    pool: BufPool,
 }
 
 impl Default for Scratch {
@@ -62,7 +60,6 @@ impl Default for Scratch {
             chunk: vec![0; CHUNK],
             frames: VecDeque::new(),
             requests: VecDeque::new(),
-            pool: BufPool::serving_default(),
         }
     }
 }
@@ -92,11 +89,10 @@ pub(crate) struct Conn {
 }
 
 impl Conn {
-    /// A connection speaking `kind`, its binary payload buffers drawn
-    /// from `scratch`'s pool.
-    pub(crate) fn new(kind: ConnKind, scratch: &Scratch) -> Conn {
+    /// A connection speaking `kind`.
+    pub(crate) fn new(kind: ConnKind) -> Conn {
         let decoder = match kind {
-            ConnKind::Binary => Decoder::Binary(FrameDecoder::with_pool(scratch.pool.clone())),
+            ConnKind::Binary => Decoder::Binary(FrameDecoder::new()),
             ConnKind::Http => Decoder::Http(HttpParser::new()),
         };
         Conn {
@@ -168,7 +164,6 @@ impl Conn {
         for frame in scratch.frames.drain(..) {
             counters.frames.fetch_add(1, Ordering::Relaxed);
             self.admit(counters, Op::from_frame(&frame), false);
-            scratch.pool.put(frame);
         }
         for request in scratch.requests.drain(..) {
             counters.http_requests.fetch_add(1, Ordering::Relaxed);
@@ -395,7 +390,7 @@ pub(crate) mod tests {
     fn drive(kind: ConnKind, wire: &[u8], cuts: &[usize], sink: &mut Sink) -> Vec<Op> {
         let toy = Toy::default();
         let mut scratch = Scratch::default();
-        let mut conn = Conn::new(kind, &scratch);
+        let mut conn = Conn::new(kind);
         let mut peer = Cut {
             wire,
             cuts,

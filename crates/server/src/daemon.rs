@@ -11,8 +11,9 @@
 //!
 //! The structure mirrors what the FaasCache paper does to OpenWhisk's
 //! invoker, minus Docker: requests carry a function identity, the pool
-//! decides warm/cold/dropped, and keep-alive containers are reaped by one
-//! background housekeeping thread on a wall-clock interval.
+//! decides warm/cold/dropped, and keep-alive containers are reaped (and
+//! pre-warmed, under HIST) by one background housekeeping thread on a
+//! wall-clock interval.
 //!
 //! Shutdown is graceful by construction: a SIGTERM, a protocol
 //! [`Shutdown`](crate::proto::Request::Shutdown) frame, or a
@@ -116,7 +117,8 @@ pub struct DaemonConfig {
     /// Keep-alive policy instantiated on every shard.
     pub policy: PolicyKind,
     /// Wall-clock interval between housekeeping passes: each reaps every
-    /// shard, then runs one re-homing tick when that is enabled.
+    /// shard and makes the pre-warms its policy asks for, then runs one
+    /// re-homing tick when that is enabled.
     pub reap_interval: Period,
     /// Socket read timeout; bounds how long a handler takes to notice
     /// the shutdown flag.
@@ -935,10 +937,12 @@ impl Daemon {
 }
 
 /// The daemon's one background thread, until drain: every `interval` it
-/// reaps each shard in turn (expiry on wall time, like OpenWhisk's
-/// keep-alive sweeps), then closes one re-homing window, which may move
-/// one hot warm set (a no-op unless re-homing is on). Between passes it
-/// parks on the drain latch, so a drain request ends it at once.
+/// housekeeps each shard in turn (expiry on wall time, like OpenWhisk's
+/// keep-alive sweeps, then the policy's pre-warms), then closes one
+/// re-homing window, which may move one hot warm set (a no-op unless
+/// re-homing is on). It reads the registry under its read lock, taken
+/// before any shard lock as on the invoke path. Between passes it parks
+/// on the drain latch, so a drain request ends it at once.
 fn housekeep(shared: &Shared, interval: Duration) {
     let mut due = Instant::now() + interval;
     while !shared.draining() {
@@ -949,7 +953,7 @@ fn housekeep(shared: &Shared, interval: Duration) {
         }
         due = now + interval;
         let at = shared.clock.now();
-        shared.invoker.reap(at);
+        shared.invoker.housekeep(&shared.registry_read(), at);
         if let Some(event) = shared.invoker.rebalance_tick(at) {
             eprintln!(
                 "faascached: re-homed {} shard {} -> {} ({} warm moved, {} left)",

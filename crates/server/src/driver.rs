@@ -231,7 +231,7 @@ fn serve_connection<S: Service, T: Read + Write>(
 ) {
     let counters = svc.counters();
     let mut scratch = Scratch::default();
-    let mut conn = Conn::new(kind, &scratch);
+    let mut conn = Conn::new(kind);
     let mut drain_began = None;
     // Drain is looked for before the requests just read are answered, so
     // they meet its admission rules, and before the next read, so a

@@ -100,6 +100,6 @@ pub use daemon::{
 pub use fault::{FaultConfig, FaultPlan, FaultyStream};
 pub use http::{HttpClient, HttpParseError, HttpParser, HttpRequest};
 pub use journal::{Journal, JournalRecord, RecoveredState};
-pub use proto::{BufPool, FrameDecoder, FrameEncoder};
+pub use proto::{FrameDecoder, FrameEncoder};
 pub use router::{BackendSpec, Router, RouterConfig, RouterReport};
 pub use workload::WorkloadConfig;

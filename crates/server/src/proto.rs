@@ -33,7 +33,6 @@
 use faascache_platform::sharded::{InvokeOutcome, InvokerStats};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
-use std::sync::{Arc, Mutex};
 
 /// Upper bound on a frame payload; anything larger is a protocol error.
 /// Legitimate frames are under 100 bytes — the guard exists so a
@@ -448,72 +447,6 @@ fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> io::Result<FrameRead>
     Ok(FrameRead::Complete)
 }
 
-/// A shared pool of reusable byte buffers.
-///
-/// The serving core decodes one frame per request on connections that
-/// number in the thousands; allocating a fresh `Vec` per frame would make
-/// the allocator the hot path. The pool recycles frame payload buffers
-/// across frames and across the connections one thread reads. It is
-/// deliberately simple — a mutexed free list — because only that thread
-/// takes from it, so the lock is uncontended.
-#[derive(Debug, Clone)]
-pub struct BufPool {
-    free: Arc<Mutex<Vec<Vec<u8>>>>,
-    max_pooled: usize,
-    retain_cap: usize,
-}
-
-impl BufPool {
-    /// A pool retaining up to `max_pooled` buffers of at most
-    /// `retain_cap` bytes capacity each. Larger returned buffers are
-    /// dropped instead of hoarded.
-    pub fn new(max_pooled: usize, retain_cap: usize) -> Self {
-        BufPool {
-            free: Arc::new(Mutex::new(Vec::new())),
-            max_pooled,
-            retain_cap: retain_cap.max(64),
-        }
-    }
-
-    /// A pool sized for the daemon: frames are under 100 bytes, so small
-    /// buffers cover everything but pathological error strings.
-    pub fn serving_default() -> Self {
-        BufPool::new(4096, 512)
-    }
-
-    /// Takes an empty buffer with at least `want` bytes of capacity.
-    pub fn get(&self, want: usize) -> Vec<u8> {
-        if let Ok(mut free) = self.free.lock() {
-            if let Some(mut buf) = free.pop() {
-                buf.clear();
-                if buf.capacity() < want {
-                    buf.reserve(want - buf.capacity());
-                }
-                return buf;
-            }
-        }
-        Vec::with_capacity(want.max(64))
-    }
-
-    /// Returns a buffer to the pool (dropped if the pool is full or the
-    /// buffer outgrew the retention cap).
-    pub fn put(&self, buf: Vec<u8>) {
-        if buf.capacity() == 0 || buf.capacity() > self.retain_cap {
-            return;
-        }
-        if let Ok(mut free) = self.free.lock() {
-            if free.len() < self.max_pooled {
-                free.push(buf);
-            }
-        }
-    }
-
-    /// Buffers currently available for reuse.
-    pub fn available(&self) -> usize {
-        self.free.lock().map(|f| f.len()).unwrap_or(0)
-    }
-}
-
 /// Incremental, resumable frame decoder: the serving side's reader.
 ///
 /// [`read_frame`] parks a thread until a frame completes; a server must
@@ -526,54 +459,24 @@ impl BufPool {
 ///
 /// Oversized length prefixes are rejected exactly like the blocking
 /// reader: an `InvalidData` error before any payload allocation.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct FrameDecoder {
-    pool: Option<BufPool>,
     header: [u8; 4],
     header_filled: usize,
     payload: Option<Vec<u8>>,
     payload_len: usize,
 }
 
-impl Default for FrameDecoder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl FrameDecoder {
-    /// A decoder that allocates payload buffers from the global
-    /// allocator.
+    /// A decoder at the start of a stream.
     pub fn new() -> Self {
-        FrameDecoder {
-            pool: None,
-            header: [0; 4],
-            header_filled: 0,
-            payload: None,
-            payload_len: 0,
-        }
-    }
-
-    /// A decoder that takes payload buffers from `pool`. Completed frames
-    /// are handed to the caller, who returns them to the pool when done.
-    pub fn with_pool(pool: BufPool) -> Self {
-        FrameDecoder {
-            pool: Some(pool),
-            ..Self::new()
-        }
+        Self::default()
     }
 
     /// Whether any byte of an unfinished frame has been consumed. A peer
     /// that closes the stream while this is true tore a frame in half.
     pub fn is_mid_frame(&self) -> bool {
         self.header_filled > 0 || self.payload.is_some()
-    }
-
-    fn alloc_payload(&self, len: usize) -> Vec<u8> {
-        match &self.pool {
-            Some(pool) => pool.get(len),
-            None => Vec::with_capacity(len),
-        }
     }
 
     /// Consumes all of `bytes`, pushing every frame payload that
@@ -598,7 +501,7 @@ impl FrameDecoder {
                 if len > MAX_FRAME {
                     return Err(protocol_error(format!("frame length {len} exceeds cap")));
                 }
-                self.payload = Some(self.alloc_payload(len));
+                self.payload = Some(Vec::with_capacity(len));
                 self.payload_len = len;
             }
             let payload = self.payload.as_mut().expect("payload phase");
@@ -964,22 +867,6 @@ mod tests {
             .feed(&u32::MAX.to_le_bytes(), &mut out)
             .expect_err("oversized prefix");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-    }
-
-    #[test]
-    fn pooled_decoder_recycles_payload_buffers() {
-        let pool = BufPool::new(8, 512);
-        let mut decoder = FrameDecoder::with_pool(pool.clone());
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &[9; 32]).unwrap();
-        let mut out = VecDeque::new();
-        for _ in 0..10 {
-            decoder.feed(&wire, &mut out).unwrap();
-            let frame = out.pop_front().unwrap();
-            assert_eq!(frame, vec![9; 32]);
-            pool.put(frame);
-        }
-        assert!(pool.available() >= 1, "buffers must round-trip the pool");
     }
 
     /// Queues `payload` as one length-prefixed frame.

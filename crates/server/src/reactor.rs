@@ -686,7 +686,7 @@ impl Reactor {
                         stream: driver::faulty(stream, self.faults, ordinal),
                         fd,
                         gen: 0,
-                        conn: Conn::new(kind, &self.scratch),
+                        conn: Conn::new(kind),
                         busy: false,
                         queued: false,
                         registered: Interest::readable(),

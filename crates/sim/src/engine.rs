@@ -109,9 +109,11 @@ impl<T: Ord> Engine<T> {
 }
 
 /// A pool's tick: TTL reaping, then the pre-warms the policy asks for.
-pub fn housekeep(pool: &mut ContainerPool, registry: &FunctionRegistry, now: SimTime) {
-    pool.reap(now);
+/// Returns the number of containers reaped.
+pub fn housekeep(pool: &mut ContainerPool, registry: &FunctionRegistry, now: SimTime) -> usize {
+    let reaped = pool.reap(now).len();
     for fid in pool.prewarm_due(now) {
         pool.prewarm(registry.spec(fid), now);
     }
+    reaped
 }

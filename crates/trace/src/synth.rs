@@ -172,15 +172,11 @@ pub fn generate(config: &SynthConfig) -> AzureDataset {
                 m += period_mins as i64;
             }
         } else {
-            // Poisson arrivals with diurnal modulation: minute m's mean is
-            // rate × diurnal[m]. `sample_scaled` computes all 1,440 limits
-            // before its first draw; that pass draws nothing, so the draws
-            // are those of one `Poisson::new(rate × diurnal[m])` a minute.
-            let draws = Poisson::new(rate)
-                .expect("non-negative rate")
-                .sample_scaled(&diurnal, &mut rng);
-            for (slot, n) in per_minute.iter_mut().zip(draws) {
-                *slot = n.min(u32::MAX as u64) as u32;
+            // Poisson arrivals with diurnal modulation.
+            for (slot, diurnal) in per_minute.iter_mut().zip(&diurnal) {
+                let lambda = rate * diurnal;
+                let p = Poisson::new(lambda).expect("non-negative rate");
+                *slot = p.sample(&mut rng).min(u32::MAX as u64) as u32;
             }
         }
 

@@ -230,56 +230,23 @@ impl Poisson {
 
     /// Draws a sample.
     pub fn sample(&self, rng: &mut Pcg64) -> u64 {
-        draw_poisson(self.lambda, (-self.lambda).exp(), rng)
-    }
-
-    /// One draw per weight, the `i`-th with mean `lambda × weights[i]`:
-    /// the same draws, in the same order, as
-    /// `Poisson::new(lambda × weights[i])?.sample(rng)` for each weight in
-    /// turn. Every bound `exp(−mean)` of Knuth's method is computed in one
-    /// pass before the first draw, which keeps the exponentials off the
-    /// generator's dependency chain; that pass draws nothing.
-    ///
-    /// # Panics
-    ///
-    /// If some `lambda × weights[i]` is not finite and non-negative.
-    pub fn sample_scaled(&self, weights: &[f64], rng: &mut Pcg64) -> Vec<u64> {
-        let limits: Vec<f64> = weights
-            .iter()
-            .map(|w| {
-                let mean = self.lambda * w;
-                assert!(
-                    mean.is_finite() && mean >= 0.0,
-                    "scaled mean must be finite and non-negative"
-                );
-                (-mean).exp()
-            })
-            .collect();
-        weights
-            .iter()
-            .zip(limits)
-            .map(|(w, limit)| draw_poisson(self.lambda * w, limit, rng))
-            .collect()
-    }
-}
-
-/// A Poisson deviate of mean `lambda`, with `limit = exp(−lambda)`.
-fn draw_poisson(lambda: f64, limit: f64, rng: &mut Pcg64) -> u64 {
-    if lambda == 0.0 {
-        return 0;
-    }
-    if lambda > 30.0 {
-        let x = lambda + lambda.sqrt() * standard_normal(rng);
-        return x.round().max(0.0) as u64;
-    }
-    let mut k = 0u64;
-    let mut p = 1.0;
-    loop {
-        p *= rng.next_f64_open();
-        if p <= limit {
-            return k;
+        if self.lambda == 0.0 {
+            return 0;
         }
-        k += 1;
+        if self.lambda > 30.0 {
+            let x = self.lambda + self.lambda.sqrt() * standard_normal(rng);
+            return x.round().max(0.0) as u64;
+        }
+        let limit = (-self.lambda).exp();
+        let mut k = 0u64;
+        let mut p = 1.0;
+        loop {
+            p *= rng.next_f64_open();
+            if p <= limit {
+                return k;
+            }
+            k += 1;
+        }
     }
 }
 

@@ -72,23 +72,6 @@ proptest! {
     }
 
     #[test]
-    fn poisson_sample_scaled_draws_what_sample_draws(
-        seed in any::<u64>(),
-        lambda in 0.0f64..40.0,
-        weights in prop::collection::vec(0.0f64..2.0, 0..64),
-    ) {
-        let mut batch = Pcg64::seed_from_u64(seed);
-        let got = Poisson::new(lambda).unwrap().sample_scaled(&weights, &mut batch);
-        let mut one = Pcg64::seed_from_u64(seed);
-        let want: Vec<u64> = weights
-            .iter()
-            .map(|w| Poisson::new(lambda * w).unwrap().sample(&mut one))
-            .collect();
-        prop_assert_eq!(got, want);
-        prop_assert_eq!(batch.next_u64(), one.next_u64());
-    }
-
-    #[test]
     fn welford_matches_two_pass(values in prop::collection::vec(-1e6f64..1e6, 1..200)) {
         let mut w = Welford::new();
         for &v in &values {
