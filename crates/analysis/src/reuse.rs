@@ -125,47 +125,65 @@ impl Fenwick {
 /// # Ok::<(), faascache_core::CoreError>(())
 /// ```
 pub fn reuse_distances(trace: &Trace) -> ReuseDistances {
-    reuse_distances_of_sequence(trace.invocations().iter().map(|inv| {
-        (
-            inv.function.index() as u32,
-            trace.registry().spec(inv.function).mem().as_mb(),
-        )
-    }))
+    let registry = trace.registry();
+    // A function's registry index is its slot; `spec` refuses an index
+    // past the registry, so the registry's length bounds every slot.
+    let seq: Vec<(u32, u64)> = trace
+        .invocations()
+        .iter()
+        .map(|inv| {
+            let size = registry.spec(inv.function).mem().as_mb();
+            (inv.function.index() as u32, size)
+        })
+        .collect();
+    reuse_distances_of_slots(&seq, registry.len())
 }
 
 /// Computes size-weighted reuse distances over a raw access sequence of
 /// `(function index, size in MB)` pairs — the core of
 /// [`reuse_distances`], exposed for streaming/online estimators that do
-/// not hold a full [`Trace`].
+/// not hold a full [`Trace`]. The indices may be any `u32`s: each is
+/// given a dense slot at its first access.
 pub fn reuse_distances_of_sequence(
     accesses: impl IntoIterator<Item = (u32, u64)>,
 ) -> ReuseDistances {
-    let seq: Vec<(u32, u64)> = accesses.into_iter().collect();
+    let mut slots: HashMap<u32, u32> = HashMap::new();
+    let seq: Vec<(u32, u64)> = accesses
+        .into_iter()
+        .map(|(fid, size)| {
+            let next = slots.len() as u32;
+            (*slots.entry(fid).or_insert(next), size)
+        })
+        .collect();
+    reuse_distances_of_slots(&seq, slots.len())
+}
+
+/// The Fenwick-tree core over `(slot, size in MB)` accesses, every slot
+/// below `slots`.
+fn reuse_distances_of_slots(seq: &[(u32, u64)], slots: usize) -> ReuseDistances {
     let n = seq.len();
     let mut fenwick = Fenwick::new(n);
-    // Function index → (last 1-based position, size contributed there).
-    // The size is remembered per occurrence: a raw sequence may report a
-    // function with different sizes over time (e.g. resized apps).
-    let mut last: HashMap<u32, (usize, u64)> = HashMap::new();
+    // Slot → (last 1-based position, size contributed there); position 0
+    // is "not seen yet". The size is remembered per occurrence: a raw
+    // sequence may report a function with different sizes over time
+    // (e.g. resized apps).
+    let mut last = vec![(0usize, 0u64); slots];
     let mut distances = Vec::with_capacity(n);
 
-    for (i0, &(fid, size)) in seq.iter().enumerate() {
+    for (i0, &(slot, size)) in seq.iter().enumerate() {
         let pos = i0 + 1; // 1-based
-        match last.get(&fid) {
-            None => distances.push(None),
-            Some(&(prev, _)) => {
-                // Unique functions accessed strictly between prev and pos:
-                // each contributes at its latest position in (prev, pos).
-                // Exclude the function itself (its latest position is prev).
-                let d = fenwick.range(prev + 1, pos - 1);
-                distances.push(Some(d));
-            }
-        }
-        if let Some(&(prev, prev_size)) = last.get(&fid) {
+        let (prev, prev_size) = last[slot as usize];
+        if prev == 0 {
+            distances.push(None);
+        } else {
+            // Unique functions accessed strictly between prev and pos:
+            // each contributes at its latest position in (prev, pos).
+            // Exclude the function itself (its latest position is prev).
+            distances.push(Some(fenwick.range(prev + 1, pos - 1)));
             fenwick.sub(prev, prev_size);
         }
         fenwick.add(pos, size);
-        last.insert(fid, (pos, size));
+        last[slot as usize] = (pos, size);
     }
 
     ReuseDistances { distances }
@@ -295,6 +313,17 @@ mod tests {
         let seq: Vec<usize> = (0..500).map(|_| rng.next_below(20) as usize).collect();
         let t = trace_of(&sizes, &seq);
         assert_eq!(reuse_distances(&t), reuse_distances_naive(&t));
+    }
+
+    /// Raw ids are mapped to slots, so the largest id sizes nothing.
+    #[test]
+    fn raw_ids_need_not_be_dense() {
+        let rd =
+            reuse_distances_of_sequence([(u32::MAX, 10), (7, 5), (u32::MAX, 10), (7, 6), (7, 1)]);
+        assert_eq!(
+            rd.per_invocation(),
+            &[None, None, Some(5), Some(10), Some(0)]
+        );
     }
 
     #[test]

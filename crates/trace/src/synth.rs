@@ -20,7 +20,7 @@
 //! simulation) is identical whichever source is used.
 
 use crate::azure::{AzureDataset, AzureFunction, AzureFunctionKey, MINUTES_PER_DAY};
-use faascache_util::dist::{LogNormal, Poisson};
+use faascache_util::dist::{LogNormal, PoissonRun};
 use faascache_util::rng::Pcg64;
 
 /// Configuration of the synthetic dataset generator.
@@ -124,6 +124,15 @@ pub fn generate(config: &SynthConfig) -> AzureDataset {
         config.zipf_exponent.is_finite() && config.zipf_exponent >= 0.0,
         "valid zipf parameters: zipf exponent must be finite and non-negative"
     );
+    // Checked here, not only where the Poisson draws meet them: a NaN or
+    // negative rate would otherwise lose to the per-day floor below
+    // (`f64::max` ignores a NaN) and a timer function would divide by it.
+    assert!(
+        [config.max_rate_per_min, config.min_invocations_per_day]
+            .iter()
+            .all(|rate| rate.is_finite() && *rate >= 0.0),
+        "non-negative rate: max_rate_per_min and min_invocations_per_day must be finite and non-negative"
+    );
 
     // App memory.
     for a in 0..config.num_apps {
@@ -140,6 +149,7 @@ pub fn generate(config: &SynthConfig) -> AzureDataset {
             (1.0 + config.diurnal_amplitude * (std::f64::consts::TAU * t + phase).sin()).max(0.05)
         })
         .collect();
+    let mut poisson = PoissonRun::new();
 
     for rank in 1..=config.num_functions {
         let app = format!("app{:05}", rng.next_below(config.num_apps as u64));
@@ -173,11 +183,9 @@ pub fn generate(config: &SynthConfig) -> AzureDataset {
             }
         } else {
             // Poisson arrivals with diurnal modulation.
-            for (slot, diurnal) in per_minute.iter_mut().zip(&diurnal) {
-                let lambda = rate * diurnal;
-                let p = Poisson::new(lambda).expect("non-negative rate");
-                *slot = p.sample(&mut rng).min(u32::MAX as u64) as u32;
-            }
+            poisson
+                .sample_into(diurnal.iter().map(|d| rate * d), &mut per_minute, &mut rng)
+                .expect("non-negative rate");
         }
 
         let avg = dur_dist.sample(&mut rng).clamp(1.0, config.dur_max_ms);
@@ -392,6 +400,66 @@ mod tests {
             zipf_exponent: -0.5,
             ..SynthConfig::default()
         });
+    }
+
+    /// The message `generate` panics with on `config`.
+    fn panic_message(config: SynthConfig) -> String {
+        let panic =
+            std::panic::catch_unwind(|| generate(&config)).expect_err("an invalid rate must panic");
+        panic
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
+    }
+
+    /// Configs whose per-minute means would be NaN, negative or infinite
+    /// panic rather than draw: with a NaN mean a Knuth loop would never
+    /// end (`p <= NaN` is never true). The Poisson-only configs panicked
+    /// this way under the per-minute sampler too; the rates are now
+    /// checked up front, so a NaN or negative rate alone, which the
+    /// per-day floor used to swallow, panics as well, timers and all. An
+    /// infinite diurnal amplitude still reaches the draws.
+    #[test]
+    fn invalid_rates_panic() {
+        let poisson_only =
+            |max_rate_per_min, min_invocations_per_day, diurnal_amplitude| SynthConfig {
+                max_rate_per_min,
+                min_invocations_per_day,
+                diurnal_amplitude,
+                periodic_fraction: 0.0,
+                ..small_config()
+            };
+        let mut configs = vec![
+            poisson_only(f64::NAN, f64::NAN, 1.0),
+            poisson_only(-1.0, -1.0, 1.0),
+            poisson_only(f64::NEG_INFINITY, f64::NEG_INFINITY, 1.0),
+            poisson_only(f64::INFINITY, 3.0, 1.0),
+            poisson_only(60.0, f64::INFINITY, 1.0),
+            poisson_only(60.0, 3.0, f64::INFINITY),
+        ];
+        for rate in [f64::NAN, -1.0, f64::INFINITY] {
+            configs.push(SynthConfig {
+                max_rate_per_min: rate,
+                ..small_config()
+            });
+            configs.push(SynthConfig {
+                min_invocations_per_day: rate,
+                ..small_config()
+            });
+        }
+        for config in configs {
+            let (rate, floor, amplitude) = (
+                config.max_rate_per_min,
+                config.min_invocations_per_day,
+                config.diurnal_amplitude,
+            );
+            let message = panic_message(config);
+            assert!(
+                message.contains("non-negative rate"),
+                "rate {rate}, floor {floor}, amplitude {amplitude}: {message}"
+            );
+        }
     }
 
     #[test]
