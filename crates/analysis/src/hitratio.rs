@@ -94,7 +94,17 @@ impl HitRatioCurve {
     }
 
     /// Smallest cache size achieving at least `target` hit ratio, or
-    /// `None` if the target exceeds [`Self::max_hit_ratio`].
+    /// `None` if the target exceeds [`Self::max_hit_ratio`]: static
+    /// provisioning by a target hit ratio (paper §5.1).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use faascache_analysis::hitratio::HitRatioCurve;
+    ///
+    /// let curve = HitRatioCurve::from_distances(&[100, 100, 200, 4000], 0);
+    /// assert_eq!(curve.size_for_hit_ratio(0.75).unwrap().as_mb(), 200);
+    /// ```
     pub fn size_for_hit_ratio(&self, target: f64) -> Option<MemMb> {
         if self.total == 0 {
             return None;

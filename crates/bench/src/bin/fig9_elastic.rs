@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release -p faascache-bench --bin fig9_elastic`
 
 use faascache::prelude::*;
-use faascache::sim::elastic::{run_elastic, ElasticConfig};
+use faascache::sim::elastic::{run_elastic, Controller, ControllerConfig, ElasticConfig};
 use faascache::trace::{adapt, synth};
 
 fn main() {

@@ -1,5 +1,5 @@
-//! The invoker emulator: keep-alive pool + request buffer + latency
-//! accounting, in virtual time.
+//! The invoker emulator: a [`faascache_sim::Invoker`] + request buffer +
+//! latency accounting, in virtual time.
 //!
 //! Vanilla OpenWhisk is emulated as `PolicyKind::Ttl` (10-minute TTL);
 //! FaasCache as `PolicyKind::GreedyDual`. Requests that cannot be served
@@ -13,8 +13,9 @@ use crate::queue::RequestQueue;
 use faascache_core::container::ContainerId;
 use faascache_core::function::{FunctionId, FunctionRegistry};
 use faascache_core::policy::PolicyKind;
-use faascache_core::pool::{Acquire, ContainerPool, PoolConfig};
+use faascache_core::pool::{ContainerPool, PoolConfig};
 use faascache_sim::engine::{self, Completions, Node};
+use faascache_sim::Invoker;
 use faascache_trace::record::Trace;
 use faascache_util::{MemMb, SimDuration, SimTime};
 
@@ -144,7 +145,7 @@ impl Emulator {
         let pool_config = PoolConfig::new(config.memory).with_eviction_batch(config.eviction_batch);
         let pool = ContainerPool::with_config(pool_config, config.policy.build());
         let registry = trace.registry();
-        let mut invoker = Invoker {
+        let mut platform = Platform {
             result: PlatformResult {
                 policy: pool.policy().name().to_string(),
                 per_function: registry
@@ -156,26 +157,35 @@ impl Emulator {
                     .collect(),
                 ..PlatformResult::default()
             },
-            pool,
+            invoker: Invoker::new(pool, registry.len()),
             registry,
             queue: RequestQueue::new(config.queue_capacity, config.patience),
             config,
         };
-        engine::run(&mut invoker, trace, config.tick_interval, None);
-        invoker.result
+        engine::run(&mut platform, trace, config.tick_interval, None);
+        // Starts are the invoker's; drops are the buffer's, since a request
+        // the pool refuses waits in the buffer.
+        let mut result = platform.result;
+        let counters = platform.invoker.pool().counters();
+        (result.warm, result.cold) = (counters.warm_starts, counters.cold_starts);
+        for (stats, t) in result.per_function.iter_mut().zip(platform.invoker.tally()) {
+            (stats.warm, stats.cold) = (t.warm, t.cold);
+        }
+        result
     }
 }
 
-/// A pool fed from the request buffer, and the latency tally.
-struct Invoker<'a> {
-    pool: ContainerPool,
+/// An [`Invoker`] fed from the request buffer, and the latency and loss
+/// tally.
+struct Platform<'a> {
+    invoker: Invoker,
     registry: &'a FunctionRegistry,
     queue: RequestQueue,
     config: &'a PlatformConfig,
     result: PlatformResult,
 }
 
-impl Invoker<'_> {
+impl Platform<'_> {
     /// Starts a request for `function` that arrived at `arrived`, at `now`;
     /// false when the platform is saturated (the caller queues or drops).
     fn try_serve(
@@ -186,26 +196,16 @@ impl Invoker<'_> {
         done: &mut Completions<ContainerId>,
     ) -> bool {
         let cap = self.config.max_concurrency;
-        if cap > 0 && self.pool.running_count() >= cap {
+        if cap > 0 && self.invoker.pool().running_count() >= cap {
             return false;
         }
-        let spec = self.registry.spec(function);
-        let (container, finish, warm) = match self.pool.acquire(spec, now) {
-            Acquire::Warm { container } => (container, now + spec.warm_time(), true),
-            Acquire::Cold { container, .. } => (container, now + spec.cold_time(), false),
-            Acquire::NoCapacity => return false,
+        let Some(run) = self.invoker.start(self.registry.spec(function), now) else {
+            return false;
         };
-        done.push(finish, container);
-        let stats = &mut self.result.per_function[function.index()];
-        if warm {
-            self.result.warm += 1;
-            stats.warm += 1;
-        } else {
-            self.result.cold += 1;
-            stats.cold += 1;
-        }
+        done.push(run.finish, run.container);
         let pool_check = self.config.phases.pool_check;
-        stats.latency_sum_us += (finish + pool_check).since(arrived).as_micros();
+        self.result.per_function[function.index()].latency_sum_us +=
+            (run.finish + pool_check).since(arrived).as_micros();
         true
     }
 
@@ -220,7 +220,7 @@ impl Invoker<'_> {
     }
 }
 
-impl Node for Invoker<'_> {
+impl Node for Platform<'_> {
     type Token = ContainerId;
 
     fn arrive(&mut self, function: FunctionId, now: SimTime, done: &mut Completions<ContainerId>) {
@@ -235,7 +235,7 @@ impl Node for Invoker<'_> {
     }
 
     fn complete(&mut self, id: ContainerId, at: SimTime, done: &mut Completions<ContainerId>) {
-        self.pool.release(id, at);
+        self.invoker.release(id, at);
         self.serve_queued(at, done);
     }
 
@@ -244,7 +244,7 @@ impl Node for Invoker<'_> {
             self.result.dropped += 1;
             self.result.per_function[req.function.index()].dropped += 1;
         }
-        engine::housekeep(&mut self.pool, self.registry, now);
+        self.invoker.housekeep(self.registry, now);
         self.serve_queued(now, done);
     }
 

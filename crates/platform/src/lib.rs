@@ -11,12 +11,14 @@
 //!   execution);
 //! - [`queue`] — OpenWhisk's request buffering: requests wait bounded time
 //!   in a bounded buffer and are *dropped* under sustained overload;
-//! - [`emulator`] — the invoker, a node of the simulator's event engine: a
-//!   keep-alive [`ContainerPool`] (TTL for vanilla OpenWhisk, Greedy-Dual
-//!   for FaasCache) fed from the buffer, with per-function latency;
+//! - [`emulator`] — the invoker, a node of the simulator's event engine:
+//!   the simulator's [`faascache_sim::Invoker`] over a keep-alive
+//!   [`ContainerPool`] (TTL for vanilla OpenWhisk, Greedy-Dual for
+//!   FaasCache) fed from the buffer, with per-function latency;
 //! - [`sharded`] — a thread-safe invoker exercised by concurrent
 //!   load-generator threads (as the artifact's LookBusy load tests
-//!   exercise the modified OpenWhisk): N pool shards behind N locks —
+//!   exercise the modified OpenWhisk): N shards, each the simulator's
+//!   invoker on the arrival clock, behind N locks —
 //!   one, for a single pool behind a single lock — with
 //!   function-affinity routing, bounded admission queues (explicit
 //!   backpressure), and drain support — the in-process engine of the

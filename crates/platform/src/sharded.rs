@@ -37,8 +37,8 @@
 use crate::tenant::{TenantQuotas, TenantSnapshot, TenantTable};
 use faascache_core::function::{FunctionId, FunctionRegistry, FunctionSpec};
 use faascache_core::policy::{KeepAlivePolicy, PolicyKind};
-use faascache_core::pool::{Acquire, ContainerPool, PoolConfig, PoolCounters};
-use faascache_sim::engine;
+use faascache_core::pool::{ContainerPool, PoolConfig, PoolCounters};
+use faascache_sim::Invoker;
 use faascache_util::{route, MemMb, SimTime};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -224,12 +224,12 @@ impl InvokerStats {
     }
 }
 
-/// A shard: its pool behind one mutex, plus the three atomics the
-/// invocation path touches outside that lock.
+/// A shard: the simulator's [`Invoker`] behind one mutex, plus the three
+/// atomics the invocation path touches outside that lock.
 #[derive(Debug)]
 struct Shard {
-    locked: Mutex<Locked>,
-    /// Monotone virtual clock in microseconds.
+    invoker: Mutex<Invoker>,
+    /// The arrival clock: the latest time the shard was given, in µs.
     clock_us: AtomicU64,
     /// Admitted-but-unfinished requests (the admission "queue" occupancy:
     /// service is synchronous, so admitted requests are being served).
@@ -238,24 +238,11 @@ struct Shard {
     rejected: AtomicU64,
 }
 
-/// What a shard's mutex guards.
-#[derive(Debug)]
-struct Locked {
-    pool: ContainerPool,
-    /// Per-function served counts for the current tick window — the
-    /// rebalancer's hotness signal. Only maintained when re-homing is
-    /// enabled.
-    recent: HashMap<FunctionId, u64>,
-}
-
 impl Shard {
+    /// Moves the clock up to `at`, never back, and returns it.
     fn advance(&self, at: SimTime) -> SimTime {
-        let proposed = at.as_micros();
-        let clock = self
-            .clock_us
-            .fetch_max(proposed, Ordering::AcqRel)
-            .max(proposed);
-        SimTime::from_micros(clock)
+        let at = at.as_micros();
+        SimTime::from_micros(self.clock_us.fetch_max(at, Ordering::AcqRel).max(at))
     }
 }
 
@@ -264,9 +251,9 @@ impl Shard {
 struct RebalanceState {
     /// Per-shard overload streak lengths.
     streaks: Vec<u32>,
-    /// Per-shard `warm_starts + cold_starts` at the last tick: a tick's
-    /// window is the change since then.
-    served_before: Vec<u64>,
+    /// Per shard, each function's served count in the shard's tally at
+    /// the last tick: a tick's window is the change since then.
+    served_before: Vec<Vec<u64>>,
 }
 
 #[derive(Debug)]
@@ -300,8 +287,9 @@ impl Drop for AdmissionSlot<'_> {
 /// A multi-shard concurrency-safe invoker.
 ///
 /// Cloning is cheap (shared handle). Invocations carry explicit virtual
-/// timestamps; each shard enforces a monotone clock, so racing threads
-/// cannot move a shard's time backwards.
+/// timestamps. A shard's clock is the latest time it was given: a
+/// request's run time never moves it, and an earlier timestamp from a
+/// racing thread is served at the clock instead of moving it back.
 ///
 /// # Examples
 ///
@@ -349,15 +337,10 @@ impl ShardedInvoker {
                 // every pool reports memory changes to one ledger, so
                 // tenant accounting is exact across migrations.
                 policy.set_tenant_weights(tenants.weights());
+                let ledger = tenants.clone();
+                let pool = ContainerPool::with_config_and_ledger(config.per_shard, policy, ledger);
                 Shard {
-                    locked: Mutex::new(Locked {
-                        pool: ContainerPool::with_config_and_ledger(
-                            config.per_shard,
-                            policy,
-                            tenants.clone(),
-                        ),
-                        recent: HashMap::new(),
-                    }),
+                    invoker: Mutex::new(Invoker::new(pool, 0)),
                     clock_us: AtomicU64::new(0),
                     in_flight: AtomicU64::new(0),
                     rejected: AtomicU64::new(0),
@@ -375,7 +358,7 @@ impl ShardedInvoker {
                 migrations: AtomicU64::new(0),
                 rebalancer: Mutex::new(RebalanceState {
                     streaks: vec![0; n],
-                    served_before: vec![0; n],
+                    served_before: vec![Vec::new(); n],
                 }),
                 tenants,
             }),
@@ -450,7 +433,7 @@ impl ShardedInvoker {
             return InvokeOutcome::Rejected;
         }
         let _slot = AdmissionSlot(&shard.in_flight);
-        let outcome = Self::serve(shard, spec, at, self.inner.rebalance.is_some());
+        let outcome = Self::serve(shard, spec, at);
         if outcome.is_served() {
             self.inner
                 .tenants
@@ -459,47 +442,36 @@ impl ShardedInvoker {
         outcome
     }
 
+    /// Takes one of the shard's admission slots, if one is free.
     fn try_admit(&self, shard: &Shard) -> bool {
         let bound = self.inner.queue_bound;
-        let mut cur = shard.in_flight.load(Ordering::Acquire);
-        loop {
-            if cur >= bound {
-                return false;
-            }
-            match shard.in_flight.compare_exchange_weak(
-                cur,
-                cur + 1,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return true,
-                Err(observed) => cur = observed,
-            }
-        }
+        let take = |cur: u64| (cur < bound).then_some(cur + 1);
+        shard
+            .in_flight
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, take)
+            .is_ok()
     }
 
-    /// Serves one admitted invocation under the shard's one lock, counting
-    /// it in the re-homing window when `track` is set.
-    fn serve(shard: &Shard, spec: &FunctionSpec, at: SimTime, track: bool) -> InvokeOutcome {
+    /// Serves one admitted invocation under the shard's one lock, at the
+    /// shard's clock advanced to `at`. This is the live completion rule:
+    /// the reply is known at acquire, so the container is released at
+    /// once, stamped with its finish time.
+    fn serve(shard: &Shard, spec: &FunctionSpec, at: SimTime) -> InvokeOutcome {
         let now = shard.advance(at);
-        let mut locked = lock(&shard.locked);
-        let (container, run, outcome) = match locked.pool.acquire(spec, now) {
-            Acquire::Warm { container } => (container, spec.warm_time(), InvokeOutcome::Warm),
-            Acquire::Cold { container, .. } => (container, spec.cold_time(), InvokeOutcome::Cold),
-            Acquire::NoCapacity => return InvokeOutcome::Dropped,
+        let mut invoker = lock(&shard.invoker);
+        let Some(run) = invoker.start(spec, now) else {
+            return InvokeOutcome::Dropped;
         };
-        let finish = now + run;
-        locked.pool.release(container, finish);
-        if track {
-            *locked.recent.entry(spec.id()).or_insert(0) += 1;
+        invoker.release(run.container, run.finish);
+        if run.cold {
+            InvokeOutcome::Cold
+        } else {
+            InvokeOutcome::Warm
         }
-        drop(locked);
-        shard.advance(finish);
-        outcome
     }
 
     /// One housekeeping tick on every shard in turn, at that shard's clock
-    /// advanced to `at`: [`engine::housekeep`], the tick every simulated
+    /// advanced to `at`: [`Invoker::housekeep`], the tick every simulated
     /// pool runs (TTL reaping, then the pre-warms the policy asks for,
     /// specs from `registry`). Holds one shard's lock at a time, so it
     /// never serializes the whole invoker. Returns the total reaped.
@@ -509,7 +481,7 @@ impl ShardedInvoker {
             .iter()
             .map(|s| {
                 let now = s.advance(at);
-                engine::housekeep(&mut lock(&s.locked).pool, registry, now)
+                lock(&s.invoker).housekeep(registry, now)
             })
             .sum()
     }
@@ -563,7 +535,7 @@ impl ShardedInvoker {
     pub fn pool_counters(&self) -> PoolCounters {
         let mut total = PoolCounters::default();
         for s in &self.inner.shards {
-            let c = lock(&s.locked).pool.counters();
+            let c = lock(&s.invoker).pool().counters();
             total.warm_starts += c.warm_starts;
             total.cold_starts += c.cold_starts;
             total.drops += c.drops;
@@ -653,19 +625,26 @@ impl ShardedInvoker {
         }
         // Serializes concurrent ticks; nothing else takes this lock.
         let mut state = lock(&self.inner.rebalancer);
-        // Each shard is read under its one lock: the served window (the
-        // pool's warm + cold starts since the last tick), its warm memory,
-        // and its per-function counts.
+        // Each shard is read under its one lock: each function's served
+        // window (its tally's warm + cold starts since the last tick), their
+        // sum, and the shard's warm memory.
         let mut served = Vec::with_capacity(n);
         let mut warm_mem = Vec::with_capacity(n);
         let mut recent = Vec::with_capacity(n);
         for (s, before) in self.inner.shards.iter().zip(&mut state.served_before) {
-            let mut locked = lock(&s.locked);
-            let c = locked.pool.counters();
-            let now_served = c.warm_starts + c.cold_starts;
-            served.push(now_served - std::mem::replace(before, now_served));
-            warm_mem.push(locked.pool.warm_mem());
-            recent.push(std::mem::take(&mut locked.recent));
+            let invoker = lock(&s.invoker);
+            let tally = invoker.tally();
+            before.resize(tally.len(), 0);
+            let window: Vec<(FunctionId, u64)> = (0..)
+                .zip(tally.iter().zip(before.iter_mut()))
+                .filter_map(|(f, (t, before))| {
+                    let delta = t.served() - std::mem::replace(before, t.served());
+                    (delta > 0).then_some((FunctionId::from_index(f), delta))
+                })
+                .collect();
+            served.push(window.iter().map(|&(_, c)| c).sum::<u64>());
+            warm_mem.push(invoker.pool().warm_mem());
+            recent.push(window);
         }
         let total: u64 = served.iter().sum();
         if total == 0 {
@@ -691,7 +670,7 @@ impl ShardedInvoker {
         // lowest id. Only functions still pinned to the hot shard are
         // eligible — a function whose traffic already routes elsewhere
         // would leave its migrated warm set unreachable.
-        let mut by_fn: Vec<(FunctionId, u64)> = recent[hot].iter().map(|(&f, &c)| (f, c)).collect();
+        let mut by_fn = std::mem::take(&mut recent[hot]);
         by_fn.sort_by_key(|&(f, c)| (std::cmp::Reverse(c), f));
         let pinned_here: Vec<FunctionId> = by_fn
             .iter()
@@ -702,12 +681,12 @@ impl ShardedInvoker {
         let now = self.inner.shards[hot].advance(at);
         let now = self.inner.shards[cold].advance(now);
         let (lo, hi) = (hot.min(cold), hot.max(cold));
-        let mut guard_lo = lock(&self.inner.shards[lo].locked);
-        let mut guard_hi = lock(&self.inner.shards[hi].locked);
+        let mut guard_lo = lock(&self.inner.shards[lo].invoker);
+        let mut guard_hi = lock(&self.inner.shards[hi].invoker);
         let (src, dst) = if hot == lo {
-            (&mut guard_lo.pool, &mut guard_hi.pool)
+            (guard_lo.pool_mut(), guard_hi.pool_mut())
         } else {
-            (&mut guard_hi.pool, &mut guard_lo.pool)
+            (guard_hi.pool_mut(), guard_lo.pool_mut())
         };
         let Some(function) = pinned_here.into_iter().find(|&f| src.warm_count_of(f) > 0) else {
             // Nothing migratable this window (hot traffic may be running,
@@ -766,8 +745,8 @@ impl ShardedInvoker {
     /// for tests and tooling that need to check warm-set placement and
     /// history (e.g. that migration preserved both), not just counts.
     pub fn warm_set(&self, shard: usize) -> Vec<(FunctionId, SimTime)> {
-        let locked = lock(&self.inner.shards[shard].locked);
-        let pool = &locked.pool;
+        let invoker = lock(&self.inner.shards[shard].invoker);
+        let pool = invoker.pool();
         let mut set: Vec<(FunctionId, SimTime)> = pool
             .idle_ids()
             .map(|id| {
@@ -787,8 +766,8 @@ impl ShardedInvoker {
             .iter()
             .enumerate()
             .map(|(i, s)| {
-                let locked = lock(&s.locked);
-                let pool = &locked.pool;
+                let invoker = lock(&s.invoker);
+                let pool = invoker.pool();
                 ShardStats {
                     shard: i,
                     counters: pool.counters(),
@@ -806,7 +785,7 @@ impl ShardedInvoker {
         self.inner
             .shards
             .iter()
-            .map(|s| lock(&s.locked).pool.used_mem())
+            .map(|s| lock(&s.invoker).pool().used_mem())
             .sum()
     }
 
@@ -815,21 +794,16 @@ impl ShardedInvoker {
         self.inner
             .shards
             .iter()
-            .map(|s| lock(&s.locked).pool.capacity())
+            .map(|s| lock(&s.invoker).pool().capacity())
             .sum()
     }
 
-    /// The most advanced shard clock — a monotone upper bound on every
-    /// shard's virtual time.
+    /// The most advanced shard clock: the latest time an admitted
+    /// invocation, a housekeeping tick or a re-homing migration was
+    /// given. Monotone.
     pub fn now(&self) -> SimTime {
-        SimTime::from_micros(
-            self.inner
-                .shards
-                .iter()
-                .map(|s| s.clock_us.load(Ordering::Acquire))
-                .max()
-                .unwrap_or(0),
-        )
+        let clock = |s: &Shard| s.clock_us.load(Ordering::Acquire);
+        SimTime::from_micros(self.inner.shards.iter().map(clock).max().unwrap_or(0))
     }
 }
 
@@ -845,6 +819,7 @@ mod tests {
     use super::*;
     use faascache_core::function::FunctionRegistry;
     use faascache_util::SimDuration;
+    use proptest::prelude::*;
 
     fn registry(n: usize) -> FunctionRegistry {
         let mut reg = FunctionRegistry::new();
@@ -877,12 +852,6 @@ mod tests {
         assert_eq!(stats.warm, 16);
         assert_eq!(stats.cold, 16);
         assert_eq!(stats.rejected, 0);
-        // The virtual clock is monotone: an "earlier" invocation from a
-        // racing thread cannot rewind it.
-        let spec = reg.iter().next().unwrap();
-        inv.invoke(spec, SimTime::from_secs(100));
-        inv.invoke(spec, SimTime::from_secs(2));
-        assert!(inv.now() >= SimTime::from_secs(100));
     }
 
     #[test]
@@ -1295,6 +1264,45 @@ mod tests {
             "streak reset"
         );
         assert_eq!(inv.route_override(hot.id()), None);
+    }
+
+    /// Cases of the clock property: `FAASCACHE_CLOCK_CASES`, or 64.
+    fn clock_cases() -> u32 {
+        std::env::var("FAASCACHE_CLOCK_CASES").map_or(64, |v| {
+            v.parse()
+                .expect("FAASCACHE_CLOCK_CASES must be a case count")
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(clock_cases()))]
+
+        /// A shard's clock is the arrival clock: over any interleaving of
+        /// invocations and housekeeping ticks at arbitrary times, on one
+        /// shard and on four, `now()` is the largest time given so far. A
+        /// request's run time never moves it, and an earlier time never
+        /// moves it back.
+        #[test]
+        fn clock_is_the_latest_time_given(
+            ops in prop::collection::vec((any::<bool>(), 0u32..6, 0u64..3_600_000_000), 1..64),
+        ) {
+            let reg = registry(6);
+            for shards in [1, 4] {
+                let config = ShardedConfig::split(MemMb::new(256 * shards as u64), shards);
+                let inv = ShardedInvoker::with_kind(config, PolicyKind::Ttl);
+                let mut latest = SimTime::ZERO;
+                for &(tick, f, at_us) in &ops {
+                    let at = SimTime::from_micros(at_us);
+                    if tick {
+                        inv.housekeep(&reg, at);
+                    } else {
+                        prop_assert!(inv.invoke(reg.spec(FunctionId::from_index(f)), at).is_served());
+                    }
+                    latest = latest.max(at);
+                    prop_assert_eq!(inv.now(), latest, "{} shards", shards);
+                }
+            }
+        }
     }
 
     #[test]

@@ -256,7 +256,6 @@ impl Model {
         let outcome = if let Some(i) = pick {
             shard.idle[i].last_used = now;
             shard.warm += 1;
-            shard.clock = shard.clock.max(now + WARM_US);
             InvokeOutcome::Warm
         } else {
             let mem = mem_of(f);
@@ -289,7 +288,6 @@ impl Model {
                 last_used: now,
             });
             shard.cold += 1;
-            shard.clock = shard.clock.max(now + COLD_US);
             InvokeOutcome::Cold
         };
         shard.window += 1;

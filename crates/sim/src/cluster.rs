@@ -19,11 +19,12 @@
 //! `faas-router` process, so the simulator and the router cannot drift.
 
 use crate::engine::{self, Completions, Node};
+use crate::invoker::Invoker;
 use crate::metrics::SimResult;
 use crate::sim::{SimConfig, Simulation};
 use faascache_core::container::ContainerId;
 use faascache_core::function::{FunctionId, FunctionRegistry};
-use faascache_core::pool::{Acquire, ContainerPool, PoolConfig};
+use faascache_core::pool::{ContainerPool, PoolConfig};
 use faascache_trace::record::Trace;
 use faascache_util::route::{self, BalancerState};
 use faascache_util::SimTime;
@@ -107,32 +108,39 @@ pub fn run_cluster(trace: &Trace, config: &ClusterConfig) -> ClusterResult {
     assert!(config.servers > 0, "need at least one server");
     let pool_config = PoolConfig::new(config.per_server.memory)
         .with_eviction_batch(config.per_server.eviction_batch);
+    let registry = trace.registry();
+    let server = || ContainerPool::with_config(pool_config, config.per_server.policy.build());
     let mut cluster = Cluster {
-        pools: (0..config.servers)
-            .map(|_| ContainerPool::with_config(pool_config, config.per_server.policy.build()))
+        servers: (0..config.servers)
+            .map(|_| Invoker::new(server(), registry.len()))
             .collect(),
-        registry: trace.registry(),
+        registry,
         balancer: config.balancer,
         state: BalancerState::new(config.seed),
     };
     engine::run(&mut cluster, trace, config.per_server.tick_interval, None);
 
-    let counters = cluster.pools.iter().map(ContainerPool::counters);
-    let per_server: Vec<_> = counters
-        .map(|c| (c.warm_starts, c.cold_starts, c.drops))
-        .collect();
+    // The per-server split is each invoker's tally; the totals are the
+    // pools' counters.
+    let tally = |s: &Invoker| {
+        s.tally().iter().fold((0, 0, 0), |(w, c, d), t| {
+            (w + t.warm, c + t.cold, d + t.dropped)
+        })
+    };
+    let per_server = cluster.servers.iter().map(tally);
+    let counters = cluster.servers.iter().map(|s| s.pool().counters());
     ClusterResult {
         balancer: config.balancer.label().to_string(),
-        warm: per_server.iter().map(|s| s.0).sum(),
-        cold: per_server.iter().map(|s| s.1).sum(),
-        dropped: per_server.iter().map(|s| s.2).sum(),
-        per_server,
+        warm: counters.clone().map(|c| c.warm_starts).sum(),
+        cold: counters.clone().map(|c| c.cold_starts).sum(),
+        dropped: counters.map(|c| c.drops).sum(),
+        per_server: per_server.collect(),
     }
 }
 
-/// N pools behind [`route::pick`]; the pools' own counters are the tally.
+/// N [`Invoker`]s behind [`route::pick`].
 struct Cluster<'a> {
-    pools: Vec<ContainerPool>,
+    servers: Vec<Invoker>,
     registry: &'a FunctionRegistry,
     balancer: LoadBalancer,
     state: BalancerState,
@@ -144,33 +152,29 @@ impl Node for Cluster<'_> {
     fn arrive(&mut self, function: FunctionId, now: SimTime, done: &mut Completions<Self::Token>) {
         // The simulator treats every server as healthy and never spills,
         // so `route::pick` reduces to the historical per-policy choice.
-        let pools = &self.pools;
+        let servers = &self.servers;
         let server = route::pick(
             self.balancer,
             &mut self.state,
-            pools.len(),
+            servers.len(),
             function.index() as u64,
-            |i| pools[i].running_count() as u64,
+            |i| servers[i].pool().running_count() as u64,
             |_| true,
             None,
         )
         .expect("at least one healthy server");
-        let spec = self.registry.spec(function);
-        let (container, time) = match self.pools[server].acquire(spec, now) {
-            Acquire::Warm { container } => (container, spec.warm_time()),
-            Acquire::Cold { container, .. } => (container, spec.cold_time()),
-            Acquire::NoCapacity => return,
-        };
-        done.push(now + time, (server, container));
+        if let Some(run) = self.servers[server].start(self.registry.spec(function), now) {
+            done.push(run.finish, (server, run.container));
+        }
     }
 
     fn complete(&mut self, token: Self::Token, at: SimTime, _: &mut Completions<Self::Token>) {
-        self.pools[token.0].release(token.1, at);
+        self.servers[token.0].release(token.1, at);
     }
 
     fn tick(&mut self, now: SimTime, _: &mut Completions<Self::Token>) {
-        for pool in &mut self.pools {
-            engine::housekeep(pool, self.registry, now);
+        for server in &mut self.servers {
+            server.housekeep(self.registry, now);
         }
     }
 }

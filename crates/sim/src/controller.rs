@@ -1,4 +1,5 @@
-//! The proportional vertical-scaling controller (paper §5.2, Figure 9).
+//! The proportional vertical-scaling controller (paper §5.2, Figure 9),
+//! re-exported by [`crate::elastic`], which puts it in the loop.
 //!
 //! The controller periodically observes the exponentially smoothed arrival
 //! rate `λ` and the measured *miss speed* (cold starts per second). Given
@@ -86,7 +87,7 @@ impl ControllerConfig {
 ///
 /// ```
 /// use faascache_analysis::hitratio::HitRatioCurve;
-/// use faascache_provision::controller::{Controller, ControllerConfig, WindowStats};
+/// use faascache_sim::elastic::{Controller, ControllerConfig, WindowStats};
 /// use faascache_util::{MemMb, SimDuration};
 ///
 /// let curve = HitRatioCurve::from_distances(&(1..=100u64).map(|i| i * 100).collect::<Vec<_>>(), 0);
@@ -128,11 +129,6 @@ impl Controller {
             config,
             arrival_rate: Ewma::new(alpha),
         }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &ControllerConfig {
-        &self.config
     }
 
     /// The smoothed arrival rate (per second).

@@ -1,20 +1,21 @@
 //! Elastic vertical scaling with the controller in the loop (Figure 9).
 //!
 //! The simulation replays a trace against a GD-managed pool whose capacity
-//! is adjusted every control period by the proportional controller of
-//! [`faascache_provision::controller`]. The output is the Figure-9 data:
-//! the cache size over time, the observed miss speed against the target,
-//! and the average capacity (the paper reports a ~30 % reduction vs the
-//! conservative static size).
+//! is adjusted every control period by the proportional [`Controller`]
+//! (paper §5.2). The output is the Figure-9 data: the cache size over
+//! time, the observed miss speed against the target, and the average
+//! capacity (the paper reports a ~30 % reduction vs the conservative
+//! static size).
 
 use crate::engine::{self, Completions, Node};
 use crate::sim::{Server, SimConfig};
 use faascache_core::container::ContainerId;
 use faascache_core::function::FunctionId;
 use faascache_core::policy::PolicyKind;
-use faascache_provision::controller::{Controller, WindowStats};
 use faascache_trace::record::Trace;
 use faascache_util::{MemMb, SimDuration, SimTime};
+
+pub use crate::controller::{Controller, ControllerConfig, WindowStats};
 
 /// Configuration of an elastic-scaling run.
 #[derive(Debug, Clone)]
@@ -101,7 +102,8 @@ pub fn run_elastic(trace: &Trace, config: &ElasticConfig, controller: Controller
     engine::run(&mut node, trace, config.tick_interval, epoch);
 
     let end_time = trace.end_time();
-    let capacity = node.server.pool.capacity().as_mb() as f64;
+    let pool = node.server.invoker.pool();
+    let capacity = pool.capacity().as_mb() as f64;
     let avg_capacity_mb = if end_time > SimTime::ZERO {
         (node.weighted_capacity
             + capacity * end_time.since(node.last_capacity_change).as_secs_f64())
@@ -109,13 +111,13 @@ pub fn run_elastic(trace: &Trace, config: &ElasticConfig, controller: Controller
     } else {
         capacity
     };
-    let r = &node.server.result;
+    let c = pool.counters();
     ElasticResult {
         samples: node.samples,
         avg_capacity_mb,
-        cold: r.cold,
-        warm: r.warm,
-        dropped: r.dropped,
+        cold: c.cold_starts,
+        warm: c.warm_starts,
+        dropped: c.drops,
     }
 }
 
@@ -149,14 +151,15 @@ impl Node for Elastic<'_> {
     }
 
     fn epoch(&mut self, now: SimTime) {
-        let (arrivals, cold) = (self.server.result.invocations, self.server.result.cold);
+        let pool = self.server.invoker.pool_mut();
+        let c = pool.counters(); // every arrival is one acquire
+        let (arrivals, cold) = (c.warm_starts + c.cold_starts + c.drops, c.cold_starts);
         let stats = WindowStats {
             arrivals: arrivals - self.window_start.1,
             cold_starts: cold - self.window_start.2,
             window: now.since(self.window_start.0),
         };
         self.window_start = (now, arrivals, cold);
-        let pool = &mut self.server.pool;
         let decision = self.controller.observe(stats);
         if let Some(new_capacity) = decision {
             if new_capacity != pool.capacity() {
@@ -181,7 +184,6 @@ mod tests {
     use super::*;
     use faascache_analysis::hitratio::HitRatioCurve;
     use faascache_analysis::reuse::reuse_distances;
-    use faascache_provision::controller::ControllerConfig;
     use faascache_trace::adapt::{adapt, AdaptOptions};
     use faascache_trace::synth::{generate, SynthConfig};
 

@@ -12,8 +12,7 @@
 //! the last arrival the engine keeps ticking while [`Node::has_waiting`]
 //! holds, then releases the remaining completions without ticks.
 
-use faascache_core::function::{FunctionId, FunctionRegistry};
-use faascache_core::pool::ContainerPool;
+use faascache_core::function::FunctionId;
 use faascache_trace::record::Trace;
 use faascache_util::{SimDuration, SimTime};
 use std::cmp::Reverse;
@@ -30,8 +29,8 @@ impl<T: Ord> Completions<T> {
     }
 }
 
-/// What the engine drives: a pool, N pools behind a balancer, a pool
-/// behind an admission queue, a live invoker.
+/// What the engine drives: an [`crate::Invoker`], N invokers behind a
+/// balancer, an invoker behind an admission queue, a live invoker.
 pub trait Node {
     /// Names one scheduled completion.
     type Token: Ord;
@@ -106,14 +105,4 @@ impl<T: Ord> Engine<T> {
             node.complete(token, t, &mut self.done);
         }
     }
-}
-
-/// A pool's tick: TTL reaping, then the pre-warms the policy asks for.
-/// Returns the number of containers reaped.
-pub fn housekeep(pool: &mut ContainerPool, registry: &FunctionRegistry, now: SimTime) -> usize {
-    let reaped = pool.reap(now).len();
-    for fid in pool.prewarm_due(now) {
-        pool.prewarm(registry.spec(fid), now);
-    }
-    reaped
 }

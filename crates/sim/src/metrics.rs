@@ -35,12 +35,6 @@ impl FunctionOutcome {
         }
     }
 
-    /// Records a served invocation's startup delay.
-    pub fn record_delay(&mut self, delay: SimDuration) {
-        self.delay_sum_us = self.delay_sum_us.saturating_add(delay.as_micros());
-        self.delay_max_us = self.delay_max_us.max(delay.as_micros());
-    }
-
     /// Mean startup delay over served invocations, in milliseconds.
     pub fn mean_delay_ms(&self) -> f64 {
         let served = self.warm + self.cold;
@@ -217,15 +211,13 @@ mod tests {
 
     #[test]
     fn function_outcome_delay_accounting() {
-        let mut f = FunctionOutcome {
+        let f = FunctionOutcome {
             warm: 1,
             cold: 1,
+            delay_sum_us: 600_000,
+            delay_max_us: 500_000,
             ..FunctionOutcome::default()
         };
-        f.record_delay(SimDuration::from_millis(500));
-        f.record_delay(SimDuration::from_millis(100));
-        assert_eq!(f.delay_sum_us, 600_000);
-        assert_eq!(f.delay_max_us, 500_000);
         assert!((f.mean_delay_ms() - 300.0).abs() < 1e-12);
         assert_eq!(FunctionOutcome::default().mean_delay_ms(), 0.0);
     }

@@ -1,17 +1,18 @@
-//! The single-server simulation: one pool and the [`SimResult`] tally,
-//! driven by [`crate::engine`] in virtual time, so a full day of a
-//! server's traffic simulates in seconds. Ticks drive TTL expiry
+//! The single-server simulation: one [`Invoker`] and the [`SimResult`] it
+//! reports, driven by [`crate::engine`] in virtual time, so a full day of
+//! a server's traffic simulates in seconds. Ticks drive TTL expiry
 //! (`cleanup_finished` in the artifact) and HIST pre-warming
 //! (`PreWarmContainers`); they pop only the due entries from the pool's
 //! ordered indexes (O(k log n) for k of n idle containers), so frequent
 //! ticks stay cheap even on large pools.
 
 use crate::engine::{self, Completions, Node};
+use crate::invoker::Invoker;
 use crate::metrics::{FunctionOutcome, SimResult};
 use faascache_core::container::ContainerId;
 use faascache_core::function::{FunctionId, FunctionRegistry};
 use faascache_core::policy::{KeepAlivePolicy, PolicyKind};
-use faascache_core::pool::{Acquire, ContainerPool, PoolConfig};
+use faascache_core::pool::{ContainerPool, PoolConfig};
 use faascache_trace::record::Trace;
 use faascache_util::stats::LatencySummary;
 use faascache_util::{MemMb, SimDuration, SimTime};
@@ -81,58 +82,76 @@ impl Simulation {
     ) -> SimResult {
         let mut server = Server::new(trace, config, policy);
         engine::run(&mut server, trace, config.tick_interval, None);
-
-        let mut result = server.result;
-        let mut delay_runs = vec![(0.0, result.warm)];
-        delay_runs.extend(
-            server
-                .registry
-                .iter()
-                .zip(&result.per_function)
-                .filter(|(_, outcome)| outcome.cold > 0)
-                .map(|(spec, outcome)| (spec.init_overhead().as_millis_f64(), outcome.cold)),
-        );
-        result.latency = LatencySummary::from_runs_ms(&mut delay_runs, server.delay_sum_ms);
-        let counters = server.pool.counters();
-        result.evictions = counters.evictions;
-        result.prewarms = counters.prewarms;
-        debug_assert_eq!(counters.warm_starts, result.warm);
-        debug_assert_eq!(counters.cold_starts, result.cold);
-        result
+        server.into_result()
     }
 }
 
-/// One pool and its tally; [`crate::elastic`] adds a controller to it.
+/// One [`Invoker`] and what a [`SimResult`] needs beyond its tally;
+/// [`crate::elastic`] adds a controller to it.
 pub(crate) struct Server<'a> {
-    pub(crate) pool: ContainerPool,
+    pub(crate) invoker: Invoker,
     registry: &'a FunctionRegistry,
-    pub(crate) result: SimResult,
     /// The delay digest's sum, in arrival order: a served invocation's
     /// delay is its cold-start initialization (the plain simulator has no
     /// queue), so with the counts this is all the digest needs.
     delay_sum_ms: f64,
-    record_memory_timeline: bool,
+    cold_per_minute: Vec<u32>,
+    /// `Some` when the memory timeline is recorded.
+    mem_timeline: Option<Vec<(f64, u64)>>,
 }
 
 impl<'a> Server<'a> {
     pub fn new(trace: &'a Trace, config: &SimConfig, policy: Box<dyn KeepAlivePolicy>) -> Self {
         let pool_config = PoolConfig::new(config.memory).with_eviction_batch(config.eviction_batch);
         let pool = ContainerPool::with_config(pool_config, policy);
-        let registry = trace.registry();
         let minutes = trace.end_time().minute_index() as usize + 1;
         Server {
-            result: SimResult {
-                policy: pool.policy().name().to_string(),
-                memory: config.memory,
-                per_function: vec![FunctionOutcome::default(); registry.len()],
-                cold_per_minute: vec![0; if trace.is_empty() { 0 } else { minutes }],
-                ..SimResult::default()
-            },
-            pool,
-            registry,
+            invoker: Invoker::new(pool, trace.registry().len()),
+            registry: trace.registry(),
             delay_sum_ms: 0.0,
-            record_memory_timeline: config.record_memory_timeline,
+            cold_per_minute: vec![0; if trace.is_empty() { 0 } else { minutes }],
+            mem_timeline: config.record_memory_timeline.then(Vec::new),
         }
+    }
+
+    /// The run's metrics: the totals are the pool's counters, the
+    /// per-function breakdown the invoker's tally.
+    pub fn into_result(self) -> SimResult {
+        let pool = self.invoker.pool();
+        let counters = pool.counters();
+        let mut result = SimResult {
+            policy: pool.policy().name().to_string(),
+            memory: pool.capacity(),
+            invocations: counters.warm_starts + counters.cold_starts + counters.drops,
+            warm: counters.warm_starts,
+            cold: counters.cold_starts,
+            dropped: counters.drops,
+            evictions: counters.evictions,
+            prewarms: counters.prewarms,
+            cold_per_minute: self.cold_per_minute,
+            mem_timeline: self.mem_timeline.unwrap_or_default(),
+            ..SimResult::default()
+        };
+        let mut delay_runs = vec![(0.0, result.warm)];
+        for (spec, t) in self.registry.iter().zip(self.invoker.tally()) {
+            let warm_us = spec.warm_time().as_micros().saturating_mul(t.served());
+            let init = spec.init_overhead();
+            let delay_sum_us = init.as_micros().saturating_mul(t.cold);
+            result.total_warm_exec += SimDuration::from_micros(warm_us);
+            result.wasted_init += SimDuration::from_micros(delay_sum_us);
+            if t.cold > 0 {
+                delay_runs.push((init.as_millis_f64(), t.cold));
+            }
+            result.per_function.push(FunctionOutcome {
+                warm: t.warm,
+                cold: t.cold,
+                dropped: t.dropped,
+                delay_sum_us,
+                delay_max_us: if t.cold > 0 { init.as_micros() } else { 0 },
+            });
+        }
+        result.latency = LatencySummary::from_runs_ms(&mut delay_runs, self.delay_sum_ms);
+        result
     }
 }
 
@@ -142,43 +161,25 @@ impl Node for Server<'_> {
     #[inline(always)]
     fn arrive(&mut self, function: FunctionId, now: SimTime, done: &mut Completions<ContainerId>) {
         let spec = self.registry.spec(function);
-        let result = &mut self.result;
-        result.invocations += 1;
-        let f = &mut result.per_function[function.index()];
-        match self.pool.acquire(spec, now) {
-            Acquire::Warm { container } => {
-                result.warm += 1;
-                f.warm += 1;
-                f.record_delay(SimDuration::ZERO);
-                result.total_warm_exec += spec.warm_time();
-                done.push(now + spec.warm_time(), container);
-            }
-            Acquire::Cold { container, .. } => {
-                result.cold += 1;
-                f.cold += 1;
-                f.record_delay(spec.init_overhead());
-                self.delay_sum_ms += spec.init_overhead().as_millis_f64();
-                result.total_warm_exec += spec.warm_time();
-                result.wasted_init += spec.init_overhead();
-                result.cold_per_minute[now.minute_index() as usize] += 1;
-                done.push(now + spec.cold_time(), container);
-            }
-            Acquire::NoCapacity => {
-                result.dropped += 1;
-                f.dropped += 1;
-            }
+        let Some(run) = self.invoker.start(spec, now) else {
+            return;
+        };
+        if run.cold {
+            self.delay_sum_ms += spec.init_overhead().as_millis_f64();
+            self.cold_per_minute[now.minute_index() as usize] += 1;
         }
+        done.push(run.finish, run.container);
     }
 
     fn complete(&mut self, container: ContainerId, at: SimTime, _: &mut Completions<ContainerId>) {
-        self.pool.release(container, at);
+        self.invoker.release(container, at);
     }
 
     fn tick(&mut self, now: SimTime, _: &mut Completions<ContainerId>) {
-        engine::housekeep(&mut self.pool, self.registry, now);
-        if self.record_memory_timeline {
-            let used = self.pool.used_mem().as_mb();
-            self.result.mem_timeline.push((now.as_secs_f64(), used));
+        self.invoker.housekeep(self.registry, now);
+        if let Some(timeline) = &mut self.mem_timeline {
+            let used = self.invoker.pool().used_mem().as_mb();
+            timeline.push((now.as_secs_f64(), used));
         }
     }
 }

@@ -3,9 +3,13 @@
 use faascache_core::container::ContainerId;
 use faascache_core::function::{FunctionId, FunctionRegistry};
 use faascache_core::policy::PolicyKind;
-use faascache_core::pool::{Acquire, ContainerPool};
+use faascache_core::pool::ContainerPool;
+use faascache_platform::emulator::{Emulator, PlatformConfig};
+use faascache_platform::sharded::{InvokeOutcome, ShardedConfig, ShardedInvoker};
+use faascache_sim::cluster::{run_cluster, ClusterConfig, LoadBalancer};
 use faascache_sim::engine::{self, Completions, Node};
 use faascache_sim::sim::{SimConfig, Simulation};
+use faascache_sim::Invoker;
 use faascache_trace::record::{Invocation, Trace};
 use faascache_util::{MemMb, SimDuration, SimTime};
 use proptest::prelude::*;
@@ -73,44 +77,118 @@ fn workload_strategy(max_fns: usize, max_arrivals: usize) -> impl Strategy<Value
     })
 }
 
-/// One pool under the engine that checks its capacity after every event.
+/// One invoker under the engine that checks its pool's capacity after
+/// every event.
 struct CapacityCheck<'a> {
-    pool: ContainerPool,
+    invoker: Invoker,
     registry: &'a FunctionRegistry,
+}
+
+impl CapacityCheck<'_> {
+    fn check(&self, after: &str) {
+        let pool = self.invoker.pool();
+        assert!(pool.used_mem() <= pool.capacity(), "after {after}");
+    }
 }
 
 impl Node for CapacityCheck<'_> {
     type Token = ContainerId;
 
     fn arrive(&mut self, function: FunctionId, now: SimTime, done: &mut Completions<ContainerId>) {
-        let spec = self.registry.spec(function);
-        match self.pool.acquire(spec, now) {
-            Acquire::Warm { container } => done.push(now + spec.warm_time(), container),
-            Acquire::Cold { container, .. } => done.push(now + spec.cold_time(), container),
-            Acquire::NoCapacity => {}
+        if let Some(run) = self.invoker.start(self.registry.spec(function), now) {
+            done.push(run.finish, run.container);
         }
-        assert!(
-            self.pool.used_mem() <= self.pool.capacity(),
-            "after an arrival"
-        );
+        self.check("an arrival");
     }
 
     fn complete(&mut self, id: ContainerId, at: SimTime, _: &mut Completions<ContainerId>) {
-        self.pool.release(id, at);
-        assert!(
-            self.pool.used_mem() <= self.pool.capacity(),
-            "after a completion"
-        );
+        self.invoker.release(id, at);
+        self.check("a completion");
     }
 
     fn tick(&mut self, now: SimTime, _: &mut Completions<ContainerId>) {
-        engine::housekeep(&mut self.pool, self.registry, now);
-        assert!(self.pool.used_mem() <= self.pool.capacity(), "after a tick");
+        self.invoker.housekeep(self.registry, now);
+        self.check("a tick");
     }
+}
+
+/// A one-shard live invoker under the engine, counting the outcomes it
+/// returns per function.
+struct Live<'a> {
+    invoker: ShardedInvoker,
+    registry: &'a FunctionRegistry,
+    counts: Vec<(u64, u64, u64)>,
+}
+
+impl Node for Live<'_> {
+    type Token = ();
+
+    fn arrive(&mut self, function: FunctionId, now: SimTime, _: &mut Completions<()>) {
+        let f = &mut self.counts[function.index()];
+        match self.invoker.invoke(self.registry.spec(function), now) {
+            InvokeOutcome::Warm => f.0 += 1,
+            InvokeOutcome::Cold => f.1 += 1,
+            InvokeOutcome::Dropped => f.2 += 1,
+            other => panic!("no admission bound or quota is set, yet {other:?}"),
+        }
+    }
+
+    fn complete(&mut self, _: (), _: SimTime, _: &mut Completions<()>) {}
+
+    fn tick(&mut self, now: SimTime, _: &mut Completions<()>) {
+        self.invoker.housekeep(self.registry, now);
+    }
+}
+
+/// Sums `(warm, cold, dropped)` triples.
+fn sum(counts: impl Iterator<Item = (u64, u64, u64)>) -> (u64, u64, u64) {
+    counts.fold((0, 0, 0), |a, b| (a.0 + b.0, a.1 + b.1, a.2 + b.2))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Every node's own breakdown of what its invokers did sums to its
+    /// pools' counters: the simulator's per-function outcomes, a 3-server
+    /// cluster's per-server split, the emulator's per-function starts
+    /// (its drops are buffer losses, which no pool counts) and the
+    /// outcomes a one-shard live invoker returns.
+    #[test]
+    fn tallies_match_pool_counters(
+        w in workload_strategy(8, 120),
+        policy_idx in 0usize..PolicyKind::ALL.len(),
+        mem_mb in 128u64..8192,
+    ) {
+        let trace = w.to_trace();
+        let config = SimConfig::new(MemMb::new(mem_mb), PolicyKind::ALL[policy_idx]);
+
+        let r = Simulation::run(&trace, &config);
+        let per_fn = sum(r.per_function.iter().map(|f| (f.warm, f.cold, f.dropped)));
+        prop_assert_eq!(per_fn, (r.warm, r.cold, r.dropped));
+
+        let cluster = ClusterConfig {
+            servers: 3,
+            per_server: config,
+            balancer: LoadBalancer::Random,
+            seed: 7,
+        };
+        let c = run_cluster(&trace, &cluster);
+        prop_assert_eq!(sum(c.per_server.iter().copied()), (c.warm, c.cold, c.dropped));
+
+        let e = Emulator::run(&trace, &PlatformConfig::new(config.memory, config.policy));
+        let per_fn = sum(e.per_function.iter().map(|f| (f.warm, f.cold, 0)));
+        prop_assert_eq!(per_fn, (e.warm, e.cold, 0));
+
+        let sharded = ShardedConfig::split(config.memory, 1).with_eviction_batch(config.eviction_batch);
+        let mut live = Live {
+            invoker: ShardedInvoker::with_kind(sharded, config.policy),
+            registry: trace.registry(),
+            counts: vec![(0, 0, 0); trace.registry().len()],
+        };
+        engine::run(&mut live, &trace, config.tick_interval, None);
+        let pool = live.invoker.pool_counters();
+        prop_assert_eq!(sum(live.counts.into_iter()), (pool.warm_starts, pool.cold_starts, pool.drops));
+    }
 
     /// Every policy accounts for every invocation exactly once, and the
     /// per-function breakdown agrees with the totals.
@@ -139,8 +217,9 @@ proptest! {
         mem_mb in 128u64..8192,
     ) {
         let trace = w.to_trace();
+        let pool = ContainerPool::new(MemMb::new(mem_mb), PolicyKind::GreedyDual.build());
         let mut node = CapacityCheck {
-            pool: ContainerPool::new(MemMb::new(mem_mb), PolicyKind::GreedyDual.build()),
+            invoker: Invoker::new(pool, trace.registry().len()),
             registry: trace.registry(),
         };
         engine::run(&mut node, &trace, SimDuration::from_secs(15), None);

@@ -6,9 +6,7 @@ use faascache_analysis::hitratio::HitRatioCurve;
 use faascache_analysis::reuse::reuse_distances;
 use faascache_analysis::shards;
 use faascache_core::policy::PolicyKind;
-use faascache_provision::controller::{Controller, ControllerConfig};
-use faascache_provision::static_prov::StaticProvisioner;
-use faascache_sim::elastic::{run_elastic, ElasticConfig};
+use faascache_sim::elastic::{run_elastic, Controller, ControllerConfig, ElasticConfig};
 use faascache_sim::sim::{SimConfig, Simulation};
 use faascache_trace::record::Trace;
 use faascache_trace::{adapt, sample, synth};
@@ -65,16 +63,14 @@ fn curve_overestimates_at_starved_sizes() {
 fn static_provisioning_achieves_its_target() {
     let t = trace(3);
     let curve = HitRatioCurve::from_reuse(&reuse_distances(&t));
-    let prov = StaticProvisioner::new(curve);
-    let target = 0.9 * prov.curve().max_hit_ratio();
-    let plan = prov.by_target_hit_ratio(target).expect("reachable target");
-    let sim = Simulation::run(&t, &SimConfig::new(plan.size, PolicyKind::GreedyDual));
+    let target = 0.9 * curve.max_hit_ratio();
+    let size = curve.size_for_hit_ratio(target).expect("reachable target");
+    let sim = Simulation::run(&t, &SimConfig::new(size, PolicyKind::GreedyDual));
     // Concurrency and drops cost a few points vs the ideal curve.
     assert!(
         sim.hit_ratio() > target - 0.12,
-        "hit ratio {:.3} far below target {target:.3} at {}",
+        "hit ratio {:.3} far below target {target:.3} at {size}",
         sim.hit_ratio(),
-        plan.size
     );
 }
 

@@ -8,7 +8,6 @@
 
 use faascache::analysis::online::OnlineCurveEstimator;
 use faascache::prelude::*;
-use faascache::provision::static_prov::StaticProvisioner;
 use faascache::trace::azure::AzureDataset;
 use faascache::trace::{adapt, synth};
 
@@ -45,11 +44,10 @@ fn main() {
     for inv in trace.invocations() {
         let mem = trace.registry().spec(inv.function).mem();
         if estimator.observe(inv.function, mem) {
-            let curve = estimator.curve().expect("epoch just closed").clone();
+            let curve = estimator.curve().expect("epoch just closed");
             let drift = estimator.drift(probe.iter().copied());
-            let prov = StaticProvisioner::new(curve);
-            let plan = prov
-                .by_target_hit_ratio(0.9 * prov.curve().max_hit_ratio())
+            let size = curve
+                .size_for_hit_ratio(0.9 * curve.max_hit_ratio())
                 .expect("target within reach");
             println!(
                 "{:>5}  {}  {} (predicted hit ratio {:.2})",
@@ -57,8 +55,8 @@ fn main() {
                 drift
                     .map(|d| format!("{d:.4}"))
                     .unwrap_or_else(|| "  n/a ".into()),
-                plan.size,
-                plan.predicted_hit_ratio
+                size,
+                curve.hit_ratio(size)
             );
         }
     }

@@ -12,8 +12,7 @@
 //! | [`core`] | keep-alive container pool + the Greedy-Dual-Size-Frequency, Landlord, LRU, LFU, SIZE, TTL and HIST policies |
 //! | [`trace`] | Azure-Functions-schema datasets, synthetic generation, samplers, replay |
 //! | [`analysis`] | size-weighted reuse distances, hit-ratio curves, SHARDS sampling, online curve estimation |
-//! | [`sim`] | trace-driven discrete-event simulator + parallel sweeps + elastic scaling |
-//! | [`provision`] | static sizing and the proportional vertical-scaling controller |
+//! | [`sim`] | trace-driven discrete-event simulator + parallel sweeps + elastic scaling under the proportional vertical-scaling controller |
 //! | [`platform`] | virtual-time OpenWhisk-like platform emulator + the sharded invoker |
 //! | [`server`] | `faascached` serving daemon and the `faas-load` trace-replay load generator |
 //! | [`util`] | deterministic RNG, distributions, online statistics, virtual time |
@@ -44,7 +43,6 @@
 pub use faascache_analysis as analysis;
 pub use faascache_core as core;
 pub use faascache_platform as platform;
-pub use faascache_provision as provision;
 pub use faascache_server as server;
 pub use faascache_sim as sim;
 pub use faascache_trace as trace;
@@ -59,8 +57,58 @@ pub mod prelude {
     pub use faascache_core::pool::{Acquire, ContainerPool, PoolConfig};
     pub use faascache_platform::emulator::{Emulator, PlatformConfig};
     pub use faascache_platform::sharded::{InvokeOutcome, ShardedConfig, ShardedInvoker};
-    pub use faascache_provision::controller::{Controller, ControllerConfig};
     pub use faascache_sim::sim::{SimConfig, Simulation};
     pub use faascache_trace::record::{Invocation, Trace};
     pub use faascache_util::{MemMb, Pcg64, SimDuration, SimTime};
+}
+
+/// Static provisioning (paper §5.1): size a server's memory from a
+/// hit-ratio curve, by a target hit ratio or at the curve's inflection
+/// point, through [`analysis::hitratio::HitRatioCurve`].
+#[cfg(test)]
+mod static_prov {
+    #[cfg(test)]
+    mod tests {
+        use crate::analysis::hitratio::HitRatioCurve;
+
+        fn curve() -> HitRatioCurve {
+            // 90 small distances under 1GB, 10 spread to 10GB: classic knee.
+            let mut d: Vec<u64> = (0..90).map(|i| i * 10).collect();
+            d.extend((1..=10).map(|i| i * 1000));
+            HitRatioCurve::from_distances(&d, 0)
+        }
+
+        #[test]
+        fn target_sizing() {
+            let curve = curve();
+            let size = curve.size_for_hit_ratio(0.9).unwrap();
+            assert!(curve.hit_ratio(size) >= 0.9);
+            assert!(size.as_mb() <= 1000, "90% of accesses are under 1GB");
+        }
+
+        #[test]
+        fn unreachable_target() {
+            let curve = HitRatioCurve::from_distances(&[5], 9);
+            assert!(curve.size_for_hit_ratio(0.5).is_none());
+        }
+
+        #[test]
+        fn inflection_sizing_lands_in_steep_region() {
+            let curve = curve();
+            let size = curve.inflection().unwrap();
+            assert!(
+                size.as_mb() <= 1500,
+                "knee should precede the flat tail, got {}",
+                size
+            );
+            assert!(curve.hit_ratio(size) > 0.5);
+        }
+
+        #[test]
+        fn degenerate_curve() {
+            let curve = HitRatioCurve::from_distances(&[], 0);
+            assert!(curve.inflection().is_none());
+            assert!(curve.size_for_hit_ratio(0.1).is_none());
+        }
+    }
 }
