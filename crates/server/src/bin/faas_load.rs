@@ -81,7 +81,7 @@ fn main() -> ExitCode {
                  signal the daemon or use the binary endpoint"
             );
         } else {
-            match client::Client::connect(addr).and_then(|mut c| c.shutdown()) {
+            match client::Client::connect(addr, LoadProto::Binary).and_then(|mut c| c.shutdown()) {
                 Ok(()) => eprintln!("faas-load: daemon shutdown requested"),
                 Err(e) => eprintln!("faas-load: shutdown request failed: {e}"),
             }

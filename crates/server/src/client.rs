@@ -1,27 +1,32 @@
 //! Protocol client and the open-loop load generator behind `faas-load`.
 //!
-//! [`Client`] is a blocking single-connection protocol client, optionally
+//! [`Client`] is a blocking single-connection client that speaks either
+//! wire protocol, chosen at connect time by [`LoadProto`], optionally
 //! wrapped in deterministic fault injection
-//! ([`connect_with_faults`](Client::connect_with_faults)). [`run_load`]
-//! replays an [`OpenLoopSchedule`] against a daemon from several threads —
-//! each thread owns its own connection and sends its slice of the
-//! schedule at the scheduled wall-clock offsets (open loop: a slow
-//! response never delays later sends; the generator just falls behind and
-//! the attained rate shows it).
+//! ([`connect_with_faults`](Client::connect_with_faults)). Every
+//! operation is written once, over one seam: a request goes out through
+//! the binary frame codec or the HTTP codec of [`crate::http`], and the
+//! reply comes back as the same [`Response`] either way. Every mutation
+//! passes [`JournalRecord::validate`] before either codec builds a byte.
 //!
-//! [`run_load_with`] adds the resilience knobs: a [`RetryPolicy`]
-//! (exponential backoff with full jitter, per-request idempotency keys so
-//! retries are exactly-once on the daemon side) and client-side fault
-//! injection. The report accounts for every request under both entry
-//! points: `warm + cold + dropped + rejected + errors == requests`,
-//! exactly, even when injected resets kill connections mid-frame —
-//! retries are counted separately and never double-book a request.
+//! [`run_load_with`] replays an [`OpenLoopSchedule`] against a daemon
+//! from several threads — each thread owns its own connections and
+//! sends its slice of the schedule at the scheduled wall-clock offsets
+//! (open loop: a slow response never delays later sends; the generator
+//! just falls behind and the attained rate shows it). Its options add
+//! the resilience knobs: a [`RetryPolicy`] (exponential backoff with
+//! full jitter, per-request idempotency keys so retries are
+//! exactly-once on the daemon side) and client-side fault injection.
+//! The report accounts for every request:
+//! `warm + cold + dropped + rejected + errors == requests`, exactly,
+//! even when injected resets kill connections mid-frame — retries are
+//! counted separately and never double-book a request.
 
 use crate::cli::Period;
 use crate::daemon::BoundAddr;
 use crate::fault::{FaultConfig, FaultPlan, FaultyStream};
-use crate::http::HttpClient;
-use crate::journal::JournalRecord;
+use crate::http;
+use crate::journal::{self, JournalRecord};
 use crate::net::Stream;
 use crate::proto::{self, Request, Response};
 use faascache_platform::sharded::{InvokeOutcome, InvokerStats};
@@ -29,27 +34,54 @@ use faascache_trace::replay::OpenLoopSchedule;
 use faascache_util::backoff::ExpBackoff;
 use faascache_util::rng::Pcg64;
 use faascache_util::stats::LatencySummary;
-use std::io;
+use std::io::{self, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// A blocking client over one daemon connection.
+/// A blocking client over one connection, in either wire protocol.
+///
+/// [`stats`](Self::stats) and [`shutdown`](Self::shutdown) exist on the
+/// binary protocol only, [`metrics`](Self::metrics) and
+/// [`invoke_named`](Self::invoke_named) on HTTP only; on the other
+/// protocol they are `Unsupported` and send nothing.
 pub struct Client {
     stream: FaultyStream<Stream>,
+    proto: LoadProto,
+    /// HTTP bytes read past the previous response.
+    rbuf: Vec<u8>,
+    /// The gateway answered `Connection: close`: later requests fail
+    /// instead of writing to a connection the server has ended.
+    closed: bool,
 }
 
 impl Client {
-    /// Connects to a daemon at the given bound address (clean transport).
-    pub fn connect(addr: &BoundAddr) -> io::Result<Client> {
-        Self::connect_with_faults(addr, FaultPlan::disabled())
+    /// Connects to a daemon or router at `addr`, speaking `proto`
+    /// (clean transport). The HTTP gateway listens on TCP only, so HTTP
+    /// to a Unix-domain address is `Unsupported`.
+    pub fn connect(addr: &BoundAddr, proto: LoadProto) -> io::Result<Client> {
+        Self::connect_with_faults(addr, proto, FaultPlan::disabled())
     }
 
     /// Connects with client-side fault injection: every read and write on
     /// the connection is subject to `plan`'s deterministic schedule.
-    pub fn connect_with_faults(addr: &BoundAddr, plan: FaultPlan) -> io::Result<Client> {
+    pub fn connect_with_faults(
+        addr: &BoundAddr,
+        proto: LoadProto,
+        plan: FaultPlan,
+    ) -> io::Result<Client> {
+        #[cfg(unix)]
+        if proto == LoadProto::Http && matches!(addr, BoundAddr::Unix(_)) {
+            return Err(io::Error::new(
+                io::ErrorKind::Unsupported,
+                "the http gateway listens on tcp only",
+            ));
+        }
         Ok(Client {
             stream: FaultyStream::new(Stream::connect(addr)?, plan),
+            proto,
+            rbuf: Vec::new(),
+            closed: false,
         })
     }
 
@@ -60,32 +92,84 @@ impl Client {
         self.stream.get_ref().set_read_timeout(timeout)
     }
 
-    /// Writes one request frame without waiting for its reply, so a
-    /// caller holding several connections can put the same request on
-    /// all of them before collecting any answer.
-    pub(crate) fn send(&mut self, request: &Request) -> io::Result<()> {
-        proto::write_frame(&mut self.stream, &request.encode())
-    }
-
-    /// Reads the reply to the oldest unanswered [`Self::send`].
-    pub(crate) fn recv(&mut self) -> io::Result<Response> {
-        match proto::read_frame(&mut self.stream)? {
-            Some(payload) => Response::decode(&payload),
-            None => Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "daemon closed the connection",
-            )),
+    /// Writes one request without waiting for its reply. A mutation
+    /// goes through [`Self::send_mutation`] instead, which checks it
+    /// first.
+    fn send(&mut self, request: &Request) -> io::Result<()> {
+        match self.proto {
+            LoadProto::Binary => proto::write_frame(&mut self.stream, &request.encode()),
+            LoadProto::Http => self.write_http(&http::encode_request(request)?),
         }
     }
 
-    fn call(&mut self, request: Request) -> io::Result<Response> {
-        self.send(&request)?;
+    /// Reads the reply to the oldest unanswered send.
+    pub(crate) fn recv(&mut self) -> io::Result<Response> {
+        match self.proto {
+            LoadProto::Binary => match proto::read_frame(&mut self.stream)? {
+                Some(payload) => Response::decode(&payload),
+                None => Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    "daemon closed the connection",
+                )),
+            },
+            LoadProto::Http => {
+                let (status, body) = self.read_http()?;
+                http::decode_response(status, &body)
+            }
+        }
+    }
+
+    /// Writes one mutation without waiting for its answer (read it with
+    /// [`Self::recv`]), so a caller holding several connections can put
+    /// the same mutation on all of them before collecting any answer.
+    /// Every mutation this client sends comes through here: a record
+    /// that fails [`JournalRecord::validate`] is `InvalidInput`, and
+    /// neither codec builds a byte of it.
+    pub(crate) fn send_mutation(&mut self, record: &JournalRecord) -> io::Result<()> {
+        record
+            .validate()
+            .map_err(|msg| io::Error::new(io::ErrorKind::InvalidInput, msg))?;
+        self.send(&record.to_request())
+    }
+
+    fn write_http(&mut self, head: &[u8]) -> io::Result<()> {
+        if self.closed {
+            return Err(io::Error::new(
+                io::ErrorKind::BrokenPipe,
+                "server closed the connection (Connection: close)",
+            ));
+        }
+        self.stream.write_all(head)
+    }
+
+    fn read_http(&mut self) -> io::Result<(u16, Vec<u8>)> {
+        let (status, body, close) = http::read_response(&mut self.stream, &mut self.rbuf)?;
+        self.closed |= close;
+        Ok((status, body))
+    }
+
+    /// One round trip of a route that has no binary request, answered
+    /// with its status and body; `Unsupported` on the binary protocol.
+    fn http_call(&mut self, what: &str, method: &str, target: &str) -> io::Result<(u16, Vec<u8>)> {
+        if self.proto != LoadProto::Http {
+            return Err(io::Error::new(
+                io::ErrorKind::Unsupported,
+                format!("{what} is served over http only"),
+            ));
+        }
+        self.write_http(&http::request_head(method, target, None))?;
+        self.read_http()
+    }
+
+    fn call(&mut self, request: &Request) -> io::Result<Response> {
+        self.send(request)?;
         self.recv()
     }
 
-    /// Liveness probe.
+    /// Liveness probe: binary `Ping`, or `GET /healthz` (a draining
+    /// gateway's 503 is an error).
     pub fn ping(&mut self) -> io::Result<()> {
-        match self.call(Request::Ping)? {
+        match self.call(&Request::Ping)? {
             Response::Pong => Ok(()),
             other => Err(unexpected(other)),
         }
@@ -93,35 +177,51 @@ impl Client {
 
     /// Invokes function `function` and returns its outcome.
     pub fn invoke(&mut self, function: u32) -> io::Result<InvokeOutcome> {
-        match self.call(Request::Invoke { function })? {
-            Response::Invoked(outcome) => Ok(outcome),
-            other => Err(unexpected(other)),
-        }
+        invoked(self.call(&Request::Invoke { function })?)
     }
 
     /// Invokes function `function` under idempotency key `key`: if the
     /// daemon already executed this key (a retry whose response was
     /// lost), the recorded outcome is returned instead of re-executing.
     pub fn invoke_keyed(&mut self, function: u32, key: u64) -> io::Result<InvokeOutcome> {
-        match self.call(Request::InvokeKeyed { function, key })? {
-            Response::Invoked(outcome) => Ok(outcome),
-            other => Err(unexpected(other)),
-        }
+        invoked(self.call(&Request::InvokeKeyed { function, key })?)
     }
 
-    /// Fetches the daemon's aggregate invoker statistics.
+    /// `POST /invoke/<name>`: invokes a registered function by name
+    /// (HTTP only). A name outside the registry's rule is
+    /// `InvalidInput`, and nothing is sent.
+    pub fn invoke_named(&mut self, name: &str) -> io::Result<InvokeOutcome> {
+        journal::check_function_name(name)
+            .map_err(|msg| io::Error::new(io::ErrorKind::InvalidInput, msg))?;
+        let (status, body) =
+            self.http_call("invoke by name", "POST", &format!("/invoke/{name}"))?;
+        invoked(http::decode_response(status, &body)?)
+    }
+
+    /// Fetches the daemon's aggregate invoker statistics (binary only).
     pub fn stats(&mut self) -> io::Result<InvokerStats> {
-        match self.call(Request::Stats)? {
+        match self.call(&Request::Stats)? {
             Response::Stats(stats) => Ok(stats),
             other => Err(unexpected(other)),
         }
     }
 
-    /// Asks the daemon to drain and exit.
+    /// Asks the daemon to drain and exit (binary only).
     pub fn shutdown(&mut self) -> io::Result<()> {
-        match self.call(Request::Shutdown)? {
+        match self.call(&Request::Shutdown)? {
             Response::ShutdownStarted => Ok(()),
             other => Err(unexpected(other)),
+        }
+    }
+
+    /// `GET /metrics`: the Prometheus text exposition (HTTP only).
+    pub fn metrics(&mut self) -> io::Result<String> {
+        match self.http_call("metrics", "GET", "/metrics")? {
+            (200, body) => Ok(String::from_utf8_lossy(&body).into_owned()),
+            (status, _) => Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("metrics returned {status}"),
+            )),
         }
     }
 
@@ -150,14 +250,14 @@ impl Client {
         cold_us: u64,
         tenant: &str,
     ) -> io::Result<(u32, bool)> {
-        let record = JournalRecord::Register {
+        self.send_mutation(&JournalRecord::Register {
             name: name.to_string(),
             mem_mb,
             warm_us,
             cold_us,
             tenant: tenant.to_string(),
-        };
-        match self.mutate(&record)? {
+        })?;
+        match self.recv()? {
             Response::Registered { function, created } => Ok((function, created)),
             other => Err(unexpected(other)),
         }
@@ -173,25 +273,22 @@ impl Client {
         inflight: u64,
         mem_mb: u64,
     ) -> io::Result<bool> {
-        let record = JournalRecord::SetQuota {
+        self.send_mutation(&JournalRecord::SetQuota {
             tenant: tenant.to_string(),
             inflight,
             mem_mb,
-        };
-        match self.mutate(&record)? {
+        })?;
+        match self.recv()? {
             Response::QuotaSet { live } => Ok(live),
             other => Err(unexpected(other)),
         }
     }
+}
 
-    /// Sends one mutation and returns the daemon's answer. A record that
-    /// fails [`JournalRecord::validate`] is `InvalidInput`, and nothing
-    /// is sent.
-    fn mutate(&mut self, record: &JournalRecord) -> io::Result<Response> {
-        record
-            .validate()
-            .map_err(|msg| io::Error::new(io::ErrorKind::InvalidInput, msg))?;
-        self.call(record.to_request())
+fn invoked(response: Response) -> io::Result<InvokeOutcome> {
+    match response {
+        Response::Invoked(outcome) => Ok(outcome),
+        other => Err(unexpected(other)),
     }
 }
 
@@ -213,7 +310,7 @@ pub fn await_ready(addr: &BoundAddr, timeout: Duration) -> io::Result<()> {
     const PROBE_TIMEOUT: Duration = Duration::from_millis(250);
     let deadline = Instant::now() + timeout;
     loop {
-        let probe = Client::connect(addr).and_then(|mut c| {
+        let probe = Client::connect(addr, LoadProto::Binary).and_then(|mut c| {
             c.set_read_timeout(Some(PROBE_TIMEOUT))?;
             c.ping()
         });
@@ -261,7 +358,8 @@ impl RetryPolicy {
     }
 }
 
-/// Which wire protocol the load generator speaks to the daemon.
+/// Which wire protocol a [`Client`] speaks, chosen at connect time
+/// (`faas-load --proto`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum LoadProto {
     /// The length-prefixed binary protocol (the daemon's main listener).
@@ -293,30 +391,6 @@ impl std::fmt::Display for LoadProto {
     }
 }
 
-/// One load-generator connection, over either protocol. Both arms expose
-/// the same invoke/invoke_keyed surface, so the replay loop is
-/// protocol-agnostic.
-enum LoadConn {
-    Bin(Client),
-    Http(HttpClient),
-}
-
-impl LoadConn {
-    fn invoke(&mut self, function: u32) -> io::Result<InvokeOutcome> {
-        match self {
-            LoadConn::Bin(c) => c.invoke(function),
-            LoadConn::Http(c) => c.invoke(function),
-        }
-    }
-
-    fn invoke_keyed(&mut self, function: u32, key: u64) -> io::Result<InvokeOutcome> {
-        match self {
-            LoadConn::Bin(c) => c.invoke_keyed(function, key),
-            LoadConn::Http(c) => c.invoke_keyed(function, key),
-        }
-    }
-}
-
 /// Everything [`run_load_with`] needs beyond the address and schedule.
 #[derive(Debug, Clone, Copy)]
 pub struct LoadOptions {
@@ -344,8 +418,9 @@ pub struct LoadOptions {
     pub read_timeout: Option<Period>,
     /// Seed for backoff jitter (split per thread).
     pub seed: u64,
-    /// Wire protocol to speak (`faas-load --proto`). [`LoadProto::Http`]
-    /// requires `addr` to be the daemon's HTTP listener address.
+    /// Wire protocol every connection of the run speaks
+    /// (`faas-load --proto`). [`LoadProto::Http`] requires `addr` to be
+    /// the HTTP listener address of a daemon or router.
     pub proto: LoadProto,
 }
 
@@ -456,8 +531,11 @@ fn run_key_prefix() -> u64 {
 }
 
 /// Replays `requests` sends of `schedule` (cycling it as needed) against
-/// the daemon at `addr` from `opts.threads` connections, with the retry
-/// and fault-injection behavior described by `opts`.
+/// the daemon or router at `addr` from `opts.threads` threads, each
+/// holding its slots' [`Client`]s in `opts.proto`, with the retry and
+/// fault-injection behavior described by `opts`.
+/// [`LoadOptions::new`] is the plain run: no retries, no faults, no read
+/// timeout, the binary protocol.
 ///
 /// The schedule is split round-robin: thread `t` sends events
 /// `t, t+threads, t+2*threads, …` at their scheduled offsets from a
@@ -467,7 +545,8 @@ fn run_key_prefix() -> u64 {
 /// Failure semantics: an attempt that errors tears down the thread's
 /// connection; the next attempt reconnects (under a fresh fault plan when
 /// client faults are on). With retries enabled, requests are sent as
-/// [`Request::InvokeKeyed`] so a retry whose predecessor's response was
+/// [`Request::InvokeKeyed`] (an `Idempotency-Key` header over HTTP) so a
+/// retry whose predecessor's response was
 /// lost is answered from the daemon's idempotency cache instead of
 /// re-executing. A request whose every attempt fails counts one error;
 /// conservation `warm+cold+dropped+rejected+errors == requests` holds
@@ -519,27 +598,17 @@ pub fn run_load_with(
                 let mut latencies = Vec::new();
                 // Jitter RNG: deterministic per (seed, thread).
                 let mut rng = Pcg64::seed_from_u64(opts.seed).split(t as u64 + 1);
-                let connect = |conn_seq: &AtomicU64| -> io::Result<LoadConn> {
+                let connect = |conn_seq: &AtomicU64| -> io::Result<Client> {
                     let plan = match opts.faults {
                         Some(cfg) if cfg.is_active() => {
                             cfg.plan(conn_seq.fetch_add(1, Ordering::Relaxed))
                         }
                         _ => FaultPlan::disabled(),
                     };
-                    let conn = match opts.proto {
-                        LoadProto::Binary => {
-                            let client = Client::connect_with_faults(addr, plan)?;
-                            client.set_read_timeout(opts.read_timeout.map(Period::get))?;
-                            LoadConn::Bin(client)
-                        }
-                        LoadProto::Http => {
-                            let client = HttpClient::connect_with_faults(addr, plan)?;
-                            client.set_read_timeout(opts.read_timeout.map(Period::get))?;
-                            LoadConn::Http(client)
-                        }
-                    };
+                    let client = Client::connect_with_faults(addr, opts.proto, plan)?;
+                    client.set_read_timeout(opts.read_timeout.map(Period::get))?;
                     conns_made.fetch_add(1, Ordering::Relaxed);
-                    Ok(conn)
+                    Ok(client)
                 };
                 // This thread's slice of the connection pool: requests
                 // rotate across the slots, so every connection carries
@@ -550,7 +619,7 @@ pub fn run_load_with(
                 } else {
                     opts.connections.div_ceil(threads)
                 };
-                let mut pool: Vec<Option<LoadConn>> = (0..per_thread).map(|_| None).collect();
+                let mut pool: Vec<Option<Client>> = (0..per_thread).map(|_| None).collect();
                 for (i, event) in schedule.cycle().take(requests as usize).enumerate() {
                     if i % threads != t {
                         continue;
@@ -638,26 +707,6 @@ pub fn run_load_with(
     };
     debug_assert_eq!(report.lost(), 0, "conservation bug in run_load_with");
     report
-}
-
-/// [`run_load_with`] with no retries, no faults, and no read timeout —
-/// the original plain entry point.
-///
-/// # Panics
-///
-/// Panics if `threads == 0` or the schedule is empty.
-pub fn run_load(
-    addr: &BoundAddr,
-    schedule: &OpenLoopSchedule,
-    target_rps: f64,
-    requests: u64,
-    threads: usize,
-) -> LoadReport {
-    run_load_with(
-        addr,
-        schedule,
-        LoadOptions::new(target_rps, requests, threads),
-    )
 }
 
 #[cfg(test)]

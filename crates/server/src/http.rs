@@ -22,28 +22,28 @@
 //!   `Op` of `crate::service`: `POST /invoke/<function>`, `GET
 //!   /healthz`, `GET /metrics`, `PUT /functions/<name>` and `PUT
 //!   /tenants/<name>/quota`. Executing the op and choosing the status
-//!   code (Warm/Cold → 200, Dropped/Throttled → 429, Rejected → 503,
-//!   draining → `Connection: close`) happen once, in
+//!   code (draining → `Connection: close`) happen once, in
 //!   `service::respond`, for the daemon and the router alike.
-//! - [`HttpClient`] — a small blocking client used by `faas-load
-//!   --proto http` and the e2e suites; it composes with
-//!   [`FaultyStream`] exactly like the binary client.
+//! - `OUTCOMES` — the one table of invoke outcomes to (status, label):
+//!   Warm/Cold → 200, Dropped/Throttled → 429, Rejected → 503. The
+//!   server encodes with it and the client decodes with it, the way
+//!   `proto`'s outcome codes serve both ends of the binary protocol.
+//! - the client codec behind [`Client`](crate::client::Client) over
+//!   HTTP: `encode_request`, the inverse of `route`, writes a
+//!   [`Request`] as a method, a target and headers; `read_response`
+//!   reads one keep-alive response and `decode_response` turns its
+//!   status and body into the [`Response`] a binary frame would carry.
 //!
 //! An `Idempotency-Key` request header rides the same daemon-side
 //! dedup cache as the binary `InvokeKeyed` opcode, so retrying HTTP
 //! clients keep exactly-once accounting under injected faults.
-//!
-//! [`FaultyStream`]: crate::fault::FaultyStream
 
-use crate::daemon::BoundAddr;
-use crate::fault::{FaultPlan, FaultyStream};
 use crate::journal::JournalRecord;
+use crate::proto::{Request, Response};
 use crate::service::{FnTarget, Op};
 use faascache_platform::sharded::InvokeOutcome;
 use std::collections::VecDeque;
-use std::io::{self, Read, Write};
-use std::net::TcpStream;
-use std::time::Duration;
+use std::io::{self, Read};
 
 /// Upper bound on a request's header block (request line + headers +
 /// terminator). Beyond this the parser reports
@@ -565,257 +565,158 @@ fn route_set_quota(tenant: &str, query: &str) -> Op {
     })
 }
 
-/// A blocking HTTP/1.1 client for the gateway: one keep-alive
-/// connection, one in-flight request. Drives `faas-load --proto http`
-/// and the e2e suites; composes with [`FaultyStream`] exactly like the
-/// binary [`Client`](crate::client::Client).
-pub struct HttpClient {
-    stream: FaultyStream<TcpStream>,
-    /// Bytes read past the previous response (partial next head).
-    rbuf: Vec<u8>,
-    /// Server answered `Connection: close`; further requests must
-    /// reconnect.
-    closed: bool,
+/// Every invoke outcome with the HTTP status and body label that carry
+/// it. Both Dropped and Throttled answer 429, told apart by the label.
+const OUTCOMES: [(InvokeOutcome, u16, &str); 5] = [
+    (InvokeOutcome::Warm, 200, "warm"),
+    (InvokeOutcome::Cold, 200, "cold"),
+    (InvokeOutcome::Dropped, 429, "dropped"),
+    (InvokeOutcome::Rejected, 503, "rejected"),
+    (InvokeOutcome::Throttled, 429, "throttled"),
+];
+
+/// The status and label an outcome is answered with.
+pub(crate) fn outcome_status(outcome: InvokeOutcome) -> (u16, &'static str) {
+    OUTCOMES
+        .iter()
+        .find(|row| row.0 == outcome)
+        .map(|&(_, status, label)| (status, label))
+        .expect("every outcome has a row")
 }
 
-impl HttpClient {
-    /// Connects to a gateway at `addr` (clean transport). The gateway
-    /// listens on TCP only.
-    pub fn connect(addr: &BoundAddr) -> io::Result<HttpClient> {
-        Self::connect_with_faults(addr, FaultPlan::disabled())
-    }
+/// The outcome a (status, label) pair carries, if it is a row of the
+/// table.
+fn outcome_from_status(status: u16, label: &str) -> Option<InvokeOutcome> {
+    OUTCOMES
+        .iter()
+        .find(|row| (row.1, row.2) == (status, label))
+        .map(|row| row.0)
+}
 
-    /// Connects with client-side fault injection.
-    pub fn connect_with_faults(addr: &BoundAddr, plan: FaultPlan) -> io::Result<HttpClient> {
-        let sock = match addr {
-            BoundAddr::Tcp(sock) => *sock,
-            #[cfg(unix)]
-            BoundAddr::Unix(_) => {
+/// The client half of `route`: the bytes that carry `request` to the
+/// gateway. `Stats` and `Shutdown` have no route, so they are
+/// `Unsupported`.
+pub(crate) fn encode_request(request: &Request) -> io::Result<Vec<u8>> {
+    let (method, target, key) = match request {
+        Request::Invoke { function } => ("POST", format!("/invoke/{function}"), None),
+        Request::InvokeKeyed { function, key } => {
+            ("POST", format!("/invoke/{function}"), Some(*key))
+        }
+        Request::Register {
+            name,
+            mem_mb,
+            warm_us,
+            cold_us,
+            tenant,
+        } => (
+            "PUT",
+            format!(
+                "/functions/{name}?mem_mb={mem_mb}&warm_us={warm_us}&cold_us={cold_us}&tenant={tenant}"
+            ),
+            None,
+        ),
+        Request::SetTenantQuota {
+            tenant,
+            inflight,
+            mem_mb,
+        } => (
+            "PUT",
+            format!("/tenants/{tenant}/quota?inflight={inflight}&mem={mem_mb}"),
+            None,
+        ),
+        Request::Ping => ("GET", "/healthz".to_string(), None),
+        Request::Stats | Request::Shutdown => {
+            return Err(io::Error::new(
+                io::ErrorKind::Unsupported,
+                format!("{request:?} is served on the binary protocol only"),
+            ));
+        }
+    };
+    Ok(request_head(method, &target, key))
+}
+
+/// One bodiless request: the request line, `Host`, the optional
+/// `Idempotency-Key`, and `Content-Length: 0`.
+pub(crate) fn request_head(method: &str, target: &str, key: Option<u64>) -> Vec<u8> {
+    let mut head = format!("{method} {target} HTTP/1.1\r\nHost: faascached\r\n");
+    if let Some(key) = key {
+        head.push_str(&format!("Idempotency-Key: {key}\r\n"));
+    }
+    head.push_str("Content-Length: 0\r\n\r\n");
+    head.into_bytes()
+}
+
+/// Reads one response off `stream`, keeping any bytes past it in
+/// `rbuf`, and returns its status, its body, and whether the server
+/// closes the connection after it.
+pub(crate) fn read_response(
+    stream: &mut impl Read,
+    rbuf: &mut Vec<u8>,
+) -> io::Result<(u16, Vec<u8>, bool)> {
+    let invalid = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
+    let mut chunk = [0u8; 4096];
+    loop {
+        match find_head_end(rbuf) {
+            Some(head_end) => {
+                let (status, len, close) = parse_response_head(&rbuf[..head_end])?;
+                if len > MAX_BODY_BYTES {
+                    return Err(invalid("gateway response body exceeds cap"));
+                }
+                if rbuf.len() >= head_end + len {
+                    let body = rbuf[head_end..head_end + len].to_vec();
+                    rbuf.drain(..head_end + len);
+                    return Ok((status, body, close));
+                }
+            }
+            None if rbuf.len() > MAX_HEADER_BYTES => {
+                return Err(invalid("gateway response head exceeds cap"));
+            }
+            None => {}
+        }
+        match stream.read(&mut chunk) {
+            Ok(0) => {
                 return Err(io::Error::new(
-                    io::ErrorKind::Unsupported,
-                    "the http gateway listens on tcp only",
+                    io::ErrorKind::UnexpectedEof,
+                    "gateway closed the connection mid-response",
                 ));
             }
-        };
-        let stream = TcpStream::connect(sock)?;
-        stream.set_nodelay(true)?;
-        Ok(HttpClient {
-            stream: FaultyStream::new(stream, plan),
-            rbuf: Vec::new(),
-            closed: false,
-        })
-    }
-
-    /// Sets the socket read timeout (required whenever faults or
-    /// retries are on, so a lost response errors instead of hanging).
-    pub fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        self.stream.get_ref().set_read_timeout(timeout)
-    }
-
-    /// Sends one request (no body) and reads its response, returning
-    /// `(status, body)`.
-    pub fn request(
-        &mut self,
-        method: &str,
-        target: &str,
-        headers: &[(&str, String)],
-    ) -> io::Result<(u16, Vec<u8>)> {
-        if self.closed {
-            return Err(io::Error::new(
-                io::ErrorKind::BrokenPipe,
-                "server closed the connection (Connection: close)",
-            ));
-        }
-        let mut req = format!("{method} {target} HTTP/1.1\r\nHost: faascached\r\n");
-        for (name, value) in headers {
-            req.push_str(name);
-            req.push_str(": ");
-            req.push_str(value);
-            req.push_str("\r\n");
-        }
-        req.push_str("Content-Length: 0\r\n\r\n");
-        self.stream.write_all(req.as_bytes())?;
-        self.read_response()
-    }
-
-    fn fill(&mut self) -> io::Result<()> {
-        let mut chunk = [0u8; 4096];
-        loop {
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "gateway closed the connection mid-response",
-                    ));
-                }
-                Ok(n) => {
-                    self.rbuf.extend_from_slice(&chunk[..n]);
-                    return Ok(());
-                }
-                Err(ref e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
+            Ok(n) => rbuf.extend_from_slice(&chunk[..n]),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
         }
     }
+}
 
-    fn read_response(&mut self) -> io::Result<(u16, Vec<u8>)> {
-        loop {
-            if let Some(head_end) = find_head_end(&self.rbuf) {
-                let (status, content_length, close) = parse_response_head(&self.rbuf[..head_end])?;
-                if content_length > MAX_BODY_BYTES {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "gateway response body exceeds cap",
-                    ));
-                }
-                let total = head_end + content_length;
-                while self.rbuf.len() < total {
-                    self.fill()?;
-                }
-                let body = self.rbuf[head_end..total].to_vec();
-                self.rbuf.drain(..total);
-                if close {
-                    self.closed = true;
-                }
-                return Ok((status, body));
-            }
-            if self.rbuf.len() > MAX_HEADER_BYTES {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "gateway response head exceeds cap",
-                ));
-            }
-            self.fill()?;
-        }
-    }
-
-    /// `POST /invoke/<function>` by registry index.
-    pub fn invoke(&mut self, function: u32) -> io::Result<InvokeOutcome> {
-        self.invoke_target(&function.to_string(), None)
-    }
-
-    /// Keyed invoke: retries carrying the same key are answered from
-    /// the daemon's idempotency cache, exactly-once.
-    pub fn invoke_keyed(&mut self, function: u32, key: u64) -> io::Result<InvokeOutcome> {
-        self.invoke_target(&function.to_string(), Some(key))
-    }
-
-    /// `POST /invoke/<name>` by registered function name.
-    pub fn invoke_named(&mut self, name: &str) -> io::Result<InvokeOutcome> {
-        self.invoke_target(name, None)
-    }
-
-    fn invoke_target(&mut self, function: &str, key: Option<u64>) -> io::Result<InvokeOutcome> {
-        let mut headers = Vec::new();
-        if let Some(k) = key {
-            headers.push(("Idempotency-Key", k.to_string()));
-        }
-        let (status, body) = self.request("POST", &format!("/invoke/{function}"), &headers)?;
-        let body = String::from_utf8_lossy(&body);
-        match status {
-            200 if body.contains("\"outcome\":\"warm\"") => Ok(InvokeOutcome::Warm),
-            200 if body.contains("\"outcome\":\"cold\"") => Ok(InvokeOutcome::Cold),
-            // 429 covers both pool drops and tenant throttles; the
-            // outcome label disambiguates.
-            429 if body.contains("\"outcome\":\"throttled\"") => Ok(InvokeOutcome::Throttled),
-            429 => Ok(InvokeOutcome::Dropped),
-            503 => Ok(InvokeOutcome::Rejected),
-            other => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unexpected gateway response {other}: {}", body.trim()),
-            )),
-        }
-    }
-
-    /// `GET /healthz`, returning the status code (200 serving, 503
-    /// draining).
-    pub fn healthz(&mut self) -> io::Result<u16> {
-        let (status, _) = self.request("GET", "/healthz", &[])?;
-        Ok(status)
-    }
-
-    /// `GET /metrics`, returning the Prometheus text body.
-    pub fn metrics(&mut self) -> io::Result<String> {
-        let (status, body) = self.request("GET", "/metrics", &[])?;
-        if status != 200 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("metrics returned {status}"),
-            ));
-        }
-        Ok(String::from_utf8_lossy(&body).into_owned())
-    }
-
-    /// `PUT /functions/<name>`: registers a function at runtime under
-    /// the default tenant and returns `(index, created)`. Duplicate
-    /// registration is idempotent (`created == false`).
-    pub fn register(
-        &mut self,
-        name: &str,
-        mem_mb: u64,
-        warm_us: u64,
-        cold_us: u64,
-    ) -> io::Result<(u32, bool)> {
-        self.register_in(name, mem_mb, warm_us, cold_us, "")
-    }
-
-    /// [`Self::register`] with an owning tenant (`""` = default tenant).
-    pub fn register_in(
-        &mut self,
-        name: &str,
-        mem_mb: u64,
-        warm_us: u64,
-        cold_us: u64,
-        tenant: &str,
-    ) -> io::Result<(u32, bool)> {
-        let mut target =
-            format!("/functions/{name}?mem_mb={mem_mb}&warm_us={warm_us}&cold_us={cold_us}");
-        if !tenant.is_empty() {
-            target.push_str("&tenant=");
-            target.push_str(tenant);
-        }
-        let (status, body) = self.request("PUT", &target, &[])?;
-        let body = String::from_utf8_lossy(&body);
-        if status != 200 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("register returned {status}: {}", body.trim()),
-            ));
-        }
-        let idx = json_u64(&body, "function").ok_or_else(|| {
-            io::Error::new(io::ErrorKind::InvalidData, "register reply missing index")
-        })?;
-        Ok((idx as u32, body.contains("\"created\":true")))
-    }
-
-    /// `PUT /tenants/<name>/quota`: updates a tenant's isolation budget
-    /// at runtime (`u64::MAX` = unlimited). Returns whether the quota
-    /// applied to a live (already bound) tenant slot.
-    pub fn set_tenant_quota(
-        &mut self,
-        tenant: &str,
-        inflight: u64,
-        mem_mb: u64,
-    ) -> io::Result<bool> {
-        let mut target = format!("/tenants/{tenant}/quota");
-        let mut sep = '?';
-        if inflight != u64::MAX {
-            target.push_str(&format!("{sep}inflight={inflight}"));
-            sep = '&';
-        }
-        if mem_mb != u64::MAX {
-            target.push_str(&format!("{sep}mem={mem_mb}"));
-        }
-        let (status, body) = self.request("PUT", &target, &[])?;
-        let body = String::from_utf8_lossy(&body);
-        if status != 200 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("quota update returned {status}: {}", body.trim()),
-            ));
-        }
-        Ok(body.contains("\"live\":true"))
-    }
+/// Decodes a gateway response into the [`Response`] a binary frame
+/// would carry: an outcome by its row of `OUTCOMES`, any other status
+/// but 200 as [`Response::Error`] (the status in front of its message),
+/// and an ack or `Pong` from a 200 body.
+pub(crate) fn decode_response(status: u16, body: &[u8]) -> io::Result<Response> {
+    let body = String::from_utf8_lossy(body);
+    let flag = |key: &str| body.contains(&format!("\"{key}\":true"));
+    let response = if let Some(label) = json_str(&body, "outcome") {
+        outcome_from_status(status, label).map(Response::Invoked)
+    } else if status != 200 {
+        let msg = json_str(&body, "error").unwrap_or(body.trim());
+        Some(Response::Error(format!("{status} {msg}")))
+    } else if body.contains("\"live\":") {
+        Some(Response::QuotaSet { live: flag("live") })
+    } else if body == "ok\n" {
+        Some(Response::Pong)
+    } else {
+        json_u64(&body, "function")
+            .and_then(|function| u32::try_from(function).ok())
+            .map(|function| Response::Registered {
+                function,
+                created: flag("created"),
+            })
+    };
+    response.ok_or_else(|| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("unexpected gateway response {status}: {}", body.trim()),
+        )
+    })
 }
 
 /// Index one past a response head's terminator, if complete.
@@ -866,6 +767,15 @@ fn json_u64(body: &str, key: &str) -> Option<u64> {
         .take_while(|c| c.is_ascii_digit())
         .collect();
     digits.parse().ok()
+}
+
+/// Extracts the string following `"key":"` from a tiny JSON body. The
+/// server writes no escapes (`error_json` replaces quotes), so the
+/// value ends at the next quote.
+fn json_str<'a>(body: &'a str, key: &str) -> Option<&'a str> {
+    let pat = format!("\"{key}\":\"");
+    let rest = &body[body.find(&pat)? + pat.len()..];
+    rest.split('"').next()
 }
 
 #[cfg(test)]
@@ -1109,6 +1019,65 @@ mod tests {
                 status: 400,
                 msg: "mem_mb 4294967296 exceeds the u32 wire range".to_string(),
             }
+        );
+    }
+
+    /// `encode_request` is the inverse of `route`: every request the
+    /// client sends over HTTP routes to the op its binary frame decodes
+    /// to (liveness is `Healthz` rather than `Ping`).
+    #[test]
+    fn encoded_requests_route_to_the_ops_their_frames_decode_to() {
+        let register = |tenant: &str| Request::Register {
+            name: "f1".to_string(),
+            mem_mb: 256,
+            warm_us: 2_000,
+            cold_us: 50_000,
+            tenant: tenant.to_string(),
+        };
+        let quota = |inflight, mem_mb| Request::SetTenantQuota {
+            tenant: "acme".to_string(),
+            inflight,
+            mem_mb,
+        };
+        for request in [
+            Request::Invoke { function: 7 },
+            Request::InvokeKeyed {
+                function: 7,
+                key: 9,
+            },
+            register(""),
+            register("acme"),
+            quota(4, 512),
+            quota(u64::MAX, 512),
+            quota(4, u64::MAX),
+            quota(u64::MAX, u64::MAX),
+        ] {
+            let wire = encode_request(&request).expect("has a route");
+            let parsed = parse_all(&wire);
+            assert_eq!(parsed.len(), 1);
+            assert_eq!(route(&parsed[0]), Op::from_frame(&request.encode()));
+        }
+        let ping = parse_all(&encode_request(&Request::Ping).expect("has a route"));
+        assert_eq!(route(&ping[0]), Op::Healthz);
+        for request in [Request::Stats, Request::Shutdown] {
+            let err = encode_request(&request).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::Unsupported);
+        }
+    }
+
+    #[test]
+    fn off_table_outcomes_do_not_decode() {
+        assert_eq!(
+            outcome_from_status(429, "throttled"),
+            Some(InvokeOutcome::Throttled)
+        );
+        assert_eq!(outcome_from_status(200, "dropped"), None);
+        assert_eq!(outcome_from_status(503, "wasm"), None);
+        let err = decode_response(200, b"{\"function\":1,\"outcome\":\"rejected\"}\n");
+        assert_eq!(err.unwrap_err().kind(), io::ErrorKind::InvalidData);
+        assert_eq!(
+            decode_response(503, b"{\"error\":\"draining\"}\n").unwrap(),
+            Response::Error("503 draining".to_string())
         );
     }
 

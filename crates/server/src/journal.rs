@@ -117,7 +117,7 @@ impl JournalRecord {
     pub fn validate(&self) -> Result<(), String> {
         match self {
             JournalRecord::Register { name, tenant, .. } => {
-                check_name("function name", name, MAX_NAME_LEN)?;
+                check_function_name(name)?;
                 if tenant.is_empty() {
                     return Ok(());
                 }
@@ -238,6 +238,13 @@ impl JournalRecord {
         out.extend_from_slice(&payload);
         out
     }
+}
+
+/// The function-name rule of [`JournalRecord::validate`]. The client
+/// holds a name it invokes by to it as well, since the name becomes
+/// part of a URL path.
+pub(crate) fn check_function_name(name: &str) -> Result<(), String> {
+    check_name("function name", name, MAX_NAME_LEN)
 }
 
 /// `name` is 1 to `max` bytes of `[A-Za-z0-9._-]`.

@@ -9,8 +9,9 @@
 //!   and Unix domain sockets (`std::net` only; no external deps);
 //! - [`http`] — the HTTP/1.1 gateway's codec: an incremental request
 //!   parser and response encoder (keep-alive, pipelining,
-//!   Content-Length bodies, 431/413 limits), the route table, and a
-//!   small blocking client — so wrk/hey/curl can drive the cache;
+//!   Content-Length bodies, 431/413 limits), the route table, the one
+//!   outcome ↔ (status, label) table, and the client's request encoder
+//!   and response decoder — so wrk/hey/curl can drive the cache;
 //! - `service` — the one operation table: a frame or an HTTP request
 //!   decodes into a protocol-neutral `Op`, a `Service` executes it into
 //!   a `Reply`, and `respond` encodes the reply back into the wire
@@ -40,9 +41,10 @@
 //!   checks with ejection/re-admission, pinned idempotency keys, and
 //!   per-backend `/metrics`; served by the blocking driver (a forward
 //!   is a blocking round-trip, which would stall the reactor);
-//! - [`client`] — the blocking protocol client (with retry/backoff and
-//!   idempotency keys) and the open-loop trace-replay load generator
-//!   behind the `faas-load` binary;
+//! - [`client`] — the one blocking client, over either protocol (chosen
+//!   at connect time; every mutation checked before it is sent), and
+//!   the open-loop trace-replay load generator behind the `faas-load`
+//!   binary (retry/backoff and idempotency keys);
 //! - [`fault`] — seeded deterministic fault injection: a
 //!   [`FaultyStream`] transport wrapper that tears
 //!   writes, shortens reads, flips bits, stalls, and resets connections
@@ -91,14 +93,12 @@ pub mod signal;
 pub mod workload;
 
 pub use cli::Period;
-pub use client::{
-    run_load, run_load_with, Client, LoadOptions, LoadProto, LoadReport, RetryPolicy,
-};
+pub use client::{run_load_with, Client, LoadOptions, LoadProto, LoadReport, RetryPolicy};
 pub use daemon::{
     BoundAddr, Daemon, DaemonConfig, DaemonReport, Endpoint, IoModel, ShutdownHandle,
 };
 pub use fault::{FaultConfig, FaultPlan, FaultyStream};
-pub use http::{HttpClient, HttpParseError, HttpParser, HttpRequest};
+pub use http::{HttpParseError, HttpParser, HttpRequest};
 pub use journal::{Journal, JournalRecord, RecoveredState};
 pub use proto::{FrameDecoder, FrameEncoder};
 pub use router::{BackendSpec, Router, RouterConfig, RouterReport};

@@ -54,14 +54,14 @@
 //! backend or admission refused", never "the hop broke".
 
 use crate::cli::Period;
-use crate::client::{self, Client};
+use crate::client::{self, Client, LoadProto};
 use crate::daemon::{BoundAddr, Endpoint, ShutdownHandle};
 use crate::driver::{self, Front};
 use crate::fault::{FaultConfig, FaultPlan};
 use crate::journal::JournalRecord;
 use crate::net::DrainLatch;
 use crate::prom::PromText;
-use crate::proto::{Request, Response};
+use crate::proto::Response;
 use crate::service::{FnTarget, FrontCounters, KeyCache, Op, Reply, Service};
 use faascache_platform::sharded::{InvokeOutcome, InvokerStats};
 use faascache_util::backoff::ExpBackoff;
@@ -317,18 +317,23 @@ impl Control {
         }
     }
 
-    /// Writes `request` to backend `b`: on its standing connection, or
+    /// Writes `record` to backend `b`: on its standing connection, or
     /// on a fresh one if there is none or the standing one will not take
     /// the write. Returns whether the standing connection carried it.
-    fn send(&mut self, shared: &RouterShared, b: usize, request: &Request) -> io::Result<bool> {
+    fn send(
+        &mut self,
+        shared: &RouterShared,
+        b: usize,
+        record: &JournalRecord,
+    ) -> io::Result<bool> {
         if let Some(standing) = &mut self.conns[b] {
-            if standing.send(request).is_ok() {
+            if standing.send_mutation(record).is_ok() {
                 return Ok(true);
             }
         }
         self.conns[b] = None;
         let mut fresh = shared.dial_control(b)?;
-        fresh.send(request)?;
+        fresh.send_mutation(record)?;
         self.conns[b] = Some(fresh);
         Ok(false)
     }
@@ -435,7 +440,7 @@ impl RouterShared {
     /// `Ping` probes): never fault-planned, and with the backend read
     /// timeout so a lost reply errors instead of hanging.
     fn dial_control(&self, b: usize) -> io::Result<Client> {
-        let client = Client::connect(&self.backends[b].spec.addr)?;
+        let client = Client::connect(&self.backends[b].spec.addr, LoadProto::Binary)?;
         client.set_read_timeout(Some(self.config.backend_read_timeout.get()))?;
         Ok(client)
     }
@@ -475,6 +480,7 @@ impl ConnCache {
         if self.conns[b].is_none() {
             let client = Client::connect_with_faults(
                 &shared.backends[b].spec.addr,
+                LoadProto::Binary,
                 shared.next_backend_plan(),
             )?;
             client.set_read_timeout(Some(shared.config.backend_read_timeout.get()))?;
@@ -630,7 +636,6 @@ fn broadcast(
     control: &mut Control,
     record: &JournalRecord,
 ) -> Result<Response, String> {
-    let request = record.to_request();
     let mut failures = Vec::new();
     let mut sent = Vec::new();
     for (b, backend) in shared.backends.iter().enumerate() {
@@ -638,7 +643,7 @@ fn broadcast(
             control.conns[b] = None;
             continue;
         }
-        match control.send(shared, b, &request) {
+        match control.send(shared, b, record) {
             Ok(reused) => sent.push((b, reused)),
             Err(e) => failures.push(format!("backend {b}: {e}")),
         }
@@ -648,7 +653,7 @@ fn broadcast(
         let mut reply = control.recv(b);
         if reply.is_err() && reused {
             reply = control
-                .send(shared, b, &request)
+                .send(shared, b, record)
                 .and_then(|_| control.recv(b));
         }
         match reply.and_then(|r| fold_ack(record, acc.clone(), r)) {
@@ -928,25 +933,26 @@ fn probe_loop(shared: &RouterShared) {
 /// standing connection: connect-refused is the liveness signal.
 fn probe_backend(shared: &RouterShared, b: usize) -> bool {
     let backend = &shared.backends[b];
-    let timeout = shared.config.backend_read_timeout.get();
-    match backend.spec.http {
-        Some(http_addr) => {
-            let probe = || -> io::Result<bool> {
-                let mut client = crate::http::HttpClient::connect(&BoundAddr::Tcp(http_addr))?;
-                client.set_read_timeout(Some(timeout))?;
-                if client.healthz()? != 200 {
-                    return Ok(false);
-                }
-                let body = client.metrics()?;
-                backend
-                    .polled_in_flight
-                    .store(sum_shard_in_flight(&body), Ordering::Relaxed);
-                Ok(true)
-            };
-            probe().unwrap_or(false)
-        }
-        None => shared.dial_control(b).and_then(|mut c| c.ping()).is_ok(),
-    }
+    let probe = || -> io::Result<()> {
+        let Some(http_addr) = backend.spec.http else {
+            return shared.dial_control(b)?.ping();
+        };
+        let mut client = dial_gateway(http_addr, shared.config.backend_read_timeout.get())?;
+        client.ping()?;
+        let body = client.metrics()?;
+        backend
+            .polled_in_flight
+            .store(sum_shard_in_flight(&body), Ordering::Relaxed);
+        Ok(())
+    };
+    probe().is_ok()
+}
+
+/// Dials a backend's HTTP gateway for one probe or scrape.
+fn dial_gateway(http_addr: SocketAddr, timeout: Duration) -> io::Result<Client> {
+    let client = Client::connect(&BoundAddr::Tcp(http_addr), LoadProto::Http)?;
+    client.set_read_timeout(Some(timeout))?;
+    Ok(client)
 }
 
 /// Sums `faascache_shard_in_flight{shard="i"} N` gauge lines from a
@@ -980,12 +986,10 @@ fn scrape_registry_digest(metrics: &str) -> Option<u64> {
 /// HTTP gateway.
 fn backend_registry_digest(backend: &Backend, timeout: Duration) -> Option<u64> {
     let http_addr = backend.spec.http?;
-    let scrape = || -> io::Result<String> {
-        let mut client = crate::http::HttpClient::connect(&BoundAddr::Tcp(http_addr))?;
-        client.set_read_timeout(Some(timeout))?;
-        client.metrics()
-    };
-    scrape_registry_digest(&scrape().ok()?)
+    let body = dial_gateway(http_addr, timeout)
+        .and_then(|mut client| client.metrics())
+        .ok()?;
+    scrape_registry_digest(&body)
 }
 
 /// Re-admission: before ejected backend `b` rejoins the routing set,
@@ -1025,7 +1029,7 @@ fn readmit(shared: &RouterShared, b: usize) -> bool {
             if registrations_converged && matches!(record, JournalRecord::Register { .. }) {
                 continue;
             }
-            client.send(&record.to_request())?;
+            client.send_mutation(record)?;
             fold_ack(record, None, client.recv()?)?;
             replayed += 1;
         }
@@ -1219,6 +1223,7 @@ impl Router {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::Request;
 
     #[test]
     fn zero_read_timeout_is_refused() {

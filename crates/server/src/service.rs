@@ -198,7 +198,9 @@ impl Reply {
 
     /// Appends the HTTP response to `out` and returns whether the
     /// connection closes after it. While draining every response closes
-    /// and `/healthz` answers 503.
+    /// and `/healthz` answers 503. An outcome's status and label come
+    /// from the table the client decodes with
+    /// ([`http::outcome_status`]).
     ///
     /// Both Dropped and Throttled answer 429, but only a tenant throttle
     /// carries Retry-After: a drop means the *pool* is out of memory
@@ -210,13 +212,7 @@ impl Reply {
         let mut retry_after = None;
         let (status, content_type, body) = match self {
             Reply::Invoked { function, outcome } => {
-                let (status, label) = match outcome {
-                    InvokeOutcome::Warm => (200, "warm"),
-                    InvokeOutcome::Cold => (200, "cold"),
-                    InvokeOutcome::Dropped => (429, "dropped"),
-                    InvokeOutcome::Rejected => (503, "rejected"),
-                    InvokeOutcome::Throttled => (429, "throttled"),
-                };
+                let (status, label) = http::outcome_status(outcome);
                 if outcome == InvokeOutcome::Throttled {
                     retry_after = Some(http::THROTTLE_RETRY_AFTER_SECS);
                 }
@@ -461,6 +457,31 @@ pub(crate) fn respond<S: Service>(
                 svc.call(ctx, op)
             };
             reply.write_http(draining, req_close, out)
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every outcome crosses the HTTP table both ways: the response the
+    /// server writes for it decodes, in the client, to the same outcome.
+    #[test]
+    fn every_outcome_round_trips_through_the_http_table() {
+        use InvokeOutcome::{Cold, Dropped, Rejected, Throttled, Warm};
+        for outcome in [Warm, Cold, Dropped, Rejected, Throttled] {
+            let mut wire = Vec::new();
+            let reply = Reply::Invoked {
+                function: 3,
+                outcome,
+            };
+            assert!(!reply.write_http(false, false, &mut wire));
+            let (status, body, close) =
+                http::read_response(&mut wire.as_slice(), &mut Vec::new()).expect("a response");
+            assert_eq!((status, close), (http::outcome_status(outcome).0, false));
+            let decoded = http::decode_response(status, &body).expect("decodes");
+            assert_eq!(decoded, Response::Invoked(outcome));
         }
     }
 }

@@ -23,7 +23,7 @@
 //! also pinned in `pinned_argv_cases_are_refused`.
 
 use faascache_server::cli::{self, UsageError};
-use faascache_server::client::Client;
+use faascache_server::client::{Client, LoadProto};
 use faascache_server::daemon::{BoundAddr, Daemon, DaemonConfig, Endpoint, ShutdownHandle};
 use faascache_server::{IoModel, Period, WorkloadConfig};
 use faascache_util::route::LoadBalancer;
@@ -236,7 +236,7 @@ fn session(
     let mut conn: Option<Client> = None;
     for _ in 0..10 {
         if conn.is_none() {
-            conn = Client::connect(&addr).ok();
+            conn = Client::connect(&addr, LoadProto::Binary).ok();
             if let Some(c) = &conn {
                 c.set_read_timeout(Some(Duration::from_secs(1))).unwrap();
             }

@@ -235,7 +235,7 @@ mod children {
         /// per-tenant variants carry an extra label and must not double
         /// count.
         pub fn outcome_counters(&self) -> (u64, u64, u64, u64, u64) {
-            let mut http = faascache_server::HttpClient::connect(&BoundAddr::Tcp(self.http))
+            let mut http = Client::connect(&BoundAddr::Tcp(self.http), LoadProto::Http)
                 .expect("connect child gateway");
             let body = http.metrics().expect("scrape child metrics");
             let get = |label: &str| -> u64 {
@@ -258,7 +258,7 @@ mod children {
 
         /// Scrapes the child's `faascache_registry_digest` gauge.
         pub fn registry_digest(&self) -> u64 {
-            let mut http = faascache_server::HttpClient::connect(&BoundAddr::Tcp(self.http))
+            let mut http = Client::connect(&BoundAddr::Tcp(self.http), LoadProto::Http)
                 .expect("connect child gateway");
             let body = http.metrics().expect("scrape child metrics");
             body.lines()
@@ -272,7 +272,7 @@ mod children {
         /// Graceful teardown: protocol Shutdown, then reap and assert a
         /// clean exit.
         pub fn shutdown_clean(mut self) {
-            Client::connect(&self.addr())
+            Client::connect(&self.addr(), LoadProto::Binary)
                 .expect("connect for shutdown")
                 .shutdown()
                 .expect("shutdown frame");
@@ -347,7 +347,7 @@ fn e2e_case(io: IoModel, balancer: LoadBalancer) {
     assert_eq!(report.lost(), 0, "{tag}: {}", report.summary_line());
 
     // The router's own tallies must equal the client's.
-    let stats = Client::connect(&addr)
+    let stats = Client::connect(&addr, LoadProto::Binary)
         .expect("connect router")
         .stats()
         .expect("router stats");
@@ -405,13 +405,26 @@ fn e2e_case(io: IoModel, balancer: LoadBalancer) {
         bs.iter().map(ChildBackend::registry_digest).collect()
     };
     let before = digests(&backends);
-    let refused = faascache_server::HttpClient::connect(&http)
-        .expect("connect router http")
-        .register("too-big", u64::from(u32::MAX) + 1, 1_000, 10_000)
-        .expect_err("router accepted an out-of-range mem_mb");
+    // The client holds `mem_mb` as a u32, so the request goes out raw.
+    let refused = {
+        use std::io::{Read, Write};
+        let BoundAddr::Tcp(sock) = &http else {
+            unreachable!("the router's gateway is tcp")
+        };
+        let mut conn = std::net::TcpStream::connect(sock).expect("connect router http");
+        let target = format!(
+            "/functions/too-big?mem_mb={}&warm_us=1000&cold_us=10000",
+            u64::from(u32::MAX) + 1
+        );
+        conn.write_all(format!("PUT {target} HTTP/1.1\r\nConnection: close\r\n\r\n").as_bytes())
+            .expect("send register");
+        let mut response = String::new();
+        conn.read_to_string(&mut response).expect("read the answer");
+        response
+    };
     assert!(
-        refused.to_string().contains("register returned 400"),
-        "{tag}: {refused}"
+        refused.starts_with("HTTP/1.1 400"),
+        "{tag}: router accepted an out-of-range mem_mb: {refused}"
     );
     assert_eq!(
         digests(&backends),
@@ -566,7 +579,7 @@ fn killing_a_backend_mid_run_loses_nothing() {
 /// `/metrics` front.
 #[cfg(unix)]
 fn router_series(http: &BoundAddr, series: &str) -> u64 {
-    let mut client = faascache_server::HttpClient::connect(http).expect("connect router http");
+    let mut client = Client::connect(http, LoadProto::Http).expect("connect router http");
     let body = client.metrics().expect("scrape router metrics");
     let prefix = format!("{series} ");
     body.lines()
@@ -639,7 +652,7 @@ fn killed_backend_restarted_from_state_dir_rejoins_converged() {
 
     // A registration broadcast while both backends are healthy: the
     // victim journals it, so recovery alone must bring it back.
-    let mut conn = Client::connect(&addr).expect("connect router");
+    let mut conn = Client::connect(&addr, LoadProto::Binary).expect("connect router");
     let (pre_kill_index, created) = conn
         .register_in("pre-kill-fn", 128, 1_000, 10_000, "rejoin")
         .expect("broadcast register");
@@ -683,7 +696,8 @@ fn killed_backend_restarted_from_state_dir_rejoins_converged() {
         revived.registry_digest(),
         "registry digests diverge after rejoin"
     );
-    let mut direct = Client::connect(&revived.addr()).expect("connect revived backend");
+    let mut direct =
+        Client::connect(&revived.addr(), LoadProto::Binary).expect("connect revived backend");
     let (idx, created) = direct
         .register_in("pre-kill-fn", 128, 1_000, 10_000, "rejoin")
         .expect("lookup pre-kill-fn");
@@ -788,7 +802,7 @@ fn drain_daemon((handle, join): RunningDaemon) -> DaemonReport {
 
 fn scrape_registry_digest(spec: &BackendSpec) -> u64 {
     let http = BoundAddr::Tcp(spec.http.expect("backend has a gateway"));
-    let body = faascache_server::HttpClient::connect(&http)
+    let body = Client::connect(&http, LoadProto::Http)
         .expect("connect gateway")
         .metrics()
         .expect("scrape metrics");
@@ -820,7 +834,8 @@ fn concurrent_registrations_mint_one_index_per_name_everywhere() {
             .map(|t| {
                 let addr = &addr;
                 scope.spawn(move || {
-                    let mut conn = Client::connect(addr).expect("connect router");
+                    let mut conn =
+                        Client::connect(addr, LoadProto::Binary).expect("connect router");
                     (0..NAMES_EACH)
                         .map(|i| {
                             let name = format!("fn-{t}-{i}");
@@ -842,7 +857,7 @@ fn concurrent_registrations_mint_one_index_per_name_everywhere() {
     assert_eq!(minted.len(), THREADS * NAMES_EACH);
 
     for spec in &specs {
-        let mut direct = Client::connect(&spec.addr).expect("connect backend");
+        let mut direct = Client::connect(&spec.addr, LoadProto::Binary).expect("connect backend");
         for (name, index) in &minted {
             let (on_backend, created) = direct
                 .register(name, 128, 1_000, 10_000)
@@ -999,7 +1014,7 @@ fn a_register_acknowledged_during_a_replay_reaches_the_rejoining_backend() {
     // The fake drops its probes: ejected. A registration meanwhile is
     // acknowledged by the survivor alone and logged for the replay.
     await_router_series(&http, "faasrouter_backend_healthy{backend=\"1\"}", 0);
-    let mut conn = Client::connect(&addr).expect("connect router");
+    let mut conn = Client::connect(&addr, LoadProto::Binary).expect("connect router");
     let (before, created) = conn
         .register("before-replay", 128, 1_000, 10_000)
         .expect("register while ejected");
@@ -1065,7 +1080,7 @@ fn a_dead_standing_connection_is_redialed_once() {
     };
     let (addr, _http, handle, join) = boot_router(vec![spec], RouterConfig::default());
 
-    let mut conn = Client::connect(&addr).expect("connect router");
+    let mut conn = Client::connect(&addr, LoadProto::Binary).expect("connect router");
     for (i, name) in ["first", "second", "third"].into_iter().enumerate() {
         let (index, created) = conn
             .register(name, 128, 1_000, 10_000)
@@ -1115,7 +1130,7 @@ fn the_router_accepts_as_connections_arrive_and_idles_in_the_kernel() {
         let mut took: Vec<Duration> = (0..200)
             .map(|_| {
                 let t = Instant::now();
-                Client::connect(&addr)
+                Client::connect(&addr, LoadProto::Binary)
                     .expect("connect router")
                     .ping()
                     .expect("ping");
@@ -1219,7 +1234,7 @@ fn live_cluster_run(trace: &Trace, balancer: LoadBalancer) -> (Vec<u64>, (u64, u
     // response — live routing decisions line up 1:1 with the simulator's
     // virtual-time arrival order.
     let schedule = OpenLoopSchedule::from_trace(trace, 10_000.0);
-    let mut conn = Client::connect(&addr).expect("connect router");
+    let mut conn = Client::connect(&addr, LoadProto::Binary).expect("connect router");
     conn.set_read_timeout(Some(Duration::from_secs(10)))
         .expect("set timeout");
     let (mut warm, mut cold) = (0u64, 0u64);

@@ -256,7 +256,7 @@ fn resets_exactly_once(io: IoModel) {
         // the client's tallies. The probe's own connection is faulted
         // too, so give it a few attempts of its own.
         let stats = (0..32)
-            .find_map(|_| Client::connect(&addr).ok()?.stats().ok())
+            .find_map(|_| Client::connect(&addr, LoadProto::Binary).ok()?.stats().ok())
             .unwrap_or_else(|| panic!("seed {seed}: stats probe never survived the resets"));
         assert_eq!(
             (
@@ -328,7 +328,7 @@ fn journaled_chaos_sweep(io: IoModel) {
             let name = format!("chaos-journal-fn-{i}");
             let deadline = Instant::now() + Duration::from_secs(10);
             loop {
-                let result = Client::connect(&addr).and_then(|mut c| {
+                let result = Client::connect(&addr, LoadProto::Binary).and_then(|mut c| {
                     c.set_read_timeout(Some(Duration::from_millis(250)))?;
                     c.register_in(&name, 64, 500, 5_000, "chaos")
                 });
@@ -415,7 +415,7 @@ fn journaled_resets_acked_means_durable(io: IoModel) {
             let name = format!("reset-journal-fn-{i}");
             let deadline = Instant::now() + Duration::from_secs(10);
             loop {
-                let result = Client::connect(&addr).and_then(|mut c| {
+                let result = Client::connect(&addr, LoadProto::Binary).and_then(|mut c| {
                     c.set_read_timeout(Some(Duration::from_millis(250)))?;
                     c.register_in(&name, 64, 500, 5_000, "chaos")
                 });
@@ -558,7 +558,7 @@ fn http_resets_exactly_once(io: IoModel) {
         assert_eq!(report.lost(), 0, "seed {seed}: HTTP lost requests");
 
         let stats = (0..32)
-            .find_map(|_| Client::connect(&addr).ok()?.stats().ok())
+            .find_map(|_| Client::connect(&addr, LoadProto::Binary).ok()?.stats().ok())
             .unwrap_or_else(|| panic!("seed {seed}: stats probe never survived the resets"));
         assert_eq!(
             (
@@ -717,7 +717,7 @@ fn rebalancing_resets_exactly_once(io: IoModel) {
         assert_eq!(report.lost(), 0, "seed {seed}: lost requests");
 
         let stats = (0..32)
-            .find_map(|_| Client::connect(&addr).ok()?.stats().ok())
+            .find_map(|_| Client::connect(&addr, LoadProto::Binary).ok()?.stats().ok())
             .unwrap_or_else(|| panic!("seed {seed}: stats probe never survived the resets"));
         assert_eq!(
             (
@@ -959,7 +959,7 @@ fn multi_tenant_resets_exactly_once(io: IoModel) {
         // (or throttled) exactly once daemon-side, so the aggregate
         // counters must equal the two clients' tallies summed.
         let stats = (0..32)
-            .find_map(|_| Client::connect(&addr).ok()?.stats().ok())
+            .find_map(|_| Client::connect(&addr, LoadProto::Binary).ok()?.stats().ok())
             .unwrap_or_else(|| panic!("seed {seed}: stats probe never survived the resets"));
         assert_eq!(
             (
@@ -1047,7 +1047,7 @@ fn drain_under_active_faults_is_bounded_and_conserving_epoll() {
 /// keeps serving; only the handle (or a signal) drains it.
 fn shutdown_gate(io: IoModel) {
     let (addr, handle, join) = boot(chaos_daemon_config(io, None));
-    let mut c = Client::connect(&addr).expect("connect");
+    let mut c = Client::connect(&addr, LoadProto::Binary).expect("connect");
     let err = c.shutdown().expect_err("gated shutdown must fail");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     c.ping()
@@ -1118,7 +1118,7 @@ fn only_malformed_input_is_a_protocol_error(io: IoModel) {
     let (BoundAddr::Tcp(sock), BoundAddr::Tcp(http_sock)) = (&addr, &http_addr) else {
         unreachable!("tcp endpoints")
     };
-    let mut scraper = faascache_server::HttpClient::connect(&http_addr).expect("connect gateway");
+    let mut scraper = Client::connect(&http_addr, LoadProto::Http).expect("connect gateway");
     let mut gauge = |name: &str| -> u64 {
         let body = scraper.metrics().expect("scrape metrics");
         body.lines()
@@ -1271,7 +1271,7 @@ fn stalled_peers_cannot_hold_the_loop_epoll() {
 
     // The fourth connection. The lowest of up to five medians: a loaded
     // host can only lengthen one.
-    let mut c = Client::connect(&addr).expect("connect");
+    let mut c = Client::connect(&addr, LoadProto::Binary).expect("connect");
     let mut best = Duration::MAX;
     for _ in 0..5 {
         let mut took: Vec<Duration> = (0..1_000)
@@ -1608,7 +1608,7 @@ fn router_hop_resets_exactly_once(io: IoModel) {
         // Clean connections to the daemons themselves: sum their counters.
         let mut summed = (0u64, 0u64, 0u64, 0u64, 0u64);
         for (daddr, _, _) in &daemons {
-            let stats = Client::connect(daddr)
+            let stats = Client::connect(daddr, LoadProto::Binary)
                 .expect("connect daemon")
                 .stats()
                 .expect("daemon stats");

@@ -5,7 +5,6 @@ use faascache_server::client::{self, Client, LoadOptions, LoadProto, LoadReport,
 use faascache_server::daemon::{
     BoundAddr, Daemon, DaemonConfig, DaemonReport, Endpoint, IoModel, ShutdownHandle,
 };
-use faascache_server::http::HttpClient;
 use faascache_server::journal::Journal;
 use faascache_server::proto::{self, Request, Response};
 use faascache_server::{Period, WorkloadConfig};
@@ -116,8 +115,47 @@ fn tcp_endpoint() -> Endpoint {
     Endpoint::Tcp("127.0.0.1:0".to_string())
 }
 
-fn exercise_protocol(addr: &BoundAddr, join: thread::JoinHandle<DaemonReport>) {
-    let mut c = Client::connect(addr).expect("connect");
+/// Boots a daemon on `endpoint` under `io`, with the HTTP gateway when
+/// `proto` is HTTP, and runs [`exercise_protocol`] against the listener
+/// that speaks `proto`.
+fn session(endpoint: Endpoint, io: IoModel, proto: LoadProto) {
+    let config = DaemonConfig {
+        io_model: io,
+        ..test_config()
+    };
+    let http = (proto == LoadProto::Http).then_some("127.0.0.1:0");
+    let registry = small_workload().build().registry().clone();
+    let daemon = Daemon::bind(&endpoint, http, config, registry).expect("bind daemon");
+    let target = match proto {
+        LoadProto::Binary => daemon.bound_addr(),
+        LoadProto::Http => daemon.bound_http_addr().expect("http listener bound"),
+    };
+    let (_, handle, join) = start(daemon);
+    exercise_protocol(proto, &target, &handle, join);
+}
+
+/// What [`exercise_protocol`]'s script leaves in the daemon's tallies,
+/// whichever protocol carried it: (warm, cold, dedup hits). The 50
+/// invokes over 8 functions are 8 cold and 42 warm; the registered
+/// function runs cold once and warm once, and its retried key executes
+/// nothing.
+const SESSION_TALLIES: (u64, u64, u64) = (43, 9, 1);
+
+/// The {binary,http}×{threads,epoll} session matrix: one script over
+/// either protocol — invokes by index, a registration made then
+/// repeated, the new function run (by name where the protocol has
+/// names), a keyed invoke and its retry, a quota update — with the same
+/// outcomes and the same daemon tallies. Then each protocol's own
+/// operations, and a clean drain.
+fn exercise_protocol(
+    proto: LoadProto,
+    addr: &BoundAddr,
+    handle: &ShutdownHandle,
+    join: thread::JoinHandle<DaemonReport>,
+) {
+    let mut c = Client::connect(addr, proto).expect("connect");
+    c.set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
     c.ping().expect("ping");
     let mut served = 0u64;
     for i in 0..50u32 {
@@ -128,27 +166,149 @@ fn exercise_protocol(addr: &BoundAddr, join: thread::JoinHandle<DaemonReport>) {
         );
         served += 1;
     }
-    let stats = c.stats().expect("stats");
-    assert_eq!(stats.served(), served);
+
+    // Runtime registration: created once, idempotent on repeat.
+    let (id, created) = c.register("e2e-fn", 128, 1_000, 100_000).expect("register");
+    assert!(created, "first registration must create");
+    let (id2, created2) = c
+        .register("e2e-fn", 512, 9_999, 9_999_999)
+        .expect("re-register");
+    assert_eq!(id, id2, "duplicate registration must answer the same id");
+    assert!(!created2, "duplicate registration must be idempotent");
+    let by_name = match proto {
+        LoadProto::Binary => c.invoke(id),
+        LoadProto::Http => c.invoke_named("e2e-fn"),
+    };
     assert!(
-        stats.warm > 0,
-        "repeat invocations must hit warm containers"
+        by_name.expect("invoke the registered function").is_served(),
+        "registered function must be invocable"
+    );
+    let first = c.invoke_keyed(id, 77).expect("keyed invoke");
+    assert!(first.is_served());
+    assert_eq!(
+        c.invoke_keyed(id, 77).expect("keyed retry"),
+        first,
+        "a retried key is answered with its recorded outcome"
+    );
+    served += 2;
+    assert!(
+        !c.set_tenant_quota("acme", 4, 512).expect("quota update"),
+        "no function of acme's is placed, so the quota is stored"
     );
 
-    c.shutdown().expect("shutdown ack");
+    let unsupported =
+        |r: io::Result<()>| assert_eq!(r.unwrap_err().kind(), io::ErrorKind::Unsupported);
+    match proto {
+        LoadProto::Binary => {
+            unsupported(c.metrics().map(drop));
+            unsupported(c.invoke_named("e2e-fn").map(drop));
+            let stats = c.stats().expect("stats");
+            assert_eq!(stats.served(), served);
+            c.shutdown().expect("shutdown ack");
+        }
+        LoadProto::Http => {
+            unsupported(c.stats().map(drop));
+            unsupported(c.shutdown());
+            http_only_checks(&mut c, addr, served);
+            drop(c);
+            handle.request();
+        }
+    }
     let report = join.join().expect("daemon thread");
     assert!(report.drained, "nothing in flight, drain must succeed");
-    assert_eq!(report.stats.warm + report.stats.cold, served);
+    assert_eq!(
+        (report.stats.warm, report.stats.cold, report.dedup_hits),
+        SESSION_TALLIES
+    );
+    assert_eq!(report.stats.served(), served);
     assert_eq!(report.protocol_errors, 0);
-    // readiness ping + ping + 50 invokes + stats + shutdown
-    assert_eq!(report.frames, 54);
+    match proto {
+        // readiness ping + ping + 50 invokes + 2 registers + invoke + 2
+        // keyed invokes + quota + stats + shutdown
+        LoadProto::Binary => assert_eq!(report.frames, 60),
+        LoadProto::Http => {
+            // readiness ping only; the session rode the gateway.
+            assert_eq!(report.frames, 1);
+            assert!(
+                report.http_requests >= served,
+                "http_requests={} must count the {served} gateway invokes",
+                report.http_requests
+            );
+        }
+    }
+}
+
+/// The status a one-shot raw request to the gateway is answered with.
+fn http_status(http_addr: &BoundAddr, method: &str, target: &str) -> u16 {
+    use std::io::{Read, Write};
+    let BoundAddr::Tcp(sock) = http_addr else {
+        unreachable!("gateway is tcp")
+    };
+    let mut conn = std::net::TcpStream::connect(sock).expect("connect gateway");
+    conn.write_all(format!("{method} {target} HTTP/1.1\r\nConnection: close\r\n\r\n").as_bytes())
+        .expect("send request");
+    let mut response = String::new();
+    conn.read_to_string(&mut response).expect("read response");
+    response
+        .split_ascii_whitespace()
+        .nth(1)
+        .and_then(|status| status.parse().ok())
+        .unwrap_or_else(|| panic!("no status line: {response:?}"))
+}
+
+/// What only the gateway has: error statuses, names, and the scrape.
+fn http_only_checks(c: &mut Client, http_addr: &BoundAddr, served: u64) {
+    // Error statuses are replies, not connection teardowns.
+    let err = c.invoke_named("no-such-fn").expect_err("unknown name");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert_eq!(
+        http_status(http_addr, "GET", "/invoke/1"),
+        405,
+        "known path with wrong method is 405"
+    );
+    assert_eq!(
+        http_status(http_addr, "GET", "/nope"),
+        404,
+        "unknown path is 404"
+    );
+
+    // The Prometheus scrape must agree with what this sole client did.
+    let metrics = c.metrics().expect("metrics");
+    assert_eq!(
+        sample(&metrics, "faascache_requests_total{outcome=\"warm\"}")
+            + sample(&metrics, "faascache_requests_total{outcome=\"cold\"}"),
+        served,
+        "served outcome counters must match the client's tally"
+    );
+    assert_eq!(
+        sample(&metrics, "faascache_shard_in_flight{shard=\"0\"}"),
+        0
+    );
+    assert!(
+        metrics.contains("faascache_shard_in_flight{shard=\"3\"}"),
+        "per-shard gauges must cover all 4 shards:\n{metrics}"
+    );
+    assert_eq!(sample(&metrics, "faascache_draining"), 0);
+    assert!(
+        sample(&metrics, "faascache_http_requests_total") >= served,
+        "the scrape must count the {served} gateway invokes"
+    );
+}
+
+/// The value of the series `name` (name and labels, as exposed) in a
+/// Prometheus text body.
+fn sample(metrics: &str, name: &str) -> u64 {
+    metrics
+        .lines()
+        .find_map(|l| l.strip_prefix(name))
+        .and_then(|rest| rest.trim().parse::<f64>().ok())
+        .unwrap_or_else(|| panic!("metric {name} missing from scrape:\n{metrics}")) as u64
 }
 
 #[cfg(unix)]
 fn unix_session(io: IoModel) {
     let endpoint = unix_endpoint();
-    let (addr, join) = boot_model(endpoint.clone(), io);
-    exercise_protocol(&addr, join);
+    session(endpoint.clone(), io, LoadProto::Binary);
     if let Endpoint::Unix(path) = endpoint {
         assert!(!path.exists(), "socket file must be unlinked on exit");
     }
@@ -162,14 +322,13 @@ fn protocol_session_over_unix_socket() {
 
 #[test]
 fn protocol_session_over_tcp() {
-    let (addr, join) = boot(tcp_endpoint());
-    exercise_protocol(&addr, join);
+    session(tcp_endpoint(), IoModel::Threads, LoadProto::Binary);
 }
 
 #[test]
 fn bad_function_index_is_an_error_reply_not_a_crash() {
     let (addr, join) = boot(tcp_endpoint());
-    let mut c = Client::connect(&addr).expect("connect");
+    let mut c = Client::connect(&addr, LoadProto::Binary).expect("connect");
     let err = c.invoke(u32::MAX).expect_err("out-of-range index");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     // A name outside `[A-Za-z0-9._-]`, sent as a raw frame past the
@@ -205,6 +364,34 @@ fn bad_function_index_is_an_error_reply_not_a_crash() {
     );
     // Readiness ping, invoke, raw register, ping, shutdown.
     assert_eq!(report.frames, 5);
+}
+
+/// Regression: the HTTP client wrote the caller's names into its URL
+/// unchecked, so a tenant of `a&mem_mb=4096` registered a 4,096 MB
+/// function under tenant `a`. Over HTTP as over binary, a mutation that
+/// fails the name rule is `InvalidInput` and reaches no daemon.
+#[test]
+fn the_http_client_refuses_a_name_that_would_rewrite_its_url() {
+    let (_, http_addr, handle, join) = boot_http_model(IoModel::Threads);
+    let mut c = Client::connect(&http_addr, LoadProto::Http).expect("connect gateway");
+    let epoch = sample(&c.metrics().expect("metrics"), "faascache_registry_epoch");
+    let err = c.register_in("f", 128, 1_000, 5_000, "a&mem_mb=4096");
+    assert_eq!(err.unwrap_err().kind(), io::ErrorKind::InvalidInput);
+    for tenant in ["a?inflight=0", "a/quota"] {
+        let err = c.set_tenant_quota(tenant, 1, 64);
+        assert_eq!(
+            err.unwrap_err().kind(),
+            io::ErrorKind::InvalidInput,
+            "{tenant}"
+        );
+    }
+    let metrics = c.metrics().expect("metrics");
+    assert_eq!(sample(&metrics, "faascache_registry_epoch"), epoch);
+    assert!(!metrics.contains("tenant=\"a\""), "{metrics}");
+    drop(c);
+    handle.request();
+    let report = join.join().expect("daemon thread");
+    assert_eq!(report.protocol_errors, 0);
 }
 
 /// A tenant named on the command line is held to the rule a runtime one
@@ -301,7 +488,7 @@ fn a_failed_keyed_invoke_does_not_shorten_its_keys_dedup_life() {
         ..test_config()
     };
     let (addr, join) = boot_config(unix_endpoint(), config);
-    let mut c = Client::connect(&addr).expect("connect");
+    let mut c = Client::connect(&addr, LoadProto::Binary).expect("connect");
     let next = small_workload().functions.get() as u32;
     c.invoke_keyed(next, 100).expect_err("not registered yet");
     assert_eq!(c.register("late", 128, 1_000, 5_000).unwrap(), (next, true));
@@ -321,7 +508,7 @@ fn assert_sole_client_tallies(addr: &BoundAddr, report: &LoadReport, requests: u
     assert_eq!(report.requests, requests);
     assert_eq!(report.errors, 0, "no transport errors expected");
     assert_eq!(report.lost(), 0, "every request must be accounted");
-    let stats = Client::connect(addr)
+    let stats = Client::connect(addr, LoadProto::Binary)
         .and_then(|mut c| c.stats())
         .expect("stats");
     assert_eq!(stats.warm, report.warm);
@@ -337,10 +524,10 @@ fn concurrent_load_loses_nothing(io: IoModel) {
     let trace = small_workload().build();
     let schedule = OpenLoopSchedule::from_trace(&trace, 50_000.0);
     let requests = 20_000u64;
-    let report = client::run_load(&addr, &schedule, 50_000.0, requests, 4);
+    let report = client::run_load_with(&addr, &schedule, LoadOptions::new(50_000.0, requests, 4));
     assert_sole_client_tallies(&addr, &report, requests);
 
-    Client::connect(&addr)
+    Client::connect(&addr, LoadProto::Binary)
         .and_then(|mut c| c.shutdown())
         .expect("shutdown");
     let daemon_report = join.join().expect("daemon thread");
@@ -363,8 +550,7 @@ fn protocol_session_over_unix_socket_epoll() {
 #[cfg(target_os = "linux")]
 #[test]
 fn protocol_session_over_tcp_epoll() {
-    let (addr, join) = boot_model(tcp_endpoint(), IoModel::Epoll);
-    exercise_protocol(&addr, join);
+    session(tcp_endpoint(), IoModel::Epoll, LoadProto::Binary);
 }
 
 #[cfg(target_os = "linux")]
@@ -420,7 +606,7 @@ fn a_rebalancing_daemon_keeps_a_zipf_load_balanced() {
         report.summary_line()
     );
 
-    Client::connect(&addr)
+    Client::connect(&addr, LoadProto::Binary)
         .and_then(|mut c| c.shutdown())
         .expect("shutdown");
     let daemon_report = join.join().expect("daemon thread");
@@ -448,11 +634,11 @@ fn epoll_holds_an_idle_connection_herd() {
     let herd = 512usize;
     let mut idle = Vec::with_capacity(herd);
     for _ in 0..herd {
-        idle.push(Client::connect(&addr).expect("idle connect"));
+        idle.push(Client::connect(&addr, LoadProto::Binary).expect("idle connect"));
     }
 
     // Requests flow normally while the herd sits idle.
-    let mut c = Client::connect(&addr).expect("active connect");
+    let mut c = Client::connect(&addr, LoadProto::Binary).expect("active connect");
     for i in 0..200u32 {
         assert!(c.invoke(i % 8).expect("invoke").is_served());
     }
@@ -490,7 +676,7 @@ fn decode_error_does_not_leak_frames_across_connections_epoll() {
 
     let (addr, join) = boot_model(tcp_endpoint(), IoModel::Epoll);
     // An innocent session established before the poisoned one.
-    let mut b = Client::connect(&addr).expect("connect b");
+    let mut b = Client::connect(&addr, LoadProto::Binary).expect("connect b");
     b.ping().expect("ping b");
 
     let BoundAddr::Tcp(sock) = &addr else {
@@ -524,108 +710,15 @@ fn decode_error_does_not_leak_frames_across_connections_epoll() {
     assert_eq!(report.protocol_errors, 1);
 }
 
-/// The HTTP half of the {binary,http}×{threads,epoll} session matrix:
-/// everything `exercise_protocol` proves over the binary listener, over
-/// the gateway instead — invoke routing, health, metrics, registration,
-/// and the error statuses — then a clean drain.
-fn exercise_http(
-    http_addr: &BoundAddr,
-    handle: &ShutdownHandle,
-    join: thread::JoinHandle<DaemonReport>,
-) {
-    let mut c = HttpClient::connect(http_addr).expect("http connect");
-    c.set_read_timeout(Some(Duration::from_secs(5)))
-        .expect("read timeout");
-    assert_eq!(c.healthz().expect("healthz"), 200);
-
-    let mut served = 0u64;
-    for i in 0..50u32 {
-        let outcome = c.invoke(i % 8).expect("http invoke");
-        assert!(
-            outcome.is_served(),
-            "tiny load on a big pool must be served, got {outcome:?}"
-        );
-        served += 1;
-    }
-
-    // Runtime registration: created once, idempotent on repeat, then
-    // invocable by name.
-    let (id, created) = c.register("e2e-fn", 128, 1_000, 100_000).expect("register");
-    assert!(created, "first registration must create");
-    let (id2, created2) = c
-        .register("e2e-fn", 512, 9_999, 9_999_999)
-        .expect("re-register");
-    assert_eq!(id, id2, "duplicate registration must answer the same id");
-    assert!(!created2, "duplicate registration must be idempotent");
-    assert!(
-        c.invoke_named("e2e-fn")
-            .expect("invoke by name")
-            .is_served(),
-        "registered function must be invocable by name"
-    );
-    served += 1;
-
-    // Error statuses are replies, not connection teardowns.
-    let err = c.invoke_named("no-such-fn").expect_err("unknown name");
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    let (status, _) = c.request("GET", "/invoke/1", &[]).expect("wrong method");
-    assert_eq!(status, 405, "known path with wrong method is 405");
-    let (status, _) = c.request("GET", "/nope", &[]).expect("unknown path");
-    assert_eq!(status, 404, "unknown path is 404");
-
-    // The Prometheus scrape must agree with what this sole client did.
-    let metrics = c.metrics().expect("metrics");
-    let sample = |name: &str| -> u64 {
-        metrics
-            .lines()
-            .find_map(|l| l.strip_prefix(name))
-            .and_then(|rest| rest.trim().parse::<f64>().ok())
-            .unwrap_or_else(|| panic!("metric {name} missing from scrape:\n{metrics}"))
-            as u64
-    };
-    assert_eq!(
-        sample("faascache_requests_total{outcome=\"warm\"}")
-            + sample("faascache_requests_total{outcome=\"cold\"}"),
-        served,
-        "served outcome counters must match the client's tally"
-    );
-    assert_eq!(sample("faascache_shard_in_flight{shard=\"0\"}"), 0);
-    assert!(
-        metrics.contains("faascache_shard_in_flight{shard=\"3\"}"),
-        "per-shard gauges must cover all 4 shards:\n{metrics}"
-    );
-    assert_eq!(sample("faascache_draining"), 0);
-    assert!(
-        sample("faascache_http_requests_total") >= served,
-        "the scrape must count the {served} gateway invokes"
-    );
-
-    drop(c);
-    handle.request();
-    let report = join.join().expect("daemon thread");
-    assert!(report.drained, "nothing in flight, drain must succeed");
-    assert_eq!(report.stats.warm + report.stats.cold, served);
-    assert_eq!(report.protocol_errors, 0);
-    // readiness ping only; the session rode the gateway.
-    assert_eq!(report.frames, 1);
-    assert!(
-        report.http_requests >= served,
-        "http_requests={} must count the {served} gateway invokes",
-        report.http_requests
-    );
-}
-
 #[test]
 fn http_session_over_tcp() {
-    let (_, http_addr, handle, join) = boot_http_model(IoModel::Threads);
-    exercise_http(&http_addr, &handle, join);
+    session(tcp_endpoint(), IoModel::Threads, LoadProto::Http);
 }
 
 #[cfg(target_os = "linux")]
 #[test]
 fn http_session_over_tcp_epoll() {
-    let (_, http_addr, handle, join) = boot_http_model(IoModel::Epoll);
-    exercise_http(&http_addr, &handle, join);
+    session(tcp_endpoint(), IoModel::Epoll, LoadProto::Http);
 }
 
 /// The load-conservation half of the matrix over HTTP: the shared load
@@ -691,17 +784,17 @@ fn healthz_flips_and_in_flight_completes(io: IoModel) {
         .expect("write partial head");
 
     // A healthy probe connection established before the drain.
-    let mut probe = HttpClient::connect(&http_addr).expect("connect probe");
+    let mut probe = Client::connect(&http_addr, LoadProto::Http).expect("connect probe");
     probe
         .set_read_timeout(Some(Duration::from_secs(5)))
         .expect("timeout");
-    assert_eq!(probe.healthz().expect("healthz pre-drain"), 200);
+    probe.ping().expect("healthz pre-drain");
 
     handle.request();
-    assert_eq!(
-        probe.healthz().expect("healthz mid-drain"),
-        503,
-        "healthz must flip to 503 the moment the drain begins"
+    let flipped = probe.ping().expect_err("healthz mid-drain");
+    assert!(
+        flipped.to_string().contains("503 draining"),
+        "healthz must flip to 503 the moment the drain begins: {flipped}"
     );
 
     // Complete the in-flight request inside the drain grace window: it
@@ -780,7 +873,7 @@ fn fresh_connections_are_accepted_as_they_arrive() {
 
     let (addr, http_addr, handle, join) = boot_http_model(IoModel::Threads);
     let binary = fresh_connection_median(|| {
-        Client::connect(&addr)
+        Client::connect(&addr, LoadProto::Binary)
             .expect("connect")
             .ping()
             .expect("ping");
@@ -970,7 +1063,7 @@ fn read_response(conn: &mut impl std::io::Read) -> faascache_server::proto::Resp
 #[test]
 fn a_round_trip_costs_one_read_and_one_write_epoll() {
     let (addr, join) = boot_model(unix_endpoint(), IoModel::Epoll);
-    let mut c = Client::connect(&addr).expect("connect");
+    let mut c = Client::connect(&addr, LoadProto::Binary).expect("connect");
     for _ in 0..1_000 {
         c.ping().expect("ping");
     }
@@ -995,7 +1088,7 @@ fn a_round_trip_costs_one_read_and_one_write_epoll() {
 #[test]
 fn the_blocking_driver_counts_its_reads_and_writes() {
     let (addr, join) = boot(tcp_endpoint());
-    let mut c = Client::connect(&addr).expect("connect");
+    let mut c = Client::connect(&addr, LoadProto::Binary).expect("connect");
     for _ in 0..100 {
         c.ping().expect("ping");
     }
@@ -1043,7 +1136,7 @@ fn pipelined_burst(io: IoModel) {
     }
     drop(conn);
 
-    let mut c = Client::connect(&addr).expect("connect");
+    let mut c = Client::connect(&addr, LoadProto::Binary).expect("connect");
     c.shutdown().expect("shutdown");
     let report = join.join().expect("daemon thread");
     assert!(report.drained);
@@ -1097,7 +1190,7 @@ fn the_mutation_that_triggers_a_compaction_survives_it() {
 
     let (dir, journal, config) = journaled_config(IoModel::Threads);
     let (addr, join) = boot_config(tcp_endpoint(), config);
-    let mut c = Client::connect(&addr).expect("connect");
+    let mut c = Client::connect(&addr, LoadProto::Binary).expect("connect");
     let total = COMPACT_RECORDS + 3;
     for i in 0..total {
         let (_, created) = c
@@ -1163,7 +1256,7 @@ fn a_journaled_mutation_waits_off_the_reactor_and_keeps_its_place_epoll() {
     .expect("send one segment");
     assert!(matches!(read_response(&mut a), Response::Invoked(o) if o.is_served()));
 
-    let mut b = Client::connect(&addr).expect("connect b");
+    let mut b = Client::connect(&addr, LoadProto::Binary).expect("connect b");
     b.set_read_timeout(Some(Duration::from_secs(10)))
         .expect("read timeout");
     for i in 0..100u32 {
@@ -1244,7 +1337,7 @@ fn a_peer_that_never_reads_cannot_grow_the_daemon_epoll() {
     );
 
     // Another connection is served as if the slow one were not there.
-    let mut other = Client::connect(&addr).expect("connect");
+    let mut other = Client::connect(&addr, LoadProto::Binary).expect("connect");
     other
         .set_read_timeout(Some(Duration::from_secs(10)))
         .expect("read timeout");
@@ -1285,7 +1378,7 @@ fn a_peer_that_never_reads_cannot_grow_the_daemon_epoll() {
 #[test]
 fn shutdown_handle_drains_from_outside() {
     let (addr, join) = boot(tcp_endpoint());
-    let mut c = Client::connect(&addr).expect("connect");
+    let mut c = Client::connect(&addr, LoadProto::Binary).expect("connect");
     c.invoke(0).expect("invoke");
 
     // Request shutdown via the wire; afterwards new invokes are rejected

@@ -27,9 +27,9 @@ use faascache_server::journal::{self, Journal, JournalRecord};
 #[cfg(unix)]
 mod crash {
     use faascache_platform::sharded::InvokeOutcome;
-    use faascache_server::client::{self, Client, LoadOptions};
+    use faascache_server::client::{self, Client, LoadOptions, LoadProto};
     use faascache_server::daemon::BoundAddr;
-    use faascache_server::{HttpClient, WorkloadConfig};
+    use faascache_server::WorkloadConfig;
     use faascache_trace::replay::OpenLoopSchedule;
     use std::io::{BufRead, Read};
     use std::net::SocketAddr;
@@ -149,8 +149,8 @@ mod crash {
         /// Scrapes `/metrics` and returns the registry (epoch, digest)
         /// gauges.
         fn registry_fingerprint(&self) -> (u64, u64) {
-            let mut http =
-                HttpClient::connect(&BoundAddr::Tcp(self.http)).expect("connect gateway");
+            let mut http = Client::connect(&BoundAddr::Tcp(self.http), LoadProto::Http)
+                .expect("connect gateway");
             let body = http.metrics().expect("scrape metrics");
             let get = |name: &str| -> u64 {
                 let prefix = format!("{name} ");
@@ -181,7 +181,7 @@ mod crash {
         /// Graceful teardown via the protocol Shutdown frame: the child
         /// exits 0 and its summary line reports a completed drain.
         fn shutdown_clean(mut self) {
-            Client::connect(&self.addr())
+            Client::connect(&self.addr(), LoadProto::Binary)
                 .expect("connect for shutdown")
                 .shutdown()
                 .expect("shutdown frame");
@@ -209,7 +209,7 @@ mod crash {
     fn acked_mutations_survive_sigkill_and_restart() {
         let state = Scratch::new("acked");
         let first = JournalingChild::spawn(&state.0, "acked-a");
-        let mut conn = Client::connect(&first.addr()).expect("connect");
+        let mut conn = Client::connect(&first.addr(), LoadProto::Binary).expect("connect");
 
         let mut acked: Vec<(String, &str, u32)> = Vec::new();
         for i in 0..12u32 {
@@ -243,7 +243,7 @@ mod crash {
         first.kill();
 
         let second = JournalingChild::spawn(&state.0, "acked-b");
-        let mut conn = Client::connect(&second.addr()).expect("reconnect");
+        let mut conn = Client::connect(&second.addr(), LoadProto::Binary).expect("reconnect");
         for (name, tenant, index) in &acked {
             let (replayed_index, created) = conn
                 .register_in(name, 128, 1_000, 10_000, tenant)
@@ -304,7 +304,7 @@ mod crash {
         let addr = child.addr();
         let acked_in_storm = Arc::clone(&acked);
         let storm = thread::spawn(move || {
-            let Ok(mut conn) = Client::connect(&addr) else {
+            let Ok(mut conn) = Client::connect(&addr, LoadProto::Binary) else {
                 return;
             };
             let _ = conn.set_read_timeout(Some(Duration::from_secs(2)));
@@ -333,7 +333,7 @@ mod crash {
         );
 
         let second = JournalingChild::spawn(&state.0, "storm-b");
-        let mut conn = Client::connect(&second.addr()).expect("reconnect");
+        let mut conn = Client::connect(&second.addr(), LoadProto::Binary).expect("reconnect");
         for (name, index) in acked.iter() {
             let (replayed_index, created) = conn
                 .register_in(name, 64, 500, 5_000, "storm")
@@ -359,7 +359,7 @@ mod crash {
     fn graceful_restart_is_idempotent() {
         let state = Scratch::new("graceful");
         let first = JournalingChild::spawn(&state.0, "graceful-a");
-        let mut conn = Client::connect(&first.addr()).expect("connect");
+        let mut conn = Client::connect(&first.addr(), LoadProto::Binary).expect("connect");
         for i in 0..6u32 {
             conn.register_in(&format!("calm-fn-{i}"), 128, 1_000, 10_000, "")
                 .expect("register");

@@ -12,11 +12,6 @@ pub struct FunctionOutcome {
     pub cold: u64,
     /// Invocations dropped for lack of memory.
     pub dropped: u64,
-    /// Sum of startup delays (queue wait + cold-start initialization) over
-    /// served invocations, in microseconds.
-    pub delay_sum_us: u64,
-    /// Worst startup delay of any served invocation, in microseconds.
-    pub delay_max_us: u64,
 }
 
 impl FunctionOutcome {
@@ -32,16 +27,6 @@ impl FunctionOutcome {
             0.0
         } else {
             self.warm as f64 / t as f64
-        }
-    }
-
-    /// Mean startup delay over served invocations, in milliseconds.
-    pub fn mean_delay_ms(&self) -> f64 {
-        let served = self.warm + self.cold;
-        if served == 0 {
-            0.0
-        } else {
-            self.delay_sum_us as f64 / served as f64 / 1e3
         }
     }
 }
@@ -159,8 +144,6 @@ mod tests {
                 warm: 80,
                 cold: 15,
                 dropped: 5,
-                delay_sum_us: 0,
-                delay_max_us: 0,
             }],
             cold_per_minute: vec![5, 10, 0],
             mem_timeline: vec![],
@@ -201,24 +184,9 @@ mod tests {
             warm: 3,
             cold: 1,
             dropped: 0,
-            delay_sum_us: 0,
-            delay_max_us: 0,
         };
         assert_eq!(f.total(), 4);
         assert!((f.hit_ratio() - 0.75).abs() < 1e-12);
         assert_eq!(FunctionOutcome::default().hit_ratio(), 0.0);
-    }
-
-    #[test]
-    fn function_outcome_delay_accounting() {
-        let f = FunctionOutcome {
-            warm: 1,
-            cold: 1,
-            delay_sum_us: 600_000,
-            delay_max_us: 500_000,
-            ..FunctionOutcome::default()
-        };
-        assert!((f.mean_delay_ms() - 300.0).abs() < 1e-12);
-        assert_eq!(FunctionOutcome::default().mean_delay_ms(), 0.0);
     }
 }

@@ -136,9 +136,8 @@ impl<'a> Server<'a> {
         for (spec, t) in self.registry.iter().zip(self.invoker.tally()) {
             let warm_us = spec.warm_time().as_micros().saturating_mul(t.served());
             let init = spec.init_overhead();
-            let delay_sum_us = init.as_micros().saturating_mul(t.cold);
             result.total_warm_exec += SimDuration::from_micros(warm_us);
-            result.wasted_init += SimDuration::from_micros(delay_sum_us);
+            result.wasted_init += SimDuration::from_micros(init.as_micros().saturating_mul(t.cold));
             if t.cold > 0 {
                 delay_runs.push((init.as_millis_f64(), t.cold));
             }
@@ -146,8 +145,6 @@ impl<'a> Server<'a> {
                 warm: t.warm,
                 cold: t.cold,
                 dropped: t.dropped,
-                delay_sum_us,
-                delay_max_us: if t.cold > 0 { init.as_micros() } else { 0 },
             });
         }
         result.latency = LatencySummary::from_runs_ms(&mut delay_runs, self.delay_sum_ms);
@@ -312,9 +309,6 @@ mod tests {
         assert_eq!(r.latency.p50_ms, 0.0);
         assert!((r.latency.max_ms - 450.0).abs() < 1e-9);
         assert!((r.latency.mean_ms - 45.0).abs() < 1e-9);
-        let f = &r.per_function[0];
-        assert_eq!(f.delay_max_us, 450_000);
-        assert!((f.mean_delay_ms() - 45.0).abs() < 1e-9);
     }
 
     #[test]
