@@ -141,6 +141,12 @@ impl Emulator {
     /// Replays `trace` against the emulated platform; after the trace, the
     /// buffer is ticked until every queued request was served or expired.
     /// Panics if `config.tick_interval` is zero.
+    ///
+    /// A request the pool refuses waits in the buffer and is tried again,
+    /// and the pool counts a drop each time it refuses an acquire, so the
+    /// emulator's pool `drops` are refusals, not lost requests. The
+    /// requests lost are [`PlatformResult::dropped`] (buffer overflow or
+    /// timeout).
     pub fn run(trace: &Trace, config: &PlatformConfig) -> PlatformResult {
         let pool_config = PoolConfig::new(config.memory).with_eviction_batch(config.eviction_batch);
         let pool = ContainerPool::with_config(pool_config, config.policy.build());

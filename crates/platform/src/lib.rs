@@ -21,8 +21,11 @@
 //!   invoker on the arrival clock, behind N locks —
 //!   one, for a single pool behind a single lock — with
 //!   function-affinity routing, bounded admission queues (explicit
-//!   backpressure), and drain support — the in-process engine of the
-//!   `faascached` serving daemon.
+//!   backpressure) and a drain switch — the in-process engine of the
+//!   `faascached` serving daemon;
+//! - [`tenant`] — per-tenant budgets checked at the same admission, whose
+//!   concurrency budget takes the same [`gate`] a shard's queue bound
+//!   does.
 //!
 //! [`ContainerPool`]: faascache_core::ContainerPool
 
@@ -30,6 +33,7 @@
 #![warn(missing_docs)]
 
 pub mod emulator;
+pub mod gate;
 pub mod lifecycle;
 pub mod queue;
 pub mod sharded;

@@ -12,13 +12,14 @@
 //!
 //! Each shard also carries a bounded admission gate mirroring the
 //! OpenWhisk-style buffer in [`crate::queue`]: at most `queue_bound`
-//! requests may be admitted-but-unfinished per shard, and requests beyond
-//! the bound are *rejected* with explicit backpressure
-//! ([`InvokeOutcome::Rejected`]) rather than queued without limit.
-//! Draining ([`ShardedInvoker::begin_drain`]) flips the gate shut
-//! everywhere so in-flight requests finish while new arrivals are turned
-//! away — the mechanism behind the `faascached` daemon's graceful
-//! shutdown.
+//! requests may be admitted-but-unfinished per shard (an
+//! [`InFlightSlot`], the gate a tenant's concurrency budget uses too),
+//! and requests beyond the bound are *rejected* with explicit
+//! backpressure ([`InvokeOutcome::Rejected`]) rather than queued without
+//! limit. Draining ([`ShardedInvoker::begin_drain`]) flips the gate shut
+//! everywhere so new arrivals are turned away; waiting for the requests
+//! already admitted is the caller's (the `faascached` daemon waits on
+//! its own front counter).
 //!
 //! # Warm-set re-homing
 //!
@@ -34,6 +35,7 @@
 //! function goes to its override if it has one, else to its affinity
 //! home.
 
+use crate::gate::InFlightSlot;
 use crate::tenant::{TenantQuotas, TenantSnapshot, TenantTable};
 use faascache_core::function::{FunctionId, FunctionRegistry, FunctionSpec};
 use faascache_core::policy::{KeepAlivePolicy, PolicyKind};
@@ -43,7 +45,6 @@ use faascache_util::{route, MemMb, SimTime};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
-use std::time::{Duration, Instant};
 
 /// Outcome of an invocation through a concurrency-safe invoker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -274,16 +275,6 @@ struct Inner {
     tenants: Arc<TenantTable>,
 }
 
-/// Decrements a shard's in-flight counter on drop, however the
-/// invocation ends — normal return or unwind.
-struct AdmissionSlot<'a>(&'a AtomicU64);
-
-impl Drop for AdmissionSlot<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
 /// A multi-shard concurrency-safe invoker.
 ///
 /// Cloning is cheap (shared handle). Invocations carry explicit virtual
@@ -417,10 +408,9 @@ impl ShardedInvoker {
             shard.rejected.fetch_add(1, Ordering::Relaxed);
             return InvokeOutcome::Rejected;
         }
-        // RAII brackets: both the tenant slot and the shard admission
-        // slot are released even if the handler aborts (a policy panic
-        // unwinding through `serve`), so `await_quiesce` can never wedge
-        // on a leaked in-flight count and no tenant counter can leak.
+        // Both in-flight slots are given back even if the handler aborts
+        // (a policy panic unwinding through `serve`), so neither the
+        // shard's nor the tenant's count can leak.
         let Some(_tenant_slot) = self
             .inner
             .tenants
@@ -428,11 +418,10 @@ impl ShardedInvoker {
         else {
             return InvokeOutcome::Throttled;
         };
-        if !self.try_admit(shard) {
+        let Some(_slot) = InFlightSlot::take(&shard.in_flight, self.inner.queue_bound) else {
             shard.rejected.fetch_add(1, Ordering::Relaxed);
             return InvokeOutcome::Rejected;
-        }
-        let _slot = AdmissionSlot(&shard.in_flight);
+        };
         let outcome = Self::serve(shard, spec, at);
         if outcome.is_served() {
             self.inner
@@ -440,16 +429,6 @@ impl ShardedInvoker {
                 .record_served(spec.tenant().index() as u32);
         }
         outcome
-    }
-
-    /// Takes one of the shard's admission slots, if one is free.
-    fn try_admit(&self, shard: &Shard) -> bool {
-        let bound = self.inner.queue_bound;
-        let take = |cur: u64| (cur < bound).then_some(cur + 1);
-        shard
-            .in_flight
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, take)
-            .is_ok()
     }
 
     /// Serves one admitted invocation under the shard's one lock, at the
@@ -487,83 +466,31 @@ impl ShardedInvoker {
     }
 
     /// Starts draining: every subsequent invocation is rejected while
-    /// requests already admitted run to completion.
+    /// requests already admitted run to completion. Waiting for them is
+    /// the caller's: the daemon waits on its own front counter.
     pub fn begin_drain(&self) {
         self.inner.draining.store(true, Ordering::Release);
     }
 
-    /// Whether the invoker is draining.
-    pub fn is_draining(&self) -> bool {
-        self.inner.draining.load(Ordering::Acquire)
-    }
-
-    /// Blocks until no shard has an in-flight request, or `timeout`
-    /// elapses. Returns `true` when fully quiesced.
-    ///
-    /// Usually preceded by [`Self::begin_drain`]; without it new arrivals
-    /// can keep the invoker busy indefinitely.
-    pub fn await_quiesce(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if self.in_flight() == 0 {
-                return true;
-            }
-            if Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_micros(200));
-        }
-    }
-
-    /// Begins draining and waits for in-flight requests to finish.
-    /// Returns `true` when fully quiesced within `timeout`.
-    pub fn drain(&self, timeout: Duration) -> bool {
-        self.begin_drain();
-        self.await_quiesce(timeout)
-    }
-
-    /// Total admitted-but-unfinished requests across shards.
-    pub fn in_flight(&self) -> u64 {
-        self.inner
-            .shards
-            .iter()
-            .map(|s| s.in_flight.load(Ordering::Acquire))
-            .sum()
-    }
-
-    /// Aggregated lifetime pool counters across shards.
-    pub fn pool_counters(&self) -> PoolCounters {
-        let mut total = PoolCounters::default();
+    /// Aggregated invoker statistics: every shard pool's lifetime
+    /// counters and admission rejections, the tenant throttles and the
+    /// re-homing migrations.
+    pub fn stats(&self) -> InvokerStats {
+        let mut stats = InvokerStats {
+            throttled: self.inner.tenants.total_throttled(),
+            migrations: self.inner.migrations.load(Ordering::Acquire),
+            ..InvokerStats::default()
+        };
         for s in &self.inner.shards {
             let c = lock(&s.invoker).pool().counters();
-            total.warm_starts += c.warm_starts;
-            total.cold_starts += c.cold_starts;
-            total.drops += c.drops;
-            total.evictions += c.evictions;
-            total.prewarms += c.prewarms;
+            stats.warm += c.warm_starts;
+            stats.cold += c.cold_starts;
+            stats.dropped += c.drops;
+            stats.evictions += c.evictions;
+            stats.prewarms += c.prewarms;
+            stats.rejected += s.rejected.load(Ordering::Acquire);
         }
-        total
-    }
-
-    /// Aggregated invoker statistics (pool counters + admission
-    /// rejections).
-    pub fn stats(&self) -> InvokerStats {
-        let c = self.pool_counters();
-        InvokerStats {
-            warm: c.warm_starts,
-            cold: c.cold_starts,
-            dropped: c.drops,
-            rejected: self
-                .inner
-                .shards
-                .iter()
-                .map(|s| s.rejected.load(Ordering::Acquire))
-                .sum(),
-            throttled: self.inner.tenants.total_throttled(),
-            evictions: c.evictions,
-            prewarms: c.prewarms,
-            migrations: self.inner.migrations.load(Ordering::Acquire),
-        }
+        stats
     }
 
     /// Per-tenant accounting snapshots (tenants seen at least once), in
@@ -586,11 +513,6 @@ impl ShardedInvoker {
     /// snapshots.
     pub fn tenant_quotas(&self) -> TenantQuotas {
         self.inner.tenants.quotas_snapshot()
-    }
-
-    /// Warm-set migrations performed by the rebalancer.
-    pub fn migrations(&self) -> u64 {
-        self.inner.migrations.load(Ordering::Acquire)
     }
 
     /// One step of background warm-set re-homing, meant to run on the
@@ -778,15 +700,6 @@ impl ShardedInvoker {
                 }
             })
             .collect()
-    }
-
-    /// Memory held by containers across every shard.
-    pub fn used_mem(&self) -> MemMb {
-        self.inner
-            .shards
-            .iter()
-            .map(|s| lock(&s.invoker).pool().used_mem())
-            .sum()
     }
 
     /// Total memory capacity across every shard.
@@ -1042,8 +955,8 @@ mod tests {
         );
         let spec = reg.iter().next().unwrap();
         assert_eq!(inv.invoke(spec, SimTime::ZERO), InvokeOutcome::Cold);
-        assert!(inv.drain(Duration::from_secs(1)));
-        assert!(inv.is_draining());
+        inv.begin_drain();
+        assert!(inv.per_shard().iter().all(|s| s.in_flight == 0));
         assert_eq!(
             inv.invoke(spec, SimTime::from_secs(1)),
             InvokeOutcome::Rejected
@@ -1068,7 +981,7 @@ mod tests {
         }
         assert_eq!(inv.housekeep(&reg, SimTime::from_secs(30)), 0);
         assert_eq!(inv.housekeep(&reg, SimTime::from_mins(5)), 8);
-        assert_eq!(inv.used_mem(), MemMb::ZERO);
+        assert!(inv.per_shard().iter().all(|s| s.used_mem == MemMb::ZERO));
     }
 
     /// HIST pre-warms on a live shard, since `housekeep` is the tick the
@@ -1115,7 +1028,7 @@ mod tests {
             // function's container left at 61 min, released early.
             inv.housekeep(&reg, SimTime::from_secs(89 * 60 + 45));
             let next = inv.invoke(reg.spec(periodic), SimTime::from_mins(90));
-            (inv.pool_counters().prewarms, next)
+            (inv.stats().prewarms, next)
         };
         assert_eq!(run(false), (1, InvokeOutcome::Warm));
         assert_eq!(run(true), (0, InvokeOutcome::Throttled));
@@ -1151,10 +1064,13 @@ mod tests {
             inv.invoke(spec, SimTime::ZERO)
         }));
         assert!(result.is_err(), "the policy abort must propagate");
-        // The admission bracket must have been released on unwind:
-        // drain-time quiescence cannot wedge on a leaked slot.
-        assert_eq!(inv.in_flight(), 0, "aborted handler leaked its slot");
-        assert!(inv.await_quiesce(Duration::from_millis(10)));
+        // The admission slot must have been given back on unwind, or the
+        // shard's in-flight count would never read zero again.
+        assert_eq!(
+            inv.per_shard()[0].in_flight,
+            0,
+            "aborted handler leaked its slot"
+        );
     }
 
     /// Drives a skewed sequential workload until the rebalancer migrates
@@ -1197,7 +1113,7 @@ mod tests {
         assert!(e.moved >= 1);
         assert_eq!(inv.route_override(hot.id()), Some(e.to));
         assert_eq!(inv.route_of(hot.id()), e.to);
-        assert_eq!(inv.migrations(), 1);
+        assert_eq!(inv.stats().migrations, 1);
         // The warm set moved, not died: the next invocation is warm, on
         // the destination shard.
         let before = inv.per_shard()[e.to].counters.warm_starts;
@@ -1232,7 +1148,7 @@ mod tests {
                 "balanced fleet must not migrate"
             );
         }
-        assert_eq!(inv.migrations(), 0);
+        assert_eq!(inv.stats().migrations, 0);
     }
 
     #[test]
@@ -1313,6 +1229,6 @@ mod tests {
         );
         assert_eq!(inv.capacity(), MemMb::from_gb(4));
         assert_eq!(inv.per_shard().len(), 4);
-        assert_eq!(inv.used_mem(), MemMb::ZERO);
+        assert!(inv.per_shard().iter().all(|s| s.used_mem == MemMb::ZERO));
     }
 }

@@ -8,7 +8,8 @@
 //! and enforces two budgets at admission, *before* the per-shard gates:
 //!
 //! - **In-flight budget** — at most `inflight` concurrently admitted
-//!   requests per tenant; excess arrivals are throttled.
+//!   requests per tenant, held through the same [`InFlightSlot`] gate as
+//!   a shard's queue bound; excess arrivals are throttled.
 //! - **Memory budget** — while a tenant's resident container memory is at
 //!   or above `mem_mb`, new arrivals (which could only grow it) are
 //!   throttled, pre-warms of its functions are skipped (the table is
@@ -28,6 +29,7 @@
 //!
 //! [`InvokeOutcome::Throttled`]: crate::sharded::InvokeOutcome::Throttled
 
+use crate::gate::InFlightSlot;
 use faascache_core::policy::TenantWeights;
 use faascache_core::pool::TenantLedger;
 use faascache_util::MemMb;
@@ -191,17 +193,6 @@ pub struct TenantSnapshot {
     pub mem_limit_mb: u64,
 }
 
-/// Releases a tenant's in-flight slot on drop, however the invocation
-/// ends — normal return or unwind (mirrors the shard `AdmissionSlot`).
-#[derive(Debug)]
-pub struct TenantAdmission<'a>(&'a AtomicU64);
-
-impl Drop for TenantAdmission<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
 /// The lock-free per-tenant accounting and budget-enforcement table.
 ///
 /// Indexed by the registry's dense tenant index; every counter is an
@@ -289,9 +280,9 @@ impl TenantTable {
     }
 
     /// The tenant-budget admission gate, consulted before the per-shard
-    /// gates. On success the returned guard holds the tenant's in-flight
-    /// slot until dropped; on failure the request must be answered
-    /// `Throttled` (the table has already counted it).
+    /// gates. On success the returned [`InFlightSlot`] holds one of the
+    /// tenant's in-flight slots until dropped; on failure the request
+    /// must be answered `Throttled` (the table has already counted it).
     ///
     /// A tenant is throttled when its resident container memory is at or
     /// above its memory budget, or its in-flight count is at its
@@ -299,30 +290,19 @@ impl TenantTable {
     /// tenant*, independent of pool pressure.
     ///
     /// Returns `None` when the tenant is over either budget.
-    pub fn try_admit(&self, tenant: u32, name: &str) -> Option<TenantAdmission<'_>> {
+    pub fn try_admit(&self, tenant: u32, name: &str) -> Option<InFlightSlot<'_>> {
         let slot = self.slot(tenant);
         self.bind(slot, name);
-        if !slot.under_budget() {
+        let admitted = if slot.under_budget() {
+            let bound = slot.inflight_limit.load(Ordering::Acquire);
+            InFlightSlot::take(&slot.in_flight, bound)
+        } else {
+            None
+        };
+        if admitted.is_none() {
             slot.throttled.fetch_add(1, Ordering::Relaxed);
-            return None;
         }
-        let bound = slot.inflight_limit.load(Ordering::Acquire);
-        let mut cur = slot.in_flight.load(Ordering::Acquire);
-        loop {
-            if cur >= bound {
-                slot.throttled.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-            match slot.in_flight.compare_exchange_weak(
-                cur,
-                cur + 1,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return Some(TenantAdmission(&slot.in_flight)),
-                Err(observed) => cur = observed,
-            }
-        }
+        admitted
     }
 
     /// A point-in-time clone of the quota configuration (boot-time flags

@@ -503,7 +503,6 @@ impl Harness {
             Op::Drain => {
                 self.real.begin_drain();
                 self.model.draining = true;
-                assert!(self.real.is_draining());
             }
         }
         self.check_state();
@@ -560,7 +559,7 @@ impl Harness {
                 "override for f{f} diverged"
             );
         }
-        assert_eq!(self.real.migrations(), self.model.migrations);
+        assert_eq!(self.real.stats().migrations, self.model.migrations);
         // Tenant ledger equality: the real lock-free table's per-tenant
         // resident memory, in-flight reservation, and lifetime counters
         // against the model's from-first-principles recomputation.
@@ -664,10 +663,10 @@ fn scenario_strategy() -> impl Strategy<Value = Scenario> {
 }
 
 fn model_cases() -> u32 {
-    std::env::var("FAASCACHE_MODEL_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(512)
+    std::env::var("FAASCACHE_MODEL_CASES").map_or(512, |v| {
+        v.parse()
+            .expect("FAASCACHE_MODEL_CASES must be a case count")
+    })
 }
 
 proptest! {
@@ -732,10 +731,10 @@ fn model_agrees_across_a_forced_migration_cycle() {
         h.step(op);
     }
     assert!(
-        h.real.migrations() >= 1,
+        h.real.stats().migrations >= 1,
         "the script must force at least one migration"
     );
-    assert_eq!(h.real.migrations(), h.model.migrations);
+    assert_eq!(h.real.stats().migrations, h.model.migrations);
 }
 
 /// Quota-cycle script: a tenant with a tight memory budget fills it with

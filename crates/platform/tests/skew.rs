@@ -110,7 +110,7 @@ fn rebalancing_never_increases_cold_starts_on_the_seeded_trace() {
     assert_eq!(base.accounted(), requests as u64);
     assert_eq!(rb.accounted(), requests as u64);
     assert!(
-        rebalancing.migrations() >= 1,
+        rebalancing.stats().migrations >= 1,
         "the skewed trace must trigger re-homing"
     );
     assert!(

@@ -473,7 +473,10 @@ pub struct LoadReport {
     pub target_rps: f64,
     /// `requests / elapsed`.
     pub attained_rps: f64,
-    /// Client-observed request→response latency (includes retry time).
+    /// Client-observed latency of each answered request, from the time
+    /// the schedule meant it to be sent to its response: a generator that
+    /// falls behind schedule counts the wait to send too, not only the
+    /// round trip (no coordinated omission). Includes retry time.
     pub latency: LatencySummary,
 }
 
@@ -632,7 +635,6 @@ pub fn run_load_with(
                     }
                     let function = event.function.index() as u32;
                     let key = key_prefix | (i as u64 & 0xFFFF_FFFF);
-                    let issued = Instant::now();
                     let mut attempt = 0u32;
                     loop {
                         let result = (|| -> io::Result<InvokeOutcome> {
@@ -648,7 +650,7 @@ pub fn run_load_with(
                         })();
                         match result {
                             Ok(outcome) => {
-                                latencies.push(issued.elapsed().as_secs_f64() * 1e3);
+                                latencies.push(due.elapsed().as_secs_f64() * 1e3);
                                 match outcome {
                                     InvokeOutcome::Warm => warm.fetch_add(1, Ordering::Relaxed),
                                     InvokeOutcome::Cold => cold.fetch_add(1, Ordering::Relaxed),

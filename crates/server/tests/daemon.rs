@@ -541,6 +541,32 @@ fn concurrent_clients_lose_nothing() {
     concurrent_load_loses_nothing(IoModel::Threads);
 }
 
+/// Latency runs from each request's intended send, so a generator that
+/// falls behind its schedule reports the wait too: 1,000 requests all due
+/// at the start, through one connection, queue behind each other, and
+/// the median is near half the run rather than one round trip.
+#[test]
+fn load_latency_counts_the_wait_behind_a_late_schedule() {
+    let (addr, join) = boot(unix_endpoint());
+    let trace = small_workload().build();
+    assert!(trace.len() >= 1_000, "{} invocations", trace.len());
+    let schedule = OpenLoopSchedule::from_trace(&trace, 1e9);
+    let requests = 1_000u64;
+    let report = client::run_load_with(&addr, &schedule, LoadOptions::new(1e9, requests, 1));
+    assert_sole_client_tallies(&addr, &report, requests);
+    let elapsed_ms = report.elapsed.as_secs_f64() * 1e3;
+    assert!(
+        report.latency.p50_ms >= 0.25 * elapsed_ms,
+        "p50 {} ms over a {elapsed_ms} ms run",
+        report.latency.p50_ms
+    );
+
+    Client::connect(&addr, LoadProto::Binary)
+        .and_then(|mut c| c.shutdown())
+        .expect("shutdown");
+    assert!(join.join().expect("daemon thread").drained);
+}
+
 #[cfg(target_os = "linux")]
 #[test]
 fn protocol_session_over_unix_socket_epoll() {

@@ -60,10 +60,6 @@ pub struct SimResult {
     pub latency: LatencySummary,
     /// Per-function outcomes, indexed by function index.
     pub per_function: Vec<FunctionOutcome>,
-    /// Cold starts per minute of simulated time.
-    pub cold_per_minute: Vec<u32>,
-    /// Pool memory in use, sampled at every tick `(secs, used_mb)`.
-    pub mem_timeline: Vec<(f64, u64)>,
 }
 
 impl SimResult {
@@ -111,16 +107,6 @@ impl SimResult {
     pub fn served(&self) -> u64 {
         self.warm + self.cold
     }
-
-    /// Mean cold starts per second over the run.
-    pub fn miss_speed(&self) -> f64 {
-        let mins = self.cold_per_minute.len() as f64;
-        if mins == 0.0 {
-            0.0
-        } else {
-            self.cold as f64 / (mins * 60.0)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -145,8 +131,6 @@ mod tests {
                 cold: 15,
                 dropped: 5,
             }],
-            cold_per_minute: vec![5, 10, 0],
-            mem_timeline: vec![],
         }
     }
 
@@ -158,7 +142,6 @@ mod tests {
         assert!((r.pct_dropped() - 5.0).abs() < 1e-12);
         assert!((r.hit_ratio() - 0.8).abs() < 1e-12);
         assert_eq!(r.served(), 95);
-        assert!((r.miss_speed() - 15.0 / 180.0).abs() < 1e-12);
     }
 
     #[test]
@@ -169,13 +152,11 @@ mod tests {
             cold: 0,
             dropped: 0,
             total_warm_exec: SimDuration::ZERO,
-            cold_per_minute: vec![],
             ..result()
         };
         assert_eq!(r.pct_increase_exec_time(), 0.0);
         assert_eq!(r.pct_cold(), 0.0);
         assert_eq!(r.hit_ratio(), 0.0);
-        assert_eq!(r.miss_speed(), 0.0);
     }
 
     #[test]

@@ -26,24 +26,19 @@ pub struct SimConfig {
     pub policy: PolicyKind,
     /// Eviction batching threshold (paper §6 default: 1000 MB).
     pub eviction_batch: MemMb,
-    /// Interval of housekeeping ticks (TTL reaping, pre-warm checks,
-    /// memory timeline sampling).
+    /// Interval of housekeeping ticks (TTL reaping, pre-warm checks).
     pub tick_interval: SimDuration,
-    /// Whether to record the memory-usage timeline (costs memory on long
-    /// runs; figures that don't need it turn it off).
-    pub record_memory_timeline: bool,
 }
 
 impl SimConfig {
     /// A configuration with the paper's defaults for the given memory and
-    /// policy: 1000 MB eviction batch, 15 s ticks, no timeline.
+    /// policy: 1000 MB eviction batch, 15 s ticks.
     pub fn new(memory: MemMb, policy: PolicyKind) -> Self {
         SimConfig {
             memory,
             policy,
             eviction_batch: MemMb::new(1000),
             tick_interval: SimDuration::from_secs(15),
-            record_memory_timeline: false,
         }
     }
 }
@@ -95,22 +90,16 @@ pub(crate) struct Server<'a> {
     /// delay is its cold-start initialization (the plain simulator has no
     /// queue), so with the counts this is all the digest needs.
     delay_sum_ms: f64,
-    cold_per_minute: Vec<u32>,
-    /// `Some` when the memory timeline is recorded.
-    mem_timeline: Option<Vec<(f64, u64)>>,
 }
 
 impl<'a> Server<'a> {
     pub fn new(trace: &'a Trace, config: &SimConfig, policy: Box<dyn KeepAlivePolicy>) -> Self {
         let pool_config = PoolConfig::new(config.memory).with_eviction_batch(config.eviction_batch);
         let pool = ContainerPool::with_config(pool_config, policy);
-        let minutes = trace.end_time().minute_index() as usize + 1;
         Server {
             invoker: Invoker::new(pool, trace.registry().len()),
             registry: trace.registry(),
             delay_sum_ms: 0.0,
-            cold_per_minute: vec![0; if trace.is_empty() { 0 } else { minutes }],
-            mem_timeline: config.record_memory_timeline.then(Vec::new),
         }
     }
 
@@ -128,8 +117,6 @@ impl<'a> Server<'a> {
             dropped: counters.drops,
             evictions: counters.evictions,
             prewarms: counters.prewarms,
-            cold_per_minute: self.cold_per_minute,
-            mem_timeline: self.mem_timeline.unwrap_or_default(),
             ..SimResult::default()
         };
         let mut delay_runs = vec![(0.0, result.warm)];
@@ -163,7 +150,6 @@ impl Node for Server<'_> {
         };
         if run.cold {
             self.delay_sum_ms += spec.init_overhead().as_millis_f64();
-            self.cold_per_minute[now.minute_index() as usize] += 1;
         }
         done.push(run.finish, run.container);
     }
@@ -174,10 +160,6 @@ impl Node for Server<'_> {
 
     fn tick(&mut self, now: SimTime, _: &mut Completions<ContainerId>) {
         self.invoker.housekeep(self.registry, now);
-        if let Some(timeline) = &mut self.mem_timeline {
-            let used = self.invoker.pool().used_mem().as_mb();
-            timeline.push((now.as_secs_f64(), used));
-        }
     }
 }
 
@@ -269,21 +251,6 @@ mod tests {
     }
 
     #[test]
-    fn memory_timeline_recorded_when_asked() {
-        let trace = tiny_trace(SimDuration::from_secs(30), 10);
-        let mut cfg = SimConfig::new(MemMb::from_gb(1), PolicyKind::GreedyDual);
-        cfg.record_memory_timeline = true;
-        let r = Simulation::run(&trace, &cfg);
-        assert!(!r.mem_timeline.is_empty());
-        assert!(r.mem_timeline.iter().all(|&(_, mb)| mb <= 1024));
-        let off = Simulation::run(
-            &trace,
-            &SimConfig::new(MemMb::from_gb(1), PolicyKind::GreedyDual),
-        );
-        assert!(off.mem_timeline.is_empty());
-    }
-
-    #[test]
     fn hist_prewarms_periodic_functions() {
         // A strictly periodic function with a long period: HIST should
         // learn the period, release the container, and pre-warm in time.
@@ -325,6 +292,5 @@ mod tests {
         let cfg = SimConfig::new(MemMb::from_gb(1), PolicyKind::GreedyDual);
         let r = Simulation::run(&trace, &cfg);
         assert_eq!(r.invocations, 0);
-        assert!(r.cold_per_minute.is_empty());
     }
 }

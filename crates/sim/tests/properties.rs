@@ -186,8 +186,8 @@ proptest! {
             counts: vec![(0, 0, 0); trace.registry().len()],
         };
         engine::run(&mut live, &trace, config.tick_interval, None);
-        let pool = live.invoker.pool_counters();
-        prop_assert_eq!(sum(live.counts.into_iter()), (pool.warm_starts, pool.cold_starts, pool.drops));
+        let stats = live.invoker.stats();
+        prop_assert_eq!(sum(live.counts.into_iter()), (stats.warm, stats.cold, stats.dropped));
     }
 
     /// Every policy accounts for every invocation exactly once, and the
@@ -205,8 +205,6 @@ proptest! {
         prop_assert_eq!(r.warm + r.cold + r.dropped, r.invocations);
         let per_fn: u64 = r.per_function.iter().map(|f| f.warm + f.cold + f.dropped).sum();
         prop_assert_eq!(per_fn, r.invocations);
-        let cold_sum: u64 = r.cold_per_minute.iter().map(|&c| c as u64).sum();
-        prop_assert_eq!(cold_sum, r.cold);
     }
 
     /// The pool never holds more than its capacity after any arrival,

@@ -56,7 +56,20 @@ impl AppProfile {
     ///
     /// Propagates [`CoreError`] from the registry (e.g. duplicate names).
     pub fn register(&self, registry: &mut FunctionRegistry) -> Result<FunctionId, CoreError> {
-        registry.register(self.name, self.mem, self.warm_time(), self.cold_time())
+        self.register_as(self.name, registry)
+    }
+
+    /// Registers this profile under `name` (a clone of the application).
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`CoreError`] from the registry (e.g. duplicate names).
+    pub fn register_as(
+        &self,
+        name: impl Into<String>,
+        registry: &mut FunctionRegistry,
+    ) -> Result<FunctionId, CoreError> {
+        registry.register(name, self.mem, self.warm_time(), self.cold_time())
     }
 }
 

@@ -30,30 +30,83 @@ pub struct TimedApp {
 ///
 /// Propagates registry errors (duplicate app names).
 pub fn fixed_iat_trace(apps: &[TimedApp], duration: SimDuration) -> Result<Trace, CoreError> {
+    let rows = apps
+        .iter()
+        .map(|timed| (timed.profile.name, &timed.profile, timed.iat))
+        .collect();
+    named_fixed_iat_trace(rows, duration)
+}
+
+/// [`fixed_iat_trace`] over `(name, profile, iat)` rows, each registered
+/// under its own name, in order.
+fn named_fixed_iat_trace<N: Into<String>>(
+    rows: Vec<(N, &AppProfile, SimDuration)>,
+    duration: SimDuration,
+) -> Result<Trace, CoreError> {
     let mut registry = FunctionRegistry::new();
     let mut invocations = Vec::new();
     let end = SimTime::ZERO + duration;
-    for (i, timed) in apps.iter().enumerate() {
-        let id = timed.profile.register(&mut registry)?;
+    let n = rows.len();
+    for (i, (name, profile, iat)) in rows.into_iter().enumerate() {
+        let id = profile.register_as(name, &mut registry)?;
         assert!(
-            timed.iat > SimDuration::ZERO,
+            iat > SimDuration::ZERO,
             "inter-arrival time must be positive"
         );
         // Offset starts slightly so simultaneous arrivals don't all collide.
-        let mut t = SimTime::ZERO
-            + timed
-                .iat
-                .mul_f64((i as f64 + 1.0) / (apps.len() + 1) as f64);
+        let mut t = SimTime::ZERO + iat.mul_f64((i as f64 + 1.0) / (n + 1) as f64);
         while t <= end {
             invocations.push(Invocation {
                 time: t,
                 function: id,
             });
-            t += timed.iat;
+            t += iat;
         }
     }
     Ok(Trace::new(registry, invocations))
 }
+
+/// The Figure-8 skewed-frequency table: CNN, disk-bench and web-serving
+/// at a 1500 ms IAT; floating-point at 400 ms.
+const SKEWED_FREQUENCY: [TimedApp; 4] = [
+    TimedApp {
+        profile: apps::ML_INFERENCE,
+        iat: SimDuration::from_millis(1500),
+    },
+    TimedApp {
+        profile: apps::DISK_BENCH,
+        iat: SimDuration::from_millis(1500),
+    },
+    TimedApp {
+        profile: apps::WEB_SERVING,
+        iat: SimDuration::from_millis(1500),
+    },
+    TimedApp {
+        profile: apps::FLOATING_POINT,
+        iat: SimDuration::from_millis(400),
+    },
+];
+
+/// The skewed-size table: web-serving and floating-point every 500 ms,
+/// CNN every 5 s, video encoding every 8 s.
+const SKEWED_SIZE: [TimedApp; 4] = [
+    TimedApp {
+        profile: apps::WEB_SERVING,
+        iat: SimDuration::from_millis(500),
+    },
+    TimedApp {
+        profile: apps::FLOATING_POINT,
+        iat: SimDuration::from_millis(500),
+    },
+    TimedApp {
+        profile: apps::ML_INFERENCE,
+        iat: SimDuration::from_millis(5000),
+    },
+    TimedApp {
+        profile: apps::VIDEO_ENCODING,
+        iat: SimDuration::from_millis(8000),
+    },
+];
 
 /// The Figure-8 skewed-frequency workload: CNN, disk-bench and web-serving
 /// at a 1500 ms IAT; floating-point at 400 ms.
@@ -62,27 +115,7 @@ pub fn fixed_iat_trace(apps: &[TimedApp], duration: SimDuration) -> Result<Trace
 ///
 /// Propagates registry errors.
 pub fn skewed_frequency(duration: SimDuration) -> Result<Trace, CoreError> {
-    fixed_iat_trace(
-        &[
-            TimedApp {
-                profile: apps::ML_INFERENCE,
-                iat: SimDuration::from_millis(1500),
-            },
-            TimedApp {
-                profile: apps::DISK_BENCH,
-                iat: SimDuration::from_millis(1500),
-            },
-            TimedApp {
-                profile: apps::WEB_SERVING,
-                iat: SimDuration::from_millis(1500),
-            },
-            TimedApp {
-                profile: apps::FLOATING_POINT,
-                iat: SimDuration::from_millis(400),
-            },
-        ],
-        duration,
-    )
+    fixed_iat_trace(&SKEWED_FREQUENCY, duration)
 }
 
 /// A cyclic access pattern: the apps are invoked in strict rotation
@@ -97,11 +130,22 @@ pub fn cyclic(
     gap: SimDuration,
     duration: SimDuration,
 ) -> Result<Trace, CoreError> {
+    let rows = profiles.iter().map(|p| (p.name, p)).collect();
+    named_cyclic(rows, gap, duration)
+}
+
+/// [`cyclic`] over `(name, profile)` rows, each registered under its own
+/// name, in order.
+fn named_cyclic<N: Into<String>>(
+    rows: Vec<(N, &AppProfile)>,
+    gap: SimDuration,
+    duration: SimDuration,
+) -> Result<Trace, CoreError> {
     assert!(gap > SimDuration::ZERO, "gap must be positive");
     let mut registry = FunctionRegistry::new();
-    let ids = profiles
-        .iter()
-        .map(|p| p.register(&mut registry))
+    let ids = rows
+        .into_iter()
+        .map(|(name, p)| p.register_as(name, &mut registry))
         .collect::<Result<Vec<_>, _>>()?;
     let mut invocations = Vec::new();
     let end = SimTime::ZERO + duration;
@@ -120,9 +164,10 @@ pub fn cyclic(
 
 /// Scales a fixed-IAT workload out to `clones` copies of each app (like
 /// the artifact's LookBusy litmus tests, which deploy many actions built
-/// from the same images). Clone `i` of an app runs at a slightly longer
-/// IAT than clone `i−1` so the copies decorrelate; each clone is its own
-/// function (containers are never shared across functions).
+/// from the same images). Clone `i` of an app is named `<app>-<i>` and
+/// runs at a slightly longer IAT than clone `i−1` so the copies
+/// decorrelate; each clone is its own function (containers are never
+/// shared across functions).
 ///
 /// # Errors
 ///
@@ -137,23 +182,19 @@ pub fn cloned_fixed_iat_trace(
     duration: SimDuration,
 ) -> Result<Trace, CoreError> {
     assert!(clones > 0, "need at least one clone");
-    let mut expanded = Vec::with_capacity(apps.len() * clones);
-    for timed in apps {
-        for i in 0..clones {
-            let mut profile = timed.profile.clone();
-            // Give each clone a distinct leaked name: registry names must
-            // be unique. Names are tiny and the set is bounded per run.
-            profile.name = Box::leak(format!("{}-{i}", profile.name).into_boxed_str());
-            // Per-clone IAT scales with the clone count so the *aggregate*
-            // arrival rate of each app family stays at the configured IAT;
-            // a small skew decorrelates the copies.
-            expanded.push(TimedApp {
-                profile,
-                iat: timed.iat.mul_f64(clones as f64 * (1.0 + 0.07 * i as f64)),
-            });
-        }
-    }
-    fixed_iat_trace(&expanded, duration)
+    // Per-clone IAT scales with the clone count so the *aggregate* arrival
+    // rate of each app family stays at the configured IAT; a small skew
+    // decorrelates the copies.
+    let rows = apps
+        .iter()
+        .flat_map(|timed| {
+            (0..clones).map(move |i| {
+                let iat = timed.iat.mul_f64(clones as f64 * (1.0 + 0.07 * i as f64));
+                (format!("{}-{i}", timed.profile.name), &timed.profile, iat)
+            })
+        })
+        .collect();
+    named_fixed_iat_trace(rows, duration)
 }
 
 /// The Figure-7/8 skewed-frequency workload scaled to `clones` copies of
@@ -163,28 +204,7 @@ pub fn cloned_fixed_iat_trace(
 ///
 /// Propagates registry errors.
 pub fn skewed_frequency_clones(duration: SimDuration, clones: usize) -> Result<Trace, CoreError> {
-    cloned_fixed_iat_trace(
-        &[
-            TimedApp {
-                profile: apps::ML_INFERENCE,
-                iat: SimDuration::from_millis(1500),
-            },
-            TimedApp {
-                profile: apps::DISK_BENCH,
-                iat: SimDuration::from_millis(1500),
-            },
-            TimedApp {
-                profile: apps::WEB_SERVING,
-                iat: SimDuration::from_millis(1500),
-            },
-            TimedApp {
-                profile: apps::FLOATING_POINT,
-                iat: SimDuration::from_millis(400),
-            },
-        ],
-        clones,
-        duration,
-    )
+    cloned_fixed_iat_trace(&SKEWED_FREQUENCY, clones, duration)
 }
 
 /// The skewed-size workload scaled to `clones` copies of each app.
@@ -193,46 +213,23 @@ pub fn skewed_frequency_clones(duration: SimDuration, clones: usize) -> Result<T
 ///
 /// Propagates registry errors.
 pub fn skewed_size_clones(duration: SimDuration, clones: usize) -> Result<Trace, CoreError> {
-    cloned_fixed_iat_trace(
-        &[
-            TimedApp {
-                profile: apps::WEB_SERVING,
-                iat: SimDuration::from_millis(500),
-            },
-            TimedApp {
-                profile: apps::FLOATING_POINT,
-                iat: SimDuration::from_millis(500),
-            },
-            TimedApp {
-                profile: apps::ML_INFERENCE,
-                iat: SimDuration::from_millis(5000),
-            },
-            TimedApp {
-                profile: apps::VIDEO_ENCODING,
-                iat: SimDuration::from_millis(8000),
-            },
-        ],
-        clones,
-        duration,
-    )
+    cloned_fixed_iat_trace(&SKEWED_SIZE, clones, duration)
 }
 
-/// A cyclic rotation over `clones` copies of every Table-1 app.
+/// A cyclic rotation over `clones` copies of every Table-1 app, clone `i`
+/// of an app named `<app>-<i>`.
 ///
 /// # Errors
 ///
 /// Propagates registry errors.
 pub fn cyclic_clones(duration: SimDuration, clones: usize) -> Result<Trace, CoreError> {
     assert!(clones > 0, "need at least one clone");
-    let mut profiles = Vec::new();
-    for profile in apps::table1_apps() {
-        for i in 0..clones {
-            let mut p = profile.clone();
-            p.name = Box::leak(format!("{}-{i}", p.name).into_boxed_str());
-            profiles.push(p);
-        }
-    }
-    cyclic(&profiles, SimDuration::from_millis(250), duration)
+    let profiles = apps::table1_apps();
+    let rows = profiles
+        .iter()
+        .flat_map(|p| (0..clones).map(move |i| (format!("{}-{i}", p.name), p)))
+        .collect();
+    named_cyclic(rows, SimDuration::from_millis(250), duration)
 }
 
 /// Skewed size: small functions (web-serving, floating-point) arrive
@@ -242,27 +239,7 @@ pub fn cyclic_clones(duration: SimDuration, clones: usize) -> Result<Trace, Core
 ///
 /// Propagates registry errors.
 pub fn skewed_size(duration: SimDuration) -> Result<Trace, CoreError> {
-    fixed_iat_trace(
-        &[
-            TimedApp {
-                profile: apps::WEB_SERVING,
-                iat: SimDuration::from_millis(500),
-            },
-            TimedApp {
-                profile: apps::FLOATING_POINT,
-                iat: SimDuration::from_millis(500),
-            },
-            TimedApp {
-                profile: apps::ML_INFERENCE,
-                iat: SimDuration::from_millis(5000),
-            },
-            TimedApp {
-                profile: apps::VIDEO_ENCODING,
-                iat: SimDuration::from_millis(8000),
-            },
-        ],
-        duration,
-    )
+    fixed_iat_trace(&SKEWED_SIZE, duration)
 }
 
 #[cfg(test)]
