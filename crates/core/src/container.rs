@@ -13,7 +13,7 @@
 //!   pool and never reused, so ids compare in the order they were minted
 //!   whatever their slots are: every `(key, last_used, id)` tie-break and
 //!   every ascending-id order reads exactly as if the id were the counter;
-//! - the **slot** (low [`SLOT_BITS`] bits) is a dense index the pool hands
+//! - the **slot** (low `SLOT_BITS` bits) is a dense index the pool hands
 //!   back to a free list when the container leaves and lets again to a
 //!   later one. Every table keyed by container id — the pool's and each
 //!   policy's — is a `SlotTable` indexed by it: a lookup is an index and

@@ -497,7 +497,6 @@ mod tests {
             pool.release(container, now + SimDuration::from_millis(600));
             assert!(pool.len() <= 8);
         }
-        assert_eq!(pool.counters().cold_starts, 100_000);
         assert_eq!(pool.counters().evictions, 100_000 - 8);
         let policy_cells = policy.lock().unwrap().order.cells();
         assert!(

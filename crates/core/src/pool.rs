@@ -147,27 +147,14 @@ impl PoolConfig {
     }
 }
 
-/// Increments a lifetime counter, saturating at `u64::MAX`.
+/// What only the pool decides, counted over its lifetime.
 ///
-/// Request counters run for the life of a serving process; a silent wrap
-/// under sustained load would violate the conservation invariants
-/// (`warm + cold + dropped == submitted`) every caller checks, so the
-/// counters saturate instead and flag the (practically unreachable)
-/// overflow in debug builds.
-pub(crate) fn bump(counter: &mut u64) {
-    debug_assert!(*counter < u64::MAX, "lifetime counter overflow");
-    *counter = counter.saturating_add(1);
-}
-
-/// Counters the pool maintains across its lifetime.
+/// An invocation's outcome (warm, cold or dropped) is not here: the
+/// invoker around the pool (`faascache_sim::Invoker`) counts it, since
+/// only the invoker knows whether a refused [`Acquire::NoCapacity`]
+/// drops the request or leaves it waiting to be tried again.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolCounters {
-    /// Invocations served by a warm container.
-    pub warm_starts: u64,
-    /// Invocations that created a new container.
-    pub cold_starts: u64,
-    /// Invocations rejected for lack of memory.
-    pub drops: u64,
     /// Containers terminated by policy eviction or expiry.
     pub evictions: u64,
     /// Containers created speculatively by prefetching.
@@ -349,21 +336,17 @@ impl ContainerPool {
             self.idle.unmark(c);
             c.begin_invocation(now, now + spec.warm_time());
             self.policy.on_warm_start(c, now);
-            bump(&mut self.counters.warm_starts);
             return Acquire::Warm { container: id };
         }
 
         // Cold path.
         if spec.mem() > self.config.capacity {
-            bump(&mut self.counters.drops);
             return Acquire::NoCapacity;
         }
         let evicted = self.make_room(spec.mem(), now);
         let Some(id) = self.insert_container(spec, now, Some(now + spec.cold_time())) else {
-            bump(&mut self.counters.drops);
             return Acquire::NoCapacity;
         };
-        bump(&mut self.counters.cold_starts);
         Acquire::Cold {
             container: id,
             evicted,
@@ -424,7 +407,7 @@ impl ContainerPool {
             return None;
         }
         let id = self.insert_container(spec, now, None)?;
-        bump(&mut self.counters.prewarms);
+        self.counters.prewarms += 1;
         Some(id)
     }
 
@@ -615,7 +598,7 @@ impl ContainerPool {
         let Some((container, remaining)) = self.remove_idle(id) else {
             return false;
         };
-        bump(&mut self.counters.evictions);
+        self.counters.evictions += 1;
         self.policy.on_evicted(&container, remaining, now);
         true
     }
@@ -762,8 +745,6 @@ mod tests {
         pool.release(container, t0 + SimDuration::from_millis(500));
         let second = pool.acquire(reg.spec(ids[0]), SimTime::from_secs(1));
         assert_eq!(second, Acquire::Warm { container });
-        assert_eq!(pool.counters().cold_starts, 1);
-        assert_eq!(pool.counters().warm_starts, 1);
     }
 
     #[test]
@@ -819,7 +800,6 @@ mod tests {
         // c needs 300MB; only 50 free, nothing evictable → dropped.
         let out = pool.acquire(reg.spec(ids[2]), SimTime::from_millis(1));
         assert_eq!(out, Acquire::NoCapacity);
-        assert_eq!(pool.counters().drops, 1);
     }
 
     #[test]
@@ -1396,7 +1376,6 @@ mod tests {
         // Every slot let and running: a cold start, a prewarm and an
         // adoption are all declined, and nothing is evicted for them.
         assert_eq!(pool.acquire(reg.spec(small), t0), Acquire::NoCapacity);
-        assert_eq!(pool.counters().drops, 1);
         assert_eq!(pool.prewarm(reg.spec(other), t0), None);
         let migrant = Container::new(
             ContainerId::from_raw(0),

@@ -142,53 +142,54 @@ impl Emulator {
     /// buffer is ticked until every queued request was served or expired.
     /// Panics if `config.tick_interval` is zero.
     ///
-    /// A request the pool refuses waits in the buffer and is tried again,
-    /// and the pool counts a drop each time it refuses an acquire, so the
-    /// emulator's pool `drops` are refusals, not lost requests. The
-    /// requests lost are [`PlatformResult::dropped`] (buffer overflow or
-    /// timeout).
+    /// A request the pool refuses waits in the buffer and is tried again;
+    /// it is dropped only when the buffer overflows or its wait expires.
+    /// Every count, total and per function, is the invoker's tally.
     pub fn run(trace: &Trace, config: &PlatformConfig) -> PlatformResult {
         let pool_config = PoolConfig::new(config.memory).with_eviction_batch(config.eviction_batch);
         let pool = ContainerPool::with_config(pool_config, config.policy.build());
         let registry = trace.registry();
         let mut platform = Platform {
-            result: PlatformResult {
-                policy: pool.policy().name().to_string(),
-                per_function: registry
-                    .iter()
-                    .map(|s| FunctionPlatformStats {
-                        name: s.name().to_string(),
-                        ..FunctionPlatformStats::default()
-                    })
-                    .collect(),
-                ..PlatformResult::default()
-            },
             invoker: Invoker::new(pool, registry.len()),
             registry,
             queue: RequestQueue::new(config.queue_capacity, config.patience),
             config,
+            latency_sum_us: vec![0; registry.len()],
         };
         engine::run(&mut platform, trace, config.tick_interval, None);
-        // Starts are the invoker's; drops are the buffer's, since a request
-        // the pool refuses waits in the buffer.
-        let mut result = platform.result;
-        let counters = platform.invoker.pool().counters();
-        (result.warm, result.cold) = (counters.warm_starts, counters.cold_starts);
-        for (stats, t) in result.per_function.iter_mut().zip(platform.invoker.tally()) {
-            (stats.warm, stats.cold) = (t.warm, t.cold);
+        let invoker = &platform.invoker;
+        let totals = invoker.totals();
+        let per_fn = registry
+            .iter()
+            .zip(invoker.tally())
+            .zip(platform.latency_sum_us);
+        PlatformResult {
+            policy: invoker.pool().policy().name().to_string(),
+            warm: totals.warm,
+            cold: totals.cold,
+            dropped: totals.dropped,
+            per_function: per_fn
+                .map(|((spec, t), latency_sum_us)| FunctionPlatformStats {
+                    name: spec.name().to_string(),
+                    warm: t.warm,
+                    cold: t.cold,
+                    dropped: t.dropped,
+                    latency_sum_us,
+                })
+                .collect(),
         }
-        result
     }
 }
 
-/// An [`Invoker`] fed from the request buffer, and the latency and loss
-/// tally.
+/// An [`Invoker`] fed from the request buffer, and each function's
+/// latency sum.
 struct Platform<'a> {
     invoker: Invoker,
     registry: &'a FunctionRegistry,
     queue: RequestQueue,
     config: &'a PlatformConfig,
-    result: PlatformResult,
+    /// By function index: end-to-end latencies of served invocations, µs.
+    latency_sum_us: Vec<u64>,
 }
 
 impl Platform<'_> {
@@ -210,7 +211,7 @@ impl Platform<'_> {
         };
         done.push(run.finish, run.container);
         let pool_check = self.config.phases.pool_check;
-        self.result.per_function[function.index()].latency_sum_us +=
+        self.latency_sum_us[function.index()] +=
             (run.finish + pool_check).since(arrived).as_micros();
         true
     }
@@ -235,8 +236,7 @@ impl Node for Platform<'_> {
             return;
         }
         if !self.queue.push(function, now) {
-            self.result.dropped += 1;
-            self.result.per_function[function.index()].dropped += 1;
+            self.invoker.drop_request(function);
         }
     }
 
@@ -247,8 +247,7 @@ impl Node for Platform<'_> {
 
     fn tick(&mut self, now: SimTime, done: &mut Completions<ContainerId>) {
         for req in self.queue.expire(now) {
-            self.result.dropped += 1;
-            self.result.per_function[req.function.index()].dropped += 1;
+            self.invoker.drop_request(req.function);
         }
         self.invoker.housekeep(self.registry, now);
         self.serve_queued(now, done);

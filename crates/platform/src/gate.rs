@@ -26,4 +26,3 @@ impl Drop for InFlightSlot<'_> {
         self.0.fetch_sub(1, Ordering::AcqRel);
     }
 }
-

@@ -40,7 +40,7 @@ use crate::tenant::{TenantQuotas, TenantSnapshot, TenantTable};
 use faascache_core::function::{FunctionId, FunctionRegistry, FunctionSpec};
 use faascache_core::policy::{KeepAlivePolicy, PolicyKind};
 use faascache_core::pool::{ContainerPool, PoolConfig, PoolCounters};
-use faascache_sim::Invoker;
+use faascache_sim::{Invoker, Tally};
 use faascache_util::{route, MemMb, SimTime};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -162,7 +162,10 @@ impl ShardedConfig {
 pub struct ShardStats {
     /// Shard index.
     pub shard: usize,
-    /// The shard pool's lifetime counters.
+    /// What the shard's invoker did: warm, cold and dropped, summed over
+    /// its functions ([`Invoker::totals`]).
+    pub tally: Tally,
+    /// The shard pool's lifetime counters (evictions, pre-warms).
     pub counters: PoolCounters,
     /// Requests rejected at this shard's admission gate.
     pub rejected: u64,
@@ -439,6 +442,7 @@ impl ShardedInvoker {
         let now = shard.advance(at);
         let mut invoker = lock(&shard.invoker);
         let Some(run) = invoker.start(spec, now) else {
+            invoker.drop_request(spec.id());
             return InvokeOutcome::Dropped;
         };
         invoker.release(run.container, run.finish);
@@ -472,7 +476,7 @@ impl ShardedInvoker {
         self.inner.draining.store(true, Ordering::Release);
     }
 
-    /// Aggregated invoker statistics: every shard pool's lifetime
+    /// Aggregated invoker statistics: every shard's outcome totals, pool
     /// counters and admission rejections, the tenant throttles and the
     /// re-homing migrations.
     pub fn stats(&self) -> InvokerStats {
@@ -482,10 +486,11 @@ impl ShardedInvoker {
             ..InvokerStats::default()
         };
         for s in &self.inner.shards {
-            let c = lock(&s.invoker).pool().counters();
-            stats.warm += c.warm_starts;
-            stats.cold += c.cold_starts;
-            stats.dropped += c.drops;
+            let invoker = lock(&s.invoker);
+            let (t, c) = (invoker.totals(), invoker.pool().counters());
+            stats.warm += t.warm;
+            stats.cold += t.cold;
+            stats.dropped += t.dropped;
             stats.evictions += c.evictions;
             stats.prewarms += c.prewarms;
             stats.rejected += s.rejected.load(Ordering::Acquire);
@@ -533,7 +538,7 @@ impl ShardedInvoker {
     /// shard order — the rebalancer is the only multi-lock path, so lock
     /// ordering is trivially deadlock-free) and never evicts on the
     /// destination: containers that do not fit are re-adopted by the
-    /// source. No counter of either pool is disturbed — a moved warm set
+    /// source. No count of either shard is disturbed — a moved warm set
     /// is not an eviction — so the conservation invariant
     /// `warm + cold + dropped + rejected == requests` is unaffected.
     ///
@@ -692,6 +697,7 @@ impl ShardedInvoker {
                 let pool = invoker.pool();
                 ShardStats {
                     shard: i,
+                    tally: invoker.totals(),
                     counters: pool.counters(),
                     rejected: s.rejected.load(Ordering::Acquire),
                     in_flight: s.in_flight.load(Ordering::Acquire),
@@ -928,7 +934,7 @@ mod tests {
             expected[inv.shard_of(spec.id())] += 1;
         }
         for (s, &e) in per_shard.iter().zip(&expected) {
-            assert_eq!(s.counters.cold_starts, e, "shard {}", s.shard);
+            assert_eq!(s.tally.cold, e, "shard {}", s.shard);
         }
     }
 
@@ -1116,12 +1122,12 @@ mod tests {
         assert_eq!(inv.stats().migrations, 1);
         // The warm set moved, not died: the next invocation is warm, on
         // the destination shard.
-        let before = inv.per_shard()[e.to].counters.warm_starts;
+        let before = inv.per_shard()[e.to].tally.warm;
         assert!(matches!(
             inv.invoke(hot, SimTime::from_millis(t + 1000)),
             InvokeOutcome::Warm
         ));
-        let after = inv.per_shard()[e.to].counters.warm_starts;
+        let after = inv.per_shard()[e.to].tally.warm;
         assert_eq!(after, before + 1, "warm start landed on the new home");
         // Conservation: every request got exactly one outcome.
         let stats = inv.stats();

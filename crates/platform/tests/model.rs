@@ -540,9 +540,9 @@ impl Harness {
                 MemMb::new(model.used_mb()),
                 "shard {i} memory diverged"
             );
-            assert_eq!(real.counters.warm_starts, model.warm, "shard {i} warm");
-            assert_eq!(real.counters.cold_starts, model.cold, "shard {i} cold");
-            assert_eq!(real.counters.drops, model.drops, "shard {i} drops");
+            assert_eq!(real.tally.warm, model.warm, "shard {i} warm");
+            assert_eq!(real.tally.cold, model.cold, "shard {i} cold");
+            assert_eq!(real.tally.dropped, model.drops, "shard {i} drops");
             assert_eq!(
                 real.counters.evictions, model.evictions,
                 "shard {i} evictions"

@@ -63,10 +63,7 @@ impl ZipfSampler {
 
 /// Served (warm + cold) count per shard.
 fn served_per_shard(inv: &ShardedInvoker) -> Vec<u64> {
-    inv.per_shard()
-        .iter()
-        .map(|s| s.counters.warm_starts + s.counters.cold_starts)
-        .collect()
+    inv.per_shard().iter().map(|s| s.tally.served()).collect()
 }
 
 fn replay_seeded_zipf(inv: &ShardedInvoker, reg: &FunctionRegistry, requests: usize) {

@@ -892,7 +892,7 @@ impl Daemon {
             .invoker
             .per_shard()
             .iter()
-            .map(|s| s.counters.warm_starts + s.counters.cold_starts)
+            .map(|s| s.tally.served())
             .collect();
         let front = &self.shared.front;
         DaemonReport {

@@ -169,8 +169,6 @@ pub struct RouterConfig {
     /// connections (chaos testing the interconnect). Probe and register
     /// connections stay clean — control plane.
     pub backend_faults: Option<FaultConfig>,
-    /// Capacity of the keyed-request pin cache.
-    pub pin_capacity: usize,
     /// How long `run` waits for in-flight forwards during drain.
     pub drain_timeout: Duration,
     /// Whether a wire `Shutdown` frame may drain the router.
@@ -191,7 +189,6 @@ impl Default for RouterConfig {
             hop_retries: 0,
             hop_backoff: Duration::from_millis(1),
             backend_faults: None,
-            pin_capacity: 65_536,
             drain_timeout: Duration::from_secs(10),
             allow_remote_shutdown: true,
         }
@@ -244,6 +241,9 @@ impl Backend {
         }
     }
 }
+
+/// Capacity of the keyed-request pin cache.
+const PIN_CAPACITY: usize = 65_536;
 
 /// State shared between the accept loops, handler threads, and the
 /// health prober.
@@ -361,7 +361,7 @@ impl RouterShared {
             }),
             backends: backends.into_iter().map(Backend::new).collect(),
             balancer: Mutex::new(BalancerState::new(config.seed)),
-            pins: Mutex::new(KeyCache::new(config.pin_capacity)),
+            pins: Mutex::new(KeyCache::new(PIN_CAPACITY)),
             config,
             shutdown: Arc::default(),
             front: FrontCounters::default(),
@@ -1415,7 +1415,6 @@ mod tests {
         let config = RouterConfig {
             balancer,
             seed: 7,
-            pin_capacity: 8,
             ..RouterConfig::default()
         };
         RouterShared::new(specs, config)

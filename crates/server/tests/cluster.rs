@@ -1285,7 +1285,7 @@ fn live_routing_matches_simulator_distributions() {
     ] {
         let (live, _) = live_cluster_run(&trace, balancer);
         let sim = sim_cluster_run(&trace, balancer);
-        let sim_routed: Vec<u64> = sim.per_server.iter().map(|&(w, c, d)| w + c + d).collect();
+        let sim_routed: Vec<u64> = sim.per_server.iter().map(|t| t.total()).collect();
         assert_eq!(
             live, sim_routed,
             "{balancer:?}: live per-backend distribution diverges from simulator"

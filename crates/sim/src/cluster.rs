@@ -19,7 +19,7 @@
 //! `faas-router` process, so the simulator and the router cannot drift.
 
 use crate::engine::{self, Completions, Node};
-use crate::invoker::Invoker;
+use crate::invoker::{Invoker, Tally};
 use crate::metrics::SimResult;
 use crate::sim::{SimConfig, Simulation};
 use faascache_core::container::ContainerId;
@@ -56,19 +56,14 @@ pub struct ClusterResult {
     pub cold: u64,
     /// Total drops across servers.
     pub dropped: u64,
-    /// Per-server (warm, cold, dropped).
-    pub per_server: Vec<(u64, u64, u64)>,
+    /// Each server's totals.
+    pub per_server: Vec<Tally>,
 }
 
 impl ClusterResult {
     /// Cluster-wide warm-start ratio.
     pub fn hit_ratio(&self) -> f64 {
-        let total = self.warm + self.cold + self.dropped;
-        if total == 0 {
-            0.0
-        } else {
-            self.warm as f64 / total as f64
-        }
+        self.per_server.iter().sum::<Tally>().hit_ratio()
     }
 
     /// Coefficient of variation of per-server load (served requests) —
@@ -82,11 +77,7 @@ impl ClusterResult {
         if self.per_server.is_empty() {
             return 0.0;
         }
-        let loads: Vec<f64> = self
-            .per_server
-            .iter()
-            .map(|&(w, c, _)| (w + c) as f64)
-            .collect();
+        let loads: Vec<f64> = self.per_server.iter().map(|t| t.served() as f64).collect();
         let mean = loads.iter().sum::<f64>() / loads.len() as f64;
         if mean == 0.0 {
             return 0.0;
@@ -120,21 +111,14 @@ pub fn run_cluster(trace: &Trace, config: &ClusterConfig) -> ClusterResult {
     };
     engine::run(&mut cluster, trace, config.per_server.tick_interval, None);
 
-    // The per-server split is each invoker's tally; the totals are the
-    // pools' counters.
-    let tally = |s: &Invoker| {
-        s.tally().iter().fold((0, 0, 0), |(w, c, d), t| {
-            (w + t.warm, c + t.cold, d + t.dropped)
-        })
-    };
-    let per_server = cluster.servers.iter().map(tally);
-    let counters = cluster.servers.iter().map(|s| s.pool().counters());
+    let per_server: Vec<Tally> = cluster.servers.iter().map(Invoker::totals).collect();
+    let totals: Tally = per_server.iter().sum();
     ClusterResult {
         balancer: config.balancer.label().to_string(),
-        warm: counters.clone().map(|c| c.warm_starts).sum(),
-        cold: counters.clone().map(|c| c.cold_starts).sum(),
-        dropped: counters.map(|c| c.drops).sum(),
-        per_server: per_server.collect(),
+        warm: totals.warm,
+        cold: totals.cold,
+        dropped: totals.dropped,
+        per_server,
     }
 }
 
@@ -163,8 +147,10 @@ impl Node for Cluster<'_> {
             None,
         )
         .expect("at least one healthy server");
-        if let Some(run) = self.servers[server].start(self.registry.spec(function), now) {
-            done.push(run.finish, (server, run.container));
+        let invoker = &mut self.servers[server];
+        match invoker.start(self.registry.spec(function), now) {
+            Some(run) => done.push(run.finish, (server, run.container)),
+            None => invoker.drop_request(function),
         }
     }
 
@@ -251,7 +237,7 @@ mod tests {
                 t.len() as u64,
                 "{balancer:?} lost requests"
             );
-            let per: u64 = r.per_server.iter().map(|&(w, c, d)| w + c + d).sum();
+            let per: u64 = r.per_server.iter().map(Tally::total).sum();
             assert_eq!(per, t.len() as u64);
         }
     }
@@ -312,6 +298,14 @@ mod tests {
         assert!(aff.load_imbalance() >= rr.load_imbalance());
     }
 
+    fn tally(warm: u64, cold: u64, dropped: u64) -> Tally {
+        Tally {
+            warm,
+            cold,
+            dropped,
+        }
+    }
+
     #[test]
     fn load_imbalance_is_finite_with_zero_served_servers() {
         // Regression: a server that served nothing (all requests landed
@@ -322,7 +316,7 @@ mod tests {
             warm: 10,
             cold: 2,
             dropped: 5,
-            per_server: vec![(10, 2, 0), (0, 0, 5), (0, 0, 0)],
+            per_server: vec![tally(10, 2, 0), tally(0, 0, 5), tally(0, 0, 0)],
         };
         assert!(r.load_imbalance().is_finite());
         assert!(r.load_imbalance() > 0.0);
@@ -332,7 +326,7 @@ mod tests {
             warm: 0,
             cold: 0,
             dropped: 0,
-            per_server: vec![(0, 0, 0), (0, 0, 0)],
+            per_server: vec![Tally::default(); 2],
         };
         assert_eq!(idle.load_imbalance(), 0.0, "all-idle cluster sentinel");
 
@@ -365,9 +359,8 @@ mod tests {
             want_rr[rr] += 1;
             want_aff[route::shard_for(inv.function.index() as u64, n)] += 1;
         }
-        let totals = |r: &ClusterResult| -> Vec<u64> {
-            r.per_server.iter().map(|&(w, c, d)| w + c + d).collect()
-        };
+        let totals =
+            |r: &ClusterResult| -> Vec<u64> { r.per_server.iter().map(Tally::total).collect() };
         let random = run_cluster(&t, &config(LoadBalancer::Random));
         assert_eq!(totals(&random), want_random);
         let rrr = run_cluster(&t, &config(LoadBalancer::RoundRobin));

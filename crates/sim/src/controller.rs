@@ -25,7 +25,7 @@ pub struct WindowStats {
     /// Requests that arrived during the window.
     pub arrivals: u64,
     /// Cold starts during the window.
-    pub cold_starts: u64,
+    pub cold: u64,
     /// Window length.
     pub window: SimDuration,
 }
@@ -45,7 +45,7 @@ impl WindowStats {
     pub fn miss_speed(&self) -> f64 {
         let secs = self.window.as_secs_f64();
         if secs > 0.0 {
-            self.cold_starts as f64 / secs
+            self.cold as f64 / secs
         } else {
             0.0
         }
@@ -95,7 +95,7 @@ impl ControllerConfig {
 /// let mut ctl = Controller::new(curve, cfg);
 /// // Far too many cold starts → grow.
 /// let decision = ctl.observe(WindowStats {
-///     arrivals: 6000, cold_starts: 3000, window: SimDuration::from_mins(10),
+///     arrivals: 6000, cold: 3000, window: SimDuration::from_mins(10),
 /// });
 /// assert!(decision.is_some());
 /// ```
@@ -181,7 +181,7 @@ mod tests {
     fn window(arrivals: u64, cold: u64) -> WindowStats {
         WindowStats {
             arrivals,
-            cold_starts: cold,
+            cold,
             window: SimDuration::from_mins(10),
         }
     }

@@ -111,13 +111,13 @@ pub fn run_elastic(trace: &Trace, config: &ElasticConfig, controller: Controller
     } else {
         capacity
     };
-    let c = pool.counters();
+    let totals = node.server.invoker.totals();
     ElasticResult {
         samples: node.samples,
         avg_capacity_mb,
-        cold: c.cold_starts,
-        warm: c.warm_starts,
-        dropped: c.drops,
+        cold: totals.cold,
+        warm: totals.warm,
+        dropped: totals.dropped,
     }
 }
 
@@ -151,15 +151,15 @@ impl Node for Elastic<'_> {
     }
 
     fn epoch(&mut self, now: SimTime) {
-        let pool = self.server.invoker.pool_mut();
-        let c = pool.counters(); // every arrival is one acquire
-        let (arrivals, cold) = (c.warm_starts + c.cold_starts + c.drops, c.cold_starts);
+        let totals = self.server.invoker.totals();
+        let (arrivals, cold) = (totals.total(), totals.cold);
         let stats = WindowStats {
             arrivals: arrivals - self.window_start.1,
-            cold_starts: cold - self.window_start.2,
+            cold: cold - self.window_start.2,
             window: now.since(self.window_start.0),
         };
         self.window_start = (now, arrivals, cold);
+        let pool = self.server.invoker.pool_mut();
         let decision = self.controller.observe(stats);
         if let Some(new_capacity) = decision {
             if new_capacity != pool.capacity() {

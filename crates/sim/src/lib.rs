@@ -35,6 +35,6 @@ pub mod sim;
 pub mod sweep;
 
 pub use invoker::{Invoker, Run, Tally};
-pub use metrics::{FunctionOutcome, SimResult};
+pub use metrics::SimResult;
 pub use sim::{SimConfig, Simulation};
 pub use sweep::{sweep, SweepPoint};

@@ -1,35 +1,8 @@
 //! Results collected by a simulation run.
 
+use crate::invoker::Tally;
 use faascache_util::stats::LatencySummary;
 use faascache_util::{MemMb, SimDuration};
-
-/// Per-function invocation outcomes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FunctionOutcome {
-    /// Invocations served warm.
-    pub warm: u64,
-    /// Invocations served cold.
-    pub cold: u64,
-    /// Invocations dropped for lack of memory.
-    pub dropped: u64,
-}
-
-impl FunctionOutcome {
-    /// Total invocations of the function.
-    pub fn total(&self) -> u64 {
-        self.warm + self.cold + self.dropped
-    }
-
-    /// Warm-start (hit) ratio among all invocations.
-    pub fn hit_ratio(&self) -> f64 {
-        let t = self.total();
-        if t == 0 {
-            0.0
-        } else {
-            self.warm as f64 / t as f64
-        }
-    }
-}
 
 /// The outcome of one simulation run: one point of Figures 5/6.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -59,7 +32,7 @@ pub struct SimResult {
     /// percentiles `faas-load` reports for the live daemon.
     pub latency: LatencySummary,
     /// Per-function outcomes, indexed by function index.
-    pub per_function: Vec<FunctionOutcome>,
+    pub per_function: Vec<Tally>,
 }
 
 impl SimResult {
@@ -126,7 +99,7 @@ mod tests {
             wasted_init: SimDuration::from_secs(30),
             total_warm_exec: SimDuration::from_secs(300),
             latency: LatencySummary::default(),
-            per_function: vec![FunctionOutcome {
+            per_function: vec![Tally {
                 warm: 80,
                 cold: 15,
                 dropped: 5,
@@ -161,13 +134,13 @@ mod tests {
 
     #[test]
     fn function_outcome_ratios() {
-        let f = FunctionOutcome {
+        let f = Tally {
             warm: 3,
             cold: 1,
             dropped: 0,
         };
         assert_eq!(f.total(), 4);
         assert!((f.hit_ratio() - 0.75).abs() < 1e-12);
-        assert_eq!(FunctionOutcome::default().hit_ratio(), 0.0);
+        assert_eq!(Tally::default().hit_ratio(), 0.0);
     }
 }

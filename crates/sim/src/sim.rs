@@ -8,7 +8,7 @@
 
 use crate::engine::{self, Completions, Node};
 use crate::invoker::Invoker;
-use crate::metrics::{FunctionOutcome, SimResult};
+use crate::metrics::SimResult;
 use faascache_core::container::ContainerId;
 use faascache_core::function::{FunctionId, FunctionRegistry};
 use faascache_core::policy::{KeepAlivePolicy, PolicyKind};
@@ -103,20 +103,22 @@ impl<'a> Server<'a> {
         }
     }
 
-    /// The run's metrics: the totals are the pool's counters, the
-    /// per-function breakdown the invoker's tally.
+    /// The run's metrics: the totals are the invoker's, the per-function
+    /// breakdown its tally.
     pub fn into_result(self) -> SimResult {
         let pool = self.invoker.pool();
+        let totals = self.invoker.totals();
         let counters = pool.counters();
         let mut result = SimResult {
             policy: pool.policy().name().to_string(),
             memory: pool.capacity(),
-            invocations: counters.warm_starts + counters.cold_starts + counters.drops,
-            warm: counters.warm_starts,
-            cold: counters.cold_starts,
-            dropped: counters.drops,
+            invocations: totals.total(),
+            warm: totals.warm,
+            cold: totals.cold,
+            dropped: totals.dropped,
             evictions: counters.evictions,
             prewarms: counters.prewarms,
+            per_function: self.invoker.tally().to_vec(),
             ..SimResult::default()
         };
         let mut delay_runs = vec![(0.0, result.warm)];
@@ -128,11 +130,6 @@ impl<'a> Server<'a> {
             if t.cold > 0 {
                 delay_runs.push((init.as_millis_f64(), t.cold));
             }
-            result.per_function.push(FunctionOutcome {
-                warm: t.warm,
-                cold: t.cold,
-                dropped: t.dropped,
-            });
         }
         result.latency = LatencySummary::from_runs_ms(&mut delay_runs, self.delay_sum_ms);
         result
@@ -146,6 +143,7 @@ impl Node for Server<'_> {
     fn arrive(&mut self, function: FunctionId, now: SimTime, done: &mut Completions<ContainerId>) {
         let spec = self.registry.spec(function);
         let Some(run) = self.invoker.start(spec, now) else {
+            self.invoker.drop_request(function);
             return;
         };
         if run.cold {

@@ -148,11 +148,11 @@ fn sum(counts: impl Iterator<Item = (u64, u64, u64)>) -> (u64, u64, u64) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every node's own breakdown of what its invokers did sums to its
-    /// pools' counters: the simulator's per-function outcomes, a 3-server
-    /// cluster's per-server split, the emulator's per-function starts
-    /// (its drops are buffer losses, which no pool counts) and the
-    /// outcomes a one-shard live invoker returns.
+    /// Every node's breakdown of what its invokers did sums to the totals
+    /// it reports: the simulator's per-function outcomes, a 3-server
+    /// cluster's per-server split, the emulator's per-function outcomes
+    /// (drops included: its buffer's losses, which its invoker counts) and
+    /// the outcomes a one-shard live invoker returns.
     #[test]
     fn tallies_match_pool_counters(
         w in workload_strategy(8, 120),
@@ -173,11 +173,13 @@ proptest! {
             seed: 7,
         };
         let c = run_cluster(&trace, &cluster);
-        prop_assert_eq!(sum(c.per_server.iter().copied()), (c.warm, c.cold, c.dropped));
+        let per_server = c.per_server.iter().map(|t| (t.warm, t.cold, t.dropped));
+        prop_assert_eq!(sum(per_server), (c.warm, c.cold, c.dropped));
 
         let e = Emulator::run(&trace, &PlatformConfig::new(config.memory, config.policy));
-        let per_fn = sum(e.per_function.iter().map(|f| (f.warm, f.cold, 0)));
-        prop_assert_eq!(per_fn, (e.warm, e.cold, 0));
+        let per_fn = sum(e.per_function.iter().map(|f| (f.warm, f.cold, f.dropped)));
+        prop_assert_eq!(per_fn, (e.warm, e.cold, e.dropped));
+        prop_assert_eq!(e.total(), trace.len() as u64);
 
         let sharded = ShardedConfig::split(config.memory, 1).with_eviction_batch(config.eviction_batch);
         let mut live = Live {

@@ -36,7 +36,7 @@
 //! by its own scoped thread into its `split_at_mut` share of the day,
 //! with room for its largest minute's tail, both allocated on the
 //! calling thread: a worker allocates nothing. A day too small to repay
-//! a thread ([`MIN_PART`] invocations) is written on the calling thread.
+//! a thread (`MIN_PART` invocations) is written on the calling thread.
 //! A range writes the same values whichever thread writes it, so the
 //! output does not depend on the core count.
 //!
@@ -48,7 +48,7 @@
 //! distinct, and the id in its low bits orders those. A bucket whose
 //! step is 0 has all its invocations at the minute's start, so they all
 //! join the head right behind its first and the tail never holds an
-//! offset of 0. That takes over [`MINUTE_US`] = 60,000,000 invocations in
+//! offset of 0. That takes over `MINUTE_US` = 60,000,000 invocations in
 //! one minute, where the cap below, `(60 s − 1 µs) / (k − 1)`, reaches 0.
 //!
 //! **Horizon.** [`AdaptOptions::horizon_mins`] expands only the minutes
