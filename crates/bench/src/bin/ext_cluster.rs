@@ -29,12 +29,13 @@ fn main() {
         "routing", "warm", "cold", "dropped", "hit%", "imbalance"
     );
     for r in &results {
+        let t = r.totals();
         println!(
             "{:<22} {:>9} {:>9} {:>9} {:>8.1}% {:>11.3}",
             r.balancer,
-            r.warm,
-            r.cold,
-            r.dropped,
+            t.warm,
+            t.cold,
+            t.dropped,
             100.0 * r.hit_ratio(),
             r.load_imbalance()
         );

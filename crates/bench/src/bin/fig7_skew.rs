@@ -46,8 +46,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             workloads::skewed_size_clones(duration, clones)?,
         ),
     ] {
-        let ow = Emulator::run(&trace, &overload_config(PolicyKind::Ttl));
-        let fc = Emulator::run(&trace, &overload_config(PolicyKind::GreedyDual));
+        let ow = Emulator::run(&trace, &overload_config(PolicyKind::Ttl)).totals();
+        let fc = Emulator::run(&trace, &overload_config(PolicyKind::GreedyDual)).totals();
         println!(
             "{:<16} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>9.2}x {:>10.2}x",
             name,

@@ -9,26 +9,26 @@
 use faascache::core::policy::PolicyKind;
 use faascache::platform::emulator::{Emulator, PlatformResult};
 use faascache::prelude::*;
+use faascache::sim::Tally;
 use faascache::trace::workloads;
 use faascache_bench::overload_config;
 use std::collections::BTreeMap;
 
 const CLONES: usize = 8;
 
-/// Aggregates clone statistics back to their app family.
-fn by_family(r: &PlatformResult) -> BTreeMap<String, (u64, u64, u64, u64)> {
-    let mut fam: BTreeMap<String, (u64, u64, u64, u64)> = BTreeMap::new();
+/// Aggregates clone statistics back to their app family: its tally and
+/// latency sum (µs).
+fn by_family(r: &PlatformResult) -> BTreeMap<String, (Tally, u64)> {
+    let mut fam: BTreeMap<String, (Tally, u64)> = BTreeMap::new();
     for f in &r.per_function {
         let family = f
             .name
             .rsplit_once('-')
             .map(|(head, _)| head.to_string())
             .unwrap_or_else(|| f.name.clone());
-        let e = fam.entry(family).or_insert((0, 0, 0, 0));
-        e.0 += f.warm;
-        e.1 += f.cold;
-        e.2 += f.dropped;
-        e.3 += f.latency_sum_us;
+        let e = fam.entry(family).or_default();
+        e.0 += f.tally;
+        e.1 += f.latency_sum_us;
     }
     fam
 }
@@ -39,24 +39,25 @@ fn print_breakdown(label: &str, r: &PlatformResult) {
         "  {:<20} {:>7} {:>7} {:>8} {:>8} {:>13}",
         "app family", "warm", "cold", "dropped", "hit%", "mean latency"
     );
-    for (family, (warm, cold, dropped, latency_us)) in by_family(r) {
-        let served = warm + cold;
+    for (family, (t, latency_us)) in by_family(r) {
+        let served = t.served();
         println!(
             "  {:<20} {:>7} {:>7} {:>8} {:>7.1}% {:>13}",
             family,
-            warm,
-            cold,
-            dropped,
-            100.0 * warm as f64 / served.max(1) as f64,
+            t.warm,
+            t.cold,
+            t.dropped,
+            100.0 * t.warm as f64 / served.max(1) as f64,
             SimDuration::from_micros(latency_us / served.max(1)).to_string()
         );
     }
+    let t = r.totals();
     println!(
         "  TOTAL: warm {} cold {} dropped {} | served {} | mean latency {}\n",
-        r.warm,
-        r.cold,
-        r.dropped,
-        r.served(),
+        t.warm,
+        t.cold,
+        t.dropped,
+        t.served(),
         r.mean_latency()
     );
 }
@@ -74,10 +75,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     print_breakdown("OpenWhisk", &ow);
     print_breakdown("FaasCache", &fc);
 
+    let (owt, fct) = (ow.totals(), fc.totals());
     println!(
         "FaasCache vs OpenWhisk: {:.2}x warm starts, {:.2}x served requests, {:.2}x lower mean latency",
-        fc.warm as f64 / ow.warm.max(1) as f64,
-        fc.served() as f64 / ow.served().max(1) as f64,
+        fct.warm as f64 / owt.warm.max(1) as f64,
+        fct.served() as f64 / owt.served().max(1) as f64,
         ow.mean_latency().as_secs_f64() / fc.mean_latency().as_secs_f64().max(1e-9),
     );
     Ok(())

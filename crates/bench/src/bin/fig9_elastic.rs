@@ -62,8 +62,9 @@ fn main() {
         "mean miss speed:      {:.4}/s (target {target:.4}/s)",
         result.mean_miss_speed()
     );
+    let t = result.tally;
     println!(
         "totals: warm {} cold {} dropped {}",
-        result.warm, result.cold, result.dropped
+        t.warm, t.cold, t.dropped
     );
 }

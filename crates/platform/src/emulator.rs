@@ -15,7 +15,7 @@ use faascache_core::function::{FunctionId, FunctionRegistry};
 use faascache_core::policy::PolicyKind;
 use faascache_core::pool::{ContainerPool, PoolConfig};
 use faascache_sim::engine::{self, Completions, Node};
-use faascache_sim::Invoker;
+use faascache_sim::{Invoker, Tally};
 use faascache_trace::record::Trace;
 use faascache_util::{MemMb, SimDuration, SimTime};
 
@@ -64,21 +64,10 @@ impl PlatformConfig {
 pub struct FunctionPlatformStats {
     /// Function name.
     pub name: String,
-    /// Warm starts.
-    pub warm: u64,
-    /// Cold starts.
-    pub cold: u64,
-    /// Dropped requests (buffer overflow or timeout).
-    pub dropped: u64,
+    /// Its invoker tally; drops are buffer overflows and timeouts.
+    pub tally: Tally,
     /// Sum of end-to-end latencies (µs) over served invocations.
     pub latency_sum_us: u64,
-}
-
-impl FunctionPlatformStats {
-    /// Served invocations.
-    pub fn served(&self) -> u64 {
-        self.warm + self.cold
-    }
 }
 
 /// Result of a platform emulation run.
@@ -86,30 +75,19 @@ impl FunctionPlatformStats {
 pub struct PlatformResult {
     /// The policy label.
     pub policy: String,
-    /// Total warm starts.
-    pub warm: u64,
-    /// Total cold starts.
-    pub cold: u64,
-    /// Total dropped requests.
-    pub dropped: u64,
     /// Per-function statistics (indexed by function index).
     pub per_function: Vec<FunctionPlatformStats>,
 }
 
 impl PlatformResult {
-    /// Invocations served (warm + cold).
-    pub fn served(&self) -> u64 {
-        self.warm + self.cold
-    }
-
-    /// Total requests observed.
-    pub fn total(&self) -> u64 {
-        self.served() + self.dropped
+    /// Run-wide totals: the sum of the per-function tallies.
+    pub fn totals(&self) -> Tally {
+        self.per_function.iter().map(|f| &f.tally).sum()
     }
 
     /// Overall mean end-to-end latency over served invocations.
     pub fn mean_latency(&self) -> SimDuration {
-        let served = self.served();
+        let served = self.totals().served();
         if served == 0 {
             return SimDuration::ZERO;
         }
@@ -131,7 +109,7 @@ impl PlatformResult {
 /// let trace = workloads::skewed_frequency(SimDuration::from_mins(2))?;
 /// let cfg = PlatformConfig::new(MemMb::from_gb(4), PolicyKind::GreedyDual);
 /// let result = Emulator::run(&trace, &cfg);
-/// assert!(result.served() > 0);
+/// assert!(result.totals().served() > 0);
 /// # Ok::<(), faascache_core::CoreError>(())
 /// ```
 #[derive(Debug)]
@@ -144,7 +122,8 @@ impl Emulator {
     ///
     /// A request the pool refuses waits in the buffer and is tried again;
     /// it is dropped only when the buffer overflows or its wait expires.
-    /// Every count, total and per function, is the invoker's tally.
+    /// Every count is the invoker's tally, per function; the totals
+    /// are their sum.
     pub fn run(trace: &Trace, config: &PlatformConfig) -> PlatformResult {
         let pool_config = PoolConfig::new(config.memory).with_eviction_batch(config.eviction_batch);
         let pool = ContainerPool::with_config(pool_config, config.policy.build());
@@ -158,22 +137,16 @@ impl Emulator {
         };
         engine::run(&mut platform, trace, config.tick_interval, None);
         let invoker = &platform.invoker;
-        let totals = invoker.totals();
         let per_fn = registry
             .iter()
             .zip(invoker.tally())
             .zip(platform.latency_sum_us);
         PlatformResult {
             policy: invoker.pool().policy().name().to_string(),
-            warm: totals.warm,
-            cold: totals.cold,
-            dropped: totals.dropped,
             per_function: per_fn
-                .map(|((spec, t), latency_sum_us)| FunctionPlatformStats {
+                .map(|((spec, &tally), latency_sum_us)| FunctionPlatformStats {
                     name: spec.name().to_string(),
-                    warm: t.warm,
-                    cold: t.cold,
-                    dropped: t.dropped,
+                    tally,
                     latency_sum_us,
                 })
                 .collect(),
@@ -275,15 +248,13 @@ mod tests {
         for policy in [PolicyKind::GreedyDual, PolicyKind::Ttl] {
             let cfg = PlatformConfig::new(MemMb::from_gb(2), policy);
             let r = Emulator::run(&trace, &cfg);
-            assert_eq!(r.total() as usize, trace.len(), "{policy}");
-            let per_fn: u64 = r.per_function.iter().map(|f| f.served() + f.dropped).sum();
-            assert_eq!(per_fn as usize, trace.len(), "{policy} per-function");
+            assert_eq!(r.totals().total() as usize, trace.len(), "{policy}");
         }
     }
 
     #[test]
     fn ample_memory_serves_everything() {
-        let r = run(PolicyKind::GreedyDual, 64);
+        let r = run(PolicyKind::GreedyDual, 64).totals();
         assert_eq!(r.dropped, 0);
         assert!(r.warm > r.cold, "steady workload should be mostly warm");
     }
@@ -292,8 +263,8 @@ mod tests {
     fn faascache_beats_openwhisk_under_pressure() {
         // Constrained memory: GD should serve at least as many requests
         // warm as the TTL baseline.
-        let gd = run(PolicyKind::GreedyDual, 2);
-        let ow = run(PolicyKind::Ttl, 2);
+        let gd = run(PolicyKind::GreedyDual, 2).totals();
+        let ow = run(PolicyKind::Ttl, 2).totals();
         assert!(
             gd.warm >= ow.warm,
             "GD warm {} should be >= TTL warm {}",
@@ -318,7 +289,10 @@ mod tests {
             constrained.mean_latency(),
             free.mean_latency()
         );
-        assert!(constrained.dropped > 0, "saturation should drop requests");
+        assert!(
+            constrained.totals().dropped > 0,
+            "saturation should drop requests"
+        );
     }
 
     #[test]
@@ -350,7 +324,13 @@ mod tests {
     #[test]
     fn mean_latency_zero_when_nothing_served() {
         let r = PlatformResult {
-            dropped: 5,
+            per_function: vec![FunctionPlatformStats {
+                tally: Tally {
+                    dropped: 5,
+                    ..Tally::default()
+                },
+                ..FunctionPlatformStats::default()
+            }],
             ..PlatformResult::default()
         };
         assert_eq!(r.mean_latency(), SimDuration::ZERO);

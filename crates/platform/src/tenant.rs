@@ -11,8 +11,9 @@
 //!   requests per tenant, held through the same [`InFlightSlot`] gate as
 //!   a shard's queue bound; excess arrivals are throttled.
 //! - **Memory budget** — while a tenant's resident container memory is at
-//!   or above `mem_mb`, new arrivals (which could only grow it) are
-//!   throttled, pre-warms of its functions are skipped (the table is
+//!   or above `mem_mb`, every new arrival is throttled at admission,
+//!   before any pool is consulted, so warm hits that would not grow it
+//!   are refused too; pre-warms of its functions are skipped (the table is
 //!   each pool's [`TenantLedger`]), and the tenant's eviction weight is
 //!   raised (see [`TenantWeights`]) so the greedy-dual policy prefers its
 //!   containers as victims until it is back under budget.

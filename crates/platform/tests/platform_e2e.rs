@@ -5,6 +5,7 @@ use faascache_core::function::FunctionRegistry;
 use faascache_core::policy::PolicyKind;
 use faascache_platform::emulator::{Emulator, PlatformConfig, PlatformResult};
 use faascache_platform::lifecycle::PhaseModel;
+use faascache_sim::Tally;
 use faascache_trace::record::Trace;
 use faascache_trace::{apps, workloads};
 use faascache_util::{MemMb, SimDuration};
@@ -34,8 +35,8 @@ fn figure7_faascache_never_serves_fewer_warm_starts() {
             workloads::skewed_size_clones(duration, 8).unwrap(),
         ),
     ] {
-        let ow = Emulator::run(&trace, &fig7_config(PolicyKind::Ttl));
-        let fc = Emulator::run(&trace, &fig7_config(PolicyKind::GreedyDual));
+        let ow = Emulator::run(&trace, &fig7_config(PolicyKind::Ttl)).totals();
+        let fc = Emulator::run(&trace, &fig7_config(PolicyKind::GreedyDual)).totals();
         assert!(
             fc.warm >= ow.warm,
             "{name}: FC warm {} < OW warm {}",
@@ -56,11 +57,12 @@ fn figure8_faascache_gains_warm_starts_and_latency() {
     let trace = workloads::skewed_frequency_clones(SimDuration::from_mins(30), 8).unwrap();
     let ow = Emulator::run(&trace, &fig7_config(PolicyKind::Ttl));
     let fc = Emulator::run(&trace, &fig7_config(PolicyKind::GreedyDual));
+    let (owt, fct) = (ow.totals(), fc.totals());
     assert!(
-        fc.warm as f64 > 1.2 * ow.warm as f64,
+        fct.warm as f64 > 1.2 * owt.warm as f64,
         "FC warm {} should clearly exceed OW warm {}",
-        fc.warm,
-        ow.warm
+        fct.warm,
+        owt.warm
     );
     assert!(
         ow.mean_latency().as_secs_f64() > 3.0 * fc.mean_latency().as_secs_f64(),
@@ -68,7 +70,7 @@ fn figure8_faascache_gains_warm_starts_and_latency() {
         ow.mean_latency(),
         fc.mean_latency()
     );
-    assert!(fc.dropped < ow.dropped);
+    assert!(fct.dropped < owt.dropped);
 }
 
 #[test]
@@ -79,12 +81,13 @@ fn figure8_per_function_priorities_show_in_hit_ratios() {
     let trace = workloads::skewed_frequency_clones(SimDuration::from_mins(30), 8).unwrap();
     let fc = Emulator::run(&trace, &fig7_config(PolicyKind::GreedyDual));
     let family_hit = |prefix: &str| {
-        let (warm, served) = fc
+        let t: Tally = fc
             .per_function
             .iter()
             .filter(|f| f.name.starts_with(prefix))
-            .fold((0u64, 0u64), |(w, s), f| (w + f.warm, s + f.served()));
-        warm as f64 / served.max(1) as f64
+            .map(|f| &f.tally)
+            .sum();
+        t.warm as f64 / t.served().max(1) as f64
     };
     let fp = family_hit("floating-point");
     let cnn = family_hit("ml-inference");
@@ -142,7 +145,7 @@ fn queue_sheds_load_under_sustained_overload() {
     cfg.max_concurrency = 1; // one CPU slot: hopeless backlog
     cfg.queue_capacity = 8;
     cfg.patience = SimDuration::from_secs(10);
-    let r = Emulator::run(&trace, &cfg);
+    let r = Emulator::run(&trace, &cfg).totals();
     assert!(r.dropped > r.served(), "overload should drop most requests");
     assert_eq!(r.total() as usize, trace.len());
 }

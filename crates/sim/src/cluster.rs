@@ -50,20 +50,19 @@ pub struct ClusterConfig {
 pub struct ClusterResult {
     /// The routing policy used.
     pub balancer: String,
-    /// Total warm starts across servers.
-    pub warm: u64,
-    /// Total cold starts across servers.
-    pub cold: u64,
-    /// Total drops across servers.
-    pub dropped: u64,
     /// Each server's totals.
     pub per_server: Vec<Tally>,
 }
 
 impl ClusterResult {
+    /// Cluster-wide totals: the sum of `per_server`.
+    pub fn totals(&self) -> Tally {
+        self.per_server.iter().sum()
+    }
+
     /// Cluster-wide warm-start ratio.
     pub fn hit_ratio(&self) -> f64 {
-        self.per_server.iter().sum::<Tally>().hit_ratio()
+        self.totals().hit_ratio()
     }
 
     /// Coefficient of variation of per-server load (served requests) —
@@ -111,14 +110,9 @@ pub fn run_cluster(trace: &Trace, config: &ClusterConfig) -> ClusterResult {
     };
     engine::run(&mut cluster, trace, config.per_server.tick_interval, None);
 
-    let per_server: Vec<Tally> = cluster.servers.iter().map(Invoker::totals).collect();
-    let totals: Tally = per_server.iter().sum();
     ClusterResult {
         balancer: config.balancer.label().to_string(),
-        warm: totals.warm,
-        cold: totals.cold,
-        dropped: totals.dropped,
-        per_server,
+        per_server: cluster.servers.iter().map(Invoker::totals).collect(),
     }
 }
 
@@ -233,12 +227,10 @@ mod tests {
         for balancer in LoadBalancer::ALL {
             let r = run_cluster(&t, &config(balancer));
             assert_eq!(
-                r.warm + r.cold + r.dropped,
+                r.totals().total(),
                 t.len() as u64,
                 "{balancer:?} lost requests"
             );
-            let per: u64 = r.per_server.iter().map(Tally::total).sum();
-            assert_eq!(per, t.len() as u64);
         }
     }
 
@@ -257,7 +249,7 @@ mod tests {
                         balancer,
                         seed: 1,
                     };
-                    let r = run_cluster(&t, &cluster);
+                    let r = run_cluster(&t, &cluster).totals();
                     let s = Simulation::run(&t, &per_server);
                     assert_eq!(
                         (r.warm, r.cold, r.dropped),
@@ -313,9 +305,6 @@ mod tests {
         // balance metric inf/NaN.
         let r = ClusterResult {
             balancer: "affinity".to_string(),
-            warm: 10,
-            cold: 2,
-            dropped: 5,
             per_server: vec![tally(10, 2, 0), tally(0, 0, 5), tally(0, 0, 0)],
         };
         assert!(r.load_imbalance().is_finite());
@@ -323,18 +312,12 @@ mod tests {
 
         let idle = ClusterResult {
             balancer: "random".to_string(),
-            warm: 0,
-            cold: 0,
-            dropped: 0,
             per_server: vec![Tally::default(); 2],
         };
         assert_eq!(idle.load_imbalance(), 0.0, "all-idle cluster sentinel");
 
         let empty = ClusterResult {
             balancer: "random".to_string(),
-            warm: 0,
-            cold: 0,
-            dropped: 0,
             per_server: Vec::new(),
         };
         assert_eq!(empty.load_imbalance(), 0.0, "empty per_server sentinel");

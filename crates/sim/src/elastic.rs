@@ -8,6 +8,7 @@
 //! static size).
 
 use crate::engine::{self, Completions, Node};
+use crate::invoker::Tally;
 use crate::sim::{Server, SimConfig};
 use faascache_core::container::ContainerId;
 use faascache_core::function::FunctionId;
@@ -64,12 +65,8 @@ pub struct ElasticResult {
     pub samples: Vec<ElasticSample>,
     /// Time-weighted average capacity across the run (MB).
     pub avg_capacity_mb: f64,
-    /// Total cold starts.
-    pub cold: u64,
-    /// Total warm starts.
-    pub warm: u64,
-    /// Total dropped requests.
-    pub dropped: u64,
+    /// The invoker's totals over the run.
+    pub tally: Tally,
 }
 
 impl ElasticResult {
@@ -93,7 +90,8 @@ pub fn run_elastic(trace: &Trace, config: &ElasticConfig, controller: Controller
     let mut node = Elastic {
         server: Server::new(trace, &sim, config.policy.build()),
         controller,
-        window_start: (SimTime::ZERO, 0, 0),
+        window_start: SimTime::ZERO,
+        window_base: Tally::default(),
         samples: Vec::new(),
         weighted_capacity: 0.0,
         last_capacity_change: SimTime::ZERO,
@@ -111,13 +109,10 @@ pub fn run_elastic(trace: &Trace, config: &ElasticConfig, controller: Controller
     } else {
         capacity
     };
-    let totals = node.server.invoker.totals();
     ElasticResult {
         samples: node.samples,
         avg_capacity_mb,
-        cold: totals.cold,
-        warm: totals.warm,
-        dropped: totals.dropped,
+        tally: node.server.invoker.totals(),
     }
 }
 
@@ -126,9 +121,10 @@ pub fn run_elastic(trace: &Trace, config: &ElasticConfig, controller: Controller
 struct Elastic<'a> {
     server: Server<'a>,
     controller: Controller,
-    /// When the current window opened, and the arrivals and cold starts
-    /// before it.
-    window_start: (SimTime, u64, u64),
+    /// When the current window opened.
+    window_start: SimTime,
+    /// The invoker's totals when it opened.
+    window_base: Tally,
     samples: Vec<ElasticSample>,
     /// Capacity × time up to `last_capacity_change`, for the average.
     weighted_capacity: f64,
@@ -152,13 +148,13 @@ impl Node for Elastic<'_> {
 
     fn epoch(&mut self, now: SimTime) {
         let totals = self.server.invoker.totals();
-        let (arrivals, cold) = (totals.total(), totals.cold);
         let stats = WindowStats {
-            arrivals: arrivals - self.window_start.1,
-            cold: cold - self.window_start.2,
-            window: now.since(self.window_start.0),
+            arrivals: totals.total() - self.window_base.total(),
+            cold: totals.cold - self.window_base.cold,
+            window: now.since(self.window_start),
         };
-        self.window_start = (now, arrivals, cold);
+        self.window_start = now;
+        self.window_base = totals;
         let pool = self.server.invoker.pool_mut();
         let decision = self.controller.observe(stats);
         if let Some(new_capacity) = decision {
@@ -243,17 +239,14 @@ mod tests {
         let trace = diurnal_trace();
         let controller = controller_for(&trace, 0.02, 1, 16);
         let result = run_elastic(&trace, &ElasticConfig::new(MemMb::from_gb(8)), controller);
-        assert_eq!(
-            result.warm + result.cold + result.dropped,
-            trace.len() as u64
-        );
+        assert_eq!(result.tally.total(), trace.len() as u64);
         let window_cold: u64 = result
             .samples
             .iter()
             .map(|s| (s.miss_speed * 600.0).round() as u64)
             .sum();
         // Window accounting can miss the tail after the last control point.
-        assert!(window_cold <= result.cold);
+        assert!(window_cold <= result.tally.cold);
     }
 
     #[test]
@@ -261,7 +254,7 @@ mod tests {
         let trace = Trace::new(faascache_core::function::FunctionRegistry::new(), vec![]);
         let result = run_with(&trace, ElasticConfig::new(MemMb::from_gb(1)));
         assert!(result.samples.is_empty());
-        assert_eq!(result.cold, 0);
+        assert_eq!(result.tally.cold, 0);
     }
 
     /// Runs with a controller sized for a 1 GB server.

@@ -52,12 +52,19 @@ impl Tally {
     }
 }
 
+impl std::ops::AddAssign for Tally {
+    fn add_assign(&mut self, t: Tally) {
+        self.warm += t.warm;
+        self.cold += t.cold;
+        self.dropped += t.dropped;
+    }
+}
+
 impl<'a> std::iter::Sum<&'a Tally> for Tally {
     fn sum<I: Iterator<Item = &'a Tally>>(iter: I) -> Tally {
-        iter.fold(Tally::default(), |a, t| Tally {
-            warm: a.warm + t.warm,
-            cold: a.cold + t.cold,
-            dropped: a.dropped + t.dropped,
+        iter.fold(Tally::default(), |mut a, &t| {
+            a += t;
+            a
         })
     }
 }

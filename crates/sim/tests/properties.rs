@@ -1,5 +1,7 @@
 //! Property-based tests of the simulator and its engine (proptest).
 
+use faascache_analysis::hitratio::HitRatioCurve;
+use faascache_analysis::reuse::reuse_distances;
 use faascache_core::container::ContainerId;
 use faascache_core::function::{FunctionId, FunctionRegistry};
 use faascache_core::policy::PolicyKind;
@@ -7,6 +9,7 @@ use faascache_core::pool::ContainerPool;
 use faascache_platform::emulator::{Emulator, PlatformConfig};
 use faascache_platform::sharded::{InvokeOutcome, ShardedConfig, ShardedInvoker};
 use faascache_sim::cluster::{run_cluster, ClusterConfig, LoadBalancer};
+use faascache_sim::elastic::{run_elastic, Controller, ControllerConfig, ElasticConfig};
 use faascache_sim::engine::{self, Completions, Node};
 use faascache_sim::sim::{SimConfig, Simulation};
 use faascache_sim::Invoker;
@@ -148,11 +151,13 @@ fn sum(counts: impl Iterator<Item = (u64, u64, u64)>) -> (u64, u64, u64) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every node's breakdown of what its invokers did sums to the totals
-    /// it reports: the simulator's per-function outcomes, a 3-server
-    /// cluster's per-server split, the emulator's per-function outcomes
-    /// (drops included: its buffer's losses, which its invoker counts) and
-    /// the outcomes a one-shard live invoker returns.
+    /// Every node counts each invocation once: the simulator's
+    /// per-function outcomes sum to the totals `SimResult` stores; a
+    /// 3-server cluster's totals (its per-server sum), the emulator's
+    /// (its per-function sum, drops included: its buffer's losses, which
+    /// its invoker counts) and an elastic run's tally each add up to the
+    /// trace; and a one-shard live invoker's stats equal the outcomes it
+    /// returned.
     #[test]
     fn tallies_match_pool_counters(
         w in workload_strategy(8, 120),
@@ -173,13 +178,21 @@ proptest! {
             seed: 7,
         };
         let c = run_cluster(&trace, &cluster);
-        let per_server = c.per_server.iter().map(|t| (t.warm, t.cold, t.dropped));
-        prop_assert_eq!(sum(per_server), (c.warm, c.cold, c.dropped));
+        prop_assert_eq!(c.totals().total(), trace.len() as u64);
 
         let e = Emulator::run(&trace, &PlatformConfig::new(config.memory, config.policy));
-        let per_fn = sum(e.per_function.iter().map(|f| (f.warm, f.cold, f.dropped)));
-        prop_assert_eq!(per_fn, (e.warm, e.cold, e.dropped));
-        prop_assert_eq!(e.total(), trace.len() as u64);
+        prop_assert_eq!(e.totals().total(), trace.len() as u64);
+
+        let controller = Controller::new(
+            HitRatioCurve::from_reuse(&reuse_distances(&trace)),
+            ControllerConfig::new(0.01, MemMb::new(128), MemMb::from_gb(8)),
+        );
+        let elastic = ElasticConfig {
+            policy: config.policy,
+            ..ElasticConfig::new(config.memory)
+        };
+        let el = run_elastic(&trace, &elastic, controller);
+        prop_assert_eq!(el.tally.total(), trace.len() as u64);
 
         let sharded = ShardedConfig::split(config.memory, 1).with_eviction_batch(config.eviction_batch);
         let mut live = Live {
