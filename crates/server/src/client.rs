@@ -727,6 +727,39 @@ mod tests {
         assert_eq!(saturated.max_attempts, u32::MAX);
     }
 
+    /// `faas-load`'s stdout line, pinned: the harness parses its keys.
+    #[test]
+    fn summary_line_is_pinned() {
+        let report = LoadReport {
+            requests: 100,
+            warm: 60,
+            cold: 20,
+            dropped: 5,
+            rejected: 4,
+            throttled: 3,
+            retried: 7,
+            connections: 2,
+            errors: 6,
+            elapsed: Duration::from_secs(1),
+            target_rps: 100.0,
+            attained_rps: 97.2,
+            latency: LatencySummary {
+                count: 92,
+                mean_ms: 0.5,
+                p50_ms: 0.25,
+                p95_ms: 1.5,
+                p99_ms: 2.125,
+                max_ms: 3.0,
+            },
+        };
+        assert_eq!(
+            report.summary_line(),
+            "faas-load: requests=100 warm=60 cold=20 dropped=5 rejected=4 \
+             throttled=3 connections=2 retried=7 errors=6 lost=2 \
+             attained_rps=97 (target 100) p50=0.250ms p95=1.500ms p99=2.125ms"
+        );
+    }
+
     #[test]
     fn run_key_prefixes_leave_the_low_32_bits_clear() {
         let a = run_key_prefix();

@@ -962,3 +962,48 @@ fn housekeep(shared: &Shared, interval: Duration) {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `faascached`'s exit line, pinned: the harness parses its keys.
+    #[test]
+    fn summary_line_is_pinned() {
+        let report = DaemonReport {
+            stats: InvokerStats {
+                warm: 43,
+                cold: 9,
+                dropped: 3,
+                rejected: 2,
+                throttled: 1,
+                evictions: 7,
+                prewarms: 5,
+                migrations: 4,
+            },
+            connections: 12,
+            open_connections: 1,
+            peak_connections: 6,
+            accept_errors: 8,
+            accept_wakeups: 30,
+            reads: 80,
+            writes: 75,
+            handoffs: 2,
+            peak_out_bytes: 512,
+            frames: 70,
+            http_requests: 10,
+            protocol_errors: 11,
+            dedup_hits: 13,
+            drained: true,
+            uptime: Duration::from_millis(12_340),
+            per_shard_served: vec![32, 20],
+        };
+        assert_eq!(
+            report.summary_line(),
+            "faascached: uptime=12.3s conns=12 connections=1/6 accept_errors=8 \
+             frames=70 http_requests=10 reads=80 writes=75 handoffs=2 warm=43 \
+             cold=9 dropped=3 rejected=2 throttled=1 evictions=7 migrations=4 \
+             proto_errors=11 dedup_hits=13 balance=1.60 drained=true"
+        );
+    }
+}

@@ -764,6 +764,52 @@ mod tests {
         }
     }
 
+    /// The outcome byte of an `Invoked` reply is pinned to the codes in
+    /// the module doc; a round trip alone would pass with encode and
+    /// decode renumbered together.
+    #[test]
+    fn invoked_codes_are_pinned() {
+        for (outcome, code) in [
+            (InvokeOutcome::Warm, 0),
+            (InvokeOutcome::Cold, 1),
+            (InvokeOutcome::Dropped, 2),
+            (InvokeOutcome::Rejected, 3),
+            (InvokeOutcome::Throttled, 4),
+        ] {
+            assert_eq!(Response::Invoked(outcome).encode(), [0x81, code]);
+        }
+    }
+
+    /// A `Stats` payload is pinned byte for byte to the layout in the
+    /// module doc: eight little-endian `u64`s after the opcode.
+    #[test]
+    fn stats_layout_is_pinned() {
+        let stats = InvokerStats {
+            warm: 1,
+            cold: 2,
+            dropped: 3,
+            rejected: 4,
+            throttled: 5,
+            evictions: 0x0106,
+            prewarms: 7,
+            migrations: 8,
+        };
+        #[rustfmt::skip]
+        let layout: [u8; 65] = [
+            0x82,
+            1, 0, 0, 0, 0, 0, 0, 0, // warm
+            2, 0, 0, 0, 0, 0, 0, 0, // cold
+            3, 0, 0, 0, 0, 0, 0, 0, // dropped
+            4, 0, 0, 0, 0, 0, 0, 0, // rejected
+            5, 0, 0, 0, 0, 0, 0, 0, // throttled
+            6, 1, 0, 0, 0, 0, 0, 0, // evictions
+            7, 0, 0, 0, 0, 0, 0, 0, // prewarms
+            8, 0, 0, 0, 0, 0, 0, 0, // migrations
+        ];
+        assert_eq!(Response::Stats(stats).encode(), layout);
+        assert_eq!(Response::decode(&layout).unwrap(), Response::Stats(stats));
+    }
+
     #[test]
     fn quota_set_response_rejects_bad_flags() {
         assert!(Response::decode(&[OP_R_QUOTA_SET]).is_err());

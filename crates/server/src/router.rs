@@ -1466,6 +1466,71 @@ mod tests {
         assert!(shared.render_metrics().contains("faasrouter_draining 1"));
     }
 
+    /// The outcome family of the router's scrape, pinned: five series
+    /// in the order of the binary outcome codes.
+    #[test]
+    fn router_outcome_family_is_pinned() {
+        let shared = test_shared(1, LoadBalancer::Random);
+        for (counter, n) in [
+            (&shared.warm, 5),
+            (&shared.cold, 4),
+            (&shared.dropped, 3),
+            (&shared.rejected, 2),
+            (&shared.throttled, 1),
+        ] {
+            counter.fetch_add(n, Ordering::Relaxed);
+        }
+        assert!(shared.render_metrics().starts_with(
+            "# HELP faasrouter_requests_total Invocation outcomes forwarded by the router.\n\
+             # TYPE faasrouter_requests_total counter\n\
+             faasrouter_requests_total{outcome=\"warm\"} 5\n\
+             faasrouter_requests_total{outcome=\"cold\"} 4\n\
+             faasrouter_requests_total{outcome=\"dropped\"} 3\n\
+             faasrouter_requests_total{outcome=\"rejected\"} 2\n\
+             faasrouter_requests_total{outcome=\"throttled\"} 1\n\
+             # HELP faasrouter_local_rejects_total "
+        ));
+    }
+
+    /// `faas-router`'s exit line, pinned: the harness parses its keys.
+    #[test]
+    fn summary_line_is_pinned() {
+        let backend = |forward_errors, ejections| BackendReport {
+            spec: "127.0.0.1:7001".to_string(),
+            routed: 40,
+            forward_errors,
+            ejections,
+            healthy: true,
+        };
+        let report = RouterReport {
+            balancer: "affinity".to_string(),
+            stats: InvokerStats {
+                warm: 50,
+                cold: 6,
+                dropped: 3,
+                rejected: 2,
+                throttled: 1,
+                ..InvokerStats::default()
+            },
+            local_rejects: 9,
+            per_backend: vec![backend(2, 1), backend(1, 0)],
+            connections: 4,
+            frames: 70,
+            http_requests: 8,
+            protocol_errors: 11,
+            accept_wakeups: 12,
+            drained: false,
+            uptime: Duration::from_millis(3_260),
+        };
+        assert_eq!(
+            report.summary_line(),
+            "faas-router: balancer=affinity uptime=3.3s conns=4 frames=70 \
+             http_requests=8 warm=50 cold=6 dropped=3 rejected=2 throttled=1 \
+             local_rejects=9 forward_errors=3 ejections=1 proto_errors=11 \
+             drained=false"
+        );
+    }
+
     #[test]
     fn connections_draw_their_own_backoff_jitter() {
         let shared = test_shared(1, LoadBalancer::Random);

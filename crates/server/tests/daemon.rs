@@ -280,6 +280,14 @@ fn http_only_checks(c: &mut Client, http_addr: &BoundAddr, served: u64) {
         served,
         "served outcome counters must match the client's tally"
     );
+    // The untenanted outcome series: all five, in binary-code order.
+    let outcomes: Vec<&str> = metrics
+        .lines()
+        .filter_map(|l| l.strip_prefix("faascache_requests_total{outcome=\""))
+        .filter_map(|l| l.split_once("\"} ").map(|(label, _)| label))
+        .filter(|label| !label.contains('"'))
+        .collect();
+    assert_eq!(outcomes, ["warm", "cold", "dropped", "rejected", "throttled"]);
     assert_eq!(
         sample(&metrics, "faascache_shard_in_flight{shard=\"0\"}"),
         0
