@@ -41,5 +41,5 @@ pub mod tenant;
 
 pub use emulator::{Emulator, PlatformConfig, PlatformResult};
 pub use lifecycle::{ColdStartTimeline, Phase, PhaseModel};
-pub use sharded::{InvokeOutcome, InvokerStats, ShardedConfig, ShardedInvoker};
+pub use sharded::{InvokeOutcome, InvokerStats, Outcomes, ShardedConfig, ShardedInvoker};
 pub use tenant::{TenantQuota, TenantQuotas, TenantSnapshot, TenantTable};

@@ -47,6 +47,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 /// Outcome of an invocation through a concurrency-safe invoker.
+///
+/// The declaration order is [`InvokeOutcome::ALL`]'s: the binary
+/// protocol's outcome code and the order every count lists them in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InvokeOutcome {
     /// Served warm.
@@ -69,9 +72,98 @@ pub enum InvokeOutcome {
 }
 
 impl InvokeOutcome {
+    /// Every outcome, in declaration order: an outcome's index here is its
+    /// binary outcome code and its place in the `Stats` reply, the
+    /// summary lines and the `/metrics` outcome series.
+    pub const ALL: [InvokeOutcome; 5] = [
+        InvokeOutcome::Warm,
+        InvokeOutcome::Cold,
+        InvokeOutcome::Dropped,
+        InvokeOutcome::Rejected,
+        InvokeOutcome::Throttled,
+    ];
+
     /// Whether the invocation was actually served (warm or cold).
     pub fn is_served(self) -> bool {
         matches!(self, InvokeOutcome::Warm | InvokeOutcome::Cold)
+    }
+
+    /// The outcome's name in summary lines, `/metrics` labels and HTTP
+    /// reply bodies.
+    pub fn label(self) -> &'static str {
+        match self {
+            InvokeOutcome::Warm => "warm",
+            InvokeOutcome::Cold => "cold",
+            InvokeOutcome::Dropped => "dropped",
+            InvokeOutcome::Rejected => "rejected",
+            InvokeOutcome::Throttled => "throttled",
+        }
+    }
+}
+
+/// How many invocations ended in each [`InvokeOutcome`], indexed by
+/// outcome. Built from an array in [`InvokeOutcome::ALL`]'s order.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Outcomes([u64; 5]);
+
+impl Outcomes {
+    /// Counts one invocation that ended in `outcome`.
+    pub fn record(&mut self, outcome: InvokeOutcome) {
+        self[outcome] += 1;
+    }
+
+    /// Invocations served (warm + cold).
+    pub fn served(&self) -> u64 {
+        self[InvokeOutcome::Warm] + self[InvokeOutcome::Cold]
+    }
+
+    /// Every invocation counted, whatever its outcome.
+    pub fn total(&self) -> u64 {
+        self.0.iter().sum()
+    }
+
+    /// Each outcome with its count, in [`InvokeOutcome::ALL`]'s order.
+    pub fn iter(&self) -> impl Iterator<Item = (InvokeOutcome, u64)> {
+        InvokeOutcome::ALL.into_iter().zip(self.0)
+    }
+}
+
+impl From<[u64; 5]> for Outcomes {
+    fn from(counts: [u64; 5]) -> Self {
+        Outcomes(counts)
+    }
+}
+
+impl std::ops::Index<InvokeOutcome> for Outcomes {
+    type Output = u64;
+    fn index(&self, outcome: InvokeOutcome) -> &u64 {
+        &self.0[outcome as usize]
+    }
+}
+
+impl std::ops::IndexMut<InvokeOutcome> for Outcomes {
+    fn index_mut(&mut self, outcome: InvokeOutcome) -> &mut u64 {
+        &mut self.0[outcome as usize]
+    }
+}
+
+/// `warm=1 cold=2 dropped=0 rejected=0 throttled=0`: the form the exit
+/// summary lines print.
+impl std::fmt::Display for Outcomes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        for (i, (outcome, n)) in self.iter().enumerate() {
+            let sep = if i == 0 { "" } else { " " };
+            write!(f, "{sep}{}={n}", outcome.label())?;
+        }
+        Ok(())
+    }
+}
+
+impl std::ops::AddAssign for Outcomes {
+    fn add_assign(&mut self, other: Outcomes) {
+        for (count, n) in self.0.iter_mut().zip(other.0) {
+            *count += n;
+        }
     }
 }
 
@@ -198,34 +290,15 @@ pub struct RebalanceEvent {
 /// Aggregated counters across every shard.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct InvokerStats {
-    /// Invocations served warm.
-    pub warm: u64,
-    /// Invocations served cold.
-    pub cold: u64,
-    /// Invocations dropped by a pool for lack of memory.
-    pub dropped: u64,
-    /// Invocations rejected at admission (backpressure or drain).
-    pub rejected: u64,
-    /// Invocations throttled at admission by a tenant budget.
-    pub throttled: u64,
+    /// Every invocation's outcome: the shards' warm, cold and dropped,
+    /// their admission rejections and the tenant throttles.
+    pub outcomes: Outcomes,
     /// Containers evicted across shards.
     pub evictions: u64,
     /// Containers prewarmed across shards.
     pub prewarms: u64,
     /// Warm-set migrations performed by the rebalancer.
     pub migrations: u64,
-}
-
-impl InvokerStats {
-    /// Invocations served (warm + cold).
-    pub fn served(&self) -> u64 {
-        self.warm + self.cold
-    }
-
-    /// Every request that received a definite outcome.
-    pub fn accounted(&self) -> u64 {
-        self.warm + self.cold + self.dropped + self.rejected + self.throttled
-    }
 }
 
 /// A shard: the simulator's [`Invoker`] behind one mutex, plus the three
@@ -481,19 +554,17 @@ impl ShardedInvoker {
     /// re-homing migrations.
     pub fn stats(&self) -> InvokerStats {
         let mut stats = InvokerStats {
-            throttled: self.inner.tenants.total_throttled(),
             migrations: self.inner.migrations.load(Ordering::Acquire),
             ..InvokerStats::default()
         };
+        stats.outcomes[InvokeOutcome::Throttled] = self.inner.tenants.total_throttled();
         for s in &self.inner.shards {
             let invoker = lock(&s.invoker);
             let (t, c) = (invoker.totals(), invoker.pool().counters());
-            stats.warm += t.warm;
-            stats.cold += t.cold;
-            stats.dropped += t.dropped;
+            let rejected = s.rejected.load(Ordering::Acquire);
+            stats.outcomes += Outcomes::from([t.warm, t.cold, t.dropped, rejected, 0]);
             stats.evictions += c.evictions;
             stats.prewarms += c.prewarms;
-            stats.rejected += s.rejected.load(Ordering::Acquire);
         }
         stats
     }
@@ -755,6 +826,29 @@ mod tests {
     }
 
     #[test]
+    fn outcomes_count_in_the_order_of_all() {
+        for (i, outcome) in InvokeOutcome::ALL.into_iter().enumerate() {
+            assert_eq!(
+                outcome as usize, i,
+                "{outcome:?} is out of declaration order"
+            );
+        }
+        let mut counts = Outcomes::default();
+        for (i, outcome) in InvokeOutcome::ALL.into_iter().enumerate() {
+            for _ in 0..=i {
+                counts.record(outcome);
+            }
+        }
+        assert_eq!(counts, Outcomes::from([1, 2, 3, 4, 5]));
+        assert_eq!((counts.served(), counts.total()), (3, 15));
+        counts += Outcomes::from([1, 0, 0, 0, 1]);
+        assert_eq!(
+            counts.to_string(),
+            "warm=2 cold=2 dropped=3 rejected=4 throttled=6"
+        );
+    }
+
+    #[test]
     fn warm_after_cold_per_function() {
         let reg = registry(16);
         let inv = ShardedInvoker::with_kind(
@@ -767,10 +861,7 @@ mod tests {
         for spec in reg.iter() {
             assert_eq!(inv.invoke(spec, SimTime::from_secs(1)), InvokeOutcome::Warm);
         }
-        let stats = inv.stats();
-        assert_eq!(stats.warm, 16);
-        assert_eq!(stats.cold, 16);
-        assert_eq!(stats.rejected, 0);
+        assert_eq!(inv.stats().outcomes, Outcomes::from([16, 16, 0, 0, 0]));
     }
 
     #[test]
@@ -816,10 +907,7 @@ mod tests {
             inv.invoke(reg.spec(bystander), SimTime::from_secs(1)),
             InvokeOutcome::Cold
         );
-        let stats = inv.stats();
-        assert_eq!(stats.throttled, 1);
-        assert_eq!(stats.rejected, 0);
-        assert_eq!(stats.accounted(), 3);
+        assert_eq!(inv.stats().outcomes, Outcomes::from([0, 2, 0, 0, 1]));
         let snaps = inv.tenant_snapshots();
         let greedy = snaps.iter().find(|s| s.name == "greedy").unwrap();
         assert_eq!(greedy.throttled, 1);
@@ -881,7 +969,7 @@ mod tests {
         assert_eq!(mem_of("a"), 384, "the over-budget tenant paid");
         assert_eq!(mem_of("b"), 128);
         assert_eq!(inv.invoke(reg.spec(b_old), at()), InvokeOutcome::Warm);
-        assert_eq!(inv.stats().throttled, 0);
+        assert_eq!(inv.stats().outcomes, Outcomes::from([1, 9, 0, 0, 0]));
     }
 
     #[test]
@@ -908,7 +996,7 @@ mod tests {
         for i in 0..8u64 {
             assert!(inv.invoke(reg.spec(f), SimTime::from_secs(i)).is_served());
         }
-        assert_eq!(inv.stats().throttled, 0);
+        assert_eq!(inv.stats().outcomes, Outcomes::from([7, 1, 0, 0, 0]));
         let snaps = inv.tenant_snapshots();
         let snap = snaps.iter().find(|s| s.name == "capped").unwrap();
         assert_eq!(snap.index, 1, "interned after the default tenant");
@@ -948,8 +1036,7 @@ mod tests {
         );
         let spec = reg.iter().next().unwrap();
         assert_eq!(inv.invoke(spec, SimTime::ZERO), InvokeOutcome::Rejected);
-        assert_eq!(inv.stats().rejected, 1);
-        assert_eq!(inv.stats().served(), 0);
+        assert_eq!(inv.stats().outcomes, Outcomes::from([0, 0, 0, 1, 0]));
     }
 
     #[test]
@@ -967,10 +1054,7 @@ mod tests {
             inv.invoke(spec, SimTime::from_secs(1)),
             InvokeOutcome::Rejected
         );
-        let stats = inv.stats();
-        assert_eq!(stats.cold, 1);
-        assert_eq!(stats.rejected, 1);
-        assert_eq!(stats.accounted(), 2);
+        assert_eq!(inv.stats().outcomes, Outcomes::from([0, 1, 0, 1, 0]));
     }
 
     #[test]
@@ -1096,6 +1180,7 @@ mod tests {
         let home = inv.shard_of(hot.id());
         // Two overload windows: the hot function dominates its shard.
         let mut t = 0u64;
+        let mut sent = 1; // the warm check below
         let mut event = None;
         for _tick in 0..4 {
             for _ in 0..32 {
@@ -1106,6 +1191,7 @@ mod tests {
             for spec in reg.iter().skip(1).take(6) {
                 inv.invoke(spec, SimTime::from_millis(t));
             }
+            sent += 32 + 6;
             t += 100;
             if let Some(e) = inv.rebalance_tick(SimTime::from_millis(t)) {
                 event = Some(e);
@@ -1129,12 +1215,11 @@ mod tests {
         ));
         let after = inv.per_shard()[e.to].tally.warm;
         assert_eq!(after, before + 1, "warm start landed on the new home");
-        // Conservation: every request got exactly one outcome.
-        let stats = inv.stats();
-        assert_eq!(
-            stats.accounted(),
-            stats.served() + stats.dropped + stats.rejected
-        );
+        // Conservation: every request got exactly one outcome, and every
+        // one was served.
+        let outcomes = inv.stats().outcomes;
+        assert_eq!(outcomes.total(), sent);
+        assert_eq!(outcomes.served(), sent);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 use faascache_core::function::{FunctionId, FunctionRegistry};
 use faascache_core::policy::{KeepAlivePolicy, Ttl};
 use faascache_platform::sharded::{
-    InvokeOutcome, RebalanceConfig, RebalanceEvent, ShardedConfig, ShardedInvoker,
+    InvokeOutcome, Outcomes, RebalanceConfig, RebalanceEvent, ShardedConfig, ShardedInvoker,
 };
 use faascache_platform::tenant::{TenantQuota, TenantQuotas};
 use faascache_util::{route, MemMb, SimDuration, SimTime};
@@ -596,18 +596,20 @@ impl Harness {
                 );
             }
         }
-        // Conservation: every issued request got exactly one outcome.
-        let stats = self.real.stats();
-        assert_eq!(
-            stats.warm + stats.cold + stats.dropped + stats.rejected + stats.throttled,
-            self.issued,
-            "conservation violated"
-        );
-        assert_eq!(
-            stats.throttled,
-            self.model.tenants.iter().map(|t| t.throttled).sum::<u64>(),
-            "aggregate throttled count diverged"
-        );
+        // Conservation: every issued request got exactly one outcome, the
+        // one the model gave it.
+        let model = &self.model;
+        let shards = |count: fn(&ModelShard) -> u64| model.shards.iter().map(count).sum();
+        let want = Outcomes::from([
+            shards(|s| s.warm),
+            shards(|s| s.cold),
+            shards(|s| s.drops),
+            shards(|s| s.rejected),
+            model.tenants.iter().map(|t| t.throttled).sum(),
+        ]);
+        let outcomes = self.real.stats().outcomes;
+        assert_eq!(outcomes, want, "aggregate outcomes diverged");
+        assert_eq!(outcomes.total(), self.issued, "conservation violated");
     }
 }
 
@@ -773,15 +775,17 @@ fn model_agrees_across_a_throttle_and_release_cycle() {
     for op in ops {
         h.step(op);
     }
-    let stats = h.real.stats();
-    assert_eq!(stats.throttled, 2, "f4 and f6 must have throttled");
+    // f4 and f6 throttled; the post-reap invokes were admitted: cold
+    // twice more than the pre-reap pair, nothing stuck behind a stale
+    // ledger.
+    assert_eq!(
+        h.real.stats().outcomes,
+        Outcomes::from([0, 2 + 3 + 2, 0, 0, 2])
+    );
     assert_eq!(
         h.model.tenants[1].throttled, 0,
         "bystander tenant throttled"
     );
-    // The post-reap invokes were admitted: cold twice more than the
-    // pre-reap pair, nothing stuck behind a stale ledger.
-    assert_eq!(stats.cold, 2 + 3 + 2);
 }
 
 /// Memory-pressure script: shards too small for the offered warm sets, so

@@ -8,7 +8,7 @@
 
 use faascache_core::function::{FunctionRegistry, FunctionSpec};
 use faascache_core::policy::PolicyKind;
-use faascache_platform::sharded::{RebalanceConfig, ShardedConfig, ShardedInvoker};
+use faascache_platform::sharded::{InvokeOutcome, RebalanceConfig, ShardedConfig, ShardedInvoker};
 use faascache_util::stats::balance_ratio;
 use faascache_util::{route, MemMb, SimDuration, SimTime};
 
@@ -102,19 +102,19 @@ fn rebalancing_never_increases_cold_starts_on_the_seeded_trace() {
     );
     replay_seeded_zipf(&rebalancing, &reg, requests);
 
-    let base = affinity.stats();
-    let rb = rebalancing.stats();
-    assert_eq!(base.accounted(), requests as u64);
-    assert_eq!(rb.accounted(), requests as u64);
+    let base = affinity.stats().outcomes;
+    let rb = rebalancing.stats().outcomes;
+    assert_eq!(base.total(), requests as u64);
+    assert_eq!(rb.total(), requests as u64);
     assert!(
         rebalancing.stats().migrations >= 1,
         "the skewed trace must trigger re-homing"
     );
     assert!(
-        rb.cold <= base.cold,
+        rb[InvokeOutcome::Cold] <= base[InvokeOutcome::Cold],
         "re-homing must not add cold starts: affinity {} vs rebalanced {}",
-        base.cold,
-        rb.cold
+        base[InvokeOutcome::Cold],
+        rb[InvokeOutcome::Cold]
     );
     let r_base = balance_ratio(&served_per_shard(&affinity));
     let r_rb = balance_ratio(&served_per_shard(&rebalancing));

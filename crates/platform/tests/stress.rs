@@ -3,15 +3,14 @@
 //! shards and at one, from many threads and prove that
 //!
 //! 1. every submitted invocation receives exactly one outcome
-//!    (`warm + cold + dropped + rejected == submitted`),
+//!    (the outcomes' total is the number submitted),
 //! 2. the server-side counters agree with the client-side tallies, and
 //! 3. pool memory accounting balances once the invoker quiesces.
 
 use faascache_core::function::{FunctionId, FunctionRegistry};
 use faascache_core::policy::{KeepAlivePolicy, PolicyKind, Ttl};
-use faascache_platform::sharded::{InvokeOutcome, ShardedConfig, ShardedInvoker};
+use faascache_platform::sharded::{InvokeOutcome, Outcomes, ShardedConfig, ShardedInvoker};
 use faascache_util::{MemMb, SimDuration, SimTime};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 const THREADS: u64 = 8;
@@ -32,56 +31,32 @@ fn registry() -> Arc<FunctionRegistry> {
     Arc::new(reg)
 }
 
-#[derive(Default)]
-struct Tally {
-    warm: AtomicU64,
-    cold: AtomicU64,
-    dropped: AtomicU64,
-    rejected: AtomicU64,
-    throttled: AtomicU64,
-}
-
-impl Tally {
-    fn record(&self, outcome: InvokeOutcome) {
-        let slot = match outcome {
-            InvokeOutcome::Warm => &self.warm,
-            InvokeOutcome::Cold => &self.cold,
-            InvokeOutcome::Dropped => &self.dropped,
-            InvokeOutcome::Rejected => &self.rejected,
-            InvokeOutcome::Throttled => &self.throttled,
-        };
-        slot.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn total(&self) -> u64 {
-        self.warm.load(Ordering::Relaxed)
-            + self.cold.load(Ordering::Relaxed)
-            + self.dropped.load(Ordering::Relaxed)
-            + self.rejected.load(Ordering::Relaxed)
-            + self.throttled.load(Ordering::Relaxed)
-    }
-}
-
 /// Memory held by containers across every shard.
 fn used_mem(inv: &ShardedInvoker) -> MemMb {
     inv.per_shard().iter().map(|s| s.used_mem).sum()
 }
 
-/// Invokes from `THREADS` threads at once and tallies the outcomes.
-fn hammer(reg: &FunctionRegistry, inv: &ShardedInvoker) -> Tally {
-    let tally = Tally::default();
+/// Invokes from `THREADS` threads at once and counts the outcomes.
+fn hammer(reg: &FunctionRegistry, inv: &ShardedInvoker) -> Outcomes {
     std::thread::scope(|scope| {
-        for t in 0..THREADS {
-            let tally = &tally;
-            scope.spawn(move || {
-                for i in 0..PER_THREAD {
-                    let f = FunctionId::from_index(((t * 31 + i) % FUNCTIONS as u64) as u32);
-                    tally.record(inv.invoke(reg.spec(f), SimTime::from_millis(i)));
-                }
-            });
+        let threads: Vec<_> = (0..THREADS)
+            .map(|t| {
+                scope.spawn(move || {
+                    let mut tally = Outcomes::default();
+                    for i in 0..PER_THREAD {
+                        let f = FunctionId::from_index(((t * 31 + i) % FUNCTIONS as u64) as u32);
+                        tally.record(inv.invoke(reg.spec(f), SimTime::from_millis(i)));
+                    }
+                    tally
+                })
+            })
+            .collect();
+        let mut tally = Outcomes::default();
+        for thread in threads {
+            tally += thread.join().expect("invoking thread panicked");
         }
-    });
-    tally
+        tally
+    })
 }
 
 #[test]
@@ -99,12 +74,7 @@ fn sharded_invoker_conserves_every_request() {
     assert_eq!(tally.total(), submitted, "an invocation vanished");
 
     // Client-side tallies must agree with the server-side counters.
-    let stats = inv.stats();
-    assert_eq!(stats.warm, tally.warm.load(Ordering::Relaxed));
-    assert_eq!(stats.cold, tally.cold.load(Ordering::Relaxed));
-    assert_eq!(stats.dropped, tally.dropped.load(Ordering::Relaxed));
-    assert_eq!(stats.rejected, tally.rejected.load(Ordering::Relaxed));
-    assert_eq!(stats.accounted(), submitted);
+    assert_eq!(inv.stats().outcomes, tally);
 
     // Quiesced: no in-flight work, and memory within capacity.
     assert!(inv.per_shard().iter().all(|s| s.in_flight == 0));
@@ -123,10 +93,11 @@ fn legacy_shared_invoker_conserves_every_request() {
 
     let submitted = THREADS * PER_THREAD;
     assert_eq!(tally.total(), submitted);
-    // The admission queue is unbounded: nothing is ever rejected.
-    assert_eq!(tally.rejected.load(Ordering::Relaxed), 0);
-    let stats = inv.stats();
-    assert_eq!(stats.warm + stats.cold + stats.dropped, submitted);
+    // The admission queue is unbounded and no tenant has a budget:
+    // nothing is ever rejected or throttled.
+    assert_eq!(tally[InvokeOutcome::Rejected], 0);
+    assert_eq!(tally[InvokeOutcome::Throttled], 0);
+    assert_eq!(inv.stats().outcomes, tally);
     assert!(used_mem(&inv) <= MemMb::new(1024));
 }
 

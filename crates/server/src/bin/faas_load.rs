@@ -23,8 +23,9 @@
 //! Cluster mode: point `--tcp`/`--unix` at a `faas-router` front instead
 //! of a daemon — the wire protocol is identical, idempotency keys and
 //! outcomes pass through untouched, and the same conservation invariant
-//! (`warm+cold+dropped+rejected+throttled+errors == requests`) holds
-//! across the whole router + backends ensemble. The daemon and every
+//! (`LoadReport::answered() + errors == requests`: each request gets one
+//! of the five outcomes or counts one error) holds across the whole
+//! router + backends ensemble. The daemon and every
 //! backend must share the load generator's `--functions/--seed/--skew`
 //! workload contract as usual.
 

@@ -18,7 +18,7 @@
 //! full jitter, per-request idempotency keys so retries are
 //! exactly-once on the daemon side) and client-side fault injection.
 //! The report accounts for every request:
-//! `warm + cold + dropped + rejected + errors == requests`, exactly,
+//! `outcomes.total() + errors == requests`, exactly,
 //! even when injected resets kill connections mid-frame — retries are
 //! counted separately and never double-book a request.
 
@@ -29,7 +29,7 @@ use crate::http;
 use crate::journal::{self, JournalRecord};
 use crate::net::Stream;
 use crate::proto::{self, Request, Response};
-use faascache_platform::sharded::{InvokeOutcome, InvokerStats};
+use faascache_platform::sharded::{InvokeOutcome, InvokerStats, Outcomes};
 use faascache_trace::replay::OpenLoopSchedule;
 use faascache_util::backoff::ExpBackoff;
 use faascache_util::rng::Pcg64;
@@ -447,17 +447,8 @@ impl LoadOptions {
 pub struct LoadReport {
     /// Requests submitted across all threads.
     pub requests: u64,
-    /// Served from a warm container.
-    pub warm: u64,
-    /// Served with a cold start.
-    pub cold: u64,
-    /// Dropped by a pool (no capacity).
-    pub dropped: u64,
-    /// Rejected at admission (backpressure or drain).
-    pub rejected: u64,
-    /// Throttled by the function's tenant budget (HTTP 429 with
-    /// `Retry-After`, binary outcome code 4).
-    pub throttled: u64,
+    /// The outcome each answered request got.
+    pub outcomes: Outcomes,
     /// Extra attempts made beyond each request's first (a request retried
     /// twice counts 2 here but still lands in exactly one outcome
     /// bucket).
@@ -481,10 +472,9 @@ pub struct LoadReport {
 }
 
 impl LoadReport {
-    /// Requests that got any reply
-    /// (`warm+cold+dropped+rejected+throttled`).
+    /// Requests that got any reply, whatever its outcome.
     pub fn answered(&self) -> u64 {
-        self.warm + self.cold + self.dropped + self.rejected + self.throttled
+        self.outcomes.total()
     }
 
     /// Requests unaccounted for: zero means nothing was lost.
@@ -495,16 +485,11 @@ impl LoadReport {
     /// The one-line summary `faas-load` prints.
     pub fn summary_line(&self) -> String {
         format!(
-            "faas-load: requests={} warm={} cold={} dropped={} rejected={} \
-             throttled={} connections={} retried={} errors={} lost={} \
-             attained_rps={:.0} (target {:.0}) \
+            "faas-load: requests={} {} connections={} retried={} errors={} \
+             lost={} attained_rps={:.0} (target {:.0}) \
              p50={:.3}ms p95={:.3}ms p99={:.3}ms",
             self.requests,
-            self.warm,
-            self.cold,
-            self.dropped,
-            self.rejected,
-            self.throttled,
+            self.outcomes,
             self.connections,
             self.retried,
             self.errors,
@@ -552,8 +537,8 @@ fn run_key_prefix() -> u64 {
 /// retry whose predecessor's response was
 /// lost is answered from the daemon's idempotency cache instead of
 /// re-executing. A request whose every attempt fails counts one error;
-/// conservation `warm+cold+dropped+rejected+errors == requests` holds
-/// exactly regardless of the injected fault mix.
+/// conservation `outcomes.total() + errors == requests` holds exactly
+/// regardless of the injected fault mix.
 ///
 /// # Panics
 ///
@@ -568,11 +553,6 @@ pub fn run_load_with(
     assert!(opts.retry.max_attempts > 0, "need at least one attempt");
     let threads = opts.threads;
     let requests = opts.requests;
-    let warm = AtomicU64::new(0);
-    let cold = AtomicU64::new(0);
-    let dropped = AtomicU64::new(0);
-    let rejected = AtomicU64::new(0);
-    let throttled = AtomicU64::new(0);
     let retried = AtomicU64::new(0);
     let errors = AtomicU64::new(0);
     // Connection ordinal across all threads: each (re)connect under
@@ -583,15 +563,11 @@ pub fn run_load_with(
     let keyed = opts.retry.is_enabled();
     let start = Instant::now() + Duration::from_millis(20);
     let mut lat_per_thread: Vec<Vec<f64>> = Vec::new();
+    let mut outcomes = Outcomes::default();
 
     thread::scope(|scope| {
         let mut joins = Vec::new();
         for t in 0..threads {
-            let warm = &warm;
-            let cold = &cold;
-            let dropped = &dropped;
-            let rejected = &rejected;
-            let throttled = &throttled;
             let retried = &retried;
             let errors = &errors;
             let conn_seq = &conn_seq;
@@ -599,6 +575,7 @@ pub fn run_load_with(
             let opts = &opts;
             joins.push(scope.spawn(move || {
                 let mut latencies = Vec::new();
+                let mut outcomes = Outcomes::default();
                 // Jitter RNG: deterministic per (seed, thread).
                 let mut rng = Pcg64::seed_from_u64(opts.seed).split(t as u64 + 1);
                 let connect = |conn_seq: &AtomicU64| -> io::Result<Client> {
@@ -651,19 +628,7 @@ pub fn run_load_with(
                         match result {
                             Ok(outcome) => {
                                 latencies.push(due.elapsed().as_secs_f64() * 1e3);
-                                match outcome {
-                                    InvokeOutcome::Warm => warm.fetch_add(1, Ordering::Relaxed),
-                                    InvokeOutcome::Cold => cold.fetch_add(1, Ordering::Relaxed),
-                                    InvokeOutcome::Dropped => {
-                                        dropped.fetch_add(1, Ordering::Relaxed)
-                                    }
-                                    InvokeOutcome::Rejected => {
-                                        rejected.fetch_add(1, Ordering::Relaxed)
-                                    }
-                                    InvokeOutcome::Throttled => {
-                                        throttled.fetch_add(1, Ordering::Relaxed)
-                                    }
-                                };
+                                outcomes.record(outcome);
                                 break;
                             }
                             Err(_) => {
@@ -682,11 +647,13 @@ pub fn run_load_with(
                         }
                     }
                 }
-                latencies
+                (latencies, outcomes)
             }));
         }
         for join in joins {
-            lat_per_thread.push(join.join().expect("load thread panicked"));
+            let (latencies, counted) = join.join().expect("load thread panicked");
+            lat_per_thread.push(latencies);
+            outcomes += counted;
         }
     });
 
@@ -694,11 +661,7 @@ pub fn run_load_with(
     let all_latencies: Vec<f64> = lat_per_thread.into_iter().flatten().collect();
     let report = LoadReport {
         requests,
-        warm: warm.into_inner(),
-        cold: cold.into_inner(),
-        dropped: dropped.into_inner(),
-        rejected: rejected.into_inner(),
-        throttled: throttled.into_inner(),
+        outcomes,
         retried: retried.into_inner(),
         connections: conns_made.into_inner(),
         errors: errors.into_inner(),
@@ -732,11 +695,7 @@ mod tests {
     fn summary_line_is_pinned() {
         let report = LoadReport {
             requests: 100,
-            warm: 60,
-            cold: 20,
-            dropped: 5,
-            rejected: 4,
-            throttled: 3,
+            outcomes: Outcomes::from([60, 20, 5, 4, 3]),
             retried: 7,
             connections: 2,
             errors: 6,

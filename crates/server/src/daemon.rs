@@ -239,9 +239,8 @@ impl DaemonReport {
         format!(
             "faascached: uptime={:.1}s conns={} connections={}/{} \
              accept_errors={} frames={} http_requests={} reads={} writes={} \
-             handoffs={} warm={} cold={} dropped={} rejected={} throttled={} \
-             evictions={} migrations={} proto_errors={} dedup_hits={} \
-             balance={:.2} drained={}",
+             handoffs={} {} evictions={} migrations={} proto_errors={} \
+             dedup_hits={} balance={:.2} drained={}",
             self.uptime.as_secs_f64(),
             self.connections,
             self.open_connections,
@@ -252,11 +251,7 @@ impl DaemonReport {
             self.reads,
             self.writes,
             self.handoffs,
-            self.stats.warm,
-            self.stats.cold,
-            self.stats.dropped,
-            self.stats.rejected,
-            self.stats.throttled,
+            self.stats.outcomes,
             self.stats.evictions,
             self.stats.migrations,
             self.protocol_errors,
@@ -562,21 +557,18 @@ impl Shared {
             "counter",
             "Invocation outcomes observed by the daemon.",
         );
-        for (label, v) in [
-            ("warm", stats.warm),
-            ("cold", stats.cold),
-            ("dropped", stats.dropped),
-            ("rejected", stats.rejected),
-            ("throttled", stats.throttled),
-        ] {
-            m.sample(&[("outcome", &label)], v);
+        for (outcome, n) in stats.outcomes.iter() {
+            m.sample(&[("outcome", &outcome.label())], n);
         }
         // Per-tenant accounting: throttle counts per tenant ride the same
         // requests_total family (extra `tenant` label), budget occupancy
         // gets its own gauges.
         for t in &tenants {
             m.sample(
-                &[("outcome", &"throttled"), ("tenant", &t.name)],
+                &[
+                    ("outcome", &InvokeOutcome::Throttled.label()),
+                    ("tenant", &t.name),
+                ],
                 t.throttled,
             );
         }
@@ -966,17 +958,14 @@ fn housekeep(shared: &Shared, interval: Duration) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use faascache_platform::sharded::Outcomes;
 
     /// `faascached`'s exit line, pinned: the harness parses its keys.
     #[test]
     fn summary_line_is_pinned() {
         let report = DaemonReport {
             stats: InvokerStats {
-                warm: 43,
-                cold: 9,
-                dropped: 3,
-                rejected: 2,
-                throttled: 1,
+                outcomes: Outcomes::from([43, 9, 3, 2, 1]),
                 evictions: 7,
                 prewarms: 5,
                 migrations: 4,

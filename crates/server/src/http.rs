@@ -24,10 +24,11 @@
 //!   /tenants/<name>/quota`. Executing the op and choosing the status
 //!   code (draining → `Connection: close`) happen once, in
 //!   `service::respond`, for the daemon and the router alike.
-//! - `OUTCOMES` — the one table of invoke outcomes to (status, label):
-//!   Warm/Cold → 200, Dropped/Throttled → 429, Rejected → 503. The
-//!   server encodes with it and the client decodes with it, the way
-//!   `proto`'s outcome codes serve both ends of the binary protocol.
+//! - `outcome_status` — the one map of invoke outcomes to HTTP status:
+//!   Warm/Cold → 200, Dropped/Throttled → 429, Rejected → 503, with the
+//!   outcome's label in the body. The server encodes with it and the
+//!   client decodes with it, the way `proto`'s outcome codes serve both
+//!   ends of the binary protocol.
 //! - the client codec behind [`Client`](crate::client::Client) over
 //!   HTTP: `encode_request`, the inverse of `route`, writes a
 //!   [`Request`] as a method, a target and headers; `read_response`
@@ -565,32 +566,23 @@ fn route_set_quota(tenant: &str, query: &str) -> Op {
     })
 }
 
-/// Every invoke outcome with the HTTP status and body label that carry
-/// it. Both Dropped and Throttled answer 429, told apart by the label.
-const OUTCOMES: [(InvokeOutcome, u16, &str); 5] = [
-    (InvokeOutcome::Warm, 200, "warm"),
-    (InvokeOutcome::Cold, 200, "cold"),
-    (InvokeOutcome::Dropped, 429, "dropped"),
-    (InvokeOutcome::Rejected, 503, "rejected"),
-    (InvokeOutcome::Throttled, 429, "throttled"),
-];
-
-/// The status and label an outcome is answered with.
+/// The status and label an outcome is answered with. Both Dropped and
+/// Throttled answer 429, told apart by the label.
 pub(crate) fn outcome_status(outcome: InvokeOutcome) -> (u16, &'static str) {
-    OUTCOMES
-        .iter()
-        .find(|row| row.0 == outcome)
-        .map(|&(_, status, label)| (status, label))
-        .expect("every outcome has a row")
+    let status = match outcome {
+        InvokeOutcome::Warm | InvokeOutcome::Cold => 200,
+        InvokeOutcome::Dropped | InvokeOutcome::Throttled => 429,
+        InvokeOutcome::Rejected => 503,
+    };
+    (status, outcome.label())
 }
 
-/// The outcome a (status, label) pair carries, if it is a row of the
-/// table.
+/// The outcome a (status, label) pair carries, if it is one an outcome
+/// is answered with.
 fn outcome_from_status(status: u16, label: &str) -> Option<InvokeOutcome> {
-    OUTCOMES
-        .iter()
-        .find(|row| (row.1, row.2) == (status, label))
-        .map(|row| row.0)
+    InvokeOutcome::ALL
+        .into_iter()
+        .find(|&outcome| outcome_status(outcome) == (status, label))
 }
 
 /// The client half of `route`: the bytes that carry `request` to the
@@ -688,7 +680,7 @@ pub(crate) fn read_response(
 }
 
 /// Decodes a gateway response into the [`Response`] a binary frame
-/// would carry: an outcome by its row of `OUTCOMES`, any other status
+/// would carry: an outcome by its `outcome_status`, any other status
 /// but 200 as [`Response::Error`] (the status in front of its message),
 /// and an ack or `Pong` from a 200 body.
 pub(crate) fn decode_response(status: u16, body: &[u8]) -> io::Result<Response> {

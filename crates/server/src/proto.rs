@@ -29,8 +29,11 @@
 //!           | 0x85 fn:u32le created:u8  (Registered)
 //!           | 0xFF msg:utf8      (Error)
 //! ```
+//!
+//! An outcome's code and its place among the Stats counts are its index
+//! in `InvokeOutcome::ALL`.
 
-use faascache_platform::sharded::{InvokeOutcome, InvokerStats};
+use faascache_platform::sharded::{InvokeOutcome, InvokerStats, Outcomes};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 
@@ -148,25 +151,11 @@ fn protocol_error(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-fn outcome_code(outcome: InvokeOutcome) -> u8 {
-    match outcome {
-        InvokeOutcome::Warm => 0,
-        InvokeOutcome::Cold => 1,
-        InvokeOutcome::Dropped => 2,
-        InvokeOutcome::Rejected => 3,
-        InvokeOutcome::Throttled => 4,
-    }
-}
-
 fn outcome_from_code(code: u8) -> io::Result<InvokeOutcome> {
-    match code {
-        0 => Ok(InvokeOutcome::Warm),
-        1 => Ok(InvokeOutcome::Cold),
-        2 => Ok(InvokeOutcome::Dropped),
-        3 => Ok(InvokeOutcome::Rejected),
-        4 => Ok(InvokeOutcome::Throttled),
-        other => Err(protocol_error(format!("bad outcome code {other}"))),
-    }
+    InvokeOutcome::ALL
+        .get(usize::from(code))
+        .copied()
+        .ok_or_else(|| protocol_error(format!("bad outcome code {code}")))
 }
 
 fn read_u32(payload: &[u8], at: usize) -> io::Result<u32> {
@@ -300,20 +289,12 @@ impl Response {
     /// Encodes the response as a frame payload (no length prefix).
     pub fn encode(&self) -> Vec<u8> {
         match self {
-            Response::Invoked(outcome) => vec![OP_R_INVOKED, outcome_code(*outcome)],
+            Response::Invoked(outcome) => vec![OP_R_INVOKED, *outcome as u8],
             Response::Stats(stats) => {
                 let mut out = Vec::with_capacity(1 + 8 * 8);
                 out.push(OP_R_STATS);
-                for v in [
-                    stats.warm,
-                    stats.cold,
-                    stats.dropped,
-                    stats.rejected,
-                    stats.throttled,
-                    stats.evictions,
-                    stats.prewarms,
-                    stats.migrations,
-                ] {
+                let outcomes = stats.outcomes.iter().map(|(_, n)| n);
+                for v in outcomes.chain([stats.evictions, stats.prewarms, stats.migrations]) {
                     out.extend_from_slice(&v.to_le_bytes());
                 }
                 out
@@ -347,16 +328,18 @@ impl Response {
                     .ok_or_else(|| protocol_error("truncated invoke response"))?;
                 Ok(Response::Invoked(outcome_from_code(code)?))
             }
-            Some(OP_R_STATS) => Ok(Response::Stats(InvokerStats {
-                warm: read_u64(payload, 1)?,
-                cold: read_u64(payload, 9)?,
-                dropped: read_u64(payload, 17)?,
-                rejected: read_u64(payload, 25)?,
-                throttled: read_u64(payload, 33)?,
-                evictions: read_u64(payload, 41)?,
-                prewarms: read_u64(payload, 49)?,
-                migrations: read_u64(payload, 57)?,
-            })),
+            Some(OP_R_STATS) => {
+                let mut outcomes = [0; 5];
+                for (i, count) in outcomes.iter_mut().enumerate() {
+                    *count = read_u64(payload, 1 + 8 * i)?;
+                }
+                Ok(Response::Stats(InvokerStats {
+                    outcomes: Outcomes::from(outcomes),
+                    evictions: read_u64(payload, 41)?,
+                    prewarms: read_u64(payload, 49)?,
+                    migrations: read_u64(payload, 57)?,
+                }))
+            }
             Some(OP_R_SHUTDOWN) => Ok(Response::ShutdownStarted),
             Some(OP_R_PONG) => Ok(Response::Pong),
             Some(OP_R_REGISTERED) => {
@@ -730,11 +713,7 @@ mod tests {
     #[test]
     fn responses_round_trip() {
         let stats = InvokerStats {
-            warm: 1,
-            cold: 2,
-            dropped: 3,
-            rejected: 4,
-            throttled: 8,
+            outcomes: Outcomes::from([1, 2, 3, 4, 8]),
             evictions: 5,
             prewarms: 6,
             migrations: 7,
@@ -785,11 +764,7 @@ mod tests {
     #[test]
     fn stats_layout_is_pinned() {
         let stats = InvokerStats {
-            warm: 1,
-            cold: 2,
-            dropped: 3,
-            rejected: 4,
-            throttled: 5,
+            outcomes: Outcomes::from([1, 2, 3, 4, 5]),
             evictions: 0x0106,
             prewarms: 7,
             migrations: 8,

@@ -63,7 +63,7 @@ use crate::net::DrainLatch;
 use crate::prom::PromText;
 use crate::proto::Response;
 use crate::service::{FnTarget, FrontCounters, KeyCache, Op, Reply, Service};
-use faascache_platform::sharded::{InvokeOutcome, InvokerStats};
+use faascache_platform::sharded::{InvokeOutcome, InvokerStats, Outcomes};
 use faascache_util::backoff::ExpBackoff;
 use faascache_util::rng::Pcg64;
 use faascache_util::route::{self, BalancerState, LoadBalancer};
@@ -256,14 +256,11 @@ struct RouterShared {
     pins: Mutex<KeyCache<usize>>,
     shutdown: Arc<DrainLatch>,
     front: FrontCounters,
-    /// Outcome tallies over successfully forwarded invokes.
-    warm: AtomicU64,
-    cold: AtomicU64,
-    dropped: AtomicU64,
-    rejected: AtomicU64,
-    throttled: AtomicU64,
+    /// Outcome tallies over forwarded invokes and local rejects, indexed
+    /// by outcome.
+    outcomes: [AtomicU64; 5],
     /// Invokes refused locally because no backend was healthy (a subset
-    /// of `rejected`).
+    /// of the rejected tally).
     local_rejects: AtomicU64,
     /// Ordinal for backend data connections; seeds per-stream fault
     /// plans exactly like the daemon's accept ordinal.
@@ -365,38 +362,18 @@ impl RouterShared {
             config,
             shutdown: Arc::default(),
             front: FrontCounters::default(),
-            warm: AtomicU64::new(0),
-            cold: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            throttled: AtomicU64::new(0),
+            outcomes: Default::default(),
             local_rejects: AtomicU64::new(0),
             backend_conn_seq: AtomicU64::new(0),
         }
     }
 
     fn tally(&self, outcome: InvokeOutcome) {
-        let counter = match outcome {
-            InvokeOutcome::Warm => &self.warm,
-            InvokeOutcome::Cold => &self.cold,
-            InvokeOutcome::Dropped => &self.dropped,
-            InvokeOutcome::Rejected => &self.rejected,
-            InvokeOutcome::Throttled => &self.throttled,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
+        self.outcomes[outcome as usize].fetch_add(1, Ordering::Relaxed);
     }
 
-    fn stats(&self) -> InvokerStats {
-        InvokerStats {
-            warm: self.warm.load(Ordering::Relaxed),
-            cold: self.cold.load(Ordering::Relaxed),
-            dropped: self.dropped.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            throttled: self.throttled.load(Ordering::Relaxed),
-            evictions: 0,
-            prewarms: 0,
-            migrations: 0,
-        }
+    fn outcomes(&self) -> Outcomes {
+        Outcomes::from(self.outcomes.each_ref().map(|n| n.load(Ordering::Relaxed)))
     }
 
     /// Picks a backend for `function` with the shared policy picker.
@@ -699,7 +676,7 @@ impl Service for RouterShared {
                 key,
             } => {
                 // Refused locally once the *router's* drain begins,
-                // before any backend drains. Counted into `rejected` so
+                // before any backend drains. Tallied as rejected so
                 // conservation holds: a local reject is an explicit
                 // outcome, not a lost request.
                 let forwarded = if self.draining() {
@@ -710,7 +687,7 @@ impl Service for RouterShared {
                 match forwarded {
                     Forwarded::Outcome(outcome) => Reply::Invoked { function, outcome },
                     Forwarded::NoBackend => {
-                        self.rejected.fetch_add(1, Ordering::Relaxed);
+                        self.tally(InvokeOutcome::Rejected);
                         self.local_rejects.fetch_add(1, Ordering::Relaxed);
                         Reply::Invoked {
                             function,
@@ -750,7 +727,11 @@ impl Service for RouterShared {
                     Err(msg) => Reply::error(502, msg),
                 }
             }
-            Op::Stats => Reply::Stats(self.stats()),
+            // A router holds no pool: its pool counts read 0.
+            Op::Stats => Reply::Stats(InvokerStats {
+                outcomes: self.outcomes(),
+                ..InvokerStats::default()
+            }),
             Op::Ping | Op::Healthz => Reply::Alive,
             Op::Metrics => Reply::Metrics(self.render_metrics()),
             Op::Shutdown => Reply::shutdown(&self.shutdown, self.config.allow_remote_shutdown),
@@ -778,14 +759,8 @@ impl RouterShared {
             "counter",
             "Invocation outcomes forwarded by the router.",
         );
-        for (label, counter) in [
-            ("warm", &self.warm),
-            ("cold", &self.cold),
-            ("dropped", &self.dropped),
-            ("rejected", &self.rejected),
-            ("throttled", &self.throttled),
-        ] {
-            m.sample(&[("outcome", &label)], counter.load(Ordering::Relaxed));
+        for (outcome, n) in self.outcomes().iter() {
+            m.sample(&[("outcome", &outcome.label())], n);
         }
         m.single(
             "faasrouter_local_rejects_total",
@@ -1066,8 +1041,9 @@ pub struct BackendReport {
 pub struct RouterReport {
     /// Routing policy label.
     pub balancer: String,
-    /// Cluster-wide outcome tallies over forwarded invokes.
-    pub stats: InvokerStats,
+    /// Cluster-wide outcome tallies over forwarded invokes and local
+    /// rejects.
+    pub outcomes: Outcomes,
     /// Invokes refused locally because no backend was healthy.
     pub local_rejects: u64,
     /// Per-backend routed/forward-error/ejection counters.
@@ -1104,19 +1080,14 @@ impl RouterReport {
     pub fn summary_line(&self) -> String {
         format!(
             "faas-router: balancer={} uptime={:.1}s conns={} frames={} \
-             http_requests={} warm={} cold={} dropped={} rejected={} \
-             throttled={} local_rejects={} forward_errors={} ejections={} \
-             proto_errors={} drained={}",
+             http_requests={} {} local_rejects={} forward_errors={} \
+             ejections={} proto_errors={} drained={}",
             self.balancer,
             self.uptime.as_secs_f64(),
             self.connections,
             self.frames,
             self.http_requests,
-            self.stats.warm,
-            self.stats.cold,
-            self.stats.dropped,
-            self.stats.rejected,
-            self.stats.throttled,
+            self.outcomes,
             self.local_rejects,
             self.forward_errors(),
             self.ejections(),
@@ -1206,7 +1177,7 @@ impl Router {
             .collect();
         RouterReport {
             balancer: shared.config.balancer.label().to_string(),
-            stats: shared.stats(),
+            outcomes: shared.outcomes(),
             local_rejects: shared.local_rejects.load(Ordering::Relaxed),
             per_backend,
             connections: shared.front.conns_total.load(Ordering::Relaxed),
@@ -1453,7 +1424,9 @@ mod tests {
     #[test]
     fn router_metrics_render_expected_series() {
         let shared = test_shared(2, LoadBalancer::Random);
-        shared.warm.fetch_add(3, Ordering::Relaxed);
+        for _ in 0..3 {
+            shared.tally(InvokeOutcome::Warm);
+        }
         shared.backends[0].routed.fetch_add(2, Ordering::Relaxed);
         shared.backends[1].eject();
         let body = shared.render_metrics();
@@ -1471,14 +1444,10 @@ mod tests {
     #[test]
     fn router_outcome_family_is_pinned() {
         let shared = test_shared(1, LoadBalancer::Random);
-        for (counter, n) in [
-            (&shared.warm, 5),
-            (&shared.cold, 4),
-            (&shared.dropped, 3),
-            (&shared.rejected, 2),
-            (&shared.throttled, 1),
-        ] {
-            counter.fetch_add(n, Ordering::Relaxed);
+        for (outcome, n) in InvokeOutcome::ALL.into_iter().zip([5, 4, 3, 2, 1]) {
+            for _ in 0..n {
+                shared.tally(outcome);
+            }
         }
         assert!(shared.render_metrics().starts_with(
             "# HELP faasrouter_requests_total Invocation outcomes forwarded by the router.\n\
@@ -1504,14 +1473,7 @@ mod tests {
         };
         let report = RouterReport {
             balancer: "affinity".to_string(),
-            stats: InvokerStats {
-                warm: 50,
-                cold: 6,
-                dropped: 3,
-                rejected: 2,
-                throttled: 1,
-                ..InvokerStats::default()
-            },
+            outcomes: Outcomes::from([50, 6, 3, 2, 1]),
             local_rejects: 9,
             per_backend: vec![backend(2, 1), backend(1, 0)],
             connections: 4,

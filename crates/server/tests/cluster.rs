@@ -28,7 +28,7 @@
 //! runs it elevated); the default keeps local `cargo test` fast.
 
 use faascache_core::policy::PolicyKind;
-use faascache_platform::sharded::InvokeOutcome;
+use faascache_platform::sharded::{InvokeOutcome, Outcomes};
 use faascache_server::client::{self, Client, LoadOptions, LoadProto, RetryPolicy};
 use faascache_server::daemon::{
     BoundAddr, Daemon, DaemonConfig, DaemonReport, Endpoint, IoModel, ShutdownHandle,
@@ -95,16 +95,6 @@ fn drain_router(handle: &ShutdownHandle, join: thread::JoinHandle<RouterReport>)
     let report = join.join().expect("router panicked");
     assert!(report.drained, "router reported drained=false");
     report
-}
-
-fn outcome_tuple(stats: &faascache_platform::sharded::InvokerStats) -> (u64, u64, u64, u64, u64) {
-    (
-        stats.warm,
-        stats.cold,
-        stats.dropped,
-        stats.rejected,
-        stats.throttled,
-    )
 }
 
 // ---------------------------------------------------------------------
@@ -234,7 +224,7 @@ mod children {
         /// outcome counters. Matches only the single-label series —
         /// per-tenant variants carry an extra label and must not double
         /// count.
-        pub fn outcome_counters(&self) -> (u64, u64, u64, u64, u64) {
+        pub fn outcome_counters(&self) -> Outcomes {
             let mut http = Client::connect(&BoundAddr::Tcp(self.http), LoadProto::Http)
                 .expect("connect child gateway");
             let body = http.metrics().expect("scrape child metrics");
@@ -247,13 +237,7 @@ mod children {
                     .parse()
                     .expect("counter parses")
             };
-            (
-                get("warm"),
-                get("cold"),
-                get("dropped"),
-                get("rejected"),
-                get("throttled"),
-            )
+            Outcomes::from(InvokeOutcome::ALL.map(|outcome| get(outcome.label())))
         }
 
         /// Scrapes the child's `faascache_registry_digest` gauge.
@@ -333,12 +317,7 @@ fn e2e_case(io: IoModel, balancer: LoadBalancer) {
     let report = client::run_load_with(&addr, schedule, opts);
 
     assert_eq!(
-        report.warm
-            + report.cold
-            + report.dropped
-            + report.rejected
-            + report.throttled
-            + report.errors,
+        report.outcomes.total() + report.errors,
         report.requests,
         "{tag}: conservation violated: {}",
         report.summary_line()
@@ -352,21 +331,22 @@ fn e2e_case(io: IoModel, balancer: LoadBalancer) {
         .stats()
         .expect("router stats");
     assert_eq!(
-        outcome_tuple(&stats),
-        (
-            report.warm,
-            report.cold,
-            report.dropped,
-            report.rejected,
-            report.throttled
-        ),
+        stats.outcomes,
+        report.outcomes,
         "{tag}: router tallies diverge from client: {}",
         report.summary_line()
     );
     // ... as must its own `/metrics` front.
+    let series = InvokeOutcome::ALL.map(|outcome| {
+        let name = format!(
+            "faasrouter_requests_total{{outcome=\"{}\"}}",
+            outcome.label()
+        );
+        router_series(&http, &name)
+    });
     assert_eq!(
-        router_series(&http, "faasrouter_requests_total{outcome=\"warm\"}"),
-        stats.warm,
+        Outcomes::from(series),
+        stats.outcomes,
         "{tag}: router /metrics diverge from its stats"
     );
     let routed: u64 = (0..backends.len())
@@ -381,20 +361,12 @@ fn e2e_case(io: IoModel, balancer: LoadBalancer) {
 
     // ... and the *sum* of the backends' own /metrics counters must
     // equal the router's — every forward executed on exactly one backend.
-    let mut summed = (0, 0, 0, 0, 0);
+    let mut summed = Outcomes::default();
     for b in &backends {
-        let c = b.outcome_counters();
-        summed = (
-            summed.0 + c.0,
-            summed.1 + c.1,
-            summed.2 + c.2,
-            summed.3 + c.3,
-            summed.4 + c.4,
-        );
+        summed += b.outcome_counters();
     }
     assert_eq!(
-        summed,
-        outcome_tuple(&stats),
+        summed, stats.outcomes,
         "{tag}: summed backend /metrics diverge from router tallies"
     );
 
@@ -517,12 +489,7 @@ fn killing_a_backend_mid_run_loses_nothing() {
 
     let report = load.join().expect("load thread panicked");
     assert_eq!(
-        report.warm
-            + report.cold
-            + report.dropped
-            + report.rejected
-            + report.throttled
-            + report.errors,
+        report.outcomes.total() + report.errors,
         report.requests,
         "conservation violated: {}",
         report.summary_line()
@@ -555,14 +522,9 @@ fn killing_a_backend_mid_run_loses_nothing() {
     // Router-internal consistency: every tallied outcome corresponds to
     // a per-backend forward or a local reject. (Tallies may exceed the
     // client's request count: a lost-response retry re-forwards.)
-    let stats_sum = rreport.stats.warm
-        + rreport.stats.cold
-        + rreport.stats.dropped
-        + rreport.stats.rejected
-        + rreport.stats.throttled;
     assert_eq!(
         rreport.per_backend.iter().map(|b| b.routed).sum::<u64>() + rreport.local_rejects,
-        stats_sum,
+        rreport.outcomes.total(),
         "router counters inconsistent: {}",
         rreport.summary_line()
     );

@@ -27,7 +27,7 @@
 //! reactor, so the whole chaos matrix — including the 100-seed CI sweep —
 //! runs against `--io-model epoll` too.
 
-use faascache_platform::sharded::RebalanceConfig;
+use faascache_platform::sharded::{InvokeOutcome, Outcomes, RebalanceConfig};
 use faascache_platform::tenant::{TenantQuota, TenantQuotas};
 use faascache_server::client::{self, Client, LoadOptions, LoadProto, RetryPolicy};
 use faascache_server::daemon::{
@@ -189,12 +189,7 @@ fn chaos_sweep(io: IoModel) {
         let report = client::run_load_with(&addr, schedule, opts);
 
         assert_eq!(
-            report.warm
-                + report.cold
-                + report.dropped
-                + report.rejected
-                + report.throttled
-                + report.errors,
+            report.outcomes.total() + report.errors,
             report.requests,
             "seed {seed}: conservation violated: {}",
             report.summary_line()
@@ -259,20 +254,8 @@ fn resets_exactly_once(io: IoModel) {
             .find_map(|_| Client::connect(&addr, LoadProto::Binary).ok()?.stats().ok())
             .unwrap_or_else(|| panic!("seed {seed}: stats probe never survived the resets"));
         assert_eq!(
-            (
-                stats.warm,
-                stats.cold,
-                stats.dropped,
-                stats.rejected,
-                stats.throttled
-            ),
-            (
-                report.warm,
-                report.cold,
-                report.dropped,
-                report.rejected,
-                report.throttled,
-            ),
+            stats.outcomes,
+            report.outcomes,
             "seed {seed}: daemon counters diverge from client tallies \
              (exactly-once violated): client[{}]",
             report.summary_line()
@@ -350,12 +333,7 @@ fn journaled_chaos_sweep(io: IoModel) {
         let report = client::run_load_with(&addr, schedule, opts);
 
         assert_eq!(
-            report.warm
-                + report.cold
-                + report.dropped
-                + report.rejected
-                + report.throttled
-                + report.errors,
+            report.outcomes.total() + report.errors,
             report.requests,
             "seed {seed}: conservation violated with journaling on: {}",
             report.summary_line()
@@ -491,12 +469,7 @@ fn http_chaos_sweep(io: IoModel) {
         let report = client::run_load_with(&http_addr, schedule, opts);
 
         assert_eq!(
-            report.warm
-                + report.cold
-                + report.dropped
-                + report.rejected
-                + report.throttled
-                + report.errors,
+            report.outcomes.total() + report.errors,
             report.requests,
             "seed {seed}: HTTP conservation violated: {}",
             report.summary_line()
@@ -561,20 +534,8 @@ fn http_resets_exactly_once(io: IoModel) {
             .find_map(|_| Client::connect(&addr, LoadProto::Binary).ok()?.stats().ok())
             .unwrap_or_else(|| panic!("seed {seed}: stats probe never survived the resets"));
         assert_eq!(
-            (
-                stats.warm,
-                stats.cold,
-                stats.dropped,
-                stats.rejected,
-                stats.throttled
-            ),
-            (
-                report.warm,
-                report.cold,
-                report.dropped,
-                report.rejected,
-                report.throttled,
-            ),
+            stats.outcomes,
+            report.outcomes,
             "seed {seed}: daemon counters diverge from HTTP client tallies \
              (exactly-once violated): client[{}]",
             report.summary_line()
@@ -645,12 +606,7 @@ fn rebalancing_chaos_sweep(io: IoModel) {
         let report = client::run_load_with(&addr, schedule, opts);
 
         assert_eq!(
-            report.warm
-                + report.cold
-                + report.dropped
-                + report.rejected
-                + report.throttled
-                + report.errors,
+            report.outcomes.total() + report.errors,
             report.requests,
             "seed {seed}: conservation violated with rebalancing on: {}",
             report.summary_line()
@@ -720,20 +676,8 @@ fn rebalancing_resets_exactly_once(io: IoModel) {
             .find_map(|_| Client::connect(&addr, LoadProto::Binary).ok()?.stats().ok())
             .unwrap_or_else(|| panic!("seed {seed}: stats probe never survived the resets"));
         assert_eq!(
-            (
-                stats.warm,
-                stats.cold,
-                stats.dropped,
-                stats.rejected,
-                stats.throttled
-            ),
-            (
-                report.warm,
-                report.cold,
-                report.dropped,
-                report.rejected,
-                report.throttled,
-            ),
+            stats.outcomes,
+            report.outcomes,
             "seed {seed}: daemon counters diverge from client tallies with \
              rebalancing on (exactly-once violated): client[{}]",
             report.summary_line()
@@ -852,12 +796,7 @@ fn multi_tenant_chaos_conserves_per_tenant(io: IoModel) {
 
         for (tenant, report) in [("alpha", &alpha), ("beta", &beta)] {
             assert_eq!(
-                report.warm
-                    + report.cold
-                    + report.dropped
-                    + report.rejected
-                    + report.throttled
-                    + report.errors,
+                report.outcomes.total() + report.errors,
                 report.requests,
                 "seed {seed}: tenant {tenant} conservation violated: {}",
                 report.summary_line()
@@ -870,7 +809,7 @@ fn multi_tenant_chaos_conserves_per_tenant(io: IoModel) {
             );
         }
         assert_eq!(
-            beta.throttled,
+            beta.outcomes[InvokeOutcome::Throttled],
             0,
             "seed {seed}: unlimited tenant beta was throttled: {}",
             beta.summary_line()
@@ -953,7 +892,11 @@ fn multi_tenant_resets_exactly_once(io: IoModel) {
                 "seed {seed}: tenant {tenant} lost requests"
             );
         }
-        assert_eq!(beta.throttled, 0, "seed {seed}: unlimited tenant throttled");
+        assert_eq!(
+            beta.outcomes[InvokeOutcome::Throttled],
+            0,
+            "seed {seed}: unlimited tenant throttled"
+        );
 
         // Reset-only faults and dedup on: each logical request executed
         // (or throttled) exactly once daemon-side, so the aggregate
@@ -961,21 +904,11 @@ fn multi_tenant_resets_exactly_once(io: IoModel) {
         let stats = (0..32)
             .find_map(|_| Client::connect(&addr, LoadProto::Binary).ok()?.stats().ok())
             .unwrap_or_else(|| panic!("seed {seed}: stats probe never survived the resets"));
+        let mut summed = alpha.outcomes;
+        summed += beta.outcomes;
         assert_eq!(
-            (
-                stats.warm,
-                stats.cold,
-                stats.dropped,
-                stats.rejected,
-                stats.throttled,
-            ),
-            (
-                alpha.warm + beta.warm,
-                alpha.cold + beta.cold,
-                alpha.dropped + beta.dropped,
-                alpha.rejected + beta.rejected,
-                alpha.throttled + beta.throttled,
-            ),
+            stats.outcomes,
+            summed,
             "seed {seed}: daemon counters diverge from summed tenant tallies \
              (exactly-once violated): alpha[{}] beta[{}]",
             alpha.summary_line(),
@@ -986,7 +919,10 @@ fn multi_tenant_resets_exactly_once(io: IoModel) {
         eprintln!(
             "tenant reset seed {seed} ({io}): alpha throttled={} retried={} \
              beta retried={} dedup_hits={}",
-            alpha.throttled, alpha.retried, beta.retried, daemon_report.dedup_hits
+            alpha.outcomes[InvokeOutcome::Throttled],
+            alpha.retried,
+            beta.retried,
+            daemon_report.dedup_hits
         );
     }
 }
@@ -1534,12 +1470,7 @@ fn router_hop_chaos_sweep(io: IoModel) {
         let report = client::run_load_with(&addr, schedule, opts);
 
         assert_eq!(
-            report.warm
-                + report.cold
-                + report.dropped
-                + report.rejected
-                + report.throttled
-                + report.errors,
+            report.outcomes.total() + report.errors,
             report.requests,
             "seed {seed}: hop conservation violated: {}",
             report.summary_line()
@@ -1606,29 +1537,17 @@ fn router_hop_resets_exactly_once(io: IoModel) {
         assert_eq!(report.lost(), 0, "seed {seed}: hop lost requests");
 
         // Clean connections to the daemons themselves: sum their counters.
-        let mut summed = (0u64, 0u64, 0u64, 0u64, 0u64);
+        let mut summed = Outcomes::default();
         for (daddr, _, _) in &daemons {
             let stats = Client::connect(daddr, LoadProto::Binary)
                 .expect("connect daemon")
                 .stats()
                 .expect("daemon stats");
-            summed = (
-                summed.0 + stats.warm,
-                summed.1 + stats.cold,
-                summed.2 + stats.dropped,
-                summed.3 + stats.rejected,
-                summed.4 + stats.throttled,
-            );
+            summed += stats.outcomes;
         }
         assert_eq!(
             summed,
-            (
-                report.warm,
-                report.cold,
-                report.dropped,
-                report.rejected,
-                report.throttled,
-            ),
+            report.outcomes,
             "seed {seed}: summed daemon counters diverge from client tallies \
              (hop exactly-once violated): client[{}]",
             report.summary_line()

@@ -1,6 +1,7 @@
 //! End-to-end tests: a real `faascached` daemon on a real socket, driven
 //! by real protocol clients, with conservation checked on both sides.
 
+use faascache_platform::sharded::Outcomes;
 use faascache_server::client::{self, Client, LoadOptions, LoadProto, LoadReport, RetryPolicy};
 use faascache_server::daemon::{
     BoundAddr, Daemon, DaemonConfig, DaemonReport, Endpoint, IoModel, ShutdownHandle,
@@ -135,11 +136,11 @@ fn session(endpoint: Endpoint, io: IoModel, proto: LoadProto) {
 }
 
 /// What [`exercise_protocol`]'s script leaves in the daemon's tallies,
-/// whichever protocol carried it: (warm, cold, dedup hits). The 50
-/// invokes over 8 functions are 8 cold and 42 warm; the registered
-/// function runs cold once and warm once, and its retried key executes
-/// nothing.
-const SESSION_TALLIES: (u64, u64, u64) = (43, 9, 1);
+/// whichever protocol carried it: its outcomes (in
+/// `InvokeOutcome::ALL`'s order) and its dedup hits. The 50 invokes over
+/// 8 functions are 8 cold and 42 warm; the registered function runs cold
+/// once and warm once, and its retried key executes nothing.
+const SESSION_TALLIES: ([u64; 5], u64) = ([43, 9, 0, 0, 0], 1);
 
 /// The {binary,http}×{threads,epoll} session matrix: one script over
 /// either protocol — invokes by index, a registration made then
@@ -203,7 +204,7 @@ fn exercise_protocol(
             unsupported(c.metrics().map(drop));
             unsupported(c.invoke_named("e2e-fn").map(drop));
             let stats = c.stats().expect("stats");
-            assert_eq!(stats.served(), served);
+            assert_eq!(stats.outcomes.served(), served);
             c.shutdown().expect("shutdown ack");
         }
         LoadProto::Http => {
@@ -217,10 +218,10 @@ fn exercise_protocol(
     let report = join.join().expect("daemon thread");
     assert!(report.drained, "nothing in flight, drain must succeed");
     assert_eq!(
-        (report.stats.warm, report.stats.cold, report.dedup_hits),
-        SESSION_TALLIES
+        (report.stats.outcomes, report.dedup_hits),
+        (Outcomes::from(SESSION_TALLIES.0), SESSION_TALLIES.1)
     );
-    assert_eq!(report.stats.served(), served);
+    assert_eq!(report.stats.outcomes.served(), served);
     assert_eq!(report.protocol_errors, 0);
     match proto {
         // readiness ping + ping + 50 invokes + 2 registers + invoke + 2
@@ -287,7 +288,10 @@ fn http_only_checks(c: &mut Client, http_addr: &BoundAddr, served: u64) {
         .filter_map(|l| l.split_once("\"} ").map(|(label, _)| label))
         .filter(|label| !label.contains('"'))
         .collect();
-    assert_eq!(outcomes, ["warm", "cold", "dropped", "rejected", "throttled"]);
+    assert_eq!(
+        outcomes,
+        ["warm", "cold", "dropped", "rejected", "throttled"]
+    );
     assert_eq!(
         sample(&metrics, "faascache_shard_in_flight{shard=\"0\"}"),
         0
@@ -507,7 +511,11 @@ fn a_failed_keyed_invoke_does_not_shorten_its_keys_dedup_life() {
     c.shutdown().expect("shutdown");
     let report = join.join().expect("daemon thread");
     assert_eq!(report.dedup_hits, 1);
-    assert_eq!(report.stats.served(), 2, "the retry must not execute");
+    assert_eq!(
+        report.stats.outcomes.served(),
+        2,
+        "the retry must not execute"
+    );
 }
 
 /// A sole client's load lost nothing, and the daemon's counters equal
@@ -519,11 +527,8 @@ fn assert_sole_client_tallies(addr: &BoundAddr, report: &LoadReport, requests: u
     let stats = Client::connect(addr, LoadProto::Binary)
         .and_then(|mut c| c.stats())
         .expect("stats");
-    assert_eq!(stats.warm, report.warm);
-    assert_eq!(stats.cold, report.cold);
-    assert_eq!(stats.dropped, report.dropped);
-    assert_eq!(stats.rejected, report.rejected);
-    assert_eq!(stats.accounted(), requests);
+    assert_eq!(stats.outcomes, report.outcomes);
+    assert_eq!(stats.outcomes.total(), requests);
 }
 
 /// The binary load generator against a daemon on `io`.
@@ -1420,5 +1425,5 @@ fn shutdown_handle_drains_from_outside() {
     c.shutdown().expect("shutdown");
     let report = join.join().expect("daemon thread");
     assert!(report.drained);
-    assert_eq!(report.stats.cold, 1);
+    assert_eq!(report.stats.outcomes, Outcomes::from([0, 1, 0, 0, 0]));
 }

@@ -23,7 +23,7 @@
 
 use faascache_core::function::{FunctionId, FunctionRegistry};
 use faascache_core::policy::{KeepAlivePolicy, PolicyKind};
-use faascache_platform::sharded::{InvokeOutcome, ShardedConfig, ShardedInvoker};
+use faascache_platform::sharded::{InvokeOutcome, Outcomes, ShardedConfig, ShardedInvoker};
 use faascache_platform::tenant::{TenantQuota, TenantQuotas};
 use faascache_server::client::{self, LoadOptions, LoadProto, RetryPolicy};
 use faascache_server::daemon::{
@@ -129,7 +129,7 @@ fn two_tenant_hammer(io: IoModel) {
 
     for (tenant, report) in [("victim", &victim), ("aggressor", &aggressor)] {
         assert_eq!(
-            report.warm + report.cold + report.dropped + report.rejected + report.throttled,
+            report.outcomes.total(),
             report.requests,
             "tenant {tenant} conservation violated: {}",
             report.summary_line()
@@ -148,13 +148,13 @@ fn two_tenant_hammer(io: IoModel) {
         );
     }
     assert_eq!(
-        victim.throttled,
+        victim.outcomes[InvokeOutcome::Throttled],
         0,
         "victim was throttled by the aggressor's budget: {}",
         victim.summary_line()
     );
     assert!(
-        aggressor.throttled > 0,
+        aggressor.outcomes[InvokeOutcome::Throttled] > 0,
         "aggressor was never throttled — its budget did nothing: {}",
         aggressor.summary_line()
     );
@@ -162,9 +162,11 @@ fn two_tenant_hammer(io: IoModel) {
     handle.request();
     let daemon_report = join.join().expect("daemon panicked");
     assert!(daemon_report.drained, "daemon reported drained=false");
+    let mut summed = victim.outcomes;
+    summed += aggressor.outcomes;
     assert_eq!(
-        daemon_report.stats.throttled, aggressor.throttled,
-        "daemon throttle count disagrees with the aggressor's tally"
+        daemon_report.stats.outcomes, summed,
+        "daemon outcome counts disagree with the two tenants' tallies"
     );
     eprintln!(
         "fairness hammer ({io}): victim[{}] aggressor[{}] daemon[{}]",
@@ -378,8 +380,8 @@ fn seeded_fairness_replay_is_deterministic() {
 /// Per-tenant `(warm, cold, throttled)` and the invoker's lost count for
 /// one replay of the isolation sequence.
 struct Isolation {
-    victim: (u64, u64, u64),
-    aggressor: (u64, u64, u64),
+    victim: Outcomes,
+    aggressor: Outcomes,
     lost: u64,
 }
 
@@ -411,7 +413,7 @@ fn run_isolation(requests: u64, quotas: TenantQuotas, include_aggressor: bool) -
 
     let config = ShardedConfig::split(MemMb::new(2048), 4).with_tenant_quotas(quotas);
     let invoker = ShardedInvoker::with_kind(config, PolicyKind::GreedyDual);
-    let mut tallies = [(0u64, 0u64, 0u64); 2];
+    let mut tallies = [Outcomes::default(); 2];
     let mut answered = 0u64;
     for i in 0..requests {
         let is_victim = i % 4 == 0;
@@ -423,19 +425,21 @@ fn run_isolation(requests: u64, quotas: TenantQuotas, include_aggressor: bool) -
         } else {
             aggressors[i.wrapping_mul(7) as usize % aggressors.len()]
         };
-        let tally = &mut tallies[usize::from(!is_victim)];
-        match invoker.invoke(reg.spec(f), SimTime::from_micros(i * 500)) {
-            InvokeOutcome::Warm => tally.0 += 1,
-            InvokeOutcome::Cold => tally.1 += 1,
-            InvokeOutcome::Throttled => tally.2 += 1,
-            other => panic!("request {i}: unexpected {other:?} with unbounded queues"),
-        }
+        let outcome = invoker.invoke(reg.spec(f), SimTime::from_micros(i * 500));
+        assert!(
+            matches!(
+                outcome,
+                InvokeOutcome::Warm | InvokeOutcome::Cold | InvokeOutcome::Throttled
+            ),
+            "request {i}: unexpected {outcome:?} with unbounded queues"
+        );
+        tallies[usize::from(!is_victim)].record(outcome);
         answered += 1;
     }
     Isolation {
         victim: tallies[0],
         aggressor: tallies[1],
-        lost: answered.abs_diff(invoker.stats().accounted()),
+        lost: answered.abs_diff(invoker.stats().outcomes.total()),
     }
 }
 
@@ -460,16 +464,32 @@ fn a_budgeted_aggressor_leaves_the_victims_cold_rate_at_solo() {
     let quota = run_isolation(requests, budget, true);
 
     // Virtual time makes the counts the same on every host.
-    assert_eq!(solo.victim, (29_996, 4, 0), "one cold start per function");
-    assert_eq!(shared.victim, (21_905, 8_095, 0), "the neighbor must hurt");
-    assert_eq!(shared.aggressor, (0, 90_000, 0));
-    assert_eq!(quota.victim, (29_996, 4, 0));
-    assert_eq!(quota.aggressor, (0, 3, 89_997), "three 256 MB containers");
+    let outcomes = |warm, cold, throttled| Outcomes::from([warm, cold, 0, 0, throttled]);
+    assert_eq!(
+        solo.victim,
+        outcomes(29_996, 4, 0),
+        "one cold start per function"
+    );
+    assert_eq!(
+        shared.victim,
+        outcomes(21_905, 8_095, 0),
+        "the neighbor must hurt"
+    );
+    assert_eq!(shared.aggressor, outcomes(0, 90_000, 0));
+    assert_eq!(quota.victim, outcomes(29_996, 4, 0));
+    assert_eq!(
+        quota.aggressor,
+        outcomes(0, 3, 89_997),
+        "three 256 MB containers"
+    );
     assert_eq!(solo.lost + shared.lost + quota.lost, 0);
 
     // The verdicts the counts stand for, should a pinned count ever move.
-    let cold_rate = |(warm, cold, _): (u64, u64, u64)| cold as f64 / (warm + cold) as f64;
+    let cold_rate = |o: Outcomes| o[InvokeOutcome::Cold] as f64 / o.served() as f64;
     assert!(cold_rate(shared.victim) > 100.0 * cold_rate(solo.victim));
-    assert!(quota.aggressor.2 > 0, "the budget never throttled");
+    assert!(
+        quota.aggressor[InvokeOutcome::Throttled] > 0,
+        "the budget never throttled"
+    );
     assert!(cold_rate(quota.victim) <= 1.25 * cold_rate(solo.victim));
 }

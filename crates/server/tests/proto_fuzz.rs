@@ -15,7 +15,7 @@
 //! The proptest shim draws cases from a deterministic per-(test, case)
 //! stream, so any failure here reproduces identically on every machine.
 
-use faascache_platform::sharded::{InvokeOutcome, InvokerStats};
+use faascache_platform::sharded::{InvokeOutcome, InvokerStats, Outcomes};
 use faascache_server::http::{HttpParseError, HttpParser, MAX_BODY_BYTES, MAX_HEADER_BYTES};
 use faascache_server::proto::{self, FrameDecoder, Request, Response, MAX_FRAME};
 use proptest::prelude::*;
@@ -73,14 +73,6 @@ fn fn_name_strategy() -> impl Strategy<Value = String> {
             .collect()
     })
 }
-
-const ALL_OUTCOMES: [InvokeOutcome; 5] = [
-    InvokeOutcome::Warm,
-    InvokeOutcome::Cold,
-    InvokeOutcome::Dropped,
-    InvokeOutcome::Rejected,
-    InvokeOutcome::Throttled,
-];
 
 /// Tenant names drawn from the registration charset, including the empty
 /// string (the wire encoding for "default tenant").
@@ -145,11 +137,13 @@ proptest! {
         let msg = String::from_utf8_lossy(&msg_bytes).into_owned();
         let mut variants = vec![
             Response::Stats(InvokerStats {
-                warm,
-                cold,
-                dropped: mix,
-                rejected: mix.rotate_left(16),
-                throttled: mix.rotate_left(24) ^ warm ^ cold,
+                outcomes: Outcomes::from([
+                    warm,
+                    cold,
+                    mix,
+                    mix.rotate_left(16),
+                    mix.rotate_left(24) ^ warm ^ cold,
+                ]),
                 evictions: mix.rotate_left(32) ^ warm,
                 prewarms: mix.rotate_left(48) ^ cold,
                 migrations: mix.rotate_left(8) ^ warm ^ cold,
@@ -158,7 +152,7 @@ proptest! {
             Response::Pong,
             Response::Error(msg),
         ];
-        variants.extend(ALL_OUTCOMES.map(Response::Invoked));
+        variants.extend(InvokeOutcome::ALL.map(Response::Invoked));
         for response in variants {
             prop_assert_eq!(
                 Response::decode(&response.encode()).unwrap(),

@@ -7,7 +7,7 @@ use faascache_core::function::{FunctionId, FunctionRegistry};
 use faascache_core::policy::PolicyKind;
 use faascache_core::pool::ContainerPool;
 use faascache_platform::emulator::{Emulator, PlatformConfig};
-use faascache_platform::sharded::{InvokeOutcome, ShardedConfig, ShardedInvoker};
+use faascache_platform::sharded::{InvokeOutcome, Outcomes, ShardedConfig, ShardedInvoker};
 use faascache_sim::cluster::{run_cluster, ClusterConfig, LoadBalancer};
 use faascache_sim::elastic::{run_elastic, Controller, ControllerConfig, ElasticConfig};
 use faascache_sim::engine::{self, Completions, Node};
@@ -120,20 +120,19 @@ impl Node for CapacityCheck<'_> {
 struct Live<'a> {
     invoker: ShardedInvoker,
     registry: &'a FunctionRegistry,
-    counts: Vec<(u64, u64, u64)>,
+    outcomes: Outcomes,
 }
 
 impl Node for Live<'_> {
     type Token = ();
 
     fn arrive(&mut self, function: FunctionId, now: SimTime, _: &mut Completions<()>) {
-        let f = &mut self.counts[function.index()];
-        match self.invoker.invoke(self.registry.spec(function), now) {
-            InvokeOutcome::Warm => f.0 += 1,
-            InvokeOutcome::Cold => f.1 += 1,
-            InvokeOutcome::Dropped => f.2 += 1,
-            other => panic!("no admission bound or quota is set, yet {other:?}"),
-        }
+        let outcome = self.invoker.invoke(self.registry.spec(function), now);
+        assert!(
+            !matches!(outcome, InvokeOutcome::Rejected | InvokeOutcome::Throttled),
+            "no admission bound or quota is set, yet {outcome:?}"
+        );
+        self.outcomes.record(outcome);
     }
 
     fn complete(&mut self, _: (), _: SimTime, _: &mut Completions<()>) {}
@@ -198,11 +197,10 @@ proptest! {
         let mut live = Live {
             invoker: ShardedInvoker::with_kind(sharded, config.policy),
             registry: trace.registry(),
-            counts: vec![(0, 0, 0); trace.registry().len()],
+            outcomes: Outcomes::default(),
         };
         engine::run(&mut live, &trace, config.tick_interval, None);
-        let stats = live.invoker.stats();
-        prop_assert_eq!(sum(live.counts.into_iter()), (stats.warm, stats.cold, stats.dropped));
+        prop_assert_eq!(live.outcomes, live.invoker.stats().outcomes);
     }
 
     /// Every policy accounts for every invocation exactly once, and the
