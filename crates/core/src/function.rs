@@ -220,16 +220,25 @@ impl FunctionRegistry {
 
     /// Interns `tenant` (empty = default) and returns its dense id.
     pub fn intern_tenant(&mut self, tenant: &str) -> TenantId {
+        self.tenant_id(tenant).unwrap_or_else(|| {
+            self.tenants.push(tenant.to_string());
+            TenantId((self.tenants.len() - 1) as u32)
+        })
+    }
+
+    /// The id of `tenant` (empty = default), or `None` if it was never
+    /// interned.
+    pub fn tenant_id(&self, tenant: &str) -> Option<TenantId> {
         if tenant.is_empty() {
-            return TenantId::DEFAULT;
+            return Some(TenantId::DEFAULT);
         }
-        match self.tenants.iter().position(|t| t == tenant) {
-            Some(idx) => TenantId(idx as u32),
-            None => {
-                self.tenants.push(tenant.to_string());
-                TenantId((self.tenants.len() - 1) as u32)
-            }
-        }
+        let idx = self.tenants.iter().position(|t| t == tenant)?;
+        Some(TenantId(idx as u32))
+    }
+
+    /// Number of interned tenants, the default tenant included.
+    pub fn tenant_count(&self) -> usize {
+        self.tenants.len()
     }
 
     /// Re-homes a registered function into `tenant`, interning the tenant
@@ -404,6 +413,8 @@ mod tests {
         assert_eq!(r.spec(b).tenant(), TenantId::from_index(1));
         assert_eq!(r.spec(c).tenant(), r.spec(b).tenant());
         assert_eq!(r.tenant_name(TenantId::from_index(1)), Some("acme"));
+        assert_eq!(r.tenant_id("acme"), Some(TenantId::from_index(1)));
+        assert_eq!((r.tenant_id("rival"), r.tenant_count()), (None, 2));
         // Empty tenant means the shared default.
         let d = r
             .register_in("d", MemMb::new(1), SimDuration::ZERO, SimDuration::ZERO, "")

@@ -39,7 +39,7 @@ use crate::gate::InFlightSlot;
 use crate::tenant::{TenantQuotas, TenantSnapshot, TenantTable};
 use faascache_core::function::{FunctionId, FunctionRegistry, FunctionSpec};
 use faascache_core::policy::{KeepAlivePolicy, PolicyKind};
-use faascache_core::pool::{ContainerPool, PoolConfig, PoolCounters};
+use faascache_core::pool::{ContainerPool, PoolConfig, PoolCounters, TenantLedger};
 use faascache_sim::{Invoker, Tally};
 use faascache_util::{route, MemMb, SimTime};
 use std::collections::HashMap;
@@ -63,10 +63,11 @@ pub enum InvokeOutcome {
     /// invoker is draining. Explicit backpressure — the caller may retry
     /// elsewhere or shed the request.
     Rejected,
-    /// Throttled at admission: the function's *tenant* is over one of its
-    /// isolation budgets (in-flight concurrency or resident container
-    /// memory — see [`crate::tenant`]). Unlike [`Self::Rejected`], this is
-    /// not server pressure: the right reaction is to back off this
+    /// Throttled by the function's *tenant* budgets (see
+    /// [`crate::tenant`]): the tenant is at its in-flight budget, or it is
+    /// at its resident-memory budget and the request would need a new
+    /// container (a warm hit is served). Unlike [`Self::Rejected`], this
+    /// is not server pressure: the right reaction is to back off this
     /// tenant's traffic, and other tenants proceed unaffected.
     Throttled,
 }
@@ -199,9 +200,8 @@ pub struct ShardedConfig {
     pub queue_bound: usize,
     /// Background warm-set re-homing; `None` disables it.
     pub rebalance: Option<RebalanceConfig>,
-    /// Per-tenant isolation budgets enforced at admission (see
-    /// [`crate::tenant`]). The default is unlimited everywhere, which
-    /// makes the tenant gate a no-op.
+    /// Per-tenant isolation budgets (see [`crate::tenant`]). The default
+    /// is unlimited everywhere, which makes the tenant gates no-ops.
     pub tenant_quotas: TenantQuotas,
 }
 
@@ -474,46 +474,56 @@ impl ShardedInvoker {
     /// synchronously completes the invocation.
     ///
     /// Admission is gated in a fixed order: a draining invoker rejects;
-    /// then the function's *tenant* budgets are checked (over-budget
-    /// tenants are throttled — see [`crate::tenant`]); then the shard's
-    /// bounded queue rejects on backpressure. A throttled request never
-    /// consumes a shard admission slot and never touches the pool.
+    /// then the function's *tenant* in-flight budget is taken (a tenant
+    /// at it is throttled); then the shard's bounded queue rejects on
+    /// backpressure. Under the shard's lock, a tenant at its memory budget
+    /// is throttled when the pool holds no idle container of the function,
+    /// since only a new container would grow its memory: a warm hit is
+    /// served whatever the tenant holds (see [`crate::tenant`]). A
+    /// throttled request never moves the shard's clock or touches the pool.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the function's tenant index is not below
+    /// [`crate::tenant::MAX_TENANTS`].
     pub fn invoke(&self, spec: &FunctionSpec, at: SimTime) -> InvokeOutcome {
         let shard = &self.inner.shards[self.route_of(spec.id())];
         if self.inner.draining.load(Ordering::Acquire) {
             shard.rejected.fetch_add(1, Ordering::Relaxed);
             return InvokeOutcome::Rejected;
         }
+        let tenant = spec.tenant().index() as u32;
         // Both in-flight slots are given back even if the handler aborts
         // (a policy panic unwinding through `serve`), so neither the
         // shard's nor the tenant's count can leak.
-        let Some(_tenant_slot) = self
-            .inner
-            .tenants
-            .try_admit(spec.tenant().index() as u32, spec.tenant_name())
-        else {
+        let Some(_tenant_slot) = self.inner.tenants.try_admit(tenant, spec.tenant_name()) else {
             return InvokeOutcome::Throttled;
         };
         let Some(_slot) = InFlightSlot::take(&shard.in_flight, self.inner.queue_bound) else {
             shard.rejected.fetch_add(1, Ordering::Relaxed);
             return InvokeOutcome::Rejected;
         };
-        let outcome = Self::serve(shard, spec, at);
+        let outcome = self.serve(shard, spec, at);
         if outcome.is_served() {
-            self.inner
-                .tenants
-                .record_served(spec.tenant().index() as u32);
+            self.inner.tenants.record_served(tenant);
         }
         outcome
     }
 
     /// Serves one admitted invocation under the shard's one lock, at the
-    /// shard's clock advanced to `at`. This is the live completion rule:
-    /// the reply is known at acquire, so the container is released at
-    /// once, stamped with its finish time.
-    fn serve(shard: &Shard, spec: &FunctionSpec, at: SimTime) -> InvokeOutcome {
-        let now = shard.advance(at);
+    /// shard's clock advanced to `at`, unless its tenant is at its memory
+    /// budget and only a cold start could serve it. This is the live
+    /// completion rule: the reply is known at acquire, so the container
+    /// is released at once, stamped with its finish time.
+    fn serve(&self, shard: &Shard, spec: &FunctionSpec, at: SimTime) -> InvokeOutcome {
         let mut invoker = lock(&shard.invoker);
+        let tenant = spec.tenant().index() as u32;
+        if !self.inner.tenants.under_budget(tenant) && invoker.pool().warm_count_of(spec.id()) == 0
+        {
+            self.inner.tenants.record_throttled(tenant);
+            return InvokeOutcome::Throttled;
+        }
+        let now = shard.advance(at);
         let Some(run) = invoker.start(spec, now) else {
             invoker.drop_request(spec.id());
             return InvokeOutcome::Dropped;
@@ -893,24 +903,24 @@ mod tests {
             PolicyKind::GreedyDual,
         );
         // First hog invocation cold-starts a 256 MB container, putting the
-        // tenant exactly at its budget; the next one is throttled, not
-        // rejected, and the other tenant is untouched.
+        // tenant exactly at its budget; the next one finds that container
+        // idle and is served warm, and the other tenant is untouched.
         assert_eq!(
             inv.invoke(reg.spec(hog), SimTime::ZERO),
             InvokeOutcome::Cold
         );
         assert_eq!(
             inv.invoke(reg.spec(hog), SimTime::from_secs(1)),
-            InvokeOutcome::Throttled
+            InvokeOutcome::Warm
         );
         assert_eq!(
             inv.invoke(reg.spec(bystander), SimTime::from_secs(1)),
             InvokeOutcome::Cold
         );
-        assert_eq!(inv.stats().outcomes, Outcomes::from([0, 2, 0, 0, 1]));
+        assert_eq!(inv.stats().outcomes, Outcomes::from([1, 2, 0, 0, 0]));
         let snaps = inv.tenant_snapshots();
         let greedy = snaps.iter().find(|s| s.name == "greedy").unwrap();
-        assert_eq!(greedy.throttled, 1);
+        assert_eq!(greedy.throttled, 0);
         assert_eq!(greedy.mem_mb, 256);
         assert_eq!(greedy.mem_limit_mb, 256);
         let victim = snaps.iter().find(|s| s.name == "victim").unwrap();
@@ -918,10 +928,97 @@ mod tests {
         assert_eq!(victim.mem_mb, 64);
     }
 
+    /// Two functions of one tenant whose memory budget is one container:
+    /// `first` cold-starts at t = 1 s and puts the tenant at its budget.
+    fn at_budget() -> (FunctionRegistry, ShardedInvoker, FunctionId, FunctionId) {
+        use crate::tenant::{TenantQuota, TenantQuotas};
+        let mut reg = FunctionRegistry::new();
+        let mut register = |name: &str| {
+            reg.register_in(
+                name,
+                MemMb::new(64),
+                SimDuration::from_millis(5),
+                SimDuration::from_millis(50),
+                "t",
+            )
+            .unwrap()
+        };
+        let (first, second) = (register("first"), register("second"));
+        let mut quotas = TenantQuotas::unlimited();
+        quotas.set("t", TenantQuota::parse("mem=64").unwrap());
+        let inv = ShardedInvoker::with_kind(
+            ShardedConfig::split(MemMb::from_gb(1), 1).with_tenant_quotas(quotas),
+            PolicyKind::GreedyDual,
+        );
+        assert_eq!(
+            inv.invoke(reg.spec(first), SimTime::from_secs(1)),
+            InvokeOutcome::Cold
+        );
+        (reg, inv, first, second)
+    }
+
+    fn throttled_of(inv: &ShardedInvoker, tenant: &str) -> u64 {
+        let snaps = inv.tenant_snapshots();
+        snaps.iter().find(|s| s.name == tenant).unwrap().throttled
+    }
+
+    #[test]
+    fn an_over_budget_tenants_warm_hit_is_served() {
+        let (reg, inv, first, _) = at_budget();
+        assert_eq!(
+            inv.invoke(reg.spec(first), SimTime::from_secs(2)),
+            InvokeOutcome::Warm
+        );
+        let snaps = inv.tenant_snapshots();
+        let t = snaps.iter().find(|s| s.name == "t").unwrap();
+        assert_eq!((t.served, t.throttled, t.mem_mb), (2, 0, 64));
+        assert_eq!(inv.stats().outcomes, Outcomes::from([1, 1, 0, 0, 0]));
+    }
+
+    #[test]
+    fn an_over_budget_tenants_cold_request_is_throttled_once() {
+        let (reg, inv, _, second) = at_budget();
+        assert_eq!(
+            inv.invoke(reg.spec(second), SimTime::from_secs(2)),
+            InvokeOutcome::Throttled
+        );
+        assert_eq!(throttled_of(&inv, "t"), 1);
+        assert_eq!(inv.stats().outcomes, Outcomes::from([0, 1, 0, 0, 1]));
+        assert_eq!(inv.per_shard()[0].used_mem, MemMb::new(64), "no growth");
+    }
+
+    #[test]
+    fn the_inflight_budget_still_throttles_a_warm_hit() {
+        use crate::tenant::TenantQuota;
+        let (reg, inv, first, _) = at_budget();
+        let quota = TenantQuota {
+            inflight: 0,
+            mem_mb: 64,
+        };
+        assert!(inv.set_tenant_quota("t", quota));
+        assert_eq!(
+            inv.invoke(reg.spec(first), SimTime::from_secs(2)),
+            InvokeOutcome::Throttled
+        );
+        assert_eq!(throttled_of(&inv, "t"), 1);
+        assert_eq!(inv.stats().outcomes, Outcomes::from([0, 1, 0, 0, 1]));
+    }
+
+    #[test]
+    fn a_throttled_request_leaves_the_clock_alone() {
+        let (reg, inv, _, second) = at_budget();
+        assert_eq!(inv.now(), SimTime::from_secs(1));
+        assert_eq!(
+            inv.invoke(reg.spec(second), SimTime::from_secs(5)),
+            InvokeOutcome::Throttled
+        );
+        assert_eq!(inv.now(), SimTime::from_secs(1));
+    }
+
     #[test]
     fn a_runtime_quota_cut_alone_makes_the_tenant_the_victim() {
         // The one sequence where only the eviction weight protects the
-        // other tenant: the admission memory check never fires, because
+        // other tenant: the memory check never fires, because
         // the tenant that cold-starts is under budget and the one that
         // fills the pool was under budget while it filled it.
         use crate::tenant::TenantQuota;

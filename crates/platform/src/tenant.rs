@@ -5,18 +5,22 @@
 //! isolation layer: a lock-free [`TenantTable`] tracks, per tenant,
 //! in-flight requests (equal to admission-queue occupancy — service is
 //! synchronous), resident container memory, served and throttled totals —
-//! and enforces two budgets at admission, *before* the per-shard gates:
+//! and holds the two budgets the sharded invoker enforces:
 //!
 //! - **In-flight budget** — at most `inflight` concurrently admitted
 //!   requests per tenant, held through the same [`InFlightSlot`] gate as
-//!   a shard's queue bound; excess arrivals are throttled.
+//!   a shard's queue bound and taken at admission
+//!   ([`TenantTable::try_admit`]), before the per-shard gates; excess
+//!   arrivals are throttled.
 //! - **Memory budget** — while a tenant's resident container memory is at
-//!   or above `mem_mb`, every new arrival is throttled at admission,
-//!   before any pool is consulted, so warm hits that would not grow it
-//!   are refused too; pre-warms of its functions are skipped (the table is
-//!   each pool's [`TenantLedger`]), and the tenant's eviction weight is
-//!   raised (see [`TenantWeights`]) so the greedy-dual policy prefers its
-//!   containers as victims until it is back under budget.
+//!   or above `mem_mb`, a request of it that would need a *new* container
+//!   is throttled. The shard decides this under its lock, where the pool
+//!   can tell: a request that finds an idle container of its function is
+//!   served warm, since a hit does not grow the tenant's memory. The same
+//!   test skips pre-warms of its functions (the table is each pool's
+//!   [`TenantLedger`]), and the tenant's eviction weight is raised (see
+//!   [`TenantWeights`]) so the greedy-dual policy prefers its containers
+//!   as victims until it is back under budget.
 //!
 //! A throttled request gets [`InvokeOutcome::Throttled`] — distinct from
 //! pool-pressure `Dropped` and backpressure `Rejected`, because the right
@@ -37,9 +41,9 @@ use faascache_util::MemMb;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Capacity of the accounting table. Tenants are dense registry indices;
-/// indices at or beyond the capacity share the final (overflow) slot —
-/// their accounting stays conserved, merely merged.
+/// Capacity of the accounting table, the default tenant included. Tenants
+/// are dense registry indices, and every index must be below this: the
+/// daemon refuses a registration that would intern one more tenant.
 pub const MAX_TENANTS: usize = 64;
 
 /// Eviction weight applied to a tenant while it is over its memory
@@ -53,8 +57,9 @@ pub const OVER_BUDGET_WEIGHT: f64 = 8.0;
 pub struct TenantQuota {
     /// Maximum concurrently admitted requests.
     pub inflight: u64,
-    /// Resident container memory (MB) at or above which new arrivals are
-    /// throttled and the tenant's eviction weight is raised.
+    /// Resident container memory (MB) at or above which requests that
+    /// need a new container are throttled and the tenant's eviction
+    /// weight is raised.
     pub mem_mb: u64,
 }
 
@@ -166,8 +171,8 @@ impl TenantSlot {
         }
     }
 
-    /// Whether resident memory is below the memory budget: what an
-    /// admission checks first, and what a pre-warm needs.
+    /// Whether resident memory is below the memory budget: what a cold
+    /// start and a pre-warm need.
     fn under_budget(&self) -> bool {
         self.mem_mb.load(Ordering::Acquire) < self.mem_limit.load(Ordering::Acquire)
     }
@@ -224,12 +229,13 @@ impl TenantTable {
         Arc::clone(&self.weights)
     }
 
-    fn slot_index(&self, tenant: u32) -> usize {
-        (tenant as usize).min(self.slots.len() - 1)
-    }
-
+    /// The slot of raw tenant index `tenant`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tenant` is not below [`MAX_TENANTS`].
     fn slot(&self, tenant: u32) -> &TenantSlot {
-        &self.slots[self.slot_index(tenant)]
+        &self.slots[tenant as usize]
     }
 
     /// Binds the slot's limits on first sight of the tenant. Racing binds
@@ -280,26 +286,27 @@ impl TenantTable {
         true
     }
 
-    /// The tenant-budget admission gate, consulted before the per-shard
-    /// gates. On success the returned [`InFlightSlot`] holds one of the
-    /// tenant's in-flight slots until dropped; on failure the request
-    /// must be answered `Throttled` (the table has already counted it).
+    /// The tenant's in-flight admission gate, consulted before the
+    /// per-shard gates. On success the returned [`InFlightSlot`] holds one
+    /// of the tenant's in-flight slots until dropped; on failure the
+    /// request must be answered `Throttled` (the table has already
+    /// counted it).
     ///
-    /// A tenant is throttled when its resident container memory is at or
-    /// above its memory budget, or its in-flight count is at its
-    /// concurrency budget. Both checks are budget decisions about *this
-    /// tenant*, independent of pool pressure.
+    /// Memory is not checked here: whether a request would grow the
+    /// tenant's memory depends on the pool, so the shard checks
+    /// [`TenantLedger::under_budget`] under its lock and counts a throttle
+    /// with [`Self::record_throttled`].
     ///
-    /// Returns `None` when the tenant is over either budget.
+    /// Returns `None` when the tenant is at its concurrency budget.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tenant` is not below [`MAX_TENANTS`].
     pub fn try_admit(&self, tenant: u32, name: &str) -> Option<InFlightSlot<'_>> {
         let slot = self.slot(tenant);
         self.bind(slot, name);
-        let admitted = if slot.under_budget() {
-            let bound = slot.inflight_limit.load(Ordering::Acquire);
-            InFlightSlot::take(&slot.in_flight, bound)
-        } else {
-            None
-        };
+        let bound = slot.inflight_limit.load(Ordering::Acquire);
+        let admitted = InFlightSlot::take(&slot.in_flight, bound);
         if admitted.is_none() {
             slot.throttled.fetch_add(1, Ordering::Relaxed);
         }
@@ -318,6 +325,11 @@ impl TenantTable {
     /// Records a served (warm or cold) request for `tenant`.
     pub fn record_served(&self, tenant: u32) {
         self.slot(tenant).served.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records a request of `tenant` throttled by its memory budget.
+    pub fn record_throttled(&self, tenant: u32) {
+        self.slot(tenant).throttled.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Total requests throttled across every tenant.
@@ -365,7 +377,7 @@ impl TenantTable {
 
 impl TenantLedger for TenantTable {
     fn container_added(&self, tenant: u32, mem: MemMb) {
-        let index = self.slot_index(tenant);
+        let index = tenant as usize;
         let before = self.slots[index]
             .mem_mb
             .fetch_add(mem.as_mb(), Ordering::AcqRel);
@@ -373,7 +385,7 @@ impl TenantLedger for TenantTable {
     }
 
     fn container_removed(&self, tenant: u32, mem: MemMb) {
-        let index = self.slot_index(tenant);
+        let index = tenant as usize;
         let before = self.slots[index]
             .mem_mb
             .fetch_sub(mem.as_mb(), Ordering::AcqRel);
@@ -439,12 +451,16 @@ mod tests {
         let weights = table.weights();
         assert_eq!(weights.get(1), 1.0);
         table.container_added(1, MemMb::new(64));
-        assert!(table.try_admit(1, "t").is_some(), "under budget");
+        assert!(table.under_budget(1), "under budget");
         table.container_added(1, MemMb::new(64));
-        assert!(table.try_admit(1, "t").is_none(), "128 >= 100");
+        assert!(!table.under_budget(1), "128 >= 100");
         assert_eq!(weights.get(1), OVER_BUDGET_WEIGHT, "weight raised");
+        // Memory is the shard's test, not admission's: a warm hit may
+        // still be served.
+        assert!(table.try_admit(1, "t").is_some(), "in-flight gate only");
+        assert_eq!(table.total_throttled(), 0);
         table.container_removed(1, MemMb::new(64));
-        assert!(table.try_admit(1, "t").is_some(), "back under budget");
+        assert!(table.under_budget(1), "back under budget");
         assert_eq!(weights.get(1), 1.0, "weight restored");
     }
 
@@ -454,15 +470,15 @@ mod tests {
         // Bind the slot under unlimited quotas.
         drop(table.try_admit(1, "t").unwrap());
         table.container_added(1, MemMb::new(64));
-        assert!(table.try_admit(1, "t").is_some(), "unlimited admits");
+        assert!(table.under_budget(1), "unlimited");
         // Tighten at runtime: the live limits and the eviction weight
         // must both flip without any new admission traffic.
         assert!(table.set_quota("t", TenantQuota::parse("mem=50").unwrap()));
-        assert!(table.try_admit(1, "t").is_none(), "64 >= 50 now throttles");
+        assert!(!table.under_budget(1), "64 >= 50 now over budget");
         assert_eq!(table.weights().get(1), OVER_BUDGET_WEIGHT);
-        // Loosen again: weight restored, admissions resume.
+        // Loosen again: weight restored, under budget again.
         assert!(table.set_quota("t", TenantQuota::parse("mem=100").unwrap()));
-        assert!(table.try_admit(1, "t").is_some());
+        assert!(table.under_budget(1));
         assert_eq!(table.weights().get(1), 1.0);
         // In-flight budget updates take effect on the next admit.
         assert!(table.set_quota("t", TenantQuota::parse("inflight=1").unwrap()));
@@ -497,15 +513,13 @@ mod tests {
         assert_eq!(snaps[0].in_flight, 0);
     }
 
+    /// There is no overflow slot: an index past the table merged into
+    /// the last slot used to share that tenant's budget and counts.
     #[test]
-    fn overflow_indices_share_the_last_slot() {
+    #[should_panic(expected = "index out of bounds")]
+    fn a_tenant_index_past_the_table_has_no_slot() {
         let table = TenantTable::new(TenantQuotas::unlimited());
-        table.container_added(MAX_TENANTS as u32 + 7, MemMb::new(10));
-        table.container_added(MAX_TENANTS as u32 + 9, MemMb::new(10));
-        drop(table.try_admit(MAX_TENANTS as u32 + 7, "overflow").unwrap());
-        let snaps = table.snapshots();
-        assert_eq!(snaps.len(), 1);
-        assert_eq!(snaps[0].index, MAX_TENANTS as u32 - 1);
-        assert_eq!(snaps[0].mem_mb, 20);
+        drop(table.try_admit(MAX_TENANTS as u32 - 1, "last").unwrap());
+        drop(table.try_admit(MAX_TENANTS as u32, "one-too-many"));
     }
 }

@@ -29,6 +29,7 @@ use faascache_util::{route, MemMb, SimDuration, SimTime};
 use proptest::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 const WARM_US: u64 = 5_000;
 const COLD_US: u64 = 50_000;
@@ -163,6 +164,8 @@ struct Model {
     streaks: Vec<u32>,
     migrations: u64,
     draining: bool,
+    /// Warm hits served to a tenant at or over its memory budget.
+    over_budget_warm: u64,
 }
 
 impl Model {
@@ -192,6 +195,7 @@ impl Model {
             streaks: vec![0; s.shards],
             migrations: 0,
             draining: false,
+            over_budget_warm: 0,
         }
     }
 
@@ -230,20 +234,20 @@ impl Model {
             self.shards[s].rejected += 1;
             return InvokeOutcome::Rejected;
         }
-        // Tenant budget gate, mirroring `TenantTable::try_admit` exactly:
-        // the memory check runs first (resident warm memory at or over
-        // budget throttles), then the in-flight reservation — which, for
-        // this sequential driver (in-flight always 0 between ops), can
-        // only fail on the degenerate zero budget. A throttle touches no
-        // shard state: no clock advance, no window, no recent entry.
+        // The tenant's in-flight gate (`TenantTable::try_admit`): for this
+        // sequential driver (in-flight always 0 between ops) it can only
+        // fail on the degenerate zero budget. The shard queue is unbounded.
         let t = self.tenant_of(f);
-        if self.tenant_mem(t) >= self.tenants[t].mem_limit || self.tenants[t].inflight_limit == 0 {
+        if self.tenants[t].inflight_limit == 0 {
             self.tenants[t].throttled += 1;
             return InvokeOutcome::Throttled;
         }
+        // Under the shard lock: a tenant at or over its memory budget is
+        // throttled when only a new container could serve it. A throttle
+        // touches no shard state: no clock advance, no window, no recent
+        // entry.
+        let over_budget = self.tenant_mem(t) >= self.tenants[t].mem_limit;
         let shard = &mut self.shards[s];
-        shard.clock = shard.clock.max(at);
-        let now = shard.clock;
         // Warm pick: most recently used idle container of f, ties toward
         // the highest id (the pool's `(last_used, id)` BTreeSet max).
         let pick = shard
@@ -253,9 +257,16 @@ impl Model {
             .filter(|(_, c)| c.f == f)
             .max_by_key(|(_, c)| (c.last_used, c.id))
             .map(|(i, _)| i);
+        if over_budget && pick.is_none() {
+            self.tenants[t].throttled += 1;
+            return InvokeOutcome::Throttled;
+        }
+        shard.clock = shard.clock.max(at);
+        let now = shard.clock;
         let outcome = if let Some(i) = pick {
             shard.idle[i].last_used = now;
             shard.warm += 1;
+            self.over_budget_warm += u64::from(over_budget);
             InvokeOutcome::Warm
         } else {
             let mem = mem_of(f);
@@ -671,19 +682,34 @@ fn model_cases() -> u32 {
     })
 }
 
+/// Over-budget warm hits the property's cases served, summed.
+static OVER_BUDGET_WARM: AtomicU64 = AtomicU64::new(0);
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(model_cases()))]
 
-    /// The flagship property: the real sharded invoker — rebalancing
-    /// enabled — is indistinguishable from the single-threaded reference model on any
-    /// seeded op sequence, after every single operation.
-    #[test]
-    fn sharded_invoker_matches_reference_model(scenario in scenario_strategy()) {
+    /// The cases of [`sharded_invoker_matches_reference_model`].
+    fn reference_model_cases(scenario in scenario_strategy()) {
         let mut h = Harness::new(&scenario);
         for &op in &scenario.ops {
             h.step(op);
         }
+        OVER_BUDGET_WARM.fetch_add(h.model.over_budget_warm, Ordering::Relaxed);
     }
+}
+
+/// The flagship property: the real sharded invoker — rebalancing
+/// enabled — is indistinguishable from the single-threaded reference model on any
+/// seeded op sequence, after every single operation. Any 8 or more cases
+/// include warm hits of tenants at their memory budget, which are served
+/// (the first two cases hold none).
+#[test]
+fn sharded_invoker_matches_reference_model() {
+    reference_model_cases();
+    assert!(
+        model_cases() < 8 || OVER_BUDGET_WARM.load(Ordering::Relaxed) > 0,
+        "no case served an over-budget tenant's warm hit"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -740,9 +766,10 @@ fn model_agrees_across_a_forced_migration_cycle() {
 }
 
 /// Quota-cycle script: a tenant with a tight memory budget fills it with
-/// cold starts and gets throttled; then a TTL reap releases the memory
-/// and the gate must reopen — proving the real ledger goes down as well
-/// as up, with the model in lockstep and the bystander tenant untouched.
+/// cold starts, is served warm on what it holds and throttled on what it
+/// would add; then a TTL reap releases the memory and the gate must
+/// reopen — proving the real ledger goes down as well as up, with the
+/// model in lockstep and the bystander tenant untouched.
 #[test]
 fn model_agrees_across_a_throttle_and_release_cycle() {
     let scenario = Scenario {
@@ -759,8 +786,9 @@ fn model_agrees_across_a_throttle_and_release_cycle() {
     let mut h = Harness::new(&scenario);
     let mut ops: Vec<Op> = Vec::new();
     // t0 owns the even (64 MB) functions: two cold starts reach the
-    // 128 MB budget, so the next two even invokes must throttle.
-    for f in [0, 2, 4, 6] {
+    // 128 MB budget; f0 is then a warm hit, served, and the next two even
+    // invokes would need new containers, so they throttle.
+    for f in [0, 2, 0, 4, 6] {
         ops.push(Op::Invoke { f, gap: 500 });
     }
     // The odd functions belong to the unlimited tenant t1 and sail through.
@@ -775,13 +803,14 @@ fn model_agrees_across_a_throttle_and_release_cycle() {
     for op in ops {
         h.step(op);
     }
-    // f4 and f6 throttled; the post-reap invokes were admitted: cold
-    // twice more than the pre-reap pair, nothing stuck behind a stale
-    // ledger.
+    // f0's second invoke warm though t0 is at budget, f4 and f6
+    // throttled; the post-reap invokes were admitted: cold twice more
+    // than the pre-reap pair, nothing stuck behind a stale ledger.
     assert_eq!(
         h.real.stats().outcomes,
-        Outcomes::from([0, 2 + 3 + 2, 0, 0, 2])
+        Outcomes::from([1, 2 + 3 + 2, 0, 0, 2])
     );
+    assert_eq!(h.model.over_budget_warm, 1);
     assert_eq!(
         h.model.tenants[1].throttled, 0,
         "bystander tenant throttled"

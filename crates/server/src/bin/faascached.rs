@@ -42,14 +42,19 @@
 //! tenant `i mod K`); without it every function belongs to the default
 //! tenant. `--tenant-quota NAME:inflight=K,mem=MB` (repeatable) sets a
 //! named tenant's admission budgets, and `--default-tenant-quota SPEC`
-//! sets the budget every unnamed tenant gets. Over-budget tenants see
-//! their requests *throttled* (HTTP 429 + `Retry-After`, binary outcome
-//! code 4) rather than rejected, and their warm containers become
-//! preferred eviction victims until they are back under budget.
+//! sets the budget every unnamed tenant gets. A tenant at its in-flight
+//! budget sees its requests *throttled* (HTTP 429 + `Retry-After`,
+//! binary outcome code 4) rather than rejected. A tenant at its memory
+//! budget sees the requests that would need a new container throttled,
+//! while those that find an idle container of their function are
+//! served warm, and its warm containers become preferred eviction
+//! victims until it is back under budget.
 //!
 //! Tenant names follow the rule every runtime mutation follows
 //! (`JournalRecord::validate`: 1 to 32 bytes of `[A-Za-z0-9._-]`); a
-//! flag naming any other tenant exits 2.
+//! flag naming any other tenant exits 2. A daemon holds 64 tenants, the
+//! default one included: `--tenants` naming more than 63 others exits 2,
+//! and a runtime registration that would add one more is refused.
 //!
 //! Durability: `--state-dir DIR` opens a CRC-framed append-only journal
 //! in `DIR` (creating it if needed), replays every recorded registration

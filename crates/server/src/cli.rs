@@ -14,7 +14,8 @@ use crate::fault::FaultConfig;
 use crate::journal::{Journal, JournalRecord};
 use crate::router::{BackendSpec, Router, RouterConfig};
 use crate::workload::{parse_skew, WorkloadConfig};
-use faascache_platform::tenant::TenantQuota;
+use faascache_core::function::FunctionRegistry;
+use faascache_platform::tenant::{TenantQuota, MAX_TENANTS};
 use faascache_util::MemMb;
 use std::fmt;
 use std::io;
@@ -297,6 +298,18 @@ pub fn faascached(args: impl IntoIterator<Item = String>) -> Result<DaemonArgs, 
                         return Err("needs at least one name".to_string());
                     }
                     tenants.iter().try_for_each(|t| check_tenant(t))?;
+                    // Interned as the daemon will, the default tenant first.
+                    let mut registry = FunctionRegistry::new();
+                    for t in &tenants {
+                        registry.intern_tenant(t);
+                    }
+                    if registry.tenant_count() > MAX_TENANTS {
+                        return Err(format!(
+                            "names {} tenants; at most {} fit beside the default tenant",
+                            registry.tenant_count() - 1,
+                            MAX_TENANTS - 1
+                        ));
+                    }
                     Ok(tenants)
                 })?
             }

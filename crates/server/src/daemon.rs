@@ -37,7 +37,7 @@ use faascache_core::policy::PolicyKind;
 use faascache_platform::sharded::{
     InvokeOutcome, InvokerStats, RebalanceConfig, ShardedConfig, ShardedInvoker,
 };
-use faascache_platform::tenant::{TenantQuota, TenantQuotas};
+use faascache_platform::tenant::{TenantQuota, TenantQuotas, MAX_TENANTS};
 use faascache_util::{stats::balance_ratio, MemMb, SimDuration, SimTime};
 use std::io;
 use std::net::SocketAddr;
@@ -425,13 +425,17 @@ impl Shared {
     /// lock, so records reach the disk in the order they are applied —
     /// and the fsync is waited for with no registry lock held: invokes
     /// (the epoll reactor thread runs them inline) never queue behind the
-    /// disk. A `Register` of a name that exists answers without a record.
+    /// disk. A `Register` of a name that exists answers without a record,
+    /// and one that would intern a tenant the tenant table has no slot
+    /// for is refused without one.
     fn mutate(&self, record: &JournalRecord) -> Result<Response, String> {
         let mut journal = self.journal_lock();
-        if let JournalRecord::Register { name, .. } = record {
-            if let Some(spec) = self.registry_read().find(name) {
+        if let JournalRecord::Register { name, tenant, .. } = record {
+            let registry = self.registry_read();
+            if let Some(spec) = registry.find(name) {
                 return Ok(registered(spec.id(), false));
             }
+            tenant_fits(&registry, tenant)?;
         }
         // Journal-first: an ack implies the record is fsynced. A crash
         // after the append but before the apply merely replays an
@@ -478,6 +482,7 @@ impl Shared {
                 if let Some(spec) = registry.find(name) {
                     return Ok(registered(spec.id(), false));
                 }
+                tenant_fits(registry, tenant)?;
                 registry
                     .register_in(
                         name,
@@ -738,6 +743,19 @@ impl Service for Shared {
     }
 }
 
+/// Refuses a `Register` under `tenant` when interning it would take the
+/// registry past [`MAX_TENANTS`] tenants: each tenant has one slot in the
+/// invoker's tenant table, with its own budgets and counts.
+fn tenant_fits(registry: &FunctionRegistry, tenant: &str) -> Result<(), String> {
+    if registry.tenant_id(tenant).is_some() || registry.tenant_count() < MAX_TENANTS {
+        return Ok(());
+    }
+    Err(format!(
+        "tenant `{tenant}` would be one too many: at most {MAX_TENANTS} tenants, \
+         the default tenant included"
+    ))
+}
+
 /// The answer to a `Register` of the function `id`.
 fn registered(id: FunctionId, created: bool) -> Response {
     Response::Registered {
@@ -763,8 +781,9 @@ impl Daemon {
     /// # Errors
     ///
     /// `InvalidInput`, before anything is bound or built, when
-    /// `config.shards` is above [`MAX_COUNT`]; otherwise what binding the
-    /// listeners returns.
+    /// `config.shards` is above [`MAX_COUNT`] or the registry holds more
+    /// than [`MAX_TENANTS`] tenants; otherwise what binding the listeners
+    /// returns.
     pub fn bind(
         endpoint: &Endpoint,
         http_addr: Option<&str>,
@@ -777,6 +796,15 @@ impl Daemon {
                 format!(
                     "DaemonConfig.shards is {}, at most {MAX_COUNT}",
                     config.shards
+                ),
+            ));
+        }
+        if registry.tenant_count() > MAX_TENANTS {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "the registry holds {} tenants, at most {MAX_TENANTS}",
+                    registry.tenant_count()
                 ),
             ));
         }

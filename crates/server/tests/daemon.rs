@@ -1,7 +1,7 @@
 //! End-to-end tests: a real `faascached` daemon on a real socket, driven
 //! by real protocol clients, with conservation checked on both sides.
 
-use faascache_platform::sharded::Outcomes;
+use faascache_platform::sharded::{InvokeOutcome, Outcomes};
 use faascache_server::client::{self, Client, LoadOptions, LoadProto, LoadReport, RetryPolicy};
 use faascache_server::daemon::{
     BoundAddr, Daemon, DaemonConfig, DaemonReport, Endpoint, IoModel, ShutdownHandle,
@@ -1258,6 +1258,107 @@ fn the_mutation_that_triggers_a_compaction_survives_it() {
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Regression: the tenant table clamped every tenant index past its last
+/// slot onto that slot, so a 64th named tenant shared the 63rd's budget
+/// and counts: with `t63` at `mem=1` and holding memory, an unbudgeted
+/// `t64` was throttled, and its throttles were reported under `t63`. A
+/// `Register` that would intern one tenant more than the table holds is
+/// refused before it is journaled: an error reply over binary, a 400 over
+/// HTTP, each naming the limit.
+#[test]
+fn a_tenant_past_the_tenant_table_is_refused_before_the_journal() {
+    use faascache_platform::tenant::MAX_TENANTS;
+    use faascache_server::journal::JournalRecord;
+
+    let (dir, journal, config) = journaled_config(IoModel::Threads);
+    let registry = small_workload().build().registry().clone();
+    let daemon = Daemon::bind(&tcp_endpoint(), Some("127.0.0.1:0"), config, registry)
+        .expect("bind daemon with http");
+    let http_addr = daemon.bound_http_addr().expect("http listener bound");
+    let (addr, _, join) = start(daemon);
+    let mut c = Client::connect(&addr, LoadProto::Binary).expect("connect");
+    // The default tenant and these fill the table.
+    let last = MAX_TENANTS - 1;
+    let mut g = 0;
+    for t in 1..=last {
+        (g, _) = c
+            .register_in(&format!("g{t}"), 64, 1_000, 5_000, &format!("t{t}"))
+            .expect("register within the table");
+    }
+    // The last tenant gets a 1 MB budget, then holds a container.
+    assert!(!c
+        .set_tenant_quota(&format!("t{last}"), u64::MAX, 1)
+        .expect("quota"));
+    assert_eq!(c.invoke(g).expect("invoke"), InvokeOutcome::Cold);
+
+    let err = c
+        .register_in("g-next", 64, 1_000, 5_000, &format!("t{MAX_TENANTS}"))
+        .expect_err("a tenant past the table");
+    assert!(err.to_string().contains("at most 64 tenants"), "{err}");
+    let target = format!("/functions/g-next?mem_mb=64&tenant=t{MAX_TENANTS}");
+    assert_eq!(http_status(&http_addr, "PUT", &target), 400);
+    // A tenant the table knows still registers.
+    let (_, created) = c
+        .register_in("g-more", 64, 1_000, 5_000, &format!("t{last}"))
+        .expect("register under a known tenant");
+    assert!(created);
+    assert!(c
+        .register("g-next", 64, 1_000, 5_000)
+        .is_ok_and(|(_, created)| created));
+    c.shutdown().expect("shutdown");
+    assert!(join.join().expect("daemon thread").drained);
+    drop(journal);
+
+    let (_, recovered) = Journal::open(&dir).expect("reopen the state dir");
+    let tenants: std::collections::HashSet<&str> = recovered
+        .records
+        .iter()
+        .filter_map(|record| match record {
+            JournalRecord::Register { tenant, .. } => Some(tenant.as_str()),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(tenants.len(), last + 1, "{tenants:?}");
+    assert!(!tenants.contains(format!("t{MAX_TENANTS}").as_str()));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A library caller's registry is held to the same table: one holding a
+/// tenant past it is refused at bind, naming the limit.
+#[test]
+fn a_registry_past_the_tenant_table_is_refused_at_bind() {
+    use faascache_platform::tenant::MAX_TENANTS;
+    let mut registry = small_workload().build().registry().clone();
+    for t in 1..=MAX_TENANTS {
+        registry.intern_tenant(&format!("t{t}"));
+    }
+    let Err(err) = Daemon::bind(&unix_endpoint(), None, test_config(), registry) else {
+        panic!("bound a daemon of 65 tenants");
+    };
+    assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+    assert_eq!(err.to_string(), "the registry holds 65 tenants, at most 64");
+}
+
+/// `--tenants` names at most one tenant fewer than the tenant table holds,
+/// since the default tenant takes a slot; naming `default` costs none.
+#[test]
+fn more_tenants_than_the_table_holds_is_refused() {
+    use faascache_platform::tenant::MAX_TENANTS;
+    let names = |n: usize| (1..=n).map(|t| format!("t{t}")).collect::<Vec<_>>();
+    let parse = |names: Vec<String>| {
+        faascache_server::cli::faascached(["--tenants".to_string(), names.join(",")])
+    };
+    assert!(parse(names(MAX_TENANTS - 1)).is_ok());
+    let mut with_default = names(MAX_TENANTS - 1);
+    with_default.push("default".to_string());
+    assert!(parse(with_default).is_ok());
+    let err = parse(names(MAX_TENANTS)).unwrap_err();
+    assert_eq!(
+        err.reason.as_deref(),
+        Some("--tenants: names 64 tenants; at most 63 fit beside the default tenant")
+    );
 }
 
 /// The one op that leaves the reactor thread: a mutation on a journaled

@@ -4,10 +4,12 @@
 //!
 //! 1. **Daemon hammer** — a real daemon (both io models) serves two
 //!    tenants concurrently over real sockets: an *aggressor* whose
-//!    memory budget it slams into immediately, and an unlimited
-//!    *victim*. The victim must finish its entire run with **zero**
-//!    throttles while the aggressor is demonstrably budgeted, with
-//!    exact conservation and zero losses on both sides.
+//!    memory budget it slams into immediately, so that each of its
+//!    requests that would need a new container is throttled (its warm
+//!    hits are served), and an unlimited *victim*. The victim must
+//!    finish its entire run with **zero** throttles while the aggressor
+//!    is demonstrably budgeted, with exact conservation and zero losses
+//!    on both sides.
 //!
 //! 2. **Order-independence replay** — at the platform layer, the same
 //!    per-tenant operation streams are interleaved in many different
@@ -43,9 +45,10 @@ use std::time::Duration;
 /// Boots a daemon whose registry splits the workload's functions between
 /// tenants `victim` (even indices) and `aggressor` (odd indices), with
 /// the aggressor under a 1 MB memory budget: its first cold start puts it
-/// over budget, so every later request throttles until eviction or reap
-/// would shrink its footprint (which this clean, pressure-free run never
-/// does). The victim's quota is unlimited.
+/// over budget, so every later request that would need a new container
+/// throttles until eviction or reap would shrink its footprint (which
+/// this clean, pressure-free run never does), while requests that find
+/// an idle container are served. The victim's quota is unlimited.
 fn boot_fairness_daemon(
     io: IoModel,
     workload: &WorkloadConfig,
@@ -236,7 +239,9 @@ fn run_ordering(order: &[bool]) -> (Vec<InvokeOutcome>, Vec<TenantState>) {
 
     // Budget below the aggressor's smallest function: its first op is
     // admitted (resident 0 < 128) and pins it over budget; with no
-    // memory pressure in a 2048 MB pool nothing ever shrinks it back.
+    // memory pressure in a 2048 MB pool nothing ever shrinks it back. So
+    // `a0`, whose container is resident, is served warm every time, and
+    // `a1`–`a3`, which would need new containers, always throttle.
     let mut quotas = TenantQuotas::unlimited();
     quotas.set(
         "aggressor",
@@ -336,8 +341,8 @@ fn quota_enforcement_is_independent_of_tenant_interleaving() {
                 "aggressor".to_string(),
                 0,
                 256,
-                1,
-                (AGGRESSOR_OPS - 1) as u64
+                (AGGRESSOR_OPS / 4) as u64,
+                (AGGRESSOR_OPS * 3 / 4) as u64
             ),
             ("victim".to_string(), 0, 256, VICTIM_OPS as u64, 0),
         ],
@@ -445,9 +450,10 @@ fn run_isolation(requests: u64, quotas: TenantQuotas, include_aggressor: bool) -
 
 /// The isolation property itself: under memory pressure an unbudgeted
 /// aggressor's cold-start churn evicts the victim's warm containers over
-/// and over, and a memory budget on the aggressor (admission throttles it
-/// at the line, tenant-weighted eviction prefers its containers) puts
-/// the victim's cold-start rate back within 1.25x of running alone.
+/// and over, and a memory budget on the aggressor (its cold starts are
+/// throttled at the line while its warm hits are served,
+/// tenant-weighted eviction prefers its containers) puts the victim's
+/// cold-start rate back within 1.25x of running alone.
 #[test]
 fn a_budgeted_aggressor_leaves_the_victims_cold_rate_at_solo() {
     let requests = 120_000;
@@ -479,8 +485,8 @@ fn a_budgeted_aggressor_leaves_the_victims_cold_rate_at_solo() {
     assert_eq!(quota.victim, outcomes(29_996, 4, 0));
     assert_eq!(
         quota.aggressor,
-        outcomes(0, 3, 89_997),
-        "three 256 MB containers"
+        outcomes(22_497, 3, 67_500),
+        "three 256 MB containers, hit whenever resident"
     );
     assert_eq!(solo.lost + shared.lost + quota.lost, 0);
 
