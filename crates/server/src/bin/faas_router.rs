@@ -7,9 +7,9 @@
 //!
 //! Each backend SPEC is `HOST:PORT` or `unix:PATH`, optionally suffixed
 //! `+http=HOST:PORT` naming the backend's HTTP gateway — with it the
-//! health prober uses `GET /healthz` and scrapes the backend's in-flight
-//! gauges from `/metrics` (feeding least-loaded routing); without it the
-//! prober falls back to binary `Ping`.
+//! health prober uses `GET /healthz` (which fails while the backend
+//! drains); without it the prober sends a binary `Ping`. Least-loaded
+//! routing reads the router's own in-flight forwards per backend.
 //!
 //! `--balancer` selects the routing policy — `random`, `round-robin`,
 //! `least-loaded`, or `affinity` (default) — the *same* implementations

@@ -60,15 +60,18 @@ impl Client {
     /// (clean transport). The HTTP gateway listens on TCP only, so HTTP
     /// to a Unix-domain address is `Unsupported`.
     pub fn connect(addr: &BoundAddr, proto: LoadProto) -> io::Result<Client> {
-        Self::connect_with_faults(addr, proto, FaultPlan::disabled())
+        Self::connect_with_faults(addr, proto, FaultPlan::disabled(), None)
     }
 
     /// Connects with client-side fault injection: every read and write on
-    /// the connection is subject to `plan`'s deterministic schedule.
+    /// the connection is subject to `plan`'s deterministic schedule. A
+    /// `connect_timeout` bounds a TCP connect (`None` waits as long as
+    /// the kernel retries); a Unix-socket connect is never bounded.
     pub fn connect_with_faults(
         addr: &BoundAddr,
         proto: LoadProto,
         plan: FaultPlan,
+        connect_timeout: Option<Duration>,
     ) -> io::Result<Client> {
         #[cfg(unix)]
         if proto == LoadProto::Http && matches!(addr, BoundAddr::Unix(_)) {
@@ -78,7 +81,7 @@ impl Client {
             ));
         }
         Ok(Client {
-            stream: FaultyStream::new(Stream::connect(addr)?, plan),
+            stream: FaultyStream::new(Stream::connect(addr, connect_timeout)?, plan),
             proto,
             rbuf: Vec::new(),
             closed: false,
@@ -585,7 +588,7 @@ pub fn run_load_with(
                         }
                         _ => FaultPlan::disabled(),
                     };
-                    let client = Client::connect_with_faults(addr, opts.proto, plan)?;
+                    let client = Client::connect_with_faults(addr, opts.proto, plan, None)?;
                     client.set_read_timeout(opts.read_timeout.map(Period::get))?;
                     conns_made.fetch_add(1, Ordering::Relaxed);
                     Ok(client)

@@ -543,8 +543,9 @@ impl Shared {
     /// The registry's replication fingerprint: `(epoch, digest)`. The
     /// epoch is the function count (registrations are append-only, so it
     /// is monotonic); the digest fingerprints every spec's
-    /// identity-relevant fields. Exported in `/metrics` so the router
-    /// can detect a re-admitted backend whose registry diverged.
+    /// identity-relevant fields. Exported in `/metrics` for the recovery
+    /// tests, the benchmark harness's convergence check and operators,
+    /// who compare it across restarts and across a cluster's backends.
     fn registry_fingerprint(&self) -> (u64, u64) {
         let registry = self.registry_read();
         (registry.len() as u64, registry_digest(&registry))
@@ -670,9 +671,9 @@ impl Shared {
         for shard in self.invoker.per_shard() {
             m.sample(&[("shard", &shard.shard)], shard.in_flight);
         }
-        // Registry replication fingerprint: the router compares these to
-        // decide whether a re-admitted backend's registry diverged, and
-        // the recovery harness compares them across a crash/restart.
+        // Registry replication fingerprint: the recovery tests compare it
+        // across a crash/restart, and the benchmark harness and operators
+        // across a cluster's backends.
         let (epoch, digest) = self.registry_fingerprint();
         m.single(
             "faascache_registry_epoch",

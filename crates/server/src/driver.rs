@@ -600,7 +600,7 @@ mod tests {
             let accepting =
                 scope.spawn(|| front.accept_loop(&toy, &front.binary, ConnKind::Binary));
             for _ in 0..CONNECTIONS {
-                let mut conn = Stream::connect(&addr).expect("connect");
+                let mut conn = Stream::connect(&addr, None).expect("connect");
                 conn.write_all(&frame(Request::Ping)).expect("send");
                 let reply = proto::read_frame(&mut conn)
                     .expect("read")

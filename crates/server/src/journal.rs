@@ -370,10 +370,9 @@ pub fn scan_records(bytes: &[u8]) -> (Vec<JournalRecord>, usize) {
 
 /// A computable fingerprint of a function registry: FNV-1a over every
 /// spec's identity-relevant fields in id order. Two daemons whose
-/// registries converged report the same digest; the router compares
-/// scraped digests to decide whether a re-admitted backend needs its
-/// mutation log replayed, and the recovery tests compare pre-crash and
-/// post-restart digests.
+/// registries converged report the same digest. The recovery tests
+/// compare pre-crash and post-restart digests, and the benchmark
+/// harness and operators compare a cluster's backends.
 pub fn registry_digest(registry: &FunctionRegistry) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     let mut feed = |bytes: &[u8]| {

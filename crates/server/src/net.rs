@@ -108,12 +108,17 @@ impl Listener {
 }
 
 impl Stream {
-    /// Connects to `addr`, with Nagle off on TCP.
-    pub(crate) fn connect(addr: &BoundAddr) -> io::Result<Stream> {
-        let stream = match addr {
-            BoundAddr::Tcp(sock) => Stream::Tcp(TcpStream::connect(sock)?),
+    /// Connects to `addr`, with Nagle off on TCP. A `timeout` bounds a
+    /// TCP connect; a Unix-socket connect has no timeout in `std` and
+    /// ignores it.
+    pub(crate) fn connect(addr: &BoundAddr, timeout: Option<Duration>) -> io::Result<Stream> {
+        let stream = match (addr, timeout) {
+            (BoundAddr::Tcp(sock), Some(timeout)) => {
+                Stream::Tcp(TcpStream::connect_timeout(sock, timeout)?)
+            }
+            (BoundAddr::Tcp(sock), None) => Stream::Tcp(TcpStream::connect(sock)?),
             #[cfg(unix)]
-            BoundAddr::Unix(path) => Stream::Unix(UnixStream::connect(path)?),
+            (BoundAddr::Unix(path), _) => Stream::Unix(UnixStream::connect(path)?),
         };
         stream.set_nodelay()?;
         Ok(stream)
@@ -328,7 +333,7 @@ mod tests {
 
         // A connection queued by the kernel ends the park; it stays
         // pending (level-triggered) until accepted.
-        let _conn = Stream::connect(&addr).expect("connect");
+        let _conn = Stream::connect(&addr, None).expect("connect");
         let parked = Instant::now();
         latch.park(Some(&listener), LONG);
         latch.park(Some(&listener), LONG);

@@ -13,21 +13,22 @@
 //! Design points:
 //!
 //! - **Routing** — [`LoadBalancer`] selected by `--balancer`. The
-//!   least-loaded signal is `in_flight` (requests this router currently
-//!   has outstanding against the backend) plus `polled_in_flight` (the
-//!   backend's own shard gauges, scraped from `/metrics` by the health
-//!   prober when the backend exposes a gateway). Affinity sends each
-//!   function to its [`route::shard_for`] hash home, the hash the
+//!   router knows a backend only through its own forwards and its
+//!   probe: the least-loaded signal is `in_flight`, the requests this
+//!   router currently has outstanding on the backend. Affinity sends
+//!   each function to its [`route::shard_for`] hash home, the hash the
 //!   daemon's shards use, and to its alternate candidate only while the
 //!   home is ejected.
-//! - **Health** — a prober thread pings every backend on a short
-//!   cadence (binary `Ping`, or `GET /healthz` + `/metrics` when an
-//!   HTTP address is configured). After `eject_after` consecutive
-//!   failures the backend is ejected from routing; re-admission is
-//!   probed with exponential backoff and succeeds on the first clean
-//!   probe. The forward path also ejects immediately on
-//!   connect-refused, so a killed backend stops receiving traffic
-//!   before the prober notices.
+//! - **Health** — a prober thread probes every backend on a short
+//!   cadence (`GET /healthz` when an HTTP address is configured, else a
+//!   binary `Ping`). After `eject_after` consecutive failures the
+//!   backend is ejected from routing; re-admission is probed with
+//!   exponential backoff and succeeds on the first clean probe whose
+//!   log replay succeeds. The forward path also ejects immediately when
+//!   a connect is refused, so a killed backend stops receiving traffic
+//!   before the prober notices. Every dial to a TCP backend gives up
+//!   after the backend timeout, so a backend that stops accepting
+//!   cannot stall the prober or the control plane.
 //! - **Exactly-once** — idempotency keys are forwarded untouched, and a
 //!   keyed request is *pinned* to the backend that first received it
 //!   (bounded FIFO, like the daemon's idempotency cache) so router-hop
@@ -41,8 +42,9 @@
 //!   every healthy backend under one lock (`Control`): written to all
 //!   of them over standing clean connections first, answers collected
 //!   second, so the backends' fsyncs overlap and every backend sees
-//!   mutations in one order. Re-admission replays the acknowledged log
-//!   and flips `healthy` under the same lock.
+//!   mutations in one order. Re-admission replays the whole acknowledged
+//!   log over the same connections and flips `healthy` under the same
+//!   lock.
 //! - **Drain** — the router's `/healthz` flips to 503 the instant drain
 //!   begins, *before* any backend starts draining, so a cluster
 //!   operator's LB health checks fail over while the backends are still
@@ -75,15 +77,14 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 /// One backend a router forwards to: the binary endpoint it invokes
-/// over, plus an optional HTTP gateway address used for richer health
-/// probes (`/healthz` + in-flight gauge scraping from `/metrics`).
+/// over, plus an optional HTTP gateway address its health probe uses
+/// (`GET /healthz`, which fails while the backend drains).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BackendSpec {
-    /// Binary protocol endpoint (the forward path).
+    /// Binary protocol endpoint: forwards and the control plane.
     pub addr: BoundAddr,
     /// Optional HTTP gateway address (the probe path). Without it the
-    /// prober falls back to binary `Ping` and the backend contributes
-    /// no polled in-flight gauge to least-loaded routing.
+    /// prober sends a binary `Ping` to [`Self::addr`].
     pub http: Option<SocketAddr>,
 }
 
@@ -147,8 +148,10 @@ pub struct RouterConfig {
     /// Front-socket read timeout; bounds how long a handler takes to
     /// notice the shutdown flag (same contract as the daemon's).
     pub read_timeout: Period,
-    /// Read timeout on backend connections, so a lost backend response
-    /// errors instead of hanging a front request forever.
+    /// Connect and read timeout on backend connections, so a backend
+    /// that stops accepting or answering errors instead of hanging a
+    /// front request, the prober or the control plane. A Unix-socket
+    /// connect has no timeout in `std` and is not bounded by it.
     pub backend_read_timeout: Period,
     /// Cadence of health probes against each backend.
     pub health_interval: Period,
@@ -201,11 +204,9 @@ struct Backend {
     /// In the routing set. Starts true; cleared by the prober and by
     /// connect-refused on the forward path, set again by [`readmit`].
     healthy: AtomicBool,
-    /// Requests this router currently has outstanding on the backend.
+    /// Requests this router currently has outstanding on the backend:
+    /// the least-loaded signal.
     in_flight: AtomicU64,
-    /// The backend's own in-flight gauge (summed shard gauges), scraped
-    /// from `/metrics` by the prober; 0 without an HTTP probe address.
-    polled_in_flight: AtomicU64,
     /// Forwards that reached a backend outcome.
     routed: AtomicU64,
     /// Forwards that died on the hop (after any retries).
@@ -223,16 +224,11 @@ impl Backend {
             spec,
             healthy: AtomicBool::new(true),
             in_flight: AtomicU64::new(0),
-            polled_in_flight: AtomicU64::new(0),
             routed: AtomicU64::new(0),
             forward_errors: AtomicU64::new(0),
             ejections: AtomicU64::new(0),
             reconciled: AtomicU64::new(0),
         }
-    }
-
-    fn load(&self) -> u64 {
-        self.in_flight.load(Ordering::Relaxed) + self.polled_in_flight.load(Ordering::Relaxed)
     }
 
     fn eject(&self) {
@@ -277,13 +273,13 @@ struct RouterShared {
 /// Backends serialise mutations on their registry lock across the fsync
 /// anyway, so the lock costs no throughput.
 struct Control {
-    /// Every acknowledged mutation, as broadcast, in order. Replayed to
-    /// a backend being re-admitted after ejection, so one that crashed
-    /// and restarted
-    /// (possibly from a `--state-dir` missing the newest mutations)
-    /// rejoins with a converged registry; replay is idempotent on the
-    /// backend (duplicate registers answer `created = false`, quota
-    /// sets are last-wins). Registrations are deduplicated by name and
+    /// Every acknowledged mutation, as broadcast, in order. Replayed
+    /// whole to a backend being re-admitted after ejection, so one that
+    /// crashed and restarted (possibly from a `--state-dir` missing the
+    /// newest mutations) rejoins with a converged registry; replay is
+    /// idempotent on the backend (a name it already holds answers
+    /// `created = false` without a journal append, quota sets are
+    /// last-wins). Registrations are deduplicated by name and
     /// quota sets are last-wins per tenant, so the log is bounded by the
     /// number of distinct functions + tenants.
     log: Vec<JournalRecord>,
@@ -385,7 +381,7 @@ impl RouterShared {
             &mut state,
             self.backends.len(),
             function as u64,
-            |i| self.backends[i].load(),
+            |i| self.backends[i].in_flight.load(Ordering::Relaxed),
             |i| self.backends[i].healthy.load(Ordering::SeqCst),
             None,
         )
@@ -413,13 +409,21 @@ impl RouterShared {
         self.control.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Dials backend `b` for the control plane (mutations, replays,
-    /// `Ping` probes): never fault-planned, and with the backend read
-    /// timeout so a lost reply errors instead of hanging.
-    fn dial_control(&self, b: usize) -> io::Result<Client> {
-        let client = Client::connect(&self.backends[b].spec.addr, LoadProto::Binary)?;
-        client.set_read_timeout(Some(self.config.backend_read_timeout.get()))?;
+    /// Dials `addr`, speaking `proto` under fault plan `plan`. The
+    /// backend timeout bounds a TCP connect and every read, so a backend
+    /// that stops accepting or answering errors instead of hanging.
+    fn dial(&self, addr: &BoundAddr, proto: LoadProto, plan: FaultPlan) -> io::Result<Client> {
+        let timeout = self.config.backend_read_timeout.get();
+        let client = Client::connect_with_faults(addr, proto, plan, Some(timeout))?;
+        client.set_read_timeout(Some(timeout))?;
         Ok(client)
+    }
+
+    /// Dials backend `b` for the control plane (mutations, replays,
+    /// `Ping` probes): never fault-planned.
+    fn dial_control(&self, b: usize) -> io::Result<Client> {
+        let addr = &self.backends[b].spec.addr;
+        self.dial(addr, LoadProto::Binary, FaultPlan::disabled())
     }
 
     /// A fault plan for the next backend data connection.
@@ -455,12 +459,8 @@ impl ConnCache {
 
     fn get(&mut self, shared: &RouterShared, b: usize) -> io::Result<&mut Client> {
         if self.conns[b].is_none() {
-            let client = Client::connect_with_faults(
-                &shared.backends[b].spec.addr,
-                LoadProto::Binary,
-                shared.next_backend_plan(),
-            )?;
-            client.set_read_timeout(Some(shared.config.backend_read_timeout.get()))?;
+            let plan = shared.next_backend_plan();
+            let client = shared.dial(&shared.backends[b].spec.addr, LoadProto::Binary, plan)?;
             self.conns[b] = Some(client);
         }
         Ok(self.conns[b].as_mut().expect("just inserted"))
@@ -471,10 +471,11 @@ impl ConnCache {
     }
 }
 
-/// Whether an IO error means "nothing is listening there" — the only
-/// class that ejects a backend from the forward path. Mid-stream
-/// errors (resets, timeouts, torn frames) are hop weather, not backend
-/// death; the prober decides those.
+/// Whether a connect error means "nothing is listening there" — the
+/// only failure that ejects a backend from the forward path. Every
+/// other hop failure (a connect timeout, a reset, a read timeout, a
+/// torn frame) is hop weather, not backend death; the prober decides
+/// those.
 fn is_connect_refused(e: &io::Error) -> bool {
     matches!(
         e.kind(),
@@ -526,32 +527,21 @@ fn forward_invoke(
             };
         };
         let backend = &shared.backends[b];
-        backend.in_flight.fetch_add(1, Ordering::SeqCst);
-        let sent = match cache.get(shared, b) {
-            Ok(client) => match key {
-                Some(k) => client.invoke_keyed(function, k),
-                None => client.invoke(function),
-            },
-            Err(e) => {
-                backend.in_flight.fetch_sub(1, Ordering::SeqCst);
-                if is_connect_refused(&e) {
-                    backend.eject();
-                    // Connect failed — nothing sent; safe to re-pick
-                    // immediately even for unkeyed requests.
-                    last_err = Some(e);
-                    continue;
-                }
-                backend.forward_errors.fetch_add(1, Ordering::Relaxed);
-                cache.drop_conn(b);
+        let client = match cache.get(shared, b) {
+            Err(e) if is_connect_refused(&e) => {
+                // Nothing was sent, so re-picking at once is safe even
+                // for an unkeyed request.
+                backend.eject();
                 last_err = Some(e);
-                attempt += 1;
-                if attempt >= max_attempts {
-                    return Forwarded::HopFailed(last_err.expect("recorded"));
-                }
-                thread::sleep(backoff.delay(attempt, rng));
                 continue;
             }
+            client => client,
         };
+        backend.in_flight.fetch_add(1, Ordering::SeqCst);
+        let sent = client.and_then(|client| match key {
+            Some(k) => client.invoke_keyed(function, k),
+            None => client.invoke(function),
+        });
         backend.in_flight.fetch_sub(1, Ordering::SeqCst);
         match sent {
             Ok(outcome) => {
@@ -562,11 +552,11 @@ fn forward_invoke(
             Err(e) => {
                 backend.forward_errors.fetch_add(1, Ordering::Relaxed);
                 cache.drop_conn(b);
-                last_err = Some(e);
                 attempt += 1;
                 if attempt >= max_attempts {
-                    return Forwarded::HopFailed(last_err.expect("recorded"));
+                    return Forwarded::HopFailed(e);
                 }
+                last_err = Some(e);
                 thread::sleep(backoff.delay(attempt, rng));
             }
         }
@@ -808,8 +798,8 @@ impl RouterShared {
             (
                 "faasrouter_backend_in_flight",
                 "gauge",
-                "Requests outstanding on the backend: the router's plus its own gauge.",
-                Backend::load,
+                "Requests this router has outstanding on the backend.",
+                |b| b.in_flight.load(Ordering::Relaxed),
             ),
         ];
         for (name, kind, help, read) in per_backend {
@@ -903,122 +893,49 @@ fn probe_loop(shared: &RouterShared) {
     }
 }
 
-/// One probe: HTTP `/healthz` + `/metrics` gauge scrape when the spec
-/// has a gateway address, else binary `Ping`. Dials per probe, never a
-/// standing connection: connect-refused is the liveness signal.
+/// One probe: `GET /healthz` when the spec has a gateway address, else
+/// binary `Ping`; a draining backend fails the first. Dials per probe,
+/// never a standing connection: connect-refused is the liveness signal.
 fn probe_backend(shared: &RouterShared, b: usize) -> bool {
-    let backend = &shared.backends[b];
-    let probe = || -> io::Result<()> {
-        let Some(http_addr) = backend.spec.http else {
-            return shared.dial_control(b)?.ping();
-        };
-        let mut client = dial_gateway(http_addr, shared.config.backend_read_timeout.get())?;
-        client.ping()?;
-        let body = client.metrics()?;
-        backend
-            .polled_in_flight
-            .store(sum_shard_in_flight(&body), Ordering::Relaxed);
-        Ok(())
+    let probe = match shared.backends[b].spec.http {
+        Some(http) => shared.dial(
+            &BoundAddr::Tcp(http),
+            LoadProto::Http,
+            FaultPlan::disabled(),
+        ),
+        None => shared.dial_control(b),
     };
-    probe().is_ok()
-}
-
-/// Dials a backend's HTTP gateway for one probe or scrape.
-fn dial_gateway(http_addr: SocketAddr, timeout: Duration) -> io::Result<Client> {
-    let client = Client::connect(&BoundAddr::Tcp(http_addr), LoadProto::Http)?;
-    client.set_read_timeout(Some(timeout))?;
-    Ok(client)
-}
-
-/// Sums `faascache_shard_in_flight{shard="i"} N` gauge lines from a
-/// backend `/metrics` body — the backend's live in-flight total, which
-/// feeds least-loaded routing alongside the router's own gauge.
-///
-/// Tolerant by construction: a malformed or truncated exposition body
-/// contributes nothing (lines that don't parse are skipped), it never
-/// panics, and it never fails the probe — scrape quality must not be
-/// able to eject a healthy backend.
-fn sum_shard_in_flight(metrics: &str) -> u64 {
-    metrics
-        .lines()
-        .filter(|l| l.starts_with("faascache_shard_in_flight{"))
-        .filter_map(|l| l.rsplit_once(' '))
-        .filter_map(|(_, v)| v.trim().parse::<u64>().ok())
-        .sum()
-}
-
-/// Extracts the `faascache_registry_digest` gauge from a backend
-/// `/metrics` body. `None` when absent or malformed — digest comparison
-/// then degrades to an unconditional (still idempotent) replay.
-fn scrape_registry_digest(metrics: &str) -> Option<u64> {
-    metrics
-        .lines()
-        .filter(|l| l.starts_with("faascache_registry_digest "))
-        .find_map(|l| l.rsplit_once(' ')?.1.trim().parse::<u64>().ok())
-}
-
-/// The registry digest a backend currently reports, when it exposes an
-/// HTTP gateway.
-fn backend_registry_digest(backend: &Backend, timeout: Duration) -> Option<u64> {
-    let http_addr = backend.spec.http?;
-    let body = dial_gateway(http_addr, timeout)
-        .and_then(|mut client| client.metrics())
-        .ok()?;
-    scrape_registry_digest(&body)
+    probe.and_then(|mut client| client.ping()).is_ok()
 }
 
 /// Re-admission: before ejected backend `b` rejoins the routing set,
-/// replay the router's acknowledged mutation log into it so a backend
-/// that crashed and restarted (from an empty or stale `--state-dir`)
-/// converges with the cluster's registry and quotas, then flip it
-/// healthy. All under the control lock, so a mutation is either in the
-/// log this replays or broadcast to `b` as a healthy backend; none is
-/// acknowledged in between.
-///
-/// Digest fast path: when the rejoining backend already reports the
-/// same `faascache_registry_digest` as a healthy peer and no quota
-/// mutations are logged, there is nothing to replay. Otherwise the full
-/// log is replayed — idempotent on the backend, so over-replaying is
-/// always safe. Returns `false` (keep ejected, retry on backoff) if any
+/// replay the router's whole acknowledged mutation log into it through
+/// [`Control::send`] and [`Control::recv`], the path a broadcast takes,
+/// so a backend that crashed and restarted (from an empty or stale
+/// `--state-dir`) converges with the cluster's registry and quotas;
+/// then flip it healthy. Replay is idempotent on the backend: a name it
+/// already holds answers without a journal append. All under the
+/// control lock, so a mutation is either in the log this replays or
+/// broadcast to `b` as a healthy backend; none is acknowledged in
+/// between. Returns `false` (keep ejected, retry on backoff) if any
 /// replayed mutation failed.
 fn readmit(shared: &RouterShared, b: usize) -> bool {
-    let backend = &shared.backends[b];
     let mut control = shared.control();
     // Whatever stood before the ejection is stale.
     control.conns[b] = None;
-    let timeout = shared.config.backend_read_timeout.get();
-    let registrations_converged = !control.log.is_empty()
-        && match backend_registry_digest(backend, timeout) {
-            Some(digest) => shared
-                .backends
-                .iter()
-                .filter(|peer| !std::ptr::eq(*peer, backend))
-                .filter(|peer| peer.healthy.load(Ordering::SeqCst))
-                .any(|peer| backend_registry_digest(peer, timeout) == Some(digest)),
-            None => false,
-        };
-    let replay = || -> io::Result<(Client, u64)> {
-        let mut client = shared.dial_control(b)?;
-        let mut replayed = 0u64;
-        for record in &control.log {
-            if registrations_converged && matches!(record, JournalRecord::Register { .. }) {
-                continue;
-            }
-            client.send_mutation(record)?;
-            fold_ack(record, None, client.recv()?)?;
-            replayed += 1;
-        }
-        Ok((client, replayed))
-    };
-    match replay() {
-        Ok((client, replayed)) => {
-            backend.reconciled.fetch_add(replayed, Ordering::Relaxed);
-            control.conns[b] = Some(client);
-            backend.healthy.store(true, Ordering::SeqCst);
-            true
-        }
-        Err(_) => false,
+    let log = control.log.clone();
+    let replayed = log.iter().try_for_each(|record| {
+        control.send(shared, b, record)?;
+        fold_ack(record, None, control.recv(b)?).map(drop)
+    });
+    if replayed.is_ok() {
+        let backend = &shared.backends[b];
+        backend
+            .reconciled
+            .fetch_add(log.len() as u64, Ordering::Relaxed);
+        backend.healthy.store(true, Ordering::SeqCst);
     }
+    replayed.is_ok()
 }
 
 /// Per-backend slice of the final [`RouterReport`].
@@ -1275,63 +1192,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_in_flight_sum_parses_metrics() {
-        let body = "faascache_requests_total{outcome=\"warm\"} 5\n\
-                    faascache_shard_in_flight{shard=\"0\"} 3\n\
-                    faascache_shard_in_flight{shard=\"1\"} 4\n\
-                    faasrouter_draining 0\n";
-        assert_eq!(sum_shard_in_flight(body), 7);
-        assert_eq!(sum_shard_in_flight(""), 0);
-    }
-
-    #[test]
-    fn shard_in_flight_sum_survives_malformed_exposition() {
-        // Malformed or truncated Prometheus text must not panic and
-        // must not poison the sum: unparseable lines contribute zero.
-        let cases: &[(&str, u64)] = &[
-            // Value is not a number.
-            ("faascache_shard_in_flight{shard=\"0\"} NaN\n", 0),
-            // Negative gauge (not a u64).
-            ("faascache_shard_in_flight{shard=\"0\"} -3\n", 0),
-            // Truncated mid-line: no space separator at all.
-            ("faascache_shard_in_flight{shard=\"0\"}", 0),
-            // Truncated after the separator.
-            ("faascache_shard_in_flight{shard=\"0\"} ", 0),
-            // One good line among garbage keeps its value.
-            (
-                "faascache_shard_in_flight{shard=\"0\"} 5\n\
-                 faascache_shard_in_flight{shard=\"1\"} oops\n\
-                 faascache_shard_in_flight{shard=\"2\"",
-                5,
-            ),
-            // Binary junk.
-            ("\u{0}\u{1}\u{2}garbage without structure", 0),
-            // A different metric that merely shares the prefix word.
-            ("faascache_shard_in_flight_total 9\n", 0),
-        ];
-        for (body, want) in cases {
-            assert_eq!(sum_shard_in_flight(body), *want, "body {body:?}");
-        }
-    }
-
-    #[test]
-    fn registry_digest_scrape_parses_and_tolerates_garbage() {
-        let body = "# TYPE faascache_registry_digest gauge\n\
-                    faascache_registry_digest 12345678901234567890\n";
-        assert_eq!(scrape_registry_digest(body), Some(12345678901234567890));
-        assert_eq!(scrape_registry_digest(""), None);
-        assert_eq!(
-            scrape_registry_digest("faascache_registry_digest x\n"),
-            None
-        );
-        assert_eq!(scrape_registry_digest("faascache_registry_digest\n"), None);
-        // The HELP line must not shadow the sample line.
-        let with_help = "# HELP faascache_registry_digest FNV-1a fingerprint\n\
-                         faascache_registry_digest 7\n";
-        assert_eq!(scrape_registry_digest(with_help), Some(7));
-    }
-
-    #[test]
     fn mutation_log_dedupes_registers_and_last_wins_quotas() {
         let shared = test_shared(2, LoadBalancer::RoundRobin);
         let register =
@@ -1419,6 +1279,78 @@ mod tests {
         assert_eq!(shared.pick_backend(3), None);
         shared.backends[1].healthy.store(true, Ordering::SeqCst);
         assert_eq!(shared.pick_backend(3), Some(1));
+    }
+
+    #[test]
+    fn least_loaded_follows_the_routers_own_in_flight() {
+        let shared = test_shared(3, LoadBalancer::LeastLoaded);
+        let set = |loads: [u64; 3]| {
+            for (backend, n) in shared.backends.iter().zip(loads) {
+                backend.in_flight.store(n, Ordering::SeqCst);
+            }
+        };
+        set([5, 2, 7]);
+        assert_eq!(shared.pick_backend(0), Some(1), "the least loaded");
+        set([3, 9, 3]);
+        assert_eq!(
+            shared.pick_backend(0),
+            Some(0),
+            "a tie goes to the lowest index"
+        );
+        shared.backends[0].eject();
+        set([0, 9, 3]);
+        assert_eq!(
+            shared.pick_backend(0),
+            Some(2),
+            "an ejected backend is skipped"
+        );
+        assert_eq!(
+            shared
+                .render_metrics()
+                .lines()
+                .find(|l| l.starts_with("faasrouter_backend_in_flight{backend=\"1\"}")),
+            Some("faasrouter_backend_in_flight{backend=\"1\"} 9"),
+        );
+    }
+
+    /// A backend whose accept queue is full drops every further SYN, so
+    /// an unbounded connect to it waits out the kernel's SYN retries
+    /// (minutes) while the prober or the control plane waits with it.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_dial_to_a_backend_that_never_accepts_gives_up() {
+        use std::net::{TcpListener, TcpStream};
+        use std::sync::mpsc;
+
+        const TIMEOUT: Duration = Duration::from_millis(100);
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("local addr");
+        let mut queued = Vec::new();
+        while let Ok(conn) = TcpStream::connect_timeout(&addr, TIMEOUT) {
+            queued.push(conn);
+            assert!(queued.len() < 4_096, "the accept queue never filled");
+        }
+        let spec = BackendSpec {
+            addr: BoundAddr::Tcp(addr),
+            http: None,
+        };
+        let config = RouterConfig {
+            backend_read_timeout: Period::ms(100),
+            ..RouterConfig::default()
+        };
+        let shared = RouterShared::new(vec![spec], config);
+        let (tx, rx) = mpsc::channel();
+        // On a thread, so a dial that hangs fails this test instead of
+        // hanging it.
+        thread::spawn(move || {
+            let _ = tx.send(shared.dial_control(0).map(drop));
+        });
+        let dialed = rx
+            .recv_timeout(TIMEOUT * 10)
+            .expect("the dial was still waiting after ten timeouts");
+        let err = dialed.expect_err("connected to a full accept queue");
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{err}");
+        drop((queued, listener));
     }
 
     #[test]

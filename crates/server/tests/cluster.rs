@@ -575,7 +575,9 @@ fn await_router_series(http: &BoundAddr, series: &str, want: u64) {
 /// recover its own pre-crash registrations from the journal, (b) receive
 /// the missed registration via the router's re-admission reconciliation,
 /// (c) converge to the survivor's registry digest, and (d) serve a full
-/// replay with zero errors and zero losses.
+/// replay with zero errors and zero losses. Re-admission replays the
+/// router's whole log each time, also into a backend whose registry
+/// already matches: the second kill and restart checks that.
 #[cfg(unix)]
 #[test]
 fn killed_backend_restarted_from_state_dir_rejoins_converged() {
@@ -646,9 +648,13 @@ fn killed_backend_restarted_from_state_dir_rejoins_converged() {
         "restart did not reclaim the pinned gateway address"
     );
     await_router_series(&http, "faasrouter_backend_healthy{backend=\"1\"}", 1);
-    assert!(
-        router_series(&http, "faasrouter_backend_reconciled_total{backend=\"1\"}") >= 1,
-        "router readmitted the backend without replaying its missed mutations"
+    // The log: pre-kill-fn, while-dead-fn and the quota.
+    const LOG_LEN: u64 = 3;
+    let reconciled = || router_series(&http, "faasrouter_backend_reconciled_total{backend=\"1\"}");
+    assert_eq!(
+        reconciled(),
+        LOG_LEN,
+        "router readmitted the backend without replaying its whole log"
     );
 
     // Registries converged: journal recovery restored pre-kill-fn,
@@ -675,6 +681,29 @@ fn killed_backend_restarted_from_state_dir_rejoins_converged() {
     assert_eq!(idx, while_dead_index);
     drop(direct);
     drop(conn);
+
+    // Again: its journal now holds every mutation the router logged, so
+    // the restarted registry already matches the survivor's, and the
+    // whole log is replayed all the same.
+    revived.kill();
+    await_router_series(&http, "faasrouter_backend_healthy{backend=\"1\"}", 0);
+    let revived = ChildBackend::spawn_configured(
+        IoModel::Threads,
+        sock.clone(),
+        &http_listen,
+        Some(&state_dir),
+    );
+    assert_eq!(
+        survivor.registry_digest(),
+        revived.registry_digest(),
+        "journal recovery lost a replayed mutation"
+    );
+    await_router_series(&http, "faasrouter_backend_healthy{backend=\"1\"}", 1);
+    assert_eq!(
+        reconciled(),
+        2 * LOG_LEN,
+        "the second re-admission did not replay the whole log"
+    );
 
     // The converged pair serves a full replay losslessly.
     let opts = LoadOptions {
