@@ -233,6 +233,10 @@ mod tests {
             knee.as_mb() < 200,
             "knee at {knee} should be in the steep region"
         );
+        assert!(
+            c.hit_ratio(knee) > 0.5,
+            "the knee should be past half the hits"
+        );
     }
 
     #[test]

@@ -65,8 +65,9 @@ impl Client {
 
     /// Connects with client-side fault injection: every read and write on
     /// the connection is subject to `plan`'s deterministic schedule. A
-    /// `connect_timeout` bounds a TCP connect (`None` waits as long as
-    /// the kernel retries); a Unix-socket connect is never bounded.
+    /// `connect_timeout` bounds the connect, a Unix-socket one on Linux
+    /// only (`None` waits as long as the kernel retries, or until a full
+    /// Unix accept queue takes the connection).
     pub fn connect_with_faults(
         addr: &BoundAddr,
         proto: LoadProto,

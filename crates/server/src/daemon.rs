@@ -104,6 +104,11 @@ impl std::fmt::Display for IoModel {
     }
 }
 
+/// Keys the idempotency cache backing
+/// [`InvokeKeyed`](crate::proto::Request::InvokeKeyed) holds; the oldest
+/// is evicted first.
+pub const IDEM_CAPACITY: usize = 65_536;
+
 /// Tuning knobs of a daemon instance.
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
@@ -136,10 +141,6 @@ pub struct DaemonConfig {
     /// daemon) peers share the socket; the [`ShutdownHandle`] and
     /// SIGTERM always work.
     pub allow_remote_shutdown: bool,
-    /// Capacity of the idempotency-key cache backing
-    /// [`InvokeKeyed`](crate::proto::Request::InvokeKeyed). Oldest keys
-    /// are evicted first.
-    pub idem_capacity: usize,
     /// Background warm-set re-homing, run on the reap cadence.
     pub rebalance: Option<RebalanceConfig>,
     /// Which serving core multiplexes connections.
@@ -169,7 +170,6 @@ impl Default for DaemonConfig {
             drain_timeout: Duration::from_secs(10),
             faults: None,
             allow_remote_shutdown: true,
-            idem_capacity: 65_536,
             rebalance: None,
             io_model: IoModel::Threads,
             tenant_quotas: TenantQuotas::unlimited(),
@@ -838,7 +838,7 @@ impl Daemon {
             shutdown: Arc::default(),
             front: FrontCounters::default(),
             dedup_hits: AtomicU64::new(0),
-            idem: Mutex::new(KeyCache::new(config.idem_capacity)),
+            idem: Mutex::new(KeyCache::new(IDEM_CAPACITY)),
             idem_cv: Condvar::new(),
             allow_remote_shutdown: config.allow_remote_shutdown,
         });

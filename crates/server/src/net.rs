@@ -13,7 +13,14 @@
 //! listen backlog is only 128, so the Linux path calls `listen(2)` once
 //! more to raise it to `BACKLOG` (1024).
 //!
-//! `DrainLatch` is the other FFI user: the blocking driver's accept loops
+//! A Unix-socket connect has no timeout in `std`, and a blocking one to
+//! a listener whose accept queue is full waits until it is accepted. On
+//! Linux a bounded dial makes the socket itself and sets `SO_SNDTIMEO`
+//! before `connect(2)`, which then gives up with `EAGAIN` (reported as
+//! `TimedOut`). A non-blocking connect would not help: to a full queue
+//! it fails `EAGAIN` at once, with nothing to wait on.
+//!
+//! `DrainLatch` is the third FFI user: the blocking driver's accept loops
 //! park in `poll(2)` on their listener instead of pacing a non-blocking
 //! `accept` with a sleep, so a fresh connection is picked up when the
 //! kernel queues it, and the latch's socketpair pulls them (and the
@@ -108,15 +115,20 @@ impl Listener {
 }
 
 impl Stream {
-    /// Connects to `addr`, with Nagle off on TCP. A `timeout` bounds a
-    /// TCP connect; a Unix-socket connect has no timeout in `std` and
-    /// ignores it.
+    /// Connects to `addr`, with Nagle off on TCP. A `timeout` bounds the
+    /// connect on either transport (a Unix-socket one on Linux only:
+    /// `std` has no timeout for it, so [`sys::connect_unix`] makes one)
+    /// and fails `TimedOut` when it runs out.
     pub(crate) fn connect(addr: &BoundAddr, timeout: Option<Duration>) -> io::Result<Stream> {
         let stream = match (addr, timeout) {
             (BoundAddr::Tcp(sock), Some(timeout)) => {
                 Stream::Tcp(TcpStream::connect_timeout(sock, timeout)?)
             }
             (BoundAddr::Tcp(sock), None) => Stream::Tcp(TcpStream::connect(sock)?),
+            #[cfg(target_os = "linux")]
+            (BoundAddr::Unix(path), Some(timeout)) => {
+                Stream::Unix(sys::connect_unix(path, timeout)?)
+            }
             #[cfg(unix)]
             (BoundAddr::Unix(path), _) => Stream::Unix(UnixStream::connect(path)?),
         };
@@ -239,14 +251,21 @@ const BACKLOG: i32 = 1024;
 #[allow(unsafe_code)]
 mod sys {
     use std::io;
-    use std::os::fd::RawFd;
+    use std::os::fd::{FromRawFd, OwnedFd, RawFd};
     use std::os::raw::c_ulong;
+    use std::os::unix::ffi::OsStrExt;
+    use std::os::unix::net::UnixStream;
+    use std::path::Path;
     use std::time::Duration;
 
     mod ffi {
-        use std::os::raw::{c_int, c_short, c_ulong};
+        use std::os::raw::{c_char, c_int, c_short, c_ulong};
 
         pub const POLLIN: c_short = 0x001;
+        // As on x86_64 and aarch64; mips and sparc differ.
+        pub const AF_UNIX: c_int = 1;
+        pub const SOCK_STREAM: c_int = 1;
+        pub const SOCK_CLOEXEC: c_int = 0x80000;
 
         /// `struct pollfd`.
         #[repr(C)]
@@ -256,9 +275,71 @@ mod sys {
             pub revents: c_short,
         }
 
+        /// `struct sockaddr_un`.
+        #[repr(C)]
+        pub struct SockAddrUn {
+            pub sun_family: u16,
+            pub sun_path: [c_char; 108],
+        }
+
         extern "C" {
             pub fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
             pub fn listen(fd: c_int, backlog: c_int) -> c_int;
+            pub fn socket(domain: c_int, kind: c_int, protocol: c_int) -> c_int;
+            pub fn connect(fd: c_int, addr: *const SockAddrUn, len: u32) -> c_int;
+        }
+    }
+
+    /// A blocking `connect(2)` to the Unix socket at `path` that gives up
+    /// after `timeout` with `TimedOut`. `SO_SNDTIMEO` (std's write
+    /// timeout) bounds the connect, then is cleared, so writes on the
+    /// stream block as on one from `UnixStream::connect`. Refusals keep
+    /// their kinds (`NotFound`, `ConnectionRefused`); a path too long
+    /// for `sun_path` is `InvalidInput`.
+    pub fn connect_unix(path: &Path, timeout: Duration) -> io::Result<UnixStream> {
+        let bytes = path.as_os_str().as_bytes();
+        let mut addr = ffi::SockAddrUn {
+            sun_family: ffi::AF_UNIX as u16,
+            sun_path: [0; 108],
+        };
+        // One byte stays for the terminating NUL.
+        if bytes.len() >= addr.sun_path.len() || bytes.contains(&0) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "a unix socket path must be under 108 bytes, without NUL",
+            ));
+        }
+        for (dst, &src) in addr.sun_path.iter_mut().zip(bytes) {
+            *dst = src as _;
+        }
+        // SAFETY: plain syscall; a non-negative result is a new fd that
+        // nothing else owns.
+        let fd =
+            check(unsafe { ffi::socket(ffi::AF_UNIX, ffi::SOCK_STREAM | ffi::SOCK_CLOEXEC, 0) })?;
+        // SAFETY: `fd` was just returned by `socket` and is owned here.
+        // Until `connect` succeeds the stream only carries the option.
+        let stream = UnixStream::from(unsafe { OwnedFd::from_raw_fd(fd) });
+        // std refuses a zero timeout; a microsecond is the least bound.
+        stream.set_write_timeout(Some(timeout.max(Duration::from_micros(1))))?;
+        let len = (std::mem::size_of::<u16>() + bytes.len() + 1) as u32;
+        // SAFETY: `addr` is a valid sockaddr_un and `len` is within it.
+        check(unsafe { ffi::connect(fd, &addr, len) }).map_err(|e| {
+            if e.kind() == io::ErrorKind::WouldBlock {
+                io::Error::new(io::ErrorKind::TimedOut, "unix socket connect timed out")
+            } else {
+                e
+            }
+        })?;
+        stream.set_write_timeout(None)?;
+        Ok(stream)
+    }
+
+    /// A syscall's result, or the error its `errno` names.
+    fn check(result: i32) -> io::Result<i32> {
+        if result < 0 {
+            Err(io::Error::last_os_error())
+        } else {
+            Ok(result)
         }
     }
 
@@ -281,11 +362,7 @@ mod sys {
     /// accept queue.
     pub fn listen(fd: RawFd, backlog: i32) -> io::Result<()> {
         // SAFETY: plain syscall on an fd the caller owns.
-        if unsafe { ffi::listen(fd, backlog) } == 0 {
-            Ok(())
-        } else {
-            Err(io::Error::last_os_error())
-        }
+        check(unsafe { ffi::listen(fd, backlog) }).map(drop)
     }
 }
 

@@ -26,9 +26,10 @@
 //!   exponential backoff and succeeds on the first clean probe whose
 //!   log replay succeeds. The forward path also ejects immediately when
 //!   a connect is refused, so a killed backend stops receiving traffic
-//!   before the prober notices. Every dial to a TCP backend gives up
-//!   after the backend timeout, so a backend that stops accepting
-//!   cannot stall the prober or the control plane.
+//!   before the prober notices. Every dial to a backend, TCP or (on
+//!   Linux) Unix socket, gives up after the backend timeout, so a
+//!   backend that stops accepting cannot stall the prober or the
+//!   control plane.
 //! - **Exactly-once** — idempotency keys are forwarded untouched, and a
 //!   keyed request is *pinned* to the backend that first received it
 //!   (bounded FIFO, like the daemon's idempotency cache) so router-hop
@@ -150,8 +151,8 @@ pub struct RouterConfig {
     pub read_timeout: Period,
     /// Connect and read timeout on backend connections, so a backend
     /// that stops accepting or answering errors instead of hanging a
-    /// front request, the prober or the control plane. A Unix-socket
-    /// connect has no timeout in `std` and is not bounded by it.
+    /// front request, the prober or the control plane. It bounds a
+    /// Unix-socket connect on Linux only.
     pub backend_read_timeout: Period,
     /// Cadence of health probes against each backend.
     pub health_interval: Period,
@@ -410,7 +411,7 @@ impl RouterShared {
     }
 
     /// Dials `addr`, speaking `proto` under fault plan `plan`. The
-    /// backend timeout bounds a TCP connect and every read, so a backend
+    /// backend timeout bounds the connect and every read, so a backend
     /// that stops accepting or answering errors instead of hanging.
     fn dial(&self, addr: &BoundAddr, proto: LoadProto, plan: FaultPlan) -> io::Result<Client> {
         let timeout = self.config.backend_read_timeout.get();
@@ -1351,6 +1352,53 @@ mod tests {
         let err = dialed.expect_err("connected to a full accept queue");
         assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{err}");
         drop((queued, listener));
+    }
+
+    /// The same on a Unix socket, where a blocking connect to a full
+    /// accept queue waits until the backend accepts, however long.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_dial_to_a_unix_backend_that_never_accepts_gives_up() {
+        use crate::net::Stream;
+        use std::os::unix::net::UnixListener;
+        use std::sync::mpsc;
+
+        const TIMEOUT: Duration = Duration::from_millis(100);
+        let path =
+            std::env::temp_dir().join(format!("faascache-full-queue-{}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let listener = UnixListener::bind(&path).expect("bind");
+        let addr = BoundAddr::Unix(path.clone());
+        let config = RouterConfig {
+            backend_read_timeout: Period::ms(100),
+            ..RouterConfig::default()
+        };
+        let shared = RouterShared::new(vec![BackendSpec { addr, http: None }], config);
+        let (filled_tx, filled) = mpsc::channel();
+        let (tx, rx) = mpsc::channel();
+        // On a thread, so a dial that hangs fails this test instead of
+        // hanging it.
+        thread::spawn(move || {
+            let addr = &shared.backends[0].spec.addr;
+            let mut queued = Vec::new();
+            while let Ok(conn) = Stream::connect(addr, Some(TIMEOUT)) {
+                queued.push(conn);
+                assert!(queued.len() <= 65_536, "the accept queue never filled");
+            }
+            let _ = filled_tx.send(queued.len());
+            let _ = tx.send(shared.dial_control(0).map(drop));
+            drop(queued);
+        });
+        let queued = filled
+            .recv_timeout(Duration::from_secs(10))
+            .expect("a dial to fill the accept queue was still waiting");
+        let dialed = rx
+            .recv_timeout(TIMEOUT * 10)
+            .expect("the dial was still waiting after ten timeouts");
+        let err = dialed.expect_err("connected to a full accept queue");
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut, "after {queued}: {err}");
+        drop(listener);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

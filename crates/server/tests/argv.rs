@@ -8,11 +8,13 @@
 //! - parsing never panics, and returns a config or a usage error that
 //!   names one of the argv's flags;
 //! - a daemon config that parses binds (`Ok` or `InvalidInput`) within
-//!   1 s and, bound, answers at least one of a 10-invoke session unless
-//!   it injects faults, and drains, within 5 s;
+//!   1 s and, bound, answers a ping and at least one of a 10-invoke
+//!   session unless it injects faults, and drains, within 5 s;
 //! - a router config does the same, in front of one in-process daemon.
 //!
 //! `FAASCACHE_ARGV_CASES=N` sets the case count per binary (default 256).
+//! A bound server starts and drains through `support/start.rs`, the
+//! drain on a thread of its own so that a hang fails the case.
 //!
 //! Mutation check: a plain integer put back in place of a non-zero type
 //! fails the property. With `DaemonConfig::shards` a `usize`, daemon
@@ -22,13 +24,17 @@
 //! forward, and the router answers none of its session. Both argv are
 //! also pinned in `pinned_argv_cases_are_refused`.
 
+#[path = "support/start.rs"]
+mod start;
+
 use faascache_server::cli::{self, UsageError};
 use faascache_server::client::{Client, LoadProto};
-use faascache_server::daemon::{BoundAddr, Daemon, DaemonConfig, Endpoint, ShutdownHandle};
+use faascache_server::daemon::{BoundAddr, Daemon, DaemonConfig, Endpoint};
 use faascache_server::{IoModel, Period, WorkloadConfig};
 use faascache_util::route::LoadBalancer;
 use faascache_util::MemMb;
 use proptest::prelude::*;
+use start::{Running, Start};
 use std::io;
 use std::num::NonZeroUsize;
 use std::path::PathBuf;
@@ -186,20 +192,20 @@ fn assert_names_a_flag(argv: &[String], e: &UsageError) {
 }
 
 /// A call running on a thread of its own.
-struct Running<T> {
+struct Call<T> {
     result: mpsc::Receiver<T>,
     thread: thread::JoinHandle<()>,
 }
 
-fn start<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> Running<T> {
+fn call<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> Call<T> {
     let (tx, result) = mpsc::channel();
     let thread = thread::spawn(move || {
         let _ = tx.send(f());
     });
-    Running { result, thread }
+    Call { result, thread }
 }
 
-impl<T> Running<T> {
+impl<T> Call<T> {
     /// The call's result, joined, if it returned within `limit`; `None`
     /// if it panicked, or if it still runs (its thread is then left).
     fn wait(self, limit: Duration) -> Option<T> {
@@ -222,16 +228,11 @@ fn bound<S>(argv: &[String], bind: Option<io::Result<S>>) -> Option<S> {
 }
 
 /// Ten invokes of function 0, reconnecting after an error, then a
-/// drain: `run` must report drained within [`SESSION_LIMIT`], and a
-/// server without injected faults must answer at least one invoke.
-fn session(
-    argv: &[String],
-    addr: BoundAddr,
-    shutdown: ShutdownHandle,
-    run: impl FnOnce() -> bool + Send + 'static,
-) {
-    let started = Instant::now();
-    let running = start(run);
+/// drain: the server, started at `started`, must report drained within
+/// [`SESSION_LIMIT`] of it, and without injected faults must answer at
+/// least one invoke.
+fn session<S: Start>(argv: &[String], started: Instant, server: Running<S>) {
+    let addr = server.addr.clone();
     let mut answered = 0;
     let mut conn: Option<Client> = None;
     for _ in 0..10 {
@@ -248,9 +249,9 @@ fn session(
         }
     }
     drop(conn);
-    shutdown.request();
-    let drained = running.wait(SESSION_LIMIT.saturating_sub(started.elapsed()));
-    assert_eq!(drained, Some(true), "{argv:?}: no drain within 5 s");
+    let drained =
+        call(move || server.drain()).wait(SESSION_LIMIT.saturating_sub(started.elapsed()));
+    assert!(drained.is_some(), "{argv:?}: no drain within 5 s");
     let faulted = argv.iter().any(|a| a.ends_with("faults"));
     assert!(
         faulted || answered > 0,
@@ -263,9 +264,8 @@ fn check_daemon(argv: Vec<String>) {
         Ok(args) => args,
         Err(e) => return assert_names_a_flag(&argv, &e),
     };
-    if let Some(daemon) = bound(&argv, start(move || args.bind()).wait(BIND_LIMIT)) {
-        let (addr, shutdown) = (daemon.bound_addr(), daemon.shutdown_handle());
-        session(&argv, addr, shutdown, move || daemon.run().drained);
+    if let Some(daemon) = bound(&argv, call(move || args.bind()).wait(BIND_LIMIT)) {
+        session(&argv, Instant::now(), daemon.start());
     }
 }
 
@@ -274,9 +274,8 @@ fn check_router(argv: Vec<String>) {
         Ok(args) => args,
         Err(e) => return assert_names_a_flag(&argv, &e),
     };
-    if let Some(router) = bound(&argv, start(move || args.bind()).wait(BIND_LIMIT)) {
-        let (addr, shutdown) = (router.bound_addr(), router.shutdown_handle());
-        session(&argv, addr, shutdown, move || router.run().drained);
+    if let Some(router) = bound(&argv, call(move || args.bind()).wait(BIND_LIMIT)) {
+        session(&argv, Instant::now(), router.start());
     }
 }
 
@@ -299,10 +298,10 @@ fn backend() -> &'static str {
         let registry = workload.build().registry().clone();
         let daemon =
             Daemon::bind(&endpoint, None, DaemonConfig::default(), registry).expect("backend");
-        let BoundAddr::Tcp(addr) = daemon.bound_addr() else {
+        // Never drained: it serves until the process exits.
+        let BoundAddr::Tcp(addr) = daemon.start().addr else {
             unreachable!("a tcp endpoint")
         };
-        thread::spawn(move || daemon.run());
         addr.to_string()
     })
 }

@@ -26,14 +26,29 @@
 //!
 //! `FAASCACHE_DIFF_REQUESTS=N` widens the differential case count (CI
 //! runs it elevated); the default keeps local `cargo test` fast.
+//!
+//! In-process routers and daemons start and drain through
+//! `support/start.rs`; a backend process is `support/child.rs`'s
+//! `Faascached` (stopped by SIGTERM, SIGKILLed when dropped); every
+//! `/metrics` read goes through `support/metrics.rs`.
 
+#[cfg(unix)]
+#[path = "support/child.rs"]
+mod child;
+#[path = "support/metrics.rs"]
+mod metrics;
+#[path = "support/start.rs"]
+mod start;
+#[path = "support/workload.rs"]
+mod workload;
+
+#[cfg(unix)]
+use child::{temp_path, Faascached};
 use faascache_core::policy::PolicyKind;
 use faascache_platform::sharded::{InvokeOutcome, Outcomes};
 use faascache_server::client::{self, Client, LoadOptions, LoadProto, RetryPolicy};
-use faascache_server::daemon::{
-    BoundAddr, Daemon, DaemonConfig, DaemonReport, Endpoint, IoModel, ShutdownHandle,
-};
-use faascache_server::router::{BackendSpec, Router, RouterConfig, RouterReport};
+use faascache_server::daemon::{BoundAddr, Daemon, DaemonConfig, Endpoint, IoModel};
+use faascache_server::router::{BackendSpec, Router, RouterConfig};
 use faascache_server::{Period, WorkloadConfig};
 use faascache_sim::cluster::{run_cluster, ClusterConfig};
 use faascache_sim::SimConfig;
@@ -41,244 +56,79 @@ use faascache_trace::record::Trace;
 use faascache_trace::replay::OpenLoopSchedule;
 use faascache_util::route::LoadBalancer;
 use faascache_util::MemMb;
+use metrics::series;
+use start::{Running, Start};
+use std::net::SocketAddr;
 use std::num::NonZeroUsize;
-use std::sync::OnceLock;
 use std::thread;
 use std::time::{Duration, Instant};
+use workload::shared_schedule;
 
-const READY_TIMEOUT: Duration = Duration::from_secs(10);
-
-/// The same workload contract the conformance suite uses; children are
-/// spawned with matching `--functions`/`--seed` flags.
-const WORKLOAD_FUNCTIONS: NonZeroUsize = NonZeroUsize::new(32).unwrap();
-const WORKLOAD_SEED: u64 = 11;
-
-fn shared_schedule() -> &'static (WorkloadConfig, OpenLoopSchedule) {
-    static SCHED: OnceLock<(WorkloadConfig, OpenLoopSchedule)> = OnceLock::new();
-    SCHED.get_or_init(|| {
-        let workload = WorkloadConfig {
-            functions: WORKLOAD_FUNCTIONS,
-            seed: WORKLOAD_SEED,
-            horizon_mins: 10,
-            ..WorkloadConfig::default()
-        };
-        let trace = workload.build();
-        (workload, OpenLoopSchedule::from_trace(&trace, 10_000.0))
-    })
-}
-
-/// Boots an in-process router over `backends` with both fronts bound and
-/// waits until it answers pings.
-fn boot_router(
-    backends: Vec<BackendSpec>,
-    config: RouterConfig,
-) -> (
-    BoundAddr,
-    BoundAddr,
-    ShutdownHandle,
-    thread::JoinHandle<RouterReport>,
-) {
+/// Binds an in-process router over `backends` with both fronts and
+/// starts it; returns its HTTP front too.
+fn boot_router(backends: Vec<BackendSpec>, config: RouterConfig) -> (BoundAddr, Running<Router>) {
     let endpoint = Endpoint::Tcp("127.0.0.1:0".to_string());
     let router =
         Router::bind(&endpoint, Some("127.0.0.1:0"), config, backends).expect("bind router");
-    let addr = router.bound_addr();
     let http = router.bound_http_addr().expect("router http front bound");
-    let handle = router.shutdown_handle();
-    let join = thread::spawn(move || router.run());
-    client::await_ready(&addr, READY_TIMEOUT).expect("router ready");
-    (addr, http, handle, join)
+    (http, router.start())
 }
 
-/// Drains the router and asserts the drain was clean.
-fn drain_router(handle: &ShutdownHandle, join: thread::JoinHandle<RouterReport>) -> RouterReport {
-    handle.request();
-    let report = join.join().expect("router panicked");
-    assert!(report.drained, "router reported drained=false");
-    report
+/// The `/metrics` body served at `http`.
+fn exposition(http: &BoundAddr) -> String {
+    let mut client = Client::connect(http, LoadProto::Http).expect("connect gateway");
+    client.metrics().expect("scrape metrics")
 }
 
-// ---------------------------------------------------------------------
-// Multi-process harness: real faascached children on unix sockets.
-// ---------------------------------------------------------------------
+/// Scrapes one series from the `/metrics` served at `http`.
+fn scrape(http: &BoundAddr, name: &str) -> u64 {
+    series(&exposition(http), name)
+}
 
+/// The five aggregate outcome series `family{outcome="..."}` of one
+/// scrape at `http`. The per-tenant variants carry a second label and do
+/// not match.
+fn scrape_outcomes(http: &BoundAddr, family: &str) -> Outcomes {
+    let body = exposition(http);
+    Outcomes::from(InvokeOutcome::ALL.map(|outcome| {
+        series(
+            &body,
+            &format!("{family}{{outcome=\"{}\"}}", outcome.label()),
+        )
+    }))
+}
+
+/// The `faascache_registry_digest` gauge of the gateway at `http`.
+fn registry_digest(http: SocketAddr) -> u64 {
+    scrape(&BoundAddr::Tcp(http), "faascache_registry_digest")
+}
+
+/// A `faascached` child serving the shared workload on `sock`, with two
+/// shards; `extra` flags come last and override.
 #[cfg(unix)]
-mod children {
-    use super::*;
-    use std::io::BufRead;
-    use std::net::SocketAddr;
-    use std::path::PathBuf;
-    use std::process::{Child, Command, Stdio};
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    static SOCK_SEQ: AtomicUsize = AtomicUsize::new(0);
-
-    /// One `faascached` child process serving a unix socket plus an HTTP
-    /// gateway (for the router's health prober and the metrics checks).
-    pub struct ChildBackend {
-        child: Child,
-        sock: PathBuf,
-        http: SocketAddr,
-        stderr_drain: Option<thread::JoinHandle<()>>,
-    }
-
-    impl ChildBackend {
-        pub fn spawn(io: IoModel, tag: &str) -> ChildBackend {
-            let seq = SOCK_SEQ.fetch_add(1, Ordering::Relaxed);
-            let sock = std::env::temp_dir().join(format!(
-                "faascache-cluster-{}-{tag}-{seq}.sock",
-                std::process::id()
-            ));
-            Self::spawn_configured(io, sock, "127.0.0.1:0", None)
-        }
-
-        /// [`Self::spawn`] with pinned endpoints and an optional
-        /// `--state-dir` — the knobs the restart-rejoin scenario needs
-        /// to bring a backend back on the exact addresses the router
-        /// already probes.
-        pub fn spawn_configured(
-            io: IoModel,
-            sock: PathBuf,
-            http_listen: &str,
-            state_dir: Option<&std::path::Path>,
-        ) -> ChildBackend {
-            let _ = std::fs::remove_file(&sock);
-            let mut args = vec![
-                "--unix".to_string(),
-                sock.to_str().expect("socket path is utf-8").to_string(),
-                "--http-listen".to_string(),
-                http_listen.to_string(),
-                "--io-model".to_string(),
-                io.to_string(),
-                "--shards".to_string(),
-                "2".to_string(),
-                "--mem-mb".to_string(),
-                "2048".to_string(),
-                "--queue-bound".to_string(),
-                "256".to_string(),
-                "--functions".to_string(),
-                WORKLOAD_FUNCTIONS.to_string(),
-                "--seed".to_string(),
-                WORKLOAD_SEED.to_string(),
-            ];
-            if let Some(dir) = state_dir {
-                args.push("--state-dir".to_string());
-                args.push(dir.to_str().expect("state dir is utf-8").to_string());
-            }
-            let mut child = Command::new(env!("CARGO_BIN_EXE_faascached"))
-                .args(&args)
-                .stdout(Stdio::null())
-                .stderr(Stdio::piped())
-                .spawn()
-                .expect("spawn faascached");
-
-            // The child announces its ephemeral gateway port on stderr;
-            // read lines until it shows up, then keep draining in the
-            // background so a full pipe can never block the child.
-            let stderr = child.stderr.take().expect("stderr piped");
-            let mut lines = std::io::BufReader::new(stderr);
-            let deadline = Instant::now() + READY_TIMEOUT;
-            let mut http = None;
-            let mut line = String::new();
-            while http.is_none() {
-                assert!(
-                    Instant::now() < deadline,
-                    "faascached never announced its http gateway"
-                );
-                line.clear();
-                let n = lines.read_line(&mut line).expect("read child stderr");
-                assert!(n > 0, "faascached exited before announcing its gateway");
-                if let Some(rest) = line.trim().strip_prefix("faascached: http gateway on Tcp(") {
-                    http = Some(
-                        rest.trim_end_matches(')')
-                            .parse()
-                            .expect("parse gateway addr"),
-                    );
-                }
-            }
-            let stderr_drain = Some(thread::spawn(move || {
-                let _ = std::io::copy(&mut lines, &mut std::io::sink());
-            }));
-
-            let backend = ChildBackend {
-                child,
-                sock,
-                http: http.unwrap(),
-                stderr_drain,
-            };
-            client::await_ready(&backend.addr(), READY_TIMEOUT).expect("backend ready");
-            backend
-        }
-
-        pub fn addr(&self) -> BoundAddr {
-            BoundAddr::Unix(self.sock.clone())
-        }
-
-        pub fn spec(&self) -> BackendSpec {
-            BackendSpec {
-                addr: self.addr(),
-                http: Some(self.http),
-            }
-        }
-
-        /// Scrapes the child's `/metrics` and returns its aggregate
-        /// outcome counters. Matches only the single-label series —
-        /// per-tenant variants carry an extra label and must not double
-        /// count.
-        pub fn outcome_counters(&self) -> Outcomes {
-            let mut http = Client::connect(&BoundAddr::Tcp(self.http), LoadProto::Http)
-                .expect("connect child gateway");
-            let body = http.metrics().expect("scrape child metrics");
-            let get = |label: &str| -> u64 {
-                let prefix = format!("faascache_requests_total{{outcome=\"{label}\"}} ");
-                body.lines()
-                    .find_map(|l| l.strip_prefix(prefix.as_str()))
-                    .unwrap_or_else(|| panic!("metrics missing outcome={label}:\n{body}"))
-                    .trim()
-                    .parse()
-                    .expect("counter parses")
-            };
-            Outcomes::from(InvokeOutcome::ALL.map(|outcome| get(outcome.label())))
-        }
-
-        /// Scrapes the child's `faascache_registry_digest` gauge.
-        pub fn registry_digest(&self) -> u64 {
-            let mut http = Client::connect(&BoundAddr::Tcp(self.http), LoadProto::Http)
-                .expect("connect child gateway");
-            let body = http.metrics().expect("scrape child metrics");
-            body.lines()
-                .find_map(|l| l.strip_prefix("faascache_registry_digest "))
-                .unwrap_or_else(|| panic!("metrics missing registry digest:\n{body}"))
-                .trim()
-                .parse()
-                .expect("digest parses")
-        }
-
-        /// Graceful teardown: protocol Shutdown, then reap and assert a
-        /// clean exit.
-        pub fn shutdown_clean(mut self) {
-            Client::connect(&self.addr(), LoadProto::Binary)
-                .expect("connect for shutdown")
-                .shutdown()
-                .expect("shutdown frame");
-            let status = self.child.wait().expect("wait for child");
-            assert!(status.success(), "faascached exited with {status}");
-            if let Some(drain) = self.stderr_drain.take() {
-                let _ = drain.join();
-            }
-            let _ = std::fs::remove_file(&self.sock);
-        }
-
-        /// Hard kill (SIGKILL) — the failure the ejection machinery is
-        /// for. Reaps the corpse so nothing leaks.
-        pub fn kill(mut self) {
-            let _ = self.child.kill();
-            let _ = self.child.wait();
-            if let Some(drain) = self.stderr_drain.take() {
-                let _ = drain.join();
-            }
-            let _ = std::fs::remove_file(&self.sock);
-        }
-    }
+fn backend(io: IoModel, sock: std::path::PathBuf, extra: &[&str]) -> Faascached {
+    let (workload, _) = shared_schedule();
+    let (io, functions, seed) = (
+        io.to_string(),
+        workload.functions.to_string(),
+        workload.seed.to_string(),
+    );
+    let mut args = vec![
+        "--io-model",
+        &io,
+        "--shards",
+        "2",
+        "--mem-mb",
+        "2048",
+        "--queue-bound",
+        "256",
+        "--functions",
+        &functions,
+        "--seed",
+        &seed,
+    ];
+    args.extend_from_slice(extra);
+    Faascached::spawn(sock, &args)
 }
 
 // ---------------------------------------------------------------------
@@ -287,18 +137,17 @@ mod children {
 
 #[cfg(unix)]
 fn e2e_case(io: IoModel, balancer: LoadBalancer) {
-    use children::ChildBackend;
-
     let (_, schedule) = shared_schedule();
     let tag = format!("{io}-{}", balancer.label());
-    let backends: Vec<ChildBackend> = (0..3).map(|_| ChildBackend::spawn(io, &tag)).collect();
-    let specs = backends.iter().map(|b| b.spec()).collect();
+    let backends: Vec<Faascached> = (0..3).map(|_| backend(io, temp_path(&tag), &[])).collect();
+    let specs = backends.iter().map(BackendSpec::from).collect();
     let config = RouterConfig {
         balancer,
         health_interval: Period::ms(25),
         ..RouterConfig::default()
     };
-    let (addr, http, handle, join) = boot_router(specs, config);
+    let (http, router) = boot_router(specs, config);
+    let addr = router.addr.clone();
 
     // No retries and a generous timeout: every request gets exactly one
     // attempt, so the three tallies below must agree *exactly*.
@@ -337,21 +186,14 @@ fn e2e_case(io: IoModel, balancer: LoadBalancer) {
         report.summary_line()
     );
     // ... as must its own `/metrics` front.
-    let series = InvokeOutcome::ALL.map(|outcome| {
-        let name = format!(
-            "faasrouter_requests_total{{outcome=\"{}\"}}",
-            outcome.label()
-        );
-        router_series(&http, &name)
-    });
     assert_eq!(
-        Outcomes::from(series),
+        scrape_outcomes(&http, "faasrouter_requests_total"),
         stats.outcomes,
         "{tag}: router /metrics diverge from its stats"
     );
     let routed: u64 = (0..backends.len())
         .map(|i| {
-            router_series(
+            scrape(
                 &http,
                 &format!("faasrouter_backend_routed_total{{backend=\"{i}\"}}"),
             )
@@ -363,7 +205,7 @@ fn e2e_case(io: IoModel, balancer: LoadBalancer) {
     // equal the router's — every forward executed on exactly one backend.
     let mut summed = Outcomes::default();
     for b in &backends {
-        summed += b.outcome_counters();
+        summed += scrape_outcomes(&BoundAddr::Tcp(b.http), "faascache_requests_total");
     }
     assert_eq!(
         summed, stats.outcomes,
@@ -373,9 +215,8 @@ fn e2e_case(io: IoModel, balancer: LoadBalancer) {
     // A `mem_mb` beyond the u32 wire range is refused at the router's
     // HTTP front exactly as a backend's gateway refuses it — 400 — and
     // never clamped into a broadcast.
-    let digests = |bs: &[ChildBackend]| -> Vec<u64> {
-        bs.iter().map(ChildBackend::registry_digest).collect()
-    };
+    let digests =
+        |bs: &[Faascached]| -> Vec<u64> { bs.iter().map(|b| registry_digest(b.http)).collect() };
     let before = digests(&backends);
     // The client holds `mem_mb` as a u32, so the request goes out raw.
     let refused = {
@@ -404,7 +245,7 @@ fn e2e_case(io: IoModel, balancer: LoadBalancer) {
         "{tag}: a refused register reached a backend"
     );
 
-    let rreport = drain_router(&handle, join);
+    let rreport = router.drain();
     assert_eq!(
         rreport.local_rejects,
         0,
@@ -423,7 +264,7 @@ fn e2e_case(io: IoModel, balancer: LoadBalancer) {
         }
     }
     for b in backends {
-        b.shutdown_clean();
+        b.terminate();
     }
 }
 
@@ -450,13 +291,11 @@ fn router_serves_all_balancers_over_live_backends_epoll() {
 #[cfg(unix)]
 #[test]
 fn killing_a_backend_mid_run_loses_nothing() {
-    use children::ChildBackend;
-
     let (_, schedule) = shared_schedule();
-    let mut backends: Vec<ChildBackend> = (0..3)
-        .map(|_| ChildBackend::spawn(IoModel::Threads, "kill"))
+    let mut backends: Vec<Faascached> = (0..3)
+        .map(|_| backend(IoModel::Threads, temp_path("kill"), &[]))
         .collect();
-    let specs = backends.iter().map(|b| b.spec()).collect();
+    let specs = backends.iter().map(BackendSpec::from).collect();
     let config = RouterConfig {
         balancer: LoadBalancer::FunctionAffinity,
         health_interval: Period::ms(25),
@@ -464,7 +303,8 @@ fn killing_a_backend_mid_run_loses_nothing() {
         hop_retries: 6,
         ..RouterConfig::default()
     };
-    let (addr, _http, handle, join) = boot_router(specs, config);
+    let (_, router) = boot_router(specs, config);
+    let addr = router.addr.clone();
 
     // Keyed retries: a request whose backend dies mid-flight is retried
     // (hop-side and client-side) until a survivor answers it.
@@ -485,7 +325,7 @@ fn killing_a_backend_mid_run_loses_nothing() {
     // SIGKILL a backend while the replay is in flight (the 1200-request
     // schedule spans ~120 ms at 10k rps).
     thread::sleep(Duration::from_millis(30));
-    backends.remove(2).kill();
+    drop(backends.remove(2)); // SIGKILL
 
     let report = load.join().expect("load thread panicked");
     assert_eq!(
@@ -502,7 +342,7 @@ fn killing_a_backend_mid_run_loses_nothing() {
     );
     assert_eq!(report.lost(), 0, "lost requests: {}", report.summary_line());
 
-    let rreport = drain_router(&handle, join);
+    let rreport = router.drain();
     assert!(
         rreport.ejections() >= 1,
         "killed backend never ejected: {}",
@@ -529,7 +369,7 @@ fn killing_a_backend_mid_run_loses_nothing() {
         rreport.summary_line()
     );
     for b in backends {
-        b.shutdown_clean();
+        b.terminate();
     }
 }
 
@@ -537,28 +377,13 @@ fn killing_a_backend_mid_run_loses_nothing() {
 // Restart-rejoin: SIGKILL, restart from --state-dir, reconcile, readmit.
 // ---------------------------------------------------------------------
 
-/// Scrapes one unlabelled-or-exact-labelled series from the router's
-/// `/metrics` front.
-#[cfg(unix)]
-fn router_series(http: &BoundAddr, series: &str) -> u64 {
-    let mut client = Client::connect(http, LoadProto::Http).expect("connect router http");
-    let body = client.metrics().expect("scrape router metrics");
-    let prefix = format!("{series} ");
-    body.lines()
-        .find_map(|l| l.strip_prefix(prefix.as_str()))
-        .unwrap_or_else(|| panic!("router metrics missing {series}:\n{body}"))
-        .trim()
-        .parse()
-        .expect("series parses")
-}
-
 /// Polls the router until `series` reads `want` (health transitions are
 /// prober-paced, so give them a real deadline).
 #[cfg(unix)]
 fn await_router_series(http: &BoundAddr, series: &str, want: u64) {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        if router_series(http, series) == want {
+        if scrape(http, series) == want {
             return;
         }
         assert!(
@@ -581,30 +406,27 @@ fn await_router_series(http: &BoundAddr, series: &str, want: u64) {
 #[cfg(unix)]
 #[test]
 fn killed_backend_restarted_from_state_dir_rejoins_converged() {
-    use children::ChildBackend;
-
     let (_, schedule) = shared_schedule();
-    let state_dir =
-        std::env::temp_dir().join(format!("faascache-rejoin-state-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&state_dir);
+    let state_dir = temp_path("rejoin-state");
 
-    let survivor = ChildBackend::spawn(IoModel::Threads, "rejoin");
+    let survivor = backend(IoModel::Threads, temp_path("rejoin"), &[]);
     // Pin the journaling backend's endpoints so its restart is
     // indistinguishable to the router's prober.
-    let sock = std::env::temp_dir().join(format!("faascache-rejoin-{}.sock", std::process::id()));
+    let sock = temp_path("rejoin");
     let http_port = {
         let probe = std::net::TcpListener::bind("127.0.0.1:0").expect("reserve port");
         probe.local_addr().expect("local addr").port()
     };
     let http_listen = format!("127.0.0.1:{http_port}");
-    let victim = ChildBackend::spawn_configured(
-        IoModel::Threads,
-        sock.clone(),
+    let journaling = [
+        "--http-listen",
         &http_listen,
-        Some(&state_dir),
-    );
+        "--state-dir",
+        state_dir.to_str().expect("state dir is utf-8"),
+    ];
+    let victim = backend(IoModel::Threads, sock.clone(), &journaling);
 
-    let specs = vec![survivor.spec(), victim.spec()];
+    let specs = vec![BackendSpec::from(&survivor), BackendSpec::from(&victim)];
     let config = RouterConfig {
         balancer: LoadBalancer::FunctionAffinity,
         health_interval: Period::ms(25),
@@ -612,7 +434,8 @@ fn killed_backend_restarted_from_state_dir_rejoins_converged() {
         hop_retries: 6,
         ..RouterConfig::default()
     };
-    let (addr, http, handle, join) = boot_router(specs, config);
+    let (http, router) = boot_router(specs, config);
+    let addr = router.addr.clone();
 
     // A registration broadcast while both backends are healthy: the
     // victim journals it, so recovery alone must bring it back.
@@ -622,7 +445,7 @@ fn killed_backend_restarted_from_state_dir_rejoins_converged() {
         .expect("broadcast register");
     assert!(created);
 
-    victim.kill();
+    drop(victim); // SIGKILL
     await_router_series(&http, "faasrouter_backend_healthy{backend=\"1\"}", 0);
 
     // A registration while the victim is dead: only the survivor acks
@@ -636,21 +459,16 @@ fn killed_backend_restarted_from_state_dir_rejoins_converged() {
 
     // Restart from the same state dir on the same endpoints. The router
     // must reconcile before readmitting.
-    let revived = ChildBackend::spawn_configured(
-        IoModel::Threads,
-        sock.clone(),
-        &http_listen,
-        Some(&state_dir),
-    );
+    let revived = backend(IoModel::Threads, sock.clone(), &journaling);
     assert_eq!(
-        revived.spec().http,
-        Some(http_listen.parse().expect("pinned gateway addr")),
+        revived.http,
+        http_listen.parse().expect("pinned gateway addr"),
         "restart did not reclaim the pinned gateway address"
     );
     await_router_series(&http, "faasrouter_backend_healthy{backend=\"1\"}", 1);
     // The log: pre-kill-fn, while-dead-fn and the quota.
     const LOG_LEN: u64 = 3;
-    let reconciled = || router_series(&http, "faasrouter_backend_reconciled_total{backend=\"1\"}");
+    let reconciled = || scrape(&http, "faasrouter_backend_reconciled_total{backend=\"1\"}");
     assert_eq!(
         reconciled(),
         LOG_LEN,
@@ -660,8 +478,8 @@ fn killed_backend_restarted_from_state_dir_rejoins_converged() {
     // Registries converged: journal recovery restored pre-kill-fn,
     // reconciliation delivered while-dead-fn.
     assert_eq!(
-        survivor.registry_digest(),
-        revived.registry_digest(),
+        registry_digest(survivor.http),
+        registry_digest(revived.http),
         "registry digests diverge after rejoin"
     );
     let mut direct =
@@ -685,17 +503,12 @@ fn killed_backend_restarted_from_state_dir_rejoins_converged() {
     // Again: its journal now holds every mutation the router logged, so
     // the restarted registry already matches the survivor's, and the
     // whole log is replayed all the same.
-    revived.kill();
+    drop(revived); // SIGKILL
     await_router_series(&http, "faasrouter_backend_healthy{backend=\"1\"}", 0);
-    let revived = ChildBackend::spawn_configured(
-        IoModel::Threads,
-        sock.clone(),
-        &http_listen,
-        Some(&state_dir),
-    );
+    let revived = backend(IoModel::Threads, sock.clone(), &journaling);
     assert_eq!(
-        survivor.registry_digest(),
-        revived.registry_digest(),
+        registry_digest(survivor.http),
+        registry_digest(revived.http),
         "journal recovery lost a replayed mutation"
     );
     await_router_series(&http, "faasrouter_backend_healthy{backend=\"1\"}", 1);
@@ -731,7 +544,7 @@ fn killed_backend_restarted_from_state_dir_rejoins_converged() {
         report.summary_line()
     );
 
-    let rreport = drain_router(&handle, join);
+    let rreport = router.drain();
     assert!(
         rreport.ejections() >= 1,
         "victim was never ejected: {}",
@@ -742,8 +555,8 @@ fn killed_backend_restarted_from_state_dir_rejoins_converged() {
         "rejoined backend not healthy at exit: {}",
         rreport.summary_line()
     );
-    survivor.shutdown_clean();
-    revived.shutdown_clean();
+    survivor.terminate();
+    revived.terminate();
     let _ = std::fs::remove_dir_all(&state_dir);
 }
 
@@ -752,11 +565,9 @@ fn killed_backend_restarted_from_state_dir_rejoins_converged() {
 // front door that accepts as connections arrive.
 // ---------------------------------------------------------------------
 
-type RunningDaemon = (ShutdownHandle, thread::JoinHandle<DaemonReport>);
-
 /// Boots an in-process threads-model backend with an empty registry and
 /// an HTTP gateway (for the digest scrape).
-fn boot_empty_backend() -> (BackendSpec, RunningDaemon) {
+fn boot_empty_backend() -> (BackendSpec, Running<Daemon>) {
     let config = DaemonConfig {
         shards: NonZeroUsize::new(1).unwrap(),
         read_timeout: Period::ms(10),
@@ -770,39 +581,15 @@ fn boot_empty_backend() -> (BackendSpec, RunningDaemon) {
         faascache_core::function::FunctionRegistry::new(),
     )
     .expect("bind backend");
-    let addr = daemon.bound_addr();
     let Some(BoundAddr::Tcp(http)) = daemon.bound_http_addr() else {
         unreachable!("gateway is tcp")
     };
-    let handle = daemon.shutdown_handle();
-    let join = thread::spawn(move || daemon.run());
-    client::await_ready(&addr, READY_TIMEOUT).expect("backend ready");
+    let daemon = daemon.start();
     let spec = BackendSpec {
-        addr,
+        addr: daemon.addr.clone(),
         http: Some(http),
     };
-    (spec, (handle, join))
-}
-
-fn drain_daemon((handle, join): RunningDaemon) -> DaemonReport {
-    handle.request();
-    let report = join.join().expect("daemon panicked");
-    assert!(report.drained, "daemon reported drained=false");
-    report
-}
-
-fn scrape_registry_digest(spec: &BackendSpec) -> u64 {
-    let http = BoundAddr::Tcp(spec.http.expect("backend has a gateway"));
-    let body = Client::connect(&http, LoadProto::Http)
-        .expect("connect gateway")
-        .metrics()
-        .expect("scrape metrics");
-    body.lines()
-        .find_map(|l| l.strip_prefix("faascache_registry_digest "))
-        .unwrap_or_else(|| panic!("metrics missing registry digest:\n{body}"))
-        .trim()
-        .parse()
-        .expect("digest parses")
+    (spec, daemon)
 }
 
 /// Regression: broadcasts used to take no lock, so two front connections
@@ -818,7 +605,8 @@ fn concurrent_registrations_mint_one_index_per_name_everywhere() {
     let (spec0, daemon0) = boot_empty_backend();
     let (spec1, daemon1) = boot_empty_backend();
     let specs = vec![spec0, spec1];
-    let (addr, _http, handle, join) = boot_router(specs.clone(), RouterConfig::default());
+    let (_, router) = boot_router(specs.clone(), RouterConfig::default());
+    let addr = router.addr.clone();
 
     let minted: Vec<(String, u32)> = thread::scope(|scope| {
         let registering: Vec<_> = (0..THREADS)
@@ -860,15 +648,16 @@ fn concurrent_registrations_mint_one_index_per_name_everywhere() {
             );
         }
     }
+    let digest = |spec: &BackendSpec| registry_digest(spec.http.expect("backend has a gateway"));
     assert_eq!(
-        scrape_registry_digest(&specs[0]),
-        scrape_registry_digest(&specs[1]),
+        digest(&specs[0]),
+        digest(&specs[1]),
         "registry digests diverge"
     );
 
-    drain_router(&handle, join);
-    drain_daemon(daemon0);
-    drain_daemon(daemon1);
+    router.drain();
+    daemon0.drain();
+    daemon1.drain();
 }
 
 /// A stand-in backend that speaks just enough of the binary protocol to
@@ -1000,7 +789,8 @@ fn a_register_acknowledged_during_a_replay_reaches_the_rejoining_backend() {
         readmit_cap: Duration::from_millis(20),
         ..RouterConfig::default()
     };
-    let (addr, http, handle, join) = boot_router(specs, config);
+    let (http, router) = boot_router(specs, config);
+    let addr = router.addr.clone();
 
     // The fake drops its probes: ejected. A registration meanwhile is
     // acknowledged by the survivor alone and logged for the replay.
@@ -1021,7 +811,7 @@ fn a_register_acknowledged_during_a_replay_reaches_the_rejoining_backend() {
     rejoining.state.alive.store(true, Ordering::SeqCst);
     rejoining
         .held
-        .recv_timeout(READY_TIMEOUT)
+        .recv_timeout(Duration::from_secs(10))
         .expect("the replay never reached the rejoining backend");
 
     // A second registration arrives while the replay is held, and gets a
@@ -1046,8 +836,8 @@ fn a_register_acknowledged_during_a_replay_reaches_the_rejoining_backend() {
     );
 
     drop(conn);
-    drain_router(&handle, join);
-    drain_daemon(daemon);
+    router.drain();
+    daemon.drain();
 }
 
 /// The redial-once rule of the control plane's standing connections: one
@@ -1069,7 +859,8 @@ fn a_dead_standing_connection_is_redialed_once() {
         addr: backend.addr.clone(),
         http: None,
     };
-    let (addr, _http, handle, join) = boot_router(vec![spec], RouterConfig::default());
+    let (_, router) = boot_router(vec![spec], RouterConfig::default());
+    let addr = router.addr.clone();
 
     let mut conn = Client::connect(&addr, LoadProto::Binary).expect("connect router");
     for (i, name) in ["first", "second", "third"].into_iter().enumerate() {
@@ -1098,7 +889,7 @@ fn a_dead_standing_connection_is_redialed_once() {
     assert_eq!(backend.state.names.lock().unwrap().len(), 3);
 
     drop(conn);
-    drain_router(&handle, join);
+    router.drain();
 }
 
 /// Guard for the router's accept path (the daemon's is in `daemon.rs`):
@@ -1111,7 +902,8 @@ fn the_router_accepts_as_connections_arrive_and_idles_in_the_kernel() {
     let (spec, daemon) = boot_empty_backend();
     let config = RouterConfig::default();
     let read_timeout = config.read_timeout;
-    let (addr, _http, handle, join) = boot_router(vec![spec], config);
+    let (_, router) = boot_router(vec![spec], config);
+    let addr = router.addr.clone();
 
     // Lowest of up to five medians over 200 dial + Ping + close round
     // trips: load on the host only lengthens one, and a sleep-paced
@@ -1140,7 +932,7 @@ fn the_router_accepts_as_connections_arrive_and_idles_in_the_kernel() {
     );
 
     thread::sleep(Duration::from_secs(1));
-    let report = drain_router(&handle, join);
+    let report = router.drain();
     // Per listener: one wake-up per read timeout of uptime, one for the
     // drain, one of slack; and one per connection accepted.
     let timeouts = report.uptime.as_millis() / read_timeout.get().as_millis();
@@ -1151,7 +943,7 @@ fn the_router_accepts_as_connections_arrive_and_idles_in_the_kernel() {
         report.accept_wakeups,
         report.uptime
     );
-    drain_daemon(daemon);
+    daemon.drain();
 }
 
 // ---------------------------------------------------------------------
@@ -1201,25 +993,28 @@ fn live_cluster_run(trace: &Trace, balancer: LoadBalancer) -> (Vec<u64>, (u64, u
         io_model: IoModel::Threads,
         ..DaemonConfig::default()
     };
-    let mut daemons: Vec<(ShutdownHandle, thread::JoinHandle<DaemonReport>)> = Vec::new();
-    let mut specs = Vec::new();
-    for _ in 0..DIFF_SERVERS {
-        let endpoint = Endpoint::Tcp("127.0.0.1:0".to_string());
-        let daemon = Daemon::bind(&endpoint, None, dconfig.clone(), trace.registry().clone())
-            .expect("bind daemon");
-        let addr = daemon.bound_addr();
-        let handle = daemon.shutdown_handle();
-        let join = thread::spawn(move || daemon.run());
-        client::await_ready(&addr, READY_TIMEOUT).expect("daemon ready");
-        specs.push(BackendSpec { addr, http: None });
-        daemons.push((handle, join));
-    }
+    let endpoint = Endpoint::Tcp("127.0.0.1:0".to_string());
+    let daemons: Vec<Running<Daemon>> = (0..DIFF_SERVERS)
+        .map(|_| {
+            Daemon::bind(&endpoint, None, dconfig.clone(), trace.registry().clone())
+                .expect("bind daemon")
+                .start()
+        })
+        .collect();
+    let specs = daemons
+        .iter()
+        .map(|d| BackendSpec {
+            addr: d.addr.clone(),
+            http: None,
+        })
+        .collect();
     let config = RouterConfig {
         balancer,
         seed: DIFF_SEED,
         ..RouterConfig::default()
     };
-    let (addr, _http, handle, join) = boot_router(specs, config);
+    let (_, router) = boot_router(specs, config);
+    let addr = router.addr.clone();
 
     // Closed loop: one connection, next request only after the previous
     // response — live routing decisions line up 1:1 with the simulator's
@@ -1241,12 +1036,10 @@ fn live_cluster_run(trace: &Trace, balancer: LoadBalancer) -> (Vec<u64>, (u64, u
     }
     drop(conn);
 
-    let rreport = drain_router(&handle, join);
+    let rreport = router.drain();
     let routed = rreport.per_backend.iter().map(|b| b.routed).collect();
-    for (handle, join) in daemons {
-        handle.request();
-        let dreport = join.join().expect("daemon panicked");
-        assert!(dreport.drained, "daemon reported drained=false");
+    for daemon in daemons {
+        daemon.drain();
     }
     (routed, (warm, cold))
 }

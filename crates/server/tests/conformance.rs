@@ -26,21 +26,37 @@
 //! thread-per-connection model and once (on Linux) for the epoll
 //! reactor, so the whole chaos matrix — including the 100-seed CI sweep —
 //! runs against `--io-model epoll` too.
+//!
+//! In-process daemons and routers start and drain through
+//! `support/start.rs`, the SIGTERM test's process is
+//! `support/child.rs`'s `Faascached`, and the one `/metrics` read goes
+//! through `support/metrics.rs`.
+
+#[cfg(unix)]
+#[path = "support/child.rs"]
+mod child;
+#[path = "support/metrics.rs"]
+mod metrics;
+#[path = "support/start.rs"]
+mod start;
+#[path = "support/workload.rs"]
+mod workload;
 
 use faascache_platform::sharded::{InvokeOutcome, Outcomes, RebalanceConfig};
 use faascache_platform::tenant::{TenantQuota, TenantQuotas};
 use faascache_server::client::{self, Client, LoadOptions, LoadProto, RetryPolicy};
-use faascache_server::daemon::{
-    BoundAddr, Daemon, DaemonConfig, DaemonReport, Endpoint, IoModel, ShutdownHandle,
-};
+use faascache_server::daemon::{BoundAddr, Daemon, DaemonConfig, Endpoint, IoModel};
 use faascache_server::fault::FaultConfig;
 use faascache_server::{Period, WorkloadConfig};
 use faascache_trace::replay::OpenLoopSchedule;
 use faascache_util::MemMb;
+use start::{Running, Start};
 use std::num::NonZeroUsize;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::OnceLock;
 use std::thread;
 use std::time::{Duration, Instant};
+use workload::shared_schedule;
 
 const DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
 /// Slack for thread joins and socket teardown on top of the daemon's own
@@ -55,21 +71,6 @@ fn chaos_seeds() -> Vec<u64> {
         Err(_) => 6,
     };
     (1..=n).collect()
-}
-
-/// The workload and schedule are identical across seeds; build them once.
-fn shared_schedule() -> &'static (WorkloadConfig, OpenLoopSchedule) {
-    static SCHED: OnceLock<(WorkloadConfig, OpenLoopSchedule)> = OnceLock::new();
-    SCHED.get_or_init(|| {
-        let workload = WorkloadConfig {
-            functions: NonZeroUsize::new(32).unwrap(),
-            seed: 11,
-            horizon_mins: 10,
-            ..WorkloadConfig::default()
-        };
-        let trace = workload.build();
-        (workload, OpenLoopSchedule::from_trace(&trace, 10_000.0))
-    })
 }
 
 fn chaos_daemon_config(io: IoModel, faults: Option<FaultConfig>) -> DaemonConfig {
@@ -88,24 +89,17 @@ fn chaos_daemon_config(io: IoModel, faults: Option<FaultConfig>) -> DaemonConfig
     }
 }
 
-fn boot(config: DaemonConfig) -> (BoundAddr, ShutdownHandle, thread::JoinHandle<DaemonReport>) {
+fn boot(config: DaemonConfig) -> Running<Daemon> {
     let (workload, _) = shared_schedule();
     boot_with(workload, config)
 }
 
-fn boot_with(
-    workload: &WorkloadConfig,
-    config: DaemonConfig,
-) -> (BoundAddr, ShutdownHandle, thread::JoinHandle<DaemonReport>) {
+fn boot_with(workload: &WorkloadConfig, config: DaemonConfig) -> Running<Daemon> {
     let trace = workload.build();
     let endpoint = Endpoint::Tcp("127.0.0.1:0".to_string());
     let daemon =
         Daemon::bind(&endpoint, None, config, trace.registry().clone()).expect("bind daemon");
-    let addr = daemon.bound_addr();
-    let handle = daemon.shutdown_handle();
-    let join = thread::spawn(move || daemon.run());
-    client::await_ready(&addr, Duration::from_secs(5)).expect("daemon ready");
-    (addr, handle, join)
+    daemon.start()
 }
 
 fn retrying_load(requests: u64, retries: u32, faults: Option<FaultConfig>) -> LoadOptions {
@@ -123,16 +117,9 @@ fn retrying_load(requests: u64, retries: u32, faults: Option<FaultConfig>) -> Lo
 }
 
 /// Boots a daemon serving BOTH listeners (binary + HTTP gateway) and
-/// returns both addresses: HTTP chaos drives the gateway while the
-/// binary address keeps `await_ready`/stats probes available.
-fn boot_http(
-    config: DaemonConfig,
-) -> (
-    BoundAddr,
-    BoundAddr,
-    ShutdownHandle,
-    thread::JoinHandle<DaemonReport>,
-) {
+/// returns the gateway's address with it: HTTP chaos drives the gateway
+/// while the binary address keeps `await_ready`/stats probes available.
+fn boot_http(config: DaemonConfig) -> (BoundAddr, Running<Daemon>) {
     let (workload, _) = shared_schedule();
     let trace = workload.build();
     let endpoint = Endpoint::Tcp("127.0.0.1:0".to_string());
@@ -143,32 +130,23 @@ fn boot_http(
         trace.registry().clone(),
     )
     .expect("bind daemon with http");
-    let addr = daemon.bound_addr();
     let http_addr = daemon.bound_http_addr().expect("http listener bound");
-    let handle = daemon.shutdown_handle();
-    let join = thread::spawn(move || daemon.run());
-    client::await_ready(&addr, Duration::from_secs(5)).expect("daemon ready");
-    (addr, http_addr, handle, join)
+    (http_addr, daemon.start())
 }
 
-/// Drains the daemon via its handle and asserts the drain is clean and
-/// completes within the configured window (plus join slack).
-fn drain_bounded(
-    handle: &ShutdownHandle,
-    join: thread::JoinHandle<DaemonReport>,
-    seed: u64,
-) -> DaemonReport {
+/// Drains the server and asserts the drain is clean and completes within
+/// the configured window (plus join slack); a failure names the chaos
+/// seed that reproduces it.
+fn drain_bounded<S: Start>(server: Running<S>, seed: u64) -> S::Report {
     let asked = Instant::now();
-    handle.request();
-    let report = join.join().unwrap_or_else(|_| {
-        panic!("daemon panicked under chaos seed {seed}");
-    });
+    let report = panic::catch_unwind(AssertUnwindSafe(|| server.drain()))
+        .unwrap_or_else(|_| panic!("seed {seed}: the {} did not drain cleanly", S::NAME));
     let took = asked.elapsed();
     assert!(
         took < DRAIN_TIMEOUT + DRAIN_SLACK,
-        "seed {seed}: drain took {took:?}, exceeding the {DRAIN_TIMEOUT:?} window"
+        "seed {seed}: {} drain took {took:?}, exceeding the {DRAIN_TIMEOUT:?} window",
+        S::NAME
     );
-    assert!(report.drained, "seed {seed}: daemon reported drained=false");
     report
 }
 
@@ -183,7 +161,8 @@ fn chaos_sweep(io: IoModel) {
         // Independent client-side schedule: derive from a distinct seed
         // space so the two sides' faults are uncorrelated.
         let client_faults = FaultConfig::chaos(seed ^ 0x5EED_5EED_5EED_5EED);
-        let (addr, handle, join) = boot(chaos_daemon_config(io, Some(server_faults)));
+        let daemon = boot(chaos_daemon_config(io, Some(server_faults)));
+        let addr = daemon.addr.clone();
 
         let opts = retrying_load(200, 8, Some(client_faults));
         let report = client::run_load_with(&addr, schedule, opts);
@@ -201,7 +180,7 @@ fn chaos_sweep(io: IoModel) {
             report.summary_line()
         );
 
-        let daemon_report = drain_bounded(&handle, join, seed);
+        let daemon_report = drain_bounded(daemon, seed);
         eprintln!(
             "chaos seed {seed} ({io}): client[{}] daemon[{}]",
             report.summary_line(),
@@ -233,7 +212,8 @@ fn resets_exactly_once(io: IoModel) {
             reset: 0.05,
             ..FaultConfig::disabled()
         };
-        let (addr, handle, join) = boot(chaos_daemon_config(io, Some(resets_only)));
+        let daemon = boot(chaos_daemon_config(io, Some(resets_only)));
+        let addr = daemon.addr.clone();
 
         let opts = retrying_load(200, 12, None);
         let report = client::run_load_with(&addr, schedule, opts);
@@ -261,7 +241,7 @@ fn resets_exactly_once(io: IoModel) {
             report.summary_line()
         );
 
-        let daemon_report = drain_bounded(&handle, join, seed);
+        let daemon_report = drain_bounded(daemon, seed);
         assert!(
             report.retried == 0 || daemon_report.dedup_hits > 0 || daemon_report.frames > 0,
             "seed {seed}: inconsistent retry accounting"
@@ -302,7 +282,8 @@ fn journaled_chaos_sweep(io: IoModel) {
         let (journal, _) = Journal::open(&dir).expect("open journal");
         let mut config = chaos_daemon_config(io, Some(FaultConfig::chaos(seed)));
         config.journal = Some(Arc::new(Mutex::new(journal)));
-        let (addr, handle, join) = boot(config);
+        let daemon = boot(config);
+        let addr = daemon.addr.clone();
 
         // Control-plane mutations ride the same faulted wire as the
         // load; retry each until the daemon acks it.
@@ -344,7 +325,7 @@ fn journaled_chaos_sweep(io: IoModel) {
             "seed {seed}: lost requests with journaling on: {}",
             report.summary_line()
         );
-        drain_bounded(&handle, join, seed);
+        drain_bounded(daemon, seed);
 
         // The journal survives whatever the chaos did: it reopens
         // cleanly with no torn tail (every append was fsynced whole).
@@ -386,7 +367,8 @@ fn journaled_resets_acked_means_durable(io: IoModel) {
         };
         let mut config = chaos_daemon_config(io, Some(resets_only));
         config.journal = Some(Arc::new(Mutex::new(journal)));
-        let (addr, handle, join) = boot(config);
+        let daemon = boot(config);
+        let addr = daemon.addr.clone();
 
         let mut acked = Vec::new();
         for i in 0..16 {
@@ -409,7 +391,7 @@ fn journaled_resets_acked_means_durable(io: IoModel) {
                 }
             }
         }
-        drain_bounded(&handle, join, seed);
+        drain_bounded(daemon, seed);
 
         let (_, recovered) = Journal::open(&dir).expect("reopen journal");
         for name in &acked {
@@ -460,7 +442,7 @@ fn http_chaos_sweep(io: IoModel) {
     for seed in chaos_seeds() {
         let server_faults = FaultConfig::chaos(seed);
         let client_faults = FaultConfig::chaos(seed ^ 0x5EED_5EED_5EED_5EED);
-        let (_, http_addr, handle, join) = boot_http(chaos_daemon_config(io, Some(server_faults)));
+        let (http_addr, daemon) = boot_http(chaos_daemon_config(io, Some(server_faults)));
 
         let opts = LoadOptions {
             proto: LoadProto::Http,
@@ -481,7 +463,7 @@ fn http_chaos_sweep(io: IoModel) {
             report.summary_line()
         );
 
-        let daemon_report = drain_bounded(&handle, join, seed);
+        let daemon_report = drain_bounded(daemon, seed);
         eprintln!(
             "http chaos seed {seed} ({io}): client[{}] daemon[{}]",
             report.summary_line(),
@@ -514,7 +496,8 @@ fn http_resets_exactly_once(io: IoModel) {
             reset: 0.05,
             ..FaultConfig::disabled()
         };
-        let (addr, http_addr, handle, join) = boot_http(chaos_daemon_config(io, Some(resets_only)));
+        let (http_addr, daemon) = boot_http(chaos_daemon_config(io, Some(resets_only)));
+        let addr = daemon.addr.clone();
 
         let opts = LoadOptions {
             proto: LoadProto::Http,
@@ -541,7 +524,7 @@ fn http_resets_exactly_once(io: IoModel) {
             report.summary_line()
         );
 
-        let daemon_report = drain_bounded(&handle, join, seed);
+        let daemon_report = drain_bounded(daemon, seed);
         eprintln!(
             "http reset seed {seed} ({io}): retried={} dedup_hits={}",
             report.retried, daemon_report.dedup_hits
@@ -599,8 +582,8 @@ fn rebalancing_chaos_sweep(io: IoModel) {
     for seed in chaos_seeds() {
         let server_faults = FaultConfig::chaos(seed);
         let client_faults = FaultConfig::chaos(seed ^ 0x5EED_5EED_5EED_5EED);
-        let (addr, handle, join) =
-            boot_with(workload, rebalancing_daemon_config(io, Some(server_faults)));
+        let daemon = boot_with(workload, rebalancing_daemon_config(io, Some(server_faults)));
+        let addr = daemon.addr.clone();
 
         let opts = retrying_load(200, 8, Some(client_faults));
         let report = client::run_load_with(&addr, schedule, opts);
@@ -623,7 +606,7 @@ fn rebalancing_chaos_sweep(io: IoModel) {
         // the daemon never executed) — the reset-only test below does
         // that; here the client-side ledger and the bounded drain are
         // the contract.
-        let daemon_report = drain_bounded(&handle, join, seed);
+        let daemon_report = drain_bounded(daemon, seed);
         eprintln!(
             "rebalancing chaos seed {seed} ({io}): migrations={} client[{}] daemon[{}]",
             daemon_report.stats.migrations,
@@ -658,8 +641,8 @@ fn rebalancing_resets_exactly_once(io: IoModel) {
             reset: 0.05,
             ..FaultConfig::disabled()
         };
-        let (addr, handle, join) =
-            boot_with(workload, rebalancing_daemon_config(io, Some(resets_only)));
+        let daemon = boot_with(workload, rebalancing_daemon_config(io, Some(resets_only)));
+        let addr = daemon.addr.clone();
 
         let opts = retrying_load(200, 12, None);
         let report = client::run_load_with(&addr, schedule, opts);
@@ -683,7 +666,7 @@ fn rebalancing_resets_exactly_once(io: IoModel) {
             report.summary_line()
         );
 
-        let daemon_report = drain_bounded(&handle, join, seed);
+        let daemon_report = drain_bounded(daemon, seed);
         eprintln!(
             "rebalancing reset seed {seed} ({io}): migrations={} retried={} dedup_hits={}",
             daemon_report.stats.migrations, report.retried, daemon_report.dedup_hits
@@ -705,11 +688,7 @@ fn rebalancing_preserves_exactly_once_under_resets_epoll() {
 /// Boots the chaos daemon with the shared workload's functions split
 /// between two tenants — even registry indices belong to `alpha`, odd to
 /// `beta` — under the given quota table.
-fn boot_tenants(
-    io: IoModel,
-    faults: Option<FaultConfig>,
-    quotas: TenantQuotas,
-) -> (BoundAddr, ShutdownHandle, thread::JoinHandle<DaemonReport>) {
+fn boot_tenants(io: IoModel, faults: Option<FaultConfig>, quotas: TenantQuotas) -> Running<Daemon> {
     let (workload, _) = shared_schedule();
     let trace = workload.build();
     let mut registry = trace.registry().clone();
@@ -722,12 +701,9 @@ fn boot_tenants(
         ..chaos_daemon_config(io, faults)
     };
     let endpoint = Endpoint::Tcp("127.0.0.1:0".to_string());
-    let daemon = Daemon::bind(&endpoint, None, config, registry).expect("bind tenant daemon");
-    let addr = daemon.bound_addr();
-    let handle = daemon.shutdown_handle();
-    let join = thread::spawn(move || daemon.run());
-    client::await_ready(&addr, Duration::from_secs(5)).expect("daemon ready");
-    (addr, handle, join)
+    Daemon::bind(&endpoint, None, config, registry)
+        .expect("bind tenant daemon")
+        .start()
 }
 
 /// A fault mix with every chaos ingredient EXCEPT corruption: bit flips
@@ -770,7 +746,8 @@ fn multi_tenant_chaos_conserves_per_tenant(io: IoModel) {
                 mem_mb: u64::MAX,
             },
         );
-        let (addr, handle, join) = boot_tenants(io, Some(uncorrupted_chaos(seed)), quotas);
+        let daemon = boot_tenants(io, Some(uncorrupted_chaos(seed)), quotas);
+        let addr = daemon.addr.clone();
 
         let alpha_sched = schedule.filtered(|f| f.index() % 2 == 0);
         let beta_sched = schedule.filtered(|f| f.index() % 2 == 1);
@@ -815,7 +792,7 @@ fn multi_tenant_chaos_conserves_per_tenant(io: IoModel) {
             beta.summary_line()
         );
 
-        let daemon_report = drain_bounded(&handle, join, seed);
+        let daemon_report = drain_bounded(daemon, seed);
         eprintln!(
             "tenant chaos seed {seed} ({io}): alpha[{}] beta[{}] daemon[{}]",
             alpha.summary_line(),
@@ -858,7 +835,8 @@ fn multi_tenant_resets_exactly_once(io: IoModel) {
                 mem_mb: u64::MAX,
             },
         );
-        let (addr, handle, join) = boot_tenants(io, Some(resets_only), quotas);
+        let daemon = boot_tenants(io, Some(resets_only), quotas);
+        let addr = daemon.addr.clone();
 
         let alpha_sched = schedule.filtered(|f| f.index() % 2 == 0);
         let beta_sched = schedule.filtered(|f| f.index() % 2 == 1);
@@ -915,7 +893,7 @@ fn multi_tenant_resets_exactly_once(io: IoModel) {
             beta.summary_line()
         );
 
-        let daemon_report = drain_bounded(&handle, join, seed);
+        let daemon_report = drain_bounded(daemon, seed);
         eprintln!(
             "tenant reset seed {seed} ({io}): alpha throttled={} retried={} \
              beta retried={} dedup_hits={}",
@@ -945,7 +923,8 @@ fn multi_tenant_retries_stay_exactly_once_under_resets_epoll() {
 fn drain_under_faults(io: IoModel) {
     let (_, schedule) = shared_schedule();
     for seed in chaos_seeds().into_iter().take(3) {
-        let (addr, handle, join) = boot(chaos_daemon_config(io, Some(FaultConfig::chaos(seed))));
+        let daemon = boot(chaos_daemon_config(io, Some(FaultConfig::chaos(seed))));
+        let addr = daemon.addr.clone();
 
         let opts = retrying_load(400, 3, None);
         let load = {
@@ -954,7 +933,7 @@ fn drain_under_faults(io: IoModel) {
         };
         // Let the run get going, then yank the daemon out from under it.
         thread::sleep(Duration::from_millis(30));
-        let daemon_report = drain_bounded(&handle, join, seed);
+        let daemon_report = drain_bounded(daemon, seed);
 
         let report = load.join().expect("load thread panicked");
         assert_eq!(
@@ -982,14 +961,15 @@ fn drain_under_active_faults_is_bounded_and_conserving_epoll() {
 /// corruption could fabricate) is answered with an error and the daemon
 /// keeps serving; only the handle (or a signal) drains it.
 fn shutdown_gate(io: IoModel) {
-    let (addr, handle, join) = boot(chaos_daemon_config(io, None));
+    let daemon = boot(chaos_daemon_config(io, None));
+    let addr = daemon.addr.clone();
     let mut c = Client::connect(&addr, LoadProto::Binary).expect("connect");
     let err = c.shutdown().expect_err("gated shutdown must fail");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     c.ping()
         .expect("daemon must survive a gated shutdown request");
     drop(c);
-    let report = drain_bounded(&handle, join, 0);
+    let report = drain_bounded(daemon, 0);
     assert_eq!(report.protocol_errors, 0);
 }
 
@@ -1017,10 +997,11 @@ fn resets_are_not_protocol_errors(io: IoModel) {
             reset: 0.05,
             ..FaultConfig::disabled()
         };
-        let (addr, handle, join) = boot(chaos_daemon_config(io, Some(resets_only)));
+        let daemon = boot(chaos_daemon_config(io, Some(resets_only)));
+        let addr = daemon.addr.clone();
         let report = client::run_load_with(&addr, schedule, retrying_load(200, 12, None));
         assert!(report.retried > 0, "seed {seed}: no reset ever struck");
-        let daemon_report = drain_bounded(&handle, join, seed);
+        let daemon_report = drain_bounded(daemon, seed);
         assert_eq!(
             daemon_report.protocol_errors,
             0,
@@ -1050,30 +1031,26 @@ fn only_malformed_input_is_a_protocol_error(io: IoModel) {
     use std::io::Write;
     use std::net::TcpStream;
 
-    let (addr, http_addr, handle, join) = boot_http(chaos_daemon_config(io, None));
+    let (http_addr, daemon) = boot_http(chaos_daemon_config(io, None));
+    let addr = daemon.addr.clone();
     let (BoundAddr::Tcp(sock), BoundAddr::Tcp(http_sock)) = (&addr, &http_addr) else {
         unreachable!("tcp endpoints")
     };
     let mut scraper = Client::connect(&http_addr, LoadProto::Http).expect("connect gateway");
-    let mut gauge = |name: &str| -> u64 {
-        let body = scraper.metrics().expect("scrape metrics");
-        body.lines()
-            .find_map(|l| l.strip_prefix(name)?.trim().parse().ok())
-            .unwrap_or_else(|| panic!("metrics missing {name}:\n{body}"))
-    };
+    let mut gauge = |name: &str| metrics::series(&scraper.metrics().expect("scrape metrics"), name);
     // Waits until the daemon has accepted `more` connections since the
     // scraper's and reaped every one of them, then reads the
     // protocol-error count.
-    let accepted_before = gauge("faascache_connections_total ");
+    let accepted_before = gauge("faascache_connections_total");
     let mut errors_once_reaped = |more: u64| -> u64 {
         let deadline = Instant::now() + Duration::from_secs(5);
-        while gauge("faascache_connections_total ") != accepted_before + more
-            || gauge("faascache_open_connections ") != 1
+        while gauge("faascache_connections_total") != accepted_before + more
+            || gauge("faascache_open_connections") != 1
         {
             assert!(Instant::now() < deadline, "connection {more} never reaped");
             thread::sleep(Duration::from_millis(5));
         }
-        gauge("faascache_protocol_errors_total ")
+        gauge("faascache_protocol_errors_total")
     };
 
     // A real reset: closing a socket with an unread reply in its
@@ -1103,7 +1080,7 @@ fn only_malformed_input_is_a_protocol_error(io: IoModel) {
     assert_eq!(errors_once_reaped(3), 2, "{io}: EOF inside an HTTP request");
 
     drop(scraper);
-    let report = drain_bounded(&handle, join, 0);
+    let report = drain_bounded(daemon, 0);
     assert_eq!(report.protocol_errors, 2, "{io}: {}", report.summary_line());
 }
 
@@ -1142,7 +1119,8 @@ fn stalled_peers_cannot_hold_the_loop_epoll() {
         read_timeout: READ_TIMEOUT,
         ..chaos_daemon_config(IoModel::Epoll, None)
     };
-    let (addr, handle, join) = boot(config);
+    let daemon = boot(config);
+    let addr = daemon.addr.clone();
     let BoundAddr::Tcp(sock) = &addr else {
         unreachable!("tcp endpoint")
     };
@@ -1252,7 +1230,7 @@ fn stalled_peers_cannot_hold_the_loop_epoll() {
     drop(flood);
     drop(c);
 
-    let report = drain_bounded(&handle, join, 0);
+    let report = drain_bounded(daemon, 0);
     eprintln!(
         "hostile peers: median ping {best:?}, stalled peer cut after {cut_after:?}, \
          {} trickled pings, daemon[{}]",
@@ -1279,20 +1257,12 @@ fn stalled_peers_cannot_hold_the_loop_epoll() {
 /// signal flag of this test process stays untouched.
 #[cfg(unix)]
 fn sigterm_drains_child(io: IoModel) {
-    use std::process::{Command, Stdio};
-
-    let sock = std::env::temp_dir().join(format!(
-        "faascached-sigterm-{}-{}.sock",
-        std::process::id(),
-        io
-    ));
-    let _ = std::fs::remove_file(&sock);
-    let mut child = Command::new(env!("CARGO_BIN_EXE_faascached"))
-        .args([
-            "--unix",
-            sock.to_str().expect("utf8 path"),
+    let io = io.to_string();
+    let child = child::Faascached::spawn(
+        child::temp_path(&format!("sigterm-{io}")),
+        &[
             "--io-model",
-            &io.to_string(),
+            &io,
             "--shards",
             "2",
             "--functions",
@@ -1302,52 +1272,17 @@ fn sigterm_drains_child(io: IoModel) {
             "--faults",
             "seed=3,reset=0.01,torn=0.05,short-read=0.05,timeout=0.02,stall=0.01,stall-ms=2",
             "--no-remote-shutdown",
-        ])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn faascached");
-
-    let addr = BoundAddr::Unix(sock.clone());
-    client::await_ready(&addr, Duration::from_secs(10)).expect("child daemon ready");
+        ],
+    );
 
     // Put some faulty traffic through it so the drain has work to bound.
     let (_, schedule) = shared_schedule();
-    let report = client::run_load_with(&addr, schedule, retrying_load(100, 8, None));
+    let report = client::run_load_with(&child.addr(), schedule, retrying_load(100, 8, None));
     assert_eq!(report.lost(), 0, "lost requests against child daemon");
 
-    let kill = Command::new("kill")
-        .args(["-TERM", &child.id().to_string()])
-        .status()
-        .expect("run kill");
-    assert!(kill.success(), "kill -TERM failed");
-
-    let deadline = Instant::now() + DRAIN_TIMEOUT + DRAIN_SLACK;
-    let status = loop {
-        match child.try_wait().expect("try_wait") {
-            Some(status) => break status,
-            None if Instant::now() >= deadline => {
-                let _ = child.kill();
-                panic!("faascached did not exit within the drain window after SIGTERM");
-            }
-            None => thread::sleep(Duration::from_millis(20)),
-        }
-    };
-    assert!(status.success(), "faascached exited nonzero: {status:?}");
-
-    let mut stdout = String::new();
-    use std::io::Read as _;
-    child
-        .stdout
-        .take()
-        .expect("piped stdout")
-        .read_to_string(&mut stdout)
-        .expect("read child stdout");
-    assert!(
-        stdout.contains("drained=true"),
-        "summary line must report a clean drain, got: {stdout:?}"
-    );
-    assert!(!sock.exists(), "socket file must be unlinked on exit");
+    // Exit 0 within the drain window, `drained=true` on the summary
+    // line, and the socket file unlinked.
+    child.terminate();
 }
 
 #[cfg(unix)]
@@ -1369,8 +1304,6 @@ fn sigterm_drains_the_faulted_daemon_process_epoll() {
 
 use faascache_server::router::{BackendSpec, Router, RouterConfig, RouterReport};
 
-type DaemonHandles = Vec<(BoundAddr, ShutdownHandle, thread::JoinHandle<DaemonReport>)>;
-
 /// Boots three clean in-process daemons behind an in-process router
 /// whose *backend data connections* carry `hop_faults`. The client→
 /// router leg stays clean so the hop is the only thing under test, and
@@ -1378,35 +1311,18 @@ type DaemonHandles = Vec<(BoundAddr, ShutdownHandle, thread::JoinHandle<DaemonRe
 fn boot_cluster(
     io: IoModel,
     hop_faults: Option<FaultConfig>,
-) -> (
-    BoundAddr,
-    DaemonHandles,
-    ShutdownHandle,
-    thread::JoinHandle<RouterReport>,
-) {
+) -> (Running<Router>, Vec<Running<Daemon>>) {
     let (workload, _) = shared_schedule();
-    let trace = workload.build();
-    let mut daemons = Vec::new();
-    let mut specs = Vec::new();
-    for _ in 0..3 {
-        let endpoint = Endpoint::Tcp("127.0.0.1:0".to_string());
-        let daemon = Daemon::bind(
-            &endpoint,
-            None,
-            chaos_daemon_config(io, None),
-            trace.registry().clone(),
-        )
-        .expect("bind daemon");
-        let addr = daemon.bound_addr();
-        let handle = daemon.shutdown_handle();
-        let join = thread::spawn(move || daemon.run());
-        client::await_ready(&addr, Duration::from_secs(5)).expect("daemon ready");
-        specs.push(BackendSpec {
-            addr: addr.clone(),
+    let daemons: Vec<Running<Daemon>> = (0..3)
+        .map(|_| boot_with(workload, chaos_daemon_config(io, None)))
+        .collect();
+    let specs = daemons
+        .iter()
+        .map(|d| BackendSpec {
+            addr: d.addr.clone(),
             http: None,
-        });
-        daemons.push((addr, handle, join));
-    }
+        })
+        .collect();
     let config = RouterConfig {
         backend_faults: hop_faults,
         hop_retries: 8,
@@ -1422,33 +1338,18 @@ fn boot_cluster(
         specs,
     )
     .expect("bind router");
-    let addr = router.bound_addr();
-    let handle = router.shutdown_handle();
-    let join = thread::spawn(move || router.run());
-    client::await_ready(&addr, Duration::from_secs(5)).expect("router ready");
-    (addr, daemons, handle, join)
+    (router.start(), daemons)
 }
 
 /// Drains the router within its window, then every daemon within theirs.
 fn drain_cluster_bounded(
-    daemons: DaemonHandles,
-    handle: ShutdownHandle,
-    join: thread::JoinHandle<RouterReport>,
+    router: Running<Router>,
+    daemons: Vec<Running<Daemon>>,
     seed: u64,
 ) -> RouterReport {
-    let asked = Instant::now();
-    handle.request();
-    let report = join
-        .join()
-        .unwrap_or_else(|_| panic!("router panicked under hop chaos seed {seed}"));
-    let took = asked.elapsed();
-    assert!(
-        took < DRAIN_TIMEOUT + DRAIN_SLACK,
-        "seed {seed}: router drain took {took:?}, exceeding the {DRAIN_TIMEOUT:?} window"
-    );
-    assert!(report.drained, "seed {seed}: router reported drained=false");
-    for (_, handle, join) in daemons {
-        drain_bounded(&handle, join, seed);
+    let report = drain_bounded(router, seed);
+    for daemon in daemons {
+        drain_bounded(daemon, seed);
     }
     report
 }
@@ -1464,7 +1365,8 @@ fn router_hop_chaos_sweep(io: IoModel) {
     let (_, schedule) = shared_schedule();
     for seed in chaos_seeds() {
         let hop_faults = FaultConfig::chaos(seed);
-        let (addr, daemons, handle, join) = boot_cluster(io, Some(hop_faults));
+        let (router, daemons) = boot_cluster(io, Some(hop_faults));
+        let addr = router.addr.clone();
 
         let opts = retrying_load(200, 10, None);
         let report = client::run_load_with(&addr, schedule, opts);
@@ -1482,7 +1384,7 @@ fn router_hop_chaos_sweep(io: IoModel) {
             report.summary_line()
         );
 
-        let rreport = drain_cluster_bounded(daemons, handle, join, seed);
+        let rreport = drain_cluster_bounded(router, daemons, seed);
         // Hop faults must never eject a backend: ejection is reserved
         // for connect-refused (a dead process), not a flaky wire.
         assert_eq!(
@@ -1523,7 +1425,8 @@ fn router_hop_resets_exactly_once(io: IoModel) {
             reset: 0.05,
             ..FaultConfig::disabled()
         };
-        let (addr, daemons, handle, join) = boot_cluster(io, Some(resets_only));
+        let (router, daemons) = boot_cluster(io, Some(resets_only));
+        let addr = router.addr.clone();
 
         let opts = retrying_load(200, 12, None);
         let report = client::run_load_with(&addr, schedule, opts);
@@ -1538,8 +1441,8 @@ fn router_hop_resets_exactly_once(io: IoModel) {
 
         // Clean connections to the daemons themselves: sum their counters.
         let mut summed = Outcomes::default();
-        for (daddr, _, _) in &daemons {
-            let stats = Client::connect(daddr, LoadProto::Binary)
+        for daemon in &daemons {
+            let stats = Client::connect(&daemon.addr, LoadProto::Binary)
                 .expect("connect daemon")
                 .stats()
                 .expect("daemon stats");
@@ -1553,7 +1456,7 @@ fn router_hop_resets_exactly_once(io: IoModel) {
             report.summary_line()
         );
 
-        let rreport = drain_cluster_bounded(daemons, handle, join, seed);
+        let rreport = drain_cluster_bounded(router, daemons, seed);
         eprintln!(
             "hop reset seed {seed} ({io}): retried={} forward_errors={}",
             report.retried,

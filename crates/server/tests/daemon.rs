@@ -1,16 +1,25 @@
 //! End-to-end tests: a real `faascached` daemon on a real socket, driven
 //! by real protocol clients, with conservation checked on both sides.
+//! Daemons start (and some drain) through `support/start.rs`; scrapes
+//! read their series through `support/metrics.rs`.
+
+#[path = "support/metrics.rs"]
+mod metrics;
+#[path = "support/start.rs"]
+mod start;
 
 use faascache_platform::sharded::{InvokeOutcome, Outcomes};
 use faascache_server::client::{self, Client, LoadOptions, LoadProto, LoadReport, RetryPolicy};
 use faascache_server::daemon::{
-    BoundAddr, Daemon, DaemonConfig, DaemonReport, Endpoint, IoModel, ShutdownHandle,
+    BoundAddr, Daemon, DaemonConfig, DaemonReport, Endpoint, IoModel, ShutdownHandle, IDEM_CAPACITY,
 };
 use faascache_server::journal::Journal;
 use faascache_server::proto::{self, Request, Response};
 use faascache_server::{Period, WorkloadConfig};
 use faascache_trace::replay::OpenLoopSchedule;
 use faascache_util::MemMb;
+use metrics::series;
+use start::{Running, Start};
 use std::io;
 use std::num::NonZeroUsize;
 use std::path::PathBuf;
@@ -39,13 +48,12 @@ fn test_config() -> DaemonConfig {
     }
 }
 
-/// Boots a daemon on `endpoint` and hands (addr, join-handle to the
-/// report) to the test body.
-fn boot(endpoint: Endpoint) -> (BoundAddr, thread::JoinHandle<DaemonReport>) {
+/// Boots a daemon on `endpoint` and starts it.
+fn boot(endpoint: Endpoint) -> Running<Daemon> {
     boot_model(endpoint, IoModel::Threads)
 }
 
-fn boot_model(endpoint: Endpoint, io: IoModel) -> (BoundAddr, thread::JoinHandle<DaemonReport>) {
+fn boot_model(endpoint: Endpoint, io: IoModel) -> Running<Daemon> {
     let config = DaemonConfig {
         io_model: io,
         ..test_config()
@@ -53,37 +61,16 @@ fn boot_model(endpoint: Endpoint, io: IoModel) -> (BoundAddr, thread::JoinHandle
     boot_config(endpoint, config)
 }
 
-fn boot_config(
-    endpoint: Endpoint,
-    config: DaemonConfig,
-) -> (BoundAddr, thread::JoinHandle<DaemonReport>) {
+fn boot_config(endpoint: Endpoint, config: DaemonConfig) -> Running<Daemon> {
     let trace = small_workload().build();
     let daemon =
         Daemon::bind(&endpoint, None, config, trace.registry().clone()).expect("bind daemon");
-    let (addr, _, join) = start(daemon);
-    (addr, join)
-}
-
-/// Runs `daemon` on a thread of its own and waits until it answers.
-fn start(daemon: Daemon) -> (BoundAddr, ShutdownHandle, thread::JoinHandle<DaemonReport>) {
-    let addr = daemon.bound_addr();
-    let handle = daemon.shutdown_handle();
-    let join = thread::spawn(move || daemon.run());
-    client::await_ready(&addr, Duration::from_secs(5)).expect("daemon ready");
-    (addr, handle, join)
+    daemon.start()
 }
 
 /// Boots a daemon with BOTH listeners (binary + `--http-listen`) under
-/// the given io model; returns the binary address, the gateway address,
-/// the shutdown handle, and the report join-handle.
-fn boot_http_model(
-    io: IoModel,
-) -> (
-    BoundAddr,
-    BoundAddr,
-    ShutdownHandle,
-    thread::JoinHandle<DaemonReport>,
-) {
+/// the given io model and starts it; returns the gateway address too.
+fn boot_http_model(io: IoModel) -> (BoundAddr, Running<Daemon>) {
     let trace = small_workload().build();
     let config = DaemonConfig {
         io_model: io,
@@ -97,8 +84,7 @@ fn boot_http_model(
     )
     .expect("bind daemon with http");
     let http_addr = daemon.bound_http_addr().expect("http listener bound");
-    let (addr, handle, join) = start(daemon);
-    (addr, http_addr, handle, join)
+    (http_addr, daemon.start())
 }
 
 static SOCKET_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -131,7 +117,7 @@ fn session(endpoint: Endpoint, io: IoModel, proto: LoadProto) {
         LoadProto::Binary => daemon.bound_addr(),
         LoadProto::Http => daemon.bound_http_addr().expect("http listener bound"),
     };
-    let (_, handle, join) = start(daemon);
+    let Running { handle, join, .. } = daemon.start();
     exercise_protocol(proto, &target, &handle, join);
 }
 
@@ -276,8 +262,8 @@ fn http_only_checks(c: &mut Client, http_addr: &BoundAddr, served: u64) {
     // The Prometheus scrape must agree with what this sole client did.
     let metrics = c.metrics().expect("metrics");
     assert_eq!(
-        sample(&metrics, "faascache_requests_total{outcome=\"warm\"}")
-            + sample(&metrics, "faascache_requests_total{outcome=\"cold\"}"),
+        series(&metrics, "faascache_requests_total{outcome=\"warm\"}")
+            + series(&metrics, "faascache_requests_total{outcome=\"cold\"}"),
         served,
         "served outcome counters must match the client's tally"
     );
@@ -293,28 +279,18 @@ fn http_only_checks(c: &mut Client, http_addr: &BoundAddr, served: u64) {
         ["warm", "cold", "dropped", "rejected", "throttled"]
     );
     assert_eq!(
-        sample(&metrics, "faascache_shard_in_flight{shard=\"0\"}"),
+        series(&metrics, "faascache_shard_in_flight{shard=\"0\"}"),
         0
     );
     assert!(
         metrics.contains("faascache_shard_in_flight{shard=\"3\"}"),
         "per-shard gauges must cover all 4 shards:\n{metrics}"
     );
-    assert_eq!(sample(&metrics, "faascache_draining"), 0);
+    assert_eq!(series(&metrics, "faascache_draining"), 0);
     assert!(
-        sample(&metrics, "faascache_http_requests_total") >= served,
+        series(&metrics, "faascache_http_requests_total") >= served,
         "the scrape must count the {served} gateway invokes"
     );
-}
-
-/// The value of the series `name` (name and labels, as exposed) in a
-/// Prometheus text body.
-fn sample(metrics: &str, name: &str) -> u64 {
-    metrics
-        .lines()
-        .find_map(|l| l.strip_prefix(name))
-        .and_then(|rest| rest.trim().parse::<f64>().ok())
-        .unwrap_or_else(|| panic!("metric {name} missing from scrape:\n{metrics}")) as u64
 }
 
 #[cfg(unix)]
@@ -339,7 +315,7 @@ fn protocol_session_over_tcp() {
 
 #[test]
 fn bad_function_index_is_an_error_reply_not_a_crash() {
-    let (addr, join) = boot(tcp_endpoint());
+    let Running { addr, join, .. } = boot(tcp_endpoint());
     let mut c = Client::connect(&addr, LoadProto::Binary).expect("connect");
     let err = c.invoke(u32::MAX).expect_err("out-of-range index");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
@@ -384,9 +360,9 @@ fn bad_function_index_is_an_error_reply_not_a_crash() {
 /// fails the name rule is `InvalidInput` and reaches no daemon.
 #[test]
 fn the_http_client_refuses_a_name_that_would_rewrite_its_url() {
-    let (_, http_addr, handle, join) = boot_http_model(IoModel::Threads);
+    let (http_addr, Running { handle, join, .. }) = boot_http_model(IoModel::Threads);
     let mut c = Client::connect(&http_addr, LoadProto::Http).expect("connect gateway");
-    let epoch = sample(&c.metrics().expect("metrics"), "faascache_registry_epoch");
+    let epoch = series(&c.metrics().expect("metrics"), "faascache_registry_epoch");
     let err = c.register_in("f", 128, 1_000, 5_000, "a&mem_mb=4096");
     assert_eq!(err.unwrap_err().kind(), io::ErrorKind::InvalidInput);
     for tenant in ["a?inflight=0", "a/quota"] {
@@ -398,7 +374,7 @@ fn the_http_client_refuses_a_name_that_would_rewrite_its_url() {
         );
     }
     let metrics = c.metrics().expect("metrics");
-    assert_eq!(sample(&metrics, "faascache_registry_epoch"), epoch);
+    assert_eq!(series(&metrics, "faascache_registry_epoch"), epoch);
     assert!(!metrics.contains("tenant=\"a\""), "{metrics}");
     drop(c);
     handle.request();
@@ -495,25 +471,25 @@ fn zero_read_timeout_is_refused() {
 /// again.
 #[test]
 fn a_failed_keyed_invoke_does_not_shorten_its_keys_dedup_life() {
-    let config = DaemonConfig {
-        idem_capacity: 2,
-        ..test_config()
-    };
-    let (addr, join) = boot_config(unix_endpoint(), config);
+    let Running { addr, join, .. } = boot_config(unix_endpoint(), test_config());
     let mut c = Client::connect(&addr, LoadProto::Binary).expect("connect");
     let next = small_workload().functions.get() as u32;
-    c.invoke_keyed(next, 100).expect_err("not registered yet");
+    c.invoke_keyed(next, 0).expect_err("not registered yet");
     assert_eq!(c.register("late", 128, 1_000, 5_000).unwrap(), (next, true));
-    assert!(c.invoke_keyed(next, 100).expect("executes").is_served());
-    assert!(c.invoke_keyed(0, 200).expect("second key").is_served());
-    // Two keys in a cache of two: the retry is answered from the cache.
-    assert!(c.invoke_keyed(next, 100).expect("retry").is_served());
+    assert!(c.invoke_keyed(next, 0).expect("executes").is_served());
+    // Keys 1.. fill the cache to its capacity, whatever their outcomes.
+    let filling = IDEM_CAPACITY as u64 - 1;
+    for key in 1..=filling {
+        c.invoke_keyed(0, key).expect("a filling key");
+    }
+    // A full cache still holds the key: the retry is answered from it.
+    assert!(c.invoke_keyed(next, 0).expect("retry").is_served());
     c.shutdown().expect("shutdown");
     let report = join.join().expect("daemon thread");
     assert_eq!(report.dedup_hits, 1);
     assert_eq!(
-        report.stats.outcomes.served(),
-        2,
+        report.stats.outcomes.total(),
+        1 + filling,
         "the retry must not execute"
     );
 }
@@ -533,7 +509,7 @@ fn assert_sole_client_tallies(addr: &BoundAddr, report: &LoadReport, requests: u
 
 /// The binary load generator against a daemon on `io`.
 fn concurrent_load_loses_nothing(io: IoModel) {
-    let (addr, join) = boot_model(tcp_endpoint(), io);
+    let Running { addr, join, .. } = boot_model(tcp_endpoint(), io);
     let trace = small_workload().build();
     let schedule = OpenLoopSchedule::from_trace(&trace, 50_000.0);
     let requests = 20_000u64;
@@ -560,7 +536,7 @@ fn concurrent_clients_lose_nothing() {
 /// the median is near half the run rather than one round trip.
 #[test]
 fn load_latency_counts_the_wait_behind_a_late_schedule() {
-    let (addr, join) = boot(unix_endpoint());
+    let Running { addr, join, .. } = boot(unix_endpoint());
     let trace = small_workload().build();
     assert!(trace.len() >= 1_000, "{} invocations", trace.len());
     let schedule = OpenLoopSchedule::from_trace(&trace, 1e9);
@@ -624,7 +600,7 @@ fn a_rebalancing_daemon_keeps_a_zipf_load_balanced() {
     let trace = workload.build();
     let daemon = Daemon::bind(&unix_endpoint(), None, config, trace.registry().clone())
         .expect("bind daemon");
-    let (addr, _, join) = start(daemon);
+    let Running { addr, join, .. } = daemon.start();
 
     let schedule = OpenLoopSchedule::from_trace(&trace, 2_000.0);
     let retry = RetryPolicy::retries(8, Duration::from_millis(5), Duration::from_millis(250));
@@ -669,7 +645,7 @@ fn a_rebalancing_daemon_keeps_a_zipf_load_balanced() {
 #[cfg(target_os = "linux")]
 #[test]
 fn epoll_holds_an_idle_connection_herd() {
-    let (addr, join) = boot_model(unix_endpoint(), IoModel::Epoll);
+    let Running { addr, join, .. } = boot_model(unix_endpoint(), IoModel::Epoll);
     let herd = 512usize;
     let mut idle = Vec::with_capacity(herd);
     for _ in 0..herd {
@@ -713,7 +689,7 @@ fn decode_error_does_not_leak_frames_across_connections_epoll() {
     use faascache_server::proto::{self, Request, Response};
     use std::io::{Read, Write};
 
-    let (addr, join) = boot_model(tcp_endpoint(), IoModel::Epoll);
+    let Running { addr, join, .. } = boot_model(tcp_endpoint(), IoModel::Epoll);
     // An innocent session established before the poisoned one.
     let mut b = Client::connect(&addr, LoadProto::Binary).expect("connect b");
     b.ping().expect("ping b");
@@ -764,7 +740,7 @@ fn http_session_over_tcp_epoll() {
 /// generator replays the schedule as keep-alive `POST /invoke/<fn>` and
 /// the daemon-side counters must match the client's tallies exactly.
 fn http_load_loses_nothing(io: IoModel) {
-    let (addr, http_addr, handle, join) = boot_http_model(io);
+    let (http_addr, daemon) = boot_http_model(io);
     let trace = small_workload().build();
     let schedule = OpenLoopSchedule::from_trace(&trace, 50_000.0);
     let requests = 20_000u64;
@@ -777,11 +753,9 @@ fn http_load_loses_nothing(io: IoModel) {
             ..LoadOptions::new(50_000.0, requests, 4)
         },
     );
-    assert_sole_client_tallies(&addr, &report, requests);
+    assert_sole_client_tallies(&daemon.addr, &report, requests);
 
-    handle.request();
-    let daemon_report = join.join().expect("daemon thread");
-    assert!(daemon_report.drained);
+    let daemon_report = daemon.drain();
     assert_eq!(daemon_report.protocol_errors, 0);
     assert!(daemon_report.http_requests >= requests);
 }
@@ -808,7 +782,7 @@ fn http_concurrent_clients_lose_nothing_epoll() {
 fn healthz_flips_and_in_flight_completes(io: IoModel) {
     use std::io::{Read, Write};
 
-    let (_, http_addr, handle, join) = boot_http_model(io);
+    let (http_addr, Running { handle, join, .. }) = boot_http_model(io);
     let BoundAddr::Tcp(http_sock) = &http_addr else {
         unreachable!("gateway is tcp")
     };
@@ -910,9 +884,9 @@ const ACCEPT_BUDGET: Duration = Duration::from_micros(500);
 fn fresh_connections_are_accepted_as_they_arrive() {
     use std::io::{Read, Write};
 
-    let (addr, http_addr, handle, join) = boot_http_model(IoModel::Threads);
+    let (http_addr, daemon) = boot_http_model(IoModel::Threads);
     let binary = fresh_connection_median(|| {
-        Client::connect(&addr, LoadProto::Binary)
+        Client::connect(&daemon.addr, LoadProto::Binary)
             .expect("connect")
             .ping()
             .expect("ping");
@@ -938,9 +912,7 @@ fn fresh_connections_are_accepted_as_they_arrive() {
         "dial + GET /healthz + close took a median {http:?}"
     );
 
-    handle.request();
-    let report = join.join().expect("daemon thread");
-    assert!(report.drained);
+    let report = daemon.drain();
     assert_eq!(report.protocol_errors, 0);
 }
 
@@ -949,7 +921,7 @@ fn fresh_connections_are_accepted_as_they_arrive() {
 /// (to look at the signal flag), not 500 or 40 times a second, and a
 /// drain after the idle stretch does not wait for the next of those.
 fn an_idle_daemon_wakes_once_per_read_timeout(io: IoModel) {
-    let (_, _, handle, join) = boot_http_model(io);
+    let (_, Running { handle, join, .. }) = boot_http_model(io);
     thread::sleep(Duration::from_secs(1));
     let asked = Instant::now();
     handle.request();
@@ -1003,7 +975,7 @@ fn a_drain_request_wakes_the_sleeping_reactor_at_once_epoll() {
     let trace = small_workload().build();
     let daemon = Daemon::bind(&unix_endpoint(), None, config, trace.registry().clone())
         .expect("bind daemon");
-    let (_, handle, join) = start(daemon);
+    let Running { handle, join, .. } = daemon.start();
 
     thread::sleep(Duration::from_millis(300));
     let asked = Instant::now();
@@ -1034,7 +1006,7 @@ fn outlived_stall_deadlines_cost_no_busy_wait_epoll() {
     use std::io::Write;
 
     const PINGS: u64 = 50;
-    let (addr, join) = boot_model(unix_endpoint(), IoModel::Epoll);
+    let Running { addr, join, .. } = boot_model(unix_endpoint(), IoModel::Epoll);
     let mut conn = raw_unix(&addr);
     let ping = wire([Request::Ping]);
     for _ in 0..PINGS {
@@ -1101,7 +1073,7 @@ fn read_response(conn: &mut impl std::io::Read) -> faascache_server::proto::Resp
 #[cfg(target_os = "linux")]
 #[test]
 fn a_round_trip_costs_one_read_and_one_write_epoll() {
-    let (addr, join) = boot_model(unix_endpoint(), IoModel::Epoll);
+    let Running { addr, join, .. } = boot_model(unix_endpoint(), IoModel::Epoll);
     let mut c = Client::connect(&addr, LoadProto::Binary).expect("connect");
     for _ in 0..1_000 {
         c.ping().expect("ping");
@@ -1126,7 +1098,7 @@ fn a_round_trip_costs_one_read_and_one_write_epoll() {
 /// frame costs one `read`, and both drivers count at the same place.
 #[test]
 fn the_blocking_driver_counts_its_reads_and_writes() {
-    let (addr, join) = boot(tcp_endpoint());
+    let Running { addr, join, .. } = boot(tcp_endpoint());
     let mut c = Client::connect(&addr, LoadProto::Binary).expect("connect");
     for _ in 0..100 {
         c.ping().expect("ping");
@@ -1155,7 +1127,7 @@ fn pipelined_burst(io: IoModel) {
     use faascache_server::proto::{Request, Response};
     use std::io::Write;
 
-    let (addr, join) = boot_model(unix_endpoint(), io);
+    let Running { addr, join, .. } = boot_model(unix_endpoint(), io);
     let mut conn = raw_unix(&addr);
     // Odd positions name a function that does not exist; the error says
     // which, so a reply out of place cannot go unnoticed.
@@ -1228,7 +1200,7 @@ fn the_mutation_that_triggers_a_compaction_survives_it() {
     use faascache_server::journal::{JournalRecord, COMPACT_RECORDS};
 
     let (dir, journal, config) = journaled_config(IoModel::Threads);
-    let (addr, join) = boot_config(tcp_endpoint(), config);
+    let Running { addr, join, .. } = boot_config(tcp_endpoint(), config);
     let mut c = Client::connect(&addr, LoadProto::Binary).expect("connect");
     let total = COMPACT_RECORDS + 3;
     for i in 0..total {
@@ -1277,7 +1249,7 @@ fn a_tenant_past_the_tenant_table_is_refused_before_the_journal() {
     let daemon = Daemon::bind(&tcp_endpoint(), Some("127.0.0.1:0"), config, registry)
         .expect("bind daemon with http");
     let http_addr = daemon.bound_http_addr().expect("http listener bound");
-    let (addr, _, join) = start(daemon);
+    let Running { addr, join, .. } = daemon.start();
     let mut c = Client::connect(&addr, LoadProto::Binary).expect("connect");
     // The default tenant and these fill the table.
     let last = MAX_TENANTS - 1;
@@ -1375,7 +1347,7 @@ fn a_journaled_mutation_waits_off_the_reactor_and_keeps_its_place_epoll() {
     use std::io::Write;
 
     let (dir, journal, config) = journaled_config(IoModel::Epoll);
-    let (addr, join) = boot_config(unix_endpoint(), config);
+    let Running { addr, join, .. } = boot_config(unix_endpoint(), config);
     let functions = small_workload().functions.get() as u32;
 
     let at_the_disk = journal.lock().expect("journal mutex");
@@ -1442,7 +1414,7 @@ fn a_peer_that_never_reads_cannot_grow_the_daemon_epoll() {
     /// exist, whose error reply names it: the order check.
     const MARK: u32 = 1_000;
 
-    let (addr, join) = boot_model(unix_endpoint(), IoModel::Epoll);
+    let Running { addr, join, .. } = boot_model(unix_endpoint(), IoModel::Epoll);
     let mut slow = raw_unix(&addr);
     let mut sender = slow.try_clone().expect("clone the socket");
     let sent = Arc::new(AtomicU64::new(0));
@@ -1517,7 +1489,7 @@ fn a_peer_that_never_reads_cannot_grow_the_daemon_epoll() {
 
 #[test]
 fn shutdown_handle_drains_from_outside() {
-    let (addr, join) = boot(tcp_endpoint());
+    let Running { addr, join, .. } = boot(tcp_endpoint());
     let mut c = Client::connect(&addr, LoadProto::Binary).expect("connect");
     c.invoke(0).expect("invoke");
 

@@ -2,7 +2,8 @@
 //!
 //! Three suites, all asserting the same contract from different layers:
 //!
-//! 1. **Daemon hammer** — a real daemon (both io models) serves two
+//! 1. **Daemon hammer** — a real daemon (both io models, started and
+//!    drained through `support/start.rs`) serves two
 //!    tenants concurrently over real sockets: an *aggressor* whose
 //!    memory budget it slams into immediately, so that each of its
 //!    requests that would need a new container is throttled (its warm
@@ -23,17 +24,19 @@
 //!    time: the budget must bring the victim's cold-start rate back to
 //!    its solo value.
 
+#[path = "support/start.rs"]
+mod start;
+
 use faascache_core::function::{FunctionId, FunctionRegistry};
 use faascache_core::policy::{KeepAlivePolicy, PolicyKind};
 use faascache_platform::sharded::{InvokeOutcome, Outcomes, ShardedConfig, ShardedInvoker};
 use faascache_platform::tenant::{TenantQuota, TenantQuotas};
 use faascache_server::client::{self, LoadOptions, LoadProto, RetryPolicy};
-use faascache_server::daemon::{
-    BoundAddr, Daemon, DaemonConfig, DaemonReport, Endpoint, IoModel, ShutdownHandle,
-};
+use faascache_server::daemon::{Daemon, DaemonConfig, Endpoint, IoModel};
 use faascache_server::{Period, WorkloadConfig};
 use faascache_trace::replay::OpenLoopSchedule;
 use faascache_util::{MemMb, SimDuration, SimTime};
+use start::{Running, Start};
 use std::num::NonZeroUsize;
 use std::thread;
 use std::time::Duration;
@@ -49,10 +52,7 @@ use std::time::Duration;
 /// throttles until eviction or reap would shrink its footprint (which
 /// this clean, pressure-free run never does), while requests that find
 /// an idle container are served. The victim's quota is unlimited.
-fn boot_fairness_daemon(
-    io: IoModel,
-    workload: &WorkloadConfig,
-) -> (BoundAddr, ShutdownHandle, thread::JoinHandle<DaemonReport>) {
+fn boot_fairness_daemon(io: IoModel, workload: &WorkloadConfig) -> Running<Daemon> {
     let trace = workload.build();
     let mut registry = trace.registry().clone();
     let ids: Vec<_> = registry.iter().map(|spec| spec.id()).collect();
@@ -77,12 +77,9 @@ fn boot_fairness_daemon(
         ..DaemonConfig::default()
     };
     let endpoint = Endpoint::Tcp("127.0.0.1:0".to_string());
-    let daemon = Daemon::bind(&endpoint, None, config, registry).expect("bind fairness daemon");
-    let addr = daemon.bound_addr();
-    let handle = daemon.shutdown_handle();
-    let join = thread::spawn(move || daemon.run());
-    client::await_ready(&addr, Duration::from_secs(5)).expect("daemon ready");
-    (addr, handle, join)
+    Daemon::bind(&endpoint, None, config, registry)
+        .expect("bind fairness daemon")
+        .start()
 }
 
 fn clean_load(requests: u64, seed: u64) -> LoadOptions {
@@ -116,7 +113,8 @@ fn two_tenant_hammer(io: IoModel) {
     };
     let trace = workload.build();
     let schedule = OpenLoopSchedule::from_trace(&trace, 10_000.0);
-    let (addr, handle, join) = boot_fairness_daemon(io, &workload);
+    let daemon = boot_fairness_daemon(io, &workload);
+    let addr = daemon.addr.clone();
 
     let victim_sched = schedule.filtered(|f| f.index() % 2 == 0);
     let aggressor_sched = schedule.filtered(|f| f.index() % 2 == 1);
@@ -162,9 +160,7 @@ fn two_tenant_hammer(io: IoModel) {
         aggressor.summary_line()
     );
 
-    handle.request();
-    let daemon_report = join.join().expect("daemon panicked");
-    assert!(daemon_report.drained, "daemon reported drained=false");
+    let daemon_report = daemon.drain();
     let mut summed = victim.outcomes;
     summed += aggressor.outcomes;
     assert_eq!(

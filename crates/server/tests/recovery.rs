@@ -5,20 +5,53 @@
 //! Two layers of evidence:
 //!
 //! - **Process-level crash injection**: a real `faascached` child with
-//!   `--state-dir` takes registrations and quota updates over the wire,
-//!   is SIGKILLed (quiesced and mid-storm), and is restarted from the
-//!   same state dir. Every mutation that was *acked* before the kill
-//!   must survive: re-registering answers `created == false` at the
-//!   same index, the scraped `faascache_registry_digest` matches the
-//!   pre-crash value, and a journaled `inflight=0` quota still
-//!   throttles after the restart.
+//!   `--state-dir` (`support/child.rs`'s `Faascached`) takes
+//!   registrations and quota updates over the wire, is SIGKILLed by
+//!   dropping it (quiesced and mid-storm) or stopped by SIGTERM, and is
+//!   restarted from the same state dir. Every mutation that was *acked*
+//!   before the kill must survive: re-registering answers
+//!   `created == false` at the same index, the scraped
+//!   `faascache_registry_digest` matches the pre-crash value, and a
+//!   journaled `inflight=0` quota still throttles after the restart.
 //! - **Byte-level corruption**: proptests write arbitrarily truncated,
 //!   bit-flipped, or outright garbage journal bytes and assert
 //!   [`Journal::open`] never panics, recovers exactly the longest
 //!   valid record prefix, physically truncates the torn tail, and
 //!   resumes appending cleanly.
 
+#[cfg(unix)]
+#[path = "support/child.rs"]
+mod child;
+#[cfg(unix)]
+#[path = "support/metrics.rs"]
+mod metrics;
+
 use faascache_server::journal::{self, Journal, JournalRecord};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// A fresh directory under the system temp dir, removed on drop.
+struct Scratch(PathBuf);
+
+impl Scratch {
+    fn new(tag: &str) -> Scratch {
+        static SEQ: AtomicUsize = AtomicUsize::new(0);
+        let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!(
+            "faascache-recovery-{}-{tag}-{seq}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create scratch dir");
+        Scratch(dir)
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
 
 // ---------------------------------------------------------------------
 // Process-level crash injection.
@@ -26,180 +59,53 @@ use faascache_server::journal::{self, Journal, JournalRecord};
 
 #[cfg(unix)]
 mod crash {
+    use super::child::{temp_path, Faascached};
+    use super::metrics::series;
+    use super::Scratch;
     use faascache_platform::sharded::InvokeOutcome;
     use faascache_server::client::{self, Client, LoadOptions, LoadProto};
     use faascache_server::daemon::BoundAddr;
     use faascache_server::WorkloadConfig;
     use faascache_trace::replay::OpenLoopSchedule;
-    use std::io::{BufRead, Read};
-    use std::net::SocketAddr;
     use std::num::NonZeroUsize;
-    use std::path::{Path, PathBuf};
-    use std::process::{Child, Command, Stdio};
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::path::Path;
     use std::sync::{Arc, Mutex};
     use std::thread;
-    use std::time::{Duration, Instant};
+    use std::time::Duration;
 
-    const READY_TIMEOUT: Duration = Duration::from_secs(10);
-    static SEQ: AtomicUsize = AtomicUsize::new(0);
-
-    /// A scratch directory under the system temp dir, removed on drop.
-    pub struct Scratch(pub PathBuf);
-
-    impl Scratch {
-        pub fn new(tag: &str) -> Scratch {
-            let seq = SEQ.fetch_add(1, Ordering::Relaxed);
-            let dir = std::env::temp_dir().join(format!(
-                "faascache-recovery-{}-{tag}-{seq}",
-                std::process::id()
-            ));
-            let _ = std::fs::remove_dir_all(&dir);
-            std::fs::create_dir_all(&dir).expect("create scratch dir");
-            Scratch(dir)
-        }
+    /// A journaling `faascached` child on `state_dir`, serving eight
+    /// functions on two shards.
+    fn journaling(state_dir: &Path, tag: &str) -> Faascached {
+        let state_dir = state_dir.to_str().expect("state dir is utf-8");
+        Faascached::spawn(
+            temp_path(tag),
+            &[
+                "--state-dir",
+                state_dir,
+                "--shards",
+                "2",
+                "--mem-mb",
+                "2048",
+                "--queue-bound",
+                "256",
+                "--functions",
+                "8",
+                "--seed",
+                "11",
+            ],
+        )
     }
 
-    impl Drop for Scratch {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_dir_all(&self.0);
-        }
-    }
-
-    /// One journaling `faascached` child on a unix socket plus an HTTP
-    /// gateway for the digest scrapes.
-    struct JournalingChild {
-        child: Child,
-        sock: PathBuf,
-        http: SocketAddr,
-        stderr_drain: Option<thread::JoinHandle<()>>,
-    }
-
-    impl JournalingChild {
-        fn spawn(state_dir: &Path, tag: &str) -> JournalingChild {
-            let seq = SEQ.fetch_add(1, Ordering::Relaxed);
-            let sock = std::env::temp_dir().join(format!(
-                "faascache-recovery-{}-{tag}-{seq}.sock",
-                std::process::id()
-            ));
-            let _ = std::fs::remove_file(&sock);
-            let mut child = Command::new(env!("CARGO_BIN_EXE_faascached"))
-                .args([
-                    "--unix",
-                    sock.to_str().expect("socket path is utf-8"),
-                    "--http-listen",
-                    "127.0.0.1:0",
-                    "--state-dir",
-                    state_dir.to_str().expect("state dir is utf-8"),
-                    "--shards",
-                    "2",
-                    "--mem-mb",
-                    "2048",
-                    "--queue-bound",
-                    "256",
-                    "--functions",
-                    "8",
-                    "--seed",
-                    "11",
-                ])
-                .stdout(Stdio::piped())
-                .stderr(Stdio::piped())
-                .spawn()
-                .expect("spawn faascached");
-
-            let stderr = child.stderr.take().expect("stderr piped");
-            let mut lines = std::io::BufReader::new(stderr);
-            let deadline = Instant::now() + READY_TIMEOUT;
-            let mut http = None;
-            let mut line = String::new();
-            while http.is_none() {
-                assert!(
-                    Instant::now() < deadline,
-                    "faascached never announced its http gateway"
-                );
-                line.clear();
-                let n = lines.read_line(&mut line).expect("read child stderr");
-                assert!(n > 0, "faascached exited before announcing its gateway");
-                if let Some(rest) = line.trim().strip_prefix("faascached: http gateway on Tcp(") {
-                    http = Some(
-                        rest.trim_end_matches(')')
-                            .parse()
-                            .expect("parse gateway addr"),
-                    );
-                }
-            }
-            let stderr_drain = Some(thread::spawn(move || {
-                let _ = std::io::copy(&mut lines, &mut std::io::sink());
-            }));
-
-            let backend = JournalingChild {
-                child,
-                sock,
-                http: http.unwrap(),
-                stderr_drain,
-            };
-            client::await_ready(&backend.addr(), READY_TIMEOUT).expect("backend ready");
-            backend
-        }
-
-        fn addr(&self) -> BoundAddr {
-            BoundAddr::Unix(self.sock.clone())
-        }
-
-        /// Scrapes `/metrics` and returns the registry (epoch, digest)
-        /// gauges.
-        fn registry_fingerprint(&self) -> (u64, u64) {
-            let mut http = Client::connect(&BoundAddr::Tcp(self.http), LoadProto::Http)
-                .expect("connect gateway");
-            let body = http.metrics().expect("scrape metrics");
-            let get = |name: &str| -> u64 {
-                let prefix = format!("{name} ");
-                body.lines()
-                    .find_map(|l| l.strip_prefix(prefix.as_str()))
-                    .unwrap_or_else(|| panic!("metrics missing {name}:\n{body}"))
-                    .trim()
-                    .parse()
-                    .expect("gauge parses")
-            };
-            (
-                get("faascache_registry_epoch"),
-                get("faascache_registry_digest"),
-            )
-        }
-
-        /// SIGKILL — no drain, no fsync beyond what `append` already
-        /// did. Reaps the corpse.
-        fn kill(mut self) {
-            let _ = self.child.kill();
-            let _ = self.child.wait();
-            if let Some(drain) = self.stderr_drain.take() {
-                let _ = drain.join();
-            }
-            let _ = std::fs::remove_file(&self.sock);
-        }
-
-        /// Graceful teardown via the protocol Shutdown frame: the child
-        /// exits 0 and its summary line reports a completed drain.
-        fn shutdown_clean(mut self) {
-            Client::connect(&self.addr(), LoadProto::Binary)
-                .expect("connect for shutdown")
-                .shutdown()
-                .expect("shutdown frame");
-            let status = self.child.wait().expect("wait for child");
-            assert!(status.success(), "faascached exited with {status}");
-            let mut summary = String::new();
-            self.child
-                .stdout
-                .take()
-                .expect("stdout piped")
-                .read_to_string(&mut summary)
-                .expect("read child stdout");
-            assert!(summary.contains("drained=true"), "{summary}");
-            if let Some(drain) = self.stderr_drain.take() {
-                let _ = drain.join();
-            }
-            let _ = std::fs::remove_file(&self.sock);
-        }
+    /// The registry (epoch, digest) gauges, from one scrape of the
+    /// child's `/metrics`.
+    fn registry_fingerprint(daemon: &Faascached) -> (u64, u64) {
+        let mut http = Client::connect(&BoundAddr::Tcp(daemon.http), LoadProto::Http)
+            .expect("connect gateway");
+        let body = http.metrics().expect("scrape metrics");
+        (
+            series(&body, "faascache_registry_epoch"),
+            series(&body, "faascache_registry_digest"),
+        )
     }
 
     /// The headline contract: every mutation acked before a SIGKILL is
@@ -208,7 +114,7 @@ mod crash {
     #[test]
     fn acked_mutations_survive_sigkill_and_restart() {
         let state = Scratch::new("acked");
-        let first = JournalingChild::spawn(&state.0, "acked-a");
+        let first = journaling(&state.0, "acked-a");
         let mut conn = Client::connect(&first.addr(), LoadProto::Binary).expect("connect");
 
         let mut acked: Vec<(String, &str, u32)> = Vec::new();
@@ -239,10 +145,10 @@ mod crash {
             "inflight=0 must throttle before the crash"
         );
 
-        let (epoch, digest) = first.registry_fingerprint();
-        first.kill();
+        let (epoch, digest) = registry_fingerprint(&first);
+        drop(first); // SIGKILL
 
-        let second = JournalingChild::spawn(&state.0, "acked-b");
+        let second = journaling(&state.0, "acked-b");
         let mut conn = Client::connect(&second.addr(), LoadProto::Binary).expect("reconnect");
         for (name, tenant, index) in &acked {
             let (replayed_index, created) = conn
@@ -254,7 +160,7 @@ mod crash {
                 "{name} recovered at a different index"
             );
         }
-        let (epoch_after, digest_after) = second.registry_fingerprint();
+        let (epoch_after, digest_after) = registry_fingerprint(&second);
         assert_eq!(
             (epoch_after, digest_after),
             (epoch, digest),
@@ -287,7 +193,7 @@ mod crash {
             "{}",
             report.summary_line()
         );
-        second.shutdown_clean();
+        second.terminate();
     }
 
     /// Crash *mid-stream*: a registration storm is SIGKILLed with
@@ -298,7 +204,7 @@ mod crash {
     #[test]
     fn kill_mid_registration_storm_loses_no_acked_register() {
         let state = Scratch::new("storm");
-        let child = JournalingChild::spawn(&state.0, "storm-a");
+        let child = journaling(&state.0, "storm-a");
 
         let acked: Arc<Mutex<Vec<(String, u32)>>> = Arc::new(Mutex::new(Vec::new()));
         let addr = child.addr();
@@ -323,7 +229,7 @@ mod crash {
         });
 
         thread::sleep(Duration::from_millis(60));
-        child.kill();
+        drop(child); // SIGKILL
         storm.join().expect("storm thread panicked");
 
         let acked = acked.lock().unwrap();
@@ -332,7 +238,7 @@ mod crash {
             "storm never got an ack before the kill; test proves nothing"
         );
 
-        let second = JournalingChild::spawn(&state.0, "storm-b");
+        let second = journaling(&state.0, "storm-b");
         let mut conn = Client::connect(&second.addr(), LoadProto::Binary).expect("reconnect");
         for (name, index) in acked.iter() {
             let (replayed_index, created) = conn
@@ -348,7 +254,7 @@ mod crash {
             "storm: {} acked registrations all survived kill -9",
             acked.len()
         );
-        second.shutdown_clean();
+        second.terminate();
     }
 
     /// Restart idempotence without a crash: a graceful shutdown and a
@@ -358,23 +264,23 @@ mod crash {
     #[test]
     fn graceful_restart_is_idempotent() {
         let state = Scratch::new("graceful");
-        let first = JournalingChild::spawn(&state.0, "graceful-a");
+        let first = journaling(&state.0, "graceful-a");
         let mut conn = Client::connect(&first.addr(), LoadProto::Binary).expect("connect");
         for i in 0..6u32 {
             conn.register_in(&format!("calm-fn-{i}"), 128, 1_000, 10_000, "")
                 .expect("register");
         }
-        let fingerprint = first.registry_fingerprint();
+        let fingerprint = registry_fingerprint(&first);
         drop(conn);
-        first.shutdown_clean();
+        first.terminate();
 
-        let second = JournalingChild::spawn(&state.0, "graceful-b");
-        assert_eq!(second.registry_fingerprint(), fingerprint);
-        second.shutdown_clean();
+        let second = journaling(&state.0, "graceful-b");
+        assert_eq!(registry_fingerprint(&second), fingerprint);
+        second.terminate();
 
-        let third = JournalingChild::spawn(&state.0, "graceful-c");
-        assert_eq!(third.registry_fingerprint(), fingerprint);
-        third.shutdown_clean();
+        let third = journaling(&state.0, "graceful-c");
+        assert_eq!(registry_fingerprint(&third), fingerprint);
+        third.terminate();
     }
 }
 
@@ -385,32 +291,6 @@ mod crash {
 mod corruption {
     use super::*;
     use proptest::prelude::*;
-    use std::path::PathBuf;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    static SEQ: AtomicUsize = AtomicUsize::new(0);
-
-    /// Fresh scratch dir per proptest case, removed when dropped.
-    struct Scratch(PathBuf);
-
-    impl Scratch {
-        fn new() -> Scratch {
-            let seq = SEQ.fetch_add(1, Ordering::Relaxed);
-            let dir = std::env::temp_dir().join(format!(
-                "faascache-journal-prop-{}-{seq}",
-                std::process::id()
-            ));
-            let _ = std::fs::remove_dir_all(&dir);
-            std::fs::create_dir_all(&dir).expect("create scratch dir");
-            Scratch(dir)
-        }
-    }
-
-    impl Drop for Scratch {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_dir_all(&self.0);
-        }
-    }
 
     /// Draws either record kind from numeric tuples (the shim has no
     /// string strategies; names derive from a drawn id).
@@ -477,7 +357,7 @@ mod corruption {
             let ends = frame_ends(&records);
             let survivors = ends.iter().filter(|&&e| e <= cut).count();
 
-            let scratch = Scratch::new();
+            let scratch = Scratch::new("journal-prop");
             journal::write_journal_bytes(&scratch.0, &bytes[..cut]).unwrap();
             let (mut journal, recovered) = Journal::open(&scratch.0).unwrap();
 
@@ -516,7 +396,7 @@ mod corruption {
             let at = (flip_seed % bytes.len() as u64) as usize;
             bytes[at] ^= flip_mask;
 
-            let scratch = Scratch::new();
+            let scratch = Scratch::new("journal-prop");
             journal::write_journal_bytes(&scratch.0, &bytes).unwrap();
             let (_, recovered) = Journal::open(&scratch.0).unwrap();
 
@@ -536,7 +416,7 @@ mod corruption {
         fn garbage_journals_never_panic_and_stay_appendable(
             garbage in collection::vec(any::<u8>(), 0..2048),
         ) {
-            let scratch = Scratch::new();
+            let scratch = Scratch::new("journal-prop");
             journal::write_journal_bytes(&scratch.0, &garbage).unwrap();
             let (mut journal, recovered) = Journal::open(&scratch.0).unwrap();
             let survivors = recovered.records.len();
@@ -565,7 +445,7 @@ mod corruption {
             tail in collection::vec(arb_record(), 0..6),
             cut_seed in any::<u64>(),
         ) {
-            let scratch = Scratch::new();
+            let scratch = Scratch::new("journal-prop");
             {
                 let (mut journal, _) = Journal::open(&scratch.0).unwrap();
                 journal.compact(&snapshot).unwrap();

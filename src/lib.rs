@@ -61,54 +61,3 @@ pub mod prelude {
     pub use faascache_trace::record::{Invocation, Trace};
     pub use faascache_util::{MemMb, Pcg64, SimDuration, SimTime};
 }
-
-/// Static provisioning (paper §5.1): size a server's memory from a
-/// hit-ratio curve, by a target hit ratio or at the curve's inflection
-/// point, through [`analysis::hitratio::HitRatioCurve`].
-#[cfg(test)]
-mod static_prov {
-    #[cfg(test)]
-    mod tests {
-        use crate::analysis::hitratio::HitRatioCurve;
-
-        fn curve() -> HitRatioCurve {
-            // 90 small distances under 1GB, 10 spread to 10GB: classic knee.
-            let mut d: Vec<u64> = (0..90).map(|i| i * 10).collect();
-            d.extend((1..=10).map(|i| i * 1000));
-            HitRatioCurve::from_distances(&d, 0)
-        }
-
-        #[test]
-        fn target_sizing() {
-            let curve = curve();
-            let size = curve.size_for_hit_ratio(0.9).unwrap();
-            assert!(curve.hit_ratio(size) >= 0.9);
-            assert!(size.as_mb() <= 1000, "90% of accesses are under 1GB");
-        }
-
-        #[test]
-        fn unreachable_target() {
-            let curve = HitRatioCurve::from_distances(&[5], 9);
-            assert!(curve.size_for_hit_ratio(0.5).is_none());
-        }
-
-        #[test]
-        fn inflection_sizing_lands_in_steep_region() {
-            let curve = curve();
-            let size = curve.inflection().unwrap();
-            assert!(
-                size.as_mb() <= 1500,
-                "knee should precede the flat tail, got {}",
-                size
-            );
-            assert!(curve.hit_ratio(size) > 0.5);
-        }
-
-        #[test]
-        fn degenerate_curve() {
-            let curve = HitRatioCurve::from_distances(&[], 0);
-            assert!(curve.inflection().is_none());
-            assert!(curve.size_for_hit_ratio(0.1).is_none());
-        }
-    }
-}
