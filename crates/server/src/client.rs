@@ -362,8 +362,9 @@ impl RetryPolicy {
     }
 }
 
-/// Which wire protocol a [`Client`] speaks, chosen at connect time
-/// (`faas-load --proto`).
+/// Which wire protocol a connection speaks: a [`Client`]'s, chosen at
+/// connect time (`faas-load --proto`), and a server's accepted
+/// connection's, decided by the listener it arrived on.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum LoadProto {
     /// The length-prefixed binary protocol (the daemon's main listener).

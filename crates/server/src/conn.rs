@@ -28,9 +28,10 @@
 //! loops on the connection's own thread; the reactor adds readiness
 //! interest, backpressure, a deadline queue and the blocking-op hand-off.
 
+use crate::client::LoadProto;
 use crate::http::{self, HttpParser, HttpRequest};
 use crate::proto::{FrameDecoder, FrameEncoder, WriteProgress};
-use crate::service::{respond, ConnKind, FrontCounters, Op, Service};
+use crate::service::{respond, FrontCounters, Op, Service};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::sync::atomic::Ordering;
@@ -90,10 +91,10 @@ pub(crate) struct Conn {
 
 impl Conn {
     /// A connection speaking `kind`.
-    pub(crate) fn new(kind: ConnKind) -> Conn {
+    pub(crate) fn new(kind: LoadProto) -> Conn {
         let decoder = match kind {
-            ConnKind::Binary => Decoder::Binary(FrameDecoder::new()),
-            ConnKind::Http => Decoder::Http(HttpParser::new()),
+            LoadProto::Binary => Decoder::Binary(FrameDecoder::new()),
+            LoadProto::Http => Decoder::Http(HttpParser::new()),
         };
         Conn {
             decoder,
@@ -104,10 +105,10 @@ impl Conn {
         }
     }
 
-    pub(crate) fn kind(&self) -> ConnKind {
+    pub(crate) fn kind(&self) -> LoadProto {
         match self.decoder {
-            Decoder::Binary(_) => ConnKind::Binary,
-            Decoder::Http(_) => ConnKind::Http,
+            Decoder::Binary(_) => LoadProto::Binary,
+            Decoder::Http(_) => LoadProto::Http,
         }
     }
 
@@ -206,7 +207,7 @@ impl Conn {
     pub(crate) fn reads(&self, drain_began: Option<Instant>, stall_limit: Duration) -> bool {
         !self.closing
             && drain_began
-                .is_none_or(|t| self.kind() == ConnKind::Http && t.elapsed() < stall_limit)
+                .is_none_or(|t| self.kind() == LoadProto::Http && t.elapsed() < stall_limit)
     }
 
     /// Executes `request` and queues its reply. A reply that ends the
@@ -292,9 +293,9 @@ pub(crate) mod tests {
     /// The `i`th request of a small vocabulary: well-formed requests,
     /// requests answered with an error reply, and (last) input that
     /// poisons the stream.
-    fn piece(kind: ConnKind, i: usize) -> Vec<u8> {
+    fn piece(kind: LoadProto, i: usize) -> Vec<u8> {
         let text = match (kind, i) {
-            (ConnKind::Binary, _) => {
+            (LoadProto::Binary, _) => {
                 let payload = match i {
                     0 => Request::Ping.encode(),
                     1 => Request::Invoke { function: 7 }.encode(),
@@ -312,13 +313,13 @@ pub(crate) mod tests {
                 proto::write_frame(&mut frame, &payload).expect("Vec write");
                 return frame;
             }
-            (ConnKind::Http, 0) => "GET /healthz HTTP/1.1\r\n\r\n",
-            (ConnKind::Http, 1) => "POST /invoke/7 HTTP/1.1\r\nContent-Length: 3\r\n\r\nabc",
-            (ConnKind::Http, 2) => "POST /invoke/f HTTP/1.1\r\nIdempotency-Key: 9\r\n\r\n",
-            (ConnKind::Http, 3) => "GET /metrics HTTP/1.1\r\n\r\n",
-            (ConnKind::Http, 4) => "GET /nope HTTP/1.1\r\n\r\n",
-            (ConnKind::Http, 5) => "PUT /functions/g?mem_mb=64 HTTP/1.1\r\n\r\n",
-            (ConnKind::Http, _) => "BOGUS\r\n\r\n",
+            (LoadProto::Http, 0) => "GET /healthz HTTP/1.1\r\n\r\n",
+            (LoadProto::Http, 1) => "POST /invoke/7 HTTP/1.1\r\nContent-Length: 3\r\n\r\nabc",
+            (LoadProto::Http, 2) => "POST /invoke/f HTTP/1.1\r\nIdempotency-Key: 9\r\n\r\n",
+            (LoadProto::Http, 3) => "GET /metrics HTTP/1.1\r\n\r\n",
+            (LoadProto::Http, 4) => "GET /nope HTTP/1.1\r\n\r\n",
+            (LoadProto::Http, 5) => "PUT /functions/g?mem_mb=64 HTTP/1.1\r\n\r\n",
+            (LoadProto::Http, _) => "BOGUS\r\n\r\n",
         };
         text.as_bytes().to_vec()
     }
@@ -387,7 +388,7 @@ pub(crate) mod tests {
     /// Moves `wire` through a connection the way a driver does (read,
     /// answer, flush) until input ends or the sink fails, then closes it.
     /// Returns the ops executed.
-    fn drive(kind: ConnKind, wire: &[u8], cuts: &[usize], sink: &mut Sink) -> Vec<Op> {
+    fn drive(kind: LoadProto, wire: &[u8], cuts: &[usize], sink: &mut Sink) -> Vec<Op> {
         let toy = Toy::default();
         let mut scratch = Scratch::default();
         let mut conn = Conn::new(kind);
@@ -432,7 +433,7 @@ pub(crate) mod tests {
             cuts in collection::vec(1usize..40, 1..8),
             (take, fail_at) in (1usize..64, any::<usize>()),
         ) {
-            let kind = if http { ConnKind::Http } else { ConnKind::Binary };
+            let kind = if http { LoadProto::Http } else { LoadProto::Binary };
             let mut wire: Vec<u8> = pieces.iter().flat_map(|&i| piece(kind, i)).collect();
             wire.extend_from_slice(&garbage);
 

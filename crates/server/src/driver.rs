@@ -13,12 +13,13 @@
 //! [`crate::reactor`], which serves the same listeners and drives the
 //! same core from readiness events.
 
+use crate::client::LoadProto;
 use crate::conn::{Conn, Scratch};
 use crate::daemon::{BoundAddr, Endpoint};
 use crate::fault::{FaultConfig, FaultPlan, FaultyStream};
 use crate::net::{Listener, Stream};
 use crate::proto::WriteProgress;
-use crate::service::{ConnKind, Service};
+use crate::service::Service;
 use std::io::{self, Read, Write};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -117,12 +118,12 @@ impl Front {
         thread::scope(|scope| {
             if let Some(http) = &self.http {
                 scope.spawn(move || {
-                    for handler in self.accept_loop(svc, http, ConnKind::Http) {
+                    for handler in self.accept_loop(svc, http, LoadProto::Http) {
                         let _ = handler.join();
                     }
                 });
             }
-            self.accept_loop(svc, &self.binary, ConnKind::Binary)
+            self.accept_loop(svc, &self.binary, LoadProto::Binary)
         })
     }
 
@@ -138,7 +139,7 @@ impl Front {
         &self,
         svc: &Arc<S>,
         listener: &Listener,
-        kind: ConnKind,
+        kind: LoadProto,
     ) -> Vec<JoinHandle<()>> {
         let counters = svc.counters();
         let stall_limit = self.stall_limit();
@@ -225,7 +226,7 @@ pub(crate) fn drain<S: Service>(svc: &S, handlers: Vec<JoinHandle<()>>, timeout:
 fn serve_connection<S: Service, T: Read + Write>(
     svc: &S,
     ctx: &mut S::Ctx,
-    kind: ConnKind,
+    kind: LoadProto,
     mut stream: T,
     stall_limit: Duration,
 ) {
@@ -404,7 +405,7 @@ mod tests {
         wire.extend(u32::MAX.to_le_bytes()); // length prefix over MAX_FRAME
         wire.extend(frame(Request::Ping)); // never reached
         let mut peer = Script::new(&toy, vec![Step::Bytes(wire)]);
-        serve_connection(&toy, &mut (), ConnKind::Binary, &mut peer, STALL_LIMIT);
+        serve_connection(&toy, &mut (), LoadProto::Binary, &mut peer, STALL_LIMIT);
         assert_eq!(peer.responses(), vec![WARM, WARM]);
         assert_eq!(toy.counters.frames.load(Ordering::Relaxed), 2);
         assert_eq!(toy.counters.protocol_errors.load(Ordering::Relaxed), 1);
@@ -432,7 +433,7 @@ mod tests {
             wire.extend(poison.as_bytes());
             wire.extend(invoke_http(4)); // never reached
             let mut peer = Script::new(&toy, vec![Step::Bytes(wire)]);
-            serve_connection(&toy, &mut (), ConnKind::Http, &mut peer, STALL_LIMIT);
+            serve_connection(&toy, &mut (), LoadProto::Http, &mut peer, STALL_LIMIT);
             assert_eq!(peer.statuses(), vec![200, 200, status]);
             let text = String::from_utf8_lossy(&peer.written);
             let last = text.rsplit("HTTP/1.1 ").next().expect("a last response");
@@ -448,8 +449,8 @@ mod tests {
         let half_frame = frame(Request::Invoke { function: 1 })[..6].to_vec();
         let half_request = b"POST /invoke/1 HT".to_vec();
         for (kind, partial) in [
-            (ConnKind::Binary, half_frame),
-            (ConnKind::Http, half_request),
+            (LoadProto::Binary, half_frame),
+            (LoadProto::Http, half_request),
         ] {
             let toy = Toy::default();
             let mut peer = Script::new(&toy, vec![Step::Bytes(partial), Step::Stall]);
@@ -467,7 +468,7 @@ mod tests {
 
     /// A 226-byte frame and a 234-byte head: each takes over a hundred
     /// milliseconds to arrive at 0.5 ms per byte.
-    fn long_requests() -> [(ConnKind, Vec<u8>); 2] {
+    fn long_requests() -> [(LoadProto, Vec<u8>); 2] {
         let mut payload = Request::Ping.encode();
         payload.resize(222, 0);
         let mut frame = Vec::new();
@@ -477,8 +478,8 @@ mod tests {
             "p".repeat(200)
         );
         [
-            (ConnKind::Binary, frame),
-            (ConnKind::Http, head.into_bytes()),
+            (LoadProto::Binary, frame),
+            (LoadProto::Http, head.into_bytes()),
         ]
     }
 
@@ -515,8 +516,8 @@ mod tests {
             let mut peer = Script::new(&toy, vec![Step::Trickle(request, pause)]);
             serve_connection(&toy, &mut (), kind, &mut peer, Duration::from_secs(5));
             match kind {
-                ConnKind::Binary => assert_eq!(peer.responses(), vec![Response::Pong]),
-                ConnKind::Http => assert_eq!(peer.statuses(), vec![200]),
+                LoadProto::Binary => assert_eq!(peer.responses(), vec![Response::Pong]),
+                LoadProto::Http => assert_eq!(peer.statuses(), vec![200]),
             }
             assert_eq!(toy.counters.protocol_errors.load(Ordering::Relaxed), 0);
         }
@@ -530,13 +531,13 @@ mod tests {
         let mut steps: Vec<Step> = idle().collect();
         steps.push(Step::Bytes(frame(Request::Ping)));
         let mut peer = Script::new(&toy, steps);
-        serve_connection(&toy, &mut (), ConnKind::Binary, &mut peer, STALL_LIMIT);
+        serve_connection(&toy, &mut (), LoadProto::Binary, &mut peer, STALL_LIMIT);
         assert_eq!(peer.responses(), vec![Response::Pong]);
 
         let mut steps: Vec<Step> = idle().collect();
         steps.push(Step::Bytes(HEALTHZ.to_vec()));
         let mut peer = Script::new(&toy, steps);
-        serve_connection(&toy, &mut (), ConnKind::Http, &mut peer, STALL_LIMIT);
+        serve_connection(&toy, &mut (), LoadProto::Http, &mut peer, STALL_LIMIT);
         assert_eq!(peer.statuses(), vec![200]);
         assert_eq!(toy.counters.protocol_errors.load(Ordering::Relaxed), 0);
     }
@@ -553,7 +554,7 @@ mod tests {
                 Step::Bytes(frame(Request::Invoke { function: 2 })),
             ],
         );
-        serve_connection(&toy, &mut (), ConnKind::Binary, &mut peer, STALL_LIMIT);
+        serve_connection(&toy, &mut (), LoadProto::Binary, &mut peer, STALL_LIMIT);
         assert_eq!(peer.responses(), vec![WARM]);
 
         // HTTP: idle ticks inside the grace window keep the connection;
@@ -571,7 +572,7 @@ mod tests {
                 Step::Bytes(HEALTHZ.to_vec()),
             ],
         );
-        serve_connection(&toy, &mut (), ConnKind::Http, &mut peer, STALL_LIMIT);
+        serve_connection(&toy, &mut (), LoadProto::Http, &mut peer, STALL_LIMIT);
         assert_eq!(peer.statuses(), vec![200, 503]);
         let text = String::from_utf8_lossy(&peer.written);
         let (first, second) = text.split_at(text.rfind("HTTP/1.1 ").expect("two responses"));
@@ -583,7 +584,7 @@ mod tests {
         let toy = Toy::default();
         let mut peer = Script::new(&toy, vec![Step::BeginDrain, Step::Stall]);
         let started = Instant::now();
-        serve_connection(&toy, &mut (), ConnKind::Http, &mut peer, STALL_LIMIT);
+        serve_connection(&toy, &mut (), LoadProto::Http, &mut peer, STALL_LIMIT);
         assert!(started.elapsed() >= STALL_LIMIT);
         assert!(peer.written.is_empty());
         assert_eq!(toy.counters.protocol_errors.load(Ordering::Relaxed), 0);
@@ -598,7 +599,7 @@ mod tests {
         let addr = front.bound_addr();
         let retained = thread::scope(|scope| {
             let accepting =
-                scope.spawn(|| front.accept_loop(&toy, &front.binary, ConnKind::Binary));
+                scope.spawn(|| front.accept_loop(&toy, &front.binary, LoadProto::Binary));
             for _ in 0..CONNECTIONS {
                 let mut conn = Stream::connect(&addr, None).expect("connect");
                 conn.write_all(&frame(Request::Ping)).expect("send");

@@ -10,12 +10,17 @@
 //! Design (no external deps — `std::fs` + a hand-rolled CRC-32):
 //!
 //! - **Record framing** — each record is `len:u32le | crc:u32le |
-//!   payload`, where `crc` is the IEEE CRC-32 of the payload. A record is
-//!   valid iff `1 <= len <= MAX_RECORD_LEN`, the payload is fully
-//!   present, the CRC matches, and the payload decodes. Replay stops at
-//!   the first invalid record: recovery is always the **longest valid
-//!   prefix**, and the torn tail is physically truncated so the next
-//!   append never interleaves with garbage.
+//!   payload`, where `crc` is the IEEE CRC-32 of the payload and the
+//!   payload is the binary protocol's own `Register` or `SetTenantQuota`
+//!   request (opcodes 0x06/0x07, [`crate::proto`]): the journal owns the
+//!   framing and the files, the protocol owns the one layout of a
+//!   mutation. A frame is complete iff `1 <= len <= MAX_RECORD_LEN`, the
+//!   payload is fully present and the CRC matches. Replay stops at the
+//!   first incomplete frame: recovery is the **longest valid prefix**,
+//!   and the torn tail is physically truncated so the next append never
+//!   interleaves with garbage. A complete frame whose payload is not a
+//!   mutation cannot come from a torn write, so it fails the open with
+//!   `InvalidData` and no file is changed.
 //! - **Files** — `<state-dir>/journal.log` (append-only tail) and
 //!   `<state-dir>/snapshot.log` (compacted full state, same framing).
 //!   Recovery replays the snapshot, then the journal.
@@ -69,11 +74,7 @@ const JOURNAL_FILE: &str = "journal.log";
 const SNAPSHOT_FILE: &str = "snapshot.log";
 const SNAPSHOT_TMP: &str = "snapshot.tmp";
 
-const TAG_REGISTER: u8 = 0x01;
-const TAG_SET_QUOTA: u8 = 0x02;
-
-/// Longest function name: the wire and the journal carry its length in
-/// one byte.
+/// Longest function name: the wire carries its length in one byte.
 const MAX_NAME_LEN: usize = u8::MAX as usize;
 
 /// Longest tenant name.
@@ -157,81 +158,41 @@ impl JournalRecord {
         }
     }
 
-    /// Serializes the record payload (without framing).
-    fn encode_payload(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64);
-        match self {
-            JournalRecord::Register {
+    /// The mutation a wire request carries, or the request back when it
+    /// is not a mutation. The inverse of [`JournalRecord::to_request`];
+    /// it runs no [`JournalRecord::validate`], so replay reads back
+    /// what compaction wrote (boot workload names hold a `/`).
+    pub(crate) fn from_request(request: Request) -> Result<JournalRecord, Request> {
+        match request {
+            Request::Register {
                 name,
                 mem_mb,
                 warm_us,
                 cold_us,
                 tenant,
-            } => {
-                out.push(TAG_REGISTER);
-                push_str(&mut out, name);
-                push_str(&mut out, tenant);
-                out.extend_from_slice(&mem_mb.to_le_bytes());
-                out.extend_from_slice(&warm_us.to_le_bytes());
-                out.extend_from_slice(&cold_us.to_le_bytes());
-            }
-            JournalRecord::SetQuota {
+            } => Ok(JournalRecord::Register {
+                name,
+                mem_mb,
+                warm_us,
+                cold_us,
+                tenant,
+            }),
+            Request::SetTenantQuota {
                 tenant,
                 inflight,
                 mem_mb,
-            } => {
-                out.push(TAG_SET_QUOTA);
-                push_str(&mut out, tenant);
-                out.extend_from_slice(&inflight.to_le_bytes());
-                out.extend_from_slice(&mem_mb.to_le_bytes());
-            }
-        }
-        out
-    }
-
-    /// Decodes a record payload. `None` means the payload is malformed —
-    /// the caller treats the containing record as the start of the torn
-    /// tail.
-    fn decode_payload(payload: &[u8]) -> Option<JournalRecord> {
-        let (&tag, rest) = payload.split_first()?;
-        match tag {
-            TAG_REGISTER => {
-                let (name, rest) = take_str(rest)?;
-                let (tenant, rest) = take_str(rest)?;
-                let (mem_mb, rest) = take_u32(rest)?;
-                let (warm_us, rest) = take_u64(rest)?;
-                let (cold_us, rest) = take_u64(rest)?;
-                if !rest.is_empty() {
-                    return None;
-                }
-                Some(JournalRecord::Register {
-                    name,
-                    mem_mb,
-                    warm_us,
-                    cold_us,
-                    tenant,
-                })
-            }
-            TAG_SET_QUOTA => {
-                let (tenant, rest) = take_str(rest)?;
-                let (inflight, rest) = take_u64(rest)?;
-                let (mem_mb, rest) = take_u64(rest)?;
-                if !rest.is_empty() {
-                    return None;
-                }
-                Some(JournalRecord::SetQuota {
-                    tenant,
-                    inflight,
-                    mem_mb,
-                })
-            }
-            _ => None,
+            } => Ok(JournalRecord::SetQuota {
+                tenant,
+                inflight,
+                mem_mb,
+            }),
+            other => Err(other),
         }
     }
 
     /// Serializes the record with framing (`len | crc | payload`).
     pub fn encode_framed(&self) -> Vec<u8> {
-        let payload = self.encode_payload();
+        let payload = self.to_request().encode();
         let mut out = Vec::with_capacity(8 + payload.len());
         out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         out.extend_from_slice(&crc32(&payload).to_le_bytes());
@@ -265,30 +226,9 @@ fn check_name(what: &str, name: &str, max: usize) -> Result<(), String> {
     }
 }
 
-fn push_str(out: &mut Vec<u8>, s: &str) {
-    debug_assert!(s.len() <= u8::MAX as usize, "journaled names fit in u8");
-    out.push(s.len().min(u8::MAX as usize) as u8);
-    out.extend_from_slice(&s.as_bytes()[..s.len().min(u8::MAX as usize)]);
-}
-
-fn take_str(buf: &[u8]) -> Option<(String, &[u8])> {
-    let (&len, rest) = buf.split_first()?;
-    let len = len as usize;
-    if rest.len() < len {
-        return None;
-    }
-    let s = std::str::from_utf8(&rest[..len]).ok()?.to_string();
-    Some((s, &rest[len..]))
-}
-
 fn take_u32(buf: &[u8]) -> Option<(u32, &[u8])> {
     let bytes: [u8; 4] = buf.get(..4)?.try_into().ok()?;
     Some((u32::from_le_bytes(bytes), &buf[4..]))
-}
-
-fn take_u64(buf: &[u8]) -> Option<(u64, &[u8])> {
-    let bytes: [u8; 8] = buf.get(..8)?.try_into().ok()?;
-    Some((u64::from_le_bytes(bytes), &buf[8..]))
 }
 
 /// IEEE CRC-32 (the polynomial every `crc32` tool uses), table-driven,
@@ -335,9 +275,11 @@ pub struct RecoveredState {
 }
 
 /// Scans a framed record stream, returning the records of the longest
-/// valid prefix and the byte length of that prefix. Never panics on
-/// arbitrary input.
-pub fn scan_records(bytes: &[u8]) -> (Vec<JournalRecord>, usize) {
+/// prefix of complete frames and the byte length of that prefix. A
+/// complete frame whose payload is not a `Register` or `SetTenantQuota`
+/// request is `InvalidData`: a torn write cannot produce one. Never
+/// panics on arbitrary input.
+pub fn scan_records(bytes: &[u8]) -> io::Result<(Vec<JournalRecord>, usize)> {
     let mut records = Vec::new();
     let mut offset = 0usize;
     loop {
@@ -359,13 +301,19 @@ pub fn scan_records(bytes: &[u8]) -> (Vec<JournalRecord>, usize) {
         if crc32(payload) != crc {
             break;
         }
-        let Some(record) = JournalRecord::decode_payload(payload) else {
-            break;
-        };
+        let record = Request::decode(payload)
+            .ok()
+            .and_then(|request| JournalRecord::from_request(request).ok())
+            .ok_or_else(|| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("record at byte {offset} is not a Register or SetTenantQuota"),
+                )
+            })?;
         records.push(record);
         offset += 8 + len;
     }
-    (records, offset)
+    Ok((records, offset))
 }
 
 /// A computable fingerprint of a function registry: FNV-1a over every
@@ -413,28 +361,26 @@ impl Journal {
     ///
     /// An unreadable snapshot or journal (anything but a missing file)
     /// fails the open: booting from a partial registry would let the next
-    /// compaction write that partial state over the snapshot.
+    /// compaction write that partial state over the snapshot. So does a
+    /// complete record that is not a mutation (`InvalidData`, before any
+    /// file is changed).
     pub fn open(dir: &Path) -> io::Result<(Journal, RecoveredState)> {
         let made_dirs = create_dirs(dir)?;
-        // A leftover snapshot.tmp is a compaction that never committed;
-        // the durable snapshot.log + journal.log pair is authoritative.
-        let _ = fs::remove_file(dir.join(SNAPSHOT_TMP));
-
-        let bytes = read_or_empty(&dir.join(SNAPSHOT_FILE))?;
-        let (records, valid) = scan_records(&bytes);
+        let (records, valid, len) = scan_file(&dir.join(SNAPSHOT_FILE))?;
         let mut recovered = RecoveredState {
             snapshot_records: records.len(),
             records,
-            truncated_bytes: (bytes.len() - valid) as u64,
+            truncated_bytes: (len - valid) as u64,
         };
-
         let journal_path = dir.join(JOURNAL_FILE);
         let made_file = !journal_path.exists();
-        let bytes = read_or_empty(&journal_path)?;
-        let (records, valid) = scan_records(&bytes);
-        recovered.truncated_bytes += (bytes.len() - valid) as u64;
+        let (records, valid, len) = scan_file(&journal_path)?;
+        recovered.truncated_bytes += (len - valid) as u64;
         let journal_records = records.len();
         recovered.records.extend(records);
+        // A leftover snapshot.tmp is a compaction that never committed;
+        // the durable snapshot.log + journal.log pair is authoritative.
+        let _ = fs::remove_file(dir.join(SNAPSHOT_TMP));
 
         let file = OpenOptions::new()
             .create(true)
@@ -515,13 +461,18 @@ impl Journal {
     }
 }
 
-/// Reads a state file; a missing file reads as empty, and every other
-/// error is returned.
-fn read_or_empty(path: &Path) -> io::Result<Vec<u8>> {
-    match fs::read(path) {
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Vec::new()),
-        read => read,
-    }
+/// Reads and scans one state file: its records, the byte length of
+/// their prefix, and the file's length. A missing file reads as empty;
+/// every other read error, and a record [`scan_records`] refuses, is
+/// returned.
+fn scan_file(path: &Path) -> io::Result<(Vec<JournalRecord>, usize, usize)> {
+    let bytes = match fs::read(path) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
+        read => read?,
+    };
+    let (records, valid) = scan_records(&bytes)
+        .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
+    Ok((records, valid, bytes.len()))
 }
 
 /// Creates `dir` and every missing ancestor of it, and returns the
@@ -641,10 +592,32 @@ mod tests {
     fn records_round_trip_through_framing() {
         for record in sample_records() {
             let framed = record.encode_framed();
-            let (decoded, consumed) = scan_records(&framed);
+            let (decoded, consumed) = scan_records(&framed).unwrap();
             assert_eq!(consumed, framed.len());
             assert_eq!(decoded, vec![record]);
         }
+    }
+
+    #[test]
+    fn a_record_is_framed_as_its_wire_request() {
+        for record in sample_records() {
+            assert_eq!(record.encode_framed()[8..], record.to_request().encode());
+        }
+    }
+
+    #[test]
+    fn a_complete_record_that_is_not_a_mutation_fails_the_open() {
+        let dir = tmp_dir("not-a-mutation");
+        fs::create_dir_all(&dir).unwrap();
+        let payload = Request::Invoke { function: 7 }.encode();
+        let mut bytes = (payload.len() as u32).to_le_bytes().to_vec();
+        bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
+        bytes.extend_from_slice(&payload);
+        write_journal_bytes(&dir, &bytes).unwrap();
+        let err = Journal::open(&dir).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(fs::read(dir.join(JOURNAL_FILE)).unwrap(), bytes);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -771,16 +744,16 @@ mod tests {
     #[test]
     fn scan_never_panics_on_garbage() {
         // Adversarial prefixes: truncated length, absurd length, bad crc.
-        assert_eq!(scan_records(&[]).1, 0);
-        assert_eq!(scan_records(&[1, 2, 3]).1, 0);
-        assert_eq!(scan_records(&u32::MAX.to_le_bytes()).1, 0);
+        assert_eq!(scan_records(&[]).unwrap().1, 0);
+        assert_eq!(scan_records(&[1, 2, 3]).unwrap().1, 0);
+        assert_eq!(scan_records(&u32::MAX.to_le_bytes()).unwrap().1, 0);
         let mut huge = Vec::new();
         huge.extend_from_slice(&(MAX_RECORD_LEN + 1).to_le_bytes());
         huge.extend_from_slice(&[0u8; 64]);
-        assert_eq!(scan_records(&huge).1, 0);
+        assert_eq!(scan_records(&huge).unwrap().1, 0);
         let mut bad_crc = sample_records()[0].encode_framed();
         bad_crc[4] ^= 0xFF;
-        assert_eq!(scan_records(&bad_crc).1, 0);
+        assert_eq!(scan_records(&bad_crc).unwrap().1, 0);
     }
 
     #[test]

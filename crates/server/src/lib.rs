@@ -63,12 +63,14 @@
 //! - [`signal`] — SIGTERM/SIGINT wiring (an atomic flag the drivers
 //!   poll).
 //!
-//! The two binaries:
+//! The three binaries:
 //!
 //! ```text
-//! faascached --unix /tmp/faascache.sock --shards 8 --mem-mb 8192
-//! faas-load  --unix /tmp/faascache.sock --requests 100000 --threads 4 \
-//!            --rps 20000 --shutdown
+//! faascached  --unix /tmp/faascache.sock --shards 8 --mem-mb 8192
+//! faas-load   --unix /tmp/faascache.sock --requests 100000 --threads 4 \
+//!             --rps 20000 --shutdown
+//! faas-router --unix /tmp/router.sock \
+//!             --backends unix:/tmp/b0.sock,unix:/tmp/b1.sock
 //! ```
 
 #![deny(unsafe_code)]

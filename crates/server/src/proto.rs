@@ -18,6 +18,8 @@
 //!                  name_len:u8 name:utf8[name_len] tenant:utf8
 //!                  (Register: introduce a function at runtime; the
 //!                   trailing tenant may be empty = default tenant)
+//!           | 0x07 inflight:u64le mem_mb:u64le tenant:utf8
+//!                  (SetTenantQuota: a tenant's budgets at runtime)
 //! response := 0x81 outcome:u8    (Invoked: 0 warm, 1 cold, 2 dropped,
 //!                                 3 rejected, 4 throttled)
 //!           | 0x82 warm:u64le cold:u64le dropped:u64le rejected:u64le
@@ -27,11 +29,14 @@
 //!           | 0x83               (ShutdownStarted)
 //!           | 0x84               (Pong)
 //!           | 0x85 fn:u32le created:u8  (Registered)
+//!           | 0x86 live:u8       (QuotaSet)
 //!           | 0xFF msg:utf8      (Error)
 //! ```
 //!
 //! An outcome's code and its place among the Stats counts are its index
-//! in `InvokeOutcome::ALL`.
+//! in `InvokeOutcome::ALL`. The `Register` and `SetTenantQuota` payloads
+//! are also the journal's record payloads ([`crate::journal`]), so this
+//! is the one byte layout of a control-plane mutation.
 
 use faascache_platform::sharded::{InvokeOutcome, InvokerStats, Outcomes};
 use std::collections::VecDeque;

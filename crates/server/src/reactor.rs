@@ -71,13 +71,14 @@
 
 #![allow(unsafe_code)]
 
+use crate::client::LoadProto;
 use crate::conn::{self, Conn, Pending, Scratch};
 use crate::daemon::{DaemonConfig, Shared};
 use crate::driver::{self, Front};
 use crate::fault::{FaultConfig, FaultyStream};
 use crate::net::{Listener, Stream};
 use crate::proto::WriteProgress;
-use crate::service::{respond, ConnKind, Service};
+use crate::service::{respond, Service};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::os::unix::io::{AsRawFd, RawFd};
@@ -378,7 +379,7 @@ const READ_ROUNDS: usize = 16;
 /// A [`Pending`] request on its way to the blocking-op thread.
 struct Job {
     token: u64,
-    kind: ConnKind,
+    kind: LoadProto,
     request: Pending,
 }
 
@@ -581,10 +582,10 @@ pub(crate) fn serve(
 
         for ev in &events {
             match ev.token {
-                TOKEN_LISTENER => reactor.accept_burst(listener, ConnKind::Binary),
+                TOKEN_LISTENER => reactor.accept_burst(listener, LoadProto::Binary),
                 TOKEN_HTTP_LISTENER => {
                     if let Some(http) = http_listener {
-                        reactor.accept_burst(http, ConnKind::Http);
+                        reactor.accept_burst(http, LoadProto::Http);
                     }
                 }
                 TOKEN_WAKE => drain_wake(&wake_rx),
@@ -666,7 +667,7 @@ impl Reactor {
             .any(|sock| sock.conn.reads(self.drain_began, self.stall_limit))
     }
 
-    fn accept_burst(&mut self, listener: &Listener, kind: ConnKind) {
+    fn accept_burst(&mut self, listener: &Listener, kind: LoadProto) {
         if self.drain_began.is_some() {
             return; // an event from before the listeners were dropped
         }

@@ -1489,7 +1489,7 @@ mod tests {
 
     #[test]
     fn oversized_mem_mb_is_refused_before_any_broadcast() {
-        use crate::service::{respond, ConnKind};
+        use crate::service::respond;
         // The backends are unreachable, so a broadcast attempt would
         // answer 502; 400 means the request never got that far.
         let shared = test_shared(2, LoadBalancer::RoundRobin);
@@ -1524,7 +1524,7 @@ mod tests {
             respond(
                 &shared,
                 &mut shared.conn_ctx(1),
-                ConnKind::Http,
+                LoadProto::Http,
                 op,
                 false,
                 &mut out,

@@ -14,6 +14,7 @@
 //! against the local sharded invoker) and the router's `RouterShared`
 //! (forwards to backends).
 
+use crate::client::LoadProto;
 use crate::http;
 use crate::journal::JournalRecord;
 use crate::net::DrainLatch;
@@ -23,16 +24,6 @@ use faascache_platform::sharded::{InvokeOutcome, InvokerStats};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Which front-end protocol an accepted connection speaks, decided by
-/// the listener it arrived on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ConnKind {
-    /// The length-prefixed binary protocol of [`crate::proto`].
-    Binary,
-    /// The HTTP/1.1 gateway of [`crate::http`].
-    Http,
-}
 
 /// How an invoke names its target.
 #[derive(Debug, PartialEq, Eq)]
@@ -74,40 +65,27 @@ impl Op {
     /// Decodes one binary request frame. An undecodable frame becomes
     /// [`Op::Fail`], so it is answered like any other request.
     pub(crate) fn from_frame(payload: &[u8]) -> Op {
-        match Request::decode(payload) {
-            Ok(Request::Invoke { function }) => Op::Invoke {
+        match Request::decode(payload).map(JournalRecord::from_request) {
+            Ok(Ok(record)) => Op::mutation(record),
+            Ok(Err(Request::Invoke { function })) => Op::Invoke {
                 function: FnTarget::Index(function),
                 key: None,
             },
-            Ok(Request::InvokeKeyed { function, key }) => Op::Invoke {
+            Ok(Err(Request::InvokeKeyed { function, key })) => Op::Invoke {
                 function: FnTarget::Index(function),
                 key: Some(key),
             },
-            Ok(Request::Register {
-                name,
-                mem_mb,
-                warm_us,
-                cold_us,
-                tenant,
-            }) => Op::mutation(JournalRecord::Register {
-                name,
-                mem_mb,
-                warm_us,
-                cold_us,
-                tenant,
-            }),
-            Ok(Request::SetTenantQuota {
-                tenant,
-                inflight,
-                mem_mb,
-            }) => Op::mutation(JournalRecord::SetQuota {
-                tenant,
-                inflight,
-                mem_mb,
-            }),
-            Ok(Request::Stats) => Op::Stats,
-            Ok(Request::Shutdown) => Op::Shutdown,
-            Ok(Request::Ping) => Op::Ping,
+            Ok(Err(Request::Stats)) => Op::Stats,
+            Ok(Err(Request::Shutdown)) => Op::Shutdown,
+            Ok(Err(Request::Ping)) => Op::Ping,
+            // `from_request` takes both mutations, so this arm is never
+            // taken; it answers rather than panics.
+            Ok(Err(other @ (Request::Register { .. } | Request::SetTenantQuota { .. }))) => {
+                Op::Fail {
+                    status: 400,
+                    msg: format!("unmapped mutation {other:?}"),
+                }
+            }
             Err(e) => Op::Fail {
                 status: 400,
                 msg: e.to_string(),
@@ -434,20 +412,20 @@ pub(crate) trait Service: Send + Sync + 'static {
 pub(crate) fn respond<S: Service>(
     svc: &S,
     ctx: &mut S::Ctx,
-    kind: ConnKind,
+    kind: LoadProto,
     op: Op,
     req_close: bool,
     out: &mut Vec<u8>,
 ) -> bool {
     match kind {
-        ConnKind::Binary => {
+        LoadProto::Binary => {
             let payload = svc.call(ctx, op).into_response().encode();
             let len = u32::try_from(payload.len()).expect("response frames are tiny");
             out.extend_from_slice(&len.to_le_bytes());
             out.extend_from_slice(&payload);
             false
         }
-        ConnKind::Http => {
+        LoadProto::Http => {
             // One sample decides the mutation gate, the healthz flip and
             // the close flag, so a response never contradicts itself.
             let draining = svc.draining();
